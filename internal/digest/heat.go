@@ -29,6 +29,9 @@ type Cell struct {
 	LogicTable  string
 	DataSource  string
 	ActualTable string
+	// epoch is the heat map's reset epoch the cell was created under; a
+	// holder of a cached cell pointer compares it to Heat.Epoch.
+	epoch uint64
 
 	queries     atomic.Int64
 	execs       atomic.Int64
@@ -71,6 +74,9 @@ func (c *Cell) tick(start time.Time) {
 	old := math.Float64frombits(c.rate.Load())
 	c.rate.Store(math.Float64bits(old*decay + (float64(n)/dt)*(1-decay)))
 }
+
+// Epoch returns the heat map epoch the cell belongs to.
+func (c *Cell) Epoch() uint64 { return c.epoch }
 
 // ObserveQuery records one routed read against the cell. dur is zero
 // for unsampled statements and then skips the histogram.
@@ -211,25 +217,30 @@ func (h *Heat) Cell(logic, ds, actual string) *Cell {
 	if c = st.m[key]; c != nil {
 		return c
 	}
-	c = &Cell{LogicTable: logic, DataSource: ds, ActualTable: actual}
+	c = &Cell{LogicTable: logic, DataSource: ds, ActualTable: actual, epoch: h.epoch.Load()}
 	st.m[key] = c
 	h.cells.Add(1)
 	return c
 }
 
 // Reset drops every cell (RESET DIGESTS clears the whole workload plane).
+// Every stripe is held across the epoch bump, so no cell is created under
+// the new epoch and then dropped with the old map.
 func (h *Heat) Reset() {
 	if h == nil {
 		return
 	}
+	for i := range h.stripes {
+		h.stripes[i].mu.Lock()
+	}
 	h.epoch.Add(1)
 	for i := range h.stripes {
-		st := &h.stripes[i]
-		st.mu.Lock()
-		st.m = map[cellKey]*Cell{}
-		st.mu.Unlock()
+		h.stripes[i].m = map[cellKey]*Cell{}
 	}
 	h.cells.Store(0)
+	for i := range h.stripes {
+		h.stripes[i].mu.Unlock()
+	}
 }
 
 // Snapshot copies every cell out, with rates evaluated at now.

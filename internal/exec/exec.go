@@ -122,10 +122,11 @@ type Executor struct {
 	// absent.
 	heat atomic.Pointer[digest.Heat]
 	// heatCache is a direct-mapped cache of resolved heat cells, indexed
-	// by a cheap hash of the actual table name: repeated point queries
-	// against the same few shards skip the striped map probe. Entries
-	// carry the heat map's reset epoch so RESET DIGESTS invalidates them.
-	heatCache [16]atomic.Pointer[cellRef]
+	// by the actual table's shard number: repeated statements against the
+	// same shards skip the striped map probe. A cell remembers the heat
+	// map epoch it was created under, so RESET DIGESTS invalidates the
+	// cache without the cache storing anything but the cell.
+	heatCache [heatCacheSize]atomic.Pointer[digest.Cell]
 	// stats is a copy-on-write snapshot of per-source telemetry buckets,
 	// rebuilt on SetTelemetry/AddSource/RemoveSource so the per-unit hot
 	// path resolves its bucket with one plain map read.
@@ -177,18 +178,33 @@ func (e *Executor) SetTelemetry(c *telemetry.Collector) {
 // to its (logic table, data source, actual table) cell.
 func (e *Executor) SetHeat(h *digest.Heat) { e.heat.Store(h) }
 
-// cellRef is one heatCache slot: the resolved cell plus the heat map's
-// reset epoch it was resolved under.
-type cellRef struct {
-	cell  *digest.Cell
-	epoch uint64
+// heatCacheSize is a power of two at least as large as a typical rule's
+// shard count, so a fan-out over one table occupies distinct slots.
+const heatCacheSize = 64
+
+// heatSlot maps an actual table name to its cache slot. Shards are named
+// <logic>_<n>: the slot is n, offset by the name's prefix length so two
+// tables' shards do not all collide. Names without a number fall back to
+// their last byte and length.
+func heatSlot(at string) uint {
+	i, n, mul := len(at), uint(0), uint(1)
+	for i > 0 && at[i-1] >= '0' && at[i-1] <= '9' {
+		i--
+		n += uint(at[i]-'0') * mul
+		mul *= 10
+	}
+	if i == len(at) {
+		n = uint(at[i-1])
+	}
+	return (n ^ uint(i)*7) & (heatCacheSize - 1)
 }
 
 // heatCell resolves a unit's heat cell, or nil when the heat map is off
 // or the unit carries no table attribution (unsharded default routes,
 // TCL broadcasts). The direct-mapped cache turns the steady-state cost
 // into one atomic load and three string compares (usually pointer-equal:
-// unit names come from the same rule metadata every execution).
+// unit names come from the same rule metadata every execution); a miss
+// probes the striped map and allocates nothing.
 func (e *Executor) heatCell(u rewrite.SQLUnit) *digest.Cell {
 	h := e.heat.Load()
 	if h == nil || u.LogicTable == "" {
@@ -198,15 +214,14 @@ func (e *Executor) heatCell(u rewrite.SQLUnit) *digest.Cell {
 	if at == "" {
 		return h.Cell(u.LogicTable, u.DataSource, at)
 	}
-	slot := &e.heatCache[(uint(at[len(at)-1])^uint(len(at)))&15]
-	if ref := slot.Load(); ref != nil && ref.epoch == h.Epoch() {
-		if c := ref.cell; c.ActualTable == at && c.DataSource == u.DataSource && c.LogicTable == u.LogicTable {
-			return c
-		}
+	slot := &e.heatCache[heatSlot(at)]
+	if c := slot.Load(); c != nil && c.Epoch() == h.Epoch() &&
+		c.ActualTable == at && c.DataSource == u.DataSource && c.LogicTable == u.LogicTable {
+		return c
 	}
 	c := h.Cell(u.LogicTable, u.DataSource, at)
 	if c != nil {
-		slot.Store(&cellRef{cell: c, epoch: h.Epoch()})
+		slot.Store(c)
 	}
 	return c
 }
@@ -460,36 +475,49 @@ type group struct {
 	conns int
 }
 
-// plan groups units by data source and decides each group's mode.
+// plan groups units by data source and decides each group's mode. A
+// statement touches a handful of sources, so groups are found by scanning
+// the ones seen so far, and every group's unit list is a window of one
+// backing array sized by a counting pass.
 func (e *Executor) plan(units []rewrite.SQLUnit, held *HeldConns) []group {
-	order := []string{}
-	byDS := map[string][]int{}
-	for i, u := range units {
-		if _, ok := byDS[u.DataSource]; !ok {
-			order = append(order, u.DataSource)
-		}
-		byDS[u.DataSource] = append(byDS[u.DataSource], i)
-	}
-	out := make([]group, 0, len(order))
-	for _, ds := range order {
-		idxs := byDS[ds]
-		g := group{ds: ds, units: idxs}
-		if held != nil {
-			// Transactions ride a single pinned connection: always
-			// connection-strict with one connection.
-			g.mode = ConnectionStrictly
-			g.conns = 1
-		} else {
-			theta := (len(idxs) + e.maxCon - 1) / e.maxCon
-			if theta > 1 {
-				g.mode = ConnectionStrictly
-				g.conns = e.maxCon
-			} else {
-				g.mode = MemoryStrictly
-				g.conns = len(idxs)
+	var out []group
+	groupOf := func(ds string) int {
+		for gi := range out {
+			if out[gi].ds == ds {
+				return gi
 			}
 		}
-		out = append(out, g)
+		return -1
+	}
+	for _, u := range units {
+		if gi := groupOf(u.DataSource); gi >= 0 {
+			out[gi].conns++ // unit count, until the modes are decided below
+		} else {
+			out = append(out, group{ds: u.DataSource, conns: 1})
+		}
+	}
+	idxs := make([]int, len(units))
+	for gi, at := 0, 0; gi < len(out); gi++ {
+		n := out[gi].conns
+		out[gi].units = idxs[at : at : at+n]
+		at += n
+	}
+	for i, u := range units {
+		g := &out[groupOf(u.DataSource)]
+		g.units = append(g.units, i)
+	}
+	for gi := range out {
+		g := &out[gi]
+		switch {
+		case held != nil:
+			// Transactions ride a single pinned connection: always
+			// connection-strict with one connection.
+			g.mode, g.conns = ConnectionStrictly, 1
+		case (len(g.units)+e.maxCon-1)/e.maxCon > 1: // θ > 1
+			g.mode, g.conns = ConnectionStrictly, e.maxCon
+		default:
+			g.mode, g.conns = MemoryStrictly, len(g.units)
+		}
 	}
 	return out
 }
@@ -523,7 +551,7 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 	groups := e.plan(units, held)
 	res := &QueryResult{
 		Sets:  make([]resource.ResultSet, len(units)),
-		Modes: map[string]ConnectionMode{},
+		Modes: make(map[string]ConnectionMode, len(groups)),
 	}
 	var mu sync.Mutex
 	for _, g := range groups {
@@ -578,14 +606,19 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 	return res, nil
 }
 
-// deferCancelToSets ties a fan-out cancel to the lifetime of the result
-// sets it guards: each set is wrapped so the cancel fires when the last
-// one closes. With no live sets the cancel runs immediately.
+// deferCancelToSets ties a fan-out cancel to the lifetime of the live
+// cursors it guards: each is wrapped so the cancel fires when the last one
+// closes. Materialized sets (drained for a held or shared connection) read
+// nothing through the context and stay unwrapped, so the merger sees them
+// for what they are; with no live cursor the cancel runs immediately.
 func deferCancelToSets(sets []resource.ResultSet, cancel context.CancelFunc) {
-	var live atomic.Int32
+	isLive := func(rs resource.ResultSet) bool {
+		_, materialized := rs.(*resource.SliceResultSet)
+		return rs != nil && !materialized
+	}
 	n := int32(0)
 	for _, rs := range sets {
-		if rs != nil {
+		if isLive(rs) {
 			n++
 		}
 	}
@@ -593,6 +626,7 @@ func deferCancelToSets(sets []resource.ResultSet, cancel context.CancelFunc) {
 		cancel()
 		return
 	}
+	var live atomic.Int32
 	live.Store(n)
 	release := func() {
 		if live.Add(-1) == 0 {
@@ -600,7 +634,7 @@ func deferCancelToSets(sets []resource.ResultSet, cancel context.CancelFunc) {
 		}
 	}
 	for i, rs := range sets {
-		if rs != nil {
+		if isLive(rs) {
 			sets[i] = resource.WithCloseHook(rs, release)
 		}
 	}

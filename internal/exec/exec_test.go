@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"shardingsphere/internal/digest"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/sqltypes"
@@ -326,5 +327,53 @@ func TestArgsPassThrough(t *testing.T) {
 	rows, _ := resource.ReadAll(res.Sets[0])
 	if len(rows) != 1 || rows[0][0].I != 3 {
 		t.Fatalf("args: %v", rows)
+	}
+}
+
+// TestHeatCellSweepAllocatesNothing: a repeated sweep over a 50-table
+// rule's shards resolves every heat cell without allocating — the cache
+// slots are the shard numbers, so fifty shards do not evict each other —
+// and RESET DIGESTS still invalidates what the executor cached.
+func TestHeatCellSweepAllocatesNothing(t *testing.T) {
+	e := New(map[string]*resource.DataSource{}, 1)
+	h := digest.NewHeat()
+	e.SetHeat(h)
+	units := make([]rewrite.SQLUnit, 50)
+	for i := range units {
+		units[i] = rewrite.SQLUnit{
+			DataSource:  fmt.Sprintf("ds%d", i%5),
+			LogicTable:  "sbtest",
+			ActualTable: fmt.Sprintf("sbtest_%d", i),
+		}
+	}
+	sweep := func() {
+		for _, u := range units {
+			if e.heatCell(u) == nil {
+				t.Fatal("no cell")
+			}
+		}
+	}
+	sweep() // creates the cells
+	slots := map[uint]bool{}
+	for _, u := range units {
+		slots[heatSlot(u.ActualTable)] = true
+	}
+	if len(slots) != len(units) {
+		t.Fatalf("50 shards share %d cache slots", len(slots))
+	}
+	if n := testing.AllocsPerRun(100, sweep); n != 0 {
+		t.Fatalf("steady-state sweep allocates %v times, want 0", n)
+	}
+	before := e.heatCell(units[7])
+	h.Reset()
+	after := e.heatCell(units[7])
+	if after == before {
+		t.Fatal("cell cached across RESET DIGESTS")
+	}
+	if e.heatCell(units[7]) != after {
+		t.Fatal("cell not re-cached after the reset")
+	}
+	if n := testing.AllocsPerRun(100, sweep); n != 0 {
+		t.Fatalf("sweep after reset allocates %v times, want 0", n)
 	}
 }

@@ -183,8 +183,14 @@ func (s *iterationSet) Close() error {
 // cursors each consult decodes one row-batch frame).
 const cursorBatchRows = 128
 
+// cursorProbeRows is a cursor's first window: a fan-out's shards mostly
+// return a handful of rows each, and only a shard that fills the probe
+// gets the full window.
+const cursorProbeRows = 8
+
 // cursor is one node stream with its buffered refill window and head
-// row.
+// row. A materialized node result is its own window: the cursor reads the
+// slice in place and never refills.
 type cursor struct {
 	rs     resource.ResultSet
 	buf    []sqltypes.Row // refill window; buf[:n] holds decoded rows
@@ -195,7 +201,19 @@ type cursor struct {
 
 func (c *cursor) advance() (bool, error) {
 	for c.pos >= c.n {
-		if c.buf == nil {
+		if s, ok := c.rs.(*resource.SliceResultSet); ok {
+			if c.buf = s.Rest(); len(c.buf) > 0 {
+				c.n, c.pos = len(c.buf), 0
+				break
+			}
+			c.close()
+			c.head = nil
+			return false, nil
+		}
+		switch {
+		case c.buf == nil:
+			c.buf = make([]sqltypes.Row, cursorProbeRows)
+		case c.n == len(c.buf) && len(c.buf) < cursorBatchRows:
 			c.buf = make([]sqltypes.Row, cursorBatchRows)
 		}
 		n, err := c.rs.NextBatch(c.buf)
@@ -256,9 +274,11 @@ func newOrderedStreamMerger(results []resource.ResultSet, keys []rewrite.OrderKe
 	if err != nil {
 		return nil, err
 	}
-	h := &cursorHeap{keys: resolved}
-	for _, rs := range results {
-		c := &cursor{rs: rs}
+	h := &cursorHeap{keys: resolved, cursors: make([]*cursor, 0, len(results))}
+	cursors := make([]cursor, len(results))
+	for i, rs := range results {
+		c := &cursors[i]
+		c.rs = rs
 		ok, err := c.advance()
 		if err != nil {
 			return nil, err

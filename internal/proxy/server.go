@@ -23,7 +23,6 @@ import (
 	"shardingsphere/internal/protocol"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sqlexec"
-	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
 )
@@ -724,12 +723,16 @@ func (ns *nodeSession) Execute(sql string, args []sqltypes.Value) ([]string, []s
 // Prepare implements PreparedBackendSession: the data node parses once
 // per statement shape, so prepared execution skips its parser entirely.
 func (ns *nodeSession) Prepare(sql string) (any, error) {
-	return ns.proc.Parse(sql)
+	st, err := ns.proc.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // ExecutePrepared implements PreparedBackendSession.
 func (ns *nodeSession) ExecutePrepared(handle any, args []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
-	res, err := ns.sess.ExecuteStmt(handle.(sqlparser.Statement), args)
+	res, err := ns.sess.ExecuteStmt(handle.(*sqlexec.Stmt), args)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -761,7 +764,7 @@ func (ns *nodeSession) ExecuteStream(sql string, args []sqltypes.Value) ([]strin
 }
 
 func (ns *nodeSession) ExecutePreparedStream(handle any, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
-	res, err := ns.sess.ExecuteStmt(handle.(sqlparser.Statement), args)
+	res, err := ns.sess.ExecuteStmt(handle.(*sqlexec.Stmt), args)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

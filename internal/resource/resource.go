@@ -252,6 +252,15 @@ func (rs *SliceResultSet) NextBatch(buf []sqltypes.Row) (int, error) {
 	return n, nil
 }
 
+// Rest hands over the unread rows without copying and leaves the cursor
+// exhausted. Readers that would otherwise copy the rows through a window
+// (ReadAll, the merger's shard cursors) read the slice in place.
+func (rs *SliceResultSet) Rest() []sqltypes.Row {
+	rows := rs.Data[rs.pos:]
+	rs.pos = len(rs.Data)
+	return rows
+}
+
 // Close implements ResultSet.
 func (rs *SliceResultSet) Close() error {
 	if !rs.closed {
@@ -292,15 +301,17 @@ func ReadAll(rs ResultSet) ([]sqltypes.Row, error) {
 	defer rs.Close()
 	// Materialized sets hand over their backing slice without copying.
 	if s, ok := rs.(*SliceResultSet); ok {
-		rows := s.Data[s.pos:]
-		s.pos = len(s.Data)
-		return rows, nil
+		return s.Rest(), nil
 	}
-	var rows []sqltypes.Row
-	var buf [64]sqltypes.Row
+	// Batches land directly in the result's spare capacity, which doubles
+	// when full: no window buffer, no second copy.
+	rows := make([]sqltypes.Row, 0, 16)
 	for {
-		n, err := rs.NextBatch(buf[:])
-		rows = append(rows, buf[:n]...)
+		if len(rows) == cap(rows) {
+			rows = append(rows, nil)[:len(rows)]
+		}
+		n, err := rs.NextBatch(rows[len(rows):cap(rows)])
+		rows = rows[:len(rows)+n]
 		if errors.Is(err, io.EOF) {
 			return rows, nil
 		}

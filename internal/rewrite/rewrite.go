@@ -15,6 +15,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"shardingsphere/internal/route"
@@ -135,87 +136,96 @@ func (rw *Rewriter) Rewrite(stmt sqlparser.Statement, rt *route.Result, args []s
 		return rw.rewriteInsert(t, rt, args)
 	default:
 		// UPDATE / DELETE / DDL need only identifier rewrite.
-		out := &Result{}
-		for _, unit := range rt.Units {
-			clone := sqlparser.CloneStatement(stmt)
-			sqlparser.RenameTables(clone, unit.TableMap)
-			ser := sqlparser.NewSerializer(rw.dialect(unit.DataSource))
-			logic, actual := unitTables(unit)
-			out.Units = append(out.Units, SQLUnit{
-				DataSource:  unit.DataSource,
-				SQL:         ser.Serialize(clone),
-				Args:        args,
-				LogicTable:  logic,
-				ActualTable: actual,
-			})
-		}
-		return out, nil
+		return &Result{Units: rw.render(sqlparser.CloneStatement(stmt), rt, args)}, nil
 	}
+}
+
+// render compiles a private clone once and splices every unit from it.
+// The sentinels stand for every table some unit maps, in first-seen order.
+func (rw *Rewriter) render(owned sqlparser.Statement, rt *route.Result, args []sqltypes.Value) []SQLUnit {
+	var tables []string
+	for _, unit := range rt.Units {
+		if mapsExactly(unit.TableMap, tables) {
+			continue // the common case: every unit maps the same tables
+		}
+		for logic := range unit.TableMap {
+			if !slices.Contains(tables, logic) {
+				tables = append(tables, logic)
+			}
+		}
+	}
+	return compile(owned, tables).units(rt.Units, tables, args, rw.dialect)
+}
+
+// mapsExactly reports whether m's keys are exactly the given tables.
+func mapsExactly(m map[string]string, tables []string) bool {
+	if len(m) != len(tables) {
+		return false
+	}
+	for _, t := range tables {
+		if _, ok := m[t]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // rewriteSelect applies the full correctness + optimization pipeline.
 func (rw *Rewriter) rewriteSelect(stmt *sqlparser.SelectStmt, rt *route.Result, args []sqltypes.Value) (*Result, error) {
-	singleNode := rt.SingleNode()
-	ctx := &SelectContext{Distinct: stmt.Distinct}
-	work := sqlparser.CloneStatement(stmt).(*sqlparser.SelectStmt)
-
-	// Pagination context is needed for the merger even on a single node.
-	if work.Limit != nil {
-		li, err := evalLimit(work.Limit, args)
-		if err != nil {
+	// Pagination is validated even on a single node, where it is pushed
+	// down untouched and the merger just forwards rows.
+	var li *LimitInfo
+	if stmt.Limit != nil {
+		var err error
+		if li, err = evalLimit(stmt.Limit, args); err != nil {
 			return nil, err
 		}
-		ctx.Limit = li
 	}
-
-	if !singleNode {
-		if err := deriveColumns(work, ctx); err != nil {
-			return nil, err
-		}
-		// Stream-merger optimization: GROUP BY without ORDER BY gains an
-		// ORDER BY on the group keys so every node returns sorted groups.
-		if len(work.GroupBy) > 0 && len(work.OrderBy) == 0 {
-			for _, g := range work.GroupBy {
-				work.OrderBy = append(work.OrderBy, sqlparser.OrderItem{Expr: sqlparser.CloneExpr(g)})
-			}
-			ctx.GroupOrdered = true
-			// The injected ORDER BY mirrors the group keys.
-			ctx.OrderBy = append([]OrderKey(nil), ctx.GroupBy...)
-		} else if len(work.GroupBy) > 0 && len(work.OrderBy) > 0 {
-			// Stream grouping also works when ORDER BY already equals the
-			// GROUP BY keys (the paper's same-item case).
-			ctx.GroupOrdered = sameKeys(ctx.GroupBy, ctx.OrderBy)
-		}
+	multi := !rt.SingleNode()
+	work, ctx := deriveSelect(stmt, multi)
+	if multi && li != nil {
+		ctx.Limit = li
 		// Pagination revision: every node returns the first offset+count
 		// rows; the merger re-applies the real offset.
-		if ctx.Limit != nil && ctx.Limit.Offset > 0 {
+		if li.Offset > 0 {
 			work.Limit = &sqlparser.Limit{
-				Count: &sqlparser.Literal{Val: sqltypes.NewInt(ctx.Limit.Offset + ctx.Limit.Count)},
+				Count: &sqlparser.Literal{Val: sqltypes.NewInt(li.Offset + li.Count)},
 			}
-			ctx.Limit.Revised = true
+			li.Revised = true
 		}
-	} else {
-		// Single-node optimization: the node's own executor produces the
-		// final, fully paginated result; the merger just forwards rows.
-		ctx.Limit = nil
-		resolveKeysForSingleNode(work, ctx)
 	}
+	return &Result{Units: rw.render(work, rt, args), Select: ctx}, nil
+}
 
-	out := &Result{Select: ctx}
-	for _, unit := range rt.Units {
-		clone := sqlparser.CloneStatement(work)
-		sqlparser.RenameTables(clone, unit.TableMap)
-		ser := sqlparser.NewSerializer(rw.dialect(unit.DataSource))
-		logic, actual := unitTables(unit)
-		out.Units = append(out.Units, SQLUnit{
-			DataSource:  unit.DataSource,
-			SQL:         ser.Serialize(clone),
-			Args:        args,
-			LogicTable:  logic,
-			ActualTable: actual,
-		})
+// deriveSelect returns a private clone of the statement carrying
+// everything about its node form that depends on the statement alone,
+// with the matching merge context (minus pagination, which depends on
+// bound values). Multi-node: derived columns and the stream-merger ORDER
+// BY. Single node: the statement as written — the node's own executor
+// produces the final result.
+func deriveSelect(stmt *sqlparser.SelectStmt, multi bool) (*sqlparser.SelectStmt, *SelectContext) {
+	ctx := &SelectContext{Distinct: stmt.Distinct}
+	work := sqlparser.CloneStatement(stmt).(*sqlparser.SelectStmt)
+	if !multi {
+		resolveKeysForSingleNode(work, ctx)
+		return work, ctx
 	}
-	return out, nil
+	deriveColumns(work, ctx)
+	// Stream-merger optimization: GROUP BY without ORDER BY gains an
+	// ORDER BY on the group keys so every node returns sorted groups.
+	if len(work.GroupBy) > 0 && len(work.OrderBy) == 0 {
+		for _, g := range work.GroupBy {
+			work.OrderBy = append(work.OrderBy, sqlparser.OrderItem{Expr: sqlparser.CloneExpr(g)})
+		}
+		ctx.GroupOrdered = true
+		// The injected ORDER BY mirrors the group keys.
+		ctx.OrderBy = append([]OrderKey(nil), ctx.GroupBy...)
+	} else if len(work.GroupBy) > 0 && len(work.OrderBy) > 0 {
+		// Stream grouping also works when ORDER BY already equals the
+		// GROUP BY keys (the paper's same-item case).
+		ctx.GroupOrdered = sameKeys(ctx.GroupBy, ctx.OrderBy)
+	}
+	return work, ctx
 }
 
 func evalLimit(lim *sqlparser.Limit, args []sqltypes.Value) (*LimitInfo, error) {
@@ -292,7 +302,7 @@ func findItem(stmt *sqlparser.SelectStmt, e sqlparser.Expr, ser *sqlparser.Seria
 // deriveColumns performs the correctness rewrite for multi-node SELECTs:
 // aggregate decomposition (AVG → SUM + COUNT) and derived ORDER BY /
 // GROUP BY columns, recording everything the merger needs.
-func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) error {
+func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 	ser := sqlparser.NewSerializer(sqlparser.DialectMySQL)
 	star := hasStar(stmt)
 	derivedSeq := 0
@@ -368,7 +378,6 @@ func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) error {
 		key.Desc = o.Desc
 		ctx.OrderBy = append(ctx.OrderBy, key)
 	}
-	return nil
 }
 
 // resolveKeysForSingleNode records merge keys without deriving columns —

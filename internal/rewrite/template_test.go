@@ -52,10 +52,28 @@ func TestTemplateMatchesFullRewrite(t *testing.T) {
 	}
 }
 
+// TestTemplateSentinelCollision: a statement whose own text contains the
+// sentinel gets a longer one instead of being refused, and still renders
+// exactly what clone + RenameTables + Serialize would.
 func TestTemplateSentinelCollision(t *testing.T) {
-	stmt := parseStmt(t, "SELECT * FROM __sharding_tmpl__ WHERE id = ?")
-	if _, ok := NewTemplate(stmt, "__sharding_tmpl__"); ok {
-		t.Fatal("statement containing the sentinel must be refused")
+	for _, table := range []string{"__sharding_tmpl__", "__sharding_tmpl0__", "t"} {
+		stmt := parseStmt(t, "SELECT * FROM "+table+" WHERE "+table+".id = ? AND c = '__sharding_tmpl0__' AND d = '__sharding_tmpl_0__'")
+		tmpl, ok := NewTemplate(stmt, table)
+		if !ok {
+			t.Fatalf("NewTemplate refused table %q", table)
+		}
+		clone := sqlparser.CloneStatement(stmt)
+		sqlparser.RenameTables(clone, map[string]string{table: "t_7"})
+		want := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(clone)
+		if got, _ := tmpl.Render(sqlparser.DialectMySQL, "t_7"); got != want {
+			t.Errorf("table %q:\n got %q\nwant %q", table, got, want)
+		}
+	}
+}
+
+func TestTemplateRefusesInsert(t *testing.T) {
+	if _, ok := NewTemplate(parseStmt(t, "INSERT INTO t_order (order_id) VALUES (?)"), "t_order"); ok {
+		t.Fatal("INSERT rewrite splits rows per unit; it has no template form")
 	}
 }
 

@@ -54,7 +54,8 @@ func (k Kind) String() string {
 }
 
 // Unit is one rewritten-statement target: a data source plus the
-// logical→actual table mapping to apply there.
+// logical→actual table mapping to apply there. Single-table units share
+// their rule's per-node map (sharding.NodeMaps), so TableMap is read-only.
 type Unit struct {
 	DataSource string
 	TableMap   map[string]string
@@ -172,14 +173,7 @@ func (r *Router) Route(stmt sqlparser.Statement, args []sqltypes.Value, hint *sq
 // default source for unsharded tables (paper: DDL broadcasts).
 func (r *Router) routeDDL(table string) (*Result, error) {
 	if rule, ok := r.rules.Rule(table); ok {
-		res := &Result{Kind: KindBroadcast}
-		for _, n := range rule.DataNodes {
-			res.Units = append(res.Units, Unit{
-				DataSource: n.DataSource,
-				TableMap:   map[string]string{rule.LogicTable: n.Table},
-			})
-		}
-		return res, nil
+		return unitsFromNodes(rule, rule.DataNodes, KindBroadcast), nil
 	}
 	if r.rules.Broadcast[strings.ToLower(table)] {
 		res := &Result{Kind: KindBroadcast}
@@ -256,15 +250,21 @@ func (r *Router) routeSelect(stmt *sqlparser.SelectStmt, args []sqltypes.Value, 
 	// Multiple sharded tables: binding route if all bound, else cartesian.
 	if r.rules.AllBound(shardedTables) {
 		res := unitsFromNodes(rule, nodes, KindBinding)
-		for _, other := range shardedTables[1:] {
-			otherRule, _ := r.rules.Rule(other)
-			for i := range res.Units {
-				idx := rule.ShardIndex(res.Units[i].TableMap[rule.LogicTable])
+		for i := range res.Units {
+			// The primary's map is shared; a binding unit maps several
+			// tables and owns its copy.
+			primaryTable := res.Units[i].TableMap[rule.LogicTable]
+			idx := rule.ShardIndex(primaryTable)
+			m := make(map[string]string, len(shardedTables))
+			m[rule.LogicTable] = primaryTable
+			for _, other := range shardedTables[1:] {
+				otherRule, _ := r.rules.Rule(other)
 				if idx < 0 || idx >= len(otherRule.DataNodes) {
 					return nil, fmt.Errorf("route: binding tables %s and %s misaligned", primary, other)
 				}
-				res.Units[i].TableMap[otherRule.LogicTable] = otherRule.DataNodes[idx].Table
+				m[otherRule.LogicTable] = otherRule.DataNodes[idx].Table
 			}
+			res.Units[i].TableMap = m
 		}
 		return res, nil
 	}
@@ -326,12 +326,10 @@ func (r *Router) cartesian(tables []string, conds map[string]map[string]sharding
 }
 
 func unitsFromNodes(rule *sharding.TableRule, nodes []sharding.DataNode, kind Kind) *Result {
-	res := &Result{Kind: kind}
-	for _, n := range nodes {
-		res.Units = append(res.Units, Unit{
-			DataSource: n.DataSource,
-			TableMap:   map[string]string{rule.LogicTable: n.Table},
-		})
+	res := &Result{Kind: kind, Units: make([]Unit, len(nodes))}
+	maps := rule.NodeMaps()
+	for i, n := range nodes {
+		res.Units[i] = Unit{DataSource: n.DataSource, TableMap: maps.Of(n)}
 	}
 	return res
 }
@@ -405,11 +403,12 @@ func (r *Router) routeInsert(stmt *sqlparser.InsertStmt, args []sqltypes.Value, 
 		tg.rows = append(tg.rows, rowIdx)
 	}
 	res := &Result{Kind: KindStandard}
+	maps := rule.NodeMaps()
 	for _, key := range order {
 		tg := targets[key]
 		res.Units = append(res.Units, Unit{
 			DataSource: tg.node.DataSource,
-			TableMap:   map[string]string{rule.LogicTable: tg.node.Table},
+			TableMap:   maps.Of(tg.node),
 			RowIndexes: tg.rows,
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"shardingsphere/internal/sqltypes"
 )
@@ -63,6 +64,76 @@ type TableRule struct {
 	// would collide across shards).
 	KeyGenColumn string
 	KeyGen       KeyGenerator
+
+	// index is derived from DataNodes on first use; see nodeIndex.
+	index atomic.Pointer[nodeIndex]
+}
+
+// nodeIndex is what routing derives from a rule's DataNodes and would
+// otherwise rebuild per statement: the actual-table list, the node and
+// table lookups, and one logic→actual table map per data node. The maps
+// are shared by every route unit that targets the node and must be
+// treated as read-only.
+type nodeIndex struct {
+	nodes   []DataNode // the DataNodes the index was built from
+	tables  []string
+	byNode  map[DataNode]int
+	byTable map[string]int // first node holding the actual table
+	maps    []map[string]string
+}
+
+// nodeIdx returns the rule's node index, rebuilding it when DataNodes was
+// replaced or edited since (rules are laid out before they route, but the
+// fields are exported).
+func (r *TableRule) nodeIdx() *nodeIndex {
+	if ix := r.index.Load(); ix != nil && len(ix.nodes) == len(r.DataNodes) {
+		same := true
+		for i := range ix.nodes {
+			if ix.nodes[i] != r.DataNodes[i] {
+				same = false
+				break
+			}
+		}
+		if same {
+			return ix
+		}
+	}
+	ix := &nodeIndex{
+		nodes:   append([]DataNode(nil), r.DataNodes...),
+		tables:  make([]string, len(r.DataNodes)),
+		byNode:  make(map[DataNode]int, len(r.DataNodes)),
+		byTable: make(map[string]int, len(r.DataNodes)),
+		maps:    make([]map[string]string, len(r.DataNodes)),
+	}
+	for i, n := range r.DataNodes {
+		ix.tables[i] = n.Table
+		ix.byNode[n] = i
+		if _, dup := ix.byTable[n.Table]; !dup {
+			ix.byTable[n.Table] = i
+		}
+		ix.maps[i] = map[string]string{r.LogicTable: n.Table}
+	}
+	r.index.Store(ix)
+	return ix
+}
+
+// NodeMaps looks up the shared logic→actual table map of the rule's data
+// nodes; one value serves every unit of a route.
+type NodeMaps struct {
+	ix    *nodeIndex
+	logic string
+}
+
+// NodeMaps returns the rule's per-node table maps.
+func (r *TableRule) NodeMaps() NodeMaps { return NodeMaps{ix: r.nodeIdx(), logic: r.LogicTable} }
+
+// Of returns the node's logic→actual table map. The map is shared and
+// read-only: a caller that adds entries copies it first.
+func (m NodeMaps) Of(n DataNode) map[string]string {
+	if i, ok := m.ix.byNode[n]; ok {
+		return m.ix.maps[i]
+	}
+	return map[string]string{m.logic: n.Table}
 }
 
 // ErrNoRule reports a table with no sharding rule.
@@ -91,25 +162,6 @@ func (r *TableRule) TablesIn(ds string) []string {
 		}
 	}
 	return out
-}
-
-// AllTables returns every actual table name in shard order.
-func (r *TableRule) AllTables() []string {
-	out := make([]string, len(r.DataNodes))
-	for i, n := range r.DataNodes {
-		out[i] = n.Table
-	}
-	return out
-}
-
-// nodeByTable finds the data node holding the actual table.
-func (r *TableRule) nodeByTable(table string) (DataNode, bool) {
-	for _, n := range r.DataNodes {
-		if n.Table == table {
-			return n, true
-		}
-	}
-	return DataNode{}, false
 }
 
 // ShardingColumns lists the columns that influence routing for this rule,
@@ -194,17 +246,18 @@ func applyStrategy(s *Strategy, targets []string, conds map[string]Condition, hi
 // returned — the full-broadcast case the paper warns about.
 func (r *TableRule) Route(conds map[string]Condition, hint *sqltypes.Value) ([]DataNode, error) {
 	if r.Auto {
-		tables, err := applyStrategy(r.AutoStrategy, r.AllTables(), conds, hint)
+		ix := r.nodeIdx()
+		tables, err := applyStrategy(r.AutoStrategy, ix.tables, conds, hint)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]DataNode, 0, len(tables))
 		for _, t := range tables {
-			n, ok := r.nodeByTable(t)
+			i, ok := ix.byTable[t]
 			if !ok {
 				return nil, fmt.Errorf("sharding: auto rule %s routed to unknown table %s", r.LogicTable, t)
 			}
-			out = append(out, n)
+			out = append(out, ix.nodes[i])
 		}
 		return out, nil
 	}

@@ -18,9 +18,10 @@ func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
 	return []sqlparser.Expr{e}
 }
 
-// constValue evaluates an expression that must not reference columns
-// (literal, placeholder, or arithmetic over them).
-func constValue(e sqlparser.Expr, args []sqltypes.Value) (sqltypes.Value, bool) {
+// isConst reports whether an expression references no column (literal,
+// placeholder, or arithmetic over them), so its value depends on bind
+// arguments alone.
+func isConst(e sqlparser.Expr) bool {
 	hasCol := false
 	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
 		if _, ok := x.(*sqlparser.ColumnRef); ok {
@@ -29,41 +30,29 @@ func constValue(e sqlparser.Expr, args []sqltypes.Value) (sqltypes.Value, bool) 
 		}
 		return true
 	})
-	if hasCol {
-		return sqltypes.Null, false
-	}
-	env := rowEnv{args: args}
-	v, err := env.eval(e)
-	if err != nil {
-		return sqltypes.Null, false
-	}
-	return v, true
+	return !hasCol
 }
 
-// refersToTable reports whether the column reference can belong to the
-// table with the given schema and reference names.
-func refersToTable(ref *sqlparser.ColumnRef, names []string, schema sqltypes.Schema) bool {
-	if ref.Table != "" {
-		ok := false
-		for _, n := range names {
-			if equalFold(n, ref.Table) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
+// owns reports whether the column reference can belong to the table: its
+// qualifier, if any, names the table, and the table has the column.
+func (t *tableCols) owns(ref *sqlparser.ColumnRef) bool {
+	if ref.Table != "" && !t.qualifiedBy(ref.Table) {
+		return false
 	}
-	return schema.Index(ref.Name) >= 0
+	return t.schema.Index(ref.Name) >= 0
 }
 
-// accessPlan is the chosen physical access path for one table scan.
-type accessPlan struct {
-	kind   accessKind
-	points []btree.Key // for point/in access
-	lo, hi btree.Key   // for range access (inclusive; nil = open)
-	index  string      // secondary index name for kindIndex
+// accessShape is the access path of one table scan as far as the
+// statement text and the table definition decide it: primary-key point/IN
+// lookup, primary-key range, secondary-index equality, or full scan. The
+// key values are constant expressions bound from the arguments at run time.
+// Predicates are always re-checked against fetched rows, so the path only
+// needs to cover a superset of the matching rows.
+type accessShape struct {
+	kind     accessKind
+	points   []sqlparser.Expr // point/IN keys, or the one index key
+	los, his []sqlparser.Expr // range bounds: the tightest of each side applies
+	index    string           // secondary index name for accessIndex
 }
 
 type accessKind uint8
@@ -75,25 +64,31 @@ const (
 	accessIndex
 )
 
-// planAccess inspects the conjuncts that apply to a single table and picks
-// an access path: primary-key point/IN lookup, primary-key range, a
-// secondary-index equality, or a full scan. Predicates are always
-// re-checked against fetched rows, so the plan only needs to be a superset
-// of the matching rows.
-func planAccess(tbl *storage.Table, names []string, conjuncts []sqlparser.Expr, args []sqltypes.Value) accessPlan {
-	schema := tbl.Schema()
+// accessPlan is an access shape with its keys bound. (The index name stays
+// with the shape: a string in here would drag the keys to the heap with it
+// when the storage layer formats it into an error.)
+type accessPlan struct {
+	kind   accessKind
+	key    btree.Key   // the one point or index key
+	points []btree.Key // an IN list's keys
+	lo, hi btree.Key   // range bounds, inclusive; nil = open
+}
+
+// shapeAccess inspects the conjuncts that apply to a single table and picks
+// its access shape. A primary-key equality or IN wins outright; otherwise
+// primary-key bounds beat a secondary-index equality, which beats a scan.
+func shapeAccess(tbl *storage.Table, cols *tableCols, conjuncts []sqlparser.Expr) accessShape {
+	schema := cols.schema
 	pkCols := tbl.PKColumns()
 	pkCol := -1
 	if len(pkCols) == 1 {
 		pkCol = pkCols[0]
 	}
-	var plan accessPlan
-	var lo, hi *sqltypes.Value
-
+	var shape accessShape
 	for _, c := range conjuncts {
 		switch t := c.(type) {
 		case *sqlparser.BinaryExpr:
-			ref, val, op, ok := extractColCmp(t, names, schema, args)
+			ref, val, op, ok := extractColCmp(t, cols)
 			if !ok {
 				continue
 			}
@@ -101,21 +96,15 @@ func planAccess(tbl *storage.Table, names []string, conjuncts []sqlparser.Expr, 
 			if col == pkCol {
 				switch op {
 				case sqlparser.OpEQ:
-					return accessPlan{kind: accessPKPoint, points: []btree.Key{{val}}}
+					return accessShape{kind: accessPKPoint, points: []sqlparser.Expr{val}}
 				case sqlparser.OpGE, sqlparser.OpGT:
-					if lo == nil || sqltypes.Compare(val, *lo) > 0 {
-						v := val
-						lo = &v
-					}
+					shape.los = append(shape.los, val)
 				case sqlparser.OpLE, sqlparser.OpLT:
-					if hi == nil || sqltypes.Compare(val, *hi) < 0 {
-						v := val
-						hi = &v
-					}
+					shape.his = append(shape.his, val)
 				}
-			} else if op == sqlparser.OpEQ && plan.kind == accessFull {
+			} else if op == sqlparser.OpEQ && shape.kind == accessFull {
 				if idx, ok := tbl.HasIndexOn(col); ok {
-					plan = accessPlan{kind: accessIndex, index: idx, points: []btree.Key{{val}}}
+					shape.kind, shape.index, shape.points = accessIndex, idx, []sqlparser.Expr{val}
 				}
 			}
 		case *sqlparser.InExpr:
@@ -123,77 +112,103 @@ func planAccess(tbl *storage.Table, names []string, conjuncts []sqlparser.Expr, 
 				continue
 			}
 			ref, ok := t.E.(*sqlparser.ColumnRef)
-			if !ok || !refersToTable(ref, names, schema) {
+			if !ok || !cols.owns(ref) || schema.Index(ref.Name) != pkCol {
 				continue
 			}
-			if schema.Index(ref.Name) != pkCol {
-				continue
-			}
-			keys := make([]btree.Key, 0, len(t.List))
 			allConst := true
 			for _, item := range t.List {
-				v, ok := constValue(item, args)
-				if !ok {
-					allConst = false
-					break
-				}
-				keys = append(keys, btree.Key{v})
+				allConst = allConst && isConst(item)
 			}
 			if allConst {
-				return accessPlan{kind: accessPKPoint, points: keys}
+				return accessShape{kind: accessPKPoint, points: t.List}
 			}
 		case *sqlparser.BetweenExpr:
 			if t.Not {
 				continue
 			}
 			ref, ok := t.E.(*sqlparser.ColumnRef)
-			if !ok || !refersToTable(ref, names, schema) || schema.Index(ref.Name) != pkCol {
+			if !ok || !cols.owns(ref) || schema.Index(ref.Name) != pkCol {
 				continue
 			}
-			lov, ok1 := constValue(t.Lo, args)
-			hiv, ok2 := constValue(t.Hi, args)
-			if ok1 && ok2 {
-				if lo == nil || sqltypes.Compare(lov, *lo) > 0 {
-					lo = &lov
-				}
-				if hi == nil || sqltypes.Compare(hiv, *hi) < 0 {
-					hi = &hiv
-				}
+			if isConst(t.Lo) && isConst(t.Hi) {
+				shape.los = append(shape.los, t.Lo)
+				shape.his = append(shape.his, t.Hi)
 			}
 		}
 	}
-	if lo != nil || hi != nil {
-		rp := accessPlan{kind: accessPKRange}
-		if lo != nil {
-			rp.lo = btree.Key{*lo}
+	if len(shape.los) > 0 || len(shape.his) > 0 {
+		shape.kind = accessPKRange
+	}
+	return shape
+}
+
+// bind evaluates the shape's keys. One point, or a range's two bounds,
+// live in keys — a caller's local, so binding the common plans allocates
+// nothing. A key that fails to evaluate (a missing bind argument) widens
+// the plan to a full scan; the residual predicate then reports the error
+// against the first row.
+func (sh *accessShape) bind(args []sqltypes.Value, keys *[2]sqltypes.Value) accessPlan {
+	env := rowEnv{args: args}
+	plan := accessPlan{kind: sh.kind}
+	switch sh.kind {
+	case accessPKPoint, accessIndex:
+		if len(sh.points) == 1 {
+			v, err := env.eval(sh.points[0])
+			if err != nil {
+				return accessPlan{}
+			}
+			keys[0] = v
+			plan.key = keys[:1]
+			return plan
 		}
-		if hi != nil {
-			rp.hi = btree.Key{*hi}
+		plan.points = make([]btree.Key, len(sh.points))
+		for i, e := range sh.points {
+			v, err := env.eval(e)
+			if err != nil {
+				return accessPlan{}
+			}
+			plan.points[i] = btree.Key{v}
 		}
-		return rp
+	case accessPKRange:
+		for _, e := range sh.los {
+			v, err := env.eval(e)
+			if err != nil {
+				return accessPlan{}
+			}
+			if plan.lo == nil || sqltypes.Compare(v, plan.lo[0]) > 0 {
+				keys[0] = v
+				plan.lo = keys[0:1]
+			}
+		}
+		for _, e := range sh.his {
+			v, err := env.eval(e)
+			if err != nil {
+				return accessPlan{}
+			}
+			if plan.hi == nil || sqltypes.Compare(v, plan.hi[0]) < 0 {
+				keys[1] = v
+				plan.hi = keys[1:2]
+			}
+		}
 	}
 	return plan
 }
 
 // extractColCmp matches "col op const" or "const op col" (with the
-// operator flipped) against the given table.
-func extractColCmp(b *sqlparser.BinaryExpr, names []string, schema sqltypes.Schema, args []sqltypes.Value) (*sqlparser.ColumnRef, sqltypes.Value, sqlparser.BinOp, bool) {
+// operator flipped) against the given table, returning the constant side.
+func extractColCmp(b *sqlparser.BinaryExpr, cols *tableCols) (*sqlparser.ColumnRef, sqlparser.Expr, sqlparser.BinOp, bool) {
 	switch b.Op {
 	case sqlparser.OpEQ, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
 	default:
-		return nil, sqltypes.Null, 0, false
+		return nil, nil, 0, false
 	}
-	if ref, ok := b.L.(*sqlparser.ColumnRef); ok && refersToTable(ref, names, schema) {
-		if v, ok := constValue(b.R, args); ok {
-			return ref, v, b.Op, true
-		}
+	if ref, ok := b.L.(*sqlparser.ColumnRef); ok && cols.owns(ref) && isConst(b.R) {
+		return ref, b.R, b.Op, true
 	}
-	if ref, ok := b.R.(*sqlparser.ColumnRef); ok && refersToTable(ref, names, schema) {
-		if v, ok := constValue(b.L, args); ok {
-			return ref, v, flipOp(b.Op), true
-		}
+	if ref, ok := b.R.(*sqlparser.ColumnRef); ok && cols.owns(ref) && isConst(b.L) {
+		return ref, b.L, flipOp(b.Op), true
 	}
-	return nil, sqltypes.Null, 0, false
+	return nil, nil, 0, false
 }
 
 func flipOp(op sqlparser.BinOp) sqlparser.BinOp {
@@ -211,38 +226,29 @@ func flipOp(op sqlparser.BinOp) sqlparser.BinOp {
 	}
 }
 
-// fetch runs the access plan and returns matching entries. Exclusive range
-// bounds and all residual predicates are re-checked by the caller.
-func fetch(tbl *storage.Table, txID int64, plan accessPlan) []storage.ScanEntry {
-	var out []storage.ScanEntry
+// fetch runs the shape with the given bound keys, visiting matching entries
+// until visit returns false. Exclusive range bounds and all residual
+// predicates are re-checked by the caller.
+func (sh *accessShape) fetch(tbl *storage.Table, txID int64, plan accessPlan, visit func(storage.ScanEntry) bool) {
 	switch plan.kind {
 	case accessPKPoint:
+		if plan.key != nil {
+			if se, ok := tbl.PKGet(txID, plan.key); ok {
+				visit(se)
+			}
+			return
+		}
 		for _, key := range plan.points {
-			if se, ok := tbl.PKGet(txID, key); ok {
-				out = append(out, se)
+			if se, ok := tbl.PKGet(txID, key); ok && !visit(se) {
+				return
 			}
 		}
 	case accessPKRange:
-		tbl.PKRange(txID, plan.lo, plan.hi, func(se storage.ScanEntry) bool {
-			out = append(out, se)
-			return true
-		})
+		tbl.PKRange(txID, plan.lo, plan.hi, visit)
 	case accessIndex:
-		seen := map[int64]struct{}{}
-		for _, key := range plan.points {
-			tbl.IndexRange(txID, plan.index, key, key, func(se storage.ScanEntry) bool {
-				if _, dup := seen[se.RowID]; !dup {
-					seen[se.RowID] = struct{}{}
-					out = append(out, se)
-				}
-				return true
-			})
-		}
+		// One key reaches each row at most once; nothing to deduplicate.
+		tbl.IndexRange(txID, sh.index, plan.key, plan.key, visit)
 	default:
-		tbl.Scan(txID, func(se storage.ScanEntry) bool {
-			out = append(out, se)
-			return true
-		})
+		tbl.Scan(txID, visit)
 	}
-	return out
 }

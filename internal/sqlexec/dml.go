@@ -58,34 +58,34 @@ func (s *Session) executeInsert(tx *storage.Tx, stmt *sqlparser.InsertStmt, args
 }
 
 // matchEntries fetches candidate rows for a WHERE clause on one table and
-// returns those that satisfy it.
-func (s *Session) matchEntries(tbl *storage.Table, alias string, where sqlparser.Expr, args []sqltypes.Value, txID int64) ([]storage.ScanEntry, error) {
+// returns those that satisfy it, with the environment that binds the
+// table's columns.
+func (s *Session) matchEntries(tbl *storage.Table, alias string, where sqlparser.Expr, args []sqltypes.Value, txID int64) ([]storage.ScanEntry, *rowEnv, error) {
 	names := []string{tbl.Name()}
 	if alias != "" {
 		names = append(names, alias)
 	}
-	conjuncts := splitConjuncts(where)
-	plan := planAccess(tbl, names, conjuncts, args)
-	entries := fetch(tbl, txID, plan)
-	if where == nil {
-		return entries, nil
-	}
-	env := &rowEnv{args: args}
-	for _, c := range tbl.Schema() {
-		env.cols = append(env.cols, colBinding{qualifiers: names, name: c.Name})
-	}
-	kept := entries[:0]
-	for _, se := range entries {
-		env.row = se.Row
-		v, err := env.eval(where)
-		if err != nil {
-			return nil, err
+	env := &rowEnv{tables: []tableCols{{quals: names, schema: tbl.Schema()}}, args: args}
+	shape := shapeAccess(tbl, &env.tables[0], splitConjuncts(where))
+	var keys [2]sqltypes.Value
+	var entries []storage.ScanEntry
+	var evalErr error
+	shape.fetch(tbl, txID, shape.bind(args, &keys), func(se storage.ScanEntry) bool {
+		if where != nil {
+			env.row = se.Row
+			v, err := env.eval(where)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if !v.Bool() {
+				return true
+			}
 		}
-		if v.Bool() {
-			kept = append(kept, se)
-		}
-	}
-	return kept, nil
+		entries = append(entries, se)
+		return true
+	})
+	return entries, env, evalErr
 }
 
 func (s *Session) executeUpdate(tx *storage.Tx, stmt *sqlparser.UpdateStmt, args []sqltypes.Value) (*Result, error) {
@@ -94,17 +94,9 @@ func (s *Session) executeUpdate(tx *storage.Tx, stmt *sqlparser.UpdateStmt, args
 		return nil, err
 	}
 	schema := tbl.Schema()
-	entries, err := s.matchEntries(tbl, stmt.Alias, stmt.Where, args, tx.ID())
+	entries, env, err := s.matchEntries(tbl, stmt.Alias, stmt.Where, args, tx.ID())
 	if err != nil {
 		return nil, err
-	}
-	names := []string{tbl.Name()}
-	if stmt.Alias != "" {
-		names = append(names, stmt.Alias)
-	}
-	env := &rowEnv{args: args}
-	for _, c := range schema {
-		env.cols = append(env.cols, colBinding{qualifiers: names, name: c.Name})
 	}
 	// Resolve assignment targets once.
 	targets := make([]int, len(stmt.Set))
@@ -142,7 +134,7 @@ func (s *Session) executeDelete(tx *storage.Tx, stmt *sqlparser.DeleteStmt, args
 	if err != nil {
 		return nil, err
 	}
-	entries, err := s.matchEntries(tbl, stmt.Alias, stmt.Where, args, tx.ID())
+	entries, _, err := s.matchEntries(tbl, stmt.Alias, stmt.Where, args, tx.ID())
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +164,7 @@ func (s *Session) lockForUpdate(stmt *sqlparser.SelectStmt, args []sqltypes.Valu
 	if err != nil {
 		return err
 	}
-	entries, err := s.matchEntries(tbl, stmt.From[0].Alias, stmt.Where, args, s.tx.ID())
+	entries, _, err := s.matchEntries(tbl, stmt.From[0].Alias, stmt.Where, args, s.tx.ID())
 	if err != nil {
 		return err
 	}

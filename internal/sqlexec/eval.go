@@ -23,47 +23,64 @@ var (
 	ErrInTransaction   = errors.New("sqlexec: already in a transaction")
 )
 
-// colBinding maps one output column of the row environment to its source
-// table qualifier(s).
-type colBinding struct {
-	qualifiers []string // table name and alias (lower precedence last)
-	name       string
+// tableCols binds one FROM table's columns into the row environment: the
+// table's own schema is the binding, so nothing is built per statement or
+// per execution beyond this header.
+type tableCols struct {
+	quals  []string // names a column qualifier may use: table name, then alias
+	schema sqltypes.Schema
+	base   int // position of the table's first column in the environment row
 }
 
-// rowEnv is the evaluation environment: the flattened schema of the
-// current row plus bind arguments and (after grouping) aggregate results
-// keyed by their serialized expression text.
+func (t *tableCols) qualifiedBy(name string) bool {
+	for _, q := range t.quals {
+		if equalFold(q, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// envWidth is the number of columns the tables contribute to a row.
+func envWidth(tables []tableCols) int {
+	n := 0
+	for i := range tables {
+		n += len(tables[i].schema)
+	}
+	return n
+}
+
+// rowEnv is the evaluation environment: the tables whose columns make up
+// the current row, plus bind arguments and (after grouping) the group's
+// aggregate results.
 type rowEnv struct {
-	cols []colBinding
-	row  sqltypes.Row
-	args []sqltypes.Value
-	aggs map[string]sqltypes.Value
-	ser  *sqlparser.Serializer
+	tables []tableCols
+	row    sqltypes.Row
+	args   []sqltypes.Value
+	// aggOf maps every aggregate call of the statement to its slot in
+	// aggVals; both are set only while a group's output is evaluated.
+	aggOf   map[*sqlparser.FuncExpr]int
+	aggVals []sqltypes.Value
+	ser     *sqlparser.Serializer
 }
 
 // lookup resolves a column reference to its position.
 func (env *rowEnv) lookup(ref *sqlparser.ColumnRef) (int, error) {
 	found := -1
-	for i, c := range env.cols {
-		if !equalFold(c.name, ref.Name) {
+	for ti := range env.tables {
+		t := &env.tables[ti]
+		if ref.Table != "" && !t.qualifiedBy(ref.Table) {
 			continue
 		}
-		if ref.Table != "" {
-			match := false
-			for _, q := range c.qualifiers {
-				if equalFold(q, ref.Table) {
-					match = true
-					break
-				}
-			}
-			if !match {
+		for i := range t.schema {
+			if !equalFold(t.schema[i].Name, ref.Name) {
 				continue
 			}
+			if found >= 0 {
+				return -1, fmt.Errorf("%w: %s", ErrAmbiguousColumn, ref.Name)
+			}
+			found = t.base + i
 		}
-		if found >= 0 {
-			return -1, fmt.Errorf("%w: %s", ErrAmbiguousColumn, ref.Name)
-		}
-		found = i
 	}
 	if found < 0 {
 		return -1, fmt.Errorf("%w: %s", ErrUnknownColumn, refString(ref))
@@ -194,12 +211,10 @@ func (env *rowEnv) eval(e sqlparser.Expr) (sqltypes.Value, error) {
 		return sqltypes.NewBool(v.IsNull() != t.Not), nil
 	case *sqlparser.FuncExpr:
 		if t.IsAggregate() {
-			// Post-aggregation environments carry aggregate results keyed
-			// by serialized expression text (set up by the group executor).
-			if env.aggs != nil {
-				if v, ok := env.aggs[env.serialize(t)]; ok {
-					return v, nil
-				}
+			// Post-aggregation environments carry the group's aggregate
+			// results (set up by the group executor).
+			if i, ok := env.aggOf[t]; ok && env.aggVals != nil {
+				return env.aggVals[i], nil
 			}
 			return sqltypes.Null, fmt.Errorf("sqlexec: aggregate %s used outside grouping context", t.Name)
 		}

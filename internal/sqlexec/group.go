@@ -1,7 +1,6 @@
 package sqlexec
 
 import (
-	"sort"
 	"strings"
 
 	"shardingsphere/internal/sqlparser"
@@ -25,15 +24,14 @@ type aggState struct {
 	seen    map[string]struct{}
 }
 
-func newAggState(f *sqlparser.FuncExpr) *aggState {
-	st := &aggState{fn: f.Name, star: f.Star, distinct: f.Distinct}
+func (st *aggState) init(f *sqlparser.FuncExpr) {
+	*st = aggState{fn: f.Name, star: f.Star, distinct: f.Distinct}
 	if len(f.Args) > 0 {
 		st.arg = f.Args[0]
 	}
 	if f.Distinct {
 		st.seen = map[string]struct{}{}
 	}
-	return st
 }
 
 func (st *aggState) update(env *rowEnv) error {
@@ -116,96 +114,80 @@ func (st *aggState) result() sqltypes.Value {
 	}
 }
 
-// collectAggregates gathers every distinct aggregate expression appearing
-// in the projection, HAVING and ORDER BY, keyed by serialized text.
-func collectAggregates(stmt *sqlparser.SelectStmt, env *rowEnv) map[string]*sqlparser.FuncExpr {
-	out := map[string]*sqlparser.FuncExpr{}
-	visit := func(e sqlparser.Expr) {
-		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-			if f, ok := x.(*sqlparser.FuncExpr); ok && f.IsAggregate() {
-				out[env.serialize(f)] = f
-				return false
-			}
-			return true
-		})
-	}
-	for _, item := range stmt.Items {
-		visit(item.Expr)
-	}
-	visit(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		visit(o.Expr)
-	}
-	return out
+// groupAcc is one group's accumulation: the first source row (for the
+// non-aggregate output expressions) and one state per aggregate.
+type groupAcc struct {
+	first  sqltypes.Row
+	states []aggState
 }
 
-// groupAndProject implements hash aggregation: rows are bucketed by the
-// GROUP BY key, aggregates accumulate per bucket, and each bucket emits
-// one output row (filtered by HAVING, ordered by ORDER BY).
-func (s *Session) groupAndProject(stmt *sqlparser.SelectStmt, env *rowEnv, rows []sqltypes.Row) (*Result, error) {
-	items, names, err := expandItems(stmt, env)
-	if err != nil {
-		return nil, err
+func (o *output) newGroup(first sqltypes.Row) *groupAcc {
+	g := &groupAcc{first: first, states: make([]aggState, len(o.aggs))}
+	for i, f := range o.aggs {
+		g.states[i].init(f)
 	}
-	aggExprs := collectAggregates(stmt, env)
+	return g
+}
 
-	type group struct {
-		first sqltypes.Row
-		aggs  map[string]*aggState
-	}
-	groups := map[string]*group{}
-	var order []string
-
-	for _, r := range rows {
-		env.row = r
-		var kb strings.Builder
-		for _, g := range stmt.GroupBy {
-			v, err := env.eval(g)
-			if err != nil {
-				return nil, err
-			}
-			kb.WriteString(hashKey(v))
-			kb.WriteByte(0)
+// group implements hash aggregation: rows are bucketed by the GROUP BY
+// key, aggregates accumulate per bucket, and each bucket emits one output
+// row (filtered by HAVING, ordered by ORDER BY). Without GROUP BY there is
+// one bucket and no hashing.
+func (o *output) group(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
+	stmt := o.stmt
+	var groups []*groupAcc
+	if len(stmt.GroupBy) == 0 {
+		// A global aggregate over zero rows still yields one group.
+		first := nullRow(envWidth(env.tables))
+		if len(rows) > 0 {
+			first = rows[0]
 		}
-		key := kb.String()
-		grp, ok := groups[key]
-		if !ok {
-			grp = &group{first: r, aggs: map[string]*aggState{}}
-			for text, f := range aggExprs {
-				grp.aggs[text] = newAggState(f)
-			}
-			groups[key] = grp
-			order = append(order, key)
-		}
-		for _, st := range grp.aggs {
-			if err := st.update(env); err != nil {
-				return nil, err
+		g := o.newGroup(first)
+		for _, r := range rows {
+			env.row = r
+			for i := range g.states {
+				if err := g.states[i].update(env); err != nil {
+					return nil, err
+				}
 			}
 		}
-	}
-	// A global aggregate over zero rows still yields one group.
-	if len(groups) == 0 && len(stmt.GroupBy) == 0 {
-		grp := &group{first: nullRow(len(env.cols)), aggs: map[string]*aggState{}}
-		for text, f := range aggExprs {
-			grp.aggs[text] = newAggState(f)
+		groups = []*groupAcc{g}
+	} else {
+		byKey := map[string]*groupAcc{}
+		for _, r := range rows {
+			env.row = r
+			var kb strings.Builder
+			for _, ge := range stmt.GroupBy {
+				v, err := env.eval(ge)
+				if err != nil {
+					return nil, err
+				}
+				kb.WriteString(hashKey(v))
+				kb.WriteByte(0)
+			}
+			key := kb.String()
+			g, ok := byKey[key]
+			if !ok {
+				g = o.newGroup(r)
+				byKey[key] = g
+				groups = append(groups, g)
+			}
+			for i := range g.states {
+				if err := g.states[i].update(env); err != nil {
+					return nil, err
+				}
+			}
 		}
-		groups[""] = grp
-		order = append(order, "")
 	}
 
-	res := &Result{Columns: names}
-	type sortable struct {
-		out  sqltypes.Row
-		keys sqltypes.Row
-	}
-	needSort := len(stmt.OrderBy) > 0
+	res := &Result{Columns: o.names}
 	var sorted []sortable
-	for _, key := range order {
-		grp := groups[key]
-		env.row = grp.first
-		env.aggs = make(map[string]sqltypes.Value, len(grp.aggs))
-		for text, st := range grp.aggs {
-			env.aggs[text] = st.result()
+	aggVals := make([]sqltypes.Value, len(o.aggs))
+	env.aggOf, env.aggVals = o.aggOf, aggVals
+	for _, g := range groups {
+		env.row = g.first
+		for i := range g.states {
+			aggVals[i] = g.states[i].result()
 		}
 		if stmt.Having != nil {
 			v, err := env.eval(stmt.Having)
@@ -216,16 +198,20 @@ func (s *Session) groupAndProject(stmt *sqlparser.SelectStmt, env *rowEnv, rows 
 				continue
 			}
 		}
-		out := make(sqltypes.Row, len(items))
-		for i, item := range items {
-			v, err := env.eval(item.Expr)
+		out := make(sqltypes.Row, len(o.items))
+		for i := range o.items {
+			v, err := env.eval(o.items[i].Expr)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = v
 		}
-		if needSort {
-			keys, err := sortKeys(stmt, env, out, items, names)
+		if len(o.order) > 0 {
+			var keys sqltypes.Row
+			if !o.keysInOutput {
+				keys = make(sqltypes.Row, len(o.order))
+			}
+			keys, err := o.sortKeys(env, out, keys)
 			if err != nil {
 				return nil, err
 			}
@@ -234,11 +220,8 @@ func (s *Session) groupAndProject(stmt *sqlparser.SelectStmt, env *rowEnv, rows 
 			res.Rows = append(res.Rows, out)
 		}
 	}
-	env.aggs = nil
-	if needSort {
-		sort.SliceStable(sorted, func(i, j int) bool {
-			return compareKeyRows(sorted[i].keys, sorted[j].keys, stmt.OrderBy) < 0
-		})
+	if len(o.order) > 0 {
+		o.sort(sorted)
 		for _, sr := range sorted {
 			res.Rows = append(res.Rows, sr.out)
 		}

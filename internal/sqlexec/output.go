@@ -1,0 +1,370 @@
+package sqlexec
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"shardingsphere/internal/sqlparser"
+	"shardingsphere/internal/sqltypes"
+)
+
+// output is the statement-only half of turning filtered source rows into a
+// result: the expanded projection, the aggregates to accumulate, and where
+// each ORDER BY key comes from. It depends on the statement and the tables'
+// schemas, never on bind arguments or rows, so a select plan keeps it.
+type output struct {
+	stmt  *sqlparser.SelectStmt
+	items []sqlparser.SelectItem // stars expanded
+	names []string               // result column names
+	// grouped statements accumulate aggs per group; aggOf maps every
+	// aggregate call in the projection, HAVING and ORDER BY to its slot
+	// (calls with the same text share one).
+	grouped bool
+	aggs    []*sqlparser.FuncExpr
+	aggOf   map[*sqlparser.FuncExpr]int
+	order   []orderKey
+	// keysInOutput: every ORDER BY key is an output column, so rows sort
+	// by themselves and no key row is built.
+	keysInOutput bool
+}
+
+// orderKey is one resolved ORDER BY item: an output column (an alias or a
+// 1-based position), or any expression over the source row (including
+// aggregates in grouped queries).
+type orderKey struct {
+	pos  int // output column, or -1 to evaluate expr
+	expr sqlparser.Expr
+	desc bool
+	err  error // a position outside the projection; reported once a row sorts
+}
+
+func compileOutput(stmt *sqlparser.SelectStmt, env *rowEnv) (*output, error) {
+	items, names, err := expandItems(stmt, env)
+	if err != nil {
+		return nil, err
+	}
+	o := &output{stmt: stmt, items: items, names: names, keysInOutput: true}
+	if len(stmt.GroupBy) > 0 || stmt.HasAggregates() || hasAggregate(stmt.Having) {
+		o.grouped = true
+		o.collectAggregates(env)
+	}
+	for _, ob := range stmt.OrderBy {
+		key := orderKey{pos: -1, expr: ob.Expr, desc: ob.Desc}
+		if lit, ok := ob.Expr.(*sqlparser.Literal); ok && lit.Val.Kind == sqltypes.KindInt {
+			if key.pos = int(lit.Val.I) - 1; key.pos < 0 || key.pos >= len(items) {
+				key.pos = 0
+				key.err = fmt.Errorf("sqlexec: ORDER BY position %d out of range", lit.Val.I)
+			}
+		} else if ref, ok := ob.Expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
+			for j, n := range names {
+				if equalFold(n, ref.Name) {
+					key.pos = j
+					break
+				}
+			}
+		}
+		if key.pos < 0 {
+			o.keysInOutput = false
+		}
+		o.order = append(o.order, key)
+	}
+	return o, nil
+}
+
+// collectAggregates gathers every distinct aggregate expression appearing
+// in the projection, HAVING and ORDER BY; calls with the same serialized
+// text accumulate once.
+func (o *output) collectAggregates(env *rowEnv) {
+	o.aggOf = map[*sqlparser.FuncExpr]int{}
+	byText := map[string]int{}
+	visit := func(e sqlparser.Expr) {
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+			f, ok := x.(*sqlparser.FuncExpr)
+			if !ok || !f.IsAggregate() {
+				return true
+			}
+			text := env.serialize(f)
+			slot, seen := byText[text]
+			if !seen {
+				slot = len(o.aggs)
+				byText[text] = slot
+				o.aggs = append(o.aggs, f)
+			}
+			o.aggOf[f] = slot
+			return false
+		})
+	}
+	for _, item := range o.stmt.Items {
+		visit(item.Expr)
+	}
+	visit(o.stmt.Having)
+	for _, ob := range o.stmt.OrderBy {
+		visit(ob.Expr)
+	}
+}
+
+func itemName(item sqlparser.SelectItem, env *rowEnv) string {
+	if item.Alias != "" {
+		return item.Alias
+	}
+	if ref, ok := item.Expr.(*sqlparser.ColumnRef); ok {
+		return ref.Name
+	}
+	return env.serialize(item.Expr)
+}
+
+// expandItems resolves stars into concrete column references, returning
+// the output column names alongside.
+func expandItems(stmt *sqlparser.SelectStmt, env *rowEnv) ([]sqlparser.SelectItem, []string, error) {
+	items := make([]sqlparser.SelectItem, 0, len(stmt.Items))
+	names := make([]string, 0, len(stmt.Items))
+	for _, item := range stmt.Items {
+		if !item.Star {
+			items = append(items, item)
+			names = append(names, itemName(item, env))
+			continue
+		}
+		for ti := range env.tables {
+			t := &env.tables[ti]
+			if item.StarTable != "" && !t.qualifiedBy(item.StarTable) {
+				continue
+			}
+			// The last name is the alias when there is one.
+			qual := t.quals[len(t.quals)-1]
+			for _, c := range t.schema {
+				items = append(items, sqlparser.SelectItem{Expr: &sqlparser.ColumnRef{Table: qual, Name: c.Name}})
+				names = append(names, c.Name)
+			}
+		}
+	}
+	if len(items) == 0 {
+		return nil, nil, fmt.Errorf("sqlexec: empty projection")
+	}
+	return items, names, nil
+}
+
+// produce turns the filtered source rows into the statement's result.
+func (o *output) produce(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
+	var res *Result
+	var err error
+	if o.grouped {
+		res, err = o.group(env, rows)
+	} else {
+		res, err = o.project(env, rows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.stmt.Distinct {
+		res.Rows = distinctRows(res.Rows)
+	}
+	if err := applyLimit(o.stmt.Limit, env.args, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// sortable pairs an output row with its ORDER BY key values (the row
+// itself when every key is an output column).
+type sortable struct {
+	out  sqltypes.Row
+	keys sqltypes.Row
+}
+
+// project evaluates the projection per row. Output and key values of one
+// result come from one backing array each, not one allocation per row.
+func (o *output) project(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
+	res := &Result{Columns: o.names}
+	if len(rows) == 0 {
+		return res, nil
+	}
+	w := len(o.items)
+	vals := make([]sqltypes.Value, len(rows)*w)
+	res.Rows = make([]sqltypes.Row, len(rows))
+	var sorted []sortable
+	var keyVals []sqltypes.Value
+	if len(o.order) > 0 {
+		sorted = make([]sortable, len(rows))
+		if !o.keysInOutput {
+			keyVals = make([]sqltypes.Value, len(rows)*len(o.order))
+		}
+	}
+	for i, r := range rows {
+		env.row = r
+		out := sqltypes.Row(vals[i*w : (i+1)*w : (i+1)*w])
+		for j := range o.items {
+			v, err := env.eval(o.items[j].Expr)
+			if err != nil {
+				return nil, err
+			}
+			out[j] = v
+		}
+		res.Rows[i] = out
+		if sorted != nil {
+			var keys sqltypes.Row
+			if keyVals != nil {
+				keys = keyVals[i*len(o.order) : (i+1)*len(o.order)]
+			}
+			keys, err := o.sortKeys(env, out, keys)
+			if err != nil {
+				return nil, err
+			}
+			sorted[i] = sortable{out: out, keys: keys}
+		}
+	}
+	if sorted != nil {
+		o.sort(sorted)
+		for i := range sorted {
+			res.Rows[i] = sorted[i].out
+		}
+	}
+	return res, nil
+}
+
+// sortKeys returns the row's ORDER BY keys: the output row itself when
+// every key is an output column, else the key values written into keys.
+// env.row (and, in grouped queries, the group's aggregates) must be set.
+func (o *output) sortKeys(env *rowEnv, out, keys sqltypes.Row) (sqltypes.Row, error) {
+	for i := range o.order {
+		k := &o.order[i]
+		if k.err != nil {
+			return nil, k.err
+		}
+		if o.keysInOutput {
+			continue
+		}
+		if k.pos >= 0 {
+			keys[i] = out[k.pos]
+			continue
+		}
+		v, err := env.eval(k.expr)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = v
+	}
+	if o.keysInOutput {
+		return out, nil
+	}
+	return keys, nil
+}
+
+func (o *output) sort(rows []sortable) {
+	slices.SortStableFunc(rows, func(a, b sortable) int {
+		for i := range o.order {
+			col := i
+			if o.keysInOutput {
+				col = o.order[i].pos
+			}
+			if c := sqltypes.Compare(a.keys[col], b.keys[col]); c != 0 {
+				if o.order[i].desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	})
+}
+
+// distinctSmall is the row count up to which DISTINCT compares rows
+// pairwise instead of hashing them: a shard's slice of a fanned-out range
+// is a handful of rows.
+const distinctSmall = 8
+
+func distinctRows(rows []sqltypes.Row) []sqltypes.Row {
+	if len(rows) < 2 {
+		return rows
+	}
+	out := rows[:0]
+	if len(rows) <= distinctSmall {
+		for _, r := range rows {
+			dup := false
+			for _, kept := range out {
+				if dup = sameRow(kept, r); dup {
+					break
+				}
+			}
+			if !dup {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	seen := make(map[string]struct{}, len(rows))
+	for _, r := range rows {
+		var b strings.Builder
+		for _, v := range r {
+			b.WriteString(hashKey(v))
+			b.WriteByte(0)
+		}
+		k := b.String()
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		out = append(out, r)
+	}
+	return out
+}
+
+// sameRow reports whether two rows are equal under hashKey's notion of
+// value identity (numeric kinds share an encoding, NULL equals NULL).
+func sameRow(a, b sqltypes.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind == sqltypes.KindString && b[i].Kind == sqltypes.KindString {
+			if a[i].S != b[i].S {
+				return false
+			}
+		} else if hashKey(a[i]) != hashKey(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func applyLimit(lim *sqlparser.Limit, args []sqltypes.Value, res *Result) error {
+	if lim == nil {
+		return nil
+	}
+	env := rowEnv{args: args}
+	count, err := env.eval(lim.Count)
+	if err != nil {
+		return err
+	}
+	offset := int64(0)
+	if lim.Offset != nil {
+		ov, err := env.eval(lim.Offset)
+		if err != nil {
+			return err
+		}
+		offset = ov.AsInt()
+	}
+	n := int64(len(res.Rows))
+	if offset >= n {
+		res.Rows = nil
+		return nil
+	}
+	end := offset + count.AsInt()
+	if end > n || count.AsInt() < 0 {
+		end = n
+	}
+	res.Rows = res.Rows[offset:end]
+	return nil
+}
+
+func hasAggregate(e sqlparser.Expr) bool {
+	found := false
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+		if f, ok := x.(*sqlparser.FuncExpr); ok && f.IsAggregate() {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}

@@ -3,9 +3,7 @@ package sqlexec
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
-	"strings"
 
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
@@ -14,14 +12,14 @@ import (
 
 // tableSource is one resolved FROM table.
 type tableSource struct {
-	ref    sqlparser.TableRef
-	tbl    *storage.Table
-	names  []string // names a column qualifier may use: table name and alias
-	schema sqltypes.Schema
+	ref  sqlparser.TableRef
+	tbl  *storage.Table
+	cols tableCols
 }
 
 func (s *Session) resolveSources(stmt *sqlparser.SelectStmt) ([]tableSource, error) {
 	sources := make([]tableSource, len(stmt.From))
+	base := 0
 	for i, ref := range stmt.From {
 		tbl, err := s.engine.Table(ref.Name)
 		if err != nil {
@@ -31,38 +29,41 @@ func (s *Session) resolveSources(stmt *sqlparser.SelectStmt) ([]tableSource, err
 		if ref.Alias != "" {
 			names = append(names, ref.Alias)
 		}
-		sources[i] = tableSource{ref: ref, tbl: tbl, names: names, schema: tbl.Schema()}
+		sources[i] = tableSource{ref: ref, tbl: tbl, cols: tableCols{quals: names, schema: tbl.Schema(), base: base}}
+		base += len(tbl.Schema())
 	}
 	return sources, nil
 }
 
-// buildEnvCols flattens the sources into the evaluation environment's
-// column bindings.
-func buildEnvCols(sources []tableSource) []colBinding {
-	var cols []colBinding
-	for _, src := range sources {
-		for _, c := range src.schema {
-			cols = append(cols, colBinding{qualifiers: src.names, name: c.Name})
-		}
-	}
-	return cols
-}
-
-func (s *Session) executeSelect(stmt *sqlparser.SelectStmt, args []sqltypes.Value) (*Result, error) {
-	if len(stmt.From) == 0 {
+// executeSelect runs a SELECT. A single-table statement runs from its
+// select plan, which the statement's cache entry retains once the text
+// repeats; a join resolves and joins its sources per execution and then
+// goes through the same output stage.
+func (s *Session) executeSelect(st *Stmt, stmt *sqlparser.SelectStmt, args []sqltypes.Value) (*Result, error) {
+	switch len(stmt.From) {
+	case 0:
 		return s.selectWithoutFrom(stmt, args)
+	case 1:
+		p, err := s.selectPlanFor(st, stmt)
+		if err != nil {
+			return nil, err
+		}
+		env := &rowEnv{tables: p.tables, args: args}
+		rows, err := p.scan(env, s.txID())
+		if err != nil {
+			return nil, err
+		}
+		return p.out.produce(env, rows)
 	}
 	sources, err := s.resolveSources(stmt)
 	if err != nil {
 		return nil, err
 	}
-	conjuncts := splitConjuncts(stmt.Where)
-	rows, err := s.joinSources(sources, conjuncts, args)
+	rows, tables, err := s.joinSources(sources, splitConjuncts(stmt.Where), args)
 	if err != nil {
 		return nil, err
 	}
-	env := &rowEnv{cols: buildEnvCols(sources), args: args}
-
+	env := &rowEnv{tables: tables, args: args}
 	// Residual WHERE filter (access paths only prune, never decide).
 	if stmt.Where != nil {
 		kept := rows[:0]
@@ -78,23 +79,11 @@ func (s *Session) executeSelect(stmt *sqlparser.SelectStmt, args []sqltypes.Valu
 		}
 		rows = kept
 	}
-
-	var out *Result
-	if len(stmt.GroupBy) > 0 || stmt.HasAggregates() || hasAggregate(stmt.Having) {
-		out, err = s.groupAndProject(stmt, env, rows)
-	} else {
-		out, err = s.project(stmt, env, rows)
-	}
+	out, err := compileOutput(stmt, env)
 	if err != nil {
 		return nil, err
 	}
-	if stmt.Distinct {
-		out.Rows = distinctRows(out.Rows)
-	}
-	if err := s.applyLimit(stmt.Limit, args, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out.produce(env, rows)
 }
 
 func (s *Session) selectWithoutFrom(stmt *sqlparser.SelectStmt, args []sqltypes.Value) (*Result, error) {
@@ -117,64 +106,65 @@ func (s *Session) selectWithoutFrom(stmt *sqlparser.SelectStmt, args []sqltypes.
 }
 
 // joinSources scans the first table and folds each further table in with a
-// hash join (equi ON), or a nested-loop join otherwise.
-func (s *Session) joinSources(sources []tableSource, whereConjuncts []sqlparser.Expr, args []sqltypes.Value) ([]sqltypes.Row, error) {
+// hash join (equi ON), or a nested-loop join otherwise. It returns the
+// joined rows and the tables that make up their columns.
+func (s *Session) joinSources(sources []tableSource, whereConjuncts []sqlparser.Expr, args []sqltypes.Value) ([]sqltypes.Row, []tableCols, error) {
 	txID := s.txID()
 	// Leaf scan with pushed-down single-table predicates.
 	leafRows := func(src tableSource) []sqltypes.Row {
-		var applicable []sqlparser.Expr
-		for _, c := range whereConjuncts {
-			if exprOnlyUses(c, src.names, src.schema) {
-				applicable = append(applicable, c)
-			}
-		}
-		plan := planAccess(src.tbl, src.names, applicable, args)
-		entries := fetch(src.tbl, txID, plan)
-		rows := make([]sqltypes.Row, len(entries))
-		for i, se := range entries {
-			rows[i] = se.Row
-		}
+		shape := shapeAccess(src.tbl, &src.cols, applicableTo(whereConjuncts, &src.cols))
+		var keys [2]sqltypes.Value
+		var rows []sqltypes.Row
+		shape.fetch(src.tbl, txID, shape.bind(args, &keys), func(se storage.ScanEntry) bool {
+			rows = append(rows, se.Row)
+			return true
+		})
 		return rows
 	}
 
 	acc := leafRows(sources[0])
-	accCols := buildEnvCols(sources[:1])
+	accCols := []tableCols{sources[0].cols}
 	for i := 1; i < len(sources); i++ {
 		src := sources[i]
-		right := leafRows(src)
-		rightCols := buildEnvCols([]tableSource{src})
-		joined, err := joinStep(acc, accCols, right, rightCols, src, args)
+		joined, err := joinStep(acc, accCols, leafRows(src), src, args)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		acc = joined
-		accCols = append(accCols, rightCols...)
+		accCols = append(accCols, src.cols)
 	}
-	return acc, nil
+	return acc, accCols, nil
 }
 
-// exprOnlyUses reports whether every column in e resolves within the one
-// table described by names/schema.
-func exprOnlyUses(e sqlparser.Expr, names []string, schema sqltypes.Schema) bool {
-	ok := true
-	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-		if ref, isCol := x.(*sqlparser.ColumnRef); isCol {
-			if !refersToTable(ref, names, schema) {
-				ok = false
-				return false
+// applicableTo keeps the conjuncts whose every column resolves within the
+// one table: the predicates its scan may use to pick an access path.
+func applicableTo(conjuncts []sqlparser.Expr, t *tableCols) []sqlparser.Expr {
+	var out []sqlparser.Expr
+	for _, c := range conjuncts {
+		within := true
+		sqlparser.WalkExpr(c, func(x sqlparser.Expr) bool {
+			if ref, isCol := x.(*sqlparser.ColumnRef); isCol && !t.owns(ref) {
+				within = false
 			}
+			return within
+		})
+		if within {
+			out = append(out, c)
 		}
-		return true
-	})
-	return ok
+	}
+	return out
 }
 
 // joinStep joins the accumulated left rows with the right table's rows.
-func joinStep(left []sqltypes.Row, leftCols []colBinding, right []sqltypes.Row, rightCols []colBinding, src tableSource, args []sqltypes.Value) ([]sqltypes.Row, error) {
+func joinStep(left []sqltypes.Row, leftCols []tableCols, right []sqltypes.Row, src tableSource, args []sqltypes.Value) ([]sqltypes.Row, error) {
 	jt := src.ref.Join
 	on := src.ref.On
-	combinedCols := append(append([]colBinding{}, leftCols...), rightCols...)
-	combinedEnv := &rowEnv{cols: combinedCols, args: args}
+	// The right table evaluated alone starts at column 0.
+	rightAlone := src.cols
+	rightAlone.base = 0
+	rightCols := []tableCols{rightAlone}
+	leftWidth, rightWidth := envWidth(leftCols), len(src.cols.schema)
+	combinedEnv := &rowEnv{tables: append(append([]tableCols{}, leftCols...), src.cols), args: args}
 
 	evalOn := func(l, r sqltypes.Row) (bool, error) {
 		if on == nil {
@@ -213,7 +203,7 @@ func joinStep(left []sqltypes.Row, leftCols []colBinding, right []sqltypes.Row, 
 				}
 			}
 			if !matched {
-				out = append(out, concatRows(nullRow(len(leftCols)), r))
+				out = append(out, concatRows(nullRow(leftWidth), r))
 			}
 		}
 	case sqlparser.JoinLeft:
@@ -230,7 +220,7 @@ func joinStep(left []sqltypes.Row, leftCols []colBinding, right []sqltypes.Row, 
 				}
 			}
 			if !matched {
-				out = append(out, concatRows(l, nullRow(len(rightCols))))
+				out = append(out, concatRows(l, nullRow(rightWidth)))
 			}
 		}
 	default: // inner and cross
@@ -251,7 +241,7 @@ func joinStep(left []sqltypes.Row, leftCols []colBinding, right []sqltypes.Row, 
 
 // findEquiPair finds one conjunct of ON shaped "leftExpr = rightExpr"
 // where each side resolves entirely on its own input.
-func findEquiPair(on sqlparser.Expr, leftCols, rightCols []colBinding) (sqlparser.Expr, sqlparser.Expr, bool) {
+func findEquiPair(on sqlparser.Expr, leftCols, rightCols []tableCols) (sqlparser.Expr, sqlparser.Expr, bool) {
 	for _, c := range splitConjuncts(on) {
 		b, ok := c.(*sqlparser.BinaryExpr)
 		if !ok || b.Op != sqlparser.OpEQ {
@@ -267,8 +257,8 @@ func findEquiPair(on sqlparser.Expr, leftCols, rightCols []colBinding) (sqlparse
 	return nil, nil, false
 }
 
-func sideResolves(e sqlparser.Expr, cols []colBinding) bool {
-	env := &rowEnv{cols: cols}
+func sideResolves(e sqlparser.Expr, cols []tableCols) bool {
+	env := &rowEnv{tables: cols}
 	ok := true
 	hasCol := false
 	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
@@ -284,11 +274,11 @@ func sideResolves(e sqlparser.Expr, cols []colBinding) bool {
 	return ok && hasCol
 }
 
-func hashJoin(left []sqltypes.Row, leftCols []colBinding, right []sqltypes.Row, rightCols []colBinding,
+func hashJoin(left []sqltypes.Row, leftCols []tableCols, right []sqltypes.Row, rightCols []tableCols,
 	lExpr, rExpr sqlparser.Expr, jt sqlparser.JoinType, args []sqltypes.Value,
 	evalOn func(l, r sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
 
-	rightEnv := &rowEnv{cols: rightCols, args: args}
+	rightEnv := &rowEnv{tables: rightCols, args: args}
 	table := make(map[string][]sqltypes.Row, len(right))
 	for _, r := range right {
 		rightEnv.row = r
@@ -302,7 +292,7 @@ func hashJoin(left []sqltypes.Row, leftCols []colBinding, right []sqltypes.Row, 
 		k := hashKey(v)
 		table[k] = append(table[k], r)
 	}
-	leftEnv := &rowEnv{cols: leftCols, args: args}
+	leftEnv := &rowEnv{tables: leftCols, args: args}
 	var out []sqltypes.Row
 	for _, l := range left {
 		leftEnv.row = l
@@ -324,7 +314,7 @@ func hashJoin(left []sqltypes.Row, leftCols []colBinding, right []sqltypes.Row, 
 			}
 		}
 		if !matched && jt == sqlparser.JoinLeft {
-			out = append(out, concatRows(l, nullRow(len(rightCols))))
+			out = append(out, concatRows(l, nullRow(envWidth(rightCols))))
 		}
 	}
 	return out, nil
@@ -357,209 +347,4 @@ func hashKey(v sqltypes.Value) string {
 		}
 		return "f" + strconv.FormatFloat(f, 'g', -1, 64)
 	}
-}
-
-// --- projection ---
-
-func itemName(item sqlparser.SelectItem, env *rowEnv) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if ref, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-		return ref.Name
-	}
-	return env.serialize(item.Expr)
-}
-
-// expandItems resolves stars into concrete column references, returning
-// the output column names alongside.
-func expandItems(stmt *sqlparser.SelectStmt, env *rowEnv) ([]sqlparser.SelectItem, []string, error) {
-	var items []sqlparser.SelectItem
-	var names []string
-	for _, item := range stmt.Items {
-		if !item.Star {
-			items = append(items, item)
-			names = append(names, itemName(item, env))
-			continue
-		}
-		for _, c := range env.cols {
-			if item.StarTable != "" {
-				match := false
-				for _, q := range c.qualifiers {
-					if equalFold(q, item.StarTable) {
-						match = true
-						break
-					}
-				}
-				if !match {
-					continue
-				}
-			}
-			qual := ""
-			if len(c.qualifiers) > 0 {
-				qual = c.qualifiers[len(c.qualifiers)-1]
-			}
-			items = append(items, sqlparser.SelectItem{Expr: &sqlparser.ColumnRef{Table: qual, Name: c.name}})
-			names = append(names, c.name)
-		}
-	}
-	if len(items) == 0 {
-		return nil, nil, fmt.Errorf("sqlexec: empty projection")
-	}
-	return items, names, nil
-}
-
-func (s *Session) project(stmt *sqlparser.SelectStmt, env *rowEnv, rows []sqltypes.Row) (*Result, error) {
-	items, names, err := expandItems(stmt, env)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: names}
-	type sortable struct {
-		out  sqltypes.Row
-		keys sqltypes.Row
-	}
-	needSort := len(stmt.OrderBy) > 0
-	var sorted []sortable
-	for _, r := range rows {
-		env.row = r
-		out := make(sqltypes.Row, len(items))
-		for i, item := range items {
-			v, err := env.eval(item.Expr)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		if needSort {
-			keys, err := sortKeys(stmt, env, out, items, names)
-			if err != nil {
-				return nil, err
-			}
-			sorted = append(sorted, sortable{out: out, keys: keys})
-		} else {
-			res.Rows = append(res.Rows, out)
-		}
-	}
-	if needSort {
-		sort.SliceStable(sorted, func(i, j int) bool {
-			return compareKeyRows(sorted[i].keys, sorted[j].keys, stmt.OrderBy) < 0
-		})
-		for _, sr := range sorted {
-			res.Rows = append(res.Rows, sr.out)
-		}
-	}
-	return res, nil
-}
-
-// sortKeys computes the ORDER BY key values for one row. Keys may name an
-// output alias, a 1-based output position, or any expression over the
-// source row (including aggregates in grouped queries, via env.aggs).
-func sortKeys(stmt *sqlparser.SelectStmt, env *rowEnv, out sqltypes.Row, items []sqlparser.SelectItem, names []string) (sqltypes.Row, error) {
-	keys := make(sqltypes.Row, len(stmt.OrderBy))
-	for i, o := range stmt.OrderBy {
-		// Positional: ORDER BY 2.
-		if lit, ok := o.Expr.(*sqlparser.Literal); ok && lit.Val.Kind == sqltypes.KindInt {
-			pos := int(lit.Val.I) - 1
-			if pos < 0 || pos >= len(out) {
-				return nil, fmt.Errorf("sqlexec: ORDER BY position %d out of range", lit.Val.I)
-			}
-			keys[i] = out[pos]
-			continue
-		}
-		// Alias of an output item.
-		if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
-			found := -1
-			for j, n := range names {
-				if equalFold(n, ref.Name) {
-					found = j
-					break
-				}
-			}
-			if found >= 0 {
-				keys[i] = out[found]
-				continue
-			}
-		}
-		v, err := env.eval(o.Expr)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
-}
-
-func compareKeyRows(a, b sqltypes.Row, order []sqlparser.OrderItem) int {
-	for i := range order {
-		c := sqltypes.Compare(a[i], b[i])
-		if c != 0 {
-			if order[i].Desc {
-				return -c
-			}
-			return c
-		}
-	}
-	return 0
-}
-
-func distinctRows(rows []sqltypes.Row) []sqltypes.Row {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		var b strings.Builder
-		for _, v := range r {
-			b.WriteString(hashKey(v))
-			b.WriteByte(0)
-		}
-		k := b.String()
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, r)
-	}
-	return out
-}
-
-func (s *Session) applyLimit(lim *sqlparser.Limit, args []sqltypes.Value, res *Result) error {
-	if lim == nil {
-		return nil
-	}
-	env := &rowEnv{args: args}
-	count, err := env.eval(lim.Count)
-	if err != nil {
-		return err
-	}
-	offset := int64(0)
-	if lim.Offset != nil {
-		ov, err := env.eval(lim.Offset)
-		if err != nil {
-			return err
-		}
-		offset = ov.AsInt()
-	}
-	n := int64(len(res.Rows))
-	if offset >= n {
-		res.Rows = nil
-		return nil
-	}
-	end := offset + count.AsInt()
-	if end > n || count.AsInt() < 0 {
-		end = n
-	}
-	res.Rows = res.Rows[offset:end]
-	return nil
-}
-
-func hasAggregate(e sqlparser.Expr) bool {
-	found := false
-	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-		if f, ok := x.(*sqlparser.FuncExpr); ok && f.IsAggregate() {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -11,18 +11,19 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-// Processor wraps one storage engine with a shared parsed-statement cache,
-// the Go analogue of a server-side prepared-statement cache. Rewritten SQL
+// Processor wraps one storage engine with a shared statement cache, the Go
+// analogue of a server-side prepared-statement cache. Rewritten SQL
 // arriving from the kernel repeats heavily (a handful of templates with
 // different literals is still distinct text, but placeholder-driven
 // workloads repeat exactly), so caching the parse is a measurable win —
-// BenchmarkParserCache quantifies it.
+// BenchmarkParserCache quantifies it — and a text that repeats also keeps
+// its select plan (see Stmt).
 type Processor struct {
 	engine *storage.Engine
 	stats  Stats
 
 	mu    sync.RWMutex
-	cache map[string]sqlparser.Statement
+	cache map[string]*Stmt
 }
 
 // cacheLimit bounds the statement cache; beyond it the cache is reset
@@ -31,31 +32,33 @@ const cacheLimit = 8192
 
 // NewProcessor returns a query processor over the engine.
 func NewProcessor(engine *storage.Engine) *Processor {
-	return &Processor{engine: engine, cache: map[string]sqlparser.Statement{}}
+	return &Processor{engine: engine, cache: map[string]*Stmt{}}
 }
 
 // Engine exposes the underlying storage engine.
 func (p *Processor) Engine() *storage.Engine { return p.engine }
 
-// Parse returns the cached AST for sql, parsing on miss.
-func (p *Processor) Parse(sql string) (sqlparser.Statement, error) {
+// Parse returns the cache entry for sql, parsing on miss. The entry is
+// also the handle a prepared statement executes through (ExecuteStmt).
+func (p *Processor) Parse(sql string) (*Stmt, error) {
 	p.mu.RLock()
-	stmt, ok := p.cache[sql]
+	st, ok := p.cache[sql]
 	p.mu.RUnlock()
 	if ok {
-		return stmt, nil
+		return st, nil
 	}
-	stmt, err := sqlparser.Parse(sql)
+	ast, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
+	st = &Stmt{ast: ast}
 	p.mu.Lock()
 	if len(p.cache) >= cacheLimit {
-		p.cache = map[string]sqlparser.Statement{}
+		p.cache = map[string]*Stmt{}
 	}
-	p.cache[sql] = stmt
+	p.cache[sql] = st
 	p.mu.Unlock()
-	return stmt, nil
+	return st, nil
 }
 
 // NewSession opens a session (the server-side state of one connection).
@@ -98,25 +101,26 @@ func (s *Session) Vars() map[string]sqltypes.Value { return s.vars }
 // Execute runs one SQL statement with optional bind arguments.
 func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
 	t0 := s.recStart()
-	stmt, err := s.proc.Parse(sql)
+	st, err := s.proc.Parse(sql)
 	s.recSpan("parse", t0, err)
 	if err != nil {
 		s.proc.stats.Statements.Add(1)
 		s.proc.stats.Errors.Add(1)
 		return nil, err
 	}
-	return s.ExecuteStmt(stmt, args)
+	return s.ExecuteStmt(st, args)
 }
 
-// ExecuteStmt runs an already-parsed statement. The statement is treated
-// as read-only and may be shared across sessions.
-func (s *Session) ExecuteStmt(stmt sqlparser.Statement, args []sqltypes.Value) (*Result, error) {
-	res, err := s.executeStmt(stmt, args)
+// ExecuteStmt runs a statement from its cache entry (Processor.Parse),
+// which prepared statements hold as their handle. The entry is shared
+// across sessions; its AST is read-only.
+func (s *Session) ExecuteStmt(st *Stmt, args []sqltypes.Value) (*Result, error) {
+	res, err := s.executeStmt(st, args)
 	s.proc.stats.Statements.Add(1)
 	if err != nil {
 		s.proc.stats.Errors.Add(1)
 	}
-	if table, write, ok := stmtTable(stmt); ok {
+	if table, write, ok := stmtTable(st.ast); ok {
 		s.proc.stats.noteTable(table, write, err != nil)
 	}
 	return res, err
@@ -140,8 +144,8 @@ func stmtTable(stmt sqlparser.Statement) (table string, write, ok bool) {
 	return "", false, false
 }
 
-func (s *Session) executeStmt(stmt sqlparser.Statement, args []sqltypes.Value) (*Result, error) {
-	switch t := stmt.(type) {
+func (s *Session) executeStmt(st *Stmt, args []sqltypes.Value) (*Result, error) {
+	switch t := st.ast.(type) {
 	case *sqlparser.SelectStmt:
 		if t.ForUpdate {
 			t0 := s.recStart()
@@ -152,7 +156,7 @@ func (s *Session) executeStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 			}
 		}
 		t0 := s.recStart()
-		res, err := s.executeSelect(t, args)
+		res, err := s.executeSelect(st, t, args)
 		s.recSpan("read", t0, err)
 		return res, err
 	case *sqlparser.InsertStmt:
@@ -260,7 +264,7 @@ func (s *Session) executeStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 		s.vars[lowerASCII(t.Name)] = t.Value
 		return &Result{}, nil
 	default:
-		return nil, fmt.Errorf("sqlexec: unsupported statement %T", stmt)
+		return nil, fmt.Errorf("sqlexec: unsupported statement %T", st.ast)
 	}
 }
 

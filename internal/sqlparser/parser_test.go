@@ -643,3 +643,33 @@ func TestWalkExprPrunes(t *testing.T) {
 		t.Fatalf("visits: %d", visits)
 	}
 }
+
+// TestIsKeyword: the serializer's allocation-free reserved-word check
+// agrees with the keyword set in any case, and its stack buffer fits the
+// longest keyword.
+func TestIsKeyword(t *testing.T) {
+	for kw := range keywords {
+		if len(kw) > maxKeywordLen {
+			t.Errorf("keyword %q is longer than maxKeywordLen (%d)", kw, maxKeywordLen)
+		}
+		if !isKeyword(kw) || !isKeyword(strings.ToLower(kw)) {
+			t.Errorf("isKeyword(%q) = false", kw)
+		}
+	}
+	for _, ident := range []string{"sbtest_7", "selec", "selects", "a_very_long_identifier_indeed", ""} {
+		if isKeyword(ident) {
+			t.Errorf("isKeyword(%q) = true", ident)
+		}
+	}
+	for ident, want := range map[string]string{
+		"sbtest_7": "sbtest_7", "select": "`select`", "Auto_Increment": "`Auto_Increment`",
+		"7up": "`7up`", "a b": "`a b`", "": "``", "order_1": "order_1", "_x$": "_x$",
+	} {
+		if got := QuoteIdent(DialectMySQL, ident); got != want {
+			t.Errorf("QuoteIdent(%q) = %s, want %s", ident, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { QuoteIdent(DialectMySQL, "sbtest_42"); isKeyword("sbtest") }); n != 0 {
+		t.Errorf("quoting a bare identifier allocates %v times", n)
+	}
+}

@@ -41,19 +41,22 @@ func QuoteIdent(d Dialect, ident string) string {
 }
 
 func needsQuote(ident string) bool {
-	if ident == "" {
+	if ident == "" || !isIdentStart(ident[0]) {
 		return true
 	}
-	if keywords[upper(ident)] {
-		return true
-	}
+	// Reserved words are letters and underscores only, so a name with a
+	// digit in it (every shard table) skips the keyword lookup.
+	wordLike := true
 	for i := 0; i < len(ident); i++ {
 		c := ident[i]
 		if !isIdentPart(c) {
 			return true
 		}
+		if !(c == '_' || (c|0x20 >= 'a' && c|0x20 <= 'z')) {
+			wordLike = false
+		}
 	}
-	return !isIdentStart(ident[0])
+	return wordLike && isKeyword(ident)
 }
 
 // Serialize renders a statement to SQL text.

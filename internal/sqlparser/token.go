@@ -69,6 +69,27 @@ var keywords = map[string]bool{
 	"AUTO_INCREMENT": true, "DEFAULT": true, "VARIABLE": true,
 }
 
+// maxKeywordLen is the longest reserved word (AUTO_INCREMENT).
+const maxKeywordLen = 14
+
+// isKeyword reports whether ident is a reserved word in any case. It
+// upper-cases into a stack buffer, so the serializer's per-identifier
+// quoting check allocates nothing.
+func isKeyword(ident string) bool {
+	if len(ident) > maxKeywordLen {
+		return false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(ident); i++ {
+		c := ident[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(ident)])]
+}
+
 // aggregateFuncs is the set of aggregate function names the merger
 // understands (paper Section VI-E).
 var aggregateFuncs = map[string]bool{

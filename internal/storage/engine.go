@@ -38,6 +38,9 @@ type Engine struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	closed bool
+	// ddl counts schema changes (tables created or dropped, indexes
+	// created); see DDLEpoch.
+	ddl atomic.Uint64
 
 	txSeq       atomic.Int64
 	locks       *lockManager
@@ -63,6 +66,12 @@ func (e *Engine) Name() string { return e.name }
 
 // SetLockTimeout overrides the lock-wait timeout; tests use short values.
 func (e *Engine) SetLockTimeout(d time.Duration) { e.lockTimeout = d }
+
+// DDLEpoch changes whenever a table is created or dropped or an index is
+// created. A query processor that caches anything derived from table
+// definitions (resolved tables, access paths) compares the epoch it
+// compiled under with the current one and recompiles on a mismatch.
+func (e *Engine) DDLEpoch() uint64 { return e.ddl.Load() }
 
 // CreateTable creates a table from the spec.
 func (e *Engine) CreateTable(spec TableSpec) error {
@@ -112,6 +121,7 @@ func (e *Engine) CreateTable(spec TableSpec) error {
 		return fmt.Errorf("%w: %s", ErrTableExists, spec.Name)
 	}
 	e.tables[spec.Name] = t
+	e.ddl.Add(1)
 	return nil
 }
 
@@ -143,6 +153,7 @@ func (e *Engine) CreateIndex(spec IndexSpec) error {
 		}
 	}
 	t.indexes[spec.Name] = ix
+	e.ddl.Add(1)
 	return nil
 }
 
@@ -154,6 +165,7 @@ func (e *Engine) DropTable(name string) error {
 		return fmt.Errorf("%w: %s", ErrTableNotFound, name)
 	}
 	delete(e.tables, name)
+	e.ddl.Add(1)
 	return nil
 }
 
