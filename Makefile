@@ -33,10 +33,9 @@ bench:
 bench-plancache:
 	$(GO) test -run xxx -bench 'PointSelect|RepeatedShape' -benchtime 2s ./internal/bench/
 
-# Wire protocol v2 vs v1 throughput + socket-budget comparison, and the
-# paired trace-propagation overhead measurement.
+# Paired trace-propagation overhead measurement over a remote data node.
 bench-remote:
-	$(GO) test -run 'TestRemoteV2VsV1|TestTraceOverhead' -v ./internal/bench/
+	$(GO) test -run 'TestTraceOverhead' -v ./internal/bench/
 
 # Streaming scatter-gather measurement: bounded-memory merge vs full
 # drain (peak live heap), time-to-first-row, and early cursor stop over
@@ -78,10 +77,9 @@ txn-smoke:
 	$(GO) test -race -run 'TestTxnChaos' -count=1 ./internal/distsql/
 	$(GO) test -race -run 'TestInDoubtOverWire' -count=1 ./internal/proxy/
 
-# TPC-C Payment commit-path benchmark: legacy sequential 2PC vs parallel
-# phases + group commit (cross-shard) and vs the single-shard 1PC fast
-# path. The acceptance gate is >= 2x cross-shard throughput at 32
-# workers. Numbers feed EXPERIMENTS.md.
+# TPC-C Payment commit-path benchmark at 32 workers: parallel phases +
+# group commit (cross-shard) and the single-shard 1PC fast path, with the
+# path counters asserted. Numbers feed EXPERIMENTS.md.
 bench-txn:
 	TXN_DURATION=3s $(GO) test -run 'TestTxnThroughput' -v -count=1 ./internal/bench/
 
@@ -105,12 +103,12 @@ digest-smoke:
 bench-digest:
 	$(GO) test -run 'TestDigestOverheadInterleaved' -v -count=1 ./internal/bench/
 
-# Short fuzz pass over the frame reader, row decoder and trace-context
-# trailer. `go test` accepts one -fuzz target per invocation, hence
-# separate runs.
+# Short fuzz pass over the frame reader, row-batch decoder and
+# trace-context trailer. `go test` accepts one -fuzz target per
+# invocation, hence separate runs.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/
-	$(GO) test -fuzz 'FuzzDecodeRow' -fuzztime 10s -run '^$$' ./internal/protocol/
+	$(GO) test -fuzz 'FuzzDecodeRowBatch' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzTraceContext' -fuzztime 10s -run '^$$' ./internal/protocol/
 
 # Multiplexed wire-protocol concurrency suite under the race detector:

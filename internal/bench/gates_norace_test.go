@@ -15,7 +15,4 @@ const (
 	// Trace-propagation P90 overhead gate in TestTraceOverhead: the
 	// ISSUE budget is <2%, with a noise allowance for loaded CI boxes.
 	traceOverheadGate = 0.03
-	// Cross-shard commit throughput gain gate in TestTxnThroughput:
-	// the concurrent commit path vs the sequential legacy baseline.
-	txnCrossGainGate = 2.0
 )

@@ -11,7 +11,4 @@ package bench_test
 const (
 	stormLatencySlack = 4.0
 	traceOverheadGate = 0.15
-	// Instrumentation inflates the CPU-bound concurrent path more than
-	// the sync-bound legacy path, compressing the measured gain.
-	txnCrossGainGate = 1.5
 )

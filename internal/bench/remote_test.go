@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"shardingsphere/internal/bench"
 	"shardingsphere/internal/proxy"
@@ -13,7 +12,6 @@ import (
 	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
-	"shardingsphere/pkg/client"
 )
 
 // seededProcessor builds a query processor over one sbtest-style table.
@@ -57,67 +55,6 @@ func pointSelect(rows int) bench.TxFunc {
 	return func(c bench.Client, rng *rand.Rand) error {
 		_, err := c.Query("SELECT c FROM sbtest WHERE id = ?", sqltypes.NewInt(int64(rng.Intn(rows))))
 		return err
-	}
-}
-
-// TestRemoteV2VsV1 compares point-select throughput through a data node
-// over protocol v1 (one socket + one RTT per statement per client) and
-// v2 (multiplexed streams sharing DefaultMuxSockets sockets). The
-// throughput ratio is logged for EXPERIMENTS.md; the assertions stick
-// to what is deterministic — v2's socket count stays at the mux budget
-// while v1 pays one socket per worker.
-func TestRemoteV2VsV1(t *testing.T) {
-	const rows = 1000
-	const workers = 64
-	dur := 500 * time.Millisecond
-	if testing.Short() {
-		dur = 100 * time.Millisecond
-	}
-
-	addr, srv := startBenchNode(t, rows)
-
-	// v1: every worker dials its own socket.
-	v1, err := bench.Run(bench.Options{Workers: workers, Duration: dur, Seed: 1},
-		func(int) (bench.Client, error) {
-			conn, err := client.DialV1(addr)
-			if err != nil {
-				return nil, err
-			}
-			return &bench.RemoteClient{Conn: conn}, nil
-		}, pointSelect(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1Sockets := srv.Metrics()["connections_total"]
-
-	// v2: all workers share one mux pool's sockets.
-	ds := client.NewRemoteDataSource("bench", addr, &resource.Options{PoolSize: workers})
-	t.Cleanup(func() { ds.Close() })
-	v2, err := bench.Run(bench.Options{Workers: workers, Duration: dur, Seed: 1},
-		func(int) (bench.Client, error) {
-			pc, err := ds.Acquire()
-			if err != nil {
-				return nil, err
-			}
-			return &pooledClient{pc: pc}, nil
-		}, pointSelect(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Sockets := srv.Metrics()["connections_total"] - v1Sockets
-
-	t.Logf("v1: %s  sockets=%d", v1, v1Sockets)
-	t.Logf("v2: %s  sockets=%d", v2, v2Sockets)
-	t.Logf("v2/v1 TPS ratio: %.2fx", v2.TPS/v1.TPS)
-
-	if v1.Errors > 0 || v2.Errors > 0 {
-		t.Fatalf("benchmark errors: v1=%d v2=%d", v1.Errors, v2.Errors)
-	}
-	if v1Sockets < workers {
-		t.Fatalf("v1 should dial one socket per worker, got %d", v1Sockets)
-	}
-	if v2Sockets > client.DefaultMuxSockets {
-		t.Fatalf("v2 used %d sockets; mux budget is %d", v2Sockets, client.DefaultMuxSockets)
 	}
 }
 

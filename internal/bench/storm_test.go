@@ -11,6 +11,7 @@ import (
 	"shardingsphere/internal/admission"
 	"shardingsphere/internal/bench"
 	"shardingsphere/internal/proxy"
+	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/pkg/client"
 )
@@ -33,7 +34,7 @@ type slowSession struct {
 	d     time.Duration
 }
 
-func (s *slowSession) Execute(sql string, args []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+func (s *slowSession) Execute(sql string, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	time.Sleep(s.d)
 	return s.inner.Execute(sql, args)
 }
@@ -63,7 +64,7 @@ func stormDuration(def time.Duration) time.Duration {
 // Phase 1 measures the unloaded p99 through a plain proxy. Phase 2
 // serves the same backend behind an admission controller whose queue
 // bound is calibrated from phase 1, then storms it with one socket per
-// worker (protocol v1: a genuine many-connection storm).
+// worker (client.Dial owns its socket: a genuine many-connection storm).
 func TestStormSmoke(t *testing.T) {
 	// Service time is large relative to scheduler/timer jitter so the 2x
 	// latency envelope measures queueing policy, not sleep granularity.
@@ -88,7 +89,7 @@ func TestStormSmoke(t *testing.T) {
 	point := pointSelect(rows)
 	unloaded, err := bench.Run(bench.Options{Workers: unloadedWorkers, Duration: dur, Seed: 11},
 		func(int) (bench.Client, error) {
-			conn, err := client.DialV1(plainAddr)
+			conn, err := client.Dial(plainAddr)
 			if err != nil {
 				return nil, err
 			}
@@ -125,7 +126,7 @@ func TestStormSmoke(t *testing.T) {
 	defer protected.Close()
 
 	// Warm the path, then take the goroutine baseline.
-	warm, err := client.DialV1(protAddr)
+	warm, err := client.Dial(protAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestStormSmoke(t *testing.T) {
 	}
 	storm, err := bench.Run(bench.Options{Workers: stormWorkers, Duration: dur, Seed: 13},
 		func(int) (bench.Client, error) {
-			conn, err := client.DialV1(protAddr)
+			conn, err := client.Dial(protAddr)
 			if err != nil {
 				return nil, err
 			}

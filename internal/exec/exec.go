@@ -522,25 +522,14 @@ func (e *Executor) plan(units []rewrite.SQLUnit, held *HeldConns) []group {
 	return out
 }
 
-// Query executes query units and returns one result set per unit. When
+// QueryCtx executes query units and returns one result set per unit. When
 // held is non-nil the statements ride the transaction's pinned
 // connections (and drain to memory, since the connection must be reusable
-// immediately).
-func (e *Executor) Query(units []rewrite.SQLUnit, held *HeldConns) (*QueryResult, error) {
-	return e.QueryCtx(context.Background(), units, held, nil, false)
-}
-
-// QueryTraced is Query with a statement trace receiving one execute span
-// per unit (nil trace is valid and free).
-func (e *Executor) QueryTraced(units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace) (*QueryResult, error) {
-	return e.QueryCtx(context.Background(), units, held, tr, false)
-}
-
-// QueryCtx is the full query entry point: the context carries the
-// statement deadline and fail-fast cancellation; retry opts idempotent
-// reads outside transactions into transparent transient-failure retries
-// with jittered backoff. Multi-group fan-outs cancel sibling groups on
-// the first error instead of letting them run to completion.
+// immediately). The context carries the statement deadline and fail-fast
+// cancellation; retry opts idempotent reads outside transactions into
+// transparent transient-failure retries with jittered backoff.
+// Multi-group fan-outs cancel sibling groups on the first error instead
+// of letting them run to completion.
 func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace, retry bool) (*QueryResult, error) {
 	if tr.Sampled() {
 		// Remote connections inject the trace into the wire protocol's
@@ -875,21 +864,10 @@ func drain(rs resource.ResultSet) (resource.ResultSet, error) {
 	return resource.NewSliceResultSet(rs.Columns(), rows), nil
 }
 
-// ExecuteUpdate runs DML/DDL units and returns the summed affected count
-// and the last insert id observed.
-func (e *Executor) ExecuteUpdate(units []rewrite.SQLUnit, held *HeldConns) (resource.ExecResult, error) {
-	return e.ExecuteUpdateCtx(context.Background(), units, held, nil)
-}
-
-// ExecuteUpdateTraced is ExecuteUpdate with a statement trace receiving
-// one execute span per unit (nil trace is valid and free).
-func (e *Executor) ExecuteUpdateTraced(units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace) (resource.ExecResult, error) {
-	return e.ExecuteUpdateCtx(context.Background(), units, held, tr)
-}
-
-// ExecuteUpdateCtx is ExecuteUpdate under a statement context: the
-// deadline applies and the first shard error cancels sibling groups. DML
-// is never retried — a failed write's true outcome is unknown, and
+// ExecuteUpdateCtx runs DML/DDL units and returns the summed affected
+// count and the last insert id observed. The context carries the
+// statement deadline, and the first shard error cancels sibling groups.
+// DML is never retried — a failed write's true outcome is unknown, and
 // replaying it could double-apply.
 func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace) (resource.ExecResult, error) {
 	if tr.Sampled() {
@@ -899,7 +877,7 @@ func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit
 	var total resource.ExecResult
 	var mu sync.Mutex
 	if len(groups) == 1 {
-		// Single data source: run inline (see Query).
+		// Single data source: run inline (see QueryCtx).
 		e.updateInline.Add(1)
 		if err := e.runUpdateGroup(ctx, units, groups[0], held, &total, &mu, tr); err != nil {
 			return resource.ExecResult{}, err
@@ -1026,6 +1004,6 @@ func (e *Executor) Broadcast(sql string, held *HeldConns) error {
 			units = append(units, rewrite.SQLUnit{DataSource: ds, SQL: sql})
 		}
 	}
-	_, err := e.ExecuteUpdate(units, held)
+	_, err := e.ExecuteUpdateCtx(context.TODO(), units, held, nil)
 	return err
 }

@@ -53,10 +53,10 @@ func unitsFor(sqls map[string][]string) []rewrite.SQLUnit {
 
 func TestQueryAcrossSources(t *testing.T) {
 	e := fixture(t, 8)
-	res, err := e.Query(unitsFor(map[string][]string{
+	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t ORDER BY id"},
 		"ds1": {"SELECT * FROM t ORDER BY id"},
-	}), nil)
+	}), nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +77,9 @@ func TestQueryAcrossSources(t *testing.T) {
 func TestThetaSelectsConnectionStrict(t *testing.T) {
 	e := fixture(t, 8) // MaxCon = 1
 	// Two SQLs on one source with MaxCon=1 → θ=2 → connection-strict.
-	res, err := e.Query(unitsFor(map[string][]string{
+	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t WHERE id < 5", "SELECT * FROM t WHERE id >= 5"},
-	}), nil)
+	}), nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMaxConRaisesParallelism(t *testing.T) {
 			"SELECT * FROM t WHERE id = 3", "SELECT * FROM t WHERE id = 4",
 		},
 	})
-	res, err := e.Query(units, nil)
+	res, err := e.QueryCtx(context.Background(), units, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +130,9 @@ func TestMaxConRaisesParallelism(t *testing.T) {
 
 func TestStreamSetHoldsConnection(t *testing.T) {
 	e := fixture(t, 1) // pool of exactly 1 per source
-	res, err := e.Query(unitsFor(map[string][]string{
+	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t"},
-	}), nil)
+	}), nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +151,10 @@ func TestStreamSetHoldsConnection(t *testing.T) {
 
 func TestExecuteUpdateAggregates(t *testing.T) {
 	e := fixture(t, 4)
-	res, err := e.ExecuteUpdate(unitsFor(map[string][]string{
+	res, err := e.ExecuteUpdateCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"UPDATE t SET v = 99 WHERE id < 5"},
 		"ds1": {"UPDATE t SET v = 99 WHERE id >= 15"},
-	}), nil)
+	}), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +165,15 @@ func TestExecuteUpdateAggregates(t *testing.T) {
 
 func TestQueryErrorPropagates(t *testing.T) {
 	e := fixture(t, 4)
-	_, err := e.Query(unitsFor(map[string][]string{
+	_, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM missing_table"},
-	}), nil)
+	}), nil, nil, false)
 	if err == nil {
 		t.Fatal("want error")
 	}
-	_, err = e.ExecuteUpdate(unitsFor(map[string][]string{
+	_, err = e.ExecuteUpdateCtx(context.Background(), unitsFor(map[string][]string{
 		"ds1": {"UPDATE missing SET x = 1"},
-	}), nil)
+	}), nil, nil)
 	if err == nil {
 		t.Fatal("want update error")
 	}
@@ -181,7 +181,7 @@ func TestQueryErrorPropagates(t *testing.T) {
 
 func TestUnknownDataSource(t *testing.T) {
 	e := fixture(t, 4)
-	_, err := e.Query([]rewrite.SQLUnit{{DataSource: "nope", SQL: "SELECT 1"}}, nil)
+	_, err := e.QueryCtx(context.Background(), []rewrite.SQLUnit{{DataSource: "nope", SQL: "SELECT 1"}}, nil, nil, false)
 	if err == nil {
 		t.Fatal("want unknown source error")
 	}
@@ -208,9 +208,9 @@ func TestHeldConnsPinning(t *testing.T) {
 	if _, err := c1.Exec(context.Background(), "BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(unitsFor(map[string][]string{
+	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t WHERE id = 1"},
-	}), held)
+	}), held, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +236,10 @@ func TestListenerObservesExecutions(t *testing.T) {
 	e.SetListener(func(ds, sql string, dur time.Duration, err error) {
 		count.Add(1)
 	})
-	e.Query(unitsFor(map[string][]string{
+	e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t"},
 		"ds1": {"SELECT * FROM t"},
-	}), nil)
+	}), nil, nil, false)
 	if count.Load() != 2 {
 		t.Fatalf("listener calls: %d", count.Load())
 	}
@@ -250,10 +250,10 @@ func TestBroadcast(t *testing.T) {
 	if err := e.Broadcast("CREATE TABLE b (id INT PRIMARY KEY)", nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(unitsFor(map[string][]string{
+	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT COUNT(*) FROM b"},
 		"ds1": {"SELECT COUNT(*) FROM b"},
-	}), nil)
+	}), nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestParallelQueriesNoDeadlock(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func() {
 			for j := 0; j < 20; j++ {
-				res, err := e.Query(units, nil)
+				res, err := e.QueryCtx(context.Background(), units, nil, nil, false)
 				if err != nil {
 					done <- err
 					return
@@ -316,11 +316,11 @@ func TestParallelQueriesNoDeadlock(t *testing.T) {
 
 func TestArgsPassThrough(t *testing.T) {
 	e := fixture(t, 4)
-	res, err := e.Query([]rewrite.SQLUnit{{
+	res, err := e.QueryCtx(context.Background(), []rewrite.SQLUnit{{
 		DataSource: "ds0",
 		SQL:        "SELECT * FROM t WHERE id = ?",
 		Args:       []sqltypes.Value{sqltypes.NewInt(3)},
-	}}, nil)
+	}}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ func TestAttachExecOutcomesOpensBreakerAndNotifies(t *testing.T) {
 	})
 	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT 1"}}
 	for i := 0; i < 3; i++ {
-		if _, err := e.Query(units, nil); err == nil {
+		if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err == nil {
 			t.Fatal("query should fail")
 		}
 	}
@@ -169,7 +169,7 @@ func TestAttachExecOutcomesOpensBreakerAndNotifies(t *testing.T) {
 	if !g.Allow("ds0") {
 		t.Fatal("breaker should admit the probe")
 	}
-	if _, err := e.Query(units, nil); err != nil {
+	if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if g.BreakerState("ds0") != BreakerClosed {
@@ -189,7 +189,7 @@ func TestAttachExecOutcomesIgnoresSQLErrors(t *testing.T) {
 	g.AttachExecOutcomes()
 	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT * FROM missing_table"}}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Query(units, nil); err == nil {
+		if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err == nil {
 			t.Fatal("query of a missing table should fail")
 		}
 	}

@@ -12,8 +12,8 @@
 // appended to every FrameQuery/FrameExecStmt payload on connections
 // that negotiated CapTraceContext. Because the trailer is fixed-size
 // and unconditional on such connections, the server strips it without
-// re-parsing the statement head, and v1 or capability-less connections
-// never see it.
+// re-parsing the statement head, and capability-less connections never
+// see it.
 //
 // When the trailer's flags request tracing, the terminal reply frame
 // (FrameOK, FrameEOF or FrameError) carries a span block: the node's

@@ -6,7 +6,9 @@
 // difference between the embedded driver and the proxy in the paper's
 // Tables III/IV is exactly the cost of this extra hop.
 //
-// Frame layout: 4-byte big-endian payload length, 1 type byte, payload.
+// Frame layout: 4-byte big-endian payload length, 1 type byte, then —
+// on every frame after the Hello/HelloAck handshake — a 4-byte stream ID
+// (protocol2.go), then the payload.
 package protocol
 
 import (
@@ -30,9 +32,9 @@ const (
 	FrameOK     byte = 0x10 // affected, lastInsertID
 	FrameError  byte = 0x11 // message
 	FrameHeader byte = 0x12 // column names
-	FrameRow    byte = 0x13 // one row
-	FrameEOF    byte = 0x14 // end of rows
-	FramePong   byte = 0x15
+	// 0x13 is reserved: it was protocol v1's one-row-per-frame FrameRow.
+	FrameEOF  byte = 0x14 // end of rows
+	FramePong byte = 0x15
 )
 
 // MaxFrame bounds a single frame (16 MiB, as MySQL's default packet cap).
@@ -265,33 +267,4 @@ func DecodeHeader(payload []byte) ([]string, error) {
 		}
 	}
 	return cols, nil
-}
-
-// EncodeRow builds a FrameRow payload.
-func EncodeRow(row sqltypes.Row) []byte {
-	w := &writer{}
-	w.u32(uint32(len(row)))
-	for _, v := range row {
-		w.value(v)
-	}
-	return w.buf
-}
-
-// DecodeRow parses a FrameRow payload.
-func DecodeRow(payload []byte) (sqltypes.Row, error) {
-	r := &reader{buf: payload}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 4096 {
-		return nil, fmt.Errorf("protocol: %d row values", n)
-	}
-	row := make(sqltypes.Row, n)
-	for i := range row {
-		if row[i], err = r.value(); err != nil {
-			return nil, err
-		}
-	}
-	return row, nil
 }

@@ -1,19 +1,19 @@
 // Protocol v2: stream-multiplexed framing.
 //
-// v1 frames one request/response pair at a time over a dedicated TCP
-// connection. v2 adds a 4-byte stream ID after the type byte so that one
-// TCP connection carries many logical conversations concurrently:
+// A 4-byte stream ID after the type byte lets one TCP connection carry
+// many logical conversations concurrently:
 //
-//	v1: | len u32 | type u8 | payload |
-//	v2: | len u32 | type u8 | stream u32 | payload |
+//	handshake: | len u32 | type u8 | payload |
+//	after it:  | len u32 | type u8 | stream u32 | payload |
 //
-// Version negotiation happens in v1 framing: the client sends FrameHello
-// (version + max frame size) as its first frame; a v2-aware server replies
-// FrameHelloAck and both sides switch to v2 framing on the same socket.
-// A v1 server rejects the unknown frame type with FrameError, which the
-// client treats as "speak v1".
+// The handshake is the only traffic in the short framing (protocol v1's,
+// which is otherwise retired): the client sends FrameHello (version, max
+// frame size, capabilities) as its first frame; the server replies
+// FrameHelloAck and both sides switch to v2 framing on the same socket,
+// or it replies FrameError — an accept-time rejection, or a peer that
+// does not speak v2 — and the dial fails with that error.
 //
-// On top of v2 framing, three new exchanges remove per-statement overhead:
+// On top of v2 framing, three exchanges remove per-statement overhead:
 //
 //   - FramePrepare registers SQL text under a client-chosen statement ID,
 //     once per (connection, statement shape). It is fire-and-forget: the
@@ -22,8 +22,7 @@
 //   - FrameExecStmt executes a prepared statement by ID + bind args,
 //     letting the data node skip its own parse (mirroring what
 //     internal/plancache does proxy-side).
-//   - FrameRowBatch carries many rows per frame (~16KB per batch) instead
-//     of one frame per row.
+//   - FrameRowBatch carries many rows per frame (~16KB per batch).
 package protocol
 
 import (
@@ -35,17 +34,15 @@ import (
 	"shardingsphere/internal/sqltypes"
 )
 
-// Protocol versions exchanged in Hello/HelloAck.
-const (
-	Version1 uint32 = 1
-	Version2 uint32 = 2
-)
+// Version2 is the protocol version exchanged in Hello/HelloAck; version
+// 1 (no handshake, one socket per conversation) is no longer served.
+const Version2 uint32 = 2
 
 // v2-era frame types. Client → server types continue from 0x03,
 // server → client types continue from 0x15. (0x08/0x18 are the
 // metrics-federation frames in obs.go.)
 const (
-	FrameHello        byte = 0x04 // version negotiation; sent in v1 framing
+	FrameHello        byte = 0x04 // version negotiation; sent in handshake framing
 	FramePrepare      byte = 0x05 // stmtID + SQL text; fire-and-forget
 	FrameExecStmt     byte = 0x06 // stmtID + bind args
 	FrameStreamClose  byte = 0x07 // client abandons a stream mid-result
@@ -104,8 +101,9 @@ func (e *FrameTooLargeError) Error() string {
 
 func (e *FrameTooLargeError) Unwrap() error { return ErrFrameTooLarge }
 
-// ReadFrameLimit reads one v1 frame, rejecting payloads above max before
-// allocating. ReadFrame is ReadFrameLimit with the protocol-wide MaxFrame.
+// ReadFrameLimit reads one handshake-framed frame, rejecting payloads
+// above max before allocating. ReadFrame is ReadFrameLimit with the
+// protocol-wide MaxFrame.
 func ReadFrameLimit(r *bufio.Reader, max uint32) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -290,7 +288,9 @@ func DecodeRowBatch(payload []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) 
 		if err != nil {
 			return dst, err
 		}
-		if ncols > 4096 {
+		// A value costs at least 1 byte (its kind), so the count is
+		// bounded by what is left of the payload; check before allocating.
+		if ncols > 4096 || int(ncols) > len(payload)-r.pos {
 			return dst, fmt.Errorf("protocol: %d row values", ncols)
 		}
 		row := make(sqltypes.Row, ncols)

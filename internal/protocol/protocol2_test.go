@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"shardingsphere/internal/sqltypes"
@@ -36,7 +37,7 @@ func TestReadFrameLimitRejectsOversized(t *testing.T) {
 	// any allocation, with a typed error carrying both sizes.
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], 1<<30)
-	hdr[4] = FrameRow
+	hdr[4] = FrameHeader
 	_, _, err := ReadFrameLimit(bufio.NewReader(bytes.NewReader(hdr[:])), 1<<20)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
@@ -129,6 +130,21 @@ func TestRowBatchRejectsBogusCounts(t *testing.T) {
 	if _, err := DecodeRowBatch(w.buf, nil); err == nil {
 		t.Fatal("bogus row count accepted")
 	}
+	// One row claiming 4096 values with none behind it: rejected before
+	// the row is allocated (4096 values would be ~160KB for 8 bytes in).
+	w = writer{}
+	w.u32(1)
+	w.u32(4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeRowBatch(w.buf, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("bogus value count accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+		t.Fatalf("decoding %d bytes allocated %d", len(w.buf), grew)
+	}
 }
 
 func FuzzReadFrame(f *testing.F) {
@@ -154,8 +170,6 @@ func FuzzReadFrame(f *testing.F) {
 				DecodeOK(payload)
 			case FrameHeader:
 				DecodeHeader(payload)
-			case FrameRow:
-				DecodeRow(payload)
 			case FrameRowBatch:
 				DecodeRowBatch(payload, nil)
 			case FrameHello, FrameHelloAck:
@@ -169,18 +183,49 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-func FuzzDecodeRow(f *testing.F) {
-	f.Add(EncodeRow(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("x")}))
-	f.Add(EncodeRow(sqltypes.Row{}))
-	f.Add([]byte{0, 0, 0, 2, 1})
+// FuzzDecodeRowBatch targets the decoder every row on either wire passes
+// through. Seeds are real BatchEncoder output, every truncation of it,
+// and copies with one length field (row count, value count, string
+// length) inflated past the payload.
+func FuzzDecodeRowBatch(f *testing.F) {
+	var enc BatchEncoder
+	enc.Append(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("x"), sqltypes.Null})
+	enc.Append(sqltypes.Row{})
+	enc.Append(sqltypes.Row{sqltypes.NewFloat(2.5), sqltypes.NewBool(true)})
+	good := bytes.Clone(enc.Payload())
+	f.Add(good)
+	for cut := 0; cut < len(good); cut++ {
+		f.Add(good[:cut])
+	}
+	// Offsets: row count at 0, first row's value count at 4, and the
+	// string's length after that count, an int value (1+8) and a kind byte.
+	for _, off := range []int{0, 4, 4 + 4 + 9 + 1} {
+		b := bytes.Clone(good)
+		binary.BigEndian.PutUint32(b[off:], 1<<30)
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		row, err := DecodeRow(data)
-		if err == nil {
-			// A successfully decoded row must re-encode cleanly.
-			if _, err := DecodeRow(EncodeRow(row)); err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
+		rows, err := DecodeRowBatch(data, nil)
+		// A row costs at least 4 payload bytes and a value at least 1, so
+		// whatever was decoded — error or not — is bounded by the input.
+		values := 0
+		for _, row := range rows {
+			values += len(row)
 		}
-		DecodeRowBatch(data, nil)
+		if len(rows) > len(data)/4 || values > len(data) {
+			t.Fatalf("%d rows / %d values decoded from %d bytes", len(rows), values, len(data))
+		}
+		if err != nil || len(rows) == 0 {
+			return
+		}
+		// A successfully decoded batch must re-encode and decode cleanly.
+		var enc BatchEncoder
+		for _, row := range rows {
+			enc.Append(row)
+		}
+		again, err := DecodeRowBatch(enc.Payload(), nil)
+		if err != nil || len(again) != len(rows) {
+			t.Fatalf("re-decode: %d rows, %v", len(again), err)
+		}
 	})
 }

@@ -34,7 +34,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := WriteFrame(w, FrameRow, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(w, FrameRowBatch, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write: %v", err)
 	}
 }
@@ -90,10 +90,13 @@ func TestRowRoundTripProperty(t *testing.T) {
 			row = append(row, sqltypes.NewString(s))
 		}
 		row = append(row, sqltypes.Null)
-		got, err := DecodeRow(EncodeRow(row))
-		if err != nil || len(got) != len(row) {
+		var enc BatchEncoder
+		enc.Append(row)
+		rows, err := DecodeRowBatch(enc.Payload(), nil)
+		if err != nil || len(rows) != 1 || len(rows[0]) != len(row) {
 			return false
 		}
+		got := rows[0]
 		for i := range row {
 			if got[i].Kind != row[i].Kind || got[i].I != row[i].I || got[i].S != row[i].S {
 				return false
@@ -113,8 +116,8 @@ func TestTruncatedPayloads(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecodeRow([]byte{0, 0}); err == nil {
-		t.Fatal("short row accepted")
+	if _, err := DecodeRowBatch([]byte{0, 0}, nil); err == nil {
+		t.Fatal("short row batch accepted")
 	}
 	if _, _, err := DecodeOK([]byte{1}); err == nil {
 		t.Fatal("short ok accepted")

@@ -29,7 +29,7 @@ func (b *blockingBackend) NewBackendSession() BackendSession { return &blockingS
 
 type blockingSession struct{ release chan struct{} }
 
-func (s *blockingSession) Execute(string, []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+func (s *blockingSession) Execute(string, []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	<-s.release
 	return nil, nil, 1, 0, nil
 }
@@ -157,14 +157,11 @@ func TestConnCapTypedRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The TCP connect still succeeds; the rejection answers the Hello, so
+	// the dial itself fails with the typed error.
 	second, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err) // TCP connect still succeeds; rejection is on the wire
-	}
-	defer second.Close()
-	_, err = second.Exec(context.Background(), "SELECT 1")
-	if reason, _, ok := client.IsOverloaded(err); !ok || reason != admission.ReasonConnLimit {
-		t.Fatalf("conn-cap rejection: ok=%v reason=%q err=%v", ok, reason, err)
+	if reason, _, ok := client.IsOverloaded(err); !ok || reason != admission.ReasonConnLimit || second != nil {
+		t.Fatalf("conn-cap rejection: conn=%v ok=%v reason=%q err=%v", second, ok, reason, err)
 	}
 	if got := srv.Metrics()["conns_rejected"]; got != 1 {
 		t.Fatalf("conns_rejected = %d, want 1", got)
@@ -183,10 +180,10 @@ func TestConnCapTypedRejection(t *testing.T) {
 	}
 }
 
-// TestSlowLorisReclaimed sends a partial frame and goes silent on both
-// protocol versions. The idle deadline must reclaim the connection and
-// its goroutines — the slow-loris defense — without disturbing healthy
-// clients.
+// TestSlowLorisReclaimed sends a partial frame and goes silent, before
+// the handshake and after it. The idle deadline must reclaim the
+// connection and its goroutines — the slow-loris defense — without
+// disturbing healthy clients.
 func TestSlowLorisReclaimed(t *testing.T) {
 	proc := sqlexec.NewProcessor(storage.NewEngine("loris"))
 	srv := NewServer(&NodeBackend{Processor: proc})
@@ -208,15 +205,16 @@ func TestSlowLorisReclaimed(t *testing.T) {
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
-	// v1 loris: 2 of the 5 header bytes, then silence.
-	v1, err := net.Dial("tcp", addr)
+	// Pre-handshake loris: 2 of the Hello's 5 header bytes, then silence.
+	early, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v1.Write([]byte{0x00, 0x00})
+	defer early.Close()
+	early.Write([]byte{0x00, 0x00})
 
-	// v2 loris: complete the Hello handshake, then stall mid-frame.
+	// Post-handshake loris: complete the Hello exchange, then stall
+	// mid-frame.
 	v2, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +234,9 @@ func TestSlowLorisReclaimed(t *testing.T) {
 	waitCond(t, "active after reclaim", func() bool { return srv.Metrics()["connections_active"] == 0 })
 
 	// The server actually closed the sockets.
-	v1.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := v1.Read(make([]byte, 1)); err == nil {
-		t.Fatal("v1 loris socket still open")
+	early.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := early.Read(make([]byte, 1)); err == nil {
+		t.Fatal("pre-handshake loris socket still open")
 	}
 
 	// No goroutine leak: counts return to the baseline.
@@ -271,7 +269,7 @@ func (b *sleepBackend) NewBackendSession() BackendSession { return &sleepSession
 
 type sleepSession struct{ d time.Duration }
 
-func (s *sleepSession) Execute(string, []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+func (s *sleepSession) Execute(string, []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	time.Sleep(s.d)
 	return nil, nil, 1, 0, nil
 }

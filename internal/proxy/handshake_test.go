@@ -1,0 +1,79 @@
+package proxy
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
+	"testing"
+	"time"
+)
+
+// TestV1StatementGetsUpgradeError freezes the bytes of the one exchange
+// protocol v1 still gets: a statement frame sent without a Hello is
+// answered by exactly one error frame naming the remedy, then EOF. The
+// request and the expected reply are spelled out rather than built with
+// the protocol package, so a change to either side's framing shows here.
+func TestV1StatementGetsUpgradeError(t *testing.T) {
+	addr, srv := startNodeServer(t, "v1-refused")
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	// v1 FrameQuery: | len=16 | type=0x01 | strlen=8 "SELECT 1" | nargs=0 |
+	query := []byte{0, 0, 0, 16, 0x01, 0, 0, 0, 8}
+	query = append(query, "SELECT 1"...)
+	query = append(query, 0, 0, 0, 0)
+	if _, err := nc.Write(query); err != nil {
+		t.Fatal(err)
+	}
+
+	// FrameError: | len=4+n | type=0x11 | strlen=n | text |
+	const text = "proxy: protocol v1 is no longer served; upgrade the client"
+	want := binary.BigEndian.AppendUint32(nil, uint32(4+len(text)))
+	want = append(want, 0x11)
+	want = binary.BigEndian.AppendUint32(want, uint32(len(text)))
+	want = append(want, text...)
+
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(nc)
+	if err != nil {
+		t.Fatalf("want a clean EOF after the error frame, got %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reply bytes:\n got %q\nwant %q", got, want)
+	}
+	if n := srv.Metrics()["statements"]; n != 0 {
+		t.Fatalf("the v1 statement was executed (%d statements)", n)
+	}
+	if n := srv.Metrics()["v2_connections"]; n != 0 {
+		t.Fatalf("v1 peer counted as a v2 connection (%d)", n)
+	}
+}
+
+// TestOversizedFirstFrameClosed: before the handshake the only legal
+// frame is a Hello of a dozen bytes, so a header announcing more than the
+// first-frame cap is refused on the header alone — the server must not
+// allocate the announced size and wait for it. The payload is never
+// sent; the socket has to close anyway, with no idle timeout configured.
+func TestOversizedFirstFrameClosed(t *testing.T) {
+	addr, srv := startNodeServer(t, "big-hello")
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	// A Hello header claiming the protocol-wide maximum (16 MiB).
+	if _, err := nc.Write([]byte{0x01, 0x00, 0x00, 0x00, 0x04}); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); err == nil || n != 0 {
+		t.Fatalf("oversized first frame answered (%d bytes, err %v)", n, err)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server is still waiting for the oversized payload")
+	}
+	waitCond(t, "conn released", func() bool { return srv.Metrics()["connections_active"] == 0 })
+}

@@ -42,9 +42,9 @@ const streamQueueDepth = 256
 type PreparedBackendSession interface {
 	// Prepare parses sql into a reusable statement handle.
 	Prepare(sql string) (handle any, err error)
-	// ExecutePrepared runs a handle from Prepare; rows is nil for
-	// non-queries.
-	ExecutePrepared(handle any, args []sqltypes.Value) (cols []string, rows []sqltypes.Row, affected, lastInsertID int64, err error)
+	// ExecutePrepared runs a handle from Prepare; results are shaped as
+	// BackendSession.Execute's.
+	ExecutePrepared(handle any, args []sqltypes.Value) (cols []string, rs resource.ResultSet, affected, lastInsertID int64, err error)
 }
 
 // preparedStmt is one registered statement shape on one stream.
@@ -64,20 +64,15 @@ type inFrame struct {
 	at time.Time
 }
 
-// outFrame is one frame of a response run queued for the socket writer.
-type outFrame struct {
+// outMsg is one response frame queued for the socket writer. A message
+// with done set carries no frame: it is a barrier, closed by the writer
+// once every frame queued before it has been flushed to the socket —
+// what the admission release rides on.
+type outMsg struct {
+	sid     uint32
 	typ     byte
 	payload []byte
-}
-
-// outMsg is one stream's contiguous response frames, written as a unit.
-// done, when non-nil, is closed by the writer once every frame queued up
-// to and including this message has been flushed to the socket — the
-// barrier the admission release rides on.
-type outMsg struct {
-	sid    uint32
-	frames []outFrame
-	done   chan struct{}
+	done    chan struct{}
 }
 
 // muxConn is the server half of one multiplexed socket.
@@ -128,7 +123,7 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, caps 
 	}
 	go m.writeLoop()
 	for {
-		// Same slow-loris protection as the v1 loop: each frame must
+		// Same slow-loris protection as the handshake: each frame must
 		// arrive whole within the idle window. Reclaiming the socket
 		// tears down the streams, which unblocks credit-parked workers
 		// (st.done) and releases their admission slots.
@@ -337,10 +332,10 @@ func (m *muxConn) splitTrace(sid uint32, payload []byte) (protocol.TraceContext,
 // the node's receive→reply total plus whatever stage spans the backend
 // session recorded.
 //
-// Sessions that implement the streaming interfaces serve queries as a
-// pull cursor: the header goes out as soon as the cursor exists, and
-// row batches are produced one at a time, paced by the stream's
-// flow-control window — the result is never materialized here.
+// Queries are served off the session's pull cursor: the header goes out
+// as soon as the cursor exists, and row batches are produced one at a
+// time, paced by the stream's flow-control window — the result is never
+// materialized here.
 func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, ps *preparedStmt, sql string, args []sqltypes.Value, tc protocol.TraceContext, recvAt time.Time) {
 	s := m.s
 	sid := st.id
@@ -413,7 +408,6 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, p
 
 	var (
 		cols     []string
-		rows     []sqltypes.Row
 		rs       resource.ResultSet
 		affected int64
 		lastID   int64
@@ -423,21 +417,13 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, p
 	case ps != nil && ps.parseErr != nil:
 		err = ps.parseErr
 	case ps != nil && ps.handle != nil:
-		if ss, ok := sess.(StreamingPreparedBackendSession); ok {
-			cols, rs, affected, lastID, err = ss.ExecutePreparedStream(ps.handle, args)
-		} else {
-			cols, rows, affected, lastID, err = sess.(PreparedBackendSession).ExecutePrepared(ps.handle, args)
-		}
+		cols, rs, affected, lastID, err = sess.(PreparedBackendSession).ExecutePrepared(ps.handle, args)
 	default:
 		text := sql
 		if ps != nil {
 			text = ps.sql
 		}
-		if ss, ok := sess.(StreamingBackendSession); ok {
-			cols, rs, affected, lastID, err = ss.ExecuteStream(text, args)
-		} else {
-			cols, rows, affected, lastID, err = sess.Execute(text, args)
-		}
+		cols, rs, affected, lastID, err = sess.Execute(text, args)
 	}
 
 	if err != nil {
@@ -445,20 +431,16 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, p
 		m.send(sid, protocol.FrameError, append(protocol.EncodeError(err.Error()), finishTrace()...))
 		return
 	}
-	if cols == nil {
+	if rs == nil {
 		m.send(sid, protocol.FrameOK, append(protocol.EncodeOK(affected, lastID), finishTrace()...))
 		return
 	}
-	if rs != nil {
-		m.streamRows(st, seq, cols, rs, finishTrace)
-		return
-	}
-	m.sendRows(sid, cols, rows, finishTrace())
+	m.streamRows(st, seq, cols, rs, finishTrace)
 }
 
 // send queues one frame for the socket writer.
 func (m *muxConn) send(sid uint32, typ byte, payload []byte) {
-	m.writeCh <- outMsg{sid: sid, frames: []outFrame{{typ, payload}}}
+	m.writeCh <- outMsg{sid: sid, typ: typ, payload: payload}
 }
 
 // flushBarrier blocks until everything queued before it — the calling
@@ -548,29 +530,6 @@ func (m *muxConn) streamBatch(st *muxStream, seq uint32, payload []byte, flow bo
 	return true
 }
 
-// sendRows queues a full query response, chunking rows into ~16KB
-// FrameRowBatch frames; tail (a span block, or nil) becomes the EOF
-// payload. Encoding happens here on the worker goroutine; only the
-// socket write is serialized.
-func (m *muxConn) sendRows(sid uint32, cols []string, rows []sqltypes.Row, tail []byte) {
-	frames := []outFrame{{protocol.FrameHeader, protocol.EncodeHeader(cols)}}
-	enc := &protocol.BatchEncoder{}
-	for _, row := range rows {
-		enc.Append(row)
-		if enc.Size() >= protocol.DefaultBatchBytes {
-			frames = append(frames, outFrame{protocol.FrameRowBatch, enc.Payload()})
-			m.s.rowBatches.Add(1)
-			enc = &protocol.BatchEncoder{} // the old buffer now belongs to the queue
-		}
-	}
-	if enc.Rows() > 0 {
-		frames = append(frames, outFrame{protocol.FrameRowBatch, enc.Payload()})
-		m.s.rowBatches.Add(1)
-	}
-	frames = append(frames, outFrame{protocol.FrameEOF, tail})
-	m.writeCh <- outMsg{sid: sid, frames: frames}
-}
-
 // writeLoop is the socket's only writer: it drains every queued response
 // before flushing, so concurrent streams share flush syscalls. After a
 // write error it keeps consuming (and discarding) so stream workers never
@@ -624,10 +583,8 @@ func (m *muxConn) writeLoop() {
 }
 
 func (m *muxConn) writeMsg(msg outMsg) error {
-	for _, f := range msg.frames {
-		if err := protocol.WriteFrameV2(m.w, f.typ, msg.sid, f.payload); err != nil {
-			return err
-		}
+	if msg.done != nil {
+		return nil
 	}
-	return nil
+	return protocol.WriteFrameV2(m.w, msg.typ, msg.sid, msg.payload)
 }

@@ -176,7 +176,7 @@ type hangSession struct {
 	b     *hangBackend
 }
 
-func (s *hangSession) Execute(sql string, args []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+func (s *hangSession) Execute(sql string, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	if strings.Contains(sql, "SLEEPY") {
 		s.b.hung <- struct{}{}
 		<-s.b.release
@@ -323,94 +323,6 @@ func TestMuxSocketBudget(t *testing.T) {
 	rows, _ := resource.ReadAll(rs)
 	if len(rows) != 1 || rows[0][0].I != logical {
 		t.Fatalf("want %d rows inserted, got %v", logical, rows)
-	}
-}
-
-// TestV1ClientAgainstV2Server checks the downgrade path: a client that
-// never offers v2 still gets full v1 service.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	addr, srv := startNodeServer(t, "v1-compat")
-	conn, err := client.DialV1(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	ctx := context.Background()
-	if _, err := conn.Exec(ctx, "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8))"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Exec(ctx, "INSERT INTO t VALUES (1, 'a'), (2, 'b')"); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := conn.Query(ctx, "SELECT v FROM t WHERE id = ?", sqltypes.NewInt(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := resource.ReadAll(rs)
-	if len(rows) != 1 || rows[0][0].S != "b" {
-		t.Fatalf("v1 query: %v", rows)
-	}
-	if got := srv.v2Conns.Load(); got != 0 {
-		t.Fatalf("v1 client counted as v2: %d", got)
-	}
-}
-
-// TestMuxPoolFallsBackToV1 points the mux pool at a v1-only fake server
-// and checks logical conns degrade to v1 instead of failing.
-func TestMuxPoolFallsBackToV1(t *testing.T) {
-	// Fake v1 server: rejects Hello like the old binary (unknown frame),
-	// then answers queries with an empty OK.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				r := bufio.NewReader(nc)
-				w := bufio.NewWriter(nc)
-				for {
-					typ, _, err := protocol.ReadFrame(r)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case protocol.FrameQuery:
-						protocol.WriteFrame(w, protocol.FrameOK, protocol.EncodeOK(1, 0))
-					case protocol.FramePing:
-						protocol.WriteFrame(w, protocol.FramePong, nil)
-					case protocol.FrameQuit:
-						return
-					default: // Hello included: v1 servers don't know it
-						protocol.WriteFrame(w, protocol.FrameError, protocol.EncodeError("proxy: unknown frame"))
-					}
-					if w.Flush() != nil {
-						return
-					}
-				}
-			}(nc)
-		}
-	}()
-
-	ds := client.NewRemoteDataSource("legacy", ln.Addr().String(), &resource.Options{PoolSize: 4})
-	t.Cleanup(func() { ds.Close() })
-	pc, err := ds.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Release()
-	if _, err := pc.Exec(context.Background(), "INSERT INTO t VALUES (1)"); err != nil {
-		t.Fatalf("v1 fallback exec: %v", err)
-	}
-	m := ds.AuxMetrics()
-	if m["v1_fallback_conns"] == 0 {
-		t.Fatalf("fallback not recorded: %v", m)
 	}
 }
 

@@ -27,33 +27,19 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-// BackendSession serves one client connection's statements.
+// BackendSession serves one stream's statements.
 type BackendSession interface {
-	// Execute runs one statement; rows is nil for non-queries.
-	Execute(sql string, args []sqltypes.Value) (cols []string, rows []sqltypes.Row, affected, lastInsertID int64, err error)
+	// Execute runs one statement. rs is non-nil exactly when the statement
+	// returned rows: a pull cursor the mux layer streams row batches off,
+	// paced by per-stream flow control, so a scatter result is never
+	// resident in this process as a whole. The caller owns closing it.
+	Execute(sql string, args []sqltypes.Value) (cols []string, rs resource.ResultSet, affected, lastInsertID int64, err error)
 	Close()
 }
 
 // Backend creates per-connection sessions.
 type Backend interface {
 	NewBackendSession() BackendSession
-}
-
-// StreamingBackendSession is optionally implemented by backend sessions
-// that can expose query results as a pull cursor instead of a
-// materialized slice. The mux layer then streams row batches straight
-// off the cursor, paced by per-stream flow control, so a scatter result
-// is never resident in this process as a whole. rs is non-nil exactly
-// when the statement returned rows; the caller owns closing it.
-type StreamingBackendSession interface {
-	ExecuteStream(sql string, args []sqltypes.Value) (cols []string, rs resource.ResultSet, affected, lastInsertID int64, err error)
-}
-
-// StreamingPreparedBackendSession is the prepared-handle analog of
-// StreamingBackendSession, for sessions that also implement
-// PreparedBackendSession.
-type StreamingPreparedBackendSession interface {
-	ExecutePreparedStream(handle any, args []sqltypes.Value) (cols []string, rs resource.ResultSet, affected, lastInsertID int64, err error)
 }
 
 // TracingBackendSession is optionally implemented by backend sessions
@@ -238,8 +224,8 @@ func NewServer(backend Backend) *Server {
 func (s *Server) SetLimiter(l Limiter) { s.limiter = l }
 
 // SetAdmission installs the overload-protection controller: statement
-// admission on both protocol paths and the connection cap at accept
-// time. Configure before Serve.
+// admission and the connection cap at accept time. Configure before
+// Serve.
 func (s *Server) SetAdmission(c *admission.Controller) { s.admission = c }
 
 // Admission returns the installed controller (nil when none).
@@ -356,15 +342,17 @@ func isTransientAccept(err error) bool {
 	return false
 }
 
+// maxFirstFrame bounds the one frame read before the handshake, so a
+// peer that has not said Hello cannot make the server allocate. A Hello
+// is at most 12 bytes; the slack lets a v1 client's opening statement be
+// read whole, so it gets the typed upgrade error instead of a reset.
+const maxFirstFrame = 4 << 10
+
 // rejectConn turns away a connection at accept time with the typed
 // overload error, so well-behaved clients back off instead of
 // interpreting the close as a network flake. The rejection is delivered
-// as the reply to whatever the client sends first: answering its Hello
-// with an error frame rides the existing "speak v1" fallback, and the
-// follow-up v1 statement then gets the typed error too — both protocol
-// generations surface it instead of a dead socket. The goroutine is
-// bounded by a short deadline, then half-closes and drains so the error
-// frame is not reset away.
+// as the reply to the client's Hello, which fails its dial with the
+// typed error. The goroutine is bounded by a short deadline.
 func (s *Server) rejectConn(conn net.Conn, aerr error) {
 	s.connsTotal.Add(1)
 	s.connsRejected.Add(1)
@@ -372,29 +360,32 @@ func (s *Server) rejectConn(conn net.Conn, aerr error) {
 	go func() {
 		defer s.wg.Done()
 		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		conn.SetDeadline(time.Now().Add(finalErrorWait))
 		r := bufio.NewReader(countingReader{conn, &s.bytesIn})
 		w := bufio.NewWriter(countingWriter{conn, &s.bytesOut})
-		payload := protocol.EncodeError(aerr.Error())
-		for i := 0; i < 2; i++ {
-			typ, _, err := protocol.ReadFrame(r)
-			if err != nil {
-				return
-			}
-			if protocol.WriteFrame(w, protocol.FrameError, payload) != nil || w.Flush() != nil {
-				return
-			}
-			// A Hello answered with an error retries as v1 on this same
-			// socket; anything else just got its final answer.
-			if typ != protocol.FrameHello {
-				break
-			}
+		if _, _, err := protocol.ReadFrameLimit(r, maxFirstFrame); err != nil {
+			return
 		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.CloseWrite()
-			io.Copy(io.Discard, conn)
-		}
+		s.finalError(conn, w, aerr.Error())
 	}()
+}
+
+// finalErrorWait bounds how long a refused peer may take to read its
+// error frame and hang up.
+const finalErrorWait = 2 * time.Second
+
+// finalError answers a peer's opening frame with one error frame, then
+// half-closes and drains so the frame is not reset away. The caller
+// closes conn.
+func (s *Server) finalError(conn net.Conn, w *bufio.Writer, msg string) {
+	conn.SetDeadline(time.Now().Add(finalErrorWait))
+	if s.reply(w, protocol.FrameError, protocol.EncodeError(msg)) != nil {
+		return
+	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+		io.Copy(io.Discard, conn)
+	}
 }
 
 // Start is Listen+Serve on a goroutine; it returns the bound address.
@@ -435,6 +426,8 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// handle reads the one frame that precedes the handshake: a v2 Hello
+// hands the socket to serveMux, anything else is refused.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -448,153 +441,40 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(countingReader{conn, &s.bytesIn}, 64<<10)
 	w := bufio.NewWriterSize(countingWriter{conn, &s.bytesOut}, 64<<10)
 
-	// The session is created lazily: a v2 client never needs the
-	// connection-level session (each stream gets its own).
-	var sess BackendSession
-	defer func() {
-		if sess != nil {
-			sess.Close()
-		}
-	}()
-
-	first := true
-	for {
-		// One deadline per frame: the whole frame must arrive within the
-		// idle window, so a client that sends a partial frame and stalls
-		// (slow loris) is reclaimed just like one that goes fully silent.
-		if d := s.idleTimeout; d > 0 {
-			conn.SetReadDeadline(time.Now().Add(d))
-		}
-		typ, payload, err := protocol.ReadFrame(r)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.idleReclaims.Add(1)
-			}
-			return // client went away
-		}
-		// Version negotiation: a v2 client leads with Hello. Anything
-		// else (including Hello mid-conversation) stays on the v1 path;
-		// a v1 server equivalent would answer Hello with FrameError,
-		// which clients treat as "speak v1".
-		if first {
-			first = false
-			if typ == protocol.FrameHello {
-				version, _, clientCaps, derr := protocol.DecodeHelloCaps(payload)
-				if derr == nil && version >= protocol.Version2 {
-					// Capability intersection. A capability-less client
-					// gets the legacy 8-byte ack, byte-identical to what
-					// older servers send.
-					caps := clientCaps & protocol.LocalCaps
-					ack := protocol.EncodeHello(protocol.Version2, protocol.MaxFrame)
-					if caps != 0 {
-						ack = protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, caps)
-					}
-					if s.reply(w, protocol.FrameHelloAck, ack) != nil {
-						return
-					}
-					s.serveMux(conn, r, w, caps)
-					return
-				}
-				if s.reply(w, protocol.FrameError, protocol.EncodeError("proxy: unsupported protocol version")) != nil {
-					return
-				}
-				continue
-			}
-		}
-		if sess == nil {
-			sess = s.backend.NewBackendSession()
-		}
-		switch typ {
-		case protocol.FrameQuit:
-			return
-		case protocol.FramePing:
-			if err := protocol.WriteFrame(w, protocol.FramePong, nil); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-		case protocol.FrameQuery:
-			s.statements.Add(1)
-			if s.limiter != nil && !s.limiter.Acquire() {
-				s.throttled.Add(1)
-				if err := s.reply(w, protocol.FrameError, protocol.EncodeError("proxy: throttled")); err != nil {
-					return
-				}
-				continue
-			}
-			if fe := s.chaosFE; fe != nil {
-				if d := fe.FrontendClientStall(); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			sql, args, err := protocol.DecodeQuery(payload)
-			if err != nil {
-				s.errors.Add(1)
-				s.reply(w, protocol.FrameError, protocol.EncodeError(err.Error()))
-				return
-			}
-			var relAdm func()
-			if ac := s.admission; ac != nil {
-				tenant, budget := admissionInfo(sess)
-				rel, qwait, aerr := ac.Acquire(tenant, budget)
-				if aerr != nil {
-					s.shedStatements.Add(1)
-					if err := s.reply(w, protocol.FrameError, protocol.EncodeError(aerr.Error())); err != nil {
-						return
-					}
-					continue
-				}
-				relAdm = rel
-				if qwait > 0 {
-					if as, ok := sess.(AdmissionBackendSession); ok {
-						as.NoteQueueWait(qwait)
-					}
-				}
-			}
-			s.inFlight.Add(1)
-			err = s.runQuery(w, sess, sql, args)
-			s.inFlight.Add(-1)
-			if relAdm != nil {
-				relAdm()
-			}
-			if err != nil {
-				return
-			}
-		default:
-			if err := s.reply(w, protocol.FrameError, protocol.EncodeError("proxy: unknown frame")); err != nil {
-				return
-			}
-		}
+	// The whole frame must arrive within the idle window, so a client
+	// that sends a partial frame and stalls (slow loris) is reclaimed just
+	// like one that goes fully silent.
+	if d := s.idleTimeout; d > 0 {
+		conn.SetReadDeadline(time.Now().Add(d))
 	}
+	typ, payload, err := protocol.ReadFrameLimit(r, maxFirstFrame)
+	if err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			s.idleReclaims.Add(1)
+		}
+		return // client went away, or sent an oversized frame
+	}
+	version, _, clientCaps, derr := protocol.DecodeHelloCaps(payload)
+	if typ != protocol.FrameHello || derr != nil || version < protocol.Version2 {
+		s.finalError(conn, w, "proxy: protocol v1 is no longer served; upgrade the client")
+		return
+	}
+	// Capability intersection. A capability-less client gets the legacy
+	// 8-byte ack, byte-identical to what older servers send.
+	caps := clientCaps & protocol.LocalCaps
+	ack := protocol.EncodeHello(protocol.Version2, protocol.MaxFrame)
+	if caps != 0 {
+		ack = protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, caps)
+	}
+	if s.reply(w, protocol.FrameHelloAck, ack) != nil {
+		return
+	}
+	s.serveMux(conn, r, w, caps)
 }
 
 func (s *Server) reply(w *bufio.Writer, typ byte, payload []byte) error {
 	if err := protocol.WriteFrame(w, typ, payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-func (s *Server) runQuery(w *bufio.Writer, sess BackendSession, sql string, args []sqltypes.Value) error {
-	cols, rows, affected, lastID, err := sess.Execute(sql, args)
-	if err != nil {
-		s.errors.Add(1)
-		return s.reply(w, protocol.FrameError, protocol.EncodeError(err.Error()))
-	}
-	if cols == nil {
-		return s.reply(w, protocol.FrameOK, protocol.EncodeOK(affected, lastID))
-	}
-	if err := protocol.WriteFrame(w, protocol.FrameHeader, protocol.EncodeHeader(cols)); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if err := protocol.WriteFrame(w, protocol.FrameRow, protocol.EncodeRow(row)); err != nil {
-			return err
-		}
-	}
-	if err := protocol.WriteFrame(w, protocol.FrameEOF, nil); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -621,40 +501,12 @@ type kernelSession struct {
 	sess *core.Session
 }
 
-func (ks *kernelSession) Execute(sql string, args []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
-	res, err := ks.sess.Execute(sql, args...)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	if !res.IsQuery() {
-		return nil, nil, res.Affected, res.LastInsertID, nil
-	}
-	defer res.Close()
-	cols := res.RS.Columns()
-	if cols == nil {
-		cols = []string{}
-	}
-	var rows []sqltypes.Row
-	for {
-		row, err := res.RS.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, nil, 0, 0, err
-		}
-		rows = append(rows, row)
-	}
-	return cols, rows, 0, 0, nil
-}
-
-// ExecuteStream implements StreamingBackendSession: the merged result
-// set from the kernel pipeline is handed to the mux layer as-is, so
-// rows flow from the shard cursors through the merge to the wire
-// without ever being materialized in the proxy — this is what removes
-// the frontend drain barrier. Closing the returned set releases the
-// shard cursors and their pooled connections.
-func (ks *kernelSession) ExecuteStream(sql string, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
+// Execute implements BackendSession: the merged result set from the
+// kernel pipeline is handed to the mux layer as-is, so rows flow from the
+// shard cursors through the merge to the wire without ever being
+// materialized in the proxy. Closing the returned set releases the shard
+// cursors and their pooled connections.
+func (ks *kernelSession) Execute(sql string, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	res, err := ks.sess.Execute(sql, args...)
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -712,7 +564,13 @@ type nodeSession struct {
 	sess *sqlexec.Session
 }
 
-func (ns *nodeSession) Execute(sql string, args []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+// Execute implements BackendSession. The embedded executor materializes
+// its result per statement anyway (it is the stand-in storage engine), so
+// the cursor wraps the slice — what streaming buys on a data node is
+// wire-level pacing: batches leave under the client's flow-control window
+// and a cursor cancel stops transmission early instead of shipping the
+// rest.
+func (ns *nodeSession) Execute(sql string, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	res, err := ns.sess.Execute(sql, args...)
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -731,7 +589,7 @@ func (ns *nodeSession) Prepare(sql string) (any, error) {
 }
 
 // ExecutePrepared implements PreparedBackendSession.
-func (ns *nodeSession) ExecutePrepared(handle any, args []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+func (ns *nodeSession) ExecutePrepared(handle any, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	res, err := ns.sess.ExecuteStmt(handle.(*sqlexec.Stmt), args)
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -749,29 +607,7 @@ func (ns *nodeSession) EndTrace(total time.Duration) []telemetry.RemoteSpan {
 	return ns.sess.EndTrace(total)
 }
 
-// ExecuteStream / ExecutePreparedStream implement the streaming backend
-// interfaces. The embedded executor materializes its result per
-// statement anyway (it is the stand-in storage engine), so the cursor
-// wraps the slice — what streaming buys on a data node is wire-level
-// pacing: batches leave under the client's flow-control window and a
-// cursor cancel stops transmission early instead of shipping the rest.
-func (ns *nodeSession) ExecuteStream(sql string, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
-	res, err := ns.sess.Execute(sql, args...)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return ns.streamResult(res)
-}
-
-func (ns *nodeSession) ExecutePreparedStream(handle any, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
-	res, err := ns.sess.ExecuteStmt(handle.(*sqlexec.Stmt), args)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return ns.streamResult(res)
-}
-
-func (ns *nodeSession) streamResult(res *sqlexec.Result) ([]string, resource.ResultSet, int64, int64, error) {
+func (ns *nodeSession) result(res *sqlexec.Result) ([]string, resource.ResultSet, int64, int64, error) {
 	if !res.IsQuery() {
 		return nil, nil, res.Affected, res.LastInsertID, nil
 	}
@@ -780,17 +616,6 @@ func (ns *nodeSession) streamResult(res *sqlexec.Result) ([]string, resource.Res
 		cols = []string{}
 	}
 	return cols, resource.NewSliceResultSet(cols, res.Rows), 0, 0, nil
-}
-
-func (ns *nodeSession) result(res *sqlexec.Result) ([]string, []sqltypes.Row, int64, int64, error) {
-	if !res.IsQuery() {
-		return nil, nil, res.Affected, res.LastInsertID, nil
-	}
-	cols := res.Columns
-	if cols == nil {
-		cols = []string{}
-	}
-	return cols, res.Rows, 0, 0, nil
 }
 
 func (ns *nodeSession) Close() { ns.sess.Close() }

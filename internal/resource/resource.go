@@ -100,15 +100,6 @@ type ResultSet interface {
 	Close() error
 }
 
-// LegacyResultSet is the pre-batch cursor shape: row-at-a-time only.
-// Implementations are adapted to the full ResultSet interface with
-// AdaptResultSet.
-type LegacyResultSet interface {
-	Columns() []string
-	Next() (sqltypes.Row, error)
-	Close() error
-}
-
 // FillBatch implements NextBatch semantics over a row-at-a-time next
 // function: fill buf until full or io.EOF, mapping "EOF with zero rows"
 // to (0, io.EOF).
@@ -129,26 +120,6 @@ func FillBatch(next func() (sqltypes.Row, error), buf []sqltypes.Row) (int, erro
 		n++
 	}
 	return n, nil
-}
-
-// BatchAdapter lifts a LegacyResultSet to the batch-oriented ResultSet
-// interface by looping Next.
-type BatchAdapter struct {
-	LegacyResultSet
-}
-
-// NextBatch implements ResultSet.
-func (a BatchAdapter) NextBatch(buf []sqltypes.Row) (int, error) {
-	return FillBatch(a.Next, buf)
-}
-
-// AdaptResultSet returns rs unchanged if it already implements ResultSet,
-// and wraps it in a BatchAdapter otherwise.
-func AdaptResultSet(rs LegacyResultSet) ResultSet {
-	if full, ok := rs.(ResultSet); ok {
-		return full
-	}
-	return BatchAdapter{rs}
 }
 
 // Conn is one connection to a data source. Conns carry session state

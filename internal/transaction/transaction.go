@@ -112,10 +112,6 @@ type Manager struct {
 	seq   atomic.Int64
 	tel   *telemetry.Collector
 
-	// legacy restores the sequential commit path (XA verbs from the first
-	// statement, serial phase 1/2, one log write per transaction) — the
-	// benchmark baseline against which the concurrent path is measured.
-	legacy    atomic.Bool
 	crashHook atomic.Value // func(point string) bool
 
 	metrics txnCounters
@@ -143,11 +139,6 @@ type txnCounters struct {
 // SetTelemetry wires the kernel's collector; transaction-phase latencies
 // recorded through attached traces aggregate there.
 func (m *Manager) SetTelemetry(c *telemetry.Collector) { m.tel = c }
-
-// SetLegacyCommit toggles the pre-concurrency commit path (every
-// transaction runs full sequential 2PC with a per-transaction log write,
-// no single-shard fast path). Benchmarks use it as the baseline.
-func (m *Manager) SetLegacyCommit(on bool) { m.legacy.Store(on) }
 
 // SetCrashHook installs a chaos hook consulted at the 2PC crash points;
 // returning true makes the coordinator abandon the commit at that point
@@ -209,8 +200,7 @@ func (m *Manager) Begin(t Type) (Tx, error) {
 	m.metrics.begun.Add(1)
 	switch t {
 	case XA:
-		return &xaTx{mgr: m, xid: xid, held: exec.NewHeldConns(),
-			state: map[string]branchState{}, legacy: m.legacy.Load()}, nil
+		return &xaTx{mgr: m, xid: xid, held: exec.NewHeldConns(), state: map[string]branchState{}}, nil
 	case Base:
 		if m.meta == nil {
 			return nil, fmt.Errorf("transaction: BASE needs a metadata provider")

@@ -96,7 +96,7 @@ func run(t *testing.T, mgr *Manager, e *exec.Executor, tx Tx, units []rewrite.SQ
 	if err := tx.BeforeStatement(bg, units); err != nil {
 		t.Fatal(err)
 	}
-	_, execErr := e.ExecuteUpdate(units, tx.Held())
+	_, execErr := e.ExecuteUpdateCtx(context.Background(), units, tx.Held(), nil)
 	if err := tx.AfterStatement(bg, units, execErr); err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestGroupCommitConcurrentRace(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if _, err := e.ExecuteUpdate(units, tx.Held()); err != nil {
+			if _, err := e.ExecuteUpdateCtx(context.Background(), units, tx.Held(), nil); err != nil {
 				errs[i] = err
 				tx.Rollback(bg)
 				return
@@ -573,36 +573,6 @@ func TestGroupCommitConcurrentRace(t *testing.T) {
 	}
 	if m["group_max_batch"] < 2 {
 		t.Fatalf("max batch %d", m["group_max_batch"])
-	}
-}
-
-// TestLegacyCommitPath keeps the benchmark baseline honest: with legacy
-// mode on, even a single-shard transaction runs full XA and writes its
-// own log record.
-func TestLegacyCommitPath(t *testing.T) {
-	mgr, e := fixture(t, nil)
-	mgr.SetLegacyCommit(true)
-	mu, log := recordSQL(t, e, "ds0")
-	tx, _ := mgr.Begin(XA)
-	run(t, mgr, e, tx, unitsOn("ds0", "UPDATE t SET v = 3"))
-	if err := tx.Commit(bg); err != nil {
-		t.Fatal(err)
-	}
-	if readV(t, e, "ds0", 0) != 3 {
-		t.Fatal("legacy commit lost")
-	}
-	var sawPrepare bool
-	for _, sql := range recorded(mu, log) {
-		if strings.HasPrefix(sql, "XA PREPARE") {
-			sawPrepare = true
-		}
-	}
-	if !sawPrepare {
-		t.Fatal("legacy mode skipped 2PC")
-	}
-	m := mgr.Metrics()
-	if m["fastpath_commits"] != 0 || m["xa_commits"] != 1 || m["group_ops"] != 0 {
-		t.Fatalf("metrics: %v", m)
 	}
 }
 

@@ -198,8 +198,7 @@ type xaTx struct {
 	held     *exec.HeldConns
 	order    []string // branches in first-touch order
 	state    map[string]branchState
-	upgraded bool // XA verbs in play (second source touched, or legacy)
-	legacy   bool // sequential seed-behaviour commit path
+	upgraded bool // XA verbs in play (a second source was touched)
 	closed   bool
 	tr       *telemetry.Trace
 }
@@ -232,7 +231,7 @@ func (t *xaTx) BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) err
 	if len(fresh) == 0 {
 		return nil
 	}
-	if !t.legacy && !t.upgraded {
+	if !t.upgraded {
 		if len(t.order) == 0 && len(fresh) == 1 {
 			// Fast path: everything so far lands on one data source. Open a
 			// plain local transaction and defer all XA work until a second
@@ -294,17 +293,12 @@ func (t *xaTx) upgrade(ctx context.Context) error {
 
 func (t *xaTx) AfterStatement(context.Context, []rewrite.SQLUnit, error) error { return nil }
 
-// fanOut runs fn over the branches — concurrently on the concurrent
-// commit path, in order on the legacy path (where stopOnErr reproduces
-// the seed's break-on-first-error prepare loop).
-func (t *xaTx) fanOut(branches []string, stopOnErr bool, fn func(i int, ds string) error) []error {
+// fanOut runs fn over the branches concurrently (a lone branch runs on
+// the caller's goroutine).
+func (t *xaTx) fanOut(branches []string, fn func(i int, ds string) error) []error {
 	errs := make([]error, len(branches))
-	if t.legacy || len(branches) == 1 {
-		for i, ds := range branches {
-			if errs[i] = fn(i, ds); errs[i] != nil && stopOnErr {
-				break
-			}
-		}
+	if len(branches) == 1 {
+		errs[0] = fn(0, branches[0])
 		return errs
 	}
 	var wg sync.WaitGroup
@@ -339,7 +333,7 @@ func (t *xaTx) Commit(ctx context.Context) error {
 	branches := append([]string(nil), t.order...)
 	sort.Strings(branches)
 
-	if !t.legacy && !t.upgraded {
+	if !t.upgraded {
 		return t.commitFastPath(ctx, branches)
 	}
 	if len(branches) == 0 {
@@ -359,13 +353,7 @@ func (t *xaTx) Commit(ctx context.Context) error {
 
 	// Decision point: log before phase 2 so a coordinator crash commits.
 	rec := LogRecord{XID: t.xid, Branches: branches, Decided: true}
-	var logErr error
-	if t.legacy {
-		logErr = t.mgr.log.Write(rec)
-	} else {
-		logErr = t.mgr.group.write(ctx, rec)
-	}
-	if logErr != nil {
+	if logErr := t.mgr.group.write(ctx, rec); logErr != nil {
 		t.abort(ctx, branches)
 		t.mgr.metrics.xaRollbacks.Add(1)
 		return fmt.Errorf("transaction: XA log write failed, rolled back: %w", logErr)
@@ -378,7 +366,7 @@ func (t *xaTx) Commit(ctx context.Context) error {
 	// Phase 2: commit, fanned out. Every branch is attempted even if a
 	// sibling fails — the decision is logged and each success is final.
 	committed := make([]bool, len(branches))
-	errs := t.fanOut(branches, false, func(i int, ds string) error {
+	errs := t.fanOut(branches, func(i int, ds string) error {
 		conn, _ := t.held.Peek(ds)
 		start := time.Now()
 		_, err := conn.Exec(ctx, fmt.Sprintf("XA COMMIT '%s'", t.xid))
@@ -410,9 +398,6 @@ func (t *xaTx) Commit(ctx context.Context) error {
 	// Retire the log record. The delete batches through the group
 	// committer too, detached from the statement deadline: the commit is
 	// already durable, cleanup must not be abandoned halfway.
-	if t.legacy {
-		return t.mgr.log.Delete(t.xid)
-	}
 	return t.mgr.group.delete(context.WithoutCancel(ctx), t.xid)
 }
 
@@ -450,7 +435,7 @@ func (t *xaTx) prepare(ctx context.Context, branches []string) error {
 	fanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	prepared := make([]bool, len(branches))
-	errs := t.fanOut(branches, true, func(i int, ds string) error {
+	errs := t.fanOut(branches, func(i int, ds string) error {
 		conn, _ := t.held.Peek(ds)
 		start := time.Now()
 		_, err := resource.ExecBatch(fanCtx, conn, []resource.Statement{
@@ -507,7 +492,7 @@ const abortTimeout = 10 * time.Second
 func (t *xaTx) abort(ctx context.Context, branches []string) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 	defer cancel()
-	t.fanOut(branches, false, func(i int, ds string) error {
+	t.fanOut(branches, func(i int, ds string) error {
 		conn, ok := t.held.Peek(ds)
 		if !ok {
 			return nil

@@ -5,10 +5,10 @@
 // exactly like an embedded one.
 //
 // Dial negotiates protocol v2 (multiplexed streams, prepared statements,
-// pipelining, row-batch framing) and transparently falls back to v1
-// against older servers. NewRemoteDataSource goes further: all logical
-// connections of the pool share a handful of multiplexed sockets, so the
-// real TCP footprint stays far below the pool's MaxCon.
+// pipelining, row-batch framing); a server that does not speak it is a
+// dial error. NewRemoteDataSource goes further: all logical connections
+// of the pool share a handful of multiplexed sockets, so the real TCP
+// footprint stays far below the pool's MaxCon.
 package client
 
 import (
@@ -16,18 +16,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bufio"
-
 	"shardingsphere/internal/admission"
 	"shardingsphere/internal/protocol"
 	"shardingsphere/internal/resource"
-	"shardingsphere/internal/transaction"
 	"shardingsphere/internal/sqltypes"
+	"shardingsphere/internal/transaction"
 )
 
 // ErrRemote wraps an error reported by the server.
@@ -77,16 +74,10 @@ func IsInDoubt(err error) (*transaction.InDoubtError, bool) {
 	return nil, false
 }
 
-// Conn is one logical protocol connection: either a dedicated v1 socket
-// or one stream on a shared v2 transport. Not safe for concurrent use
-// (like a database connection).
+// Conn is one logical protocol connection: one stream on a (possibly
+// shared) v2 transport. Not safe for concurrent use (like a database
+// connection).
 type Conn struct {
-	// v1 state: a dedicated socket. nil when multiplexed.
-	nc net.Conn
-	r  *bufio.Reader
-	w  *bufio.Writer
-
-	// v2 state: one stream on a (possibly shared) transport.
 	t             *Transport
 	st            *stream
 	stmts         map[string]uint32 // SQL text → prepared statement ID
@@ -111,15 +102,12 @@ func (c *Conn) fail(err error) error {
 	return err
 }
 
-// Dial connects to a proxy or data node, negotiating protocol v2 with
-// transparent fallback to v1. The returned Conn owns its socket.
+// Dial connects to a proxy or data node and negotiates protocol v2. The
+// returned Conn owns its socket.
 func Dial(addr string) (*Conn, error) {
-	t, legacy, err := negotiate(addr)
+	t, err := negotiate(addr, dialTimeout)
 	if err != nil {
 		return nil, err
-	}
-	if legacy != nil {
-		return legacy, nil
 	}
 	conn, err := t.OpenConn()
 	if err != nil {
@@ -130,68 +118,23 @@ func Dial(addr string) (*Conn, error) {
 	return conn, nil
 }
 
-// DialV1 connects speaking protocol v1 only (no negotiation). Kept for
-// compatibility testing and benchmarking against the v2 path.
-func DialV1(addr string) (*Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	return &Conn{
-		nc: nc,
-		r:  bufio.NewReaderSize(nc, 64<<10),
-		w:  bufio.NewWriterSize(nc, 64<<10),
-	}, nil
-}
-
-// armDeadline propagates a context deadline onto the v1 socket so blocked
-// reads unstick; the returned func restores the socket.
-func (c *Conn) armDeadline(ctx context.Context) func() {
-	if d, ok := ctx.Deadline(); ok {
-		c.nc.SetDeadline(d)
-		return func() { c.nc.SetDeadline(time.Time{}) }
-	}
-	return func() {}
-}
-
 // Ping round-trips a ping frame.
 func (c *Conn) Ping() error {
 	if c.closed {
 		return resource.ErrConnClosed
 	}
-	if c.st != nil {
-		if err := c.t.send(c.st.id, outFrame{protocol.FramePing, nil}); err != nil {
-			return c.fail(err)
-		}
-		f, err := c.pop(context.Background())
-		if err != nil {
-			return err
-		}
-		if f.typ != protocol.FramePong {
-			return c.fail(fmt.Errorf("client: unexpected frame %#x to ping", f.typ))
-		}
-		return nil
-	}
-	if err := protocol.WriteFrame(c.w, protocol.FramePing, nil); err != nil {
+	if err := c.t.send(c.st.id, outFrame{protocol.FramePing, nil}); err != nil {
 		return c.fail(err)
 	}
-	if err := c.w.Flush(); err != nil {
-		return c.fail(err)
-	}
-	typ, _, err := protocol.ReadFrame(c.r)
+	f, err := c.pop(context.Background())
 	if err != nil {
-		return c.fail(err)
+		return err
 	}
-	if typ != protocol.FramePong {
-		return fmt.Errorf("client: unexpected frame %#x to ping", typ)
+	if f.typ != protocol.FramePong {
+		return c.fail(fmt.Errorf("client: unexpected frame %#x to ping", f.typ))
 	}
 	return nil
 }
-
-// --- v2 (multiplexed) path ---
 
 // pop reads the next frame for this conn's stream. A context abort
 // abandons the conversation mid-stream, so the logical conn is marked
@@ -216,10 +159,10 @@ func (c *Conn) pop(ctx context.Context) (muxFrame, error) {
 	return f, nil
 }
 
-// sendStmt ships one statement, registering its shape as a prepared
-// statement on first use. Preparation is fire-and-forget (no round trip):
-// the prepare and execute frames travel in the same write.
-func (c *Conn) sendStmt(sql string, args []sqltypes.Value, tc protocol.TraceContext) error {
+// appendStmt appends one statement's frames, registering its shape as a
+// prepared statement on first use. Preparation is fire-and-forget (no
+// round trip): the prepare and execute frames travel in the same write.
+func (c *Conn) appendStmt(frames []outFrame, sql string, args []sqltypes.Value, tc protocol.TraceContext) []outFrame {
 	c.seq++
 	id, ok := c.stmts[sql]
 	if !ok {
@@ -227,56 +170,74 @@ func (c *Conn) sendStmt(sql string, args []sqltypes.Value, tc protocol.TraceCont
 		id = c.nextStmt
 		c.stmts[sql] = id
 		c.t.preparedStmts.Add(1)
-		return c.t.send(c.st.id,
-			outFrame{protocol.FramePrepare, protocol.EncodePrepare(id, sql)},
-			outFrame{protocol.FrameExecStmt, c.appendTrace(protocol.EncodeExecStmt(id, args), tc)})
+		frames = append(frames, outFrame{protocol.FramePrepare, protocol.EncodePrepare(id, sql)})
 	}
-	return c.t.send(c.st.id, outFrame{protocol.FrameExecStmt, c.appendTrace(protocol.EncodeExecStmt(id, args), tc)})
+	return append(frames, outFrame{protocol.FrameExecStmt, c.appendTrace(protocol.EncodeExecStmt(id, args), tc)})
 }
 
-// readExecResult consumes one statement response, tolerating row sets by
-// draining them. Remote statement errors leave the conn healthy; protocol
-// or transport errors mark it defunct.
-func (c *Conn) readExecResult(ctx context.Context, exp spanExpect) (resource.ExecResult, error) {
+// roundTrip sends one statement and reads the first frame of its
+// response. Every statement entry point (Query, Exec, Do) is this plus
+// what it does with a row set.
+func (c *Conn) roundTrip(ctx context.Context, sql string, args []sqltypes.Value) ([]string, resource.ExecResult, spanExpect, error) {
+	if c.closed {
+		return nil, resource.ExecResult{}, spanExpect{}, resource.ErrConnClosed
+	}
+	tc, exp := c.beginTrace(ctx)
+	if err := c.t.send(c.st.id, c.appendStmt(nil, sql, args, tc)...); err != nil {
+		return nil, resource.ExecResult{}, exp, c.fail(err)
+	}
+	cols, res, err := c.firstFrame(ctx, exp)
+	return cols, res, exp, err
+}
+
+// firstFrame classifies the first frame of a statement response. cols is
+// non-nil exactly when a row set follows (the header is consumed, the
+// caller owns the rows); otherwise res is the statement's exec summary.
+// Remote statement errors leave the conn healthy; protocol or transport
+// errors mark it defunct.
+func (c *Conn) firstFrame(ctx context.Context, exp spanExpect) ([]string, resource.ExecResult, error) {
 	f, err := c.pop(ctx)
 	if err != nil {
-		return resource.ExecResult{}, err
+		return nil, resource.ExecResult{}, err
 	}
 	switch f.typ {
 	case protocol.FrameOK:
 		exp.observe(c, f)
 		affected, lastID, err := protocol.DecodeOK(f.payload)
 		if err != nil {
-			return resource.ExecResult{}, c.fail(err)
+			return nil, resource.ExecResult{}, c.fail(err)
 		}
-		return resource.ExecResult{Affected: affected, LastInsertID: lastID}, nil
+		return nil, resource.ExecResult{Affected: affected, LastInsertID: lastID}, nil
 	case protocol.FrameError:
 		exp.observe(c, f)
 		msg, _ := protocol.DecodeError(f.payload)
-		return resource.ExecResult{}, remoteError(msg)
+		return nil, resource.ExecResult{}, remoteError(msg)
 	case protocol.FrameHeader:
-		// SELECT via Exec: drain the row set, report zero affected,
-		// mirroring database/sql's tolerance.
-		for {
-			f, err := c.pop(ctx)
-			if err != nil {
-				return resource.ExecResult{}, err
-			}
-			switch f.typ {
-			case protocol.FrameRowBatch, protocol.FrameRow:
-			case protocol.FrameEOF:
-				exp.observe(c, f)
-				return resource.ExecResult{}, nil
-			case protocol.FrameError:
-				exp.observe(c, f)
-				return resource.ExecResult{}, fmt.Errorf("%w: mid-stream", ErrRemote)
-			default:
-				return resource.ExecResult{}, c.fail(fmt.Errorf("client: unexpected frame %#x in row stream", f.typ))
-			}
+		cols, err := protocol.DecodeHeader(f.payload)
+		if err != nil {
+			return nil, resource.ExecResult{}, c.fail(err)
 		}
+		return cols, resource.ExecResult{}, nil
 	default:
-		return resource.ExecResult{}, c.fail(fmt.Errorf("client: unexpected frame %#x", f.typ))
+		return nil, resource.ExecResult{}, c.fail(fmt.Errorf("client: unexpected frame %#x", f.typ))
 	}
+}
+
+// rows is the cursor over the row set whose header firstFrame consumed.
+func (c *Conn) rows(ctx context.Context, cols []string, exp spanExpect) *remoteRows {
+	return &remoteRows{c: c, ctx: ctx, seq: c.seq, cols: cols, exp: exp}
+}
+
+// discardRows is Exec's tolerance for a statement that answered with
+// rows (nil cols: it did not): read the set to its end and report zero
+// affected, as database/sql does.
+func (c *Conn) discardRows(ctx context.Context, cols []string, exp spanExpect) error {
+	if cols == nil {
+		return nil
+	}
+	rs := c.rows(ctx, cols, exp)
+	rs.skim()
+	return rs.err
 }
 
 // remoteRows is the lazy batched cursor over one v2 query result. Row
@@ -324,13 +285,6 @@ func (rs *remoteRows) fetch() error {
 				return rs.err
 			}
 			rs.c.t.rowsStreamed.Add(int64(len(rs.batch)))
-		case protocol.FrameRow:
-			row, err := protocol.DecodeRow(f.payload)
-			if err != nil {
-				rs.done, rs.err = true, rs.c.fail(err)
-				return rs.err
-			}
-			rs.batch, rs.pos = append(rs.batch[:0], row), 0
 		case protocol.FrameEOF:
 			rs.exp.observe(rs.c, f)
 			rs.done = true
@@ -383,151 +337,56 @@ func (rs *remoteRows) Close() error {
 	// boundary and sends EOF, so the skim below reads at most the
 	// in-flight window instead of the whole remaining result. The seq
 	// match server-side makes a cancel racing the natural EOF harmless.
-	if !rs.done && rs.c.t != nil && rs.c.t.caps&protocol.CapStreamFlow != 0 && rs.c.t.Healthy() {
+	if !rs.done && rs.c.t.caps&protocol.CapStreamFlow != 0 && rs.c.t.Healthy() {
 		rs.c.t.cursorCancels.Add(1)
 		rs.c.t.send(rs.c.st.id, outFrame{protocol.FrameCursorCancel, protocol.EncodeCursorCancel(rs.seq)})
 	}
-	// Skim to end-of-result so the stream is clean for the next
-	// statement; error paths set done, so this terminates.
+	rs.skim()
+	return nil
+}
+
+// skim reads to end-of-result so the stream is clean for the next
+// statement; error paths set done, so this terminates.
+func (rs *remoteRows) skim() {
 	for !rs.done {
 		rs.pos = len(rs.batch)
 		rs.fetch()
 	}
-	return nil
 }
 
-// --- Conn operations (both paths) ---
+// --- Conn operations ---
 
-// Query executes a statement that returns rows. On a multiplexed conn the
-// result is a lazy batched cursor; on v1 the rows are materialized. A
-// context abort mid-conversation marks the conn defunct (the pool
-// discards it) without disturbing sibling streams.
+// Query executes a statement that returns rows; the result is a lazy
+// batched cursor. A context abort mid-conversation marks the conn defunct
+// (the pool discards it) without disturbing sibling streams.
 func (c *Conn) Query(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ResultSet, error) {
-	if c.closed {
-		return nil, resource.ErrConnClosed
-	}
-	if c.st != nil {
-		tc, exp := c.beginTrace(ctx)
-		if err := c.sendStmt(sql, args, tc); err != nil {
-			return nil, c.fail(err)
-		}
-		f, err := c.pop(ctx)
-		if err != nil {
-			return nil, err
-		}
-		switch f.typ {
-		case protocol.FrameError:
-			exp.observe(c, f)
-			msg, _ := protocol.DecodeError(f.payload)
-			return nil, remoteError(msg)
-		case protocol.FrameOK:
-			exp.observe(c, f)
-			return nil, fmt.Errorf("client: %q returned no row set", sql)
-		case protocol.FrameHeader:
-			cols, err := protocol.DecodeHeader(f.payload)
-			if err != nil {
-				return nil, c.fail(err)
-			}
-			return &remoteRows{c: c, ctx: ctx, seq: c.seq, cols: cols, exp: exp}, nil
-		default:
-			return nil, c.fail(fmt.Errorf("client: unexpected frame %#x", f.typ))
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	defer c.armDeadline(ctx)()
-	if err := c.sendV1(sql, args); err != nil {
-		return nil, err
-	}
-	typ, payload, err := protocol.ReadFrame(c.r)
+	cols, _, exp, err := c.roundTrip(ctx, sql, args)
 	if err != nil {
-		return nil, c.fail(err)
+		return nil, err
 	}
-	switch typ {
-	case protocol.FrameError:
-		msg, _ := protocol.DecodeError(payload)
-		return nil, remoteError(msg)
-	case protocol.FrameOK:
+	if cols == nil {
 		return nil, fmt.Errorf("client: %q returned no row set", sql)
-	case protocol.FrameHeader:
-		cols, err := protocol.DecodeHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := c.readRowsV1()
-		if err != nil {
-			return nil, err
-		}
-		return resource.NewSliceResultSet(cols, rows), nil
-	default:
-		return nil, fmt.Errorf("client: unexpected frame %#x", typ)
 	}
+	return c.rows(ctx, cols, exp), nil
 }
 
 // Exec executes a statement that returns no rows.
 func (c *Conn) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ExecResult, error) {
-	if c.closed {
-		return resource.ExecResult{}, resource.ErrConnClosed
+	cols, res, exp, err := c.roundTrip(ctx, sql, args)
+	if err == nil {
+		err = c.discardRows(ctx, cols, exp)
 	}
-	if c.st != nil {
-		tc, exp := c.beginTrace(ctx)
-		if err := c.sendStmt(sql, args, tc); err != nil {
-			return resource.ExecResult{}, c.fail(err)
-		}
-		return c.readExecResult(ctx, exp)
-	}
-	if err := ctx.Err(); err != nil {
-		return resource.ExecResult{}, err
-	}
-	defer c.armDeadline(ctx)()
-	if err := c.sendV1(sql, args); err != nil {
-		return resource.ExecResult{}, err
-	}
-	typ, payload, err := protocol.ReadFrame(c.r)
-	if err != nil {
-		return resource.ExecResult{}, c.fail(err)
-	}
-	switch typ {
-	case protocol.FrameError:
-		msg, _ := protocol.DecodeError(payload)
-		return resource.ExecResult{}, remoteError(msg)
-	case protocol.FrameOK:
-		affected, lastID, err := protocol.DecodeOK(payload)
-		if err != nil {
-			return resource.ExecResult{}, err
-		}
-		return resource.ExecResult{Affected: affected, LastInsertID: lastID}, nil
-	case protocol.FrameHeader:
-		if _, err := c.readRowsV1(); err != nil {
-			return resource.ExecResult{}, err
-		}
-		return resource.ExecResult{}, nil
-	default:
-		return resource.ExecResult{}, fmt.Errorf("client: unexpected frame %#x", typ)
-	}
+	return res, err
 }
 
-// ExecBatch pipelines a batch of statements on a multiplexed conn: every
-// statement in a window is written before the first response is read, so
-// the batch pays one round trip per window instead of one per statement.
-// On v1 conns it degrades to a sequential loop. Statement failures are
-// reported as *resource.BatchError with the failing index; later
+// ExecBatch pipelines a batch of statements: every statement in a window
+// is written before the first response is read, so the batch pays one
+// round trip per window instead of one per statement. Statement failures
+// are reported as *resource.BatchError with the failing index; later
 // statements in the same window still execute.
 func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ExecResult, error) {
 	if c.closed {
 		return nil, resource.ErrConnClosed
-	}
-	if c.st == nil {
-		results := make([]resource.ExecResult, 0, len(stmts))
-		for i, st := range stmts {
-			res, err := c.Exec(ctx, st.SQL, st.Args...)
-			if err != nil {
-				return results, &resource.BatchError{Index: i, Err: err}
-			}
-			results = append(results, res)
-		}
-		return results, nil
 	}
 	results := make([]resource.ExecResult, 0, len(stmts))
 	var firstErr error
@@ -536,16 +395,7 @@ func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]res
 		tc, exp := c.beginTrace(ctx)
 		frames := make([]outFrame, 0, 2*(end-base))
 		for _, st := range stmts[base:end] {
-			id, ok := c.stmts[st.SQL]
-			if !ok {
-				c.nextStmt++
-				id = c.nextStmt
-				c.stmts[st.SQL] = id
-				c.t.preparedStmts.Add(1)
-				frames = append(frames, outFrame{protocol.FramePrepare, protocol.EncodePrepare(id, st.SQL)})
-			}
-			c.seq++
-			frames = append(frames, outFrame{protocol.FrameExecStmt, c.appendTrace(protocol.EncodeExecStmt(id, st.Args), tc)})
+			frames = c.appendStmt(frames, st.SQL, st.Args, tc)
 		}
 		if err := c.t.send(c.st.id, frames...); err != nil {
 			return results, &resource.BatchError{Index: base, Err: c.fail(err)}
@@ -554,7 +404,10 @@ func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]res
 		// Read the whole window even past a statement failure, so the
 		// stream stays aligned for the next operation.
 		for i := base; i < end; i++ {
-			res, err := c.readExecResult(ctx, exp)
+			cols, res, err := c.firstFrame(ctx, exp)
+			if err == nil {
+				err = c.discardRows(ctx, cols, exp)
+			}
 			if err != nil {
 				if c.defunct {
 					return results, &resource.BatchError{Index: i, Err: err}
@@ -575,44 +428,6 @@ func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]res
 	return results, nil
 }
 
-// --- v1 helpers ---
-
-func (c *Conn) sendV1(sql string, args []sqltypes.Value) error {
-	if err := protocol.WriteFrame(c.w, protocol.FrameQuery, protocol.EncodeQuery(sql, args)); err != nil {
-		return c.fail(err)
-	}
-	return c.fail(c.w.Flush())
-}
-
-func (c *Conn) readRowsV1() ([]sqltypes.Row, error) {
-	var rows []sqltypes.Row
-	for {
-		typ, payload, err := protocol.ReadFrame(c.r)
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		switch typ {
-		case protocol.FrameRow:
-			row, err := protocol.DecodeRow(payload)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		case protocol.FrameRowBatch:
-			if rows, err = protocol.DecodeRowBatch(payload, rows); err != nil {
-				return nil, err
-			}
-		case protocol.FrameEOF:
-			return rows, nil
-		case protocol.FrameError:
-			msg, _ := protocol.DecodeError(payload)
-			return nil, remoteError(msg)
-		default:
-			return nil, fmt.Errorf("client: unexpected frame %#x in row stream", typ)
-		}
-	}
-}
-
 // Result is the outcome of Do: either a row set or an exec summary.
 type Result struct {
 	Rows resource.ResultSet // nil for non-queries
@@ -621,103 +436,40 @@ type Result struct {
 
 // Do executes one statement, returning rows when the server sends them
 // and an exec result otherwise. Interactive shells use it to avoid
-// guessing the statement kind.
+// guessing the statement kind: the server answers FrameOK for non-queries
+// and a row set otherwise, so the statement is never executed twice.
 func (c *Conn) Do(sql string, args ...sqltypes.Value) (*Result, error) {
 	ctx := context.Background()
-	if c.closed {
-		return nil, resource.ErrConnClosed
-	}
-	if c.st != nil {
-		// One send, one response: the server answers FrameOK for
-		// non-queries and a row set otherwise, so the statement is never
-		// executed twice to discover its kind.
-		tc, exp := c.beginTrace(ctx)
-		if err := c.sendStmt(sql, args, tc); err != nil {
-			return nil, c.fail(err)
-		}
-		f, err := c.pop(ctx)
-		if err != nil {
-			return nil, err
-		}
-		switch f.typ {
-		case protocol.FrameError:
-			exp.observe(c, f)
-			msg, _ := protocol.DecodeError(f.payload)
-			return nil, remoteError(msg)
-		case protocol.FrameOK:
-			exp.observe(c, f)
-			affected, lastID, err := protocol.DecodeOK(f.payload)
-			if err != nil {
-				return nil, c.fail(err)
-			}
-			return &Result{Exec: resource.ExecResult{Affected: affected, LastInsertID: lastID}}, nil
-		case protocol.FrameHeader:
-			cols, err := protocol.DecodeHeader(f.payload)
-			if err != nil {
-				return nil, c.fail(err)
-			}
-			// Materialize: shells print whole results anyway.
-			rows, rerr := resource.ReadAll(&remoteRows{c: c, ctx: ctx, seq: c.seq, cols: cols, exp: exp})
-			if rerr != nil {
-				return nil, rerr
-			}
-			return &Result{Rows: resource.NewSliceResultSet(cols, rows)}, nil
-		default:
-			return nil, c.fail(fmt.Errorf("client: unexpected frame %#x", f.typ))
-		}
-	}
-	if err := c.sendV1(sql, args); err != nil {
+	cols, res, exp, err := c.roundTrip(ctx, sql, args)
+	if err != nil {
 		return nil, err
 	}
-	typ, payload, err := protocol.ReadFrame(c.r)
+	if cols == nil {
+		return &Result{Exec: res}, nil
+	}
+	// Materialize: shells print whole results anyway.
+	rows, err := resource.ReadAll(c.rows(ctx, cols, exp))
 	if err != nil {
-		return nil, c.fail(err)
+		return nil, err
 	}
-	switch typ {
-	case protocol.FrameError:
-		msg, _ := protocol.DecodeError(payload)
-		return nil, remoteError(msg)
-	case protocol.FrameOK:
-		affected, lastID, err := protocol.DecodeOK(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Exec: resource.ExecResult{Affected: affected, LastInsertID: lastID}}, nil
-	case protocol.FrameHeader:
-		cols, err := protocol.DecodeHeader(payload)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := c.readRowsV1()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Rows: resource.NewSliceResultSet(cols, rows)}, nil
-	default:
-		return nil, fmt.Errorf("client: unexpected frame %#x", typ)
-	}
+	return &Result{Rows: resource.NewSliceResultSet(cols, rows)}, nil
 }
 
-// Close terminates the logical connection. A multiplexed conn closes only
-// its stream (the shared socket lives on) unless it owns the transport.
+// Close terminates the logical connection: only its stream (the shared
+// socket lives on) unless it owns the transport.
 func (c *Conn) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	if c.st != nil {
-		if c.ownsTransport {
-			return c.t.Close()
-		}
-		if c.t.Healthy() {
-			c.t.send(c.st.id, outFrame{protocol.FrameStreamClose, nil})
-		}
-		c.t.closeStream(c.st)
-		return nil
+	if c.ownsTransport {
+		return c.t.Close()
 	}
-	protocol.WriteFrame(c.w, protocol.FrameQuit, nil)
-	c.w.Flush()
-	return c.nc.Close()
+	if c.t.Healthy() {
+		c.t.send(c.st.id, outFrame{protocol.FrameStreamClose, nil})
+	}
+	c.t.closeStream(c.st)
+	return nil
 }
 
 // --- remote data source (mux pool) ---
@@ -735,8 +487,7 @@ const DefaultMuxSockets = 4
 var NegotiateCaps uint32 = protocol.LocalCaps
 
 // muxPool shares a fixed set of transports among all pooled logical
-// conns, redialing slots whose transport died. If the server negotiates
-// down to v1 the pool permanently switches to dedicated sockets.
+// conns, redialing slots whose transport died.
 type muxPool struct {
 	addr string
 	name string // data source name; labels traced spans from this pool
@@ -744,19 +495,23 @@ type muxPool struct {
 	mu         sync.Mutex
 	transports []*Transport
 	next       int
-	v1         bool
 
 	socketsOpened atomic.Int64
-	fallbacks     atomic.Int64
 }
 
+// factory is the pool's resource.DataSource connection factory.
 func (p *muxPool) factory() (resource.Conn, error) {
-	p.mu.Lock()
-	if p.v1 {
-		p.mu.Unlock()
-		p.fallbacks.Add(1)
-		return DialV1(p.addr)
+	c, err := p.open()
+	if err != nil {
+		return nil, err
 	}
+	return c, nil
+}
+
+// open returns a new logical conn on the next transport slot, dialing
+// the slot first when its transport is missing or dead.
+func (p *muxPool) open() (*Conn, error) {
+	p.mu.Lock()
 	slot := p.next % len(p.transports)
 	p.next++
 	t := p.transports[slot]
@@ -764,21 +519,14 @@ func (p *muxPool) factory() (resource.Conn, error) {
 	if t != nil && t.Healthy() {
 		return p.openConn(t)
 	}
-	tr, legacy, err := negotiate(p.addr)
+	tr, err := negotiate(p.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	if legacy != nil {
-		p.mu.Lock()
-		p.v1 = true
-		p.mu.Unlock()
-		p.fallbacks.Add(1)
-		return legacy, nil
-	}
 	p.socketsOpened.Add(1)
 	p.mu.Lock()
-	// A concurrent factory call may have already replaced this slot;
-	// keep the healthy incumbent and fold our dial into it.
+	// A concurrent open may have already replaced this slot; keep the
+	// healthy incumbent and fold our dial into it.
 	if cur := p.transports[slot]; cur != nil && cur.Healthy() {
 		p.mu.Unlock()
 		tr.Close()
@@ -791,7 +539,7 @@ func (p *muxPool) factory() (resource.Conn, error) {
 
 // openConn opens a stream labeled with the pool's data source name, so
 // grafted remote spans attribute to the source rather than its address.
-func (p *muxPool) openConn(t *Transport) (resource.Conn, error) {
+func (p *muxPool) openConn(t *Transport) (*Conn, error) {
 	c, err := t.OpenConn()
 	if err != nil {
 		return nil, err
@@ -818,7 +566,6 @@ func (p *muxPool) metrics() map[string]int64 {
 		"cursor_cancels":    0,
 		"batch_window_peak": 0,
 		"sockets_dialed":    p.socketsOpened.Load(),
-		"v1_fallback_conns": p.fallbacks.Load(),
 		"mux_socket_budget": 0,
 	}
 	p.mu.Lock()
@@ -848,8 +595,7 @@ func (p *muxPool) metrics() map[string]int64 {
 
 // NewRemoteDataSource builds a pooled data source whose logical
 // connections share DefaultMuxSockets multiplexed TCP connections to the
-// given address — how the kernel attaches networked data nodes. Against a
-// v1-only server every pooled conn falls back to its own socket.
+// given address — how the kernel attaches networked data nodes.
 func NewRemoteDataSource(name, addr string, opts *resource.Options) *resource.DataSource {
 	sockets := DefaultMuxSockets
 	p := &muxPool{addr: addr, name: name, transports: make([]*Transport, sockets)}

@@ -164,44 +164,58 @@ func (s *stream) pop(ctx context.Context) (muxFrame, error) {
 	}
 }
 
-// negotiate dials addr and offers protocol v2. Exactly one of the first
-// two returns is non-nil: a Transport when the server accepted v2, or a
-// plain v1 Conn reusing the same socket when it did not (a v1 server
-// rejects the Hello frame with an error and keeps serving).
-func negotiate(addr string) (*Transport, *Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+// dialTimeout bounds the TCP connect and, separately, the Hello exchange
+// that follows it: a peer that accepts and then stays silent fails the
+// dial instead of hanging it.
+const dialTimeout = 5 * time.Second
+
+// negotiate dials addr and opens a protocol v2 transport on the socket.
+// Every failure closes the socket; a server that answers the Hello with
+// an error (an accept-time overload rejection, or a pre-v2 server that
+// does not know the frame) surfaces as that typed remote error.
+func negotiate(addr string, timeout time.Duration) (*Transport, error) {
+	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	t, err := handshake(nc, addr, timeout)
+	if err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("client: protocol v2 handshake with %s: %w", addr, err)
+	}
+	return t, nil
+}
+
+// handshake runs the Hello/HelloAck exchange — the only traffic in v1
+// framing — under a deadline, and starts the transport's goroutines.
+func handshake(nc net.Conn, addr string, timeout time.Duration) (*Transport, error) {
+	nc.SetDeadline(time.Now().Add(timeout))
 	r := bufio.NewReaderSize(nc, 64<<10)
 	w := bufio.NewWriterSize(nc, 64<<10)
 	hello := protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, NegotiateCaps)
 	if err := protocol.WriteFrame(w, protocol.FrameHello, hello); err != nil {
-		nc.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	if err := w.Flush(); err != nil {
-		nc.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	typ, payload, err := protocol.ReadFrame(r)
 	if err != nil {
-		nc.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	switch typ {
 	case protocol.FrameHelloAck:
 		version, maxFrame, caps, err := protocol.DecodeHelloCaps(payload)
 		if err != nil || version != protocol.Version2 {
-			nc.Close()
-			return nil, nil, fmt.Errorf("client: bad hello ack (version %d): %v", version, err)
+			return nil, fmt.Errorf("bad hello ack (version %d): %v", version, err)
 		}
 		if maxFrame == 0 || maxFrame > protocol.MaxFrame {
 			maxFrame = protocol.MaxFrame
 		}
+		nc.SetDeadline(time.Time{})
 		t := &Transport{
 			nc:       nc,
 			r:        r,
@@ -215,30 +229,19 @@ func negotiate(addr string) (*Transport, *Conn, error) {
 		}
 		go t.demux()
 		go t.writeLoop()
-		return t, nil, nil
+		return t, nil
 	case protocol.FrameError:
-		// v1 server: it rejected the unknown frame type and is still
-		// serving. Keep the socket and speak v1 on it.
-		return nil, &Conn{nc: nc, r: r, w: w}, nil
+		msg, _ := protocol.DecodeError(payload)
+		return nil, remoteError(msg)
 	default:
-		nc.Close()
-		return nil, nil, fmt.Errorf("client: unexpected frame %#x to hello", typ)
+		return nil, fmt.Errorf("unexpected frame %#x to hello", typ)
 	}
 }
 
 // DialMux connects to a data node and negotiates a multiplexed v2
-// transport. It fails (rather than falling back) if the server only
-// speaks v1; use Dial for transparent negotiation.
+// transport, for callers that open several logical connections on it.
 func DialMux(addr string) (*Transport, error) {
-	t, legacy, err := negotiate(addr)
-	if err != nil {
-		return nil, err
-	}
-	if legacy != nil {
-		legacy.Close()
-		return nil, fmt.Errorf("client: %s only speaks protocol v1", addr)
-	}
-	return t, nil
+	return negotiate(addr, dialTimeout)
 }
 
 // demux routes inbound frames to their streams. Any read error is fatal

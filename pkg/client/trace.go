@@ -24,7 +24,7 @@ type spanExpect struct {
 // connections without the capability (or with no sampled trace in ctx)
 // both returns are zero and the statement travels untraced.
 func (c *Conn) beginTrace(ctx context.Context) (protocol.TraceContext, spanExpect) {
-	if c.st == nil || c.t.caps&protocol.CapTraceContext == 0 {
+	if c.t.caps&protocol.CapTraceContext == 0 {
 		return protocol.TraceContext{}, spanExpect{}
 	}
 	tr := telemetry.TraceFromContext(ctx)
@@ -64,20 +64,20 @@ func (e spanExpect) observe(c *Conn, f muxFrame) {
 // so the server strips it without parsing); elsewhere the payload is
 // returned untouched.
 func (c *Conn) appendTrace(payload []byte, tc protocol.TraceContext) []byte {
-	if c.st == nil || c.t.caps&protocol.CapTraceContext == 0 {
+	if c.t.caps&protocol.CapTraceContext == 0 {
 		return payload
 	}
 	return protocol.AppendTraceContext(payload, tc)
 }
 
 // PullMetrics scrapes the server's metrics snapshot (histograms and
-// counters) over FrameMetricsPull. Only multiplexed connections that
-// negotiated CapMetricsPull support it.
+// counters) over FrameMetricsPull. Only connections that negotiated
+// CapMetricsPull support it.
 func (c *Conn) PullMetrics(ctx context.Context) (*telemetry.MetricsSnapshot, error) {
 	if c.closed {
 		return nil, resource.ErrConnClosed
 	}
-	if c.st == nil || c.t.caps&protocol.CapMetricsPull == 0 {
+	if c.t.caps&protocol.CapMetricsPull == 0 {
 		return nil, fmt.Errorf("client: metrics pull not supported on this connection")
 	}
 	if err := c.t.send(c.st.id, outFrame{protocol.FrameMetricsPull, nil}); err != nil {
@@ -105,14 +105,10 @@ func (c *Conn) PullMetrics(ctx context.Context) (*telemetry.MetricsSnapshot, err
 // pullMetrics implements the data source's MetricsPull hook: scrape the
 // node behind this pool on a fresh logical connection.
 func (p *muxPool) pullMetrics(ctx context.Context) (*telemetry.MetricsSnapshot, error) {
-	conn, err := p.factory()
+	c, err := p.open()
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	c, ok := conn.(*Conn)
-	if !ok {
-		return nil, fmt.Errorf("client: metrics pull unsupported")
-	}
+	defer c.Close()
 	return c.PullMetrics(ctx)
 }
