@@ -4,6 +4,9 @@
 // and the single-instance baseline. Absolute numbers differ from the
 // paper's cloud testbed by design; the shapes — who wins, by what factor,
 // where curves bend — are the reproduction target (see EXPERIMENTS.md).
+// It stays, with internal/bench and internal/baseline, as the paper-figure
+// harness until benchmark/ has the single-node and SSJ/SSP cells (ROADMAP
+// item 1); performance is claimed only through benchmark/.
 //
 // Usage:
 //

@@ -232,42 +232,6 @@ func benchPointSelect(b *testing.B, planCacheSize int) {
 func BenchmarkPointSelectCached(b *testing.B)   { benchPointSelect(b, 0) }
 func BenchmarkPointSelectUncached(b *testing.B) { benchPointSelect(b, -1) }
 
-// BenchmarkPointSelectTelemetry{On,Off} isolates the always-on telemetry
-// cost on the hottest path (cached point select): identical topology and
-// workload, collector enabled vs disabled.
-
-func benchPointSelectTelemetry(b *testing.B, disabled bool) {
-	sys, err := bench.NewSSJ(bench.Topology{
-		Sources: 2, TablesPerSource: 2, MaxCon: 4, DisableTelemetry: disabled,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	cfg := sysbench.DefaultConfig(1000)
-	if err := bench.PrepareOn(sys, func(c bench.Client) error {
-		return sysbench.Prepare(c, cfg)
-	}); err != nil {
-		b.Fatal(err)
-	}
-	c, err := sys.NewClient(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	rng := rand.New(rand.NewSource(7))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := sqltypes.NewInt(int64(rng.Intn(1000)))
-		if _, err := c.Query("SELECT c FROM sbtest WHERE id = ?", id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPointSelectTelemetryOn(b *testing.B)  { benchPointSelectTelemetry(b, false) }
-func BenchmarkPointSelectTelemetryOff(b *testing.B) { benchPointSelectTelemetry(b, true) }
-
 func BenchmarkPointSelectCachedParallel(b *testing.B) {
 	sys, _ := planCacheSystem(b, 0)
 	defer sys.Close()

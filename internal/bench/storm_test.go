@@ -41,7 +41,7 @@ func (s *slowSession) Execute(sql string, args []sqltypes.Value) ([]string, reso
 
 func (s *slowSession) Close() { s.inner.Close() }
 
-// stormDuration lets `make bench-storm` stretch the measured phase
+// stormDuration lets STORM_DURATION stretch the measured phase
 // beyond the smoke default.
 func stormDuration(def time.Duration) time.Duration {
 	if v := os.Getenv("STORM_DURATION"); v != "" {
@@ -182,8 +182,8 @@ func TestStormSmoke(t *testing.T) {
 	}
 	// Whether admitted requests kept their latency is a wall-clock ratio:
 	// reported here, claimed only through the benchmark (ROADMAP item 0).
-	t.Logf("admitted p99 %.3fms = %.2fx unloaded p99 %.3fms (envelope %gx, not asserted)",
-		storm.P99Ms, storm.P99Ms/unloaded.P99Ms, unloaded.P99Ms, stormLatencySlack)
+	t.Logf("admitted p99 %.3fms = %.2fx unloaded p99 %.3fms (envelope 2x, not asserted)",
+		storm.P99Ms, storm.P99Ms/unloaded.P99Ms, unloaded.P99Ms)
 	// No goroutine growth once the storm subsides.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseline {

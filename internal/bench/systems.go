@@ -49,12 +49,6 @@ type Topology struct {
 	// capacity, negative disables the parameterized plan cache (the
 	// uncached baseline in the plan-cache experiment).
 	PlanCacheSize int
-	// DisableTelemetry passes through to core.Config: the telemetry-off
-	// baseline in the observability overhead experiment.
-	DisableTelemetry bool
-	// DisableDigests passes through to core.Config: the workload-plane-off
-	// baseline in the digest overhead experiment.
-	DisableDigests bool
 	// TxLog passes through to core.Config: the transaction benchmark
 	// injects a sync-cost-modeling XA log.
 	TxLog transaction.LogStore
@@ -138,14 +132,12 @@ func NewSSJ(top Topology) (*System, error) {
 		return nil, err
 	}
 	k, err := core.New(core.Config{
-		Rules:            rules,
-		Sources:          top.buildSources(),
-		MaxCon:           top.MaxCon,
-		DefaultTxType:    top.TxType,
-		PlanCacheSize:    top.PlanCacheSize,
-		DisableTelemetry: top.DisableTelemetry,
-		DisableDigests:   top.DisableDigests,
-		TxLog:            top.TxLog,
+		Rules:         rules,
+		Sources:       top.buildSources(),
+		MaxCon:        top.MaxCon,
+		DefaultTxType: top.TxType,
+		PlanCacheSize: top.PlanCacheSize,
+		TxLog:         top.TxLog,
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 	"shardingsphere/internal/transaction"
 )
 
-// txnDuration lets `make bench-txn` stretch the measured phases beyond
+// txnDuration lets TXN_DURATION stretch the measured phases beyond
 // the smoke default (TXN_DURATION=2s).
 func txnDuration(def time.Duration) time.Duration {
 	if v := os.Getenv("TXN_DURATION"); v != "" {

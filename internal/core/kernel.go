@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,15 +90,6 @@ type Config struct {
 	// plancache.DefaultCapacity; negative disables caching — every
 	// statement re-runs the full parse→route→rewrite pipeline).
 	PlanCacheSize int
-	// DisableTelemetry turns off per-statement trace collection (the
-	// collector still exists so TRACE and DistSQL surfaces keep working).
-	DisableTelemetry bool
-	// DisableDigests turns off the workload-observability plane (statement
-	// digests + shard heat map); used by the overhead benchmark's baseline.
-	DisableDigests bool
-	// DigestCapacity bounds the statement digest registry (0 uses
-	// digest.DefaultCapacity).
-	DigestCapacity int
 }
 
 // Kernel is one runtime instance shared by all sessions.
@@ -145,9 +135,8 @@ type Kernel struct {
 	// tel is the always-on telemetry collector every statement feeds.
 	tel *telemetry.Collector
 
-	// workload is the digest/heat/hot-key plane (nil when disabled);
-	// sessions feed digests, the executor feeds heat, the router feeds
-	// hot keys.
+	// workload is the digest/heat/hot-key plane: sessions feed digests,
+	// the executor feeds heat, the router feeds hot keys.
 	workload *digest.Workload
 
 	ruleMu sync.RWMutex
@@ -186,9 +175,6 @@ func New(cfg Config) (*Kernel, error) {
 	}
 	executor := exec.New(cfg.Sources, cfg.MaxCon)
 	tel := telemetry.NewCollector()
-	if cfg.DisableTelemetry {
-		tel.SetEnabled(false)
-	}
 	executor.SetTelemetry(tel)
 	for name, src := range cfg.Sources {
 		name := name
@@ -241,13 +227,11 @@ func New(cfg Config) (*Kernel, error) {
 		}
 	}
 	k.gates.Store(&gates)
-	if !cfg.DisableDigests {
-		k.workload = digest.NewWorkload(cfg.DigestCapacity)
-		executor.SetHeat(k.workload.Heat)
-		// Digest/heat totals ride the federated snapshot so cluster-wide
-		// counts merge exactly through MetricsPull/MergeSnapshots.
-		tel.RegisterSnapshotExtra(k.workload.SnapshotInto)
-	}
+	k.workload = digest.NewWorkload(0)
+	executor.SetHeat(k.workload.Heat)
+	// Digest/heat totals ride the federated snapshot so cluster-wide
+	// counts merge exactly through MetricsPull/MergeSnapshots.
+	tel.RegisterSnapshotExtra(k.workload.SnapshotInto)
 	return k, nil
 }
 
@@ -300,7 +284,7 @@ func (k *Kernel) PlanCache() *plancache.Cache { return k.planCache }
 // Telemetry exposes the statement telemetry collector (never nil).
 func (k *Kernel) Telemetry() *telemetry.Collector { return k.tel }
 
-// Workload exposes the digest/heat/hot-key plane (nil when disabled).
+// Workload exposes the digest/heat/hot-key plane (never nil).
 func (k *Kernel) Workload() *digest.Workload { return k.workload }
 
 // SetHotKeyTracking switches the hot-key sketch on or off (SET VARIABLE
@@ -308,9 +292,6 @@ func (k *Kernel) Workload() *digest.Workload { return k.workload }
 // tracking is on, so the disabled cost at route time is one atomic nil
 // load.
 func (k *Kernel) SetHotKeyTracking(on bool) {
-	if k.workload == nil {
-		return
-	}
 	k.workload.SetHotKeyTracking(on)
 	if on {
 		t := k.workload.HotKeys()
@@ -444,27 +425,4 @@ func (k *Kernel) resolveSources(units []rewrite.SQLUnit, readOnly, inTx bool, st
 			units[i].DataSource = r.ResolveSource(units[i].DataSource, readOnly, inTx, stmt)
 		}
 	}
-}
-
-// isDistSQL sniffs DistSQL statements before the SQL parser sees them.
-func isDistSQL(sql string) bool {
-	s := strings.TrimSpace(sql)
-	up := strings.ToUpper(s)
-	for _, prefix := range []string{
-		"CREATE SHARDING", "ALTER SHARDING", "DROP SHARDING",
-		"SHOW SHARDING", "ADD RESOURCE", "DROP RESOURCE", "SHOW RESOURCES",
-		"CREATE BINDING", "DROP BINDING", "SHOW BINDING",
-		"SET VARIABLE", "SHOW VARIABLE", "PREVIEW", "SHOW STATUS",
-		"CREATE BROADCAST", "SHOW BROADCAST", "SHOW TRANSACTION", "RESHARD",
-		"SHOW PLAN CACHE", "SHOW SQL METRICS", "SHOW SLOW QUERIES", "TRACE ",
-		"INJECT FAULT", "REMOVE FAULT", "SHOW FAULTS", "SHOW REMOTE",
-		"SHOW CLUSTER", "SHOW ADMISSION",
-		"SHOW STATEMENT DIGESTS", "SHOW SHARD HEAT", "SHOW HOT KEYS",
-		"RESET DIGESTS",
-	} {
-		if strings.HasPrefix(up, prefix) {
-			return true
-		}
-	}
-	return false
 }

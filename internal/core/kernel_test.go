@@ -8,6 +8,7 @@ import (
 
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sharding"
+	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
 	"shardingsphere/internal/transaction"
@@ -286,6 +287,19 @@ func TestSetVariableTransactionType(t *testing.T) {
 	}
 	if _, err := s.Exec("SET transaction_type = 'NOPE'"); err == nil {
 		t.Fatal("bad type accepted")
+	}
+}
+
+// A kernel with no DistSQL handler knows no DistSQL: the text goes to the
+// SQL parser like any other statement.
+func TestDistSQLWithoutHandlerIsASQLParseError(t *testing.T) {
+	s := newKernel(t, 2, 4).NewSession()
+	for _, sql := range []string{"SHOW SHARDING TABLE RULES", "RESET DIGESTS", "PREVIEW SELECT 1"} {
+		_, err := s.Execute(sql)
+		var pe *sqlparser.ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: want a SQL parse error, got %v", sql, err)
+		}
 	}
 }
 

@@ -124,11 +124,7 @@ func (s *Session) executePlan(p *plan, args []sqltypes.Value) (*Result, error) {
 // consulted only when the cache is cold, the entry was evicted, or a
 // RESET DIGESTS bumped the epoch.
 func (s *Session) resolvePlanDigest(p *plan) {
-	w := s.k.workload
-	if w == nil {
-		return
-	}
-	reg := w.Digests
+	reg := s.k.workload.Digests
 	if ref := p.dig.Load(); ref != nil && ref.epoch == reg.Epoch() && reg.Touch(ref.e) {
 		s.stmtDigest = ref.e
 		s.tr.SetDigest(ref.e.ID, p.key)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -37,10 +38,15 @@ func (r *Result) Close() error {
 	return nil
 }
 
-// DistSQLHandler processes DistSQL statements; the distsql package
-// installs it (a function value breaks the import cycle between the
-// kernel and its management language).
-type DistSQLHandler func(sess *Session, sql string) (*Result, error)
+// DistSQLHandler recognises and runs DistSQL statements; the distsql
+// package installs it (an interface breaks the import cycle between the
+// kernel and its management language). Match sits in front of every
+// statement, so it must reject ordinary SQL cheaply; Execute sees only
+// statements Match accepted.
+type DistSQLHandler interface {
+	Match(sql string) bool
+	Execute(sess *Session, sql string) (*Result, error)
+}
 
 // SetDistSQLHandler installs the DistSQL processor.
 func (k *Kernel) SetDistSQLHandler(h DistSQLHandler) { k.distSQL = h }
@@ -80,7 +86,7 @@ type Session struct {
 	tr    *telemetry.Trace
 	trBuf telemetry.Trace
 	// stmtDigest is the current statement's digest entry (nil when the
-	// statement has no normalizable shape or digests are disabled);
+	// statement has no normalizable shape);
 	// stmtShards and stmtRetries are filled by runUnits so Execute can
 	// observe the finished statement in one call after Finish.
 	stmtDigest  *digest.Entry
@@ -102,14 +108,18 @@ func (s *Session) TransactionType() transaction.Type { return s.txType }
 func (s *Session) SetTransactionType(t transaction.Type) { s.txType = t }
 
 // SetHint sets the out-of-band sharding hint value; pass nil to clear.
-func (s *Session) SetHint(v *sqltypes.Value) { s.hint = v }
+// The sharding_hint session variable follows it.
+func (s *Session) SetHint(v *sqltypes.Value) {
+	s.hint = v
+	if v == nil {
+		delete(s.vars, "sharding_hint")
+	} else {
+		s.vars["sharding_hint"] = *v
+	}
+}
 
 // Vars exposes the session variables.
 func (s *Session) Vars() map[string]sqltypes.Value { return s.vars }
-
-// SetStatementTimeout bounds each subsequent statement's execution; 0
-// removes the bound (SET VARIABLE statement_timeout_ms).
-func (s *Session) SetStatementTimeout(d time.Duration) { s.stmtTimeout = d }
 
 // StatementTimeout returns the session's statement deadline (0 when
 // unbounded).
@@ -137,11 +147,8 @@ func (s *Session) Close() {
 // wiped wholesale at 4096 entries, is gone).
 func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
 	s.stmtQueueWait, s.queueWait = s.queueWait, 0
-	if isDistSQL(sql) {
-		if s.k.distSQL == nil {
-			return nil, fmt.Errorf("core: DistSQL handler not installed")
-		}
-		return s.k.distSQL(s, sql)
+	if h := s.k.distSQL; h != nil && h.Match(sql) {
+		return h.Execute(s, sql)
 	}
 	tr := s.k.tel.StartInto(&s.trBuf, sql)
 	tr.AddQueueWait(s.stmtQueueWait)
@@ -226,10 +233,8 @@ func (s *Session) executeSQL(sql string, args []sqltypes.Value) (*Result, error)
 			// shape so these executions still aggregate.
 			s.noteDigest(norm.Key)
 		}
-	} else if s.k.workload != nil {
-		if norm, ok := sqlparser.Normalize(sql); ok {
-			s.noteDigest(norm.Key)
-		}
+	} else if norm, ok := sqlparser.Normalize(sql); ok {
+		s.noteDigest(norm.Key)
 	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -243,11 +248,7 @@ func (s *Session) executeSQL(sql string, args []sqltypes.Value) (*Result, error)
 // shape and stamps the trace, so a slow-log capture carries the same
 // digest id the registry row shows (and redacts without re-normalizing).
 func (s *Session) noteDigest(key string) {
-	w := s.k.workload
-	if w == nil {
-		return
-	}
-	e := w.Digests.Get(key)
+	e := s.k.workload.Digests.Get(key)
 	s.stmtDigest = e
 	s.tr.SetDigest(e.ID, key)
 }
@@ -555,9 +556,12 @@ func heldOf(tx transaction.Tx) *exec.HeldConns {
 	return tx.Held()
 }
 
+// executeSet applies SET name = value. It is the one place the three
+// session-scoped names are validated and applied: DistSQL's SET VARIABLE
+// hands them here as a SetStmt. Any other name is a plain session
+// variable.
 func (s *Session) executeSet(t *sqlparser.SetStmt) (*Result, error) {
 	name := strings.ToLower(t.Name)
-	s.vars[name] = t.Value
 	switch name {
 	case "transaction_type":
 		typ, err := transaction.ParseType(t.Value.AsString())
@@ -566,19 +570,21 @@ func (s *Session) executeSet(t *sqlparser.SetStmt) (*Result, error) {
 		}
 		s.txType = typ
 	case "sharding_hint":
-		v := t.Value
-		if v.IsNull() {
-			s.hint = nil
+		if t.Value.IsNull() {
+			s.SetHint(nil)
 		} else {
-			s.hint = &v
+			v := t.Value
+			s.SetHint(&v)
 		}
+		return &Result{}, nil
 	case "statement_timeout_ms":
-		ms := t.Value.AsInt()
-		if ms < 0 {
-			return nil, fmt.Errorf("core: statement_timeout_ms must be >= 0, got %d", ms)
+		ms, err := strconv.ParseInt(strings.TrimSpace(t.Value.AsString()), 10, 64)
+		if err != nil || ms < 0 {
+			return nil, fmt.Errorf("core: statement_timeout_ms wants a non-negative integer, got %q", t.Value.AsString())
 		}
 		s.stmtTimeout = time.Duration(ms) * time.Millisecond
 	}
+	s.vars[name] = t.Value
 	return &Result{}, nil
 }
 

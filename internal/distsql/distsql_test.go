@@ -403,6 +403,7 @@ func TestShowPlanCacheExtraColumns(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
+	_, s, _ := fixture(t)
 	for _, sql := range []string{
 		"CREATE SHARDING TABLE RULE t ()",
 		"CREATE SHARDING TABLE RULE t (RESOURCES(ds0))",
@@ -411,20 +412,18 @@ func TestParseErrors(t *testing.T) {
 		"PREVIEW",
 		"CREATE NONSENSE",
 	} {
-		if _, err := Parse(sql); err == nil {
+		if _, err := s.Execute(sql); err == nil {
 			t.Errorf("%s: accepted", sql)
 		}
 	}
 }
 
 func TestParseToleratesCase(t *testing.T) {
-	stmt, err := Parse("create sharding table rule T (resources(ds0), sharding_column=ID, type=mod, properties('sharding-count'=2))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rule := stmt.(*CreateShardingRule)
-	if rule.Table != "T" || rule.Type != "mod" || rule.Properties["sharding-count"] != "2" {
-		t.Fatalf("parsed: %+v", rule)
+	_, s, _ := fixture(t)
+	exec(t, s, "create sharding table rule T (resources(ds0), sharding_column=ID, type=mod, properties('sharding-count'=2))")
+	got := rows(t, exec(t, s, "SHOW SHARDING TABLE RULE T"))
+	if len(got) != 1 || got[0][0].S != "T" || got[0][1].S != "ID" || got[0][2].S != "mod" || got[0][3].I != 2 {
+		t.Fatalf("rule: %v", got)
 	}
 }
 

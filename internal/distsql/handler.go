@@ -36,9 +36,7 @@ type Handler struct {
 // rule change made on any instance drops stale plans on this one too.
 func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 	h := &Handler{gov: gov}
-	k.SetDistSQLHandler(func(sess *core.Session, sql string) (*core.Result, error) {
-		return h.Execute(sess, sql)
-	})
+	k.SetDistSQLHandler(h)
 	if gov != nil {
 		if pc := k.PlanCache(); pc != nil {
 			gov.RegisterMetrics("plan_cache", pc.Metrics)
@@ -58,10 +56,8 @@ func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 		gov.RegisterMetrics("txn", k.TxManager().Metrics)
 		// Workload plane: digest.* and heat.* families on /metrics, the
 		// same totals SHOW CLUSTER METRICS merges across nodes.
-		if w := k.Workload(); w != nil {
-			gov.RegisterMetrics("digest", w.DigestMetrics)
-			gov.RegisterMetrics("heat", w.HeatMetrics)
-		}
+		gov.RegisterMetrics("digest", k.Workload().DigestMetrics)
+		gov.RegisterMetrics("heat", k.Workload().HeatMetrics)
 		// Frontend admission counters. The controller is installed by the
 		// proxy after this wiring runs, so resolve it per snapshot.
 		gov.RegisterMetrics("admission", func() map[string]int64 {
@@ -106,133 +102,92 @@ func (h *Handler) Close() {
 	}
 }
 
-// Execute parses and runs one DistSQL statement.
-func (h *Handler) Execute(sess *core.Session, sql string) (*core.Result, error) {
-	stmt, err := Parse(sql)
-	if err != nil {
+// changeRules runs one rule mutation under the rule lock, then drops the
+// cached plans and persists the rule set.
+func (h *Handler) changeRules(k *core.Kernel, change func(*sharding.RuleSet) error) (*core.Result, error) {
+	unlock := k.LockRules()
+	defer unlock()
+	if err := change(k.Rules()); err != nil {
 		return nil, err
 	}
-	k := sess.Kernel()
-	switch t := stmt.(type) {
-	case *CreateShardingRule:
-		return h.createRule(k, t)
-	case *DropShardingRule:
-		return h.dropRule(k, t)
-	case *CreateBinding:
-		unlock := k.LockRules()
-		defer unlock()
-		if err := k.Rules().AddBindingGroup(t.Tables...); err != nil {
-			return nil, err
+	k.BumpPlanEpoch()
+	h.persist(k)
+	return &core.Result{}, nil
+}
+
+func (h *Handler) createBinding(sess *core.Session, tables []string) (*core.Result, error) {
+	return h.changeRules(sess.Kernel(), func(rs *sharding.RuleSet) error {
+		return rs.AddBindingGroup(tables...)
+	})
+}
+
+func (h *Handler) dropBinding(sess *core.Session, tables []string) (*core.Result, error) {
+	return h.changeRules(sess.Kernel(), func(rs *sharding.RuleSet) error {
+		dropBindingGroup(rs, tables)
+		return nil
+	})
+}
+
+func (h *Handler) createBroadcast(sess *core.Session, tables []string) (*core.Result, error) {
+	return h.changeRules(sess.Kernel(), func(rs *sharding.RuleSet) error {
+		for _, table := range tables {
+			rs.Broadcast[strings.ToLower(table)] = true
 		}
-		k.BumpPlanEpoch()
-		h.persist(k)
-		return &core.Result{}, nil
-	case *DropBinding:
-		unlock := k.LockRules()
-		defer unlock()
-		dropBindingGroup(k.Rules(), t.Tables)
-		k.BumpPlanEpoch()
-		h.persist(k)
-		return &core.Result{}, nil
-	case *CreateBroadcast:
-		unlock := k.LockRules()
-		defer unlock()
-		for _, table := range t.Tables {
-			k.Rules().Broadcast[strings.ToLower(table)] = true
+		return nil
+	})
+}
+
+// removeFault is REMOVE FAULT <source>; "frontend" and "coordinator" are
+// the reserved pseudo-sources INJECT FAULT accepts.
+func (h *Handler) removeFault(sess *core.Session, source string) (*core.Result, error) {
+	inj := sess.Kernel().Chaos()
+	switch {
+	case strings.EqualFold(source, "frontend"):
+		if !inj.RemoveFrontend() {
+			return nil, fmt.Errorf("distsql: no active frontend fault")
 		}
-		k.BumpPlanEpoch()
-		h.persist(k)
-		return &core.Result{}, nil
-	case *ShowRules:
-		return h.showRules(k, t)
-	case *ShowResources:
-		return h.showResources(k)
-	case *ShowStatus:
-		return h.showStatus(k)
-	case *ShowPlanCache:
-		return h.showPlanCache(k)
-	case *SetVariable:
-		return h.setVariable(sess, t)
-	case *ShowVariable:
-		return h.showVariable(sess, t)
-	case *Preview:
-		return h.preview(sess, t)
-	case *TraceStmt:
-		return h.trace(sess, t)
-	case *ShowSQLMetrics:
-		return h.showSQLMetrics(k)
-	case *ShowSlowQueries:
-		return h.showSlowQueries(k)
-	case *Reshard:
-		return h.reshard(k, t)
-	case *InjectFault:
-		return h.injectFault(k, t)
-	case *RemoveFault:
-		if strings.EqualFold(t.Source, "frontend") {
-			if !k.Chaos().RemoveFrontend() {
-				return nil, fmt.Errorf("distsql: no active frontend fault")
-			}
-			return &core.Result{}, nil
+	case strings.EqualFold(source, "coordinator"):
+		if !inj.RemoveCoordinator() {
+			return nil, fmt.Errorf("distsql: no active coordinator fault")
 		}
-		if strings.EqualFold(t.Source, "coordinator") {
-			if !k.Chaos().RemoveCoordinator() {
-				return nil, fmt.Errorf("distsql: no active coordinator fault")
-			}
-			return &core.Result{}, nil
-		}
-		if !k.Chaos().Remove(t.Source) {
-			return nil, fmt.Errorf("distsql: no active fault on %s", t.Source)
-		}
-		return &core.Result{}, nil
-	case *ShowFaults:
-		return h.showFaults(k)
-	case *ShowRemoteStatus:
-		return h.showRemoteStatus(k)
-	case *ShowClusterMetrics:
-		return h.showClusterMetrics()
-	case *ShowAdmission:
-		return h.showAdmission(k)
-	case *ShowTxnMetrics:
-		return h.showTxnMetrics(k)
-	case *ShowDigests:
-		return h.showDigests(k, t)
-	case *ShowShardHeat:
-		return h.showShardHeat(k)
-	case *ShowHotKeys:
-		return h.showHotKeys(k)
-	case *ResetDigests:
-		if k.Workload() == nil {
-			return nil, fmt.Errorf("distsql: statement digests are disabled")
-		}
-		k.Workload().Reset()
-		return &core.Result{}, nil
 	default:
-		return nil, fmt.Errorf("distsql: unhandled statement %T", stmt)
+		if !inj.Remove(source) {
+			return nil, fmt.Errorf("distsql: no active fault on %s", source)
+		}
 	}
+	return &core.Result{}, nil
+}
+
+// resetDigests is RESET DIGESTS: clears the digest registry, the shard
+// heat map and the hot-key sketch.
+func (h *Handler) resetDigests(sess *core.Session) (*core.Result, error) {
+	sess.Kernel().Workload().Reset()
+	return &core.Result{}, nil
 }
 
 // injectFault installs a chaos fault on one data source (RAL, chaos
 // engineering): INJECT FAULT ds (ERROR_RATE=0.5, LATENCY_MS=10,
 // HANG=true, BREAK_AFTER=100, SEED=42).
-func (h *Handler) injectFault(k *core.Kernel, t *InjectFault) (*core.Result, error) {
+func (h *Handler) injectFault(sess *core.Session, t faultSpec) (*core.Result, error) {
+	k := sess.Kernel()
 	// "frontend" is a reserved pseudo-source: the fault perturbs the
 	// proxy's client-facing side (accept path and session loops) instead
 	// of a backend connection. INJECT FAULT frontend (ACCEPT_DELAY_MS=10,
 	// CONN_RESET=0.2, CLIENT_STALL_MS=50, SEED=42).
-	if strings.EqualFold(t.Source, "frontend") {
+	if strings.EqualFold(t.source, "frontend") {
 		return h.injectFrontendFault(k, t)
 	}
 	// "coordinator" kills the 2PC coordinator at a protocol point:
 	// INJECT FAULT coordinator (CRASH_POINT=after_log_write).
-	if strings.EqualFold(t.Source, "coordinator") {
+	if strings.EqualFold(t.source, "coordinator") {
 		return h.injectCoordinatorFault(k, t)
 	}
-	src, err := k.Executor().Source(t.Source)
+	src, err := k.Executor().Source(t.source)
 	if err != nil {
 		return nil, err
 	}
 	var f chaos.Fault
-	for key, val := range t.Properties {
+	for key, val := range t.props {
 		val = strings.TrimSpace(val)
 		switch key {
 		case "error_rate":
@@ -271,9 +226,9 @@ func (h *Handler) injectFault(k *core.Kernel, t *InjectFault) (*core.Result, err
 
 // injectFrontendFault parses and installs the frontend (accept-path)
 // fault.
-func (h *Handler) injectFrontendFault(k *core.Kernel, t *InjectFault) (*core.Result, error) {
+func (h *Handler) injectFrontendFault(k *core.Kernel, t faultSpec) (*core.Result, error) {
 	var f chaos.FrontendFault
-	for key, val := range t.Properties {
+	for key, val := range t.props {
 		val = strings.TrimSpace(val)
 		switch key {
 		case "accept_delay_ms":
@@ -310,9 +265,9 @@ func (h *Handler) injectFrontendFault(k *core.Kernel, t *InjectFault) (*core.Res
 
 // injectCoordinatorFault parses and installs the 2PC coordinator crash
 // fault.
-func (h *Handler) injectCoordinatorFault(k *core.Kernel, t *InjectFault) (*core.Result, error) {
+func (h *Handler) injectCoordinatorFault(k *core.Kernel, t faultSpec) (*core.Result, error) {
 	var f chaos.CoordinatorFault
-	for key, val := range t.Properties {
+	for key, val := range t.props {
 		val = strings.TrimSpace(val)
 		switch key {
 		case "crash_point":
@@ -337,22 +292,19 @@ func (h *Handler) injectCoordinatorFault(k *core.Kernel, t *InjectFault) (*core.
 // (SHOW TRANSACTION METRICS). fastpath_commits counting while xa_commits
 // stays flat is the observable proof that single-shard transactions skip
 // XA entirely.
-func (h *Handler) showTxnMetrics(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showTxnMetrics(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	m := k.TxManager().Metrics()
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	rows := make([]sqltypes.Row, 0, len(names))
-	for _, name := range names {
+	rows := make([]sqltypes.Row, 0, len(m))
+	for _, name := range sortedKeys(m) {
 		rows = append(rows, sqltypes.Row{sqltypes.NewString(name), sqltypes.NewInt(m[name])})
 	}
 	return rowsResult([]string{"metric", "value"}, rows), nil
 }
 
 // showFaults lists the active faults with their live counters.
-func (h *Handler) showFaults(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showFaults(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	var rows []sqltypes.Row
 	for _, s := range k.Chaos().Statuses() {
 		rows = append(rows, sqltypes.Row{
@@ -384,7 +336,8 @@ func (h *Handler) showFaults(k *core.Kernel) (*core.Result, error) {
 // showRemoteStatus renders each remote data source's transport counters
 // (SHOW REMOTE STATUS). Embedded sources have no transport and are
 // skipped; a kernel with no remote sources returns zero rows.
-func (h *Handler) showRemoteStatus(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showRemoteStatus(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	var rows []sqltypes.Row
 	names := k.Executor().Sources()
 	sort.Strings(names)
@@ -397,12 +350,7 @@ func (h *Handler) showRemoteStatus(k *core.Kernel) (*core.Result, error) {
 		if m == nil {
 			continue
 		}
-		keys := make([]string, 0, len(m))
-		for key := range m {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
+		for _, key := range sortedKeys(m) {
 			rows = append(rows, sqltypes.Row{
 				sqltypes.NewString(n),
 				sqltypes.NewString(key),
@@ -418,7 +366,7 @@ func (h *Handler) showRemoteStatus(k *core.Kernel) (*core.Result, error) {
 // (node = "cluster"). Histogram rows carry count and quantiles; counter
 // rows carry value. Because the merge adds buckets, a merged histogram's
 // count always equals the sum of its node counts.
-func (h *Handler) showClusterMetrics() (*core.Result, error) {
+func (h *Handler) showClusterMetrics(*core.Session) (*core.Result, error) {
 	if h.gov == nil {
 		return nil, fmt.Errorf("distsql: SHOW CLUSTER METRICS needs a governor")
 	}
@@ -456,50 +404,48 @@ func (h *Handler) showClusterMetrics() (*core.Result, error) {
 	return rowsResult(cols, rows), nil
 }
 
-// createRule implements the AutoTable strategy (paper Section V-A): the
+func (h *Handler) createRule(sess *core.Session, spec sharding.AutoTableSpec) (*core.Result, error) {
+	return h.putRule(sess.Kernel(), spec, false)
+}
+
+func (h *Handler) alterRule(sess *core.Session, spec sharding.AutoTableSpec) (*core.Result, error) {
+	return h.putRule(sess.Kernel(), spec, true)
+}
+
+// putRule implements the AutoTable strategy (paper Section V-A): the
 // user names the resources and the shard count; the platform computes the
 // data distribution and binds logic to actual tables. Physical tables
 // materialize when the logic CREATE TABLE arrives (the DDL broadcast
 // creates every shard).
-func (h *Handler) createRule(k *core.Kernel, t *CreateShardingRule) (*core.Result, error) {
-	for _, r := range t.Resources {
+func (h *Handler) putRule(k *core.Kernel, spec sharding.AutoTableSpec, alter bool) (*core.Result, error) {
+	for _, r := range spec.Resources {
 		if _, err := k.Executor().Source(r); err != nil {
 			return nil, err
 		}
 	}
-	rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
-		LogicTable:     t.Table,
-		Resources:      t.Resources,
-		ShardingColumn: t.Column,
-		AlgorithmType:  t.Type,
-		Properties:     t.Properties,
-	})
+	rule, err := sharding.BuildAutoRule(spec)
 	if err != nil {
 		return nil, err
 	}
-	unlock := k.LockRules()
-	defer unlock()
-	if !t.Alter && k.Rules().IsSharded(t.Table) {
-		return nil, fmt.Errorf("distsql: rule for %s exists; use ALTER SHARDING TABLE RULE", t.Table)
-	}
-	k.Rules().AddRule(rule)
-	k.BumpPlanEpoch()
-	h.persist(k)
-	return &core.Result{}, nil
+	return h.changeRules(k, func(rs *sharding.RuleSet) error {
+		if !alter && rs.IsSharded(spec.LogicTable) {
+			return fmt.Errorf("distsql: rule for %s exists; use ALTER SHARDING TABLE RULE", spec.LogicTable)
+		}
+		rs.AddRule(rule)
+		return nil
+	})
 }
 
-func (h *Handler) dropRule(k *core.Kernel, t *DropShardingRule) (*core.Result, error) {
-	unlock := k.LockRules()
-	defer unlock()
-	if !k.Rules().RemoveRule(t.Table) {
-		return nil, fmt.Errorf("distsql: no sharding rule for %s", t.Table)
-	}
-	if h.gov != nil {
-		h.gov.DropRule(t.Table)
-	}
-	k.BumpPlanEpoch()
-	h.persist(k)
-	return &core.Result{}, nil
+func (h *Handler) dropRule(sess *core.Session, table string) (*core.Result, error) {
+	return h.changeRules(sess.Kernel(), func(rs *sharding.RuleSet) error {
+		if !rs.RemoveRule(table) {
+			return fmt.Errorf("distsql: no sharding rule for %s", table)
+		}
+		if h.gov != nil {
+			h.gov.DropRule(table)
+		}
+		return nil
+	})
 }
 
 func (h *Handler) persist(k *core.Kernel) {
@@ -540,59 +486,79 @@ func rowsResult(cols []string, rows []sqltypes.Row) *core.Result {
 	return &core.Result{RS: resource.NewSliceResultSet(cols, rows)}
 }
 
-func (h *Handler) showRules(k *core.Kernel, t *ShowRules) (*core.Result, error) {
-	switch t.Kind {
-	case "binding":
-		var rows []sqltypes.Row
-		for _, group := range k.Rules().BindingGroups {
-			rows = append(rows, sqltypes.Row{sqltypes.NewString(strings.Join(group, ", "))})
-		}
-		return rowsResult([]string{"binding_tables"}, rows), nil
-	case "broadcast":
-		var names []string
-		for t := range k.Rules().Broadcast {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		var rows []sqltypes.Row
-		for _, n := range names {
-			rows = append(rows, sqltypes.Row{sqltypes.NewString(n)})
-		}
-		return rowsResult([]string{"broadcast_table"}, rows), nil
-	default:
-		cols := []string{"table", "sharding_column", "type", "sharding_count", "data_nodes"}
-		names := k.Rules().LogicTables()
-		sort.Strings(names)
-		var rows []sqltypes.Row
-		for _, name := range names {
-			if t.Table != "" && !strings.EqualFold(t.Table, name) {
-				continue
-			}
-			rule, _ := k.Rules().Rule(name)
-			col, typ := "", ""
-			if rule.AutoSpec != nil {
-				col = rule.AutoSpec.ShardingColumn
-				typ = rule.AutoSpec.AlgorithmType
-			} else if rule.AutoStrategy != nil {
-				col = rule.AutoStrategy.Column
-			}
-			nodes := make([]string, len(rule.DataNodes))
-			for i, n := range rule.DataNodes {
-				nodes[i] = n.String()
-			}
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewString(rule.LogicTable),
-				sqltypes.NewString(col),
-				sqltypes.NewString(typ),
-				sqltypes.NewInt(int64(len(rule.DataNodes))),
-				sqltypes.NewString(strings.Join(nodes, ", ")),
-			})
-		}
-		return rowsResult(cols, rows), nil
+// sortedKeys returns a counter map's names in order: the row order of
+// every (metric, value) surface.
+func sortedKeys(m map[string]int64) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	return names
 }
 
-func (h *Handler) showResources(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showBindingRules(sess *core.Session) (*core.Result, error) {
+	var rows []sqltypes.Row
+	for _, group := range sess.Kernel().Rules().BindingGroups {
+		rows = append(rows, sqltypes.Row{sqltypes.NewString(strings.Join(group, ", "))})
+	}
+	return rowsResult([]string{"binding_tables"}, rows), nil
+}
+
+func (h *Handler) showBroadcastRules(sess *core.Session) (*core.Result, error) {
+	var names []string
+	for t := range sess.Kernel().Rules().Broadcast {
+		names = append(names, t)
+	}
+	sort.Strings(names)
+	var rows []sqltypes.Row
+	for _, n := range names {
+		rows = append(rows, sqltypes.Row{sqltypes.NewString(n)})
+	}
+	return rowsResult([]string{"broadcast_table"}, rows), nil
+}
+
+func (h *Handler) showShardingRules(sess *core.Session) (*core.Result, error) {
+	return h.showShardingRule(sess, "")
+}
+
+// showShardingRule lists the sharding rule of one logic table, or of every
+// table when the name is empty.
+func (h *Handler) showShardingRule(sess *core.Session, table string) (*core.Result, error) {
+	k := sess.Kernel()
+	cols := []string{"table", "sharding_column", "type", "sharding_count", "data_nodes"}
+	names := k.Rules().LogicTables()
+	sort.Strings(names)
+	var rows []sqltypes.Row
+	for _, name := range names {
+		if table != "" && !strings.EqualFold(table, name) {
+			continue
+		}
+		rule, _ := k.Rules().Rule(name)
+		col, typ := "", ""
+		if rule.AutoSpec != nil {
+			col = rule.AutoSpec.ShardingColumn
+			typ = rule.AutoSpec.AlgorithmType
+		} else if rule.AutoStrategy != nil {
+			col = rule.AutoStrategy.Column
+		}
+		nodes := make([]string, len(rule.DataNodes))
+		for i, n := range rule.DataNodes {
+			nodes[i] = n.String()
+		}
+		rows = append(rows, sqltypes.Row{
+			sqltypes.NewString(rule.LogicTable),
+			sqltypes.NewString(col),
+			sqltypes.NewString(typ),
+			sqltypes.NewInt(int64(len(rule.DataNodes))),
+			sqltypes.NewString(strings.Join(nodes, ", ")),
+		})
+	}
+	return rowsResult(cols, rows), nil
+}
+
+func (h *Handler) showResources(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	names := k.Executor().Sources()
 	sort.Strings(names)
 	var rows []sqltypes.Row
@@ -610,7 +576,8 @@ func (h *Handler) showResources(k *core.Kernel) (*core.Result, error) {
 	return rowsResult([]string{"resource", "dialect", "pool_size"}, rows), nil
 }
 
-func (h *Handler) showStatus(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showStatus(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	var rows []sqltypes.Row
 	if h.gov != nil {
 		for _, id := range h.gov.Instances() {
@@ -661,7 +628,8 @@ func (h *Handler) showStatus(k *core.Kernel) (*core.Result, error) {
 
 // showPlanCache surfaces the shared plan cache's counters (RAL). A
 // disabled cache reports a single "disabled" row instead of erroring.
-func (h *Handler) showPlanCache(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showPlanCache(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	cols := []string{"enabled", "hits", "misses", "evictions", "invalidations", "size", "capacity", "epoch", "hit_ratio", "shard_evictions"}
 	pc := k.PlanCache()
 	if pc == nil {
@@ -691,134 +659,11 @@ func (h *Handler) showPlanCache(k *core.Kernel) (*core.Result, error) {
 	}}), nil
 }
 
-// setVariable implements the RAL commands: the paper's transaction-type
-// switch plus circuit breaking.
-func (h *Handler) setVariable(sess *core.Session, t *SetVariable) (*core.Result, error) {
-	switch t.Name {
-	case "transaction_type":
-		typ, err := transaction.ParseType(t.Value)
-		if err != nil {
-			return nil, err
-		}
-		sess.SetTransactionType(typ)
-		return &core.Result{}, nil
-	case "circuit_break":
-		// Value form: "<datasource>:on" or "<datasource>:off".
-		if h.gov == nil {
-			return nil, fmt.Errorf("distsql: circuit breaking needs a governor")
-		}
-		parts := strings.SplitN(t.Value, ":", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("distsql: circuit_break wants '<datasource>:on|off'")
-		}
-		h.gov.BreakSource(parts[0], strings.EqualFold(parts[1], "on"))
-		return &core.Result{}, nil
-	case "statement_timeout_ms":
-		ms, err := strconv.ParseInt(strings.TrimSpace(t.Value), 10, 64)
-		if err != nil || ms < 0 {
-			return nil, fmt.Errorf("distsql: statement_timeout_ms wants a non-negative integer, got %q", t.Value)
-		}
-		sess.SetStatementTimeout(time.Duration(ms) * time.Millisecond)
-		sess.Vars()[t.Name] = sqltypes.NewInt(ms)
-		return &core.Result{}, nil
-	case "slow_query_threshold_ms":
-		ms, err := strconv.ParseInt(strings.TrimSpace(t.Value), 10, 64)
-		if err != nil || ms < 0 {
-			return nil, fmt.Errorf("distsql: slow_query_threshold_ms wants a non-negative integer, got %q", t.Value)
-		}
-		sess.Kernel().Telemetry().SetSlowThreshold(time.Duration(ms) * time.Millisecond)
-		return &core.Result{}, nil
-	case "stage_sampling":
-		n, err := strconv.ParseInt(strings.TrimSpace(t.Value), 10, 64)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("distsql: stage_sampling wants a positive integer, got %q", t.Value)
-		}
-		sess.Kernel().Telemetry().SetStageSampling(int(n))
-		return &core.Result{}, nil
-	case "hotkey_tracking":
-		on, err := parseBoolVar(t.Value)
-		if err != nil {
-			return nil, fmt.Errorf("distsql: hotkey_tracking wants true or false, got %q", t.Value)
-		}
-		if sess.Kernel().Workload() == nil {
-			return nil, fmt.Errorf("distsql: statement digests are disabled")
-		}
-		sess.Kernel().SetHotKeyTracking(on)
-		return &core.Result{}, nil
-	case "slow_query_raw_sql":
-		on, err := parseBoolVar(t.Value)
-		if err != nil {
-			return nil, fmt.Errorf("distsql: slow_query_raw_sql wants true or false, got %q", t.Value)
-		}
-		sess.Kernel().Telemetry().SetRawSlowSQL(on)
-		return &core.Result{}, nil
-	case "slow_query_log_size":
-		n, err := strconv.ParseInt(strings.TrimSpace(t.Value), 10, 64)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("distsql: slow_query_log_size wants a positive integer, got %q", t.Value)
-		}
-		sess.Kernel().Telemetry().SetSlowLogCapacity(int(n))
-		return &core.Result{}, nil
-	case "admission_quota":
-		// Value form: "<tenant>:<weight>" — the tenant's weighted-fair-
-		// queueing share of the frontend admission queue.
-		c := sess.Kernel().Admission()
-		if c == nil {
-			return nil, fmt.Errorf("distsql: admission quotas need a proxy frontend with admission control")
-		}
-		parts := strings.SplitN(t.Value, ":", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("distsql: admission_quota wants '<tenant>:<weight>'")
-		}
-		w, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("distsql: admission_quota weight wants a number, got %q", parts[1])
-		}
-		if err := c.SetWeight(strings.TrimSpace(parts[0]), w); err != nil {
-			return nil, err
-		}
-		return &core.Result{}, nil
-	case "sharding_hint":
-		v := sqltypes.NewString(t.Value)
-		if n := strings.TrimSpace(t.Value); n != "" {
-			// Numeric hints stay numeric for mod-style algorithms.
-			allDigits := true
-			for i := 0; i < len(n); i++ {
-				if n[i] < '0' || n[i] > '9' {
-					allDigits = false
-					break
-				}
-			}
-			if allDigits {
-				v = sqltypes.NewInt(sqltypes.NewString(n).AsInt())
-			}
-		}
-		sess.SetHint(&v)
-		return &core.Result{}, nil
-	default:
-		sess.Vars()[t.Name] = sqltypes.NewString(t.Value)
-		return &core.Result{}, nil
-	}
-}
-
-func (h *Handler) showVariable(sess *core.Session, t *ShowVariable) (*core.Result, error) {
-	var val string
-	switch t.Name {
-	case "transaction_type":
-		val = sess.TransactionType().String()
-	default:
-		if v, ok := sess.Vars()[t.Name]; ok {
-			val = v.AsString()
-		}
-	}
-	return rowsResult([]string{t.Name}, []sqltypes.Row{{sqltypes.NewString(val)}}), nil
-}
-
 // preview routes and rewrites the statement without executing, returning
 // one row per SQL unit (RAL's PREVIEW).
-func (h *Handler) preview(sess *core.Session, t *Preview) (*core.Result, error) {
+func (h *Handler) preview(sess *core.Session, sql string) (*core.Result, error) {
 	k := sess.Kernel()
-	stmt, err := sqlparserParse(t.SQL)
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -826,7 +671,12 @@ func (h *Handler) preview(sess *core.Session, t *Preview) (*core.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	rw, err := rewriteNew(k).Rewrite(stmt, rt, nil)
+	rw, err := rewrite.New(func(ds string) sqlparser.Dialect {
+		if src, err := k.Executor().Source(ds); err == nil {
+			return src.Dialect()
+		}
+		return sqlparser.DialectMySQL
+	}).Rewrite(stmt, rt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -843,8 +693,8 @@ func (h *Handler) preview(sess *core.Session, t *Preview) (*core.Result, error) 
 // trace executes the statement through the full pipeline with a detailed
 // trace (bypassing the plan cache so every stage appears) and returns the
 // span breakdown instead of the statement's rows (RAL's TRACE).
-func (h *Handler) trace(sess *core.Session, t *TraceStmt) (*core.Result, error) {
-	res, tr, err := sess.ExecuteTraced(t.SQL)
+func (h *Handler) trace(sess *core.Session, sql string) (*core.Result, error) {
+	res, tr, err := sess.ExecuteTraced(sql)
 	if tr != nil {
 		defer tr.Release()
 	}
@@ -877,14 +727,15 @@ func (h *Handler) trace(sess *core.Session, t *TraceStmt) (*core.Result, error) 
 		sqltypes.NewString("total"), sqltypes.NewString(""),
 		sqltypes.NewInt(0), sqltypes.NewInt(usOf(tr.Total())), sqltypes.NewString(""),
 		sqltypes.NewInt(0),
-		sqltypes.NewString(sess.Kernel().Telemetry().Redact(t.SQL)),
+		sqltypes.NewString(sess.Kernel().Telemetry().Redact(sql)),
 	})
 	return rowsResult(cols, rows), nil
 }
 
 // showSQLMetrics reports the collector's per-stage and per-data-source
 // latency percentiles (RAL's SHOW SQL METRICS).
-func (h *Handler) showSQLMetrics(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showSQLMetrics(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	tel := k.Telemetry()
 	cols := []string{"scope", "name", "count", "p50_us", "p95_us", "p99_us", "errors", "acquire_p99_us",
 		"wire_count", "wire_p99_us", "remote_p99_us"}
@@ -941,12 +792,7 @@ func (h *Handler) showSQLMetrics(k *core.Kernel) (*core.Result, error) {
 			counters["admission."+name] = v
 		}
 	}
-	names := make([]string, 0, len(counters))
-	for name := range counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(counters) {
 		rows = append(rows, sqltypes.Row{
 			sqltypes.NewString("counter"),
 			sqltypes.NewString(name),
@@ -993,7 +839,8 @@ func (h *Handler) showSQLMetrics(k *core.Kernel) (*core.Result, error) {
 
 // showSlowQueries returns the slow-query ring, most recent first, with a
 // compact per-span breakdown (RAL's SHOW SLOW QUERIES).
-func (h *Handler) showSlowQueries(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showSlowQueries(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	tel := k.Telemetry()
 	cols := []string{"sql", "total_us", "at", "spans", "digest"}
 	var rows []sqltypes.Row
@@ -1019,13 +866,9 @@ func (h *Handler) showSlowQueries(k *core.Kernel) (*core.Result, error) {
 
 // showDigests renders the statement digest registry (RAL's SHOW
 // STATEMENT DIGESTS), ranked by accumulated wall time or call count.
-func (h *Handler) showDigests(k *core.Kernel, t *ShowDigests) (*core.Result, error) {
-	w := k.Workload()
-	if w == nil {
-		return nil, fmt.Errorf("distsql: statement digests are disabled")
-	}
-	snaps := w.Digests.Snapshot()
-	if t.OrderBy == "calls" {
+func (h *Handler) showDigests(sess *core.Session, orderBy string) (*core.Result, error) {
+	snaps := sess.Kernel().Workload().Digests.Snapshot()
+	if orderBy == "calls" {
 		sort.Slice(snaps, func(i, j int) bool {
 			if snaps[i].Calls != snaps[j].Calls {
 				return snaps[i].Calls > snaps[j].Calls
@@ -1074,12 +917,9 @@ func (h *Handler) showDigests(k *core.Kernel, t *ShowDigests) (*core.Result, err
 // showShardHeat renders the (table, shard) heat map ranked by decayed
 // rate, so the currently-hot shards come first even after a traffic
 // shift (RAL's SHOW SHARD HEAT).
-func (h *Handler) showShardHeat(k *core.Kernel) (*core.Result, error) {
-	w := k.Workload()
-	if w == nil {
-		return nil, fmt.Errorf("distsql: statement digests are disabled")
-	}
-	snaps := w.Heat.Snapshot(digest.Now())
+func (h *Handler) showShardHeat(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
+	snaps := k.Workload().Heat.Snapshot(digest.Now())
 	sort.Slice(snaps, func(i, j int) bool {
 		if snaps[i].Rate != snaps[j].Rate {
 			return snaps[i].Rate > snaps[j].Rate
@@ -1116,12 +956,9 @@ func (h *Handler) showShardHeat(k *core.Kernel) (*core.Result, error) {
 
 // showHotKeys renders the space-saving sketch's top sharding-key values
 // (RAL's SHOW HOT KEYS).
-func (h *Handler) showHotKeys(k *core.Kernel) (*core.Result, error) {
-	w := k.Workload()
-	if w == nil {
-		return nil, fmt.Errorf("distsql: statement digests are disabled")
-	}
-	tk := w.HotKeys()
+func (h *Handler) showHotKeys(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
+	tk := k.Workload().HotKeys()
 	if tk == nil {
 		return nil, fmt.Errorf("distsql: hot-key tracking is off; SET VARIABLE hotkey_tracking = true")
 	}
@@ -1141,22 +978,11 @@ func (h *Handler) showHotKeys(k *core.Kernel) (*core.Result, error) {
 
 func usOf(d time.Duration) int64 { return int64(d / time.Microsecond) }
 
-// parseBoolVar accepts the forms clients actually send for boolean RAL
-// variables.
-func parseBoolVar(v string) (bool, error) {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "true", "on", "1":
-		return true, nil
-	case "false", "off", "0":
-		return false, nil
-	}
-	return false, fmt.Errorf("not a boolean: %q", v)
-}
-
 // showAdmission renders the frontend admission controller's live state
 // (RAL's SHOW ADMISSION STATUS): config, gauges and per-tenant
 // fair-queueing rows on one three-column surface.
-func (h *Handler) showAdmission(k *core.Kernel) (*core.Result, error) {
+func (h *Handler) showAdmission(sess *core.Session) (*core.Result, error) {
+	k := sess.Kernel()
 	cols := []string{"scope", "name", "value"}
 	c := k.Admission()
 	if c == nil {
@@ -1188,15 +1014,10 @@ func (h *Handler) showAdmission(k *core.Kernel) (*core.Result, error) {
 	row("gauge", "queue_wait_p50", st.QueueWaitP50.String())
 	row("gauge", "queue_wait_p99", st.QueueWaitP99.String())
 	m := c.Metrics()
-	names := make([]string, 0, len(m))
-	for name := range m {
+	for _, name := range sortedKeys(m) {
 		if strings.HasPrefix(name, "shed_") || name == "admitted" || name == "queued_total" || name == "overload_flips" {
-			names = append(names, name)
+			row("counter", name, strconv.FormatInt(m[name], 10))
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		row("counter", name, strconv.FormatInt(m[name], 10))
 	}
 	for _, t := range st.Tenants {
 		row("tenant", t.Name, fmt.Sprintf("weight=%g queued=%d admitted=%d shed=%d",
@@ -1209,24 +1030,19 @@ func (h *Handler) showAdmission(k *core.Kernel) (*core.Result, error) {
 // table onto the new layout, verify row counts, switch the rule. The
 // generation counter lives in the registry so table names never collide
 // across runs.
-func (h *Handler) reshard(k *core.Kernel, t *Reshard) (*core.Result, error) {
+func (h *Handler) reshard(sess *core.Session, spec sharding.AutoTableSpec) (*core.Result, error) {
+	k := sess.Kernel()
 	gen := 1
 	if h.gov != nil || k.Registry() != nil {
 		reg := k.Registry()
-		key := "/scaling/generation/" + strings.ToLower(t.Rule.Table)
+		key := "/scaling/generation/" + strings.ToLower(spec.LogicTable)
 		if raw, _, err := reg.Get(key); err == nil {
 			fmt.Sscanf(raw, "%d", &gen)
 			gen++
 		}
 		reg.Put(key, fmt.Sprintf("%d", gen))
 	}
-	job, err := scaling.Reshard(k, sharding.AutoTableSpec{
-		LogicTable:     t.Rule.Table,
-		Resources:      t.Rule.Resources,
-		ShardingColumn: t.Rule.Column,
-		AlgorithmType:  t.Rule.Type,
-		Properties:     t.Rule.Properties,
-	}, gen)
+	job, err := scaling.Reshard(k, spec, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -1236,23 +1052,8 @@ func (h *Handler) reshard(k *core.Kernel, t *Reshard) (*core.Result, error) {
 	}
 	h.persist(k)
 	return rowsResult([]string{"table", "status", "rows_moved"}, []sqltypes.Row{{
-		sqltypes.NewString(t.Rule.Table),
+		sqltypes.NewString(spec.LogicTable),
 		sqltypes.NewString(st.String()),
 		sqltypes.NewInt(moved),
 	}}), nil
-}
-
-// sqlparserParse and rewriteNew keep the preview implementation's imports
-// local to this file's bottom (they alias the shared packages).
-func sqlparserParse(sql string) (sqlparserStatement, error) { return sqlparser.Parse(sql) }
-
-type sqlparserStatement = sqlparser.Statement
-
-func rewriteNew(k *core.Kernel) *rewrite.Rewriter {
-	return rewrite.New(func(ds string) sqlparser.Dialect {
-		if src, err := k.Executor().Source(ds); err == nil {
-			return src.Dialect()
-		}
-		return sqlparser.DialectMySQL
-	})
 }

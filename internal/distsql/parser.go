@@ -1,249 +1,66 @@
-// Package distsql implements DistSQL (paper Section V-A), the SQL-like
-// management language that "breaks the boundary between middlewares and
-// databases": RDL defines resources and rules (including the AutoTable
-// strategy), RQL queries them, and RAL administers the runtime (switching
-// transaction types, circuit breaking, previewing routes).
 package distsql
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
+	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqlparser"
 )
 
-// ErrNotDistSQL reports input that is not a DistSQL statement.
-var ErrNotDistSQL = errors.New("distsql: not a DistSQL statement")
-
-// Statement is a parsed DistSQL statement.
-type Statement interface{ distSQLStmt() }
-
-// CreateShardingRule is:
-//
-//	CREATE|ALTER SHARDING TABLE RULE <t> (
-//	    RESOURCES(ds0, ds1),
-//	    SHARDING_COLUMN = uid,
-//	    TYPE = hash_mod,
-//	    PROPERTIES("sharding-count" = 2)
-//	)
-type CreateShardingRule struct {
-	Table      string
-	Alter      bool
-	Resources  []string
-	Column     string
-	Type       string
-	Properties map[string]string
+// nextWord returns the run of letters, digits and underscores that follows
+// sql's leading whitespace, and the text after it. It allocates nothing.
+func nextWord(sql string) (word, rest string) {
+	i := 0
+	for i < len(sql) && (sql[i] == ' ' || sql[i] == '\t' || sql[i] == '\n' || sql[i] == '\r') {
+		i++
+	}
+	j := i
+	for j < len(sql) {
+		c := sql[j]
+		if !(c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z') {
+			break
+		}
+		j++
+	}
+	return sql[i:j], sql[j:]
 }
 
-// DropShardingRule is DROP SHARDING TABLE RULE <t>.
-type DropShardingRule struct {
-	Table string
+// isKeyword reports whether word spells the upper-case ASCII keyword kw in
+// any case.
+func isKeyword(word, kw string) bool {
+	if len(word) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		c := word[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != kw[i] {
+			return false
+		}
+	}
+	return true
 }
 
-// CreateBinding is CREATE BINDING TABLE RULES (t1, t2, ...).
-type CreateBinding struct {
-	Tables []string
-}
-
-// DropBinding is DROP BINDING TABLE RULES (t1, t2, ...).
-type DropBinding struct {
-	Tables []string
-}
-
-// CreateBroadcast is CREATE BROADCAST TABLE RULE t1 [, t2 ...].
-type CreateBroadcast struct {
-	Tables []string
-}
-
-// ShowRules is SHOW SHARDING TABLE RULES [FROM <t>] /
-// SHOW BINDING TABLE RULES / SHOW BROADCAST TABLE RULES.
-type ShowRules struct {
-	Kind  string // "sharding", "binding", "broadcast"
-	Table string // optional filter for sharding rules
-}
-
-// ShowResources is SHOW RESOURCES.
-type ShowResources struct{}
-
-// ShowStatus is SHOW STATUS: live instances and data source health.
-type ShowStatus struct{}
-
-// ShowPlanCache is SHOW PLAN CACHE STATUS: the shared plan cache's
-// hit/miss/eviction/invalidation counters, size and epoch (RAL).
-type ShowPlanCache struct{}
-
-// SetVariable is SET VARIABLE name = value (RAL).
-type SetVariable struct {
-	Name  string
-	Value string
-}
-
-// ShowVariable is SHOW VARIABLE name.
-type ShowVariable struct {
-	Name string
-}
-
-// Preview is PREVIEW <sql>: shows the route and rewrite result without
-// executing.
-type Preview struct {
-	SQL string
-}
-
-// TraceStmt is TRACE <sql>: executes the statement with detailed
-// telemetry and returns its span breakdown as a table (RAL).
-type TraceStmt struct {
-	SQL string
-}
-
-// ShowSQLMetrics is SHOW SQL METRICS: per-stage and per-data-source
-// latency percentiles from the kernel's telemetry collector (RAL).
-type ShowSQLMetrics struct{}
-
-// ShowSlowQueries is SHOW SLOW QUERIES: the ring buffer of the slowest
-// recent statements with their span breakdowns (RAL).
-type ShowSlowQueries struct{}
-
-// Reshard is RESHARD TABLE <t> (RESOURCES(...), SHARDING_COLUMN=...,
-// TYPE=..., PROPERTIES(...)): an online scaling job (paper Section IV-C)
-// that copies the table onto the new layout, verifies, and switches.
-type Reshard struct {
-	Rule *CreateShardingRule
-}
-
-// InjectFault is INJECT FAULT <source> (k = v, ...): installs a chaos
-// fault on one data source. Recognized properties: ERROR_RATE (0..1),
-// LATENCY_MS, HANG (true|false), BREAK_AFTER (calls), SEED (RAL, chaos
-// engineering).
-type InjectFault struct {
-	Source     string
-	Properties map[string]string
-}
-
-// RemoveFault is REMOVE FAULT <source>.
-type RemoveFault struct {
-	Source string
-}
-
-// ShowFaults is SHOW FAULTS: the active fault table with live counters.
-type ShowFaults struct{}
-
-// ShowRemoteStatus is SHOW REMOTE STATUS: transport-level counters for
-// remote data sources (mux sockets, streams, prepared statements,
-// pipelined batches, row batches).
-type ShowRemoteStatus struct{}
-
-// ShowClusterMetrics is SHOW CLUSTER METRICS: every remote node's
-// histograms and counters scraped over FrameMetricsPull, plus the
-// bucket-wise merged cluster view (RAL, federated metrics).
-type ShowClusterMetrics struct{}
-
-// ShowAdmission is SHOW ADMISSION STATUS: the frontend admission
-// controller's live state — running/queued statements, connection gauge,
-// overload state, queue-wait percentiles, and per-tenant fair-queueing
-// rows (RAL, overload protection).
-type ShowAdmission struct{}
-
-// ShowTxnMetrics is SHOW TRANSACTION METRICS: the transaction manager's
-// commit-path counters — fast-path vs XA commits, lazy upgrades, group
-// commit batching, prepare failures, in-doubt and recovered transactions
-// (RAL, distributed transactions).
-type ShowTxnMetrics struct{}
-
-// ShowDigests is SHOW STATEMENT DIGESTS [ORDER BY total_time|calls]:
-// the per-shape workload table — calls, errors, retries, rows, latency
-// quantiles and the single- vs cross-shard split (RAL, workload
-// observability).
-type ShowDigests struct {
-	OrderBy string // "total_time" (default) or "calls"
-}
-
-// ShowShardHeat is SHOW SHARD HEAT: per-(table, shard) traffic with an
-// exponentially-decayed rate, ranked hottest first.
-type ShowShardHeat struct{}
-
-// ShowHotKeys is SHOW HOT KEYS: the top-k sharding-key values observed
-// by the router while SET VARIABLE hotkey_tracking = true.
-type ShowHotKeys struct{}
-
-// ResetDigests is RESET DIGESTS: clears the digest registry, the shard
-// heat map and the hot-key sketch.
-type ResetDigests struct{}
-
-func (*CreateShardingRule) distSQLStmt() {}
-func (*DropShardingRule) distSQLStmt()   {}
-func (*CreateBinding) distSQLStmt()      {}
-func (*DropBinding) distSQLStmt()        {}
-func (*CreateBroadcast) distSQLStmt()    {}
-func (*ShowRules) distSQLStmt()          {}
-func (*ShowResources) distSQLStmt()      {}
-func (*ShowStatus) distSQLStmt()         {}
-func (*ShowPlanCache) distSQLStmt()      {}
-func (*SetVariable) distSQLStmt()        {}
-func (*ShowVariable) distSQLStmt()       {}
-func (*Preview) distSQLStmt()            {}
-func (*TraceStmt) distSQLStmt()          {}
-func (*ShowSQLMetrics) distSQLStmt()     {}
-func (*ShowSlowQueries) distSQLStmt()    {}
-func (*Reshard) distSQLStmt()            {}
-func (*InjectFault) distSQLStmt()        {}
-func (*RemoveFault) distSQLStmt()        {}
-func (*ShowFaults) distSQLStmt()         {}
-func (*ShowRemoteStatus) distSQLStmt()   {}
-func (*ShowClusterMetrics) distSQLStmt() {}
-func (*ShowAdmission) distSQLStmt()      {}
-func (*ShowTxnMetrics) distSQLStmt()     {}
-func (*ShowDigests) distSQLStmt()        {}
-func (*ShowShardHeat) distSQLStmt()      {}
-func (*ShowHotKeys) distSQLStmt()        {}
-func (*ResetDigests) distSQLStmt()       {}
-
-// parser walks the token stream from the shared lexer.
+// parser walks the tokens of a verb's arguments: what the shared SQL lexer
+// makes of the text after the verb's keywords.
 type parser struct {
 	toks []sqlparser.Token
 	pos  int
-	sql  string
+	sql  string // the whole statement, for error messages
 }
 
-// Parse parses one DistSQL statement.
-func Parse(sql string) (Statement, error) {
-	trimmed := strings.TrimSpace(sql)
-	up := strings.ToUpper(trimmed)
-	// PREVIEW keeps its payload verbatim.
-	if strings.HasPrefix(up, "PREVIEW") {
-		rest := strings.TrimSpace(trimmed[len("PREVIEW"):])
-		if rest == "" {
-			return nil, fmt.Errorf("distsql: PREVIEW needs a statement")
-		}
-		return &Preview{SQL: strings.TrimSuffix(rest, ";")}, nil
-	}
-	// TRACE keeps its payload verbatim too.
-	if strings.HasPrefix(up, "TRACE") {
-		rest := strings.TrimSpace(trimmed[len("TRACE"):])
-		if rest == "" {
-			return nil, fmt.Errorf("distsql: TRACE needs a statement")
-		}
-		return &TraceStmt{SQL: strings.TrimSuffix(rest, ";")}, nil
-	}
-	toks, err := sqlparser.Tokenize(trimmed)
+func newParser(sql, args string) (*parser, error) {
+	toks, err := sqlparser.Tokenize(args)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, sql: trimmed}
-	stmt, err := p.parse()
-	if err != nil {
-		return nil, err
-	}
-	p.accept(";")
-	if !p.eof() {
-		return nil, fmt.Errorf("distsql: trailing input after statement: %q", p.cur().Val)
-	}
-	return stmt, nil
+	return &parser{toks: toks, sql: sql}, nil
 }
 
 func (p *parser) cur() sqlparser.Token { return p.toks[p.pos] }
-
-func (p *parser) eof() bool { return p.cur().Type == sqlparser.TokenEOF }
 
 // word returns the upper-cased text of the current token if it is a word.
 func (p *parser) word() string {
@@ -271,6 +88,15 @@ func (p *parser) expect(text string) error {
 	return nil
 }
 
+// end checks that nothing but an optional semicolon follows the arguments.
+func (p *parser) end() error {
+	p.accept(";")
+	if p.cur().Type != sqlparser.TokenEOF {
+		return fmt.Errorf("distsql: trailing input after statement: %q", p.cur().Val)
+	}
+	return nil
+}
+
 // ident consumes an identifier (or keyword used as one).
 func (p *parser) ident() (string, error) {
 	t := p.cur()
@@ -294,246 +120,39 @@ func (p *parser) value() (string, error) {
 	}
 }
 
-func (p *parser) parse() (Statement, error) {
-	switch p.word() {
-	case "CREATE", "ALTER":
-		alter := p.word() == "ALTER"
-		p.pos++
-		switch p.word() {
-		case "SHARDING":
-			return p.parseShardingRule(alter)
-		case "BINDING":
-			return p.parseBinding(true)
-		case "BROADCAST":
-			return p.parseBroadcast()
-		}
-		return nil, fmt.Errorf("distsql: unsupported CREATE/ALTER target %q", p.cur().Val)
-	case "DROP":
-		p.pos++
-		switch p.word() {
-		case "SHARDING":
-			p.pos++
-			if err := p.expect("TABLE"); err != nil {
-				return nil, err
-			}
-			if err := p.expect("RULE"); err != nil {
-				return nil, err
-			}
-			t, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return &DropShardingRule{Table: t}, nil
-		case "BINDING":
-			return p.parseBinding(false)
-		}
-		return nil, fmt.Errorf("distsql: unsupported DROP target %q", p.cur().Val)
-	case "SHOW":
-		p.pos++
-		switch p.word() {
-		case "SHARDING":
-			p.pos++
-			if err := p.expect("TABLE"); err != nil {
-				return nil, err
-			}
-			if p.accept("RULES") {
-				return &ShowRules{Kind: "sharding"}, nil
-			}
-			if err := p.expect("RULE"); err != nil {
-				return nil, err
-			}
-			t, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return &ShowRules{Kind: "sharding", Table: t}, nil
-		case "BINDING":
-			p.pos++
-			if err := p.expect("TABLE"); err != nil {
-				return nil, err
-			}
-			if err := p.expect("RULES"); err != nil {
-				return nil, err
-			}
-			return &ShowRules{Kind: "binding"}, nil
-		case "BROADCAST":
-			p.pos++
-			if err := p.expect("TABLE"); err != nil {
-				return nil, err
-			}
-			if err := p.expect("RULES"); err != nil {
-				return nil, err
-			}
-			return &ShowRules{Kind: "broadcast"}, nil
-		case "RESOURCES":
-			p.pos++
-			return &ShowResources{}, nil
-		case "STATUS":
-			p.pos++
-			return &ShowStatus{}, nil
-		case "SQL":
-			p.pos++
-			if err := p.expect("METRICS"); err != nil {
-				return nil, err
-			}
-			return &ShowSQLMetrics{}, nil
-		case "SLOW":
-			p.pos++
-			if err := p.expect("QUERIES"); err != nil {
-				return nil, err
-			}
-			return &ShowSlowQueries{}, nil
-		case "PLAN":
-			p.pos++
-			if err := p.expect("CACHE"); err != nil {
-				return nil, err
-			}
-			if err := p.expect("STATUS"); err != nil {
-				return nil, err
-			}
-			return &ShowPlanCache{}, nil
-		case "VARIABLE":
-			p.pos++
-			name, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return &ShowVariable{Name: strings.ToLower(name)}, nil
-		case "FAULTS":
-			p.pos++
-			return &ShowFaults{}, nil
-		case "REMOTE":
-			p.pos++
-			if err := p.expect("STATUS"); err != nil {
-				return nil, err
-			}
-			return &ShowRemoteStatus{}, nil
-		case "CLUSTER":
-			p.pos++
-			if err := p.expect("METRICS"); err != nil {
-				return nil, err
-			}
-			return &ShowClusterMetrics{}, nil
-		case "ADMISSION":
-			p.pos++
-			if err := p.expect("STATUS"); err != nil {
-				return nil, err
-			}
-			return &ShowAdmission{}, nil
-		case "TRANSACTION":
-			p.pos++
-			if err := p.expect("METRICS"); err != nil {
-				return nil, err
-			}
-			return &ShowTxnMetrics{}, nil
-		case "STATEMENT":
-			p.pos++
-			if err := p.expect("DIGESTS"); err != nil {
-				return nil, err
-			}
-			stmt := &ShowDigests{OrderBy: "total_time"}
-			if p.accept("ORDER") {
-				if err := p.expect("BY"); err != nil {
-					return nil, err
-				}
-				col, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				switch strings.ToLower(col) {
-				case "total_time", "calls":
-					stmt.OrderBy = strings.ToLower(col)
-				default:
-					return nil, fmt.Errorf("distsql: ORDER BY wants total_time or calls, got %q", col)
-				}
-			}
-			return stmt, nil
-		case "SHARD":
-			p.pos++
-			if err := p.expect("HEAT"); err != nil {
-				return nil, err
-			}
-			return &ShowShardHeat{}, nil
-		case "HOT":
-			p.pos++
-			if err := p.expect("KEYS"); err != nil {
-				return nil, err
-			}
-			return &ShowHotKeys{}, nil
-		}
-		return nil, fmt.Errorf("distsql: unsupported SHOW target %q", p.cur().Val)
-	case "RESET":
-		p.pos++
-		if err := p.expect("DIGESTS"); err != nil {
-			return nil, err
-		}
-		return &ResetDigests{}, nil
-	case "RESHARD":
-		p.pos++
-		if p.word() == "SHARDING" {
-			p.pos++ // tolerate RESHARD SHARDING TABLE ...
-		}
-		if err := p.expect("TABLE"); err != nil {
-			return nil, err
-		}
-		table, err := p.ident()
+// names parses t1 [, t2 ...] (CREATE BROADCAST TABLE RULE's argument).
+func (p *parser) names() ([]string, error) {
+	var out []string
+	for {
+		n, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		rule, err := p.parseRuleBody(table, true)
-		if err != nil {
-			return nil, err
+		out = append(out, n)
+		if !p.accept(",") {
+			return out, nil
 		}
-		return &Reshard{Rule: rule}, nil
-	case "INJECT":
-		p.pos++
-		if err := p.expect("FAULT"); err != nil {
-			return nil, err
-		}
-		src, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		stmt := &InjectFault{Source: src, Properties: map[string]string{}}
-		if p.accept("(") {
-			for {
-				k, err := p.value()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expect("="); err != nil {
-					return nil, err
-				}
-				v, err := p.value()
-				if err != nil {
-					return nil, err
-				}
-				stmt.Properties[strings.ToLower(k)] = v
-				if !p.accept(",") {
-					break
-				}
-			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
-			}
-		}
-		return stmt, nil
-	case "REMOVE":
-		p.pos++
-		if err := p.expect("FAULT"); err != nil {
-			return nil, err
-		}
-		src, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &RemoveFault{Source: src}, nil
-	case "SET":
-		p.pos++
-		if err := p.expect("VARIABLE"); err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
+	}
+}
+
+// parenNames parses (t1, t2, ...): a binding group, a rule's RESOURCES.
+func (p *parser) parenNames() ([]string, error) {
+	if err := p.expect("("); err != nil {
+		return nil, err
+	}
+	out, err := p.names()
+	if err != nil {
+		return nil, err
+	}
+	return out, p.expect(")")
+}
+
+// properties parses k = v, ...) after an opening parenthesis, keys
+// lower-cased: a rule's PROPERTIES and the INJECT FAULT property list.
+func (p *parser) properties() (map[string]string, error) {
+	out := map[string]string{}
+	for {
+		k, err := p.value()
 		if err != nil {
 			return nil, err
 		}
@@ -544,166 +163,117 @@ func (p *parser) parse() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &SetVariable{Name: strings.ToLower(name), Value: v}, nil
+		out[strings.ToLower(k)] = v
+		if !p.accept(",") {
+			return out, p.expect(")")
+		}
 	}
-	return nil, fmt.Errorf("%w: %q", ErrNotDistSQL, p.sql)
 }
 
-// parseShardingRule parses the body after CREATE/ALTER SHARDING.
-func (p *parser) parseShardingRule(alter bool) (Statement, error) {
-	p.pos++ // SHARDING
-	if err := p.expect("TABLE"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("RULE"); err != nil {
-		return nil, err
-	}
+// ruleSpec parses the AutoTable definition shared by CREATE/ALTER SHARDING
+// TABLE RULE and RESHARD TABLE:
+//
+//	<t> (
+//	    RESOURCES(ds0, ds1),
+//	    SHARDING_COLUMN = uid,
+//	    TYPE = hash_mod,
+//	    PROPERTIES("sharding-count" = 2)
+//	)
+func (p *parser) ruleSpec() (sharding.AutoTableSpec, error) {
+	var spec sharding.AutoTableSpec
 	table, err := p.ident()
 	if err != nil {
-		return nil, err
+		return spec, err
 	}
-	return p.parseRuleBody(table, alter)
-}
-
-// parseRuleBody parses "(RESOURCES(...), SHARDING_COLUMN=..., TYPE=...,
-// PROPERTIES(...))" after the table name.
-func (p *parser) parseRuleBody(table string, alter bool) (*CreateShardingRule, error) {
-	stmt := &CreateShardingRule{Table: table, Alter: alter, Properties: map[string]string{}}
+	spec.LogicTable = table
 	if err := p.expect("("); err != nil {
-		return nil, err
+		return spec, err
 	}
 	for {
 		switch p.word() {
 		case "RESOURCES":
 			p.pos++
-			if err := p.expect("("); err != nil {
-				return nil, err
-			}
-			for {
-				r, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				stmt.Resources = append(stmt.Resources, r)
-				if !p.accept(",") {
-					break
-				}
-			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
-			}
+			spec.Resources, err = p.parenNames()
 		case "SHARDING_COLUMN":
 			p.pos++
-			if err := p.expect("="); err != nil {
-				return nil, err
+			if err = p.expect("="); err == nil {
+				spec.ShardingColumn, err = p.ident()
 			}
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Column = c
 		case "TYPE":
 			p.pos++
-			if err := p.expect("="); err != nil {
-				return nil, err
+			if err = p.expect("="); err == nil {
+				spec.AlgorithmType, err = p.value()
 			}
-			v, err := p.value()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Type = v
 		case "PROPERTIES":
 			p.pos++
-			if err := p.expect("("); err != nil {
-				return nil, err
-			}
-			for {
-				k, err := p.value()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expect("="); err != nil {
-					return nil, err
-				}
-				v, err := p.value()
-				if err != nil {
-					return nil, err
-				}
-				stmt.Properties[strings.ToLower(k)] = v
-				if !p.accept(",") {
-					break
-				}
-			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
+			if err = p.expect("("); err == nil {
+				spec.Properties, err = p.properties()
 			}
 		default:
-			return nil, fmt.Errorf("distsql: unexpected rule clause %q in %q", p.cur().Val, p.sql)
+			err = fmt.Errorf("distsql: unexpected rule clause %q in %q", p.cur().Val, p.sql)
+		}
+		if err != nil {
+			return spec, err
 		}
 		if !p.accept(",") {
 			break
 		}
 	}
 	if err := p.expect(")"); err != nil {
-		return nil, err
+		return spec, err
 	}
-	if len(stmt.Resources) == 0 || stmt.Column == "" || stmt.Type == "" {
-		return nil, fmt.Errorf("distsql: rule for %s needs RESOURCES, SHARDING_COLUMN and TYPE", table)
+	if len(spec.Resources) == 0 || spec.ShardingColumn == "" || spec.AlgorithmType == "" {
+		return spec, fmt.Errorf("distsql: rule for %s needs RESOURCES, SHARDING_COLUMN and TYPE", table)
 	}
-	return stmt, nil
+	return spec, nil
 }
 
-// parseBinding parses CREATE/DROP BINDING TABLE RULES (t1, t2, ...).
-func (p *parser) parseBinding(create bool) (Statement, error) {
-	p.pos++ // BINDING
-	if err := p.expect("TABLE"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("RULES"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	var tables []string
-	for {
-		t, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-		if !p.accept(",") {
-			break
-		}
-	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	if create {
-		return &CreateBinding{Tables: tables}, nil
-	}
-	return &DropBinding{Tables: tables}, nil
+// faultSpec is INJECT FAULT's argument: <source> [(k = v, ...)].
+type faultSpec struct {
+	source string
+	props  map[string]string
 }
 
-// parseBroadcast parses CREATE BROADCAST TABLE RULE t1 [, t2 ...].
-func (p *parser) parseBroadcast() (Statement, error) {
-	p.pos++ // BROADCAST
-	if err := p.expect("TABLE"); err != nil {
-		return nil, err
+func (p *parser) faultSpec() (faultSpec, error) {
+	src, err := p.ident()
+	f := faultSpec{source: src}
+	if err == nil && p.accept("(") {
+		f.props, err = p.properties()
 	}
-	if err := p.expect("RULE"); err != nil {
-		return nil, err
+	return f, err
+}
+
+// assignment is SET VARIABLE's argument: <name> = <value>.
+type assignment struct{ name, value string }
+
+func (p *parser) assignment() (assignment, error) {
+	name, err := p.ident()
+	if err != nil {
+		return assignment{}, err
 	}
-	var tables []string
-	for {
-		t, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-		if !p.accept(",") {
-			break
-		}
+	if err := p.expect("="); err != nil {
+		return assignment{}, err
 	}
-	return &CreateBroadcast{Tables: tables}, nil
+	v, err := p.value()
+	return assignment{strings.ToLower(name), v}, err
+}
+
+// digestOrder parses SHOW STATEMENT DIGESTS' optional ORDER BY
+// total_time|calls (default total_time).
+func (p *parser) digestOrder() (string, error) {
+	if !p.accept("ORDER") {
+		return "total_time", nil
+	}
+	if err := p.expect("BY"); err != nil {
+		return "", err
+	}
+	col, err := p.ident()
+	if err != nil {
+		return "", err
+	}
+	switch col = strings.ToLower(col); col {
+	case "total_time", "calls":
+		return col, nil
+	}
+	return "", fmt.Errorf("distsql: ORDER BY wants total_time or calls, got %q", col)
 }

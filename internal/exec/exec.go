@@ -93,16 +93,6 @@ func (m ConnectionMode) String() string {
 	return "MEMORY_STRICTLY"
 }
 
-// Options tunes the executor.
-type Options struct {
-	// MaxCon is the maximum connections one query may use per data source
-	// (the paper's maxConnectionsSizePerQuery). Default 1.
-	MaxCon int
-	// Serial forces sequential execution (used by transactions pinned to
-	// one connection per source).
-	Serial bool
-}
-
 // Listener observes statement execution; the governor wires monitoring
 // and circuit breaking through it (the paper's "event messages").
 type Listener func(dataSource, sql string, dur time.Duration, err error)
@@ -128,7 +118,7 @@ type Executor struct {
 	// cache without the cache storing anything but the cell.
 	heatCache [heatCacheSize]atomic.Pointer[digest.Cell]
 	// stats is a copy-on-write snapshot of per-source telemetry buckets,
-	// rebuilt on SetTelemetry/AddSource/RemoveSource so the per-unit hot
+	// rebuilt on SetTelemetry so the per-unit hot
 	// path resolves its bucket with one plain map read.
 	stats atomic.Pointer[map[string]*telemetry.SourceStats]
 
@@ -292,39 +282,6 @@ func (e *Executor) Sources() []string {
 		out = append(out, n)
 	}
 	return out
-}
-
-// AddSource registers a data source at runtime (DistSQL ADD RESOURCE).
-func (e *Executor) AddSource(ds *resource.DataSource) error {
-	e.lockMu.Lock()
-	defer e.lockMu.Unlock()
-	if _, dup := e.sources[ds.Name()]; dup {
-		return fmt.Errorf("exec: data source %q already registered", ds.Name())
-	}
-	e.sources[ds.Name()] = ds
-	if tel := e.tel; tel != nil {
-		name := ds.Name()
-		ds.SetAcquireObserver(func(wait time.Duration, timedOut bool) {
-			tel.ObserveAcquire(name, wait, timedOut)
-		})
-	}
-	e.rebuildStats()
-	return nil
-}
-
-// RemoveSource drops a data source (DistSQL DROP RESOURCE). It fails if
-// unknown; callers must ensure no rule still references it.
-func (e *Executor) RemoveSource(name string) error {
-	e.lockMu.Lock()
-	defer e.lockMu.Unlock()
-	ds, ok := e.sources[name]
-	if !ok {
-		return fmt.Errorf("exec: unknown data source %q", name)
-	}
-	delete(e.sources, name)
-	ds.Close()
-	e.rebuildStats()
-	return nil
 }
 
 func (e *Executor) dsLock(name string) *sync.Mutex {
@@ -989,21 +946,4 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 		mu.Unlock()
 	}
 	return nil
-}
-
-// Broadcast sends one statement to every data source (TCL fan-out and
-// governance commands).
-func (e *Executor) Broadcast(sql string, held *HeldConns) error {
-	var units []rewrite.SQLUnit
-	if held != nil {
-		for _, ds := range held.Sources() {
-			units = append(units, rewrite.SQLUnit{DataSource: ds, SQL: sql})
-		}
-	} else {
-		for _, ds := range e.Sources() {
-			units = append(units, rewrite.SQLUnit{DataSource: ds, SQL: sql})
-		}
-	}
-	_, err := e.ExecuteUpdateCtx(context.TODO(), units, held, nil)
-	return err
 }

@@ -245,26 +245,6 @@ func TestListenerObservesExecutions(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	e := fixture(t, 4)
-	if err := e.Broadcast("CREATE TABLE b (id INT PRIMARY KEY)", nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
-		"ds0": {"SELECT COUNT(*) FROM b"},
-		"ds1": {"SELECT COUNT(*) FROM b"},
-	}), nil, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rs := range res.Sets {
-		rows, _ := resource.ReadAll(rs)
-		if rows[0][0].I != 0 {
-			t.Fatalf("broadcast table: %v", rows)
-		}
-	}
-}
-
 func TestParallelQueriesNoDeadlock(t *testing.T) {
 	// Two concurrent multi-SQL queries against a pool of 2 in stream mode:
 	// atomic acquisition prevents the A-has-1-waits-2 / B-has-2-waits-1

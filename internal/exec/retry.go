@@ -51,9 +51,6 @@ func (e *Executor) SetRetryPolicy(p *RetryPolicy) {
 	e.retryPolicy.Store(p)
 }
 
-// RetryPolicyInEffect returns the live policy.
-func (e *Executor) RetryPolicyInEffect() *RetryPolicy { return e.retryPolicy.Load() }
-
 // sleepCtx pauses for d or until ctx is done, returning ctx's error when
 // interrupted.
 func sleepCtx(ctx context.Context, d time.Duration) error {

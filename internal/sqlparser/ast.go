@@ -270,14 +270,6 @@ type TableRef struct {
 	On    Expr // nil for JoinNone / comma joins
 }
 
-// RefName returns the name queries use to qualify columns of this table.
-func (t *TableRef) RefName() string {
-	if t.Alias != "" {
-		return t.Alias
-	}
-	return t.Name
-}
-
 // OrderItem is one ORDER BY expression.
 type OrderItem struct {
 	Expr Expr

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"shardingsphere/internal/btree"
 	"shardingsphere/internal/sqltypes"
@@ -145,6 +146,9 @@ func verifyModel(t *testing.T, tbl *Table, model map[int64]int64, round int) {
 // must be conserved because every transfer commits or aborts atomically.
 func TestConcurrentTransfersConserveSum(t *testing.T) {
 	e := NewEngine("bank")
+	// Workers lock from→to against to→from; each deadlock resolves by this
+	// timeout, so keep it far below the 2 s default.
+	e.SetLockTimeout(20 * time.Millisecond)
 	if err := e.CreateTable(TableSpec{
 		Name: "acct",
 		Schema: sqltypes.Schema{

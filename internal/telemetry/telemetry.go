@@ -516,6 +516,9 @@ func (c *Collector) SetStageSampling(every int) {
 	c.sampleEvery.Store(int64(every))
 }
 
+// StageSampling returns the stage-mark sampling period.
+func (c *Collector) StageSampling() int { return int(c.sampleEvery.Load()) }
+
 // SetSlowThreshold sets the minimum statement total that enters the slow
 // log.
 func (c *Collector) SetSlowThreshold(d time.Duration) {
@@ -549,6 +552,13 @@ func (c *Collector) SetSlowLogCapacity(n int) {
 	if c != nil {
 		c.slow.setCapacity(n)
 	}
+}
+
+// SlowLogCapacity returns the slow-query ring's bound.
+func (c *Collector) SlowLogCapacity() int {
+	c.slow.mu.Lock()
+	defer c.slow.mu.Unlock()
+	return c.slow.capacity
 }
 
 // Redact applies the collector's capture policy to a statement: the
@@ -701,12 +711,6 @@ func (c *Collector) observeStage(stage Stage, d time.Duration) {
 		return
 	}
 	c.stage[stage].Observe(d)
-}
-
-// ObserveStage records a stage latency without a trace (used by
-// transaction phases on untraced statements).
-func (c *Collector) ObserveStage(stage Stage, d time.Duration) {
-	c.observeStage(stage, d)
 }
 
 // Source returns (creating if needed) the stats bucket for a data source.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // groupCommitter batches concurrent transactions' XA log operations into
@@ -13,11 +12,9 @@ import (
 // leader/follower: the first arriving operation becomes the leader and
 // writes immediately — a lone transaction pays zero added latency — while
 // operations arriving during that write queue up and ride the leader's
-// next batch. An optional accumulation window trades latency for bigger
-// batches when the log's sync cost dominates.
+// next batch.
 type groupCommitter struct {
-	store  LogStore
-	window atomic.Int64 // extra accumulation before the leader drains (ns)
+	store LogStore
 
 	mu      sync.Mutex
 	pending []logOp
@@ -39,10 +36,6 @@ type logOp struct {
 func newGroupCommitter(store LogStore) *groupCommitter {
 	return &groupCommitter{store: store}
 }
-
-// setWindow sets the optional accumulation window (0 = purely
-// opportunistic batching).
-func (g *groupCommitter) setWindow(d time.Duration) { g.window.Store(int64(d)) }
 
 func (g *groupCommitter) write(ctx context.Context, rec LogRecord) error {
 	return g.submit(ctx, logOp{rec: &rec})
@@ -78,9 +71,6 @@ func (g *groupCommitter) submit(ctx context.Context, op logOp) error {
 // becomes the next leader — there is no standing goroutine and no timer
 // to keep idle coordinators busy.
 func (g *groupCommitter) lead() {
-	if w := time.Duration(g.window.Load()); w > 0 {
-		time.Sleep(w)
-	}
 	for {
 		g.mu.Lock()
 		batch := g.pending
@@ -136,9 +126,3 @@ func (g *groupCommitter) metrics() map[string]int64 {
 		"group_max_batch": g.maxBatch.Load(),
 	}
 }
-
-// SetGroupCommitWindow configures an accumulation window for the XA log
-// group committer: the batch leader waits this long before draining so
-// more concurrent commits can join its batch. Zero (the default) batches
-// purely opportunistically — a lone commit writes immediately.
-func (m *Manager) SetGroupCommitWindow(d time.Duration) { m.group.setWindow(d) }
