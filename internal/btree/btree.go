@@ -4,15 +4,22 @@
 // for its data-size experiment (Fig. 10) — lookup cost grows with the tree
 // height, so sharding a table into smaller trees genuinely reduces per-row
 // access cost.
+//
+// A key of one integer column, which is what every primary key in the
+// paper's workloads is, lives in the tree node itself; comparing two of
+// them reads nothing outside the node.
 package btree
 
 import (
+	"cmp"
+	"slices"
+
 	"shardingsphere/internal/sqltypes"
 )
 
-// degree is the minimum number of children per internal node. 16 keeps
-// nodes around one cache line's worth of key headers without making splits
-// too frequent.
+// degree is the minimum number of children per internal node. At 16 a node
+// holds 15 to 31 items of 40 bytes, so a binary search reads at most five
+// of them, and a 1,000-row shard is three levels deep.
 const degree = 16
 
 const (
@@ -20,7 +27,8 @@ const (
 	minItems = degree - 1
 )
 
-// Key is a tuple key. Keys compare column-wise with sqltypes.Compare.
+// Key is a tuple key of at least one column. Keys compare column-wise with
+// sqltypes.Compare.
 type Key = sqltypes.Row
 
 // CompareKeys orders two tuple keys column by column; a shorter key that is
@@ -46,125 +54,182 @@ func CompareKeys(a, b Key) int {
 	}
 }
 
-type item struct {
-	key Key
-	val any
+// ikey is a key as the tree holds and probes it. A key of one KindInt
+// column is the lane alone; any other key is the tuple. Two lanes compare
+// as sqltypes.Compare compares two KindInt values, and every other pairing
+// goes through CompareKeys, so the tree's order is exactly CompareKeys'.
+type ikey struct {
+	lane  int64
+	tuple Key // nil: the key is the integer in lane
 }
 
-type node struct {
-	items    []item
-	children []*node // nil for leaves
+func inline(k Key) ikey {
+	if len(k) == 1 && k[0].Kind == sqltypes.KindInt {
+		return ikey{lane: k[0].I}
+	}
+	return ikey{tuple: k}
 }
 
-func (n *node) leaf() bool { return len(n.children) == 0 }
+// full returns the key as a tuple, spelling a lane out into buf.
+func (k *ikey) full(buf *[1]sqltypes.Value) Key {
+	if k.tuple != nil {
+		return k.tuple
+	}
+	buf[0] = sqltypes.NewInt(k.lane)
+	return buf[:]
+}
 
-// Tree is a B-tree map from Key to any. Not safe for concurrent use; the
+// compare is CompareKeys on the two keys' tuples, the first cut to the
+// second's length when only a prefix is to be compared. The callers on the
+// read path settle two lanes themselves.
+func (k *ikey) compare(o *ikey, prefix bool) int {
+	var kb, ob [1]sqltypes.Value
+	kt, ot := k.full(&kb), o.full(&ob)
+	if prefix && len(kt) > len(ot) {
+		kt = kt[:len(ot)]
+	}
+	return CompareKeys(kt, ot)
+}
+
+// past reports whether the key lies beyond the upper bound hi: whether its
+// leading len(hi) columns compare greater than hi.
+func (k *ikey) past(hi *ikey) bool {
+	if k.tuple == nil && hi.tuple == nil {
+		return k.lane > hi.lane
+	}
+	return k.compare(hi, true) > 0
+}
+
+type item[V any] struct {
+	ikey
+	val V
+}
+
+// node holds its items in its own store, one allocation with nothing to
+// chase between a node and its keys. Both slices have their full capacity
+// from the start, so slices.Insert never reallocates, and slices.Delete
+// zeroes what it vacates, so a node retains no value the tree gave up.
+type node[V any] struct {
+	items    []item[V]
+	children []*node[V] // nil for leaves
+	store    [maxItems]item[V]
+}
+
+func newNode[V any](leaf bool) *node[V] {
+	n := &node[V]{}
+	n.items = n.store[:0]
+	if !leaf {
+		n.children = make([]*node[V], 0, maxItems+1)
+	}
+	return n
+}
+
+func (n *node[V]) leaf() bool { return len(n.children) == 0 }
+
+// Tree is a B-tree map from Key to V. Not safe for concurrent use; the
 // storage engine serializes access with its table latches.
-type Tree struct {
-	root *node
+type Tree[V any] struct {
+	root *node[V]
 	size int
 }
 
 // New returns an empty tree.
-func New() *Tree { return &Tree{root: &node{}} }
+func New[V any]() *Tree[V] { return &Tree[V]{root: newNode[V](true)} }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree[V]) Len() int { return t.size }
 
-// search finds the position of key within items, and whether it was found.
-func search(items []item, key Key) (int, bool) {
-	lo, hi := 0, len(items)
+// search finds the first position within the node's items whose key is not
+// below key, and whether the key there equals it.
+func (n *node[V]) search(key *ikey) (int, bool) {
+	lo, hi, found := 0, len(n.items), false
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if CompareKeys(items[mid].key, key) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		var c int
+		if it := &n.items[mid]; it.tuple == nil && key.tuple == nil {
+			c = cmp.Compare(it.lane, key.lane)
+		} else {
+			c = it.compare(key, false)
+		}
+		if c < 0 {
 			lo = mid + 1
 		} else {
-			hi = mid
+			hi, found = mid, c == 0
 		}
 	}
-	if lo < len(items) && CompareKeys(items[lo].key, key) == 0 {
-		return lo, true
-	}
-	return lo, false
+	return lo, found
 }
 
 // Get returns the value stored at key.
-func (t *Tree) Get(key Key) (any, bool) {
+func (t *Tree[V]) Get(key Key) (V, bool) {
+	k := inline(key)
 	n := t.root
 	for {
-		i, ok := search(n.items, key)
+		i, ok := n.search(&k)
 		if ok {
 			return n.items[i].val, true
 		}
 		if n.leaf() {
-			return nil, false
+			var zero V
+			return zero, false
 		}
 		n = n.children[i]
 	}
 }
 
 // Set inserts or replaces the value at key, returning the previous value.
-func (t *Tree) Set(key Key, val any) (any, bool) {
+func (t *Tree[V]) Set(key Key, val V) (V, bool) {
 	if len(t.root.items) == maxItems {
 		old := t.root
-		t.root = &node{children: []*node{old}}
+		t.root = newNode[V](false)
+		t.root.children = append(t.root.children, old)
 		t.root.splitChild(0)
 	}
-	prev, replaced := t.root.set(key, val)
+	prev, replaced := t.root.set(item[V]{inline(key), val})
 	if !replaced {
 		t.size++
 	}
 	return prev, replaced
 }
 
-func (n *node) set(key Key, val any) (any, bool) {
-	i, ok := search(n.items, key)
-	if ok {
+func (n *node[V]) set(it item[V]) (V, bool) {
+	i, ok := n.search(&it.ikey)
+	if !ok && !n.leaf() && len(n.children[i].items) == maxItems {
+		n.splitChild(i) // hoists an item to position i: look again
+		i, ok = n.search(&it.ikey)
+	}
+	switch {
+	case ok:
 		prev := n.items[i].val
-		n.items[i].val = val
+		n.items[i].val = it.val
 		return prev, true
+	case n.leaf():
+		n.items = slices.Insert(n.items, i, it)
+		var zero V
+		return zero, false
 	}
-	if n.leaf() {
-		n.items = append(n.items, item{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = item{key: key, val: val}
-		return nil, false
-	}
-	if len(n.children[i].items) == maxItems {
-		n.splitChild(i)
-		if c := CompareKeys(key, n.items[i].key); c == 0 {
-			prev := n.items[i].val
-			n.items[i].val = val
-			return prev, true
-		} else if c > 0 {
-			i++
-		}
-	}
-	return n.children[i].set(key, val)
+	return n.children[i].set(it)
 }
 
 // splitChild splits the full child at index i, hoisting its median item.
-func (n *node) splitChild(i int) {
+func (n *node[V]) splitChild(i int) {
 	child := n.children[i]
 	median := child.items[minItems]
-	right := &node{}
+	right := newNode[V](child.leaf())
 	right.items = append(right.items, child.items[minItems+1:]...)
-	child.items = child.items[:minItems]
+	child.items = slices.Delete(child.items, minItems, len(child.items))
 	if !child.leaf() {
 		right.children = append(right.children, child.children[minItems+1:]...)
-		child.children = child.children[:minItems+1]
+		child.children = slices.Delete(child.children, minItems+1, len(child.children))
 	}
-	n.items = append(n.items, item{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = median
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
+	n.items = slices.Insert(n.items, i, median)
+	n.children = slices.Insert(n.children, i+1, right)
 }
 
 // Delete removes key, returning its value.
-func (t *Tree) Delete(key Key) (any, bool) {
-	val, ok := t.root.delete(key)
+func (t *Tree[V]) Delete(key Key) (V, bool) {
+	k := inline(key)
+	val, ok := t.root.delete(&k)
 	if ok {
 		t.size--
 	}
@@ -177,14 +242,15 @@ func (t *Tree) Delete(key Key) (any, bool) {
 // delete follows the classic CLRS algorithm: before descending into a
 // child, that child is guaranteed to hold at least `degree` items, so the
 // removal at the leaf never leaves an underfull node behind.
-func (n *node) delete(key Key) (any, bool) {
-	i, found := search(n.items, key)
+func (n *node[V]) delete(key *ikey) (V, bool) {
+	i, found := n.search(key)
 	if n.leaf() {
 		if !found {
-			return nil, false
+			var zero V
+			return zero, false
 		}
 		val := n.items[i].val
-		n.items = append(n.items[:i], n.items[i+1:]...)
+		n.items = slices.Delete(n.items, i, i+1)
 		return val, true
 	}
 	if found {
@@ -194,12 +260,12 @@ func (n *node) delete(key Key) (any, bool) {
 			// Replace with predecessor and delete it from the left child.
 			pred := n.children[i].max()
 			n.items[i] = pred
-			n.children[i].delete(pred.key)
+			n.children[i].delete(&pred.ikey)
 		case len(n.children[i+1].items) > minItems:
 			// Replace with successor and delete it from the right child.
 			succ := n.children[i+1].min()
 			n.items[i] = succ
-			n.children[i+1].delete(succ.key)
+			n.children[i+1].delete(&succ.ikey)
 		default:
 			// Merge the two children around the key, then delete from the
 			// merged child.
@@ -216,7 +282,7 @@ func (n *node) delete(key Key) (any, bool) {
 }
 
 // max returns the maximum item of the subtree.
-func (n *node) max() item {
+func (n *node[V]) max() item[V] {
 	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}
@@ -224,7 +290,7 @@ func (n *node) max() item {
 }
 
 // min returns the minimum item of the subtree.
-func (n *node) min() item {
+func (n *node[V]) min() item[V] {
 	for !n.leaf() {
 		n = n.children[0]
 	}
@@ -234,17 +300,18 @@ func (n *node) min() item {
 // fillChild grows children[i] to at least degree items by borrowing from a
 // sibling or merging, and returns the (possibly shifted) index of the child
 // that now covers the original key range.
-func (n *node) fillChild(i int) int {
+func (n *node[V]) fillChild(i int) int {
 	child := n.children[i]
 	// Borrow from left sibling.
 	if i > 0 && len(n.children[i-1].items) > minItems {
 		left := n.children[i-1]
-		child.items = append([]item{n.items[i-1]}, child.items...)
-		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
+		last := len(left.items) - 1
+		child.items = slices.Insert(child.items, 0, n.items[i-1])
+		n.items[i-1] = left.items[last]
+		left.items = slices.Delete(left.items, last, last+1)
 		if !child.leaf() {
-			child.children = append([]*node{left.children[len(left.children)-1]}, child.children...)
-			left.children = left.children[:len(left.children)-1]
+			child.children = slices.Insert(child.children, 0, left.children[last+1])
+			left.children = slices.Delete(left.children, last+1, last+2)
 		}
 		return i
 	}
@@ -253,10 +320,10 @@ func (n *node) fillChild(i int) int {
 		right := n.children[i+1]
 		child.items = append(child.items, n.items[i])
 		n.items[i] = right.items[0]
-		right.items = right.items[1:]
+		right.items = slices.Delete(right.items, 0, 1)
 		if !child.leaf() {
 			child.children = append(child.children, right.children[0])
-			right.children = right.children[1:]
+			right.children = slices.Delete(right.children, 0, 1)
 		}
 		return i
 	}
@@ -270,57 +337,63 @@ func (n *node) fillChild(i int) int {
 }
 
 // mergeChildren merges children i and i+1 around separator item i.
-func (n *node) mergeChildren(i int) {
+func (n *node[V]) mergeChildren(i int) {
 	left, right := n.children[i], n.children[i+1]
 	left.items = append(left.items, n.items[i])
 	left.items = append(left.items, right.items...)
 	left.children = append(left.children, right.children...)
-	n.items = append(n.items[:i], n.items[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
+	n.items = slices.Delete(n.items, i, i+1)
+	n.children = slices.Delete(n.children, i+1, i+2)
 }
 
-// Ascend visits every entry in key order until fn returns false.
-func (t *Tree) Ascend(fn func(Key, any) bool) {
+// Ascend visits every value in key order until fn returns false.
+func (t *Tree[V]) Ascend(fn func(V) bool) {
 	t.root.ascend(nil, nil, fn)
 }
 
-// AscendRange visits entries with lo <= key <= hi (nil bounds are open)
-// in key order until fn returns false.
-func (t *Tree) AscendRange(lo, hi Key, fn func(Key, any) bool) {
-	t.root.ascend(lo, hi, fn)
+// AscendRange visits values in key order until fn returns false, from the
+// first key >= lo to the last key whose leading len(hi) columns are <= hi:
+// for bounds as long as the keys that is lo <= key <= hi, and a shorter hi
+// takes in every key it is a prefix of. Nil bounds are open.
+func (t *Tree[V]) AscendRange(lo, hi Key, fn func(V) bool) {
+	var l, h *ikey
+	if lo != nil {
+		k := inline(lo)
+		l = &k
+	}
+	if hi != nil {
+		k := inline(hi)
+		h = &k
+	}
+	t.root.ascend(l, h, fn)
 }
 
-func (n *node) ascend(lo, hi Key, fn func(Key, any) bool) bool {
-	start := 0
+// ascend walks the subtree in order. lo is compared once per level, to
+// find where to start: only the first subtree entered can hold keys below
+// it.
+func (n *node[V]) ascend(lo, hi *ikey, fn func(V) bool) bool {
+	i := 0
 	if lo != nil {
-		start, _ = search(n.items, lo)
+		i, _ = n.search(lo)
 	}
-	for i := start; i < len(n.items); i++ {
-		if !n.leaf() {
-			if !n.children[i].ascend(lo, hi, fn) {
-				return false
-			}
-		}
-		it := n.items[i]
-		if lo != nil && CompareKeys(it.key, lo) < 0 {
-			continue
-		}
-		if hi != nil && CompareKeys(it.key, hi) > 0 {
+	for ; ; i++ {
+		if !n.leaf() && !n.children[i].ascend(lo, hi, fn) {
 			return false
 		}
-		if !fn(it.key, it.val) {
+		if i == len(n.items) {
+			return true
+		}
+		lo = nil
+		it := &n.items[i]
+		if (hi != nil && it.past(hi)) || !fn(it.val) {
 			return false
 		}
 	}
-	if !n.leaf() {
-		return n.children[len(n.children)-1].ascend(lo, hi, fn)
-	}
-	return true
 }
 
 // Height returns the tree height (0 for an empty tree); exported for tests
 // and for the engine's statistics.
-func (t *Tree) Height() int {
+func (t *Tree[V]) Height() int {
 	h := 0
 	n := t.root
 	for {

@@ -1,202 +1,238 @@
 package btree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"shardingsphere/internal/sqltypes"
 )
 
-func intKey(v int64) Key { return Key{sqltypes.NewInt(v)} }
+func intKey(v int64) Key     { return Key{sqltypes.NewInt(v)} }
+func floatKey(v float64) Key { return Key{sqltypes.NewFloat(v)} }
+func strKey(v string) Key    { return Key{sqltypes.NewString(v)} }
 
-func TestSetGetDelete(t *testing.T) {
-	tr := New()
-	if _, ok := tr.Get(intKey(1)); ok {
-		t.Fatal("empty tree should miss")
-	}
-	tr.Set(intKey(1), "a")
-	tr.Set(intKey(2), "b")
-	if v, ok := tr.Get(intKey(1)); !ok || v != "a" {
-		t.Fatalf("get 1: %v %v", v, ok)
-	}
-	if prev, replaced := tr.Set(intKey(1), "a2"); !replaced || prev != "a" {
-		t.Fatalf("replace: %v %v", prev, replaced)
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("len: %d", tr.Len())
-	}
-	if v, ok := tr.Delete(intKey(1)); !ok || v != "a2" {
-		t.Fatalf("delete: %v %v", v, ok)
-	}
-	if _, ok := tr.Get(intKey(1)); ok {
-		t.Fatal("deleted key still present")
-	}
-	if _, ok := tr.Delete(intKey(99)); ok {
-		t.Fatal("delete of missing key should miss")
-	}
+// oracle is the reference the tree is checked against: entries kept sorted
+// by CompareKeys in a slice, every operation a linear pass.
+type oracle []entry
+
+type entry struct {
+	key Key
+	val int
 }
 
-func TestAscendOrder(t *testing.T) {
-	tr := New()
-	perm := rand.New(rand.NewSource(1)).Perm(1000)
-	for _, v := range perm {
-		tr.Set(intKey(int64(v)), v)
+func (o oracle) find(k Key) int {
+	return slices.IndexFunc(o, func(e entry) bool { return CompareKeys(e.key, k) == 0 })
+}
+
+func (o *oracle) set(k Key, v int) (int, bool) {
+	if i := o.find(k); i >= 0 {
+		prev := (*o)[i].val
+		(*o)[i].val = v
+		return prev, true
 	}
-	var got []int64
-	tr.Ascend(func(k Key, v any) bool {
-		got = append(got, k[0].I)
-		return true
-	})
-	if len(got) != 1000 {
-		t.Fatalf("ascend count: %d", len(got))
+	at := slices.IndexFunc(*o, func(e entry) bool { return CompareKeys(e.key, k) > 0 })
+	if at < 0 {
+		at = len(*o)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("not sorted at %d: %d >= %d", i, got[i-1], got[i])
+	*o = slices.Insert(*o, at, entry{k, v})
+	return 0, false
+}
+
+func (o *oracle) delete(k Key) (int, bool) {
+	i := o.find(k)
+	if i < 0 {
+		return 0, false
+	}
+	v := (*o)[i].val
+	*o = slices.Delete(*o, i, i+1)
+	return v, true
+}
+
+// between lists the values AscendRange must visit: keys not below lo whose
+// leading len(hi) columns are not above hi.
+func (o oracle) between(lo, hi Key) []int {
+	var out []int
+	for _, e := range o {
+		k := e.key
+		if lo != nil && CompareKeys(k, lo) < 0 {
+			continue
 		}
+		if hi != nil {
+			if len(k) > len(hi) {
+				k = k[:len(hi)]
+			}
+			if CompareKeys(k, hi) > 0 {
+				continue
+			}
+		}
+		out = append(out, e.val)
+	}
+	return out
+}
+
+// keyFamily is one kind of stored key with the probes that go with it.
+// Stored keys of a family share their kinds, so CompareKeys orders them
+// totally; probes may be of another kind as long as they compare
+// monotonically against the stored ones.
+type keyFamily struct {
+	name   string
+	stored func(*rand.Rand) Key
+	probe  func(*rand.Rand) Key
+}
+
+var boundaryInts = []int64{math.MinInt64, math.MinInt64 + 1, -1 << 53, -2, -1, 0, 1, 2, 1 << 53, math.MaxInt64 - 1, math.MaxInt64}
+
+func smallInt(rng *rand.Rand) int64 { return int64(rng.Intn(400)) - 200 }
+
+var families = []keyFamily{
+	{
+		// The inline lane with exact probes: negative, boundary and dense
+		// small integers.
+		name: "int",
+		stored: func(rng *rand.Rand) Key {
+			if rng.Intn(8) == 0 {
+				return intKey(boundaryInts[rng.Intn(len(boundaryInts))])
+			}
+			return intKey(smallInt(rng))
+		},
+		probe: func(rng *rand.Rand) Key { return intKey(smallInt(rng)) },
+	},
+	{
+		// Integer keys probed the way "id BETWEEN 1.5 AND '7'" probes them:
+		// the lane must fall back to sqltypes.Compare's coercions.
+		name:   "int keys, float and string probes",
+		stored: func(rng *rand.Rand) Key { return intKey(smallInt(rng)) },
+		probe: func(rng *rand.Rand) Key {
+			switch rng.Intn(3) {
+			case 0:
+				return floatKey(float64(smallInt(rng)) + 0.5)
+			case 1:
+				return floatKey(float64(smallInt(rng)))
+			default:
+				return strKey(fmt.Sprint(smallInt(rng)))
+			}
+		},
+	},
+	{
+		name:   "string",
+		stored: func(rng *rand.Rand) Key { return strKey(fmt.Sprintf("k%03d", rng.Intn(300))) },
+		probe:  func(rng *rand.Rand) Key { return strKey(fmt.Sprintf("k%02d", rng.Intn(40))) },
+	},
+	{
+		// Two columns, few distinct leading values: the shape of a
+		// secondary-index entry. Probes are the leading column alone.
+		name: "two-column",
+		stored: func(rng *rand.Rand) Key {
+			return Key{sqltypes.NewInt(int64(rng.Intn(12))), sqltypes.NewInt(int64(rng.Intn(40)))}
+		},
+		probe: func(rng *rand.Rand) Key { return intKey(int64(rng.Intn(14)) - 1) },
+	},
+}
+
+// TestTreeAgainstSortedSlice drives a tree and the oracle with the same
+// random Set/Get/Delete/AscendRange operations, per key family, and
+// compares every answer.
+func TestTreeAgainstSortedSlice(t *testing.T) {
+	for fi, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(20220612 + fi)))
+			tr := New[int]()
+			var ref oracle
+			anyKey := func() Key {
+				if rng.Intn(4) == 0 {
+					return fam.probe(rng)
+				}
+				return fam.stored(rng)
+			}
+			bound := func() Key {
+				if rng.Intn(5) == 0 {
+					return nil
+				}
+				return anyKey()
+			}
+			for op := 0; op < 12000; op++ {
+				switch r := rng.Intn(10); {
+				case r < 4:
+					k, v := fam.stored(rng), rng.Int()
+					prev, replaced := tr.Set(k, v)
+					wantPrev, wantReplaced := ref.set(k, v)
+					if replaced != wantReplaced || prev != wantPrev {
+						t.Fatalf("op %d: Set(%v) = %d, %v; want %d, %v", op, k, prev, replaced, wantPrev, wantReplaced)
+					}
+				case r < 6:
+					k := anyKey()
+					v, ok := tr.Get(k)
+					want, wantOK := 0, false
+					if i := ref.find(k); i >= 0 {
+						want, wantOK = ref[i].val, true
+					}
+					if ok != wantOK || v != want {
+						t.Fatalf("op %d: Get(%v) = %d, %v; want %d, %v", op, k, v, ok, want, wantOK)
+					}
+				case r < 9:
+					// Deletes outnumber what would keep the tree growing, so
+					// it shrinks through merges and borrows as well.
+					k := fam.stored(rng)
+					if len(ref) > 0 && rng.Intn(2) == 0 {
+						k = ref[rng.Intn(len(ref))].key
+					}
+					v, ok := tr.Delete(k)
+					want, wantOK := ref.delete(k)
+					if ok != wantOK || v != want {
+						t.Fatalf("op %d: Delete(%v) = %d, %v; want %d, %v", op, k, v, ok, want, wantOK)
+					}
+				default:
+					lo, hi := bound(), bound() // inverted as often as not
+					var got []int
+					stop := -1
+					if rng.Intn(4) == 0 {
+						stop = rng.Intn(5)
+					}
+					tr.AscendRange(lo, hi, func(v int) bool {
+						got = append(got, v)
+						return len(got) != stop
+					})
+					want := ref.between(lo, hi)
+					if stop > 0 && len(want) > stop {
+						want = want[:stop]
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("op %d: AscendRange(%v, %v) stop %d = %v; want %v", op, lo, hi, stop, got, want)
+					}
+				}
+				if tr.Len() != len(ref) {
+					t.Fatalf("op %d: Len %d, want %d", op, tr.Len(), len(ref))
+				}
+			}
+			var all []int
+			tr.Ascend(func(v int) bool { all = append(all, v); return true })
+			if want := ref.between(nil, nil); !slices.Equal(all, want) {
+				t.Fatalf("final Ascend = %v; want %v", all, want)
+			}
+		})
 	}
 }
 
-func TestAscendRange(t *testing.T) {
-	tr := New()
-	for i := int64(0); i < 100; i++ {
-		tr.Set(intKey(i), i)
-	}
-	var got []int64
-	tr.AscendRange(intKey(10), intKey(20), func(k Key, v any) bool {
-		got = append(got, k[0].I)
-		return true
-	})
-	if len(got) != 11 || got[0] != 10 || got[10] != 20 {
-		t.Fatalf("range [10,20]: %v", got)
-	}
-	// Open bounds.
-	got = nil
-	tr.AscendRange(nil, intKey(2), func(k Key, v any) bool {
-		got = append(got, k[0].I)
-		return true
-	})
-	if len(got) != 3 {
-		t.Fatalf("range (,2]: %v", got)
-	}
-	got = nil
-	tr.AscendRange(intKey(97), nil, func(k Key, v any) bool {
-		got = append(got, k[0].I)
-		return true
-	})
-	if len(got) != 3 {
-		t.Fatalf("range [97,): %v", got)
-	}
-}
-
-func TestAscendEarlyStop(t *testing.T) {
-	tr := New()
-	for i := int64(0); i < 100; i++ {
-		tr.Set(intKey(i), i)
-	}
-	count := 0
-	tr.Ascend(func(k Key, v any) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("early stop: %d", count)
-	}
-}
-
-func TestCompositeKeys(t *testing.T) {
-	tr := New()
+func TestPrefixSortsFirst(t *testing.T) {
 	k1 := Key{sqltypes.NewInt(1), sqltypes.NewString("a")}
-	k2 := Key{sqltypes.NewInt(1), sqltypes.NewString("b")}
-	k3 := Key{sqltypes.NewInt(2), sqltypes.NewString("a")}
-	tr.Set(k2, 2)
-	tr.Set(k3, 3)
-	tr.Set(k1, 1)
-	var got []int
-	tr.Ascend(func(k Key, v any) bool {
-		got = append(got, v.(int))
-		return true
-	})
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("composite order: %v", got)
-	}
-	// Prefix sorts before extension.
-	if CompareKeys(Key{sqltypes.NewInt(1)}, k1) >= 0 {
+	if CompareKeys(intKey(1), k1) >= 0 {
 		t.Fatal("prefix must sort first")
 	}
-}
-
-func TestCompareKeysMixedTypes(t *testing.T) {
-	if CompareKeys(Key{sqltypes.Null}, Key{sqltypes.NewInt(0)}) >= 0 {
+	if CompareKeys(Key{sqltypes.Null}, intKey(0)) >= 0 {
 		t.Fatal("NULL must sort before values")
 	}
-	if CompareKeys(Key{sqltypes.NewInt(2)}, Key{sqltypes.NewFloat(2.5)}) >= 0 {
+	if CompareKeys(intKey(2), floatKey(2.5)) >= 0 {
 		t.Fatal("cross-kind numeric compare")
 	}
 }
 
-// TestRandomAgainstReference drives the tree with random operations and
-// checks every answer against a reference map.
-func TestRandomAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	tr := New()
-	ref := map[int64]int{}
-	const keySpace = 500
-	for op := 0; op < 20000; op++ {
-		k := int64(rng.Intn(keySpace))
-		switch rng.Intn(3) {
-		case 0: // set
-			v := rng.Int()
-			_, replaced := tr.Set(intKey(k), v)
-			_, exists := ref[k]
-			if replaced != exists {
-				t.Fatalf("op %d: set replaced=%v exists=%v", op, replaced, exists)
-			}
-			ref[k] = v
-		case 1: // get
-			v, ok := tr.Get(intKey(k))
-			rv, exists := ref[k]
-			if ok != exists || (ok && v.(int) != rv) {
-				t.Fatalf("op %d: get mismatch key %d", op, k)
-			}
-		case 2: // delete
-			v, ok := tr.Delete(intKey(k))
-			rv, exists := ref[k]
-			if ok != exists || (ok && v.(int) != rv) {
-				t.Fatalf("op %d: delete mismatch key %d", op, k)
-			}
-			delete(ref, k)
-		}
-		if tr.Len() != len(ref) {
-			t.Fatalf("op %d: len %d != ref %d", op, tr.Len(), len(ref))
-		}
-	}
-	// Final full scan matches sorted reference.
-	var want []int64
-	for k := range ref {
-		want = append(want, k)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	var got []int64
-	tr.Ascend(func(k Key, v any) bool {
-		got = append(got, k[0].I)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("final scan: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("final scan at %d: %d vs %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestHeightGrowsLogarithmically(t *testing.T) {
-	tr := New()
+	tr := New[struct{}]()
 	for i := int64(0); i < 100000; i++ {
-		tr.Set(intKey(i), nil)
+		tr.Set(intKey(i), struct{}{})
 	}
 	h := tr.Height()
 	if h < 2 || h > 6 {
@@ -205,23 +241,47 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 }
 
 func TestDeleteAllDescending(t *testing.T) {
-	tr := New()
+	tr := New[int64]()
 	const n = 2000
 	for i := int64(0); i < n; i++ {
 		tr.Set(intKey(i), i)
 	}
 	for i := int64(n - 1); i >= 0; i-- {
-		if _, ok := tr.Delete(intKey(i)); !ok {
-			t.Fatalf("delete %d failed", i)
+		if v, ok := tr.Delete(intKey(i)); !ok || v != i {
+			t.Fatalf("delete %d: %d, %v", i, v, ok)
 		}
 	}
-	if tr.Len() != 0 {
-		t.Fatalf("len after drain: %d", tr.Len())
+	if tr.Len() != 0 || tr.Height() != 0 {
+		t.Fatalf("after drain: len %d height %d", tr.Len(), tr.Height())
+	}
+}
+
+// TestLookupsAllocateNothing pins what the inline lane is for: finding an
+// integer key, by an integer or by any other probe, touches no heap.
+func TestLookupsAllocateNothing(t *testing.T) {
+	tr := New[int64]()
+	for i := int64(0); i < 5000; i++ {
+		tr.Set(intKey(i), i)
+	}
+	var sum int64
+	visit := func(v int64) bool { sum += v; return true }
+	for name, fn := range map[string]func(){
+		"Get":                     func() { tr.Get(intKey(777)) },
+		"Get by float":            func() { tr.Get(floatKey(777)) },
+		"AscendRange":             func() { tr.AscendRange(intKey(100), intKey(101), visit) },
+		"AscendRange float bound": func() { tr.AscendRange(floatKey(1.5), intKey(7), visit) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s allocates %v times", name, n)
+		}
+	}
+	if sum == 0 {
+		t.Fatal("ranges visited nothing")
 	}
 }
 
 func BenchmarkSet(b *testing.B) {
-	tr := New()
+	tr := New[int]()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Set(intKey(int64(i)), i)
@@ -229,7 +289,7 @@ func BenchmarkSet(b *testing.B) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr := New()
+	tr := New[int64]()
 	for i := int64(0); i < 100000; i++ {
 		tr.Set(intKey(i), i)
 	}

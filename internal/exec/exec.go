@@ -339,11 +339,9 @@ func (e *Executor) observe(tr *telemetry.Trace, ds, sql string, start time.Time,
 }
 
 // QueryResult is the outcome of executing a query statement: one result
-// set per SQL unit, in unit order, plus the connection modes used per data
-// source (surfaced for the MaxCon experiment and tests).
+// set per SQL unit, in unit order.
 type QueryResult struct {
-	Sets  []resource.ResultSet
-	Modes map[string]ConnectionMode
+	Sets []resource.ResultSet
 }
 
 // HeldConns pins one connection per data source for the life of a
@@ -495,14 +493,8 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
 	groups := e.plan(units, held)
-	res := &QueryResult{
-		Sets:  make([]resource.ResultSet, len(units)),
-		Modes: make(map[string]ConnectionMode, len(groups)),
-	}
+	res := &QueryResult{Sets: make([]resource.ResultSet, len(units))}
 	var mu sync.Mutex
-	for _, g := range groups {
-		res.Modes[g.ds] = g.mode
-	}
 	var err error
 	if len(groups) == 1 {
 		// Single data source — no fan-out to overlap, so run on the

@@ -51,12 +51,24 @@ func unitsFor(sqls map[string][]string) []rewrite.SQLUnit {
 	return out
 }
 
+// modeOn reports the connection mode the executor plans for the units'
+// group on one data source.
+func modeOn(e *Executor, units []rewrite.SQLUnit, held *HeldConns, ds string) ConnectionMode {
+	for _, g := range e.plan(units, held) {
+		if g.ds == ds {
+			return g.mode
+		}
+	}
+	return 0
+}
+
 func TestQueryAcrossSources(t *testing.T) {
 	e := fixture(t, 8)
-	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
+	units := unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t ORDER BY id"},
 		"ds1": {"SELECT * FROM t ORDER BY id"},
-	}), nil, nil, false)
+	})
+	res, err := e.QueryCtx(context.Background(), units, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,22 +81,23 @@ func TestQueryAcrossSources(t *testing.T) {
 		t.Fatalf("rows: %d %d", len(rows0), len(rows1))
 	}
 	// One SQL per source with MaxCon 1 → θ=1 → memory-strict (stream).
-	if res.Modes["ds0"] != MemoryStrictly {
-		t.Fatalf("mode: %v", res.Modes["ds0"])
+	if mode := modeOn(e, units, nil, "ds0"); mode != MemoryStrictly {
+		t.Fatalf("mode: %v", mode)
 	}
 }
 
 func TestThetaSelectsConnectionStrict(t *testing.T) {
 	e := fixture(t, 8) // MaxCon = 1
 	// Two SQLs on one source with MaxCon=1 → θ=2 → connection-strict.
-	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
+	units := unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t WHERE id < 5", "SELECT * FROM t WHERE id >= 5"},
-	}), nil, nil, false)
+	})
+	res, err := e.QueryCtx(context.Background(), units, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Modes["ds0"] != ConnectionStrictly {
-		t.Fatalf("mode: %v", res.Modes["ds0"])
+	if mode := modeOn(e, units, nil, "ds0"); mode != ConnectionStrictly {
+		t.Fatalf("mode: %v", mode)
 	}
 	n := 0
 	for _, rs := range res.Sets {
@@ -117,8 +130,8 @@ func TestMaxConRaisesParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 SQLs / MaxCon 4 → θ=1 → memory-strict.
-	if res.Modes["ds0"] != MemoryStrictly {
-		t.Fatalf("mode: %v", res.Modes["ds0"])
+	if mode := modeOn(e, units, nil, "ds0"); mode != MemoryStrictly {
+		t.Fatalf("mode: %v", mode)
 	}
 	for _, rs := range res.Sets {
 		rows, _ := resource.ReadAll(rs)
@@ -208,9 +221,10 @@ func TestHeldConnsPinning(t *testing.T) {
 	if _, err := c1.Exec(context.Background(), "BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
+	units := unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t WHERE id = 1"},
-	}), held, nil, false)
+	})
+	res, err := e.QueryCtx(context.Background(), units, held, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +232,8 @@ func TestHeldConnsPinning(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("tx query rows: %v", rows)
 	}
-	if res.Modes["ds0"] != ConnectionStrictly {
-		t.Fatalf("tx mode: %v", res.Modes["ds0"])
+	if mode := modeOn(e, units, held, "ds0"); mode != ConnectionStrictly {
+		t.Fatalf("tx mode: %v", mode)
 	}
 	if _, err := c1.Exec(context.Background(), "ROLLBACK"); err != nil {
 		t.Fatal(err)

@@ -259,24 +259,12 @@ func merge(dst, src map[string]map[string]sharding.Condition) {
 // columns, merging table-qualified and unqualified conditions.
 func condsFor(conds map[string]map[string]sharding.Condition, table string, rule *sharding.TableRule) map[string]sharding.Condition {
 	out := map[string]sharding.Condition{}
-	want := map[string]bool{}
-	for _, c := range rule.ShardingColumns() {
-		want[c] = true
-	}
-	if m, ok := conds[strings.ToLower(table)]; ok {
-		for col, c := range m {
-			if want[col] {
-				out[col] = c
-			}
-		}
-	}
-	if m, ok := conds[""]; ok {
-		for col, c := range m {
-			if want[col] {
-				if _, exists := out[col]; !exists {
-					out[col] = c
-				}
-			}
+	qualified, unqualified := conds[strings.ToLower(table)], conds[""]
+	for _, col := range rule.ShardingColumns() {
+		if c, ok := qualified[col]; ok {
+			out[col] = c
+		} else if c, ok := unqualified[col]; ok {
+			out[col] = c
 		}
 	}
 	return out

@@ -69,17 +69,18 @@ type TableRule struct {
 	index atomic.Pointer[nodeIndex]
 }
 
-// nodeIndex is what routing derives from a rule's DataNodes and would
-// otherwise rebuild per statement: the actual-table list, the node and
-// table lookups, and one logic→actual table map per data node. The maps
-// are shared by every route unit that targets the node and must be
-// treated as read-only.
+// nodeIndex is what routing derives from a rule and would otherwise
+// rebuild per statement: the actual-table list, the node and table
+// lookups, one logic→actual table map per data node, and the sharding
+// columns. The maps and the column list are shared by every route and must
+// be treated as read-only.
 type nodeIndex struct {
 	nodes   []DataNode // the DataNodes the index was built from
 	tables  []string
 	byNode  map[DataNode]int
 	byTable map[string]int // first node holding the actual table
 	maps    []map[string]string
+	cols    []string // sharding columns, lower-cased
 }
 
 // nodeIdx returns the rule's node index, rebuilding it when DataNodes was
@@ -104,6 +105,7 @@ func (r *TableRule) nodeIdx() *nodeIndex {
 		byNode:  make(map[DataNode]int, len(r.DataNodes)),
 		byTable: make(map[string]int, len(r.DataNodes)),
 		maps:    make([]map[string]string, len(r.DataNodes)),
+		cols:    r.shardingColumns(),
 	}
 	for i, n := range r.DataNodes {
 		ix.tables[i] = n.Table
@@ -165,8 +167,11 @@ func (r *TableRule) TablesIn(ds string) []string {
 }
 
 // ShardingColumns lists the columns that influence routing for this rule,
-// lower-cased.
-func (r *TableRule) ShardingColumns() []string {
+// lower-cased. The list is derived once from the strategies the rule was
+// made with and shared: callers must not modify it.
+func (r *TableRule) ShardingColumns() []string { return r.nodeIdx().cols }
+
+func (r *TableRule) shardingColumns() []string {
 	var out []string
 	add := func(s *Strategy) {
 		if s == nil {

@@ -45,7 +45,7 @@ func (s *Session) executeInsert(tx *storage.Tx, stmt *sqlparser.InsertStmt, args
 			}
 			row[positions[i]] = v
 		}
-		inserted, err := tx.Insert(stmt.Table, row)
+		inserted, err := tx.Insert(tbl, row)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +118,7 @@ func (s *Session) executeUpdate(tx *storage.Tx, stmt *sqlparser.UpdateStmt, args
 			}
 			newRow[targets[i]] = v
 		}
-		ok, err := tx.Update(stmt.Table, se.RowID, newRow)
+		ok, err := tx.Update(tbl, se, newRow)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ func (s *Session) executeDelete(tx *storage.Tx, stmt *sqlparser.DeleteStmt, args
 	}
 	res := &Result{}
 	for _, se := range entries {
-		ok, err := tx.Delete(stmt.Table, se.RowID)
+		ok, err := tx.Delete(tbl, se)
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +169,7 @@ func (s *Session) lockForUpdate(stmt *sqlparser.SelectStmt, args []sqltypes.Valu
 		return err
 	}
 	for _, se := range entries {
-		if _, err := s.tx.Lock(stmt.From[0].Name, se.RowID); err != nil {
+		if _, err := s.tx.Lock(tbl, se); err != nil {
 			return err
 		}
 	}

@@ -28,6 +28,7 @@ type Stmt struct {
 type selectPlan struct {
 	epoch  uint64
 	tbl    *storage.Table
+	stat   *tableStat  // the table's heat counters, resolved once for every execution
 	tables []tableCols // the one FROM table, as the row environment binds it
 	where  sqlparser.Expr
 	access accessShape
@@ -65,7 +66,7 @@ func (s *Session) compileSelect(stmt *sqlparser.SelectStmt) (*selectPlan, error)
 	if ref.Alias != "" {
 		names = append(names, ref.Alias)
 	}
-	p.tbl = tbl
+	p.tbl, p.stat = tbl, s.proc.stats.tableStat(ref.Name)
 	p.tables = []tableCols{{quals: names, schema: tbl.Schema()}}
 	p.access = shapeAccess(tbl, &p.tables[0], applicableTo(splitConjuncts(stmt.Where), &p.tables[0]))
 	if p.out, err = compileOutput(stmt, &rowEnv{tables: p.tables}); err != nil {

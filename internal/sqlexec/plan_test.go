@@ -40,6 +40,8 @@ func TestSelectPlanRetainedOnSecondExecution(t *testing.T) {
 	seedUsers(t, s)
 	const q = "SELECT name FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY age, name"
 	args := []sqltypes.Value{sqltypes.NewInt(2), sqltypes.NewInt(4)}
+	heat := p.Stats().tableStat("T_USER")
+	reads0 := heat.reads.Load()
 	first := mustExec(t, s, q, args...)
 	if retained(t, p, q) != nil {
 		t.Fatal("a text's first execution must not retain a plan")
@@ -69,6 +71,14 @@ func TestSelectPlanRetainedOnSecondExecution(t *testing.T) {
 	other := mustExec(t, s, q, sqltypes.NewInt(1), sqltypes.NewInt(1))
 	if len(other.Rows) != 1 || other.Rows[0][0].S != "alice" {
 		t.Fatalf("rebinding the retained plan: %v", other.Rows)
+	}
+	// The table's heat counters are charged by name on the first execution
+	// and through the plan afterwards: every execution once.
+	if _, err := s.Execute(q, args[0]); err == nil {
+		t.Fatal("a missing bind argument must fail")
+	}
+	if reads, errs := heat.reads.Load()-reads0, heat.errors.Load(); reads != 6 || errs != 1 {
+		t.Fatalf("heat counters after 6 executions, 1 failed: reads %d errors %d", reads, errs)
 	}
 }
 

@@ -120,14 +120,17 @@ func (s *Session) ExecuteStmt(st *Stmt, args []sqltypes.Value) (*Result, error) 
 	if err != nil {
 		s.proc.stats.Errors.Add(1)
 	}
-	if table, write, ok := stmtTable(st.ast); ok {
-		s.proc.stats.noteTable(table, write, err != nil)
+	if p := st.plan.Load(); p != nil {
+		p.stat.note(false, err != nil)
+	} else if table, write, ok := stmtTable(st.ast); ok {
+		s.proc.stats.tableStat(table).note(write, err != nil)
 	}
 	return res, err
 }
 
 // stmtTable names the table a DML statement targets (single-table
-// shapes only), for the node's per-table heat counters.
+// shapes only), for the node's per-table heat counters. A SELECT that has
+// retained its plan is charged through the plan instead.
 func stmtTable(stmt sqlparser.Statement) (table string, write, ok bool) {
 	switch t := stmt.(type) {
 	case *sqlparser.SelectStmt:

@@ -47,8 +47,6 @@ func TestSelectAll(t *testing.T) {
 }
 
 func TestSelectWherePaths(t *testing.T) {
-	s := newTestSession(t)
-	seedUsers(t, s)
 	cases := []struct {
 		sql  string
 		want int
@@ -56,6 +54,8 @@ func TestSelectWherePaths(t *testing.T) {
 		{"SELECT * FROM t_user WHERE uid = 2", 1},
 		{"SELECT * FROM t_user WHERE uid IN (1, 3)", 2},
 		{"SELECT * FROM t_user WHERE uid BETWEEN 2 AND 4", 3},
+		{"SELECT * FROM t_user WHERE uid BETWEEN 1.5 AND '3'", 2},
+		{"SELECT * FROM t_user WHERE uid BETWEEN 4 AND 2", 0},
 		{"SELECT * FROM t_user WHERE uid >= 2 AND uid < 4", 2},
 		{"SELECT * FROM t_user WHERE age = 25", 2},
 		{"SELECT * FROM t_user WHERE name LIKE 'a%'", 1},
@@ -67,10 +67,19 @@ func TestSelectWherePaths(t *testing.T) {
 		{"SELECT * FROM t_user WHERE age IS NULL", 0},
 		{"SELECT * FROM t_user WHERE age IS NOT NULL", 4},
 	}
-	for _, tc := range cases {
-		res := mustExec(t, s, tc.sql)
-		if len(res.Rows) != tc.want {
-			t.Errorf("%s: want %d rows, got %d", tc.sql, tc.want, len(res.Rows))
+	// Without a secondary index, then with one whose leading column the
+	// age predicates probe on its own.
+	for _, index := range []string{"", "CREATE INDEX idx_age_name ON t_user (age, name)"} {
+		s := newTestSession(t)
+		seedUsers(t, s)
+		if index != "" {
+			mustExec(t, s, index)
+		}
+		for _, tc := range cases {
+			res := mustExec(t, s, tc.sql)
+			if len(res.Rows) != tc.want {
+				t.Errorf("%s [%s]: want %d rows, got %d", tc.sql, index, tc.want, len(res.Rows))
+			}
 		}
 	}
 }

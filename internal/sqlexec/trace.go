@@ -46,25 +46,12 @@ type Stats struct {
 	tableCount atomic.Int64
 }
 
-// noteTable charges one statement to its target table. Unknown shapes
-// (multi-table selects, DDL) pass an empty table and are skipped.
-func (st *Stats) noteTable(table string, write, failed bool) {
-	if table == "" {
+// note charges one statement to the table. A nil receiver — a table beyond
+// the map's bound — counts nothing.
+func (ts *tableStat) note(write, failed bool) {
+	if ts == nil {
 		return
 	}
-	table = strings.ToLower(table)
-	v, ok := st.tables.Load(table)
-	if !ok {
-		if st.tableCount.Load() >= maxTableStats {
-			return
-		}
-		var loaded bool
-		v, loaded = st.tables.LoadOrStore(table, &tableStat{})
-		if !loaded {
-			st.tableCount.Add(1)
-		}
-	}
-	ts := v.(*tableStat)
 	if write {
 		ts.writes.Add(1)
 	} else {
@@ -73,6 +60,24 @@ func (st *Stats) noteTable(table string, write, failed bool) {
 	if failed {
 		ts.errors.Add(1)
 	}
+}
+
+// tableStat returns the named table's counters, or nil once maxTableStats
+// tables have them.
+func (st *Stats) tableStat(table string) *tableStat {
+	table = strings.ToLower(table)
+	v, ok := st.tables.Load(table)
+	if !ok {
+		if st.tableCount.Load() >= maxTableStats {
+			return nil
+		}
+		var loaded bool
+		v, loaded = st.tables.LoadOrStore(table, &tableStat{})
+		if !loaded {
+			st.tableCount.Add(1)
+		}
+	}
+	return v.(*tableStat)
 }
 
 // Snapshot exports the node's metrics in the federated shape pulled by

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"shardingsphere/internal/btree"
 	"shardingsphere/internal/sqltypes"
 )
 
@@ -83,8 +84,7 @@ func (e *Engine) CreateTable(spec TableSpec) error {
 		schema:  spec.Schema,
 		autoCol: -1,
 		notNull: make([]bool, len(spec.Schema)),
-		slots:   map[int64]*rowSlot{},
-		pk:      newTree(),
+		pk:      btree.New[*rowSlot](),
 		indexes: map[string]*secondaryIndex{},
 	}
 	for _, col := range spec.PrimaryKey {
@@ -136,7 +136,7 @@ func (e *Engine) CreateIndex(spec IndexSpec) error {
 	if _, exists := t.indexes[spec.Name]; exists {
 		return fmt.Errorf("%w: %s.%s", ErrIndexExists, spec.Table, spec.Name)
 	}
-	ix := &secondaryIndex{name: spec.Name, tree: newTree()}
+	ix := &secondaryIndex{name: spec.Name, tree: btree.New[*rowSlot]()}
 	for _, col := range spec.Columns {
 		i := t.schema.Index(col)
 		if i < 0 {
@@ -144,14 +144,14 @@ func (e *Engine) CreateIndex(spec IndexSpec) error {
 		}
 		ix.cols = append(ix.cols, i)
 	}
-	for _, slot := range t.slots {
-		if slot.committed != nil {
-			ix.add(slot.committed, slot.id)
+	t.pk.Ascend(func(slot *rowSlot) bool {
+		for _, row := range []sqltypes.Row{slot.committed, slot.uncommitted} {
+			if row != nil {
+				ix.tree.Set(ix.keyOf(row, slot.id), slot)
+			}
 		}
-		if slot.uncommitted != nil {
-			ix.add(slot.uncommitted, slot.id)
-		}
-	}
+		return true
+	})
 	t.indexes[spec.Name] = ix
 	e.ddl.Add(1)
 	return nil
@@ -178,10 +178,14 @@ func (e *Engine) Truncate(name string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.slots = map[int64]*rowSlot{}
-	t.pk = newTree()
+	// Scan entries and open transactions may still hold the rows.
+	t.pk.Ascend(func(slot *rowSlot) bool {
+		slot.retire()
+		return true
+	})
+	t.pk = btree.New[*rowSlot]()
 	for _, ix := range t.indexes {
-		ix.tree = newTree()
+		ix.tree = btree.New[*rowSlot]()
 	}
 	return nil
 }
@@ -219,11 +223,7 @@ func (e *Engine) TableNames() []string {
 
 // Begin starts a transaction.
 func (e *Engine) Begin() *Tx {
-	return &Tx{
-		id:     e.txSeq.Add(1),
-		engine: e,
-		writes: map[lockKey]*writeRecord{},
-	}
+	return &Tx{id: e.txSeq.Add(1), engine: e}
 }
 
 // --- XA support (paper Section IV-B, Fig. 5(c)) ---

@@ -36,9 +36,18 @@ func row(uid int64, name string, age int64) sqltypes.Row {
 	return sqltypes.Row{sqltypes.NewInt(uid), sqltypes.NewString(name), sqltypes.NewInt(age)}
 }
 
+// tab returns the named table, which the test has created.
+func tab(e *Engine, name string) *Table {
+	t, err := e.Table(name)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func mustInsert(t *testing.T, tx *Tx, table string, r sqltypes.Row) {
 	t.Helper()
-	if _, err := tx.Insert(table, r); err != nil {
+	if _, err := tx.Insert(tab(tx.engine, table), r); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -100,16 +109,45 @@ func TestRollbackDiscards(t *testing.T) {
 	}
 }
 
+// A transaction's writes are finalized table by table in the order it
+// touched them; going back to an earlier table must finalize those rows too.
+func TestInterleavedTables(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		e := newUserEngine(t)
+		other := userSpec()
+		other.Name = "t_other"
+		if err := e.CreateTable(other); err != nil {
+			t.Fatal(err)
+		}
+		tx := e.Begin()
+		for uid, table := range []string{"t_user", "t_other", "t_user", "t_other", "t_other"} {
+			mustInsert(t, tx, table, row(int64(uid), "n", 1))
+		}
+		want := map[string]int{"t_user": 2, "t_other": 3}
+		if commit {
+			tx.Commit()
+		} else {
+			tx.Rollback()
+			want = map[string]int{}
+		}
+		for _, table := range []string{"t_user", "t_other"} {
+			if got := len(scanAll(e, table, 0)); got != want[table] {
+				t.Errorf("commit=%v: %s has %d rows, want %d", commit, table, got, want[table])
+			}
+		}
+	}
+}
+
 func TestDuplicateKey(t *testing.T) {
 	e := newUserEngine(t)
 	tx := e.Begin()
 	mustInsert(t, tx, "t_user", row(1, "alice", 30))
-	if _, err := tx.Insert("t_user", row(1, "dup", 1)); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := tx.Insert(tab(e, "t_user"), row(1, "dup", 1)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("want ErrDuplicateKey, got %v", err)
 	}
 	tx.Commit()
 	tx2 := e.Begin()
-	if _, err := tx2.Insert("t_user", row(1, "dup", 1)); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := tx2.Insert(tab(e, "t_user"), row(1, "dup", 1)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("want ErrDuplicateKey after commit, got %v", err)
 	}
 	tx2.Rollback()
@@ -129,7 +167,7 @@ func TestUpdateAndDelete(t *testing.T) {
 	}
 	updated := se.Row.Clone()
 	updated[2] = sqltypes.NewInt(31)
-	if ok, err := tx2.Update("t_user", se.RowID, updated); err != nil || !ok {
+	if ok, err := tx2.Update(tbl, se, updated); err != nil || !ok {
 		t.Fatalf("update: %v %v", ok, err)
 	}
 	// Other readers still see age 30 (read committed).
@@ -143,7 +181,7 @@ func TestUpdateAndDelete(t *testing.T) {
 
 	tx3 := e.Begin()
 	se, _ = tbl.PKGet(tx3.ID(), btree.Key{sqltypes.NewInt(1)})
-	if ok, err := tx3.Delete("t_user", se.RowID); err != nil || !ok {
+	if ok, err := tx3.Delete(tbl, se); err != nil || !ok {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
 	if got := scanAll(e, "t_user", tx3.ID()); len(got) != 0 {
@@ -168,7 +206,7 @@ func TestUpdatePKRejected(t *testing.T) {
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
 	bad := se.Row.Clone()
 	bad[0] = sqltypes.NewInt(99)
-	if _, err := tx2.Update("t_user", se.RowID, bad); !errors.Is(err, ErrPKUpdate) {
+	if _, err := tx2.Update(tbl, se, bad); !errors.Is(err, ErrPKUpdate) {
 		t.Fatalf("want ErrPKUpdate, got %v", err)
 	}
 	tx2.Rollback()
@@ -183,7 +221,7 @@ func TestDeleteThenReinsertSameTx(t *testing.T) {
 	tbl, _ := e.Table("t_user")
 	tx2 := e.Begin()
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
-	if ok, _ := tx2.Delete("t_user", se.RowID); !ok {
+	if ok, _ := tx2.Delete(tbl, se); !ok {
 		t.Fatal("delete failed")
 	}
 	// Sysbench's read-write transaction deletes a row then reinserts the
@@ -205,7 +243,7 @@ func TestInsertThenDeleteSameTx(t *testing.T) {
 	if !ok {
 		t.Fatal("own insert invisible")
 	}
-	if ok, _ := tx.Delete("t_user", se.RowID); !ok {
+	if ok, _ := tx.Delete(tbl, se); !ok {
 		t.Fatal("delete of own insert failed")
 	}
 	tx.Commit()
@@ -218,6 +256,78 @@ func TestInsertThenDeleteSameTx(t *testing.T) {
 	tx2.Commit()
 }
 
+// TestStaleScanEntry: a scan entry outlives the statement's table latch, so
+// the row behind it may be gone by the time it is written through — deleted
+// by a committed transaction, truncated away, or never committed at all.
+// Every write through such an entry reports the row as gone, and a new row
+// under the same key is untouched.
+func TestStaleScanEntry(t *testing.T) {
+	e := newUserEngine(t)
+	if err := e.CreateIndex(IndexSpec{Name: "idx_age", Table: "t_user", Columns: []string{"age"}}); err != nil {
+		t.Fatal(err)
+	}
+	tbl := tab(e, "t_user")
+	key := btree.Key{sqltypes.NewInt(1)}
+	for name, vanish := range map[string]func(se ScanEntry){
+		"deleted and committed": func(se ScanEntry) {
+			tx := e.Begin()
+			if ok, err := tx.Delete(tbl, se); !ok || err != nil {
+				t.Fatal(ok, err)
+			}
+			tx.Commit()
+		},
+		"truncated": func(ScanEntry) { e.Truncate("t_user") },
+	} {
+		seed := e.Begin()
+		mustInsert(t, seed, "t_user", row(1, "old", 30))
+		seed.Commit()
+		stale, _ := tbl.PKGet(0, key)
+		vanish(stale)
+		seed = e.Begin()
+		mustInsert(t, seed, "t_user", row(1, "new", 30))
+		seed.Commit()
+
+		tx := e.Begin()
+		if ok, err := tx.Update(tbl, stale, row(1, "ghost", 30)); ok || err != nil {
+			t.Fatalf("%s: update through a stale entry: %v %v", name, ok, err)
+		}
+		if ok, err := tx.Delete(tbl, stale); ok || err != nil {
+			t.Fatalf("%s: delete through a stale entry: %v %v", name, ok, err)
+		}
+		if ok, err := tx.Lock(tbl, stale); ok || err != nil {
+			t.Fatalf("%s: lock through a stale entry: %v %v", name, ok, err)
+		}
+		tx.Commit()
+		var names []string
+		age := btree.Key{sqltypes.NewInt(30)}
+		tbl.IndexRange(0, "idx_age", age, age, func(se ScanEntry) bool {
+			names = append(names, se.Row[1].S)
+			return true
+		})
+		if got := scanAll(e, "t_user", 0); len(got) != 1 || got[0][1].S != "new" || len(names) != 1 || names[0] != "new" {
+			t.Fatalf("%s: table %v, index %v", name, got, names)
+		}
+		e.Truncate("t_user")
+	}
+
+	// An entry for a row whose insert is rolled back.
+	ins := e.Begin()
+	mustInsert(t, ins, "t_user", row(2, "never", 1))
+	own, ok := tbl.PKGet(ins.ID(), btree.Key{sqltypes.NewInt(2)})
+	if !ok {
+		t.Fatal("own insert invisible")
+	}
+	ins.Rollback()
+	tx := e.Begin()
+	if ok, err := tx.Update(tbl, own, row(2, "ghost", 1)); ok || err != nil {
+		t.Fatalf("update of a rolled-back insert: %v %v", ok, err)
+	}
+	tx.Commit()
+	if got := scanAll(e, "t_user", 0); len(got) != 0 {
+		t.Fatalf("rolled-back insert resurfaced: %v", got)
+	}
+}
+
 func TestAutoIncrement(t *testing.T) {
 	e := NewEngine("ds0")
 	spec := userSpec()
@@ -226,17 +336,17 @@ func TestAutoIncrement(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := e.Begin()
-	r1, err := tx.Insert("t_user", sqltypes.Row{sqltypes.Null, sqltypes.NewString("a"), sqltypes.NewInt(1)})
+	r1, err := tx.Insert(tab(e, "t_user"), sqltypes.Row{sqltypes.Null, sqltypes.NewString("a"), sqltypes.NewInt(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := tx.Insert("t_user", sqltypes.Row{sqltypes.Null, sqltypes.NewString("b"), sqltypes.NewInt(2)})
+	r2, _ := tx.Insert(tab(e, "t_user"), sqltypes.Row{sqltypes.Null, sqltypes.NewString("b"), sqltypes.NewInt(2)})
 	if r1[0].I != 1 || r2[0].I != 2 {
 		t.Fatalf("auto inc: %v %v", r1[0], r2[0])
 	}
 	// Explicit value bumps the sequence.
-	tx.Insert("t_user", row(10, "c", 3))
-	r4, _ := tx.Insert("t_user", sqltypes.Row{sqltypes.Null, sqltypes.NewString("d"), sqltypes.NewInt(4)})
+	tx.Insert(tab(e, "t_user"), row(10, "c", 3))
+	r4, _ := tx.Insert(tab(e, "t_user"), sqltypes.Row{sqltypes.Null, sqltypes.NewString("d"), sqltypes.NewInt(4)})
 	if r4[0].I != 11 {
 		t.Fatalf("auto inc after explicit: %v", r4[0])
 	}
@@ -251,7 +361,7 @@ func TestNotNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := e.Begin()
-	_, err := tx.Insert("t_user", sqltypes.Row{sqltypes.NewInt(1), sqltypes.Null, sqltypes.NewInt(1)})
+	_, err := tx.Insert(tab(e, "t_user"), sqltypes.Row{sqltypes.NewInt(1), sqltypes.Null, sqltypes.NewInt(1)})
 	if !errors.Is(err, ErrNotNullColumn) {
 		t.Fatalf("want ErrNotNullColumn, got %v", err)
 	}
@@ -310,7 +420,7 @@ func TestSecondaryIndex(t *testing.T) {
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
 	up := se.Row.Clone()
 	up[2] = sqltypes.NewInt(2)
-	tx2.Update("t_user", se.RowID, up)
+	tx2.Update(tbl, se, up)
 	tx2.Commit()
 	count = 0
 	tbl.IndexRange(0, "idx_age", key, key, func(se ScanEntry) bool { count++; return true })
@@ -321,7 +431,7 @@ func TestSecondaryIndex(t *testing.T) {
 	// Index follows deletes.
 	tx3 := e.Begin()
 	se, _ = tbl.PKGet(tx3.ID(), btree.Key{sqltypes.NewInt(4)})
-	tx3.Delete("t_user", se.RowID)
+	tx3.Delete(tbl, se)
 	tx3.Commit()
 	count = 0
 	tbl.IndexRange(0, "idx_age", key, key, func(se ScanEntry) bool { count++; return true })
@@ -359,19 +469,19 @@ func TestRowLockBlocksSecondWriter(t *testing.T) {
 	se, _ := tbl.PKGet(tx1.ID(), btree.Key{sqltypes.NewInt(1)})
 	up := se.Row.Clone()
 	up[2] = sqltypes.NewInt(2)
-	if ok, err := tx1.Update("t_user", se.RowID, up); !ok || err != nil {
+	if ok, err := tx1.Update(tbl, se, up); !ok || err != nil {
 		t.Fatal(err)
 	}
 	// Second writer times out while tx1 holds the lock.
 	tx2 := e.Begin()
 	up2 := se.Row.Clone()
 	up2[2] = sqltypes.NewInt(3)
-	if _, err := tx2.Update("t_user", se.RowID, up2); !errors.Is(err, ErrLockTimeout) {
+	if _, err := tx2.Update(tbl, se, up2); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
 	tx1.Commit()
 	// Now it succeeds.
-	if ok, err := tx2.Update("t_user", se.RowID, up2); !ok || err != nil {
+	if ok, err := tx2.Update(tbl, se, up2); !ok || err != nil {
 		t.Fatalf("after release: %v %v", ok, err)
 	}
 	tx2.Commit()
@@ -406,7 +516,7 @@ func TestConcurrentIncrementsNoLostUpdates(t *testing.T) {
 					}
 					up := se.Row.Clone()
 					up[2] = sqltypes.NewInt(up[2].I + 1)
-					okUpd, err := tx.Update("t_user", se.RowID, up)
+					okUpd, err := tx.Update(tbl, se, up)
 					if err != nil || !okUpd {
 						tx.Rollback()
 						continue // lock timeout: retry
@@ -415,7 +525,7 @@ func TestConcurrentIncrementsNoLostUpdates(t *testing.T) {
 					// the latest committed value, so re-fetch and re-apply.
 					se2, _ := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(1)})
 					up2 := se2.Row.Clone()
-					tx.Update("t_user", se.RowID, up2)
+					tx.Update(tbl, se, up2)
 					tx.Commit()
 					break
 				}
@@ -449,7 +559,7 @@ func TestXAPrepareCommit(t *testing.T) {
 	if got := scanAll(e, "t_user", 0); len(got) != 0 {
 		t.Fatalf("prepared writes leaked: %v", got)
 	}
-	if _, err := tx.Insert("t_user", row(2, "b", 2)); !errors.Is(err, ErrTxPrepared) {
+	if _, err := tx.Insert(tab(e, "t_user"), row(2, "b", 2)); !errors.Is(err, ErrTxPrepared) {
 		t.Fatalf("want ErrTxPrepared, got %v", err)
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrTxPrepared) {
@@ -499,19 +609,19 @@ func TestXAPreparedHoldsLocks(t *testing.T) {
 	se, _ := tbl.PKGet(tx1.ID(), btree.Key{sqltypes.NewInt(1)})
 	up := se.Row.Clone()
 	up[2] = sqltypes.NewInt(2)
-	tx1.Update("t_user", se.RowID, up)
+	tx1.Update(tbl, se, up)
 	if err := e.Prepare(tx1, "xid-lock"); err != nil {
 		t.Fatal(err)
 	}
 	// A concurrent writer must still block on the prepared transaction.
 	tx2 := e.Begin()
-	if _, err := tx2.Update("t_user", se.RowID, up); !errors.Is(err, ErrLockTimeout) {
+	if _, err := tx2.Update(tbl, se, up); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("prepared tx lost its locks: %v", err)
 	}
 	tx2.Rollback()
 	e.CommitPrepared("xid-lock")
 	tx3 := e.Begin()
-	if ok, err := tx3.Update("t_user", se.RowID, up); !ok || err != nil {
+	if ok, err := tx3.Update(tbl, se, up); !ok || err != nil {
 		t.Fatalf("after xa commit: %v %v", ok, err)
 	}
 	tx3.Commit()
@@ -579,7 +689,7 @@ func TestTxFinishedErrors(t *testing.T) {
 	e := newUserEngine(t)
 	tx := e.Begin()
 	tx.Commit()
-	if _, err := tx.Insert("t_user", row(1, "a", 1)); !errors.Is(err, ErrTxFinished) {
+	if _, err := tx.Insert(tab(e, "t_user"), row(1, "a", 1)); !errors.Is(err, ErrTxFinished) {
 		t.Fatalf("insert after commit: %v", err)
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrTxFinished) {

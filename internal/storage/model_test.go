@@ -1,8 +1,12 @@
 package storage
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,10 +15,14 @@ import (
 )
 
 // TestEngineAgainstModel drives the engine with random transactional
-// operations and checks every committed state against a reference model:
-// a plain map mutated only when the transaction commits. It exercises the
-// insert/update/delete/rollback matrix, including re-insert after delete
-// inside one transaction.
+// operations and checks every state a reader can see against a reference
+// model: a plain map mutated only when the transaction commits, read back
+// as a sorted slice. It exercises the insert/update/delete/rollback matrix,
+// including re-insert after delete inside one transaction and rollback of
+// an inserted row, and after every transaction — and inside it, through
+// the transaction's own eyes — compares the full scan, primary-key ranges
+// under integer, fractional, open and inverted bounds, and the secondary
+// index, whose equal keys must come back in row-id order.
 func TestEngineAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220612))
 	e := NewEngine("model")
@@ -28,17 +36,21 @@ func TestEngineAgainstModel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := e.CreateIndex(IndexSpec{Name: "idx_v", Table: "t", Columns: []string{"v"}}); err != nil {
+		t.Fatal(err)
+	}
 	tbl, _ := e.Table("t")
 
 	model := map[int64]int64{} // committed state
-	const keySpace = 64
+	const keySpace, valSpace = 64, 6
+	randKey := func() int64 { return int64(rng.Intn(keySpace)) - keySpace/2 }
 
 	for round := 0; round < 400; round++ {
 		tx := e.Begin()
 		pending := map[int64]*int64{} // nil = deleted, else value
 		nOps := 1 + rng.Intn(6)
 		for op := 0; op < nOps; op++ {
-			key := int64(rng.Intn(keySpace))
+			key := randKey()
 			visible := func() (int64, bool) {
 				if pv, touched := pending[key]; touched {
 					if pv == nil {
@@ -51,8 +63,8 @@ func TestEngineAgainstModel(t *testing.T) {
 			}
 			switch rng.Intn(3) {
 			case 0: // insert
-				v := rng.Int63n(1000)
-				_, err := tx.Insert("t", sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)})
+				v := rng.Int63n(valSpace)
+				_, err := tx.Insert(tbl, sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)})
 				if _, exists := visible(); exists {
 					if err == nil {
 						t.Fatalf("round %d: duplicate insert of %d accepted", round, key)
@@ -73,8 +85,8 @@ func TestEngineAgainstModel(t *testing.T) {
 				if !ok {
 					continue
 				}
-				v := rng.Int63n(1000)
-				updated, err := tx.Update("t", se.RowID, sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)})
+				v := rng.Int63n(valSpace)
+				updated, err := tx.Update(tbl, se, sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)})
 				if err != nil || !updated {
 					t.Fatalf("round %d: update %d: %v %v", round, key, updated, err)
 				}
@@ -89,55 +101,224 @@ func TestEngineAgainstModel(t *testing.T) {
 				if !ok {
 					continue
 				}
-				deleted, err := tx.Delete("t", se.RowID)
+				deleted, err := tx.Delete(tbl, se)
 				if err != nil || !deleted {
 					t.Fatalf("round %d: delete %d: %v %v", round, key, deleted, err)
 				}
 				pending[key] = nil
 			}
 		}
-		// Commit or roll back, then verify the committed state matches.
+		// What the transaction itself sees, while everyone else still sees
+		// the model.
+		own := map[int64]int64{}
+		for k, v := range model {
+			own[k] = v
+		}
+		for k, pv := range pending {
+			if pv == nil {
+				delete(own, k)
+			} else {
+				own[k] = *pv
+			}
+		}
+		verifyModel(t, rng, tbl, tx.ID(), true, own, round)
+		verifyModel(t, rng, tbl, 0, true, model, round)
 		if rng.Intn(2) == 0 {
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			for k, pv := range pending {
-				if pv == nil {
-					delete(model, k)
-				} else {
-					model[k] = *pv
-				}
-			}
+			model = own
 		} else {
 			if err := tx.Rollback(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		verifyModel(t, tbl, model, round)
+		verifyModel(t, rng, tbl, 0, false, model, round)
 	}
 }
 
-func verifyModel(t *testing.T, tbl *Table, model map[int64]int64, round int) {
+// verifyModel compares what the transaction reads with the model, sorted;
+// open says that some transaction has uncommitted writes.
+func verifyModel(t *testing.T, rng *rand.Rand, tbl *Table, txID int64, open bool, model map[int64]int64, round int) {
 	t.Helper()
-	got := map[int64]int64{}
-	prev := int64(-1)
-	tbl.Scan(0, func(se ScanEntry) bool {
-		k := se.Row[0].I
-		if k <= prev {
-			t.Fatalf("round %d: scan out of order: %d after %d", round, k, prev)
-		}
-		prev = k
-		got[k] = se.Row[1].I
-		return true
-	})
-	if len(got) != len(model) {
-		t.Fatalf("round %d: engine has %d rows, model %d\nengine: %v\nmodel: %v",
-			round, len(got), len(model), got, model)
-	}
+	var want []ScanEntry
 	for k, v := range model {
-		if got[k] != v {
-			t.Fatalf("round %d: key %d: engine %d model %d", round, k, got[k], v)
+		want = append(want, ScanEntry{Row: sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(v)}})
+	}
+	slices.SortFunc(want, func(a, b ScanEntry) int { return cmp.Compare(a.Row[0].I, b.Row[0].I) })
+	check := func(what string, got, want []ScanEntry) {
+		t.Helper()
+		same := slices.EqualFunc(got, want, func(a, b ScanEntry) bool {
+			return a.Row[0].I == b.Row[0].I && a.Row[1].I == b.Row[1].I
+		})
+		if !same {
+			t.Fatalf("round %d, tx %d: %s:\n got %v\nwant %v", round, txID, what, got, want)
 		}
+	}
+	var got []ScanEntry
+	collect := func(se ScanEntry) bool { got = append(got, se); return true }
+	tbl.Scan(txID, collect)
+	check("scan", got, want)
+	if pk, ix := tbl.pk.Len(), tbl.indexes["idx_v"].tree.Len(); !open && (pk != len(want) || ix != len(want)) {
+		t.Fatalf("round %d: %d rows, but %d primary-key and %d index entries", round, len(want), pk, ix)
+	}
+
+	// Primary-key ranges: "id BETWEEN 1.5 AND 7" probes the integer keys
+	// with a float; nil is an open bound; lo > hi is an empty range.
+	bound := func() btree.Key {
+		switch id := int64(rng.Intn(70)) - 35; rng.Intn(4) {
+		case 0:
+			return nil
+		case 1:
+			return btree.Key{sqltypes.NewFloat(float64(id) + 0.5)}
+		default:
+			return btree.Key{sqltypes.NewInt(id)}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		lo, hi := bound(), bound()
+		var inRange []ScanEntry
+		for _, se := range want {
+			if (lo == nil || sqltypes.Compare(se.Row[0], lo[0]) >= 0) && (hi == nil || sqltypes.Compare(se.Row[0], hi[0]) <= 0) {
+				inRange = append(inRange, se)
+			}
+		}
+		got = nil
+		tbl.PKRange(txID, lo, hi, collect)
+		check(fmt.Sprintf("pk range [%v, %v]", lo, hi), got, inRange)
+	}
+
+	// The index on v, probed the way the query processor probes it: one
+	// value, whose rows come back in row-id order. An entry may belong to a
+	// version the reader does not see, so the reader re-checks, as the
+	// query processor does. Afterwards a range of values: once no
+	// transaction is open every entry is exact, and the range is ordered by
+	// (value, row id).
+	for v := int64(0); v < 6; v++ {
+		vhi := v
+		if !open {
+			vhi += rng.Int63n(3)
+		}
+		got = nil
+		if err := tbl.IndexRange(txID, "idx_v", btree.Key{sqltypes.NewInt(v)}, btree.Key{sqltypes.NewInt(vhi)}, func(se ScanEntry) bool {
+			if se.Row[1].I >= v && se.Row[1].I <= vhi {
+				got = append(got, se)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			if a.Row[1].I > b.Row[1].I || (a.Row[1].I == b.Row[1].I && a.slot.id >= b.slot.id) {
+				t.Fatalf("round %d, tx %d: index range [%d, %d] out of (value, row id) order: %v (row %d) before %v (row %d)",
+					round, txID, v, vhi, a.Row, a.slot.id, b.Row, b.slot.id)
+			}
+		}
+		var inRange []ScanEntry
+		for _, se := range want {
+			if se.Row[1].I >= v && se.Row[1].I <= vhi {
+				inRange = append(inRange, se)
+			}
+		}
+		slices.SortFunc(got, func(a, b ScanEntry) int { return cmp.Compare(a.Row[0].I, b.Row[0].I) })
+		check(fmt.Sprintf("index range [%d, %d]", v, vhi), got, inRange)
+	}
+}
+
+// TestKeyKinds covers the primary keys the inline integer lane does not
+// hold: a string key, and a two-column key probed by its leading column.
+func TestKeyKinds(t *testing.T) {
+	e := NewEngine("kinds")
+	for _, spec := range []TableSpec{
+		{Name: "s", Schema: sqltypes.Schema{{Name: "name", Type: sqltypes.KindString}}, PrimaryKey: []string{"name"}},
+		{Name: "ab", Schema: sqltypes.Schema{{Name: "a", Type: sqltypes.KindInt}, {Name: "b", Type: sqltypes.KindString}}, PrimaryKey: []string{"a", "b"}},
+	} {
+		if err := e.CreateTable(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, ab := tab(e, "s"), tab(e, "ab")
+	tx := e.Begin()
+	for _, name := range []string{"d", "b", "a", "c"} {
+		mustInsert(t, tx, "s", sqltypes.Row{sqltypes.NewString(name)})
+	}
+	for _, k := range []struct {
+		a int64
+		b string
+	}{{2, "x"}, {1, "y"}, {1, "x"}, {3, "x"}} {
+		mustInsert(t, tx, "ab", sqltypes.Row{sqltypes.NewInt(k.a), sqltypes.NewString(k.b)})
+	}
+	if _, err := tx.Insert(ab, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("x")}); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("duplicate two-column key: %v", err)
+	}
+	tx.Commit()
+
+	rows := func(tbl *Table, lo, hi btree.Key) string {
+		var out []string
+		tbl.PKRange(0, lo, hi, func(se ScanEntry) bool {
+			out = append(out, fmt.Sprint(se.Row))
+			return true
+		})
+		return strings.Join(out, " ")
+	}
+	str := func(v string) btree.Key { return btree.Key{sqltypes.NewString(v)} }
+	num := func(v int64) btree.Key { return btree.Key{sqltypes.NewInt(v)} }
+	for _, c := range []struct {
+		tbl    *Table
+		lo, hi btree.Key
+		want   string
+	}{
+		{s, str("b"), str("c"), "(b) (c)"},
+		{s, str("bb"), nil, "(c) (d)"},
+		{s, str("c"), str("b"), ""},
+		{ab, num(1), num(1), "(1, x) (1, y)"},
+		{ab, num(2), nil, "(2, x) (3, x)"},
+		{ab, nil, btree.Key{sqltypes.NewInt(1), sqltypes.NewString("x")}, "(1, x)"},
+		{ab, btree.Key{sqltypes.NewInt(1), sqltypes.NewString("y")}, num(2), "(1, y) (2, x)"},
+		{ab, num(3), num(1), ""},
+	} {
+		if got := rows(c.tbl, c.lo, c.hi); got != c.want {
+			t.Errorf("%s range [%v, %v] = %q, want %q", c.tbl.Name(), c.lo, c.hi, got, c.want)
+		}
+	}
+	if _, ok := ab.PKGet(0, btree.Key{sqltypes.NewInt(1), sqltypes.NewString("y")}); !ok {
+		t.Error("two-column point lookup missed")
+	}
+	if _, ok := ab.PKGet(0, num(1)); ok {
+		t.Error("a leading column alone is not a key")
+	}
+}
+
+// TestReadPathAllocations: a point lookup and a short range scan reach
+// their rows without allocating.
+func TestReadPathAllocations(t *testing.T) {
+	e := newUserEngine(t)
+	tx := e.Begin()
+	for i := int64(1); i <= 3000; i++ {
+		mustInsert(t, tx, "t_user", row(i, "u", i%7))
+	}
+	tx.Commit()
+	tbl := tab(e, "t_user")
+	var keys [2]sqltypes.Value
+	visited := 0
+	visit := func(ScanEntry) bool { visited++; return true }
+	if n := testing.AllocsPerRun(100, func() {
+		keys[0] = sqltypes.NewInt(1500)
+		if _, ok := tbl.PKGet(0, keys[:1]); !ok {
+			t.Fatal("point lookup missed")
+		}
+	}); n != 0 {
+		t.Errorf("PKGet allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		keys[0], keys[1] = sqltypes.NewInt(1500), sqltypes.NewInt(1501)
+		tbl.PKRange(0, keys[0:1], keys[1:2], visit)
+	}); n != 0 {
+		t.Errorf("a 2-row PKRange allocates %v times", n)
+	}
+	if visited != 2*101 {
+		t.Fatalf("visited %d rows, want %d", visited, 2*101)
 	}
 }
 
@@ -161,16 +342,16 @@ func TestConcurrentTransfersConserveSum(t *testing.T) {
 	}
 	const accounts = 8
 	const initial = 1000
+	tbl, _ := e.Table("acct")
 	seedTx := e.Begin()
 	for i := int64(0); i < accounts; i++ {
-		if _, err := seedTx.Insert("acct", sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(initial)}); err != nil {
+		if _, err := seedTx.Insert(tbl, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(initial)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := seedTx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	tbl, _ := e.Table("acct")
 
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
@@ -193,26 +374,26 @@ func TestConcurrentTransfersConserveSum(t *testing.T) {
 				amount := int64(rng.Intn(50))
 				// Lock, then re-read under the lock (SELECT FOR UPDATE),
 				// then apply the decrement — the no-lost-update protocol.
-				if ok, err := tx.Lock("acct", fe.RowID); err != nil || !ok {
+				if ok, err := tx.Lock(tbl, fe); err != nil || !ok {
 					tx.Rollback() // lock timeout: abort cleanly
 					continue
 				}
 				fe2, _ := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(from)})
 				f := fe2.Row.Clone()
 				f[1] = sqltypes.NewInt(f[1].I - amount)
-				if ok, err := tx.Update("acct", fe.RowID, f); err != nil || !ok {
+				if ok, err := tx.Update(tbl, fe, f); err != nil || !ok {
 					tx.Rollback()
 					continue
 				}
 				// Same lock-then-reread dance for the receiving account.
-				if ok, err := tx.Lock("acct", te.RowID); err != nil || !ok {
+				if ok, err := tx.Lock(tbl, te); err != nil || !ok {
 					tx.Rollback()
 					continue
 				}
 				te2, _ := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(to)})
 				tt := te2.Row.Clone()
 				tt[1] = sqltypes.NewInt(tt[1].I + amount)
-				if ok, err := tx.Update("acct", te.RowID, tt); err != nil || !ok {
+				if ok, err := tx.Update(tbl, te, tt); err != nil || !ok {
 					tx.Rollback()
 					continue
 				}

@@ -35,46 +35,43 @@ func (s *rowSlot) visible(txID int64) sqltypes.Row {
 	return s.committed
 }
 
-// secondaryIndex is a non-unique ordered index: key → set of row ids.
+// retire empties a slot that has left the table, so a scan entry taken
+// before that finds no row behind it.
+func (s *rowSlot) retire() {
+	s.committed, s.uncommitted, s.owner, s.deleted = nil, nil, 0, false
+}
+
+// secondaryIndex is a non-unique ordered index. Each version of a row has
+// one entry, keyed by its indexed columns followed by the row id, so equal
+// keys come back in row-id order and a probe on the columns alone is a
+// prefix of every entry it wants.
 type secondaryIndex struct {
 	name string
 	cols []int // schema positions
-	tree *btree.Tree
+	tree *btree.Tree[*rowSlot]
 }
 
-func (ix *secondaryIndex) keyOf(row sqltypes.Row) btree.Key {
-	key := make(btree.Key, len(ix.cols))
+func (ix *secondaryIndex) keyOf(row sqltypes.Row, rowID int64) btree.Key {
+	key := make(btree.Key, len(ix.cols)+1)
 	for i, c := range ix.cols {
 		key[i] = row[c]
 	}
+	key[len(ix.cols)] = sqltypes.NewInt(rowID)
 	return key
 }
 
-func (ix *secondaryIndex) add(row sqltypes.Row, rowID int64) {
-	key := ix.keyOf(row)
-	v, ok := ix.tree.Get(key)
-	if !ok {
-		ix.tree.Set(key, map[int64]struct{}{rowID: {}})
-		return
+// sameKey reports whether two versions of a row share their entry.
+func (ix *secondaryIndex) sameKey(a, b sqltypes.Row) bool {
+	for _, c := range ix.cols {
+		if sqltypes.Compare(a[c], b[c]) != 0 {
+			return false
+		}
 	}
-	v.(map[int64]struct{})[rowID] = struct{}{}
+	return true
 }
 
-func (ix *secondaryIndex) remove(row sqltypes.Row, rowID int64) {
-	key := ix.keyOf(row)
-	v, ok := ix.tree.Get(key)
-	if !ok {
-		return
-	}
-	set := v.(map[int64]struct{})
-	delete(set, rowID)
-	if len(set) == 0 {
-		ix.tree.Delete(key)
-	}
-}
-
-// Table is one physical table: a schema, a slot store, a primary-key
-// B-tree and any secondary indexes. All structural access is serialized by
+// Table is one physical table: a schema, a primary-key B-tree that holds
+// the rows, and any secondary indexes. All structural access is serialized by
 // mu; long scans hold the read lock for their duration, which mirrors the
 // latch behaviour of a single-node engine closely enough for the paper's
 // workloads.
@@ -88,8 +85,7 @@ type Table struct {
 
 	autoInc int64
 	rowSeq  int64
-	slots   map[int64]*rowSlot
-	pk      *btree.Tree // pk key → rowID
+	pk      *btree.Tree[*rowSlot]
 	indexes map[string]*secondaryIndex
 }
 
@@ -112,11 +108,12 @@ func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
-	for _, s := range t.slots {
+	t.pk.Ascend(func(s *rowSlot) bool {
 		if s.committed != nil && !(s.owner != 0 && s.deleted) {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -152,11 +149,20 @@ func (t *Table) HasIndexOn(col int) (string, bool) {
 	return "", false
 }
 
-// ScanEntry is one visible row surfaced by a scan, carrying the row id the
-// caller needs to update or delete it.
+// ScanEntry is one visible row surfaced by a scan, with the handle Tx.Update,
+// Tx.Delete and Tx.Lock need to reach it again.
 type ScanEntry struct {
-	RowID int64
-	Row   sqltypes.Row
+	Row  sqltypes.Row
+	slot *rowSlot
+}
+
+// visit adapts a scan callback to the trees' values: it passes on the rows
+// the transaction may see.
+func visit(txID int64, fn func(ScanEntry) bool) func(*rowSlot) bool {
+	return func(slot *rowSlot) bool {
+		row := slot.visible(txID)
+		return row == nil || fn(ScanEntry{Row: row, slot: slot})
+	}
 }
 
 // Scan visits every visible row in primary-key order until fn returns
@@ -164,51 +170,35 @@ type ScanEntry struct {
 func (t *Table) Scan(txID int64, fn func(ScanEntry) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.pk.Ascend(func(_ btree.Key, v any) bool {
-		slot := t.slots[v.(int64)]
-		row := slot.visible(txID)
-		if row == nil {
-			return true
-		}
-		return fn(ScanEntry{RowID: slot.id, Row: row})
-	})
+	t.pk.Ascend(visit(txID, fn))
 }
 
 // PKRange visits visible rows with lo <= pk <= hi in key order. Nil bounds
-// are open.
+// are open, and a bound of fewer columns than the key stands for every key
+// it is a prefix of (btree.AscendRange).
 func (t *Table) PKRange(txID int64, lo, hi btree.Key, fn func(ScanEntry) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.pk.AscendRange(lo, hi, func(_ btree.Key, v any) bool {
-		slot := t.slots[v.(int64)]
-		row := slot.visible(txID)
-		if row == nil {
-			return true
-		}
-		return fn(ScanEntry{RowID: slot.id, Row: row})
-	})
+	t.pk.AscendRange(lo, hi, visit(txID, fn))
 }
 
 // PKGet returns the visible row with the given primary key.
 func (t *Table) PKGet(txID int64, key btree.Key) (ScanEntry, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, ok := t.pk.Get(key)
+	slot, ok := t.pk.Get(key)
 	if !ok {
 		return ScanEntry{}, false
 	}
-	slot := t.slots[v.(int64)]
 	row := slot.visible(txID)
-	if row == nil {
-		return ScanEntry{}, false
-	}
-	return ScanEntry{RowID: slot.id, Row: row}, true
+	return ScanEntry{Row: row, slot: slot}, row != nil
 }
 
 // IndexRange visits visible rows whose index key is within [lo, hi] on the
-// named secondary index. Because index entries may be stale relative to a
-// row's visible version, callers must re-check their predicates — the query
-// processor always does.
+// named secondary index, in key order and row-id order within a key; a
+// bound may name only the index's leading columns. Because index entries
+// may be stale relative to a row's visible version, callers must re-check
+// their predicates — the query processor always does.
 func (t *Table) IndexRange(txID int64, index string, lo, hi btree.Key, fn func(ScanEntry) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -216,21 +206,6 @@ func (t *Table) IndexRange(txID int64, index string, lo, hi btree.Key, fn func(S
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", ErrIndexNotFound, t.name, index)
 	}
-	ix.tree.AscendRange(lo, hi, func(_ btree.Key, v any) bool {
-		for rowID := range v.(map[int64]struct{}) {
-			slot, ok := t.slots[rowID]
-			if !ok {
-				continue
-			}
-			row := slot.visible(txID)
-			if row == nil {
-				continue
-			}
-			if !fn(ScanEntry{RowID: slot.id, Row: row}) {
-				return false
-			}
-		}
-		return true
-	})
+	ix.tree.AscendRange(lo, hi, visit(txID, fn))
 	return nil
 }

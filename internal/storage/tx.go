@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"shardingsphere/internal/btree"
 	"shardingsphere/internal/sqltypes"
 )
 
@@ -18,11 +17,10 @@ const (
 	txAborted
 )
 
-// writeRecord remembers a transaction's first touch of a row so commit and
-// rollback know whether the slot was created by this transaction.
-type writeRecord struct {
-	key      lockKey
-	inserted bool
+// write is one row a transaction has a pending version of.
+type write struct {
+	table *Table
+	slot  *rowSlot
 }
 
 // Tx is one local transaction on an Engine. A Tx is used by a single
@@ -35,10 +33,8 @@ type Tx struct {
 	mu     sync.Mutex
 	state  txState
 	xid    string
-	writes map[lockKey]*writeRecord
-	order  []*writeRecord
+	writes []write // each row once, in order of first touch
 	locked []lockKey
-	// versionFloor gates nothing yet; reserved for snapshot upgrades.
 }
 
 // ID returns the transaction id (unique per engine).
@@ -51,16 +47,16 @@ func (tx *Tx) noteLock(key lockKey) {
 	tx.mu.Unlock()
 }
 
-func (tx *Tx) noteWrite(key lockKey, inserted bool) *writeRecord {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if rec, ok := tx.writes[key]; ok {
-		return rec
+// own makes the transaction the owner of a row it is about to write,
+// recording its first touch of it. Caller holds t.mu and the row lock.
+func (tx *Tx) own(t *Table, slot *rowSlot) {
+	if slot.owner == tx.id {
+		return
 	}
-	rec := &writeRecord{key: key, inserted: inserted}
-	tx.writes[key] = rec
-	tx.order = append(tx.order, rec)
-	return rec
+	slot.owner = tx.id
+	tx.mu.Lock()
+	tx.writes = append(tx.writes, write{t, slot})
+	tx.mu.Unlock()
 }
 
 func (tx *Tx) checkActive() error {
@@ -76,14 +72,20 @@ func (tx *Tx) checkActive() error {
 	}
 }
 
+// checkRow validates a row about to be stored. Caller holds t.mu.
+func (t *Table) checkRow(row sqltypes.Row) error {
+	for i, nn := range t.notNull {
+		if nn && row[i].IsNull() {
+			return fmt.Errorf("%w: %s.%s", ErrNotNullColumn, t.name, t.schema[i].Name)
+		}
+	}
+	return nil
+}
+
 // Insert adds a row to the table. A NULL in the auto-increment column is
 // replaced with the next sequence value; the inserted row is returned.
-func (tx *Tx) Insert(table string, row sqltypes.Row) (sqltypes.Row, error) {
+func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	if err := tx.checkActive(); err != nil {
-		return nil, err
-	}
-	t, err := tx.engine.Table(table)
-	if err != nil {
 		return nil, err
 	}
 	if len(row) != len(t.schema) {
@@ -102,68 +104,63 @@ func (tx *Tx) Insert(table string, row sqltypes.Row) (sqltypes.Row, error) {
 			t.autoInc = v
 		}
 	}
-	for i, nn := range t.notNull {
-		if nn && row[i].IsNull() {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNotNullColumn, t.name, t.schema[i].Name)
-		}
+	if err := t.checkRow(row); err != nil {
+		return nil, err
 	}
 	pkKey, err := t.pkKeyOf(row)
 	if err != nil {
 		return nil, err
 	}
-	if v, ok := t.pk.Get(pkKey); ok {
-		slot := t.slots[v.(int64)]
+	if slot, ok := t.pk.Get(pkKey); ok {
 		// Re-insert of a row this transaction deleted: revive it in place.
 		if slot.owner == tx.id && slot.deleted {
 			slot.deleted = false
 			slot.uncommitted = row
-			t.addVersionEntries(row, slot.committed, slot.id)
+			t.addVersionEntries(row, slot.committed, slot)
 			return row, nil
 		}
-		return nil, fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, btree.Key(pkKey))
+		return nil, fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, pkKey)
 	}
 	t.rowSeq++
-	slot := &rowSlot{id: t.rowSeq, pkKey: pkKey, uncommitted: row, owner: tx.id}
-	t.slots[slot.id] = slot
-	t.pk.Set(pkKey, slot.id)
-	t.addVersionEntries(row, nil, slot.id)
+	slot := &rowSlot{id: t.rowSeq, pkKey: pkKey, uncommitted: row}
+	t.pk.Set(pkKey, slot)
+	t.addVersionEntries(row, nil, slot)
 	// The row is brand new, so the lock is uncontended; register it
 	// directly rather than going through the wait queue.
+	key := lockKey{t, slot.id}
 	tx.engine.locks.mu.Lock()
-	tx.engine.locks.locks[lockKey{t, slot.id}] = &lockState{owner: tx.id}
+	tx.engine.locks.locks[key] = &lockState{owner: tx.id}
 	tx.engine.locks.mu.Unlock()
-	tx.noteLock(lockKey{t, slot.id})
-	tx.noteWrite(lockKey{t, slot.id}, true)
+	tx.noteLock(key)
+	tx.own(t, slot)
 	return row, nil
 }
 
-// Update replaces the visible row identified by rowID. It returns false if
-// the row disappeared before the lock was granted (deleted by a committed
-// concurrent transaction). Primary key columns must be unchanged.
-func (tx *Tx) Update(table string, rowID int64, newRow sqltypes.Row) (bool, error) {
+// lock takes the write lock of the row behind a scan entry of table t.
+func (tx *Tx) lock(t *Table, se ScanEntry) error {
 	if err := tx.checkActive(); err != nil {
-		return false, err
+		return err
 	}
-	t, err := tx.engine.Table(table)
-	if err != nil {
-		return false, err
-	}
+	return tx.engine.locks.acquire(tx, lockKey{t, se.slot.id}, tx.engine.lockTimeout)
+}
+
+// Update replaces the visible row behind a scan entry of table t. It
+// returns false if the row disappeared before the lock was granted
+// (deleted by a committed concurrent transaction). Primary key columns must
+// be unchanged.
+func (tx *Tx) Update(t *Table, se ScanEntry, newRow sqltypes.Row) (bool, error) {
 	if len(newRow) != len(t.schema) {
 		return false, fmt.Errorf("%w: table %s wants %d columns, got %d",
 			ErrColumnCount, t.name, len(t.schema), len(newRow))
 	}
-	key := lockKey{t, rowID}
-	if err := tx.engine.locks.acquire(tx, key, tx.engine.lockTimeout); err != nil {
+	if err := tx.lock(t, se); err != nil {
 		return false, err
 	}
 	newRow = newRow.Clone()
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	slot, ok := t.slots[rowID]
-	if !ok {
-		return false, nil
-	}
+	slot := se.slot
 	cur := slot.visible(tx.id)
 	if cur == nil {
 		return false, nil
@@ -173,19 +170,16 @@ func (tx *Tx) Update(table string, rowID int64, newRow sqltypes.Row) (bool, erro
 			return false, fmt.Errorf("%w: %s.%s", ErrPKUpdate, t.name, t.schema[c].Name)
 		}
 	}
-	for i, nn := range t.notNull {
-		if nn && newRow[i].IsNull() {
-			return false, fmt.Errorf("%w: %s.%s", ErrNotNullColumn, t.name, t.schema[i].Name)
-		}
+	if err := t.checkRow(newRow); err != nil {
+		return false, err
 	}
-	tx.noteWrite(key, false)
-	if slot.owner == tx.id && slot.uncommitted != nil {
-		t.removeVersionEntries(slot.uncommitted, slot.committed, rowID)
+	tx.own(t, slot)
+	if slot.uncommitted != nil {
+		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 	}
-	slot.owner = tx.id
 	slot.deleted = false
 	slot.uncommitted = newRow
-	t.addVersionEntries(newRow, slot.committed, rowID)
+	t.addVersionEntries(newRow, slot.committed, slot)
 	return true, nil
 }
 
@@ -193,135 +187,90 @@ func (tx *Tx) Update(table string, rowID int64, newRow sqltypes.Row) (bool, erro
 // FOR UPDATE). Re-reads after Lock see the latest committed version, so
 // read-modify-write sequences built on it cannot lose updates. It returns
 // false if the row vanished before the lock was granted.
-func (tx *Tx) Lock(table string, rowID int64) (bool, error) {
-	if err := tx.checkActive(); err != nil {
-		return false, err
-	}
-	t, err := tx.engine.Table(table)
-	if err != nil {
-		return false, err
-	}
-	key := lockKey{t, rowID}
-	if err := tx.engine.locks.acquire(tx, key, tx.engine.lockTimeout); err != nil {
+func (tx *Tx) Lock(t *Table, se ScanEntry) (bool, error) {
+	if err := tx.lock(t, se); err != nil {
 		return false, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	slot, ok := t.slots[rowID]
-	if !ok || slot.visible(tx.id) == nil {
-		return false, nil
-	}
-	return true, nil
+	return se.slot.visible(tx.id) != nil, nil
 }
 
-// Delete removes the visible row identified by rowID, returning false if
-// the row was already gone.
-func (tx *Tx) Delete(table string, rowID int64) (bool, error) {
-	if err := tx.checkActive(); err != nil {
-		return false, err
-	}
-	t, err := tx.engine.Table(table)
-	if err != nil {
-		return false, err
-	}
-	key := lockKey{t, rowID}
-	if err := tx.engine.locks.acquire(tx, key, tx.engine.lockTimeout); err != nil {
+// Delete removes the visible row behind a scan entry of table t, returning
+// false if the row was already gone.
+func (tx *Tx) Delete(t *Table, se ScanEntry) (bool, error) {
+	if err := tx.lock(t, se); err != nil {
 		return false, err
 	}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	slot, ok := t.slots[rowID]
-	if !ok {
-		return false, nil
-	}
+	slot := se.slot
 	if slot.visible(tx.id) == nil {
 		return false, nil
 	}
-	tx.noteWrite(key, slot.owner == tx.id && slot.committed == nil)
-	if slot.owner == tx.id && slot.uncommitted != nil {
-		t.removeVersionEntries(slot.uncommitted, slot.committed, rowID)
+	tx.own(t, slot)
+	if slot.uncommitted != nil {
+		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 	}
-	slot.owner = tx.id
 	slot.uncommitted = nil
 	slot.deleted = true
 	return true, nil
 }
 
 // Commit makes the transaction's writes durable and visible.
-func (tx *Tx) Commit() error {
-	tx.mu.Lock()
-	if tx.state != txActive {
-		st := tx.state
-		tx.mu.Unlock()
-		if st == txPrepared {
-			return ErrTxPrepared
-		}
-		return ErrTxFinished
-	}
-	tx.state = txCommitted
-	tx.mu.Unlock()
-	tx.apply(true)
-	return nil
-}
+func (tx *Tx) Commit() error { return tx.finish(txCommitted) }
 
 // Rollback discards the transaction's writes.
-func (tx *Tx) Rollback() error {
+func (tx *Tx) Rollback() error { return tx.finish(txAborted) }
+
+// finish takes an active transaction to its final state.
+func (tx *Tx) finish(final txState) error {
 	tx.mu.Lock()
-	if tx.state != txActive {
-		st := tx.state
+	if st := tx.state; st != txActive {
 		tx.mu.Unlock()
 		if st == txPrepared {
 			return ErrTxPrepared
 		}
 		return ErrTxFinished
 	}
-	tx.state = txAborted
+	tx.state = final
 	tx.mu.Unlock()
-	tx.apply(false)
+	tx.apply(final == txCommitted)
 	return nil
 }
 
 // apply finalizes every written slot and releases the row locks.
 func (tx *Tx) apply(commit bool) {
-	// Group records per table so each table latch is taken once.
-	perTable := map[*Table][]*writeRecord{}
-	for _, rec := range tx.order {
-		perTable[rec.key.table] = append(perTable[rec.key.table], rec)
-	}
-	for t, recs := range perTable {
+	// Writes are in order of first touch, and a statement touches one table,
+	// so each run of writes to the same table takes that table's latch once.
+	for i := 0; i < len(tx.writes); {
+		t := tx.writes[i].table
 		t.mu.Lock()
-		for _, rec := range recs {
-			slot, ok := t.slots[rec.key.rowID]
-			if !ok || slot.owner != tx.id {
-				continue
-			}
-			if commit {
-				t.commitSlot(slot, rec.inserted)
-			} else {
-				t.rollbackSlot(slot, rec.inserted)
+		for ; i < len(tx.writes) && tx.writes[i].table == t; i++ {
+			switch slot := tx.writes[i].slot; {
+			case slot.owner != tx.id: // truncated away meanwhile
+			case commit:
+				t.commitSlot(slot)
+			default:
+				t.rollbackSlot(slot)
 			}
 		}
 		t.mu.Unlock()
 	}
 	tx.engine.locks.releaseAll(tx.locked, tx.id)
 	tx.locked = nil
-	tx.order = nil
 	tx.writes = nil
 }
 
 // commitSlot promotes the pending version. Caller holds t.mu.
-func (t *Table) commitSlot(slot *rowSlot, inserted bool) {
+func (t *Table) commitSlot(slot *rowSlot) {
 	switch {
 	case slot.deleted:
-		if slot.committed != nil {
-			t.removeVersionEntries(slot.committed, nil, slot.id)
-		}
-		t.dropPKEntryFor(slot)
-		delete(t.slots, slot.id)
+		t.drop(slot)
 	case slot.uncommitted != nil:
 		if slot.committed != nil {
-			t.removeVersionEntries(slot.committed, slot.uncommitted, slot.id)
+			t.removeVersionEntries(slot.committed, slot.uncommitted, slot)
 		}
 		slot.committed = slot.uncommitted
 		slot.uncommitted = nil
@@ -331,51 +280,50 @@ func (t *Table) commitSlot(slot *rowSlot, inserted bool) {
 	}
 }
 
-// rollbackSlot discards the pending version. Caller holds t.mu.
-func (t *Table) rollbackSlot(slot *rowSlot, inserted bool) {
-	if inserted {
-		if slot.uncommitted != nil {
-			t.removeVersionEntries(slot.uncommitted, nil, slot.id)
-		}
-		t.dropPKEntryFor(slot)
-		delete(t.slots, slot.id)
+// rollbackSlot discards the pending version; a row the transaction itself
+// inserted has no committed version and goes altogether. Caller holds t.mu.
+func (t *Table) rollbackSlot(slot *rowSlot) {
+	if slot.committed == nil {
+		t.drop(slot)
 		return
 	}
 	if slot.uncommitted != nil {
-		t.removeVersionEntries(slot.uncommitted, slot.committed, slot.id)
+		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 	}
 	slot.uncommitted = nil
 	slot.deleted = false
 	slot.owner = 0
 }
 
-// dropPKEntryFor removes the pk entry that points at the slot, using the
-// key cached when the slot was created.
-func (t *Table) dropPKEntryFor(slot *rowSlot) {
-	if v, ok := t.pk.Get(slot.pkKey); ok && v.(int64) == slot.id {
-		t.pk.Delete(slot.pkKey)
+// drop takes a row out of the table: its index entries, its primary-key
+// entry, and the versions a stale scan entry could still reach.
+func (t *Table) drop(slot *rowSlot) {
+	if slot.committed != nil {
+		t.removeVersionEntries(slot.committed, nil, slot)
 	}
+	if slot.uncommitted != nil {
+		t.removeVersionEntries(slot.uncommitted, nil, slot)
+	}
+	t.pk.Delete(slot.pkKey)
+	slot.retire()
 }
 
-// addVersionEntries adds secondary-index entries for row, skipping indexes
-// where an existing version already holds the same key (the entry sets are
-// shared between versions with equal keys).
-func (t *Table) addVersionEntries(row, existing sqltypes.Row, rowID int64) {
+// addVersionEntries adds secondary-index entries for a version of the row,
+// skipping indexes where an existing version already has the same entry.
+func (t *Table) addVersionEntries(row, existing sqltypes.Row, slot *rowSlot) {
 	for _, ix := range t.indexes {
-		if existing != nil && btree.CompareKeys(ix.keyOf(existing), ix.keyOf(row)) == 0 {
-			continue
+		if existing == nil || !ix.sameKey(existing, row) {
+			ix.tree.Set(ix.keyOf(row, slot.id), slot)
 		}
-		ix.add(row, rowID)
 	}
 }
 
 // removeVersionEntries removes secondary-index entries for victim, keeping
 // entries still needed by survivor.
-func (t *Table) removeVersionEntries(victim, survivor sqltypes.Row, rowID int64) {
+func (t *Table) removeVersionEntries(victim, survivor sqltypes.Row, slot *rowSlot) {
 	for _, ix := range t.indexes {
-		if survivor != nil && btree.CompareKeys(ix.keyOf(survivor), ix.keyOf(victim)) == 0 {
-			continue
+		if survivor == nil || !ix.sameKey(survivor, victim) {
+			ix.tree.Delete(ix.keyOf(victim, slot.id))
 		}
-		ix.remove(victim, rowID)
 	}
 }
