@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz check bench
+.PHONY: build test race vet fuzz check bench lines
 
 # Pre-PR gate: static checks, the full suite under the race detector and
 # the wire-protocol fuzz pass. Run this before every PR.
@@ -33,3 +33,7 @@ fuzz:
 # claimed.
 bench:
 	bash benchmark/run.sh
+
+# ROADMAP aim 2's size measure: non-test Go lines outside benchmark/.
+lines:
+	@find internal pkg cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

@@ -139,7 +139,7 @@ func TestSysbenchDataDistributes(t *testing.T) {
 		}
 		rs.Close()
 		for _, table := range tables {
-			crs, err := conn.Query(context.Background(), "SELECT COUNT(*) FROM " + table)
+			crs, err := conn.Query(context.Background(), "SELECT COUNT(*) FROM "+table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,15 +189,15 @@ func TestRandString(t *testing.T) {
 
 // --- plan-cache benchmarks ---
 //
-// BenchmarkPointSelectCached vs BenchmarkPointSelectUncached isolates the
-// parameterized plan cache: identical topology and workload, cache on vs
-// off. The parallel variant exercises the sharded-lock design under
-// concurrent sessions.
+// Repeated-shape point selects on one topology; the parallel variant
+// exercises the plan cache's sharded-lock design under concurrent
+// sessions. (What a missed shape costs is the gated benchmark's
+// point_select / cold_shapes pair.)
 
-func planCacheSystem(b *testing.B, planCacheSize int) (*bench.System, sysbench.Config) {
+func planCacheSystem(b *testing.B) (*bench.System, sysbench.Config) {
 	b.Helper()
 	sys, err := bench.NewSSJ(bench.Topology{
-		Sources: 2, TablesPerSource: 2, MaxCon: 4, PlanCacheSize: planCacheSize,
+		Sources: 2, TablesPerSource: 2, MaxCon: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -211,8 +211,8 @@ func planCacheSystem(b *testing.B, planCacheSize int) (*bench.System, sysbench.C
 	return sys, cfg
 }
 
-func benchPointSelect(b *testing.B, planCacheSize int) {
-	sys, _ := planCacheSystem(b, planCacheSize)
+func BenchmarkPointSelectCached(b *testing.B) {
+	sys, _ := planCacheSystem(b)
 	defer sys.Close()
 	c, err := sys.NewClient(0)
 	if err != nil {
@@ -229,11 +229,8 @@ func benchPointSelect(b *testing.B, planCacheSize int) {
 	}
 }
 
-func BenchmarkPointSelectCached(b *testing.B)   { benchPointSelect(b, 0) }
-func BenchmarkPointSelectUncached(b *testing.B) { benchPointSelect(b, -1) }
-
 func BenchmarkPointSelectCachedParallel(b *testing.B) {
-	sys, _ := planCacheSystem(b, 0)
+	sys, _ := planCacheSystem(b)
 	defer sys.Close()
 	var seed int64
 	b.ResetTimer()
@@ -254,28 +251,21 @@ func BenchmarkPointSelectCachedParallel(b *testing.B) {
 }
 
 // BenchmarkRepeatedShapeSysbench runs the sysbench point-select scenario —
-// the repeated-shape OLTP workload the cache targets — cache on vs off.
+// the repeated-shape OLTP workload the cache targets.
 func BenchmarkRepeatedShapeSysbench(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		size int
-	}{{"cached", 0}, {"uncached", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys, cfg := planCacheSystem(b, mode.size)
-			defer sys.Close()
-			c, err := sys.NewClient(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			scenario := cfg.PointSelect()
-			rng := rand.New(rand.NewSource(11))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := scenario(c, rng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	sys, cfg := planCacheSystem(b)
+	defer sys.Close()
+	c, err := sys.NewClient(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	scenario := cfg.PointSelect()
+	rng := rand.New(rand.NewSource(11))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := scenario(c, rng); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -45,10 +45,6 @@ type Topology struct {
 	// CustomRules overrides the generated sbtest-style rules entirely
 	// (the TPCC experiment supplies its own rule set).
 	CustomRules *sharding.RuleSet
-	// PlanCacheSize passes through to core.Config: 0 uses the default
-	// capacity, negative disables the parameterized plan cache (the
-	// uncached baseline in the plan-cache experiment).
-	PlanCacheSize int
 	// TxLog passes through to core.Config: the transaction benchmark
 	// injects a sync-cost-modeling XA log.
 	TxLog transaction.LogStore
@@ -136,7 +132,6 @@ func NewSSJ(top Topology) (*System, error) {
 		Sources:       top.buildSources(),
 		MaxCon:        top.MaxCon,
 		DefaultTxType: top.TxType,
-		PlanCacheSize: top.PlanCacheSize,
 		TxLog:         top.TxLog,
 	})
 	if err != nil {

@@ -86,10 +86,6 @@ type Config struct {
 	Features []Feature
 	// DefaultTxType is the initial distributed transaction type.
 	DefaultTxType transaction.Type
-	// PlanCacheSize bounds the shared parameterized plan cache (0 uses
-	// plancache.DefaultCapacity; negative disables caching — every
-	// statement re-runs the full parse→route→rewrite pipeline).
-	PlanCacheSize int
 }
 
 // Kernel is one runtime instance shared by all sessions.
@@ -126,17 +122,18 @@ type Kernel struct {
 	defaultTxType transaction.Type
 	distSQL       DistSQLHandler
 
-	// planCache is the shared parameterized plan cache (nil when disabled).
-	// hasTransformers gates its fast path: statement-transforming features
-	// force every shape back onto the generic pipeline.
+	// planCache is the shared shape table: each entry holds a shape's
+	// statement digest and its compiled plan. hasTransformers gates the
+	// plans' fast path: statement-transforming features force every shape
+	// back onto the generic pipeline.
 	planCache       *plancache.Cache
 	hasTransformers bool
 
 	// tel is the always-on telemetry collector every statement feeds.
 	tel *telemetry.Collector
 
-	// workload is the digest/heat/hot-key plane: sessions feed digests,
-	// the executor feeds heat, the router feeds hot keys.
+	// workload is the heat/hot-key plane: the executor feeds heat, the
+	// router feeds hot keys.
 	workload *digest.Workload
 
 	ruleMu sync.RWMutex
@@ -203,9 +200,7 @@ func New(cfg Config) (*Kernel, error) {
 		return cols, err
 	}
 	k.rewriter = rewrite.New(k.dialectOf)
-	if cfg.PlanCacheSize >= 0 {
-		k.planCache = plancache.New(cfg.PlanCacheSize)
-	}
+	k.planCache = plancache.New(0)
 	for _, f := range cfg.Features {
 		if _, ok := f.(StatementTransformer); ok {
 			k.hasTransformers = true
@@ -227,11 +222,20 @@ func New(cfg Config) (*Kernel, error) {
 		}
 	}
 	k.gates.Store(&gates)
-	k.workload = digest.NewWorkload(0)
+	k.workload = digest.NewWorkload()
 	executor.SetHeat(k.workload.Heat)
 	// Digest/heat totals ride the federated snapshot so cluster-wide
 	// counts merge exactly through MetricsPull/MergeSnapshots.
-	tel.RegisterSnapshotExtra(k.workload.SnapshotInto)
+	tel.RegisterSnapshotExtra(func(s *telemetry.MetricsSnapshot) {
+		for _, fam := range []struct {
+			prefix string
+			m      map[string]int64
+		}{{"digest.", k.planCache.DigestMetrics()}, {"heat.", k.workload.HeatMetrics()}} {
+			for name, v := range fam.m {
+				s.Counters = append(s.Counters, telemetry.NamedCounter{Name: fam.prefix + name, Value: v})
+			}
+		}
+	})
 	return k, nil
 }
 
@@ -277,14 +281,15 @@ func (k *Kernel) InvalidateMeta() {
 	k.BumpPlanEpoch()
 }
 
-// PlanCache exposes the shared plan cache (nil when disabled); DistSQL's
-// SHOW PLAN CACHE STATUS and the governor's metrics listener read it.
+// PlanCache exposes the shared shape table; DistSQL's SHOW PLAN CACHE
+// STATUS, SHOW STATEMENT DIGESTS and RESET DIGESTS and the governor's
+// metrics listener use it.
 func (k *Kernel) PlanCache() *plancache.Cache { return k.planCache }
 
 // Telemetry exposes the statement telemetry collector (never nil).
 func (k *Kernel) Telemetry() *telemetry.Collector { return k.tel }
 
-// Workload exposes the digest/heat/hot-key plane (never nil).
+// Workload exposes the heat/hot-key plane (never nil).
 func (k *Kernel) Workload() *digest.Workload { return k.workload }
 
 // SetHotKeyTracking switches the hot-key sketch on or off (SET VARIABLE
@@ -305,11 +310,7 @@ func (k *Kernel) SetHotKeyTracking(on bool) {
 
 // BumpPlanEpoch invalidates every cached plan. DDL, DistSQL rule changes
 // and governor-pushed config updates call it.
-func (k *Kernel) BumpPlanEpoch() {
-	if k.planCache != nil {
-		k.planCache.Invalidate()
-	}
-}
+func (k *Kernel) BumpPlanEpoch() { k.planCache.Invalidate() }
 
 // dialectOf resolves a data source's SQL dialect (MySQL for unknown
 // sources, matching the rewriter's historical default).

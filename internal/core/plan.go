@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
-	"shardingsphere/internal/digest"
 	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/route"
 	"shardingsphere/internal/sqlparser"
@@ -11,12 +8,11 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-// plan is one cached statement shape: the parsed AST plus, for shapes the
+// plan is one compiled statement shape: the parsed AST plus, for shapes the
 // fast path serves, the precomputed route skeleton and rewrite template.
 // Plans are shared across sessions and never mutated after buildPlan; every
 // pipeline stage that needs to change the AST clones it first.
 type plan struct {
-	key  string
 	stmt sqlparser.Statement
 	sel  *sqlparser.SelectStmt // non-nil when stmt is a SELECT
 
@@ -27,29 +23,17 @@ type plan struct {
 	skel       *route.Skeleton
 	tmpl       *rewrite.Template
 	logicTable string // rule's LogicTable key for TableMap lookups ("" when unsharded)
-
-	// dig caches the shape's digest entry so plan-cache hits skip even
-	// the registry's striped map probe; the epoch detects RESET DIGESTS
-	// and entry eviction forces a re-resolve through Touch.
-	dig atomic.Pointer[digRef]
-}
-
-// digRef pairs a digest entry with the registry epoch it was resolved
-// under.
-type digRef struct {
-	e     *digest.Entry
-	epoch uint64
 }
 
 // buildPlan compiles a normalized shape into a plan. It runs once per shape
-// (under the plan cache's singleflight); a parse error here means the
-// caller re-parses the original text so the error carries it.
+// and plan epoch (under the shape entry's build lock); a parse error here
+// means the caller re-parses the original text so the error carries it.
 func buildPlan(k *Kernel, norm *sqlparser.Normalized) (*plan, error) {
 	stmt, err := sqlparser.Parse(norm.Key)
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{key: norm.Key, stmt: stmt}
+	p := &plan{stmt: stmt}
 	p.sel, _ = stmt.(*sqlparser.SelectStmt)
 
 	// Fast-path eligibility. Statement transformers (encrypt, shadow) may
@@ -94,7 +78,6 @@ func buildPlan(k *Kernel, norm *sqlparser.Normalized) (*plan, error) {
 // render) instead of separate route/rewrite marks, keeping the hot path
 // at a handful of clock reads.
 func (s *Session) executePlan(p *plan, args []sqltypes.Value) (*Result, error) {
-	s.resolvePlanDigest(p)
 	if !p.fast {
 		s.tr.Mark(telemetry.StagePlanCache)
 		return s.ExecuteStmt(p.stmt, args)
@@ -116,22 +99,4 @@ func (s *Session) executePlan(p *plan, args []sqltypes.Value) (*Result, error) {
 	}
 	s.tr.Mark(telemetry.StagePlanCache)
 	return s.runUnits(p.stmt, p.sel, rw, 0)
-}
-
-// resolvePlanDigest attaches the plan's digest entry to the current
-// statement. The entry pointer rides the cached plan, so a plan-cache
-// hit refreshes the LRU stamp without a map probe; the registry is
-// consulted only when the cache is cold, the entry was evicted, or a
-// RESET DIGESTS bumped the epoch.
-func (s *Session) resolvePlanDigest(p *plan) {
-	reg := s.k.workload.Digests
-	if ref := p.dig.Load(); ref != nil && ref.epoch == reg.Epoch() && reg.Touch(ref.e) {
-		s.stmtDigest = ref.e
-		s.tr.SetDigest(ref.e.ID, p.key)
-		return
-	}
-	e := reg.Get(p.key)
-	p.dig.Store(&digRef{e: e, epoch: reg.Epoch()})
-	s.stmtDigest = e
-	s.tr.SetDigest(e.ID, p.key)
 }

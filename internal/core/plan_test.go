@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"shardingsphere/internal/resource"
-	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
-	"shardingsphere/internal/storage"
 	"shardingsphere/internal/transaction"
 )
+
+// nodeKeepSights is the sight from which an embedded data node keeps a
+// statement text (sqlexec's keepSights): warming a shape takes that many
+// executions per actual-table text before nothing on its path parses.
+const nodeKeepSights = 3
 
 // parses counts parser invocations while fn runs.
 func parses(fn func()) uint64 {
@@ -26,11 +29,13 @@ func TestPlanCacheZeroParseOnRepeatedShapes(t *testing.T) {
 
 	// Warm the shape across every shard: the first execution compiles the
 	// plan (one parse of the normalized key), and the embedded data nodes
-	// parse each distinct actual-table text once into their own
-	// prepared-statement caches — exactly what a real backend would do.
+	// parse each distinct actual-table text until they keep it in their
+	// own prepared-statement caches.
 	warm := parses(func() {
-		for uid := 1; uid <= 4; uid++ {
-			mustQuery(t, s, fmt.Sprintf("SELECT name FROM t_user WHERE uid = %d", uid))
+		for i := 0; i < nodeKeepSights; i++ {
+			for uid := 1; uid <= 4; uid++ {
+				mustQuery(t, s, fmt.Sprintf("SELECT name FROM t_user WHERE uid = %d", uid))
+			}
 		}
 	})
 	if warm == 0 {
@@ -64,7 +69,9 @@ func TestPlanCacheSharedAcrossSessions(t *testing.T) {
 	k := newKernel(t, 2, 4)
 	s1 := k.NewSession()
 	seed(t, s1, 5)
-	mustQuery(t, s1, "SELECT name FROM t_user WHERE uid = 1") // warm (shard 1)
+	for i := 0; i < nodeKeepSights; i++ {
+		mustQuery(t, s1, "SELECT name FROM t_user WHERE uid = 1") // warm (shard 1)
+	}
 
 	s2 := k.NewSession()
 	n := parses(func() {
@@ -117,7 +124,9 @@ func TestPlanCacheMultiNodeShapes(t *testing.T) {
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()
 	seed(t, s, 12)
-	mustQuery(t, s, "SELECT COUNT(*) FROM t_user WHERE age > 0") // warm
+	for i := 0; i < nodeKeepSights; i++ {
+		mustQuery(t, s, "SELECT COUNT(*) FROM t_user WHERE age > 0") // warm
+	}
 	n := parses(func() {
 		rows := mustQuery(t, s, "SELECT COUNT(*) FROM t_user WHERE age > 200")
 		if rows[0][0].I != 0 {
@@ -150,7 +159,9 @@ func TestPlanCacheForUpdateBypassInTransaction(t *testing.T) {
 	mustExec(t, s, "COMMIT")
 	// Outside a transaction the same shape is cacheable (uid 1 and 5 share
 	// a shard, so the data node's own statement cache is warm too).
-	mustQuery(t, s, "SELECT name FROM t_user WHERE uid = 1 FOR UPDATE")
+	for i := 0; i < nodeKeepSights; i++ {
+		mustQuery(t, s, "SELECT name FROM t_user WHERE uid = 1 FOR UPDATE")
+	}
 	n := parses(func() { mustQuery(t, s, "SELECT name FROM t_user WHERE uid = 5 FOR UPDATE") })
 	if n != 0 {
 		t.Fatalf("FOR UPDATE outside tx parsed %d times", n)
@@ -167,7 +178,7 @@ func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 	if k.PlanCache().Epoch() == epoch {
 		t.Fatal("DDL did not bump the plan-cache epoch")
 	}
-	// Stale plan dropped: next execution recompiles (parses) and works.
+	// Stale plan passed over: next execution recompiles (parses) and works.
 	n := parses(func() {
 		rows := mustQuery(t, s, "SELECT name FROM t_user WHERE uid = 2")
 		if len(rows) != 1 || rows[0][0].S != "user2" {
@@ -176,37 +187,6 @@ func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 	})
 	if n == 0 {
 		t.Fatal("stale plan served after DDL epoch bump")
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	rules := sharding.NewRuleSet()
-	sources := map[string]*resource.DataSource{
-		"ds0": resource.NewEmbedded(storage.NewEngine("ds0"), nil),
-	}
-	rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
-		LogicTable: "t", Resources: []string{"ds0"},
-		ShardingColumn: "id", AlgorithmType: "MOD", ShardingCount: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules.AddRule(rule)
-	k, err := New(Config{Rules: rules, Sources: sources, PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.PlanCache() != nil {
-		t.Fatal("negative PlanCacheSize must disable the cache")
-	}
-	s := k.NewSession()
-	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY)")
-	mustExec(t, s, "INSERT INTO t (id) VALUES (1)")
-	for i := 0; i < 2; i++ {
-		n := parses(func() { mustQuery(t, s, "SELECT id FROM t WHERE id = 1") })
-		if n == 0 {
-			t.Fatalf("iteration %d: disabled cache must parse every statement", i)
-		}
 	}
 }
 

@@ -143,8 +143,7 @@ func (s *Session) Close() {
 // the kernel's shared parameterized plan cache: the statement is
 // normalized (literals → parameter slots), the shape's plan is looked up
 // or compiled once, and execution binds the captured values — on a cache
-// hit the parser never runs (the former per-session exact-string AST map,
-// wiped wholesale at 4096 entries, is gone).
+// hit the parser never runs.
 func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
 	s.stmtQueueWait, s.queueWait = s.queueWait, 0
 	if h := s.k.distSQL; h != nil && h.Match(sql) {
@@ -208,33 +207,35 @@ func (s *Session) ExecuteTraced(sql string, args ...sqltypes.Value) (*Result, *t
 	return res, tr, err
 }
 
-// executeSQL is the statement body of Execute: plan-cache fast path or
-// parse + generic pipeline.
+// executeSQL is the statement body of Execute. A normalizable statement
+// does one keyed lookup: its shape's entry in the plan cache, which is
+// both where the statement is counted and where its plan lives. The plan
+// is used when it is current, compiled when it is missing or stale, and
+// passed over for the full parse + generic pipeline in three cases that
+// still count under the entry: a locking read in a transaction, a bind
+// failure and a build failure.
 func (s *Session) executeSQL(sql string, args []sqltypes.Value) (*Result, error) {
-	if pc := s.k.planCache; pc != nil {
-		if norm, ok := sqlparser.Normalize(sql); ok {
-			// Locking reads inside a distributed transaction bypass the
-			// cache: a SELECT ... FOR UPDATE under XA must see the pipeline
-			// state of its own transaction, never a shared shortcut.
-			if !(norm.ForUpdate && s.tx != nil) {
-				if bound, err := norm.BindArgs(args); err == nil {
-					v, err := pc.GetOrCompute(norm.Key, func() (any, error) {
-						return buildPlan(s.k, norm)
-					})
-					if err == nil {
-						return s.executePlan(v.(*plan), bound)
-					}
-					// A failed build is not cached; fall through to a full
-					// parse so syntax errors reference the original text.
+	if norm, ok := sqlparser.Normalize(sql); ok {
+		e := s.k.planCache.Lookup(norm.Key)
+		s.stmtDigest = &e.Digest
+		// The trace carries the digest id the digest row shows, and the
+		// key lets a slow-log capture redact without re-normalizing.
+		s.tr.SetDigest(e.Digest.ID, e.Digest.Key)
+		// Locking reads inside a distributed transaction bypass the plan:
+		// a SELECT ... FOR UPDATE under XA must see the pipeline state of
+		// its own transaction, never a shared shortcut.
+		if !(norm.ForUpdate && s.tx != nil) {
+			if bound, err := norm.BindArgs(args); err == nil {
+				v, err := s.k.planCache.Plan(e, func() (any, error) {
+					return buildPlan(s.k, norm)
+				})
+				if err == nil {
+					return s.executePlan(v.(*plan), bound)
 				}
+				// A failed build is not cached; fall through to a full
+				// parse so syntax errors reference the original text.
 			}
-			// Normalizable but off the plan path (locking read in a
-			// transaction, bind or build failure): resolve the digest by
-			// shape so these executions still aggregate.
-			s.noteDigest(norm.Key)
 		}
-	} else if norm, ok := sqlparser.Normalize(sql); ok {
-		s.noteDigest(norm.Key)
 	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -242,15 +243,6 @@ func (s *Session) executeSQL(sql string, args []sqltypes.Value) (*Result, error)
 	}
 	s.tr.Mark(telemetry.StageParse)
 	return s.ExecuteStmt(stmt, args)
-}
-
-// noteDigest resolves the statement's digest entry by its normalized
-// shape and stamps the trace, so a slow-log capture carries the same
-// digest id the registry row shows (and redacts without re-normalizing).
-func (s *Session) noteDigest(key string) {
-	e := s.k.workload.Digests.Get(key)
-	s.stmtDigest = e
-	s.tr.SetDigest(e.ID, key)
 }
 
 // Query runs a statement that must return rows.

@@ -1,0 +1,377 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"shardingsphere/internal/digest"
+	"shardingsphere/internal/plancache"
+	"shardingsphere/internal/resource"
+	"shardingsphere/internal/sqlparser"
+	"shardingsphere/internal/sqltypes"
+	"shardingsphere/internal/transaction"
+)
+
+// The plan cache is the one table that remembers a statement shape: these
+// tests pin what its entries do through Session.Execute.
+
+// findDigest returns the live digest row of sql's shape.
+func findDigest(t *testing.T, k *Kernel, sql string) (digest.EntrySnapshot, bool) {
+	t.Helper()
+	norm, ok := sqlparser.Normalize(sql)
+	if !ok {
+		t.Fatalf("%q does not normalize", sql)
+	}
+	var found []digest.EntrySnapshot
+	shapes, _ := k.planCache.Digests()
+	for _, s := range shapes {
+		if s.Key == norm.Key {
+			found = append(found, s)
+		}
+	}
+	if len(found) > 1 {
+		t.Fatalf("%q has %d digest rows", sql, len(found))
+	}
+	if len(found) == 0 {
+		return digest.EntrySnapshot{}, false
+	}
+	return found[0], true
+}
+
+func mustDigest(t *testing.T, k *Kernel, sql string) digest.EntrySnapshot {
+	t.Helper()
+	d, ok := findDigest(t, k, sql)
+	if !ok {
+		t.Fatalf("%q has no digest row", sql)
+	}
+	return d
+}
+
+func cachedPlan(t *testing.T, k *Kernel, sql string) *plan {
+	t.Helper()
+	norm, _ := sqlparser.Normalize(sql)
+	v, ok := k.planCache.Get(norm.Key)
+	if !ok {
+		t.Fatalf("%q: no current plan", sql)
+	}
+	return v.(*plan)
+}
+
+func TestDigestSurvivesPlanEpochBump(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	s := k.NewSession()
+	seed(t, s, 4)
+	const q = "SELECT name FROM t_user WHERE uid = ?"
+	uid := sqltypes.NewInt(1)
+	for i := 0; i < nodeKeepSights; i++ {
+		mustQuery(t, s, q, uid)
+	}
+	before := k.planCache.Stats()
+
+	k.BumpPlanEpoch()
+	// The data node's statement cache is warm, so the one parse is the
+	// kernel compiling the shape again.
+	if n := parses(func() { mustQuery(t, s, q, uid) }); n != 1 {
+		t.Fatalf("execution after an epoch bump parsed %d times, want 1 (the recompile)", n)
+	}
+	if d := mustDigest(t, k, q); d.Calls != nodeKeepSights+1 || d.Rows != nodeKeepSights+1 {
+		t.Fatalf("counters did not continue across the epoch bump: %+v", d)
+	}
+	after := k.planCache.Stats()
+	if after.Misses != before.Misses+1 || after.Hits != before.Hits || after.Size != before.Size {
+		t.Fatalf("stats %+v -> %+v: want one more miss and the same shapes", before, after)
+	}
+	if n := parses(func() { mustQuery(t, s, q, uid) }); n != 0 {
+		t.Fatalf("recompiled plan not reused: %d parses", n)
+	}
+}
+
+func TestShapeCompiledOnceUnderConcurrentFirstSight(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	seed(t, k.NewSession(), 4)
+	const q = "SELECT age FROM t_user WHERE uid = ?"
+	uid := sqltypes.NewInt(1)
+	// Warm the data node's statement cache with the unit's text through
+	// the generic pipeline, which leaves the plan cache alone.
+	stmt, err := sqlparser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nodeKeepSights; i++ {
+		res, err := k.NewSession().ExecuteStmt(stmt, []sqltypes.Value{uid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resource.ReadAll(res.RS)
+	}
+
+	const sessions = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	n := parses(func() {
+		for i := 0; i < sessions; i++ {
+			wg.Add(1)
+			go func(s *Session) {
+				defer wg.Done()
+				<-start
+				rs, err := s.Query(q, uid)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rows, err := resource.ReadAll(rs); err != nil || len(rows) != 1 {
+					t.Errorf("rows %v err %v", rows, err)
+				}
+			}(k.NewSession())
+		}
+		close(start)
+		wg.Wait()
+	})
+	if n != 1 {
+		t.Fatalf("%d concurrent first sights parsed %d times, want 1", sessions, n)
+	}
+	if d := mustDigest(t, k, q); d.Calls != sessions {
+		t.Fatalf("digest: %+v", d)
+	}
+}
+
+// TestOffPlanExecutionsCountUnderTheShape: a locking read inside a
+// transaction, a failing bind and a failing build run without the shape's
+// plan — no hit, no miss, no compile — and still count under its entry.
+func TestOffPlanExecutionsCountUnderTheShape(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	s := k.NewSession()
+	seed(t, s, 4)
+	const q = "SELECT name FROM t_user WHERE uid = ? FOR UPDATE"
+	uid := sqltypes.NewInt(1)
+	mustQuery(t, s, q, uid)
+	p := cachedPlan(t, k, q)
+	before := k.planCache.Stats()
+
+	s.SetTransactionType(transaction.XA)
+	mustExec(t, s, "BEGIN")
+	mustQuery(t, s, q, uid)
+	mustQuery(t, s, q, uid)
+	mustExec(t, s, "COMMIT")
+	if _, err := s.Query(q); err == nil {
+		t.Fatal("missing bind argument must error")
+	}
+	if after := k.planCache.Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("off-plan executions touched the plan: %+v -> %+v", before, after)
+	}
+	if cachedPlan(t, k, q) != p {
+		t.Fatal("off-plan executions replaced the plan")
+	}
+	if d := mustDigest(t, k, q); d.Calls != 4 || d.Errors != 1 || d.Rows != 3 {
+		t.Fatalf("digest: %+v", d)
+	}
+
+	// A shape that normalizes but does not parse has an entry and no plan.
+	const bad = "SELECT FROM WHERE uid = 1"
+	for i := 0; i < 2; i++ {
+		if _, err := s.Execute(bad); err == nil {
+			t.Fatal("malformed statement must error")
+		}
+	}
+	if d := mustDigest(t, k, bad); d.Calls != 2 || d.Errors != 2 {
+		t.Fatalf("digest of the malformed shape: %+v", d)
+	}
+	norm, _ := sqlparser.Normalize(bad)
+	if _, ok := k.planCache.Get(norm.Key); ok {
+		t.Fatal("a failed build left a plan behind")
+	}
+}
+
+// TestShapeStormTotalsNeverRunBackwards drives three times the table's
+// capacity in new shapes through one session, sampling the digest.*
+// totals after every statement: they must never decrease, and must end at
+// the number of statements executed, because an evicted shape's counters
+// move to the "(evicted)" accumulator instead of vanishing. A hot shape
+// interleaved with the storm is always among its shard's most recently
+// used, so the LRU must never evict it.
+func TestShapeStormTotalsNeverRunBackwards(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	const capacity = 64
+	k.planCache = plancache.New(capacity) // before the first statement
+	s := k.NewSession()
+	seed(t, s, 4)
+	last := k.planCache.DigestMetrics()
+	executed, uid := last["calls"], sqltypes.NewInt(1)
+	run := func(sql string) {
+		t.Helper()
+		mustQuery(t, s, sql, uid)
+		executed++
+		m := k.planCache.DigestMetrics()
+		for _, name := range []string{"calls", "errors", "rows", "evictions"} {
+			if m[name] < last[name] {
+				t.Fatalf("digest.%s ran backwards after %q: %d -> %d", name, sql, last[name], m[name])
+			}
+		}
+		last = m
+	}
+	const hot = "SELECT name AS hot FROM t_user WHERE uid = ?"
+	storm := func(i int) string { return fmt.Sprintf("SELECT name AS a%03d FROM t_user WHERE uid = ?", i) }
+	for i := 0; i < 3*capacity; i++ {
+		run(storm(i))
+		run(hot)
+	}
+	if last["calls"] != executed || last["shapes"] > capacity || last["evictions"] == 0 {
+		t.Fatalf("after %d statements: %v", executed, last)
+	}
+	if d := mustDigest(t, k, hot); d.Calls != 3*capacity {
+		t.Fatalf("the hot shape was evicted along the way: %+v", d)
+	}
+	if _, ok := findDigest(t, k, storm(0)); ok {
+		t.Fatal("the storm's first shape outlived three capacities of newer ones")
+	}
+	shapes, evicted := k.planCache.Digests()
+	sum := evicted.Calls
+	for _, d := range shapes {
+		sum += d.Calls
+	}
+	if evicted.ID != plancache.EvictedID || evicted.Calls == 0 || sum != executed {
+		t.Fatalf("live rows + evicted = %d, executed %d (evicted %+v)", sum, executed, evicted)
+	}
+	// An evicted shape's next sight starts from zero; the rest stays in
+	// the accumulator.
+	run(storm(0))
+	if d := mustDigest(t, k, storm(0)); d.Calls != 1 {
+		t.Fatalf("evicted shape came back as %+v", d)
+	}
+	if last["calls"] != executed {
+		t.Fatalf("calls %d, executed %d", last["calls"], executed)
+	}
+}
+
+func TestResetForgetsDigestsAndPlans(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	s := k.NewSession()
+	seed(t, s, 4)
+	const q = "SELECT name FROM t_user WHERE uid = ?"
+	uid := sqltypes.NewInt(1)
+	for i := 0; i < nodeKeepSights; i++ {
+		mustQuery(t, s, q, uid)
+	}
+
+	k.PlanCache().Reset()
+	if shapes, evicted := k.planCache.Digests(); len(shapes) != 0 || evicted.Calls != 0 {
+		t.Fatalf("digests survived Reset: %v %+v", shapes, evicted)
+	}
+	if m := k.planCache.DigestMetrics(); m["shapes"] != 0 || m["calls"] != 0 {
+		t.Fatalf("digest metrics after Reset: %v", m)
+	}
+	if n := parses(func() { mustQuery(t, s, q, uid) }); n != 1 {
+		t.Fatalf("first execution after Reset parsed %d times, want 1 (the recompile)", n)
+	}
+	if d := mustDigest(t, k, q); d.Calls != 1 {
+		t.Fatalf("digest after Reset: %+v", d)
+	}
+}
+
+// TestShapeStormConcurrentWithSnapshotsAndEpochBumps is for the race
+// detector: new shapes from 8 sessions (evicting all the while), digest
+// snapshots and plan invalidations at once. The totals a single reader
+// samples must still never decrease.
+func TestShapeStormConcurrentWithSnapshotsAndEpochBumps(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	k.planCache = plancache.New(64)
+	seed(t, k.NewSession(), 4)
+	const workers, perWorker = 8, 150
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int, s *Session) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				for _, sql := range []string{
+					fmt.Sprintf("SELECT name AS w%d_%03d FROM t_user WHERE uid = ?", w, i),
+					"SELECT name AS shared FROM t_user WHERE uid = ?",
+				} {
+					rs, err := s.Query(sql, sqltypes.NewInt(int64(1+i%4)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if rows, err := resource.ReadAll(rs); err != nil || len(rows) != 1 {
+						t.Errorf("%q: rows %v err %v", sql, rows, err)
+						return
+					}
+				}
+			}
+		}(w, k.NewSession())
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var lastCalls int64
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		k.BumpPlanEpoch()
+		shapes, _ := k.planCache.Digests()
+		if len(shapes) > 64 {
+			t.Fatalf("%d live shapes in a table of 64", len(shapes))
+		}
+		calls := k.planCache.DigestMetrics()["calls"]
+		if calls < lastCalls {
+			t.Fatalf("digest.calls ran backwards: %d -> %d", lastCalls, calls)
+		}
+		lastCalls = calls
+	}
+	// A statement whose shape was evicted mid-flight observes into an
+	// entry already folded, so the total may fall short, never overshoot.
+	if max := int64(8 + workers*perWorker*2); lastCalls > max || lastCalls < max/2 {
+		t.Fatalf("digest.calls %d after %d statements", lastCalls, max)
+	}
+}
+
+// TestShapeAllocations bounds what one point select allocates end to end
+// (Session.Execute + ReadAll) on a shape never seen before — normalize,
+// entry, compile, execute — and on a cached one. 114 and 38 are what the
+// two-table design (plan cache + digest registry) measured.
+func TestShapeAllocations(t *testing.T) {
+	k := sbtestKernel(t, 2000)
+	s := k.NewSession()
+	id := sqltypes.NewInt(7)
+	const runs = 200
+	fresh := make([]string, 0, runs+1) // AllocsPerRun warms up with one extra call
+	for i := 0; i <= runs; i++ {
+		fresh = append(fresh, fmt.Sprintf("SELECT c AS a%05d FROM sbtest WHERE id = ?", i))
+	}
+	const cached = "SELECT c FROM sbtest WHERE id = ?"
+	drain(t, s, cached, id)
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { drain(t, s, fresh[next], id); next++ }); n > 114 {
+		t.Errorf("a never-seen shape allocates %.0f times, ceiling 114", n)
+	} else {
+		t.Logf("never-seen shape: %.0f allocs", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() { drain(t, s, cached, id) }); n > 38 {
+		t.Errorf("a cached shape allocates %.0f times, ceiling 38", n)
+	} else {
+		t.Logf("cached shape: %.0f allocs", n)
+	}
+}
+
+// BenchmarkColdShapes is the benchmark's cold_shapes statement on one
+// session — 16,384 aliases of the point select cycling through a table of
+// 4,096 — for profiling the miss path with the standard tooling.
+func BenchmarkColdShapes(b *testing.B) {
+	const rows = 50000
+	k := sbtestKernel(b, rows)
+	s := k.NewSession()
+	shapes := make([]string, 16384)
+	for i := range shapes {
+		shapes[i] = fmt.Sprintf("SELECT c AS a%05d FROM sbtest WHERE id = ?", i)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drain(b, s, shapes[i%len(shapes)], sqltypes.NewInt(1+rng.Int63n(rows)))
+	}
+}

@@ -1,40 +1,30 @@
 // Package digest is the workload-observability plane (pg_stat_statements
-// for the sharding kernel): a statement digest registry keyed by the plan
-// cache's normalized statement shape, a per-(table, shard) heat map with
+// for the sharding kernel): the per-shape statement counters that hang
+// off the plan cache's entries, a per-(table, shard) heat map with
 // exponentially-decayed rates, and an opt-in hot-key top-k sketch over
 // routed sharding-key values. Telemetry (PR 2/5) answers "how slow was
 // this statement"; this package answers "which statement shapes, tables,
 // shards and key values carry the load" — the input signal the roadmap's
 // online-resharding item needs.
 //
-// Everything here is built for an always-on hot path: entries and cells
-// are resolved with one striped map probe and updated with plain atomic
-// adds; the only locks are per-stripe RWMutexes taken in read mode on
-// hits and in write mode only to insert a new shape or cell.
+// Everything here is built for an always-on hot path: the statement that
+// looked its shape up in the plan cache already holds the counters, and
+// feeds them with plain atomic adds.
 package digest
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"shardingsphere/internal/telemetry"
 )
 
-// DefaultCapacity bounds the digest registry: the table keeps at most
-// this many statement shapes and evicts the least-recently-observed one
-// beyond it, so a literal-storm of unique non-normalizable shapes cannot
-// grow it without bound.
-const DefaultCapacity = 4096
-
-// stripeCount shards the registry lock; must be a power of two.
-const stripeCount = 16
-
-// Entry aggregates one statement shape. All fields are atomics: a hit
-// updates the entry without any lock.
+// Entry aggregates one statement shape; it lives inside the shape's
+// plan-cache entry, which sets Key and ID. The counters are atomics: a
+// statement updates them without any lock.
 type Entry struct {
-	// Key is the normalized statement shape (literals replaced by "?"),
-	// identical to the plan cache's key for the same statement.
+	// Key is the normalized statement shape (literals replaced by "?"):
+	// the plan cache's key.
 	Key string
 	// ID is the shape's stable digest id (fnv-1a/64 of Key, hex).
 	ID string
@@ -59,12 +49,6 @@ type Entry struct {
 	crossShard     atomic.Int64
 	crossShardsSum atomic.Int64
 	crossShardsMax atomic.Int64
-
-	// touch is the registry's LRU clock stamp; dead marks an entry that
-	// was evicted while a cached plan still holds a pointer to it, so
-	// the plan re-resolves instead of feeding an invisible entry.
-	touch atomic.Int64
-	dead  atomic.Bool
 }
 
 // Observe records one finished statement against the shape.
@@ -86,9 +70,13 @@ func (e *Entry) Observe(total time.Duration, shards, retries int, failed bool) {
 	}
 	e.crossShard.Add(1)
 	e.crossShardsSum.Add(int64(shards))
+	e.raiseShardsMax(int64(shards))
+}
+
+func (e *Entry) raiseShardsMax(n int64) {
 	for {
 		m := e.crossShardsMax.Load()
-		if int64(shards) <= m || e.crossShardsMax.CompareAndSwap(m, int64(shards)) {
+		if n <= m || e.crossShardsMax.CompareAndSwap(m, n) {
 			return
 		}
 	}
@@ -120,7 +108,8 @@ type EntrySnapshot struct {
 	ShardsSum, ShardsMax    int64
 }
 
-func (e *Entry) snapshot() EntrySnapshot {
+// Snapshot copies the shape's state out.
+func (e *Entry) Snapshot() EntrySnapshot {
 	calls := e.calls.Load()
 	cross := e.crossShard.Load()
 	single := calls - cross
@@ -148,177 +137,24 @@ func (e *Entry) snapshot() EntrySnapshot {
 	}
 }
 
-type stripe struct {
-	mu sync.RWMutex
-	m  map[string]*Entry
+// Totals returns the counters the digest.* metrics family sums.
+func (e *Entry) Totals() (calls, errors, rows int64) {
+	return e.calls.Load(), e.errors.Load(), e.rows.Load()
 }
 
-// Registry is the lock-striped, cardinality-bounded digest table.
-type Registry struct {
-	stripes   [stripeCount]stripe
-	capacity  int // per-stripe bound
-	clock     atomic.Int64
-	epoch     atomic.Uint64
-	evictions atomic.Int64
-	shapes    atomic.Int64
-}
-
-// NewRegistry builds a registry bounded to capacity shapes (0 uses
-// DefaultCapacity).
-func NewRegistry(capacity int) *Registry {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	per := capacity / stripeCount
-	if per < 1 {
-		per = 1
-	}
-	r := &Registry{capacity: per}
-	for i := range r.stripes {
-		r.stripes[i].m = map[string]*Entry{}
-	}
-	return r
-}
-
-// Epoch returns the reset epoch; cached plans holding entry pointers
-// compare it to decide whether to re-resolve.
-func (r *Registry) Epoch() uint64 { return r.epoch.Load() }
-
-// Get returns the shape's entry, creating (and possibly evicting) under
-// the stripe write lock on first sight. The hot path is one fnv hash and
-// one read-locked map probe.
-func (r *Registry) Get(key string) *Entry {
-	if r == nil {
-		return nil
-	}
-	st := &r.stripes[fnv64(key)&(stripeCount-1)]
-	st.mu.RLock()
-	e := st.m[key]
-	st.mu.RUnlock()
-	if e == nil {
-		e = r.insert(st, key)
-	}
-	e.touch.Store(r.clock.Add(1))
-	return e
-}
-
-// Touch refreshes an entry's LRU stamp; plans that cache entry pointers
-// call it instead of re-probing. It reports false when the entry was
-// evicted or reset, telling the caller to Get again. Unlike Get it does
-// not advance the clock: the stamp is the clock's current value, which
-// only moves when a new shape is resolved. Entries touched since the
-// last resolution therefore tie — acceptable, because eviction order
-// only matters under a storm of new shapes, exactly when the clock is
-// advancing — and the steady-state cost is two atomic loads.
-func (r *Registry) Touch(e *Entry) bool {
-	if r == nil || e == nil || e.dead.Load() {
-		return false
-	}
-	if c := r.clock.Load(); e.touch.Load() != c {
-		e.touch.Store(c)
-	}
-	return true
-}
-
-func (r *Registry) insert(st *stripe, key string) *Entry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e := st.m[key]; e != nil {
-		return e
-	}
-	if len(st.m) >= r.capacity {
-		// Evict the least-recently-observed shape in this stripe. The
-		// O(stripe) scan runs only when a brand-new shape arrives with
-		// the stripe full — never on a hit.
-		var victim *Entry
-		var vkey string
-		for k, e := range st.m {
-			if victim == nil || e.touch.Load() < victim.touch.Load() {
-				victim, vkey = e, k
-			}
-		}
-		if victim != nil {
-			victim.dead.Store(true)
-			delete(st.m, vkey)
-			r.evictions.Add(1)
-			r.shapes.Add(-1)
-		}
-	}
-	e := &Entry{Key: key, ID: DigestID(key)}
-	st.m[key] = e
-	r.shapes.Add(1)
-	return e
-}
-
-// Reset drops every shape and bumps the epoch so cached entry pointers
-// re-resolve (RESET DIGESTS).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.epoch.Add(1)
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		for _, e := range st.m {
-			e.dead.Store(true)
-		}
-		st.m = map[string]*Entry{}
-		st.mu.Unlock()
-	}
-	r.shapes.Store(0)
-}
-
-// Snapshot copies every live shape out for rendering.
-func (r *Registry) Snapshot() []EntrySnapshot {
-	if r == nil {
-		return nil
-	}
-	var out []EntrySnapshot
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.RLock()
-		for _, e := range st.m {
-			out = append(out, e.snapshot())
-		}
-		st.mu.RUnlock()
-	}
-	return out
-}
-
-// Totals sums the registry's aggregate counters (the digest.* metrics
-// family and the federated snapshot both render them).
-func (r *Registry) Totals() (calls, errors, rows, shapes, evictions int64) {
-	if r == nil {
-		return
-	}
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.RLock()
-		for _, e := range st.m {
-			calls += e.calls.Load()
-			errors += e.errors.Load()
-			rows += e.rows.Load()
-		}
-		st.mu.RUnlock()
-	}
-	return calls, errors, rows, r.shapes.Load(), r.evictions.Load()
-}
-
-// DigestID is the stable statement digest id of a normalized shape;
-// it delegates to telemetry so slow-log entries and digest rows derive
-// identical ids (telemetry cannot import this package).
-func DigestID(key string) string { return telemetry.DigestID(key) }
-
-func fnv64(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
+// Fold adds a shape's counters, and its latency histogram bucket-wise,
+// into e. The plan cache folds every shape it evicts into one
+// accumulator, so the plane's totals never run backwards.
+func (e *Entry) Fold(from *Entry) {
+	e.calls.Add(from.calls.Load())
+	e.errors.Add(from.errors.Load())
+	e.retries.Add(from.retries.Load())
+	e.rows.Add(from.rows.Load())
+	e.bytes.Add(from.bytes.Load())
+	e.totalNs.Add(from.totalNs.Load())
+	buckets := from.lat.Snapshot()
+	e.lat.Merge(buckets[:])
+	e.crossShard.Add(from.crossShard.Load())
+	e.crossShardsSum.Add(from.crossShardsSum.Load())
+	e.raiseShardsMax(from.crossShardsMax.Load())
 }

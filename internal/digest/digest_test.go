@@ -10,24 +10,16 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-func TestRegistryObserveAndSnapshot(t *testing.T) {
-	r := NewRegistry(0)
-	e := r.Get("SELECT c FROM t WHERE id = ?")
-	if e == nil || e.ID == "" || len(e.ID) != 16 {
-		t.Fatalf("bad entry: %+v", e)
-	}
-	if again := r.Get("SELECT c FROM t WHERE id = ?"); again != e {
-		t.Fatal("same shape resolved to a different entry")
-	}
+func TestEntryObserveAndSnapshot(t *testing.T) {
+	e := &Entry{Key: "SELECT c FROM t WHERE id = ?", ID: telemetry.DigestID("SELECT c FROM t WHERE id = ?")}
 	e.Observe(2*time.Millisecond, 1, 0, false)
 	e.Observe(4*time.Millisecond, 3, 1, true)
 	e.AddRows(10, 100)
 
-	snaps := r.Snapshot()
-	if len(snaps) != 1 {
-		t.Fatalf("snapshot: %v", snaps)
+	s := e.Snapshot()
+	if s.Key != e.Key || s.ID != e.ID {
+		t.Fatalf("identity: %+v", s)
 	}
-	s := snaps[0]
 	if s.Calls != 2 || s.Errors != 1 || s.Retries != 1 || s.Rows != 10 || s.Bytes != 100 {
 		t.Fatalf("counts: %+v", s)
 	}
@@ -37,61 +29,35 @@ func TestRegistryObserveAndSnapshot(t *testing.T) {
 	if s.SingleShard != 1 || s.CrossShard != 1 || s.ShardsSum != 4 || s.ShardsMax != 3 {
 		t.Fatalf("shard split: %+v", s)
 	}
-	calls, errs, rows, shapes, evictions := r.Totals()
-	if calls != 2 || errs != 1 || rows != 10 || shapes != 1 || evictions != 0 {
-		t.Fatalf("totals: %d %d %d %d %d", calls, errs, rows, shapes, evictions)
+	if calls, errs, rows := e.Totals(); calls != 2 || errs != 1 || rows != 10 {
+		t.Fatalf("totals: %d %d %d", calls, errs, rows)
 	}
 }
 
-func TestRegistryEvictsLeastRecentShape(t *testing.T) {
-	// Capacity 16 → one slot per stripe: every second distinct shape in a
-	// stripe evicts the first, so the registry stays bounded under a
-	// literal storm of distinct shapes.
-	r := NewRegistry(16)
-	held := make([]*Entry, 0, 200)
-	for i := 0; i < 200; i++ {
-		held = append(held, r.Get(fmt.Sprintf("shape-%d", i)))
+// TestEntryFold: folding shapes into an accumulator sums every counter,
+// merges the latency histograms bucket-wise and keeps the widest fan-out.
+func TestEntryFold(t *testing.T) {
+	var a, b, acc Entry
+	a.Observe(2*time.Millisecond, 1, 0, false)
+	a.AddRows(3, 30)
+	b.Observe(40*time.Millisecond, 5, 2, true)
+	b.Observe(40*time.Millisecond, 2, 0, false)
+	b.AddRows(7, 70)
+	acc.Fold(&a)
+	acc.Fold(&b)
+	s := acc.Snapshot()
+	if s.Calls != 3 || s.Errors != 1 || s.Retries != 2 || s.Rows != 10 || s.Bytes != 100 {
+		t.Fatalf("counts: %+v", s)
 	}
-	_, _, _, shapes, evictions := r.Totals()
-	if shapes > 16 {
-		t.Fatalf("registry grew past capacity: %d shapes", shapes)
+	if s.Total != 82*time.Millisecond || s.SingleShard != 1 || s.CrossShard != 2 || s.ShardsSum != 8 || s.ShardsMax != 5 {
+		t.Fatalf("sums: %+v", s)
 	}
-	if evictions == 0 {
-		t.Fatal("no evictions under a shape storm")
+	want, more := a.lat.Snapshot(), b.lat.Snapshot()
+	for i := range want {
+		want[i] += more[i]
 	}
-	// Evicted victims are marked dead so plan caches re-resolve, and Touch
-	// must agree with liveness either way.
-	deadSeen := false
-	for _, e := range held {
-		if e.dead.Load() {
-			deadSeen = true
-			if r.Touch(e) {
-				t.Fatal("Touch succeeded on a dead entry")
-			}
-		}
-	}
-	if !deadSeen {
-		t.Fatal("no entry was marked dead despite evictions")
-	}
-}
-
-func TestRegistryResetBumpsEpochAndKillsEntries(t *testing.T) {
-	r := NewRegistry(0)
-	e := r.Get("k")
-	epoch := r.Epoch()
-	r.Reset()
-	if r.Epoch() != epoch+1 {
-		t.Fatalf("epoch: %d -> %d", epoch, r.Epoch())
-	}
-	if r.Touch(e) {
-		t.Fatal("Touch succeeded on an entry killed by Reset")
-	}
-	if len(r.Snapshot()) != 0 {
-		t.Fatal("snapshot not empty after Reset")
-	}
-	fresh := r.Get("k")
-	if fresh == e {
-		t.Fatal("Reset did not replace the entry")
+	if got := acc.lat.Snapshot(); got != want {
+		t.Fatalf("histogram: %v want %v", got, want)
 	}
 }
 
@@ -208,26 +174,18 @@ func TestWrapRowsChargesSink(t *testing.T) {
 	}
 }
 
-func TestWorkloadSnapshotIntoAndReset(t *testing.T) {
-	w := NewWorkload(0)
-	w.Digests.Get("q1").Observe(time.Millisecond, 1, 0, false)
+func TestWorkloadMetricsAndReset(t *testing.T) {
+	w := NewWorkload()
 	w.Heat.Cell("t", "ds0", "t_0").ObserveQuery(time.Unix(3_000_000, 0), 0, nil)
 	w.SetHotKeyTracking(true)
 	w.HotKeys().Note("t", "id", "7")
-
-	ms := &telemetry.MetricsSnapshot{}
-	w.SnapshotInto(ms)
-	counters := map[string]int64{}
-	for _, c := range ms.Counters {
-		counters[c.Name] = c.Value
-	}
-	if counters["digest.calls"] != 1 || counters["heat.queries"] != 1 {
-		t.Fatalf("snapshot counters: %v", counters)
+	if m := w.HeatMetrics(); m["queries"] != 1 || m["cells"] != 1 {
+		t.Fatalf("heat metrics: %v", m)
 	}
 
 	w.Reset()
-	if calls, _, _, shapes, _ := w.Digests.Totals(); calls != 0 || shapes != 0 {
-		t.Fatal("digests survived Reset")
+	if m := w.HeatMetrics(); m["queries"] != 0 || m["cells"] != 0 {
+		t.Fatalf("heat survived Reset: %v", m)
 	}
 	if len(w.HotKeys().Top(0)) != 0 {
 		t.Fatal("hot keys survived Reset")

@@ -160,6 +160,9 @@ type cellKey struct {
 	logic, ds, actual string
 }
 
+// stripeCount shards the heat map's lock; must be a power of two.
+const stripeCount = 16
+
 type heatStripe struct {
 	mu sync.RWMutex
 	m  map[cellKey]*Cell
@@ -292,4 +295,17 @@ func (h *Heat) Totals() (queries, execs, rowsRead, rowsWritten, bytes, errors, c
 		st.mu.RUnlock()
 	}
 	return queries, execs, rowsRead, rowsWritten, bytes, errors, h.cells.Load()
+}
+
+func fnv64(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }

@@ -6,25 +6,21 @@ import (
 
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sqltypes"
-	"shardingsphere/internal/telemetry"
 )
 
-// Workload bundles the three workload-observability structures the
-// kernel owns: the statement digest registry, the shard heat map, and
-// the opt-in hot-key sketch.
+// Workload bundles the workload-observability structures the kernel owns
+// beside the plan cache (which holds the statement digests): the shard
+// heat map and the opt-in hot-key sketch.
 type Workload struct {
-	Digests *Registry
-	Heat    *Heat
+	Heat *Heat
 	// hotKeys is nil while hot-key tracking is off, so the disabled
 	// cost at the router is a single atomic pointer load.
 	hotKeys atomic.Pointer[TopK]
 }
 
-// NewWorkload builds the bundle with a digest registry bounded to
-// capacity shapes (0 uses DefaultCapacity). Hot-key tracking starts
-// off.
-func NewWorkload(capacity int) *Workload {
-	return &Workload{Digests: NewRegistry(capacity), Heat: NewHeat()}
+// NewWorkload builds the bundle. Hot-key tracking starts off.
+func NewWorkload() *Workload {
+	return &Workload{Heat: NewHeat()}
 }
 
 // SetHotKeyTracking switches the hot-key sketch on or off. Turning it
@@ -48,27 +44,14 @@ func (w *Workload) HotKeys() *TopK {
 	return w.hotKeys.Load()
 }
 
-// Reset clears the whole plane (RESET DIGESTS).
+// Reset clears the heat map and the hot-key sketch (RESET DIGESTS).
 func (w *Workload) Reset() {
 	if w == nil {
 		return
 	}
-	w.Digests.Reset()
 	w.Heat.Reset()
 	if t := w.hotKeys.Load(); t != nil {
 		t.Reset()
-	}
-}
-
-// DigestMetrics is the governor metrics source for the digest.* family.
-func (w *Workload) DigestMetrics() map[string]int64 {
-	calls, errs, rows, shapes, evictions := w.Digests.Totals()
-	return map[string]int64{
-		"calls":     calls,
-		"errors":    errs,
-		"rows":      rows,
-		"shapes":    shapes,
-		"evictions": evictions,
 	}
 }
 
@@ -83,23 +66,6 @@ func (w *Workload) HeatMetrics() map[string]int64 {
 		"bytes":        bytes,
 		"errors":       errs,
 		"cells":        cells,
-	}
-}
-
-// SnapshotInto appends the plane's counters to a metrics snapshot, so
-// they ride the existing MetricsPull/MergeSnapshots federation and the
-// cluster-wide digest call count is the exact node sum.
-func (w *Workload) SnapshotInto(s *telemetry.MetricsSnapshot) {
-	if w == nil || s == nil {
-		return
-	}
-	for _, fam := range []struct {
-		prefix string
-		m      map[string]int64
-	}{{"digest.", w.DigestMetrics()}, {"heat.", w.HeatMetrics()}} {
-		for k, v := range fam.m {
-			s.Counters = append(s.Counters, telemetry.NamedCounter{Name: fam.prefix + k, Value: v})
-		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"shardingsphere/internal/plancache"
+	"shardingsphere/internal/sqlparser"
 )
 
 // createUserRule8 is the smoke test's 8-shard layout: enough shards that
@@ -157,10 +160,72 @@ func TestDigestSmoke(t *testing.T) {
 	if got := rows(t, exec(t, s, "SHOW HOT KEYS")); len(got) != 0 {
 		t.Fatalf("hot keys survived RESET: %v", got)
 	}
-	// And the next statement starts repopulating through the re-resolved
-	// plan-cache digest references.
+	if m := gov.Metrics(); m["digest.shapes"] != 0 || m["digest.calls"] != 0 {
+		t.Fatalf("digest metrics survived RESET: shapes %d calls %d", m["digest.shapes"], m["digest.calls"])
+	}
+	// The digests live in the plan cache's entries, so the reset cost the
+	// shape its plan: the next statement compiles it again — the one parse
+	// here, the data nodes' statement caches being warm from the storm —
+	// and starts repopulating the plane.
+	before := sqlparser.ParseCount()
 	rows(t, exec(t, s, "SELECT name FROM t_user WHERE uid = 3"))
+	if n := sqlparser.ParseCount() - before; n != 1 {
+		t.Fatalf("first execution after RESET parsed %d times, want 1 (the recompile)", n)
+	}
 	if got := rows(t, exec(t, s, "SHOW STATEMENT DIGESTS")); len(got) != 1 || got[0][2].I != 1 {
 		t.Fatalf("plane did not repopulate after RESET: %v", got)
+	}
+}
+
+// TestDigestTotalsSurviveEviction storms three capacities of new shapes
+// through one session. The digest.* totals are counters: they must never
+// decrease while shapes are evicted, and must end at the number of
+// statements executed; SHOW STATEMENT DIGESTS accounts for the evicted
+// shapes in one last "(evicted)" row, which RESET DIGESTS clears.
+func TestDigestTotalsSurviveEviction(t *testing.T) {
+	_, s, gov := fixture(t)
+	exec(t, s, createUserRule)
+	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
+	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (1, 'u1')")
+	exec(t, s, "RESET DIGESTS")
+
+	const shapes = 3 * plancache.DefaultCapacity
+	var last int64
+	for i := 0; i < shapes; i++ {
+		rows(t, exec(t, s, fmt.Sprintf("SELECT name AS a%05d FROM t_user WHERE uid = 1", i)))
+		if i%64 == 0 || i == shapes-1 {
+			calls := gov.Metrics()["digest.calls"]
+			if calls < last {
+				t.Fatalf("digest.calls ran backwards at statement %d: %d -> %d", i, last, calls)
+			}
+			last = calls
+		}
+	}
+	if last != shapes {
+		t.Fatalf("digest.calls = %d after %d statements", last, shapes)
+	}
+	got := rows(t, exec(t, s, "SHOW STATEMENT DIGESTS ORDER BY calls"))
+	live, evicted := got[:len(got)-1], got[len(got)-1]
+	if len(live) > plancache.DefaultCapacity {
+		t.Fatalf("%d live shapes in a table of %d", len(live), plancache.DefaultCapacity)
+	}
+	for _, r := range live {
+		if r[0].S == plancache.EvictedID || r[2].I != 1 {
+			t.Fatalf("live row: %v", r)
+		}
+	}
+	if evicted[0].S != plancache.EvictedID || evicted[2].I != int64(shapes-len(live)) || evicted[5].I != evicted[2].I {
+		t.Fatalf("evicted row %v beside %d live shapes of %d", evicted, len(live), shapes)
+	}
+	if m := gov.Metrics(); m["digest.shapes"] != int64(len(live)) || m["digest.evictions"] != evicted[2].I || m["digest.rows"] != shapes {
+		t.Fatalf("digest metrics: shapes %d evictions %d rows %d", m["digest.shapes"], m["digest.evictions"], m["digest.rows"])
+	}
+
+	exec(t, s, "RESET DIGESTS")
+	if got := rows(t, exec(t, s, "SHOW STATEMENT DIGESTS")); len(got) != 0 {
+		t.Fatalf("rows after RESET DIGESTS: %v", got)
+	}
+	if m := gov.Metrics(); m["digest.calls"] != 0 || m["digest.shapes"] != 0 {
+		t.Fatalf("digest metrics after RESET DIGESTS: calls %d shapes %d", m["digest.calls"], m["digest.shapes"])
 	}
 }

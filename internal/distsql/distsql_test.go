@@ -497,22 +497,6 @@ func TestShowPlanCacheStatus(t *testing.T) {
 	}
 }
 
-func TestShowPlanCacheStatusDisabled(t *testing.T) {
-	sources := map[string]*resource.DataSource{
-		"ds0": resource.NewEmbedded(storage.NewEngine("ds0"), nil),
-	}
-	k, err := core.New(core.Config{Sources: sources, PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	Install(k, nil)
-	s := k.NewSession()
-	got := rows(t, exec(t, s, "SHOW PLAN CACHE STATUS"))
-	if len(got) != 1 || got[0][0].S != "false" {
-		t.Fatalf("disabled cache status: %v", got)
-	}
-}
-
 func TestConfigWatchInvalidatesPeerInstance(t *testing.T) {
 	// Two instances share one coordination registry. A rule change executed
 	// on instance A must drop instance B's cached plans via the governor's

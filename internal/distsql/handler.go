@@ -38,9 +38,7 @@ func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 	h := &Handler{gov: gov}
 	k.SetDistSQLHandler(h)
 	if gov != nil {
-		if pc := k.PlanCache(); pc != nil {
-			gov.RegisterMetrics("plan_cache", pc.Metrics)
-		}
+		gov.RegisterMetrics("plan_cache", k.PlanCache().Metrics)
 		gov.RegisterMetrics("exec", k.Executor().Metrics)
 		if tel := k.Telemetry(); tel != nil {
 			gov.RegisterMetrics("sql", tel.Metrics)
@@ -56,7 +54,7 @@ func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 		gov.RegisterMetrics("txn", k.TxManager().Metrics)
 		// Workload plane: digest.* and heat.* families on /metrics, the
 		// same totals SHOW CLUSTER METRICS merges across nodes.
-		gov.RegisterMetrics("digest", k.Workload().DigestMetrics)
+		gov.RegisterMetrics("digest", k.PlanCache().DigestMetrics)
 		gov.RegisterMetrics("heat", k.Workload().HeatMetrics)
 		// Frontend admission counters. The controller is installed by the
 		// proxy after this wiring runs, so resolve it per snapshot.
@@ -158,10 +156,13 @@ func (h *Handler) removeFault(sess *core.Session, source string) (*core.Result, 
 	return &core.Result{}, nil
 }
 
-// resetDigests is RESET DIGESTS: clears the digest registry, the shard
-// heat map and the hot-key sketch.
+// resetDigests is RESET DIGESTS: clears the statement digests (and, since
+// they share the entries, the cached plans), the shard heat map and the
+// hot-key sketch.
 func (h *Handler) resetDigests(sess *core.Session) (*core.Result, error) {
-	sess.Kernel().Workload().Reset()
+	k := sess.Kernel()
+	k.PlanCache().Reset()
+	k.Workload().Reset()
 	return &core.Result{}, nil
 }
 
@@ -626,21 +627,10 @@ func (h *Handler) showStatus(sess *core.Session) (*core.Result, error) {
 	return rowsResult([]string{"kind", "name", "status"}, rows), nil
 }
 
-// showPlanCache surfaces the shared plan cache's counters (RAL). A
-// disabled cache reports a single "disabled" row instead of erroring.
+// showPlanCache surfaces the shared plan cache's counters (RAL).
 func (h *Handler) showPlanCache(sess *core.Session) (*core.Result, error) {
-	k := sess.Kernel()
 	cols := []string{"enabled", "hits", "misses", "evictions", "invalidations", "size", "capacity", "epoch", "hit_ratio", "shard_evictions"}
-	pc := k.PlanCache()
-	if pc == nil {
-		return rowsResult(cols, []sqltypes.Row{{
-			sqltypes.NewString("false"),
-			sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
-			sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
-			sqltypes.NewString("0.000"), sqltypes.NewString(""),
-		}}), nil
-	}
-	st := pc.Stats()
+	st := sess.Kernel().PlanCache().Stats()
 	shardEv := make([]string, len(st.ShardEvictions))
 	for i, ev := range st.ShardEvictions {
 		shardEv[i] = strconv.FormatUint(ev, 10)
@@ -864,10 +854,11 @@ func (h *Handler) showSlowQueries(sess *core.Session) (*core.Result, error) {
 	return rowsResult(cols, rows), nil
 }
 
-// showDigests renders the statement digest registry (RAL's SHOW
-// STATEMENT DIGESTS), ranked by accumulated wall time or call count.
+// showDigests renders the statement digests (RAL's SHOW STATEMENT
+// DIGESTS), ranked by accumulated wall time or call count. Shapes the
+// plan cache evicted follow as one last "(evicted)" row.
 func (h *Handler) showDigests(sess *core.Session, orderBy string) (*core.Result, error) {
-	snaps := sess.Kernel().Workload().Digests.Snapshot()
+	snaps, evicted := sess.Kernel().PlanCache().Digests()
 	if orderBy == "calls" {
 		sort.Slice(snaps, func(i, j int) bool {
 			if snaps[i].Calls != snaps[j].Calls {
@@ -882,6 +873,9 @@ func (h *Handler) showDigests(sess *core.Session, orderBy string) (*core.Result,
 			}
 			return snaps[i].Key < snaps[j].Key
 		})
+	}
+	if evicted.Calls > 0 {
+		snaps = append(snaps, evicted)
 	}
 	cols := []string{"digest", "sql", "calls", "errors", "retries", "rows", "bytes",
 		"total_us", "avg_us", "p50_us", "p99_us", "single_shard", "cross_shard", "avg_shards", "max_shards"}

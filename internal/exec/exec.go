@@ -99,10 +99,11 @@ type Listener func(dataSource, sql string, dur time.Duration, err error)
 
 // Executor runs rewritten SQL units against pooled data sources.
 type Executor struct {
+	// sources is fixed at New and only read afterwards, so it needs no lock.
 	sources map[string]*resource.DataSource
 	maxCon  int
 
-	lockMu  sync.Mutex
+	lockMu  sync.Mutex // guards dsLocks
 	dsLocks map[string]*sync.Mutex
 
 	listener Listener
@@ -117,10 +118,10 @@ type Executor struct {
 	// map epoch it was created under, so RESET DIGESTS invalidates the
 	// cache without the cache storing anything but the cell.
 	heatCache [heatCacheSize]atomic.Pointer[digest.Cell]
-	// stats is a copy-on-write snapshot of per-source telemetry buckets,
-	// rebuilt on SetTelemetry so the per-unit hot
-	// path resolves its bucket with one plain map read.
-	stats atomic.Pointer[map[string]*telemetry.SourceStats]
+	// stats holds the per-source telemetry buckets, built once by
+	// SetTelemetry (before any statement runs) so the per-unit hot path
+	// resolves its bucket with one plain map read.
+	stats map[string]*telemetry.SourceStats
 
 	// Dispatch counters: statements that ran on the caller's stack
 	// (single data source) vs. fanned out across goroutines.
@@ -156,12 +157,14 @@ func New(sources map[string]*resource.DataSource, maxCon int) *Executor {
 func (e *Executor) SetListener(l Listener) { e.listener = l }
 
 // SetTelemetry wires the kernel's collector so every unit execution feeds
-// the per-data-source histograms and error counters.
+// the per-data-source histograms and error counters. Call it before the
+// executor runs statements.
 func (e *Executor) SetTelemetry(c *telemetry.Collector) {
 	e.tel = c
-	e.lockMu.Lock()
-	e.rebuildStats()
-	e.lockMu.Unlock()
+	e.stats = make(map[string]*telemetry.SourceStats, len(e.sources))
+	for name := range e.sources {
+		e.stats[name] = c.Source(name)
+	}
 }
 
 // SetHeat installs the shard heat map; every routed unit is attributed
@@ -233,18 +236,6 @@ func noteDrainedRows(c *digest.Cell, rs resource.ResultSet) {
 	}
 }
 
-// rebuildStats recomputes the per-source stats snapshot; lockMu held.
-func (e *Executor) rebuildStats() {
-	if e.tel == nil {
-		return
-	}
-	m := make(map[string]*telemetry.SourceStats, len(e.sources))
-	for name := range e.sources {
-		m[name] = e.tel.Source(name)
-	}
-	e.stats.Store(&m)
-}
-
 // Metrics is a governor MetricsSource exposing the inline-vs-goroutine
 // dispatch counters.
 func (e *Executor) Metrics() map[string]int64 {
@@ -264,9 +255,7 @@ func (e *Executor) MaxCon() int { return e.maxCon }
 
 // Source returns a data source by name.
 func (e *Executor) Source(name string) (*resource.DataSource, error) {
-	e.lockMu.Lock()
 	ds, ok := e.sources[name]
-	e.lockMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("exec: unknown data source %q", name)
 	}
@@ -275,8 +264,6 @@ func (e *Executor) Source(name string) (*resource.DataSource, error) {
 
 // Sources lists the data source names.
 func (e *Executor) Sources() []string {
-	e.lockMu.Lock()
-	defer e.lockMu.Unlock()
 	out := make([]string, 0, len(e.sources))
 	for n := range e.sources {
 		out = append(out, n)
@@ -321,11 +308,7 @@ func (e *Executor) observe(tr *telemetry.Trace, ds, sql string, start time.Time,
 		e.listener(ds, sql, dur, err)
 	}
 	if enabled {
-		var s *telemetry.SourceStats
-		if m := e.stats.Load(); m != nil {
-			s = (*m)[ds]
-		}
-		if s != nil {
+		if s := e.stats[ds]; s != nil {
 			s.Execute.Observe(dur)
 			if err != nil {
 				s.Errors.Add(1)

@@ -1,15 +1,21 @@
-// Package plancache is the engine-level parameterized plan cache: a
-// fixed-shard LRU keyed by normalized SQL shape, shared by every session
-// of a kernel. Shards bound lock contention under concurrent OLTP load,
-// singleflight population keeps a hot shape from being compiled by every
-// waiting session at once, and a version epoch invalidates the whole
-// cache in O(1) when DDL or rule changes make cached routes stale.
+// Package plancache is the kernel's one shape table: a fixed-shard LRU
+// keyed by normalized SQL shape, shared by every session of a kernel. An
+// entry holds what the kernel remembers about a shape — its statement
+// digest counters and its compiled plan. Shards bound lock contention
+// under concurrent OLTP load, a per-entry build lock keeps a hot shape
+// from being compiled by every waiting session at once, and a version
+// epoch invalidates every plan in O(1) when DDL or rule changes make
+// cached routes stale; the counters outlive that, and leave only by
+// eviction (folded into the "(evicted)" accumulator) or Reset.
 package plancache
 
 import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"shardingsphere/internal/digest"
+	"shardingsphere/internal/telemetry"
 )
 
 // NumShards is the fixed shard count. Sixteen keeps per-shard mutexes
@@ -19,6 +25,9 @@ const NumShards = 16
 
 // DefaultCapacity bounds the cache when the caller passes 0.
 const DefaultCapacity = 4096
+
+// EvictedID names the accumulator row of shapes that left by eviction.
+const EvictedID = "(evicted)"
 
 // Stats is a snapshot of the cache counters, surfaced through the
 // governor's metrics listener and DistSQL's SHOW PLAN CACHE STATUS.
@@ -57,28 +66,41 @@ type Cache struct {
 }
 
 type shard struct {
-	mu        sync.Mutex
-	entries   map[string]*entry
-	lru       list.List // front = most recently used
-	inflight  map[string]*flight
+	mu      sync.Mutex
+	entries map[string]*Entry
+	lru     list.List // front = most recently used
+	// evicted accumulates the counters of every shape this shard evicted.
+	// A victim leaves entries and is folded in under one hold of mu, so a
+	// reader that takes the entries and evicted under one hold finds each
+	// count in exactly one place.
+	evicted   digest.Entry
 	evictions atomic.Uint64
 }
 
-type entry struct {
-	key   string
+// Entry is one remembered statement shape.
+type Entry struct {
+	// Digest is the shape's statement digest: key, id and the counters
+	// every execution of the shape feeds, whether or not it used the plan.
+	// A statement keeps feeding the entry it looked up; what it adds after
+	// the entry was evicted (it ran, or streamed rows, while a shard's worth
+	// of newer shapes arrived) is in no row and no total.
+	Digest digest.Entry
+
+	// build serializes compilation, so concurrent first sights of a shape
+	// compile it once.
+	build sync.Mutex
+	plan  atomic.Pointer[stamped]
+	elem  *list.Element // guarded by the shard's mu
+}
+
+// stamped is a compiled plan and the epoch read before it was built, so
+// an invalidation racing with the build marks the fresh plan stale.
+type stamped struct {
 	val   any
 	epoch uint64
-	elem  *list.Element
 }
 
-// flight is one in-progress build other callers wait on.
-type flight struct {
-	wg  sync.WaitGroup
-	val any
-	err error
-}
-
-// New builds a cache holding up to capacity plans (DefaultCapacity when
+// New builds a cache holding up to capacity shapes (DefaultCapacity when
 // capacity is 0; capacity is rounded up so every shard holds at least one).
 func New(capacity int) *Cache {
 	if capacity <= 0 {
@@ -86,8 +108,7 @@ func New(capacity int) *Cache {
 	}
 	c := &Cache{capacity: capacity}
 	for i := range c.shards {
-		c.shards[i].entries = map[string]*entry{}
-		c.shards[i].inflight = map[string]*flight{}
+		c.shards[i].entries = map[string]*Entry{}
 	}
 	return c
 }
@@ -118,109 +139,162 @@ func (c *Cache) shard(key string) *shard {
 func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
 
 // Invalidate bumps the epoch: every cached plan becomes stale at once and
-// is dropped lazily on next lookup. Called on DDL, DistSQL rule changes
-// and governor-pushed configuration updates.
+// is recompiled on its shape's next execution. The entries, and with them
+// the digest counters, stay. Called on DDL, DistSQL rule changes and
+// governor-pushed configuration updates.
 func (c *Cache) Invalidate() {
 	c.epoch.Add(1)
 	c.invalidations.Add(1)
 }
 
-// Get returns the cached value for key, if present and current.
-func (c *Cache) Get(key string) (any, bool) {
+// Lookup returns the shape's entry, most recently used from now on. On
+// first sight it inserts the entry, evicting the shard's least recently
+// used shape when the shard is full. It is the one keyed lookup a
+// statement pays.
+func (c *Cache) Lookup(key string) *Entry {
 	s := c.shard(key)
-	epoch := c.epoch.Load()
 	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok && e.epoch == epoch {
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return e.val, true
-	}
-	if ok {
-		// Stale epoch: drop eagerly so Size reflects live entries.
-		s.lru.Remove(e.elem)
-		delete(s.entries, key)
-	}
-	s.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
-}
-
-// GetOrCompute returns the cached value for key, building and inserting
-// it with build() on a miss. Concurrent callers of the same key share one
-// build (singleflight). A build error is returned to every waiter and
-// nothing is cached. The entry is stamped with the epoch observed before
-// the build starts, so an invalidation racing with a build correctly
-// marks the fresh entry stale.
-func (c *Cache) GetOrCompute(key string, build func() (any, error)) (any, error) {
-	if v, ok := c.Get(key); ok {
-		return v, nil
-	}
-	s := c.shard(key)
-	epoch := c.epoch.Load()
-	s.mu.Lock()
-	// Re-check under the lock: another goroutine may have finished while
-	// we were between Get and Lock.
-	if e, ok := s.entries[key]; ok && e.epoch == c.epoch.Load() {
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return e.val, nil
-	}
-	if f, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		f.wg.Wait()
-		return f.val, f.err
-	}
-	f := &flight{}
-	f.wg.Add(1)
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	f.val, f.err = build()
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if f.err == nil {
-		c.insertLocked(s, key, f.val, epoch)
-	}
-	s.mu.Unlock()
-	f.wg.Done()
-	return f.val, f.err
-}
-
-// Put inserts a value directly (tests and warmers).
-func (c *Cache) Put(key string, val any) {
-	s := c.shard(key)
-	epoch := c.epoch.Load()
-	s.mu.Lock()
-	c.insertLocked(s, key, val, epoch)
-	s.mu.Unlock()
-}
-
-func (c *Cache) insertLocked(s *shard, key string, val any, epoch uint64) {
+	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {
-		e.val = val
-		e.epoch = epoch
 		s.lru.MoveToFront(e.elem)
-		return
+		return e
 	}
-	e := &entry{key: key, val: val, epoch: epoch}
+	e := &Entry{}
+	e.Digest.Key, e.Digest.ID = key, telemetry.DigestID(key)
 	e.elem = s.lru.PushFront(e)
 	s.entries[key] = e
 	for s.lru.Len() > c.perShard() {
 		last := s.lru.Back()
-		victim := last.Value.(*entry)
+		victim := last.Value.(*Entry)
 		s.lru.Remove(last)
-		delete(s.entries, victim.key)
+		delete(s.entries, victim.Digest.Key)
+		s.evicted.Fold(&victim.Digest)
 		c.evictions.Add(1)
 		s.evictions.Add(1)
 	}
+	return e
 }
 
-// Len returns the number of live entries across all shards (stale entries
-// not yet lazily dropped are included; they vanish on next touch).
+// current returns e's plan if e is a shape with a plan built under the
+// live epoch, counting the hit or miss.
+func (c *Cache) current(e *Entry) (any, bool) {
+	if e != nil {
+		if p := e.plan.Load(); p != nil && p.epoch == c.epoch.Load() {
+			c.hits.Add(1)
+			return p.val, true
+		}
+	}
+	c.misses.Add(1)
+	return nil, false
+}
+
+// Plan returns e's compiled plan, building it with build() when it is
+// missing or stale. Concurrent callers share one build: the others wait
+// on the entry's lock and find the plan there. A build error is returned
+// to its caller and nothing is stored, so the next caller builds again.
+func (c *Cache) Plan(e *Entry, build func() (any, error)) (any, error) {
+	if v, ok := c.current(e); ok {
+		return v, nil
+	}
+	e.build.Lock()
+	defer e.build.Unlock()
+	epoch := c.epoch.Load()
+	if p := e.plan.Load(); p != nil && p.epoch == epoch {
+		return p.val, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	e.plan.Store(&stamped{val: v, epoch: epoch})
+	return v, nil
+}
+
+// Get returns the cached plan for key, if present and current.
+func (c *Cache) Get(key string) (any, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	e := s.entries[key]
+	if e != nil {
+		s.lru.MoveToFront(e.elem)
+	}
+	s.mu.Unlock()
+	return c.current(e)
+}
+
+// Put stores a plan directly (tests and warmers).
+func (c *Cache) Put(key string, val any) {
+	epoch := c.epoch.Load()
+	c.Lookup(key).plan.Store(&stamped{val: val, epoch: epoch})
+}
+
+// Reset forgets every shape and the evicted accumulator (RESET DIGESTS).
+// The plans go with the counters — they live in the same entries — so
+// each shape's next execution compiles it again.
+func (c *Cache) Reset() {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		s.entries = map[string]*Entry{}
+		s.lru.Init()
+		s.evicted = digest.Entry{}
+		s.mu.Unlock()
+	}
+}
+
+// Digests copies every live shape's digest out for rendering, and the
+// sum of the evicted ones as one more snapshot with ID EvictedID.
+// Statements take the shard locks too, so only pointers are copied under
+// them; the counters and percentiles are read after.
+func (c *Cache) Digests() (shapes []digest.EntrySnapshot, evicted digest.EntrySnapshot) {
+	var live []*Entry
+	var sum digest.Entry
+	sum.ID = EvictedID
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for _, e := range s.entries {
+			live = append(live, e)
+		}
+		sum.Fold(&s.evicted)
+		s.mu.Unlock()
+	}
+	shapes = make([]digest.EntrySnapshot, len(live))
+	for i, e := range live {
+		shapes[i] = e.Digest.Snapshot()
+	}
+	return shapes, sum.Snapshot()
+}
+
+// DigestMetrics is the digest.* metrics family: the statement counters
+// summed over live and evicted shapes, so they only grow between resets.
+// It reads the three counters of each entry under the shard lock (a few
+// microseconds a shard): read after, an entry evicted in between could
+// show a late observation that the next call, summing evicted, does not.
+func (c *Cache) DigestMetrics() map[string]int64 {
+	var calls, errs, rows, shapes int64
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		ec, ee, er := s.evicted.Totals()
+		calls, errs, rows = calls+ec, errs+ee, rows+er
+		for _, e := range s.entries {
+			ec, ee, er = e.Digest.Totals()
+			calls, errs, rows = calls+ec, errs+ee, rows+er
+		}
+		shapes += int64(len(s.entries))
+		s.mu.Unlock()
+	}
+	return map[string]int64{
+		"calls":     calls,
+		"errors":    errs,
+		"rows":      rows,
+		"shapes":    shapes,
+		"evictions": int64(c.evictions.Load()),
+	}
+}
+
+// Len returns the number of remembered shapes across all shards.
 func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {

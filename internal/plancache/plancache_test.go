@@ -6,7 +6,25 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// plan is what a statement does with the cache: one lookup, then the
+// entry's plan.
+func plan(c *Cache, key string, build func() (any, error)) (any, error) {
+	return c.Plan(c.Lookup(key), build)
+}
+
+// shardKeys returns n distinct keys that all hash to shard 0.
+func shardKeys(n int) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		if k := fmt.Sprintf("k%d", i); fnv1a(k)&(NumShards-1) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
 
 func TestGetPutBasics(t *testing.T) {
 	c := New(64)
@@ -42,14 +60,7 @@ func TestLRUEvictionBound(t *testing.T) {
 func TestLRUOrderWithinShard(t *testing.T) {
 	// Force all keys through one shard by brute-forcing keys that collide.
 	c := New(NumShards * 2) // two entries per shard
-	shardOf := func(k string) uint32 { return fnv1a(k) & (NumShards - 1) }
-	var keys []string
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if shardOf(k) == 0 {
-			keys = append(keys, k)
-		}
-	}
+	keys := shardKeys(3)
 	c.Put(keys[0], 0)
 	c.Put(keys[1], 1)
 	c.Get(keys[0]) // touch: keys[1] is now LRU
@@ -69,8 +80,8 @@ func TestEpochInvalidation(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("stale entry served after Invalidate")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry not dropped: len=%d", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("the shape's entry must outlive its plan: len=%d", c.Len())
 	}
 	st := c.Stats()
 	if st.Invalidations != 1 || st.Epoch != 1 {
@@ -83,7 +94,7 @@ func TestEpochInvalidation(t *testing.T) {
 	}
 }
 
-func TestGetOrComputeSingleflight(t *testing.T) {
+func TestPlanBuiltOnceUnderConcurrentFirstSight(t *testing.T) {
 	c := New(64)
 	var builds atomic.Int32
 	release := make(chan struct{})
@@ -94,7 +105,7 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.GetOrCompute("hot", func() (any, error) {
+			v, err := plan(c, "hot", func() (any, error) {
 				builds.Add(1)
 				<-release
 				return "plan", nil
@@ -105,7 +116,7 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let the goroutines pile up on the inflight entry, then release.
+	// Let the goroutines pile up on the entry's build lock, then release.
 	close(release)
 	wg.Wait()
 	if n := builds.Load(); n != 1 {
@@ -118,26 +129,26 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 	}
 }
 
-func TestGetOrComputeErrorNotCached(t *testing.T) {
+func TestPlanErrorNotCached(t *testing.T) {
 	c := New(64)
 	boom := errors.New("boom")
-	if _, err := c.GetOrCompute("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := plan(c, "k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if c.Len() != 0 {
+	if _, ok := c.Get("k"); ok {
 		t.Fatal("error result was cached")
 	}
-	v, err := c.GetOrCompute("k", func() (any, error) { return 7, nil })
+	v, err := plan(c, "k", func() (any, error) { return 7, nil })
 	if err != nil || v.(int) != 7 {
 		t.Fatalf("retry after error failed: %v %v", v, err)
 	}
 }
 
-func TestGetOrComputeStampedWithPreBuildEpoch(t *testing.T) {
+func TestPlanStampedWithPreBuildEpoch(t *testing.T) {
 	// A rule change that lands while a plan is being built must invalidate
 	// that plan: the entry is stamped with the epoch read before the build.
 	c := New(64)
-	_, err := c.GetOrCompute("k", func() (any, error) {
+	_, err := plan(c, "k", func() (any, error) {
 		c.Invalidate() // races with the build in real life
 		return "stale-plan", nil
 	})
@@ -158,7 +169,7 @@ func TestConcurrentAccessParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				key := fmt.Sprintf("shape-%d", i%97)
-				if _, err := c.GetOrCompute(key, func() (any, error) { return key, nil }); err != nil {
+				if _, err := plan(c, key, func() (any, error) { return key, nil }); err != nil {
 					t.Error(err)
 					return
 				}
@@ -186,5 +197,98 @@ func TestMetricsMap(t *testing.T) {
 	}
 	if m["capacity"] != 32 {
 		t.Fatalf("capacity %d", m["capacity"])
+	}
+}
+
+// TestDigestOutlivesPlan: an epoch bump makes the plan stale and leaves
+// the entry — the same one, with its counters — in place; hits and misses
+// keep meaning "a current plan was found / one had to be compiled".
+func TestDigestOutlivesPlan(t *testing.T) {
+	c := New(64)
+	builds := 0
+	build := func() (any, error) { builds++; return builds, nil }
+	e := c.Lookup("q")
+	if e.Digest.Key != "q" || len(e.Digest.ID) != 16 {
+		t.Fatalf("entry identity: %+v", e.Digest.Snapshot())
+	}
+	c.Plan(e, build)
+	e.Digest.Observe(time.Millisecond, 1, 0, false)
+	c.Invalidate()
+	again := c.Lookup("q")
+	if again != e {
+		t.Fatal("same shape resolved to a different entry after Invalidate")
+	}
+	if v, _ := c.Plan(again, build); v.(int) != 2 {
+		t.Fatalf("stale plan served: build %v", v)
+	}
+	c.Plan(again, build)
+	if st := c.Stats(); builds != 2 || st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("builds %d stats %+v", builds, st)
+	}
+	if m := c.DigestMetrics(); m["calls"] != 1 || m["shapes"] != 1 {
+		t.Fatalf("digest metrics: %v", m)
+	}
+}
+
+// TestEvictionFoldsIntoEvicted: the victim is the shard's least recently
+// used shape, its counters move to the evicted accumulator (so the totals
+// do not drop), and its next sight starts from zero.
+func TestEvictionFoldsIntoEvicted(t *testing.T) {
+	c := New(NumShards * 2) // two entries per shard
+	keys := shardKeys(3)
+	for i, k := range keys[:2] {
+		e := c.Lookup(k)
+		for n := 0; n <= i; n++ {
+			e.Digest.Observe(time.Millisecond, 1, 0, n == 1)
+		}
+		e.Digest.AddRows(int64(10*(i+1)), 0)
+	}
+	c.Lookup(keys[0])                                          // keys[1] is now least recently used
+	c.Lookup(keys[2]).Digest.Observe(time.Second, 4, 0, false) // evicts it
+	shapes, evicted := c.Digests()
+	if len(shapes) != 2 {
+		t.Fatalf("live shapes: %+v", shapes)
+	}
+	for _, s := range shapes {
+		if s.Key == keys[1] {
+			t.Fatalf("least recently used shape survived: %+v", s)
+		}
+	}
+	if evicted.ID != EvictedID || evicted.Calls != 2 || evicted.Errors != 1 || evicted.Rows != 20 || evicted.P99 == 0 {
+		t.Fatalf("evicted accumulator: %+v", evicted)
+	}
+	if m := c.DigestMetrics(); m["calls"] != 4 || m["errors"] != 1 || m["rows"] != 30 || m["shapes"] != 2 || m["evictions"] != 1 {
+		t.Fatalf("digest metrics: %v", m)
+	}
+	// keys[1] comes back as a new shape (evicting keys[0]).
+	if calls, _, _ := c.Lookup(keys[1]).Digest.Totals(); calls != 0 {
+		t.Fatalf("evicted shape came back with %d calls", calls)
+	}
+	if _, evicted = c.Digests(); evicted.Calls != 3 {
+		t.Fatalf("evicted accumulator after a second eviction: %+v", evicted)
+	}
+}
+
+func TestResetForgetsShapesPlansAndEvicted(t *testing.T) {
+	c := New(NumShards)
+	keys := shardKeys(2)
+	for _, k := range keys {
+		c.Put(k, k)
+		c.Lookup(k).Digest.Observe(time.Millisecond, 1, 0, false)
+	}
+	old := c.Lookup(keys[1])
+	c.Reset()
+	shapes, evicted := c.Digests()
+	if len(shapes) != 0 || evicted.Calls != 0 || c.Len() != 0 {
+		t.Fatalf("after Reset: shapes %v evicted %+v len %d", shapes, evicted, c.Len())
+	}
+	if m := c.DigestMetrics(); m["calls"] != 0 || m["shapes"] != 0 {
+		t.Fatalf("digest metrics after Reset: %v", m)
+	}
+	if _, ok := c.Get(keys[1]); ok {
+		t.Fatal("plan survived Reset")
+	}
+	if c.Lookup(keys[1]) == old {
+		t.Fatal("Reset did not replace the entry")
 	}
 }

@@ -9,14 +9,12 @@ import (
 )
 
 // Stmt is one entry of the processor's statement cache: the parsed
-// statement and, for a single-table SELECT whose text repeats, its select
-// plan. Entries are shared across sessions.
+// statement and, for a single-table SELECT, its select plan. Entries are
+// shared across sessions. The cache keeps an entry from its text's
+// keepSights-th sight; an earlier execution runs from an entry, and a plan,
+// that die with it, so a workload of one-shot texts stores neither.
 type Stmt struct {
-	ast sqlparser.Statement
-	// ran records that the text has executed before. The first execution
-	// of a text runs from a plan it throws away; only a repeat retains
-	// one, so a workload of one-shot texts stores nothing but the AST.
-	ran  atomic.Bool
+	ast  sqlparser.Statement
 	plan atomic.Pointer[selectPlan]
 }
 
@@ -36,8 +34,7 @@ type selectPlan struct {
 }
 
 // selectPlanFor returns the statement's plan: the retained one while it
-// is valid, else a fresh compile, which is retained once the text has run
-// before.
+// is valid, else a fresh compile, which the entry keeps.
 func (s *Session) selectPlanFor(st *Stmt, stmt *sqlparser.SelectStmt) (*selectPlan, error) {
 	if p := st.plan.Load(); p != nil && p.epoch == s.engine.DDLEpoch() {
 		return p, nil
@@ -46,9 +43,7 @@ func (s *Session) selectPlanFor(st *Stmt, stmt *sqlparser.SelectStmt) (*selectPl
 	if err != nil {
 		return nil, err
 	}
-	if st.ran.Swap(true) {
-		st.plan.Store(p)
-	}
+	st.plan.Store(p)
 	return p, nil
 }
 

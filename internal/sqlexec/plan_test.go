@@ -10,13 +10,13 @@ import (
 )
 
 // retained reports whether the processor holds a select plan for the text.
-func retained(t *testing.T, p *Processor, sql string) *selectPlan {
-	t.Helper()
-	st, err := p.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
+func retained(p *Processor, sql string) *selectPlan {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if st := p.cache[sql]; st != nil {
+		return st.plan.Load()
 	}
-	return st.plan.Load()
+	return nil
 }
 
 // fresh runs the text on a new processor over the same engine: its first
@@ -33,7 +33,9 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 	}
 }
 
-func TestSelectPlanRetainedOnSecondExecution(t *testing.T) {
+// TestSelectPlanRetainedWithItsEntry: a text keeps its plan from the
+// execution that keeps its cache entry, the keepSights-th.
+func TestSelectPlanRetainedWithItsEntry(t *testing.T) {
 	e := storage.NewEngine("ds0")
 	p := NewProcessor(e)
 	s := p.NewSession()
@@ -43,17 +45,14 @@ func TestSelectPlanRetainedOnSecondExecution(t *testing.T) {
 	heat := p.Stats().tableStat("T_USER")
 	reads0 := heat.reads.Load()
 	first := mustExec(t, s, q, args...)
-	if retained(t, p, q) != nil {
-		t.Fatal("a text's first execution must not retain a plan")
-	}
 	second := mustExec(t, s, q, args...)
-	plan := retained(t, p, q)
-	if plan == nil {
-		t.Fatal("the second execution must retain the plan")
+	if retained(p, q) != nil {
+		t.Fatalf("a text must not retain a plan before execution %d", keepSights)
 	}
 	third := mustExec(t, s, q, args...)
-	if retained(t, p, q) != plan {
-		t.Fatal("a valid plan must be reused, not recompiled")
+	plan := retained(p, q)
+	if plan == nil {
+		t.Fatalf("execution %d must retain the plan", keepSights)
 	}
 	sameResult(t, "second", second, first)
 	sameResult(t, "third", third, first)
@@ -71,6 +70,9 @@ func TestSelectPlanRetainedOnSecondExecution(t *testing.T) {
 	other := mustExec(t, s, q, sqltypes.NewInt(1), sqltypes.NewInt(1))
 	if len(other.Rows) != 1 || other.Rows[0][0].S != "alice" {
 		t.Fatalf("rebinding the retained plan: %v", other.Rows)
+	}
+	if retained(p, q) != plan {
+		t.Fatal("a valid plan must be reused, not recompiled")
 	}
 	// The table's heat counters are charged by name on the first execution
 	// and through the plan afterwards: every execution once.
@@ -104,9 +106,10 @@ func TestSelectPlanInvalidation(t *testing.T) {
 	compile := func() {
 		t.Helper()
 		for _, q := range queries {
-			mustExec(t, s, q)
-			mustExec(t, s, q)
-			if retained(t, p, q) == nil {
+			for i := 0; i < keepSights; i++ {
+				mustExec(t, s, q)
+			}
+			if retained(p, q) == nil {
 				t.Fatalf("%q: no plan retained", q)
 			}
 		}
@@ -115,13 +118,13 @@ func TestSelectPlanInvalidation(t *testing.T) {
 	check("compiled")
 
 	// CREATE INDEX on the filtered column: the plan must pick it up.
-	filtered := retained(t, p, queries[0])
+	filtered := retained(p, queries[0])
 	if filtered.access.kind != accessFull {
 		t.Fatalf("before the index: access kind %d", filtered.access.kind)
 	}
 	mustExec(t, s, "CREATE INDEX idx_age ON t_user (age)")
 	check("after CREATE INDEX")
-	if after := retained(t, p, queries[0]); after == filtered || after.access.kind != accessIndex {
+	if after := retained(p, queries[0]); after == filtered || after.access.kind != accessIndex {
 		t.Fatalf("index not picked up: recompiled=%v kind=%d", after != filtered, after.access.kind)
 	}
 
@@ -152,9 +155,9 @@ func TestSelectPlanInvalidation(t *testing.T) {
 	// DDL through another processor on the same engine invalidates too.
 	compile()
 	mustExec(t, NewProcessor(e).NewSession(), "CREATE INDEX idx_name ON t_user (name)")
-	before := retained(t, p, queries[1])
+	before := retained(p, queries[1])
 	check("after foreign DDL")
-	if retained(t, p, queries[1]) == before {
+	if retained(p, queries[1]) == before {
 		t.Fatal("plan survived DDL issued through another processor")
 	}
 }

@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -15,31 +16,52 @@ import (
 // analogue of a server-side prepared-statement cache. Rewritten SQL
 // arriving from the kernel repeats heavily (a handful of templates with
 // different literals is still distinct text, but placeholder-driven
-// workloads repeat exactly), so caching the parse is a measurable win —
-// BenchmarkParserCache quantifies it — and a text that repeats also keeps
-// its select plan (see Stmt).
+// workloads repeat exactly), so caching the parse is a measurable win, and
+// a text that repeats also keeps its select plan (see Stmt).
 type Processor struct {
 	engine *storage.Engine
 	stats  Stats
 
+	// cache holds the texts seen keepSights times; seen counts the sights
+	// of the others, by hash. A text that never repeats (inlined literals,
+	// an XA verb with its xid, a storm of aliases) leaves nine bytes
+	// behind, not its AST, and never pushes a repeating text out.
 	mu    sync.RWMutex
 	cache map[string]*Stmt
+	seen  map[uint64]uint8
+	seed  maphash.Seed
 }
 
-// cacheLimit bounds the statement cache; beyond it the cache is reset
-// (literal-heavy workloads would otherwise grow it without bound).
+// cacheLimit bounds both maps; one that is full is emptied (literal-heavy
+// workloads would otherwise grow it without bound). For seen that makes it
+// the number of other new texts that may arrive between the sights of a
+// text for them to count together, so a repeating working set up to the
+// cache's own size is always admitted.
 const cacheLimit = 8192
+
+// keepSights is the sight from which a text is kept. Two are not enough
+// with a window this wide: of a population of texts far larger than the
+// window a steady share still recurs inside it by chance (DESIGN.md,
+// "Data-node select plans", has the measurement), a third sight squares
+// that share.
+const keepSights = 3
 
 // NewProcessor returns a query processor over the engine.
 func NewProcessor(engine *storage.Engine) *Processor {
-	return &Processor{engine: engine, cache: map[string]*Stmt{}}
+	return &Processor{
+		engine: engine,
+		cache:  map[string]*Stmt{},
+		seen:   map[uint64]uint8{},
+		seed:   maphash.MakeSeed(),
+	}
 }
 
 // Engine exposes the underlying storage engine.
 func (p *Processor) Engine() *storage.Engine { return p.engine }
 
-// Parse returns the cache entry for sql, parsing on miss. The entry is
-// also the handle a prepared statement executes through (ExecuteStmt).
+// Parse returns the cache entry for sql, parsing on miss; the entry is
+// kept from the text's keepSights-th sight. It is also the handle a
+// prepared statement executes through (ExecuteStmt).
 func (p *Processor) Parse(sql string) (*Stmt, error) {
 	p.mu.RLock()
 	st, ok := p.cache[sql]
@@ -52,11 +74,20 @@ func (p *Processor) Parse(sql string) (*Stmt, error) {
 		return nil, err
 	}
 	st = &Stmt{ast: ast}
+	h := maphash.String(p.seed, sql)
 	p.mu.Lock()
-	if len(p.cache) >= cacheLimit {
-		p.cache = map[string]*Stmt{}
+	if n := p.seen[h] + 1; n < keepSights {
+		if n == 1 && len(p.seen) >= cacheLimit {
+			clear(p.seen)
+		}
+		p.seen[h] = n
+	} else {
+		delete(p.seen, h)
+		if len(p.cache) >= cacheLimit {
+			p.cache = map[string]*Stmt{}
+		}
+		p.cache[sql] = st
 	}
-	p.cache[sql] = st
 	p.mu.Unlock()
 	return st, nil
 }

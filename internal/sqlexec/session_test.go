@@ -473,16 +473,44 @@ func TestAmbiguousColumn(t *testing.T) {
 	}
 }
 
+// TestStatementCache: an entry is kept from its text's keepSights-th sight.
 func TestStatementCache(t *testing.T) {
-	e := storage.NewEngine("ds0")
-	p := NewProcessor(e)
-	s1, err := p.Parse("SELECT 1")
-	if err != nil {
-		t.Fatal(err)
+	p := NewProcessor(storage.NewEngine("ds0"))
+	parse := func(sql string) *Stmt {
+		t.Helper()
+		st, err := p.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	s2, _ := p.Parse("SELECT 1")
-	if s1 != s2 {
-		t.Fatal("cache miss on identical SQL")
+	s1, s2, s3, s4 := parse("SELECT 1"), parse("SELECT 1"), parse("SELECT 1"), parse("SELECT 1")
+	if s1 == s2 || s2 == s3 || s3 != s4 {
+		t.Fatalf("want the entry kept from sight %d", keepSights)
+	}
+	// One-shot texts leave a hash behind, never an entry, and the text
+	// that repeats stays.
+	for i := 0; i < 3*cacheLimit; i++ {
+		parse(fmt.Sprintf("SELECT %d", i+2))
+	}
+	if len(p.cache) != 1 || len(p.seen) > cacheLimit || parse("SELECT 1") != s4 {
+		t.Fatalf("after a storm of one-shot texts: %d kept, %d hashes", len(p.cache), len(p.seen))
+	}
+	// A repeating working set as large as the cache is admitted whole on
+	// pass keepSights and is all hits from the next on.
+	p = NewProcessor(storage.NewEngine("ds0"))
+	kept := make([]*Stmt, cacheLimit)
+	for pass := 1; pass <= keepSights+1; pass++ {
+		for i := range kept {
+			st := parse(fmt.Sprintf("SELECT %d", i))
+			if pass > keepSights && st != kept[i] {
+				t.Fatalf("text %d parsed again on pass %d", i, pass)
+			}
+			kept[i] = st
+		}
+	}
+	if len(p.cache) != cacheLimit || len(p.seen) != 0 {
+		t.Fatalf("after %d passes over %d texts: %d kept, %d hashes", keepSights+1, cacheLimit, len(p.cache), len(p.seen))
 	}
 }
 
