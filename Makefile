@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test race vet fuzz check bench lines
 
 # Pre-PR gate: static checks, the full suite under the race detector and
-# the wire-protocol fuzz pass. Run this before every PR.
+# the fuzz pass. Run this before every PR.
 check: vet race fuzz
 
 build:
@@ -22,12 +22,14 @@ vet:
 	$(GO) vet ./...
 
 # Short fuzz pass over the frame reader, row-batch decoder and
-# trace-context trailer. `go test` accepts one -fuzz target per
-# invocation, hence separate runs.
+# trace-context trailer, and over compile-then-bind against the reference
+# rewrite. `go test` accepts one -fuzz target per invocation, hence
+# separate runs.
 fuzz:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzDecodeRowBatch' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzTraceContext' -fuzztime 10s -run '^$$' ./internal/protocol/
+	$(GO) test -fuzz 'FuzzBindMatchesReference' -fuzztime 10s -run '^$$' ./internal/rewrite/
 
 # The gated benchmark (BENCHMARK.json): the only place performance is
 # claimed.

@@ -38,13 +38,13 @@ const wireMarker = "SS_OVERLOADED"
 
 // Shed reasons.
 const (
-	ReasonQueueFull = "queue_full"  // admission queue at capacity
-	ReasonDeadline  = "deadline"    // predicted wait exceeds the statement's remaining budget
-	ReasonQueueWait = "queue_wait"  // predicted wait exceeds the queue-wait bound (CoDel overload state tightens it)
-	ReasonTimeout   = "timeout"     // the request's own sojourn exceeded its bound while queued
-	ReasonBrake     = "brake"       // the governor's frontend breaker is open
-	ReasonDraining  = "draining"    // server is draining for shutdown
-	ReasonConnLimit = "conn_limit"  // max-connections cap hit at accept time
+	ReasonQueueFull = "queue_full" // admission queue at capacity
+	ReasonDeadline  = "deadline"   // predicted wait exceeds the statement's remaining budget
+	ReasonQueueWait = "queue_wait" // predicted wait exceeds the queue-wait bound (CoDel overload state tightens it)
+	ReasonTimeout   = "timeout"    // the request's own sojourn exceeded its bound while queued
+	ReasonBrake     = "brake"      // the governor's frontend breaker is open
+	ReasonDraining  = "draining"   // server is draining for shutdown
+	ReasonConnLimit = "conn_limit" // max-connections cap hit at accept time
 )
 
 // OverloadedError is the typed "server overloaded, retry later" rejection.
@@ -504,13 +504,13 @@ type TenantStatus struct {
 // Status is a point-in-time controller snapshot for SHOW ADMISSION
 // STATUS.
 type Status struct {
-	Cfg        Config
-	Running    int
-	Queued     int
-	Conns      int64
-	ConnsPeak  int64
-	Overloaded bool
-	Draining   bool
+	Cfg          Config
+	Running      int
+	Queued       int
+	Conns        int64
+	ConnsPeak    int64
+	Overloaded   bool
+	Draining     bool
 	SvcEstimate  time.Duration
 	QueueWaitP50 time.Duration
 	QueueWaitP99 time.Duration
@@ -569,22 +569,22 @@ func (c *Controller) Metrics() map[string]int64 {
 	}
 	c.mu.Unlock()
 	return map[string]int64{
-		"admitted":        c.admitted.Load(),
-		"queued_total":    c.queuedTotal.Load(),
-		"shed_total":      c.ShedTotal(),
-		"shed_queue_full": c.shedQueueFull.Load(),
-		"shed_deadline":   c.shedDeadline.Load(),
-		"shed_queue_wait": c.shedQueueWait.Load(),
-		"shed_timeout":    c.shedTimeout.Load(),
-		"shed_brake":      c.shedBrake.Load(),
-		"shed_draining":   c.shedDraining.Load(),
-		"shed_conn_limit": c.shedConnLimit.Load(),
-		"overload_flips":  c.overloadFlips.Load(),
-		"overloaded":      overloaded,
-		"running":         int64(running),
-		"queued":          int64(queued),
-		"conns_active":    c.conns.Load(),
-		"conns_peak":      c.connsPeak.Load(),
+		"admitted":          c.admitted.Load(),
+		"queued_total":      c.queuedTotal.Load(),
+		"shed_total":        c.ShedTotal(),
+		"shed_queue_full":   c.shedQueueFull.Load(),
+		"shed_deadline":     c.shedDeadline.Load(),
+		"shed_queue_wait":   c.shedQueueWait.Load(),
+		"shed_timeout":      c.shedTimeout.Load(),
+		"shed_brake":        c.shedBrake.Load(),
+		"shed_draining":     c.shedDraining.Load(),
+		"shed_conn_limit":   c.shedConnLimit.Load(),
+		"overload_flips":    c.overloadFlips.Load(),
+		"overloaded":        overloaded,
+		"running":           int64(running),
+		"queued":            int64(queued),
+		"conns_active":      c.conns.Load(),
+		"conns_peak":        c.connsPeak.Load(),
 		"queue_wait_p50_us": int64(c.queueWait.Quantile(0.50) / time.Microsecond),
 		"queue_wait_p99_us": int64(c.queueWait.Quantile(0.99) / time.Microsecond),
 	}

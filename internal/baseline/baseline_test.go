@@ -132,7 +132,7 @@ func TestNaiveInsertsStillPlaceRows(t *testing.T) {
 		}
 		tables, _ := resource.ReadAll(rs)
 		for _, tr := range tables {
-			crs, _ := conn.Query(context.Background(), "SELECT COUNT(*) FROM " + tr[0].S)
+			crs, _ := conn.Query(context.Background(), "SELECT COUNT(*) FROM "+tr[0].S)
 			cnt, _ := resource.ReadAll(crs)
 			if cnt[0][0].I != 5 {
 				t.Fatalf("%s.%s holds %d rows, want 5", fmt.Sprintf("ds%d", i), tr[0].S, cnt[0][0].I)

@@ -92,7 +92,6 @@ type Config struct {
 type Kernel struct {
 	rules    *sharding.RuleSet
 	router   *route.Router
-	rewriter *rewrite.Rewriter
 	executor *exec.Executor
 	txMgr    *transaction.Manager
 	registry *registry.Registry
@@ -123,9 +122,9 @@ type Kernel struct {
 	distSQL       DistSQLHandler
 
 	// planCache is the shared shape table: each entry holds a shape's
-	// statement digest and its compiled plan. hasTransformers gates the
-	// plans' fast path: statement-transforming features force every shape
-	// back onto the generic pipeline.
+	// statement digest and its compiled plan. With hasTransformers a plan
+	// keeps only the parse: a statement-transforming feature's output is
+	// compiled per execution.
 	planCache       *plancache.Cache
 	hasTransformers bool
 
@@ -199,7 +198,6 @@ func New(cfg Config) (*Kernel, error) {
 		_, cols, err := k.TableMeta(first.DataSource, first.Table)
 		return cols, err
 	}
-	k.rewriter = rewrite.New(k.dialectOf)
 	k.planCache = plancache.New(0)
 	for _, f := range cfg.Features {
 		if _, ok := f.(StatementTransformer); ok {
@@ -262,7 +260,7 @@ func (k *Kernel) Registry() *registry.Registry { return k.registry }
 // TxManager exposes the distributed transaction manager.
 func (k *Kernel) TxManager() *transaction.Manager { return k.txMgr }
 
-// Router exposes the router (tests and PREVIEW).
+// Router exposes the router.
 func (k *Kernel) Router() *route.Router { return k.router }
 
 // LockRules serializes rule mutations; returns the unlock function.

@@ -8,95 +8,94 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-// plan is one compiled statement shape: the parsed AST plus, for shapes the
-// fast path serves, the precomputed route skeleton and rewrite template.
-// Plans are shared across sessions and never mutated after buildPlan; every
-// pipeline stage that needs to change the AST clones it first.
+// plan is one compiled statement: the parsed AST, its route skeleton and
+// its rewrite template. Executing it binds argument values to the two
+// (paper Sections VI-B and VI-C run once per statement, then bound). A
+// plan is never mutated after compile and may be shared across sessions;
+// it is valid until DDL or a rule change (the plan-cache epoch).
+//
+// Every statement is executed through compile and run. What differs is
+// only whether the compiled value is kept: the plan cache keeps a shape's
+// plan, and ExecuteStmt compiles for one execution.
 type plan struct {
 	stmt sqlparser.Statement
 	sel  *sqlparser.SelectStmt // non-nil when stmt is a SELECT
 
-	// fast marks shapes executed without any AST walk: bind args → skeleton
-	// route → template splice, one unit or fifty. Everything else replays
-	// the generic pipeline on the cached AST (still zero parser invocations).
-	fast       bool
-	skel       *route.Skeleton
-	tmpl       *rewrite.Template
-	logicTable string // rule's LogicTable key for TableMap lookups ("" when unsharded)
+	route   *route.Skeleton
+	rewrite *rewrite.Template
 }
 
-// buildPlan compiles a normalized shape into a plan. It runs once per shape
-// and plan epoch (under the shape entry's build lock); a parse error here
-// means the caller re-parses the original text so the error carries it.
+// compile is the one compile function. ok is false when the statement's
+// route does not compile; the plan still runs, and reports why.
+func (k *Kernel) compile(stmt sqlparser.Statement) (p *plan, ok bool) {
+	p = &plan{stmt: stmt}
+	p.sel, _ = stmt.(*sqlparser.SelectStmt)
+	p.route, ok = k.router.BuildSkeleton(stmt)
+	p.rewrite, _ = rewrite.NewTemplate(stmt, sqlparser.TableNames(stmt)...)
+	return p, ok
+}
+
+// buildPlan compiles a normalized shape for the plan cache. It runs once
+// per shape and plan epoch (under the shape entry's build lock); a parse
+// error here means the caller re-parses the original text so the error
+// carries it.
+//
+// Only the parse is kept for a statement whose compiled value belongs to
+// one execution: a feature's transformer (encrypt, shadow) or the key
+// generator rewrites it each time, a table-less SELECT is not routed, and
+// a route that does not compile (an UPDATE of the sharding key; table
+// metadata that could not be read) is retried by the next execution.
 func buildPlan(k *Kernel, norm *sqlparser.Normalized) (*plan, error) {
 	stmt, err := sqlparser.Parse(norm.Key)
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{stmt: stmt}
-	p.sel, _ = stmt.(*sqlparser.SelectStmt)
-
-	// Fast-path eligibility. Statement transformers (encrypt, shadow) may
-	// rewrite the AST per execution, so their presence keeps every shape on
-	// the generic pipeline.
-	if k.hasTransformers {
-		return p, nil
-	}
-	var table string // logic table as written in the statement
+	perExecution := k.hasTransformers
 	switch t := stmt.(type) {
+	case *sqlparser.InsertStmt:
+		perExecution = perExecution || k.generatesKey(t) != nil
 	case *sqlparser.SelectStmt:
-		if len(t.From) != 1 {
+		perExecution = perExecution || len(t.From) == 0
+	}
+	if !perExecution {
+		if p, ok := k.compile(stmt); ok {
 			return p, nil
 		}
-		table = t.From[0].Name
-	case *sqlparser.UpdateStmt:
-		table = t.Table
-	case *sqlparser.DeleteStmt:
-		table = t.Table
-	default:
-		return p, nil
 	}
-	skel, ok := k.router.BuildSkeleton(stmt)
-	if !ok {
-		return p, nil
-	}
-	tmpl, ok := rewrite.NewTemplate(stmt, table)
-	if !ok {
-		return p, nil
-	}
-	if rule, ok := k.rules.Rule(table); ok {
-		p.logicTable = rule.LogicTable
-	}
-	p.fast, p.skel, p.tmpl = true, skel, tmpl
-	return p, nil
+	return &plan{stmt: stmt}, nil
 }
 
-// executePlan runs a cached plan with bound argument values. Fast shapes
-// route through the skeleton and splice the rewrite template; everything
-// else replays the generic pipeline on the cached AST. The fast path
-// records one combined plan_cache span (normalize + lookup + route +
-// render) instead of separate route/rewrite marks, keeping the hot path
-// at a handful of clock reads.
+// executePlan runs a shape's kept plan with bound argument values.
 func (s *Session) executePlan(p *plan, args []sqltypes.Value) (*Result, error) {
-	if !p.fast {
-		s.tr.Mark(telemetry.StagePlanCache)
+	s.tr.Mark(telemetry.StagePlanCache)
+	if p.route == nil {
 		return s.ExecuteStmt(p.stmt, args)
 	}
-	rt, err := p.skel.Route(args, s.hint)
+	return s.run(p, args, 0)
+}
+
+// bind routes and rewrites a compiled statement for one set of argument
+// values: the units an execution sends.
+func (s *Session) bind(p *plan, args []sqltypes.Value) (*rewrite.Result, error) {
+	rt, err := p.route.Route(args, s.hint)
 	if err != nil {
 		return nil, err
 	}
-	rw, templated, err := p.tmpl.Rewrite(rt, p.logicTable, args, s.k.dialectOf)
+	s.tr.Mark(telemetry.StageRoute)
+	rw, err := p.rewrite.Rewrite(rt, args, s.k.dialectOf)
 	if err != nil {
 		return nil, err
 	}
-	if !templated {
-		// Multi-node pagination with an offset: the node LIMIT is
-		// offset+count, so the text depends on the bound values.
-		if rw, err = s.k.rewriter.Rewrite(p.stmt, rt, args); err != nil {
-			return nil, err
-		}
+	s.tr.Mark(telemetry.StageRewrite)
+	return rw, nil
+}
+
+// run is the one execute path: bind, then send the units. genKey is the
+// last key the key generator added to an INSERT (0 when none).
+func (s *Session) run(p *plan, args []sqltypes.Value, genKey int64) (*Result, error) {
+	rw, err := s.bind(p, args)
+	if err != nil {
+		return nil, err
 	}
-	s.tr.Mark(telemetry.StagePlanCache)
-	return s.runUnits(p.stmt, p.sel, rw, 0)
+	return s.runUnits(p.stmt, p.sel, rw, genKey)
 }

@@ -65,6 +65,43 @@ func TestPlanCacheZeroParseOnRepeatedShapes(t *testing.T) {
 	}
 }
 
+// TestPlanCacheInsertBindsWithoutParseOrClone: a kept INSERT — one row, or
+// rows that split across shards — executes by binding alone: the parser
+// does not run and no AST is copied.
+func TestPlanCacheInsertBindsWithoutParseOrClone(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	s := k.NewSession()
+	const one = "INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)"
+	const two = "INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?), (?, ?, ?)"
+	row := func(uid int) []sqltypes.Value {
+		return []sqltypes.Value{sqltypes.NewInt(int64(uid)), sqltypes.NewString(fmt.Sprintf("user%d", uid)), sqltypes.NewInt(20)}
+	}
+	// Warm: both shapes compiled, and every shard's data node has kept its
+	// unit text (a split two-row INSERT sends each shard the one-row text).
+	uid := 1
+	for ; uid <= 4*nodeKeepSights; uid++ {
+		mustExec(t, s, one, row(uid)...)
+	}
+	mustExec(t, s, two, append(row(uid), row(uid+1)...)...)
+	uid += 2
+	clones := sqlparser.CloneCount()
+	n := parses(func() {
+		for i := 0; i < 4; i++ {
+			mustExec(t, s, one, row(uid)...)
+			if r := mustExec(t, s, two, append(row(uid+1), row(uid+2)...)...); r.Affected != 2 {
+				t.Fatalf("split insert affected %d rows", r.Affected)
+			}
+			uid += 3
+		}
+	})
+	if c := sqlparser.CloneCount() - clones; n != 0 || c != 0 {
+		t.Fatalf("kept INSERT shapes parsed %d times and cloned %d statements, want 0 and 0", n, c)
+	}
+	if rows := mustQuery(t, s, "SELECT COUNT(*) FROM t_user"); rows[0][0].I != int64(uid-1) {
+		t.Fatalf("%v rows, want %d", rows, uid-1)
+	}
+}
+
 func TestPlanCacheSharedAcrossSessions(t *testing.T) {
 	k := newKernel(t, 2, 4)
 	s1 := k.NewSession()
@@ -88,7 +125,7 @@ func TestPlanCacheSharedAcrossSessions(t *testing.T) {
 
 func TestPlanCacheCorrectAcrossShards(t *testing.T) {
 	// Every uid routes through the same cached plan to a different shard;
-	// updates and deletes through the fast path must hit the same rows.
+	// updates and deletes must hit the same rows.
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()
 	seed(t, s, 16)
@@ -119,8 +156,8 @@ func TestPlanCacheCorrectAcrossShards(t *testing.T) {
 }
 
 func TestPlanCacheMultiNodeShapes(t *testing.T) {
-	// Shapes that route to many nodes reuse the cached AST through the full
-	// rewriter — still zero parses on the hot path.
+	// Shapes that route to many nodes bind the same kept plan — still zero
+	// parses on the hot path.
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()
 	seed(t, s, 12)
@@ -191,7 +228,7 @@ func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 }
 
 func TestPlanCacheLimitValidationParity(t *testing.T) {
-	// The fast path must reproduce the rewriter's LIMIT argument errors.
+	// A kept plan must report LIMIT argument errors at every bind.
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()
 	seed(t, s, 4)
@@ -205,10 +242,10 @@ func TestPlanCacheLimitValidationParity(t *testing.T) {
 	}
 }
 
-// TestPlanFastPathMultiNode: a cached shape that fans out is routed by its
-// skeleton and rendered from its template; it must return exactly what the
-// generic pipeline returns for the raw AST, on the first execution (which
-// derives the multi-node form) and on later ones (which only splice).
+// TestPlanFastPathMultiNode: a kept plan that fans out must return exactly
+// what the same statement compiled afresh returns, on the first execution
+// (which derives the multi-node form) and on later ones (which only
+// splice).
 func TestPlanFastPathMultiNode(t *testing.T) {
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()
@@ -224,17 +261,16 @@ func TestPlanFastPathMultiNode(t *testing.T) {
 	cases := []struct {
 		sql  string
 		args []sqltypes.Value
-		fast bool
 	}{
-		{"SELECT name FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY uid", ints(3, 17), true},
-		{"SELECT SUM(age), COUNT(*), AVG(age) FROM t_user WHERE uid BETWEEN ? AND ?", ints(1, 20), true},
-		{"SELECT name FROM t_user WHERE uid > ? ORDER BY age DESC, uid", ints(4), true},
-		{"SELECT age, COUNT(*) FROM t_user GROUP BY age", nil, true},
-		{"SELECT DISTINCT age FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY age", ints(1, 24), true},
-		{"SELECT * FROM t_user ORDER BY name LIMIT ?", ints(5), true},
-		{"SELECT name FROM t_user ORDER BY uid LIMIT ?, ?", ints(6, 4), true}, // revised pagination: rendered by the rewriter
-		{"SELECT name FROM t_user WHERE uid IN (?, ?) ORDER BY uid", ints(2, 7), true},
-		{"SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid WHERE u.uid IN (?, ?) ORDER BY o.amount", ints(2, 7), false},
+		{"SELECT name FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY uid", ints(3, 17)},
+		{"SELECT SUM(age), COUNT(*), AVG(age) FROM t_user WHERE uid BETWEEN ? AND ?", ints(1, 20)},
+		{"SELECT name FROM t_user WHERE uid > ? ORDER BY age DESC, uid", ints(4)},
+		{"SELECT age, COUNT(*) FROM t_user GROUP BY age", nil},
+		{"SELECT DISTINCT age FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY age", ints(1, 24)},
+		{"SELECT * FROM t_user ORDER BY name LIMIT ?", ints(5)},
+		{"SELECT name FROM t_user ORDER BY uid LIMIT ?, ?", ints(6, 4)}, // revised pagination
+		{"SELECT name FROM t_user WHERE uid IN (?, ?) ORDER BY uid", ints(2, 7)},
+		{"SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid WHERE u.uid IN (?, ?) ORDER BY o.amount", ints(2, 7)},
 	}
 	for _, c := range cases {
 		stmt, err := sqlparser.Parse(c.sql)
@@ -250,7 +286,7 @@ func TestPlanFastPathMultiNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(want) == 0 {
-			t.Fatalf("%q: the generic pipeline returned no rows; the case checks nothing", c.sql)
+			t.Fatalf("%q: the freshly compiled statement returned no rows; the case checks nothing", c.sql)
 		}
 		for run := 0; run < 3; run++ {
 			if got := mustQuery(t, s, c.sql, c.args...); fmt.Sprint(got) != fmt.Sprint(want) {
@@ -265,8 +301,8 @@ func TestPlanFastPathMultiNode(t *testing.T) {
 		if !ok {
 			t.Fatalf("%q: no cached plan", c.sql)
 		}
-		if p := v.(*plan); p.fast != c.fast {
-			t.Fatalf("%q: plan.fast = %v, want %v", c.sql, p.fast, c.fast)
+		if p := v.(*plan); p.route == nil {
+			t.Fatalf("%q: the compiled value was not kept", c.sql)
 		}
 	}
 	// The same holds inside a LOCAL transaction, where units ride the

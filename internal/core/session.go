@@ -13,6 +13,7 @@ import (
 	"shardingsphere/internal/merge"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
+	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
@@ -149,11 +150,29 @@ func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
 	if h := s.k.distSQL; h != nil && h.Match(sql) {
 		return h.Execute(s, sql)
 	}
-	tr := s.k.tel.StartInto(&s.trBuf, sql)
+	return s.execute(s.k.tel.StartInto(&s.trBuf, sql), sql, args, true)
+}
+
+// ExecuteTraced runs one statement as Execute does, with a detailed,
+// retained trace — every stage is marked, pool acquisition is timed per
+// data source, and the trace survives Finish so the caller can read its
+// span table (DistSQL TRACE) — and without keeping what it compiles, so
+// the parse and compile stages appear however often the shape has run.
+// The caller must Release the returned trace.
+func (s *Session) ExecuteTraced(sql string, args ...sqltypes.Value) (*Result, *telemetry.Trace, error) {
+	s.stmtQueueWait, s.queueWait = s.queueWait, 0
+	tr := s.k.tel.StartDetailed(sql)
+	res, err := s.execute(tr, sql, args, false)
+	return res, tr, err
+}
+
+// execute runs one SQL statement under the given trace and observes it
+// into its shape's digest.
+func (s *Session) execute(tr *telemetry.Trace, sql string, args []sqltypes.Value, keep bool) (*Result, error) {
 	tr.AddQueueWait(s.stmtQueueWait)
 	s.tr = tr
 	s.stmtDigest, s.stmtShards, s.stmtRetries = nil, 0, 0
-	res, err := s.executeSQL(sql, args)
+	res, err := s.executeSQL(sql, args, keep)
 	s.tr = nil
 	tr.Finish(err)
 	if e := s.stmtDigest; e != nil {
@@ -186,45 +205,24 @@ func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
 	return res, err
 }
 
-// ExecuteTraced runs one statement through the full (uncached) pipeline
-// with a detailed, retained trace: every stage is marked, pool
-// acquisition is timed per data source, and the trace survives Finish so
-// the caller can read its span table (DistSQL TRACE). The caller must
-// Release the returned trace.
-func (s *Session) ExecuteTraced(sql string, args ...sqltypes.Value) (*Result, *telemetry.Trace, error) {
-	s.stmtQueueWait, s.queueWait = s.queueWait, 0
-	tr := s.k.tel.StartDetailed(sql)
-	tr.AddQueueWait(s.stmtQueueWait)
-	s.tr = tr
-	stmt, err := sqlparser.Parse(sql)
-	tr.Mark(telemetry.StageParse)
-	var res *Result
-	if err == nil {
-		res, err = s.ExecuteStmt(stmt, args)
-	}
-	s.tr = nil
-	tr.Finish(err)
-	return res, tr, err
-}
-
-// executeSQL is the statement body of Execute. A normalizable statement
+// executeSQL is the statement body of execute. A normalizable statement
 // does one keyed lookup: its shape's entry in the plan cache, which is
 // both where the statement is counted and where its plan lives. The plan
-// is used when it is current, compiled when it is missing or stale, and
-// passed over for the full parse + generic pipeline in three cases that
-// still count under the entry: a locking read in a transaction, a bind
-// failure and a build failure.
-func (s *Session) executeSQL(sql string, args []sqltypes.Value) (*Result, error) {
+// is used when it is current and compiled when it is missing or stale.
+// Four cases still count under the entry but parse the text and compile
+// for this execution only: a caller that keeps nothing (TRACE), a locking
+// read in a transaction, a bind failure and a build failure.
+func (s *Session) executeSQL(sql string, args []sqltypes.Value, keep bool) (*Result, error) {
 	if norm, ok := sqlparser.Normalize(sql); ok {
 		e := s.k.planCache.Lookup(norm.Key)
 		s.stmtDigest = &e.Digest
 		// The trace carries the digest id the digest row shows, and the
 		// key lets a slow-log capture redact without re-normalizing.
 		s.tr.SetDigest(e.Digest.ID, e.Digest.Key)
-		// Locking reads inside a distributed transaction bypass the plan:
-		// a SELECT ... FOR UPDATE under XA must see the pipeline state of
-		// its own transaction, never a shared shortcut.
-		if !(norm.ForUpdate && s.tx != nil) {
+		// A locking read inside a distributed transaction keeps nothing
+		// either: a SELECT ... FOR UPDATE under XA must see the pipeline
+		// state of its own transaction, never a shared value.
+		if keep && !(norm.ForUpdate && s.tx != nil) {
 			if bound, err := norm.BindArgs(args); err == nil {
 				v, err := s.k.planCache.Plan(e, func() (any, error) {
 					return buildPlan(s.k, norm)
@@ -270,7 +268,8 @@ func (s *Session) Exec(sql string, args ...sqltypes.Value) (resource.ExecResult,
 	return resource.ExecResult{Affected: res.Affected, LastInsertID: res.LastInsertID}, nil
 }
 
-// ExecuteStmt runs a parsed statement through the kernel pipeline.
+// ExecuteStmt runs a parsed statement: transaction control and session
+// statements directly, anything routable compiled for this one execution.
 func (s *Session) ExecuteStmt(stmt sqlparser.Statement, args []sqltypes.Value) (*Result, error) {
 	switch t := stmt.(type) {
 	case *sqlparser.BeginStmt:
@@ -317,6 +316,21 @@ func (s *Session) ExecuteStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 		return s.describe(t)
 	}
 
+	if sel, ok := stmt.(*sqlparser.SelectStmt); ok && len(sel.From) == 0 {
+		return s.selectWithoutFrom(sel, args)
+	}
+	p, args, genKey, err := s.compileStmt(stmt, args)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(p, args, genKey)
+}
+
+// compileStmt compiles a parsed statement for one execution. The key
+// generator's and the features' transformers' output differs per
+// execution, which is why a statement they touch is compiled here and its
+// compiled value never kept.
+func (s *Session) compileStmt(stmt sqlparser.Statement, args []sqltypes.Value) (*plan, []sqltypes.Value, int64, error) {
 	// Generated keys: INSERTs into tables with a key generator that omit
 	// the key column gain it before routing (the distributed replacement
 	// for AUTO_INCREMENT; see sharding.KeyGenerator).
@@ -324,37 +338,38 @@ func (s *Session) ExecuteStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 	if ins, ok := stmt.(*sqlparser.InsertStmt); ok {
 		stmt, genKey = s.k.fillGeneratedKey(ins)
 	}
-
-	// Feature transforms (cached statements stay untouched: transformers
-	// clone on write).
-	var err error
+	// Feature transforms (the caller's statement stays untouched:
+	// transformers clone on write).
 	for _, f := range s.k.features {
 		tr, ok := f.(StatementTransformer)
 		if !ok {
 			continue
 		}
-		stmt, args, err = tr.TransformStatement(stmt, args)
-		if err != nil {
-			return nil, err
+		var err error
+		if stmt, args, err = tr.TransformStatement(stmt, args); err != nil {
+			return nil, nil, 0, err
 		}
 	}
+	p, _ := s.k.compile(stmt)
+	return p, args, genKey, nil
+}
 
-	sel, isSelect := stmt.(*sqlparser.SelectStmt)
-	if isSelect && len(sel.From) == 0 {
-		return s.selectWithoutFrom(sel, args)
-	}
-
-	rt, err := s.k.router.Route(stmt, args, s.hint)
+// Preview compiles and binds a statement exactly as executing it would and
+// returns the units it would send, without sending them (DistSQL PREVIEW).
+func (s *Session) Preview(sql string, args ...sqltypes.Value) ([]rewrite.SQLUnit, error) {
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	s.tr.Mark(telemetry.StageRoute)
-	rw, err := s.k.rewriter.Rewrite(stmt, rt, args)
+	p, args, _, err := s.compileStmt(stmt, args)
 	if err != nil {
 		return nil, err
 	}
-	s.tr.Mark(telemetry.StageRewrite)
-	return s.runUnits(stmt, sel, rw, genKey)
+	rw, err := s.bind(p, args)
+	if err != nil {
+		return nil, err
+	}
+	return rw.Units, nil
 }
 
 // stmtCtx bounds transaction-control work (COMMIT/ROLLBACK) with the
@@ -368,8 +383,7 @@ func (s *Session) stmtCtx() (context.Context, context.CancelFunc) {
 }
 
 // runUnits executes rewritten SQL units: source resolution, circuit-breaker
-// gates, transaction hooks, execution and merge. Both the generic pipeline
-// and the plan cache's fast path end here.
+// gates, transaction hooks, execution and merge.
 //
 // Fault tolerance happens at two levels. The statement deadline
 // (statement_timeout_ms) bounds the whole call. Failover covers
@@ -661,18 +675,28 @@ func (s *Session) describe(t *sqlparser.DescribeStmt) (*Result, error) {
 	return &Result{RS: resource.NewSliceResultSet(rs.Columns(), rows)}, nil
 }
 
+// generatesKey returns the rule whose key generator fills a column the
+// INSERT omits, or nil.
+func (k *Kernel) generatesKey(ins *sqlparser.InsertStmt) *sharding.TableRule {
+	rule, ok := k.rules.Rule(ins.Table)
+	if !ok || rule.KeyGen == nil || rule.KeyGenColumn == "" || len(ins.Columns) == 0 {
+		return nil
+	}
+	for _, c := range ins.Columns {
+		if strings.EqualFold(c, rule.KeyGenColumn) {
+			return nil
+		}
+	}
+	return rule
+}
+
 // fillGeneratedKey appends the key-generator column and fresh keys to an
 // INSERT that omits it. It returns the (possibly cloned) statement and the
 // last key generated (0 when none).
 func (k *Kernel) fillGeneratedKey(ins *sqlparser.InsertStmt) (sqlparser.Statement, int64) {
-	rule, ok := k.rules.Rule(ins.Table)
-	if !ok || rule.KeyGen == nil || rule.KeyGenColumn == "" || len(ins.Columns) == 0 {
+	rule := k.generatesKey(ins)
+	if rule == nil {
 		return ins, 0
-	}
-	for _, c := range ins.Columns {
-		if strings.EqualFold(c, rule.KeyGenColumn) {
-			return ins, 0
-		}
 	}
 	clone := sqlparser.CloneStatement(ins).(*sqlparser.InsertStmt)
 	clone.Columns = append(clone.Columns, rule.KeyGenColumn)

@@ -94,7 +94,7 @@ func TestShapeCompiledOnceUnderConcurrentFirstSight(t *testing.T) {
 	const q = "SELECT age FROM t_user WHERE uid = ?"
 	uid := sqltypes.NewInt(1)
 	// Warm the data node's statement cache with the unit's text through
-	// the generic pipeline, which leaves the plan cache alone.
+	// ExecuteStmt, which keeps nothing and leaves the plan cache alone.
 	stmt, err := sqlparser.Parse(q)
 	if err != nil {
 		t.Fatal(err)

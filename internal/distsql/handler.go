@@ -14,9 +14,7 @@ import (
 	"shardingsphere/internal/features/scaling"
 	"shardingsphere/internal/governor"
 	"shardingsphere/internal/resource"
-	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/sharding"
-	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
 	"shardingsphere/internal/transaction"
@@ -649,29 +647,15 @@ func (h *Handler) showPlanCache(sess *core.Session) (*core.Result, error) {
 	}}), nil
 }
 
-// preview routes and rewrites the statement without executing, returning
-// one row per SQL unit (RAL's PREVIEW).
+// preview returns one row per SQL unit executing the statement would send
+// (RAL's PREVIEW).
 func (h *Handler) preview(sess *core.Session, sql string) (*core.Result, error) {
-	k := sess.Kernel()
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := k.Router().Route(stmt, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	rw, err := rewrite.New(func(ds string) sqlparser.Dialect {
-		if src, err := k.Executor().Source(ds); err == nil {
-			return src.Dialect()
-		}
-		return sqlparser.DialectMySQL
-	}).Rewrite(stmt, rt, nil)
+	units, err := sess.Preview(sql)
 	if err != nil {
 		return nil, err
 	}
 	var rows []sqltypes.Row
-	for _, u := range rw.Units {
+	for _, u := range units {
 		rows = append(rows, sqltypes.Row{
 			sqltypes.NewString(u.DataSource),
 			sqltypes.NewString(u.SQL),
@@ -680,9 +664,8 @@ func (h *Handler) preview(sess *core.Session, sql string) (*core.Result, error) 
 	return rowsResult([]string{"data_source", "actual_sql"}, rows), nil
 }
 
-// trace executes the statement through the full pipeline with a detailed
-// trace (bypassing the plan cache so every stage appears) and returns the
-// span breakdown instead of the statement's rows (RAL's TRACE).
+// trace executes the statement with a detailed trace and returns the span
+// breakdown instead of the statement's rows (RAL's TRACE).
 func (h *Handler) trace(sess *core.Session, sql string) (*core.Result, error) {
 	res, tr, err := sess.ExecuteTraced(sql)
 	if tr != nil {

@@ -11,11 +11,11 @@ import (
 )
 
 // referenceRewrite is the rewriter as it was before statements were
-// compiled once and spliced: derive on a clone, then clone + RenameTables +
-// Serialize once per unit. The equivalence test holds the splice mechanism
-// (Rewriter.Rewrite and Template.Rewrite) to its output, byte for byte.
-func referenceRewrite(t *testing.T, stmt sqlparser.Statement, rt *route.Result, args []sqltypes.Value, dialect DialectFunc) *Result {
-	t.Helper()
+// compiled once and bound: derive on a clone, then clone + RenameTables +
+// Serialize once per unit, a split INSERT keeping each unit's rows and
+// gathering their placeholders' values. The equivalence test and the fuzz
+// target hold the compile/bind mechanism to its output, byte for byte.
+func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
 	out := &Result{}
 	work := sqlparser.CloneStatement(stmt)
 	if sel, ok := work.(*sqlparser.SelectStmt); ok {
@@ -23,7 +23,7 @@ func referenceRewrite(t *testing.T, stmt sqlparser.Statement, rt *route.Result, 
 		if sel.Limit != nil {
 			li, err := evalLimit(sel.Limit, args)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			ctx.Limit = li
 		}
@@ -52,23 +52,48 @@ func referenceRewrite(t *testing.T, stmt sqlparser.Statement, rt *route.Result, 
 	}
 	for _, unit := range rt.Units {
 		clone := sqlparser.CloneStatement(work)
+		unitArgs := args
+		if ins, ok := clone.(*sqlparser.InsertStmt); ok && len(rt.Units) > 1 && unit.RowIndexes != nil {
+			var rows [][]sqlparser.Expr
+			unitArgs = nil
+			for _, idx := range unit.RowIndexes {
+				rows = append(rows, ins.Rows[idx])
+				for _, e := range ins.Rows[idx] {
+					sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+						if p, ok := x.(*sqlparser.Placeholder); ok {
+							unitArgs = append(unitArgs, args[p.Index])
+						}
+						return true
+					})
+				}
+			}
+			ins.Rows = rows
+		}
 		sqlparser.RenameTables(clone, unit.TableMap)
-		logic, actual := unitTables(unit)
-		out.Units = append(out.Units, SQLUnit{
-			DataSource:  unit.DataSource,
-			SQL:         sqlparser.NewSerializer(dialect(unit.DataSource)).Serialize(clone),
-			Args:        args,
-			LogicTable:  logic,
-			ActualTable: actual,
-		})
+		u := SQLUnit{
+			DataSource: unit.DataSource,
+			SQL:        sqlparser.NewSerializer(dialect(unit.DataSource)).Serialize(clone),
+			Args:       unitArgs,
+		}
+		if len(unit.TableMap) == 1 {
+			for u.LogicTable, u.ActualTable = range unit.TableMap {
+			}
+		}
+		out.Units = append(out.Units, u)
 	}
-	return out
+	return out, nil
 }
 
-func TestRewriteEquivalence(t *testing.T) {
+// equivalenceFixture is the router and dialects the shapes run against:
+// t_user and t_order sharded by uid%4 over ds0/ds1 and bound together,
+// t_other sharded the same way but unbound, t_dict broadcast. ds1 speaks
+// PostgreSQL, so half of every fan-out renders in each dialect.
+func equivalenceFixture(t testing.TB) (*route.Router, DialectFunc) {
+	t.Helper()
 	rs := sharding.NewRuleSet()
 	rs.DefaultDataSource = "ds0"
-	for _, table := range []string{"t_user", "t_order"} {
+	rs.Broadcast["t_dict"] = true
+	for _, table := range []string{"t_user", "t_order", "t_other"} {
 		rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
 			LogicTable: table, Resources: []string{"ds0", "ds1"},
 			ShardingColumn: "uid", AlgorithmType: "MOD", ShardingCount: 4,
@@ -82,101 +107,132 @@ func TestRewriteEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	router := route.New(rs, []string{"ds0", "ds1"})
-	// ds1 speaks PostgreSQL: half of every fan-out renders in each dialect.
-	dialect := func(ds string) sqlparser.Dialect {
+	router.Columns = func(string) ([]string, error) { return []string{"uid", "name", "age"}, nil }
+	return router, func(ds string) sqlparser.Dialect {
 		if ds == "ds1" {
 			return sqlparser.DialectPostgreSQL
 		}
 		return sqlparser.DialectMySQL
 	}
-	rw := New(dialect)
-	ints := func(vs ...int64) []sqltypes.Value {
-		out := make([]sqltypes.Value, len(vs))
-		for i, v := range vs {
-			out[i] = sqltypes.NewInt(v)
+}
+
+func intArgs(vs ...int64) []sqltypes.Value {
+	out := make([]sqltypes.Value, len(vs))
+	for i, v := range vs {
+		out[i] = sqltypes.NewInt(v)
+	}
+	return out
+}
+
+// equivalenceShapes is the one table of statement shapes: each is compiled
+// once and bound with both argument sets, which route to the given numbers
+// of units. The fuzz target seeds from it.
+var equivalenceShapes = []struct {
+	name, sql string
+	args      [2][]sqltypes.Value
+	units     [2]int
+}{
+	{"plain range", "SELECT name FROM t_user WHERE uid BETWEEN ? AND ?", [2][]sqltypes.Value{intArgs(1, 100), intArgs(5, 6)}, [2]int{4, 2}},
+	{"sum", "SELECT SUM(age) FROM t_user WHERE uid BETWEEN ? AND ?", [2][]sqltypes.Value{intArgs(1, 100), intArgs(7, 7)}, [2]int{4, 1}},
+	{"avg and count", "SELECT AVG(age), COUNT(*), MAX(age) FROM t_user", [2][]sqltypes.Value{}, [2]int{4, 4}},
+	{"order by unselected column", "SELECT name FROM t_user ORDER BY age DESC, uid", [2][]sqltypes.Value{}, [2]int{4, 4}},
+	{"group by without order by", "SELECT age, COUNT(*) FROM t_user GROUP BY age", [2][]sqltypes.Value{}, [2]int{4, 4}},
+	{"group by with other order by", "SELECT age, SUM(uid) FROM t_user GROUP BY age ORDER BY SUM(uid)", [2][]sqltypes.Value{}, [2]int{4, 4}},
+	{"distinct order by", "SELECT DISTINCT name FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY name", [2][]sqltypes.Value{intArgs(1, 100), intArgs(2, 4)}, [2]int{4, 3}},
+	{"star", "SELECT * FROM t_user ORDER BY name", [2][]sqltypes.Value{}, [2]int{4, 4}},
+	{"aliases", "SELECT u.name AS n, u.age a FROM t_user u WHERE u.uid > ? ORDER BY n", [2][]sqltypes.Value{intArgs(3), intArgs(-8)}, [2]int{4, 4}},
+	{"qualified by table name", "SELECT t_user.name FROM t_user WHERE t_user.uid IN (?, ?) ORDER BY t_user.age", [2][]sqltypes.Value{intArgs(1, 2), intArgs(4, 8)}, [2]int{2, 1}},
+	{"limit without offset", "SELECT name FROM t_user ORDER BY uid LIMIT ?", [2][]sqltypes.Value{intArgs(5), intArgs(0)}, [2]int{4, 4}},
+	{"limit with zero offset", "SELECT name FROM t_user ORDER BY uid LIMIT ?, ?", [2][]sqltypes.Value{intArgs(0, 5), intArgs(0, 1)}, [2]int{4, 4}},
+	{"limit with offset", "SELECT name FROM t_user ORDER BY uid LIMIT ?, ?", [2][]sqltypes.Value{intArgs(20, 10), intArgs(0, 3)}, [2]int{4, 4}},
+	{"limit with offset for update", "SELECT name FROM t_user WHERE uid IN (?, ?) ORDER BY uid LIMIT ?, ? FOR UPDATE", [2][]sqltypes.Value{intArgs(1, 2, 3, 4), intArgs(5, 9, 1, 1)}, [2]int{2, 1}},
+	{"single node keeps pagination", "SELECT name FROM t_user WHERE uid = ? ORDER BY age LIMIT 20, 10", [2][]sqltypes.Value{intArgs(3), intArgs(4)}, [2]int{1, 1}},
+	{"update fan-out", "UPDATE t_user SET age = age + 1 WHERE name = ?", [2][]sqltypes.Value{{sqltypes.NewString("x")}, {sqltypes.NewString("it's")}}, [2]int{4, 4}},
+	{"delete two nodes", "DELETE FROM t_user WHERE uid IN (?, ?)", [2][]sqltypes.Value{intArgs(1, 6), intArgs(3, 7)}, [2]int{2, 1}},
+	{"binding join", "SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid WHERE u.uid IN (?, ?) ORDER BY o.amount", [2][]sqltypes.Value{intArgs(1, 2), intArgs(3, 3)}, [2]int{2, 1}},
+	{"binding join by table names", "SELECT t_user.name, t_order.amount FROM t_user JOIN t_order ON t_user.uid = t_order.uid", [2][]sqltypes.Value{}, [2]int{4, 4}},
+	{"join routed by an ON equality", "SELECT u.name FROM t_user u JOIN t_order o ON u.uid = o.uid AND u.uid = ? ORDER BY u.age LIMIT ?, ?", [2][]sqltypes.Value{intArgs(2, 1, 1), intArgs(7, 0, 9)}, [2]int{1, 1}},
+	{"cartesian join", "SELECT u.name, x.v FROM t_user u JOIN t_other x ON u.uid = x.uid WHERE u.uid = ? AND x.uid IN (?, ?) ORDER BY x.v LIMIT ?, ?", [2][]sqltypes.Value{intArgs(1, 1, 3, 2, 2), intArgs(2, 0, 1, 0, 1)}, [2]int{2, 1}},
+	{"sharded joined with broadcast", "SELECT u.name, d.v FROM t_user u JOIN t_dict d ON u.age = d.k WHERE u.uid IN (?, ?)", [2][]sqltypes.Value{intArgs(1, 2), intArgs(4, 4)}, [2]int{2, 1}},
+	{"unsharded", "SELECT * FROM t_plain WHERE id = ? LIMIT ?, ?", [2][]sqltypes.Value{intArgs(1, 2, 3), intArgs(4, 5, 6)}, [2]int{1, 1}},
+	{"broadcast-table update", "UPDATE t_dict SET v = ? WHERE k = ?", [2][]sqltypes.Value{intArgs(1, 2), intArgs(3, 4)}, [2]int{2, 2}},
+	{"broadcast-table insert", "INSERT INTO t_dict (k, v) VALUES (?, ?), (?, ?)", [2][]sqltypes.Value{intArgs(1, 2, 3, 4), intArgs(5, 6, 7, 8)}, [2]int{2, 2}},
+	{"single-row insert", "INSERT INTO t_user (uid, name) VALUES (?, ?)", [2][]sqltypes.Value{{sqltypes.NewInt(1), sqltypes.NewString("a")}, {sqltypes.NewInt(6), sqltypes.NewString("b?")}}, [2]int{1, 1}},
+	{"multi-row insert with placeholders", "INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?), (?, ?, - ?), (? + ?, 'lit', 1.5)",
+		[2][]sqltypes.Value{
+			{sqltypes.NewInt(6), sqltypes.NewString("x"), sqltypes.NewInt(3), sqltypes.NewInt(7), sqltypes.NewString("y"), sqltypes.NewInt(5), sqltypes.NewInt(1), sqltypes.NewInt(1)},
+			{sqltypes.NewInt(4), sqltypes.NewString("x"), sqltypes.NewInt(3), sqltypes.NewInt(8), sqltypes.NewString("y"), sqltypes.NewFloat(-2.5), sqltypes.NewInt(10), sqltypes.NewInt(2)},
+		}, [2]int{2, 1}},
+	{"column-less insert", "INSERT INTO t_user VALUES (?, ?, ?), (?, ?, ?)", [2][]sqltypes.Value{
+		{sqltypes.NewInt(1), sqltypes.NewString("a"), sqltypes.NewInt(30), sqltypes.NewInt(2), sqltypes.NewString("b"), sqltypes.NewInt(31)},
+		{sqltypes.NewInt(3), sqltypes.NewString("a"), sqltypes.NewInt(30), sqltypes.NewInt(7), sqltypes.NewString("b"), sqltypes.NewInt(31)},
+	}, [2]int{2, 1}},
+	{"ddl", "CREATE INDEX idx_age ON t_user (age)", [2][]sqltypes.Value{}, [2]int{4, 4}},
+	{"ddl on a broadcast table", "TRUNCATE TABLE t_dict", [2][]sqltypes.Value{}, [2]int{2, 2}},
+}
+
+// bindTwice compiles a statement once — route skeleton and rewrite
+// template — binds it with each argument set in turn, then with the first
+// again (by then every form is memoized), and holds each binding and
+// Rewriter.Rewrite's composition to referenceRewrite on a fresh parse.
+// It returns the unit count of each of the two argument sets' routes; a
+// binding whose route fails is skipped (-1), one whose reference fails
+// must fail the same way.
+func bindTwice(t testing.TB, router *route.Router, dialect DialectFunc, sql string, args [2][]sqltypes.Value) [2]int {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(stmt)
+	sk, _ := router.BuildSkeleton(stmt)
+	tmpl, ok := NewTemplate(stmt, sqlparser.TableNames(stmt)...)
+	if !ok {
+		t.Fatal("NewTemplate refused")
+	}
+	units := [2]int{-1, -1}
+	for _, i := range []int{0, 1, 0} {
+		rt, err := sk.Route(args[i], nil)
+		if err != nil {
+			continue
 		}
-		return out
+		units[i] = len(rt.Units)
+		fresh, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := referenceRewrite(fresh, rt, args[i], dialect)
+		for who, rewrite := range map[string]func() (*Result, error){
+			"Template.Rewrite": func() (*Result, error) { return tmpl.Rewrite(rt, args[i], dialect) },
+			"Rewriter.Rewrite": func() (*Result, error) { return New(dialect).Rewrite(stmt, rt, args[i]) },
+		} {
+			got, err := rewrite()
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s binding %d: error %v, reference %v", who, i, err, wantErr)
+			}
+			if err == nil {
+				assertSameRewrite(t, who, got, want)
+			}
+		}
 	}
+	if after := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(stmt); after != before {
+		t.Fatalf("rewrite mutated the compiled statement:\n before %s\n after  %s", before, after)
+	}
+	return units
+}
 
-	cases := []struct {
-		name, sql string
-		args      []sqltypes.Value
-		units     int
-		// template: "yes" (Template.Rewrite must match too), "refuses"
-		// (node text depends on bound values), "none" (not a single-table
-		// statement: the kernel keeps it on Rewriter.Rewrite).
-		template string
-	}{
-		{"plain range", "SELECT name FROM t_user WHERE uid BETWEEN ? AND ?", ints(1, 100), 4, "yes"},
-		{"sum", "SELECT SUM(age) FROM t_user WHERE uid BETWEEN ? AND ?", ints(1, 100), 4, "yes"},
-		{"avg and count", "SELECT AVG(age), COUNT(*), MAX(age) FROM t_user", nil, 4, "yes"},
-		{"order by unselected column", "SELECT name FROM t_user ORDER BY age DESC, uid", nil, 4, "yes"},
-		{"group by without order by", "SELECT age, COUNT(*) FROM t_user GROUP BY age", nil, 4, "yes"},
-		{"group by with other order by", "SELECT age, SUM(uid) FROM t_user GROUP BY age ORDER BY SUM(uid)", nil, 4, "yes"},
-		{"distinct order by", "SELECT DISTINCT name FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY name", ints(1, 100), 4, "yes"},
-		{"star", "SELECT * FROM t_user ORDER BY name", nil, 4, "yes"},
-		{"aliases", "SELECT u.name AS n, u.age a FROM t_user u WHERE u.uid > ? ORDER BY n", ints(3), 4, "yes"},
-		{"qualified by table name", "SELECT t_user.name FROM t_user WHERE t_user.uid IN (?, ?) ORDER BY t_user.age", ints(1, 2), 2, "yes"},
-		{"limit without offset", "SELECT name FROM t_user ORDER BY uid LIMIT ?", ints(5), 4, "yes"},
-		{"limit with zero offset", "SELECT name FROM t_user ORDER BY uid LIMIT ?, ?", ints(0, 5), 4, "yes"},
-		{"limit with offset", "SELECT name FROM t_user ORDER BY uid LIMIT ?, ?", ints(20, 10), 4, "refuses"},
-		{"single node keeps pagination", "SELECT name FROM t_user WHERE uid = ? ORDER BY age LIMIT 20, 10", ints(3), 1, "yes"},
-		{"update fan-out", "UPDATE t_user SET age = age + 1 WHERE name = ?", []sqltypes.Value{sqltypes.NewString("x")}, 4, "yes"},
-		{"delete two nodes", "DELETE FROM t_user WHERE uid IN (?, ?)", ints(1, 6), 2, "yes"},
-		{"binding join", "SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid WHERE u.uid IN (?, ?) ORDER BY o.amount", ints(1, 2), 2, "none"},
-		{"binding join by table names", "SELECT t_user.name, t_order.amount FROM t_user JOIN t_order ON t_user.uid = t_order.uid", nil, 4, "none"},
-		{"ddl", "CREATE INDEX idx_age ON t_user (age)", nil, 4, "none"},
-	}
-	for _, c := range cases {
+func TestRewriteEquivalence(t *testing.T) {
+	router, dialect := equivalenceFixture(t)
+	for _, c := range equivalenceShapes {
 		t.Run(c.name, func(t *testing.T) {
-			stmt, err := sqlparser.Parse(c.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(stmt)
-			rt, err := router.Route(stmt, c.args, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rt.Units) != c.units {
-				t.Fatalf("routed to %d units, want %d", len(rt.Units), c.units)
-			}
-			want := referenceRewrite(t, stmt, rt, c.args, dialect)
-
-			got, err := rw.Rewrite(stmt, rt, c.args)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRewrite(t, "Rewriter.Rewrite", got, want)
-
-			if c.template != "none" {
-				table := sqlparser.TableNames(stmt)[0]
-				tmpl, ok := NewTemplate(stmt, table)
-				if !ok {
-					t.Fatal("NewTemplate refused")
-				}
-				// Twice: the second execution reads the memoized forms.
-				for i := 0; i < 2; i++ {
-					got, ok, err := tmpl.Rewrite(rt, table, c.args, dialect)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ok != (c.template == "yes") {
-						t.Fatalf("Template.Rewrite ok = %v, want %q", ok, c.template)
-					}
-					if ok {
-						assertSameRewrite(t, "Template.Rewrite", got, want)
-					}
-				}
-			}
-			if after := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(stmt); after != before {
-				t.Fatalf("rewrite mutated the cached statement:\n before %s\n after  %s", before, after)
+			if units := bindTwice(t, router, dialect, c.sql, c.args); units != c.units {
+				t.Fatalf("routed to %v units, want %v", units, c.units)
 			}
 		})
 	}
 }
 
-func assertSameRewrite(t *testing.T, who string, got, want *Result) {
+func assertSameRewrite(t testing.TB, who string, got, want *Result) {
 	t.Helper()
 	if len(got.Units) != len(want.Units) {
 		t.Fatalf("%s: %d units, want %d", who, len(got.Units), len(want.Units))

@@ -14,8 +14,8 @@
 package rewrite
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"shardingsphere/internal/route"
@@ -32,18 +32,6 @@ type SQLUnit struct {
 	Args        []sqltypes.Value
 	LogicTable  string
 	ActualTable string
-}
-
-// unitTables extracts the single logic→actual table pair of a route unit,
-// or empty strings when the unit maps several tables.
-func unitTables(unit route.Unit) (logic, actual string) {
-	if len(unit.TableMap) != 1 {
-		return "", ""
-	}
-	for l, a := range unit.TableMap {
-		return l, a
-	}
-	return "", ""
 }
 
 // AggregateKind labels how the merger combines a column.
@@ -127,89 +115,29 @@ func New(dialect DialectFunc) *Rewriter {
 	return &Rewriter{dialect: dialect}
 }
 
-// Rewrite produces the executable SQL units for a routed statement.
+// Rewrite produces the executable SQL units for a routed statement: the
+// statement is compiled into its template and the route and arguments are
+// bound to it. A caller that rewrites one statement many times keeps the
+// template (NewTemplate) and only binds.
 func (rw *Rewriter) Rewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltypes.Value) (*Result, error) {
-	switch t := stmt.(type) {
-	case *sqlparser.SelectStmt:
-		return rw.rewriteSelect(t, rt, args)
-	case *sqlparser.InsertStmt:
-		return rw.rewriteInsert(t, rt, args)
-	default:
-		// UPDATE / DELETE / DDL need only identifier rewrite.
-		return &Result{Units: rw.render(sqlparser.CloneStatement(stmt), rt, args)}, nil
+	t, ok := NewTemplate(stmt, sqlparser.TableNames(stmt)...)
+	if !ok {
+		return nil, fmt.Errorf("rewrite: statement %T has no data-node form", stmt)
 	}
+	return t.Rewrite(rt, args, rw.dialect)
 }
 
-// render compiles a private clone once and splices every unit from it.
-// The sentinels stand for every table some unit maps, in first-seen order.
-func (rw *Rewriter) render(owned sqlparser.Statement, rt *route.Result, args []sqltypes.Value) []SQLUnit {
-	var tables []string
-	for _, unit := range rt.Units {
-		if mapsExactly(unit.TableMap, tables) {
-			continue // the common case: every unit maps the same tables
-		}
-		for logic := range unit.TableMap {
-			if !slices.Contains(tables, logic) {
-				tables = append(tables, logic)
-			}
-		}
+// deriveSelect returns a private clone of the statement in its multi-node
+// form — derived columns and the stream-merger ORDER BY — with the
+// matching merge context (minus pagination, which depends on bound
+// values). It is the one place that form is derived, so it is also where
+// a statement that has none is refused.
+func deriveSelect(stmt *sqlparser.SelectStmt) (*sqlparser.SelectStmt, *SelectContext, error) {
+	if err := decomposable(stmt); err != nil {
+		return nil, nil, err
 	}
-	return compile(owned, tables).units(rt.Units, tables, args, rw.dialect)
-}
-
-// mapsExactly reports whether m's keys are exactly the given tables.
-func mapsExactly(m map[string]string, tables []string) bool {
-	if len(m) != len(tables) {
-		return false
-	}
-	for _, t := range tables {
-		if _, ok := m[t]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// rewriteSelect applies the full correctness + optimization pipeline.
-func (rw *Rewriter) rewriteSelect(stmt *sqlparser.SelectStmt, rt *route.Result, args []sqltypes.Value) (*Result, error) {
-	// Pagination is validated even on a single node, where it is pushed
-	// down untouched and the merger just forwards rows.
-	var li *LimitInfo
-	if stmt.Limit != nil {
-		var err error
-		if li, err = evalLimit(stmt.Limit, args); err != nil {
-			return nil, err
-		}
-	}
-	multi := !rt.SingleNode()
-	work, ctx := deriveSelect(stmt, multi)
-	if multi && li != nil {
-		ctx.Limit = li
-		// Pagination revision: every node returns the first offset+count
-		// rows; the merger re-applies the real offset.
-		if li.Offset > 0 {
-			work.Limit = &sqlparser.Limit{
-				Count: &sqlparser.Literal{Val: sqltypes.NewInt(li.Offset + li.Count)},
-			}
-			li.Revised = true
-		}
-	}
-	return &Result{Units: rw.render(work, rt, args), Select: ctx}, nil
-}
-
-// deriveSelect returns a private clone of the statement carrying
-// everything about its node form that depends on the statement alone,
-// with the matching merge context (minus pagination, which depends on
-// bound values). Multi-node: derived columns and the stream-merger ORDER
-// BY. Single node: the statement as written — the node's own executor
-// produces the final result.
-func deriveSelect(stmt *sqlparser.SelectStmt, multi bool) (*sqlparser.SelectStmt, *SelectContext) {
 	ctx := &SelectContext{Distinct: stmt.Distinct}
 	work := sqlparser.CloneStatement(stmt).(*sqlparser.SelectStmt)
-	if !multi {
-		resolveKeysForSingleNode(work, ctx)
-		return work, ctx
-	}
 	deriveColumns(work, ctx)
 	// Stream-merger optimization: GROUP BY without ORDER BY gains an
 	// ORDER BY on the group keys so every node returns sorted groups.
@@ -225,7 +153,42 @@ func deriveSelect(stmt *sqlparser.SelectStmt, multi bool) (*sqlparser.SelectStmt
 		// GROUP BY keys (the paper's same-item case).
 		ctx.GroupOrdered = sameKeys(ctx.GroupBy, ctx.OrderBy)
 	}
-	return work, ctx
+	return work, ctx, nil
+}
+
+// ErrUnsupported reports a statement that one data node can execute as
+// written but that has no multi-node form.
+var ErrUnsupported = errors.New("rewrite: not supported across data nodes")
+
+// decomposable rejects what deriveColumns cannot split into per-node
+// partials: an aggregate nested inside a larger select-item or ORDER BY
+// expression (MAX(k) - MIN(k) merges neither as a MAX nor as a MIN).
+func decomposable(stmt *sqlparser.SelectStmt) error {
+	check := func(e sqlparser.Expr) error {
+		nested := false
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+			if f, ok := x.(*sqlparser.FuncExpr); ok && f.IsAggregate() && x != e {
+				nested = true
+			}
+			return !nested
+		})
+		if nested {
+			return fmt.Errorf("%w: aggregate inside the expression %s",
+				ErrUnsupported, sqlparser.NewSerializer(sqlparser.DialectMySQL).SerializeExpr(e))
+		}
+		return nil
+	}
+	for _, it := range stmt.Items {
+		if err := check(it.Expr); err != nil {
+			return err
+		}
+	}
+	for _, o := range stmt.OrderBy {
+		if err := check(o.Expr); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func evalLimit(lim *sqlparser.Limit, args []sqltypes.Value) (*LimitInfo, error) {
@@ -412,62 +375,4 @@ func cloneArgs(args []sqlparser.Expr) []sqlparser.Expr {
 		out[i] = sqlparser.CloneExpr(a)
 	}
 	return out
-}
-
-// rewriteInsert splits a batched INSERT so each node receives only its
-// rows (paper: "splits batched insert ... to avoid writing excessive
-// data"). Multi-unit inserts inline their bind arguments, because the rows
-// split across units and positional arguments would no longer align.
-func (rw *Rewriter) rewriteInsert(stmt *sqlparser.InsertStmt, rt *route.Result, args []sqltypes.Value) (*Result, error) {
-	out := &Result{}
-	inline := len(rt.Units) > 1
-	for _, unit := range rt.Units {
-		clone := sqlparser.CloneStatement(stmt).(*sqlparser.InsertStmt)
-		if unit.RowIndexes != nil {
-			rows := make([][]sqlparser.Expr, 0, len(unit.RowIndexes))
-			for _, idx := range unit.RowIndexes {
-				if idx < 0 || idx >= len(clone.Rows) {
-					return nil, fmt.Errorf("rewrite: row index %d out of range", idx)
-				}
-				rows = append(rows, clone.Rows[idx])
-			}
-			clone.Rows = rows
-		}
-		unitArgs := args
-		if inline {
-			if err := inlineInsertArgs(clone, args); err != nil {
-				return nil, err
-			}
-			unitArgs = nil
-		}
-		sqlparser.RenameTables(clone, unit.TableMap)
-		ser := sqlparser.NewSerializer(rw.dialect(unit.DataSource))
-		logic, actual := unitTables(unit)
-		out.Units = append(out.Units, SQLUnit{
-			DataSource:  unit.DataSource,
-			SQL:         ser.Serialize(clone),
-			Args:        unitArgs,
-			LogicTable:  logic,
-			ActualTable: actual,
-		})
-	}
-	return out, nil
-}
-
-// inlineInsertArgs replaces placeholders in INSERT rows with their bound
-// literal values.
-func inlineInsertArgs(stmt *sqlparser.InsertStmt, args []sqltypes.Value) error {
-	for _, row := range stmt.Rows {
-		for i, e := range row {
-			p, ok := e.(*sqlparser.Placeholder)
-			if !ok {
-				continue
-			}
-			if p.Index >= len(args) {
-				return fmt.Errorf("rewrite: INSERT needs bind argument %d", p.Index+1)
-			}
-			row[i] = &sqlparser.Literal{Val: args[p.Index]}
-		}
-	}
-	return nil
 }

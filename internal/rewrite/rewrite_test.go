@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,6 +63,17 @@ func TestIdentifierRewrite(t *testing.T) {
 	}
 	if strings.Contains(res.Units[0].SQL, "FROM t_user ") {
 		t.Fatalf("logic table leaked: %s", res.Units[0].SQL)
+	}
+}
+
+func TestIdentifierRewriteIgnoresCase(t *testing.T) {
+	// Rules name tables case-insensitively; the statement's spelling is
+	// what gets replaced.
+	res := rewriteSQL(t, "SELECT T_USER.name FROM T_USER WHERE T_USER.uid = 3")
+	want := SQLUnit{DataSource: "ds1", SQL: "SELECT t_user_1.name FROM t_user_1 WHERE t_user_1.uid = 3",
+		LogicTable: "t_user", ActualTable: "t_user_1"}
+	if len(res.Units) != 1 || !reflect.DeepEqual(res.Units[0], want) {
+		t.Fatalf("units: %+v", res.Units)
 	}
 }
 
@@ -216,20 +229,23 @@ func TestBatchedInsertSplit(t *testing.T) {
 	}
 }
 
-func TestInsertPlaceholderInlining(t *testing.T) {
-	res := rewriteSQL(t, "INSERT INTO t_user (uid, name) VALUES (?, ?), (?, ?)",
-		sqltypes.NewInt(1), sqltypes.NewString("a"),
-		sqltypes.NewInt(2), sqltypes.NewString("b"))
-	if len(res.Units) != 2 {
-		t.Fatalf("units: %d", len(res.Units))
+func TestSplitInsertBindsEachUnitItsRows(t *testing.T) {
+	// Rows keep their placeholders when they split across units; a unit's
+	// arguments are its rows' values, in order — nested ones included.
+	res := rewriteSQL(t, "INSERT INTO t_user (uid, name, age) VALUES (?, ?, - ?), (?, ?, ? + 1), (?, 'c', 1.5)",
+		sqltypes.NewInt(1), sqltypes.NewString("a"), sqltypes.NewInt(30),
+		sqltypes.NewInt(2), sqltypes.NewString("b"), sqltypes.NewInt(31),
+		sqltypes.NewInt(3))
+	want := []SQLUnit{
+		{DataSource: "ds1", SQL: "INSERT INTO t_user_1 (uid, name, age) VALUES (?, ?, -(?)), (?, 'c', 1.5)",
+			Args:       []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewString("a"), sqltypes.NewInt(30), sqltypes.NewInt(3)},
+			LogicTable: "t_user", ActualTable: "t_user_1"},
+		{DataSource: "ds0", SQL: "INSERT INTO t_user_0 (uid, name, age) VALUES (?, ?, ? + 1)",
+			Args:       []sqltypes.Value{sqltypes.NewInt(2), sqltypes.NewString("b"), sqltypes.NewInt(31)},
+			LogicTable: "t_user", ActualTable: "t_user_0"},
 	}
-	for _, u := range res.Units {
-		if strings.Contains(u.SQL, "?") {
-			t.Fatalf("placeholders must be inlined on split insert: %s", u.SQL)
-		}
-		if u.Args != nil {
-			t.Fatalf("args must be cleared: %+v", u.Args)
-		}
+	if !reflect.DeepEqual(res.Units, want) {
+		t.Fatalf("units:\n got %+v\nwant %+v", res.Units, want)
 	}
 }
 
@@ -313,5 +329,39 @@ func TestDialectSerialization(t *testing.T) {
 	}
 	if !strings.Contains(res3.Units[0].SQL, "LIMIT 5, 10") {
 		t.Fatalf("mysql dialect: %s", res3.Units[0].SQL)
+	}
+}
+
+// TestRenderSplicesTheActualTable: one template renders any actual table
+// in either dialect, quoting the name only where the dialect must.
+func TestRenderSplicesTheActualTable(t *testing.T) {
+	cases := []struct{ sql, table, want string }{
+		{"SELECT * FROM t_order WHERE order_id = ?", "t_order", "SELECT * FROM %s WHERE order_id = ?"},
+		{"SELECT a, b FROM t_order o WHERE o.order_id = ? ORDER BY a LIMIT ?", "t_order", "SELECT a, b FROM %s o WHERE o.order_id = ? ORDER BY a LIMIT ?"},
+		{"SELECT * FROM t_order WHERE t_order.order_id = ? AND t_order.status = ?", "t_order", "SELECT * FROM %[1]s WHERE %[1]s.order_id = ? AND %[1]s.status = ?"},
+		{"UPDATE t_order SET status = ? WHERE order_id = ?", "t_order", "UPDATE %s SET status = ? WHERE order_id = ?"},
+		{"DELETE FROM t_order WHERE order_id IN (?, ?)", "t_order", "DELETE FROM %s WHERE order_id IN (?, ?)"},
+		{"SELECT COUNT(*) FROM `select` WHERE id = ?", "select", "SELECT COUNT(*) FROM %s WHERE id = ?"}, // quoted logic table
+		{"INSERT INTO t_order (order_id, status) VALUES (?, ?), (?, 'x')", "t_order", "INSERT INTO %s (order_id, status) VALUES (?, ?), (?, 'x')"},
+		{"DROP TABLE IF EXISTS t_order", "t_order", "DROP TABLE IF EXISTS %s"},
+	}
+	for _, c := range cases {
+		tmpl, ok := NewTemplate(parseStmt(t, c.sql), c.table)
+		if !ok {
+			t.Fatalf("NewTemplate(%q) refused", c.sql)
+		}
+		for _, r := range []struct {
+			d              sqlparser.Dialect
+			actual, quoted string
+		}{
+			{sqlparser.DialectMySQL, "t_3", "t_3"}, {sqlparser.DialectMySQL, "some table", "`some table`"},
+			{sqlparser.DialectPostgreSQL, "t_3", "t_3"}, {sqlparser.DialectPostgreSQL, "some table", `"some table"`},
+		} {
+			for i := 0; i < 2; i++ { // the second rendering reads the memoized form
+				if got, ok := tmpl.Render(r.d, r.actual); !ok || got != fmt.Sprintf(c.want, r.quoted) {
+					t.Errorf("%q (%v, →%s):\n got %q\nwant %q", c.sql, r.d, r.actual, got, fmt.Sprintf(c.want, r.quoted))
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,62 +11,71 @@ import (
 	"shardingsphere/internal/sqltypes"
 )
 
-// sentinelBase starts every table sentinel. A sentinel is the base, the
-// table's slot number and "__": a valid bare identifier in both dialects,
-// so its occurrences in serialized text correspond one-to-one to renamed
-// table references. A statement whose own text contains the base gets a
-// longer one.
+// sentinelBase starts every sentinel. A sentinel is the base, a slot
+// number and "__": a valid bare identifier in both dialects, so its
+// occurrences in serialized text correspond one-to-one to the places it
+// was put. A statement whose own text contains the base gets a longer one.
 const sentinelBase = "__sharding_tmpl"
 
-// spliced is one dialect's serialized statement cut at the table
-// sentinels: pieces[i] is followed by the table of slots[i], and the last
-// piece ends the text.
+// spliced is one dialect's serialized statement cut at the sentinels:
+// pieces[i] is followed by the value of slots[i], and the last piece ends
+// the text.
 type spliced struct {
 	pieces []string
 	slots  []int
+	limit  string // the pagination as written, when the statement has a LIMIT slot
 }
 
-// compiled is the one identifier-rewrite mechanism (paper Section VI-C):
-// a statement is cloned and serialized once per dialect with sentinels in
-// place of its table names, and each routed unit's SQL is the pieces with
-// that unit's actual table names spliced in — byte-identical to clone +
-// RenameTables + Serialize per unit, at the cost of a string join.
+// compiled is the one rewrite mechanism (paper Section VI-C): a statement
+// is copied and serialized once per dialect with sentinels in place of
+// whatever differs between units, and each routed unit's SQL is the pieces
+// with that unit's values spliced in — byte-identical to clone + rename +
+// Serialize per unit, at the cost of a string join. Slot i < len(tables)
+// is table i's actual name; slot len(tables) is a fan-out SELECT's LIMIT
+// operands, which are the pagination as written or, when the merger has an
+// offset to skip, the revised row count.
 type compiled struct {
-	tables []string            // names the sentinels replaced, as written in the statement
-	base   string              // sentinel prefix absent from the statement's own text
-	work   sqlparser.Statement // the sentinel-renamed clone; nil once every dialect is cut
+	tables []string         // names the sentinels replaced, as written in the statement
+	base   string           // sentinel prefix absent from the statement's own text
+	limit  *sqlparser.Limit // the pagination as written; nil without a LIMIT slot
 	text   [sqlparser.DialectPostgreSQL + 1]*spliced
 }
 
-// compile takes ownership of stmt (a private clone) and renames the given
-// tables to sentinels. Dialect texts are cut on demand by cut.
-func compile(stmt sqlparser.Statement, tables []string) *compiled {
-	c := &compiled{tables: tables, base: sentinelBase, work: stmt}
-	if len(tables) == 0 {
-		return c
+// compile takes ownership of stmt (a private copy), renames the given
+// tables to sentinels and, given the statement's pagination, makes its
+// LIMIT operands a slot. Every dialect is cut before the result is
+// returned, so it is immutable and safe to share across sessions.
+func compile(stmt sqlparser.Statement, tables []string, limit *sqlparser.Limit) *compiled {
+	c := &compiled{tables: tables, base: sentinelBase, limit: limit}
+	if len(tables) > 0 || limit != nil {
+		own := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(stmt)
+		for strings.Contains(own, c.base) {
+			c.base += "_"
+		}
+		mapping := make(map[string]string, len(tables))
+		for i, t := range tables {
+			mapping[t] = c.base + strconv.Itoa(i) + "__"
+		}
+		sqlparser.RenameTables(stmt, mapping)
+		if limit != nil {
+			stmt.(*sqlparser.SelectStmt).Limit = &sqlparser.Limit{
+				Count: &sqlparser.ColumnRef{Name: c.base + strconv.Itoa(len(tables)) + "__"},
+			}
+		}
 	}
-	own := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(stmt)
-	for strings.Contains(own, c.base) {
-		c.base += "_"
+	for d := range c.text {
+		c.text[d] = c.cut(sqlparser.Dialect(d), stmt)
 	}
-	mapping := make(map[string]string, len(tables))
-	for i, t := range tables {
-		mapping[t] = c.base + strconv.Itoa(i) + "__"
-	}
-	sqlparser.RenameTables(stmt, mapping)
 	return c
 }
 
-// cut returns the dialect's spliced text, serializing on first use. Not
-// safe for concurrent first use: a shared compiled statement is cut for
-// every dialect before it is published (see seal).
-func (c *compiled) cut(d sqlparser.Dialect) *spliced {
-	if sp := c.text[d]; sp != nil {
-		return sp
-	}
-	s := sqlparser.NewSerializer(d).Serialize(c.work)
+// cut serializes the sentinel-bearing statement for a dialect and cuts it
+// at the sentinels.
+func (c *compiled) cut(d sqlparser.Dialect, work sqlparser.Statement) *spliced {
+	ser := sqlparser.NewSerializer(d)
+	s := ser.Serialize(work)
 	n := 0
-	if len(c.tables) > 0 {
+	if len(c.tables) > 0 || c.limit != nil {
 		n = strings.Count(s, c.base)
 	}
 	sp := &spliced{pieces: make([]string, 0, n+1), slots: make([]int, 0, n)}
@@ -79,44 +89,38 @@ func (c *compiled) cut(d sqlparser.Dialect) *spliced {
 		s = rest[end+2:]
 	}
 	sp.pieces = append(sp.pieces, s)
-	c.text[d] = sp
+	if c.limit != nil {
+		sp.limit = ser.SerializeLimit(c.limit)
+	}
 	return sp
 }
 
-// seal cuts every dialect and drops the AST, making the compiled
-// statement immutable and safe to share across sessions.
-func (c *compiled) seal() *compiled {
-	for d := range c.text {
-		c.cut(sqlparser.Dialect(d))
-	}
-	c.work = nil
-	return c
-}
-
-// splice renders the text with the slots' table names (already quoted for
-// the dialect).
-func (sp *spliced) splice(names []string) string {
+// splice renders the text with the slots' values (table names already
+// quoted for the dialect).
+func (sp *spliced) splice(values []string) string {
 	switch {
 	case len(sp.slots) == 0:
 		return sp.pieces[0]
 	case len(sp.slots) == 1:
-		return sp.pieces[0] + names[sp.slots[0]] + sp.pieces[1]
-	case len(names) == 1:
-		return strings.Join(sp.pieces, names[0])
+		return sp.pieces[0] + values[sp.slots[0]] + sp.pieces[1]
+	case len(values) == 1:
+		return strings.Join(sp.pieces, values[0])
 	}
 	var b strings.Builder
 	for i, slot := range sp.slots {
 		b.WriteString(sp.pieces[i])
-		b.WriteString(names[slot])
+		b.WriteString(values[slot])
 	}
 	b.WriteString(sp.pieces[len(sp.slots)])
 	return b.String()
 }
 
-// units renders one SQL unit per routed unit. keys[i] is the TableMap key
-// of tables[i]; a table the unit does not map keeps its name as written.
-// Units of a single-table statement carry their logic and actual table.
-func (c *compiled) units(routed []route.Unit, keys []string, args []sqltypes.Value, dialect DialectFunc) []SQLUnit {
+// units renders one SQL unit per routed unit. The route keys a unit's
+// TableMap by the rule's logic table, whose case may differ from the
+// statement's spelling; a table the unit does not map keeps its name as
+// written. A unit that maps one table carries its logic and actual name.
+// revised, when not empty, replaces the pagination as written.
+func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect DialectFunc, revised string) []SQLUnit {
 	out := make([]SQLUnit, len(routed))
 	// Fan-outs revisit a handful of data sources; resolve each dialect once.
 	type resolved struct {
@@ -126,10 +130,13 @@ func (c *compiled) units(routed []route.Unit, keys []string, args []sqltypes.Val
 	}
 	var seen [8]resolved
 	nseen := 0
-	var one [1]string
-	names := one[:]
-	if len(keys) != 1 {
-		names = make([]string, len(keys))
+	var buf [2]string
+	values := buf[:]
+	if n := len(c.tables) + 1; n > len(buf) {
+		values = make([]string, n)
+	}
+	if c.limit == nil {
+		values = values[:len(c.tables)]
 	}
 	for i, unit := range routed {
 		var r *resolved
@@ -141,124 +148,249 @@ func (c *compiled) units(routed []route.Unit, keys []string, args []sqltypes.Val
 		if r == nil {
 			r = &seen[nseen%len(seen)] // past the memo's size, the last slot is scratch
 			r.ds, r.d = unit.DataSource, dialect(unit.DataSource)
-			r.text = c.cut(r.d)
+			r.text = c.text[r.d]
 			if nseen < len(seen)-1 {
 				nseen++
 			}
 		}
 		u := &out[i]
 		u.DataSource, u.Args = unit.DataSource, args
-		for slot, key := range keys {
+		for slot, table := range c.tables {
+			key := table
 			name, ok := unit.TableMap[key]
 			if !ok {
-				name = c.tables[slot]
+				for k, v := range unit.TableMap {
+					if strings.EqualFold(k, table) {
+						key, name, ok = k, v, true
+					}
+				}
 			}
-			names[slot] = sqlparser.QuoteIdent(r.d, name)
-			u.ActualTable = name
+			if !ok {
+				name = table
+			} else if len(unit.TableMap) == 1 {
+				u.LogicTable, u.ActualTable = key, name
+			}
+			values[slot] = sqlparser.QuoteIdent(r.d, name)
 		}
-		u.SQL = r.text.splice(names)
-		if len(keys) == 1 {
-			u.LogicTable = keys[0]
-		} else {
-			u.ActualTable = ""
+		if c.limit != nil {
+			values[len(c.tables)] = revised
+			if revised == "" {
+				values[len(c.tables)] = r.text.limit
+			}
 		}
+		u.SQL = r.text.splice(values)
 	}
 	return out
 }
 
-// Template is the cached rewrite of one single-table statement shape
-// (SELECT, UPDATE, DELETE): everything the rewriter derives from the
-// statement alone is computed once, and an execution only splices the
-// routed table names in.
+// Template is a statement compiled for rewriting: everything the rewriter
+// derives from the statement alone is computed once, and binding a route
+// and arguments only splices.
 //
-// A SELECT has two forms. The single-node form is the statement as
-// written (the node's own executor paginates and orders; paper Section
-// VI-C, optimization rewrite). The multi-node form carries the derived
-// columns and the GROUP BY→ORDER BY stream rewrite with their merge
-// context; it is built on the shape's first fan-out, so shapes that only
-// ever reach one node never pay for it.
+// A statement has up to two forms, each built on first use so a shape
+// never pays for one it does not take. The whole form is the statement as
+// written, cut at its table names: UPDATE, DELETE and DDL on any number of
+// units, a SELECT on one node (the node's own executor paginates and
+// orders; paper Section VI-C, optimization rewrite), an INSERT whose unit
+// receives every row. The fan-out form is a SELECT on several nodes —
+// derived columns, the GROUP BY→ORDER BY stream rewrite and their merge
+// context, with the LIMIT operands a slot — or an INSERT whose rows land
+// on several nodes, cut into a head and one text per row.
 type Template struct {
-	stmt  sqlparser.Statement
-	table string // logic table as written in the statement
+	stmt   sqlparser.Statement
+	tables []string // as written in the statement, case-sensitively — the form RenameTables matches
 
-	ident  *compiled      // identifier rewrite only
-	selCtx *SelectContext // single-node merge context (SELECT)
+	wholeOnce sync.Once
+	whole     *compiled
+	wholeCtx  *SelectContext // SELECT: the single-node merge context
 
-	multiOnce sync.Once
-	multi     *compiled
-	multiCtx  *SelectContext
+	fanOnce sync.Once
+	fan     *compiled
+	fanCtx  *SelectContext
+	fanErr  error // the SELECT has no multi-node form (ErrUnsupported)
+	split   *splitInsert
 }
 
-// NewTemplate builds the rewrite template for a statement referencing one
-// logic table (as written in the statement, case-sensitively — the form
-// RenameTables matches). It reports ok=false for statement kinds whose
-// rewrite is more than identifier substitution (INSERT splits its rows).
-func NewTemplate(stmt sqlparser.Statement, table string) (*Template, bool) {
-	t := &Template{stmt: stmt, table: table}
-	switch s := stmt.(type) {
-	case *sqlparser.SelectStmt:
-		t.selCtx = SingleNodeSelectContext(s)
-	case *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-	default:
-		return nil, false
+// NewTemplate compiles a statement for rewriting; tables are the names,
+// as the statement spells them, that a route may map to actual tables. ok
+// is false for a statement that is never sent to a data node as rewritten
+// SQL (TCL, SET, SHOW).
+func NewTemplate(stmt sqlparser.Statement, tables ...string) (*Template, bool) {
+	switch stmt.(type) {
+	case *sqlparser.SelectStmt, *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt,
+		*sqlparser.CreateTableStmt, *sqlparser.DropTableStmt, *sqlparser.TruncateStmt, *sqlparser.CreateIndexStmt:
+		return &Template{stmt: stmt, tables: tables}, true
 	}
-	t.ident = compile(sqlparser.CloneStatement(stmt), []string{table}).seal()
-	return t, true
+	return nil, false
 }
 
-// Render splices the actual table name into the dialect's single-node
-// text. ok is false for a dialect the serializer does not know.
+func (t *Template) wholeForm() (*compiled, *SelectContext) {
+	t.wholeOnce.Do(func() {
+		var owned sqlparser.Statement
+		switch s := t.stmt.(type) {
+		case *sqlparser.InsertStmt:
+			// Renaming touches only the table name: the rows stay shared
+			// with the statement, read-only.
+			shallow := *s
+			owned = &shallow
+		case *sqlparser.SelectStmt:
+			t.wholeCtx = SingleNodeSelectContext(s)
+			owned = sqlparser.CloneStatement(s)
+		default:
+			owned = sqlparser.CloneStatement(s)
+		}
+		t.whole = compile(owned, t.tables, nil)
+	})
+	return t.whole, t.wholeCtx
+}
+
+func (t *Template) fanOutForm() {
+	t.fanOnce.Do(func() {
+		switch s := t.stmt.(type) {
+		case *sqlparser.SelectStmt:
+			work, ctx, err := deriveSelect(s)
+			if err != nil {
+				t.fanErr = err
+				return
+			}
+			t.fan, t.fanCtx = compile(work, t.tables, s.Limit), ctx
+		case *sqlparser.InsertStmt:
+			t.split = newSplitInsert(s, t.tables)
+		}
+	})
+}
+
+// Render splices one actual table name into a single-table statement's
+// whole form. ok is false for a dialect the serializer does not know and
+// for a template of several tables.
 func (t *Template) Render(d sqlparser.Dialect, actual string) (string, bool) {
-	if int(d) >= len(t.ident.text) {
+	c, _ := t.wholeForm()
+	if int(d) >= len(c.text) || len(t.tables) != 1 {
 		return "", false
 	}
-	return t.ident.text[d].splice([]string{sqlparser.QuoteIdent(d, actual)}), true
+	return c.text[d].splice([]string{sqlparser.QuoteIdent(d, actual)}), true
 }
 
-// multiForm returns the multi-node SELECT form, deriving it on first use.
-func (t *Template) multiForm() (*compiled, *SelectContext) {
-	t.multiOnce.Do(func() {
-		work, ctx := deriveSelect(t.stmt.(*sqlparser.SelectStmt), true)
-		t.multi, t.multiCtx = compile(work, []string{t.table}).seal(), ctx
-	})
-	return t.multi, t.multiCtx
-}
-
-// Rewrite renders the routed units of one execution. key is the TableMap
-// key of the template's table (the rule's LogicTable; "" for an unsharded
-// table). ok is false for the one case whose node text depends on bound
-// values — multi-node pagination with an offset, which rewrites LIMIT to
-// offset+count — and the caller runs Rewriter.Rewrite instead.
-func (t *Template) Rewrite(rt *route.Result, key string, args []sqltypes.Value, dialect DialectFunc) (res *Result, ok bool, err error) {
-	c, ctx := t.ident, t.selCtx
-	if sel, isSelect := t.stmt.(*sqlparser.SelectStmt); isSelect {
+// Rewrite binds a route and argument values: one SQL unit per routed
+// unit, and for a SELECT the context its results merge under.
+func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
+	switch s := t.stmt.(type) {
+	case *sqlparser.SelectStmt:
 		var li *LimitInfo
-		if sel.Limit != nil {
+		if s.Limit != nil {
 			// Single-node pagination is pushed down untouched, but bad
-			// values must fail here as they do in the rewriter.
-			if li, err = evalLimit(sel.Limit, args); err != nil {
-				return nil, true, err
+			// values fail here all the same.
+			var err error
+			if li, err = evalLimit(s.Limit, args); err != nil {
+				return nil, err
 			}
 		}
-		if !rt.SingleNode() {
-			if li != nil && li.Offset > 0 {
-				return nil, false, nil
+		if rt.SingleNode() {
+			break
+		}
+		if t.fanOutForm(); t.fanErr != nil {
+			return nil, t.fanErr
+		}
+		ctx, revised := t.fanCtx, ""
+		if li != nil {
+			withLimit := *ctx
+			withLimit.Limit = li
+			ctx = &withLimit
+			// Pagination revision: every node returns the first
+			// offset+count rows; the merger re-applies the real offset.
+			if li.Offset > 0 {
+				li.Revised = true
+				revised = strconv.FormatInt(li.Offset+li.Count, 10)
 			}
-			c, ctx = t.multiForm()
-			if li != nil {
-				withLimit := *ctx
-				withLimit.Limit = li
-				ctx = &withLimit
-			}
+		}
+		return &Result{Units: t.fan.units(rt.Units, args, dialect, revised), Select: ctx}, nil
+	case *sqlparser.InsertStmt:
+		// A route of several units with row indexes split the rows among
+		// them; any other hands every unit every row.
+		if len(rt.Units) > 1 && rt.Units[0].RowIndexes != nil {
+			t.fanOutForm()
+			return t.split.units(rt.Units, args, dialect)
 		}
 	}
-	return &Result{Units: c.units(rt.Units, []string{key}, args, dialect), Select: ctx}, true, nil
+	c, ctx := t.wholeForm()
+	return &Result{Units: c.units(rt.Units, args, dialect, ""), Select: ctx}, nil
 }
 
-// SingleNodeSelectContext derives the merge context the rewriter would
-// produce for a single-node SELECT (paper Section VI-C, optimization
-// rewrite: no derivation, no pagination revision). It only reads the
-// statement, so the result can be cached and shared across sessions.
+// splitInsert is the fan-out form of an INSERT (paper: "splits batched
+// insert ... to avoid writing excessive data"): each unit's SQL is the
+// head with its table name plus the texts of its rows, and its arguments
+// are those rows' placeholders' values in order — rows keep their
+// placeholders, so no value is ever rendered into text.
+type splitInsert struct {
+	head *compiled                                 // "INSERT INTO <table> (columns) VALUES "
+	rows [sqlparser.DialectPostgreSQL + 1][]string // each row's text
+	args [][]int                                   // each row's placeholder indexes, in text order
+}
+
+func newSplitInsert(stmt *sqlparser.InsertStmt, tables []string) *splitInsert {
+	sp := &splitInsert{
+		head: compile(&sqlparser.InsertStmt{Table: stmt.Table, Columns: stmt.Columns}, tables, nil),
+		args: make([][]int, len(stmt.Rows)),
+	}
+	for d := range sp.rows {
+		ser := sqlparser.NewSerializer(sqlparser.Dialect(d))
+		sp.rows[d] = make([]string, len(stmt.Rows))
+		for i, row := range stmt.Rows {
+			var b strings.Builder
+			b.WriteString("(")
+			for j, e := range row {
+				if j > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(ser.SerializeExpr(e))
+			}
+			b.WriteString(")")
+			sp.rows[d][i] = b.String()
+		}
+	}
+	for i, row := range stmt.Rows {
+		for _, e := range row {
+			sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+				if p, ok := x.(*sqlparser.Placeholder); ok {
+					sp.args[i] = append(sp.args[i], p.Index)
+				}
+				return true
+			})
+		}
+	}
+	return sp
+}
+
+func (sp *splitInsert) units(routed []route.Unit, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
+	out := sp.head.units(routed, nil, dialect, "")
+	for i := range out {
+		rows := sp.rows[dialect(out[i].DataSource)]
+		var b strings.Builder
+		b.WriteString(out[i].SQL)
+		for j, idx := range routed[i].RowIndexes {
+			if idx < 0 || idx >= len(rows) {
+				return nil, fmt.Errorf("rewrite: row index %d out of range", idx)
+			}
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(rows[idx])
+			for _, a := range sp.args[idx] {
+				if a >= len(args) {
+					return nil, fmt.Errorf("rewrite: INSERT needs bind argument %d", a+1)
+				}
+				out[i].Args = append(out[i].Args, args[a])
+			}
+		}
+		out[i].SQL = b.String()
+	}
+	return &Result{Units: out}, nil
+}
+
+// SingleNodeSelectContext derives the merge context of a single-node
+// SELECT (paper Section VI-C, optimization rewrite: no derivation, no
+// pagination revision). It only reads the statement, so the result can be
+// kept and shared across sessions.
 func SingleNodeSelectContext(stmt *sqlparser.SelectStmt) *SelectContext {
 	ctx := &SelectContext{Distinct: stmt.Distinct}
 	resolveKeysForSingleNode(stmt, ctx)

@@ -70,157 +70,76 @@ func isConst(x sqlparser.Expr) bool {
 	return ok
 }
 
-// condKey resolves a column reference to (logicTable, column); an
-// unqualified reference maps to table "".
-func condKey(ref *sqlparser.ColumnRef, aliases tableAliases) (string, string) {
-	table := ""
-	if ref.Table != "" {
-		if t, ok := aliases[strings.ToLower(ref.Table)]; ok {
-			table = t
-		} else {
-			table = strings.ToLower(ref.Table)
-		}
-	}
-	return table, strings.ToLower(ref.Name)
+// condSlot kinds.
+const (
+	slotCmp     = iota // the column compared with a by op
+	slotIn             // the column in list
+	slotBetween        // the column between a and b
+)
+
+// condSlot is one comparison of a column with constants, kept symbolic:
+// its operands are evaluated when arguments are bound.
+type condSlot struct {
+	table string // logic table the column was qualified with, lowercased; "" when unqualified
+	col   string // lowercased
+	kind  int
+	op    sqlparser.BinOp // slotCmp, with the column on the left
+	a, b  sqlparser.Expr
+	list  []sqlparser.Expr
 }
 
-// extractConditions pulls sharding-usable conditions from an expression:
-// only top-level AND conjuncts contribute (an OR branch cannot narrow the
-// route safely), and only column-vs-constant comparisons count. The result
-// maps logicTable → column → Condition, with table "" holding unqualified
-// columns.
-func extractConditions(where sqlparser.Expr, args []sqltypes.Value, aliases tableAliases) map[string]map[string]sharding.Condition {
-	out := map[string]map[string]sharding.Condition{}
-	if where == nil {
-		return out
-	}
-	env := evalEnv{args: args}
-	put := func(table, col string, c sharding.Condition) {
-		putCond(out, table, col, c)
-	}
-
-	for _, conj := range splitAnd(where) {
-		switch t := conj.(type) {
-		case *sqlparser.BinaryExpr:
-			ref, v, op, ok := matchColCmp(t, env)
-			if !ok {
-				continue
+// narrowing appends to out the comparisons in a WHERE or ON clause that
+// may narrow a route. It is the one place that decides: only a top-level
+// AND conjunct counts (an OR branch cannot narrow safely, and NOT IN / NOT
+// BETWEEN exclude rather than select), and only a column compared by =,
+// <, <=, >, >=, IN or BETWEEN with operands that reference no column.
+// Anything else is passed over, which can only widen the route. from
+// resolves a column's qualifier — an alias or a table name — to its table.
+func narrowing(e sqlparser.Expr, from []sqlparser.TableRef, out []condSlot) []condSlot {
+	keep := func(x sqlparser.Expr, slot condSlot) {
+		ref, ok := x.(*sqlparser.ColumnRef)
+		if !ok || !isConst(slot.a) || !isConst(slot.b) {
+			return
+		}
+		for _, item := range slot.list {
+			if !isConst(item) {
+				return
 			}
-			table, col := condKey(ref, aliases)
-			switch op {
-			case sqlparser.OpEQ:
-				put(table, col, sharding.Condition{Values: []sqltypes.Value{v}})
-			case sqlparser.OpGE, sqlparser.OpGT:
-				vv := v
-				put(table, col, sharding.Condition{Ranged: true, Lo: &vv})
-			case sqlparser.OpLE, sqlparser.OpLT:
-				vv := v
-				put(table, col, sharding.Condition{Ranged: true, Hi: &vv})
-			}
-		case *sqlparser.InExpr:
-			if t.Not {
-				continue
-			}
-			ref, ok := t.E.(*sqlparser.ColumnRef)
-			if !ok {
-				continue
-			}
-			var values []sqltypes.Value
-			usable := true
-			for _, item := range t.List {
-				if !isConst(item) {
-					usable = false
+		}
+		slot.col = strings.ToLower(ref.Name)
+		if ref.Table != "" {
+			slot.table = strings.ToLower(ref.Table)
+			for _, t := range from {
+				if strings.EqualFold(ref.Table, t.Alias) || strings.EqualFold(ref.Table, t.Name) {
+					slot.table = strings.ToLower(t.Name)
 					break
 				}
-				v, err := env.eval(item)
-				if err != nil {
-					usable = false
-					break
-				}
-				values = append(values, v)
 			}
-			if !usable {
-				continue
+		}
+		out = append(out, slot)
+	}
+	switch t := e.(type) {
+	case *sqlparser.BinaryExpr:
+		switch t.Op {
+		case sqlparser.OpAnd:
+			return narrowing(t.R, from, narrowing(t.L, from, out))
+		case sqlparser.OpEQ, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
+			if _, ok := t.L.(*sqlparser.ColumnRef); ok {
+				keep(t.L, condSlot{kind: slotCmp, op: t.Op, a: t.R})
+			} else {
+				keep(t.R, condSlot{kind: slotCmp, op: flip(t.Op), a: t.L})
 			}
-			table, col := condKey(ref, aliases)
-			put(table, col, sharding.Condition{Values: values})
-		case *sqlparser.BetweenExpr:
-			if t.Not {
-				continue
-			}
-			ref, ok := t.E.(*sqlparser.ColumnRef)
-			if !ok || !isConst(t.Lo) || !isConst(t.Hi) {
-				continue
-			}
-			lo, err1 := env.eval(t.Lo)
-			hi, err2 := env.eval(t.Hi)
-			if err1 != nil || err2 != nil {
-				continue
-			}
-			table, col := condKey(ref, aliases)
-			put(table, col, sharding.Condition{Ranged: true, Lo: &lo, Hi: &hi})
+		}
+	case *sqlparser.InExpr:
+		if !t.Not {
+			keep(t.E, condSlot{kind: slotIn, list: t.List})
+		}
+	case *sqlparser.BetweenExpr:
+		if !t.Not {
+			keep(t.E, condSlot{kind: slotBetween, a: t.Lo, b: t.Hi})
 		}
 	}
 	return out
-}
-
-// putCond folds one condition into the table→column map. Merge rules:
-// equality wins over range (conjuncts must all hold, so the equality is at
-// least as narrow); two ranges tighten bounds. Shared by extractConditions
-// and the plan cache's route skeleton so both produce identical routes.
-func putCond(out map[string]map[string]sharding.Condition, table, col string, c sharding.Condition) {
-	m, ok := out[table]
-	if !ok {
-		m = map[string]sharding.Condition{}
-		out[table] = m
-	}
-	prev, exists := m[col]
-	if !exists {
-		m[col] = c
-		return
-	}
-	switch {
-	case !prev.Ranged:
-		// keep prev
-	case !c.Ranged:
-		m[col] = c
-	default:
-		merged := prev
-		if c.Lo != nil && (merged.Lo == nil || sqltypes.Compare(*c.Lo, *merged.Lo) > 0) {
-			merged.Lo = c.Lo
-		}
-		if c.Hi != nil && (merged.Hi == nil || sqltypes.Compare(*c.Hi, *merged.Hi) < 0) {
-			merged.Hi = c.Hi
-		}
-		m[col] = merged
-	}
-}
-
-func splitAnd(e sqlparser.Expr) []sqlparser.Expr {
-	if b, ok := e.(*sqlparser.BinaryExpr); ok && b.Op == sqlparser.OpAnd {
-		return append(splitAnd(b.L), splitAnd(b.R)...)
-	}
-	return []sqlparser.Expr{e}
-}
-
-// matchColCmp matches "col op const" or "const op col" (flipping).
-func matchColCmp(b *sqlparser.BinaryExpr, env evalEnv) (*sqlparser.ColumnRef, sqltypes.Value, sqlparser.BinOp, bool) {
-	switch b.Op {
-	case sqlparser.OpEQ, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
-	default:
-		return nil, sqltypes.Null, 0, false
-	}
-	if ref, ok := b.L.(*sqlparser.ColumnRef); ok && isConst(b.R) {
-		if v, err := env.eval(b.R); err == nil {
-			return ref, v, b.Op, true
-		}
-	}
-	if ref, ok := b.R.(*sqlparser.ColumnRef); ok && isConst(b.L) {
-		if v, err := env.eval(b.L); err == nil {
-			return ref, v, flip(b.Op), true
-		}
-	}
-	return nil, sqltypes.Null, 0, false
 }
 
 func flip(op sqlparser.BinOp) sqlparser.BinOp {
@@ -238,34 +157,90 @@ func flip(op sqlparser.BinOp) sqlparser.BinOp {
 	}
 }
 
-// merge folds src into dst (first-wins per column, same safety argument as
-// extractConditions).
-func merge(dst, src map[string]map[string]sharding.Condition) {
-	for table, cols := range src {
-		m, ok := dst[table]
-		if !ok {
-			dst[table] = cols
-			continue
-		}
-		for col, c := range cols {
-			if _, exists := m[col]; !exists {
-				m[col] = c
+// slotsFor projects a statement's narrowing comparisons onto one rule's
+// sharding columns. On a column, comparisons qualified with the rule's
+// table outrank unqualified ones.
+func slotsFor(all []condSlot, rule *sharding.TableRule) []condSlot {
+	table := strings.ToLower(rule.LogicTable)
+	var out []condSlot
+	for _, col := range rule.ShardingColumns() {
+		for _, qualifier := range []string{table, ""} {
+			n := len(out)
+			for _, s := range all {
+				if s.col == col && s.table == qualifier {
+					out = append(out, s)
+				}
+			}
+			if len(out) > n {
+				break
 			}
 		}
 	}
+	return out
 }
 
-// condsFor projects the extracted conditions onto one rule's sharding
-// columns, merging table-qualified and unqualified conditions.
-func condsFor(conds map[string]map[string]sharding.Condition, table string, rule *sharding.TableRule) map[string]sharding.Condition {
-	out := map[string]sharding.Condition{}
-	qualified, unqualified := conds[strings.ToLower(table)], conds[""]
-	for _, col := range rule.ShardingColumns() {
-		if c, ok := qualified[col]; ok {
-			out[col] = c
-		} else if c, ok := unqualified[col]; ok {
-			out[col] = c
+// bindConds evaluates the slots against the bound arguments and folds them
+// into one condition per column. Every conjunct must hold, so an equality
+// or IN list wins over a range (it is at least as narrow) and two ranges
+// tighten each other's bounds. A slot whose operands cannot be evaluated
+// narrows nothing.
+func bindConds(slots []condSlot, args []sqltypes.Value) map[string]sharding.Condition {
+	if len(slots) == 0 {
+		return nil
+	}
+	env := evalEnv{args: args}
+	conds := make(map[string]sharding.Condition, len(slots))
+	for i := range slots {
+		slot := &slots[i]
+		var c sharding.Condition
+		switch slot.kind {
+		case slotCmp:
+			v, err := env.eval(slot.a)
+			if err != nil {
+				continue
+			}
+			switch slot.op {
+			case sqlparser.OpEQ:
+				c.Values = []sqltypes.Value{v}
+			case sqlparser.OpGE, sqlparser.OpGT:
+				c.Ranged, c.Lo = true, &v
+			default:
+				c.Ranged, c.Hi = true, &v
+			}
+		case slotIn:
+			c.Values = make([]sqltypes.Value, len(slot.list))
+			usable := true
+			for j, item := range slot.list {
+				var err error
+				if c.Values[j], err = env.eval(item); err != nil {
+					usable = false
+					break
+				}
+			}
+			if !usable {
+				continue
+			}
+		case slotBetween:
+			lo, err1 := env.eval(slot.a)
+			hi, err2 := env.eval(slot.b)
+			if err1 != nil || err2 != nil {
+				continue
+			}
+			c.Ranged, c.Lo, c.Hi = true, &lo, &hi
+		}
+		prev, exists := conds[slot.col]
+		switch {
+		case !exists || (prev.Ranged && !c.Ranged):
+			conds[slot.col] = c
+		case prev.Ranged && c.Ranged:
+			if c.Lo != nil && (prev.Lo == nil || sqltypes.Compare(*c.Lo, *prev.Lo) > 0) {
+				prev.Lo = c.Lo
+			}
+			if c.Hi != nil && (prev.Hi == nil || sqltypes.Compare(*c.Hi, *prev.Hi) < 0) {
+				prev.Hi = c.Hi
+			}
+			conds[slot.col] = prev
 		}
 	}
-	return out
+	return conds
 }

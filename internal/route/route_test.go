@@ -2,6 +2,10 @@ package route
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"shardingsphere/internal/sharding"
@@ -48,11 +52,23 @@ func parse(t *testing.T, sql string) sqlparser.Statement {
 	return stmt
 }
 
+// routeSQL routes through Router.Route and checks that the statement's
+// skeleton, bound twice, gives the same route both times.
 func routeSQL(t *testing.T, r *Router, sql string, args ...sqltypes.Value) *Result {
 	t.Helper()
-	res, err := r.Route(parse(t, sql), args, nil)
+	stmt := parse(t, sql)
+	res, err := r.Route(stmt, args, nil)
 	if err != nil {
 		t.Fatalf("route %q: %v", sql, err)
+	}
+	sk, ok := r.BuildSkeleton(stmt)
+	if !ok {
+		t.Fatalf("BuildSkeleton(%q) refused", sql)
+	}
+	for i := 0; i < 2; i++ {
+		if again, err := sk.Route(args, nil); err != nil || !reflect.DeepEqual(again, res) {
+			t.Fatalf("%q, binding %d of one skeleton: %+v %v, want %+v", sql, i, again, err, res)
+		}
 	}
 	return res
 }
@@ -320,5 +336,160 @@ func TestDataSourcesHelper(t *testing.T) {
 	res := routeSQL(t, r, "SELECT * FROM t_user")
 	if got := res.DataSources(); len(got) != 2 {
 		t.Fatalf("data sources: %v", got)
+	}
+}
+
+// describe renders a route as literal text: its kind, then per unit the
+// data source, the actual tables and, for an INSERT, the rows.
+func describe(res *Result) string {
+	parts := []string{res.Kind.String()}
+	for _, u := range res.Units {
+		var tables []string
+		for _, actual := range u.TableMap {
+			tables = append(tables, actual)
+		}
+		sort.Strings(tables)
+		part := u.DataSource + ":" + strings.Join(tables, "+")
+		if u.RowIndexes != nil {
+			part += fmt.Sprint(u.RowIndexes)
+		}
+		parts = append(parts, part)
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestCompileOnceBindTwice: every routable kind of statement is compiled
+// once and bound twice with different arguments; each binding must give
+// its literal route, and the same one as compiling afresh.
+func TestCompileOnceBindTwice(t *testing.T) {
+	rs := sharding.NewRuleSet()
+	rs.DefaultDataSource = "ds0"
+	rs.Broadcast["t_dict"] = true
+	for _, table := range []string{"t_order", "t_item", "t_other"} {
+		rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
+			LogicTable: table, Resources: []string{"ds0", "ds1"},
+			ShardingColumn: "order_id", AlgorithmType: "MOD", ShardingCount: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.AddRule(rule)
+	}
+	if err := rs.AddBindingGroup("t_order", "t_item"); err != nil {
+		t.Fatal(err)
+	}
+	r := New(rs, []string{"ds0", "ds1"})
+	r.Columns = func(string) ([]string, error) { return []string{"status", "order_id"}, nil }
+	ints := func(vs ...int64) []sqltypes.Value {
+		out := make([]sqltypes.Value, len(vs))
+		for i, v := range vs {
+			out[i] = sqltypes.NewInt(v)
+		}
+		return out
+	}
+	str := sqltypes.NewString
+	const all = "ds0:t_order_0 ds1:t_order_1 ds0:t_order_2 ds1:t_order_3"
+	cases := []struct {
+		sql          string
+		args1, args2 []sqltypes.Value
+		want1, want2 string
+	}{
+		{"SELECT * FROM t_order WHERE order_id = ?", ints(7), ints(2), "standard ds1:t_order_3", "standard ds0:t_order_2"},
+		{"SELECT * FROM t_order WHERE order_id = 2", nil, nil, "standard ds0:t_order_2", "standard ds0:t_order_2"},
+		{"SELECT * FROM t_order o WHERE o.order_id = ?", ints(1), ints(4), "standard ds1:t_order_1", "standard ds0:t_order_0"},
+		{"SELECT * FROM t_order WHERE t_order.order_id = ?", ints(3), ints(5), "standard ds1:t_order_3", "standard ds1:t_order_1"},
+		{"SELECT * FROM t_order WHERE order_id IN (?, ?)", ints(0, 3), ints(5, 1), "standard ds0:t_order_0 ds1:t_order_3", "standard ds1:t_order_1"},
+		{"SELECT * FROM t_order WHERE order_id BETWEEN ? AND ?", ints(1, 2), ints(4, 9), "standard ds1:t_order_1 ds0:t_order_2", "broadcast " + all},
+		{"SELECT * FROM t_order WHERE order_id >= ? AND order_id <= ?", ints(1, 2), ints(6, 6), "standard ds1:t_order_1 ds0:t_order_2", "standard ds0:t_order_2"},
+		{"SELECT * FROM t_order WHERE ? = order_id", ints(5), ints(8), "standard ds1:t_order_1", "standard ds0:t_order_0"},
+		{"SELECT * FROM t_order WHERE order_id = - ?", ints(-3), ints(-6), "standard ds1:t_order_3", "standard ds0:t_order_2"}, // -(-3) = 3
+		{"SELECT * FROM t_order WHERE status = ?", []sqltypes.Value{str("open")}, []sqltypes.Value{str("paid")}, "broadcast " + all, "broadcast " + all},
+		{"SELECT * FROM t_order", nil, nil, "broadcast " + all, "broadcast " + all},
+		{"UPDATE t_order SET status = ? WHERE order_id = ?", []sqltypes.Value{str("paid"), sqltypes.NewInt(6)}, []sqltypes.Value{str("paid"), sqltypes.NewInt(1)}, "standard ds0:t_order_2", "standard ds1:t_order_1"},
+		{"DELETE FROM t_order WHERE order_id = ?", ints(2), ints(3), "standard ds0:t_order_2", "standard ds1:t_order_3"},
+		{"DELETE FROM t_order WHERE order_id IN (?, ?, ?)", ints(0, 1, 2), ints(4, 8, 12), "standard ds0:t_order_0 ds1:t_order_1 ds0:t_order_2", "standard ds0:t_order_0"},
+		{"SELECT * FROM t_unknown WHERE id = ?", ints(1), ints(2), "default ds0:", "default ds0:"},
+		// Equality wins over range when merged on the same column.
+		{"SELECT * FROM t_order WHERE order_id > ? AND order_id = ?", ints(0, 3), ints(9, 2), "standard ds1:t_order_3", "standard ds0:t_order_2"},
+		// A table-qualified comparison outranks an unqualified one.
+		{"SELECT * FROM t_order o WHERE order_id = ? AND o.order_id = ?", ints(1, 2), ints(2, 1), "standard ds0:t_order_2", "standard ds1:t_order_1"},
+		// NOT and OR never narrow.
+		{"SELECT * FROM t_order WHERE order_id NOT IN (?) AND NOT (order_id = ?)", ints(1, 2), ints(3, 4), "broadcast " + all, "broadcast " + all},
+		{"SELECT * FROM t_order WHERE order_id = ? OR order_id = ?", ints(1, 2), ints(3, 4), "broadcast " + all, "broadcast " + all},
+		// Binding join: pairwise, routed by WHERE.
+		{"SELECT * FROM t_order o JOIN t_item i ON o.order_id = i.order_id WHERE o.order_id IN (?, ?)", ints(1, 2), ints(3, 7),
+			"binding ds1:t_item_1+t_order_1 ds0:t_item_2+t_order_2", "binding ds1:t_item_3+t_order_3"},
+		// Join routed by an equality in ON.
+		{"SELECT * FROM t_order o JOIN t_item i ON o.order_id = i.order_id AND o.order_id = ?", ints(3), ints(4),
+			"binding ds1:t_item_3+t_order_3", "binding ds0:t_item_0+t_order_0"},
+		// Cartesian join: every same-source combination of each side's nodes.
+		{"SELECT * FROM t_order o JOIN t_other x ON o.order_id = x.order_id WHERE o.order_id = ? AND x.order_id IN (?, ?)", ints(1, 1, 3), ints(2, 0, 1),
+			"cartesian ds1:t_order_1+t_other_1 ds1:t_order_1+t_other_3", "cartesian ds0:t_order_2+t_other_0"},
+		// A sharded table joined with a broadcast one routes as the sharded table.
+		{"SELECT * FROM t_order, t_dict WHERE t_order.order_id = ?", ints(2), ints(3), "standard ds0:t_order_2", "standard ds1:t_order_3"},
+		// Broadcast-table reads go to the default source, writes everywhere.
+		{"SELECT * FROM t_dict WHERE id = ?", ints(1), ints(2), "default ds0:", "default ds0:"},
+		{"UPDATE t_dict SET v = ? WHERE k = ?", ints(1, 2), ints(3, 4), "broadcast ds0: ds1:", "broadcast ds0: ds1:"},
+		{"INSERT INTO t_dict (k, v) VALUES (?, ?)", ints(1, 2), ints(3, 4), "broadcast ds0: ds1:", "broadcast ds0: ds1:"},
+		{"INSERT INTO t_order (order_id) VALUES (?)", ints(6), ints(7), "standard ds0:t_order_2[0]", "standard ds1:t_order_3[0]"},
+		{"INSERT INTO t_order (order_id, status) VALUES (?, ?), (? + 1, ?), (- ?, ?)",
+			[]sqltypes.Value{sqltypes.NewInt(1), str("a"), sqltypes.NewInt(4), str("b"), sqltypes.NewInt(-2), str("c")},
+			[]sqltypes.Value{sqltypes.NewInt(8), str("a"), sqltypes.NewInt(3), str("b"), sqltypes.NewInt(-4), str("c")},
+			"standard ds1:t_order_1[0 1] ds0:t_order_2[2]", "standard ds0:t_order_0[0 1 2]"},
+		// Column-less INSERT: the sharding key's position comes from the schema.
+		{"INSERT INTO t_order VALUES (?, ?), (?, ?)", []sqltypes.Value{str("a"), sqltypes.NewInt(5), str("b"), sqltypes.NewInt(6)},
+			[]sqltypes.Value{str("a"), sqltypes.NewInt(3), str("b"), sqltypes.NewInt(7)},
+			"standard ds1:t_order_1[0] ds0:t_order_2[1]", "standard ds1:t_order_3[0 1]"},
+		{"CREATE INDEX idx_status ON t_order (status)", nil, nil, "broadcast " + all, "broadcast " + all},
+		{"TRUNCATE TABLE t_dict", nil, nil, "broadcast ds0: ds1:", "broadcast ds0: ds1:"},
+		{"DROP TABLE t_unknown", nil, nil, "default ds0:", "default ds0:"},
+	}
+	for _, c := range cases {
+		stmt := parse(t, c.sql)
+		sk, ok := r.BuildSkeleton(stmt)
+		if !ok {
+			t.Errorf("BuildSkeleton(%q) refused", c.sql)
+			continue
+		}
+		for i, b := range []struct {
+			args []sqltypes.Value
+			want string
+		}{{c.args1, c.want1}, {c.args2, c.want2}, {c.args1, c.want1}} {
+			got, err := sk.Route(b.args, nil)
+			if err != nil {
+				t.Errorf("%q binding %d: %v", c.sql, i, err)
+				continue
+			}
+			if describe(got) != b.want {
+				t.Errorf("%q binding %d:\n got %s\nwant %s", c.sql, i, describe(got), b.want)
+			}
+			if fresh, err := r.Route(stmt, b.args, nil); err != nil || !reflect.DeepEqual(fresh, got) {
+				t.Errorf("%q binding %d: compiled afresh %+v %v, kept %+v", c.sql, i, fresh, err, got)
+			}
+		}
+	}
+}
+
+// TestSkeletonCarriesItsRefusal: a statement that cannot be routed still
+// compiles; binding it reports why.
+func TestSkeletonCarriesItsRefusal(t *testing.T) {
+	r := fixture(t, true)
+	for sql, want := range map[string]error{
+		"UPDATE t_user SET uid = ? WHERE uid = ?": ErrUpdateSharding,
+		"BEGIN": nil,
+	} {
+		sk, ok := r.BuildSkeleton(parse(t, sql))
+		if ok {
+			t.Errorf("BuildSkeleton(%q) reported a routable statement", sql)
+		}
+		if _, err := sk.Route(nil, nil); err == nil || (want != nil && !errors.Is(err, want)) {
+			t.Errorf("%q: bind error %v, want %v", sql, err, want)
+		}
+	}
+	// A row without the sharding key is refused at bind time, where the
+	// hint that could stand in for it is known.
+	sk, _ := r.BuildSkeleton(parse(t, "INSERT INTO t_user (name) VALUES (?)"))
+	if _, err := sk.Route([]sqltypes.Value{sqltypes.NewString("a")}, nil); !errors.Is(err, ErrNoShardingValue) {
+		t.Errorf("keyless INSERT: %v", err)
 	}
 }

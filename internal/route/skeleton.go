@@ -9,201 +9,291 @@ import (
 	"shardingsphere/internal/sqltypes"
 )
 
-// Skeleton is the precomputed routing plan for one cached statement shape
-// (paper Section VI-B run once per shape): at build time the WHERE clause
-// is walked once and every sharding-relevant comparison is recorded as a
-// symbolic slot (column, operator, constant expressions). Binding a new
-// set of argument values evaluates only those tiny constant expressions —
-// no re-parse, no AST walk — and feeds the resulting conditions to the
-// same sharding algorithm the slow path uses.
+// Skeleton is a statement compiled for routing (paper Section VI-B, run
+// once per statement): which rules its tables fall under, which route
+// strategy joins them, and every comparison that may narrow the route kept
+// as a symbolic slot. Binding a set of argument values evaluates only the
+// slots' constant operands and asks the sharding algorithms — no AST walk.
+// A skeleton is immutable and holds its rules by pointer: it is valid
+// until the rule set or the table metadata changes.
 type Skeleton struct {
-	r     *Router
-	rule  *sharding.TableRule // nil → default-route statement
-	table string              // lowercased logic table (valid when rule != nil)
+	r   *Router
+	err error // why the statement cannot be routed; Route returns it
+
+	// tables are the statement's sharded tables in order of appearance;
+	// none means the default data source — or, with everywhere, every data
+	// source (a broadcast table's DML and DDL).
+	tables     []routedTable
+	everywhere bool
+	allNodes   bool // DDL: every node of tables[0], whatever the arguments
+	bound      bool // several sharded tables, all of one binding group
+	// keys, for an INSERT into a sharded table, holds per row the value
+	// expression of each sharding column (nil where the row has none).
+	keys [][]sqlparser.Expr
+}
+
+// routedTable is one sharded table of a statement with the comparisons
+// that narrow its route.
+type routedTable struct {
+	rule  *sharding.TableRule
 	slots []condSlot
 }
 
-// condSlot kinds.
-const (
-	slotCmp     = iota // exprs[0] compared to the column with op
-	slotIn             // exprs are the IN list
-	slotBetween        // exprs[0], exprs[1] are lo and hi
-)
-
-// condSlot is one symbolic condition on a sharding column.
-type condSlot struct {
-	col       string // sharding column, lowercased
-	qualified bool   // condition was table-qualified in the statement
-	kind      int
-	op        sqlparser.BinOp // valid for slotCmp
-	exprs     []sqlparser.Expr
-}
-
-// BuildSkeleton precomputes the route skeleton for a single-table SELECT,
-// UPDATE or DELETE. It reports ok=false for shapes the fast path does not
-// serve (joins, broadcast tables, INSERT, sharding-key updates); those keep
-// using Router.Route on the cached AST.
+// BuildSkeleton compiles a statement for routing. ok is false when the
+// statement cannot be routed at all (TCL, an UPDATE of the sharding key, a
+// column-less INSERT whose table metadata is unavailable); the skeleton's
+// Route then returns why.
 func (r *Router) BuildSkeleton(stmt sqlparser.Statement) (*Skeleton, bool) {
-	var table, alias string
-	var where sqlparser.Expr
+	s := &Skeleton{r: r}
 	switch t := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		if len(t.From) != 1 || t.From[0].On != nil {
-			return nil, false
+		// Equality on the sharding key in a join's ON clause narrows the
+		// route as it does in WHERE.
+		slots := narrowing(t.Where, t.From, nil)
+		for _, ref := range t.From {
+			slots = narrowing(ref.On, t.From, slots)
 		}
-		if names := sqlparser.TableNames(t); len(names) != 1 {
-			return nil, false
+		var names []string
+		for _, ref := range t.From {
+			if rule, ok := r.rules.Rule(ref.Name); ok {
+				s.sharded(rule, slots)
+				names = append(names, ref.Name)
+			}
 		}
-		table, alias, where = t.From[0].Name, t.From[0].Alias, t.Where
+		s.bound = len(names) > 1 && r.rules.AllBound(names)
 	case *sqlparser.UpdateStmt:
-		table, alias, where = t.Table, t.Alias, t.Where
-		if rule, ok := r.rules.Rule(table); ok {
+		if rule := s.dml(t.Table, t.Alias, t.Where); rule != nil {
 			for _, a := range t.Set {
 				for _, col := range rule.ShardingColumns() {
 					if strings.EqualFold(a.Column, col) {
-						return nil, false // generic path reports ErrUpdateSharding
+						s.err = fmt.Errorf("%w: %s.%s", ErrUpdateSharding, t.Table, col)
 					}
 				}
 			}
 		}
 	case *sqlparser.DeleteStmt:
-		table, alias, where = t.Table, t.Alias, t.Where
+		s.dml(t.Table, t.Alias, t.Where)
+	case *sqlparser.InsertStmt:
+		if rule := s.dml(t.Table, "", nil); rule != nil {
+			s.err = s.insertKeys(t, rule)
+		}
+	case *sqlparser.CreateTableStmt:
+		s.ddl(t.Table)
+	case *sqlparser.DropTableStmt:
+		s.ddl(t.Table)
+	case *sqlparser.TruncateStmt:
+		s.ddl(t.Table)
+	case *sqlparser.CreateIndexStmt:
+		s.ddl(t.Table)
 	default:
-		return nil, false
+		// TCL/XA/SET are handled by the kernel, not the router.
+		s.err = fmt.Errorf("route: statement %T is not routable", stmt)
 	}
-
-	rule, sharded := r.rules.Rule(table)
-	if !sharded {
-		if r.rules.Broadcast[strings.ToLower(table)] {
-			return nil, false // broadcast fan-out stays on the generic path
-		}
-		return &Skeleton{r: r}, true
-	}
-
-	sk := &Skeleton{r: r, rule: rule, table: strings.ToLower(table)}
-	want := map[string]bool{}
-	for _, c := range rule.ShardingColumns() {
-		want[c] = true
-	}
-	aliases := tableAliases{strings.ToLower(table): strings.ToLower(table)}
-	if alias != "" {
-		aliases[strings.ToLower(alias)] = strings.ToLower(table)
-	}
-	// keep mirrors extractConditions' capture rules: only conditions that
-	// the slow path would extract (and condsFor would project onto this
-	// rule) become slots. Anything else is ignored, which can only widen
-	// the route, never narrow it incorrectly.
-	keep := func(ref *sqlparser.ColumnRef, kind int, op sqlparser.BinOp, exprs ...sqlparser.Expr) {
-		tbl, col := condKey(ref, aliases)
-		if !want[col] || (tbl != "" && tbl != sk.table) {
-			return
-		}
-		for _, e := range exprs {
-			if !isConst(e) {
-				return
-			}
-		}
-		sk.slots = append(sk.slots, condSlot{col: col, qualified: tbl != "", kind: kind, op: op, exprs: exprs})
-	}
-	if where != nil {
-		for _, conj := range splitAnd(where) {
-			switch t := conj.(type) {
-			case *sqlparser.BinaryExpr:
-				switch t.Op {
-				case sqlparser.OpEQ, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
-				default:
-					continue
-				}
-				if ref, ok := t.L.(*sqlparser.ColumnRef); ok && isConst(t.R) {
-					keep(ref, slotCmp, t.Op, t.R)
-				} else if ref, ok := t.R.(*sqlparser.ColumnRef); ok && isConst(t.L) {
-					keep(ref, slotCmp, flip(t.Op), t.L)
-				}
-			case *sqlparser.InExpr:
-				if t.Not {
-					continue
-				}
-				if ref, ok := t.E.(*sqlparser.ColumnRef); ok {
-					keep(ref, slotIn, 0, t.List...)
-				}
-			case *sqlparser.BetweenExpr:
-				if t.Not {
-					continue
-				}
-				if ref, ok := t.E.(*sqlparser.ColumnRef); ok {
-					keep(ref, slotBetween, 0, t.Lo, t.Hi)
-				}
-			}
-		}
-	}
-	return sk, true
+	return s, s.err == nil
 }
 
-// Route binds argument values into the skeleton's condition slots and
-// computes the target data nodes. Semantically identical to Router.Route
-// on the original statement, minus the AST traversal.
-func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
-	if s.rule == nil {
-		return s.r.defaultRoute()
+// dml compiles a single-table statement routed by its WHERE clause and
+// returns the table's rule. An unsharded table has none: its statement
+// goes to the default data source or, for a broadcast table, everywhere.
+func (s *Skeleton) dml(table, alias string, where sqlparser.Expr) *sharding.TableRule {
+	rule, ok := s.r.rules.Rule(table)
+	if !ok {
+		s.everywhere = s.r.rules.Broadcast[strings.ToLower(table)]
+		return nil
 	}
-	env := evalEnv{args: args}
-	conds := map[string]map[string]sharding.Condition{}
-	for _, slot := range s.slots {
-		tbl := ""
-		if slot.qualified {
-			tbl = s.table
+	s.sharded(rule, narrowing(where, []sqlparser.TableRef{{Name: table, Alias: alias}}, nil))
+	return rule
+}
+
+func (s *Skeleton) sharded(rule *sharding.TableRule, slots []condSlot) {
+	s.tables = append(s.tables, routedTable{rule: rule, slots: slotsFor(slots, rule)})
+}
+
+// ddl fans DDL out to every node of a sharded table (paper: DDL
+// broadcasts).
+func (s *Skeleton) ddl(table string) {
+	s.allNodes = s.dml(table, "", nil) != nil
+}
+
+// insertKeys locates the sharding columns among the insert columns; a
+// column-less INSERT uses the table's schema order from the metadata
+// service.
+func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt, rule *sharding.TableRule) error {
+	insertCols := stmt.Columns
+	if len(insertCols) == 0 && s.r.Columns != nil {
+		resolved, err := s.r.Columns(stmt.Table)
+		if err != nil {
+			return fmt.Errorf("route: cannot resolve columns of %s: %w", stmt.Table, err)
 		}
-		switch slot.kind {
-		case slotCmp:
-			v, err := env.eval(slot.exprs[0])
-			if err != nil {
-				continue // slow path skips unevaluable conjuncts too
-			}
-			switch slot.op {
-			case sqlparser.OpEQ:
-				putCond(conds, tbl, slot.col, sharding.Condition{Values: []sqltypes.Value{v}})
-			case sqlparser.OpGE, sqlparser.OpGT:
-				vv := v
-				putCond(conds, tbl, slot.col, sharding.Condition{Ranged: true, Lo: &vv})
-			case sqlparser.OpLE, sqlparser.OpLT:
-				vv := v
-				putCond(conds, tbl, slot.col, sharding.Condition{Ranged: true, Hi: &vv})
-			}
-		case slotIn:
-			values := make([]sqltypes.Value, 0, len(slot.exprs))
-			usable := true
-			for _, e := range slot.exprs {
-				v, err := env.eval(e)
-				if err != nil {
-					usable = false
-					break
+		insertCols = resolved
+	}
+	cols := rule.ShardingColumns()
+	s.keys = make([][]sqlparser.Expr, len(stmt.Rows))
+	backing := make([]sqlparser.Expr, len(stmt.Rows)*len(cols))
+	for i, row := range stmt.Rows {
+		s.keys[i], backing = backing[:len(cols):len(cols)], backing[len(cols):]
+		for j, col := range cols {
+			for pos, c := range insertCols {
+				if strings.EqualFold(c, col) && pos < len(row) {
+					s.keys[i][j] = row[pos]
 				}
-				values = append(values, v)
 			}
-			if usable {
-				putCond(conds, tbl, slot.col, sharding.Condition{Values: values})
-			}
-		case slotBetween:
-			lo, err1 := env.eval(slot.exprs[0])
-			hi, err2 := env.eval(slot.exprs[1])
-			if err1 != nil || err2 != nil {
-				continue
-			}
-			putCond(conds, tbl, slot.col, sharding.Condition{Ranged: true, Lo: &lo, Hi: &hi})
 		}
 	}
-	tableConds := condsFor(conds, s.table, s.rule)
-	s.r.noteKeys(s.table, tableConds)
-	nodes, err := s.rule.Route(tableConds, hint)
+	return nil
+}
+
+// Route binds argument values (and the optional out-of-band sharding
+// hint) to the skeleton and computes the statement's units.
+func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
+	switch {
+	case s.err != nil:
+		return nil, s.err
+	case len(s.tables) == 0 && s.everywhere:
+		return s.r.everySource(), nil
+	case len(s.tables) == 0:
+		return s.r.defaultRoute()
+	case s.allNodes:
+		rule := s.tables[0].rule
+		return unitsFromNodes(rule, rule.DataNodes, KindBroadcast), nil
+	case s.keys != nil:
+		return s.routeRows(args, hint)
+	}
+	primary := s.tables[0].rule
+	nodes, err := s.nodesOf(0, args, hint)
 	if err != nil {
 		return nil, err
 	}
 	if len(nodes) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoDataSource, s.table)
+		return nil, fmt.Errorf("%w: %s", ErrNoDataSource, primary.LogicTable)
 	}
-	kind := KindStandard
-	if len(nodes) == len(s.rule.DataNodes) {
-		kind = KindBroadcast
+	switch {
+	case len(s.tables) == 1:
+		kind := KindStandard
+		if len(nodes) == len(primary.DataNodes) {
+			kind = KindBroadcast
+		}
+		return unitsFromNodes(primary, nodes, kind), nil
+	case s.bound:
+		return s.binding(nodes)
+	default:
+		return s.cartesian(nodes, args, hint)
 	}
-	return unitsFromNodes(s.rule, nodes, kind), nil
+}
+
+// nodesOf routes one of the statement's tables by its own conditions.
+func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value) ([]sharding.DataNode, error) {
+	t := &s.tables[i]
+	conds := bindConds(t.slots, args)
+	s.r.noteKeys(t.rule.LogicTable, conds)
+	return t.rule.Route(conds, hint)
+}
+
+// binding pairs each of the primary table's nodes with the same shard of
+// every bound table (paper Section VI-B: "binding route").
+func (s *Skeleton) binding(nodes []sharding.DataNode) (*Result, error) {
+	primary := s.tables[0].rule
+	res := unitsFromNodes(primary, nodes, KindBinding)
+	for i := range res.Units {
+		// The primary's map is shared; a binding unit maps several tables
+		// and owns its copy.
+		primaryTable := res.Units[i].TableMap[primary.LogicTable]
+		idx := primary.ShardIndex(primaryTable)
+		m := make(map[string]string, len(s.tables))
+		m[primary.LogicTable] = primaryTable
+		for _, other := range s.tables[1:] {
+			if idx < 0 || idx >= len(other.rule.DataNodes) {
+				return nil, fmt.Errorf("route: binding tables %s and %s misaligned", primary.LogicTable, other.rule.LogicTable)
+			}
+			m[other.rule.LogicTable] = other.rule.DataNodes[idx].Table
+		}
+		res.Units[i].TableMap = m
+	}
+	return res, nil
+}
+
+// cartesian enumerates every combination of actual tables that share a
+// data source (paper Section VI-B: "Cartesian route"). A combination that
+// spans sources is left out: joining it would need federation.
+func (s *Skeleton) cartesian(primaryNodes []sharding.DataNode, args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
+	perTable := make([][]sharding.DataNode, len(s.tables))
+	perTable[0] = primaryNodes
+	for i := 1; i < len(s.tables); i++ {
+		nodes, err := s.nodesOf(i, args, hint)
+		if err != nil {
+			return nil, err
+		}
+		perTable[i] = nodes
+	}
+	res := &Result{Kind: KindCartesian}
+	var build func(i int, ds string, acc map[string]string)
+	build = func(i int, ds string, acc map[string]string) {
+		if i == len(s.tables) {
+			m := make(map[string]string, len(acc))
+			for k, v := range acc {
+				m[k] = v
+			}
+			res.Units = append(res.Units, Unit{DataSource: ds, TableMap: m})
+			return
+		}
+		logic := s.tables[i].rule.LogicTable
+		for _, n := range perTable[i] {
+			if ds != "" && n.DataSource != ds {
+				continue
+			}
+			acc[logic] = n.Table
+			build(i+1, n.DataSource, acc)
+			delete(acc, logic)
+		}
+	}
+	build(0, "", map[string]string{})
+	if len(res.Units) == 0 {
+		return nil, ErrCrossSource
+	}
+	return res, nil
+}
+
+// routeRows routes an INSERT row by row; each unit receives the rows that
+// map to its node, in statement order.
+func (s *Skeleton) routeRows(args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
+	rule := s.tables[0].rule
+	cols := rule.ShardingColumns()
+	env := evalEnv{args: args}
+	res := &Result{Kind: KindStandard}
+	unitOf := map[sharding.DataNode]int{}
+	maps := rule.NodeMaps()
+	conds := make(map[string]sharding.Condition, len(cols))
+	for rowIdx, keys := range s.keys {
+		clear(conds)
+		for j, col := range cols {
+			if keys[j] == nil {
+				if hint == nil {
+					return nil, fmt.Errorf("%w: table %s needs column %s", ErrNoShardingValue, rule.LogicTable, col)
+				}
+				continue
+			}
+			v, err := env.eval(keys[j])
+			if err != nil {
+				return nil, err
+			}
+			conds[col] = sharding.Condition{Values: []sqltypes.Value{v}}
+		}
+		s.r.noteKeys(rule.LogicTable, conds)
+		nodes, err := rule.Route(conds, hint)
+		if err != nil {
+			return nil, err
+		}
+		if len(nodes) != 1 {
+			return nil, fmt.Errorf("%w: row %d of INSERT INTO %s maps to %d nodes",
+				ErrNoShardingValue, rowIdx, rule.LogicTable, len(nodes))
+		}
+		u, ok := unitOf[nodes[0]]
+		if !ok {
+			u = len(res.Units)
+			unitOf[nodes[0]] = u
+			res.Units = append(res.Units, Unit{DataSource: nodes[0].DataSource, TableMap: maps.Of(nodes[0])})
+		}
+		res.Units[u].RowIndexes = append(res.Units[u].RowIndexes, rowIdx)
+	}
+	return res, nil
 }

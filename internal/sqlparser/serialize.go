@@ -206,25 +206,36 @@ func (s *Serializer) writeSelect(b *strings.Builder, t *SelectStmt) {
 		}
 	}
 	if t.Limit != nil {
-		if s.Dialect == DialectPostgreSQL {
-			b.WriteString(" LIMIT ")
-			s.writeExpr(b, t.Limit.Count)
-			if t.Limit.Offset != nil {
-				b.WriteString(" OFFSET ")
-				s.writeExpr(b, t.Limit.Offset)
-			}
-		} else {
-			b.WriteString(" LIMIT ")
-			if t.Limit.Offset != nil {
-				s.writeExpr(b, t.Limit.Offset)
-				b.WriteString(", ")
-			}
-			s.writeExpr(b, t.Limit.Count)
-		}
+		b.WriteString(" LIMIT ")
+		s.writeLimit(b, t.Limit)
 	}
 	if t.ForUpdate {
 		b.WriteString(" FOR UPDATE")
 	}
+}
+
+// SerializeLimit renders what follows the LIMIT keyword, in the dialect's
+// operand order.
+func (s *Serializer) SerializeLimit(l *Limit) string {
+	var b strings.Builder
+	s.writeLimit(&b, l)
+	return b.String()
+}
+
+func (s *Serializer) writeLimit(b *strings.Builder, l *Limit) {
+	if s.Dialect == DialectPostgreSQL {
+		s.writeExpr(b, l.Count)
+		if l.Offset != nil {
+			b.WriteString(" OFFSET ")
+			s.writeExpr(b, l.Offset)
+		}
+		return
+	}
+	if l.Offset != nil {
+		s.writeExpr(b, l.Offset)
+		b.WriteString(", ")
+	}
+	s.writeExpr(b, l.Count)
 }
 
 func (s *Serializer) writeInsert(b *strings.Builder, t *InsertStmt) {

@@ -23,9 +23,8 @@ type Stage uint8
 const (
 	// StageParse covers SQL text → AST.
 	StageParse Stage = iota
-	// StagePlanCache covers the cached fast path end-to-end: normalize,
-	// shard lookup, skeleton route and template render. On the uncached
-	// pipeline it covers only the (missed) lookup and compile.
+	// StagePlanCache covers normalize and the shape's plan-cache lookup —
+	// on a miss, the parse and compile as well.
 	StagePlanCache
 	// StageRoute covers sharding-condition extraction and node routing.
 	StageRoute
@@ -69,13 +68,13 @@ const (
 )
 
 var stageNames = [numStages]string{
-	StageParse:     "parse",
-	StagePlanCache: "plan_cache",
-	StageRoute:     "route",
-	StageRewrite:   "rewrite",
-	StageExecute:   "execute",
-	StageMerge:     "merge",
-	StageAcquire:   "pool_acquire",
+	StageParse:      "parse",
+	StagePlanCache:  "plan_cache",
+	StageRoute:      "route",
+	StageRewrite:    "rewrite",
+	StageExecute:    "execute",
+	StageMerge:      "merge",
+	StageAcquire:    "pool_acquire",
 	StageXAPrepare:  "xa_prepare",
 	StageXACommit:   "xa_commit",
 	StageBaseUndo:   "base_undo",
