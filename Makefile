@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz check bench lines
+.PHONY: build test race vet fmt fuzz check bench lines
 
 # Pre-PR gate: static checks, the full suite under the race detector and
 # the fuzz pass. Run this before every PR.
-check: vet race fuzz
+check: fmt vet race fuzz
 
 build:
 	$(GO) build ./...
@@ -21,9 +21,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short fuzz pass over the frame reader, row-batch decoder and
-# trace-context trailer, and over compile-then-bind against the reference
-# rewrite. `go test` accepts one -fuzz target per invocation, hence
+# No file gofmt would rewrite; the offenders are listed.
+fmt:
+	@out="$$(gofmt -l internal pkg cmd examples benchmark)"; test -z "$$out" || { echo "gofmt would rewrite:"; echo "$$out"; exit 1; }
+
+# Short fuzz pass over the frame reader (with the statement payload's
+# trailer-then-head decode), row-batch decoder and trace-context trailer,
+# and over compile-then-bind against the reference rewrite. `go test` accepts one -fuzz target per invocation, hence
 # separate runs.
 fuzz:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/

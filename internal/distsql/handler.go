@@ -62,8 +62,8 @@ func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 			}
 			return nil
 		})
-		// Remote transports (mux sockets, streams, prepared statements,
-		// pipelined batches) aggregated across remote data sources.
+		// Remote transports (mux sockets, streams, pipelined batches, row
+		// batches) aggregated across remote data sources.
 		gov.RegisterMetrics("remote", func() map[string]int64 {
 			out := map[string]int64{}
 			for _, n := range k.Executor().Sources() {

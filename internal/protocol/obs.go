@@ -1,26 +1,16 @@
-// Observability extensions to protocol v2: capability negotiation,
-// trace-context propagation, span piggybacking and metrics federation.
-//
-// Capabilities ride in an optional third u32 of the Hello/HelloAck
-// payload. DecodeHello has always ignored trailing payload bytes, so a
-// capability-aware client is byte-compatible with older v2 peers: the
-// old server skips the extra word and replies with an 8-byte ack, which
-// the new client decodes as "no capabilities". Both sides use a feature
-// only when it appears in the intersection of offered and acked bits.
+// Observability extensions to protocol v2: trace-context propagation,
+// span piggybacking and metrics federation.
 //
 // Trace context is a fixed 9-byte trailer (flags byte + trace ID)
-// appended to every FrameQuery/FrameExecStmt payload on connections
-// that negotiated CapTraceContext. Because the trailer is fixed-size
-// and unconditional on such connections, the server strips it without
-// re-parsing the statement head, and capability-less connections never
-// see it.
+// appended to every FrameQuery payload. Because the trailer is fixed-size
+// and unconditional, the server strips it without re-parsing the
+// statement head.
 //
 // When the trailer's flags request tracing, the terminal reply frame
 // (FrameOK, FrameEOF or FrameError) carries a span block: the node's
 // receive→reply processing time plus a bounded list of its internal
-// spans. The block is appended after the frame's normal payload, again
-// only on connections that negotiated the capability, so old decoders
-// (which ignore trailing bytes) are unaffected.
+// spans. The block is appended after the frame's normal payload, whose
+// decoders ignore trailing bytes.
 //
 // FrameMetricsPull/FrameMetrics let a proxy scrape a node's histogram
 // and counter state for cluster-wide merging.
@@ -33,56 +23,12 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-// Capability bits exchanged in the optional third Hello/HelloAck word.
-const (
-	// CapTraceContext: FrameQuery/FrameExecStmt carry a trace-context
-	// trailer; traced statements get span blocks on terminal replies.
-	CapTraceContext uint32 = 1 << 0
-	// CapMetricsPull: the server answers FrameMetricsPull.
-	CapMetricsPull uint32 = 1 << 1
-	// CapStreamFlow: per-stream row-batch flow control. The server keeps
-	// at most StreamWindow unacked FrameRowBatch frames in flight per
-	// stream, the client acks each consumed batch with FrameBatchAck, and
-	// FrameCursorCancel stops an in-progress row stream early without
-	// abandoning the logical connection.
-	CapStreamFlow uint32 = 1 << 2
-
-	// LocalCaps is everything this build implements.
-	LocalCaps = CapTraceContext | CapMetricsPull | CapStreamFlow
-)
-
 // Observability frame types. Client → server continues from 0x07,
 // server → client from 0x17.
 const (
 	FrameMetricsPull byte = 0x08 // empty payload; server replies FrameMetrics
 	FrameMetrics     byte = 0x18 // histogram + counter snapshot
 )
-
-// EncodeHelloCaps builds a Hello/HelloAck payload carrying capability
-// bits. EncodeHello remains the capability-less form older peers send.
-func EncodeHelloCaps(version, maxFrame, caps uint32) []byte {
-	w := &writer{}
-	w.u32(version)
-	w.u32(maxFrame)
-	w.u32(caps)
-	return w.buf
-}
-
-// DecodeHelloCaps parses a Hello/HelloAck payload from either a
-// capability-aware or an older peer; absent capability word means 0.
-func DecodeHelloCaps(payload []byte) (version, maxFrame, caps uint32, err error) {
-	r := &reader{buf: payload}
-	if version, err = r.u32(); err != nil {
-		return 0, 0, 0, err
-	}
-	if maxFrame, err = r.u32(); err != nil {
-		return 0, 0, 0, err
-	}
-	if r.pos+4 <= len(r.buf) {
-		caps, _ = r.u32()
-	}
-	return version, maxFrame, caps, nil
-}
 
 // --- trace context ---
 
@@ -132,8 +78,7 @@ func PeekTraceActive(payload []byte) bool {
 }
 
 // SplitTraceContext strips and parses the trace-context trailer from a
-// statement payload received on a connection that negotiated
-// CapTraceContext. Errors on payloads too short to carry the trailer.
+// statement payload. Errors on payloads too short to carry the trailer.
 func SplitTraceContext(payload []byte) (TraceContext, []byte, error) {
 	if len(payload) < traceContextLen {
 		return TraceContext{}, nil, errShortPayload

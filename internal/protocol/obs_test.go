@@ -9,36 +9,6 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-func TestHelloCapsRoundTrip(t *testing.T) {
-	payload := EncodeHelloCaps(Version2, MaxFrame, LocalCaps)
-	v, mf, caps, err := DecodeHelloCaps(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != Version2 || mf != MaxFrame || caps != LocalCaps {
-		t.Fatalf("got v=%d mf=%d caps=%#x", v, mf, caps)
-	}
-
-	// An old peer's 8-byte hello decodes with zero capabilities.
-	v, mf, caps, err = DecodeHelloCaps(EncodeHello(Version2, MaxFrame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != Version2 || mf != MaxFrame || caps != 0 {
-		t.Fatalf("legacy hello: v=%d mf=%d caps=%#x", v, mf, caps)
-	}
-
-	// An old peer decoding the capability-bearing hello must see the
-	// same version and frame size (trailing word ignored).
-	v, mf, err = DecodeHello(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != Version2 || mf != MaxFrame {
-		t.Fatalf("old decoder: v=%d mf=%d", v, mf)
-	}
-}
-
 func TestTraceContextRoundTrip(t *testing.T) {
 	body := EncodeQuery("SELECT 1", nil)
 	tc := TraceContext{ID: 42, Sampled: true, Detailed: true}
@@ -238,7 +208,7 @@ func FuzzTraceContext(f *testing.F) {
 				t.Fatalf("span block re-decode: %v (%d vs %d spans)", err, len(spans2), len(spans))
 			}
 		}
-		DecodeHelloCaps(data)
+		DecodeHello(data)
 		DecodeMetrics(data)
 	})
 }

@@ -24,7 +24,7 @@ import (
 // Frame types.
 const (
 	// Client → server.
-	FrameQuery byte = 0x01 // SQL + bind args; server replies rows or OK
+	FrameQuery byte = 0x01 // SQL + bind args + trace trailer; server replies rows or OK
 	FramePing  byte = 0x02
 	FrameQuit  byte = 0x03
 

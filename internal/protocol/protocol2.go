@@ -8,21 +8,18 @@
 //
 // The handshake is the only traffic in the short framing (protocol v1's,
 // which is otherwise retired): the client sends FrameHello (version, max
-// frame size, capabilities) as its first frame; the server replies
-// FrameHelloAck and both sides switch to v2 framing on the same socket,
-// or it replies FrameError — an accept-time rejection, or a peer that
-// does not speak v2 — and the dial fails with that error.
+// frame size) as its first frame; the server replies FrameHelloAck and
+// both sides switch to v2 framing on the same socket, or it replies
+// FrameError — an accept-time rejection, or a peer that speaks another
+// version — and the dial fails with that error.
 //
-// On top of v2 framing, three exchanges remove per-statement overhead:
-//
-//   - FramePrepare registers SQL text under a client-chosen statement ID,
-//     once per (connection, statement shape). It is fire-and-forget: the
-//     server parses eagerly but reports any parse error on first execute,
-//     so preparation costs zero round trips.
-//   - FrameExecStmt executes a prepared statement by ID + bind args,
-//     letting the data node skip its own parse (mirroring what
-//     internal/plancache does proxy-side).
-//   - FrameRowBatch carries many rows per frame (~16KB per batch).
+// A statement crosses the wire one way: FrameQuery carries its text, its
+// bind args and the trace-context trailer (obs.go). The server keeps no
+// per-connection statement state; repeated texts are recognised by the
+// backend's own cache (sqlexec's statement cache on a data node, the plan
+// cache in the proxy), which is shared by every connection. A row set
+// comes back as FrameHeader, FrameRowBatch frames (~16KB each, paced by
+// the StreamWindow flow-control window) and FrameEOF.
 package protocol
 
 import (
@@ -34,17 +31,19 @@ import (
 	"shardingsphere/internal/sqltypes"
 )
 
-// Version2 is the protocol version exchanged in Hello/HelloAck; version
-// 1 (no handshake, one socket per conversation) is no longer served.
-const Version2 uint32 = 2
+// version is the protocol version exchanged in Hello/HelloAck; a peer
+// must offer exactly it. It is 3 because a version-2 peer negotiated the
+// trace trailer as a capability and ran statements through prepare/exec
+// handles: refused here by number, it never gets to desynchronize on its
+// first statement.
+const version uint32 = 3
 
 // v2-era frame types. Client → server types continue from 0x03,
 // server → client types continue from 0x15. (0x08/0x18 are the
-// metrics-federation frames in obs.go.)
+// metrics-federation frames in obs.go; 0x05/0x06 were version 2's
+// prepare/exec frames and stay unassigned.)
 const (
-	FrameHello        byte = 0x04 // version negotiation; sent in handshake framing
-	FramePrepare      byte = 0x05 // stmtID + SQL text; fire-and-forget
-	FrameExecStmt     byte = 0x06 // stmtID + bind args
+	FrameHello        byte = 0x04 // version check; sent in handshake framing
 	FrameStreamClose  byte = 0x07 // client abandons a stream mid-result
 	FrameCursorCancel byte = 0x09 // stop streaming rows for one statement
 	FrameBatchAck     byte = 0x0a // consumer took one row batch (flow credit)
@@ -58,10 +57,11 @@ const (
 // per-stream memory bounded and interleave fairly on a shared socket.
 const DefaultBatchBytes = 16 << 10
 
-// StreamWindow is the per-stream row-batch flow-control window on
-// CapStreamFlow connections: the server keeps at most this many unacked
-// FrameRowBatch frames in flight per stream, and the client acks each
-// batch (FrameBatchAck) as its consumer takes it off the queue. The
+// StreamWindow is the per-stream row-batch flow-control window: the
+// server keeps at most this many unacked FrameRowBatch frames in flight
+// per stream, and the client acks each batch (FrameBatchAck) as its
+// consumer takes it off the queue; FrameCursorCancel stops an in-progress
+// row stream early without abandoning the logical connection. The
 // product StreamWindow × DefaultBatchBytes (~64KB) is the per-source
 // working set a merging proxy holds regardless of result size; the
 // window is deliberately deeper than one batch so decode and network
@@ -155,78 +155,27 @@ func ReadFrameV2(r *bufio.Reader, max uint32) (typ byte, stream uint32, payload 
 	return hdr[4], stream, payload, nil
 }
 
-// EncodeHello builds a FrameHello / FrameHelloAck payload: the protocol
-// version offered (or accepted) and the sender's max frame size.
-func EncodeHello(version, maxFrame uint32) []byte {
+// EncodeHello builds a FrameHello / FrameHelloAck payload: this build's
+// protocol version and the sender's max frame size.
+func EncodeHello(maxFrame uint32) []byte {
 	w := &writer{}
 	w.u32(version)
 	w.u32(maxFrame)
 	return w.buf
 }
 
-// DecodeHello parses a FrameHello / FrameHelloAck payload.
-func DecodeHello(payload []byte) (version, maxFrame uint32, err error) {
+// DecodeHello parses a FrameHello / FrameHelloAck payload. A peer that
+// offers any other version is an error naming both versions.
+func DecodeHello(payload []byte) (maxFrame uint32, err error) {
 	r := &reader{buf: payload}
-	if version, err = r.u32(); err != nil {
-		return 0, 0, err
-	}
-	if maxFrame, err = r.u32(); err != nil {
-		return 0, 0, err
-	}
-	return version, maxFrame, nil
-}
-
-// EncodePrepare builds a FramePrepare payload.
-func EncodePrepare(stmtID uint32, sql string) []byte {
-	w := &writer{}
-	w.u32(stmtID)
-	w.str(sql)
-	return w.buf
-}
-
-// DecodePrepare parses a FramePrepare payload.
-func DecodePrepare(payload []byte) (stmtID uint32, sql string, err error) {
-	r := &reader{buf: payload}
-	if stmtID, err = r.u32(); err != nil {
-		return 0, "", err
-	}
-	if sql, err = r.str(); err != nil {
-		return 0, "", err
-	}
-	return stmtID, sql, nil
-}
-
-// EncodeExecStmt builds a FrameExecStmt payload.
-func EncodeExecStmt(stmtID uint32, args []sqltypes.Value) []byte {
-	w := &writer{}
-	w.u32(stmtID)
-	w.u32(uint32(len(args)))
-	for _, a := range args {
-		w.value(a)
-	}
-	return w.buf
-}
-
-// DecodeExecStmt parses a FrameExecStmt payload.
-func DecodeExecStmt(payload []byte) (stmtID uint32, args []sqltypes.Value, err error) {
-	r := &reader{buf: payload}
-	if stmtID, err = r.u32(); err != nil {
-		return 0, nil, err
-	}
-	n, err := r.u32()
+	v, err := r.u32()
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	if n > 65535 {
-		return 0, nil, fmt.Errorf("protocol: %d bind args", n)
+	if v != version {
+		return 0, fmt.Errorf("protocol: peer speaks version %d, this build speaks version %d", v, version)
 	}
-	args = make([]sqltypes.Value, n)
-	for i := range args {
-		if args[i], err = r.value(); err != nil {
-			return 0, nil, err
-		}
-	}
-	return stmtID, args, nil
+	return r.u32()
 }
 
 // BatchEncoder accumulates rows into a FrameRowBatch payload. Callers

@@ -221,7 +221,7 @@ func TestSlowLorisReclaimed(t *testing.T) {
 	}
 	defer v2.Close()
 	bw := bufio.NewWriter(v2)
-	protocol.WriteFrame(bw, protocol.FrameHello, protocol.EncodeHello(protocol.Version2, protocol.MaxFrame))
+	protocol.WriteFrame(bw, protocol.FrameHello, protocol.EncodeHello(protocol.MaxFrame))
 	bw.Flush()
 	br := bufio.NewReader(v2)
 	if typ, _, err := protocol.ReadFrame(br); err != nil || typ != protocol.FrameHelloAck {

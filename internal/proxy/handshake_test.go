@@ -9,29 +9,24 @@ import (
 	"time"
 )
 
-// TestV1StatementGetsUpgradeError freezes the bytes of the one exchange
-// protocol v1 still gets: a statement frame sent without a Hello is
-// answered by exactly one error frame naming the remedy, then EOF. The
-// request and the expected reply are spelled out rather than built with
-// the protocol package, so a change to either side's framing shows here.
-func TestV1StatementGetsUpgradeError(t *testing.T) {
-	addr, srv := startNodeServer(t, "v1-refused")
+// refusedWith sends one opening frame and requires the reply to be exactly
+// one error frame carrying text, then EOF, with nothing executed and no v2
+// connection counted. The request and the expected reply are spelled out
+// rather than built with the protocol package, so a change to either
+// side's framing shows here.
+func refusedWith(t *testing.T, request []byte, text string) {
+	t.Helper()
+	addr, srv := startNodeServer(t, "refused")
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-
-	// v1 FrameQuery: | len=16 | type=0x01 | strlen=8 "SELECT 1" | nargs=0 |
-	query := []byte{0, 0, 0, 16, 0x01, 0, 0, 0, 8}
-	query = append(query, "SELECT 1"...)
-	query = append(query, 0, 0, 0, 0)
-	if _, err := nc.Write(query); err != nil {
+	if _, err := nc.Write(request); err != nil {
 		t.Fatal(err)
 	}
 
 	// FrameError: | len=4+n | type=0x11 | strlen=n | text |
-	const text = "proxy: protocol v1 is no longer served; upgrade the client"
 	want := binary.BigEndian.AppendUint32(nil, uint32(4+len(text)))
 	want = append(want, 0x11)
 	want = binary.BigEndian.AppendUint32(want, uint32(len(text)))
@@ -46,11 +41,34 @@ func TestV1StatementGetsUpgradeError(t *testing.T) {
 		t.Fatalf("reply bytes:\n got %q\nwant %q", got, want)
 	}
 	if n := srv.Metrics()["statements"]; n != 0 {
-		t.Fatalf("the v1 statement was executed (%d statements)", n)
+		t.Fatalf("the refused peer's statement was executed (%d statements)", n)
 	}
 	if n := srv.Metrics()["v2_connections"]; n != 0 {
-		t.Fatalf("v1 peer counted as a v2 connection (%d)", n)
+		t.Fatalf("refused peer counted as a v2 connection (%d)", n)
 	}
+}
+
+// TestV1StatementGetsUpgradeError freezes the bytes of the one exchange
+// protocol v1 still gets: a statement frame sent without a Hello is
+// answered by exactly one error frame naming the remedy, then EOF.
+func TestV1StatementGetsUpgradeError(t *testing.T) {
+	// v1 FrameQuery: | len=16 | type=0x01 | strlen=8 "SELECT 1" | nargs=0 |
+	query := []byte{0, 0, 0, 16, 0x01, 0, 0, 0, 8}
+	query = append(query, "SELECT 1"...)
+	query = append(query, 0, 0, 0, 0)
+	refusedWith(t, query, "proxy: protocol v1 is no longer served; upgrade the client")
+}
+
+// TestVersion2HelloRefused freezes what a peer built before version 3
+// gets: its Hello — with the capability word such builds offered, or
+// without — is answered by one error frame naming both versions, then
+// EOF. Such a peer would send prepare/exec frames and statements without
+// the trace trailer, so it must not get as far as a statement.
+func TestVersion2HelloRefused(t *testing.T) {
+	const text = "proxy: protocol: peer speaks version 2, this build speaks version 3"
+	// Hello: | len | type=0x04 | version=2 | maxFrame=16MiB | [caps=0b111] |
+	refusedWith(t, []byte{0, 0, 0, 8, 0x04, 0, 0, 0, 2, 1, 0, 0, 0}, text)
+	refusedWith(t, []byte{0, 0, 0, 12, 0x04, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 7}, text)
 }
 
 // TestOversizedFirstFrameClosed: before the handshake the only legal

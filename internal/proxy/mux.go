@@ -29,30 +29,9 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-// streamQueueDepth is the per-stream inbound frame budget; it must exceed
-// the client-side pipeline window (64) with margin for the interleaved
-// prepare frames.
+// streamQueueDepth is the per-stream inbound frame budget: four times the
+// client-side pipeline window (64), so a compliant client never fills it.
 const streamQueueDepth = 256
-
-// PreparedBackendSession is optionally implemented by backend sessions
-// that can parse a statement once and execute it many times by handle —
-// what FramePrepare/FrameExecStmt buy on the wire. Sessions without it
-// still serve prepared statements by re-executing the registered SQL
-// text (the kernel backend's plan cache makes that nearly as cheap).
-type PreparedBackendSession interface {
-	// Prepare parses sql into a reusable statement handle.
-	Prepare(sql string) (handle any, err error)
-	// ExecutePrepared runs a handle from Prepare; results are shaped as
-	// BackendSession.Execute's.
-	ExecutePrepared(handle any, args []sqltypes.Value) (cols []string, rs resource.ResultSet, affected, lastInsertID int64, err error)
-}
-
-// preparedStmt is one registered statement shape on one stream.
-type preparedStmt struct {
-	sql      string
-	handle   any   // non-nil when the session pre-parsed it
-	parseErr error // surfaced on first execute, not at prepare time
-}
 
 // inFrame is one frame routed to a stream worker.
 type inFrame struct {
@@ -77,8 +56,7 @@ type outMsg struct {
 
 // muxConn is the server half of one multiplexed socket.
 type muxConn struct {
-	s    *Server
-	caps uint32 // negotiated capability bits for this socket
+	s *Server
 
 	w       *bufio.Writer
 	writeCh chan outMsg
@@ -93,9 +71,9 @@ type muxStream struct {
 	id uint32
 	in chan inFrame
 
-	// Flow control (CapStreamFlow). The dispatcher updates these
-	// out-of-band — the worker is busy producing row batches when acks
-	// and cancels arrive, so they cannot ride the in queue.
+	// Flow control. The dispatcher updates these out-of-band — the worker
+	// is busy producing row batches when acks and cancels arrive, so they
+	// cannot ride the in queue.
 	inflight  atomic.Int32  // row batches sent but not yet acked
 	cancelSeq atomic.Uint32 // latest cursor-cancel target (statement seq)
 	flow      chan struct{} // capacity 1; nudges a credit-blocked worker
@@ -111,11 +89,10 @@ func (st *muxStream) shutdown() {
 
 // serveMux runs the v2 loop on a negotiated connection until the socket
 // dies or the client quits. The caller owns conn closing.
-func (s *Server) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, caps uint32) {
+func (s *Server) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
 	s.v2Conns.Add(1)
 	m := &muxConn{
 		s:       s,
-		caps:    caps,
 		w:       w,
 		writeCh: make(chan outMsg, 256),
 		wdone:   make(chan struct{}),
@@ -166,18 +143,13 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, caps 
 func (m *muxConn) dispatch(typ byte, sid uint32, payload []byte) {
 	// Metrics pulls are answered inline — no session, no stream state.
 	if typ == protocol.FrameMetricsPull {
-		if m.caps&protocol.CapMetricsPull == 0 {
-			m.send(sid, protocol.FrameError, protocol.EncodeError("proxy: metrics pull not negotiated"))
-			return
-		}
 		m.send(sid, protocol.FrameMetrics, protocol.EncodeMetrics(m.s.MetricsSnapshot()))
 		return
 	}
 	// Flow-control frames are handled here, out-of-band: the stream's
 	// worker is busy producing the row batches these frames govern, so
 	// routing them through the in queue would deadlock the window.
-	if m.caps&protocol.CapStreamFlow != 0 &&
-		(typ == protocol.FrameBatchAck || typ == protocol.FrameCursorCancel) {
+	if typ == protocol.FrameBatchAck || typ == protocol.FrameCursorCancel {
 		m.mu.Lock()
 		st := m.streams[sid]
 		m.mu.Unlock()
@@ -202,12 +174,10 @@ func (m *muxConn) dispatch(typ byte, sid uint32, payload []byte) {
 		return
 	}
 	// Stamp the receive time only for statements that will be traced:
-	// one branchy peek per statement frame on capability conns, a
-	// time.Now() only when the client asked for recording.
+	// one branchy peek per statement frame, a time.Now() only when the
+	// client asked for recording.
 	var at time.Time
-	if m.caps&protocol.CapTraceContext != 0 &&
-		(typ == protocol.FrameQuery || typ == protocol.FrameExecStmt) &&
-		protocol.PeekTraceActive(payload) {
+	if typ == protocol.FrameQuery && protocol.PeekTraceActive(payload) {
 		at = time.Now()
 	}
 	m.mu.Lock()
@@ -249,7 +219,6 @@ func (m *muxConn) worker(st *muxStream) {
 	defer m.s.streamsActive.Add(-1)
 	sess := m.s.backend.NewBackendSession()
 	defer sess.Close()
-	prepared := map[uint32]*preparedStmt{}
 	// seq numbers the statements this stream has processed, 1-based and
 	// in arrival order — the same count the client keeps for statements
 	// sent, which is what lets FrameCursorCancel name exactly one
@@ -259,71 +228,32 @@ func (m *muxConn) worker(st *muxStream) {
 		switch f.typ {
 		case protocol.FramePing:
 			m.send(st.id, protocol.FramePong, nil)
-		case protocol.FramePrepare:
-			// Fire-and-forget: no reply, errors surface on execute.
-			id, sql, err := protocol.DecodePrepare(f.payload)
-			if err != nil {
-				continue
-			}
-			ps := &preparedStmt{sql: sql}
-			if pb, ok := sess.(PreparedBackendSession); ok {
-				ps.handle, ps.parseErr = pb.Prepare(sql)
-			}
-			prepared[id] = ps
-			m.s.preparedTotal.Add(1)
-		case protocol.FrameExecStmt:
-			seq++
-			tc, body, ok := m.splitTrace(st.id, f.payload)
-			if !ok {
-				continue
-			}
-			id, args, err := protocol.DecodeExecStmt(body)
-			if err != nil {
-				m.s.errors.Add(1)
-				m.send(st.id, protocol.FrameError, protocol.EncodeError(err.Error()))
-				continue
-			}
-			ps := prepared[id]
-			if ps == nil {
-				m.s.errors.Add(1)
-				m.send(st.id, protocol.FrameError, protocol.EncodeError("proxy: unknown prepared statement"))
-				continue
-			}
-			m.runStatement(st, seq, sess, ps, "", args, tc, f.at)
 		case protocol.FrameQuery:
 			seq++
-			tc, body, ok := m.splitTrace(st.id, f.payload)
-			if !ok {
-				continue
-			}
-			sql, args, err := protocol.DecodeQuery(body)
+			// A malformed payload gets an Error reply; the frame is
+			// length-delimited, so the stream stays in sync.
+			sql, args, tc, err := decodeStatement(f.payload)
 			if err != nil {
 				m.s.errors.Add(1)
 				m.send(st.id, protocol.FrameError, protocol.EncodeError(err.Error()))
 				continue
 			}
-			m.runStatement(st, seq, sess, nil, sql, args, tc, f.at)
+			m.runStatement(st, seq, sess, sql, args, tc, f.at)
 		default:
 			m.send(st.id, protocol.FrameError, protocol.EncodeError("proxy: unknown frame"))
 		}
 	}
 }
 
-// splitTrace strips the trace-context trailer from a statement payload
-// on capability connections. A malformed trailer gets an Error reply
-// (the frame is length-delimited, so the stream itself stays in sync);
-// ok=false means the caller should skip the frame.
-func (m *muxConn) splitTrace(sid uint32, payload []byte) (protocol.TraceContext, []byte, bool) {
-	if m.caps&protocol.CapTraceContext == 0 {
-		return protocol.TraceContext{}, payload, true
-	}
+// decodeStatement splits a FrameQuery payload into the statement and its
+// trace-context trailer.
+func decodeStatement(payload []byte) (string, []sqltypes.Value, protocol.TraceContext, error) {
 	tc, body, err := protocol.SplitTraceContext(payload)
 	if err != nil {
-		m.s.errors.Add(1)
-		m.send(sid, protocol.FrameError, protocol.EncodeError(err.Error()))
-		return protocol.TraceContext{}, nil, false
+		return "", nil, tc, err
 	}
-	return tc, body, true
+	sql, args, err := protocol.DecodeQuery(body)
+	return sql, args, tc, err
 }
 
 // runStatement executes one statement and writes its complete response
@@ -336,7 +266,7 @@ func (m *muxConn) splitTrace(sid uint32, payload []byte) (protocol.TraceContext,
 // as soon as the cursor exists, and row batches are produced one at a
 // time, paced by the stream's flow-control window — the result is never
 // materialized here.
-func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, ps *preparedStmt, sql string, args []sqltypes.Value, tc protocol.TraceContext, recvAt time.Time) {
+func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, sql string, args []sqltypes.Value, tc protocol.TraceContext, recvAt time.Time) {
 	s := m.s
 	sid := st.id
 	s.statements.Add(1)
@@ -406,26 +336,7 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, p
 		return protocol.AppendSpanBlock(nil, total, spans)
 	}
 
-	var (
-		cols     []string
-		rs       resource.ResultSet
-		affected int64
-		lastID   int64
-		err      error
-	)
-	switch {
-	case ps != nil && ps.parseErr != nil:
-		err = ps.parseErr
-	case ps != nil && ps.handle != nil:
-		cols, rs, affected, lastID, err = sess.(PreparedBackendSession).ExecutePrepared(ps.handle, args)
-	default:
-		text := sql
-		if ps != nil {
-			text = ps.sql
-		}
-		cols, rs, affected, lastID, err = sess.Execute(text, args)
-	}
-
+	cols, rs, affected, lastID, err := sess.Execute(sql, args)
 	if err != nil {
 		s.errors.Add(1)
 		m.send(sid, protocol.FrameError, append(protocol.EncodeError(err.Error()), finishTrace()...))
@@ -461,15 +372,14 @@ const streamFillRows = 256
 
 // streamRows streams a query response from a pull cursor: one row batch
 // per write-queue message, so the socket writer interleaves streams
-// fairly and a result is never resident here as a whole. On
-// flow-controlled connections each batch first waits for window credit —
-// a stalled consumer pins at most StreamWindow batches of memory per
-// stream — and a cursor cancel naming this statement stops production
-// at the next batch boundary, finishing the stream with a clean EOF.
+// fairly and a result is never resident here as a whole. Each batch
+// first waits for window credit — a stalled consumer pins at most
+// StreamWindow batches of memory per stream — and a cursor cancel naming
+// this statement stops production at the next batch boundary, finishing
+// the stream with a clean EOF.
 func (m *muxConn) streamRows(st *muxStream, seq uint32, cols []string, rs resource.ResultSet, finishTrace func() []byte) {
 	defer rs.Close()
 	m.send(st.id, protocol.FrameHeader, protocol.EncodeHeader(cols))
-	flow := m.caps&protocol.CapStreamFlow != 0
 	buf := make([]sqltypes.Row, streamFillRows)
 	enc := &protocol.BatchEncoder{}
 	canceled := false
@@ -488,7 +398,7 @@ fill:
 		for _, row := range buf[:n] {
 			enc.Append(row)
 			if enc.Size() >= protocol.DefaultBatchBytes {
-				if !m.streamBatch(st, seq, enc.Payload(), flow) {
+				if !m.streamBatch(st, seq, enc.Payload()) {
 					canceled = true
 					break fill
 				}
@@ -497,34 +407,32 @@ fill:
 		}
 	}
 	if !canceled && enc.Rows() > 0 {
-		m.streamBatch(st, seq, enc.Payload(), flow)
+		m.streamBatch(st, seq, enc.Payload())
 	}
 	m.send(st.id, protocol.FrameEOF, finishTrace())
 }
 
-// streamBatch ships one row batch, first waiting for window credit on
-// flow-controlled connections. It returns false when this statement's
-// cursor was canceled or the stream is being torn down; the caller
-// stops producing and closes out the response.
-func (m *muxConn) streamBatch(st *muxStream, seq uint32, payload []byte, flow bool) bool {
-	if flow {
-		for {
-			if st.cancelSeq.Load() == seq {
-				return false
-			}
-			if st.inflight.Load() < protocol.StreamWindow {
-				break
-			}
-			// Re-check both conditions after every nudge: the flow
-			// channel is a condition signal, not a credit token.
-			select {
-			case <-st.flow:
-			case <-st.done:
-				return false
-			}
+// streamBatch ships one row batch, first waiting for window credit. It
+// returns false when this statement's cursor was canceled or the stream
+// is being torn down; the caller stops producing and closes out the
+// response.
+func (m *muxConn) streamBatch(st *muxStream, seq uint32, payload []byte) bool {
+	for {
+		if st.cancelSeq.Load() == seq {
+			return false
 		}
-		st.inflight.Add(1)
+		if st.inflight.Load() < protocol.StreamWindow {
+			break
+		}
+		// Re-check both conditions after every nudge: the flow
+		// channel is a condition signal, not a credit token.
+		select {
+		case <-st.flow:
+		case <-st.done:
+			return false
+		}
 	}
+	st.inflight.Add(1)
 	m.send(st.id, protocol.FrameRowBatch, payload)
 	m.s.rowBatches.Add(1)
 	return true

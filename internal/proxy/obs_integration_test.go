@@ -1,96 +1,11 @@
 package proxy
 
 import (
-	"bufio"
 	"context"
-	"net"
 	"testing"
 
-	"shardingsphere/internal/protocol"
-	"shardingsphere/internal/resource"
-	"shardingsphere/internal/sqltypes"
 	"shardingsphere/pkg/client"
 )
-
-// handshake dials addr and performs the v2 hello with the given payload,
-// returning the raw ack payload.
-func handshake(t *testing.T, addr string, hello []byte) []byte {
-	t.Helper()
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	w := bufio.NewWriter(nc)
-	if err := protocol.WriteFrame(w, protocol.FrameHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := protocol.ReadFrame(bufio.NewReader(nc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != protocol.FrameHelloAck {
-		t.Fatalf("want HelloAck, got %#x", typ)
-	}
-	return payload
-}
-
-// TestCapabilityLessV2Interop pins the backward-compat contract: a v2
-// client that offers no capabilities gets the legacy 8-byte ack — the
-// server's bytes are identical to the pre-capability protocol — and a
-// full statement flow over such a connection works with no trailers.
-func TestCapabilityLessV2Interop(t *testing.T) {
-	addr, _ := startNodeServer(t, "capless")
-
-	// Byte-level: capability-less hello → legacy 8-byte ack; a hello
-	// offering capabilities → extended 12-byte ack echoing the overlap.
-	if ack := handshake(t, addr, protocol.EncodeHello(protocol.Version2, protocol.MaxFrame)); len(ack) != 8 {
-		t.Fatalf("capability-less hello got %d-byte ack, want legacy 8", len(ack))
-	}
-	ack := handshake(t, addr, protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, protocol.LocalCaps))
-	if len(ack) != 12 {
-		t.Fatalf("capability hello got %d-byte ack, want 12", len(ack))
-	}
-	if _, _, caps, err := protocol.DecodeHelloCaps(ack); err != nil || caps != protocol.LocalCaps {
-		t.Fatalf("ack caps = %#x (%v), want %#x", caps, err, protocol.LocalCaps)
-	}
-
-	// Statement flow with a capability-less client build.
-	prev := client.NegotiateCaps
-	client.NegotiateCaps = 0
-	defer func() { client.NegotiateCaps = prev }()
-	tr, err := client.DialMux(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	conn, err := tr.OpenConn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	ctx := context.Background()
-	if _, err := conn.Exec(ctx, "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8))"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Exec(ctx, "INSERT INTO t VALUES (1, 'a')"); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := conn.Query(ctx, "SELECT v FROM t WHERE id = ?", sqltypes.NewInt(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := resource.ReadAll(rs)
-	if len(rows) != 1 || rows[0][0].S != "a" {
-		t.Fatalf("capability-less query: %v", rows)
-	}
-	if _, err := conn.PullMetrics(ctx); err == nil {
-		t.Fatal("metrics pull should be refused on a capability-less connection")
-	}
-}
 
 // TestMetricsPullEndToEnd scrapes a node's snapshot through the data
 // source hook and checks the always-on counters moved.

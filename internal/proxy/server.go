@@ -124,12 +124,11 @@ type Server struct {
 	bytesIn    atomic.Int64
 	bytesOut   atomic.Int64
 
-	// Protocol v2 counters: multiplexed connections, stream lifecycle,
-	// prepared statements and row-batch framing.
+	// Protocol v2 counters: multiplexed connections, stream lifecycle
+	// and row-batch framing.
 	v2Conns       atomic.Int64
 	streamsOpened atomic.Int64
 	streamsActive atomic.Int64
-	preparedTotal atomic.Int64
 	rowBatches    atomic.Int64
 
 	// Streaming-pipeline counters: rows produced through pull cursors
@@ -161,7 +160,6 @@ func (s *Server) Metrics() map[string]int64 {
 		"v2_connections":     s.v2Conns.Load(),
 		"streams_opened":     s.streamsOpened.Load(),
 		"streams_active":     s.streamsActive.Load(),
-		"prepared_stmts":     s.preparedTotal.Load(),
 		"row_batches":        s.rowBatches.Load(),
 		"rows_streamed":      s.rowsStreamed.Load(),
 		"cursor_cancels":     s.cursorCancels.Load(),
@@ -344,7 +342,7 @@ func isTransientAccept(err error) bool {
 
 // maxFirstFrame bounds the one frame read before the handshake, so a
 // peer that has not said Hello cannot make the server allocate. A Hello
-// is at most 12 bytes; the slack lets a v1 client's opening statement be
+// is 8 bytes; the slack lets a v1 client's opening statement be
 // read whole, so it gets the typed upgrade error instead of a reset.
 const maxFirstFrame = 4 << 10
 
@@ -426,8 +424,8 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// handle reads the one frame that precedes the handshake: a v2 Hello
-// hands the socket to serveMux, anything else is refused.
+// handle reads the one frame that precedes the handshake: a Hello at this
+// build's version hands the socket to serveMux, anything else is refused.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -455,22 +453,18 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return // client went away, or sent an oversized frame
 	}
-	version, _, clientCaps, derr := protocol.DecodeHelloCaps(payload)
-	if typ != protocol.FrameHello || derr != nil || version < protocol.Version2 {
+	if typ != protocol.FrameHello {
 		s.finalError(conn, w, "proxy: protocol v1 is no longer served; upgrade the client")
 		return
 	}
-	// Capability intersection. A capability-less client gets the legacy
-	// 8-byte ack, byte-identical to what older servers send.
-	caps := clientCaps & protocol.LocalCaps
-	ack := protocol.EncodeHello(protocol.Version2, protocol.MaxFrame)
-	if caps != 0 {
-		ack = protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, caps)
-	}
-	if s.reply(w, protocol.FrameHelloAck, ack) != nil {
+	if _, err := protocol.DecodeHello(payload); err != nil {
+		s.finalError(conn, w, "proxy: "+err.Error())
 		return
 	}
-	s.serveMux(conn, r, w, caps)
+	if s.reply(w, protocol.FrameHelloAck, protocol.EncodeHello(protocol.MaxFrame)) != nil {
+		return
+	}
+	s.serveMux(conn, r, w)
 }
 
 func (s *Server) reply(w *bufio.Writer, typ byte, payload []byte) error {
@@ -550,7 +544,7 @@ type NodeBackend struct {
 
 // NewBackendSession implements Backend.
 func (b *NodeBackend) NewBackendSession() BackendSession {
-	return &nodeSession{proc: b.Processor, sess: b.Processor.NewSession()}
+	return &nodeSession{sess: b.Processor.NewSession()}
 }
 
 // MetricsSnapshot implements MetricsBackend over the processor's
@@ -560,7 +554,6 @@ func (b *NodeBackend) MetricsSnapshot() *telemetry.MetricsSnapshot {
 }
 
 type nodeSession struct {
-	proc *sqlexec.Processor
 	sess *sqlexec.Session
 }
 
@@ -575,26 +568,14 @@ func (ns *nodeSession) Execute(sql string, args []sqltypes.Value) ([]string, res
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	return ns.result(res)
-}
-
-// Prepare implements PreparedBackendSession: the data node parses once
-// per statement shape, so prepared execution skips its parser entirely.
-func (ns *nodeSession) Prepare(sql string) (any, error) {
-	st, err := ns.proc.Parse(sql)
-	if err != nil {
-		return nil, err
+	if !res.IsQuery() {
+		return nil, nil, res.Affected, res.LastInsertID, nil
 	}
-	return st, nil
-}
-
-// ExecutePrepared implements PreparedBackendSession.
-func (ns *nodeSession) ExecutePrepared(handle any, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
-	res, err := ns.sess.ExecuteStmt(handle.(*sqlexec.Stmt), args)
-	if err != nil {
-		return nil, nil, 0, 0, err
+	cols := res.Columns
+	if cols == nil {
+		cols = []string{}
 	}
-	return ns.result(res)
+	return cols, resource.NewSliceResultSet(cols, res.Rows), 0, 0, nil
 }
 
 // BeginTrace / EndTrace implement TracingBackendSession by delegating
@@ -605,17 +586,6 @@ func (ns *nodeSession) BeginTrace(base, started time.Time, detailed bool) {
 
 func (ns *nodeSession) EndTrace(total time.Duration) []telemetry.RemoteSpan {
 	return ns.sess.EndTrace(total)
-}
-
-func (ns *nodeSession) result(res *sqlexec.Result) ([]string, resource.ResultSet, int64, int64, error) {
-	if !res.IsQuery() {
-		return nil, nil, res.Affected, res.LastInsertID, nil
-	}
-	cols := res.Columns
-	if cols == nil {
-		cols = []string{}
-	}
-	return cols, resource.NewSliceResultSet(cols, res.Rows), 0, 0, nil
 }
 
 func (ns *nodeSession) Close() { ns.sess.Close() }

@@ -401,7 +401,7 @@ type ConnInterceptor func(Conn) Conn
 type AcquireObserver func(wait time.Duration, timedOut bool)
 
 // AuxMetricsFunc reports transport-level counters for a data source
-// (mux sockets, streams, prepared statements, pipelined batches);
+// (mux sockets, streams, pipelined batches, row batches);
 // installed by remote transports, surfaced by SHOW REMOTE STATUS.
 type AuxMetricsFunc func() map[string]int64
 

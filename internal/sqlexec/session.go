@@ -59,10 +59,9 @@ func NewProcessor(engine *storage.Engine) *Processor {
 // Engine exposes the underlying storage engine.
 func (p *Processor) Engine() *storage.Engine { return p.engine }
 
-// Parse returns the cache entry for sql, parsing on miss; the entry is
-// kept from the text's keepSights-th sight. It is also the handle a
-// prepared statement executes through (ExecuteStmt).
-func (p *Processor) Parse(sql string) (*Stmt, error) {
+// parse returns the cache entry for sql, parsing on miss; the entry is
+// kept from the text's keepSights-th sight.
+func (p *Processor) parse(sql string) (*Stmt, error) {
 	p.mu.RLock()
 	st, ok := p.cache[sql]
 	p.mu.RUnlock()
@@ -132,20 +131,14 @@ func (s *Session) Vars() map[string]sqltypes.Value { return s.vars }
 // Execute runs one SQL statement with optional bind arguments.
 func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
 	t0 := s.recStart()
-	st, err := s.proc.Parse(sql)
+	st, err := s.proc.parse(sql)
 	s.recSpan("parse", t0, err)
 	if err != nil {
 		s.proc.stats.Statements.Add(1)
 		s.proc.stats.Errors.Add(1)
 		return nil, err
 	}
-	return s.ExecuteStmt(st, args)
-}
-
-// ExecuteStmt runs a statement from its cache entry (Processor.Parse),
-// which prepared statements hold as their handle. The entry is shared
-// across sessions; its AST is read-only.
-func (s *Session) ExecuteStmt(st *Stmt, args []sqltypes.Value) (*Result, error) {
+	// The entry is shared across sessions; its AST is read-only.
 	res, err := s.executeStmt(st, args)
 	s.proc.stats.Statements.Add(1)
 	if err != nil {

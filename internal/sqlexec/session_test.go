@@ -478,7 +478,7 @@ func TestStatementCache(t *testing.T) {
 	p := NewProcessor(storage.NewEngine("ds0"))
 	parse := func(sql string) *Stmt {
 		t.Helper()
-		st, err := p.Parse(sql)
+		st, err := p.parse(sql)
 		if err != nil {
 			t.Fatal(err)
 		}

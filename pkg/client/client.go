@@ -4,11 +4,11 @@
 // kernel's resource connection contract, so a remote data source plugs in
 // exactly like an embedded one.
 //
-// Dial negotiates protocol v2 (multiplexed streams, prepared statements,
-// pipelining, row-batch framing); a server that does not speak it is a
-// dial error. NewRemoteDataSource goes further: all logical connections
-// of the pool share a handful of multiplexed sockets, so the real TCP
-// footprint stays far below the pool's MaxCon.
+// Dial negotiates protocol v2 (multiplexed streams, pipelining,
+// row-batch framing); a server that does not speak it is a dial error.
+// NewRemoteDataSource goes further: all logical connections of the pool
+// share a handful of multiplexed sockets, so the real TCP footprint stays
+// far below the pool's MaxCon.
 package client
 
 import (
@@ -80,8 +80,6 @@ func IsInDoubt(err error) (*transaction.InDoubtError, bool) {
 type Conn struct {
 	t             *Transport
 	st            *stream
-	stmts         map[string]uint32 // SQL text → prepared statement ID
-	nextStmt      uint32
 	seq           uint32 // 1-based count of statements sent on this stream
 	ownsTransport bool   // Close tears the transport down too
 	source        string // trace-source label (data source name or address)
@@ -141,8 +139,8 @@ func (c *Conn) Ping() error {
 // defunct and the server told to tear the stream down; sibling streams on
 // the same socket are unaffected.
 //
-// On flow-controlled transports every row batch taken off the queue is
-// acked back to the server — the credit that lets it send the next one.
+// Every row batch taken off the queue is acked back to the server — the
+// credit that lets it send the next one.
 func (c *Conn) pop(ctx context.Context) (muxFrame, error) {
 	f, err := c.st.pop(ctx)
 	if err != nil {
@@ -153,26 +151,18 @@ func (c *Conn) pop(ctx context.Context) (muxFrame, error) {
 		}
 		return muxFrame{}, err
 	}
-	if f.typ == protocol.FrameRowBatch && c.t.caps&protocol.CapStreamFlow != 0 {
+	if f.typ == protocol.FrameRowBatch {
 		c.t.send(c.st.id, outFrame{protocol.FrameBatchAck, nil})
 	}
 	return f, nil
 }
 
-// appendStmt appends one statement's frames, registering its shape as a
-// prepared statement on first use. Preparation is fire-and-forget (no
-// round trip): the prepare and execute frames travel in the same write.
-func (c *Conn) appendStmt(frames []outFrame, sql string, args []sqltypes.Value, tc protocol.TraceContext) []outFrame {
+// stmtFrame builds one statement's frame: text, bind args and the
+// trace-context trailer, which is unconditional (fixed size, so the server
+// strips it without parsing).
+func (c *Conn) stmtFrame(sql string, args []sqltypes.Value, tc protocol.TraceContext) outFrame {
 	c.seq++
-	id, ok := c.stmts[sql]
-	if !ok {
-		c.nextStmt++
-		id = c.nextStmt
-		c.stmts[sql] = id
-		c.t.preparedStmts.Add(1)
-		frames = append(frames, outFrame{protocol.FramePrepare, protocol.EncodePrepare(id, sql)})
-	}
-	return append(frames, outFrame{protocol.FrameExecStmt, c.appendTrace(protocol.EncodeExecStmt(id, args), tc)})
+	return outFrame{protocol.FrameQuery, protocol.AppendTraceContext(protocol.EncodeQuery(sql, args), tc)}
 }
 
 // roundTrip sends one statement and reads the first frame of its
@@ -182,8 +172,8 @@ func (c *Conn) roundTrip(ctx context.Context, sql string, args []sqltypes.Value)
 	if c.closed {
 		return nil, resource.ExecResult{}, spanExpect{}, resource.ErrConnClosed
 	}
-	tc, exp := c.beginTrace(ctx)
-	if err := c.t.send(c.st.id, c.appendStmt(nil, sql, args, tc)...); err != nil {
+	tc, exp := beginTrace(ctx)
+	if err := c.t.send(c.st.id, c.stmtFrame(sql, args, tc)); err != nil {
 		return nil, resource.ExecResult{}, exp, c.fail(err)
 	}
 	cols, res, err := c.firstFrame(ctx, exp)
@@ -243,11 +233,11 @@ func (c *Conn) discardRows(ctx context.Context, cols []string, exp spanExpect) e
 // remoteRows is the lazy batched cursor over one v2 query result. Row
 // batches are decoded one frame at a time as the reader advances, so a
 // large result never has to be resident all at once (Memory-Strictly
-// friendly). The cursor owns the stream until Close. On flow-controlled
-// transports, closing an unfinished cursor sends FrameCursorCancel so
-// the server stops producing; the bounded skim to EOF then costs at
-// most the in-flight window, not the rest of the result — the logical
-// connection stays healthy for the next statement.
+// friendly). The cursor owns the stream until Close. Closing an
+// unfinished cursor sends FrameCursorCancel so the server stops
+// producing; the bounded skim to EOF then costs at most the in-flight
+// window, not the rest of the result — the logical connection stays
+// healthy for the next statement.
 type remoteRows struct {
 	c      *Conn
 	ctx    context.Context
@@ -332,12 +322,12 @@ func (rs *remoteRows) Close() error {
 		return nil
 	}
 	rs.closed = true
-	// An unfinished cursor on a flow-controlled transport cancels the
-	// server-side producer first: the server stops at the next batch
-	// boundary and sends EOF, so the skim below reads at most the
-	// in-flight window instead of the whole remaining result. The seq
-	// match server-side makes a cancel racing the natural EOF harmless.
-	if !rs.done && rs.c.t.caps&protocol.CapStreamFlow != 0 && rs.c.t.Healthy() {
+	// An unfinished cursor cancels the server-side producer first: the
+	// server stops at the next batch boundary and sends EOF, so the skim
+	// below reads at most the in-flight window instead of the whole
+	// remaining result. The seq match server-side makes a cancel racing
+	// the natural EOF harmless.
+	if !rs.done && rs.c.t.Healthy() {
 		rs.c.t.cursorCancels.Add(1)
 		rs.c.t.send(rs.c.st.id, outFrame{protocol.FrameCursorCancel, protocol.EncodeCursorCancel(rs.seq)})
 	}
@@ -392,10 +382,10 @@ func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]res
 	var firstErr error
 	for base := 0; base < len(stmts); base += MaxPipeline {
 		end := min(base+MaxPipeline, len(stmts))
-		tc, exp := c.beginTrace(ctx)
-		frames := make([]outFrame, 0, 2*(end-base))
+		tc, exp := beginTrace(ctx)
+		frames := make([]outFrame, 0, end-base)
 		for _, st := range stmts[base:end] {
-			frames = c.appendStmt(frames, st.SQL, st.Args, tc)
+			frames = append(frames, c.stmtFrame(st.SQL, st.Args, tc))
 		}
 		if err := c.t.send(c.st.id, frames...); err != nil {
 			return results, &resource.BatchError{Index: base, Err: c.fail(err)}
@@ -480,12 +470,6 @@ func (c *Conn) Close() error {
 // of magnitude below typical pool sizes.
 const DefaultMuxSockets = 4
 
-// NegotiateCaps is the capability mask offered in the v2 Hello. Zeroing
-// it yields a capability-less v2 client whose frames are byte-identical
-// to the pre-capability protocol — interop tests and the trace-overhead
-// benchmark use it. Set before dialing; not synchronized.
-var NegotiateCaps uint32 = protocol.LocalCaps
-
 // muxPool shares a fixed set of transports among all pooled logical
 // conns, redialing slots whose transport died.
 type muxPool struct {
@@ -557,9 +541,7 @@ func (p *muxPool) metrics() map[string]int64 {
 		"sockets_open":      0,
 		"streams_active":    0,
 		"streams_opened":    0,
-		"prepared_stmts":    0,
 		"pipelined_batches": 0,
-		"row_batches":       0,
 		"rows_streamed":     0,
 		"batches_streamed":  0,
 		"bytes_streamed":    0,
@@ -581,9 +563,7 @@ func (p *muxPool) metrics() map[string]int64 {
 		}
 		m["streams_active"] += int64(t.ActiveStreams())
 		m["streams_opened"] += t.streamsOpened.Load()
-		m["prepared_stmts"] += t.preparedStmts.Load()
 		m["pipelined_batches"] += t.pipelined.Load()
-		m["row_batches"] += t.rowBatches.Load()
 		m["rows_streamed"] += t.rowsStreamed.Load()
 		m["batches_streamed"] += t.rowBatches.Load()
 		m["bytes_streamed"] += t.bytesStreamed.Load()

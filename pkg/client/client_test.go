@@ -103,29 +103,60 @@ func TestDialSurfacesTypedOverload(t *testing.T) {
 	p.waitGone(t, 1)
 }
 
-// A pre-v2 server answers the Hello with "unknown frame". Every way of
-// opening a connection fails with an error that names the protocol, and
-// none of them keeps the socket.
-func TestDialAgainstV1ServerFails(t *testing.T) {
-	p := startPeer(t, refuseHello("proxy: unknown frame"))
-	check := func(what string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s succeeded against a v1 server", what)
+// A pre-v2 server answers the Hello with "unknown frame", a server built
+// for another version with an error naming both. Every way of opening a
+// connection fails inside the dial timeout with the typed remote error,
+// which names the protocol and carries the server's words, and none of
+// them keeps the socket.
+func TestDialAgainstOtherVersionServerFails(t *testing.T) {
+	for _, msg := range []string{
+		"proxy: unknown frame",
+		"proxy: protocol: peer speaks version 3, this build speaks version 4",
+	} {
+		p := startPeer(t, refuseHello(msg))
+		check := func(what string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s succeeded against a server that refused the Hello", what)
+			}
+			if !strings.Contains(err.Error(), "protocol v2") || !strings.Contains(err.Error(), msg) || !errors.Is(err, ErrRemote) {
+				t.Fatalf("%s: error does not name the protocol and the refusal: %v", what, err)
+			}
 		}
-		if !strings.Contains(err.Error(), "protocol v2") || !errors.Is(err, ErrRemote) {
-			t.Fatalf("%s: error does not name the protocol: %v", what, err)
+		start := time.Now()
+		_, err := Dial(p.addr)
+		check("Dial", err)
+		_, err = DialMux(p.addr)
+		check("DialMux", err)
+		ds := NewRemoteDataSource("old", p.addr, &resource.Options{PoolSize: 2})
+		_, err = ds.Acquire()
+		check("Acquire", err)
+		ds.Close()
+		if d := time.Since(start); d >= dialTimeout {
+			t.Fatalf("three refused dials took %v", d)
 		}
+		p.waitGone(t, 3)
 	}
-	_, err := Dial(p.addr)
-	check("Dial", err)
-	_, err = DialMux(p.addr)
-	check("DialMux", err)
-	ds := NewRemoteDataSource("old", p.addr, &resource.Options{PoolSize: 2})
-	defer ds.Close()
-	_, err = ds.Acquire()
-	check("Acquire", err)
-	p.waitGone(t, 3)
+}
+
+// A version-2 server does not refuse a version-3 Hello: it acks with its
+// own version (and its capability word). The dial fails on that ack, by
+// number, and closes the socket. The ack's bytes are spelled out.
+func TestDialAgainstVersion2AckFails(t *testing.T) {
+	p := startPeer(t, func(nc net.Conn) {
+		r := bufio.NewReader(nc)
+		if typ, _, err := protocol.ReadFrame(r); err != nil || typ != protocol.FrameHello {
+			return
+		}
+		// HelloAck: | len=12 | type=0x16 | version=2 | maxFrame=16MiB | caps=0b111 |
+		nc.Write([]byte{0, 0, 0, 12, 0x16, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 7})
+		r.ReadByte() // returns when the client closes
+	})
+	conn, err := Dial(p.addr)
+	if conn != nil || err == nil || !strings.Contains(err.Error(), "peer speaks version 2") {
+		t.Fatalf("dial against a version-2 ack: %v, %v", conn, err)
+	}
+	p.waitGone(t, 1)
 }
 
 // A peer that accepts and never answers the Hello must fail the dial at
@@ -146,31 +177,27 @@ func TestHandshakeDeadline(t *testing.T) {
 	p.waitGone(t, 1)
 }
 
-// scriptedV2 is a minimal v2 server: it acks the Hello without
-// capabilities, answers a prepared SELECT with a header and one one-row
-// batch and then goes quiet (an open cursor), answers anything else
-// with OK(1), and reports every FrameStreamClose it receives.
+// scriptedV2 is a minimal v2 server: it acks the Hello, answers a SELECT
+// with a header and one one-row batch and then goes quiet (an open
+// cursor), answers any other statement with OK(1), and reports every
+// FrameStreamClose it receives.
 func scriptedV2(closed chan<- uint32) func(net.Conn) {
 	return func(nc net.Conn) {
 		r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
 		if typ, _, err := protocol.ReadFrame(r); err != nil || typ != protocol.FrameHello {
 			return
 		}
-		protocol.WriteFrame(w, protocol.FrameHelloAck, protocol.EncodeHello(protocol.Version2, protocol.MaxFrame))
+		protocol.WriteFrame(w, protocol.FrameHelloAck, protocol.EncodeHello(protocol.MaxFrame))
 		w.Flush()
-		selects := map[[2]uint32]bool{} // (stream, stmt id) registered as a SELECT
 		for {
 			typ, sid, payload, err := protocol.ReadFrameV2(r, protocol.MaxFrame)
 			if err != nil {
 				return
 			}
 			switch typ {
-			case protocol.FramePrepare:
-				id, sql, _ := protocol.DecodePrepare(payload)
-				selects[[2]uint32{sid, id}] = strings.HasPrefix(sql, "SELECT")
-			case protocol.FrameExecStmt:
-				id, _, _ := protocol.DecodeExecStmt(payload)
-				if selects[[2]uint32{sid, id}] {
+			case protocol.FrameQuery:
+				_, body, _ := protocol.SplitTraceContext(payload)
+				if sql, _, _ := protocol.DecodeQuery(body); strings.HasPrefix(sql, "SELECT") {
 					var enc protocol.BatchEncoder
 					enc.Append(sqltypes.Row{sqltypes.NewInt(7)})
 					protocol.WriteFrameV2(w, protocol.FrameHeader, sid, protocol.EncodeHeader([]string{"v"}))

@@ -38,9 +38,8 @@ type muxFrame struct {
 	typ     byte
 	payload []byte
 	// at is the receive time, stamped by the demux goroutine on terminal
-	// frames of trace-capable transports — closer to the wire than the
-	// consumer's clock, so queue time on the client side counts toward
-	// the wire gap too.
+	// frames — closer to the wire than the consumer's clock, so queue
+	// time on the client side counts toward the wire gap too.
 	at time.Time
 }
 
@@ -63,7 +62,6 @@ type Transport struct {
 	nc   net.Conn
 	r    *bufio.Reader
 	addr string // dialed address; default trace-source label
-	caps uint32 // negotiated capability bits
 
 	w        *bufio.Writer
 	writeCh  chan outMsg
@@ -79,7 +77,6 @@ type Transport struct {
 
 	// Counters surfaced through SHOW REMOTE STATUS.
 	streamsOpened atomic.Int64
-	preparedStmts atomic.Int64
 	pipelined     atomic.Int64
 	rowBatches    atomic.Int64
 	rowsStreamed  atomic.Int64
@@ -91,11 +88,10 @@ type Transport struct {
 // stream is the client half of one logical connection: an inbound frame
 // queue fed by the demux goroutine. Control frames are bounded by the
 // pipeline window (at most MaxPipeline responses outstanding); row
-// batches are bounded by the server's flow-control window on
-// CapStreamFlow transports — the server keeps at most StreamWindow
-// unacked batches in flight, and the consumer acks each batch as it
-// pops, so a stalled merge holds ~StreamWindow×DefaultBatchBytes per
-// source instead of the whole result.
+// batches are bounded by the server's flow-control window — the server
+// keeps at most StreamWindow unacked batches in flight, and the consumer
+// acks each batch as it pops, so a stalled merge holds
+// ~StreamWindow×DefaultBatchBytes per source instead of the whole result.
 type stream struct {
 	id      uint32
 	mu      sync.Mutex
@@ -171,8 +167,8 @@ const dialTimeout = 5 * time.Second
 
 // negotiate dials addr and opens a protocol v2 transport on the socket.
 // Every failure closes the socket; a server that answers the Hello with
-// an error (an accept-time overload rejection, or a pre-v2 server that
-// does not know the frame) surfaces as that typed remote error.
+// an error (an accept-time overload rejection, or a server built for
+// another protocol version) surfaces as that typed remote error.
 func negotiate(addr string, timeout time.Duration) (*Transport, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -195,8 +191,7 @@ func handshake(nc net.Conn, addr string, timeout time.Duration) (*Transport, err
 	nc.SetDeadline(time.Now().Add(timeout))
 	r := bufio.NewReaderSize(nc, 64<<10)
 	w := bufio.NewWriterSize(nc, 64<<10)
-	hello := protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, NegotiateCaps)
-	if err := protocol.WriteFrame(w, protocol.FrameHello, hello); err != nil {
+	if err := protocol.WriteFrame(w, protocol.FrameHello, protocol.EncodeHello(protocol.MaxFrame)); err != nil {
 		return nil, err
 	}
 	if err := w.Flush(); err != nil {
@@ -208,9 +203,9 @@ func handshake(nc net.Conn, addr string, timeout time.Duration) (*Transport, err
 	}
 	switch typ {
 	case protocol.FrameHelloAck:
-		version, maxFrame, caps, err := protocol.DecodeHelloCaps(payload)
-		if err != nil || version != protocol.Version2 {
-			return nil, fmt.Errorf("bad hello ack (version %d): %v", version, err)
+		maxFrame, err := protocol.DecodeHello(payload)
+		if err != nil {
+			return nil, fmt.Errorf("bad hello ack: %w", err)
 		}
 		if maxFrame == 0 || maxFrame > protocol.MaxFrame {
 			maxFrame = protocol.MaxFrame
@@ -220,7 +215,6 @@ func handshake(nc net.Conn, addr string, timeout time.Duration) (*Transport, err
 			nc:       nc,
 			r:        r,
 			addr:     addr,
-			caps:     caps & protocol.LocalCaps,
 			w:        w,
 			writeCh:  make(chan outMsg, 256),
 			quit:     make(chan struct{}),
@@ -265,8 +259,7 @@ func (t *Transport) demux() {
 			t.bytesStreamed.Add(int64(len(payload)))
 		}
 		var at time.Time
-		if t.caps&protocol.CapTraceContext != 0 &&
-			(typ == protocol.FrameOK || typ == protocol.FrameEOF || typ == protocol.FrameError) {
+		if typ == protocol.FrameOK || typ == protocol.FrameEOF || typ == protocol.FrameError {
 			at = time.Now()
 		}
 		t.mu.Lock()
@@ -400,7 +393,7 @@ func (t *Transport) OpenConn() (*Conn, error) {
 	t.streams[st.id] = st
 	t.mu.Unlock()
 	t.streamsOpened.Add(1)
-	return &Conn{t: t, st: st, stmts: map[string]uint32{}, source: t.addr}, nil
+	return &Conn{t: t, st: st, source: t.addr}, nil
 }
 
 func (t *Transport) closeStream(st *stream) {

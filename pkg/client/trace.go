@@ -1,5 +1,5 @@
 // Client-side observability: trace-context injection, remote span
-// grafting, and metrics scraping over the wire-v2 capability extensions.
+// grafting, and metrics scraping over wire v2.
 package client
 
 import (
@@ -20,13 +20,10 @@ type spanExpect struct {
 	start time.Time
 }
 
-// beginTrace resolves the statement's trace context from ctx. On
-// connections without the capability (or with no sampled trace in ctx)
-// both returns are zero and the statement travels untraced.
-func (c *Conn) beginTrace(ctx context.Context) (protocol.TraceContext, spanExpect) {
-	if c.t.caps&protocol.CapTraceContext == 0 {
-		return protocol.TraceContext{}, spanExpect{}
-	}
+// beginTrace resolves the statement's trace context from ctx. With no
+// sampled trace in ctx both returns are zero and the statement travels
+// untraced.
+func beginTrace(ctx context.Context) (protocol.TraceContext, spanExpect) {
 	tr := telemetry.TraceFromContext(ctx)
 	tc := protocol.TraceContext{ID: tr.ID(), Sampled: tr.Sampled(), Detailed: tr.Detailed()}
 	if !tc.Active() {
@@ -59,26 +56,11 @@ func (e spanExpect) observe(c *Conn, f muxFrame) {
 	e.tr.GraftRemote(c.source, e.start, elapsed, total, spans)
 }
 
-// appendTrace appends the trace-context trailer to a statement payload.
-// On capability connections the trailer is unconditional (fixed size,
-// so the server strips it without parsing); elsewhere the payload is
-// returned untouched.
-func (c *Conn) appendTrace(payload []byte, tc protocol.TraceContext) []byte {
-	if c.t.caps&protocol.CapTraceContext == 0 {
-		return payload
-	}
-	return protocol.AppendTraceContext(payload, tc)
-}
-
 // PullMetrics scrapes the server's metrics snapshot (histograms and
-// counters) over FrameMetricsPull. Only connections that negotiated
-// CapMetricsPull support it.
+// counters) over FrameMetricsPull.
 func (c *Conn) PullMetrics(ctx context.Context) (*telemetry.MetricsSnapshot, error) {
 	if c.closed {
 		return nil, resource.ErrConnClosed
-	}
-	if c.t.caps&protocol.CapMetricsPull == 0 {
-		return nil, fmt.Errorf("client: metrics pull not supported on this connection")
 	}
 	if err := c.t.send(c.st.id, outFrame{protocol.FrameMetricsPull, nil}); err != nil {
 		return nil, c.fail(err)
