@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fuzz check bench lines
+.PHONY: build test race vet fmt fuzz check bench pairs lines
 
 # Pre-PR gate: static checks, the full suite under the race detector and
 # the fuzz pass. Run this before every PR.
@@ -39,6 +39,30 @@ fuzz:
 # claimed.
 bench:
 	bash benchmark/run.sh
+
+# A perf claim's evidence (ROADMAP: >= 10 alternating parent/change pairs):
+#   make pairs PARENT=<ref> WORKLOAD=<name> [N=10] [SEED=1]
+# checks PARENT out as a git worktree under .bench_build/, runs the two
+# trees' own benchmarks in turn (which side goes first alternates too) and
+# prints `benchmark diff` of the two sets of result files.
+PARENT ?= HEAD~1
+N ?= 10
+SEED ?= 1
+pairs:
+	@test -n "$(WORKLOAD)" || { echo "usage: make pairs PARENT=<ref> WORKLOAD=<name> [N=10] [SEED=1]"; exit 2; }
+	@set -e; out=$$PWD/.bench_build/pairs; mkdir -p $$out; \
+	git worktree remove --force $$out/parent 2>/dev/null || true; \
+	git worktree add --detach $$out/parent $(PARENT) >/dev/null; \
+	p=; c=; for i in $$(seq 1 $(N)); do \
+		order="parent change"; [ $$((i % 2)) = 1 ] || order="change parent"; \
+		for side in $$order; do \
+			dir=.; [ $$side = change ] || dir=$$out/parent; \
+			bash $$dir/benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --trace 0 --out $$out/$$side$$i.json | tail -n 1; \
+		done; \
+		p=$$p,$$out/parent$$i.json; c=$$c,$$out/change$$i.json; \
+	done; \
+	git worktree remove --force $$out/parent; \
+	bash benchmark/run.sh diff $${p#,} $${c#,}
 
 # ROADMAP aim 2's size measure: non-test Go lines outside benchmark/.
 lines:

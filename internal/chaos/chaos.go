@@ -514,6 +514,14 @@ func (c *faultConn) ExecBatch(ctx context.Context, stmts []resource.Statement) (
 	return resource.ExecBatch(ctx, c.inner, stmts)
 }
 
+// QueryBatch implements resource.BatchConn the same way.
+func (c *faultConn) QueryBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ResultSet, error) {
+	if err := c.apply(ctx); err != nil {
+		return nil, &resource.BatchError{Index: 0, Err: err}
+	}
+	return resource.QueryBatch(ctx, c.inner, stmts)
+}
+
 // Close implements resource.Conn.
 func (c *faultConn) Close() error { return c.inner.Close() }
 

@@ -298,8 +298,10 @@ func TestTraceReportsSpans(t *testing.T) {
 		exec(t, s, fmt.Sprintf("INSERT INTO t_user (uid, name) VALUES (%d, 'u%d')", i, i))
 	}
 
-	// Full-table SELECT routes to all 4 shards: one execute span per
-	// routed unit (data_source set) plus the pipeline's own execute mark.
+	// Full-table SELECT routes to all 4 shards, two per source, which one
+	// connection per source runs as one window (θ = 2): one execute span
+	// per source window (data_source set), as a pipelined write has, plus
+	// the pipeline's own execute mark.
 	got := rows(t, exec(t, s, "TRACE SELECT * FROM t_user"))
 	stageCount := map[string]int{}
 	perSource := 0
@@ -315,8 +317,8 @@ func TestTraceReportsSpans(t *testing.T) {
 			t.Fatalf("stage %s: want 1 span, got %d (%v)", st, stageCount[st], got)
 		}
 	}
-	if perSource != 4 {
-		t.Fatalf("want 4 per-source execute spans, got %d (%v)", perSource, got)
+	if perSource != 2 {
+		t.Fatalf("want 2 per-source execute spans, got %d (%v)", perSource, got)
 	}
 
 	// A point select routes to exactly one shard.

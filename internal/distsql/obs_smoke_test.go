@@ -126,3 +126,78 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("cluster.node.statements missing from governor metrics: %v", m)
 	}
 }
+
+// sourceExecutes reads SHOW SQL METRICS' per-source execute counts.
+func sourceExecutes(t *testing.T, s *core.Session) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, r := range rows(t, exec(t, s, "SHOW SQL METRICS")) {
+		if r[0].S == "source" {
+			out[r[1].S] = r[2].I
+		}
+	}
+	return out
+}
+
+// TestTracedRangeInTransactionAddsUp: inside a transaction a range over 8
+// shards on two remote nodes is one pipelined window per node, and every
+// surface says so consistently — TRACE shows one execute span per source
+// (attempt 1) over four grafted remote statements each, SHOW SQL METRICS
+// counts one execution per source, and SHOW SHARD HEAT still charges every
+// shard its own call and its own rows.
+func TestTracedRangeInTransactionAddsUp(t *testing.T) {
+	k, s, _ := remoteFixture(t)
+	// mod, not hash_mod: uids 0..15 put exactly two rows in each shard.
+	exec(t, s, `CREATE SHARDING TABLE RULE t_user (RESOURCES(ds0, ds1),
+		SHARDING_COLUMN = uid, TYPE = mod, PROPERTIES("sharding-count" = 8))`)
+	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
+	for i := 0; i < 16; i++ {
+		exec(t, s, fmt.Sprintf("INSERT INTO t_user (uid, name) VALUES (%d, 'u%d')", i, i))
+	}
+	exec(t, s, "SET VARIABLE stage_sampling = 1")
+	exec(t, s, "BEGIN")
+	exec(t, s, "RESET DIGESTS")
+	before := sourceExecutes(t, s)
+	windows := map[string]int64{}
+	for _, name := range k.Executor().Sources() {
+		ds, _ := k.Executor().Source(name)
+		windows[name] = ds.AuxMetrics()["pipelined_batches"]
+	}
+
+	got := rows(t, exec(t, s, "TRACE SELECT * FROM t_user"))
+	execSpans, wireSpans := map[string]int{}, map[string]int{}
+	for _, r := range got {
+		switch stage, ds := r[0].S, r[1].S; {
+		case stage == "execute" && ds != "":
+			execSpans[ds]++
+			if r[5].I != 1 {
+				t.Fatalf("execute span on %s has attempt %d: %v", ds, r[5].I, r)
+			}
+		case stage == "wire":
+			wireSpans[ds]++
+		}
+	}
+	after := sourceExecutes(t, s)
+	for _, name := range []string{"ds0", "ds1"} {
+		if execSpans[name] != 1 || wireSpans[name] != 4 {
+			t.Fatalf("%s: %d execute spans over %d remote statements, want 1 over 4 (%v)", name, execSpans[name], wireSpans[name], got)
+		}
+		if n := after[name] - before[name]; n != 1 {
+			t.Fatalf("%s: SHOW SQL METRICS counts %d executions for one window", name, n)
+		}
+		ds, _ := k.Executor().Source(name)
+		if n := ds.AuxMetrics()["pipelined_batches"] - windows[name]; n != 1 {
+			t.Fatalf("%s: %d pipelined windows for one range statement", name, n)
+		}
+	}
+	heat := rows(t, exec(t, s, "SHOW SHARD HEAT"))
+	if len(heat) != 8 {
+		t.Fatalf("%d heat cells for 8 shards: %v", len(heat), heat)
+	}
+	for _, r := range heat {
+		if r[4].I != 1 || r[6].I != 2 || r[9].I != 0 {
+			t.Fatalf("shard %s.%s: %d queries, %d rows read, %d errors; want 1, 2, 0", r[1].S, r[2].S, r[4].I, r[6].I, r[9].I)
+		}
+	}
+	exec(t, s, "COMMIT")
+}

@@ -1,9 +1,9 @@
 // Package exec implements the automatic execution engine (paper Section
 // VI-D). For each query it groups the rewritten SQL units by physical data
 // source, computes θ = ⌈NumSQL/MaxCon⌉ per source, and picks the
-// connection mode: θ > 1 forces CONNECTION_STRICTLY (each connection runs
-// several statements serially, results drain into memory so the
-// connection frees early — memory merger); θ ≤ 1 allows MEMORY_STRICTLY
+// connection mode: θ > 1 forces CONNECTION_STRICTLY (each connection takes
+// its share of the statements as one window and returns the results in
+// memory, so it frees early — memory merger); θ ≤ 1 allows MEMORY_STRICTLY
 // (one connection per statement, cursors stay open — stream merger).
 // Connections for one query are acquired atomically per data source to
 // avoid the two-query deadlock the paper describes, with the two
@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,7 +22,6 @@ import (
 	"shardingsphere/internal/digest"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
-	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
 )
 
@@ -217,23 +215,6 @@ func (e *Executor) heatCell(u rewrite.SQLUnit) *digest.Cell {
 		slot.Store(c)
 	}
 	return c
-}
-
-// noteDrainedRows charges a drained (fully materialized) result's rows
-// to a heat cell. Drained sets are slice-backed, so counting is a walk
-// over rows already in memory — the streaming path counts through
-// digest.WrapRows instead.
-func noteDrainedRows(c *digest.Cell, rs resource.ResultSet) {
-	if c == nil {
-		return
-	}
-	if s, ok := rs.(*resource.SliceResultSet); ok {
-		var b int64
-		for _, r := range s.Data {
-			b += digest.RowBytes(r)
-		}
-		c.AddRead(len(s.Data), b)
-	}
 }
 
 // Metrics is a governor MetricsSource exposing the inline-vs-goroutine
@@ -462,10 +443,10 @@ func (e *Executor) plan(units []rewrite.SQLUnit, held *HeldConns) []group {
 
 // QueryCtx executes query units and returns one result set per unit. When
 // held is non-nil the statements ride the transaction's pinned
-// connections (and drain to memory, since the connection must be reusable
-// immediately). The context carries the statement deadline and fail-fast
-// cancellation; retry opts idempotent reads outside transactions into
-// transparent transient-failure retries with jittered backoff.
+// connections (a window per source, materialized: the connection must be
+// reusable immediately). The context carries the statement deadline and
+// fail-fast cancellation; retry opts idempotent reads outside transactions
+// into transparent transient-failure retries with jittered backoff.
 // Multi-group fan-outs cancel sibling groups on the first error instead
 // of letting them run to completion.
 func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace, retry bool) (*QueryResult, error) {
@@ -529,7 +510,7 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 
 // deferCancelToSets ties a fan-out cancel to the lifetime of the live
 // cursors it guards: each is wrapped so the cancel fires when the last one
-// closes. Materialized sets (drained for a held or shared connection) read
+// closes. Materialized sets (a held or shared connection's window) read
 // nothing through the context and stay unwrapped, so the merger sees them
 // for what they are; with no live cursor the cancel runs immediately.
 func deferCancelToSets(sets []resource.ResultSet, cancel context.CancelFunc) {
@@ -607,26 +588,7 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 		if err != nil {
 			return err
 		}
-		for _, idx := range g.units {
-			u := units[idx]
-			cell := e.heatCell(u)
-			start := time.Now()
-			rs, err := conn.Query(ctx, u.SQL, u.Args...)
-			dur := e.observe(tr, g.ds, u.SQL, start, attempt, err)
-			cell.ObserveQuery(start, dur, err)
-			if err != nil {
-				return wrapUnitErr(u, dur, err)
-			}
-			drained, err := drain(rs)
-			if err != nil {
-				return wrapUnitErr(u, dur, err)
-			}
-			noteDrainedRows(cell, drained)
-			mu.Lock()
-			res.Sets[idx] = drained
-			mu.Unlock()
-		}
-		return nil
+		return e.runWindow(ctx, units, g.ds, conn, g.units, res, mu, tr, attempt)
 	}
 
 	src, err := e.Source(g.ds)
@@ -693,107 +655,87 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 
 // runConnShare executes one connection's share of a group's units.
 func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g group, conn *resource.PooledConn, share []int, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
-	streaming := false
-	var firstErr error
-	for _, idx := range share {
-		u := units[idx]
-		cell := e.heatCell(u)
-		start := time.Now()
-		rs, err := conn.Query(ctx, u.SQL, u.Args...)
-		dur := e.observe(tr, g.ds, u.SQL, start, attempt, err)
-		cell.ObserveQuery(start, dur, err)
-		if err != nil {
-			firstErr = wrapUnitErr(u, dur, err)
-			break
-		}
-		if g.mode == ConnectionStrictly {
-			drained, err := drain(rs)
-			if err != nil {
-				firstErr = wrapUnitErr(u, dur, err)
-				break
-			}
-			noteDrainedRows(cell, drained)
-			mu.Lock()
-			res.Sets[idx] = drained
-			mu.Unlock()
-		} else {
-			// Memory-strict: hand the open cursor to the merger under a
-			// conn lease — the connection stays checked out until the
-			// merged set closes the cursor (paper: stream merger keeps
-			// one connection per data node). Rows are counted into the
-			// heat cell as batches stream through the lease.
-			streaming = true
-			lease := resource.NewConnLease(rs, conn)
-			if cell != nil {
-				lease.AddSink(cell)
-			}
-			mu.Lock()
-			res.Sets[idx] = lease
-			mu.Unlock()
-		}
+	if g.mode == ConnectionStrictly {
+		defer conn.Release()
+		return e.runWindow(ctx, units, g.ds, conn, share, res, mu, tr, attempt)
 	}
-	if !streaming {
+	// Memory-strict (θ ≤ 1: the share is one unit): the open cursor goes
+	// to the merger under a conn lease, which keeps the connection checked
+	// out until the merged set closes it (paper: stream merger keeps one
+	// connection per data node) and counts rows into the heat cell.
+	idx := share[0]
+	u := units[idx]
+	cell := e.heatCell(u)
+	start := time.Now()
+	rs, err := conn.Query(ctx, u.SQL, u.Args...)
+	dur := e.observe(tr, g.ds, u.SQL, start, attempt, err)
+	cell.ObserveQuery(start, dur, err)
+	if err != nil {
 		conn.Release()
+		return wrapUnitErr(u, dur, err)
 	}
-	return firstErr
+	lease := resource.NewConnLease(rs, conn)
+	if cell != nil {
+		lease.AddSink(cell)
+	}
+	mu.Lock()
+	res.Sets[idx] = lease
+	mu.Unlock()
+	return nil
 }
 
-// drainBufRows is the full drain buffer size, used once a result proves
-// bigger than the stack probe.
-const drainBufRows = 128
-
-// drainBufPool recycles full-size drain buffers across the paths where
-// drain must remain (connection-reuse: multi-statement transactions and
-// connection-strict groups). Buffers are cleared before pooling so rows
-// are not pinned past their result's lifetime.
-var drainBufPool = sync.Pool{
-	New: func() any {
-		b := make([]sqltypes.Row, drainBufRows)
-		return &b
-	},
+// runWindow hands a connection that must be reusable at once (a held one,
+// or one running several units under CONNECTION_STRICTLY) its whole share
+// in one batch call: a remote connection pipelines it, one round trip for
+// all units, and every result comes back materialized. The window is one
+// timed execution; unit heat cells count calls and rows, not latency.
+func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds string, conn *resource.PooledConn, share []int, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
+	// The statement slice is recycled: the call does not keep it, and a
+	// transaction's point selects would each pay for a slice of one.
+	sp := windowPool.Get().(*[]resource.Statement)
+	stmts := (*sp)[:0]
+	for _, idx := range share {
+		stmts = append(stmts, resource.Statement{SQL: units[idx].SQL, Args: units[idx].Args})
+	}
+	start := time.Now()
+	sets, err := conn.QueryBatch(ctx, stmts)
+	clear(stmts)
+	*sp = stmts
+	windowPool.Put(sp)
+	if err != nil {
+		failed := batchFailure(units, share, err)
+		dur := e.observe(tr, ds, failed.SQL, start, attempt, err)
+		e.heatCell(failed).ObserveQuery(start, dur, err)
+		return wrapUnitErr(failed, dur, err)
+	}
+	e.observe(tr, ds, units[share[0]].SQL, start, attempt, nil)
+	for i, idx := range share {
+		mu.Lock()
+		res.Sets[idx] = sets[i]
+		mu.Unlock()
+		cell := e.heatCell(units[idx])
+		cell.ObserveQuery(start, 0, nil)
+		// Rows in memory are charged by a walk; a live cursor's by its lease.
+		if s, ok := sets[i].(*resource.SliceResultSet); ok && cell != nil {
+			var b int64
+			for _, r := range s.Data {
+				b += digest.RowBytes(r)
+			}
+			cell.AddRead(len(s.Data), b)
+		}
+	}
+	return nil
 }
 
-// drain materializes a result set so its connection can be reused.
-// Already-buffered sets rewind for free. Everything else drains through
-// NextBatch — a window of rows per interface call (for remote cursors
-// one row-batch frame per call, not one row) — starting with a small
-// stack probe so a point select never allocates a full batch buffer,
-// and escalating to a pooled full-size buffer only when the result
-// outgrows the probe.
-func drain(rs resource.ResultSet) (resource.ResultSet, error) {
-	if s, ok := rs.(*resource.SliceResultSet); ok && s.OnClose == nil {
-		return s, nil
+var windowPool = sync.Pool{New: func() any { return new([]resource.Statement) }}
+
+// batchFailure names the unit a batch error's index points at, else the first.
+func batchFailure(units []rewrite.SQLUnit, share []int, err error) rewrite.SQLUnit {
+	var be *resource.BatchError
+	if errors.As(err, &be) && be.Index < len(share) {
+		return units[share[be.Index]]
 	}
-	defer rs.Close()
-	var rows []sqltypes.Row
-	var probe [8]sqltypes.Row
-	for len(rows) < len(probe) {
-		n, err := rs.NextBatch(probe[:])
-		rows = append(rows, probe[:n]...)
-		if errors.Is(err, io.EOF) {
-			return resource.NewSliceResultSet(rs.Columns(), rows), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	bufp := drainBufPool.Get().(*[]sqltypes.Row)
-	buf := *bufp
-	defer func() {
-		clear(buf)
-		drainBufPool.Put(bufp)
-	}()
-	for {
-		n, err := rs.NextBatch(buf)
-		rows = append(rows, buf[:n]...)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return resource.NewSliceResultSet(rs.Columns(), rows), nil
+	return units[share[0]]
 }
 
 // ExecuteUpdateCtx runs DML/DDL units and returns the summed affected
@@ -878,11 +820,7 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 		start := time.Now()
 		results, err := resource.ExecBatch(ctx, conn, stmts)
 		if err != nil {
-			failed := units[g.units[0]]
-			var be *resource.BatchError
-			if errors.As(err, &be) && be.Index < len(g.units) {
-				failed = units[g.units[be.Index]]
-			}
+			failed := batchFailure(units, g.units, err)
 			dur := e.observe(tr, g.ds, failed.SQL, start, 1, err)
 			e.heatCell(failed).ObserveExec(start, dur, 0, err)
 			return wrapUnitErr(failed, dur, err)

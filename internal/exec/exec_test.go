@@ -2,11 +2,13 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/digest"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
@@ -369,5 +371,105 @@ func TestHeatCellSweepAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, sweep); n != 0 {
 		t.Fatalf("sweep after reset allocates %v times, want 0", n)
+	}
+}
+
+// windowUnits are three reads of table t on ds1, labelled as three shards
+// of a logic table so errors and heat cells have something to name.
+func windowUnits(middle string) []rewrite.SQLUnit {
+	sqls := []string{"SELECT * FROM t WHERE id < 13", middle, "SELECT * FROM t WHERE id >= 15"}
+	units := make([]rewrite.SQLUnit, len(sqls))
+	for i, sql := range sqls {
+		units[i] = rewrite.SQLUnit{DataSource: "ds1", SQL: sql, LogicTable: "t_logic", ActualTable: fmt.Sprintf("t_logic_%d", i)}
+	}
+	return units
+}
+
+// A connection's share runs as one window, on a transaction's held
+// connection and under CONNECTION_STRICTLY alike. When unit k fails the
+// error is a UnitError naming k's data source and actual table, and the
+// connection — which ran the units behind k too — is still good.
+func TestWindowFailureNamesItsUnit(t *testing.T) {
+	for _, inTx := range []bool{true, false} {
+		e := fixture(t, 1)
+		var held *HeldConns
+		if inTx {
+			held = NewHeldConns()
+			defer held.ReleaseAll()
+		}
+		units := windowUnits("SELECT * FROM missing_table")
+		if mode := modeOn(e, units, held, "ds1"); mode != ConnectionStrictly {
+			t.Fatalf("held=%v: mode %v", inTx, mode)
+		}
+		_, err := e.QueryCtx(context.Background(), units, held, nil, false)
+		var ue *UnitError
+		var be *resource.BatchError
+		if !errors.As(err, &ue) || !errors.As(err, &be) || be.Index != 1 ||
+			ue.DataSource != "ds1" || ue.ActualTable != "t_logic_1" || ue.SQL != units[1].SQL {
+			t.Fatalf("held=%v: want a UnitError for unit 1 on ds1/t_logic_1, got %v", inTx, err)
+		}
+		res, err := e.QueryCtx(context.Background(), windowUnits("SELECT * FROM t WHERE id = 14"), held, nil, false)
+		if err != nil {
+			t.Fatalf("held=%v: window after the failed one: %v", inTx, err)
+		}
+		n := 0
+		for _, rs := range res.Sets {
+			rows, _ := resource.ReadAll(rs)
+			n += len(rows)
+		}
+		if n != 3+1+5 {
+			t.Fatalf("held=%v: %d rows, want 9", inTx, n)
+		}
+	}
+}
+
+// The window is timed once, but every unit's heat cell still gets its
+// call and the rows its own result held.
+func TestWindowChargesHeatPerUnit(t *testing.T) {
+	e := fixture(t, 4)
+	h := digest.NewHeat()
+	e.SetHeat(h)
+	held := NewHeldConns()
+	defer held.ReleaseAll()
+	if _, err := e.QueryCtx(context.Background(), windowUnits("SELECT * FROM t WHERE id = 14"), held, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"t_logic_0": 3, "t_logic_1": 1, "t_logic_2": 5}
+	cells := h.Snapshot(time.Now())
+	if len(cells) != len(want) {
+		t.Fatalf("%d heat cells, want %d: %+v", len(cells), len(want), cells)
+	}
+	for _, c := range cells {
+		if c.Queries != 1 || c.RowsRead != want[c.ActualTable] || c.Bytes <= 0 || c.Errors != 0 {
+			t.Fatalf("cell %s: %d queries, %d rows (want 1, %d), %d bytes, %d errors",
+				c.ActualTable, c.Queries, c.RowsRead, want[c.ActualTable], c.Bytes, c.Errors)
+		}
+	}
+}
+
+// A source that breaks between two windows fails the second one on its
+// first unit, and the connection it ran on leaves the pool instead of
+// going back to it; with the fault gone the next window gets a new one.
+func TestBrokenWindowConnLeavesThePool(t *testing.T) {
+	e := fixture(t, 1)
+	ds, _ := e.Source("ds1")
+	in := chaos.NewInjector()
+	in.Apply(ds, chaos.Fault{BreakAfter: 1})
+	units := windowUnits("SELECT * FROM t WHERE id = 14")
+	if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err != nil {
+		t.Fatalf("window before the break: %v", err)
+	}
+	_, err := e.QueryCtx(context.Background(), units, nil, nil, false)
+	var ue *UnitError
+	var ie *chaos.InjectedError
+	if !errors.As(err, &ue) || !errors.As(err, &ie) || ue.ActualTable != "t_logic_0" {
+		t.Fatalf("want the injected break on the window's first unit, got %v", err)
+	}
+	if st := ds.Stats(); st.Idle != 0 || st.InUse != 0 {
+		t.Fatalf("the broken connection went back to the pool: %+v", st)
+	}
+	in.Remove("ds1")
+	if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err != nil {
+		t.Fatalf("window on a fresh connection: %v", err)
 	}
 }

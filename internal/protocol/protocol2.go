@@ -180,15 +180,19 @@ func DecodeHello(payload []byte) (maxFrame uint32, err error) {
 
 // BatchEncoder accumulates rows into a FrameRowBatch payload. Callers
 // append rows until Size crosses their flush threshold (typically
-// DefaultBatchBytes), emit Payload as one frame, then Reset.
+// DefaultBatchBytes), hand Payload to whoever sends the frame, then Reset.
 type BatchEncoder struct {
 	w    writer
 	rows int
+	hint int // capacity the next payload starts with
 }
 
 // Append adds one row to the batch.
 func (b *BatchEncoder) Append(row sqltypes.Row) {
 	if b.rows == 0 {
+		if b.w.buf == nil {
+			b.w.buf = make([]byte, 0, b.hint)
+		}
 		// Reserve the row-count prefix.
 		b.w.u32(0)
 	}
@@ -206,20 +210,26 @@ func (b *BatchEncoder) Rows() int { return b.rows }
 func (b *BatchEncoder) Size() int { return len(b.w.buf) }
 
 // Payload finalizes and returns the FrameRowBatch payload. The returned
-// slice is invalidated by the next Append or Reset.
+// slice is invalidated by the next Append; Reset leaves it to the caller.
 func (b *BatchEncoder) Payload() []byte {
 	binary.BigEndian.PutUint32(b.w.buf[:4], uint32(b.rows))
 	return b.w.buf
 }
 
-// Reset clears the encoder for reuse, keeping the allocated buffer.
+// Reset lets go of the payload (it may still be queued for a socket); the
+// next one starts, on its first Append, at the size this one reached, so
+// an encoder kept by its stream sizes a response by the previous one. The
+// carried size is capped: one oversized row is not the norm.
 func (b *BatchEncoder) Reset() {
-	b.w.buf = b.w.buf[:0]
+	b.hint = min(len(b.w.buf), 2*DefaultBatchBytes)
+	b.w.buf = nil
 	b.rows = 0
 }
 
 // DecodeRowBatch parses a FrameRowBatch payload, appending the decoded
-// rows to dst (which may be nil).
+// rows to dst (which may be nil). A batch's rows are carved from one value
+// array sized by the first row's width (rows of other widths merely grow
+// it), each at full capacity so an append never writes into a neighbour.
 func DecodeRowBatch(payload []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) {
 	r := &reader{buf: payload}
 	nrows, err := r.u32()
@@ -232,6 +242,7 @@ func DecodeRowBatch(payload []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) 
 	if int(nrows) > len(payload)/4 {
 		return dst, fmt.Errorf("protocol: %d rows in %d-byte batch", nrows, len(payload))
 	}
+	var vals []sqltypes.Value
 	for i := uint32(0); i < nrows; i++ {
 		ncols, err := r.u32()
 		if err != nil {
@@ -242,13 +253,18 @@ func DecodeRowBatch(payload []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) 
 		if ncols > 4096 || int(ncols) > len(payload)-r.pos {
 			return dst, fmt.Errorf("protocol: %d row values", ncols)
 		}
-		row := make(sqltypes.Row, ncols)
-		for j := range row {
-			if row[j], err = r.value(); err != nil {
+		if i == 0 {
+			vals = make([]sqltypes.Value, 0, min(uint64(nrows)*uint64(ncols), uint64(len(payload)-r.pos)))
+		}
+		at := len(vals)
+		for j := uint32(0); j < ncols; j++ {
+			v, err := r.value()
+			if err != nil {
 				return dst, err
 			}
+			vals = append(vals, v)
 		}
-		dst = append(dst, row)
+		dst = append(dst, vals[at:len(vals):len(vals)])
 	}
 	return dst, nil
 }

@@ -110,7 +110,8 @@ func TestRowBatchRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Reset reuses the buffer.
+	// Reset leaves the taken payload alone and starts the next one afresh.
+	first := enc.Payload()
 	enc.Reset()
 	if enc.Rows() != 0 || enc.Size() != 0 {
 		t.Fatalf("reset: rows=%d size=%d", enc.Rows(), enc.Size())
@@ -119,6 +120,40 @@ func TestRowBatchRoundTrip(t *testing.T) {
 	got, err = DecodeRowBatch(enc.Payload(), got[:0])
 	if err != nil || len(got) != 1 || got[0][0].I != 7 {
 		t.Fatalf("after reset: %v %v", got, err)
+	}
+	if cap(enc.Payload()) != len(first) {
+		t.Fatalf("next payload starts at %d bytes, the last one reached %d", cap(enc.Payload()), len(first))
+	}
+	if got, err = DecodeRowBatch(first, nil); err != nil || len(got) != len(want) {
+		t.Fatalf("taken payload after reset: %v %v", got, err)
+	}
+}
+
+// A batch's rows are carved from one value array: decoding costs one
+// allocation for the values however many rows there are, and appending to
+// a row leaves its neighbour alone — also when the rows differ in width,
+// where the first row's width undersizes the array.
+func TestRowBatchRowsShareOneArray(t *testing.T) {
+	var enc BatchEncoder
+	for i := 0; i < 50; i++ {
+		enc.Append(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(-i))})
+	}
+	payload, dst := enc.Payload(), make([]sqltypes.Row, 0, 50)
+	if n := testing.AllocsPerRun(100, func() { dst, _ = DecodeRowBatch(payload, dst[:0]) }); n != 1 {
+		t.Fatalf("decoding 50 rows allocates %v times, want the one value array", n)
+	}
+	_ = append(dst[0], sqltypes.NewInt(99))
+	if dst[1][0].I != 1 {
+		t.Fatalf("appending to row 0 overwrote row 1: %v", dst[1])
+	}
+
+	enc.Reset()
+	enc.Append(sqltypes.Row{sqltypes.NewInt(1)})
+	enc.Append(sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewInt(3), sqltypes.NewInt(4)})
+	enc.Append(sqltypes.Row{sqltypes.NewInt(5)})
+	got, err := DecodeRowBatch(enc.Payload(), nil)
+	if err != nil || len(got) != 3 || got[0][0].I != 1 || len(got[1]) != 3 || got[1][2].I != 4 || got[2][0].I != 5 {
+		t.Fatalf("ragged batch: %v %v", got, err)
 	}
 }
 
@@ -235,8 +270,13 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		// A row costs at least 4 payload bytes and a value at least 1, so
 		// whatever was decoded — error or not — is bounded by the input.
 		values := 0
-		for _, row := range rows {
+		for i, row := range rows {
 			values += len(row)
+			// Rows share an array: one with spare capacity would let an
+			// append write into the next row.
+			if cap(row) != len(row) {
+				t.Fatalf("row %d has %d values and room for %d", i, len(row), cap(row))
+			}
 		}
 		if len(rows) > len(data)/4 || values > len(data) {
 			t.Fatalf("%d rows / %d values decoded from %d bytes", len(rows), values, len(data))

@@ -79,6 +79,13 @@ type muxStream struct {
 	flow      chan struct{} // capacity 1; nudges a credit-blocked worker
 	done      chan struct{} // closed at teardown; unsticks credit waits
 	doneOnce  sync.Once
+
+	// Response buffers, the worker's (one statement at a time). fill is
+	// what a cursor pull lands in, cleared at each statement's end so no
+	// row outlives its EOF; enc keeps between statements only the size its
+	// last payload reached. Per statement they cost more than the rows.
+	fill []sqltypes.Row
+	enc  protocol.BatchEncoder
 }
 
 // shutdown unsticks a worker blocked waiting for flow credit. Called
@@ -380,8 +387,12 @@ const streamFillRows = 256
 func (m *muxConn) streamRows(st *muxStream, seq uint32, cols []string, rs resource.ResultSet, finishTrace func() []byte) {
 	defer rs.Close()
 	m.send(st.id, protocol.FrameHeader, protocol.EncodeHeader(cols))
-	buf := make([]sqltypes.Row, streamFillRows)
-	enc := &protocol.BatchEncoder{}
+	if st.fill == nil {
+		st.fill = make([]sqltypes.Row, streamFillRows)
+	}
+	buf, enc := st.fill, &st.enc
+	defer clear(buf)
+	defer enc.Reset() // also drops rows a cancel or cursor error left unsent
 	canceled := false
 fill:
 	for {
@@ -402,7 +413,7 @@ fill:
 					canceled = true
 					break fill
 				}
-				enc = &protocol.BatchEncoder{} // the old buffer now belongs to the queue
+				enc.Reset() // the payload now belongs to the queue
 			}
 		}
 	}

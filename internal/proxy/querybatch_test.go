@@ -1,0 +1,325 @@
+package proxy
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"shardingsphere/internal/core"
+	"shardingsphere/internal/distsql"
+	"shardingsphere/internal/protocol"
+	"shardingsphere/internal/resource"
+	"shardingsphere/internal/sqlexec"
+	"shardingsphere/internal/sqltypes"
+	"shardingsphere/internal/storage"
+	"shardingsphere/internal/transaction"
+	"shardingsphere/pkg/client"
+)
+
+// serialRows is the loop QueryBatch replaces: one Query and one read to
+// the end per statement. Every window below must return what it returns.
+func serialRows(t *testing.T, conn *client.Conn, stmts []resource.Statement) [][]sqltypes.Row {
+	t.Helper()
+	out := make([][]sqltypes.Row, len(stmts))
+	for i, st := range stmts {
+		rs, err := conn.Query(context.Background(), st.SQL, st.Args...)
+		if err != nil {
+			t.Fatalf("serial statement %d: %v", i, err)
+		}
+		if out[i], err = resource.ReadAll(rs); err != nil {
+			t.Fatalf("serial statement %d: %v", i, err)
+		}
+	}
+	return out
+}
+
+func batchRows(t *testing.T, sets []resource.ResultSet) [][]sqltypes.Row {
+	t.Helper()
+	out := make([][]sqltypes.Row, len(sets))
+	for i, rs := range sets {
+		rows, err := resource.ReadAll(rs)
+		if err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+		out[i] = rows
+	}
+	return out
+}
+
+// A window longer than MaxPipeline is sent in several turns, and a window
+// whose every result outgrows the row-batch flow-control window is read
+// while the statements behind it already wait on credit: both complete
+// and return exactly the serial loop's rows.
+func TestQueryBatchMatchesSerialLoop(t *testing.T) {
+	const rows = 400 // × ~270 B: every full scan is > StreamWindow × DefaultBatchBytes
+	addr, srv := startNodeServer(t, "qb-node")
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fillNode(t, conn, "t", rows)
+	ctx := context.Background()
+
+	points := make([]resource.Statement, 150)
+	for i := range points {
+		points[i] = resource.Statement{SQL: "SELECT id, pad FROM t WHERE id = ?", Args: []sqltypes.Value{sqltypes.NewInt(int64(i * 2))}}
+	}
+	if len(points) <= 2*client.MaxPipeline {
+		t.Fatalf("test invalid: %d statements do not span three windows of %d", len(points), client.MaxPipeline)
+	}
+	scans := make([]resource.Statement, 10)
+	for i := range scans {
+		scans[i] = resource.Statement{SQL: "SELECT id, pad FROM t WHERE id >= ? ORDER BY id", Args: []sqltypes.Value{sqltypes.NewInt(int64(i))}}
+	}
+	for name, stmts := range map[string][]resource.Statement{"150 points": points, "10 scans": scans} {
+		before := srv.Metrics()["row_batches"]
+		sets, err := conn.QueryBatch(ctx, stmts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		batches := srv.Metrics()["row_batches"] - before
+		if got, want := batchRows(t, sets), serialRows(t, conn, stmts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the window's rows differ from the serial loop's", name)
+		}
+		if name == "10 scans" && batches <= int64(len(stmts)*protocol.StreamWindow) {
+			t.Fatalf("test invalid: %d row batches for %d scans never filled the flow-control window", batches, len(stmts))
+		}
+	}
+}
+
+// Statement k of a window fails at the node: the error names k, the sets
+// before it come back, the responses behind it are consumed, and the next
+// statement on the same connection is answered as itself.
+func TestQueryBatchStatementFailureKeepsStreamAligned(t *testing.T) {
+	addr, _ := startNodeServer(t, "qb-fail")
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fillNode(t, conn, "t", 8)
+	ctx := context.Background()
+	point := func(id int64) resource.Statement {
+		return resource.Statement{SQL: "SELECT id FROM t WHERE id = ?", Args: []sqltypes.Value{sqltypes.NewInt(id)}}
+	}
+	for _, bad := range []resource.Statement{
+		{SQL: "SELECT id FROM missing"},                   // fails at the node
+		{SQL: "INSERT INTO t (id, pad) VALUES (99, 'p')"}, // answers OK, not rows
+	} {
+		sets, err := conn.QueryBatch(ctx, []resource.Statement{point(1), point(2), bad, point(3), point(4)})
+		var be *resource.BatchError
+		if !errors.As(err, &be) || be.Index != 2 {
+			t.Fatalf("%s: want BatchError at index 2, got %v", bad.SQL, err)
+		}
+		if conn.Defunct() {
+			t.Fatalf("%s: a statement error made the connection defunct", bad.SQL)
+		}
+		if got := batchRows(t, sets); len(got) != 2 || got[0][0][0].I != 1 || got[1][0][0].I != 2 {
+			t.Fatalf("%s: sets before the failure: %v", bad.SQL, got)
+		}
+		rs, err := conn.Query(ctx, "SELECT id FROM t WHERE id = 7")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := resource.ReadAll(rs); err != nil || len(rows) != 1 || rows[0][0].I != 7 {
+			t.Fatalf("%s: statement after the failed window got %v %v", bad.SQL, rows, err)
+		}
+	}
+}
+
+// A statement hangs at the node in the middle of a window and the caller
+// gives up: the pooled connection is defunct and leaves the pool, and a
+// sibling stream on the same socket keeps answering. The cancel fires on
+// the node's own signal that the statement is wedged, not on a timer.
+func TestQueryBatchAbandonedMidWindow(t *testing.T) {
+	proc := sqlexec.NewProcessor(storage.NewEngine("qb-hang"))
+	hb := &hangBackend{
+		inner:   &NodeBackend{Processor: proc},
+		release: make(chan struct{}),
+		hung:    make(chan struct{}, 1),
+	}
+	srv := NewServer(hb)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	defer close(hb.release) // lets the wedged worker wind down at shutdown
+
+	// One socket: the abandoned stream and its sibling share it.
+	ds := client.NewRemoteDataSource("qb-hang", addr, &resource.Options{PoolSize: 8})
+	defer ds.Close()
+	var held []*resource.PooledConn
+	for i := 0; i <= client.DefaultMuxSockets; i++ {
+		pc, err := ds.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, pc)
+	}
+	victim, sibling := held[0], held[client.DefaultMuxSockets] // same transport slot
+	if _, err := sibling.Exec(context.Background(), "CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-hb.hung
+		cancel()
+	}()
+	_, err = victim.QueryBatch(ctx, []resource.Statement{
+		{SQL: "SELECT id FROM t"}, {SQL: "SELECT SLEEPY"}, {SQL: "SELECT id FROM t"},
+	})
+	var be *resource.BatchError
+	// The cancel lands on the response the client was reading: the hung
+	// statement's, or the one before it if that was still in the queue.
+	if !errors.As(err, &be) || be.Index > 1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want the window cancelled at or before statement 1, got %v", err)
+	}
+	if d, ok := victim.Conn.(resource.Defuncter); !ok || !d.Defunct() {
+		t.Fatal("a window abandoned mid-read left its connection usable")
+	}
+	idle := ds.Stats().Idle
+	victim.Release()
+	if got := ds.Stats(); got.Idle != idle {
+		t.Fatalf("the pool kept a defunct connection: idle %d → %d", idle, got.Idle)
+	}
+	rs, err := sibling.Query(context.Background(), "SELECT COUNT(*) FROM t")
+	if err != nil {
+		t.Fatalf("sibling stream after the abort: %v", err)
+	}
+	if rows, err := resource.ReadAll(rs); err != nil || len(rows) != 1 {
+		t.Fatalf("sibling stream after the abort: %v %v", rows, err)
+	}
+	for _, pc := range held[1:] {
+		pc.Release()
+	}
+}
+
+// rangeKernel builds a kernel over the given sources with one table of 20
+// shards, ten per source, holding ids 0..199, and returns a session whose
+// transactions are of the given type.
+func rangeKernel(t *testing.T, sources map[string]*resource.DataSource, tx transaction.Type) *core.Session {
+	t.Helper()
+	k, err := core.New(core.Config{Sources: sources, DefaultTxType: tx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distsql.Install(k, nil)
+	s := k.NewSession()
+	for _, sql := range []string{
+		`CREATE SHARDING TABLE RULE t_r (RESOURCES(ds0, ds1), SHARDING_COLUMN = id,
+			TYPE = mod, PROPERTIES("sharding-count" = 20))`,
+		"CREATE TABLE t_r (id INT PRIMARY KEY, c VARCHAR(32))",
+	} {
+		if _, err := s.Execute(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := s.Execute("INSERT INTO t_r (id, c) VALUES (?, ?)", sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprint("c", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+func sessionRows(t *testing.T, s *core.Session, sql string) []sqltypes.Row {
+	t.Helper()
+	res, err := s.Execute(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	rows, err := resource.ReadAll(res.RS)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return rows
+}
+
+// Inside a LOCAL and an XA transaction a 20-unit range over two remote
+// nodes returns the rows the same range returns over two embedded nodes,
+// and costs each remote source exactly one pipelined window.
+func TestTransactionRangeOverRemoteNodesIsOneWindowPerSource(t *testing.T) {
+	for _, tx := range []transaction.Type{transaction.Local, transaction.XA} {
+		t.Run(tx.String(), func(t *testing.T) {
+			embedded, remote := map[string]*resource.DataSource{}, map[string]*resource.DataSource{}
+			for _, name := range []string{"ds0", "ds1"} {
+				embedded[name] = resource.NewEmbedded(storage.NewEngine(name), nil)
+				addr, _ := startNodeServer(t, name)
+				remote[name] = client.NewRemoteDataSource(name, addr, nil)
+			}
+			es, rs := rangeKernel(t, embedded, tx), rangeKernel(t, remote, tx)
+			ranges := []string{
+				"SELECT id, c FROM t_r WHERE id BETWEEN 20 AND 119 ORDER BY id",
+				"SELECT COUNT(*) FROM t_r WHERE id BETWEEN 5 AND 150",
+				"SELECT DISTINCT c FROM t_r WHERE id BETWEEN 40 AND 80 ORDER BY c",
+			}
+			for _, s := range []*core.Session{es, rs} {
+				if _, err := s.Execute("BEGIN"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, sql := range ranges {
+				want := sessionRows(t, es, sql)
+				before := map[string]int64{}
+				for name, ds := range remote {
+					before[name] = ds.AuxMetrics()["pipelined_batches"]
+				}
+				if got := sessionRows(t, rs, sql); len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: remote %d rows, embedded %d rows, or they differ", sql, len(got), len(want))
+				}
+				for name, ds := range remote {
+					if n := ds.AuxMetrics()["pipelined_batches"] - before[name]; n != 1 {
+						t.Fatalf("%s: %s ran %d pipelined windows, want 1", sql, name, n)
+					}
+				}
+			}
+			for _, s := range []*core.Session{es, rs} {
+				if _, err := s.Execute("COMMIT"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// The stream worker's fill slice and encoder outlive a statement; what
+// the statement produced must not: after EOF every fill slot is empty and
+// the encoder holds no payload, only the size the last one reached.
+func TestStreamBuffersHoldNothingAfterEOF(t *testing.T) {
+	m := &muxConn{s: NewServer(nil), writeCh: make(chan outMsg, 8)}
+	st := &muxStream{id: 1, flow: make(chan struct{}, 1), done: make(chan struct{})}
+	want := []sqltypes.Row{
+		{sqltypes.NewInt(1), sqltypes.NewString(strings.Repeat("a", 100))},
+		{sqltypes.NewInt(2), sqltypes.NewString(strings.Repeat("b", 100))},
+	}
+	for round := 0; round < 2; round++ {
+		m.streamRows(st, uint32(round+1), []string{"id", "pad"}, resource.NewSliceResultSet(nil, want), func() []byte { return nil })
+		var payload []byte
+		for len(m.writeCh) > 0 {
+			if msg := <-m.writeCh; msg.typ == protocol.FrameRowBatch {
+				payload = msg.payload
+			}
+		}
+		if got, err := protocol.DecodeRowBatch(payload, nil); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: streamed %v %v", round, got, err)
+		}
+		for i, row := range st.fill {
+			if row != nil {
+				t.Fatalf("round %d: fill slot %d still holds a row after EOF", round, i)
+			}
+		}
+		if st.enc.Rows() != 0 || st.enc.Size() != 0 {
+			t.Fatalf("round %d: encoder holds %d rows / %d bytes after EOF", round, st.enc.Rows(), st.enc.Size())
+		}
+		if round == 1 && cap(payload) != len(payload) {
+			t.Fatalf("second payload of %d bytes was built in a %d-byte buffer, not one sized by the first", len(payload), cap(payload))
+		}
+		st.inflight.Store(0) // the test acks nothing
+	}
+}

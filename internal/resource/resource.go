@@ -149,8 +149,11 @@ type Statement struct {
 // collapsing N round trips into one. Results are positional. A failed
 // statement yields a BatchError carrying its index; statements after it
 // are still executed (the batch is not transactional by itself).
+// QueryBatch returns every result materialized — the connection is free
+// for its next statement when the call returns — and does not keep stmts.
 type BatchConn interface {
 	ExecBatch(ctx context.Context, stmts []Statement) ([]ExecResult, error)
+	QueryBatch(ctx context.Context, stmts []Statement) ([]ResultSet, error)
 }
 
 // BatchError attributes a batch failure to one statement.
@@ -181,6 +184,30 @@ func ExecBatch(ctx context.Context, c Conn, stmts []Statement) ([]ExecResult, er
 		results = append(results, res)
 	}
 	return results, nil
+}
+
+// QueryBatch runs stmts on c and returns each result read to its end,
+// pipelining when the connection can, else one by one (an embedded
+// connection's results are in memory already). Errors are as ExecBatch's.
+func QueryBatch(ctx context.Context, c Conn, stmts []Statement) ([]ResultSet, error) {
+	if bc, ok := c.(BatchConn); ok {
+		return bc.QueryBatch(ctx, stmts)
+	}
+	sets := make([]ResultSet, 0, len(stmts))
+	for i, st := range stmts {
+		rs, err := c.Query(ctx, st.SQL, st.Args...)
+		if _, ok := rs.(*SliceResultSet); err == nil && !ok {
+			cols := rs.Columns()
+			var rows []sqltypes.Row
+			rows, err = ReadAll(rs)
+			rs = NewSliceResultSet(cols, rows)
+		}
+		if err != nil {
+			return sets, &BatchError{Index: i, Err: err}
+		}
+		sets = append(sets, rs)
+	}
+	return sets, nil
 }
 
 // SliceResultSet adapts a materialized row set to the ResultSet interface.
@@ -687,8 +714,8 @@ func (ds *DataSource) Close() {
 
 // PooledConn is a connection checked out of a DataSource pool. Conn may be
 // an interceptor wrapper (chaos); raw is what returns to the pool. The
-// embedded Conn provides Query/Exec; ExecBatch pipelines through the
-// wrapped connection when it supports batching.
+// embedded Conn provides Query/Exec; ExecBatch and QueryBatch pipeline
+// through the wrapped connection when it supports batching.
 type PooledConn struct {
 	Conn
 	raw      Conn
@@ -710,6 +737,11 @@ type Defuncter interface {
 // when the underlying transport supports it.
 func (pc *PooledConn) ExecBatch(ctx context.Context, stmts []Statement) ([]ExecResult, error) {
 	return ExecBatch(ctx, pc.Conn, stmts)
+}
+
+// QueryBatch implements BatchConn the same way.
+func (pc *PooledConn) QueryBatch(ctx context.Context, stmts []Statement) ([]ResultSet, error) {
+	return QueryBatch(ctx, pc.Conn, stmts)
 }
 
 // Release returns the connection to the pool.

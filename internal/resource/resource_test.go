@@ -316,3 +316,57 @@ func TestConnLeaseLifecycle(t *testing.T) {
 	}
 	pc2.Release()
 }
+
+// cursorConn answers every query with a live cursor (not a slice) and
+// counts the cursors it has seen closed.
+type cursorConn struct {
+	Conn
+	closed int
+}
+
+func (c *cursorConn) Query(ctx context.Context, sql string, args ...sqltypes.Value) (ResultSet, error) {
+	rs, err := c.Conn.Query(ctx, sql, args...)
+	if err != nil {
+		return nil, err
+	}
+	return WithCloseHook(rs, func() { c.closed++ }), nil
+}
+
+// QueryBatch on a connection that cannot pipeline is the serial loop: an
+// embedded connection's results pass through as the slices they are, a
+// live cursor is read to its end and closed before the next statement
+// runs, and a failure names its statement and returns the sets before it.
+func TestQueryBatchFallback(t *testing.T) {
+	ds := newDS(t, nil)
+	pc, err := ds.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Release()
+	ctx := context.Background()
+	stmts := []Statement{
+		{SQL: "SELECT v FROM t WHERE id <= ?", Args: []sqltypes.Value{sqltypes.NewInt(2)}},
+		{SQL: "SELECT v FROM t WHERE id = 3"},
+	}
+	cur := &cursorConn{Conn: pc.Conn}
+	for name, c := range map[string]Conn{"pooled": pc, "embedded": pc.Conn, "cursor": cur} {
+		sets, err := QueryBatch(ctx, c, stmts)
+		if err != nil || len(sets) != 2 {
+			t.Fatalf("%s: %d sets, %v", name, len(sets), err)
+		}
+		for i, want := range []int{2, 1} {
+			s, ok := sets[i].(*SliceResultSet)
+			if !ok || len(s.Data) != want || len(s.Cols) != 1 {
+				t.Fatalf("%s: set %d is %T with %v", name, i, sets[i], sets[i])
+			}
+		}
+	}
+	if cur.closed != 2 {
+		t.Fatalf("%d of 2 live cursors closed", cur.closed)
+	}
+	sets, err := QueryBatch(ctx, pc, append(stmts, Statement{SQL: "SELECT * FROM missing"}, stmts[0]))
+	var be *BatchError
+	if !errors.As(err, &be) || be.Index != 2 || len(sets) != 2 {
+		t.Fatalf("want BatchError at index 2 after 2 sets, got %d sets, %v", len(sets), err)
+	}
+}

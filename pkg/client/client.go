@@ -80,7 +80,7 @@ func IsInDoubt(err error) (*transaction.InDoubtError, bool) {
 type Conn struct {
 	t             *Transport
 	st            *stream
-	seq           uint32 // 1-based count of statements sent on this stream
+	seq           uint32 // 1-based count of statement responses begun on this stream
 	ownsTransport bool   // Close tears the transport down too
 	source        string // trace-source label (data source name or address)
 
@@ -160,8 +160,7 @@ func (c *Conn) pop(ctx context.Context) (muxFrame, error) {
 // stmtFrame builds one statement's frame: text, bind args and the
 // trace-context trailer, which is unconditional (fixed size, so the server
 // strips it without parsing).
-func (c *Conn) stmtFrame(sql string, args []sqltypes.Value, tc protocol.TraceContext) outFrame {
-	c.seq++
+func stmtFrame(sql string, args []sqltypes.Value, tc protocol.TraceContext) outFrame {
 	return outFrame{protocol.FrameQuery, protocol.AppendTraceContext(protocol.EncodeQuery(sql, args), tc)}
 }
 
@@ -173,7 +172,7 @@ func (c *Conn) roundTrip(ctx context.Context, sql string, args []sqltypes.Value)
 		return nil, resource.ExecResult{}, spanExpect{}, resource.ErrConnClosed
 	}
 	tc, exp := beginTrace(ctx)
-	if err := c.t.send(c.st.id, c.stmtFrame(sql, args, tc)); err != nil {
+	if err := c.t.send(c.st.id, stmtFrame(sql, args, tc)); err != nil {
 		return nil, resource.ExecResult{}, exp, c.fail(err)
 	}
 	cols, res, err := c.firstFrame(ctx, exp)
@@ -184,8 +183,10 @@ func (c *Conn) roundTrip(ctx context.Context, sql string, args []sqltypes.Value)
 // non-nil exactly when a row set follows (the header is consumed, the
 // caller owns the rows); otherwise res is the statement's exec summary.
 // Remote statement errors leave the conn healthy; protocol or transport
-// errors mark it defunct.
+// errors mark it defunct. seq advances here, not at send, so a cursor in
+// the middle of a pipelined window names its own statement.
 func (c *Conn) firstFrame(ctx context.Context, exp spanExpect) ([]string, resource.ExecResult, error) {
+	c.seq++
 	f, err := c.pop(ctx)
 	if err != nil {
 		return nil, resource.ExecResult{}, err
@@ -369,53 +370,80 @@ func (c *Conn) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (re
 	return res, err
 }
 
-// ExecBatch pipelines a batch of statements: every statement in a window
-// is written before the first response is read, so the batch pays one
-// round trip per window instead of one per statement. Statement failures
-// are reported as *resource.BatchError with the failing index; later
-// statements in the same window still execute.
-func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ExecResult, error) {
+// pipeline runs stmts a window (≤ MaxPipeline) at a time: every statement
+// of a window is written before the first response is read, so a batch
+// pays one round trip per window instead of one per statement. read
+// consumes the rest of statement i's response; the window is read to its
+// end even past a failure, so the stream stays aligned. The first failure
+// is reported as *resource.BatchError with its index; the statements
+// behind it still execute.
+func (c *Conn) pipeline(ctx context.Context, stmts []resource.Statement, read func(i int, cols []string, res resource.ExecResult, exp spanExpect) error) error {
 	if c.closed {
-		return nil, resource.ErrConnClosed
+		return resource.ErrConnClosed
 	}
-	results := make([]resource.ExecResult, 0, len(stmts))
 	var firstErr error
 	for base := 0; base < len(stmts); base += MaxPipeline {
 		end := min(base+MaxPipeline, len(stmts))
 		tc, exp := beginTrace(ctx)
 		frames := make([]outFrame, 0, end-base)
 		for _, st := range stmts[base:end] {
-			frames = append(frames, c.stmtFrame(st.SQL, st.Args, tc))
+			frames = append(frames, stmtFrame(st.SQL, st.Args, tc))
 		}
 		if err := c.t.send(c.st.id, frames...); err != nil {
-			return results, &resource.BatchError{Index: base, Err: c.fail(err)}
+			return &resource.BatchError{Index: base, Err: c.fail(err)}
 		}
 		c.t.pipelined.Add(1)
-		// Read the whole window even past a statement failure, so the
-		// stream stays aligned for the next operation.
 		for i := base; i < end; i++ {
 			cols, res, err := c.firstFrame(ctx, exp)
 			if err == nil {
-				err = c.discardRows(ctx, cols, exp)
+				err = read(i, cols, res, exp)
 			}
 			if err != nil {
 				if c.defunct {
-					return results, &resource.BatchError{Index: i, Err: err}
+					return &resource.BatchError{Index: i, Err: err}
 				}
 				if firstErr == nil {
 					firstErr = &resource.BatchError{Index: i, Err: err}
 				}
-				continue
-			}
-			if firstErr == nil {
-				results = append(results, res)
 			}
 		}
 		if firstErr != nil {
-			return results, firstErr
+			return firstErr
 		}
 	}
-	return results, nil
+	return nil
+}
+
+// ExecBatch implements resource.BatchConn: the results of the statements
+// before the first failure.
+func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ExecResult, error) {
+	results := make([]resource.ExecResult, 0, len(stmts))
+	err := c.pipeline(ctx, stmts, func(i int, cols []string, res resource.ExecResult, exp spanExpect) error {
+		err := c.discardRows(ctx, cols, exp)
+		if err == nil && len(results) == i {
+			results = append(results, res)
+		}
+		return err
+	})
+	return results, err
+}
+
+// QueryBatch implements resource.BatchConn: each row set is read to its
+// end as its turn comes (the server paces it by StreamWindow while the
+// statements behind it already run); the stream is free on return.
+func (c *Conn) QueryBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ResultSet, error) {
+	sets := make([]resource.ResultSet, 0, len(stmts))
+	err := c.pipeline(ctx, stmts, func(i int, cols []string, _ resource.ExecResult, exp spanExpect) error {
+		if cols == nil {
+			return fmt.Errorf("client: %q returned no row set", stmts[i].SQL)
+		}
+		rows, err := resource.ReadAll(c.rows(ctx, cols, exp))
+		if err == nil && len(sets) == i {
+			sets = append(sets, resource.NewSliceResultSet(cols, rows))
+		}
+		return err
+	})
+	return sets, err
 }
 
 // Result is the outcome of Do: either a row set or an exec summary.

@@ -178,10 +178,12 @@ func TestHandshakeDeadline(t *testing.T) {
 }
 
 // scriptedV2 is a minimal v2 server: it acks the Hello, answers a SELECT
-// with a header and one one-row batch and then goes quiet (an open
-// cursor), answers any other statement with OK(1), and reports every
-// FrameStreamClose it receives.
-func scriptedV2(closed chan<- uint32) func(net.Conn) {
+// with a header and one one-row batch and then goes quiet on that stream
+// (an open cursor: statements pipelined behind it are read, not
+// answered), answers any other statement with OK(1), and reports every
+// FrameStreamClose it receives and, when answered is not nil, every
+// statement it has read.
+func scriptedV2(closed chan<- uint32, answered chan<- string) func(net.Conn) {
 	return func(nc net.Conn) {
 		r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
 		if typ, _, err := protocol.ReadFrame(r); err != nil || typ != protocol.FrameHello {
@@ -189,6 +191,7 @@ func scriptedV2(closed chan<- uint32) func(net.Conn) {
 		}
 		protocol.WriteFrame(w, protocol.FrameHelloAck, protocol.EncodeHello(protocol.MaxFrame))
 		w.Flush()
+		open := map[uint32]bool{}
 		for {
 			typ, sid, payload, err := protocol.ReadFrameV2(r, protocol.MaxFrame)
 			if err != nil {
@@ -197,15 +200,22 @@ func scriptedV2(closed chan<- uint32) func(net.Conn) {
 			switch typ {
 			case protocol.FrameQuery:
 				_, body, _ := protocol.SplitTraceContext(payload)
-				if sql, _, _ := protocol.DecodeQuery(body); strings.HasPrefix(sql, "SELECT") {
+				sql, _, _ := protocol.DecodeQuery(body)
+				switch {
+				case open[sid]:
+				case strings.HasPrefix(sql, "SELECT"):
+					open[sid] = true
 					var enc protocol.BatchEncoder
 					enc.Append(sqltypes.Row{sqltypes.NewInt(7)})
 					protocol.WriteFrameV2(w, protocol.FrameHeader, sid, protocol.EncodeHeader([]string{"v"}))
 					protocol.WriteFrameV2(w, protocol.FrameRowBatch, sid, enc.Payload())
-				} else {
+				default:
 					protocol.WriteFrameV2(w, protocol.FrameOK, sid, protocol.EncodeOK(1, 0))
 				}
 				w.Flush()
+				if answered != nil {
+					answered <- sql
+				}
 			case protocol.FrameStreamClose:
 				closed <- sid
 			}
@@ -218,7 +228,7 @@ func scriptedV2(closed chan<- uint32) func(net.Conn) {
 // down, and a sibling on the same socket keeps answering.
 func TestCancelMidCursorLeavesSiblingsAlone(t *testing.T) {
 	closed := make(chan uint32, 1)
-	p := startPeer(t, scriptedV2(closed))
+	p := startPeer(t, scriptedV2(closed, nil))
 	tr, err := DialMux(p.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -265,5 +275,98 @@ func TestCancelMidCursorLeavesSiblingsAlone(t *testing.T) {
 	}
 	if sib.Defunct() || !tr.Healthy() {
 		t.Fatal("the abort damaged the shared transport")
+	}
+}
+
+// A caller that gives up in the middle of a pipelined read window leaves
+// the conn defunct with the stream torn down at the server, whichever
+// response it was reading; the sibling stream on the socket is untouched.
+// The peer never finishes the first statement's cursor, and the cancel
+// fires once it has read the window's last statement.
+func TestQueryBatchCancelMidWindow(t *testing.T) {
+	closed, answered := make(chan uint32, 1), make(chan string, 3)
+	p := startPeer(t, scriptedV2(closed, answered))
+	tr, err := DialMux(p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	win, err := tr.OpenConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := tr.OpenConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for i := 0; i < 3; i++ {
+			<-answered
+		}
+		cancel()
+	}()
+	before := tr.pipelined.Load()
+	sets, err := win.QueryBatch(ctx, []resource.Statement{{SQL: "SELECT 1"}, {SQL: "SELECT 2"}, {SQL: "SELECT 3"}})
+	var be *resource.BatchError
+	if !errors.As(err, &be) || be.Index != 0 || !errors.Is(err, context.Canceled) || len(sets) != 0 {
+		t.Fatalf("want the first (never finished) response cancelled, got %d sets, %v", len(sets), err)
+	}
+	if got := tr.pipelined.Load() - before; got != 1 {
+		t.Fatalf("three statements went out as %d windows", got)
+	}
+	if !win.Defunct() {
+		t.Fatal("abandoned conn is not defunct")
+	}
+	select {
+	case sid := <-closed:
+		if sid != win.st.id {
+			t.Fatalf("stream close named stream %d, the window was on %d", sid, win.st.id)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never saw FrameStreamClose")
+	}
+	if res, err := sib.Exec(context.Background(), "UPDATE t SET v = 1"); err != nil || res.Affected != 1 {
+		t.Fatalf("sibling after the abort: %+v %v", res, err)
+	}
+	if sib.Defunct() || !tr.Healthy() {
+		t.Fatal("the abort damaged the shared transport")
+	}
+}
+
+// A closed-loop conversation (one frame in, one frame out) reuses the
+// stream queue's array instead of making a new one per response, a popped
+// slot lets go of its payload, and a reader that stays one frame behind
+// keeps the queue at the depth it actually reached.
+func TestStreamQueueKeepsItsArray(t *testing.T) {
+	s := &stream{notify: make(chan struct{}, 1)}
+	ctx := context.Background()
+	frame := muxFrame{typ: protocol.FrameRowBatch, payload: make([]byte, 16)}
+	cycle := func() {
+		s.push(frame)
+		if f, err := s.pop(ctx); err != nil || len(f.payload) != 16 {
+			t.Fatalf("pop: %v %v", f, err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a push/pop cycle allocates %v times", n)
+	}
+	for i, f := range s.q[:cap(s.q)] {
+		if f.payload != nil {
+			t.Fatalf("slot %d still pins a popped payload", i)
+		}
+	}
+	s.push(frame)
+	for i := 0; i < 1000; i++ {
+		s.push(muxFrame{typ: protocol.FrameRowBatch, payload: []byte{byte(i)}})
+		s.pop(ctx)
+	}
+	if f, _ := s.pop(ctx); len(f.payload) != 1 || f.payload[0] != byte(999%256) || s.batches != 0 {
+		t.Fatalf("queue lost its order: last frame %v, %d batches still counted", f.payload, s.batches)
+	}
+	if cap(s.q) > 8 {
+		t.Fatalf("a reader one frame behind grew the queue to %d slots", cap(s.q))
 	}
 }

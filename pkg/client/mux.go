@@ -95,7 +95,8 @@ type Transport struct {
 type stream struct {
 	id      uint32
 	mu      sync.Mutex
-	q       []muxFrame
+	q       []muxFrame // unread frames are q[head:]; the array is kept
+	head    int
 	batches int // row-batch frames currently queued
 	err     error
 	notify  chan struct{} // capacity 1; nudges a blocked pop
@@ -105,6 +106,12 @@ type stream struct {
 // after the append (the flow-control window occupancy).
 func (s *stream) push(f muxFrame) int {
 	s.mu.Lock()
+	if s.head > 0 && len(s.q) == cap(s.q) {
+		// Never quite caught up: slide the unread frames down, don't grow.
+		n := copy(s.q, s.q[s.head:])
+		clear(s.q[n:])
+		s.q, s.head = s.q[:n], 0
+	}
 	s.q = append(s.q, f)
 	if f.typ == protocol.FrameRowBatch {
 		s.batches++
@@ -135,11 +142,11 @@ func (s *stream) fail(err error) {
 func (s *stream) pop(ctx context.Context) (muxFrame, error) {
 	for {
 		s.mu.Lock()
-		if len(s.q) > 0 {
-			f := s.q[0]
-			s.q = s.q[1:]
-			if len(s.q) == 0 {
-				s.q = nil
+		if s.head < len(s.q) {
+			f := s.q[s.head]
+			s.q[s.head] = muxFrame{} // the slot must not pin a 16 KB payload
+			if s.head++; s.head == len(s.q) {
+				s.q, s.head = s.q[:0], 0
 			}
 			if f.typ == protocol.FrameRowBatch {
 				s.batches--
