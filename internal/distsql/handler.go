@@ -778,8 +778,9 @@ func (h *Handler) showSQLMetrics(sess *core.Session) (*core.Result, error) {
 	// Streaming-pipeline rows: per-source backpressure observability —
 	// how many rows/batches/bytes each remote source streamed, how deep
 	// its batch window ever got (peak unconsumed batches queued per
-	// stream; bounded by the protocol window), and how many cursors were
-	// stopped early. Embedded sources have no transport and are skipped.
+	// stream; bounded by the protocol window per statement), and how many
+	// cursors were stopped early. Embedded sources have no transport and
+	// are skipped.
 	streamKeys := []string{"rows_streamed", "batches_streamed", "bytes_streamed", "batch_window_peak", "cursor_cancels"}
 	srcNames := k.Executor().Sources()
 	sort.Strings(srcNames)

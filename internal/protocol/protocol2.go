@@ -32,11 +32,14 @@ import (
 )
 
 // version is the protocol version exchanged in Hello/HelloAck; a peer
-// must offer exactly it. It is 3 because a version-2 peer negotiated the
-// trace trailer as a capability and ran statements through prepare/exec
-// handles: refused here by number, it never gets to desynchronize on its
-// first statement.
-const version uint32 = 3
+// must offer exactly it. It is 4 because flow credit became per
+// statement: a version-3 client sends empty acks (a version-4 server
+// drops them, so its long results would wedge), and a version-3 server
+// counts credit per stream (a version-4 client's skipped last acks would
+// stall its next statement). Version 2 ran statements through
+// prepare/exec handles. Refused here by number, an older peer never gets
+// to desynchronize on its first statement.
+const version uint32 = 4
 
 // v2-era frame types. Client → server types continue from 0x03,
 // server → client types continue from 0x15. (0x08/0x18 are the
@@ -46,7 +49,7 @@ const (
 	FrameHello        byte = 0x04 // version check; sent in handshake framing
 	FrameStreamClose  byte = 0x07 // client abandons a stream mid-result
 	FrameCursorCancel byte = 0x09 // stop streaming rows for one statement
-	FrameBatchAck     byte = 0x0a // consumer took one row batch (flow credit)
+	FrameBatchAck     byte = 0x0a // statement seq: one of its row batches taken (flow credit)
 
 	FrameHelloAck byte = 0x16 // version + max frame size accepted
 	FrameRowBatch byte = 0x17 // many rows per frame
@@ -57,33 +60,35 @@ const (
 // per-stream memory bounded and interleave fairly on a shared socket.
 const DefaultBatchBytes = 16 << 10
 
-// StreamWindow is the per-stream row-batch flow-control window: the
-// server keeps at most this many unacked FrameRowBatch frames in flight
-// per stream, and the client acks each batch (FrameBatchAck) as its
-// consumer takes it off the queue; FrameCursorCancel stops an in-progress
-// row stream early without abandoning the logical connection. The
-// product StreamWindow × DefaultBatchBytes (~64KB) is the per-source
-// working set a merging proxy holds regardless of result size; the
-// window is deliberately deeper than one batch so decode and network
-// transfer overlap.
+// StreamWindow is the per-statement row-batch flow-control window: the
+// server keeps at most this many unacked FrameRowBatch frames of the
+// statement it is streaming in flight. The client acks a batch
+// (FrameBatchAck naming the statement) when the frame behind it turns out
+// to be another batch; the terminal frame (FrameEOF/FrameError) stands in
+// for the last batch's ack, so a result of one batch costs no ack at all.
+// FrameCursorCancel stops an in-progress row stream early without
+// abandoning the logical connection. The product StreamWindow ×
+// DefaultBatchBytes (~64KB) is the working set a lazy cursor holds per
+// source regardless of result size; the window is deliberately deeper
+// than one batch so decode and network transfer overlap.
 const StreamWindow = 4
 
-// EncodeCursorCancel builds a FrameCursorCancel payload: the 1-based
-// per-stream statement sequence number whose row stream the client no
-// longer wants. The server matches it against the statement it is
-// currently streaming — a stale cancel (statement already finished) is
-// a no-op, so a cancel racing the natural EOF can never clip the next
-// statement's result.
-func EncodeCursorCancel(seq uint32) []byte {
+// EncodeSeq builds a FrameCursorCancel or FrameBatchAck payload: the
+// 1-based per-stream sequence number of the statement whose row stream is
+// meant. The server matches it against the statement it is currently
+// streaming — a stale one (statement already finished) is a no-op, so a
+// cancel racing the natural EOF can never clip the next statement's
+// result, nor a late ack widen its window.
+func EncodeSeq(seq uint32) []byte {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], seq)
 	return b[:]
 }
 
-// DecodeCursorCancel parses a FrameCursorCancel payload.
-func DecodeCursorCancel(payload []byte) (uint32, error) {
+// DecodeSeq parses a FrameCursorCancel or FrameBatchAck payload.
+func DecodeSeq(payload []byte) (uint32, error) {
 	if len(payload) != 4 {
-		return 0, fmt.Errorf("protocol: cursor-cancel payload of %d bytes", len(payload))
+		return 0, fmt.Errorf("protocol: statement-seq payload of %d bytes", len(payload))
 	}
 	return binary.BigEndian.Uint32(payload), nil
 }

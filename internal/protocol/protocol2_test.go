@@ -67,12 +67,13 @@ func TestHelloRoundTrip(t *testing.T) {
 	if _, err := DecodeHello([]byte{1, 2}); err == nil {
 		t.Fatal("short hello accepted")
 	}
-	// Version 2's Hello, with and without its capability word, and a
-	// version not yet written: each is refused by number.
+	// Version 2's Hello, with and without its capability word, version
+	// 3's, and a version not yet written: each is refused by number.
 	for _, old := range [][]byte{
 		{0, 0, 0, 2, 1, 0, 0, 0},
 		{0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 7},
-		{0, 0, 0, 4, 1, 0, 0, 0},
+		{0, 0, 0, 3, 1, 0, 0, 0},
+		{0, 0, 0, 5, 1, 0, 0, 0},
 	} {
 		_, err := DecodeHello(old)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", old[3])) {

@@ -59,16 +59,24 @@ func TestV1StatementGetsUpgradeError(t *testing.T) {
 	refusedWith(t, query, "proxy: protocol v1 is no longer served; upgrade the client")
 }
 
-// TestVersion2HelloRefused freezes what a peer built before version 3
-// gets: its Hello — with the capability word such builds offered, or
-// without — is answered by one error frame naming both versions, then
-// EOF. Such a peer would send prepare/exec frames and statements without
-// the trace trailer, so it must not get as far as a statement.
+// TestVersion2HelloRefused freezes what a peer built before version 4
+// gets: its Hello is answered by one error frame naming both versions,
+// then EOF. A version-2 peer (with the capability word such builds
+// offered, or without) would send prepare/exec frames and statements
+// without the trace trailer; a version-3 peer sends empty row-batch acks
+// and counts credit per stream. Neither may get as far as a statement.
 func TestVersion2HelloRefused(t *testing.T) {
-	const text = "proxy: protocol: peer speaks version 2, this build speaks version 3"
-	// Hello: | len | type=0x04 | version=2 | maxFrame=16MiB | [caps=0b111] |
-	refusedWith(t, []byte{0, 0, 0, 8, 0x04, 0, 0, 0, 2, 1, 0, 0, 0}, text)
-	refusedWith(t, []byte{0, 0, 0, 12, 0x04, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 7}, text)
+	for _, tc := range []struct {
+		hello []byte
+		text  string
+	}{
+		// Hello: | len | type=0x04 | version | maxFrame=16MiB | [caps=0b111] |
+		{[]byte{0, 0, 0, 8, 0x04, 0, 0, 0, 2, 1, 0, 0, 0}, "proxy: protocol: peer speaks version 2, this build speaks version 4"},
+		{[]byte{0, 0, 0, 12, 0x04, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 7}, "proxy: protocol: peer speaks version 2, this build speaks version 4"},
+		{[]byte{0, 0, 0, 8, 0x04, 0, 0, 0, 3, 1, 0, 0, 0}, "proxy: protocol: peer speaks version 3, this build speaks version 4"},
+	} {
+		refusedWith(t, tc.hello, tc.text)
+	}
 }
 
 // TestOversizedFirstFrameClosed: before the handshake the only legal

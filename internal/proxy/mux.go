@@ -73,8 +73,10 @@ type muxStream struct {
 
 	// Flow control. The dispatcher updates these out-of-band — the worker
 	// is busy producing row batches when acks and cancels arrive, so they
-	// cannot ride the in queue.
-	inflight  atomic.Int32  // row batches sent but not yet acked
+	// cannot ride the in queue. credit packs the seq of the statement
+	// being streamed (high 32 bits) with its unacked row batches (low 32):
+	// one word, so an ack is counted only against the statement it names.
+	credit    atomic.Uint64
 	cancelSeq atomic.Uint32 // latest cursor-cancel target (statement seq)
 	flow      chan struct{} // capacity 1; nudges a credit-blocked worker
 	done      chan struct{} // closed at teardown; unsticks credit waits
@@ -92,6 +94,18 @@ type muxStream struct {
 // when the stream (or the whole socket) is being torn down.
 func (st *muxStream) shutdown() {
 	st.doneOnce.Do(func() { close(st.done) })
+}
+
+// ack returns one row batch of credit to statement seq. An ack naming a
+// statement that has finished streaming finds another seq in the word
+// and changes nothing.
+func (st *muxStream) ack(seq uint32) {
+	for {
+		w := st.credit.Load()
+		if uint32(w>>32) != seq || uint32(w) == 0 || st.credit.CompareAndSwap(w, w-1) {
+			return
+		}
+	}
 }
 
 // serveMux runs the v2 loop on a negotiated connection until the socket
@@ -163,14 +177,15 @@ func (m *muxConn) dispatch(typ byte, sid uint32, payload []byte) {
 		if st == nil {
 			return // abandoned conversation
 		}
+		seq, err := protocol.DecodeSeq(payload)
+		if err != nil {
+			return // malformed: ignored, the stream stays up
+		}
 		switch typ {
 		case protocol.FrameBatchAck:
-			st.inflight.Add(-1)
+			st.ack(seq)
+			m.s.batchAcks.Add(1)
 		case protocol.FrameCursorCancel:
-			seq, err := protocol.DecodeCursorCancel(payload)
-			if err != nil {
-				return
-			}
 			st.cancelSeq.Store(seq)
 			m.s.cursorCancels.Add(1)
 		}
@@ -271,8 +286,8 @@ func decodeStatement(payload []byte) (string, []sqltypes.Value, protocol.TraceCo
 //
 // Queries are served off the session's pull cursor: the header goes out
 // as soon as the cursor exists, and row batches are produced one at a
-// time, paced by the stream's flow-control window — the result is never
-// materialized here.
+// time, paced by the statement's flow-control window — the result is
+// never materialized here.
 func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, sql string, args []sqltypes.Value, tc protocol.TraceContext, recvAt time.Time) {
 	s := m.s
 	sid := st.id
@@ -380,12 +395,13 @@ const streamFillRows = 256
 // streamRows streams a query response from a pull cursor: one row batch
 // per write-queue message, so the socket writer interleaves streams
 // fairly and a result is never resident here as a whole. Each batch
-// first waits for window credit — a stalled consumer pins at most
-// StreamWindow batches of memory per stream — and a cursor cancel naming
-// this statement stops production at the next batch boundary, finishing
-// the stream with a clean EOF.
+// first waits for this statement's window credit — a stalled consumer
+// pins at most StreamWindow batches of memory per statement — and a
+// cursor cancel naming this statement stops production at the next batch
+// boundary, finishing the stream with a clean EOF.
 func (m *muxConn) streamRows(st *muxStream, seq uint32, cols []string, rs resource.ResultSet, finishTrace func() []byte) {
 	defer rs.Close()
+	st.credit.Store(uint64(seq) << 32)
 	m.send(st.id, protocol.FrameHeader, protocol.EncodeHeader(cols))
 	if st.fill == nil {
 		st.fill = make([]sqltypes.Row, streamFillRows)
@@ -432,18 +448,19 @@ func (m *muxConn) streamBatch(st *muxStream, seq uint32, payload []byte) bool {
 		if st.cancelSeq.Load() == seq {
 			return false
 		}
-		if st.inflight.Load() < protocol.StreamWindow {
+		if uint32(st.credit.Load()) < protocol.StreamWindow {
 			break
 		}
 		// Re-check both conditions after every nudge: the flow
 		// channel is a condition signal, not a credit token.
+		m.s.creditWaits.Add(1)
 		select {
 		case <-st.flow:
 		case <-st.done:
 			return false
 		}
 	}
-	st.inflight.Add(1)
+	st.credit.Add(1)
 	m.send(st.id, protocol.FrameRowBatch, payload)
 	m.s.rowBatches.Add(1)
 	return true

@@ -1,11 +1,14 @@
 package proxy
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"shardingsphere/internal/core"
@@ -88,6 +91,125 @@ func TestQueryBatchMatchesSerialLoop(t *testing.T) {
 		if name == "10 scans" && batches <= int64(len(stmts)*protocol.StreamWindow) {
 			t.Fatalf("test invalid: %d row batches for %d scans never filled the flow-control window", batches, len(stmts))
 		}
+	}
+}
+
+// A window of results that are one row batch each costs no ack: each
+// batch's terminal frame stands in for it. A window of scans, every one
+// longer than the flow-control window, needs its acks and gets them.
+func TestSingleBatchResultsCostNoAck(t *testing.T) {
+	addr, srv := startNodeServer(t, "ack-node")
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fillNode(t, conn, "t", 400)
+	ctx := context.Background()
+	// window runs stmts and returns the node's counters once every ack the
+	// client sent has been counted: a ping behind them on the same stream
+	// is answered only after the node's reader has dispatched them.
+	window := func(stmts []resource.Statement) ([]resource.ResultSet, map[string]int64) {
+		sets, err := conn.QueryBatch(ctx, stmts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		return sets, srv.Metrics()
+	}
+
+	points := make([]resource.Statement, 20)
+	for i := range points {
+		points[i] = resource.Statement{SQL: "SELECT id, pad FROM t WHERE id BETWEEN ? AND ?", Args: []sqltypes.Value{sqltypes.NewInt(int64(i * 3)), sqltypes.NewInt(int64(i*3 + 2))}}
+	}
+	before := srv.Metrics()
+	sets, after := window(points)
+	if n := after["row_batches"] - before["row_batches"]; n != int64(len(points)) {
+		t.Fatalf("test invalid: %d row batches for %d single-batch results", n, len(points))
+	}
+	if n := after["batch_acks"] - before["batch_acks"]; n != 0 {
+		t.Fatalf("%d acks for %d single-batch results, want 0", n, len(points))
+	}
+	if got, want := batchRows(t, sets), serialRows(t, conn, points); !reflect.DeepEqual(got, want) {
+		t.Fatal("the window's rows differ from the serial loop's")
+	}
+
+	scans := []resource.Statement{{SQL: "SELECT id, pad FROM t"}, {SQL: "SELECT id, pad FROM t ORDER BY id"}}
+	before = srv.Metrics()
+	_, after = window(scans)
+	batches, acks := after["row_batches"]-before["row_batches"], after["batch_acks"]-before["batch_acks"]
+	if batches <= int64(len(scans)*protocol.StreamWindow) || acks != batches-int64(len(scans)) {
+		t.Fatalf("%d scans: %d row batches, %d acks; want every batch but each scan's last acked", len(scans), batches, acks)
+	}
+}
+
+// An ack names its statement: one for the statement before the one
+// streaming leaves the credit alone, one for the streaming statement
+// returns a batch, and none takes the count below zero.
+func TestAckForFinishedStatementIsIgnored(t *testing.T) {
+	st := &muxStream{}
+	const k = 7
+	st.credit.Store(k<<32 | 3)
+	st.ack(k - 1)
+	if w := st.credit.Load(); w != k<<32|3 {
+		t.Fatalf("ack for seq %d while %d streams: credit word %#x", k-1, k, w)
+	}
+	for range 4 {
+		st.ack(k)
+	}
+	if w := st.credit.Load(); w != k<<32 {
+		t.Fatalf("acks for the streaming statement: credit word %#x, want %#x", w, uint64(k)<<32)
+	}
+	// Racing acks, current and stale, each count at most once.
+	st.credit.Store(k<<32 | 100)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				st.ack(uint32(k - g%2))
+			}
+		}()
+	}
+	wg.Wait()
+	if w := st.credit.Load(); w != k<<32|60 {
+		t.Fatalf("40 current and 40 stale racing acks: credit word %#x, want %#x", w, uint64(k)<<32|60)
+	}
+}
+
+// An ack whose payload is not one statement seq — a version-3 client's
+// empty ack, or a torn one — is dropped like a malformed cancel: not
+// counted, and the stream keeps answering.
+func TestMalformedAckIgnored(t *testing.T) {
+	addr, srv := startNodeServer(t, "bad-ack")
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
+	protocol.WriteFrame(w, protocol.FrameHello, protocol.EncodeHello(protocol.MaxFrame))
+	w.Flush()
+	if typ, _, err := protocol.ReadFrame(r); err != nil || typ != protocol.FrameHelloAck {
+		t.Fatalf("hello ack: %#x %v", typ, err)
+	}
+	ping := func() {
+		t.Helper()
+		protocol.WriteFrameV2(w, protocol.FramePing, 1, nil)
+		w.Flush()
+		if typ, sid, _, err := protocol.ReadFrameV2(r, protocol.MaxFrame); err != nil || typ != protocol.FramePong || sid != 1 {
+			t.Fatalf("ping on stream 1: %#x %d %v", typ, sid, err)
+		}
+	}
+	ping() // opens stream 1
+	protocol.WriteFrameV2(w, protocol.FrameBatchAck, 1, nil)
+	protocol.WriteFrameV2(w, protocol.FrameBatchAck, 1, []byte{0, 0, 1})
+	ping()
+	if n := srv.Metrics()["batch_acks"]; n != 0 {
+		t.Fatalf("%d malformed acks counted", n)
 	}
 }
 
@@ -320,6 +442,5 @@ func TestStreamBuffersHoldNothingAfterEOF(t *testing.T) {
 		if round == 1 && cap(payload) != len(payload) {
 			t.Fatalf("second payload of %d bytes was built in a %d-byte buffer, not one sized by the first", len(payload), cap(payload))
 		}
-		st.inflight.Store(0) // the test acks nothing
 	}
 }

@@ -131,10 +131,13 @@ type Server struct {
 	streamsActive atomic.Int64
 	rowBatches    atomic.Int64
 
-	// Streaming-pipeline counters: rows produced through pull cursors
-	// and early cursor stops requested by clients.
+	// Streaming-pipeline counters: rows produced through pull cursors,
+	// early cursor stops requested by clients, row-batch acks received
+	// and the times a stream worker parked for want of credit.
 	rowsStreamed  atomic.Int64
 	cursorCancels atomic.Int64
+	batchAcks     atomic.Int64
+	creditWaits   atomic.Int64
 
 	// Overload-protection counters: statements shed by admission,
 	// connections reclaimed by the idle deadline, transient accept
@@ -163,6 +166,8 @@ func (s *Server) Metrics() map[string]int64 {
 		"row_batches":        s.rowBatches.Load(),
 		"rows_streamed":      s.rowsStreamed.Load(),
 		"cursor_cancels":     s.cursorCancels.Load(),
+		"batch_acks":         s.batchAcks.Load(),
+		"credit_waits":       s.creditWaits.Load(),
 		"shed_statements":    s.shedStatements.Load(),
 		"idle_reclaims":      s.idleReclaims.Load(),
 		"accept_retries":     s.acceptRetries.Load(),

@@ -289,9 +289,9 @@ func TestServerMetricsMove(t *testing.T) {
 	if m["bytes_in"] <= 0 || m["bytes_out"] <= 0 {
 		t.Fatalf("byte counters: %v", m)
 	}
-	if m["in_flight"] != 0 {
-		t.Fatalf("in_flight should be idle: %v", m)
-	}
+	// The worker leaves in_flight after queueing the terminal frame, so
+	// the client can read the reply a moment before the gauge settles.
+	waitFor(t, "in_flight to settle", func() bool { return srv.Metrics()["in_flight"] == 0 })
 
 	conn.Close()
 	// The handler goroutine may still be winding down; poll briefly.

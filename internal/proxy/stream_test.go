@@ -107,13 +107,15 @@ func TestCursorCancelEarlyStop(t *testing.T) {
 	}
 }
 
-// TestStreamWindowBounded parks a consumer mid-stream and proves the
-// client-side batch queue never grows past the negotiated window — the
+// TestStreamWindowBounded parks a consumer before its first row and
+// proves the server stops at the window: it parks for credit with
+// exactly StreamWindow batches sent, they all land in the client's
+// queue, and nothing more is produced until the consumer reads on — the
 // memory bound that lets a k-way merge over many shards hold a few
 // batches per source instead of whole results.
 func TestStreamWindowBounded(t *testing.T) {
 	const total = 3000
-	addr, _ := startNodeServer(t, "window-node")
+	addr, srv := startNodeServer(t, "window-node")
 	ds := client.NewRemoteDataSource("window", addr, &resource.Options{PoolSize: 2})
 	t.Cleanup(ds.Close)
 
@@ -127,14 +129,25 @@ func TestStreamWindowBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row read acks one batch; then stall so the server pushes until
-	// it runs out of credit.
-	if _, err := rs.Next(); err != nil {
-		t.Fatal(err)
+	var parked map[string]int64
+	waitFor(t, "the node to park for credit", func() bool {
+		parked = srv.Metrics()
+		return parked["credit_waits"] >= 1
+	})
+	if parked["row_batches"] != protocol.StreamWindow {
+		t.Fatalf("node parked after %d row batches, want %d", parked["row_batches"], protocol.StreamWindow)
 	}
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "the window to land in the client queue", func() bool {
+		return ds.AuxMetrics()["batch_window_peak"] >= protocol.StreamWindow
+	})
+	if m := ds.AuxMetrics(); m["batch_window_peak"] != protocol.StreamWindow || m["rows_streamed"] != 0 {
+		t.Fatalf("stalled consumer: %d batches queued, %d rows taken", m["batch_window_peak"], m["rows_streamed"])
+	}
+	if now := srv.Metrics(); now["rows_streamed"] != parked["rows_streamed"] || now["row_batches"] != protocol.StreamWindow {
+		t.Fatalf("parked node moved: rows %d → %d, batches %d", parked["rows_streamed"], now["rows_streamed"], now["row_batches"])
+	}
 	rows, err := resource.ReadAll(rs)
-	if err != nil || len(rows) != total-1 {
+	if err != nil || len(rows) != total {
 		t.Fatalf("stalled stream delivered %d rows, err %v", len(rows), err)
 	}
 	pc.Release()

@@ -138,9 +138,6 @@ func (c *Conn) Ping() error {
 // abandons the conversation mid-stream, so the logical conn is marked
 // defunct and the server told to tear the stream down; sibling streams on
 // the same socket are unaffected.
-//
-// Every row batch taken off the queue is acked back to the server — the
-// credit that lets it send the next one.
 func (c *Conn) pop(ctx context.Context) (muxFrame, error) {
 	f, err := c.st.pop(ctx)
 	if err != nil {
@@ -150,9 +147,6 @@ func (c *Conn) pop(ctx context.Context) (muxFrame, error) {
 			c.t.closeStream(c.st)
 		}
 		return muxFrame{}, err
-	}
-	if f.typ == protocol.FrameRowBatch {
-		c.t.send(c.st.id, outFrame{protocol.FrameBatchAck, nil})
 	}
 	return f, nil
 }
@@ -249,6 +243,7 @@ type remoteRows struct {
 	done   bool
 	err    error
 	closed bool
+	owe    bool       // the last row batch taken is not acked yet
 	exp    spanExpect // span grafting on the terminal frame, if traced
 }
 
@@ -257,6 +252,13 @@ func (rs *remoteRows) Columns() []string { return rs.cols }
 // fetch ensures the current batch has unread rows, pulling the next
 // row-batch frame when it runs dry. After fetch: either pos < len(batch),
 // or done is set (EOF/error consumed).
+//
+// A batch is acked (the server's credit for the next one) once the frame
+// behind it turns out to be another batch of this statement; when it is
+// the terminal frame, the server has finished and that frame stands in
+// for the ack, so a one-batch result costs none. Acking one frame late
+// cannot wedge the stream: with the queue empty the server holds at most
+// the one unacked batch, below StreamWindow.
 func (rs *remoteRows) fetch() error {
 	if rs.err != nil {
 		return rs.err
@@ -269,6 +271,11 @@ func (rs *remoteRows) fetch() error {
 		}
 		switch f.typ {
 		case protocol.FrameRowBatch:
+			if rs.owe {
+				rs.c.t.batchAcks.Add(1)
+				rs.c.t.send(rs.c.st.id, outFrame{protocol.FrameBatchAck, protocol.EncodeSeq(rs.seq)})
+			}
+			rs.owe = true
 			rs.batch, err = protocol.DecodeRowBatch(f.payload, rs.batch[:0])
 			rs.pos = 0
 			if err != nil {
@@ -330,7 +337,7 @@ func (rs *remoteRows) Close() error {
 	// the natural EOF harmless.
 	if !rs.done && rs.c.t.Healthy() {
 		rs.c.t.cursorCancels.Add(1)
-		rs.c.t.send(rs.c.st.id, outFrame{protocol.FrameCursorCancel, protocol.EncodeCursorCancel(rs.seq)})
+		rs.c.t.send(rs.c.st.id, outFrame{protocol.FrameCursorCancel, protocol.EncodeSeq(rs.seq)})
 	}
 	rs.skim()
 	return nil
@@ -429,8 +436,9 @@ func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]res
 }
 
 // QueryBatch implements resource.BatchConn: each row set is read to its
-// end as its turn comes (the server paces it by StreamWindow while the
-// statements behind it already run); the stream is free on return.
+// end as its turn comes (the server paces each statement by its own
+// StreamWindow while the statements behind it already run); the stream
+// is free on return.
 func (c *Conn) QueryBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ResultSet, error) {
 	sets := make([]resource.ResultSet, 0, len(stmts))
 	err := c.pipeline(ctx, stmts, func(i int, cols []string, _ resource.ExecResult, exp spanExpect) error {
@@ -574,6 +582,7 @@ func (p *muxPool) metrics() map[string]int64 {
 		"batches_streamed":  0,
 		"bytes_streamed":    0,
 		"cursor_cancels":    0,
+		"batch_acks":        0,
 		"batch_window_peak": 0,
 		"sockets_dialed":    p.socketsOpened.Load(),
 		"mux_socket_budget": 0,
@@ -596,6 +605,7 @@ func (p *muxPool) metrics() map[string]int64 {
 		m["batches_streamed"] += t.rowBatches.Load()
 		m["bytes_streamed"] += t.bytesStreamed.Load()
 		m["cursor_cancels"] += t.cursorCancels.Load()
+		m["batch_acks"] += t.batchAcks.Load()
 		m["batch_window_peak"] = max(m["batch_window_peak"], t.windowPeak.Load())
 	}
 	return m

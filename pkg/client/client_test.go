@@ -111,7 +111,7 @@ func TestDialSurfacesTypedOverload(t *testing.T) {
 func TestDialAgainstOtherVersionServerFails(t *testing.T) {
 	for _, msg := range []string{
 		"proxy: unknown frame",
-		"proxy: protocol: peer speaks version 3, this build speaks version 4",
+		"proxy: protocol: peer speaks version 4, this build speaks version 3",
 	} {
 		p := startPeer(t, refuseHello(msg))
 		check := func(what string, err error) {
@@ -139,7 +139,7 @@ func TestDialAgainstOtherVersionServerFails(t *testing.T) {
 	}
 }
 
-// A version-2 server does not refuse a version-3 Hello: it acks with its
+// A version-2 server does not refuse a newer Hello: it acks with its
 // own version (and its capability word). The dial fails on that ack, by
 // number, and closes the socket. The ack's bytes are spelled out.
 func TestDialAgainstVersion2AckFails(t *testing.T) {

@@ -82,6 +82,7 @@ type Transport struct {
 	rowsStreamed  atomic.Int64
 	bytesStreamed atomic.Int64
 	cursorCancels atomic.Int64
+	batchAcks     atomic.Int64
 	windowPeak    atomic.Int64 // deepest per-stream row-batch queue seen
 }
 
@@ -89,8 +90,8 @@ type Transport struct {
 // queue fed by the demux goroutine. Control frames are bounded by the
 // pipeline window (at most MaxPipeline responses outstanding); row
 // batches are bounded by the server's flow-control window — the server
-// keeps at most StreamWindow unacked batches in flight, and the consumer
-// acks each batch as it pops, so a stalled merge holds
+// keeps at most StreamWindow unacked batches of a statement in flight,
+// and the cursor acks them as it reads on, so a stalled merge holds
 // ~StreamWindow×DefaultBatchBytes per source instead of the whole result.
 type stream struct {
 	id      uint32
