@@ -27,13 +27,15 @@ fmt:
 
 # Short fuzz pass over the frame reader (with the statement payload's
 # trailer-then-head decode), row-batch decoder and trace-context trailer,
-# and over compile-then-bind against the reference rewrite. `go test` accepts one -fuzz target per invocation, hence
-# separate runs.
+# over compile-then-bind against the reference rewrite, and over Normalize
+# against the parser. `go test` accepts one -fuzz target per invocation,
+# hence separate runs.
 fuzz:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzDecodeRowBatch' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzTraceContext' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzBindMatchesReference' -fuzztime 10s -run '^$$' ./internal/rewrite/
+	$(GO) test -fuzz 'FuzzNormalize' -fuzztime 10s -run '^$$' ./internal/sqlparser/
 
 # The gated benchmark (BENCHMARK.json): the only place performance is
 # claimed.

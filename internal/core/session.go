@@ -354,9 +354,15 @@ func (s *Session) compileStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 	return p, args, genKey, nil
 }
 
-// Preview compiles and binds a statement exactly as executing it would and
-// returns the units it would send, without sending them (DistSQL PREVIEW).
+// Preview compiles and binds a statement exactly as executing it would —
+// its normalized shape, bound to the lifted values — and returns the units
+// it would send, without sending them (DistSQL PREVIEW).
 func (s *Session) Preview(sql string, args ...sqltypes.Value) ([]rewrite.SQLUnit, error) {
+	if norm, ok := sqlparser.Normalize(sql); ok {
+		if bound, err := norm.BindArgs(args); err == nil {
+			sql, args = norm.Key, bound
+		}
+	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err

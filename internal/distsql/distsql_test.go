@@ -231,11 +231,14 @@ func TestPreview(t *testing.T) {
 	if got := rows(t, res); len(got) != 4 {
 		t.Fatalf("broadcast preview: %v", got)
 	}
-	// PREVIEW binds the statement as executing it would: a split INSERT
-	// shows each unit its own rows, an offset page the revised LIMIT.
+	// PREVIEW binds the statement as executing it would: its normalized
+	// shape, each unit with the arguments its text reads — a split INSERT
+	// its own rows', an offset page offset+count for its one LIMIT operand,
+	// a derived key the argument it repeats.
 	for sql, want := range map[string]string{
-		"PREVIEW INSERT INTO t_user (uid, name) VALUES (6, 'x'), (-7, 'y'), (10, 'z')":  "[(ds1, INSERT INTO t_user_1 (uid, name) VALUES (6, 'x'), (-7, 'y')) (ds0, INSERT INTO t_user_0 (uid, name) VALUES (10, 'z'))]",
-		"PREVIEW SELECT name FROM t_user WHERE uid IN (1, 2) ORDER BY uid LIMIT 20, 10": "[(ds0, SELECT name, uid AS ORDER_BY_DERIVED_0 FROM t_user_0 WHERE uid IN (1, 2) ORDER BY uid LIMIT 30) (ds1, SELECT name, uid AS ORDER_BY_DERIVED_0 FROM t_user_1 WHERE uid IN (1, 2) ORDER BY uid LIMIT 30)]",
+		"PREVIEW INSERT INTO t_user (uid, name) VALUES (6, 'x'), (-7, 'y'), (10, 'z')":     "[(ds1, INSERT INTO t_user_1 (uid, name) VALUES (?, ?), (-(?), ?), [6 x 7 y]) (ds0, INSERT INTO t_user_0 (uid, name) VALUES (?, ?), [10 z])]",
+		"PREVIEW SELECT name FROM t_user WHERE uid IN (1, 2) ORDER BY uid LIMIT 20, 10":    "[(ds0, SELECT name, uid AS ORDER_BY_DERIVED_0 FROM t_user_0 WHERE uid IN (?, ?) ORDER BY uid LIMIT ?, [1 2 30]) (ds1, SELECT name, uid AS ORDER_BY_DERIVED_0 FROM t_user_1 WHERE uid IN (?, ?) ORDER BY uid LIMIT ?, [1 2 30])]",
+		"PREVIEW SELECT uid % 3, uid % 5 FROM t_user WHERE uid IN (1, 2) ORDER BY uid % 5": "[(ds0, SELECT uid % ?, uid % ?, uid % ? AS ORDER_BY_DERIVED_0 FROM t_user_0 WHERE uid IN (?, ?) ORDER BY uid % ?, [3 5 5 1 2 5]) (ds1, SELECT uid % ?, uid % ?, uid % ? AS ORDER_BY_DERIVED_0 FROM t_user_1 WHERE uid IN (?, ?) ORDER BY uid % ?, [3 5 5 1 2 5])]",
 	} {
 		if got := fmt.Sprint(rows(t, exec(t, s, sql))); got != want {
 			t.Errorf("%s:\n got %s\nwant %s", sql, got, want)

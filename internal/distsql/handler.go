@@ -659,9 +659,10 @@ func (h *Handler) preview(sess *core.Session, sql string) (*core.Result, error) 
 		rows = append(rows, sqltypes.Row{
 			sqltypes.NewString(u.DataSource),
 			sqltypes.NewString(u.SQL),
+			sqltypes.NewString(fmt.Sprint(u.Args)),
 		})
 	}
-	return rowsResult([]string{"data_source", "actual_sql"}, rows), nil
+	return rowsResult([]string{"data_source", "actual_sql", "args"}, rows), nil
 }
 
 // trace executes the statement with a detailed trace and returns the span

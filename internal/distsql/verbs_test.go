@@ -116,7 +116,7 @@ func TestVerbatimPayloadIsNotLexed(t *testing.T) {
 	// The trailing semicolon goes; everything else reaches the SQL parser
 	// as written, so its error quotes the payload, not the DistSQL.
 	got := rows(t, exec(t, s, "preview  SELECT * FROM t_user WHERE uid = 5 ;"))
-	if len(got) != 1 || !strings.Contains(got[0][1].S, "uid = 5") {
+	if len(got) != 1 || !strings.Contains(got[0][1].S, "uid = ?") || got[0][2].S != "[5]" {
 		t.Fatalf("preview: %v", got)
 	}
 	_, err := s.Execute("PREVIEW SELEC 1")

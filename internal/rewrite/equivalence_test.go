@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,10 +13,13 @@ import (
 
 // referenceRewrite is the rewriter as it was before statements were
 // compiled once and bound: derive on a clone, then clone + RenameTables +
-// Serialize once per unit, a split INSERT keeping each unit's rows and
-// gathering their placeholders' values. The equivalence test and the fuzz
-// target hold the compile/bind mechanism to its output, byte for byte.
-func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
+// Serialize once per unit, a split INSERT keeping each unit's rows. It
+// returns, beside the units, each unit's bound text: its statement with
+// every placeholder replaced by the argument it stands for, args[p.Index]
+// (a fan-out LIMIT stands for offset+count, bound after the statement's
+// own arguments). The equivalence test and the fuzz target hold the
+// compile/bind mechanism to both, byte for byte.
+func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltypes.Value, dialect DialectFunc) (*Result, []string, error) {
 	out := &Result{}
 	work := sqlparser.CloneStatement(stmt)
 	if sel, ok := work.(*sqlparser.SelectStmt); ok {
@@ -23,7 +27,7 @@ func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltype
 		if sel.Limit != nil {
 			li, err := evalLimit(sel.Limit, args)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ctx.Limit = li
 		}
@@ -38,11 +42,10 @@ func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltype
 			} else if len(sel.GroupBy) > 0 && len(sel.OrderBy) > 0 {
 				ctx.GroupOrdered = sameKeys(ctx.GroupBy, ctx.OrderBy)
 			}
-			if ctx.Limit != nil && ctx.Limit.Offset > 0 {
-				sel.Limit = &sqlparser.Limit{
-					Count: &sqlparser.Literal{Val: sqltypes.NewInt(ctx.Limit.Offset + ctx.Limit.Count)},
-				}
-				ctx.Limit.Revised = true
+			if ctx.Limit != nil {
+				sel.Limit = &sqlparser.Limit{Count: &sqlparser.Placeholder{Index: len(args)}}
+				args = append(args[:len(args):len(args)], sqltypes.NewInt(ctx.Limit.Offset+ctx.Limit.Count))
+				ctx.Limit.Revised = ctx.Limit.Offset > 0
 			}
 		} else {
 			ctx.Limit = nil
@@ -50,38 +53,108 @@ func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltype
 		}
 		out.Select = ctx
 	}
+	var bound []string
 	for _, unit := range rt.Units {
 		clone := sqlparser.CloneStatement(work)
-		unitArgs := args
 		if ins, ok := clone.(*sqlparser.InsertStmt); ok && len(rt.Units) > 1 && unit.RowIndexes != nil {
 			var rows [][]sqlparser.Expr
-			unitArgs = nil
 			for _, idx := range unit.RowIndexes {
 				rows = append(rows, ins.Rows[idx])
-				for _, e := range ins.Rows[idx] {
-					sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-						if p, ok := x.(*sqlparser.Placeholder); ok {
-							unitArgs = append(unitArgs, args[p.Index])
-						}
-						return true
-					})
-				}
 			}
 			ins.Rows = rows
 		}
 		sqlparser.RenameTables(clone, unit.TableMap)
-		u := SQLUnit{
-			DataSource: unit.DataSource,
-			SQL:        sqlparser.NewSerializer(dialect(unit.DataSource)).Serialize(clone),
-			Args:       unitArgs,
-		}
+		d := dialect(unit.DataSource)
+		u := SQLUnit{DataSource: unit.DataSource, SQL: sqlparser.NewSerializer(d).Serialize(clone)}
 		if len(unit.TableMap) == 1 {
 			for u.LogicTable, u.ActualTable = range unit.TableMap {
 			}
 		}
 		out.Units = append(out.Units, u)
+		text, _ := boundText(clone, args, d)
+		bound = append(bound, text)
 	}
-	return out, nil
+	return out, bound, nil
+}
+
+// boundText serializes a statement with each placeholder replaced by the
+// literal args[p.Index], and counts the placeholders; one that reads past
+// args shows as a column named for the argument it misses.
+func boundText(stmt sqlparser.Statement, args []sqltypes.Value, d sqlparser.Dialect) (string, int) {
+	n := 0
+	var bind func(e sqlparser.Expr) sqlparser.Expr
+	bind = func(e sqlparser.Expr) sqlparser.Expr {
+		switch t := e.(type) {
+		case *sqlparser.Placeholder:
+			n++
+			if t.Index >= len(args) {
+				return &sqlparser.ColumnRef{Name: fmt.Sprintf("missing_argument_%d", t.Index+1)}
+			}
+			return &sqlparser.Literal{Val: args[t.Index]}
+		case *sqlparser.BinaryExpr:
+			t.L, t.R = bind(t.L), bind(t.R)
+		case *sqlparser.UnaryExpr:
+			t.E = bind(t.E)
+		case *sqlparser.InExpr:
+			t.E = bind(t.E)
+			for i := range t.List {
+				t.List[i] = bind(t.List[i])
+			}
+		case *sqlparser.BetweenExpr:
+			t.E, t.Lo, t.Hi = bind(t.E), bind(t.Lo), bind(t.Hi)
+		case *sqlparser.LikeExpr:
+			t.E, t.Pattern = bind(t.E), bind(t.Pattern)
+		case *sqlparser.IsNullExpr:
+			t.E = bind(t.E)
+		case *sqlparser.FuncExpr:
+			for i := range t.Args {
+				t.Args[i] = bind(t.Args[i])
+			}
+		case *sqlparser.CaseExpr:
+			t.Operand, t.Else = bind(t.Operand), bind(t.Else)
+			for i := range t.Whens {
+				t.Whens[i].When, t.Whens[i].Then = bind(t.Whens[i].When), bind(t.Whens[i].Then)
+			}
+		}
+		return e
+	}
+	switch s := sqlparser.CloneStatement(stmt).(type) {
+	case *sqlparser.SelectStmt:
+		for i := range s.Items {
+			s.Items[i].Expr = bind(s.Items[i].Expr)
+		}
+		for i := range s.From {
+			s.From[i].On = bind(s.From[i].On)
+		}
+		s.Where, s.Having = bind(s.Where), bind(s.Having)
+		for i := range s.GroupBy {
+			s.GroupBy[i] = bind(s.GroupBy[i])
+		}
+		for i := range s.OrderBy {
+			s.OrderBy[i].Expr = bind(s.OrderBy[i].Expr)
+		}
+		if s.Limit != nil {
+			s.Limit.Offset, s.Limit.Count = bind(s.Limit.Offset), bind(s.Limit.Count)
+		}
+		stmt = s
+	case *sqlparser.InsertStmt:
+		for _, row := range s.Rows {
+			for i := range row {
+				row[i] = bind(row[i])
+			}
+		}
+		stmt = s
+	case *sqlparser.UpdateStmt:
+		for i := range s.Set {
+			s.Set[i].Value = bind(s.Set[i].Value)
+		}
+		s.Where = bind(s.Where)
+		stmt = s
+	case *sqlparser.DeleteStmt:
+		s.Where = bind(s.Where)
+		stmt = s
+	}
+	return sqlparser.NewSerializer(d).Serialize(stmt), n
 }
 
 // equivalenceFixture is the router and dialects the shapes run against:
@@ -169,6 +242,12 @@ var equivalenceShapes = []struct {
 	}, [2]int{2, 1}},
 	{"ddl", "CREATE INDEX idx_age ON t_user (age)", [2][]sqltypes.Value{}, [2]int{4, 4}},
 	{"ddl on a broadcast table", "TRUNCATE TABLE t_dict", [2][]sqltypes.Value{}, [2]int{2, 2}},
+	{"order by ordinal", "SELECT name, age FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY 2 DESC", [2][]sqltypes.Value{intArgs(1, 100), intArgs(7, 7)}, [2]int{4, 1}},
+	{"group by ordinal", "SELECT age, COUNT(*) FROM t_user WHERE uid BETWEEN ? AND ? GROUP BY 1", [2][]sqltypes.Value{intArgs(1, 100), intArgs(6, 6)}, [2]int{4, 1}},
+	{"group by a placeholder expression", "SELECT COUNT(*) FROM t_user WHERE uid BETWEEN ? AND ? GROUP BY age % ?", [2][]sqltypes.Value{intArgs(1, 100, 2), intArgs(3, 3, 5)}, [2]int{4, 1}},
+	{"same text, different arguments", "SELECT age % ?, age % ? FROM t_user ORDER BY age % ?", [2][]sqltypes.Value{intArgs(3, 5, 5), intArgs(2, 2, 7)}, [2]int{4, 4}},
+	{"order by an expression, paged", "SELECT name FROM t_user ORDER BY uid + ? DESC LIMIT ?, ?", [2][]sqltypes.Value{intArgs(1, 2, 3), intArgs(0, 0, 1)}, [2]int{4, 4}},
+	{"postgresql paging on ds1", "SELECT name FROM t_user WHERE uid = ? ORDER BY age LIMIT ? OFFSET ?", [2][]sqltypes.Value{intArgs(1, 10, 20), intArgs(3, 5, 0)}, [2]int{1, 1}},
 }
 
 // bindTwice compiles a statement once — route skeleton and rewrite
@@ -201,7 +280,7 @@ func bindTwice(t testing.TB, router *route.Router, dialect DialectFunc, sql stri
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := referenceRewrite(fresh, rt, args[i], dialect)
+		want, wantBound, wantErr := referenceRewrite(fresh, rt, args[i], dialect)
 		for who, rewrite := range map[string]func() (*Result, error){
 			"Template.Rewrite": func() (*Result, error) { return tmpl.Rewrite(rt, args[i], dialect) },
 			"Rewriter.Rewrite": func() (*Result, error) { return New(dialect).Rewrite(stmt, rt, args[i]) },
@@ -211,7 +290,7 @@ func bindTwice(t testing.TB, router *route.Router, dialect DialectFunc, sql stri
 				t.Fatalf("%s binding %d: error %v, reference %v", who, i, err, wantErr)
 			}
 			if err == nil {
-				assertSameRewrite(t, who, got, want)
+				assertSameRewrite(t, who, dialect, got, want, wantBound)
 			}
 		}
 	}
@@ -232,14 +311,31 @@ func TestRewriteEquivalence(t *testing.T) {
 	}
 }
 
-func assertSameRewrite(t testing.TB, who string, got, want *Result) {
+// assertSameRewrite holds a binding's units to the reference's: the same
+// data source, tables and text, and the same text once bound — the unit's
+// "?"s taking its arguments positionally, as a data node binds them, the
+// reference's taking the arguments they stand for.
+func assertSameRewrite(t testing.TB, who string, dialect DialectFunc, got, want *Result, wantBound []string) {
 	t.Helper()
 	if len(got.Units) != len(want.Units) {
 		t.Fatalf("%s: %d units, want %d", who, len(got.Units), len(want.Units))
 	}
-	for i := range want.Units {
-		if !reflect.DeepEqual(got.Units[i], want.Units[i]) {
-			t.Errorf("%s unit %d:\n got %+v\nwant %+v", who, i, got.Units[i], want.Units[i])
+	for i, u := range got.Units {
+		if shape := (SQLUnit{DataSource: u.DataSource, SQL: u.SQL, LogicTable: u.LogicTable, ActualTable: u.ActualTable}); !reflect.DeepEqual(shape, want.Units[i]) {
+			t.Errorf("%s unit %d:\n got %+v\nwant %+v", who, i, shape, want.Units[i])
+			continue
+		}
+		parsed, err := sqlparser.Parse(u.SQL)
+		if err != nil {
+			t.Errorf("%s unit %d: %q does not parse: %v", who, i, u.SQL, err)
+			continue
+		}
+		bound, n := boundText(parsed, u.Args, dialect(u.DataSource))
+		if n != len(u.Args) {
+			t.Errorf("%s unit %d: %q has %d placeholders, %d arguments %v", who, i, u.SQL, n, len(u.Args), u.Args)
+		}
+		if bound != wantBound[i] {
+			t.Errorf("%s unit %d bound:\n got %s\nwant %s", who, i, bound, wantBound[i])
 		}
 	}
 	if !reflect.DeepEqual(got.Select, want.Select) {

@@ -16,6 +16,7 @@ package rewrite
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"shardingsphere/internal/route"
@@ -221,19 +222,14 @@ func evalLimit(lim *sqlparser.Limit, args []sqltypes.Value) (*LimitInfo, error) 
 	return &LimitInfo{Offset: off, Count: cnt}, nil
 }
 
-// hasStar reports whether the projection contains a star item.
-func hasStar(stmt *sqlparser.SelectStmt) bool {
-	for _, it := range stmt.Items {
-		if it.Star {
-			return true
-		}
+// findItem locates an ORDER BY / GROUP BY key among the output columns: an
+// ordinal n is column n-1, else the item with its alias, bare column name,
+// or serialized text and reads (`v % ?` twice is one item only if both
+// read one argument, whatever values are bound). Returns -1 when absent.
+func findItem(stmt *sqlparser.SelectStmt, e sqlparser.Expr) int {
+	if lit, ok := e.(*sqlparser.Literal); ok && lit.Val.Kind == sqltypes.KindInt && lit.Val.I >= 1 {
+		return int(lit.Val.I - 1)
 	}
-	return false
-}
-
-// findItem locates an expression among the projection items: by alias, by
-// bare column name, or by serialized text. Returns -1 when absent.
-func findItem(stmt *sqlparser.SelectStmt, e sqlparser.Expr, ser *sqlparser.Serializer) int {
 	if ref, ok := e.(*sqlparser.ColumnRef); ok {
 		for i, it := range stmt.Items {
 			if it.Star {
@@ -250,12 +246,15 @@ func findItem(stmt *sqlparser.SelectStmt, e sqlparser.Expr, ser *sqlparser.Seria
 		}
 		return -1
 	}
-	text := ser.SerializeExpr(e)
+	serialize := func(e sqlparser.Expr) (string, []int) {
+		return sqlparser.NewSerializer(sqlparser.DialectMySQL).SerializeReads(&sqlparser.SelectStmt{Items: []sqlparser.SelectItem{{Expr: e}}})
+	}
+	text, reads := serialize(e)
 	for i, it := range stmt.Items {
 		if it.Star || it.Expr == nil {
 			continue
 		}
-		if ser.SerializeExpr(it.Expr) == text {
+		if itText, itReads := serialize(it.Expr); itText == text && slices.Equal(itReads, reads) {
 			return i
 		}
 	}
@@ -266,18 +265,13 @@ func findItem(stmt *sqlparser.SelectStmt, e sqlparser.Expr, ser *sqlparser.Seria
 // aggregate decomposition (AVG → SUM + COUNT) and derived ORDER BY /
 // GROUP BY columns, recording everything the merger needs.
 func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
-	ser := sqlparser.NewSerializer(sqlparser.DialectMySQL)
-	star := hasStar(stmt)
+	star := slices.ContainsFunc(stmt.Items, func(it sqlparser.SelectItem) bool { return it.Star })
 	derivedSeq := 0
 
 	appendDerived := func(e sqlparser.Expr, prefix string) int {
 		alias := fmt.Sprintf("%s_DERIVED_%d", prefix, derivedSeq)
 		derivedSeq++
-		stmt.Items = append(stmt.Items, sqlparser.SelectItem{
-			Expr:    sqlparser.CloneExpr(e),
-			Alias:   alias,
-			Derived: true,
-		})
+		stmt.Items = append(stmt.Items, sqlparser.SelectItem{Expr: sqlparser.CloneExpr(e), Alias: alias})
 		ctx.Derived++
 		return len(stmt.Items) - 1
 	}
@@ -293,11 +287,6 @@ func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 		switch f.Name {
 		case "COUNT":
 			agg.Kind = AggCount
-			if f.Distinct {
-				// COUNT(DISTINCT x) merges by re-counting distinct values;
-				// ship the raw expression too.
-				agg.Kind = AggCount
-			}
 		case "SUM":
 			agg.Kind = AggSum
 		case "MAX":
@@ -306,8 +295,9 @@ func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 			agg.Kind = AggMin
 		case "AVG":
 			agg.Kind = AggAvg
-			sum := &sqlparser.FuncExpr{Name: "SUM", Args: cloneArgs(f.Args)}
-			cnt := &sqlparser.FuncExpr{Name: "COUNT", Args: cloneArgs(f.Args)}
+			// appendDerived copies the arguments.
+			sum := &sqlparser.FuncExpr{Name: "SUM", Args: f.Args}
+			cnt := &sqlparser.FuncExpr{Name: "COUNT", Args: f.Args}
 			agg.SumIndex = appendDerived(sum, "AVG_SUM")
 			agg.CountIndex = appendDerived(cnt, "AVG_COUNT")
 		}
@@ -322,7 +312,7 @@ func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 	}
 
 	resolve := func(e sqlparser.Expr, prefix string) OrderKey {
-		if idx := findItem(stmt, e, ser); idx >= 0 {
+		if idx := findItem(stmt, e); idx >= 0 {
 			return OrderKey{Index: idx}
 		}
 		if ref, ok := e.(*sqlparser.ColumnRef); ok && star {
@@ -346,9 +336,8 @@ func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 // resolveKeysForSingleNode records merge keys without deriving columns —
 // a single node returns final, fully ordered results.
 func resolveKeysForSingleNode(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
-	ser := sqlparser.NewSerializer(sqlparser.DialectMySQL)
 	for _, o := range stmt.OrderBy {
-		idx := findItem(stmt, o.Expr, ser)
+		idx := findItem(stmt, o.Expr)
 		name := ""
 		if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok {
 			name = ref.Name
@@ -367,12 +356,4 @@ func sameKeys(a, b []OrderKey) bool {
 		}
 	}
 	return true
-}
-
-func cloneArgs(args []sqlparser.Expr) []sqlparser.Expr {
-	out := make([]sqlparser.Expr, len(args))
-	for i, a := range args {
-		out[i] = sqlparser.CloneExpr(a)
-	}
-	return out
 }

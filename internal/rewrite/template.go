@@ -19,35 +19,34 @@ const sentinelBase = "__sharding_tmpl"
 
 // spliced is one dialect's serialized statement cut at the sentinels:
 // pieces[i] is followed by the value of slots[i], and the last piece ends
-// the text.
+// the text. reads is the argument each "?" of the text reads, in text
+// order; nil when the text reads the statement's arguments as they are.
 type spliced struct {
 	pieces []string
 	slots  []int
-	limit  string // the pagination as written, when the statement has a LIMIT slot
+	reads  []int
 }
 
 // compiled is the one rewrite mechanism (paper Section VI-C): a statement
 // is copied and serialized once per dialect with sentinels in place of
 // whatever differs between units, and each routed unit's SQL is the pieces
 // with that unit's values spliced in — byte-identical to clone + rename +
-// Serialize per unit, at the cost of a string join. Slot i < len(tables)
-// is table i's actual name; slot len(tables) is a fan-out SELECT's LIMIT
-// operands, which are the pagination as written or, when the merger has an
-// offset to skip, the revised row count.
+// Serialize per unit, at the cost of a string join. Slot i is table i's
+// actual name. A unit's arguments are the bound arguments in the order the
+// dialect's text reads them.
 type compiled struct {
-	tables []string         // names the sentinels replaced, as written in the statement
-	base   string           // sentinel prefix absent from the statement's own text
-	limit  *sqlparser.Limit // the pagination as written; nil without a LIMIT slot
+	tables []string // names the sentinels replaced, as written in the statement
+	base   string   // sentinel prefix absent from the statement's own text
+	need   int      // the arguments the texts read: one past the highest index
 	text   [sqlparser.DialectPostgreSQL + 1]*spliced
 }
 
-// compile takes ownership of stmt (a private copy), renames the given
-// tables to sentinels and, given the statement's pagination, makes its
-// LIMIT operands a slot. Every dialect is cut before the result is
-// returned, so it is immutable and safe to share across sessions.
-func compile(stmt sqlparser.Statement, tables []string, limit *sqlparser.Limit) *compiled {
-	c := &compiled{tables: tables, base: sentinelBase, limit: limit}
-	if len(tables) > 0 || limit != nil {
+// compile takes ownership of stmt (a private copy) and renames the given
+// tables to sentinels. Every dialect is cut before the result is returned,
+// so it is immutable and safe to share across sessions.
+func compile(stmt sqlparser.Statement, tables []string) *compiled {
+	c := &compiled{tables: tables, base: sentinelBase}
+	if len(tables) > 0 {
 		own := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(stmt)
 		for strings.Contains(own, c.base) {
 			c.base += "_"
@@ -57,11 +56,6 @@ func compile(stmt sqlparser.Statement, tables []string, limit *sqlparser.Limit) 
 			mapping[t] = c.base + strconv.Itoa(i) + "__"
 		}
 		sqlparser.RenameTables(stmt, mapping)
-		if limit != nil {
-			stmt.(*sqlparser.SelectStmt).Limit = &sqlparser.Limit{
-				Count: &sqlparser.ColumnRef{Name: c.base + strconv.Itoa(len(tables)) + "__"},
-			}
-		}
 	}
 	for d := range c.text {
 		c.text[d] = c.cut(sqlparser.Dialect(d), stmt)
@@ -72,13 +66,18 @@ func compile(stmt sqlparser.Statement, tables []string, limit *sqlparser.Limit) 
 // cut serializes the sentinel-bearing statement for a dialect and cuts it
 // at the sentinels.
 func (c *compiled) cut(d sqlparser.Dialect, work sqlparser.Statement) *spliced {
-	ser := sqlparser.NewSerializer(d)
-	s := ser.Serialize(work)
+	s, reads := sqlparser.NewSerializer(d).SerializeReads(work)
 	n := 0
-	if len(c.tables) > 0 || c.limit != nil {
+	if len(c.tables) > 0 {
 		n = strings.Count(s, c.base)
 	}
 	sp := &spliced{pieces: make([]string, 0, n+1), slots: make([]int, 0, n)}
+	for i, r := range reads {
+		if r != i {
+			sp.reads = reads
+		}
+		c.need = max(c.need, r+1)
+	}
 	for ; n > 0; n-- {
 		i := strings.Index(s, c.base)
 		rest := s[i+len(c.base):]
@@ -89,9 +88,6 @@ func (c *compiled) cut(d sqlparser.Dialect, work sqlparser.Statement) *spliced {
 		s = rest[end+2:]
 	}
 	sp.pieces = append(sp.pieces, s)
-	if c.limit != nil {
-		sp.limit = ser.SerializeLimit(c.limit)
-	}
 	return sp
 }
 
@@ -119,24 +115,23 @@ func (sp *spliced) splice(values []string) string {
 // TableMap by the rule's logic table, whose case may differ from the
 // statement's spelling; a table the unit does not map keeps its name as
 // written. A unit that maps one table carries its logic and actual name.
-// revised, when not empty, replaces the pagination as written.
-func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect DialectFunc, revised string) []SQLUnit {
+// A text that reads the arguments as they are passes them through; units
+// of one data source share one reordered list. args holds c.need values.
+func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect DialectFunc) []SQLUnit {
 	out := make([]SQLUnit, len(routed))
 	// Fan-outs revisit a handful of data sources; resolve each dialect once.
 	type resolved struct {
 		ds   string
 		d    sqlparser.Dialect
 		text *spliced
+		args []sqltypes.Value
 	}
 	var seen [8]resolved
 	nseen := 0
 	var buf [2]string
-	values := buf[:]
-	if n := len(c.tables) + 1; n > len(buf) {
-		values = make([]string, n)
-	}
-	if c.limit == nil {
-		values = values[:len(c.tables)]
+	values := buf[:len(c.tables)]
+	if len(c.tables) > len(buf) {
+		values = make([]string, len(c.tables))
 	}
 	for i, unit := range routed {
 		var r *resolved
@@ -148,13 +143,19 @@ func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect Dia
 		if r == nil {
 			r = &seen[nseen%len(seen)] // past the memo's size, the last slot is scratch
 			r.ds, r.d = unit.DataSource, dialect(unit.DataSource)
-			r.text = c.text[r.d]
+			r.text, r.args = c.text[r.d], args
+			if r.text.reads != nil {
+				r.args = make([]sqltypes.Value, len(r.text.reads))
+				for j, a := range r.text.reads {
+					r.args[j] = args[a]
+				}
+			}
 			if nseen < len(seen)-1 {
 				nseen++
 			}
 		}
 		u := &out[i]
-		u.DataSource, u.Args = unit.DataSource, args
+		u.DataSource, u.Args = unit.DataSource, r.args
 		for slot, table := range c.tables {
 			key := table
 			name, ok := unit.TableMap[key]
@@ -172,12 +173,6 @@ func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect Dia
 			}
 			values[slot] = sqlparser.QuoteIdent(r.d, name)
 		}
-		if c.limit != nil {
-			values[len(c.tables)] = revised
-			if revised == "" {
-				values[len(c.tables)] = r.text.limit
-			}
-		}
 		u.SQL = r.text.splice(values)
 	}
 	return out
@@ -194,8 +189,8 @@ func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect Dia
 // orders; paper Section VI-C, optimization rewrite), an INSERT whose unit
 // receives every row. The fan-out form is a SELECT on several nodes —
 // derived columns, the GROUP BY→ORDER BY stream rewrite and their merge
-// context, with the LIMIT operands a slot — or an INSERT whose rows land
-// on several nodes, cut into a head and one text per row.
+// context, and a LIMIT of one "?" that reads offset+count — or an INSERT
+// whose rows land on several nodes, cut into a head and one text per row.
 type Template struct {
 	stmt   sqlparser.Statement
 	tables []string // as written in the statement, case-sensitively — the form RenameTables matches
@@ -207,6 +202,7 @@ type Template struct {
 	fanOnce sync.Once
 	fan     *compiled
 	fanCtx  *SelectContext
+	fanArgs int   // the statement's own arguments; a fan-out LIMIT reads the one after them
 	fanErr  error // the SELECT has no multi-node form (ErrUnsupported)
 	split   *splitInsert
 }
@@ -239,7 +235,7 @@ func (t *Template) wholeForm() (*compiled, *SelectContext) {
 		default:
 			owned = sqlparser.CloneStatement(s)
 		}
-		t.whole = compile(owned, t.tables, nil)
+		t.whole = compile(owned, t.tables)
 	})
 	return t.whole, t.wholeCtx
 }
@@ -253,7 +249,14 @@ func (t *Template) fanOutForm() {
 				t.fanErr = err
 				return
 			}
-			t.fan, t.fanCtx = compile(work, t.tables, s.Limit), ctx
+			if work.Limit != nil {
+				// Pagination revision: every node returns the first
+				// offset+count rows, a value bound after the statement's own.
+				_, own := sqlparser.NewSerializer(sqlparser.DialectMySQL).SerializeReads(s)
+				t.fanArgs = len(own)
+				work.Limit = &sqlparser.Limit{Count: &sqlparser.Placeholder{Index: t.fanArgs}}
+			}
+			t.fan, t.fanCtx = compile(work, t.tables), ctx
 		case *sqlparser.InsertStmt:
 			t.split = newSplitInsert(s, t.tables)
 		}
@@ -261,11 +264,11 @@ func (t *Template) fanOutForm() {
 }
 
 // Render splices one actual table name into a single-table statement's
-// whole form. ok is false for a dialect the serializer does not know and
-// for a template of several tables.
+// whole form. ok is false for a dialect the serializer does not know, a
+// template of several tables and a text whose "?"s read out of order.
 func (t *Template) Render(d sqlparser.Dialect, actual string) (string, bool) {
 	c, _ := t.wholeForm()
-	if int(d) >= len(c.text) || len(t.tables) != 1 {
+	if int(d) >= len(c.text) || len(t.tables) != 1 || c.text[d].reads != nil {
 		return "", false
 	}
 	return c.text[d].splice([]string{sqlparser.QuoteIdent(d, actual)}), true
@@ -274,6 +277,8 @@ func (t *Template) Render(d sqlparser.Dialect, actual string) (string, bool) {
 // Rewrite binds a route and argument values: one SQL unit per routed
 // unit, and for a SELECT the context its results merge under.
 func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
+	var c *compiled
+	var ctx *SelectContext
 	switch s := t.stmt.(type) {
 	case *sqlparser.SelectStmt:
 		var li *LimitInfo
@@ -291,19 +296,16 @@ func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect Dial
 		if t.fanOutForm(); t.fanErr != nil {
 			return nil, t.fanErr
 		}
-		ctx, revised := t.fanCtx, ""
+		c, ctx = t.fan, t.fanCtx
 		if li != nil {
 			withLimit := *ctx
 			withLimit.Limit = li
 			ctx = &withLimit
-			// Pagination revision: every node returns the first
-			// offset+count rows; the merger re-applies the real offset.
-			if li.Offset > 0 {
-				li.Revised = true
-				revised = strconv.FormatInt(li.Offset+li.Count, 10)
-			}
+			// The merger re-applies the real offset.
+			li.Revised = li.Offset > 0
+			n := min(len(args), t.fanArgs)
+			args = append(args[:n:n], sqltypes.NewInt(li.Offset+li.Count))
 		}
-		return &Result{Units: t.fan.units(rt.Units, args, dialect, revised), Select: ctx}, nil
 	case *sqlparser.InsertStmt:
 		// A route of several units with row indexes split the rows among
 		// them; any other hands every unit every row.
@@ -312,57 +314,56 @@ func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect Dial
 			return t.split.units(rt.Units, args, dialect)
 		}
 	}
-	c, ctx := t.wholeForm()
-	return &Result{Units: c.units(rt.Units, args, dialect, ""), Select: ctx}, nil
+	if c == nil {
+		c, ctx = t.wholeForm()
+	}
+	if len(args) < c.need {
+		return nil, fmt.Errorf("rewrite: statement reads %d bind arguments, %d given", c.need, len(args))
+	}
+	return &Result{Units: c.units(rt.Units, args, dialect), Select: ctx}, nil
 }
 
 // splitInsert is the fan-out form of an INSERT (paper: "splits batched
 // insert ... to avoid writing excessive data"): each unit's SQL is the
 // head with its table name plus the texts of its rows, and its arguments
-// are those rows' placeholders' values in order — rows keep their
+// are what those rows' texts read, in order — rows keep their
 // placeholders, so no value is ever rendered into text.
 type splitInsert struct {
-	head *compiled                                 // "INSERT INTO <table> (columns) VALUES "
-	rows [sqlparser.DialectPostgreSQL + 1][]string // each row's text
-	args [][]int                                   // each row's placeholder indexes, in text order
+	head *compiled                                    // "INSERT INTO <table> (columns) VALUES "
+	rows [sqlparser.DialectPostgreSQL + 1][]insertRow // each row, per dialect
+	need int                                          // the arguments the rows read
+}
+
+type insertRow struct {
+	text  string
+	reads []int
 }
 
 func newSplitInsert(stmt *sqlparser.InsertStmt, tables []string) *splitInsert {
-	sp := &splitInsert{
-		head: compile(&sqlparser.InsertStmt{Table: stmt.Table, Columns: stmt.Columns}, tables, nil),
-		args: make([][]int, len(stmt.Rows)),
-	}
+	sp := &splitInsert{head: compile(&sqlparser.InsertStmt{Table: stmt.Table, Columns: stmt.Columns}, tables)}
 	for d := range sp.rows {
 		ser := sqlparser.NewSerializer(sqlparser.Dialect(d))
-		sp.rows[d] = make([]string, len(stmt.Rows))
-		for i, row := range stmt.Rows {
-			var b strings.Builder
-			b.WriteString("(")
-			for j, e := range row {
-				if j > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(ser.SerializeExpr(e))
+		one := sqlparser.InsertStmt{Table: stmt.Table, Columns: stmt.Columns}
+		head := len(ser.Serialize(&one))
+		sp.rows[d] = make([]insertRow, len(stmt.Rows))
+		for i := range stmt.Rows {
+			// A row's text is what a one-row INSERT adds to the head.
+			one.Rows = stmt.Rows[i : i+1]
+			text, reads := ser.SerializeReads(&one)
+			sp.rows[d][i] = insertRow{text: text[head:], reads: reads}
+			for _, r := range reads {
+				sp.need = max(sp.need, r+1)
 			}
-			b.WriteString(")")
-			sp.rows[d][i] = b.String()
-		}
-	}
-	for i, row := range stmt.Rows {
-		for _, e := range row {
-			sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-				if p, ok := x.(*sqlparser.Placeholder); ok {
-					sp.args[i] = append(sp.args[i], p.Index)
-				}
-				return true
-			})
 		}
 	}
 	return sp
 }
 
 func (sp *splitInsert) units(routed []route.Unit, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
-	out := sp.head.units(routed, nil, dialect, "")
+	if len(args) < sp.need {
+		return nil, fmt.Errorf("rewrite: statement reads %d bind arguments, %d given", sp.need, len(args))
+	}
+	out := sp.head.units(routed, nil, dialect)
 	for i := range out {
 		rows := sp.rows[dialect(out[i].DataSource)]
 		var b strings.Builder
@@ -374,11 +375,8 @@ func (sp *splitInsert) units(routed []route.Unit, args []sqltypes.Value, dialect
 			if j > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(rows[idx])
-			for _, a := range sp.args[idx] {
-				if a >= len(args) {
-					return nil, fmt.Errorf("rewrite: INSERT needs bind argument %d", a+1)
-				}
+			b.WriteString(rows[idx].text)
+			for _, a := range rows[idx].reads {
 				out[i].Args = append(out[i].Args, args[a])
 			}
 		}

@@ -136,7 +136,7 @@ func (o *output) newGroup(first sqltypes.Row) *groupAcc {
 func (o *output) group(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 	stmt := o.stmt
 	var groups []*groupAcc
-	if len(stmt.GroupBy) == 0 {
+	if len(o.groupBy) == 0 {
 		// A global aggregate over zero rows still yields one group.
 		first := nullRow(envWidth(env.tables))
 		if len(rows) > 0 {
@@ -157,7 +157,7 @@ func (o *output) group(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 		for _, r := range rows {
 			env.row = r
 			var kb strings.Builder
-			for _, ge := range stmt.GroupBy {
+			for _, ge := range o.groupBy {
 				v, err := env.eval(ge)
 				if err != nil {
 					return nil, err

@@ -21,6 +21,7 @@ type output struct {
 	// aggregate call in the projection, HAVING and ORDER BY to its slot
 	// (calls with the same text share one).
 	grouped bool
+	groupBy []sqlparser.Expr // the GROUP BY keys, a position resolved to its item
 	aggs    []*sqlparser.FuncExpr
 	aggOf   map[*sqlparser.FuncExpr]int
 	order   []orderKey
@@ -36,7 +37,6 @@ type orderKey struct {
 	pos  int // output column, or -1 to evaluate expr
 	expr sqlparser.Expr
 	desc bool
-	err  error // a position outside the projection; reported once a row sorts
 }
 
 func compileOutput(stmt *sqlparser.SelectStmt, env *rowEnv) (*output, error) {
@@ -49,14 +49,25 @@ func compileOutput(stmt *sqlparser.SelectStmt, env *rowEnv) (*output, error) {
 		o.grouped = true
 		o.collectAggregates(env)
 	}
-	for _, ob := range stmt.OrderBy {
-		key := orderKey{pos: -1, expr: ob.Expr, desc: ob.Desc}
-		if lit, ok := ob.Expr.(*sqlparser.Literal); ok && lit.Val.Kind == sqltypes.KindInt {
-			if key.pos = int(lit.Val.I) - 1; key.pos < 0 || key.pos >= len(items) {
-				key.pos = 0
-				key.err = fmt.Errorf("sqlexec: ORDER BY position %d out of range", lit.Val.I)
+	for _, g := range stmt.GroupBy {
+		pos, err := position(g, len(items), "GROUP BY")
+		if pos >= 0 {
+			if g = items[pos].Expr; hasAggregate(g) {
+				err = fmt.Errorf("%w: GROUP BY position %d is the aggregate %s", ErrUnknownColumn, pos+1, env.serialize(g))
 			}
-		} else if ref, ok := ob.Expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
+		}
+		if err != nil {
+			return nil, err
+		}
+		o.groupBy = append(o.groupBy, g)
+	}
+	for _, ob := range stmt.OrderBy {
+		pos, err := position(ob.Expr, len(items), "ORDER BY")
+		if err != nil {
+			return nil, err
+		}
+		key := orderKey{pos: pos, expr: ob.Expr, desc: ob.Desc}
+		if ref, ok := ob.Expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
 			for j, n := range names {
 				if equalFold(n, ref.Name) {
 					key.pos = j
@@ -70,6 +81,19 @@ func compileOutput(stmt *sqlparser.SelectStmt, env *rowEnv) (*output, error) {
 		o.order = append(o.order, key)
 	}
 	return o, nil
+}
+
+// position resolves an ORDER BY / GROUP BY item that is a 1-based position
+// to its output column; -1 for any other item (-1 is a constant, as in MySQL).
+func position(e sqlparser.Expr, width int, clause string) (int, error) {
+	lit, ok := e.(*sqlparser.Literal)
+	if !ok || lit.Val.Kind != sqltypes.KindInt || lit.Val.I < 0 {
+		return -1, nil
+	}
+	if lit.Val.I == 0 || lit.Val.I > int64(width) {
+		return -1, fmt.Errorf("%w: %s position %d is outside the projection", ErrUnknownColumn, clause, lit.Val.I)
+	}
+	return int(lit.Val.I - 1), nil
 }
 
 // collectAggregates gathers every distinct aggregate expression appearing
@@ -228,9 +252,6 @@ func (o *output) project(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 func (o *output) sortKeys(env *rowEnv, out, keys sqltypes.Row) (sqltypes.Row, error) {
 	for i := range o.order {
 		k := &o.order[i]
-		if k.err != nil {
-			return nil, k.err
-		}
 		if o.keysInOutput {
 			continue
 		}

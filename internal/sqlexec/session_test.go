@@ -179,6 +179,33 @@ func TestGroupBy(t *testing.T) {
 	}
 }
 
+func TestGroupByPosition(t *testing.T) {
+	s := newTestSession(t)
+	seedUsers(t, s)
+	// GROUP BY 1 groups by the first projection item, as GROUP BY age does.
+	res := mustExec(t, s, "SELECT age, COUNT(*) FROM t_user GROUP BY 1 ORDER BY 1")
+	if fmt.Sprint(res.Rows) != "[(25, 2) (30, 1) (35, 1)]" {
+		t.Fatalf("GROUP BY 1: %v", res.Rows)
+	}
+	// A negative number is a constant, not a position: one group.
+	res = mustExec(t, s, "SELECT COUNT(*) FROM t_user GROUP BY -1")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 4 {
+		t.Fatalf("GROUP BY -1: %v", res.Rows)
+	}
+	// Positions outside the projection and a position naming an aggregate
+	// are refused when the statement compiles, whether or not a row exists.
+	for _, sql := range []string{
+		"SELECT age, COUNT(*) FROM t_user GROUP BY 3",
+		"SELECT age, COUNT(*) FROM t_user GROUP BY 0",
+		"SELECT age, COUNT(*) FROM t_user GROUP BY 2",
+		"SELECT age FROM t_user WHERE uid > 100 ORDER BY 2",
+	} {
+		if _, err := s.Execute(sql); !errors.Is(err, ErrUnknownColumn) {
+			t.Errorf("%s: %v, want ErrUnknownColumn", sql, err)
+		}
+	}
+}
+
 func TestJoins(t *testing.T) {
 	s := newTestSession(t)
 	seedUsers(t, s)

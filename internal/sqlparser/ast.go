@@ -227,9 +227,6 @@ type SelectItem struct {
 	Alias     string
 	Star      bool
 	StarTable string // qualifier of "t.*", empty for bare "*"
-	// Derived marks columns injected by the rewriter (paper Section VI-C,
-	// "derive columns"); the merger strips them before returning rows.
-	Derived bool
 }
 
 // JoinType enumerates join kinds. Only inner/cross joins affect routing;

@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -8,12 +9,12 @@ import (
 )
 
 // Normalized is the shape-level canonical form of a DML statement: every
-// literal is replaced by a parameter slot, so statements that differ only
-// in literal values share one Key. The kernel's plan cache keys on it
-// (paper Sections VI-A..VI-C run once per shape instead of once per
-// statement).
+// operand literal is replaced by a parameter slot, so statements that differ
+// only in operand values share one Key; an ordinal (ORDER BY 1) is structure
+// and stays. The kernel's plan cache keys on it (paper Sections VI-A..VI-C
+// run once per shape instead of once per statement).
 type Normalized struct {
-	// Key is the canonical SQL with every literal rewritten to "?".
+	// Key is the canonical SQL with every operand literal rewritten to "?".
 	// Placeholders are numbered left to right, matching the parser's
 	// Placeholder.Index assignment, so parsing Key yields an AST whose
 	// parameter slots line up with Args.
@@ -47,7 +48,7 @@ func (n *Normalized) BindArgs(args []sqltypes.Value) ([]sqltypes.Value, error) {
 			continue
 		}
 		if slot.Arg >= len(args) {
-			return nil, &ParseError{Pos: 0, Msg: sprintf("missing bind argument %d", slot.Arg+1), SQL: n.Key}
+			return nil, &ParseError{Pos: 0, Msg: fmt.Sprintf("missing bind argument %d", slot.Arg+1), SQL: n.Key}
 		}
 		out[i] = args[slot.Arg]
 	}
@@ -63,7 +64,7 @@ var normalizable = map[string]bool{
 }
 
 // Normalize canonicalizes one DML statement without parsing it: a single
-// lexer pass rewrites literals to ordered parameter slots and emits the
+// lexer pass rewrites operand literals to ordered parameter slots and emits the
 // cache key. It reports ok=false for statements that must bypass the plan
 // cache (DDL, TCL, management commands, unlexable input); the caller falls
 // back to a full Parse.
@@ -79,6 +80,11 @@ func Normalize(sql string) (*Normalized, bool) {
 	n := &Normalized{}
 	nArg := 0
 	prevKeyword := first.Val
+	// itemStart is 1 where an ORDER BY / GROUP BY item starts (after BY, a
+	// comma at its level, "(" or "+") and -1 behind an odd number of "-",
+	// which the parser folds into the literal. An integer at 1 is an ordinal
+	// to the parser and stays: lifting it would make it a constant.
+	byList, itemStart, depth := false, 0, 0
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -87,8 +93,13 @@ func Normalize(sql string) (*Normalized, bool) {
 		if t.Type == TokenEOF {
 			break
 		}
+		start := 0
 		switch t.Type {
 		case TokenInt:
+			if itemStart == 1 {
+				b.WriteString(" " + t.Val)
+				break
+			}
 			v, err := strconv.ParseInt(t.Val, 10, 64)
 			if err != nil {
 				return nil, false
@@ -110,8 +121,13 @@ func Normalize(sql string) (*Normalized, bool) {
 			nArg++
 			b.WriteString(" ?")
 		case TokenKeyword:
-			if t.Val == "UPDATE" && prevKeyword == "FOR" {
+			switch {
+			case t.Val == "UPDATE" && prevKeyword == "FOR":
 				n.ForUpdate = true
+			case t.Val == "BY" && (prevKeyword == "ORDER" || prevKeyword == "GROUP"):
+				byList, start = true, 1
+			case t.Val == "HAVING" || t.Val == "LIMIT" || t.Val == "FOR":
+				byList = false
 			}
 			prevKeyword = t.Val
 			b.WriteByte(' ')
@@ -128,9 +144,24 @@ func Normalize(sql string) (*Normalized, bool) {
 				b.WriteString(t.Val)
 			}
 		default: // TokenOp
+			switch t.Val {
+			case "(":
+				depth, start = depth+1, itemStart
+			case ")":
+				depth--
+			case "+":
+				start = itemStart
+			case "-":
+				start = -itemStart
+			case ",":
+				if byList && depth == 0 {
+					start = 1
+				}
+			}
 			b.WriteByte(' ')
 			b.WriteString(t.Val)
 		}
+		itemStart = start
 		if t.Type != TokenKeyword {
 			prevKeyword = ""
 		}

@@ -158,3 +158,50 @@ func TestNormalizeQuotedIdentifiers(t *testing.T) {
 		t.Fatalf("table identifier lost: %q", n.Key)
 	}
 }
+
+func TestNormalizeKeepsOrdinals(t *testing.T) {
+	one := mustNormalize(t, "SELECT a, b FROM t ORDER BY 1")
+	two := mustNormalize(t, "SELECT a, b FROM t ORDER BY 2")
+	if one.Key == two.Key {
+		t.Fatalf("ORDER BY 1 and ORDER BY 2 share the key %q", one.Key)
+	}
+	if len(one.Args) != 0 {
+		t.Fatalf("the ordinal was lifted: %+v", one.Args)
+	}
+	g := mustNormalize(t, "SELECT a, b, COUNT(*) FROM t GROUP BY 1, 2 ORDER BY a DESC, 2")
+	if g.Key != "SELECT a , b , COUNT ( * ) FROM t GROUP BY 1 , 2 ORDER BY a DESC , 2" || len(g.Args) != 0 {
+		t.Fatalf("GROUP BY 1, 2 normalized to %q %+v", g.Key, g.Args)
+	}
+	n := mustNormalize(t, "SELECT a FROM t WHERE id = 3 ORDER BY 1 FOR UPDATE")
+	if !n.ForUpdate || len(n.Args) != 1 {
+		t.Fatalf("ORDER BY 1 FOR UPDATE: %q %+v ForUpdate=%v", n.Key, n.Args, n.ForUpdate)
+	}
+}
+
+func TestNormalizeLiftsOperandsAroundOrdinals(t *testing.T) {
+	for _, c := range []struct {
+		sql, key string
+		lits     []int64
+	}{
+		{"SELECT a FROM t ORDER BY id LIMIT 5", "SELECT a FROM t ORDER BY id LIMIT ?", []int64{5}},
+		{"SELECT a FROM t ORDER BY 1 LIMIT 1, 3", "SELECT a FROM t ORDER BY 1 LIMIT ? , ?", []int64{1, 3}},
+		{"SELECT COUNT(*) FROM t GROUP BY k % 2", "SELECT COUNT ( * ) FROM t GROUP BY k % ?", []int64{2}},
+		{"SELECT a FROM t ORDER BY -1", "SELECT a FROM t ORDER BY - ?", []int64{1}},
+		// The parser folds signs into the literal: these are ordinals 1 and 2.
+		{"SELECT a, b FROM t ORDER BY - - 1, +2, -(3)", "SELECT a , b FROM t ORDER BY - - 1 , + 2 , - ( ? )", []int64{3}},
+		{"SELECT a FROM t ORDER BY COALESCE(a, 0), 2", "SELECT a FROM t ORDER BY COALESCE ( a , ? ) , 2", []int64{0}},
+		{"SELECT k FROM t GROUP BY k HAVING COUNT(*) > 1", "SELECT k FROM t GROUP BY k HAVING COUNT ( * ) > ?", []int64{1}},
+		{"SELECT a FROM t ORDER BY (2), a IN (3, 4)", "SELECT a FROM t ORDER BY ( 2 ) , a IN ( ? , ? )", []int64{3, 4}},
+	} {
+		n := mustNormalize(t, c.sql)
+		if n.Key != c.key || len(n.Args) != len(c.lits) {
+			t.Errorf("%s: key %q %+v, want %q", c.sql, n.Key, n.Args, c.key)
+			continue
+		}
+		for i, v := range c.lits {
+			if n.Args[i].Arg != -1 || n.Args[i].Lit.AsInt() != v {
+				t.Errorf("%s: slot %d is %+v, want the literal %d", c.sql, i, n.Args[i], v)
+			}
+		}
+	}
+}

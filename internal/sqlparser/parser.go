@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"fmt"
 	"strconv"
 	"sync/atomic"
 
@@ -65,15 +66,7 @@ type parser struct {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &ParseError{Pos: p.tok.Pos, Msg: sprintf(format, args...), SQL: p.sql}
-}
-
-// sprintf avoids importing fmt in several files; trivial wrapper.
-func sprintf(format string, args ...any) string {
-	if len(args) == 0 {
-		return format
-	}
-	return fmtSprintf(format, args...)
+	return &ParseError{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...), SQL: p.sql}
 }
 
 func (p *parser) advance() error {

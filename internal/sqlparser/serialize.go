@@ -5,26 +5,20 @@ import (
 	"strings"
 )
 
-// fmtSprintf is a thin alias so parser.go keeps a single fmt dependency
-// point.
-func fmtSprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
-
 // Serializer renders AST nodes back to SQL text for a target dialect. The
 // SQL rewriter (paper Section VI-C) mutates the AST — renaming logic tables
 // to actual tables, deriving columns, revising pagination — and then uses a
 // Serializer to produce the executable statements sent to data nodes.
 type Serializer struct {
 	Dialect Dialect
-	// QuoteIdents forces identifier quoting; default leaves bare
-	// identifiers unquoted, which keeps rewritten SQL human-readable.
-	QuoteIdents bool
+	reads   *[]int // SerializeReads: each "?" written appends its Placeholder.Index
 }
 
 // NewSerializer returns a serializer for the dialect.
 func NewSerializer(d Dialect) *Serializer { return &Serializer{Dialect: d} }
 
 func (s *Serializer) quote(ident string) string {
-	if !s.QuoteIdents && !needsQuote(ident) {
+	if !needsQuote(ident) {
 		return ident
 	}
 	if s.Dialect == DialectPostgreSQL {
@@ -64,6 +58,19 @@ func (s *Serializer) Serialize(stmt Statement) string {
 	var b strings.Builder
 	s.writeStmt(&b, stmt)
 	return b.String()
+}
+
+// SerializeReads renders a statement and the Placeholder.Index of each "?"
+// in text order: a text binds positionally, so it is sent with the
+// statement's arguments in that order, whatever a dialect reordered (LIMIT
+// count OFFSET offset) or a rewrite duplicated.
+func (s *Serializer) SerializeReads(stmt Statement) (string, []int) {
+	var reads []int
+	c := *s
+	c.reads = &reads
+	var b strings.Builder
+	c.writeStmt(&b, stmt)
+	return b.String(), reads
 }
 
 // SerializeExpr renders one expression to SQL text.
@@ -214,14 +221,6 @@ func (s *Serializer) writeSelect(b *strings.Builder, t *SelectStmt) {
 	}
 }
 
-// SerializeLimit renders what follows the LIMIT keyword, in the dialect's
-// operand order.
-func (s *Serializer) SerializeLimit(l *Limit) string {
-	var b strings.Builder
-	s.writeLimit(&b, l)
-	return b.String()
-}
-
 func (s *Serializer) writeLimit(b *strings.Builder, l *Limit) {
 	if s.Dialect == DialectPostgreSQL {
 		s.writeExpr(b, l.Count)
@@ -338,6 +337,9 @@ func (s *Serializer) writeExpr(b *strings.Builder, e Expr) {
 		b.WriteString(t.Val.SQLLiteral())
 	case *Placeholder:
 		b.WriteString("?")
+		if s.reads != nil {
+			*s.reads = append(*s.reads, t.Index)
+		}
 	case *ColumnRef:
 		if t.Table != "" {
 			b.WriteString(s.quote(t.Table))

@@ -115,7 +115,6 @@ func CloneStatement(stmt Statement) Statement {
 				Alias:     item.Alias,
 				Star:      item.Star,
 				StarTable: item.StarTable,
-				Derived:   item.Derived,
 			}
 		}
 		c.From = make([]TableRef, len(t.From))

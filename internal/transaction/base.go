@@ -270,21 +270,23 @@ func (t *baseTx) undoForUpdateDelete(ctx context.Context, conn *resource.PooledC
 	if err != nil {
 		return nil, err
 	}
-	// The before-image SELECT keeps only the WHERE clause, so the
-	// statement's bind arguments must be projected onto the placeholders
-	// that survive (an UPDATE's SET values come first in the arg list and
-	// would otherwise bind into the WHERE positions).
-	where, whereArgs, err := projectArgs(where, args)
-	if err != nil {
-		return nil, err
-	}
+	// The before-image SELECT keeps only the WHERE clause: its text reads the
+	// arguments of the placeholders that survive, not an UPDATE's SET values.
 	sel := &sqlparser.SelectStmt{
 		Items:     []sqlparser.SelectItem{{Star: true}},
 		From:      []sqlparser.TableRef{{Name: table}},
 		Where:     where,
 		ForUpdate: true,
 	}
-	rs, err := conn.Query(ctx, ser.Serialize(sel), whereArgs...)
+	text, reads := ser.SerializeReads(sel)
+	whereArgs := make([]sqltypes.Value, len(reads))
+	for i, r := range reads {
+		if r >= len(args) {
+			return nil, fmt.Errorf("transaction: missing bind argument %d", r+1)
+		}
+		whereArgs[i] = args[r]
+	}
+	rs, err := conn.Query(ctx, text, whereArgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -306,33 +308,6 @@ func (t *baseTx) undoForUpdateDelete(ctx context.Context, conn *resource.PooledC
 	return out, nil
 }
 
-// projectArgs rebinds an expression extracted from a larger statement:
-// placeholders are renumbered from zero in source order and the matching
-// argument values are collected, so the expression can run standalone.
-// A nil expression needs no work.
-func projectArgs(e sqlparser.Expr, args []sqltypes.Value) (sqlparser.Expr, []sqltypes.Value, error) {
-	if e == nil {
-		return nil, nil, nil
-	}
-	clone := sqlparser.CloneExpr(e)
-	var out []sqltypes.Value
-	var missing error
-	sqlparser.WalkExpr(clone, func(x sqlparser.Expr) bool {
-		p, ok := x.(*sqlparser.Placeholder)
-		if !ok {
-			return true
-		}
-		if p.Index >= len(args) {
-			missing = fmt.Errorf("transaction: missing bind argument %d", p.Index+1)
-			return false
-		}
-		out = append(out, args[p.Index])
-		p.Index = len(out) - 1
-		return true
-	})
-	return clone, out, missing
-}
-
 // undoForInsert emits one DELETE per inserted row, keyed on the primary
 // key values from the statement itself.
 func (t *baseTx) undoForInsert(ds string, stmt *sqlparser.InsertStmt, args []sqltypes.Value, ser *sqlparser.Serializer) ([]UndoRecord, error) {
@@ -348,7 +323,6 @@ func (t *baseTx) undoForInsert(ds string, stmt *sqlparser.InsertStmt, args []sql
 	for i, c := range names {
 		pos[strings.ToLower(c)] = i
 	}
-	env := constEnv{args: args}
 	var out []UndoRecord
 	for _, row := range stmt.Rows {
 		var conds []string
@@ -357,7 +331,7 @@ func (t *baseTx) undoForInsert(ds string, stmt *sqlparser.InsertStmt, args []sql
 			if !ok || i >= len(row) {
 				return nil, fmt.Errorf("transaction: BASE INSERT into %s must include primary key %s", stmt.Table, k)
 			}
-			v, err := env.eval(row[i])
+			v, err := constValue(row[i], args)
 			if err != nil {
 				return nil, err
 			}
@@ -402,20 +376,17 @@ func updateSQL(table string, pk, cols []string, row sqltypes.Row, _ *sqlparser.S
 		table, strings.Join(sets, ", "), strings.Join(conds, " AND "))
 }
 
-// constEnv evaluates constant insert expressions.
-type constEnv struct {
-	args []sqltypes.Value
-}
-
-func (e constEnv) eval(x sqlparser.Expr) (sqltypes.Value, error) {
+// constValue evaluates a constant INSERT value: a literal, or the unit
+// argument its placeholder reads.
+func constValue(x sqlparser.Expr, args []sqltypes.Value) (sqltypes.Value, error) {
 	switch t := x.(type) {
 	case *sqlparser.Literal:
 		return t.Val, nil
 	case *sqlparser.Placeholder:
-		if t.Index >= len(e.args) {
+		if t.Index >= len(args) {
 			return sqltypes.Null, fmt.Errorf("transaction: missing bind argument %d", t.Index+1)
 		}
-		return e.args[t.Index], nil
+		return args[t.Index], nil
 	default:
 		return sqltypes.Null, fmt.Errorf("transaction: non-constant INSERT value %T", x)
 	}

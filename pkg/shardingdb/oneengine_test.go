@@ -1,0 +1,155 @@
+package shardingdb
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"shardingsphere/internal/sqlexec"
+	"shardingsphere/internal/storage"
+)
+
+// oneEngineRows is the table every statement below reads: id is the
+// sharding key, k repeats with period 3 and v takes twelve distinct values,
+// so v % 3 and v % 5 sort the rows differently.
+func oneEngineRows() [][3]int64 {
+	var rows [][3]int64
+	for id := int64(1); id <= 12; id++ {
+		rows = append(rows, [3]int64{id, id % 3, id * 7 % 13})
+	}
+	return rows
+}
+
+// oneEngineStatements are the statements a literal that is structure (an
+// ordinal), a literal read twice (a derived key) or a dialect's LIMIT order
+// used to break. keys are the output columns whose sequence the ORDER BY
+// decides (nil: compared as a multiset only).
+var oneEngineStatements = []struct {
+	sql, placeholders string
+	args              []Value
+	keys              []int
+}{
+	{"SELECT id FROM t WHERE id IN (1, 5) ORDER BY 1 DESC",
+		"SELECT id FROM t WHERE id IN (?, ?) ORDER BY 1 DESC", []Value{Int(1), Int(5)}, []int{0}},
+	{"SELECT id FROM t ORDER BY 1 DESC", "SELECT id FROM t ORDER BY 1 DESC", nil, []int{0}},
+	{"SELECT k, COUNT(*) FROM t GROUP BY 1", "SELECT k, COUNT(*) FROM t GROUP BY 1", nil, nil},
+	{"SELECT COUNT(*), SUM(v) FROM t GROUP BY k % 2",
+		"SELECT COUNT(*), SUM(v) FROM t GROUP BY k % ?", []Value{Int(2)}, nil},
+	{"SELECT id, v FROM t ORDER BY 2 DESC LIMIT 3",
+		"SELECT id, v FROM t ORDER BY 2 DESC LIMIT ?", []Value{Int(3)}, []int{0, 1}},
+	{"SELECT id FROM t ORDER BY id + 1 DESC LIMIT 2",
+		"SELECT id FROM t ORDER BY id + ? DESC LIMIT ?", []Value{Int(1), Int(2)}, []int{0}},
+	{"SELECT k % 3, COUNT(*) FROM t GROUP BY k % 3",
+		"SELECT k % ?, COUNT(*) FROM t GROUP BY k % ?", []Value{Int(3), Int(3)}, nil},
+	{"SELECT v % 3, v % 5 FROM t ORDER BY v % 5",
+		"SELECT v % ?, v % ? FROM t ORDER BY v % ?", []Value{Int(3), Int(5), Int(5)}, []int{1}},
+	{"SELECT id FROM t WHERE k = 1 ORDER BY id LIMIT 3 OFFSET 1",
+		"SELECT id FROM t WHERE k = ? ORDER BY id LIMIT ? OFFSET ?", []Value{Int(1), Int(3), Int(1)}, []int{0}},
+	{"SELECT id FROM t WHERE k = 1 ORDER BY id LIMIT 1, 3",
+		"SELECT id FROM t WHERE k = ? ORDER BY id LIMIT ?, ?", []Value{Int(1), Int(1), Int(3)}, []int{0}},
+}
+
+// TestRowsMatchOneEngine runs every statement through the kernel — the
+// table in one shard and in four over two sources, both sources MySQL or
+// both PostgreSQL, literal and placeholder form, first and second
+// execution — and holds each answer to one sqlexec.Processor holding the
+// same rows.
+func TestRowsMatchOneEngine(t *testing.T) {
+	ref := sqlexec.NewProcessor(storage.NewEngine("ref")).NewSession()
+	if _, err := ref.Execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range oneEngineRows() {
+		if _, err := ref.Execute("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dialect := range []string{"mysql", "postgresql"} {
+		for _, shards := range []int{1, 4} {
+			s := oneEngineDB(t, dialect, shards)
+			for _, c := range oneEngineStatements {
+				want, err := ref.Execute(c.sql)
+				if err != nil {
+					t.Fatalf("reference %q: %v", c.sql, err)
+				}
+				for _, form := range []struct {
+					sql  string
+					args []Value
+				}{{c.sql, nil}, {c.placeholders, c.args}} {
+					for exec := 1; exec <= 2; exec++ {
+						got, err := s.QueryAll(form.sql, form.args...)
+						where := fmt.Sprintf("%s, %d shard(s), execution %d: %s %v", dialect, shards, exec, form.sql, form.args)
+						if errors.Is(err, sqlexec.ErrBadArgCount) {
+							t.Fatalf("%s: a unit's text reads an argument it was not given: %v", where, err)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", where, err)
+						}
+						if msg := sameAnswer(got, want.Rows, c.keys); msg != "" {
+							t.Errorf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// oneEngineDB opens two embedded sources of the dialect with table t
+// sharded by hash_mod into the given number of shards, loaded with
+// oneEngineRows.
+func oneEngineDB(t *testing.T, dialect string, shards int) *Session {
+	t.Helper()
+	db, err := Open(Config{DataSources: []DataSourceConfig{
+		{Name: "ds0", Dialect: dialect}, {Name: "ds1", Dialect: dialect},
+	}, MaxCon: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
+	s := db.Session()
+	for _, stmt := range []string{
+		fmt.Sprintf(`CREATE SHARDING TABLE RULE t (RESOURCES(ds0, ds1), SHARDING_COLUMN = id, TYPE = hash_mod, PROPERTIES("sharding-count" = %d))`, shards),
+		"CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)",
+	} {
+		if _, err := s.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range oneEngineRows() {
+		if _, err := s.Exec("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// sameAnswer compares two results as multisets and, on the key columns, as
+// sequences; it describes the first difference, or returns "".
+func sameAnswer(got, want []Row, keys []int) string {
+	render := func(rows []Row, cols []int) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			var parts []string
+			for j, v := range r {
+				if cols == nil || slices.Contains(cols, j) {
+					parts = append(parts, v.SQLLiteral())
+				}
+			}
+			out[i] = strings.Join(parts, ", ")
+		}
+		return out
+	}
+	g, w := render(got, nil), render(want, nil)
+	slices.Sort(g)
+	slices.Sort(w)
+	if !slices.Equal(g, w) {
+		return "different rows"
+	}
+	if keys != nil && !slices.Equal(render(got, keys), render(want, keys)) {
+		return fmt.Sprintf("different order on columns %v", keys)
+	}
+	return ""
+}
