@@ -77,13 +77,16 @@ func TestPlanCacheInsertBindsWithoutParseOrClone(t *testing.T) {
 		return []sqltypes.Value{sqltypes.NewInt(int64(uid)), sqltypes.NewString(fmt.Sprintf("user%d", uid)), sqltypes.NewInt(20)}
 	}
 	// Warm: both shapes compiled, and every shard's data node has kept its
-	// unit text (a split two-row INSERT sends each shard the one-row text).
+	// unit text (a split two-row INSERT sends each shard the one-row text)
+	// and the BEGIN and COMMIT of the transaction a split write runs in.
 	uid := 1
 	for ; uid <= 4*nodeKeepSights; uid++ {
 		mustExec(t, s, one, row(uid)...)
 	}
-	mustExec(t, s, two, append(row(uid), row(uid+1)...)...)
-	uid += 2
+	for i := 0; i < nodeKeepSights; i++ {
+		mustExec(t, s, two, append(row(uid), row(uid+1)...)...)
+		uid += 2
+	}
 	clones := sqlparser.CloneCount()
 	n := parses(func() {
 		for i := 0; i < 4; i++ {

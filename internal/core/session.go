@@ -282,29 +282,9 @@ func (s *Session) ExecuteStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 		}
 		s.tx = tx
 		return &Result{}, nil
-	case *sqlparser.CommitStmt:
-		if s.tx == nil {
-			return &Result{}, nil
-		}
-		tx := s.tx
-		s.tx = nil
-		tx.AttachTrace(s.tr)
-		ctx, cancel := s.stmtCtx()
-		defer cancel()
-		if err := tx.Commit(ctx); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *sqlparser.RollbackStmt:
-		if s.tx == nil {
-			return &Result{}, nil
-		}
-		tx := s.tx
-		s.tx = nil
-		tx.AttachTrace(s.tr)
-		ctx, cancel := s.stmtCtx()
-		defer cancel()
-		if err := tx.Rollback(ctx); err != nil {
+	case *sqlparser.CommitStmt, *sqlparser.RollbackStmt:
+		_, commit := t.(*sqlparser.CommitStmt)
+		if err := s.endTx(commit); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -378,14 +358,27 @@ func (s *Session) Preview(sql string, args ...sqltypes.Value) ([]rewrite.SQLUnit
 	return rw.Units, nil
 }
 
-// stmtCtx bounds transaction-control work (COMMIT/ROLLBACK) with the
-// session's statement deadline so statement_timeout_ms reaches the 2PC
-// verbs, not just DML.
-func (s *Session) stmtCtx() (context.Context, context.CancelFunc) {
-	if s.stmtTimeout > 0 {
-		return context.WithTimeout(context.Background(), s.stmtTimeout)
+// endTx commits or rolls back the open transaction, if any. COMMIT,
+// ROLLBACK and a multi-unit write's implicit transaction all end here,
+// under the session's statement deadline so statement_timeout_ms reaches
+// the 2PC verbs, not just DML.
+func (s *Session) endTx(commit bool) error {
+	tx := s.tx
+	if tx == nil {
+		return nil
 	}
-	return context.Background(), func() {}
+	s.tx = nil
+	tx.AttachTrace(s.tr)
+	ctx := context.Background()
+	if s.stmtTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.stmtTimeout)
+		defer cancel()
+	}
+	if commit {
+		return tx.Commit(ctx)
+	}
+	return tx.Rollback(ctx)
 }
 
 // runUnits executes rewritten SQL units: source resolution, circuit-breaker
@@ -399,7 +392,24 @@ func (s *Session) stmtCtx() (context.Context, context.CancelFunc) {
 // re-resolved, so read-write splitting (whose replica table the
 // governor's health events just updated) lands the retry on a healthy
 // replica.
+//
+// A DML statement of more than one unit outside a transaction runs as
+// BEGIN; <stmt>; COMMIT in the session's transaction type, so a failing
+// unit leaves no effect of the others. A node's DDL is not transactional
+// and keeps its per-unit autocommit.
 func (s *Session) runUnits(stmt sqlparser.Statement, sel *sqlparser.SelectStmt, rw *rewrite.Result, genKey int64) (*Result, error) {
+	if s.tx == nil && len(rw.Units) > 1 && stmt.StatementType().IsDML() {
+		tx, err := s.k.txMgr.Begin(s.txType)
+		if err != nil {
+			return nil, err
+		}
+		s.tx = tx
+		res, err := s.runUnits(stmt, sel, rw, genKey)
+		if endErr := s.endTx(err == nil); err == nil && endErr != nil {
+			return nil, endErr
+		}
+		return res, err
+	}
 	s.stmtShards = len(rw.Units)
 	isSelect := sel != nil
 	readOnly := isSelect && !sel.ForUpdate
@@ -499,12 +509,12 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 	var result *Result
 	var execErr error
 	if isSelect {
-		var qr *execQueryResult
-		qr, execErr = s.runQuery(ctx, rw, readOnly && s.tx == nil)
+		var qr *exec.QueryResult
+		qr, execErr = s.k.executor.QueryCtx(ctx, rw.Units, heldOf(s.tx), s.tr, readOnly && s.tx == nil)
 		if execErr == nil {
 			s.tr.Mark(telemetry.StageExecute)
 			var rs resource.ResultSet
-			rs, execErr = merge.Merge(qr.sets, rw.Select)
+			rs, execErr = merge.Merge(qr.Sets, rw.Select)
 			if execErr == nil {
 				for _, f := range s.k.features {
 					if d, ok := f.(ResultDecorator); ok {
@@ -522,8 +532,7 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 		}
 	} else {
 		var er resource.ExecResult
-		var held = heldOf(s.tx)
-		er, execErr = s.k.executor.ExecuteUpdateCtx(ctx, rw.Units, held, s.tr)
+		er, execErr = s.k.executor.ExecuteUpdateCtx(ctx, rw.Units, heldOf(s.tx), s.tr)
 		if execErr == nil {
 			s.tr.Mark(telemetry.StageExecute)
 			result = &Result{Affected: er.Affected, LastInsertID: er.LastInsertID}
@@ -547,18 +556,6 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 		return nil, execErr
 	}
 	return result, nil
-}
-
-type execQueryResult struct {
-	sets []resource.ResultSet
-}
-
-func (s *Session) runQuery(ctx context.Context, rw *rewrite.Result, retry bool) (*execQueryResult, error) {
-	qr, err := s.k.executor.QueryCtx(ctx, rw.Units, heldOf(s.tx), s.tr, retry)
-	if err != nil {
-		return nil, err
-	}
-	return &execQueryResult{sets: qr.Sets}, nil
 }
 
 func heldOf(tx transaction.Tx) *exec.HeldConns {

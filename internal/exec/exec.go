@@ -739,11 +739,19 @@ func batchFailure(units []rewrite.SQLUnit, share []int, err error) rewrite.SQLUn
 }
 
 // ExecuteUpdateCtx runs DML/DDL units and returns the summed affected
-// count and the last insert id observed. The context carries the
-// statement deadline, and the first shard error cancels sibling groups.
-// DML is never retried — a failed write's true outcome is unknown, and
-// replaying it could double-apply.
+// count and the last insert id observed. Units ride held's connections;
+// with held nil the statement pins its own for its duration. The context
+// carries the statement deadline, and the first shard error cancels
+// sibling groups. DML is never retried — a failed write's true outcome is
+// unknown, and replaying it could double-apply.
 func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace) (resource.ExecResult, error) {
+	if held == nil {
+		// Passed on, not assigned to held: the fan-out's closures capture
+		// held, and a reassigned parameter moves to the heap on every call.
+		own := NewHeldConns()
+		defer own.ReleaseAll()
+		return e.ExecuteUpdateCtx(ctx, units, own, tr)
+	}
 	if tr.Sampled() {
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
@@ -781,32 +789,12 @@ func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit
 	return total, nil
 }
 
-// runUpdateGroup executes one data source's DML units serially.
+// runUpdateGroup executes one data source's DML units serially on its held
+// connection.
 func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, total *resource.ExecResult, mu *sync.Mutex, tr *telemetry.Trace) error {
-	var conn *resource.PooledConn
-	var err error
-	if held != nil {
-		conn, err = held.Get(ctx, e, g.ds)
-		if err != nil {
-			return err
-		}
-	} else {
-		src, err2 := e.Source(g.ds)
-		if err2 != nil {
-			return err2
-		}
-		var acqStart time.Time
-		if tr.Detailed() {
-			acqStart = time.Now()
-		}
-		conn, err = src.AcquireCtx(ctx)
-		if err != nil {
-			return err
-		}
-		if tr.Detailed() {
-			tr.AddSpan(telemetry.StageAcquire, g.ds, acqStart, time.Since(acqStart))
-		}
-		defer conn.Release()
+	conn, err := held.Get(ctx, e, g.ds)
+	if err != nil {
+		return err
 	}
 	if len(g.units) > 1 {
 		// Multi-unit groups pipeline through the connection: all

@@ -178,6 +178,47 @@ func TestExecuteUpdateAggregates(t *testing.T) {
 	}
 }
 
+// A write outside a transaction pins its own connection per source and
+// hands every one back when it returns, whether its units succeeded or one
+// failed; the failure cancels its sibling group and is counted.
+func TestUpdateReturnsItsOwnConnections(t *testing.T) {
+	e := fixture(t, 2)
+	inUse := func() int64 {
+		var n int64
+		for _, name := range []string{"ds0", "ds1"} {
+			ds, _ := e.Source(name)
+			n += ds.Stats().InUse
+		}
+		return n
+	}
+	good := unitsFor(map[string][]string{
+		"ds0": {"UPDATE t SET v = 7 WHERE id = 1", "UPDATE t SET v = 7 WHERE id = 2"},
+		"ds1": {"UPDATE t SET v = 7 WHERE id = 11"},
+	})
+	if res, err := e.ExecuteUpdateCtx(context.Background(), good, nil, nil); err != nil || res.Affected != 3 {
+		t.Fatalf("affected %d, %v", res.Affected, err)
+	}
+	if n := inUse(); n != 0 {
+		t.Fatalf("%d connections still out after the write", n)
+	}
+	bad := unitsFor(map[string][]string{
+		"ds0": {"UPDATE t SET v = 8 WHERE id = 1"},
+		"ds1": {"UPDATE t SET v = 8 WHERE id = 11", "UPDATE missing SET v = 8"},
+	})
+	aborts := e.Metrics()["fail_fast_aborts"]
+	var ue *UnitError
+	if _, err := e.ExecuteUpdateCtx(context.Background(), bad, nil, nil); !errors.As(err, &ue) || ue.DataSource != "ds1" {
+		t.Fatalf("want the ds1 unit's error, got %v", err)
+	}
+	if n := inUse(); n != 0 {
+		t.Fatalf("%d connections still out after the failed write", n)
+	}
+	// ds0's group counts too when the cancel reaches it before it runs.
+	if n := e.Metrics()["fail_fast_aborts"] - aborts; n < 1 {
+		t.Fatalf("fail_fast_aborts grew by %d, want the failed group counted", n)
+	}
+}
+
 func TestQueryErrorPropagates(t *testing.T) {
 	e := fixture(t, 4)
 	_, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{

@@ -160,9 +160,10 @@ func stmtFrame(sql string, args []sqltypes.Value, tc protocol.TraceContext) outF
 
 // roundTrip sends one statement and reads the first frame of its
 // response. Every statement entry point (Query, Exec, Do) is this plus
-// what it does with a row set.
+// what it does with a row set. A defunct conn sends nothing: its stream
+// may be torn down at both ends, and no reply would ever reach it.
 func (c *Conn) roundTrip(ctx context.Context, sql string, args []sqltypes.Value) ([]string, resource.ExecResult, spanExpect, error) {
-	if c.closed {
+	if c.closed || c.defunct {
 		return nil, resource.ExecResult{}, spanExpect{}, resource.ErrConnClosed
 	}
 	tc, exp := beginTrace(ctx)
@@ -385,7 +386,7 @@ func (c *Conn) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (re
 // is reported as *resource.BatchError with its index; the statements
 // behind it still execute.
 func (c *Conn) pipeline(ctx context.Context, stmts []resource.Statement, read func(i int, cols []string, res resource.ExecResult, exp spanExpect) error) error {
-	if c.closed {
+	if c.closed || c.defunct {
 		return resource.ErrConnClosed
 	}
 	var firstErr error

@@ -319,6 +319,11 @@ func TestQueryBatchCancelMidWindow(t *testing.T) {
 	if !win.Defunct() {
 		t.Fatal("abandoned conn is not defunct")
 	}
+	// Its stream is gone: a statement on it fails at once instead of
+	// waiting for a reply nothing routes back.
+	if _, err := win.Exec(context.Background(), "ROLLBACK"); !errors.Is(err, resource.ErrConnClosed) {
+		t.Fatalf("statement on a defunct conn: %v", err)
+	}
 	select {
 	case sid := <-closed:
 		if sid != win.st.id {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"shardingsphere/internal/chaos"
+	"shardingsphere/internal/exec"
 	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/storage"
 )
@@ -57,15 +59,7 @@ var oneEngineStatements = []struct {
 // execution — and holds each answer to one sqlexec.Processor holding the
 // same rows.
 func TestRowsMatchOneEngine(t *testing.T) {
-	ref := sqlexec.NewProcessor(storage.NewEngine("ref")).NewSession()
-	if _, err := ref.Execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)"); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range oneEngineRows() {
-		if _, err := ref.Execute("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ref := oneEngineRef(t)
 	for _, dialect := range []string{"mysql", "postgresql"} {
 		for _, shards := range []int{1, 4} {
 			s := oneEngineDB(t, dialect, shards)
@@ -95,6 +89,97 @@ func TestRowsMatchOneEngine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oneEngineFailures are writes a single engine rejects whole or, with ds1
+// broken, that fail on ds1's units while ds0's succeed. A multi-row INSERT
+// carries a duplicate of id 1 in its first, middle or last row.
+var oneEngineFailures = []struct {
+	sql   string
+	fault bool // ds1 breaks after the calls its transaction type makes before the statement's units
+}{
+	{"INSERT INTO t (id, k, v) VALUES (1, 0, 0), (13, 1, 13), (14, 2, 14), (15, 0, 15), (16, 1, 16)", false},
+	{"INSERT INTO t (id, k, v) VALUES (13, 1, 13), (14, 2, 14), (1, 0, 0), (15, 0, 15), (16, 1, 16)", false},
+	{"INSERT INTO t (id, k, v) VALUES (13, 1, 13), (14, 2, 14), (15, 0, 15), (16, 1, 16), (1, 0, 0)", false},
+	{"UPDATE t SET v = v + 100 WHERE k = 1", true},
+	{"DELETE FROM t WHERE k = 2", true},
+}
+
+// TestFailedWriteLeavesOneEngineTable runs writes that fail part-way
+// outside a transaction — the table in one shard and in four over two
+// sources, both dialects, each transaction type — and after each compares
+// the whole table with one sqlexec.Processor that ran the same statements:
+// a write the kernel fails must leave no effect of the units that
+// succeeded.
+func TestFailedWriteLeavesOneEngineTable(t *testing.T) {
+	for _, dialect := range []string{"mysql", "postgresql"} {
+		for _, shards := range []int{1, 4} {
+			for _, txType := range []string{"LOCAL", "XA", "BASE"} {
+				ref := oneEngineRef(t)
+				s := oneEngineDB(t, dialect, shards)
+				if _, err := s.Exec("SET VARIABLE transaction_type = " + txType); err != nil {
+					t.Fatal(err)
+				}
+				// The calls ds1 answers before the statement's own units: BEGIN
+				// or XA BEGIN, and under BASE one before-image read per unit
+				// (four shards put two on ds1).
+				breakAfter := 1
+				if txType == "BASE" {
+					breakAfter = 3
+				}
+				for _, c := range oneEngineFailures {
+					where := fmt.Sprintf("%s, %d shard(s), %s: %s", dialect, shards, txType, c.sql)
+					if c.fault {
+						if _, err := s.Exec(fmt.Sprintf("INJECT FAULT ds1 (BREAK_AFTER = %d)", breakAfter)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					_, err := s.Exec(c.sql)
+					if c.fault {
+						if _, rerr := s.Exec("REMOVE FAULT ds1"); rerr != nil {
+							t.Fatal(rerr)
+						}
+						var ue *exec.UnitError
+						var ie *chaos.InjectedError
+						if shards > 1 && (!errors.As(err, &ue) || ue.DataSource != "ds1" || !errors.As(err, &ie)) {
+							t.Fatalf("%s: want the injected break on a ds1 unit, got %v", where, err)
+						}
+					}
+					if err == nil || !c.fault {
+						if _, rerr := ref.Execute(c.sql); (rerr == nil) != (err == nil) {
+							t.Fatalf("%s: kernel error %v, one engine %v", where, err, rerr)
+						}
+					}
+					got, err := s.QueryAll("SELECT id, k, v FROM t ORDER BY id")
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					want, err := ref.Execute("SELECT id, k, v FROM t ORDER BY id")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if msg := sameAnswer(got, want.Rows, []int{0}); msg != "" {
+						t.Fatalf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
+					}
+				}
+			}
+		}
+	}
+}
+
+// oneEngineRef is one sqlexec.Processor holding table t with oneEngineRows.
+func oneEngineRef(t *testing.T) *sqlexec.Session {
+	t.Helper()
+	ref := sqlexec.NewProcessor(storage.NewEngine("ref")).NewSession()
+	if _, err := ref.Execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range oneEngineRows() {
+		if _, err := ref.Execute("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref
 }
 
 // oneEngineDB opens two embedded sources of the dialect with table t
