@@ -142,7 +142,8 @@ func sourceExecutes(t *testing.T, s *core.Session) map[string]int64 {
 // TestTracedRangeInTransactionAddsUp: inside a transaction a range over 8
 // shards on two remote nodes is one pipelined window per node, and every
 // surface says so consistently — TRACE shows one execute span per source
-// (attempt 1) over four grafted remote statements each, SHOW SQL METRICS
+// (attempt 1) over five grafted remote statements each (the branch's BEGIN
+// rides the window ahead of the four units), SHOW SQL METRICS
 // counts one execution per source, and SHOW SHARD HEAT still charges every
 // shard its own call and its own rows.
 func TestTracedRangeInTransactionAddsUp(t *testing.T) {
@@ -179,8 +180,8 @@ func TestTracedRangeInTransactionAddsUp(t *testing.T) {
 	}
 	after := sourceExecutes(t, s)
 	for _, name := range []string{"ds0", "ds1"} {
-		if execSpans[name] != 1 || wireSpans[name] != 4 {
-			t.Fatalf("%s: %d execute spans over %d remote statements, want 1 over 4 (%v)", name, execSpans[name], wireSpans[name], got)
+		if execSpans[name] != 1 || wireSpans[name] != 5 {
+			t.Fatalf("%s: %d execute spans over %d remote statements, want 1 over 5 (%v)", name, execSpans[name], wireSpans[name], got)
 		}
 		if n := after[name] - before[name]; n != 1 {
 			t.Fatalf("%s: SHOW SQL METRICS counts %d executions for one window", name, n)

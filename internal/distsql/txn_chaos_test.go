@@ -63,9 +63,15 @@ func TestTxnChaosCoordinatorCrashRecovery(t *testing.T) {
 	exec(t, s, "INJECT FAULT coordinator (CRASH_POINT = 'after_log_write')")
 
 	// uid 0 hashes to ds0, uid 1 to ds1: a genuinely cross-shard commit.
+	// The ds0 branch opens local before the upgrade, is written again
+	// after it, and is adopted into the xid only in its prepare batch.
 	exec(t, s, "BEGIN")
 	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (0, 'a')")
 	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (1, 'b')")
+	exec(t, s, "UPDATE t_user SET name = 'z'")
+	if got := txnMetric(t, s, "upgrades"); got != 1 {
+		t.Fatalf("upgrades = %d: the ds0 branch did not open before the upgrade", got)
+	}
 	_, err := s.Execute("COMMIT")
 	if err == nil {
 		t.Fatal("commit through crashed coordinator returned nil")
@@ -118,8 +124,9 @@ func TestTxnChaosCoordinatorCrashRecovery(t *testing.T) {
 		t.Fatalf("second recovery resolved %d", n)
 	}
 
-	// Both rows are durable and visible through the original kernel.
-	got := rows(t, exec(t, s, "SELECT COUNT(*) FROM t_user"))
+	// Both rows are durable and visible through the original kernel, with
+	// the write made after the upgrade on both branches.
+	got := rows(t, exec(t, s, "SELECT COUNT(*) FROM t_user WHERE name = 'z'"))
 	if len(got) != 1 || got[0][0].I != 2 {
 		t.Fatalf("recovered rows: %v", got)
 	}
@@ -146,9 +153,14 @@ func TestTxnChaosCrashBeforeDecisionAborts(t *testing.T) {
 	defer s.Close()
 
 	exec(t, s, "INJECT FAULT coordinator (CRASH_POINT = 'after_prepare')")
+	// The ds0 branch opens local before the upgrade, as above.
 	exec(t, s, "BEGIN")
 	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (0, 'a')")
 	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (1, 'b')")
+	exec(t, s, "UPDATE t_user SET name = 'z'")
+	if got := txnMetric(t, s, "upgrades"); got != 1 {
+		t.Fatalf("upgrades = %d: the ds0 branch did not open before the upgrade", got)
+	}
 	_, err := s.Execute("COMMIT")
 	if err == nil {
 		t.Fatal("commit through crashed coordinator returned nil")
@@ -168,5 +180,9 @@ func TestTxnChaosCrashBeforeDecisionAborts(t *testing.T) {
 	got := rows(t, exec(t, s, "SELECT COUNT(*) FROM t_user"))
 	if len(got) != 1 || got[0][0].I != 0 {
 		t.Fatalf("presumed abort failed, rows: %v", got)
+	}
+	// Both prepared branches, the adopted one too, were rolled back.
+	if n, _ := k.TxManager().Recover(context.TODO()); n != 0 {
+		t.Fatalf("second recovery resolved %d", n)
 	}
 }

@@ -310,59 +310,81 @@ type QueryResult struct {
 
 // HeldConns pins one connection per data source for the life of a
 // distributed transaction: every statement in the transaction for a given
-// source must ride the same connection.
+// source must ride the same connection. A branch opened with a verb
+// (BEGIN, XA BEGIN ?) sends nothing then: the next window to the source
+// carries the verb ahead of its units.
 type HeldConns struct {
 	mu    sync.Mutex
-	conns map[string]*resource.PooledConn
+	conns map[string]heldConn
+}
+
+// heldConn is a pinned connection and its opening verb, until it succeeds.
+type heldConn struct {
+	conn *resource.PooledConn
+	open resource.Statement
 }
 
 // NewHeldConns returns an empty pinned-connection set.
 func NewHeldConns() *HeldConns {
-	return &HeldConns{conns: map[string]*resource.PooledConn{}}
+	return &HeldConns{conns: map[string]heldConn{}}
 }
 
 // Get returns the pinned connection for ds, acquiring and pinning one on
 // first use.
 func (h *HeldConns) Get(ctx context.Context, e *Executor, ds string) (*resource.PooledConn, error) {
+	c, _, err := h.take(ctx, e, ds, resource.Statement{})
+	return c, err
+}
+
+// Open pins a connection for ds, as Get does, with verb as the statement
+// that opens its branch. A source already pinned keeps its branch.
+func (h *HeldConns) Open(ctx context.Context, e *Executor, ds string, verb resource.Statement) error {
+	verb.Verb = true
+	_, _, err := h.take(ctx, e, ds, verb)
+	return err
+}
+
+// take returns ds's pinned connection, pinning one opened by verb on first
+// use, and the branch's opening verb while it has not succeeded.
+func (h *HeldConns) take(ctx context.Context, e *Executor, ds string, verb resource.Statement) (*resource.PooledConn, resource.Statement, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if c, ok := h.conns[ds]; ok {
-		return c, nil
+	if hc, ok := h.conns[ds]; ok {
+		return hc.conn, hc.open, nil
 	}
 	src, err := e.Source(ds)
 	if err != nil {
-		return nil, err
+		return nil, resource.Statement{}, err
 	}
 	c, err := src.AcquireCtx(ctx)
 	if err != nil {
-		return nil, err
+		return nil, resource.Statement{}, err
 	}
-	h.conns[ds] = c
-	return c, nil
+	h.conns[ds] = heldConn{conn: c, open: verb}
+	return c, verb, nil
 }
 
-// Peek returns the pinned connection without acquiring.
+// ran records the outcome of a window that led with ds's opening verb: the
+// branch is open unless the window failed on the verb itself.
+func (h *HeldConns) ran(ds string, err error) {
+	if be := (*resource.BatchError)(nil); err != nil && !(errors.As(err, &be) && be.Index > 0) {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hc := h.conns[ds]
+	hc.open = resource.Statement{}
+	h.conns[ds] = hc
+}
+
+// Peek returns ds's pinned connection once its branch is open: the verb it
+// was opened with, if any, succeeded. A branch whose verb never succeeded
+// has nothing to commit or undo.
 func (h *HeldConns) Peek(ds string) (*resource.PooledConn, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	c, ok := h.conns[ds]
-	return c, ok
-}
-
-// Each visits every pinned connection.
-func (h *HeldConns) Each(fn func(ds string, c *resource.PooledConn) error) error {
-	h.mu.Lock()
-	snapshot := make(map[string]*resource.PooledConn, len(h.conns))
-	for k, v := range h.conns {
-		snapshot[k] = v
-	}
-	h.mu.Unlock()
-	for ds, c := range snapshot {
-		if err := fn(ds, c); err != nil {
-			return err
-		}
-	}
-	return nil
+	hc, ok := h.conns[ds]
+	return hc.conn, ok && hc.open.SQL == ""
 }
 
 // Sources lists the data sources with pinned connections.
@@ -380,8 +402,8 @@ func (h *HeldConns) Sources() []string {
 func (h *HeldConns) ReleaseAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for ds, c := range h.conns {
-		c.Release()
+	for ds, hc := range h.conns {
+		hc.conn.Release()
 		delete(h.conns, ds)
 	}
 }
@@ -584,11 +606,15 @@ func closeGroupSets(res *QueryResult, g group, mu *sync.Mutex) {
 
 func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
 	if held != nil {
-		conn, err := held.Get(ctx, e, g.ds)
+		conn, open, err := held.take(ctx, e, g.ds, resource.Statement{})
 		if err != nil {
 			return err
 		}
-		return e.runWindow(ctx, units, g.ds, conn, g.units, res, mu, tr, attempt)
+		err = e.runWindow(ctx, units, g.ds, conn, open, g.units, res, mu, tr, attempt)
+		if open.SQL != "" {
+			held.ran(g.ds, err)
+		}
+		return err
 	}
 
 	src, err := e.Source(g.ds)
@@ -657,7 +683,7 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g group, conn *resource.PooledConn, share []int, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
 	if g.mode == ConnectionStrictly {
 		defer conn.Release()
-		return e.runWindow(ctx, units, g.ds, conn, share, res, mu, tr, attempt)
+		return e.runWindow(ctx, units, g.ds, conn, resource.Statement{}, share, res, mu, tr, attempt)
 	}
 	// Memory-strict (θ ≤ 1: the share is one unit): the open cursor goes
 	// to the merger under a conn lease, which keeps the connection checked
@@ -687,28 +713,22 @@ func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g 
 // runWindow hands a connection that must be reusable at once (a held one,
 // or one running several units under CONNECTION_STRICTLY) its whole share
 // in one batch call: a remote connection pipelines it, one round trip for
-// all units, and every result comes back materialized. The window is one
-// timed execution; unit heat cells count calls and rows, not latency.
-func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds string, conn *resource.PooledConn, share []int, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
-	// The statement slice is recycled: the call does not keep it, and a
-	// transaction's point selects would each pay for a slice of one.
-	sp := windowPool.Get().(*[]resource.Statement)
-	stmts := (*sp)[:0]
-	for _, idx := range share {
-		stmts = append(stmts, resource.Statement{SQL: units[idx].SQL, Args: units[idx].Args})
-	}
+// all units (behind a held branch's opening verb), and every result comes
+// back materialized. The window is one timed execution; unit heat cells
+// count calls and rows, not latency.
+func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds string, conn *resource.PooledConn, open resource.Statement, share []int, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
+	sp, off := window(open, units, share)
 	start := time.Now()
-	sets, err := conn.QueryBatch(ctx, stmts)
-	clear(stmts)
-	*sp = stmts
-	windowPool.Put(sp)
+	sets, err := conn.QueryBatch(ctx, *sp)
+	putWindow(sp)
 	if err != nil {
-		failed := batchFailure(units, share, err)
+		failed := batchFailure(units, share, off, err)
 		dur := e.observe(tr, ds, failed.SQL, start, attempt, err)
 		e.heatCell(failed).ObserveQuery(start, dur, err)
 		return wrapUnitErr(failed, dur, err)
 	}
 	e.observe(tr, ds, units[share[0]].SQL, start, attempt, nil)
+	sets = sets[off:]
 	for i, idx := range share {
 		mu.Lock()
 		res.Sets[idx] = sets[i]
@@ -727,13 +747,35 @@ func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds st
 	return nil
 }
 
+// window lays out a connection's statements, the opening verb (if any)
+// then the units, and counts those ahead of the units. The slice is
+// recycled (putWindow): a batch call does not keep it.
+func window(open resource.Statement, units []rewrite.SQLUnit, share []int) (*[]resource.Statement, int) {
+	sp := windowPool.Get().(*[]resource.Statement)
+	stmts := (*sp)[:0]
+	if open.SQL != "" {
+		stmts = append(stmts, open)
+	}
+	for _, idx := range share {
+		stmts = append(stmts, resource.Statement{SQL: units[idx].SQL, Args: units[idx].Args})
+	}
+	*sp = stmts
+	return sp, len(stmts) - len(share)
+}
+
+func putWindow(sp *[]resource.Statement) {
+	clear(*sp)
+	windowPool.Put(sp)
+}
+
 var windowPool = sync.Pool{New: func() any { return new([]resource.Statement) }}
 
-// batchFailure names the unit a batch error's index points at, else the first.
-func batchFailure(units []rewrite.SQLUnit, share []int, err error) rewrite.SQLUnit {
+// batchFailure names the unit a batch error's index points at, else the
+// first; the window's first off statements are not units.
+func batchFailure(units []rewrite.SQLUnit, share []int, off int, err error) rewrite.SQLUnit {
 	var be *resource.BatchError
-	if errors.As(err, &be) && be.Index < len(share) {
-		return units[share[be.Index]]
+	if errors.As(err, &be) && be.Index >= off && be.Index-off < len(share) {
+		return units[share[be.Index-off]]
 	}
 	return units[share[0]]
 }
@@ -789,49 +831,15 @@ func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit
 	return total, nil
 }
 
-// runUpdateGroup executes one data source's DML units serially on its held
+// runUpdateGroup executes one data source's DML units on its held
 // connection.
 func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, total *resource.ExecResult, mu *sync.Mutex, tr *telemetry.Trace) error {
-	conn, err := held.Get(ctx, e, g.ds)
+	conn, open, err := held.take(ctx, e, g.ds, resource.Statement{})
 	if err != nil {
 		return err
 	}
-	if len(g.units) > 1 {
-		// Multi-unit groups pipeline through the connection: all
-		// statements ship before the first response is read, so a
-		// remote shard costs one round trip per window instead of one
-		// per statement. A BatchError pins the failure to its unit.
-		stmts := make([]resource.Statement, len(g.units))
-		for i, idx := range g.units {
-			stmts[i] = resource.Statement{SQL: units[idx].SQL, Args: units[idx].Args}
-		}
-		start := time.Now()
-		results, err := resource.ExecBatch(ctx, conn, stmts)
-		if err != nil {
-			failed := batchFailure(units, g.units, err)
-			dur := e.observe(tr, g.ds, failed.SQL, start, 1, err)
-			e.heatCell(failed).ObserveExec(start, dur, 0, err)
-			return wrapUnitErr(failed, dur, err)
-		}
-		e.observe(tr, g.ds, units[g.units[0]].SQL, start, 1, nil)
-		mu.Lock()
-		for _, r := range results {
-			total.Affected += r.Affected
-			if r.LastInsertID != 0 {
-				total.LastInsertID = r.LastInsertID
-			}
-		}
-		mu.Unlock()
-		// Per-unit heat attribution: results line up with g.units. The
-		// batch measured one duration for the whole window, so unit cells
-		// skip the latency histogram and count calls/rows only.
-		for i, idx := range g.units {
-			e.heatCell(units[idx]).ObserveExec(start, 0, results[i].Affected, nil)
-		}
-		return nil
-	}
-	for _, idx := range g.units {
-		u := units[idx]
+	if open.SQL == "" && len(g.units) == 1 {
+		u := units[g.units[0]]
 		start := time.Now()
 		r, err := conn.Exec(ctx, u.SQL, u.Args...)
 		dur := e.observe(tr, g.ds, u.SQL, start, 1, err)
@@ -845,6 +853,40 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 			total.LastInsertID = r.LastInsertID
 		}
 		mu.Unlock()
+		return nil
+	}
+	// A window pipelines through the connection: all statements ship
+	// before the first response is read, so a remote shard costs one round
+	// trip instead of one per statement. A BatchError pins the failure to
+	// its unit.
+	sp, off := window(open, units, g.units)
+	start := time.Now()
+	results, err := resource.ExecBatch(ctx, conn, *sp)
+	putWindow(sp)
+	if off > 0 {
+		held.ran(g.ds, err)
+	}
+	if err != nil {
+		failed := batchFailure(units, g.units, off, err)
+		dur := e.observe(tr, g.ds, failed.SQL, start, 1, err)
+		e.heatCell(failed).ObserveExec(start, dur, 0, err)
+		return wrapUnitErr(failed, dur, err)
+	}
+	e.observe(tr, g.ds, units[g.units[0]].SQL, start, 1, nil)
+	results = results[off:]
+	mu.Lock()
+	for _, r := range results {
+		total.Affected += r.Affected
+		if r.LastInsertID != 0 {
+			total.LastInsertID = r.LastInsertID
+		}
+	}
+	mu.Unlock()
+	// Per-unit heat attribution: results line up with g.units. The batch
+	// measured one duration for the whole window, so unit cells skip the
+	// latency histogram and count calls/rows only.
+	for i, idx := range g.units {
+		e.heatCell(units[idx]).ObserveExec(start, 0, results[i].Affected, nil)
 	}
 	return nil
 }

@@ -253,6 +253,36 @@ func TestQueryBatchStatementFailureKeepsStreamAligned(t *testing.T) {
 	}
 }
 
+// A window may lead with a statement marked Verb, as a transaction
+// branch's first window leads with its BEGIN: the verb's slot is nil, the
+// units' sets follow it, and the verb took effect on the connection.
+func TestQueryBatchLeadingVerb(t *testing.T) {
+	addr, _ := startNodeServer(t, "qb-verb")
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fillNode(t, conn, "t", 8)
+	ctx := context.Background()
+	sets, err := conn.QueryBatch(ctx, []resource.Statement{
+		{SQL: "BEGIN", Verb: true},
+		{SQL: "SELECT id FROM t WHERE id = ?", Args: []sqltypes.Value{sqltypes.NewInt(3)}},
+	})
+	if err != nil || len(sets) != 2 || sets[0] != nil {
+		t.Fatalf("window led by a verb: %v %v", sets, err)
+	}
+	if rows, err := resource.ReadAll(sets[1]); err != nil || len(rows) != 1 || rows[0][0].I != 3 {
+		t.Fatalf("the unit behind the verb: %v %v", rows, err)
+	}
+	if _, err := conn.Exec(ctx, "BEGIN"); err == nil {
+		t.Fatal("the window's BEGIN opened no transaction")
+	}
+	if _, err := conn.Exec(ctx, "ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A statement hangs at the node in the middle of a window and the caller
 // gives up: the pooled connection is defunct and leaves the pool, and a
 // sibling stream on the same socket keeps answering. The cancel fires on

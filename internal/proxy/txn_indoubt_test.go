@@ -76,6 +76,11 @@ func TestInDoubtOverWire(t *testing.T) {
 	if _, err := c.Exec(ctx, "INSERT INTO t_user (uid, name) VALUES (1, 'b')"); err != nil {
 		t.Fatal(err)
 	}
+	// The ds0 branch opened local before the upgrade; its XA ADOPT rides
+	// the prepare batch.
+	if got := k.TxManager().Metrics()["upgrades"]; got != 1 {
+		t.Fatalf("upgrades = %d: the ds0 branch did not open before the upgrade", got)
+	}
 	_, commitErr := c.Exec(ctx, "COMMIT")
 	if commitErr == nil {
 		t.Fatal("in-doubt commit returned nil over the wire")
@@ -89,6 +94,18 @@ func TestInDoubtOverWire(t *testing.T) {
 	}
 	if resource.IsTransient(commitErr) {
 		t.Fatal("in-doubt must not be transient: a retry would double-apply the commit")
+	}
+
+	// Recover completes both branches: both rows are visible.
+	if n, err := k.TxManager().Recover(ctx); err != nil || n != 1 {
+		t.Fatalf("recovered %d transactions (%v), want 1", n, err)
+	}
+	rs, err := c.Query(ctx, "SELECT COUNT(*) FROM t_user")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := resource.ReadAll(rs); err != nil || len(got) != 1 || got[0][0].I != 2 {
+		t.Fatalf("after recovery: %v %v", got, err)
 	}
 
 	// An ordinary error stays untyped.

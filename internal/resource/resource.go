@@ -142,6 +142,10 @@ type Conn interface {
 type Statement struct {
 	SQL  string
 	Args []sqltypes.Value
+	// Verb marks a statement run for its effect alone, such as the BEGIN
+	// that opens a transaction branch ahead of a read window: QueryBatch
+	// expects no row set from it and leaves its result slot nil.
+	Verb bool
 }
 
 // BatchConn is implemented by connections that can pipeline a batch of
@@ -150,7 +154,8 @@ type Statement struct {
 // statement yields a BatchError carrying its index; statements after it
 // are still executed (the batch is not transactional by itself).
 // QueryBatch returns every result materialized — the connection is free
-// for its next statement when the call returns — and does not keep stmts.
+// for its next statement when the call returns — and does not keep stmts;
+// a statement that returns no row set fails it unless marked Verb.
 type BatchConn interface {
 	ExecBatch(ctx context.Context, stmts []Statement) ([]ExecResult, error)
 	QueryBatch(ctx context.Context, stmts []Statement) ([]ResultSet, error)
@@ -195,8 +200,14 @@ func QueryBatch(ctx context.Context, c Conn, stmts []Statement) ([]ResultSet, er
 	}
 	sets := make([]ResultSet, 0, len(stmts))
 	for i, st := range stmts {
-		rs, err := c.Query(ctx, st.SQL, st.Args...)
-		if _, ok := rs.(*SliceResultSet); err == nil && !ok {
+		var rs ResultSet
+		var err error
+		if st.Verb {
+			_, err = c.Exec(ctx, st.SQL, st.Args...)
+		} else {
+			rs, err = c.Query(ctx, st.SQL, st.Args...)
+		}
+		if _, ok := rs.(*SliceResultSet); err == nil && rs != nil && !ok {
 			cols := rs.Columns()
 			var rows []sqltypes.Row
 			rows, err = ReadAll(rs)

@@ -369,4 +369,13 @@ func TestQueryBatchFallback(t *testing.T) {
 	if !errors.As(err, &be) || be.Index != 2 || len(sets) != 2 {
 		t.Fatalf("want BatchError at index 2 after 2 sets, got %d sets, %v", len(sets), err)
 	}
+	// A statement marked Verb runs for its effect and leaves its slot nil;
+	// unmarked, a statement without a row set fails the window.
+	sets, err = QueryBatch(ctx, pc, append([]Statement{{SQL: "BEGIN", Verb: true}}, stmts...))
+	if err != nil || len(sets) != 3 || sets[0] != nil || sets[1] == nil {
+		t.Fatalf("window led by a verb: %v %v", sets, err)
+	}
+	if _, err := QueryBatch(ctx, pc, []Statement{{SQL: "ROLLBACK"}}); !errors.As(err, &be) || be.Index != 0 {
+		t.Fatalf("unmarked ROLLBACK in a read window: %v", err)
+	}
 }

@@ -19,6 +19,7 @@ var (
 	ErrUnknownColumn   = errors.New("sqlexec: unknown column")
 	ErrAmbiguousColumn = errors.New("sqlexec: ambiguous column")
 	ErrBadArgCount     = errors.New("sqlexec: wrong number of bind arguments")
+	ErrBadXID          = errors.New("sqlexec: an XA verb's xid argument must be a non-empty string")
 	ErrNoTransaction   = errors.New("sqlexec: no active transaction")
 	ErrInTransaction   = errors.New("sqlexec: already in a transaction")
 )

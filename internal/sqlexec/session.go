@@ -24,7 +24,7 @@ type Processor struct {
 
 	// cache holds the texts seen keepSights times; seen counts the sights
 	// of the others, by hash. A text that never repeats (inlined literals,
-	// an XA verb with its xid, a storm of aliases) leaves nine bytes
+	// an XA verb with a literal xid, a storm of aliases) leaves nine bytes
 	// behind, not its AST, and never pushes a repeating text out.
 	mu    sync.RWMutex
 	cache map[string]*Stmt
@@ -68,6 +68,7 @@ func (p *Processor) parse(sql string) (*Stmt, error) {
 	if ok {
 		return st, nil
 	}
+	p.stats.Parses.Add(1)
 	ast, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -257,7 +258,11 @@ func (s *Session) executeStmt(st *Stmt, args []sqltypes.Value) (*Result, error) 
 		}
 		return &Result{}, nil
 	case *sqlparser.XAStmt:
-		return s.executeXA(t)
+		xid, err := xaXID(t, args)
+		if err != nil {
+			return nil, err
+		}
+		return s.executeXA(t.Op, xid)
 	case *sqlparser.ShowStmt:
 		names := s.engine.TableNames()
 		res := &Result{Columns: []string{"Tables"}}
@@ -342,18 +347,32 @@ func (s *Session) executeCreateTable(t *sqlparser.CreateTableStmt) (*Result, err
 	return &Result{}, nil
 }
 
+// xaXID is the xid a verb names: its literal, or, for XA <verb> ?, its one
+// argument, a non-empty string. A literal verb takes no argument.
+func xaXID(t *sqlparser.XAStmt, args []sqltypes.Value) (string, error) {
+	switch {
+	case !t.Bound && len(args) == 0:
+		return t.XID, nil
+	case !t.Bound || len(args) != 1:
+		return "", fmt.Errorf("%w: %d for %s (only a bound xid, ?, takes one)", ErrBadArgCount, len(args), t.Op)
+	case args[0].Kind != sqltypes.KindString || args[0].S == "":
+		return "", fmt.Errorf("%w: %s bound %s %q", ErrBadXID, t.Op, args[0].Kind, args[0].AsString())
+	}
+	return args[0].S, nil
+}
+
 // executeXA drives the engine's XA verbs. XA BEGIN opens a transaction
 // bound to the XID; XA PREPARE detaches it into the engine's in-doubt set;
 // XA COMMIT / XA ROLLBACK resolve any prepared XID, which is exactly what
 // the kernel's transaction manager sends during 2PC and recovery.
-func (s *Session) executeXA(t *sqlparser.XAStmt) (*Result, error) {
-	switch t.Op {
+func (s *Session) executeXA(op sqlparser.XAOp, xid string) (*Result, error) {
+	switch op {
 	case sqlparser.XABegin:
 		if s.tx != nil {
 			return nil, ErrInTransaction
 		}
 		s.tx = s.engine.Begin()
-		s.xaXID = t.XID
+		s.xaXID = xid
 		return &Result{}, nil
 	case sqlparser.XAAdopt:
 		// Lazy upgrade: bind the active plain transaction to the XID so it
@@ -362,35 +381,35 @@ func (s *Session) executeXA(t *sqlparser.XAStmt) (*Result, error) {
 		if s.tx == nil {
 			return nil, fmt.Errorf("sqlexec: XA ADOPT with no open transaction")
 		}
-		if s.xaXID != "" && s.xaXID != t.XID {
+		if s.xaXID != "" && s.xaXID != xid {
 			return nil, fmt.Errorf("sqlexec: XA ADOPT inside XA branch %q", s.xaXID)
 		}
-		s.xaXID = t.XID
+		s.xaXID = xid
 		return &Result{}, nil
 	case sqlparser.XAEnd:
-		if s.tx == nil || s.xaXID != t.XID {
-			return nil, fmt.Errorf("sqlexec: XA END for unknown xid %q", t.XID)
+		if s.tx == nil || s.xaXID != xid {
+			return nil, fmt.Errorf("sqlexec: XA END for unknown xid %q", xid)
 		}
 		return &Result{}, nil
 	case sqlparser.XAPrepare:
-		if s.tx == nil || s.xaXID != t.XID {
-			return nil, fmt.Errorf("sqlexec: XA PREPARE for unknown xid %q", t.XID)
+		if s.tx == nil || s.xaXID != xid {
+			return nil, fmt.Errorf("sqlexec: XA PREPARE for unknown xid %q", xid)
 		}
-		if err := s.engine.Prepare(s.tx, t.XID); err != nil {
+		if err := s.engine.Prepare(s.tx, xid); err != nil {
 			return nil, err
 		}
 		s.tx = nil
 		s.xaXID = ""
 		return &Result{}, nil
 	case sqlparser.XACommit:
-		if err := s.engine.CommitPrepared(t.XID); err != nil {
+		if err := s.engine.CommitPrepared(xid); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 	case sqlparser.XARollback:
 		// Rolling back an XID that was never prepared (branch failed before
 		// prepare) resolves any local state silently.
-		if s.tx != nil && s.xaXID == t.XID {
+		if s.tx != nil && s.xaXID == xid {
 			tx := s.tx
 			s.tx = nil
 			s.xaXID = ""
@@ -399,14 +418,14 @@ func (s *Session) executeXA(t *sqlparser.XAStmt) (*Result, error) {
 			}
 			return &Result{}, nil
 		}
-		if err := s.engine.RollbackPrepared(t.XID); err != nil {
+		if err := s.engine.RollbackPrepared(xid); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 	case sqlparser.XARecover:
 		res := &Result{Columns: []string{"xid"}}
-		for _, xid := range s.engine.RecoverPrepared() {
-			res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewString(xid)})
+		for _, x := range s.engine.RecoverPrepared() {
+			res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewString(x)})
 		}
 		return res, nil
 	default:

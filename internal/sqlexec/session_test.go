@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
 )
@@ -360,6 +361,73 @@ func TestXAThroughSQL(t *testing.T) {
 	out = mustExec(t, s, "SELECT age FROM t_user WHERE uid = 1")
 	if out.Rows[0][0].I != 50 {
 		t.Fatalf("xa commit lost: %v", out.Rows)
+	}
+}
+
+// TestXABoundVerbs: the bound form reads its xid from the one argument,
+// and a missing, second, non-string or empty argument is a typed error
+// that changes nothing.
+func TestXABoundVerbs(t *testing.T) {
+	s := newTestSession(t)
+	seedUsers(t, s)
+	g := sqltypes.NewString("g3")
+	mustExec(t, s, "XA BEGIN ?", g)
+	mustExec(t, s, "UPDATE t_user SET age = 60 WHERE uid = 3")
+	for _, c := range []struct {
+		args []sqltypes.Value
+		want error
+	}{
+		{nil, ErrBadArgCount},
+		{[]sqltypes.Value{g, g}, ErrBadArgCount},
+		{[]sqltypes.Value{sqltypes.NewInt(3)}, ErrBadXID},
+		{[]sqltypes.Value{sqltypes.Null}, ErrBadXID},
+		{[]sqltypes.Value{sqltypes.NewString("")}, ErrBadXID},
+	} {
+		if _, err := s.Execute("XA END ?", c.args...); !errors.Is(err, c.want) {
+			t.Fatalf("XA END ? with %v: %v, want %v", c.args, err, c.want)
+		}
+	}
+	if _, err := s.Execute("XA RECOVER", g); !errors.Is(err, ErrBadArgCount) {
+		t.Fatalf("XA RECOVER with an argument: %v", err)
+	}
+	if _, err := s.Execute("XA COMMIT 'g3'", g); !errors.Is(err, ErrBadArgCount) {
+		t.Fatalf("literal verb with an argument: %v", err)
+	}
+	mustExec(t, s, "XA END ?", g)
+	mustExec(t, s, "XA PREPARE ?", g)
+	if res := mustExec(t, s, "XA RECOVER"); len(res.Rows) != 1 || res.Rows[0][0].S != "g3" {
+		t.Fatalf("xa recover: %v", res.Rows)
+	}
+	mustExec(t, s, "XA COMMIT ?", g)
+	if out := mustExec(t, s, "SELECT age FROM t_user WHERE uid = 3"); out.Rows[0][0].I != 60 {
+		t.Fatalf("bound xa commit lost: %v", out.Rows)
+	}
+}
+
+// TestNodeKeepsBoundVerbs: 200 XA transactions with distinct xids parse
+// each verb text at most keepSights times, and leave no sight count per
+// xid behind.
+func TestNodeKeepsBoundVerbs(t *testing.T) {
+	p := NewProcessor(storage.NewEngine("ds0"))
+	s := p.NewSession()
+	verbs := []string{"XA BEGIN ?", "XA END ?", "XA PREPARE ?", "XA COMMIT ?", "XA ROLLBACK ?"}
+	before := sqlparser.ParseCount()
+	for i := 0; i < 200; i++ {
+		xid := sqltypes.NewString(fmt.Sprintf("gtx-%d", i))
+		last := verbs[3+i%2] // alternately commit and roll back the prepared branch
+		for _, v := range append(verbs[:3:3], last) {
+			mustExec(t, s, v, xid)
+		}
+	}
+	got, max := sqlparser.ParseCount()-before, uint64(keepSights*len(verbs))
+	if got > max {
+		t.Fatalf("200 transactions parsed %d times, want at most %d", got, max)
+	}
+	if n := p.Stats().Parses.Load(); uint64(n) != got {
+		t.Fatalf("the node's parse counter reads %d, the parser ran %d times", n, got)
+	}
+	if n := p.seenLen(); n > len(verbs) {
+		t.Fatalf("the processor counts sights of %d texts after 200 xids", n)
 	}
 }
 

@@ -33,6 +33,7 @@ type tableStat struct {
 type Stats struct {
 	Statements atomic.Int64
 	Errors     atomic.Int64
+	Parses     atomic.Int64 // texts parsed: those not (yet) kept
 
 	Total    telemetry.Histogram // receive→reply, reported by the server layer
 	Queue    telemetry.Histogram // frame receive → stream-worker pickup
@@ -87,6 +88,7 @@ func (st *Stats) Snapshot() *telemetry.MetricsSnapshot {
 		Counters: []telemetry.NamedCounter{
 			{Name: "node.statements", Value: st.Statements.Load()},
 			{Name: "node.errors", Value: st.Errors.Load()},
+			{Name: "node.parses", Value: st.Parses.Load()},
 		},
 	}
 	// Per-table heat rides along as heat.<table>.* counters; names sort

@@ -460,10 +460,13 @@ func (o XAOp) String() string {
 	}
 }
 
-// XAStmt is an XA transaction-control statement, e.g. XA PREPARE 'xid'.
+// XAStmt is an XA transaction-control statement, e.g. XA PREPARE 'xid',
+// or XA PREPARE ? with the xid bound as the statement's one argument: the
+// form the coordinator sends, one text per verb whatever the xid.
 type XAStmt struct {
-	Op  XAOp
-	XID string
+	Op    XAOp
+	XID   string
+	Bound bool // the xid is the bind argument, not XID
 }
 
 func (*XAStmt) stmtNode()                    {}

@@ -9,8 +9,9 @@ import (
 	"shardingsphere/internal/sqltypes"
 )
 
-// normalizeSeeds are the statements of normalize_test.go and the shapes of
-// the rewrite equivalence table (internal/rewrite/equivalence_test.go).
+// normalizeSeeds are the statements of normalize_test.go, the shapes of
+// the rewrite equivalence table (internal/rewrite/equivalence_test.go) and
+// the XA verbs the coordinator sends.
 var normalizeSeeds = []string{
 	"SELECT * FROM t_order WHERE order_id = 10",
 	"SELECT a, b FROM t WHERE id = 7 AND name = 'x' ORDER BY a LIMIT 3",
@@ -67,13 +68,17 @@ var normalizeSeeds = []string{
 	"SELECT age % ?, age % ? FROM t_user ORDER BY age % ?",
 	"SELECT name FROM t_user ORDER BY uid + ? DESC LIMIT ?, ?",
 	"SELECT name FROM t_user WHERE uid = ? ORDER BY age LIMIT ? OFFSET ?",
+
+	"XA BEGIN ?", "XA ADOPT ?", "XA END ?", "XA PREPARE ?", "XA COMMIT ?", "XA ROLLBACK ?",
+	"XA START 'gtx-1'", "XA RECOVER",
 }
 
 // FuzzNormalize holds Normalize to the parser: the key of a statement that
 // parses also parses, binding the key's slots (BindArgs) gives back the
 // statement's own AST, and a whole ORDER BY or GROUP BY item the parser
 // reads as a position (an integer literal, not negative) is a literal in
-// the key too — no "?" stands for it, bare, signed or parenthesized.
+// the key too — no "?" stands for it, bare, signed or parenthesized. An
+// XA verb is not normalized; its bound form serializes back to itself.
 func FuzzNormalize(f *testing.F) {
 	for _, sql := range normalizeSeeds {
 		f.Add(sql)
@@ -82,6 +87,13 @@ func FuzzNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sql string) {
 		n, ok := Normalize(sql)
 		if !ok {
+			if stmt, err := Parse(sql); err == nil {
+				if xa, ok := stmt.(*XAStmt); ok && xa.Bound {
+					if text := NewSerializer(DialectMySQL).Serialize(xa); text != xa.Op.String()+" ?" {
+						t.Fatalf("%q serializes to %q", sql, text)
+					}
+				}
+			}
 			return
 		}
 		orig, err := Parse(sql)

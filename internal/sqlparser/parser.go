@@ -921,10 +921,14 @@ func (p *parser) parseXA() (Statement, error) {
 	}
 	stmt := &XAStmt{Op: op}
 	if op != XARecover {
-		if p.tok.Type != TokenString {
-			return nil, p.errf("expected XID string, got %q", p.tok.String())
+		switch p.tok.Type {
+		case TokenString:
+			stmt.XID = p.tok.Val
+		case TokenPlaceholder:
+			stmt.Bound = true
+		default:
+			return nil, p.errf("expected XID string or ?, got %q", p.tok.String())
 		}
-		stmt.XID = p.tok.Val
 		if err := p.advance(); err != nil {
 			return nil, err
 		}

@@ -250,6 +250,21 @@ func TestParseXA(t *testing.T) {
 	if stmt.Op != XARecover {
 		t.Fatalf("bad xa recover: %+v", stmt)
 	}
+	// The bound form is one text per verb; it serializes back to itself.
+	ser := NewSerializer(DialectMySQL)
+	for _, sql := range []string{"XA BEGIN ?", "XA ADOPT ?", "XA END ?", "XA PREPARE ?", "XA COMMIT ?", "XA ROLLBACK ?"} {
+		stmt := mustParse(t, sql).(*XAStmt)
+		if !stmt.Bound || stmt.XID != "" {
+			t.Fatalf("%s: %+v", sql, stmt)
+		}
+		if text := ser.Serialize(stmt); text != sql {
+			t.Fatalf("%s serializes to %q", sql, text)
+		}
+	}
+	var pe *ParseError
+	if _, err := Parse("XA RECOVER ?"); !asParseError(err, &pe) {
+		t.Fatalf("XA RECOVER ?: want a ParseError, got %v", err)
+	}
 }
 
 func TestParsePlaceholders(t *testing.T) {
@@ -606,6 +621,7 @@ func TestSerializeAllStatementKinds(t *testing.T) {
 		"CREATE INDEX i ON t (a, b)",
 		"BEGIN", "COMMIT", "ROLLBACK",
 		"XA BEGIN 'g'", "XA END 'g'", "XA PREPARE 'g'", "XA COMMIT 'g'", "XA ROLLBACK 'g'", "XA RECOVER",
+		"XA BEGIN ?", "XA ADOPT ?", "XA COMMIT ?",
 		"SHOW TABLES",
 		"DESCRIBE t",
 		"SET autocommit = 1",

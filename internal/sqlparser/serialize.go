@@ -111,7 +111,9 @@ func (s *Serializer) writeStmt(b *strings.Builder, stmt Statement) {
 		b.WriteString("ROLLBACK")
 	case *XAStmt:
 		b.WriteString(t.Op.String())
-		if t.Op != XARecover {
+		if t.Bound {
+			b.WriteString(" ?")
+		} else if t.Op != XARecover {
 			b.WriteString(" '")
 			b.WriteString(strings.ReplaceAll(t.XID, "'", "''"))
 			b.WriteString("'")

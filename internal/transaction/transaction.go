@@ -26,12 +26,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
 	"shardingsphere/internal/exec"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
+	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
 )
 
@@ -88,8 +90,10 @@ type Tx interface {
 	XID() string
 	// Held returns the pinned connections the executor must use.
 	Held() *exec.HeldConns
-	// BeforeStatement prepares the touched data sources (BEGIN / XA BEGIN
-	// / undo capture) for the units about to execute.
+	// BeforeStatement prepares the touched data sources for the units
+	// about to execute: it pins their connections and records each new
+	// branch's opening verb (BEGIN / XA BEGIN ?), which the statement's
+	// window to that source sends first. BASE also captures undo.
 	BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) error
 	// AfterStatement finalizes per-statement work (BASE local commit and
 	// after-image capture). execErr is the execution outcome.
@@ -200,7 +204,8 @@ func (m *Manager) Begin(t Type) (Tx, error) {
 	m.metrics.begun.Add(1)
 	switch t {
 	case XA:
-		return &xaTx{mgr: m, xid: xid, held: exec.NewHeldConns(), state: map[string]branchState{}}, nil
+		return &xaTx{mgr: m, xid: xid, xidArg: []sqltypes.Value{sqltypes.NewString(xid)},
+			held: exec.NewHeldConns(), state: map[string]branchState{}}, nil
 	case Base:
 		if m.meta == nil {
 			return nil, fmt.Errorf("transaction: BASE needs a metadata provider")
@@ -208,19 +213,22 @@ func (m *Manager) Begin(t Type) (Tx, error) {
 		gtx := m.tc.BeginGlobal(xid)
 		return &baseTx{mgr: m, xid: xid, held: exec.NewHeldConns(), global: gtx}, nil
 	default:
-		return &localTx{mgr: m, xid: xid, held: exec.NewHeldConns(), begun: map[string]bool{}}, nil
+		return &localTx{mgr: m, xid: xid, held: exec.NewHeldConns()}, nil
 	}
 }
+
+// begin opens a plain local branch.
+var begin = resource.Statement{SQL: "BEGIN"}
 
 // --- LOCAL (1PC) ---
 
 type localTx struct {
-	mgr    *Manager
-	xid    string
-	held   *exec.HeldConns
-	begun  map[string]bool
-	closed bool
-	tr     *telemetry.Trace
+	mgr      *Manager
+	xid      string
+	held     *exec.HeldConns
+	branches []string // sources with a branch: a statement touches a few
+	closed   bool
+	tr       *telemetry.Trace
 }
 
 func (t *localTx) Type() Type                      { return Local }
@@ -233,17 +241,13 @@ func (t *localTx) BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) 
 		return ErrTxClosed
 	}
 	for _, u := range units {
-		if t.begun[u.DataSource] {
+		if slices.Contains(t.branches, u.DataSource) {
 			continue
 		}
-		conn, err := t.held.Get(ctx, t.mgr.exec, u.DataSource)
-		if err != nil {
+		if err := t.held.Open(ctx, t.mgr.exec, u.DataSource, begin); err != nil {
 			return err
 		}
-		if _, err := conn.Exec(ctx, "BEGIN"); err != nil {
-			return err
-		}
-		t.begun[u.DataSource] = true
+		t.branches = append(t.branches, u.DataSource)
 	}
 	return nil
 }
@@ -266,13 +270,15 @@ func (t *localTx) finish(ctx context.Context, cmd string) error {
 	// failures are ignored (paper: "Even if some data source commits
 	// fail, ShardingSphere will ignore it"). The fan-out must still run
 	// when the statement deadline already fired — an unfinished branch
-	// would otherwise leak its locks back into the pool.
+	// would otherwise leak its locks back into the pool. A branch whose
+	// BEGIN never succeeded has nothing to end.
 	ctx = context.WithoutCancel(ctx)
-	t.held.Each(func(ds string, c *resource.PooledConn) error {
-		if _, err := c.Exec(ctx, cmd); err != nil {
-			c.Broken = true
+	for _, ds := range t.branches {
+		if c, ok := t.held.Peek(ds); ok {
+			if _, err := c.Exec(ctx, cmd); err != nil {
+				c.Broken = true
+			}
 		}
-		return nil
-	})
+	}
 	return nil
 }

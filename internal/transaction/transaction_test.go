@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/exec"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
@@ -106,40 +108,86 @@ func run(t *testing.T, mgr *Manager, e *exec.Executor, tx Tx, units []rewrite.SQ
 }
 
 // sqlRecorder wraps a connection and records every statement that crosses
-// it; tests install it as a pool interceptor to prove which verbs a
-// commit path actually issued.
+// it without returning rows, with its arguments; tests install it as a
+// pool interceptor to prove which verbs a commit path actually issued. It
+// cannot pipeline, so a batch reaches it one statement at a time.
 type sqlRecorder struct {
 	resource.Conn
 	mu  *sync.Mutex
-	log *[]string
+	log *[]resource.Statement
 }
 
 func (r sqlRecorder) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ExecResult, error) {
 	r.mu.Lock()
-	*r.log = append(*r.log, sql)
+	*r.log = append(*r.log, resource.Statement{SQL: sql, Args: args})
 	r.mu.Unlock()
 	return r.Conn.Exec(ctx, sql, args...)
 }
 
 // recordSQL taps every statement executed on the source from now on.
-func recordSQL(t *testing.T, e *exec.Executor, ds string) (*sync.Mutex, *[]string) {
+func recordSQL(t *testing.T, e *exec.Executor, ds string) (*sync.Mutex, *[]resource.Statement) {
 	t.Helper()
 	src, err := e.Source(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mu := &sync.Mutex{}
-	log := &[]string{}
+	log := &[]resource.Statement{}
 	src.SetConnInterceptor(func(c resource.Conn) resource.Conn {
 		return sqlRecorder{Conn: c, mu: mu, log: log}
 	})
 	return mu, log
 }
 
-func recorded(mu *sync.Mutex, log *[]string) []string {
+func recorded(mu *sync.Mutex, log *[]resource.Statement) []resource.Statement {
 	mu.Lock()
 	defer mu.Unlock()
-	return append([]string(nil), *log...)
+	return append([]resource.Statement(nil), *log...)
+}
+
+// turnConn counts a connection's turns: each Exec, Query, ExecBatch and
+// QueryBatch is one exchange with the data source, however many
+// statements it carries.
+type turnConn struct {
+	resource.Conn
+	turns *atomic.Int64
+}
+
+func (c turnConn) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ExecResult, error) {
+	c.turns.Add(1)
+	return c.Conn.Exec(ctx, sql, args...)
+}
+
+func (c turnConn) Query(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ResultSet, error) {
+	c.turns.Add(1)
+	return c.Conn.Query(ctx, sql, args...)
+}
+
+func (c turnConn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ExecResult, error) {
+	c.turns.Add(1)
+	return resource.ExecBatch(ctx, c.Conn, stmts)
+}
+
+func (c turnConn) QueryBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ResultSet, error) {
+	c.turns.Add(1)
+	return resource.QueryBatch(ctx, c.Conn, stmts)
+}
+
+// countTurns counts the turns every connection of ds0 and ds1 takes from
+// now on, one counter per source.
+func countTurns(t *testing.T, e *exec.Executor) map[string]*atomic.Int64 {
+	t.Helper()
+	out := map[string]*atomic.Int64{}
+	for _, ds := range []string{"ds0", "ds1"} {
+		src, err := e.Source(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := &atomic.Int64{}
+		src.SetConnInterceptor(func(c resource.Conn) resource.Conn { return turnConn{Conn: c, turns: n} })
+		out[ds] = n
+	}
+	return out
 }
 
 func TestParseType(t *testing.T) {
@@ -244,9 +292,9 @@ func TestFastPathSingleShardNoXAVerbs(t *testing.T) {
 	if got := readV(t, e, "ds0", 0); got != 4 {
 		t.Fatalf("fast-path commit lost: v=%d", got)
 	}
-	for _, sql := range recorded(mu, log) {
-		if strings.HasPrefix(sql, "XA ") {
-			t.Fatalf("single-shard transaction issued an XA verb: %q", sql)
+	for _, st := range recorded(mu, log) {
+		if strings.HasPrefix(st.SQL, "XA ") {
+			t.Fatalf("single-shard transaction issued an XA verb: %q", st.SQL)
 		}
 	}
 	recs, _ := mgr.log.List()
@@ -276,17 +324,18 @@ func TestFastPathRollback(t *testing.T) {
 	if readV(t, e, "ds0", 0) != 0 {
 		t.Fatal("fast-path rollback lost")
 	}
-	for _, sql := range recorded(mu, log) {
-		if strings.HasPrefix(sql, "XA ") {
-			t.Fatalf("single-shard rollback issued an XA verb: %q", sql)
+	for _, st := range recorded(mu, log) {
+		if strings.HasPrefix(st.SQL, "XA ") {
+			t.Fatalf("single-shard rollback issued an XA verb: %q", st.SQL)
 		}
 	}
 }
 
 // TestLazyUpgradeToXA drives the fast path across its promotion: the
 // first statement stays local on ds0, the second touches ds1 too, so the
-// ds0 branch is adopted into the XA transaction (XA ADOPT) and the whole
-// commit runs 2PC.
+// ds0 branch is adopted into the XA transaction (XA ADOPT, leading its
+// prepare batch) and the whole commit runs 2PC. Every verb is one text
+// with the xid as its argument.
 func TestLazyUpgradeToXA(t *testing.T) {
 	mgr, e := fixture(t, nil)
 	mu, log := recordSQL(t, e, "ds0")
@@ -299,21 +348,24 @@ func TestLazyUpgradeToXA(t *testing.T) {
 	if readV(t, e, "ds0", 0) != 6 || readV(t, e, "ds1", 1) != 1 {
 		t.Fatal("upgraded commit lost")
 	}
-	adopt := fmt.Sprintf("XA ADOPT '%s'", tx.XID())
-	var sawAdopt, sawXABegin bool
-	for _, sql := range recorded(mu, log) {
-		if sql == adopt {
-			sawAdopt = true
-		}
-		if strings.HasPrefix(sql, "XA BEGIN") {
-			sawXABegin = true
-		}
+	xid := []sqltypes.Value{sqltypes.NewString(tx.XID())}
+	want := []resource.Statement{
+		{SQL: "BEGIN"},
+		{SQL: "UPDATE t SET v = 5"},
+		{SQL: "UPDATE t SET v = v + 1"},
+		{SQL: "XA ADOPT ?", Args: xid},
+		{SQL: "XA END ?", Args: xid},
+		{SQL: "XA PREPARE ?", Args: xid},
+		{SQL: "XA COMMIT ?", Args: xid},
 	}
-	if !sawAdopt {
-		t.Fatal("ds0 branch was never adopted into the XA transaction")
+	got := recorded(mu, log)
+	if len(got) != len(want) {
+		t.Fatalf("ds0 ran %v, want %v", got, want)
 	}
-	if sawXABegin {
-		t.Fatal("ds0 should upgrade via ADOPT, not reopen with XA BEGIN")
+	for i := range want {
+		if got[i].SQL != want[i].SQL || fmt.Sprint(got[i].Args) != fmt.Sprint(want[i].Args) {
+			t.Fatalf("ds0 statement %d is %q %v, want %q %v (all: %v)", i, got[i].SQL, got[i].Args, want[i].SQL, want[i].Args, got)
+		}
 	}
 	m := mgr.Metrics()
 	if m["upgrades"] != 1 || m["xa_commits"] != 1 || m["fastpath_commits"] != 0 {
@@ -322,6 +374,91 @@ func TestLazyUpgradeToXA(t *testing.T) {
 	recs, _ := mgr.log.List()
 	if len(recs) != 0 {
 		t.Fatalf("log lingers: %v", recs)
+	}
+}
+
+// TestTurnsPerTransaction counts the exchanges with the data sources of
+// statement A on ds0, statement B on ds0 and ds1, then COMMIT. A branch's
+// BEGIN or XA BEGIN rides its first window and XA ADOPT rides the prepare
+// batch, so no verb costs a turn of its own: XA takes A, B twice, two
+// prepares and two commits (7); LOCAL takes A, B twice and two COMMITs
+// (5).
+func TestTurnsPerTransaction(t *testing.T) {
+	for _, c := range []struct {
+		typ  Type
+		want int64
+	}{{XA, 7}, {Local, 5}} {
+		mgr, e := fixture(t, nil)
+		turns := countTurns(t, e)
+		tx, _ := mgr.Begin(c.typ)
+		run(t, mgr, e, tx, unitsOn("ds0", "UPDATE t SET v = 1"))
+		run(t, mgr, e, tx, unitsBoth("UPDATE t SET v = v + 1"))
+		if err := tx.Commit(bg); err != nil {
+			t.Fatal(err)
+		}
+		if got := turns["ds0"].Load() + turns["ds1"].Load(); got != c.want {
+			t.Fatalf("%v: %d turns (ds0 %d, ds1 %d), want %d", c.typ, got, turns["ds0"].Load(), turns["ds1"].Load(), c.want)
+		}
+		if readV(t, e, "ds0", 0) != 2 || readV(t, e, "ds1", 1) != 1 {
+			t.Fatalf("%v: commit lost", c.typ)
+		}
+	}
+}
+
+// TestFailedOpeningLeavesNothingToUndo: the window that carries ds1's
+// opening verb fails, either because ds1 breaks on it (BREAK_AFTER set to
+// land on it) or because every ds1 call errs. The statement's error is
+// typed, ROLLBACK sends ds1 nothing, and both pools get every connection
+// back. With the transport intact, ds1's connection goes back to the idle
+// pool: a branch that never opened is not marked Broken. (A broken
+// transport is discarded by the pool, as any defunct connection is.)
+func TestFailedOpeningLeavesNothingToUndo(t *testing.T) {
+	for _, typ := range []Type{XA, Local} {
+		for _, fault := range []chaos.Fault{{BreakAfter: 1}, {ErrorRate: 1}} {
+			where := fmt.Sprintf("%v, %+v", typ, fault)
+			mgr, e := fixture(t, nil)
+			src1, _ := e.Source("ds1")
+			in := chaos.NewInjector()
+			in.Apply(src1, fault)
+			if fault.BreakAfter > 0 {
+				readV(t, e, "ds1", 1) // the one call ds1 answers
+			}
+			idle := src1.Stats().Idle
+			tx, _ := mgr.Begin(typ)
+			run(t, mgr, e, tx, unitsOn("ds0", "UPDATE t SET v = 1"))
+			units := unitsBoth("UPDATE t SET v = v + 1")
+			if err := tx.BeforeStatement(bg, units); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			_, err := e.ExecuteUpdateCtx(bg, units, tx.Held(), nil)
+			if err := tx.AfterStatement(bg, units, err); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			var ue *exec.UnitError
+			var ie *chaos.InjectedError
+			if !errors.As(err, &ue) || ue.DataSource != "ds1" || !errors.As(err, &ie) {
+				t.Fatalf("%s: want the injected fault on a ds1 unit, got %v", where, err)
+			}
+			calls := in.Statuses()[0].Calls
+			if err := tx.Rollback(bg); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if n := in.Statuses()[0].Calls - calls; n != 0 {
+				t.Fatalf("%s: ROLLBACK made %d calls to the branch that never opened", where, n)
+			}
+			in.Remove("ds1")
+			for _, ds := range []string{"ds0", "ds1"} {
+				if src, _ := e.Source(ds); src.Stats().InUse != 0 {
+					t.Fatalf("%s: %s has %d connections in use", where, ds, src.Stats().InUse)
+				}
+			}
+			if got := src1.Stats().Idle; fault.ErrorRate > 0 && got != idle {
+				t.Fatalf("%s: ds1 has %d idle connections, had %d: its unopened branch's was discarded", where, got, idle)
+			}
+			if readV(t, e, "ds0", 0) != 0 || readV(t, e, "ds1", 1) != 0 {
+				t.Fatalf("%s: rollback left a write", where)
+			}
+		}
 	}
 }
 

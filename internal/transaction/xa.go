@@ -3,7 +3,9 @@ package transaction
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
+	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
 )
 
@@ -180,14 +183,14 @@ func (l *durableLog) List() ([]LogRecord, error) { return l.inner.List() }
 
 // --- XA transaction (2PC, paper Fig. 5(c)) ---
 
-// branchState tracks how far one branch has progressed; the abort path
-// chooses its verbs from it (a prepared branch needs XA ROLLBACK on the
-// prepared XID, an active one needs END first, a fast-path local branch
-// takes a plain ROLLBACK).
+// branchState tracks how far one branch has progressed; the prepare and
+// abort paths choose their verbs from it (a prepared branch needs XA
+// ROLLBACK on the prepared XID, an active one needs END first, a local one
+// is adopted into the XID to prepare and takes a plain ROLLBACK to abort).
 type branchState uint8
 
 const (
-	stateLocal    branchState = iota // plain BEGIN (fast path, not yet upgraded)
+	stateLocal    branchState = iota // plain BEGIN (fast path, adopted at prepare)
 	stateActive                      // XA BEGIN / XA ADOPT done, not yet prepared
 	statePrepared                    // phase 1 acknowledged
 )
@@ -195,6 +198,7 @@ const (
 type xaTx struct {
 	mgr      *Manager
 	xid      string
+	xidArg   []sqltypes.Value // xid, the one argument of every verb
 	held     *exec.HeldConns
 	order    []string // branches in first-touch order
 	state    map[string]branchState
@@ -208,87 +212,52 @@ func (t *xaTx) XID() string                     { return t.xid }
 func (t *xaTx) Held() *exec.HeldConns           { return t.held }
 func (t *xaTx) AttachTrace(tr *telemetry.Trace) { t.tr = tr }
 
+// verb binds an XA verb's one text to this transaction's xid: a data node
+// parses each text a bounded number of times however many xids it sees.
+func (t *xaTx) verb(sql string) resource.Statement {
+	return resource.Statement{SQL: sql, Args: t.xidArg}
+}
+
+// BeforeStatement opens a branch on each source the units touch first. A
+// transaction's only source opens a plain local transaction (the fast
+// path): XA waits until a second source proves the transaction is really
+// distributed, so the single-shard majority of an OLTP mix never pays 2PC.
+// Later branches open with XA BEGIN.
 func (t *xaTx) BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) error {
 	if t.closed {
 		return ErrTxClosed
 	}
-	var fresh []string
 	for _, u := range units {
-		if _, ok := t.state[u.DataSource]; ok {
+		ds := u.DataSource
+		if _, ok := t.state[ds]; ok {
 			continue
 		}
-		dup := false
-		for _, ds := range fresh {
-			if ds == u.DataSource {
-				dup = true
-				break
-			}
+		open, st := begin, stateLocal
+		if len(t.order) > 0 || slices.ContainsFunc(units, func(v rewrite.SQLUnit) bool { return v.DataSource != ds }) {
+			t.upgrade()
+			open, st = t.verb("XA BEGIN ?"), stateActive
 		}
-		if !dup {
-			fresh = append(fresh, u.DataSource)
-		}
-	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	if !t.upgraded {
-		if len(t.order) == 0 && len(fresh) == 1 {
-			// Fast path: everything so far lands on one data source. Open a
-			// plain local transaction and defer all XA work until a second
-			// source proves the transaction is really distributed — the
-			// single-shard majority of an OLTP mix never pays 2PC.
-			ds := fresh[0]
-			conn, err := t.held.Get(ctx, t.mgr.exec, ds)
-			if err != nil {
-				return err
-			}
-			if _, err := conn.Exec(ctx, "BEGIN"); err != nil {
-				return err
-			}
-			t.state[ds] = stateLocal
-			t.order = append(t.order, ds)
-			return nil
-		}
-		if err := t.upgrade(ctx); err != nil {
+		if err := t.held.Open(ctx, t.mgr.exec, ds, open); err != nil {
 			return err
 		}
-	}
-	for _, ds := range fresh {
-		conn, err := t.held.Get(ctx, t.mgr.exec, ds)
-		if err != nil {
-			return err
-		}
-		if _, err := conn.Exec(ctx, fmt.Sprintf("XA BEGIN '%s'", t.xid)); err != nil {
-			return err
-		}
-		t.state[ds] = stateActive
+		t.state[ds] = st
 		t.order = append(t.order, ds)
 	}
 	return nil
 }
 
-// upgrade promotes fast-path local branches to XA: the data source binds
-// its active plain transaction to this transaction's XID (XA ADOPT) so
-// the branch can be prepared. Runs once, the moment a second source is
-// touched; from then on new branches open with XA BEGIN directly.
-func (t *xaTx) upgrade(ctx context.Context) error {
-	promoted := 0
-	for _, ds := range t.order {
-		if t.state[ds] != stateLocal {
-			continue
-		}
-		conn, _ := t.held.Peek(ds)
-		if _, err := conn.Exec(ctx, fmt.Sprintf("XA ADOPT '%s'", t.xid)); err != nil {
-			return fmt.Errorf("transaction: XA upgrade failed on %s: %w", ds, err)
-		}
-		t.state[ds] = stateActive
-		promoted++
+// upgrade promotes the transaction to XA the moment a second source is
+// touched. It sends nothing: a branch still local keeps its plain
+// transaction until the prepare batch adopts it into the XID (XA ADOPT),
+// so the work done before the upgrade is not lost.
+func (t *xaTx) upgrade() {
+	if t.upgraded {
+		return
 	}
 	t.upgraded = true
-	if promoted > 0 {
+	if len(t.order) > 0 {
 		t.mgr.metrics.upgrades.Add(1)
 	}
-	return nil
 }
 
 func (t *xaTx) AfterStatement(context.Context, []rewrite.SQLUnit, error) error { return nil }
@@ -322,7 +291,8 @@ func (t *xaTx) fanOut(branches []string, fn func(i int, ds string) error) []erro
 // the group committer), then phase 2 (XA COMMIT fanned out). A failed
 // prepare aborts every branch with state-matched verbs; a partial phase-2
 // failure returns the typed InDoubtError — the decision stands and
-// Recover completes the stragglers.
+// Recover completes the stragglers. A branch whose opening verb never
+// succeeded has nothing to commit and takes no part.
 func (t *xaTx) Commit(ctx context.Context) error {
 	if t.closed {
 		return ErrTxClosed
@@ -330,7 +300,12 @@ func (t *xaTx) Commit(ctx context.Context) error {
 	t.closed = true
 	defer t.held.ReleaseAll()
 
-	branches := append([]string(nil), t.order...)
+	branches := make([]string, 0, len(t.order))
+	for _, ds := range t.order {
+		if _, ok := t.held.Peek(ds); ok {
+			branches = append(branches, ds)
+		}
+	}
 	sort.Strings(branches)
 
 	if !t.upgraded {
@@ -369,7 +344,7 @@ func (t *xaTx) Commit(ctx context.Context) error {
 	errs := t.fanOut(branches, func(i int, ds string) error {
 		conn, _ := t.held.Peek(ds)
 		start := time.Now()
-		_, err := conn.Exec(ctx, fmt.Sprintf("XA COMMIT '%s'", t.xid))
+		_, err := conn.Exec(ctx, "XA COMMIT ?", t.xidArg...)
 		t.tr.AddSpan(telemetry.StageXACommit, ds, start, time.Since(start))
 		if err == nil {
 			committed[i] = true
@@ -429,33 +404,41 @@ func (t *xaTx) commitFastPath(ctx context.Context, branches []string) error {
 
 // prepare fans XA END+PREPARE out across the branches (pipelined as one
 // batch per branch: a remote branch pays a single round trip for phase
-// 1). The first NO cancels the in-flight siblings, then every branch is
-// aborted with verbs matched to how far it got.
+// 1); a branch still local leads its batch with XA ADOPT. The first NO
+// cancels the in-flight siblings, then every branch is aborted with verbs
+// matched to how far it got.
 func (t *xaTx) prepare(ctx context.Context, branches []string) error {
 	fanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	prepared := make([]bool, len(branches))
+	reached := make([]branchState, len(branches))
+	for i, ds := range branches {
+		reached[i] = t.state[ds]
+	}
 	errs := t.fanOut(branches, func(i int, ds string) error {
 		conn, _ := t.held.Peek(ds)
-		start := time.Now()
-		_, err := resource.ExecBatch(fanCtx, conn, []resource.Statement{
-			{SQL: fmt.Sprintf("XA END '%s'", t.xid)},
-			{SQL: fmt.Sprintf("XA PREPARE '%s'", t.xid)},
-		})
-		t.tr.AddSpan(telemetry.StageXAPrepare, ds, start, time.Since(start))
-		if err != nil {
-			cancel() // fail fast: no point preparing the siblings
-			return err
+		stmts := []resource.Statement{t.verb("XA ADOPT ?"), t.verb("XA END ?"), t.verb("XA PREPARE ?")}
+		if reached[i] != stateLocal {
+			stmts = stmts[1:]
 		}
-		prepared[i] = true
-		return nil
+		start := time.Now()
+		_, err := resource.ExecBatch(fanCtx, conn, stmts)
+		t.tr.AddSpan(telemetry.StageXAPrepare, ds, start, time.Since(start))
+		var be *resource.BatchError
+		switch {
+		case err == nil:
+			reached[i] = statePrepared
+			return nil
+		case reached[i] == stateLocal && errors.As(err, &be) && be.Index > 0:
+			reached[i] = stateActive // adopted before the batch failed
+		}
+		cancel() // fail fast: no point preparing the siblings
+		return err
 	})
 	var failedDS string
 	var cause error
 	for i, ds := range branches {
-		if prepared[i] {
-			t.state[ds] = statePrepared
-		} else if cause == nil && errs[i] != nil {
+		t.state[ds] = reached[i]
+		if cause == nil && errs[i] != nil {
 			failedDS, cause = ds, errs[i]
 		}
 	}
@@ -485,10 +468,12 @@ const abortTimeout = 10 * time.Second
 // abort rolls the branches back with verbs matched to each branch's
 // state: prepared branches take XA ROLLBACK on the prepared XID; branches
 // that never reached PREPARE need END on their active work first; a
-// fast-path local branch takes a plain ROLLBACK. It runs detached from
-// the caller's context so cleanup still reaches the branches after a
-// deadline or a fail-fast cancellation, and only a failed abort — branch
-// state genuinely unknown — marks the pooled connection Broken.
+// fast-path local branch takes a plain ROLLBACK; a branch whose opening
+// verb never succeeded has nothing to undo and gets nothing. It runs
+// detached from the caller's context so cleanup still reaches the
+// branches after a deadline or a fail-fast cancellation, and only a
+// failed abort — branch state genuinely unknown — marks the pooled
+// connection Broken.
 func (t *xaTx) abort(ctx context.Context, branches []string) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 	defer cancel()
@@ -500,16 +485,13 @@ func (t *xaTx) abort(ctx context.Context, branches []string) {
 		var err error
 		switch t.state[ds] {
 		case statePrepared:
-			_, err = conn.Exec(ctx, fmt.Sprintf("XA ROLLBACK '%s'", t.xid))
+			_, err = conn.Exec(ctx, "XA ROLLBACK ?", t.xidArg...)
 		case stateActive:
 			// Not yet prepared: END the active association, then roll it
 			// back. A branch whose prepare batch died between END and
 			// PREPARE sees END again — the data node treats the repeat as
 			// validation of an already-ended branch.
-			_, err = resource.ExecBatch(ctx, conn, []resource.Statement{
-				{SQL: fmt.Sprintf("XA END '%s'", t.xid)},
-				{SQL: fmt.Sprintf("XA ROLLBACK '%s'", t.xid)},
-			})
+			_, err = resource.ExecBatch(ctx, conn, []resource.Statement{t.verb("XA END ?"), t.verb("XA ROLLBACK ?")})
 		default: // stateLocal: fast-path plain transaction
 			_, err = conn.Exec(ctx, "ROLLBACK")
 		}
@@ -538,11 +520,9 @@ func (m *Manager) Recover(ctx context.Context) (int, error) {
 			continue
 		}
 		for _, ds := range rec.Branches {
-			if err := m.execOn(ctx, ds, fmt.Sprintf("XA COMMIT '%s'", rec.XID)); err != nil {
-				// Already committed on this branch, or branch unknown —
-				// both mean the branch needs no further action.
-				continue
-			}
+			// An error means the branch committed already or is unknown:
+			// either way it needs no further action.
+			m.execOn(ctx, ds, "XA COMMIT ?", sqltypes.NewString(rec.XID))
 		}
 		if err := m.log.Delete(rec.XID); err != nil {
 			return resolved, err
@@ -560,7 +540,7 @@ func (m *Manager) Recover(ctx context.Context) (int, error) {
 			if logged[xid] {
 				continue
 			}
-			if err := m.execOn(ctx, ds, fmt.Sprintf("XA ROLLBACK '%s'", xid)); err == nil {
+			if err := m.execOn(ctx, ds, "XA ROLLBACK ?", sqltypes.NewString(xid)); err == nil {
 				resolved++
 				m.metrics.recoverResolved.Add(1)
 			}
@@ -570,7 +550,7 @@ func (m *Manager) Recover(ctx context.Context) (int, error) {
 	for _, rec := range recs {
 		if !rec.Decided {
 			for _, ds := range rec.Branches {
-				m.execOn(ctx, ds, fmt.Sprintf("XA ROLLBACK '%s'", rec.XID))
+				m.execOn(ctx, ds, "XA ROLLBACK ?", sqltypes.NewString(rec.XID))
 			}
 			m.log.Delete(rec.XID)
 			resolved++
@@ -580,7 +560,7 @@ func (m *Manager) Recover(ctx context.Context) (int, error) {
 	return resolved, nil
 }
 
-func (m *Manager) execOn(ctx context.Context, ds, sql string) error {
+func (m *Manager) execOn(ctx context.Context, ds, sql string, args ...sqltypes.Value) error {
 	src, err := m.exec.Source(ds)
 	if err != nil {
 		return err
@@ -590,7 +570,7 @@ func (m *Manager) execOn(ctx context.Context, ds, sql string) error {
 		return err
 	}
 	defer conn.Release()
-	_, err = conn.Exec(ctx, sql)
+	_, err = conn.Exec(ctx, sql, args...)
 	return err
 }
 

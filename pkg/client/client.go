@@ -443,12 +443,20 @@ func (c *Conn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]res
 func (c *Conn) QueryBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ResultSet, error) {
 	sets := make([]resource.ResultSet, 0, len(stmts))
 	err := c.pipeline(ctx, stmts, func(i int, cols []string, _ resource.ExecResult, exp spanExpect) error {
-		if cols == nil {
+		var rs resource.ResultSet
+		var err error
+		switch {
+		case stmts[i].Verb:
+			err = c.discardRows(ctx, cols, exp)
+		case cols == nil:
 			return fmt.Errorf("client: %q returned no row set", stmts[i].SQL)
+		default:
+			var rows []sqltypes.Row
+			rows, err = resource.ReadAll(c.rows(ctx, cols, exp))
+			rs = resource.NewSliceResultSet(cols, rows)
 		}
-		rows, err := resource.ReadAll(c.rows(ctx, cols, exp))
 		if err == nil && len(sets) == i {
-			sets = append(sets, resource.NewSliceResultSet(cols, rows))
+			sets = append(sets, rs)
 		}
 		return err
 	})

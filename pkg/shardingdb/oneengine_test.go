@@ -96,7 +96,7 @@ func TestRowsMatchOneEngine(t *testing.T) {
 // carries a duplicate of id 1 in its first, middle or last row.
 var oneEngineFailures = []struct {
 	sql   string
-	fault bool // ds1 breaks after the calls its transaction type makes before the statement's units
+	fault bool // ds1 fails the statement's units, after the calls its transaction type makes before them
 }{
 	{"INSERT INTO t (id, k, v) VALUES (1, 0, 0), (13, 1, 13), (14, 2, 14), (15, 0, 15), (16, 1, 16)", false},
 	{"INSERT INTO t (id, k, v) VALUES (13, 1, 13), (14, 2, 14), (1, 0, 0), (15, 0, 15), (16, 1, 16)", false},
@@ -120,17 +120,18 @@ func TestFailedWriteLeavesOneEngineTable(t *testing.T) {
 				if _, err := s.Exec("SET VARIABLE transaction_type = " + txType); err != nil {
 					t.Fatal(err)
 				}
-				// The calls ds1 answers before the statement's own units: BEGIN
-				// or XA BEGIN, and under BASE one before-image read per unit
-				// (four shards put two on ds1).
-				breakAfter := 1
+				// Under LOCAL and XA the branch's BEGIN or XA BEGIN rides the
+				// statement's window, ds1's first call, so every call fails.
+				// BASE answers BEGIN and one before-image read per unit
+				// (four shards put two on ds1) before the units.
+				fault := "ERROR_RATE = 1"
 				if txType == "BASE" {
-					breakAfter = 3
+					fault = "BREAK_AFTER = 3"
 				}
 				for _, c := range oneEngineFailures {
 					where := fmt.Sprintf("%s, %d shard(s), %s: %s", dialect, shards, txType, c.sql)
 					if c.fault {
-						if _, err := s.Exec(fmt.Sprintf("INJECT FAULT ds1 (BREAK_AFTER = %d)", breakAfter)); err != nil {
+						if _, err := s.Exec("INJECT FAULT ds1 (" + fault + ")"); err != nil {
 							t.Fatal(err)
 						}
 					}
