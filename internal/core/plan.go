@@ -23,6 +23,11 @@ type plan struct {
 
 	route   *route.Skeleton
 	rewrite *rewrite.Template
+
+	// keyArgs is the key's number of ?s when the key is its own normal form
+	// (a text spelled as the key binds its arguments as they are), else -1.
+	keyArgs   int
+	forUpdate bool
 }
 
 // compile is the one compile function. ok is false when the statement's
@@ -45,7 +50,7 @@ func (k *Kernel) compile(stmt sqlparser.Statement) (p *plan, ok bool) {
 // generator rewrites it each time, a table-less SELECT is not routed, and
 // a route that does not compile (an UPDATE of the sharding key; table
 // metadata that could not be read) is retried by the next execution.
-func buildPlan(k *Kernel, norm *sqlparser.Normalized) (*plan, error) {
+func buildPlan(k *Kernel, sql string, norm *sqlparser.Normalized) (*plan, error) {
 	stmt, err := sqlparser.Parse(norm.Key)
 	if err != nil {
 		return nil, err
@@ -59,10 +64,25 @@ func buildPlan(k *Kernel, norm *sqlparser.Normalized) (*plan, error) {
 	}
 	if !perExecution {
 		if p, ok := k.compile(stmt); ok {
-			return p, nil
+			return p.keyedBy(sql, norm), nil
 		}
 	}
-	return &plan{stmt: stmt}, nil
+	return (&plan{stmt: stmt}).keyedBy(sql, norm), nil
+}
+
+// keyedBy records whether norm's key is its own normal form. A key that
+// normalizes to itself lifted no literal, so its slot i reads argument i.
+// The key is normalized again only when sql, the text norm came from, is
+// spelled otherwise.
+func (p *plan) keyedBy(sql string, norm *sqlparser.Normalized) *plan {
+	p.keyArgs = -1
+	if key := norm.Key; sql != key {
+		if norm, _ = sqlparser.Normalize(key); norm == nil || norm.Key != key {
+			return p
+		}
+	}
+	p.keyArgs, p.forUpdate = len(norm.Args), norm.ForUpdate
+	return p
 }
 
 // executePlan runs a shape's kept plan with bound argument values.

@@ -205,14 +205,23 @@ func (s *Session) execute(tr *telemetry.Trace, sql string, args []sqltypes.Value
 	return res, err
 }
 
-// executeSQL is the statement body of execute. A normalizable statement
-// does one keyed lookup: its shape's entry in the plan cache, which is
-// both where the statement is counted and where its plan lives. The plan
-// is used when it is current and compiled when it is missing or stale.
-// Four cases still count under the entry but parse the text and compile
-// for this execution only: a caller that keeps nothing (TRACE), a locking
-// read in a transaction, a bind failure and a build failure.
+// executeSQL is the statement body of execute. A text spelled as its
+// shape's key, whose plan is current, binds its arguments as they are
+// (Cache.Probe: nothing lexed, copied or inserted). Any other normalizable
+// statement does one keyed lookup: its shape's entry, where it is counted
+// and its plan lives, used when current and compiled when missing or
+// stale. Four cases count under the entry but parse and compile for this
+// execution only: TRACE (keep false), a locking read in a transaction, a
+// bind failure and a build failure.
 func (s *Session) executeSQL(sql string, args []sqltypes.Value, keep bool) (*Result, error) {
+	if e, v := s.k.planCache.Probe(sql); keep && v != nil {
+		if p := v.(*plan); p.keyArgs >= 0 && len(args) >= p.keyArgs && !(p.forUpdate && s.tx != nil) {
+			s.k.planCache.Hit()
+			s.stmtDigest = &e.Digest
+			s.tr.SetDigest(e.Digest.ID, e.Digest.Key)
+			return s.executePlan(p, args[:p.keyArgs:p.keyArgs])
+		}
+	}
 	if norm, ok := sqlparser.Normalize(sql); ok {
 		e := s.k.planCache.Lookup(norm.Key)
 		s.stmtDigest = &e.Digest
@@ -225,7 +234,7 @@ func (s *Session) executeSQL(sql string, args []sqltypes.Value, keep bool) (*Res
 		if keep && !(norm.ForUpdate && s.tx != nil) {
 			if bound, err := norm.BindArgs(args); err == nil {
 				v, err := s.k.planCache.Plan(e, func() (any, error) {
-					return buildPlan(s.k, norm)
+					return buildPlan(s.k, sql, norm)
 				})
 				if err == nil {
 					return s.executePlan(v.(*plan), bound)

@@ -107,6 +107,8 @@ type countingRS struct {
 
 func (c *countingRS) Columns() []string { return c.inner.Columns() }
 
+func (c *countingRS) Remaining() (int, bool) { return resource.Remaining(c.inner) }
+
 func (c *countingRS) Next() (sqltypes.Row, error) {
 	row, err := c.inner.Next()
 	if err == nil {

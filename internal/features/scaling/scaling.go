@@ -212,10 +212,9 @@ func copyData(k *core.Kernel, job *Job, oldRule, newRule *sharding.TableRule) (i
 		}
 		// Group rows by target node, insert in batches.
 		batches := map[string][]sqltypes.Row{}
+		ix := newRule.NodeIndex()
 		for _, row := range rows {
-			nodes, err := newRule.Route(map[string]sharding.Condition{
-				shardCol: {Values: []sqltypes.Value{row[shardIdx]}},
-			}, nil)
+			nodes, err := ix.Route([]sharding.Condition{{Values: row[shardIdx : shardIdx+1]}}, nil)
 			if err != nil {
 				return 0, err
 			}

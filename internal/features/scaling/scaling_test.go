@@ -99,7 +99,11 @@ func TestReshardToMoreShards(t *testing.T) {
 	}
 	// Rule really has 6 nodes across 3 sources now.
 	rule, _ := k.Rules().Rule("t_user")
-	if len(rule.DataNodes) != 6 || len(rule.DataSources()) != 3 {
+	sources := map[string]bool{}
+	for _, n := range rule.DataNodes {
+		sources[n.DataSource] = true
+	}
+	if len(rule.DataNodes) != 6 || len(sources) != 3 {
 		t.Fatalf("rule after swap: %+v", rule.DataNodes)
 	}
 	// New tables carry the generation tag; old tables are gone.

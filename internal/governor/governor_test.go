@@ -72,9 +72,7 @@ func TestPersistAndLoadRules(t *testing.T) {
 		t.Fatalf("default ds: %q", loaded.DefaultDataSource)
 	}
 	// Routing still works on the reloaded rules (algorithm rebuilt).
-	nodes, err := rule.Route(map[string]sharding.Condition{
-		"uid": {Values: []sqltypes.Value{sqltypes.NewInt(6)}},
-	}, nil)
+	nodes, err := rule.NodeIndex().Route([]sharding.Condition{{Values: []sqltypes.Value{sqltypes.NewInt(6)}}}, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].Table != "t_user_2" {
 		t.Fatalf("reloaded route: %v %v", nodes, err)
 	}

@@ -149,8 +149,8 @@ func (c *Cache) Invalidate() {
 
 // Lookup returns the shape's entry, most recently used from now on. On
 // first sight it inserts the entry, evicting the shard's least recently
-// used shape when the shard is full. It is the one keyed lookup a
-// statement pays.
+// used shape when the shard is full. It is the keyed lookup of every
+// statement the text probe (Probe) does not serve.
 func (c *Cache) Lookup(key string) *Entry {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -175,14 +175,12 @@ func (c *Cache) Lookup(key string) *Entry {
 	return e
 }
 
-// current returns e's plan if e is a shape with a plan built under the
-// live epoch, counting the hit or miss.
+// current returns e's plan if it was built under the live epoch, counting
+// the hit or miss.
 func (c *Cache) current(e *Entry) (any, bool) {
-	if e != nil {
-		if p := e.plan.Load(); p != nil && p.epoch == c.epoch.Load() {
-			c.hits.Add(1)
-			return p.val, true
-		}
+	if p := e.plan.Load(); p != nil && p.epoch == c.epoch.Load() {
+		c.hits.Add(1)
+		return p.val, true
 	}
 	c.misses.Add(1)
 	return nil, false
@@ -212,6 +210,18 @@ func (c *Cache) Plan(e *Entry, build func() (any, error)) (any, error) {
 
 // Get returns the cached plan for key, if present and current.
 func (c *Cache) Get(key string) (any, bool) {
+	if _, v := c.Probe(key); v != nil {
+		c.hits.Add(1)
+		return v, true
+	}
+	c.misses.Add(1)
+	return nil, false
+}
+
+// Probe returns key's entry and its plan when the shape is known and its
+// plan current, else nils. It inserts nothing and counts nothing: a caller
+// that uses the plan counts it with Hit.
+func (c *Cache) Probe(key string) (*Entry, any) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e := s.entries[key]
@@ -219,8 +229,16 @@ func (c *Cache) Get(key string) (any, bool) {
 		s.lru.MoveToFront(e.elem)
 	}
 	s.mu.Unlock()
-	return c.current(e)
+	if e != nil {
+		if p := e.plan.Load(); p != nil && p.epoch == c.epoch.Load() {
+			return e, p.val
+		}
+	}
+	return nil, nil
 }
+
+// Hit counts a plan that Probe found and its caller used.
+func (c *Cache) Hit() { c.hits.Add(1) }
 
 // Put stores a plan directly (tests and warmers).
 func (c *Cache) Put(key string, val any) {

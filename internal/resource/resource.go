@@ -261,6 +261,9 @@ func (rs *SliceResultSet) NextBatch(buf []sqltypes.Row) (int, error) {
 	return n, nil
 }
 
+// Remaining reports the unread rows, all of them at hand.
+func (rs *SliceResultSet) Remaining() (int, bool) { return len(rs.Data) - rs.pos, true }
+
 // Rest hands over the unread rows without copying and leaves the cursor
 // exhausted. Readers that would otherwise copy the rows through a window
 // (ReadAll, the merger's shard cursors) read the slice in place.
@@ -305,6 +308,16 @@ func (s *closeHookSet) Close() error {
 	return err
 }
 
+// Remaining reports how many rows rs has left when it holds them all
+// already — a materialized set, or a lease or counting wrapper around one
+// — and ok false otherwise. ReadAll sizes its result by it.
+func Remaining(rs ResultSet) (rows int, ok bool) {
+	if b, is := rs.(interface{ Remaining() (int, bool) }); is {
+		return b.Remaining()
+	}
+	return 0, false
+}
+
 // ReadAll drains a result set into memory and closes it.
 func ReadAll(rs ResultSet) ([]sqltypes.Row, error) {
 	defer rs.Close()
@@ -313,10 +326,15 @@ func ReadAll(rs ResultSet) ([]sqltypes.Row, error) {
 		return s.Rest(), nil
 	}
 	// Batches land directly in the result's spare capacity, which doubles
-	// when full: no window buffer, no second copy.
-	rows := make([]sqltypes.Row, 0, 16)
+	// when full: no window buffer, no second copy. A set that holds its
+	// rows sizes the result exactly; an empty window then reads its end.
+	size, exact := Remaining(rs)
+	if !exact {
+		size = 16
+	}
+	rows := make([]sqltypes.Row, 0, size)
 	for {
-		if len(rows) == cap(rows) {
+		if len(rows) == cap(rows) && !exact {
 			rows = append(rows, nil)[:len(rows)]
 		}
 		n, err := rs.NextBatch(rows[len(rows):cap(rows)])
@@ -327,6 +345,7 @@ func ReadAll(rs ResultSet) ([]sqltypes.Row, error) {
 		if err != nil {
 			return rows, err
 		}
+		exact = exact && n > 0 // too few rows reported: grow from here
 	}
 }
 
@@ -857,6 +876,9 @@ func (l *ConnLease) flush() {
 
 // Columns implements ResultSet.
 func (l *ConnLease) Columns() []string { return l.rs.Columns() }
+
+// Remaining reports the rows left in the cursor the lease rides.
+func (l *ConnLease) Remaining() (int, bool) { return Remaining(l.rs) }
 
 // Next implements ResultSet.
 func (l *ConnLease) Next() (sqltypes.Row, error) {

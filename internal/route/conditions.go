@@ -57,6 +57,16 @@ func (e evalEnv) eval(x sqlparser.Expr) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("route: not a constant expression: %T", x)
 }
 
+// one evaluates x as a list of one value; a placeholder's is a window on
+// the arguments, so binding placeholders copies nothing.
+func (e evalEnv) one(x sqlparser.Expr) ([]sqltypes.Value, error) {
+	if p, ok := x.(*sqlparser.Placeholder); ok && p.Index < len(e.args) {
+		return e.args[p.Index : p.Index+1 : p.Index+1], nil
+	}
+	v, err := e.eval(x)
+	return []sqltypes.Value{v}, err
+}
+
 // isConst reports whether the expression references no columns.
 func isConst(x sqlparser.Expr) bool {
 	ok := true
@@ -82,6 +92,7 @@ const (
 type condSlot struct {
 	table string // logic table the column was qualified with, lowercased; "" when unqualified
 	col   string // lowercased
+	at    int    // col's position among the rule's sharding columns (slotsFor)
 	kind  int
 	op    sqlparser.BinOp // slotCmp, with the column on the left
 	a, b  sqlparser.Expr
@@ -158,16 +169,18 @@ func flip(op sqlparser.BinOp) sqlparser.BinOp {
 }
 
 // slotsFor projects a statement's narrowing comparisons onto one rule's
-// sharding columns. On a column, comparisons qualified with the rule's
-// table outrank unqualified ones.
-func slotsFor(all []condSlot, rule *sharding.TableRule) []condSlot {
-	table := strings.ToLower(rule.LogicTable)
+// sharding columns, cols, and records each slot's column position. On a
+// column, comparisons qualified with the rule's table outrank unqualified
+// ones.
+func slotsFor(all []condSlot, table string, cols []string) []condSlot {
+	table = strings.ToLower(table)
 	var out []condSlot
-	for _, col := range rule.ShardingColumns() {
+	for at, col := range cols {
 		for _, qualifier := range []string{table, ""} {
 			n := len(out)
 			for _, s := range all {
 				if s.col == col && s.table == qualifier {
+					s.at = at
 					out = append(out, s)
 				}
 			}
@@ -180,32 +193,29 @@ func slotsFor(all []condSlot, rule *sharding.TableRule) []condSlot {
 }
 
 // bindConds evaluates the slots against the bound arguments and folds them
-// into one condition per column. Every conjunct must hold, so an equality
-// or IN list wins over a range (it is at least as narrow) and two ranges
-// tighten each other's bounds. A slot whose operands cannot be evaluated
-// narrows nothing.
-func bindConds(slots []condSlot, args []sqltypes.Value) map[string]sharding.Condition {
-	if len(slots) == 0 {
-		return nil
-	}
+// into conds, which holds one zero condition per sharding column. Every
+// conjunct must hold, so an equality or IN list wins over a range (it is
+// at least as narrow) and two ranges tighten each other's bounds. A slot
+// whose operands cannot be evaluated narrows nothing. A placeholder
+// operand is read where it lies in args, not copied.
+func bindConds(slots []condSlot, args []sqltypes.Value, conds []sharding.Condition) {
 	env := evalEnv{args: args}
-	conds := make(map[string]sharding.Condition, len(slots))
 	for i := range slots {
 		slot := &slots[i]
 		var c sharding.Condition
 		switch slot.kind {
 		case slotCmp:
-			v, err := env.eval(slot.a)
+			v, err := env.one(slot.a)
 			if err != nil {
 				continue
 			}
 			switch slot.op {
 			case sqlparser.OpEQ:
-				c.Values = []sqltypes.Value{v}
+				c.Values = v
 			case sqlparser.OpGE, sqlparser.OpGT:
-				c.Ranged, c.Lo = true, &v
+				c.Ranged, c.Lo = true, &v[0]
 			default:
-				c.Ranged, c.Hi = true, &v
+				c.Ranged, c.Hi = true, &v[0]
 			}
 		case slotIn:
 			c.Values = make([]sqltypes.Value, len(slot.list))
@@ -221,17 +231,17 @@ func bindConds(slots []condSlot, args []sqltypes.Value) map[string]sharding.Cond
 				continue
 			}
 		case slotBetween:
-			lo, err1 := env.eval(slot.a)
-			hi, err2 := env.eval(slot.b)
+			lo, err1 := env.one(slot.a)
+			hi, err2 := env.one(slot.b)
 			if err1 != nil || err2 != nil {
 				continue
 			}
-			c.Ranged, c.Lo, c.Hi = true, &lo, &hi
+			c.Ranged, c.Lo, c.Hi = true, &lo[0], &hi[0]
 		}
-		prev, exists := conds[slot.col]
+		prev := &conds[slot.at]
 		switch {
-		case !exists || (prev.Ranged && !c.Ranged):
-			conds[slot.col] = c
+		case !prev.Present() || (prev.Ranged && !c.Ranged):
+			*prev = c
 		case prev.Ranged && c.Ranged:
 			if c.Lo != nil && (prev.Lo == nil || sqltypes.Compare(*c.Lo, *prev.Lo) > 0) {
 				prev.Lo = c.Lo
@@ -239,8 +249,6 @@ func bindConds(slots []condSlot, args []sqltypes.Value) map[string]sharding.Cond
 			if c.Hi != nil && (prev.Hi == nil || sqltypes.Compare(*c.Hi, *prev.Hi) < 0) {
 				prev.Hi = c.Hi
 			}
-			conds[slot.col] = prev
 		}
 	}
-	return conds
 }

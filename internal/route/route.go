@@ -54,7 +54,8 @@ func (k Kind) String() string {
 
 // Unit is one rewritten-statement target: a data source plus the
 // logical→actual table mapping to apply there. Single-table units share
-// their rule's per-node map (sharding.NodeMaps), so TableMap is read-only.
+// their rule's per-node map (sharding.NodeIndex.Of), so TableMap is
+// read-only.
 type Unit struct {
 	DataSource string
 	TableMap   map[string]string
@@ -117,18 +118,19 @@ func (r *Router) SetKeyObserver(fn KeyObserver) {
 }
 
 // noteKeys reports a routed table's equality sharding-key values to the
-// observer. Range conditions are skipped — a range is not a key.
-func (r *Router) noteKeys(table string, conds map[string]sharding.Condition) {
+// observer; conds[i] is the condition on cols[i]. Range conditions are
+// skipped — a range is not a key.
+func (r *Router) noteKeys(table string, cols []string, conds []sharding.Condition) {
 	obs := r.keyObs.Load()
-	if obs == nil || len(conds) == 0 {
+	if obs == nil {
 		return
 	}
-	for col, c := range conds {
+	for i, c := range conds {
 		if c.Ranged {
 			continue
 		}
 		for _, v := range c.Values {
-			(*obs)(table, col, v)
+			(*obs)(table, cols[i], v)
 		}
 	}
 }
@@ -168,11 +170,10 @@ func (r *Router) everySource() *Result {
 	return res
 }
 
-func unitsFromNodes(rule *sharding.TableRule, nodes []sharding.DataNode, kind Kind) *Result {
+func unitsFromNodes(ix *sharding.NodeIndex, nodes []sharding.DataNode, kind Kind) *Result {
 	res := &Result{Kind: kind, Units: make([]Unit, len(nodes))}
-	maps := rule.NodeMaps()
 	for i, n := range nodes {
-		res.Units[i] = Unit{DataSource: n.DataSource, TableMap: maps.Of(n)}
+		res.Units[i] = Unit{DataSource: n.DataSource, TableMap: ix.Of(n)}
 	}
 	return res
 }

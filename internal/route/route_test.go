@@ -493,3 +493,80 @@ func TestSkeletonCarriesItsRefusal(t *testing.T) {
 		t.Errorf("keyless INSERT: %v", err)
 	}
 }
+
+func intArgs(vs ...int64) []sqltypes.Value {
+	out := make([]sqltypes.Value, len(vs))
+	for i, v := range vs {
+		out[i] = sqltypes.NewInt(v)
+	}
+	return out
+}
+
+// TestSkeletonRouteAllocations bounds what binding a compiled statement
+// allocates on a 50-shard MOD AutoTable: the result, its units and the
+// algorithm's picks — no condition map, no copy of an argument and no
+// re-check of the rule's node index.
+func TestSkeletonRouteAllocations(t *testing.T) {
+	rs := sharding.NewRuleSet()
+	rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
+		LogicTable: "sbtest", Resources: []string{"ds0", "ds1", "ds2", "ds3", "ds4"},
+		ShardingColumn: "id", AlgorithmType: "MOD", ShardingCount: 50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.AddRule(rule)
+	r := New(rs, []string{"ds0", "ds1", "ds2", "ds3", "ds4"})
+	for _, c := range []struct {
+		sql   string
+		args  []sqltypes.Value
+		units int
+		max   float64
+	}{
+		{"SELECT c FROM sbtest WHERE id = ?", intArgs(7), 1, 4},
+		{"SELECT c FROM sbtest WHERE id BETWEEN ? AND ?", intArgs(7, 8), 2, 5},
+	} {
+		sk, ok := r.BuildSkeleton(parse(t, c.sql))
+		if !ok {
+			t.Fatalf("BuildSkeleton(%q) refused", c.sql)
+		}
+		if res, err := sk.Route(c.args, nil); err != nil || len(res.Units) != c.units {
+			t.Fatalf("%q: %+v %v", c.sql, res, err)
+		}
+		if n := testing.AllocsPerRun(200, func() { sk.Route(c.args, nil) }); n > c.max {
+			t.Errorf("%q binds with %.0f allocations, ceiling %.0f", c.sql, n, c.max)
+		} else {
+			t.Logf("%q: %.0f allocations", c.sql, n)
+		}
+	}
+}
+
+// TestKeyObserverSeesEqualityKeys: an installed observer receives every
+// equality sharding-key value a route binds — an =, each IN item, each row
+// of a split INSERT — and no range bound.
+func TestKeyObserverSeesEqualityKeys(t *testing.T) {
+	r := fixture(t, true)
+	var seen []string
+	r.SetKeyObserver(func(table, column string, v sqltypes.Value) {
+		seen = append(seen, fmt.Sprintf("%s.%s=%s", table, column, v.AsString()))
+	})
+	for _, c := range []struct {
+		sql  string
+		args []sqltypes.Value
+		want []string
+	}{
+		{"SELECT * FROM t_user WHERE uid = ?", intArgs(3), []string{"t_user.uid=3"}},
+		{"SELECT * FROM t_user WHERE uid IN (?, ?)", intArgs(4, 7), []string{"t_user.uid=4", "t_user.uid=7"}},
+		{"INSERT INTO t_user (uid, name) VALUES (?, 'a'), (?, 'b'), (? + 1, 'c')", intArgs(1, 2, 4), []string{"t_user.uid=1", "t_user.uid=2", "t_user.uid=5"}},
+		{"SELECT * FROM t_user WHERE uid BETWEEN ? AND ?", intArgs(1, 9), nil},
+	} {
+		seen = nil
+		sk, _ := r.BuildSkeleton(parse(t, c.sql))
+		if _, err := sk.Route(c.args, nil); err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		if !reflect.DeepEqual(seen, c.want) {
+			t.Errorf("%q: observed %v, want %v", c.sql, seen, c.want)
+		}
+	}
+}

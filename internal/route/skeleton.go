@@ -14,8 +14,9 @@ import (
 // strategy joins them, and every comparison that may narrow the route kept
 // as a symbolic slot. Binding a set of argument values evaluates only the
 // slots' constant operands and asks the sharding algorithms — no AST walk.
-// A skeleton is immutable and holds its rules by pointer: it is valid
-// until the rule set or the table metadata changes.
+// A skeleton is immutable and holds its rules by pointer, each beside the
+// node index compile resolved for it: it is valid until the rule set or
+// the table metadata changes.
 type Skeleton struct {
 	r   *Router
 	err error // why the statement cannot be routed; Route returns it
@@ -32,10 +33,11 @@ type Skeleton struct {
 	keys [][]sqlparser.Expr
 }
 
-// routedTable is one sharded table of a statement with the comparisons
-// that narrow its route.
+// routedTable is one sharded table of a statement: its rule, the rule's
+// node index and the comparisons that narrow its route.
 type routedTable struct {
 	rule  *sharding.TableRule
+	ix    *sharding.NodeIndex
 	slots []condSlot
 }
 
@@ -64,7 +66,7 @@ func (r *Router) BuildSkeleton(stmt sqlparser.Statement) (*Skeleton, bool) {
 	case *sqlparser.UpdateStmt:
 		if rule := s.dml(t.Table, t.Alias, t.Where); rule != nil {
 			for _, a := range t.Set {
-				for _, col := range rule.ShardingColumns() {
+				for _, col := range rule.NodeIndex().Columns() {
 					if strings.EqualFold(a.Column, col) {
 						s.err = fmt.Errorf("%w: %s.%s", ErrUpdateSharding, t.Table, col)
 					}
@@ -74,8 +76,8 @@ func (r *Router) BuildSkeleton(stmt sqlparser.Statement) (*Skeleton, bool) {
 	case *sqlparser.DeleteStmt:
 		s.dml(t.Table, t.Alias, t.Where)
 	case *sqlparser.InsertStmt:
-		if rule := s.dml(t.Table, "", nil); rule != nil {
-			s.err = s.insertKeys(t, rule)
+		if s.dml(t.Table, "", nil) != nil {
+			s.err = s.insertKeys(t)
 		}
 	case *sqlparser.CreateTableStmt:
 		s.ddl(t.Table)
@@ -106,7 +108,8 @@ func (s *Skeleton) dml(table, alias string, where sqlparser.Expr) *sharding.Tabl
 }
 
 func (s *Skeleton) sharded(rule *sharding.TableRule, slots []condSlot) {
-	s.tables = append(s.tables, routedTable{rule: rule, slots: slotsFor(slots, rule)})
+	ix := rule.NodeIndex()
+	s.tables = append(s.tables, routedTable{rule: rule, ix: ix, slots: slotsFor(slots, rule.LogicTable, ix.Columns())})
 }
 
 // ddl fans DDL out to every node of a sharded table (paper: DDL
@@ -118,7 +121,7 @@ func (s *Skeleton) ddl(table string) {
 // insertKeys locates the sharding columns among the insert columns; a
 // column-less INSERT uses the table's schema order from the metadata
 // service.
-func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt, rule *sharding.TableRule) error {
+func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt) error {
 	insertCols := stmt.Columns
 	if len(insertCols) == 0 && s.r.Columns != nil {
 		resolved, err := s.r.Columns(stmt.Table)
@@ -127,7 +130,7 @@ func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt, rule *sharding.TableRu
 		}
 		insertCols = resolved
 	}
-	cols := rule.ShardingColumns()
+	cols := s.tables[0].ix.Columns()
 	s.keys = make([][]sqlparser.Expr, len(stmt.Rows))
 	backing := make([]sqlparser.Expr, len(stmt.Rows)*len(cols))
 	for i, row := range stmt.Rows {
@@ -154,26 +157,26 @@ func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, 
 	case len(s.tables) == 0:
 		return s.r.defaultRoute()
 	case s.allNodes:
-		rule := s.tables[0].rule
-		return unitsFromNodes(rule, rule.DataNodes, KindBroadcast), nil
+		t := s.tables[0]
+		return unitsFromNodes(t.ix, t.rule.DataNodes, KindBroadcast), nil
 	case s.keys != nil:
 		return s.routeRows(args, hint)
 	}
-	primary := s.tables[0].rule
+	primary := &s.tables[0]
 	nodes, err := s.nodesOf(0, args, hint)
 	if err != nil {
 		return nil, err
 	}
 	if len(nodes) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoDataSource, primary.LogicTable)
+		return nil, fmt.Errorf("%w: %s", ErrNoDataSource, primary.rule.LogicTable)
 	}
 	switch {
 	case len(s.tables) == 1:
 		kind := KindStandard
-		if len(nodes) == len(primary.DataNodes) {
+		if len(nodes) == len(primary.rule.DataNodes) {
 			kind = KindBroadcast
 		}
-		return unitsFromNodes(primary, nodes, kind), nil
+		return unitsFromNodes(primary.ix, nodes, kind), nil
 	case s.bound:
 		return s.binding(nodes)
 	default:
@@ -181,24 +184,31 @@ func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, 
 	}
 }
 
-// nodesOf routes one of the statement's tables by its own conditions.
+// nodesOf routes one of the statement's tables by its own conditions,
+// bound on the stack for a rule of up to two sharding columns.
 func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value) ([]sharding.DataNode, error) {
 	t := &s.tables[i]
-	conds := bindConds(t.slots, args)
-	s.r.noteKeys(t.rule.LogicTable, conds)
-	return t.rule.Route(conds, hint)
+	cols := t.ix.Columns()
+	var buf [2]sharding.Condition
+	conds := buf[:min(len(cols), len(buf))]
+	if len(cols) > len(buf) {
+		conds = make([]sharding.Condition, len(cols))
+	}
+	bindConds(t.slots, args, conds)
+	s.r.noteKeys(t.rule.LogicTable, cols, conds)
+	return t.ix.Route(conds, hint)
 }
 
 // binding pairs each of the primary table's nodes with the same shard of
 // every bound table (paper Section VI-B: "binding route").
 func (s *Skeleton) binding(nodes []sharding.DataNode) (*Result, error) {
-	primary := s.tables[0].rule
-	res := unitsFromNodes(primary, nodes, KindBinding)
+	primary, ix := s.tables[0].rule, s.tables[0].ix
+	res := unitsFromNodes(ix, nodes, KindBinding)
 	for i := range res.Units {
 		// The primary's map is shared; a binding unit maps several tables
 		// and owns its copy.
 		primaryTable := res.Units[i].TableMap[primary.LogicTable]
-		idx := primary.ShardIndex(primaryTable)
+		idx := ix.Shard(primaryTable)
 		m := make(map[string]string, len(s.tables))
 		m[primary.LogicTable] = primaryTable
 		for _, other := range s.tables[1:] {
@@ -256,30 +266,29 @@ func (s *Skeleton) cartesian(primaryNodes []sharding.DataNode, args []sqltypes.V
 // routeRows routes an INSERT row by row; each unit receives the rows that
 // map to its node, in statement order.
 func (s *Skeleton) routeRows(args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
-	rule := s.tables[0].rule
-	cols := rule.ShardingColumns()
+	t := &s.tables[0]
+	rule, cols := t.rule, t.ix.Columns()
 	env := evalEnv{args: args}
 	res := &Result{Kind: KindStandard}
 	unitOf := map[sharding.DataNode]int{}
-	maps := rule.NodeMaps()
-	conds := make(map[string]sharding.Condition, len(cols))
+	conds := make([]sharding.Condition, len(cols))
 	for rowIdx, keys := range s.keys {
-		clear(conds)
 		for j, col := range cols {
+			conds[j] = sharding.Condition{}
 			if keys[j] == nil {
 				if hint == nil {
 					return nil, fmt.Errorf("%w: table %s needs column %s", ErrNoShardingValue, rule.LogicTable, col)
 				}
 				continue
 			}
-			v, err := env.eval(keys[j])
+			v, err := env.one(keys[j])
 			if err != nil {
 				return nil, err
 			}
-			conds[col] = sharding.Condition{Values: []sqltypes.Value{v}}
+			conds[j] = sharding.Condition{Values: v}
 		}
-		s.r.noteKeys(rule.LogicTable, conds)
-		nodes, err := rule.Route(conds, hint)
+		s.r.noteKeys(rule.LogicTable, cols, conds)
+		nodes, err := t.ix.Route(conds, hint)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +300,7 @@ func (s *Skeleton) routeRows(args []sqltypes.Value, hint *sqltypes.Value) (*Resu
 		if !ok {
 			u = len(res.Units)
 			unitOf[nodes[0]] = u
-			res.Units = append(res.Units, Unit{DataSource: nodes[0].DataSource, TableMap: maps.Of(nodes[0])})
+			res.Units = append(res.Units, Unit{DataSource: nodes[0].DataSource, TableMap: t.ix.Of(nodes[0])})
 		}
 		res.Units[u].RowIndexes = append(res.Units[u].RowIndexes, rowIdx)
 	}

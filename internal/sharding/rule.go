@@ -3,6 +3,7 @@ package sharding
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -21,12 +22,16 @@ func (n DataNode) String() string { return n.DataSource + "." + n.Table }
 
 // Condition is the routing information extracted for one sharding column:
 // either a list of exact values (=, IN) or an inclusive range (BETWEEN,
-// comparison chains); nil bounds are open.
+// comparison chains); nil bounds are open. The zero Condition is a column
+// the statement does not constrain.
 type Condition struct {
 	Values []sqltypes.Value
 	Lo, Hi *sqltypes.Value
 	Ranged bool
 }
+
+// Present reports whether the condition constrains its column.
+func (c Condition) Present() bool { return c.Ranged || c.Values != nil }
 
 // Strategy pairs sharding columns with an algorithm.
 type Strategy struct {
@@ -65,47 +70,49 @@ type TableRule struct {
 	KeyGenColumn string
 	KeyGen       KeyGenerator
 
-	// index is derived from DataNodes on first use; see nodeIndex.
-	index atomic.Pointer[nodeIndex]
+	// index is derived from DataNodes on first use; see NodeIndex.
+	index atomic.Pointer[NodeIndex]
 }
 
-// nodeIndex is what routing derives from a rule and would otherwise
+// NodeIndex is what routing derives from a rule and would otherwise
 // rebuild per statement: the actual-table list, the node and table
-// lookups, one logic→actual table map per data node, and the sharding
-// columns. The maps and the column list are shared by every route and must
-// be treated as read-only.
-type nodeIndex struct {
-	nodes   []DataNode // the DataNodes the index was built from
-	tables  []string
-	byNode  map[DataNode]int
-	byTable map[string]int // first node holding the actual table
-	maps    []map[string]string
-	cols    []string // sharding columns, lower-cased
+// lookups, one logic→actual table map per data node, the sharding columns
+// and where each strategy's columns sit among them. It is shared and
+// read-only; a route skeleton resolves it at compile and holds it until
+// the plan epoch moves.
+type NodeIndex struct {
+	rule     *TableRule
+	nodes    []DataNode // the DataNodes the index was built from
+	tables   []string
+	byNode   map[DataNode]int
+	byTable  map[string]int // first node holding the actual table
+	maps     []map[string]string
+	sources  []string            // distinct data sources, in order
+	tablesIn map[string][]string // each source's actual tables, in order
+	cols     []string            // distinct sharding columns, lower-cased
+	at       [2][]int            // column positions of the auto or database strategy, then of the table strategy
 }
 
-// nodeIdx returns the rule's node index, rebuilding it when DataNodes was
+// NodeIndex returns the rule's node index, rebuilding it when DataNodes was
 // replaced or edited since (rules are laid out before they route, but the
 // fields are exported).
-func (r *TableRule) nodeIdx() *nodeIndex {
-	if ix := r.index.Load(); ix != nil && len(ix.nodes) == len(r.DataNodes) {
-		same := true
-		for i := range ix.nodes {
-			if ix.nodes[i] != r.DataNodes[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return ix
-		}
+func (r *TableRule) NodeIndex() *NodeIndex {
+	if ix := r.index.Load(); ix != nil && slices.Equal(ix.nodes, r.DataNodes) {
+		return ix
 	}
-	ix := &nodeIndex{
-		nodes:   append([]DataNode(nil), r.DataNodes...),
-		tables:  make([]string, len(r.DataNodes)),
-		byNode:  make(map[DataNode]int, len(r.DataNodes)),
-		byTable: make(map[string]int, len(r.DataNodes)),
-		maps:    make([]map[string]string, len(r.DataNodes)),
-		cols:    r.shardingColumns(),
+	ix := &NodeIndex{
+		rule:     r,
+		nodes:    slices.Clone(r.DataNodes),
+		tables:   make([]string, len(r.DataNodes)),
+		byNode:   make(map[DataNode]int, len(r.DataNodes)),
+		byTable:  make(map[string]int, len(r.DataNodes)),
+		maps:     make([]map[string]string, len(r.DataNodes)),
+		tablesIn: map[string][]string{},
+	}
+	if r.Auto {
+		ix.at[0] = ix.place(r.AutoStrategy)
+	} else {
+		ix.at[0], ix.at[1] = ix.place(r.DBStrategy), ix.place(r.TableStrategy)
 	}
 	for i, n := range r.DataNodes {
 		ix.tables[i] = n.Table
@@ -114,91 +121,77 @@ func (r *TableRule) nodeIdx() *nodeIndex {
 			ix.byTable[n.Table] = i
 		}
 		ix.maps[i] = map[string]string{r.LogicTable: n.Table}
+		if _, seen := ix.tablesIn[n.DataSource]; !seen {
+			ix.sources = append(ix.sources, n.DataSource)
+		}
+		ix.tablesIn[n.DataSource] = append(ix.tablesIn[n.DataSource], n.Table)
 	}
 	r.index.Store(ix)
 	return ix
 }
 
-// NodeMaps looks up the shared logic→actual table map of the rule's data
-// nodes; one value serves every unit of a route.
-type NodeMaps struct {
-	ix    *nodeIndex
-	logic string
+// place adds s's columns to the index's, each once, and returns their
+// positions.
+func (ix *NodeIndex) place(s *Strategy) []int {
+	var names []string
+	switch {
+	case s == nil:
+	case s.Complex != nil:
+		names = s.ComplexColumns
+	case s.Column != "":
+		names = []string{s.Column}
+	}
+	var at []int
+	for _, name := range names {
+		i := slices.Index(ix.cols, strings.ToLower(name))
+		if i < 0 {
+			i = len(ix.cols)
+			ix.cols = append(ix.cols, strings.ToLower(name))
+		}
+		at = append(at, i)
+	}
+	return at
 }
-
-// NodeMaps returns the rule's per-node table maps.
-func (r *TableRule) NodeMaps() NodeMaps { return NodeMaps{ix: r.nodeIdx(), logic: r.LogicTable} }
 
 // Of returns the node's logic→actual table map. The map is shared and
 // read-only: a caller that adds entries copies it first.
-func (m NodeMaps) Of(n DataNode) map[string]string {
-	if i, ok := m.ix.byNode[n]; ok {
-		return m.ix.maps[i]
+func (ix *NodeIndex) Of(n DataNode) map[string]string {
+	if i, ok := ix.byNode[n]; ok {
+		return ix.maps[i]
 	}
-	return map[string]string{m.logic: n.Table}
+	return map[string]string{ix.rule.LogicTable: n.Table}
 }
+
+// Shard returns the shard ordinal of an actual table name, or -1.
+func (ix *NodeIndex) Shard(table string) int {
+	if i, ok := ix.byTable[table]; ok {
+		return i
+	}
+	return -1
+}
+
+// Columns lists the distinct columns that influence routing for the rule,
+// lower-cased: a route's conditions are aligned with it. The list is
+// derived from the strategies the rule was made with and shared: callers
+// must not modify it.
+func (ix *NodeIndex) Columns() []string { return ix.cols }
 
 // ErrNoRule reports a table with no sharding rule.
 var ErrNoRule = errors.New("sharding: no rule for table")
 
-// DataSources returns the distinct data source names, in first-appearance
-// order.
-func (r *TableRule) DataSources() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, n := range r.DataNodes {
-		if !seen[n.DataSource] {
-			seen[n.DataSource] = true
-			out = append(out, n.DataSource)
-		}
+// condAt is the condition on the column at position at; conds may stop
+// short of the rule's columns.
+func condAt(conds []Condition, at int) Condition {
+	if at < len(conds) {
+		return conds[at]
 	}
-	return out
+	return Condition{}
 }
 
-// TablesIn returns the actual tables in one data source, in order.
-func (r *TableRule) TablesIn(ds string) []string {
-	var out []string
-	for _, n := range r.DataNodes {
-		if n.DataSource == ds {
-			out = append(out, n.Table)
-		}
-	}
-	return out
-}
-
-// ShardingColumns lists the columns that influence routing for this rule,
-// lower-cased. The list is derived once from the strategies the rule was
-// made with and shared: callers must not modify it.
-func (r *TableRule) ShardingColumns() []string { return r.nodeIdx().cols }
-
-func (r *TableRule) shardingColumns() []string {
-	var out []string
-	add := func(s *Strategy) {
-		if s == nil {
-			return
-		}
-		if s.Complex != nil {
-			for _, c := range s.ComplexColumns {
-				out = append(out, strings.ToLower(c))
-			}
-			return
-		}
-		if s.Column != "" {
-			out = append(out, strings.ToLower(s.Column))
-		}
-	}
-	if r.Auto {
-		add(r.AutoStrategy)
-	} else {
-		add(r.DBStrategy)
-		add(r.TableStrategy)
-	}
-	return out
-}
-
-// applyStrategy routes a strategy over targets given per-column
-// conditions. A missing condition matches every target.
-func applyStrategy(s *Strategy, targets []string, conds map[string]Condition, hint *sqltypes.Value) ([]string, error) {
+// applyStrategy routes a strategy over targets given the conditions on the
+// rule's sharding columns, at holding the strategy's column positions. A
+// column without a condition matches every target.
+func applyStrategy(s *Strategy, at []int, targets []string, conds []Condition, hint *sqltypes.Value) ([]string, error) {
 	if s == nil {
 		return targets, nil
 	}
@@ -210,49 +203,43 @@ func applyStrategy(s *Strategy, targets []string, conds map[string]Condition, hi
 	}
 	if s.Complex != nil {
 		values := map[string]sqltypes.Value{}
-		complete := true
-		for _, col := range s.ComplexColumns {
-			c, ok := conds[strings.ToLower(col)]
-			if !ok || c.Ranged || len(c.Values) != 1 {
-				complete = false
-				break
+		for i, col := range s.ComplexColumns {
+			c := condAt(conds, at[i])
+			if c.Ranged || len(c.Values) != 1 {
+				return targets, nil
 			}
 			values[strings.ToLower(col)] = c.Values[0]
 		}
-		if !complete {
-			return targets, nil
-		}
 		return s.Complex.DoSharding(targets, values)
 	}
-	cond, ok := conds[strings.ToLower(s.Column)]
-	if !ok {
+	if len(at) == 0 || !condAt(conds, at[0]).Present() {
 		return targets, nil
 	}
+	cond := conds[at[0]]
 	if cond.Ranged {
 		return s.Algorithm.DoRange(targets, s.Column, cond.Lo, cond.Hi)
 	}
 	var out []string
-	seen := map[string]bool{}
 	for _, v := range cond.Values {
 		t, err := s.Algorithm.Precise(targets, s.Column, v)
 		if err != nil {
 			return nil, err
 		}
-		if !seen[t] {
-			seen[t] = true
+		if !slices.Contains(out, t) {
 			out = append(out, t)
 		}
 	}
 	return out, nil
 }
 
-// Route returns the data nodes matching the conditions (keyed by
-// lower-case column name). With no usable condition every node is
-// returned — the full-broadcast case the paper warns about.
-func (r *TableRule) Route(conds map[string]Condition, hint *sqltypes.Value) ([]DataNode, error) {
+// Route returns the rule's data nodes matching the conditions: conds[i] is
+// the condition on Columns()[i], and a column past the end of conds has
+// none. With no usable condition every node is returned — the
+// full-broadcast case the paper warns about.
+func (ix *NodeIndex) Route(conds []Condition, hint *sqltypes.Value) ([]DataNode, error) {
+	r := ix.rule
 	if r.Auto {
-		ix := r.nodeIdx()
-		tables, err := applyStrategy(r.AutoStrategy, ix.tables, conds, hint)
+		tables, err := applyStrategy(r.AutoStrategy, ix.at[0], ix.tables, conds, hint)
 		if err != nil {
 			return nil, err
 		}
@@ -266,13 +253,13 @@ func (r *TableRule) Route(conds map[string]Condition, hint *sqltypes.Value) ([]D
 		}
 		return out, nil
 	}
-	dss, err := applyStrategy(r.DBStrategy, r.DataSources(), conds, hint)
+	dss, err := applyStrategy(r.DBStrategy, ix.at[0], ix.sources, conds, hint)
 	if err != nil {
 		return nil, err
 	}
 	var out []DataNode
 	for _, ds := range dss {
-		tables, err := applyStrategy(r.TableStrategy, r.TablesIn(ds), conds, hint)
+		tables, err := applyStrategy(r.TableStrategy, ix.at[1], ix.tablesIn[ds], conds, hint)
 		if err != nil {
 			return nil, err
 		}
@@ -281,16 +268,6 @@ func (r *TableRule) Route(conds map[string]Condition, hint *sqltypes.Value) ([]D
 		}
 	}
 	return out, nil
-}
-
-// ShardIndex returns the shard ordinal of an actual table name, or -1.
-func (r *TableRule) ShardIndex(table string) int {
-	for i, n := range r.DataNodes {
-		if n.Table == table {
-			return i
-		}
-	}
-	return -1
 }
 
 // RuleSet is the complete sharding configuration: per-table rules, binding

@@ -317,10 +317,10 @@ func TestBuildAutoRuleLayout(t *testing.T) {
 			t.Fatalf("node %d: %v want %v", i, n, want[i])
 		}
 	}
-	if got := r.DataSources(); len(got) != 2 {
+	if got := r.NodeIndex().sources; len(got) != 2 {
 		t.Fatalf("data sources: %v", got)
 	}
-	if got := r.TablesIn("ds0"); len(got) != 2 || got[1] != "t_user_2" {
+	if got := r.NodeIndex().tablesIn["ds0"]; len(got) != 2 || got[1] != "t_user_2" {
 		t.Fatalf("tables in ds0: %v", got)
 	}
 }
@@ -328,27 +328,27 @@ func TestBuildAutoRuleLayout(t *testing.T) {
 func TestAutoRuleRoute(t *testing.T) {
 	r := autoRule(t, "t_user", []string{"ds0", "ds1"}, 4)
 	// Point condition → single node.
-	nodes, err := r.Route(map[string]Condition{"uid": {Values: []sqltypes.Value{vi(6)}}}, nil)
+	nodes, err := r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(6)}}}, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].Table != "t_user_2" || nodes[0].DataSource != "ds0" {
 		t.Fatalf("point route: %v %v", nodes, err)
 	}
 	// IN condition → the matching set.
-	nodes, _ = r.Route(map[string]Condition{"uid": {Values: []sqltypes.Value{vi(1), vi(5)}}}, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(1), vi(5)}}}, nil)
 	if len(nodes) != 1 || nodes[0].Table != "t_user_1" {
 		t.Fatalf("in route dedupe: %v", nodes)
 	}
-	// No condition → all nodes (broadcast within the rule).
-	nodes, _ = r.Route(map[string]Condition{}, nil)
+	// An absent condition → all nodes (broadcast within the rule).
+	nodes, _ = r.NodeIndex().Route([]Condition{{}}, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("full route: %v", nodes)
 	}
 	// Range → all nodes under MOD with wide range.
 	lo, hi := vi(0), vi(1000)
-	nodes, _ = r.Route(map[string]Condition{"uid": {Ranged: true, Lo: &lo, Hi: &hi}}, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Ranged: true, Lo: &lo, Hi: &hi}}, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("range route: %v", nodes)
 	}
-	if cols := r.ShardingColumns(); len(cols) != 1 || cols[0] != "uid" {
+	if cols := r.NodeIndex().Columns(); len(cols) != 1 || cols[0] != "uid" {
 		t.Fatalf("sharding columns: %v", cols)
 	}
 }
@@ -365,21 +365,21 @@ func TestStandardRuleRoute(t *testing.T) {
 		DBStrategy:    &Strategy{Column: "uid", Algorithm: dbAlgo},
 		TableStrategy: &Strategy{Column: "oid", Algorithm: tblAlgo},
 	}
-	// Both keys → one node.
-	nodes, err := r.Route(map[string]Condition{
-		"uid": {Values: []sqltypes.Value{vi(3)}},
-		"oid": {Values: []sqltypes.Value{vi(4)}},
+	// Both keys → one node. Conditions follow the index columns: uid, oid.
+	nodes, err := r.NodeIndex().Route([]Condition{
+		{Values: []sqltypes.Value{vi(3)}},
+		{Values: []sqltypes.Value{vi(4)}},
 	}, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].DataSource != "ds1" || nodes[0].Table != "t_order_0" {
 		t.Fatalf("standard route: %v %v", nodes, err)
 	}
 	// Only db key → both tables of one source.
-	nodes, _ = r.Route(map[string]Condition{"uid": {Values: []sqltypes.Value{vi(2)}}}, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(2)}}}, nil)
 	if len(nodes) != 2 || nodes[0].DataSource != "ds0" {
 		t.Fatalf("db-only route: %v", nodes)
 	}
 	// No keys → everything.
-	nodes, _ = r.Route(nil, nil)
+	nodes, _ = r.NodeIndex().Route(nil, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("broadcast route: %v", nodes)
 	}

@@ -34,6 +34,9 @@ var normalizeSeeds = []string{
 	"SELECT a FROM t ORDER BY (2), a IN (3, 4)",
 	"SELECT 0ORDER BY+0",
 	"SELECT a FROM t ORDER BY - - 1, -(-2), -(3), + 4",
+	// Its own key: the ordinal stays a literal, so normalizing the key
+	// gives it back with one identity slot.
+	"SELECT c FROM sbtest WHERE id = ? ORDER BY 1",
 
 	"SELECT name FROM t_user WHERE uid BETWEEN ? AND ?",
 	"SELECT SUM(age) FROM t_user WHERE uid BETWEEN ? AND ?",
@@ -78,7 +81,10 @@ var normalizeSeeds = []string{
 // statement's own AST, and a whole ORDER BY or GROUP BY item the parser
 // reads as a position (an integer literal, not negative) is a literal in
 // the key too — no "?" stands for it, bare, signed or parenthesized. An
-// XA verb is not normalized; its bound form serializes back to itself.
+// XA verb is not normalized; its bound form serializes back to itself. A
+// key is a fixed point: normalized again it is itself, with each slot
+// reading the argument of its own position and the same FOR UPDATE — what
+// the kernel's text probe relies on.
 func FuzzNormalize(f *testing.F) {
 	for _, sql := range normalizeSeeds {
 		f.Add(sql)
@@ -95,6 +101,15 @@ func FuzzNormalize(f *testing.F) {
 				}
 			}
 			return
+		}
+		again, ok := Normalize(n.Key)
+		if !ok || again.Key != n.Key || again.ForUpdate != n.ForUpdate || len(again.Args) != len(n.Args) {
+			t.Fatalf("%q: its key %q normalizes to %+v", sql, n.Key, again)
+		}
+		for i, slot := range again.Args {
+			if slot.Arg != i {
+				t.Fatalf("%q: slot %d of its key %q reads argument %d", sql, i, n.Key, slot.Arg)
+			}
 		}
 		orig, err := Parse(sql)
 		if err != nil {

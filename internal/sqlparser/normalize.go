@@ -67,23 +67,39 @@ var normalizable = map[string]bool{
 // lexer pass rewrites operand literals to ordered parameter slots and emits the
 // cache key. It reports ok=false for statements that must bypass the plan
 // cache (DDL, TCL, management commands, unlexable input); the caller falls
-// back to a full Parse.
+// back to a full Parse. A text already in canonical form is its own Key,
+// not a copy of it.
 func Normalize(sql string) (*Normalized, bool) {
 	l := &lexer{src: sql}
 	first, err := l.next()
 	if err != nil || first.Type != TokenKeyword || !normalizable[first.Val] {
 		return nil, false
 	}
+	// The key is a prefix of sql until what is written differs; then b.
 	var b strings.Builder
-	b.Grow(len(sql))
-	b.WriteString(first.Val)
+	matched := 0
+	write := func(parts ...string) {
+		for _, s := range parts {
+			if b.Len() == 0 && strings.HasPrefix(sql[matched:], s) {
+				matched += len(s)
+				continue
+			}
+			if b.Len() == 0 {
+				b.Grow(len(sql) + len(s))
+				b.WriteString(sql[:matched])
+			}
+			b.WriteString(s)
+		}
+	}
+	write(first.Val)
 	n := &Normalized{}
 	nArg := 0
 	prevKeyword := first.Val
 	// itemStart is 1 where an ORDER BY / GROUP BY item starts (after BY, a
 	// comma at its level, "(" or "+") and -1 behind an odd number of "-",
-	// which the parser folds into the literal. An integer at 1 is an ordinal
-	// to the parser and stays: lifting it would make it a constant.
+	// which the parser folds into the literal. An integer at 1, or a zero at
+	// -1 (-0 is 0), is an ordinal to the parser and stays: lifting it would
+	// make it a constant.
 	byList, itemStart, depth := false, 0, 0
 	for {
 		t, err := l.next()
@@ -96,8 +112,8 @@ func Normalize(sql string) (*Normalized, bool) {
 		start := 0
 		switch t.Type {
 		case TokenInt:
-			if itemStart == 1 {
-				b.WriteString(" " + t.Val)
+			if itemStart == 1 || itemStart == -1 && strings.Trim(t.Val, "0") == "" {
+				write(" ", t.Val)
 				break
 			}
 			v, err := strconv.ParseInt(t.Val, 10, 64)
@@ -105,21 +121,21 @@ func Normalize(sql string) (*Normalized, bool) {
 				return nil, false
 			}
 			n.Args = append(n.Args, ArgSlot{Arg: -1, Lit: sqltypes.NewInt(v)})
-			b.WriteString(" ?")
+			write(" ?")
 		case TokenFloat:
 			v, err := strconv.ParseFloat(t.Val, 64)
 			if err != nil {
 				return nil, false
 			}
 			n.Args = append(n.Args, ArgSlot{Arg: -1, Lit: sqltypes.NewFloat(v)})
-			b.WriteString(" ?")
+			write(" ?")
 		case TokenString:
 			n.Args = append(n.Args, ArgSlot{Arg: -1, Lit: sqltypes.NewString(t.Val)})
-			b.WriteString(" ?")
+			write(" ?")
 		case TokenPlaceholder:
 			n.Args = append(n.Args, ArgSlot{Arg: nArg})
 			nArg++
-			b.WriteString(" ?")
+			write(" ?")
 		case TokenKeyword:
 			switch {
 			case t.Val == "UPDATE" && prevKeyword == "FOR":
@@ -130,18 +146,14 @@ func Normalize(sql string) (*Normalized, bool) {
 				byList = false
 			}
 			prevKeyword = t.Val
-			b.WriteByte(' ')
-			b.WriteString(t.Val)
+			write(" ", t.Val)
 		case TokenIdent:
 			// Re-quote identifiers that need it (quoted idents lex to their
 			// inner text) so the key re-parses to the same AST.
-			b.WriteByte(' ')
 			if needsQuote(t.Val) {
-				b.WriteByte('`')
-				b.WriteString(strings.ReplaceAll(t.Val, "`", "``"))
-				b.WriteByte('`')
+				write(" `", strings.ReplaceAll(t.Val, "`", "``"), "`")
 			} else {
-				b.WriteString(t.Val)
+				write(" ", t.Val)
 			}
 		default: // TokenOp
 			switch t.Val {
@@ -158,14 +170,16 @@ func Normalize(sql string) (*Normalized, bool) {
 					start = 1
 				}
 			}
-			b.WriteByte(' ')
-			b.WriteString(t.Val)
+			write(" ", t.Val)
 		}
 		itemStart = start
 		if t.Type != TokenKeyword {
 			prevKeyword = ""
 		}
 	}
-	n.Key = b.String()
+	n.Key = sql[:matched]
+	if b.Len() > 0 {
+		n.Key = b.String()
+	}
 	return n, true
 }
