@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -348,11 +349,14 @@ func (k *Kernel) TableMeta(ds, table string) ([]string, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// The names are cloned: a remote source's strings view the frame they
+	// arrived in, and the cache keeps them as long as the table lives.
 	var meta tableMeta
 	for _, r := range rows {
-		meta.cols = append(meta.cols, r[0].AsString())
+		col := strings.Clone(r[0].AsString())
+		meta.cols = append(meta.cols, col)
 		if r[2].AsString() == "PRI" {
-			meta.pk = append(meta.pk, r[0].AsString())
+			meta.pk = append(meta.pk, col)
 		}
 	}
 	k.metaMu.Lock()

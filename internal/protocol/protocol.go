@@ -106,8 +106,9 @@ func (w *writer) value(v sqltypes.Value) {
 
 // reader parses payloads.
 type reader struct {
-	buf []byte
-	pos int
+	buf   []byte
+	pos   int
+	views bool // strings view buf instead of copying it (DecodeRowBatch)
 }
 
 var errShortPayload = errors.New("protocol: truncated payload")
@@ -138,9 +139,12 @@ func (r *reader) str() (string, error) {
 	if r.pos+int(n) > len(r.buf) {
 		return "", errShortPayload
 	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
+	b := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	return s, nil
+	if r.views {
+		return frameString(b), nil
+	}
+	return string(b), nil
 }
 
 func (r *reader) value() (sqltypes.Value, error) {
@@ -157,6 +161,9 @@ func (r *reader) value() (sqltypes.Value, error) {
 		return sqltypes.NewInt(int64(v)), err
 	case sqltypes.KindBool:
 		v, err := r.u64()
+		if err == nil && v > 1 {
+			err = fmt.Errorf("protocol: bool value %d", v)
+		}
 		return sqltypes.NewBool(v != 0), err
 	case sqltypes.KindFloat:
 		v, err := r.u64()
@@ -182,7 +189,9 @@ func EncodeQuery(sql string, args []sqltypes.Value) []byte {
 	return w.buf
 }
 
-// DecodeQuery parses a FrameQuery payload.
+// DecodeQuery parses a FrameQuery payload. Unlike a row batch's, its
+// strings are copies: a data node keeps argument values in its tables,
+// and a stored value must not pin the frame it arrived in.
 func DecodeQuery(payload []byte) (string, []sqltypes.Value, error) {
 	r := &reader{buf: payload}
 	sql, err := r.str()

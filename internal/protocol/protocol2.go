@@ -27,6 +27,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
+	"unsafe"
 
 	"shardingsphere/internal/sqltypes"
 )
@@ -130,11 +132,12 @@ func WriteFrameV2(w *bufio.Writer, typ byte, stream uint32, payload []byte) erro
 	if len(payload) > MaxFrame {
 		return &FrameTooLargeError{Size: uint32(len(payload)), Limit: MaxFrame}
 	}
-	var hdr [9]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	binary.BigEndian.PutUint32(hdr[5:], stream)
-	if _, err := w.Write(hdr[:]); err != nil {
+	// The header is built in the writer's own free space: a local array
+	// would escape through Write and cost an allocation per frame.
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	hdr = append(hdr, typ)
+	hdr = binary.BigEndian.AppendUint32(hdr, stream)
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -183,22 +186,35 @@ func DecodeHello(payload []byte) (maxFrame uint32, err error) {
 	return r.u32()
 }
 
+// batchPool holds FrameRowBatch buffers the socket writers handed back
+// (ReleaseBatch); an encoder's next batch starts in one of them. It
+// stores the pointer each buffer travels in, so a Put allocates nothing.
+var batchPool sync.Pool
+
+// maxPooledBatch drops a buffer one oversized row grew past it instead of
+// pooling it: a batch normally ends one row after DefaultBatchBytes.
+const maxPooledBatch = 2 * DefaultBatchBytes
+
 // BatchEncoder accumulates rows into a FrameRowBatch payload. Callers
 // append rows until Size crosses their flush threshold (typically
-// DefaultBatchBytes), hand Payload to whoever sends the frame, then Reset.
+// DefaultBatchBytes) and take the payload with Payload; Reset drops rows
+// that will not be sent.
 type BatchEncoder struct {
 	w    writer
+	buf  *[]byte // the pooled buffer w.buf lives in; nil while empty
 	rows int
-	hint int // capacity the next payload starts with
 }
 
-// Append adds one row to the batch.
+// Append adds one row to the batch. A batch's first row takes its buffer
+// from the pool.
 func (b *BatchEncoder) Append(row sqltypes.Row) {
 	if b.rows == 0 {
-		if b.w.buf == nil {
-			b.w.buf = make([]byte, 0, b.hint)
+		if b.buf, _ = batchPool.Get().(*[]byte); b.buf == nil {
+			b.buf = new([]byte)
+			*b.buf = make([]byte, 0, DefaultBatchBytes)
 		}
 		// Reserve the row-count prefix.
+		b.w.buf = (*b.buf)[:0]
 		b.w.u32(0)
 	}
 	b.rows++
@@ -214,29 +230,47 @@ func (b *BatchEncoder) Rows() int { return b.rows }
 // Size reports the current payload size in bytes.
 func (b *BatchEncoder) Size() int { return len(b.w.buf) }
 
-// Payload finalizes and returns the FrameRowBatch payload. The returned
-// slice is invalidated by the next Append; Reset leaves it to the caller.
-func (b *BatchEncoder) Payload() []byte {
+// Payload finalizes the batch and hands over the pooled buffer it was
+// built in, leaving the encoder empty. The payload is the caller's until
+// ReleaseBatch; one never released (dead socket, cancel) is the
+// collector's.
+func (b *BatchEncoder) Payload() *[]byte {
 	binary.BigEndian.PutUint32(b.w.buf[:4], uint32(b.rows))
-	return b.w.buf
+	p := b.buf
+	*p = b.w.buf
+	b.Reset()
+	return p
 }
 
-// Reset lets go of the payload (it may still be queued for a socket); the
-// next one starts, on its first Append, at the size this one reached, so
-// an encoder kept by its stream sizes a response by the previous one. The
-// carried size is capped: one oversized row is not the norm.
+// Reset empties the encoder, dropping any rows not yet taken.
 func (b *BatchEncoder) Reset() {
-	b.hint = min(len(b.w.buf), 2*DefaultBatchBytes)
-	b.w.buf = nil
-	b.rows = 0
+	b.w.buf, b.buf, b.rows = nil, nil, 0
+}
+
+// ReleaseBatch gives a payload from Payload back to the pool the next
+// Append takes from. Call it once, after WriteFrameV2 has copied the
+// payload into its bufio.Writer (or written it through), never for the
+// same payload again.
+func ReleaseBatch(p *[]byte) {
+	if cap(*p) <= maxPooledBatch {
+		batchPool.Put(p)
+	}
 }
 
 // DecodeRowBatch parses a FrameRowBatch payload, appending the decoded
-// rows to dst (which may be nil). A batch's rows are carved from one value
-// array sized by the first row's width (rows of other widths merely grow
-// it), each at full capacity so an append never writes into a neighbour.
+// rows to dst (which may be nil). dst grows at most once, by the rows the
+// payload declares, so a one-batch result is one exact allocation. A
+// batch's rows are carved from one value array sized by the first row's
+// width (rows of other widths merely grow it), each at full capacity so
+// an append never writes into a neighbour.
+//
+// String values are views of payload, not copies, so payload must never
+// be written after this call: a payload from ReadFrameV2 is allocated for
+// its frame and never written again, and a row pins at most that frame
+// (DefaultBatchBytes plus one row). A payload is consumed exactly and a
+// bool is 0 or 1, so whatever decodes re-encodes to the same bytes.
 func DecodeRowBatch(payload []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) {
-	r := &reader{buf: payload}
+	r := &reader{buf: payload, views: true}
 	nrows, err := r.u32()
 	if err != nil {
 		return dst, err
@@ -246,6 +280,11 @@ func DecodeRowBatch(payload []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) 
 	// allocating.
 	if int(nrows) > len(payload)/4 {
 		return dst, fmt.Errorf("protocol: %d rows in %d-byte batch", nrows, len(payload))
+	}
+	if need := len(dst) + int(nrows); need > cap(dst) {
+		grown := make([]sqltypes.Row, len(dst), max(need, 2*cap(dst)))
+		copy(grown, dst)
+		dst = grown
 	}
 	var vals []sqltypes.Value
 	for i := uint32(0); i < nrows; i++ {
@@ -271,5 +310,17 @@ func DecodeRowBatch(payload []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) 
 		}
 		dst = append(dst, vals[at:len(vals):len(vals)])
 	}
+	if r.pos != len(payload) {
+		return dst, fmt.Errorf("protocol: %d bytes after the last row of a batch", len(payload)-r.pos)
+	}
 	return dst, nil
+}
+
+// frameString is DecodeRowBatch's string value: a view of the frame's
+// bytes (see DecodeRowBatch for why that is safe).
+func frameString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }

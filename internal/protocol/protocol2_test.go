@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -96,37 +98,116 @@ func TestRowBatchRoundTrip(t *testing.T) {
 	if enc.Rows() != len(want) {
 		t.Fatalf("rows: %d", enc.Rows())
 	}
-	got, err := DecodeRowBatch(enc.Payload(), nil)
-	if err != nil || len(got) != len(want) {
+	payload := enc.Payload()
+	if enc.Rows() != 0 || enc.Size() != 0 {
+		t.Fatalf("after Payload: rows=%d size=%d", enc.Rows(), enc.Size())
+	}
+	got, err := DecodeRowBatch(*payload, nil)
+	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("decode: %v %v", got, err)
 	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("row %d: %v", i, got[i])
-		}
-		for j := range want[i] {
-			if got[i][j].Kind != want[i][j].Kind {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, got[i][j], want[i][j])
+
+	// A payload taken but not handed back — still queued for the writer —
+	// is not written over by the encoder's next batch.
+	enc.Append(sqltypes.Row{sqltypes.NewInt(9)})
+	queued := enc.Payload()
+	if &(*queued)[0] == &(*payload)[0] {
+		t.Fatal("the next batch was built in a payload not yet handed back")
+	}
+	if got, err = DecodeRowBatch(*payload, nil); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("taken payload after the next batch: %v %v", got, err)
+	}
+
+	// A payload handed back after its write is the buffer the next Append
+	// uses (one P, so the pool's per-P slot is the test's own).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ReleaseBatch(payload)
+	enc.Append(sqltypes.Row{sqltypes.NewInt(7)})
+	next := enc.Payload()
+	if got, err = DecodeRowBatch(*next, got[:0]); err != nil || len(got) != 1 || got[0][0].I != 7 {
+		t.Fatalf("after release: %v %v", got, err)
+	}
+	if next != payload && !raceDetector() {
+		t.Fatal("the next batch did not start in the buffer handed back")
+	}
+
+	// A buffer one oversized row grew past 2 × DefaultBatchBytes is
+	// dropped, not pooled.
+	enc.Append(sqltypes.Row{sqltypes.NewString(strings.Repeat("x", 2*DefaultBatchBytes))})
+	big := enc.Payload()
+	ReleaseBatch(big)
+	enc.Append(sqltypes.Row{sqltypes.NewInt(8)})
+	if enc.Payload() == big {
+		t.Fatalf("a %d-byte buffer went back to the pool", cap(*big))
+	}
+}
+
+// raceDetector reports whether the test binary was built with -race,
+// under which sync.Pool drops a random quarter of what it is given.
+func raceDetector() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
 			}
 		}
 	}
+	return false
+}
 
-	// Reset leaves the taken payload alone and starts the next one afresh.
-	first := enc.Payload()
-	enc.Reset()
-	if enc.Rows() != 0 || enc.Size() != 0 {
-		t.Fatalf("reset: rows=%d size=%d", enc.Rows(), enc.Size())
+// A statement's text and arguments are copies: a node keeps argument
+// values in its tables, and they must not alias the frame.
+func TestDecodeQueryOwnsItsStrings(t *testing.T) {
+	payload := EncodeQuery("SELECT v FROM t WHERE k = ?", []sqltypes.Value{sqltypes.NewString("key-1")})
+	sql, args, err := DecodeQuery(payload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	enc.Append(sqltypes.Row{sqltypes.NewInt(7)})
-	got, err = DecodeRowBatch(enc.Payload(), got[:0])
-	if err != nil || len(got) != 1 || got[0][0].I != 7 {
-		t.Fatalf("after reset: %v %v", got, err)
+	for i := range payload {
+		payload[i] = 0xff
 	}
-	if cap(enc.Payload()) != len(first) {
-		t.Fatalf("next payload starts at %d bytes, the last one reached %d", cap(enc.Payload()), len(first))
+	if sql != "SELECT v FROM t WHERE k = ?" || len(args) != 1 || args[0].S != "key-1" {
+		t.Fatalf("after overwriting the payload: %q %v", sql, args)
 	}
-	if got, err = DecodeRowBatch(first, nil); err != nil || len(got) != len(want) {
-		t.Fatalf("taken payload after reset: %v %v", got, err)
+}
+
+// A row batch's strings are views of the payload: decoding a payload and
+// a copy of it gives the same rows, and the strings cost no allocation —
+// the value array is the only one.
+func TestRowBatchStringsViewThePayload(t *testing.T) {
+	var enc BatchEncoder
+	for i := 0; i < 50; i++ {
+		enc.Append(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("row-%02d", i)), sqltypes.NewString("")})
+	}
+	payload := *enc.Payload()
+	got, err := DecodeRowBatch(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeRowBatch(bytes.Clone(payload), nil)
+	if err != nil || !reflect.DeepEqual(got, want) || got[49][1].S != "row-49" {
+		t.Fatalf("payload and its copy decode differently: %v / %v %v", got, want, err)
+	}
+	dst := make([]sqltypes.Row, 0, 50)
+	if n := testing.AllocsPerRun(100, func() { dst, _ = DecodeRowBatch(payload, dst[:0]) }); n != 1 {
+		t.Fatalf("decoding 50 rows with strings allocates %v times, want the one value array", n)
+	}
+}
+
+// dst grows once, by the rows the payload declares: decoded onto nil, a
+// batch is one exact allocation of row headers.
+func TestRowBatchGrowsDstOnce(t *testing.T) {
+	var enc BatchEncoder
+	for i := 0; i < 100; i++ {
+		enc.Append(sqltypes.Row{sqltypes.NewInt(int64(i))})
+	}
+	payload := *enc.Payload()
+	rows, err := DecodeRowBatch(payload, nil)
+	if err != nil || len(rows) != 100 || cap(rows) != 100 {
+		t.Fatalf("one batch onto nil: len %d cap %d %v", len(rows), cap(rows), err)
+	}
+	if rows, err = DecodeRowBatch(payload, rows); err != nil || len(rows) != 200 || rows[199][0].I != 99 {
+		t.Fatalf("a second batch onto the first: len %d %v", len(rows), err)
 	}
 }
 
@@ -139,7 +220,7 @@ func TestRowBatchRowsShareOneArray(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		enc.Append(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(-i))})
 	}
-	payload, dst := enc.Payload(), make([]sqltypes.Row, 0, 50)
+	payload, dst := *enc.Payload(), make([]sqltypes.Row, 0, 50)
 	if n := testing.AllocsPerRun(100, func() { dst, _ = DecodeRowBatch(payload, dst[:0]) }); n != 1 {
 		t.Fatalf("decoding 50 rows allocates %v times, want the one value array", n)
 	}
@@ -148,11 +229,10 @@ func TestRowBatchRowsShareOneArray(t *testing.T) {
 		t.Fatalf("appending to row 0 overwrote row 1: %v", dst[1])
 	}
 
-	enc.Reset()
 	enc.Append(sqltypes.Row{sqltypes.NewInt(1)})
 	enc.Append(sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewInt(3), sqltypes.NewInt(4)})
 	enc.Append(sqltypes.Row{sqltypes.NewInt(5)})
-	got, err := DecodeRowBatch(enc.Payload(), nil)
+	got, err := DecodeRowBatch(*enc.Payload(), nil)
 	if err != nil || len(got) != 3 || got[0][0].I != 1 || len(got[1]) != 3 || got[1][2].I != 4 || got[2][0].I != 5 {
 		t.Fatalf("ragged batch: %v %v", got, err)
 	}
@@ -254,7 +334,7 @@ func FuzzDecodeRowBatch(f *testing.F) {
 	enc.Append(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("x"), sqltypes.Null})
 	enc.Append(sqltypes.Row{})
 	enc.Append(sqltypes.Row{sqltypes.NewFloat(2.5), sqltypes.NewBool(true)})
-	good := bytes.Clone(enc.Payload())
+	good := bytes.Clone(*enc.Payload())
 	f.Add(good)
 	for cut := 0; cut < len(good); cut++ {
 		f.Add(good[:cut])
@@ -285,14 +365,14 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		if err != nil || len(rows) == 0 {
 			return
 		}
-		// A successfully decoded batch must re-encode and decode cleanly.
+		// A successfully decoded batch re-encodes to the same bytes: the
+		// string views sit at the offsets the encoder wrote them to.
 		var enc BatchEncoder
 		for _, row := range rows {
 			enc.Append(row)
 		}
-		again, err := DecodeRowBatch(enc.Payload(), nil)
-		if err != nil || len(again) != len(rows) {
-			t.Fatalf("re-decode: %d rows, %v", len(again), err)
+		if again := *enc.Payload(); !bytes.Equal(again, data) {
+			t.Fatalf("%d rows re-encode as % x, decoded from % x", len(rows), again, data)
 		}
 	})
 }

@@ -92,7 +92,7 @@ func TestRowRoundTripProperty(t *testing.T) {
 		row = append(row, sqltypes.Null)
 		var enc BatchEncoder
 		enc.Append(row)
-		rows, err := DecodeRowBatch(enc.Payload(), nil)
+		rows, err := DecodeRowBatch(*enc.Payload(), nil)
 		if err != nil || len(rows) != 1 || len(rows[0]) != len(row) {
 			return false
 		}

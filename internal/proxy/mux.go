@@ -43,14 +43,17 @@ type inFrame struct {
 	at time.Time
 }
 
-// outMsg is one response frame queued for the socket writer. A message
-// with done set carries no frame: it is a barrier, closed by the writer
-// once every frame queued before it has been flushed to the socket —
-// what the admission release rides on.
+// outMsg is one response frame queued for the socket writer. Its bytes
+// are payload, or, for a row batch, batch: the encoder's pooled buffer,
+// the only bytes the writer releases (protocol.ReleaseBatch) once the
+// frame is written. A message with done set carries no frame: it is a
+// barrier, closed by the writer once every frame queued before it has
+// been flushed to the socket — what the admission release rides on.
 type outMsg struct {
 	sid     uint32
 	typ     byte
 	payload []byte
+	batch   *[]byte
 	done    chan struct{}
 }
 
@@ -84,8 +87,9 @@ type muxStream struct {
 
 	// Response buffers, the worker's (one statement at a time). fill is
 	// what a cursor pull lands in, cleared at each statement's end so no
-	// row outlives its EOF; enc keeps between statements only the size its
-	// last payload reached. Per statement they cost more than the rows.
+	// row outlives its EOF; enc is empty between statements, each batch
+	// built in a buffer the socket writer handed back. Per statement they
+	// would cost more than the rows.
 	fill []sqltypes.Row
 	enc  protocol.BatchEncoder
 }
@@ -408,7 +412,7 @@ func (m *muxConn) streamRows(st *muxStream, seq uint32, cols []string, rs resour
 	}
 	buf, enc := st.fill, &st.enc
 	defer clear(buf)
-	defer enc.Reset() // also drops rows a cancel or cursor error left unsent
+	defer enc.Reset() // drops rows a cancel or cursor error left unsent
 	canceled := false
 fill:
 	for {
@@ -429,7 +433,6 @@ fill:
 					canceled = true
 					break fill
 				}
-				enc.Reset() // the payload now belongs to the queue
 			}
 		}
 	}
@@ -443,7 +446,7 @@ fill:
 // returns false when this statement's cursor was canceled or the stream
 // is being torn down; the caller stops producing and closes out the
 // response.
-func (m *muxConn) streamBatch(st *muxStream, seq uint32, payload []byte) bool {
+func (m *muxConn) streamBatch(st *muxStream, seq uint32, batch *[]byte) bool {
 	for {
 		if st.cancelSeq.Load() == seq {
 			return false
@@ -461,7 +464,7 @@ func (m *muxConn) streamBatch(st *muxStream, seq uint32, payload []byte) bool {
 		}
 	}
 	st.credit.Add(1)
-	m.send(st.id, protocol.FrameRowBatch, payload)
+	m.writeCh <- outMsg{sid: st.id, typ: protocol.FrameRowBatch, batch: batch}
 	m.s.rowBatches.Add(1)
 	return true
 }
@@ -522,5 +525,15 @@ func (m *muxConn) writeMsg(msg outMsg) error {
 	if msg.done != nil {
 		return nil
 	}
-	return protocol.WriteFrameV2(m.w, msg.typ, msg.sid, msg.payload)
+	payload := msg.payload
+	if msg.batch != nil {
+		payload = *msg.batch
+	}
+	err := protocol.WriteFrameV2(m.w, msg.typ, msg.sid, payload)
+	if msg.batch != nil {
+		// Written, the bytes are in the bufio.Writer or already on the
+		// socket: the buffer goes back for the next batch.
+		protocol.ReleaseBatch(msg.batch)
+	}
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -442,7 +443,9 @@ func TestTransactionRangeOverRemoteNodesIsOneWindowPerSource(t *testing.T) {
 
 // The stream worker's fill slice and encoder outlive a statement; what
 // the statement produced must not: after EOF every fill slot is empty and
-// the encoder holds no payload, only the size the last one reached.
+// the encoder holds nothing. Each batch is built in a buffer the socket
+// writer handed back after writing the one before, so results
+// alternating between 100 rows and 1 allocate no payload once warm.
 func TestStreamBuffersHoldNothingAfterEOF(t *testing.T) {
 	m := &muxConn{s: NewServer(nil), writeCh: make(chan outMsg, 8)}
 	st := &muxStream{id: 1, flow: make(chan struct{}, 1), done: make(chan struct{})}
@@ -450,12 +453,13 @@ func TestStreamBuffersHoldNothingAfterEOF(t *testing.T) {
 		{sqltypes.NewInt(1), sqltypes.NewString(strings.Repeat("a", 100))},
 		{sqltypes.NewInt(2), sqltypes.NewString(strings.Repeat("b", 100))},
 	}
+	noTrace := func() []byte { return nil }
 	for round := 0; round < 2; round++ {
-		m.streamRows(st, uint32(round+1), []string{"id", "pad"}, resource.NewSliceResultSet(nil, want), func() []byte { return nil })
+		m.streamRows(st, uint32(round+1), []string{"id", "pad"}, resource.NewSliceResultSet(nil, want), noTrace)
 		var payload []byte
 		for len(m.writeCh) > 0 {
 			if msg := <-m.writeCh; msg.typ == protocol.FrameRowBatch {
-				payload = msg.payload
+				payload = *msg.batch
 			}
 		}
 		if got, err := protocol.DecodeRowBatch(payload, nil); err != nil || !reflect.DeepEqual(got, want) {
@@ -469,8 +473,26 @@ func TestStreamBuffersHoldNothingAfterEOF(t *testing.T) {
 		if st.enc.Rows() != 0 || st.enc.Size() != 0 {
 			t.Fatalf("round %d: encoder holds %d rows / %d bytes after EOF", round, st.enc.Rows(), st.enc.Size())
 		}
-		if round == 1 && cap(payload) != len(payload) {
-			t.Fatalf("second payload of %d bytes was built in a %d-byte buffer, not one sized by the first", len(payload), cap(payload))
-		}
+	}
+
+	m = &muxConn{s: NewServer(nil), w: bufio.NewWriter(io.Discard), writeCh: make(chan outMsg, 256), wdone: make(chan struct{})}
+	go m.writeLoop()
+	defer func() { close(m.writeCh); <-m.wdone }()
+	hundred := make([]sqltypes.Row, 100)
+	for i := range hundred {
+		hundred[i] = want[i%2]
+	}
+	stream := func(rows []sqltypes.Row) {
+		m.streamRows(st, 1, []string{"id", "pad"}, resource.NewSliceResultSet(nil, rows), noTrace)
+		m.flushBarrier() // the writer has written, and handed back, every batch
+	}
+	// A payload built afresh costs two allocations (its pointer and its
+	// bytes), so two results must cost fewer than two more than two empty
+	// ones. Reused, they cost none; under -race, where sync.Pool drops a
+	// random quarter of its Puts, about one.
+	empty := testing.AllocsPerRun(50, func() { stream(nil); stream(nil) })
+	alternating := testing.AllocsPerRun(50, func() { stream(hundred); stream(want[:1]) })
+	if alternating-empty >= 2 {
+		t.Fatalf("a 100-row and a 1-row result allocate %v times, two empty results %v: payloads are not reused", alternating, empty)
 	}
 }

@@ -234,6 +234,10 @@ func (c *Conn) discardRows(ctx context.Context, cols []string, exp spanExpect) e
 // producing; the bounded skim to EOF then costs at most the in-flight
 // window, not the rest of the result — the logical connection stays
 // healthy for the next statement.
+//
+// A row's string values are views of the frame its batch arrived in
+// (protocol.DecodeRowBatch), so a row the caller keeps pins at most that
+// one frame: DefaultBatchBytes plus one row.
 type remoteRows struct {
 	c      *Conn
 	ctx    context.Context
@@ -245,6 +249,7 @@ type remoteRows struct {
 	err    error
 	closed bool
 	owe    bool       // the last row batch taken is not acked yet
+	keep   bool       // each batch decodes onto the rows before it (all)
 	exp    spanExpect // span grafting on the terminal frame, if traced
 }
 
@@ -277,13 +282,17 @@ func (rs *remoteRows) fetch() error {
 				rs.c.t.send(rs.c.st.id, outFrame{protocol.FrameBatchAck, protocol.EncodeSeq(rs.seq)})
 			}
 			rs.owe = true
-			rs.batch, err = protocol.DecodeRowBatch(f.payload, rs.batch[:0])
-			rs.pos = 0
+			at := 0
+			if rs.keep {
+				at = len(rs.batch)
+			}
+			rs.batch, err = protocol.DecodeRowBatch(f.payload, rs.batch[:at])
+			rs.pos = at
 			if err != nil {
 				rs.done, rs.err = true, rs.c.fail(err)
 				return rs.err
 			}
-			rs.c.t.rowsStreamed.Add(int64(len(rs.batch)))
+			rs.c.t.rowsStreamed.Add(int64(len(rs.batch) - at))
 		case protocol.FrameEOF:
 			rs.exp.observe(rs.c, f)
 			rs.done = true
@@ -351,6 +360,16 @@ func (rs *remoteRows) skim() {
 		rs.pos = len(rs.batch)
 		rs.fetch()
 	}
+}
+
+// all reads a fresh cursor's result the way skim does, but decodes each
+// batch onto the rows before it: no read window, no second copy, and a
+// one-batch result is one exact allocation. Acks and the terminal frame
+// are fetch's, as for any read.
+func (rs *remoteRows) all() ([]sqltypes.Row, error) {
+	rs.keep = true
+	rs.skim()
+	return rs.batch, rs.err
 }
 
 // --- Conn operations ---
@@ -452,7 +471,7 @@ func (c *Conn) QueryBatch(ctx context.Context, stmts []resource.Statement) ([]re
 			return fmt.Errorf("client: %q returned no row set", stmts[i].SQL)
 		default:
 			var rows []sqltypes.Row
-			rows, err = resource.ReadAll(c.rows(ctx, cols, exp))
+			rows, err = c.rows(ctx, cols, exp).all()
 			rs = resource.NewSliceResultSet(cols, rows)
 		}
 		if err == nil && len(sets) == i {
@@ -463,7 +482,9 @@ func (c *Conn) QueryBatch(ctx context.Context, stmts []resource.Statement) ([]re
 	return sets, err
 }
 
-// Result is the outcome of Do: either a row set or an exec summary.
+// Result is the outcome of Do: either a row set or an exec summary. Its
+// rows' strings view the frames they arrived in, each at most
+// DefaultBatchBytes plus one row, so a row kept alone pins one frame.
 type Result struct {
 	Rows resource.ResultSet // nil for non-queries
 	Exec resource.ExecResult
@@ -483,7 +504,7 @@ func (c *Conn) Do(sql string, args ...sqltypes.Value) (*Result, error) {
 		return &Result{Exec: res}, nil
 	}
 	// Materialize: shells print whole results anyway.
-	rows, err := resource.ReadAll(c.rows(ctx, cols, exp))
+	rows, err := c.rows(ctx, cols, exp).all()
 	if err != nil {
 		return nil, err
 	}

@@ -208,7 +208,7 @@ func scriptedV2(closed chan<- uint32, answered chan<- string) func(net.Conn) {
 					var enc protocol.BatchEncoder
 					enc.Append(sqltypes.Row{sqltypes.NewInt(7)})
 					protocol.WriteFrameV2(w, protocol.FrameHeader, sid, protocol.EncodeHeader([]string{"v"}))
-					protocol.WriteFrameV2(w, protocol.FrameRowBatch, sid, enc.Payload())
+					protocol.WriteFrameV2(w, protocol.FrameRowBatch, sid, *enc.Payload())
 				default:
 					protocol.WriteFrameV2(w, protocol.FrameOK, sid, protocol.EncodeOK(1, 0))
 				}
