@@ -91,7 +91,15 @@ type Config struct {
 
 // Kernel is one runtime instance shared by all sessions.
 type Kernel struct {
-	rules    *sharding.RuleSet
+	// rules is the published rule snapshot. A statement loads it once, when
+	// it compiles; a published RuleSet is never edited. Publish is its one
+	// writer, serialized by publishMu.
+	rules     atomic.Pointer[sharding.RuleSet]
+	publishMu sync.Mutex
+	// persist, when set, saves each snapshot a change publishes (the
+	// governor's registry).
+	persist func(*sharding.RuleSet)
+
 	router   *route.Router
 	executor *exec.Executor
 	txMgr    *transaction.Manager
@@ -135,8 +143,6 @@ type Kernel struct {
 	// workload is the heat/hot-key plane: the executor feeds heat, the
 	// router feeds hot keys.
 	workload *digest.Workload
-
-	ruleMu sync.RWMutex
 }
 
 type tableMeta struct {
@@ -144,10 +150,12 @@ type tableMeta struct {
 	cols []string
 }
 
-// New builds a kernel from the config.
+// New builds a kernel from the config. The kernel publishes its own clone
+// of cfg.Rules: later edits to the caller's set do not reach it.
 func New(cfg Config) (*Kernel, error) {
-	if cfg.Rules == nil {
-		cfg.Rules = sharding.NewRuleSet()
+	rules := sharding.NewRuleSet()
+	if cfg.Rules != nil {
+		rules = cfg.Rules.Clone()
 	}
 	if len(cfg.Sources) == 0 {
 		return nil, fmt.Errorf("core: at least one data source is required")
@@ -160,7 +168,7 @@ func New(cfg Config) (*Kernel, error) {
 	for n := range cfg.Sources {
 		names = append(names, n)
 	}
-	if cfg.Rules.DefaultDataSource == "" {
+	if rules.DefaultDataSource == "" {
 		// Deterministic default: lexically smallest source.
 		min := names[0]
 		for _, n := range names[1:] {
@@ -168,7 +176,7 @@ func New(cfg Config) (*Kernel, error) {
 				min = n
 			}
 		}
-		cfg.Rules.DefaultDataSource = min
+		rules.DefaultDataSource = min
 	}
 	executor := exec.New(cfg.Sources, cfg.MaxCon)
 	tel := telemetry.NewCollector()
@@ -180,8 +188,6 @@ func New(cfg Config) (*Kernel, error) {
 		})
 	}
 	k := &Kernel{
-		rules:         cfg.Rules,
-		router:        route.New(cfg.Rules, sortedNames(names)),
 		executor:      executor,
 		registry:      reg,
 		features:      cfg.Features,
@@ -190,10 +196,11 @@ func New(cfg Config) (*Kernel, error) {
 		defaultTxType: cfg.DefaultTxType,
 		tel:           tel,
 	}
-	k.router.Columns = func(logicTable string) ([]string, error) {
-		rule, ok := k.rules.Rule(logicTable)
-		if !ok || len(rule.DataNodes) == 0 {
-			return nil, fmt.Errorf("core: no data nodes for %s", logicTable)
+	k.rules.Store(rules)
+	k.router = route.New(&k.rules, sortedNames(names))
+	k.router.Columns = func(rule *sharding.TableRule) ([]string, error) {
+		if len(rule.DataNodes) == 0 {
+			return nil, fmt.Errorf("core: no data nodes for %s", rule.LogicTable)
 		}
 		first := rule.DataNodes[0]
 		_, cols, err := k.TableMeta(first.DataSource, first.Table)
@@ -248,9 +255,46 @@ func sortedNames(names []string) []string {
 	return out
 }
 
-// Rules returns the live rule set. Callers mutating it must hold no
-// concurrent statements (DistSQL serializes through LockRules).
-func (k *Kernel) Rules() *sharding.RuleSet { return k.rules }
+// Rules returns the current rule snapshot. It is read-only: a change is
+// made through Publish.
+func (k *Kernel) Rules() *sharding.RuleSet { return k.rules.Load() }
+
+// Publish is the one writer of the rule snapshot. Under one mutex it
+// clones the current snapshot, applies change to the clone, stores it and
+// invalidates every cached plan; a change that fails publishes nothing.
+// change runs under that mutex, so it must not call Publish.
+// With a nil change the same rules are published again, which makes every
+// plan compiled before the call stale (DDL, a configuration push). A
+// published change is persisted (SetRulePersister).
+//
+// The pointer is stored before the plan epoch moves, and a plan build
+// reads the epoch before it loads the snapshot, so a build that races a
+// publication is stamped stale.
+func (k *Kernel) Publish(change func(*sharding.RuleSet) error) error {
+	k.publishMu.Lock()
+	defer k.publishMu.Unlock()
+	next := k.rules.Load()
+	if change != nil {
+		next = next.Clone()
+		if err := change(next); err != nil {
+			return err
+		}
+	}
+	k.rules.Store(next)
+	k.planCache.Invalidate()
+	if change != nil && k.persist != nil {
+		k.persist(next)
+	}
+	return nil
+}
+
+// SetRulePersister installs the function that saves each snapshot a
+// change publishes, in publication order. Call it before serving traffic.
+func (k *Kernel) SetRulePersister(fn func(*sharding.RuleSet)) {
+	k.publishMu.Lock()
+	k.persist = fn
+	k.publishMu.Unlock()
+}
 
 // Executor exposes the execution engine (used by features and DistSQL).
 func (k *Kernel) Executor() *exec.Executor { return k.executor }
@@ -264,20 +308,13 @@ func (k *Kernel) TxManager() *transaction.Manager { return k.txMgr }
 // Router exposes the router.
 func (k *Kernel) Router() *route.Router { return k.router }
 
-// LockRules serializes rule mutations; returns the unlock function.
-func (k *Kernel) LockRules() func() {
-	k.ruleMu.Lock()
-	return k.ruleMu.Unlock
-}
-
 // InvalidateMeta clears the table-metadata cache (after DDL). Cached plans
-// depend on the same schema and rule state, so the plan-cache epoch bumps
-// with it.
+// depend on the same schema, so the same rules are published again.
 func (k *Kernel) InvalidateMeta() {
 	k.metaMu.Lock()
 	k.metaCache = map[string]tableMeta{}
 	k.metaMu.Unlock()
-	k.BumpPlanEpoch()
+	k.Publish(nil)
 }
 
 // PlanCache exposes the shared shape table; DistSQL's SHOW PLAN CACHE
@@ -306,10 +343,6 @@ func (k *Kernel) SetHotKeyTracking(on bool) {
 		k.router.SetKeyObserver(nil)
 	}
 }
-
-// BumpPlanEpoch invalidates every cached plan. DDL, DistSQL rule changes
-// and governor-pushed config updates call it.
-func (k *Kernel) BumpPlanEpoch() { k.planCache.Invalidate() }
 
 // dialectOf resolves a data source's SQL dialect (MySQL for unknown
 // sources, matching the rewriter's historical default).

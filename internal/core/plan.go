@@ -3,6 +3,7 @@ package core
 import (
 	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/route"
+	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
@@ -12,7 +13,8 @@ import (
 // its rewrite template. Executing it binds argument values to the two
 // (paper Sections VI-B and VI-C run once per statement, then bound). A
 // plan is never mutated after compile and may be shared across sessions;
-// it is valid until DDL or a rule change (the plan-cache epoch).
+// it is valid until the next rule publication (DDL, a rule change, a
+// configuration push).
 //
 // Every statement is executed through compile and run. What differs is
 // only whether the compiled value is kept: the plan cache keeps a shape's
@@ -30,18 +32,20 @@ type plan struct {
 	forUpdate bool
 }
 
-// compile is the one compile function. ok is false when the statement's
-// route does not compile; the plan still runs, and reports why.
-func (k *Kernel) compile(stmt sqlparser.Statement) (p *plan, ok bool) {
+// compile is the one compile function: it routes against rules, the
+// snapshot its caller loaded. ok is false when the statement's route does
+// not compile; the plan still runs, and reports why.
+func (k *Kernel) compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (p *plan, ok bool) {
 	p = &plan{stmt: stmt}
 	p.sel, _ = stmt.(*sqlparser.SelectStmt)
-	p.route, ok = k.router.BuildSkeleton(stmt)
+	p.route, ok = k.router.Compile(rules, stmt)
 	p.rewrite, _ = rewrite.NewTemplate(stmt, sqlparser.TableNames(stmt)...)
 	return p, ok
 }
 
-// buildPlan compiles a normalized shape for the plan cache. It runs once
-// per shape and plan epoch (under the shape entry's build lock); a parse
+// buildPlan compiles a normalized shape for the plan cache against the
+// rule snapshot it loads once. It runs once per shape and plan epoch
+// (under the shape entry's build lock, after the epoch was read); a parse
 // error here means the caller re-parses the original text so the error
 // carries it.
 //
@@ -55,15 +59,16 @@ func buildPlan(k *Kernel, sql string, norm *sqlparser.Normalized) (*plan, error)
 	if err != nil {
 		return nil, err
 	}
+	rules := k.Rules()
 	perExecution := k.hasTransformers
 	switch t := stmt.(type) {
 	case *sqlparser.InsertStmt:
-		perExecution = perExecution || k.generatesKey(t) != nil
+		perExecution = perExecution || generatesKey(rules, t) != nil
 	case *sqlparser.SelectStmt:
 		perExecution = perExecution || len(t.From) == 0
 	}
 	if !perExecution {
-		if p, ok := k.compile(stmt); ok {
+		if p, ok := k.compile(rules, stmt); ok {
 			return p.keyedBy(sql, norm), nil
 		}
 	}

@@ -323,9 +323,10 @@ func (s *Session) compileStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 	// Generated keys: INSERTs into tables with a key generator that omit
 	// the key column gain it before routing (the distributed replacement
 	// for AUTO_INCREMENT; see sharding.KeyGenerator).
+	rules := s.k.Rules()
 	var genKey int64
 	if ins, ok := stmt.(*sqlparser.InsertStmt); ok {
-		stmt, genKey = s.k.fillGeneratedKey(ins)
+		stmt, genKey = fillGeneratedKey(rules, ins)
 	}
 	// Feature transforms (the caller's statement stays untouched:
 	// transformers clone on write).
@@ -339,7 +340,7 @@ func (s *Session) compileStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 			return nil, nil, 0, err
 		}
 	}
-	p, _ := s.k.compile(stmt)
+	p, _ := s.k.compile(rules, stmt)
 	return p, args, genKey, nil
 }
 
@@ -617,19 +618,20 @@ func (s *Session) showTables() (*Result, error) {
 			names = append(names, n)
 		}
 	}
-	for _, t := range s.k.rules.LogicTables() {
+	rules := s.k.Rules()
+	for _, t := range rules.LogicTables() {
 		add(t)
 	}
-	for t := range s.k.rules.Broadcast {
+	for t := range rules.Broadcast {
 		add(t)
 	}
-	if def := s.k.rules.DefaultDataSource; def != "" {
+	if def := rules.DefaultDataSource; def != "" {
 		if src, err := s.k.executor.Source(def); err == nil {
 			if conn, err := src.Acquire(); err == nil {
 				if rs, err := conn.Query(context.Background(), "SHOW TABLES"); err == nil {
 					rows, _ := resource.ReadAll(rs)
 					for _, r := range rows {
-						if !s.k.isActualTable(r[0].AsString()) {
+						if !isActualTable(rules, r[0].AsString()) {
 							add(r[0].AsString())
 						}
 					}
@@ -648,8 +650,8 @@ func (s *Session) showTables() (*Result, error) {
 
 // isActualTable reports whether the name is an actual shard of some rule
 // (hidden from SHOW TABLES).
-func (k *Kernel) isActualTable(name string) bool {
-	for _, r := range k.rules.Tables {
+func isActualTable(rules *sharding.RuleSet, name string) bool {
+	for _, r := range rules.Tables {
 		for _, n := range r.DataNodes {
 			if strings.EqualFold(n.Table, name) {
 				return true
@@ -661,9 +663,10 @@ func (k *Kernel) isActualTable(name string) bool {
 
 // describe forwards DESCRIBE to the first data node of the logic table.
 func (s *Session) describe(t *sqlparser.DescribeStmt) (*Result, error) {
-	ds := s.k.rules.DefaultDataSource
+	rules := s.k.Rules()
+	ds := rules.DefaultDataSource
 	table := t.Table
-	if rule, ok := s.k.rules.Rule(t.Table); ok && len(rule.DataNodes) > 0 {
+	if rule, ok := rules.Rule(t.Table); ok && len(rule.DataNodes) > 0 {
 		ds = rule.DataNodes[0].DataSource
 		table = rule.DataNodes[0].Table
 	}
@@ -689,8 +692,8 @@ func (s *Session) describe(t *sqlparser.DescribeStmt) (*Result, error) {
 
 // generatesKey returns the rule whose key generator fills a column the
 // INSERT omits, or nil.
-func (k *Kernel) generatesKey(ins *sqlparser.InsertStmt) *sharding.TableRule {
-	rule, ok := k.rules.Rule(ins.Table)
+func generatesKey(rules *sharding.RuleSet, ins *sqlparser.InsertStmt) *sharding.TableRule {
+	rule, ok := rules.Rule(ins.Table)
 	if !ok || rule.KeyGen == nil || rule.KeyGenColumn == "" || len(ins.Columns) == 0 {
 		return nil
 	}
@@ -705,8 +708,8 @@ func (k *Kernel) generatesKey(ins *sqlparser.InsertStmt) *sharding.TableRule {
 // fillGeneratedKey appends the key-generator column and fresh keys to an
 // INSERT that omits it. It returns the (possibly cloned) statement and the
 // last key generated (0 when none).
-func (k *Kernel) fillGeneratedKey(ins *sqlparser.InsertStmt) (sqlparser.Statement, int64) {
-	rule := k.generatesKey(ins)
+func fillGeneratedKey(rules *sharding.RuleSet, ins *sqlparser.InsertStmt) (sqlparser.Statement, int64) {
+	rule := generatesKey(rules, ins)
 	if rule == nil {
 		return ins, 0
 	}
@@ -722,8 +725,7 @@ func (k *Kernel) fillGeneratedKey(ins *sqlparser.InsertStmt) (sqlparser.Statemen
 
 // selectWithoutFrom evaluates table-less selects on the default source.
 func (s *Session) selectWithoutFrom(sel *sqlparser.SelectStmt, args []sqltypes.Value) (*Result, error) {
-	ds := s.k.rules.DefaultDataSource
-	src, err := s.k.executor.Source(ds)
+	src, err := s.k.executor.Source(s.k.Rules().DefaultDataSource)
 	if err != nil {
 		return nil, err
 	}

@@ -71,7 +71,7 @@ func TestDigestSurvivesPlanEpochBump(t *testing.T) {
 	}
 	before := k.planCache.Stats()
 
-	k.BumpPlanEpoch()
+	k.Publish(nil)
 	// The data node's statement cache is warm, so the one parse is the
 	// kernel compiling the shape again.
 	if n := parses(func() { mustQuery(t, s, q, uid) }); n != 1 {
@@ -221,7 +221,7 @@ func TestCanonicalTextFindsItsShape(t *testing.T) {
 		t.Fatalf("digest: %+v", d)
 	}
 
-	k.BumpPlanEpoch()
+	k.Publish(nil)
 	for i, want := range [][2]uint64{{0, 1}, {1, 0}} { // hits, misses
 		before = k.planCache.Stats()
 		mustQuery(t, s, canonical, uid)
@@ -418,7 +418,7 @@ func TestShapeStormConcurrentWithSnapshotsAndEpochBumps(t *testing.T) {
 			running = false
 		default:
 		}
-		k.BumpPlanEpoch()
+		k.Publish(nil)
 		shapes, _ := k.planCache.Digests()
 		if len(shapes) > 64 {
 			t.Fatalf("%d live shapes in a table of 64", len(shapes))

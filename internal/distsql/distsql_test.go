@@ -3,6 +3,7 @@ package distsql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -546,7 +547,7 @@ func TestConfigWatchInvalidatesPeerInstance(t *testing.T) {
 }
 
 func TestReshardRAL(t *testing.T) {
-	k, s, _ := fixture(t)
+	k, s, gov := fixture(t)
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
 	for i := 0; i < 40; i++ {
@@ -574,5 +575,15 @@ func TestReshardRAL(t *testing.T) {
 	out = rows(t, exec(t, s, "SELECT name FROM t_user WHERE uid = 13"))
 	if len(out) != 1 || out[0][0].S != "u13" {
 		t.Fatalf("point query after reshard: %v", out)
+	}
+	// The persisted rule reloads onto the tables RESHARD created, not onto
+	// the ones it dropped.
+	loaded, err := gov.LoadRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, _ := loaded.Rule("t_user")
+	if !slices.Equal(reloaded.DataNodes, rule.DataNodes) {
+		t.Fatalf("reloaded nodes %v, live nodes %v", reloaded.DataNodes, rule.DataNodes)
 	}
 }

@@ -3,6 +3,7 @@ package distsql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,13 +30,16 @@ type Handler struct {
 
 // Install wires DistSQL processing into the kernel. gov may be nil (no
 // persistence, status commands degrade gracefully). With a governor
-// attached, the plan cache's counters register as a metrics source and
-// registry-pushed configuration changes invalidate cached plans — so a
-// rule change made on any instance drops stale plans on this one too.
+// attached, every rule change the kernel publishes is persisted, the plan
+// cache's counters register as a metrics source and a registry-pushed
+// configuration change republishes this kernel's rules — so a rule change
+// made on any instance drops stale plans on this one too, though this one
+// keeps routing on its own rules.
 func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 	h := &Handler{gov: gov}
 	k.SetDistSQLHandler(h)
 	if gov != nil {
+		k.SetRulePersister(func(rs *sharding.RuleSet) { gov.PersistRules(rs) })
 		gov.RegisterMetrics("plan_cache", k.PlanCache().Metrics)
 		gov.RegisterMetrics("exec", k.Executor().Metrics)
 		if tel := k.Telemetry(); tel != nil {
@@ -86,7 +90,7 @@ func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 				gov.Subscribe(rh.OnSourceHealth)
 			}
 		}
-		h.cancelWatch = gov.WatchConfig(k.BumpPlanEpoch)
+		h.cancelWatch = gov.WatchConfig(func() { k.Publish(nil) })
 	}
 	return h
 }
@@ -98,16 +102,11 @@ func (h *Handler) Close() {
 	}
 }
 
-// changeRules runs one rule mutation under the rule lock, then drops the
-// cached plans and persists the rule set.
+// changeRules publishes one rule mutation (Kernel.Publish).
 func (h *Handler) changeRules(k *core.Kernel, change func(*sharding.RuleSet) error) (*core.Result, error) {
-	unlock := k.LockRules()
-	defer unlock()
-	if err := change(k.Rules()); err != nil {
+	if err := k.Publish(change); err != nil {
 		return nil, err
 	}
-	k.BumpPlanEpoch()
-	h.persist(k)
 	return &core.Result{}, nil
 }
 
@@ -447,12 +446,6 @@ func (h *Handler) dropRule(sess *core.Session, table string) (*core.Result, erro
 	})
 }
 
-func (h *Handler) persist(k *core.Kernel) {
-	if h.gov != nil {
-		h.gov.PersistRules(k.Rules())
-	}
-}
-
 func dropBindingGroup(rs *sharding.RuleSet, tables []string) {
 	match := func(group []string) bool {
 		if len(group) != len(tables) {
@@ -472,13 +465,9 @@ func dropBindingGroup(rs *sharding.RuleSet, tables []string) {
 		}
 		return true
 	}
-	out := rs.BindingGroups[:0]
-	for _, group := range rs.BindingGroups {
-		if !match(group) {
-			out = append(out, group)
-		}
-	}
-	rs.BindingGroups = out
+	// A new slice: the set may be a clone sharing its array with the
+	// published snapshot.
+	rs.BindingGroups = slices.DeleteFunc(slices.Clone(rs.BindingGroups), match)
 }
 
 func rowsResult(cols []string, rows []sqltypes.Row) *core.Result {
@@ -1029,7 +1018,6 @@ func (h *Handler) reshard(sess *core.Session, spec sharding.AutoTableSpec) (*cor
 	if jerr != nil {
 		return nil, jerr
 	}
-	h.persist(k)
 	return rowsResult([]string{"table", "status", "rows_moved"}, []sqltypes.Row{{
 		sqltypes.NewString(spec.LogicTable),
 		sqltypes.NewString(st.String()),

@@ -8,6 +8,7 @@ package scaling
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -67,76 +68,93 @@ func (j *Job) set(st Status, err error) {
 
 const copyBatch = 200
 
+// ErrRuleChanged fails a job whose table's rule was replaced or dropped
+// while its rows were copied: the switch would overwrite that change.
+var ErrRuleChanged = errors.New("scaling: the table's rule changed during the copy")
+
 // Reshard copies the logic table onto the new layout and swaps the rule.
 // It runs synchronously and returns the finished job; generation names
 // the new actual tables "<logic>_g<gen>_<i>" to avoid colliding with the
-// current layout.
+// current layout. A job that fails drops the tables it created.
 func Reshard(k *core.Kernel, spec sharding.AutoTableSpec, generation int) (*Job, error) {
-	job := &Job{Table: spec.LogicTable}
 	oldRule, ok := k.Rules().Rule(spec.LogicTable)
 	if !ok {
 		return nil, fmt.Errorf("scaling: no rule for %s", spec.LogicTable)
 	}
-
-	// Build the target rule with generation-scoped actual table names.
 	newRule, err := sharding.BuildAutoRule(spec)
 	if err != nil {
 		return nil, err
 	}
+	// Generation-scoped actual table names.
 	for i := range newRule.DataNodes {
 		newRule.DataNodes[i].Table = fmt.Sprintf("%s_g%d_%d", spec.LogicTable, generation, i)
 	}
+	job := &Job{Table: spec.LogicTable}
+	created, err := copyTable(k, job, oldRule, newRule)
+	if err == nil {
+		err = switchRule(k, oldRule, newRule)
+	}
+	if err != nil {
+		dropTables(k, created)
+		job.set(StatusFailed, err)
+		return job, err
+	}
+	dropTables(k, oldRule.DataNodes)
+	job.set(StatusCompleted, nil)
+	return job, nil
+}
 
-	// Create target tables from the source schema.
+// copyTable creates the new rule's tables from the old rule's schema,
+// copies every row into them, routing by the new rule, and checks the
+// count. It returns the tables it created.
+func copyTable(k *core.Kernel, job *Job, oldRule, newRule *sharding.TableRule) ([]sharding.DataNode, error) {
 	ddl, _, err := schemaDDL(k, oldRule)
 	if err != nil {
-		job.set(StatusFailed, err)
-		return job, err
+		return nil, err
 	}
-	for _, node := range newRule.DataNodes {
+	for i, node := range newRule.DataNodes {
 		if err := execOn(k, node.DataSource, strings.Replace(ddl, "__TABLE__", node.Table, 1)); err != nil {
-			job.set(StatusFailed, err)
-			return job, err
+			return newRule.DataNodes[:i], err
 		}
 	}
-
-	// Copy every row, routing by the new rule.
 	total, err := copyData(k, job, oldRule, newRule)
 	if err != nil {
-		job.set(StatusFailed, err)
-		return job, err
+		return newRule.DataNodes, err
 	}
-
-	// Verify counts.
 	job.set(StatusVerifying, nil)
 	gotTotal := int64(0)
 	for _, node := range newRule.DataNodes {
 		n, err := countOn(k, node.DataSource, node.Table)
 		if err != nil {
-			job.set(StatusFailed, err)
-			return job, err
+			return newRule.DataNodes, err
 		}
 		gotTotal += n
 	}
 	if gotTotal != total {
-		err := fmt.Errorf("scaling: verification failed: copied %d, target holds %d", total, gotTotal)
-		job.set(StatusFailed, err)
-		return job, err
+		return newRule.DataNodes, fmt.Errorf("scaling: verification failed: copied %d, target holds %d", total, gotTotal)
 	}
+	return newRule.DataNodes, nil
+}
 
-	// Switch: swap the rule under the kernel's rule lock, then drop the
-	// old actual tables.
-	unlock := k.LockRules()
-	k.Rules().AddRule(newRule)
-	unlock()
-	// Cached plans route against the old layout; invalidate them before the
-	// old actual tables disappear.
-	k.BumpPlanEpoch()
-	for _, node := range oldRule.DataNodes {
+// switchRule publishes newRule in place of oldRule: compare and publish.
+// When the published snapshot no longer holds oldRule, it publishes
+// nothing and returns ErrRuleChanged. Publishing also invalidates the
+// plans that route to the old tables before they are dropped.
+func switchRule(k *core.Kernel, oldRule, newRule *sharding.TableRule) error {
+	return k.Publish(func(rs *sharding.RuleSet) error {
+		if cur, _ := rs.Rule(oldRule.LogicTable); cur != oldRule {
+			return fmt.Errorf("%w: %s", ErrRuleChanged, oldRule.LogicTable)
+		}
+		rs.AddRule(newRule)
+		return nil
+	})
+}
+
+// dropTables drops actual tables, ignoring tables already gone.
+func dropTables(k *core.Kernel, nodes []sharding.DataNode) {
+	for _, node := range nodes {
 		execOn(k, node.DataSource, "DROP TABLE IF EXISTS "+node.Table)
 	}
-	job.set(StatusCompleted, nil)
-	return job, nil
 }
 
 // schemaDDL derives a CREATE TABLE template (with __TABLE__ placeholder)

@@ -2,6 +2,7 @@ package scaling
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -153,5 +154,87 @@ func TestReshardDistributesData(t *testing.T) {
 		if n := rows[0][0].I; n < 30 || n > 36 {
 			t.Fatalf("ds%d shard size: %d", i, n)
 		}
+	}
+}
+
+// TestSwitchIsCompareAndPublish: the switch publishes the new rule only
+// over the rule the job copied. A rule replaced or dropped since (an ALTER
+// or DROP SHARDING TABLE RULE during the copy) stays as it is.
+func TestSwitchIsCompareAndPublish(t *testing.T) {
+	k := fixture(t)
+	oldRule, _ := k.Rules().Rule("t_user")
+	spec := func(count int) sharding.AutoTableSpec {
+		return sharding.AutoTableSpec{
+			LogicTable: "t_user", Resources: []string{"ds0", "ds1"},
+			ShardingColumn: "uid", AlgorithmType: "MOD", ShardingCount: count,
+		}
+	}
+	newRule, err := sharding.BuildAutoRule(spec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	altered, err := sharding.BuildAutoRule(spec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Publish(func(rs *sharding.RuleSet) error { rs.AddRule(altered); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := switchRule(k, oldRule, newRule); !errors.Is(err, ErrRuleChanged) {
+		t.Fatalf("switch over a replaced rule: %v", err)
+	}
+	if got, _ := k.Rules().Rule("t_user"); got != altered {
+		t.Fatal("the switch overwrote the replacement")
+	}
+	if err := k.Publish(func(rs *sharding.RuleSet) error { rs.RemoveRule("t_user"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := switchRule(k, altered, newRule); !errors.Is(err, ErrRuleChanged) {
+		t.Fatalf("switch over a dropped rule: %v", err)
+	}
+	if k.Rules().IsSharded("t_user") {
+		t.Fatal("the switch brought a dropped rule back")
+	}
+	// Over the rule it copied, the switch publishes.
+	if err := k.Publish(func(rs *sharding.RuleSet) error { rs.AddRule(oldRule); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := switchRule(k, oldRule, newRule); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := k.Rules().Rule("t_user"); got != newRule {
+		t.Fatal("the switch did not publish the new rule")
+	}
+}
+
+// TestFailedJobDropsItsTables: a job that fails after creating its target
+// tables drops them and leaves the table's rule and rows alone.
+func TestFailedJobDropsItsTables(t *testing.T) {
+	k := fixture(t)
+	before, _ := k.Rules().Rule("t_user")
+	job, err := Reshard(k, sharding.AutoTableSpec{
+		LogicTable: "t_user", Resources: []string{"ds0", "ds1"},
+		ShardingColumn: "no_such_column", AlgorithmType: "MOD", ShardingCount: 4,
+	}, 1)
+	if err == nil {
+		t.Fatal("a copy by a missing column succeeded")
+	}
+	if st, _, _ := job.Status(); st != StatusFailed {
+		t.Fatalf("job status: %v", st)
+	}
+	if after, _ := k.Rules().Rule("t_user"); after != before {
+		t.Fatal("a failed job changed the rule")
+	}
+	for i := 0; i < 4; i++ {
+		src, _ := k.Executor().Source(fmt.Sprintf("ds%d", i%2))
+		conn, _ := src.Acquire()
+		_, err := conn.Query(context.Background(), fmt.Sprintf("SELECT COUNT(*) FROM t_user_g1_%d", i))
+		conn.Release()
+		if err == nil {
+			t.Fatalf("target table t_user_g1_%d left behind", i)
+		}
+	}
+	if n := count(t, k); n != 100 {
+		t.Fatalf("rows after a failed job: %d", n)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,9 +139,9 @@ func LoadRules(reg *registry.Registry) (*sharding.RuleSet, error) {
 		if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
 			return nil, fmt.Errorf("governor: bad rule at %s: %w", path, err)
 		}
-		rule, err := sharding.BuildAutoRule(cfg.Spec)
+		rule, err := loadRule(cfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("governor: bad rule at %s: %w", path, err)
 		}
 		rs.AddRule(rule)
 	}
@@ -170,6 +171,26 @@ func LoadRules(reg *registry.Registry) (*sharding.RuleSet, error) {
 		rs.DefaultDataSource = raw
 	}
 	return rs, nil
+}
+
+// loadRule rebuilds one persisted rule. Its data nodes are the persisted
+// ones when present: a RESHARD lays a rule out on tables BuildAutoRule
+// does not name.
+func loadRule(cfg ruleConfig) (*sharding.TableRule, error) {
+	rule, err := sharding.BuildAutoRule(cfg.Spec)
+	if err != nil || len(cfg.Nodes) == 0 {
+		return rule, err
+	}
+	if len(cfg.Nodes) != len(rule.DataNodes) {
+		return nil, fmt.Errorf("%d data nodes for a sharding count of %d", len(cfg.Nodes), len(rule.DataNodes))
+	}
+	for _, n := range cfg.Nodes {
+		if !slices.Contains(cfg.Spec.Resources, n.DataSource) {
+			return nil, fmt.Errorf("data node %s is not on one of the rule's resources %v", n, cfg.Spec.Resources)
+		}
+	}
+	rule.DataNodes = cfg.Nodes
+	return rule, nil
 }
 
 // --- configuration watch (paper Section V-A, "dynamic configuration") ---

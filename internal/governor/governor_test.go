@@ -78,6 +78,55 @@ func TestPersistAndLoadRules(t *testing.T) {
 	}
 }
 
+// TestLoadRulesKeepsPersistedNodes: a reloaded rule routes to the data
+// nodes that were persisted (a RESHARD's "<t>_g<gen>_<i>" tables), not to
+// the ones its spec would lay out; nodes that cannot belong to the spec
+// are refused.
+func TestLoadRulesKeepsPersistedNodes(t *testing.T) {
+	g, _, _ := fixture(t)
+	spec := sharding.AutoTableSpec{
+		LogicTable: "t", Resources: []string{"ds0", "ds1"},
+		ShardingColumn: "id", AlgorithmType: "MOD", ShardingCount: 4,
+	}
+	persist := func(edit func([]sharding.DataNode) []sharding.DataNode) (*sharding.RuleSet, error) {
+		rule, err := sharding.BuildAutoRule(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rule.DataNodes {
+			rule.DataNodes[i].Table = fmt.Sprintf("t_g1_%d", i)
+		}
+		rule.DataNodes = edit(rule.DataNodes)
+		rs := sharding.NewRuleSet()
+		rs.AddRule(rule)
+		if err := g.PersistRules(rs); err != nil {
+			t.Fatal(err)
+		}
+		return g.LoadRules()
+	}
+	same := func(n []sharding.DataNode) []sharding.DataNode { return n }
+	loaded, err := persist(same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule, _ := loaded.Rule("t")
+	if len(rule.DataNodes) != 4 || rule.DataNodes[3] != (sharding.DataNode{DataSource: "ds1", Table: "t_g1_3"}) {
+		t.Fatalf("reloaded nodes: %v", rule.DataNodes)
+	}
+	nodes, err := rule.NodeIndex().Route([]sharding.Condition{{Values: []sqltypes.Value{sqltypes.NewInt(6)}}}, nil)
+	if err != nil || len(nodes) != 1 || nodes[0].Table != "t_g1_2" {
+		t.Fatalf("reloaded route: %v %v", nodes, err)
+	}
+	for name, edit := range map[string]func([]sharding.DataNode) []sharding.DataNode{
+		"short":          func(n []sharding.DataNode) []sharding.DataNode { return n[:3] },
+		"other resource": func(n []sharding.DataNode) []sharding.DataNode { n[1].DataSource = "ds9"; return n },
+	} {
+		if _, err := persist(edit); err == nil {
+			t.Errorf("%s: persisted nodes accepted", name)
+		}
+	}
+}
+
 func TestDropRule(t *testing.T) {
 	g, reg, _ := fixture(t)
 	rs := sharding.NewRuleSet()

@@ -35,7 +35,7 @@ type Stats struct {
 	Hits          uint64
 	Misses        uint64
 	Evictions     uint64
-	Invalidations uint64 // epoch bumps (DDL, rule changes, config pushes)
+	Invalidations uint64 // epoch bumps (rule publications)
 	Size          int
 	Capacity      int
 	Epoch         uint64
@@ -140,8 +140,8 @@ func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
 
 // Invalidate bumps the epoch: every cached plan becomes stale at once and
 // is recompiled on its shape's next execution. The entries, and with them
-// the digest counters, stay. Called on DDL, DistSQL rule changes and
-// governor-pushed configuration updates.
+// the digest counters, stay. The kernel calls it on each rule publication
+// (DDL, DistSQL rule changes, governor-pushed configuration updates).
 func (c *Cache) Invalidate() {
 	c.epoch.Add(1)
 	c.invalidations.Add(1)

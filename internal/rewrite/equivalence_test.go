@@ -179,8 +179,8 @@ func equivalenceFixture(t testing.TB) (*route.Router, DialectFunc) {
 	if err := rs.AddBindingGroup("t_user", "t_order"); err != nil {
 		t.Fatal(err)
 	}
-	router := route.New(rs, []string{"ds0", "ds1"})
-	router.Columns = func(string) ([]string, error) { return []string{"uid", "name", "age"}, nil }
+	router := newRouter(rs, []string{"ds0", "ds1"})
+	router.Columns = func(*sharding.TableRule) ([]string, error) { return []string{"uid", "name", "age"}, nil }
 	return router, func(ds string) sqlparser.Dialect {
 		if ds == "ds1" {
 			return sqlparser.DialectPostgreSQL

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"shardingsphere/internal/route"
@@ -11,6 +12,13 @@ import (
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
+
+// newRouter builds a router over rs, published once.
+func newRouter(rs *sharding.RuleSet, sources []string) *route.Router {
+	var p atomic.Pointer[sharding.RuleSet]
+	p.Store(rs)
+	return route.New(&p, sources)
+}
 
 func fixtureRouter(t *testing.T) *route.Router {
 	t.Helper()
@@ -32,7 +40,7 @@ func fixtureRouter(t *testing.T) *route.Router {
 	if err := rs.AddBindingGroup("t_user", "t_order"); err != nil {
 		t.Fatal(err)
 	}
-	return route.New(rs, []string{"ds0", "ds1"})
+	return newRouter(rs, []string{"ds0", "ds1"})
 }
 
 func rewriteSQL(t *testing.T, sql string, args ...sqltypes.Value) *Result {

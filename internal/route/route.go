@@ -8,7 +8,6 @@ package route
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"shardingsphere/internal/sharding"
@@ -87,16 +86,16 @@ func (r *Result) DataSources() []string {
 	return out
 }
 
-// Router routes statements against a rule set.
+// Router routes statements against the published rule snapshot.
 type Router struct {
-	rules *sharding.RuleSet
+	rules *atomic.Pointer[sharding.RuleSet]
 	// AllDataSources lists every known data source for DDL broadcast and
 	// broadcast tables.
 	allDataSources []string
-	// Columns optionally resolves a logic table's column order; INSERT
+	// Columns optionally resolves a sharded table's column order; INSERT
 	// statements without an explicit column list need it to locate the
 	// sharding key. The kernel wires its metadata service here.
-	Columns func(logicTable string) ([]string, error)
+	Columns func(rule *sharding.TableRule) ([]string, error)
 
 	// keyObs, when installed, sees every equality sharding-key value the
 	// router resolves (hot-key tracking). Off by default: the cost is one
@@ -135,14 +134,12 @@ func (r *Router) noteKeys(table string, cols []string, conds []sharding.Conditio
 	}
 }
 
-// New builds a router. allDataSources is the complete data source list
-// (used for broadcast routes).
-func New(rules *sharding.RuleSet, allDataSources []string) *Router {
+// New builds a router over a published rule snapshot: rules holds the
+// current RuleSet, which is never edited once stored there. allDataSources
+// is the complete data source list (used for broadcast routes).
+func New(rules *atomic.Pointer[sharding.RuleSet], allDataSources []string) *Router {
 	return &Router{rules: rules, allDataSources: allDataSources}
 }
-
-// Rules exposes the rule set (read-only).
-func (r *Router) Rules() *sharding.RuleSet { return r.rules }
 
 // Route maps a statement to its units: the statement is compiled into its
 // route skeleton and the arguments are bound to it. hint optionally carries
@@ -152,13 +149,6 @@ func (r *Router) Rules() *sharding.RuleSet { return r.rules }
 func (r *Router) Route(stmt sqlparser.Statement, args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
 	sk, _ := r.BuildSkeleton(stmt)
 	return sk.Route(args, hint)
-}
-
-func (r *Router) defaultRoute() (*Result, error) {
-	if r.rules.DefaultDataSource == "" {
-		return nil, fmt.Errorf("%w: no default data source configured", ErrNoDataSource)
-	}
-	return &Result{Kind: KindDefault, Units: []Unit{{DataSource: r.rules.DefaultDataSource, TableMap: map[string]string{}}}}, nil
 }
 
 // everySource is the route of a broadcast table's DML and DDL.

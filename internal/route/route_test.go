@@ -6,12 +6,20 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
+
+// newRouter builds a router over rs, published once.
+func newRouter(rs *sharding.RuleSet, sources []string) *Router {
+	var p atomic.Pointer[sharding.RuleSet]
+	p.Store(rs)
+	return New(&p, sources)
+}
 
 // fixture builds the paper's running example: t_user and t_order sharded
 // by uid%2 over ds0/ds1 (each source holding one actual table), bound
@@ -40,7 +48,7 @@ func fixture(t *testing.T, bind bool) *Router {
 			t.Fatal(err)
 		}
 	}
-	return New(rs, []string{"ds0", "ds1"})
+	return newRouter(rs, []string{"ds0", "ds1"})
 }
 
 func parse(t *testing.T, sql string) sqlparser.Statement {
@@ -167,7 +175,7 @@ func TestCartesianMultipleTablesPerSource(t *testing.T) {
 		})
 		rs.AddRule(rule)
 	}
-	r := New(rs, []string{"ds0", "ds1"})
+	r := newRouter(rs, []string{"ds0", "ds1"})
 	res := routeSQL(t, r, "SELECT * FROM a JOIN b ON a.k = b.k")
 	if res.Kind != KindCartesian || len(res.Units) != 8 {
 		t.Fatalf("cartesian fanout: kind=%v units=%d", res.Kind, len(res.Units))
@@ -277,7 +285,9 @@ func TestUnshardedDefaultRoute(t *testing.T) {
 		t.Fatalf("default route: %+v", res)
 	}
 	// Without a default source it fails.
-	r.rules.DefaultDataSource = ""
+	rs := r.rules.Load().Clone()
+	rs.DefaultDataSource = ""
+	r.rules.Store(rs)
 	if _, err := r.Route(parse(t, "SELECT * FROM t_plain"), nil, nil); !errors.Is(err, ErrNoDataSource) {
 		t.Fatalf("no default: %v", err)
 	}
@@ -291,7 +301,7 @@ func TestRangeConditionTightening(t *testing.T) {
 		Properties: map[string]string{"range-lower": "0", "range-upper": "30", "sharding-volume": "10"},
 	})
 	rs.AddRule(rule)
-	r := New(rs, []string{"ds0"})
+	r := newRouter(rs, []string{"ds0"})
 	// k >= 5 AND k <= 15 → buckets [0,10) and [10,20) only.
 	res := routeSQL(t, r, "SELECT * FROM t WHERE k >= 5 AND k <= 15")
 	if len(res.Units) != 2 {
@@ -318,7 +328,7 @@ func TestHintRoute(t *testing.T) {
 		},
 		AutoStrategy: &sharding.Strategy{Hint: hintAlgo},
 	})
-	r := New(rs, []string{"ds0", "ds1"})
+	r := newRouter(rs, []string{"ds0", "ds1"})
 	hint := sqltypes.NewInt(3)
 	res, err := r.Route(parse(t, "SELECT * FROM t_h"), nil, &hint)
 	if err != nil || len(res.Units) != 1 || res.Units[0].TableMap["t_h"] != "t_h_1" {
@@ -378,8 +388,8 @@ func TestCompileOnceBindTwice(t *testing.T) {
 	if err := rs.AddBindingGroup("t_order", "t_item"); err != nil {
 		t.Fatal(err)
 	}
-	r := New(rs, []string{"ds0", "ds1"})
-	r.Columns = func(string) ([]string, error) { return []string{"status", "order_id"}, nil }
+	r := newRouter(rs, []string{"ds0", "ds1"})
+	r.Columns = func(*sharding.TableRule) ([]string, error) { return []string{"status", "order_id"}, nil }
 	ints := func(vs ...int64) []sqltypes.Value {
 		out := make([]sqltypes.Value, len(vs))
 		for i, v := range vs {
@@ -516,7 +526,7 @@ func TestSkeletonRouteAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs.AddRule(rule)
-	r := New(rs, []string{"ds0", "ds1", "ds2", "ds3", "ds4"})
+	r := newRouter(rs, []string{"ds0", "ds1", "ds2", "ds3", "ds4"})
 	for _, c := range []struct {
 		sql   string
 		args  []sqltypes.Value

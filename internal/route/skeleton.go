@@ -14,12 +14,13 @@ import (
 // strategy joins them, and every comparison that may narrow the route kept
 // as a symbolic slot. Binding a set of argument values evaluates only the
 // slots' constant operands and asks the sharding algorithms — no AST walk.
-// A skeleton is immutable and holds its rules by pointer, each beside the
-// node index compile resolved for it: it is valid until the rule set or
-// the table metadata changes.
+// A skeleton is immutable and holds the rule snapshot it was compiled
+// against, each of its rules beside the node index compile resolved for
+// it: it is valid until the next rule publication.
 type Skeleton struct {
-	r   *Router
-	err error // why the statement cannot be routed; Route returns it
+	r     *Router
+	rules *sharding.RuleSet
+	err   error // why the statement cannot be routed; Route returns it
 
 	// tables are the statement's sharded tables in order of appearance;
 	// none means the default data source — or, with everywhere, every data
@@ -41,12 +42,18 @@ type routedTable struct {
 	slots []condSlot
 }
 
-// BuildSkeleton compiles a statement for routing. ok is false when the
-// statement cannot be routed at all (TCL, an UPDATE of the sharding key, a
-// column-less INSERT whose table metadata is unavailable); the skeleton's
-// Route then returns why.
+// BuildSkeleton compiles a statement for routing against the current rule
+// snapshot (Compile).
 func (r *Router) BuildSkeleton(stmt sqlparser.Statement) (*Skeleton, bool) {
-	s := &Skeleton{r: r}
+	return r.Compile(r.rules.Load(), stmt)
+}
+
+// Compile compiles a statement for routing against rules, a published
+// snapshot. ok is false when the statement cannot be routed at all (TCL,
+// an UPDATE of the sharding key, a column-less INSERT whose table metadata
+// is unavailable); the skeleton's Route then returns why.
+func (r *Router) Compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (*Skeleton, bool) {
+	s := &Skeleton{r: r, rules: rules}
 	switch t := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		// Equality on the sharding key in a join's ON clause narrows the
@@ -57,12 +64,12 @@ func (r *Router) BuildSkeleton(stmt sqlparser.Statement) (*Skeleton, bool) {
 		}
 		var names []string
 		for _, ref := range t.From {
-			if rule, ok := r.rules.Rule(ref.Name); ok {
+			if rule, ok := rules.Rule(ref.Name); ok {
 				s.sharded(rule, slots)
 				names = append(names, ref.Name)
 			}
 		}
-		s.bound = len(names) > 1 && r.rules.AllBound(names)
+		s.bound = len(names) > 1 && rules.AllBound(names)
 	case *sqlparser.UpdateStmt:
 		if rule := s.dml(t.Table, t.Alias, t.Where); rule != nil {
 			for _, a := range t.Set {
@@ -98,9 +105,9 @@ func (r *Router) BuildSkeleton(stmt sqlparser.Statement) (*Skeleton, bool) {
 // returns the table's rule. An unsharded table has none: its statement
 // goes to the default data source or, for a broadcast table, everywhere.
 func (s *Skeleton) dml(table, alias string, where sqlparser.Expr) *sharding.TableRule {
-	rule, ok := s.r.rules.Rule(table)
+	rule, ok := s.rules.Rule(table)
 	if !ok {
-		s.everywhere = s.r.rules.Broadcast[strings.ToLower(table)]
+		s.everywhere = s.rules.Broadcast[strings.ToLower(table)]
 		return nil
 	}
 	s.sharded(rule, narrowing(where, []sqlparser.TableRef{{Name: table, Alias: alias}}, nil))
@@ -124,7 +131,7 @@ func (s *Skeleton) ddl(table string) {
 func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt) error {
 	insertCols := stmt.Columns
 	if len(insertCols) == 0 && s.r.Columns != nil {
-		resolved, err := s.r.Columns(stmt.Table)
+		resolved, err := s.r.Columns(s.tables[0].rule)
 		if err != nil {
 			return fmt.Errorf("route: cannot resolve columns of %s: %w", stmt.Table, err)
 		}
@@ -155,7 +162,7 @@ func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, 
 	case len(s.tables) == 0 && s.everywhere:
 		return s.r.everySource(), nil
 	case len(s.tables) == 0:
-		return s.r.defaultRoute()
+		return s.defaultRoute()
 	case s.allNodes:
 		t := s.tables[0]
 		return unitsFromNodes(t.ix, t.rule.DataNodes, KindBroadcast), nil
@@ -182,6 +189,14 @@ func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, 
 	default:
 		return s.cartesian(nodes, args, hint)
 	}
+}
+
+func (s *Skeleton) defaultRoute() (*Result, error) {
+	ds := s.rules.DefaultDataSource
+	if ds == "" {
+		return nil, fmt.Errorf("%w: no default data source configured", ErrNoDataSource)
+	}
+	return &Result{Kind: KindDefault, Units: []Unit{{DataSource: ds, TableMap: map[string]string{}}}}, nil
 }
 
 // nodesOf routes one of the statement's tables by its own conditions,

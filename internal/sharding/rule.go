@@ -3,6 +3,7 @@ package sharding
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -79,10 +80,9 @@ type TableRule struct {
 // lookups, one logic→actual table map per data node, the sharding columns
 // and where each strategy's columns sit among them. It is shared and
 // read-only; a route skeleton resolves it at compile and holds it until
-// the plan epoch moves.
+// the next rule publication.
 type NodeIndex struct {
 	rule     *TableRule
-	nodes    []DataNode // the DataNodes the index was built from
 	tables   []string
 	byNode   map[DataNode]int
 	byTable  map[string]int // first node holding the actual table
@@ -93,16 +93,13 @@ type NodeIndex struct {
 	at       [2][]int            // column positions of the auto or database strategy, then of the table strategy
 }
 
-// NodeIndex returns the rule's node index, rebuilding it when DataNodes was
-// replaced or edited since (rules are laid out before they route, but the
-// fields are exported).
+// NodeIndex returns the rule's node index, built on first use.
 func (r *TableRule) NodeIndex() *NodeIndex {
-	if ix := r.index.Load(); ix != nil && slices.Equal(ix.nodes, r.DataNodes) {
+	if ix := r.index.Load(); ix != nil {
 		return ix
 	}
 	ix := &NodeIndex{
 		rule:     r,
-		nodes:    slices.Clone(r.DataNodes),
 		tables:   make([]string, len(r.DataNodes)),
 		byNode:   make(map[DataNode]int, len(r.DataNodes)),
 		byTable:  make(map[string]int, len(r.DataNodes)),
@@ -249,7 +246,7 @@ func (ix *NodeIndex) Route(conds []Condition, hint *sqltypes.Value) ([]DataNode,
 			if !ok {
 				return nil, fmt.Errorf("sharding: auto rule %s routed to unknown table %s", r.LogicTable, t)
 			}
-			out = append(out, ix.nodes[i])
+			out = append(out, r.DataNodes[i])
 		}
 		return out, nil
 	}
@@ -272,7 +269,8 @@ func (ix *NodeIndex) Route(conds []Condition, hint *sqltypes.Value) ([]DataNode,
 
 // RuleSet is the complete sharding configuration: per-table rules, binding
 // groups, broadcast tables and the default data sources for unsharded
-// tables.
+// tables. A kernel publishes rule sets as immutable snapshots: a change is
+// made to a Clone, never to a published set.
 type RuleSet struct {
 	Tables map[string]*TableRule
 	// BindingGroups lists groups of logic tables sharded identically
@@ -288,6 +286,18 @@ type RuleSet struct {
 // NewRuleSet returns an empty rule set.
 func NewRuleSet() *RuleSet {
 	return &RuleSet{Tables: map[string]*TableRule{}, Broadcast: map[string]bool{}}
+}
+
+// Clone copies the set's maps and its list of binding groups. The
+// TableRules and each group's table list, which no mutator edits in
+// place, are shared.
+func (rs *RuleSet) Clone() *RuleSet {
+	return &RuleSet{
+		Tables:            maps.Clone(rs.Tables),
+		BindingGroups:     slices.Clone(rs.BindingGroups),
+		Broadcast:         maps.Clone(rs.Broadcast),
+		DefaultDataSource: rs.DefaultDataSource,
+	}
 }
 
 // Rule returns the rule for a logic table.
@@ -308,16 +318,13 @@ func (rs *RuleSet) RemoveRule(table string) bool {
 		return false
 	}
 	delete(rs.Tables, key)
-	// Remove from binding groups too.
+	// Remove from binding groups too, into new slices: a clone shares its
+	// groups' arrays with the set it was cloned from.
+	groups := make([][]string, len(rs.BindingGroups))
 	for gi, group := range rs.BindingGroups {
-		out := group[:0]
-		for _, t := range group {
-			if !strings.EqualFold(t, table) {
-				out = append(out, t)
-			}
-		}
-		rs.BindingGroups[gi] = out
+		groups[gi] = slices.DeleteFunc(slices.Clone(group), func(t string) bool { return strings.EqualFold(t, table) })
 	}
+	rs.BindingGroups = groups
 	return true
 }
 
