@@ -73,11 +73,12 @@ func TestMultiRowInsertBindsEveryRow(t *testing.T) {
 	}
 }
 
-// TestUndecomposableSelectIsRefusedBeforeAnyUnit: an aggregate nested in
-// a larger select-item or ORDER BY expression has no multi-node form. On
-// two or more units the kernel answers with the typed rewrite.ErrUnsupported
-// and sends nothing; on one unit the statement is pushed down as written.
-func TestUndecomposableSelectIsRefusedBeforeAnyUnit(t *testing.T) {
+// TestGroupedStarIsRefusedBeforeAnyUnit: a grouped statement
+// with a star projection has no partial and combine, its width being the
+// table's. On two or more units the kernel answers with the typed
+// rewrite.ErrUnsupported and sends nothing; on one unit the statement is
+// pushed down as written.
+func TestGroupedStarIsRefusedBeforeAnyUnit(t *testing.T) {
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()
 	seed(t, s, 8)
@@ -86,9 +87,9 @@ func TestUndecomposableSelectIsRefusedBeforeAnyUnit(t *testing.T) {
 		return m["query_inline"] + m["query_fanout"]
 	}
 	for _, sql := range []string{
-		"SELECT MAX(age) - MIN(age) FROM t_user",
-		"SELECT MAX(age) - MIN(age) FROM t_user WHERE uid IN (?, ?)",
-		"SELECT age, COUNT(*) FROM t_user GROUP BY age ORDER BY COUNT(*) + 1",
+		"SELECT * FROM t_user GROUP BY age",
+		"SELECT *, COUNT(*) FROM t_user WHERE uid IN (?, ?) GROUP BY uid",
+		"SELECT t_user.* FROM t_user GROUP BY age ORDER BY COUNT(*) + 1",
 	} {
 		for run := 0; run < 2; run++ { // compiled, then kept
 			before := sent()
@@ -104,7 +105,7 @@ func TestUndecomposableSelectIsRefusedBeforeAnyUnit(t *testing.T) {
 	}
 	// One unit: the node's own executor decides.
 	before := sent()
-	_, err := s.Execute("SELECT MAX(age) - MIN(age) FROM t_user WHERE uid = ?", sqltypes.NewInt(1))
+	_, err := s.Execute("SELECT * FROM t_user WHERE uid = ? GROUP BY age", sqltypes.NewInt(1))
 	if errors.Is(err, rewrite.ErrUnsupported) || sent() != before+1 {
 		t.Fatalf("single-node statement was not pushed down: err %v, %d units sent", err, sent()-before)
 	}

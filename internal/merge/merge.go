@@ -1,10 +1,12 @@
 // Package merge implements the result merger (paper Section VI-E): it
 // combines the per-data-node result sets of one logical query into a
-// single result. Stream mergers (iteration, order-by via a priority
-// queue, ordered group-by) hold one cursor per node and never materialize
-// the full result; memory mergers (hash group-by, distinct) drain the
-// cursors first. Decorators re-apply pagination and strip the columns the
-// rewriter derived.
+// single result. A grouped statement's units return partials, which the
+// merger drains and runs the statement's combine over through the data
+// node's own output stage (sqlexec.Output), so it holds memory in
+// proportion to the number of groups. Any other statement streams:
+// iteration, or order-by via a priority queue, holds one cursor per node
+// and never materializes the result; decorators strip the columns the
+// rewriter derived, dedupe a DISTINCT in memory and re-apply pagination.
 package merge
 
 import (
@@ -16,6 +18,7 @@ import (
 
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
+	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/sqltypes"
 )
 
@@ -28,37 +31,37 @@ func Merge(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.R
 	if ctx == nil {
 		ctx = &rewrite.SelectContext{}
 	}
+	if ctx.Combine != nil {
+		return combine(results, ctx)
+	}
 	// Fast path: one node, nothing to post-process (the single-node
 	// optimization of Section VI-C makes this the common case).
-	if len(results) == 1 && ctx.Derived == 0 && ctx.Limit == nil && !needsGrouping(ctx) {
+	if len(results) == 1 && ctx.Derived == 0 && ctx.Limit == nil {
 		return results[0], nil
 	}
 
 	var merged resource.ResultSet
-	var err error
-	switch {
-	case needsGrouping(ctx) && len(ctx.GroupBy) == 0:
-		merged, err = mergeGlobalAggregates(results, ctx)
-	case needsGrouping(ctx) && ctx.GroupOrdered:
-		merged, err = newGroupStreamMerger(results, ctx)
-	case needsGrouping(ctx):
-		merged, err = mergeGroupsInMemory(results, ctx)
-	case len(ctx.OrderBy) > 0:
-		merged, err = newOrderedStreamMerger(results, ctx.OrderBy)
-	default:
-		merged = newIterationMerger(results)
-	}
-	if err != nil {
-		closeAll(results)
-		return nil, err
-	}
-	if ctx.Distinct && len(results) > 1 {
-		merged, err = dedupe(merged, ctx.Derived)
-		if err != nil {
-			// dedupe consumed (and closed) the merged stream; nothing
-			// else holds the shard cursors.
+	if len(ctx.OrderBy) > 0 {
+		var err error
+		if merged, err = newOrderedStreamMerger(results, ctx.OrderBy); err != nil {
+			closeAll(results)
 			return nil, err
 		}
+	} else {
+		merged = newIterationMerger(results)
+	}
+	if ctx.Derived > 0 {
+		merged = &stripSet{inner: merged, derived: ctx.Derived}
+	}
+	if ctx.Distinct && len(results) > 1 {
+		// ReadAll consumed (and closed) the merged stream; nothing else
+		// holds the shard cursors.
+		cols := merged.Columns()
+		rows, err := resource.ReadAll(merged)
+		if err != nil {
+			return nil, err
+		}
+		merged = resource.NewSliceResultSet(cols, sqlexec.DistinctRows(rows))
 	}
 	if ctx.Limit != nil {
 		skip := int64(0)
@@ -67,14 +70,31 @@ func Merge(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.R
 		}
 		merged = &limitSet{inner: merged, skip: skip, take: ctx.Limit.Count}
 	}
-	if ctx.Derived > 0 {
-		merged = &stripSet{inner: merged, derived: ctx.Derived}
-	}
 	return merged, nil
 }
 
-func needsGrouping(ctx *rewrite.SelectContext) bool {
-	return len(ctx.GroupBy) > 0 || len(ctx.Aggregates) > 0
+// combine drains every unit's partial rows and runs the statement's
+// combine over them. Each set is read to its end and closed before the
+// next (resource.ReadAll closes the set it drains, success or failure), so
+// a unit's connection is released as soon as its rows are in.
+func combine(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.ResultSet, error) {
+	var rows []sqltypes.Row
+	for i, rs := range results {
+		part, err := resource.ReadAll(rs)
+		if err != nil {
+			closeAll(results[i+1:])
+			return nil, err
+		}
+		if rows == nil {
+			rows = make([]sqltypes.Row, 0, len(part)*len(results))
+		}
+		rows = append(rows, part...)
+	}
+	res, err := ctx.Combine.Run(rows, ctx.Args)
+	if err != nil {
+		return nil, err
+	}
+	return resource.NewSliceResultSet(res.Columns, res.Rows), nil
 }
 
 func closeAll(results []resource.ResultSet) {
@@ -345,250 +365,6 @@ func (s *orderedStreamSet) Close() error {
 	}
 	s.h.cursors = nil
 	return nil
-}
-
-// --- aggregate combination ---
-
-// combiner accumulates one output row from per-node partial rows.
-type combiner struct {
-	aggs []rewrite.AggregateItem
-	row  sqltypes.Row
-	// counts tracks non-null contributions per aggregate column for SUM.
-	started bool
-}
-
-func newCombiner(aggs []rewrite.AggregateItem) *combiner {
-	return &combiner{aggs: aggs}
-}
-
-func (c *combiner) add(row sqltypes.Row) {
-	if !c.started {
-		c.row = row.Clone()
-		c.started = true
-		return
-	}
-	for _, a := range c.aggs {
-		cur, nv := c.row[a.Index], row[a.Index]
-		switch a.Kind {
-		case rewrite.AggCount, rewrite.AggSum:
-			switch {
-			case nv.IsNull():
-			case cur.IsNull():
-				c.row[a.Index] = nv
-			default:
-				c.row[a.Index] = sqltypes.Add(cur, nv)
-			}
-		case rewrite.AggMax:
-			if cur.IsNull() || (!nv.IsNull() && sqltypes.Compare(nv, cur) > 0) {
-				c.row[a.Index] = nv
-			}
-		case rewrite.AggMin:
-			if cur.IsNull() || (!nv.IsNull() && sqltypes.Compare(nv, cur) < 0) {
-				c.row[a.Index] = nv
-			}
-		}
-	}
-}
-
-// finish recomputes AVG columns from their derived SUM/COUNT partials.
-func (c *combiner) finish() sqltypes.Row {
-	for _, a := range c.aggs {
-		if a.Kind != rewrite.AggAvg {
-			continue
-		}
-		sum, cnt := c.row[a.SumIndex], c.row[a.CountIndex]
-		if cnt.IsNull() || cnt.AsInt() == 0 || sum.IsNull() {
-			c.row[a.Index] = sqltypes.Null
-			continue
-		}
-		c.row[a.Index] = sqltypes.NewFloat(sum.AsFloat() / cnt.AsFloat())
-	}
-	return c.row
-}
-
-// Memory mergers may sit over live shard cursors (nothing guarantees
-// their inputs were pre-drained), so each set's connection must release
-// as soon as its rows are read — not when the whole merge finishes.
-// resource.ReadAll closes the set it drains, success or failure, which
-// is exactly that contract.
-
-// mergeGlobalAggregates combines the single partial-aggregate row each
-// node returns for an ungrouped aggregate query.
-func mergeGlobalAggregates(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.ResultSet, error) {
-	cols := results[0].Columns()
-	comb := newCombiner(ctx.Aggregates)
-	for _, rs := range results {
-		rows, err := resource.ReadAll(rs)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			comb.add(row)
-		}
-	}
-	if !comb.started {
-		return resource.NewSliceResultSet(cols, nil), nil
-	}
-	return resource.NewSliceResultSet(cols, []sqltypes.Row{comb.finish()}), nil
-}
-
-// --- group-by stream merger (paper VI-E case 3, Fig. 7(a)) ---
-
-type groupStreamSet struct {
-	inner resource.ResultSet
-	ctx   *rewrite.SelectContext
-	keys  []rewrite.OrderKey
-	head  sqltypes.Row
-	done  bool
-}
-
-func newGroupStreamMerger(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.ResultSet, error) {
-	cols := results[0].Columns()
-	orderKeys := ctx.OrderBy
-	if len(orderKeys) == 0 {
-		orderKeys = ctx.GroupBy
-	}
-	inner, err := newOrderedStreamMerger(results, orderKeys)
-	if err != nil {
-		return nil, err
-	}
-	groupKeys, err := resolveKeys(ctx.GroupBy, cols)
-	if err != nil {
-		inner.Close()
-		return nil, err
-	}
-	return &groupStreamSet{inner: inner, ctx: ctx, keys: groupKeys}, nil
-}
-
-func (s *groupStreamSet) Columns() []string { return s.inner.Columns() }
-
-func (s *groupStreamSet) Next() (sqltypes.Row, error) {
-	if s.done {
-		return nil, io.EOF
-	}
-	if s.head == nil {
-		row, err := s.inner.Next()
-		if errors.Is(err, io.EOF) {
-			s.done = true
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.head = row
-	}
-	comb := newCombiner(s.ctx.Aggregates)
-	comb.add(s.head)
-	for {
-		row, err := s.inner.Next()
-		if errors.Is(err, io.EOF) {
-			s.done = true
-			s.head = nil
-			return comb.finish(), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if compareByKeys(row, s.head, s.keys) == 0 {
-			comb.add(row)
-			continue
-		}
-		s.head = row
-		return comb.finish(), nil
-	}
-}
-
-func (s *groupStreamSet) NextBatch(buf []sqltypes.Row) (int, error) {
-	return resource.FillBatch(s.Next, buf)
-}
-
-func (s *groupStreamSet) Close() error { return s.inner.Close() }
-
-// --- group-by memory merger (paper VI-E case 4, Fig. 7(b)) ---
-
-func mergeGroupsInMemory(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.ResultSet, error) {
-	cols := results[0].Columns()
-	groupKeys, err := resolveKeys(ctx.GroupBy, cols)
-	if err != nil {
-		closeAll(results)
-		return nil, err
-	}
-	groups := map[string]*combiner{}
-	var order []string
-	for _, rs := range results {
-		rows, err := resource.ReadAll(rs)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			var kb strings.Builder
-			for _, k := range groupKeys {
-				kb.WriteString(row[k.Index].AsString())
-				kb.WriteByte(0)
-				kb.WriteByte(byte(row[k.Index].Kind))
-			}
-			key := kb.String()
-			comb, ok := groups[key]
-			if !ok {
-				comb = newCombiner(ctx.Aggregates)
-				groups[key] = comb
-				order = append(order, key)
-			}
-			comb.add(row)
-		}
-	}
-	out := make([]sqltypes.Row, 0, len(groups))
-	for _, key := range order {
-		out = append(out, groups[key].finish())
-	}
-	// Apply ORDER BY in memory when requested.
-	if len(ctx.OrderBy) > 0 {
-		orderKeys, err := resolveKeys(ctx.OrderBy, cols)
-		if err != nil {
-			return nil, err
-		}
-		sortRows(out, orderKeys)
-	}
-	return resource.NewSliceResultSet(cols, out), nil
-}
-
-func sortRows(rows []sqltypes.Row, keys []rewrite.OrderKey) {
-	// Insertion sort is fine for the small grouped outputs; use stdlib
-	// sort for generality.
-	sortSlice(rows, func(a, b sqltypes.Row) bool {
-		return compareByKeys(a, b, keys) < 0
-	})
-}
-
-// --- distinct (memory) ---
-
-func dedupe(rs resource.ResultSet, derived int) (resource.ResultSet, error) {
-	cols := rs.Columns()
-	rows, err := resource.ReadAll(rs)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]struct{}{}
-	out := rows[:0]
-	for _, row := range rows {
-		visible := row
-		if derived > 0 && len(row) >= derived {
-			visible = row[:len(row)-derived]
-		}
-		var kb strings.Builder
-		for _, v := range visible {
-			kb.WriteString(v.AsString())
-			kb.WriteByte(0)
-			kb.WriteByte(byte(v.Kind))
-		}
-		key := kb.String()
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, row)
-	}
-	return resource.NewSliceResultSet(cols, out), nil
 }
 
 // --- decorators ---

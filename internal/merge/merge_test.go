@@ -7,6 +7,8 @@ import (
 
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
+	"shardingsphere/internal/sqlexec"
+	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
 
@@ -114,14 +116,24 @@ func TestOrderByNameResolution(t *testing.T) {
 	}
 }
 
+// combineCtx compiles a combine statement over partial columns with the
+// given names, as the rewriter does for a grouped statement.
+func combineCtx(t *testing.T, sql string, columns ...string) *rewrite.SelectContext {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sqlexec.CompileOutput(stmt.(*sqlparser.SelectStmt), columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rewrite.SelectContext{Combine: out}
+}
+
 func TestGlobalAggregateMerge(t *testing.T) {
 	cols := []string{"COUNT(*)", "SUM(x)", "MIN(x)", "MAX(x)"}
-	ctx := &rewrite.SelectContext{Aggregates: []rewrite.AggregateItem{
-		{Index: 0, Kind: rewrite.AggCount},
-		{Index: 1, Kind: rewrite.AggSum},
-		{Index: 2, Kind: rewrite.AggMin},
-		{Index: 3, Kind: rewrite.AggMax},
-	}}
+	ctx := combineCtx(t, "SELECT SUM(c), SUM(s), MIN(lo), MAX(hi), MAX(hi) - MIN(lo) FROM p", "c", "s", "lo", "hi")
 	merged, err := Merge([]resource.ResultSet{
 		rsOf(cols, sqltypes.Row{vi(2), vi(10), vi(3), vi(7)}),
 		rsOf(cols, sqltypes.Row{vi(3), vi(20), vi(1), vi(9)}),
@@ -131,14 +143,14 @@ func TestGlobalAggregateMerge(t *testing.T) {
 	}
 	rows := drain(t, merged)
 	r := rows[0]
-	if r[0].I != 5 || r[1].I != 30 || r[2].I != 1 || r[3].I != 9 {
-		t.Fatalf("global agg: %v", r)
+	if len(rows) != 1 || r[0].I != 5 || r[1].I != 30 || r[2].I != 1 || r[3].I != 9 || r[4].I != 8 {
+		t.Fatalf("global agg: %v", rows)
 	}
 }
 
 func TestGlobalAggregateWithNullPartials(t *testing.T) {
 	cols := []string{"SUM(x)"}
-	ctx := &rewrite.SelectContext{Aggregates: []rewrite.AggregateItem{{Index: 0, Kind: rewrite.AggSum}}}
+	ctx := combineCtx(t, "SELECT SUM(s) FROM p", "s")
 	merged, err := Merge([]resource.ResultSet{
 		rsOf(cols, sqltypes.Row{sqltypes.Null}),
 		rsOf(cols, sqltypes.Row{vi(5)}),
@@ -153,52 +165,35 @@ func TestGlobalAggregateWithNullPartials(t *testing.T) {
 }
 
 func TestAvgRecomputedFromPartials(t *testing.T) {
-	// AVG at col 0, derived SUM at 1 and COUNT at 2 (as the rewriter lays
-	// them out).
-	cols := []string{"AVG(x)", "AVG_SUM_DERIVED_0", "AVG_COUNT_DERIVED_1"}
-	ctx := &rewrite.SelectContext{
-		Derived: 2,
-		Aggregates: []rewrite.AggregateItem{
-			{Index: 0, Kind: rewrite.AggAvg, SumIndex: 1, CountIndex: 2},
-			{Index: 1, Kind: rewrite.AggSum},
-			{Index: 2, Kind: rewrite.AggCount},
-		},
-	}
+	// Each unit sends AVG(x) as SUM(x), COUNT(x), as the rewriter lays it
+	// out; the combine divides the sums' sum by the counts' sum.
+	cols := []string{"SUM(x)", "COUNT(x)"}
+	ctx := combineCtx(t, "SELECT SUM(s) / SUM(c) AS `AVG(x)` FROM p", "s", "c")
 	// Node 1: avg=2 over 3 rows (sum 6); node 2: avg=10 over 1 row.
 	// A naive average-of-averages would give 6; the true mean is 4.
 	merged, err := Merge([]resource.ResultSet{
-		rsOf(cols, sqltypes.Row{sqltypes.NewFloat(2), vi(6), vi(3)}),
-		rsOf(cols, sqltypes.Row{sqltypes.NewFloat(10), vi(10), vi(1)}),
+		rsOf(cols, sqltypes.Row{vi(6), vi(3)}),
+		rsOf(cols, sqltypes.Row{vi(10), vi(1)}),
 	}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := drain(t, merged)
-	if len(rows) != 1 || rows[0][0].AsFloat() != 4 {
+	if len(rows) != 1 || len(rows[0]) != 1 || rows[0][0].Kind != sqltypes.KindFloat || rows[0][0].F != 4 {
 		t.Fatalf("avg merge: %v", rows)
 	}
-	// Derived columns stripped.
-	if len(rows[0]) != 1 {
-		t.Fatalf("derived not stripped: %v", rows[0])
-	}
-	if got := merged.Columns(); len(got) != 1 {
-		t.Fatalf("derived columns visible: %v", got)
+	if got := merged.Columns(); len(got) != 1 || got[0] != "AVG(x)" {
+		t.Fatalf("columns: %v", got)
 	}
 }
 
-func TestGroupStreamMerge(t *testing.T) {
-	// Matches the paper's Fig. 7 walkthrough: per-node results are grouped
-	// and ordered by name; the stream merger combines groups that span
-	// nodes.
+func TestGroupMemoryMerge(t *testing.T) {
+	// The paper's Fig. 7 data: a group spans nodes, whatever order the
+	// nodes return their groups in.
 	cols := []string{"name", "SUM(score)"}
-	ctx := &rewrite.SelectContext{
-		GroupBy:      []rewrite.OrderKey{{Index: 0}},
-		OrderBy:      []rewrite.OrderKey{{Index: 0}},
-		GroupOrdered: true,
-		Aggregates:   []rewrite.AggregateItem{{Index: 1, Kind: rewrite.AggSum}},
-	}
+	ctx := combineCtx(t, "SELECT name, SUM(s) FROM p GROUP BY name", "name", "s")
 	merged, err := Merge([]resource.ResultSet{
-		rsOf(cols, sqltypes.Row{vs("jerry"), vi(90)}, sqltypes.Row{vs("tom"), vi(80)}),
+		rsOf(cols, sqltypes.Row{vs("tom"), vi(80)}, sqltypes.Row{vs("jerry"), vi(90)}),
 		rsOf(cols, sqltypes.Row{vs("jerry"), vi(88)}, sqltypes.Row{vs("tony"), vi(100)}),
 	}, ctx)
 	if err != nil {
@@ -206,63 +201,32 @@ func TestGroupStreamMerge(t *testing.T) {
 	}
 	rows := drain(t, merged)
 	if len(rows) != 3 {
-		t.Fatalf("groups: %v", rows)
-	}
-	if rows[0][0].S != "jerry" || rows[0][1].I != 178 {
-		t.Fatalf("jerry group: %v", rows[0])
-	}
-	if rows[1][0].S != "tom" || rows[1][1].I != 80 {
-		t.Fatalf("tom group: %v", rows[1])
-	}
-	if rows[2][0].S != "tony" || rows[2][1].I != 100 {
-		t.Fatalf("tony group: %v", rows[2])
-	}
-}
-
-func TestGroupMemoryMerge(t *testing.T) {
-	// Unordered node results (no injected ORDER BY) force the memory
-	// merger.
-	cols := []string{"name", "COUNT(*)"}
-	ctx := &rewrite.SelectContext{
-		GroupBy:    []rewrite.OrderKey{{Index: 0}},
-		Aggregates: []rewrite.AggregateItem{{Index: 1, Kind: rewrite.AggCount}},
-	}
-	merged, err := Merge([]resource.ResultSet{
-		rsOf(cols, sqltypes.Row{vs("b"), vi(1)}, sqltypes.Row{vs("a"), vi(2)}),
-		rsOf(cols, sqltypes.Row{vs("a"), vi(3)}),
-	}, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := drain(t, merged)
-	if len(rows) != 2 {
 		t.Fatalf("memory groups: %v", rows)
 	}
-	counts := map[string]int64{}
+	sums := map[string]int64{}
 	for _, r := range rows {
-		counts[r[0].S] = r[1].I
+		sums[r[0].S] = r[1].I
 	}
-	if counts["a"] != 5 || counts["b"] != 1 {
-		t.Fatalf("memory group sums: %v", counts)
+	if sums["jerry"] != 178 || sums["tom"] != 80 || sums["tony"] != 100 {
+		t.Fatalf("memory group sums: %v", sums)
 	}
 }
 
 func TestGroupMemoryMergeWithOrderBy(t *testing.T) {
+	// HAVING, ORDER BY and LIMIT apply to the merged groups, reading the
+	// statement's arguments.
 	cols := []string{"name", "SUM(x)"}
-	ctx := &rewrite.SelectContext{
-		GroupBy:    []rewrite.OrderKey{{Index: 0}},
-		OrderBy:    []rewrite.OrderKey{{Index: 1, Desc: true}},
-		Aggregates: []rewrite.AggregateItem{{Index: 1, Kind: rewrite.AggSum}},
-	}
+	ctx := combineCtx(t, "SELECT name, SUM(s) FROM p GROUP BY name HAVING SUM(s) > ? ORDER BY 2 DESC LIMIT ?", "name", "s")
+	ctx.Args = []sqltypes.Value{vi(2), vi(2)}
 	merged, err := Merge([]resource.ResultSet{
-		rsOf(cols, sqltypes.Row{vs("a"), vi(1)}, sqltypes.Row{vs("b"), vi(10)}),
-		rsOf(cols, sqltypes.Row{vs("a"), vi(2)}),
+		rsOf(cols, sqltypes.Row{vs("a"), vi(1)}, sqltypes.Row{vs("b"), vi(10)}, sqltypes.Row{vs("c"), vi(2)}),
+		rsOf(cols, sqltypes.Row{vs("a"), vi(2)}, sqltypes.Row{vs("d"), vi(1)}, sqltypes.Row{vs("e"), vi(9)}),
 	}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := drain(t, merged)
-	if rows[0][0].S != "b" || rows[1][1].I != 3 {
+	if len(rows) != 2 || rows[0][0].S != "b" || rows[1][0].S != "e" {
 		t.Fatalf("ordered memory groups: %v", rows)
 	}
 }
@@ -334,6 +298,19 @@ func TestDistinctMerge(t *testing.T) {
 	rows := drain(t, merged)
 	if len(rows) != 3 {
 		t.Fatalf("distinct: %v", rows)
+	}
+	// One engine's value identity: 2 and 2.0 are one value; rows compare
+	// on their visible columns, the derived ORDER BY key stripped first.
+	ctx = &rewrite.SelectContext{Distinct: true, Derived: 1, OrderBy: []rewrite.OrderKey{{Index: 1}}}
+	merged, err = Merge([]resource.ResultSet{
+		rsOf([]string{"x", "k"}, sqltypes.Row{vi(2), vi(1)}, sqltypes.Row{sqltypes.NewFloat(2.5), vi(3)}),
+		rsOf([]string{"x", "k"}, sqltypes.Row{sqltypes.NewFloat(2), vi(2)}),
+	}, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := drain(t, merged); len(rows) != 2 || len(rows[0]) != 1 || rows[0][0].I != 2 || rows[1][0].F != 2.5 {
+		t.Fatalf("distinct by value: %v", rows)
 	}
 }
 
@@ -552,17 +529,14 @@ func TestMergeErrorPathClosesAll(t *testing.T) {
 	}
 }
 
-// TestMemoryMergersCloseInputsEagerly: memory mergers (group hash,
-// distinct, global aggregates) must release each shard cursor as soon as
-// it is drained, not when the merged set is eventually closed.
+// TestMemoryMergersCloseInputsEagerly: memory mergers (a combine,
+// distinct) must release each shard cursor as soon as it is drained, not
+// when the merged set is eventually closed.
 func TestMemoryMergersCloseInputsEagerly(t *testing.T) {
 	cols := []string{"name", "COUNT(*)"}
 	a := &countingRS{inner: rsOf(cols, sqltypes.Row{vs("a"), vi(1)})}
 	b := &countingRS{inner: rsOf(cols, sqltypes.Row{vs("b"), vi(2)})}
-	merged, err := Merge([]resource.ResultSet{a, b}, &rewrite.SelectContext{
-		GroupBy:    []rewrite.OrderKey{{Index: 0}},
-		Aggregates: []rewrite.AggregateItem{{Index: 1, Kind: rewrite.AggCount}},
-	})
+	merged, err := Merge([]resource.ResultSet{a, b}, combineCtx(t, "SELECT name, SUM(c) FROM p GROUP BY name", "name", "c"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +549,7 @@ func TestMemoryMergersCloseInputsEagerly(t *testing.T) {
 		t.Fatalf("double close after merged.Close: a=%d b=%d", a.closes, b.closes)
 	}
 
-	// Distinct path: dedupe drains through readAllClosed too.
+	// Distinct path: dedupe drains through ReadAll too.
 	c := &countingRS{inner: rsOf([]string{"v"}, sqltypes.Row{vi(1)}, sqltypes.Row{vi(1)})}
 	d := &countingRS{inner: rsOf([]string{"v"}, sqltypes.Row{vi(2)})}
 	merged, err = Merge([]resource.ResultSet{c, d}, &rewrite.SelectContext{Distinct: true})
@@ -587,6 +561,17 @@ func TestMemoryMergersCloseInputsEagerly(t *testing.T) {
 	}
 	if c.closes != 1 || d.closes != 1 {
 		t.Fatalf("distinct input closes: c=%d d=%d", c.closes, d.closes)
+	}
+
+	// A unit that fails mid-drain fails the combine, and the units not yet
+	// read are closed with it.
+	e := &countingRS{inner: rsOf(cols, sqltypes.Row{vs("a"), vi(1)}, sqltypes.Row{vs("b"), vi(1)}), failAfter: 1}
+	f := &countingRS{inner: rsOf(cols, sqltypes.Row{vs("b"), vi(2)})}
+	if _, err := Merge([]resource.ResultSet{e, f}, combineCtx(t, "SELECT name, SUM(c) FROM p GROUP BY name", "name", "c")); !errors.Is(err, errInjected) {
+		t.Fatalf("want the injected error, got %v", err)
+	}
+	if e.closes != 1 || f.closes != 1 {
+		t.Fatalf("combine input closes after an error: e=%d f=%d", e.closes, f.closes)
 	}
 }
 

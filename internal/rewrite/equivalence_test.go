@@ -12,46 +12,43 @@ import (
 )
 
 // referenceRewrite is the rewriter as it was before statements were
-// compiled once and bound: derive on a clone, then clone + RenameTables +
-// Serialize once per unit, a split INSERT keeping each unit's rows. It
-// returns, beside the units, each unit's bound text: its statement with
-// every placeholder replaced by the argument it stands for, args[p.Index]
-// (a fan-out LIMIT stands for offset+count, bound after the statement's
-// own arguments). The equivalence test and the fuzz target hold the
-// compile/bind mechanism to both, byte for byte.
+// compiled once and bound: derive on a clone (deriveSelect, the one
+// derivation), then clone + RenameTables + Serialize once per unit, a
+// split INSERT keeping each unit's rows. It returns, beside the units,
+// each unit's bound text: its statement with every placeholder replaced by
+// the argument it stands for, args[p.Index] (a fan-out LIMIT stands for
+// offset+count, bound after the statement's own arguments). The
+// equivalence test and the fuzz target hold the compile/bind mechanism to
+// both, byte for byte.
 func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltypes.Value, dialect DialectFunc) (*Result, []string, error) {
 	out := &Result{}
 	work := sqlparser.CloneStatement(stmt)
 	if sel, ok := work.(*sqlparser.SelectStmt); ok {
-		ctx := &SelectContext{Distinct: sel.Distinct}
+		var li *LimitInfo
 		if sel.Limit != nil {
-			li, err := evalLimit(sel.Limit, args)
+			var err error
+			if li, err = evalLimit(sel.Limit, args); err != nil {
+				return nil, nil, err
+			}
+		}
+		if rt.SingleNode() {
+			out.Select = SingleNodeSelectContext(sel)
+		} else {
+			derived, ctx, err := deriveSelect(sel)
 			if err != nil {
 				return nil, nil, err
 			}
-			ctx.Limit = li
-		}
-		if !rt.SingleNode() {
-			deriveColumns(sel, ctx)
-			if len(sel.GroupBy) > 0 && len(sel.OrderBy) == 0 {
-				for _, g := range sel.GroupBy {
-					sel.OrderBy = append(sel.OrderBy, sqlparser.OrderItem{Expr: sqlparser.CloneExpr(g)})
-				}
-				ctx.GroupOrdered = true
-				ctx.OrderBy = append([]OrderKey(nil), ctx.GroupBy...)
-			} else if len(sel.GroupBy) > 0 && len(sel.OrderBy) > 0 {
-				ctx.GroupOrdered = sameKeys(ctx.GroupBy, ctx.OrderBy)
+			switch {
+			case ctx.Combine != nil:
+				ctx.Args = args
+			case li != nil:
+				derived.Limit = &sqlparser.Limit{Count: &sqlparser.Placeholder{Index: len(args)}}
+				args = append(args[:len(args):len(args)], sqltypes.NewInt(li.Offset+li.Count))
+				li.Revised = li.Offset > 0
+				ctx.Limit = li
 			}
-			if ctx.Limit != nil {
-				sel.Limit = &sqlparser.Limit{Count: &sqlparser.Placeholder{Index: len(args)}}
-				args = append(args[:len(args):len(args)], sqltypes.NewInt(ctx.Limit.Offset+ctx.Limit.Count))
-				ctx.Limit.Revised = ctx.Limit.Offset > 0
-			}
-		} else {
-			ctx.Limit = nil
-			resolveKeysForSingleNode(sel, ctx)
+			work, out.Select = derived, ctx
 		}
-		out.Select = ctx
 	}
 	var bound []string
 	for _, unit := range rt.Units {
@@ -245,6 +242,8 @@ var equivalenceShapes = []struct {
 	{"order by ordinal", "SELECT name, age FROM t_user WHERE uid BETWEEN ? AND ? ORDER BY 2 DESC", [2][]sqltypes.Value{intArgs(1, 100), intArgs(7, 7)}, [2]int{4, 1}},
 	{"group by ordinal", "SELECT age, COUNT(*) FROM t_user WHERE uid BETWEEN ? AND ? GROUP BY 1", [2][]sqltypes.Value{intArgs(1, 100), intArgs(6, 6)}, [2]int{4, 1}},
 	{"group by a placeholder expression", "SELECT COUNT(*) FROM t_user WHERE uid BETWEEN ? AND ? GROUP BY age % ?", [2][]sqltypes.Value{intArgs(1, 100, 2), intArgs(3, 3, 5)}, [2]int{4, 1}},
+	{"grouped, filtered and paged", "SELECT age, COUNT(*) FROM t_user GROUP BY age HAVING COUNT(*) > ? ORDER BY 2 DESC LIMIT ?, ?", [2][]sqltypes.Value{intArgs(1, 2, 3), intArgs(0, 0, 1)}, [2]int{4, 4}},
+	{"distinct aggregate", "SELECT age % ?, COUNT(DISTINCT name), AVG(uid) FROM t_user WHERE uid BETWEEN ? AND ? GROUP BY 1", [2][]sqltypes.Value{intArgs(3, 1, 100), intArgs(2, 6, 6)}, [2]int{4, 1}},
 	{"same text, different arguments", "SELECT age % ?, age % ? FROM t_user ORDER BY age % ?", [2][]sqltypes.Value{intArgs(3, 5, 5), intArgs(2, 2, 7)}, [2]int{4, 4}},
 	{"order by an expression, paged", "SELECT name FROM t_user ORDER BY uid + ? DESC LIMIT ?, ?", [2][]sqltypes.Value{intArgs(1, 2, 3), intArgs(0, 0, 1)}, [2]int{4, 4}},
 	{"postgresql paging on ds1", "SELECT name FROM t_user WHERE uid = ? ORDER BY age LIMIT ? OFFSET ?", [2][]sqltypes.Value{intArgs(1, 10, 20), intArgs(3, 5, 0)}, [2]int{1, 1}},
@@ -338,7 +337,17 @@ func assertSameRewrite(t testing.TB, who string, dialect DialectFunc, got, want 
 			t.Errorf("%s unit %d bound:\n got %s\nwant %s", who, i, bound, wantBound[i])
 		}
 	}
-	if !reflect.DeepEqual(got.Select, want.Select) {
-		t.Errorf("%s merge context:\n got %+v\nwant %+v", who, got.Select, want.Select)
+	gotCtx, wantCtx := got.Select, want.Select
+	if gotCtx != nil && wantCtx != nil {
+		// Each side compiled its own combine: compare that there is one.
+		g, w := *gotCtx, *wantCtx
+		if (g.Combine == nil) != (w.Combine == nil) {
+			t.Errorf("%s combine %v, reference %v", who, g.Combine, w.Combine)
+		}
+		g.Combine, w.Combine = nil, nil
+		gotCtx, wantCtx = &g, &w
+	}
+	if !reflect.DeepEqual(gotCtx, wantCtx) {
+		t.Errorf("%s merge context:\n got %+v\nwant %+v", who, gotCtx, wantCtx)
 	}
 }

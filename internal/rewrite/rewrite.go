@@ -3,23 +3,25 @@
 // executable SQL:
 //
 // Correctness rewrite — identifier rewrite (logic → actual table names),
-// column derivation (ORDER BY / GROUP BY / AVG inputs the merger needs but
-// the query didn't select), pagination revision (each node must return the
-// first offset+count rows), and batched-insert split (each node receives
-// only its rows).
+// column derivation (ORDER BY keys the merger needs but the query didn't
+// select), two-phase aggregation (a grouped SELECT's units compute
+// partials and the merger runs its combine statement over them),
+// pagination revision (each node must return the first offset+count rows),
+// and batched-insert split (each node receives only its rows).
 //
 // Optimization rewrite — single-node queries skip derivation and
-// pagination revision entirely, and GROUP BY queries gain an ORDER BY so
-// the merger can stream instead of materializing (Section VI-E).
+// pagination revision entirely.
 package rewrite
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"shardingsphere/internal/route"
+	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
@@ -33,28 +35,6 @@ type SQLUnit struct {
 	Args        []sqltypes.Value
 	LogicTable  string
 	ActualTable string
-}
-
-// AggregateKind labels how the merger combines a column.
-type AggregateKind uint8
-
-// Aggregate kinds for merged columns.
-const (
-	AggNone AggregateKind = iota
-	AggCount
-	AggSum
-	AggMax
-	AggMin
-	AggAvg
-)
-
-// AggregateItem describes one aggregated output column. For AVG, SumIndex
-// and CountIndex point at the derived columns the rewriter appended.
-type AggregateItem struct {
-	Index      int
-	Kind       AggregateKind
-	SumIndex   int // AVG only
-	CountIndex int // AVG only
 }
 
 // OrderKey is one merged ordering key. Index is the output column, or -1
@@ -80,17 +60,17 @@ type SelectContext struct {
 	// Derived is the number of trailing derived columns to strip from the
 	// merged rows before returning them to the client.
 	Derived int
-	// Aggregates lists aggregated output columns.
-	Aggregates []AggregateItem
 	// OrderBy lists merge keys; empty means iteration merge.
-	OrderBy []OrderKey
-	// GroupBy lists grouping keys as merge keys (same resolution rules).
-	GroupBy []OrderKey
-	// GroupOrdered reports that node results arrive ordered by the group
-	// keys, enabling the stream group merger.
-	GroupOrdered bool
-	Limit        *LimitInfo
-	Distinct     bool
+	OrderBy  []OrderKey
+	Limit    *LimitInfo
+	Distinct bool
+	// Combine, set for a grouped statement on several units, is the
+	// statement's output stage over the units' partial rows: it groups,
+	// filters, orders, dedupes and pages them as one data node would, so
+	// the fields above are unset. Args are the statement's arguments,
+	// which its HAVING, ORDER BY and LIMIT may read.
+	Combine *sqlexec.Output
+	Args    []sqltypes.Value
 }
 
 // Result is the rewriter's output: executable units plus the merge
@@ -128,32 +108,41 @@ func (rw *Rewriter) Rewrite(stmt sqlparser.Statement, rt *route.Result, args []s
 	return t.Rewrite(rt, args, rw.dialect)
 }
 
-// deriveSelect returns a private clone of the statement in its multi-node
-// form — derived columns and the stream-merger ORDER BY — with the
-// matching merge context (minus pagination, which depends on bound
-// values). It is the one place that form is derived, so it is also where
-// a statement that has none is refused.
+// deriveSelect returns a private copy of the statement in its multi-node
+// form with the context its units' results merge under (minus pagination,
+// which depends on bound values). It is the one place that form is
+// derived, so it is also where a statement that has none is refused.
+//
+// A grouped statement — a GROUP BY or any aggregate call, however nested —
+// aggregates in two phases (paper Section VI-E's group-by and aggregation
+// mergers): its units compute partials and the merger runs the combine
+// over their rows. Any other SELECT's units return its rows with the
+// ORDER BY keys it did not select; the merger orders, dedupes and pages
+// them as they stream.
 func deriveSelect(stmt *sqlparser.SelectStmt) (*sqlparser.SelectStmt, *SelectContext, error) {
-	if err := decomposable(stmt); err != nil {
-		return nil, nil, err
+	var aggs []*sqlparser.FuncExpr
+	visit := func(e sqlparser.Expr) {
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+			if f, ok := x.(*sqlparser.FuncExpr); ok && f.IsAggregate() {
+				aggs = append(aggs, f)
+				return false
+			}
+			return true
+		})
+	}
+	for _, it := range stmt.Items {
+		visit(it.Expr)
+	}
+	visit(stmt.Having)
+	for _, o := range stmt.OrderBy {
+		visit(o.Expr)
+	}
+	if len(stmt.GroupBy) > 0 || len(aggs) > 0 {
+		return splitGrouped(stmt, aggs)
 	}
 	ctx := &SelectContext{Distinct: stmt.Distinct}
 	work := sqlparser.CloneStatement(stmt).(*sqlparser.SelectStmt)
 	deriveColumns(work, ctx)
-	// Stream-merger optimization: GROUP BY without ORDER BY gains an
-	// ORDER BY on the group keys so every node returns sorted groups.
-	if len(work.GroupBy) > 0 && len(work.OrderBy) == 0 {
-		for _, g := range work.GroupBy {
-			work.OrderBy = append(work.OrderBy, sqlparser.OrderItem{Expr: sqlparser.CloneExpr(g)})
-		}
-		ctx.GroupOrdered = true
-		// The injected ORDER BY mirrors the group keys.
-		ctx.OrderBy = append([]OrderKey(nil), ctx.GroupBy...)
-	} else if len(work.GroupBy) > 0 && len(work.OrderBy) > 0 {
-		// Stream grouping also works when ORDER BY already equals the
-		// GROUP BY keys (the paper's same-item case).
-		ctx.GroupOrdered = sameKeys(ctx.GroupBy, ctx.OrderBy)
-	}
 	return work, ctx, nil
 }
 
@@ -161,35 +150,127 @@ func deriveSelect(stmt *sqlparser.SelectStmt) (*sqlparser.SelectStmt, *SelectCon
 // written but that has no multi-node form.
 var ErrUnsupported = errors.New("rewrite: not supported across data nodes")
 
-// decomposable rejects what deriveColumns cannot split into per-node
-// partials: an aggregate nested inside a larger select-item or ORDER BY
-// expression (MAX(k) - MIN(k) merges neither as a MAX nor as a MIN).
-func decomposable(stmt *sqlparser.SelectStmt) error {
-	check := func(e sqlparser.Expr) error {
-		nested := false
-		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-			if f, ok := x.(*sqlparser.FuncExpr); ok && f.IsAggregate() && x != e {
-				nested = true
+// splitGrouped derives a grouped statement's two phases. The units' partial
+// selects the GROUP BY keys, every column used outside an aggregate and one
+// partial per aggregate call — COUNT, SUM, MIN and MAX as written, AVG as a
+// SUM and a COUNT — grouped by the keys, with no HAVING, ORDER BY or LIMIT.
+// The combine is the statement over the partial's columns: each aggregate
+// becomes its combine (COUNT and SUM a SUM, MIN a MIN, MAX a MAX, AVG
+// SUM(sums) / SUM(counts)), each key and column its partial column, and
+// HAVING, ORDER BY, DISTINCT and LIMIT run as written. A DISTINCT aggregate
+// has no partial to add up, so when there is one the units send each
+// row's keys, columns and aggregate arguments — distinct rows when every
+// aggregate is DISTINCT, MIN or MAX — and the combine runs the aggregates
+// as written. The combine is compiled here, once per shape.
+func splitGrouped(stmt *sqlparser.SelectStmt, aggs []*sqlparser.FuncExpr) (*sqlparser.SelectStmt, *SelectContext, error) {
+	if slices.ContainsFunc(stmt.Items, func(it sqlparser.SelectItem) bool { return it.Star }) {
+		return nil, nil, fmt.Errorf("%w: a star projection in a grouped statement", ErrUnsupported)
+	}
+	rows, rowDistinct := false, true
+	for _, f := range aggs {
+		rows = rows || f.Distinct
+		rowDistinct = rowDistinct && (f.Distinct || f.Name == "MIN" || f.Name == "MAX")
+	}
+	partial := sqlparser.CloneStatement(stmt).(*sqlparser.SelectStmt)
+	combine := &sqlparser.SelectStmt{Distinct: stmt.Distinct, Limit: partial.Limit}
+	partial.Distinct = rows && rowDistinct
+	partial.Items, partial.GroupBy, partial.Having, partial.OrderBy, partial.Limit = nil, nil, nil, nil, nil
+
+	// column is the combine's reference to the partial column computing e,
+	// added on first use.
+	var columns []string
+	index := map[string]int{}
+	column := func(e sqlparser.Expr) sqlparser.Expr {
+		key := exprKey(e)
+		i, ok := index[key]
+		if !ok {
+			i = len(columns)
+			index[key] = i
+			columns = append(columns, "partial_"+strconv.Itoa(i))
+			partial.Items = append(partial.Items, sqlparser.SelectItem{Expr: sqlparser.CloneExpr(e)})
+		}
+		return &sqlparser.ColumnRef{Name: columns[i]}
+	}
+	call := func(name string, arg sqlparser.Expr) *sqlparser.FuncExpr {
+		return &sqlparser.FuncExpr{Name: name, Args: []sqlparser.Expr{arg}}
+	}
+	combined := func(f *sqlparser.FuncExpr) sqlparser.Expr {
+		switch {
+		case rows:
+			c := &sqlparser.FuncExpr{Name: f.Name, Star: f.Star, Distinct: f.Distinct}
+			for _, a := range f.Args {
+				c.Args = append(c.Args, column(a))
 			}
-			return !nested
+			return c
+		case f.Name == "AVG":
+			return &sqlparser.BinaryExpr{Op: sqlparser.OpDiv,
+				L: call("SUM", column(&sqlparser.FuncExpr{Name: "SUM", Args: f.Args})),
+				R: call("SUM", column(&sqlparser.FuncExpr{Name: "COUNT", Args: f.Args}))}
+		case f.Name == "MIN" || f.Name == "MAX":
+			return call(f.Name, column(f))
+		default:
+			return call("SUM", column(f))
+		}
+	}
+	over := func(e sqlparser.Expr) sqlparser.Expr {
+		return sqlparser.MapExpr(e, func(x sqlparser.Expr) sqlparser.Expr {
+			switch t := x.(type) {
+			case *sqlparser.ColumnRef:
+				return column(t)
+			case *sqlparser.FuncExpr:
+				if t.IsAggregate() {
+					return combined(t)
+				}
+			}
+			return nil
 		})
-		if nested {
-			return fmt.Errorf("%w: aggregate inside the expression %s",
-				ErrUnsupported, sqlparser.NewSerializer(sqlparser.DialectMySQL).SerializeExpr(e))
-		}
-		return nil
 	}
-	for _, it := range stmt.Items {
-		if err := check(it.Expr); err != nil {
-			return err
+
+	for _, g := range stmt.GroupBy {
+		if lit, ok := g.(*sqlparser.Literal); ok && lit.Val.Kind == sqltypes.KindInt && lit.Val.I >= 0 {
+			if lit.Val.I == 0 || lit.Val.I > int64(len(stmt.Items)) {
+				// Compiling the combine reports the position as a node would.
+				combine.GroupBy = append(combine.GroupBy, sqlparser.CloneExpr(g))
+				continue
+			}
+			g = stmt.Items[lit.Val.I-1].Expr
 		}
+		if !rows {
+			partial.GroupBy = append(partial.GroupBy, sqlparser.CloneExpr(g))
+		}
+		combine.GroupBy = append(combine.GroupBy, column(g))
 	}
+	names := make([]string, len(stmt.Items))
+	ser := sqlparser.NewSerializer(sqlparser.DialectMySQL)
+	for i, it := range stmt.Items {
+		// The name a data node gives the item.
+		ref, isRef := it.Expr.(*sqlparser.ColumnRef)
+		switch {
+		case it.Alias != "":
+			names[i] = it.Alias
+		case isRef:
+			names[i] = ref.Name
+		default:
+			names[i] = ser.SerializeExpr(it.Expr)
+		}
+		combine.Items = append(combine.Items, sqlparser.SelectItem{Expr: over(it.Expr), Alias: names[i]})
+	}
+	combine.Having = over(stmt.Having)
 	for _, o := range stmt.OrderBy {
-		if err := check(o.Expr); err != nil {
-			return err
+		e := o.Expr
+		if ref, ok := e.(*sqlparser.ColumnRef); ok && ref.Table == "" && slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(n, ref.Name) }) {
+			// An output column, as a data node resolves the key.
+			e = sqlparser.CloneExpr(e)
+		} else {
+			e = over(e)
 		}
+		combine.OrderBy = append(combine.OrderBy, sqlparser.OrderItem{Expr: e, Desc: o.Desc})
 	}
-	return nil
+	out, err := sqlexec.CompileOutput(combine, columns)
+	if err != nil {
+		return nil, nil, err
+	}
+	return partial, &SelectContext{Combine: out}, nil
 }
 
 func evalLimit(lim *sqlparser.Limit, args []sqltypes.Value) (*LimitInfo, error) {
@@ -224,8 +305,7 @@ func evalLimit(lim *sqlparser.Limit, args []sqltypes.Value) (*LimitInfo, error) 
 
 // findItem locates an ORDER BY / GROUP BY key among the output columns: an
 // ordinal n is column n-1, else the item with its alias, bare column name,
-// or serialized text and reads (`v % ?` twice is one item only if both
-// read one argument, whatever values are bound). Returns -1 when absent.
+// or serialized text and reads (exprKey). Returns -1 when absent.
 func findItem(stmt *sqlparser.SelectStmt, e sqlparser.Expr) int {
 	if lit, ok := e.(*sqlparser.Literal); ok && lit.Val.Kind == sqltypes.KindInt && lit.Val.I >= 1 {
 		return int(lit.Val.I - 1)
@@ -246,89 +326,39 @@ func findItem(stmt *sqlparser.SelectStmt, e sqlparser.Expr) int {
 		}
 		return -1
 	}
-	serialize := func(e sqlparser.Expr) (string, []int) {
-		return sqlparser.NewSerializer(sqlparser.DialectMySQL).SerializeReads(&sqlparser.SelectStmt{Items: []sqlparser.SelectItem{{Expr: e}}})
-	}
-	text, reads := serialize(e)
+	key := exprKey(e)
 	for i, it := range stmt.Items {
-		if it.Star || it.Expr == nil {
-			continue
-		}
-		if itText, itReads := serialize(it.Expr); itText == text && slices.Equal(itReads, reads) {
+		if !it.Star && it.Expr != nil && exprKey(it.Expr) == key {
 			return i
 		}
 	}
 	return -1
 }
 
-// deriveColumns performs the correctness rewrite for multi-node SELECTs:
-// aggregate decomposition (AVG → SUM + COUNT) and derived ORDER BY /
-// GROUP BY columns, recording everything the merger needs.
+// exprKey identifies an expression by its text and the argument each of
+// its "?"s reads: `v % ?` twice is one expression only if both read one
+// argument, whatever values are bound.
+func exprKey(e sqlparser.Expr) string {
+	text, reads := sqlparser.NewSerializer(sqlparser.DialectMySQL).SerializeReads(&sqlparser.SelectStmt{Items: []sqlparser.SelectItem{{Expr: e}}})
+	return fmt.Sprint(text, reads)
+}
+
+// deriveColumns performs the correctness rewrite for a multi-node SELECT
+// that is not grouped: each ORDER BY key the statement does not select is
+// appended as a derived column, and every key is recorded for the merger.
 func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 	star := slices.ContainsFunc(stmt.Items, func(it sqlparser.SelectItem) bool { return it.Star })
-	derivedSeq := 0
-
-	appendDerived := func(e sqlparser.Expr, prefix string) int {
-		alias := fmt.Sprintf("%s_DERIVED_%d", prefix, derivedSeq)
-		derivedSeq++
-		stmt.Items = append(stmt.Items, sqlparser.SelectItem{Expr: sqlparser.CloneExpr(e), Alias: alias})
-		ctx.Derived++
-		return len(stmt.Items) - 1
-	}
-
-	// Aggregate decomposition. Star projections cannot carry aggregates,
-	// so positional indexes are stable.
-	for i, it := range stmt.Items {
-		f, ok := it.Expr.(*sqlparser.FuncExpr)
-		if !ok || !f.IsAggregate() {
-			continue
-		}
-		agg := AggregateItem{Index: i}
-		switch f.Name {
-		case "COUNT":
-			agg.Kind = AggCount
-		case "SUM":
-			agg.Kind = AggSum
-		case "MAX":
-			agg.Kind = AggMax
-		case "MIN":
-			agg.Kind = AggMin
-		case "AVG":
-			agg.Kind = AggAvg
-			// appendDerived copies the arguments.
-			sum := &sqlparser.FuncExpr{Name: "SUM", Args: f.Args}
-			cnt := &sqlparser.FuncExpr{Name: "COUNT", Args: f.Args}
-			agg.SumIndex = appendDerived(sum, "AVG_SUM")
-			agg.CountIndex = appendDerived(cnt, "AVG_COUNT")
-		}
-		ctx.Aggregates = append(ctx.Aggregates, agg)
-		if agg.Kind == AggAvg {
-			// The derived partials merge as aggregates themselves: node
-			// sums add up, node counts add up.
-			ctx.Aggregates = append(ctx.Aggregates,
-				AggregateItem{Index: agg.SumIndex, Kind: AggSum},
-				AggregateItem{Index: agg.CountIndex, Kind: AggCount})
-		}
-	}
-
-	resolve := func(e sqlparser.Expr, prefix string) OrderKey {
-		if idx := findItem(stmt, e); idx >= 0 {
-			return OrderKey{Index: idx}
-		}
-		if ref, ok := e.(*sqlparser.ColumnRef); ok && star {
+	for _, o := range stmt.OrderBy {
+		key := OrderKey{Index: findItem(stmt, o.Expr), Desc: o.Desc}
+		if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok && key.Index < 0 && star {
 			// The star projection already returns the column; the merger
 			// resolves it by name at merge time.
-			return OrderKey{Index: -1, Name: ref.Name}
+			key.Name = ref.Name
+		} else if key.Index < 0 {
+			stmt.Items = append(stmt.Items, sqlparser.SelectItem{Expr: sqlparser.CloneExpr(o.Expr), Alias: fmt.Sprintf("ORDER_BY_DERIVED_%d", ctx.Derived)})
+			key.Index = len(stmt.Items) - 1
+			ctx.Derived++
 		}
-		return OrderKey{Index: appendDerived(e, prefix)}
-	}
-
-	for _, g := range stmt.GroupBy {
-		ctx.GroupBy = append(ctx.GroupBy, resolve(g, "GROUP_BY"))
-	}
-	for _, o := range stmt.OrderBy {
-		key := resolve(o.Expr, "ORDER_BY")
-		key.Desc = o.Desc
 		ctx.OrderBy = append(ctx.OrderBy, key)
 	}
 }
@@ -344,16 +374,4 @@ func resolveKeysForSingleNode(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 		}
 		ctx.OrderBy = append(ctx.OrderBy, OrderKey{Index: idx, Name: name, Desc: o.Desc})
 	}
-}
-
-func sameKeys(a, b []OrderKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Index != b[i].Index || !strings.EqualFold(a[i].Name, b[i].Name) {
-			return false
-		}
-	}
-	return true
 }

@@ -147,45 +147,37 @@ func TestStarOrderByResolvesByName(t *testing.T) {
 
 func TestAvgDecomposition(t *testing.T) {
 	res := rewriteSQL(t, "SELECT AVG(age) FROM t_user")
-	sql := res.Units[0].SQL
-	if !strings.Contains(sql, "SUM(age)") || !strings.Contains(sql, "COUNT(age)") {
+	if sql := res.Units[0].SQL; sql != "SELECT SUM(age), COUNT(age) FROM t_user_0" {
 		t.Fatalf("avg not decomposed: %s", sql)
 	}
-	if len(res.Select.Aggregates) != 3 { // AVG + derived SUM + derived COUNT
-		t.Fatalf("aggregates: %+v", res.Select.Aggregates)
-	}
-	avg := res.Select.Aggregates[0]
-	if avg.Kind != AggAvg || avg.SumIndex != 1 || avg.CountIndex != 2 {
-		t.Fatalf("avg item: %+v", avg)
-	}
-	if res.Select.Derived != 2 {
-		t.Fatalf("derived count: %d", res.Select.Derived)
+	if res.Select.Combine == nil || res.Select.Derived != 0 {
+		t.Fatalf("merge context: %+v", res.Select)
 	}
 }
 
-func TestGroupByGainsOrderBy(t *testing.T) {
-	// Stream-merger optimization (paper VI-C "Optimization Rewrite").
-	res := rewriteSQL(t, "SELECT name, SUM(age) FROM t_user GROUP BY name")
-	sql := res.Units[0].SQL
-	if !strings.Contains(sql, "ORDER BY name") {
-		t.Fatalf("missing injected ORDER BY: %s", sql)
+// TestGroupedUnitsSendPartials: a grouped statement's units compute its
+// partials; HAVING, ORDER BY and LIMIT stay with the combine, and a
+// statement with a DISTINCT aggregate has its rows sent instead.
+func TestGroupedUnitsSendPartials(t *testing.T) {
+	for _, c := range []struct{ sql, unit string }{
+		// The benchmark's range sum: the unit text is the statement's own.
+		{"SELECT SUM(age) FROM t_user WHERE uid BETWEEN ? AND ?", "SELECT SUM(age) FROM t_user_0 WHERE uid BETWEEN ? AND ?"},
+		{"SELECT name, AVG(age) a FROM t_user GROUP BY name HAVING COUNT(*) > ? ORDER BY a DESC LIMIT ?",
+			"SELECT name, SUM(age), COUNT(age), COUNT(*) FROM t_user_0 GROUP BY name"},
+		{"SELECT age % ?, MAX(uid) - MIN(uid) FROM t_user GROUP BY 1 ORDER BY 1",
+			"SELECT age % ?, age, MAX(uid), MIN(uid) FROM t_user_0 GROUP BY age % ?"},
+		{"SELECT COUNT(DISTINCT age), MAX(uid) FROM t_user", "SELECT DISTINCT age, uid FROM t_user_0"},
+		{"SELECT name, COUNT(DISTINCT age), COUNT(*) FROM t_user GROUP BY name", "SELECT name, age FROM t_user_0"},
+	} {
+		res := rewriteSQL(t, c.sql, sqltypes.NewInt(1), sqltypes.NewInt(100))
+		if len(res.Units) != 2 || res.Units[0].SQL != c.unit || res.Select.Combine == nil || res.Select.Limit != nil {
+			t.Errorf("%s:\n got %s %+v\nwant %s", c.sql, res.Units[0].SQL, res.Select, c.unit)
+		}
 	}
-	if !res.Select.GroupOrdered {
-		t.Fatal("GroupOrdered not set")
-	}
-	if len(res.Select.GroupBy) != 1 || res.Select.GroupBy[0].Index != 0 {
-		t.Fatalf("group keys: %+v", res.Select.GroupBy)
-	}
-}
-
-func TestGroupBySameOrderByStreams(t *testing.T) {
-	res := rewriteSQL(t, "SELECT name, SUM(age) FROM t_user GROUP BY name ORDER BY name")
-	if !res.Select.GroupOrdered {
-		t.Fatal("same group/order keys must stream")
-	}
-	res = rewriteSQL(t, "SELECT name, SUM(age) FROM t_user GROUP BY name ORDER BY SUM(age)")
-	if res.Select.GroupOrdered {
-		t.Fatal("different order key cannot stream-group")
+	// One data node runs the statement as written.
+	res := rewriteSQL(t, "SELECT name, COUNT(*) FROM t_user WHERE uid = 2 GROUP BY name HAVING COUNT(*) > 1")
+	if res.Units[0].SQL != "SELECT name, COUNT(*) FROM t_user_0 WHERE uid = 2 GROUP BY name HAVING COUNT(*) > 1" || res.Select.Combine != nil {
+		t.Fatalf("single node: %s %+v", res.Units[0].SQL, res.Select)
 	}
 }
 

@@ -187,10 +187,11 @@ func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect Dia
 // written, cut at its table names: UPDATE, DELETE and DDL on any number of
 // units, a SELECT on one node (the node's own executor paginates and
 // orders; paper Section VI-C, optimization rewrite), an INSERT whose unit
-// receives every row. The fan-out form is a SELECT on several nodes —
-// derived columns, the GROUP BY→ORDER BY stream rewrite and their merge
-// context, and a LIMIT of one "?" that reads offset+count — or an INSERT
-// whose rows land on several nodes, cut into a head and one text per row.
+// receives every row. The fan-out form is a SELECT on several nodes — a
+// grouped statement's partial with its compiled combine, any other
+// statement's derived columns and merge context with a LIMIT of one "?"
+// that reads offset+count — or an INSERT whose rows land on several nodes,
+// cut into a head and one text per row.
 type Template struct {
 	stmt   sqlparser.Statement
 	tables []string // as written in the statement, case-sensitively — the form RenameTables matches
@@ -203,7 +204,7 @@ type Template struct {
 	fan     *compiled
 	fanCtx  *SelectContext
 	fanArgs int   // the statement's own arguments; a fan-out LIMIT reads the one after them
-	fanErr  error // the SELECT has no multi-node form (ErrUnsupported)
+	fanErr  error // the SELECT has no multi-node form
 	split   *splitInsert
 }
 
@@ -297,7 +298,14 @@ func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect Dial
 			return nil, t.fanErr
 		}
 		c, ctx = t.fan, t.fanCtx
-		if li != nil {
+		switch {
+		case ctx.Combine != nil:
+			// The combine filters, orders and pages with the statement's
+			// own arguments; its units have no LIMIT.
+			withArgs := *ctx
+			withArgs.Args = args
+			ctx = &withArgs
+		case li != nil:
 			withLimit := *ctx
 			withLimit.Limit = li
 			ctx = &withLimit
@@ -320,7 +328,9 @@ func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect Dial
 	if len(args) < c.need {
 		return nil, fmt.Errorf("rewrite: statement reads %d bind arguments, %d given", c.need, len(args))
 	}
-	return &Result{Units: c.units(rt.Units, args, dialect), Select: ctx}, nil
+	// A unit gets what its text reads: a grouped statement's partial may
+	// leave the arguments of its HAVING, ORDER BY and LIMIT to the combine.
+	return &Result{Units: c.units(rt.Units, args[:c.need], dialect), Select: ctx}, nil
 }
 
 // splitInsert is the fan-out form of an INSERT (paper: "splits batched

@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
@@ -45,10 +44,10 @@ func compileOutput(stmt *sqlparser.SelectStmt, env *rowEnv) (*output, error) {
 		return nil, err
 	}
 	o := &output{stmt: stmt, items: items, names: names, keysInOutput: true}
-	if len(stmt.GroupBy) > 0 || stmt.HasAggregates() || hasAggregate(stmt.Having) {
-		o.grouped = true
-		o.collectAggregates(env)
-	}
+	// A statement is grouped by a GROUP BY or by any aggregate call,
+	// however deeply nested: MAX(v) - MIN(v) is one row per group.
+	o.collectAggregates(env)
+	o.grouped = len(stmt.GroupBy) > 0 || len(o.aggs) > 0
 	for _, g := range stmt.GroupBy {
 		pos, err := position(g, len(items), "GROUP BY")
 		if pos >= 0 {
@@ -98,17 +97,24 @@ func position(e sqlparser.Expr, width int, clause string) (int, error) {
 
 // collectAggregates gathers every distinct aggregate expression appearing
 // in the projection, HAVING and ORDER BY; calls with the same serialized
-// text accumulate once.
+// text whose "?"s read the same arguments accumulate once (SUM(v % ?)
+// twice is two sums when the two "?"s are two arguments).
 func (o *output) collectAggregates(env *rowEnv) {
-	o.aggOf = map[*sqlparser.FuncExpr]int{}
-	byText := map[string]int{}
+	var byText map[string]int
 	visit := func(e sqlparser.Expr) {
 		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
 			f, ok := x.(*sqlparser.FuncExpr)
 			if !ok || !f.IsAggregate() {
 				return true
 			}
-			text := env.serialize(f)
+			if byText == nil {
+				o.aggOf, byText = map[*sqlparser.FuncExpr]int{}, map[string]int{}
+			}
+			if env.ser == nil {
+				env.ser = sqlparser.NewSerializer(sqlparser.DialectMySQL)
+			}
+			t, reads := env.ser.SerializeReads(&sqlparser.SelectStmt{Items: []sqlparser.SelectItem{{Expr: f}}})
+			text := fmt.Sprint(t, reads)
 			slot, seen := byText[text]
 			if !seen {
 				slot = len(o.aggs)
@@ -168,6 +174,40 @@ func expandItems(stmt *sqlparser.SelectStmt, env *rowEnv) ([]sqlparser.SelectIte
 	return items, names, nil
 }
 
+// Output is a SELECT's output stage — grouping, HAVING, projection, ORDER
+// BY, DISTINCT and LIMIT — compiled against a column list instead of a
+// table: a select plan's output without the scan. The kernel's merger runs
+// a grouped statement's combine through it over the units' partial rows,
+// so both tiers group with one set of operators. It is immutable and safe
+// for concurrent use.
+type Output struct {
+	out    *output
+	tables []tableCols
+}
+
+// CompileOutput compiles the statement's output stage over rows whose
+// columns are named, in order, by columns. The statement's FROM and WHERE
+// are not read; a star stands for every column.
+func CompileOutput(stmt *sqlparser.SelectStmt, columns []string) (*Output, error) {
+	schema := make(sqltypes.Schema, len(columns))
+	for i, c := range columns {
+		schema[i].Name = c
+	}
+	// The one unnamed table: a star expands to unqualified references.
+	tables := []tableCols{{quals: []string{""}, schema: schema}}
+	out, err := compileOutput(stmt, &rowEnv{tables: tables})
+	if err != nil {
+		return nil, err
+	}
+	return &Output{out: out, tables: tables}, nil
+}
+
+// Run produces the statement's result from rows, each as wide as the
+// column list, with args bound to the statement's placeholders.
+func (o *Output) Run(rows []sqltypes.Row, args []sqltypes.Value) (*Result, error) {
+	return o.out.produce(&rowEnv{tables: o.tables, args: args}, rows)
+}
+
 // produce turns the filtered source rows into the statement's result.
 func (o *output) produce(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 	var res *Result
@@ -181,7 +221,7 @@ func (o *output) produce(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 		return nil, err
 	}
 	if o.stmt.Distinct {
-		res.Rows = distinctRows(res.Rows)
+		res.Rows = DistinctRows(res.Rows)
 	}
 	if err := applyLimit(o.stmt.Limit, env.args, res); err != nil {
 		return nil, err
@@ -294,7 +334,11 @@ func (o *output) sort(rows []sortable) {
 // is a handful of rows.
 const distinctSmall = 8
 
-func distinctRows(rows []sqltypes.Row) []sqltypes.Row {
+// DistinctRows keeps the first of each set of equal rows, in place, under
+// one engine's value identity: numeric kinds compare by value, so 2 and
+// 2.0 are one value, and NULL equals NULL. The kernel's merger dedupes
+// units' rows with it.
+func DistinctRows(rows []sqltypes.Row) []sqltypes.Row {
 	if len(rows) < 2 {
 		return rows
 	}
@@ -314,17 +358,16 @@ func distinctRows(rows []sqltypes.Row) []sqltypes.Row {
 		return out
 	}
 	seen := make(map[string]struct{}, len(rows))
+	var key []byte // one buffer: a lookup allocates nothing, a kept row its key
 	for _, r := range rows {
-		var b strings.Builder
+		key = key[:0]
 		for _, v := range r {
-			b.WriteString(hashKey(v))
-			b.WriteByte(0)
+			key = append(appendKey(key, v), 0)
 		}
-		k := b.String()
-		if _, dup := seen[k]; dup {
+		if _, dup := seen[string(key)]; dup {
 			continue
 		}
-		seen[k] = struct{}{}
+		seen[string(key)] = struct{}{}
 		out = append(out, r)
 	}
 	return out

@@ -333,18 +333,27 @@ func nullRow(n int) sqltypes.Row {
 // 2 and 2.0 join. Integers never round-trip through float64 — beyond 2^53
 // that would collapse distinct keys (snowflake ids live up there).
 func hashKey(v sqltypes.Value) string {
+	if v.Kind == sqltypes.KindString {
+		return "s" + v.S
+	}
+	var buf [24]byte
+	return string(appendKey(buf[:0], v))
+}
+
+// appendKey appends hashKey's encoding of v to b.
+func appendKey(b []byte, v sqltypes.Value) []byte {
 	switch v.Kind {
 	case sqltypes.KindString:
-		return "s" + v.S
+		return append(append(b, 's'), v.S...)
 	case sqltypes.KindNull:
-		return "n"
+		return append(b, 'n')
 	case sqltypes.KindInt, sqltypes.KindBool:
-		return "i" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(b, 'i'), v.I, 10)
 	default:
 		f := v.F
 		if f == math.Trunc(f) && math.Abs(f) < 1<<53 {
-			return "i" + strconv.FormatInt(int64(f), 10)
+			return strconv.AppendInt(append(b, 'i'), int64(f), 10)
 		}
-		return "f" + strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, 'f'), f, 'g', -1, 64)
 	}
 }

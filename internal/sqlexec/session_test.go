@@ -156,6 +156,16 @@ func TestAggregates(t *testing.T) {
 	if res.Rows[0][0].I != 3 {
 		t.Fatalf("count distinct: %v", res.Rows[0])
 	}
+	// An aggregate nested in an expression makes the statement grouped,
+	// in the projection and in ORDER BY alike.
+	res = mustExec(t, s, "SELECT MAX(age) - MIN(age) FROM t_user")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 10 {
+		t.Fatalf("nested aggregate: %v", res.Rows)
+	}
+	res = mustExec(t, s, "SELECT age, MAX(uid) - MIN(uid) + ? FROM t_user GROUP BY age ORDER BY COUNT(*) + 1 DESC, age", sqltypes.NewInt(1))
+	if got := fmt.Sprint(res.Rows); got != "[(25, 3) (30, 1) (35, 1)]" {
+		t.Fatalf("grouped nested aggregates: %v", got)
+	}
 }
 
 func TestGroupBy(t *testing.T) {

@@ -296,22 +296,6 @@ type SelectStmt struct {
 func (*SelectStmt) stmtNode()                    {}
 func (*SelectStmt) StatementType() StatementType { return StmtSelect }
 
-// AggregateItems returns the indexes of projection items whose expression
-// is a bare aggregate call; the merger uses this to combine partial
-// aggregates (paper Section VI-E).
-func (s *SelectStmt) AggregateItems() []int {
-	var out []int
-	for i, item := range s.Items {
-		if f, ok := item.Expr.(*FuncExpr); ok && f.IsAggregate() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// HasAggregates reports whether any projection item aggregates.
-func (s *SelectStmt) HasAggregates() bool { return len(s.AggregateItems()) > 0 }
-
 // --- INSERT / UPDATE / DELETE ---
 
 // Assignment is "col = expr" in UPDATE SET clauses.

@@ -169,11 +169,10 @@ func TestParseAggregates(t *testing.T) {
 	if !stmt.Items[5].Expr.(*FuncExpr).Distinct {
 		t.Fatal("DISTINCT lost")
 	}
-	if !stmt.HasAggregates() {
-		t.Fatal("HasAggregates false")
-	}
-	if got := stmt.AggregateItems(); len(got) != 6 {
-		t.Fatalf("AggregateItems: %v", got)
+	for i, item := range stmt.Items {
+		if f, ok := item.Expr.(*FuncExpr); !ok || !f.IsAggregate() {
+			t.Fatalf("item %d is not an aggregate call: %#v", i, item.Expr)
+		}
 	}
 }
 

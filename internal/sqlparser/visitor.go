@@ -43,10 +43,22 @@ func WalkExpr(e Expr, visit func(Expr) bool) {
 }
 
 // CloneExpr returns a deep copy of the expression.
-func CloneExpr(e Expr) Expr {
-	switch t := e.(type) {
-	case nil:
+func CloneExpr(e Expr) Expr { return MapExpr(e, nil) }
+
+// MapExpr returns a deep copy of the expression in which every node that
+// replace maps to a non-nil expression is that expression instead; the
+// subtree of a replaced node is not visited. A nil replace copies.
+func MapExpr(e Expr, replace func(Expr) Expr) Expr {
+	if e == nil {
 		return nil
+	}
+	if replace != nil {
+		if r := replace(e); r != nil {
+			return r
+		}
+	}
+	m := func(x Expr) Expr { return MapExpr(x, replace) }
+	switch t := e.(type) {
 	case *Literal:
 		c := *t
 		return &c
@@ -57,33 +69,33 @@ func CloneExpr(e Expr) Expr {
 		c := *t
 		return &c
 	case *BinaryExpr:
-		return &BinaryExpr{Op: t.Op, L: CloneExpr(t.L), R: CloneExpr(t.R)}
+		return &BinaryExpr{Op: t.Op, L: m(t.L), R: m(t.R)}
 	case *UnaryExpr:
-		return &UnaryExpr{Op: t.Op, E: CloneExpr(t.E)}
+		return &UnaryExpr{Op: t.Op, E: m(t.E)}
 	case *InExpr:
 		list := make([]Expr, len(t.List))
 		for i, x := range t.List {
-			list[i] = CloneExpr(x)
+			list[i] = m(x)
 		}
-		return &InExpr{E: CloneExpr(t.E), List: list, Not: t.Not}
+		return &InExpr{E: m(t.E), List: list, Not: t.Not}
 	case *BetweenExpr:
-		return &BetweenExpr{E: CloneExpr(t.E), Lo: CloneExpr(t.Lo), Hi: CloneExpr(t.Hi), Not: t.Not}
+		return &BetweenExpr{E: m(t.E), Lo: m(t.Lo), Hi: m(t.Hi), Not: t.Not}
 	case *LikeExpr:
-		return &LikeExpr{E: CloneExpr(t.E), Pattern: CloneExpr(t.Pattern), Not: t.Not}
+		return &LikeExpr{E: m(t.E), Pattern: m(t.Pattern), Not: t.Not}
 	case *IsNullExpr:
-		return &IsNullExpr{E: CloneExpr(t.E), Not: t.Not}
+		return &IsNullExpr{E: m(t.E), Not: t.Not}
 	case *FuncExpr:
 		args := make([]Expr, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = CloneExpr(a)
+			args[i] = m(a)
 		}
 		return &FuncExpr{Name: t.Name, Args: args, Star: t.Star, Distinct: t.Distinct}
 	case *CaseExpr:
 		whens := make([]WhenClause, len(t.Whens))
 		for i, w := range t.Whens {
-			whens[i] = WhenClause{When: CloneExpr(w.When), Then: CloneExpr(w.Then)}
+			whens[i] = WhenClause{When: m(w.When), Then: m(w.Then)}
 		}
-		return &CaseExpr{Operand: CloneExpr(t.Operand), Whens: whens, Else: CloneExpr(t.Else)}
+		return &CaseExpr{Operand: m(t.Operand), Whens: whens, Else: m(t.Else)}
 	default:
 		return e
 	}

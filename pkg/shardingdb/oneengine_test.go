@@ -24,33 +24,73 @@ func oneEngineRows() [][3]int64 {
 	return rows
 }
 
+// oneEngineFloats is table f: x is a DOUBLE holding 2 as an integer on
+// some rows and as 2.0 on others, which one engine holds to be one value.
+func oneEngineFloats() []Row {
+	return []Row{
+		{Int(1), Int(2)}, {Int(2), Float(2)}, {Int(3), Float(2.5)}, {Int(4), Float(2)}, {Int(5), Int(2)}, {Int(6), Float(2.5)},
+	}
+}
+
 // oneEngineStatements are the statements a literal that is structure (an
-// ordinal), a literal read twice (a derived key) or a dialect's LIMIT order
-// used to break. keys are the output columns whose sequence the ORDER BY
-// decides (nil: compared as a multiset only).
+// ordinal), a literal read twice (a derived key), a dialect's LIMIT order or
+// a grouped result merged across units used to break. keys are the output
+// columns whose sequence the ORDER BY decides (nil: compared as a multiset
+// only); cols, when set, are the only columns the statement decides (an
+// ORDER BY with ties cut by a LIMIT).
 var oneEngineStatements = []struct {
 	sql, placeholders string
 	args              []Value
 	keys              []int
+	cols              []int
 }{
 	{"SELECT id FROM t WHERE id IN (1, 5) ORDER BY 1 DESC",
-		"SELECT id FROM t WHERE id IN (?, ?) ORDER BY 1 DESC", []Value{Int(1), Int(5)}, []int{0}},
-	{"SELECT id FROM t ORDER BY 1 DESC", "SELECT id FROM t ORDER BY 1 DESC", nil, []int{0}},
-	{"SELECT k, COUNT(*) FROM t GROUP BY 1", "SELECT k, COUNT(*) FROM t GROUP BY 1", nil, nil},
+		"SELECT id FROM t WHERE id IN (?, ?) ORDER BY 1 DESC", []Value{Int(1), Int(5)}, []int{0}, nil},
+	{"SELECT id FROM t ORDER BY 1 DESC", "SELECT id FROM t ORDER BY 1 DESC", nil, []int{0}, nil},
+	{"SELECT k, COUNT(*) FROM t GROUP BY 1", "SELECT k, COUNT(*) FROM t GROUP BY 1", nil, nil, nil},
 	{"SELECT COUNT(*), SUM(v) FROM t GROUP BY k % 2",
-		"SELECT COUNT(*), SUM(v) FROM t GROUP BY k % ?", []Value{Int(2)}, nil},
+		"SELECT COUNT(*), SUM(v) FROM t GROUP BY k % ?", []Value{Int(2)}, nil, nil},
 	{"SELECT id, v FROM t ORDER BY 2 DESC LIMIT 3",
-		"SELECT id, v FROM t ORDER BY 2 DESC LIMIT ?", []Value{Int(3)}, []int{0, 1}},
+		"SELECT id, v FROM t ORDER BY 2 DESC LIMIT ?", []Value{Int(3)}, []int{0, 1}, nil},
 	{"SELECT id FROM t ORDER BY id + 1 DESC LIMIT 2",
-		"SELECT id FROM t ORDER BY id + ? DESC LIMIT ?", []Value{Int(1), Int(2)}, []int{0}},
+		"SELECT id FROM t ORDER BY id + ? DESC LIMIT ?", []Value{Int(1), Int(2)}, []int{0}, nil},
 	{"SELECT k % 3, COUNT(*) FROM t GROUP BY k % 3",
-		"SELECT k % ?, COUNT(*) FROM t GROUP BY k % ?", []Value{Int(3), Int(3)}, nil},
+		"SELECT k % ?, COUNT(*) FROM t GROUP BY k % ?", []Value{Int(3), Int(3)}, nil, nil},
 	{"SELECT v % 3, v % 5 FROM t ORDER BY v % 5",
-		"SELECT v % ?, v % ? FROM t ORDER BY v % ?", []Value{Int(3), Int(5), Int(5)}, []int{1}},
+		"SELECT v % ?, v % ? FROM t ORDER BY v % ?", []Value{Int(3), Int(5), Int(5)}, []int{1}, nil},
 	{"SELECT id FROM t WHERE k = 1 ORDER BY id LIMIT 3 OFFSET 1",
-		"SELECT id FROM t WHERE k = ? ORDER BY id LIMIT ? OFFSET ?", []Value{Int(1), Int(3), Int(1)}, []int{0}},
+		"SELECT id FROM t WHERE k = ? ORDER BY id LIMIT ? OFFSET ?", []Value{Int(1), Int(3), Int(1)}, []int{0}, nil},
 	{"SELECT id FROM t WHERE k = 1 ORDER BY id LIMIT 1, 3",
-		"SELECT id FROM t WHERE k = ? ORDER BY id LIMIT ?, ?", []Value{Int(1), Int(1), Int(3)}, []int{0}},
+		"SELECT id FROM t WHERE k = ? ORDER BY id LIMIT ?, ?", []Value{Int(1), Int(1), Int(3)}, []int{0}, nil},
+	// Grouped results: HAVING, ORDER BY an aggregate and LIMIT apply to
+	// the merged groups, and a DISTINCT aggregate counts each value once
+	// over all units.
+	{"SELECT COUNT(DISTINCT k) FROM t", "SELECT COUNT(DISTINCT k) FROM t", nil, nil, nil},
+	{"SELECT SUM(DISTINCT k) FROM t", "SELECT SUM(DISTINCT k) FROM t", nil, nil, nil},
+	{"SELECT k, COUNT(*) FROM t GROUP BY k HAVING COUNT(*) > 3",
+		"SELECT k, COUNT(*) FROM t GROUP BY k HAVING COUNT(*) > ?", []Value{Int(3)}, nil, nil},
+	{"SELECT COUNT(*) FROM t HAVING COUNT(*) > 5", "SELECT COUNT(*) FROM t HAVING COUNT(*) > ?", []Value{Int(5)}, nil, nil},
+	{"SELECT k, AVG(v) FROM t GROUP BY k HAVING AVG(v) > 6",
+		"SELECT k, AVG(v) FROM t GROUP BY k HAVING AVG(v) > ?", []Value{Int(6)}, nil, nil},
+	{"SELECT k, SUM(v) s FROM t GROUP BY k ORDER BY s DESC LIMIT 1",
+		"SELECT k, SUM(v) s FROM t GROUP BY k ORDER BY s DESC LIMIT ?", []Value{Int(1)}, []int{0, 1}, nil},
+	{"SELECT k, COUNT(*) c FROM t GROUP BY k ORDER BY c DESC LIMIT 1",
+		"SELECT k, COUNT(*) c FROM t GROUP BY k ORDER BY c DESC LIMIT ?", []Value{Int(1)}, []int{0}, []int{1}},
+	{"SELECT k FROM t GROUP BY k ORDER BY COUNT(*) DESC, k", "SELECT k FROM t GROUP BY k ORDER BY COUNT(*) DESC, k", nil, []int{0}, nil},
+	{"SELECT MAX(v) - MIN(v) FROM t", "SELECT MAX(v) - MIN(v) FROM t", nil, nil, nil},
+	{"SELECT MAX(v) - MIN(v) FROM t WHERE id IN (1, 2)",
+		"SELECT MAX(v) - MIN(v) FROM t WHERE id IN (?, ?)", []Value{Int(1), Int(2)}, nil, nil},
+	{"SELECT k, MAX(v) - MIN(v) + 1 FROM t GROUP BY k ORDER BY k",
+		"SELECT k, MAX(v) - MIN(v) + ? FROM t GROUP BY k ORDER BY k", []Value{Int(1)}, []int{0, 1}, nil},
+	{"SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY COUNT(*) + 1",
+		"SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY COUNT(*) + ?", []Value{Int(1)}, nil, nil},
+	{"SELECT AVG(DISTINCT v % 5) FROM t", "SELECT AVG(DISTINCT v % ?) FROM t", []Value{Int(5)}, nil, nil},
+	{"SELECT k, COUNT(DISTINCT v % 3), COUNT(*), SUM(v), MAX(v) FROM t GROUP BY k ORDER BY k DESC",
+		"SELECT k, COUNT(DISTINCT v % ?), COUNT(*), SUM(v), MAX(v) FROM t GROUP BY k ORDER BY k DESC", []Value{Int(3)}, []int{0}, nil},
+	{"SELECT SUM(v % 2), SUM(v % 7) FROM t", "SELECT SUM(v % ?), SUM(v % ?) FROM t", []Value{Int(2), Int(7)}, nil, nil},
+	// 2 and 2.0 on different units are one value.
+	{"SELECT x, COUNT(*) FROM f GROUP BY x ORDER BY COUNT(*)", "SELECT x, COUNT(*) FROM f GROUP BY x ORDER BY COUNT(*)", nil, []int{0, 1}, nil},
+	{"SELECT DISTINCT x FROM f ORDER BY x", "SELECT DISTINCT x FROM f ORDER BY x", nil, []int{0}, nil},
 }
 
 // TestRowsMatchOneEngine runs every statement through the kernel — the
@@ -81,7 +121,7 @@ func TestRowsMatchOneEngine(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", where, err)
 						}
-						if msg := sameAnswer(got, want.Rows, c.keys); msg != "" {
+						if msg := sameAnswer(project(got, c.cols), project(want.Rows, c.cols), c.keys); msg != "" {
 							t.Errorf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
 						}
 					}
@@ -168,25 +208,19 @@ func TestFailedWriteLeavesOneEngineTable(t *testing.T) {
 	}
 }
 
-// oneEngineRef is one sqlexec.Processor holding table t with oneEngineRows.
-func oneEngineRef(t *testing.T) *sqlexec.Session {
+// oneEngineRef is one sqlexec.Processor holding table t with oneEngineRows
+// and table f with oneEngineFloats.
+func oneEngineRef(t testing.TB) *sqlexec.Session {
 	t.Helper()
 	ref := sqlexec.NewProcessor(storage.NewEngine("ref")).NewSession()
-	if _, err := ref.Execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)"); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range oneEngineRows() {
-		if _, err := ref.Execute("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	load(t, func(sql string, args ...Value) error { _, err := ref.Execute(sql, args...); return err })
 	return ref
 }
 
-// oneEngineDB opens two embedded sources of the dialect with table t
-// sharded by hash_mod into the given number of shards, loaded with
-// oneEngineRows.
-func oneEngineDB(t *testing.T, dialect string, shards int) *Session {
+// oneEngineDB opens two embedded sources of the dialect with tables t and f
+// each sharded by hash_mod into the given number of shards, loaded with
+// oneEngineRows and oneEngineFloats.
+func oneEngineDB(t testing.TB, dialect string, shards int) *Session {
 	t.Helper()
 	db, err := Open(Config{DataSources: []DataSourceConfig{
 		{Name: "ds0", Dialect: dialect}, {Name: "ds1", Dialect: dialect},
@@ -196,20 +230,47 @@ func oneEngineDB(t *testing.T, dialect string, shards int) *Session {
 	}
 	t.Cleanup(db.Close)
 	s := db.Session()
-	for _, stmt := range []string{
-		fmt.Sprintf(`CREATE SHARDING TABLE RULE t (RESOURCES(ds0, ds1), SHARDING_COLUMN = id, TYPE = hash_mod, PROPERTIES("sharding-count" = %d))`, shards),
-		"CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)",
-	} {
-		if _, err := s.Exec(stmt); err != nil {
+	for _, table := range []string{"t", "f"} {
+		if _, err := s.Exec(fmt.Sprintf(`CREATE SHARDING TABLE RULE %s (RESOURCES(ds0, ds1), SHARDING_COLUMN = id, TYPE = hash_mod, PROPERTIES("sharding-count" = %d))`, table, shards)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load(t, func(sql string, args ...Value) error { _, err := s.Exec(sql, args...); return err })
+	return s
+}
+
+// load creates and fills tables t and f through exec.
+func load(t testing.TB, exec func(sql string, args ...Value) error) {
+	t.Helper()
+	for _, stmt := range []string{"CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)", "CREATE TABLE f (id INT PRIMARY KEY, x DOUBLE)"} {
+		if err := exec(stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range oneEngineRows() {
-		if _, err := s.Exec("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
+		if err := exec("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return s
+	for _, r := range oneEngineFloats() {
+		if err := exec("INSERT INTO f (id, x) VALUES (?, ?)", r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// project keeps the given columns of every row (nil: all of them).
+func project(rows []Row, cols []int) []Row {
+	if cols == nil {
+		return rows
+	}
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		for _, c := range cols {
+			out[i] = append(out[i], r[c])
+		}
+	}
+	return out
 }
 
 // sameAnswer compares two results as multisets and, on the key columns, as
