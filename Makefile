@@ -28,9 +28,9 @@ fmt:
 # Short fuzz pass over the frame reader (with the statement payload's
 # trailer-then-head decode), row-batch decoder and trace-context trailer,
 # over compile-then-bind against the reference rewrite, over Normalize
-# against the parser, and over grouped statements at four shards against
-# one engine. `go test` accepts one -fuzz target per invocation, hence
-# separate runs.
+# against the parser, and over grouped statements and joins at four shards
+# against one engine. `go test` accepts one -fuzz target per invocation,
+# hence separate runs.
 fuzz:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzDecodeRowBatch' -fuzztime 10s -run '^$$' ./internal/protocol/
@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzBindMatchesReference' -fuzztime 10s -run '^$$' ./internal/rewrite/
 	$(GO) test -fuzz 'FuzzNormalize' -fuzztime 10s -run '^$$' ./internal/sqlparser/
 	$(GO) test -fuzz 'FuzzGroupedMatchesOneEngine' -fuzztime 10s -run '^$$' ./pkg/shardingdb/
+	$(GO) test -fuzz 'FuzzJoinMatchesOneEngine' -fuzztime 10s -run '^$$' ./pkg/shardingdb/
 
 # The gated benchmark (BENCHMARK.json): the only place performance is
 # claimed.

@@ -93,13 +93,14 @@ func main() {
 	}
 	fmt.Printf("placed %d orders under XA\n", placed)
 
-	// A user's order history: binding join routes pairwise, not cartesian.
+	// A user's order history: the bound tables are equated on their
+	// sharding column, so the join routes pairwise, not cartesian.
 	user := 42
 	rows, err := s.QueryAll(`SELECT o.order_id, o.total, i.sku
-		FROM t_order o JOIN t_order_item i ON o.order_id = i.order_id
-		WHERE o.user_id = ? AND i.user_id = ?
+		FROM t_order o JOIN t_order_item i ON o.user_id = i.user_id AND o.order_id = i.order_id
+		WHERE o.user_id = ?
 		ORDER BY o.order_id LIMIT 5`,
-		shardingdb.Int(int64(user)), shardingdb.Int(int64(user)))
+		shardingdb.Int(int64(user)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,8 @@
 // NaiveKernel — a sharding middleware *without* the paper's intelligent
 // SQL engine: reads, updates and deletes fan out to every data node (as
 // string-pattern middlewares that cannot exploit sharding conditions do),
-// joins lose binding-table knowledge and go cartesian, and the per-query
+// no join is co-located, so every join takes the Cartesian route (and is
+// refused unless its shards share one data source), and the per-query
 // connection budget is one. Inserts still place rows correctly (any
 // middleware must put each row somewhere). Identical correctness, none of
 // the routing wins — the gap between it and the real kernel isolates the
@@ -23,23 +24,10 @@ import (
 	"shardingsphere/internal/storage"
 )
 
-// naiveRules strips binding groups (joins degrade to cartesian) while
-// keeping node layouts and insert placement.
-func naiveRules(rs *sharding.RuleSet) *sharding.RuleSet {
-	out := sharding.NewRuleSet()
-	out.DefaultDataSource = rs.DefaultDataSource
-	for t := range rs.Broadcast {
-		out.Broadcast[t] = true
-	}
-	for _, rule := range rs.Tables {
-		out.AddRule(rule)
-	}
-	return out
-}
-
 // blindRouting hides WHERE/ON conditions from the router by wrapping them
 // as "(cond) OR FALSE": the router cannot narrow across an OR (any branch
-// might match anywhere), while evaluation semantics are unchanged —
+// might match anywhere) nor co-locate a join on an equality beneath one,
+// while evaluation semantics are unchanged —
 // x OR FALSE ≡ x under SQL three-valued logic. INSERTs pass through
 // untouched so rows still land on their own shard.
 type blindRouting struct{}
@@ -102,7 +90,7 @@ func hasON(sel *sqlparser.SelectStmt) bool {
 // sources and (real) rules.
 func NaiveKernel(rules *sharding.RuleSet, sources map[string]*resource.DataSource) (*core.Kernel, error) {
 	return core.New(core.Config{
-		Rules:    naiveRules(rules),
+		Rules:    rules,
 		Sources:  sources,
 		MaxCon:   1,
 		Features: []core.Feature{blindRouting{}},

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"shardingsphere/internal/resource"
+	"shardingsphere/internal/route"
 	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
@@ -433,43 +434,75 @@ func TestGeneratedKeyFillsInsert(t *testing.T) {
 }
 
 func TestCartesianJoinEndToEnd(t *testing.T) {
-	// Without a binding group the join must go cartesian and still return
-	// exactly the right rows.
-	rules := sharding.NewRuleSet()
-	sources := map[string]*resource.DataSource{}
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("ds%d", i)
-		sources[name] = resource.NewEmbedded(storage.NewEngine(name), nil)
-	}
-	for _, table := range []string{"t_a", "t_b"} {
-		rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
-			LogicTable: table, Resources: []string{"ds0", "ds1"},
-			ShardingColumn: "uid", AlgorithmType: "MOD", ShardingCount: 4,
-		})
+	// Without a binding group the join takes every combination of the two
+	// tables' nodes: on one source it returns exactly the right rows; over
+	// two, combinations span sources and it is refused. Bound, it routes
+	// per shard over two sources and returns the same rows.
+	for _, c := range []struct {
+		resources []string
+		bind      bool
+		kind      route.Kind // 0 with refused
+		refused   bool
+	}{
+		{[]string{"ds0", "ds1"}, false, 0, true},
+		{[]string{"ds0", "ds1"}, true, route.KindBinding, false},
+		{[]string{"ds0"}, false, route.KindCartesian, false},
+	} {
+		rules := sharding.NewRuleSet()
+		sources := map[string]*resource.DataSource{}
+		for i := 0; i < 2; i++ {
+			name := fmt.Sprintf("ds%d", i)
+			sources[name] = resource.NewEmbedded(storage.NewEngine(name), nil)
+		}
+		for _, table := range []string{"t_a", "t_b"} {
+			rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
+				LogicTable: table, Resources: c.resources,
+				ShardingColumn: "uid", AlgorithmType: "MOD", ShardingCount: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rules.AddRule(rule)
+		}
+		if c.bind {
+			if err := rules.AddBindingGroup("t_a", "t_b"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k, err := New(Config{Rules: rules, Sources: sources, MaxCon: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rules.AddRule(rule)
-	}
-	k, err := New(Config{Rules: rules, Sources: sources, MaxCon: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := k.NewSession()
-	mustExec(t, s, "CREATE TABLE t_a (uid INT PRIMARY KEY, v INT)")
-	mustExec(t, s, "CREATE TABLE t_b (uid INT PRIMARY KEY, w INT)")
-	for i := 0; i < 12; i++ {
-		mustExec(t, s, fmt.Sprintf("INSERT INTO t_a (uid, v) VALUES (%d, %d)", i, i*10))
-		mustExec(t, s, fmt.Sprintf("INSERT INTO t_b (uid, w) VALUES (%d, %d)", i, i*100))
-	}
-	rows := mustQuery(t, s, "SELECT a.v, b.w FROM t_a a JOIN t_b b ON a.uid = b.uid WHERE a.uid IN (3, 7) ORDER BY a.v")
-	if len(rows) != 2 || rows[0][0].I != 30 || rows[0][1].I != 300 || rows[1][0].I != 70 {
-		t.Fatalf("cartesian join rows: %v", rows)
-	}
-	// Count matches even on a full-table cartesian join.
-	rows = mustQuery(t, s, "SELECT COUNT(*) FROM t_a a JOIN t_b b ON a.uid = b.uid")
-	if rows[0][0].I != 12 {
-		t.Fatalf("cartesian full join count: %v", rows)
+		s := k.NewSession()
+		mustExec(t, s, "CREATE TABLE t_a (uid INT PRIMARY KEY, v INT)")
+		mustExec(t, s, "CREATE TABLE t_b (uid INT PRIMARY KEY, w INT)")
+		for i := 0; i < 12; i++ {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO t_a (uid, v) VALUES (%d, %d)", i, i*10))
+			mustExec(t, s, fmt.Sprintf("INSERT INTO t_b (uid, w) VALUES (%d, %d)", i, i*100))
+		}
+		const sql = "SELECT a.v, b.w FROM t_a a JOIN t_b b ON a.uid = b.uid WHERE a.uid IN (3, 7) ORDER BY a.v"
+		if c.refused {
+			if _, err := s.Query(sql); !errors.Is(err, route.ErrNotColocated) {
+				t.Fatalf("%v, bound %v: %v, want ErrNotColocated", c.resources, c.bind, err)
+			}
+			continue
+		}
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := k.Router().Route(stmt, nil, nil); err != nil || res.Kind != c.kind {
+			t.Fatalf("%v, bound %v: route %+v %v, want %v", c.resources, c.bind, res, err, c.kind)
+		}
+		rows := mustQuery(t, s, sql)
+		if len(rows) != 2 || rows[0][0].I != 30 || rows[0][1].I != 300 || rows[1][0].I != 70 {
+			t.Fatalf("%v, bound %v: join rows: %v", c.resources, c.bind, rows)
+		}
+		// Count matches even on a full-table join.
+		rows = mustQuery(t, s, "SELECT COUNT(*) FROM t_a a JOIN t_b b ON a.uid = b.uid")
+		if rows[0][0].I != 12 {
+			t.Fatalf("%v, bound %v: full join count: %v", c.resources, c.bind, rows)
+		}
 	}
 }
 

@@ -156,7 +156,8 @@ var ErrUnsupported = errors.New("rewrite: not supported across data nodes")
 // SUM and a COUNT — grouped by the keys, with no HAVING, ORDER BY or LIMIT.
 // The combine is the statement over the partial's columns: each aggregate
 // becomes its combine (COUNT and SUM a SUM, MIN a MIN, MAX a MAX, AVG
-// SUM(sums) / SUM(counts)), each key and column its partial column, and
+// SUM(sums) / SUM(counts)), each key and column its partial column (a
+// column of a global aggregate the MAX of its partial column), and
 // HAVING, ORDER BY, DISTINCT and LIMIT run as written. A DISTINCT aggregate
 // has no partial to add up, so when there is one the units send each
 // row's keys, columns and aggregate arguments — distinct rows when every
@@ -216,6 +217,11 @@ func splitGrouped(stmt *sqlparser.SelectStmt, aggs []*sqlparser.FuncExpr) (*sqlp
 		return sqlparser.MapExpr(e, func(x sqlparser.Expr) sqlparser.Expr {
 			switch t := x.(type) {
 			case *sqlparser.ColumnRef:
+				if len(stmt.GroupBy) == 0 && !rows {
+					// One partial row per unit, NULL where the unit matched
+					// nothing: read a real row's value.
+					return call("MAX", column(t))
+				}
 				return column(t)
 			case *sqlparser.FuncExpr:
 				if t.IsAggregate() {

@@ -87,29 +87,40 @@ const (
 	slotBetween        // the column between a and b
 )
 
+// colRef is a column with the FROM position its qualifier names, -1 when
+// unqualified.
+type colRef struct {
+	ref int
+	col string // lowercased
+}
+
 // condSlot is one comparison of a column with constants, kept symbolic:
 // its operands are evaluated when arguments are bound.
 type condSlot struct {
-	table string // logic table the column was qualified with, lowercased; "" when unqualified
-	col   string // lowercased
-	at    int    // col's position among the rule's sharding columns (slotsFor)
-	kind  int
-	op    sqlparser.BinOp // slotCmp, with the column on the left
-	a, b  sqlparser.Expr
-	list  []sqlparser.Expr
+	colRef
+	at   int // col's position among the rule's sharding columns (slotsFor)
+	kind int
+	op   sqlparser.BinOp // slotCmp, with the column on the left
+	a, b sqlparser.Expr
+	list []sqlparser.Expr
 }
 
 // narrowing appends to out the comparisons in a WHERE or ON clause that
-// may narrow a route. It is the one place that decides: only a top-level
-// AND conjunct counts (an OR branch cannot narrow safely, and NOT IN / NOT
-// BETWEEN exclude rather than select), and only a column compared by =,
-// <, <=, >, >=, IN or BETWEEN with operands that reference no column.
-// Anything else is passed over, which can only widen the route. from
-// resolves a column's qualifier — an alias or a table name — to its table.
-func narrowing(e sqlparser.Expr, from []sqlparser.TableRef, out []condSlot) []condSlot {
+// may narrow a route, and to eqs its equalities between two qualified
+// columns. It is the one place that decides: only a top-level AND conjunct
+// counts (an OR branch cannot narrow safely, and NOT IN / NOT BETWEEN
+// exclude rather than select), and only a column compared by =, <, <=, >,
+// >=, IN or BETWEEN with operands that reference no column. Anything else
+// is passed over, which can only widen the route. from resolves a column's
+// qualifier — an alias or a table name — to its FROM position; a qualifier
+// that names no entry narrows nothing. outer, unless -1, is the FROM
+// position of the outer join whose ON this is: that ON decides which rows
+// pair up, not which rows there are, so it narrows nothing and only its
+// equalities with the joined table count.
+func narrowing(e sqlparser.Expr, from []sqlparser.TableRef, outer int, out []condSlot, eqs [][2]colRef) ([]condSlot, [][2]colRef) {
 	keep := func(x sqlparser.Expr, slot condSlot) {
 		ref, ok := x.(*sqlparser.ColumnRef)
-		if !ok || !isConst(slot.a) || !isConst(slot.b) {
+		if !ok || outer >= 0 || !isConst(slot.a) || !isConst(slot.b) {
 			return
 		}
 		for _, item := range slot.list {
@@ -117,25 +128,26 @@ func narrowing(e sqlparser.Expr, from []sqlparser.TableRef, out []condSlot) []co
 				return
 			}
 		}
-		slot.col = strings.ToLower(ref.Name)
-		if ref.Table != "" {
-			slot.table = strings.ToLower(ref.Table)
-			for _, t := range from {
-				if strings.EqualFold(ref.Table, t.Alias) || strings.EqualFold(ref.Table, t.Name) {
-					slot.table = strings.ToLower(t.Name)
-					break
-				}
-			}
+		if slot.colRef, ok = resolve(ref, from); ok {
+			out = append(out, slot)
 		}
-		out = append(out, slot)
 	}
 	switch t := e.(type) {
 	case *sqlparser.BinaryExpr:
+		l, lok := t.L.(*sqlparser.ColumnRef)
+		r, rok := t.R.(*sqlparser.ColumnRef)
 		switch t.Op {
 		case sqlparser.OpAnd:
-			return narrowing(t.R, from, narrowing(t.L, from, out))
+			out, eqs = narrowing(t.L, from, outer, out, eqs)
+			return narrowing(t.R, from, outer, out, eqs)
 		case sqlparser.OpEQ, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
-			if _, ok := t.L.(*sqlparser.ColumnRef); ok {
+			if lok && rok {
+				a, aok := resolve(l, from)
+				b, bok := resolve(r, from)
+				if t.Op == sqlparser.OpEQ && aok && bok && a.ref >= 0 && b.ref >= 0 && (outer < 0 || a.ref == outer || b.ref == outer) {
+					eqs = append(eqs, [2]colRef{a, b})
+				}
+			} else if lok {
 				keep(t.L, condSlot{kind: slotCmp, op: t.Op, a: t.R})
 			} else {
 				keep(t.R, condSlot{kind: slotCmp, op: flip(t.Op), a: t.L})
@@ -150,7 +162,23 @@ func narrowing(e sqlparser.Expr, from []sqlparser.TableRef, out []condSlot) []co
 			keep(t.E, condSlot{kind: slotBetween, a: t.Lo, b: t.Hi})
 		}
 	}
-	return out
+	return out, eqs
+}
+
+// resolve names a column by the FROM position of its qualifier; ok is
+// false when the qualifier names no FROM entry.
+func resolve(c *sqlparser.ColumnRef, from []sqlparser.TableRef) (ref colRef, ok bool) {
+	ref = colRef{ref: -1, col: strings.ToLower(c.Name)}
+	if c.Table == "" {
+		return ref, true
+	}
+	for i, t := range from {
+		if strings.EqualFold(c.Table, t.Alias) || strings.EqualFold(c.Table, t.Name) {
+			ref.ref = i
+			return ref, true
+		}
+	}
+	return ref, false
 }
 
 func flip(op sqlparser.BinOp) sqlparser.BinOp {
@@ -168,18 +196,17 @@ func flip(op sqlparser.BinOp) sqlparser.BinOp {
 	}
 }
 
-// slotsFor projects a statement's narrowing comparisons onto one rule's
-// sharding columns, cols, and records each slot's column position. On a
-// column, comparisons qualified with the rule's table outrank unqualified
-// ones.
-func slotsFor(all []condSlot, table string, cols []string) []condSlot {
-	table = strings.ToLower(table)
+// slotsFor projects a statement's narrowing comparisons onto the sharding
+// columns, cols, of the table at FROM position ref, and records each slot's
+// column position. On a column, comparisons qualified with the table
+// outrank unqualified ones.
+func slotsFor(all []condSlot, ref int, cols []string) []condSlot {
 	var out []condSlot
 	for at, col := range cols {
-		for _, qualifier := range []string{table, ""} {
+		for _, qualifier := range []int{ref, -1} {
 			n := len(out)
 			for _, s := range all {
-				if s.col == col && s.table == qualifier {
+				if s.col == col && s.ref == qualifier {
 					s.at = at
 					out = append(out, s)
 				}

@@ -1,9 +1,15 @@
 // Package route implements the SQL router (paper Section VI-B): it maps a
 // logical statement onto data nodes. Statements whose WHERE clause pins
-// the sharding key take the standard route (one or a few nodes); joins
-// between binding tables collapse to per-shard pairs; joins between
-// unrelated sharded tables fall back to the cartesian route; everything
-// else broadcasts.
+// the sharding key take the standard route (one or a few nodes);
+// everything else broadcasts. A join is co-located when every sharded
+// table is bound to the first and the statement's top-level AND conjuncts
+// equate their sharding columns; it routes per shard (the binding route).
+// Any other join takes every combination of its tables' nodes (the
+// Cartesian route). A route is refused with ErrNotColocated when a
+// combination spans data sources, when one unit would need two actual
+// tables of one logic table, or when a join that is not co-located has a
+// sharded table on the NULL-extended side of an outer join and more than
+// one unit: no union of units gives one database's answer then.
 package route
 
 import (
@@ -19,7 +25,7 @@ import (
 var (
 	ErrNoShardingValue = errors.New("route: INSERT without a sharding key value")
 	ErrUpdateSharding  = errors.New("route: updating the sharding key is not supported")
-	ErrCrossSource     = errors.New("route: cartesian join spans data sources; bind the tables or co-locate them")
+	ErrNotColocated    = errors.New("route: join is not co-located (bind its tables and equate their sharding columns, or put their shards on one data source)")
 	ErrNoDataSource    = errors.New("route: statement routes to no data source")
 )
 

@@ -150,35 +150,103 @@ func TestBindingJoinRoute(t *testing.T) {
 	}
 }
 
-func TestCartesianJoinRoute(t *testing.T) {
-	r := fixture(t, false) // no binding
-	res := routeSQL(t, r, "SELECT * FROM t_user u JOIN t_order o ON u.uid = o.uid WHERE u.uid IN (1, 2)")
-	if res.Kind != KindCartesian {
-		t.Fatalf("kind: %v", res.Kind)
+// unbound builds a router over the given tables, each a MOD AutoTable on
+// k with count shards over resources, and no binding group.
+func unbound(t *testing.T, tables []string, resources []string, count int) *Router {
+	t.Helper()
+	rs := sharding.NewRuleSet()
+	for _, table := range tables {
+		rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
+			LogicTable: table, Resources: resources,
+			ShardingColumn: "k", AlgorithmType: "MOD", ShardingCount: count,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.AddRule(rule)
 	}
-	// Within-source combinations only: ds0 holds (t_user_0, t_order_0),
-	// ds1 holds (t_user_1, t_order_1) → 2 units, not 4, because each
-	// source has one actual table per logic table.
-	if len(res.Units) != 2 {
-		t.Fatalf("cartesian units: %+v", res.Units)
+	return newRouter(rs, []string{"ds0", "ds1"})
+}
+
+func TestCartesianJoinRoute(t *testing.T) {
+	// Unbound, each side's two shards on one source: every combination of
+	// the routed nodes, 2 × 2 units.
+	const sql = "SELECT * FROM a JOIN b ON a.k = b.k WHERE a.k IN (1, 2)"
+	res := routeSQL(t, unbound(t, []string{"a", "b"}, []string{"ds0"}, 2), sql)
+	if res.Kind != KindCartesian || len(res.Units) != 4 {
+		t.Fatalf("cartesian route: %s", describe(res))
+	}
+	// Over two sources, half the combinations span them: refused, not
+	// dropped.
+	if _, err := fixture(t, false).Route(parse(t, "SELECT * FROM t_user u JOIN t_order o ON u.uid = o.uid WHERE u.uid IN (1, 2)"), nil, nil); !errors.Is(err, ErrNotColocated) {
+		t.Fatalf("cartesian route over two sources: %v", err)
 	}
 }
 
 func TestCartesianMultipleTablesPerSource(t *testing.T) {
-	// 4 shards over 2 sources → each source has 2 actual tables per logic
-	// table → cartesian yields 2×(2×2) = 8 units.
-	rs := sharding.NewRuleSet()
-	for _, table := range []string{"a", "b"} {
-		rule, _ := sharding.BuildAutoRule(sharding.AutoTableSpec{
-			LogicTable: table, Resources: []string{"ds0", "ds1"},
-			ShardingColumn: "k", AlgorithmType: "MOD", ShardingCount: 4,
-		})
-		rs.AddRule(rule)
-	}
-	r := newRouter(rs, []string{"ds0", "ds1"})
-	res := routeSQL(t, r, "SELECT * FROM a JOIN b ON a.k = b.k")
-	if res.Kind != KindCartesian || len(res.Units) != 8 {
+	// 4 shards of each table on one source → 4 × 4 = 16 units.
+	const sql = "SELECT * FROM a JOIN b ON a.k = b.k"
+	res := routeSQL(t, unbound(t, []string{"a", "b"}, []string{"ds0"}, 4), sql)
+	if res.Kind != KindCartesian || len(res.Units) != 16 {
 		t.Fatalf("cartesian fanout: kind=%v units=%d", res.Kind, len(res.Units))
+	}
+	// The same shards over two sources are refused.
+	if _, err := unbound(t, []string{"a", "b"}, []string{"ds0", "ds1"}, 4).Route(parse(t, sql), nil, nil); !errors.Is(err, ErrNotColocated) {
+		t.Fatalf("cartesian fanout over two sources: %v", err)
+	}
+}
+
+// TestJoinColocation: a join routes per shard only when its sharded tables
+// are bound and equated on their sharding columns; any other join takes
+// every combination of its tables' nodes, and a route no union of units
+// can answer is refused.
+func TestJoinColocation(t *testing.T) {
+	r := fixture(t, true)
+	const both = "ds0:t_user_0 ds1:t_user_1"
+	for sql, want := range map[string]string{
+		// A self-join is bound to itself.
+		"SELECT * FROM t_user a JOIN t_user b ON a.uid = b.uid": "binding " + both,
+		// A condition narrows the FROM entry it names, not every reference
+		// to its table.
+		"SELECT * FROM t_user a JOIN t_user b ON a.name = b.name WHERE a.uid = 1 AND b.uid = 3": "cartesian ds1:t_user_1",
+		"SELECT * FROM t_user a JOIN t_user b ON a.name = b.name WHERE a.uid = 1":               "refused",
+		// Linked through another table.
+		"SELECT * FROM t_user u, t_order o, t_user v WHERE u.uid = o.uid AND o.uid = v.uid": "binding ds0:t_order_0+t_user_0 ds1:t_order_1+t_user_1",
+		// Bound but not equated, or equated but not bound.
+		"SELECT * FROM t_user u JOIN t_order o ON u.name = o.name WHERE u.uid = 1 AND o.uid = 3": "cartesian ds1:t_order_1+t_user_1",
+		"SELECT * FROM t_user u JOIN t_order o ON u.uid = o.uid JOIN t_other x ON o.uid = x.uid": "refused",
+		// An outer join's ON constant narrows neither side.
+		"SELECT * FROM t_user u LEFT JOIN t_order o ON u.uid = o.uid AND u.uid = 1":                   "binding ds0:t_order_0+t_user_0 ds1:t_order_1+t_user_1",
+		"SELECT * FROM t_user u LEFT JOIN t_order o ON u.name = o.name WHERE u.uid = 1 AND o.uid = 1": "cartesian ds1:t_order_1+t_user_1",
+		// A sharded table on the NULL-extended side needs one unit.
+		"SELECT * FROM t_dict d LEFT JOIN t_user u ON d.k = u.uid": "refused",
+		"SELECT * FROM t_user u LEFT JOIN t_dict d ON d.k = u.uid": "broadcast " + both,
+		// A qualifier that names no FROM entry narrows nothing.
+		"SELECT * FROM t_user u WHERE x.uid = 1": "broadcast " + both,
+	} {
+		res, err := r.Route(parse(t, sql), nil, nil)
+		got := "refused"
+		if err == nil {
+			got = describe(res)
+		} else if !errors.Is(err, ErrNotColocated) {
+			got = err.Error()
+		}
+		if got != want {
+			t.Errorf("%s:\n got %s\nwant %s", sql, got, want)
+		}
+	}
+	// A bound table whose rule was replaced by one with shard i on another
+	// source is not joined per shard.
+	rs := r.rules.Load().Clone()
+	swapped, err := sharding.BuildAutoRule(sharding.AutoTableSpec{LogicTable: "t_order", Resources: []string{"ds1", "ds0"},
+		ShardingColumn: "uid", AlgorithmType: "MOD", ShardingCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.AddRule(swapped)
+	r.rules.Store(rs)
+	if _, err := r.Route(parse(t, "SELECT * FROM t_user u JOIN t_order o ON u.uid = o.uid"), nil, nil); !errors.Is(err, ErrNotColocated) {
+		t.Fatalf("misaligned binding: %v", err)
 	}
 }
 
@@ -399,6 +467,7 @@ func TestCompileOnceBindTwice(t *testing.T) {
 	}
 	str := sqltypes.NewString
 	const all = "ds0:t_order_0 ds1:t_order_1 ds0:t_order_2 ds1:t_order_3"
+	const refused = "refused: not co-located"
 	cases := []struct {
 		sql          string
 		args1, args2 []sqltypes.Value
@@ -432,9 +501,10 @@ func TestCompileOnceBindTwice(t *testing.T) {
 		// Join routed by an equality in ON.
 		{"SELECT * FROM t_order o JOIN t_item i ON o.order_id = i.order_id AND o.order_id = ?", ints(3), ints(4),
 			"binding ds1:t_item_3+t_order_3", "binding ds0:t_item_0+t_order_0"},
-		// Cartesian join: every same-source combination of each side's nodes.
+		// Cartesian join: every combination of each side's nodes, refused
+		// when one spans sources.
 		{"SELECT * FROM t_order o JOIN t_other x ON o.order_id = x.order_id WHERE o.order_id = ? AND x.order_id IN (?, ?)", ints(1, 1, 3), ints(2, 0, 1),
-			"cartesian ds1:t_order_1+t_other_1 ds1:t_order_1+t_other_3", "cartesian ds0:t_order_2+t_other_0"},
+			"cartesian ds1:t_order_1+t_other_1 ds1:t_order_1+t_other_3", refused},
 		// A sharded table joined with a broadcast one routes as the sharded table.
 		{"SELECT * FROM t_order, t_dict WHERE t_order.order_id = ?", ints(2), ints(3), "standard ds0:t_order_2", "standard ds1:t_order_3"},
 		// Broadcast-table reads go to the default source, writes everywhere.
@@ -466,6 +536,12 @@ func TestCompileOnceBindTwice(t *testing.T) {
 			want string
 		}{{c.args1, c.want1}, {c.args2, c.want2}, {c.args1, c.want1}} {
 			got, err := sk.Route(b.args, nil)
+			if b.want == refused {
+				if _, ferr := r.Route(stmt, b.args, nil); !errors.Is(err, ErrNotColocated) || !errors.Is(ferr, ErrNotColocated) {
+					t.Errorf("%q binding %d: %v, compiled afresh %v; want ErrNotColocated", c.sql, i, err, ferr)
+				}
+				continue
+			}
 			if err != nil {
 				t.Errorf("%q binding %d: %v", c.sql, i, err)
 				continue

@@ -2,6 +2,8 @@ package route
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"shardingsphere/internal/sharding"
@@ -28,17 +30,19 @@ type Skeleton struct {
 	tables     []routedTable
 	everywhere bool
 	allNodes   bool // DDL: every node of tables[0], whatever the arguments
-	bound      bool // several sharded tables, all of one binding group
+	colocated  bool // several sharded tables, each joined on its sharding columns with the same shard of the first (colocate)
+	nullable   bool // a sharded table on the NULL-extended side of an outer join
 	// keys, for an INSERT into a sharded table, holds per row the value
 	// expression of each sharding column (nil where the row has none).
 	keys [][]sqlparser.Expr
 }
 
 // routedTable is one sharded table of a statement: its rule, the rule's
-// node index and the comparisons that narrow its route.
+// node index, its FROM position and the comparisons that narrow its route.
 type routedTable struct {
 	rule  *sharding.TableRule
 	ix    *sharding.NodeIndex
+	ref   int
 	slots []condSlot
 }
 
@@ -56,20 +60,29 @@ func (r *Router) Compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (*Sk
 	s := &Skeleton{r: r, rules: rules}
 	switch t := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		// Equality on the sharding key in a join's ON clause narrows the
-		// route as it does in WHERE.
-		slots := narrowing(t.Where, t.From, nil)
-		for _, ref := range t.From {
-			slots = narrowing(ref.On, t.From, slots)
+		// An inner join's ON narrows the route as WHERE does.
+		slots, eqs := narrowing(t.Where, t.From, -1, nil, nil)
+		lastRight := 0
+		for i, ref := range t.From {
+			outer := -1
+			switch ref.Join {
+			case sqlparser.JoinRight:
+				lastRight = i
+				fallthrough
+			case sqlparser.JoinLeft:
+				outer = i
+			}
+			slots, eqs = narrowing(ref.On, t.From, outer, slots, eqs)
 		}
-		var names []string
-		for _, ref := range t.From {
+		for i, ref := range t.From {
 			if rule, ok := rules.Rule(ref.Name); ok {
-				s.sharded(rule, slots)
-				names = append(names, ref.Name)
+				s.sharded(rule, i, slots)
+				// A LEFT JOIN's table and every table before a RIGHT JOIN
+				// are NULL-extended.
+				s.nullable = s.nullable || ref.Join == sqlparser.JoinLeft || i < lastRight
 			}
 		}
-		s.bound = len(names) > 1 && rules.AllBound(names)
+		s.colocated = len(s.tables) > 1 && s.colocate(eqs)
 	case *sqlparser.UpdateStmt:
 		if rule := s.dml(t.Table, t.Alias, t.Where); rule != nil {
 			for _, a := range t.Set {
@@ -110,13 +123,44 @@ func (s *Skeleton) dml(table, alias string, where sqlparser.Expr) *sharding.Tabl
 		s.everywhere = s.rules.Broadcast[strings.ToLower(table)]
 		return nil
 	}
-	s.sharded(rule, narrowing(where, []sqlparser.TableRef{{Name: table, Alias: alias}}, nil))
+	slots, _ := narrowing(where, []sqlparser.TableRef{{Name: table, Alias: alias}}, -1, nil, nil)
+	s.sharded(rule, 0, slots)
 	return rule
 }
 
-func (s *Skeleton) sharded(rule *sharding.TableRule, slots []condSlot) {
+func (s *Skeleton) sharded(rule *sharding.TableRule, ref int, slots []condSlot) {
 	ix := rule.NodeIndex()
-	s.tables = append(s.tables, routedTable{rule: rule, ix: ix, slots: slotsFor(slots, rule.LogicTable, ix.Columns())})
+	s.tables = append(s.tables, routedTable{rule: rule, ix: ix, ref: ref, slots: slotsFor(slots, ref, ix.Columns())})
+}
+
+// colocate reports whether a join of several sharded tables is
+// co-located: every table is bound to the first (a table is bound to
+// itself) and linked to an earlier one by equalities, eqs, between their
+// sharding columns, position for position. One pass in FROM order may
+// miss a link that an odd order of the tables makes; that only widens the
+// route.
+func (s *Skeleton) colocate(eqs [][2]colRef) bool {
+	for j := 1; j < len(s.tables); j++ {
+		t := &s.tables[j]
+		cols := t.ix.Columns()
+		linked := func(x routedTable) bool {
+			xcols := x.ix.Columns()
+			if len(cols) == 0 || len(xcols) != len(cols) {
+				return false
+			}
+			for p, col := range cols {
+				a, b := colRef{t.ref, col}, colRef{x.ref, xcols[p]}
+				if !slices.Contains(eqs, [2]colRef{a, b}) && !slices.Contains(eqs, [2]colRef{b, a}) {
+					return false
+				}
+			}
+			return true
+		}
+		if !s.rules.Bound(s.tables[0].rule.LogicTable, t.rule.LogicTable) || !slices.ContainsFunc(s.tables[:j], linked) {
+			return false
+		}
+	}
+	return true
 }
 
 // ddl fans DDL out to every node of a sharded table (paper: DDL
@@ -177,18 +221,20 @@ func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, 
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoDataSource, primary.rule.LogicTable)
 	}
-	switch {
-	case len(s.tables) == 1:
+	var res *Result
+	if len(s.tables) == 1 {
 		kind := KindStandard
 		if len(nodes) == len(primary.rule.DataNodes) {
 			kind = KindBroadcast
 		}
-		return unitsFromNodes(primary.ix, nodes, kind), nil
-	case s.bound:
-		return s.binding(nodes)
-	default:
-		return s.cartesian(nodes, args, hint)
+		res = unitsFromNodes(primary.ix, nodes, kind)
+	} else if res, err = s.join(nodes, args, hint); err != nil {
+		return nil, err
 	}
+	if s.nullable && !s.colocated && len(res.Units) > 1 {
+		return nil, fmt.Errorf("%w: a sharded table on the NULL-extended side of an outer join spans %d units", ErrNotColocated, len(res.Units))
+	}
+	return res, nil
 }
 
 func (s *Skeleton) defaultRoute() (*Result, error) {
@@ -214,66 +260,49 @@ func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value) (
 	return t.ix.Route(conds, hint)
 }
 
-// binding pairs each of the primary table's nodes with the same shard of
-// every bound table (paper Section VI-B: "binding route").
-func (s *Skeleton) binding(nodes []sharding.DataNode) (*Result, error) {
-	primary, ix := s.tables[0].rule, s.tables[0].ix
-	res := unitsFromNodes(ix, nodes, KindBinding)
-	for i := range res.Units {
-		// The primary's map is shared; a binding unit maps several tables
-		// and owns its copy.
-		primaryTable := res.Units[i].TableMap[primary.LogicTable]
-		idx := ix.Shard(primaryTable)
-		m := make(map[string]string, len(s.tables))
-		m[primary.LogicTable] = primaryTable
-		for _, other := range s.tables[1:] {
-			if idx < 0 || idx >= len(other.rule.DataNodes) {
-				return nil, fmt.Errorf("route: binding tables %s and %s misaligned", primary.LogicTable, other.rule.LogicTable)
-			}
-			m[other.rule.LogicTable] = other.rule.DataNodes[idx].Table
-		}
-		res.Units[i].TableMap = m
-	}
-	return res, nil
-}
-
-// cartesian enumerates every combination of actual tables that share a
-// data source (paper Section VI-B: "Cartesian route"). A combination that
-// spans sources is left out: joining it would need federation.
-func (s *Skeleton) cartesian(primaryNodes []sharding.DataNode, args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
-	perTable := make([][]sharding.DataNode, len(s.tables))
-	perTable[0] = primaryNodes
-	for i := 1; i < len(s.tables); i++ {
-		nodes, err := s.nodesOf(i, args, hint)
-		if err != nil {
+// join routes a statement over several sharded tables (paper Section
+// VI-B): each of the first table's nodes takes, per other table, the same
+// shard when the join is co-located (the binding route), and otherwise
+// every node that table routes to (the Cartesian route). A unit is one
+// data source with one actual table per logic table, so a combination
+// that spans sources, or that needs two actual tables of one logic table,
+// refuses the route.
+func (s *Skeleton) join(nodes []sharding.DataNode, args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
+	res := &Result{Kind: KindBinding}
+	picks := make([][]sharding.DataNode, len(s.tables))
+	for i := 1; i < len(s.tables) && !s.colocated; i++ {
+		res.Kind = KindCartesian
+		var err error
+		if picks[i], err = s.nodesOf(i, args, hint); err != nil {
 			return nil, err
 		}
-		perTable[i] = nodes
 	}
-	res := &Result{Kind: KindCartesian}
-	var build func(i int, ds string, acc map[string]string)
-	build = func(i int, ds string, acc map[string]string) {
-		if i == len(s.tables) {
-			m := make(map[string]string, len(acc))
-			for k, v := range acc {
-				m[k] = v
+	first := s.tables[0]
+	for _, n := range nodes {
+		shard := first.ix.Shard(n)
+		units := []Unit{{DataSource: n.DataSource, TableMap: map[string]string{first.rule.LogicTable: n.Table}}}
+		for i, t := range s.tables[1:] {
+			if s.colocated {
+				if shard < 0 || shard >= len(t.rule.DataNodes) {
+					return nil, fmt.Errorf("%w: %s has no shard %d", ErrNotColocated, t.rule.LogicTable, shard)
+				}
+				picks[i+1] = t.rule.DataNodes[shard : shard+1]
 			}
-			res.Units = append(res.Units, Unit{DataSource: ds, TableMap: m})
-			return
-		}
-		logic := s.tables[i].rule.LogicTable
-		for _, n := range perTable[i] {
-			if ds != "" && n.DataSource != ds {
-				continue
+			var next []Unit
+			for _, u := range units {
+				for _, p := range picks[i+1] {
+					logic := t.rule.LogicTable
+					if have, ok := u.TableMap[logic]; p.DataSource != n.DataSource || ok && have != p.Table {
+						return nil, fmt.Errorf("%w: one unit would join %s with %s", ErrNotColocated, n, p)
+					}
+					m := maps.Clone(u.TableMap)
+					m[logic] = p.Table
+					next = append(next, Unit{DataSource: n.DataSource, TableMap: m})
+				}
 			}
-			acc[logic] = n.Table
-			build(i+1, n.DataSource, acc)
-			delete(acc, logic)
+			units = next
 		}
-	}
-	build(0, "", map[string]string{})
-	if len(res.Units) == 0 {
-		return nil, ErrCrossSource
+		res.Units = append(res.Units, units...)
 	}
 	return res, nil
 }

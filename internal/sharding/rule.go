@@ -159,9 +159,9 @@ func (ix *NodeIndex) Of(n DataNode) map[string]string {
 	return map[string]string{ix.rule.LogicTable: n.Table}
 }
 
-// Shard returns the shard ordinal of an actual table name, or -1.
-func (ix *NodeIndex) Shard(table string) int {
-	if i, ok := ix.byTable[table]; ok {
+// Shard returns the shard ordinal of a data node, or -1.
+func (ix *NodeIndex) Shard(n DataNode) int {
+	if i, ok := ix.byNode[n]; ok {
 		return i
 	}
 	return -1
@@ -335,21 +335,21 @@ func (rs *RuleSet) IsSharded(table string) bool {
 }
 
 // AddBindingGroup declares the tables mutually binding. It validates that
-// all tables exist and have the same shard count.
+// all tables exist and that shard i of each is on the same data source.
 func (rs *RuleSet) AddBindingGroup(tables ...string) error {
 	if len(tables) < 2 {
 		return fmt.Errorf("sharding: a binding group needs at least two tables")
 	}
-	var n int
-	for i, t := range tables {
+	var first *TableRule
+	for _, t := range tables {
 		r, ok := rs.Rule(t)
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoRule, t)
 		}
-		if i == 0 {
-			n = len(r.DataNodes)
-		} else if len(r.DataNodes) != n {
-			return fmt.Errorf("sharding: binding tables %s and %s have different shard counts", tables[0], t)
+		if first == nil {
+			first = r
+		} else if !slices.EqualFunc(r.DataNodes, first.DataNodes, func(a, b DataNode) bool { return a.DataSource == b.DataSource }) {
+			return fmt.Errorf("sharding: binding tables %s and %s have different shard layouts", tables[0], t)
 		}
 	}
 	rs.BindingGroups = append(rs.BindingGroups, append([]string(nil), tables...))
@@ -376,26 +376,6 @@ func (rs *RuleSet) Bound(a, b string) bool {
 		}
 	}
 	return false
-}
-
-// AllBound reports whether every listed table is in one binding group (or
-// there is at most one sharded table).
-func (rs *RuleSet) AllBound(tables []string) bool {
-	var sharded []string
-	for _, t := range tables {
-		if rs.IsSharded(t) {
-			sharded = append(sharded, t)
-		}
-	}
-	if len(sharded) <= 1 {
-		return true
-	}
-	for _, t := range sharded[1:] {
-		if !rs.Bound(sharded[0], t) {
-			return false
-		}
-	}
-	return true
 }
 
 // LogicTables lists the rule table names, unsorted.

@@ -410,14 +410,11 @@ func TestRuleSetBinding(t *testing.T) {
 	if err := rs.AddBindingGroup("t_user"); err == nil {
 		t.Fatal("single-table binding accepted")
 	}
-	if !rs.AllBound([]string{"t_user", "t_order"}) {
-		t.Fatal("AllBound false for bound pair")
-	}
-	if rs.AllBound([]string{"t_user", "t_other"}) {
-		t.Fatal("AllBound true for unbound pair")
-	}
-	if !rs.AllBound([]string{"t_user", "unsharded"}) {
-		t.Fatal("AllBound must ignore unsharded tables")
+	// Same shard count, but shard i on another source: a per-shard join
+	// would meet a table its source does not hold.
+	rs.AddRule(autoRule(t, "t_swapped", []string{"ds1", "ds0"}, 2))
+	if err := rs.AddBindingGroup("t_user", "t_swapped"); err == nil || rs.Bound("t_user", "t_swapped") {
+		t.Fatalf("binding across sources accepted: %v", err)
 	}
 	// Removing a rule clears it from groups.
 	rs.RemoveRule("t_order")

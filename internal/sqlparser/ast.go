@@ -229,8 +229,8 @@ type SelectItem struct {
 	StarTable string // qualifier of "t.*", empty for bare "*"
 }
 
-// JoinType enumerates join kinds. Only inner/cross joins affect routing;
-// outer joins are executed per-node and merged.
+// JoinType enumerates join kinds. An outer join's ON narrows no route, and
+// its NULL-extended side limits how the join may be split (package route).
 type JoinType uint8
 
 // Join kinds.

@@ -1,6 +1,7 @@
 package shardingdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -9,7 +10,9 @@ import (
 
 	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/exec"
+	"shardingsphere/internal/route"
 	"shardingsphere/internal/sqlexec"
+	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/storage"
 )
 
@@ -88,6 +91,10 @@ var oneEngineStatements = []struct {
 	{"SELECT k, COUNT(DISTINCT v % 3), COUNT(*), SUM(v), MAX(v) FROM t GROUP BY k ORDER BY k DESC",
 		"SELECT k, COUNT(DISTINCT v % ?), COUNT(*), SUM(v), MAX(v) FROM t GROUP BY k ORDER BY k DESC", []Value{Int(3)}, []int{0}, nil},
 	{"SELECT SUM(v % 2), SUM(v % 7) FROM t", "SELECT SUM(v % ?), SUM(v % ?) FROM t", []Value{Int(2), Int(7)}, nil, nil},
+	// A column outside the aggregate of a global aggregate reads a row that
+	// matched, not a unit's empty partial.
+	{"SELECT k, COUNT(*) FROM t WHERE v = 6", "SELECT k, COUNT(*) FROM t WHERE v = ?", []Value{Int(6)}, nil, nil},
+	{"SELECT k, COUNT(*) FROM t WHERE k = 1", "SELECT k, COUNT(*) FROM t WHERE k = ?", []Value{Int(1)}, nil, nil},
 	// 2 and 2.0 on different units are one value.
 	{"SELECT x, COUNT(*) FROM f GROUP BY x ORDER BY COUNT(*)", "SELECT x, COUNT(*) FROM f GROUP BY x ORDER BY COUNT(*)", nil, []int{0, 1}, nil},
 	{"SELECT DISTINCT x FROM f ORDER BY x", "SELECT DISTINCT x FROM f ORDER BY x", nil, []int{0}, nil},
@@ -123,6 +130,126 @@ func TestRowsMatchOneEngine(t *testing.T) {
 						}
 						if msg := sameAnswer(project(got, c.cols), project(want.Rows, c.cols), c.keys); msg != "" {
 							t.Errorf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Layouts of tables t and u (oneEngineLayout), named for
+// oneEngineJoins' refusal lists.
+const (
+	oneShard   = "1 shard"
+	oneSource  = "4 shards on ds0"
+	twoSources = "4 shards over ds0, ds1"
+	bound      = "4 shards over ds0, ds1, bound"
+	uAtThree   = "u at 3 shards"
+)
+
+// oneEngineLayout shards t (and f) and u by hash_mod on id: tShards and
+// uShards shards over resources, t and u bound when bind is set.
+type oneEngineLayout struct {
+	name             string
+	tShards, uShards int
+	resources        string
+	bind             bool
+}
+
+var oneEngineLayouts = []oneEngineLayout{
+	{oneShard, 1, 1, "ds0, ds1", false},
+	{oneSource, 4, 4, "ds0", false},
+	{twoSources, 4, 4, "ds0, ds1", false},
+	{bound, 4, 4, "ds0, ds1", true},
+	{uAtThree, 4, 3, "ds0, ds1", false},
+}
+
+// oneEngineJoins are joins of t with itself, with u (t's rows) and with
+// the broadcast d. refused lists the layouts whose router refuses the join
+// with route.ErrNotColocated: the union of its units could not be one
+// engine's answer there. routes holds, per layout, the route's kind and
+// unit count.
+var oneEngineJoins = []struct {
+	sql, placeholders string
+	args              []Value
+	refused           []string
+	routes            map[string]string
+}{
+	{"SELECT a.id, b.id FROM t a JOIN t b ON a.k = b.k", "", nil, []string{oneSource, twoSources, bound, uAtThree}, nil},
+	{"SELECT a.id, b.id FROM t a JOIN t b ON a.id = b.v", "", nil, []string{oneSource, twoSources, bound, uAtThree}, nil},
+	{"SELECT a.id, b.id FROM t a JOIN t b ON a.id = b.id + 1 WHERE a.id < 4",
+		"SELECT a.id, b.id FROM t a JOIN t b ON a.id = b.id + ? WHERE a.id < ?", []Value{Int(1), Int(4)}, []string{oneSource, twoSources, bound, uAtThree}, nil},
+	{"SELECT t.id, u.id FROM t JOIN u ON t.k = u.k", "", nil, []string{twoSources, bound, uAtThree},
+		map[string]string{oneSource: "cartesian 16"}},
+	{"SELECT t.id, u.id FROM t JOIN u ON t.id = u.id", "", nil, []string{twoSources, uAtThree},
+		map[string]string{oneSource: "cartesian 16", bound: "binding 4"}},
+	{"SELECT t.id, u.id FROM t LEFT JOIN u ON t.id = u.id AND t.id = 3",
+		"SELECT t.id, u.id FROM t LEFT JOIN u ON t.id = u.id AND t.id = ?", []Value{Int(3)}, []string{oneSource, twoSources, uAtThree},
+		map[string]string{bound: "binding 4"}},
+	{"SELECT a.id, b.id FROM t a LEFT JOIN t b ON a.id = b.id AND b.id = 3",
+		"SELECT a.id, b.id FROM t a LEFT JOIN t b ON a.id = b.id AND b.id = ?", []Value{Int(3)}, nil,
+		map[string]string{twoSources: "binding 4"}},
+	{"SELECT t.id, u.id FROM t RIGHT JOIN u ON t.id = u.id AND t.id = 3",
+		"SELECT t.id, u.id FROM t RIGHT JOIN u ON t.id = u.id AND t.id = ?", []Value{Int(3)}, []string{oneSource, twoSources, uAtThree},
+		map[string]string{bound: "binding 4"}},
+	{"SELECT t.id, u.id FROM t LEFT JOIN u ON t.k = u.id", "", nil, []string{oneSource, twoSources, bound, uAtThree}, nil},
+	{"SELECT d.k, t.id FROM d LEFT JOIN t ON d.k = t.k", "", nil, []string{oneSource, twoSources, bound, uAtThree}, nil},
+	{"SELECT a.id, b.v FROM t a JOIN t b ON a.id = b.id", "", nil, nil,
+		map[string]string{twoSources: "binding 4", bound: "binding 4"}},
+	{"SELECT t.id, u.v FROM t, u WHERE t.id = u.id", "", nil, []string{twoSources, uAtThree},
+		map[string]string{bound: "binding 4"}},
+	{"SELECT t.id, u.id FROM t JOIN u ON t.id = u.k", "", nil, []string{twoSources, bound, uAtThree}, nil},
+	{"SELECT t.id, d.w FROM t LEFT JOIN d ON t.k = d.k", "", nil, nil,
+		map[string]string{twoSources: "broadcast 4"}},
+}
+
+// TestJoinsMatchOneEngine runs every join in every layout — both dialects,
+// literal and placeholder form, first and second execution — and holds
+// each answer to one sqlexec.Processor holding the same rows, or to
+// route.ErrNotColocated where the join lists the layout as refused. At one
+// shard every join answers.
+func TestJoinsMatchOneEngine(t *testing.T) {
+	ref := oneEngineRef(t)
+	for _, dialect := range []string{"mysql", "postgresql"} {
+		for _, layout := range oneEngineLayouts {
+			s := layoutDB(t, dialect, layout)
+			for _, c := range oneEngineJoins {
+				want, err := ref.Execute(c.sql)
+				if err != nil {
+					t.Fatalf("reference %q: %v", c.sql, err)
+				}
+				refused := slices.Contains(c.refused, layout.name)
+				for _, form := range []struct {
+					sql  string
+					args []Value
+				}{{c.sql, nil}, {cmp.Or(c.placeholders, c.sql), c.args}} {
+					where := fmt.Sprintf("%s, %s: %s %v", dialect, layout.name, form.sql, form.args)
+					if want, ok := c.routes[layout.name]; ok {
+						stmt, err := sqlparser.Parse(form.sql)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := "refused"
+						if res, err := s.inner.Kernel().Router().Route(stmt, form.args, nil); err == nil {
+							got = fmt.Sprintf("%v %d", res.Kind, len(res.Units))
+						}
+						if got != want {
+							t.Errorf("%s: route %s, want %s", where, got, want)
+						}
+					}
+					for exec := 1; exec <= 2; exec++ {
+						got, err := s.QueryAll(form.sql, form.args...)
+						switch {
+						case refused && !errors.Is(err, route.ErrNotColocated):
+							t.Errorf("%s, execution %d: answered %v %v, want route.ErrNotColocated", where, exec, got, err)
+						case refused:
+						case err != nil:
+							t.Errorf("%s, execution %d: %v", where, exec, err)
+						default:
+							if msg := sameAnswer(got, want.Rows, nil); msg != "" {
+								t.Errorf("%s, execution %d: %s\n got %v\nwant %v", where, exec, msg, got, want.Rows)
+							}
 						}
 					}
 				}
@@ -208,8 +335,7 @@ func TestFailedWriteLeavesOneEngineTable(t *testing.T) {
 	}
 }
 
-// oneEngineRef is one sqlexec.Processor holding table t with oneEngineRows
-// and table f with oneEngineFloats.
+// oneEngineRef is one sqlexec.Processor holding the tables load fills.
 func oneEngineRef(t testing.TB) *sqlexec.Session {
 	t.Helper()
 	ref := sqlexec.NewProcessor(storage.NewEngine("ref")).NewSession()
@@ -217,10 +343,15 @@ func oneEngineRef(t testing.TB) *sqlexec.Session {
 	return ref
 }
 
-// oneEngineDB opens two embedded sources of the dialect with tables t and f
-// each sharded by hash_mod into the given number of shards, loaded with
-// oneEngineRows and oneEngineFloats.
+// oneEngineDB opens two embedded sources of the dialect with tables t, u
+// and f each sharded by hash_mod into the given number of shards over both
+// sources and d broadcast, loaded as oneEngineRef is.
 func oneEngineDB(t testing.TB, dialect string, shards int) *Session {
+	return layoutDB(t, dialect, oneEngineLayout{tShards: shards, uShards: shards, resources: "ds0, ds1"})
+}
+
+// layoutDB is oneEngineDB with t, f and u laid out by l.
+func layoutDB(t testing.TB, dialect string, l oneEngineLayout) *Session {
 	t.Helper()
 	db, err := Open(Config{DataSources: []DataSourceConfig{
 		{Name: "ds0", Dialect: dialect}, {Name: "ds1", Dialect: dialect},
@@ -230,8 +361,15 @@ func oneEngineDB(t testing.TB, dialect string, shards int) *Session {
 	}
 	t.Cleanup(db.Close)
 	s := db.Session()
-	for _, table := range []string{"t", "f"} {
-		if _, err := s.Exec(fmt.Sprintf(`CREATE SHARDING TABLE RULE %s (RESOURCES(ds0, ds1), SHARDING_COLUMN = id, TYPE = hash_mod, PROPERTIES("sharding-count" = %d))`, table, shards)); err != nil {
+	rules := []string{"CREATE BROADCAST TABLE RULE d"}
+	for table, shards := range map[string]int{"t": l.tShards, "f": l.tShards, "u": l.uShards} {
+		rules = append(rules, fmt.Sprintf(`CREATE SHARDING TABLE RULE %s (RESOURCES(%s), SHARDING_COLUMN = id, TYPE = hash_mod, PROPERTIES("sharding-count" = %d))`, table, l.resources, shards))
+	}
+	if l.bind {
+		rules = append(rules, "CREATE BINDING TABLE RULES (t, u)")
+	}
+	for _, rule := range rules {
+		if _, err := s.Exec(rule); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,16 +377,26 @@ func oneEngineDB(t testing.TB, dialect string, shards int) *Session {
 	return s
 }
 
-// load creates and fills tables t and f through exec.
+// load creates and fills tables t and u with oneEngineRows, f with
+// oneEngineFloats and d with k 0 to 3 (each k of t, and one no row of t
+// has) through exec.
 func load(t testing.TB, exec func(sql string, args ...Value) error) {
 	t.Helper()
-	for _, stmt := range []string{"CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)", "CREATE TABLE f (id INT PRIMARY KEY, x DOUBLE)"} {
+	for _, stmt := range []string{"CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)", "CREATE TABLE u (id INT PRIMARY KEY, k INT, v INT)",
+		"CREATE TABLE f (id INT PRIMARY KEY, x DOUBLE)", "CREATE TABLE d (k INT PRIMARY KEY, w INT)"} {
 		if err := exec(stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range oneEngineRows() {
-		if err := exec("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
+		for _, table := range []string{"t", "u"} {
+			if err := exec("INSERT INTO "+table+" (id, k, v) VALUES (?, ?, ?)", Int(r[0]), Int(r[1]), Int(r[2])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for k := int64(0); k <= 3; k++ {
+		if err := exec("INSERT INTO d (k, w) VALUES (?, ?)", Int(k), Int(k*10)); err != nil {
 			t.Fatal(err)
 		}
 	}
