@@ -88,7 +88,6 @@ func main() {
 	}
 
 	srv := proxy.NewServer(&proxy.KernelBackend{Kernel: kernel})
-	gov.RegisterMetrics("proxy", srv.Metrics)
 	ctl := admission.NewController(admission.Config{
 		MaxConcurrent: *admConc,
 		QueueDepth:    *admQueue,
@@ -106,8 +105,7 @@ func main() {
 	}
 	if *obsAddr != "" {
 		o := obs.NewServer()
-		o.Register("", gov.Metrics)
-		o.RegisterSnapshot("proxy", kernel.Telemetry().MetricsSnapshot)
+		o.RegisterSnapshot("", srv.MetricsSnapshot)
 		bound, err := o.Start(*obsAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -558,8 +558,8 @@ func (c *Controller) ShedTotal() int64 {
 		c.shedTimeout.Load() + c.shedBrake.Load() + c.shedDraining.Load()
 }
 
-// Metrics is a governor MetricsSource: admission counters and gauges for
-// /metrics and SHOW SQL METRICS.
+// Metrics reports admission counters and gauges, which the kernel's
+// metrics snapshot reports under "admission.".
 func (c *Controller) Metrics() map[string]int64 {
 	c.mu.Lock()
 	running, queued := c.running, c.queued

@@ -412,7 +412,8 @@ func (in *Injector) Statuses() []Status {
 	return out
 }
 
-// Metrics is a governor MetricsSource: per-source injected-call counters.
+// Metrics reports per-source injected-call counters, the kernel's chaos.*
+// family.
 func (in *Injector) Metrics() map[string]int64 {
 	out := map[string]int64{}
 	for _, s := range in.Statuses() {

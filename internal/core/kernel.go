@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -118,8 +119,7 @@ type Kernel struct {
 	// embedded deployments with no frontend.
 	admissionCtl atomic.Pointer[admission.Controller]
 
-	// Fault-tolerance counters (surfaced in SHOW SQL METRICS and the
-	// governor's metrics snapshot).
+	// Fault-tolerance counters (Metrics' resilience.* family).
 	failovers         atomic.Uint64
 	failoverSuccess   atomic.Uint64
 	statementTimeouts atomic.Uint64
@@ -143,6 +143,11 @@ type Kernel struct {
 	// workload is the heat/hot-key plane: the executor feeds heat, the
 	// router feeds hot keys.
 	workload *digest.Workload
+
+	// metricSrcs are the counter families Metrics appends to the
+	// collector's snapshot, by prefix (RegisterMetrics).
+	metricsMu  sync.Mutex
+	metricSrcs map[string]func() map[string]int64
 }
 
 type tableMeta struct {
@@ -230,18 +235,27 @@ func New(cfg Config) (*Kernel, error) {
 	k.gates.Store(&gates)
 	k.workload = digest.NewWorkload()
 	executor.SetHeat(k.workload.Heat)
-	// Digest/heat totals ride the federated snapshot so cluster-wide
-	// counts merge exactly through MetricsPull/MergeSnapshots.
-	tel.RegisterSnapshotExtra(func(s *telemetry.MetricsSnapshot) {
-		for _, fam := range []struct {
-			prefix string
-			m      map[string]int64
-		}{{"digest.", k.planCache.DigestMetrics()}, {"heat.", k.workload.HeatMetrics()}} {
-			for name, v := range fam.m {
-				s.Counters = append(s.Counters, telemetry.NamedCounter{Name: fam.prefix + name, Value: v})
+	k.metricSrcs = map[string]func() map[string]int64{
+		"plan_cache": k.planCache.Metrics,
+		"exec":       executor.Metrics,
+		"txn":        k.txMgr.Metrics,
+		"digest":     k.planCache.DigestMetrics,
+		"heat":       k.workload.HeatMetrics,
+		"chaos":      k.chaosInj.Metrics,
+		"resilience": k.ResilienceMetrics,
+		// A proxy installs its admission controller after New.
+		"admission": func() map[string]int64 {
+			if c := k.Admission(); c != nil {
+				return c.Metrics()
 			}
-		}
-	})
+			return nil
+		},
+	}
+	// Remote transports (mux sockets, streams, pipelined batches, row
+	// batches); an embedded source reports none.
+	for name, src := range cfg.Sources {
+		k.metricSrcs["remote."+name] = src.AuxMetrics
+	}
 	return k, nil
 }
 
@@ -317,9 +331,8 @@ func (k *Kernel) InvalidateMeta() {
 	k.Publish(nil)
 }
 
-// PlanCache exposes the shared shape table; DistSQL's SHOW PLAN CACHE
-// STATUS, SHOW STATEMENT DIGESTS and RESET DIGESTS and the governor's
-// metrics listener use it.
+// PlanCache exposes the shared shape table; DistSQL's SHOW STATEMENT
+// DIGESTS and RESET DIGESTS use it.
 func (k *Kernel) PlanCache() *plancache.Cache { return k.planCache }
 
 // Telemetry exposes the statement telemetry collector (never nil).
@@ -440,8 +453,34 @@ func (k *Kernel) SetAdmission(c *admission.Controller) { k.admissionCtl.Store(c)
 // Admission returns the installed admission controller, or nil.
 func (k *Kernel) Admission() *admission.Controller { return k.admissionCtl.Load() }
 
-// ResilienceMetrics is a governor MetricsSource: the kernel's failover
-// and statement-timeout counters.
+// RegisterMetrics adds a counter family to Metrics: each counter src
+// reports appears as "<prefix>.<name>". Registering a prefix again
+// replaces its source.
+func (k *Kernel) RegisterMetrics(prefix string, src func() map[string]int64) {
+	k.metricsMu.Lock()
+	k.metricSrcs[prefix] = src
+	k.metricsMu.Unlock()
+}
+
+// Metrics is the process's one metrics snapshot: the telemetry
+// collector's histograms and counters, then every registered counter
+// family under its prefix, sorted by name. /metrics, SHOW METRICS and a
+// proxy's FrameMetricsPull all render it.
+func (k *Kernel) Metrics() *telemetry.MetricsSnapshot {
+	snap := k.tel.MetricsSnapshot()
+	k.metricsMu.Lock()
+	for prefix, src := range k.metricSrcs {
+		for name, v := range src() {
+			snap.Counters = append(snap.Counters, telemetry.NamedCounter{Name: prefix + "." + name, Value: v})
+		}
+	}
+	k.metricsMu.Unlock()
+	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })
+	return snap
+}
+
+// ResilienceMetrics counts the kernel's failovers and statement
+// timeouts; Metrics reports them under "resilience.".
 func (k *Kernel) ResilienceMetrics() map[string]int64 {
 	return map[string]int64{
 		"failovers":          int64(k.failovers.Load()),

@@ -55,7 +55,7 @@ func (w *Workload) Reset() {
 	}
 }
 
-// HeatMetrics is the governor metrics source for the heat.* family.
+// HeatMetrics reports the heat totals, the kernel's heat.* family.
 func (w *Workload) HeatMetrics() map[string]int64 {
 	queries, execs, rowsRead, rowsWritten, bytes, errs, cells := w.Heat.Totals()
 	return map[string]int64{

@@ -38,8 +38,8 @@ func TestShowAdmissionStatus(t *testing.T) {
 	if got["gauge/running"] != "0" || got["gauge/draining"] != "false" {
 		t.Fatalf("gauge rows: %v", got)
 	}
-	if _, ok := got["counter/shed_total"]; !ok {
-		t.Fatalf("counter rows missing: %v", got)
+	if _, ok := metrics(t, s)["admission.shed_total"]; !ok {
+		t.Fatalf("admission counters missing from SHOW METRICS: %v", got)
 	}
 
 	// Admitted statements show up in the counters and the default tenant
@@ -50,8 +50,8 @@ func TestShowAdmissionStatus(t *testing.T) {
 	}
 	rel()
 	got = rowMap(rows(t, exec(t, s, "SHOW ADMISSION STATUS")))
-	if got["counter/admitted"] != "1" {
-		t.Fatalf("admitted counter: %v", got)
+	if n := metrics(t, s)["admission.admitted"]; n != 1 {
+		t.Fatalf("admitted counter: %d", n)
 	}
 	if !strings.Contains(got["tenant/default"], "admitted=1") {
 		t.Fatalf("tenant row: %v", got)
@@ -152,13 +152,7 @@ func TestAdmissionCountersInSQLMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel()
-	var found bool
-	for _, r := range rows(t, exec(t, s, "SHOW SQL METRICS")) {
-		if r[0].S == "counter" && r[1].S == "admission.admitted" && r[2].I == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("admission counters missing from SHOW SQL METRICS")
+	if metrics(t, s)["admission.admitted"] != 1 {
+		t.Fatal("admission counters missing from SHOW METRICS")
 	}
 }

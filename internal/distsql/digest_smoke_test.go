@@ -27,7 +27,7 @@ const createUserRule8 = `CREATE SHARDING TABLE RULE t_user (
 // merges per-node heat counters to the exact node sum, and RESET
 // DIGESTS clears the plane.
 func TestDigestSmoke(t *testing.T) {
-	_, s, gov := remoteFixture(t)
+	_, s := remoteFixture(t, true)
 	exec(t, s, createUserRule8)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
 	for i := 0; i < 8; i++ {
@@ -109,7 +109,7 @@ func TestDigestSmoke(t *testing.T) {
 	}
 
 	// The proxy's metric families carry the same exact totals.
-	m := gov.Metrics()
+	m := metrics(t, s)
 	if m["digest.calls"] != total {
 		t.Fatalf("digest.calls metric %d, want %d (metrics: %v)", m["digest.calls"], total, m)
 	}
@@ -160,7 +160,7 @@ func TestDigestSmoke(t *testing.T) {
 	if got := rows(t, exec(t, s, "SHOW HOT KEYS")); len(got) != 0 {
 		t.Fatalf("hot keys survived RESET: %v", got)
 	}
-	if m := gov.Metrics(); m["digest.shapes"] != 0 || m["digest.calls"] != 0 {
+	if m := metrics(t, s); m["digest.shapes"] != 0 || m["digest.calls"] != 0 {
 		t.Fatalf("digest metrics survived RESET: shapes %d calls %d", m["digest.shapes"], m["digest.calls"])
 	}
 	// The digests live in the plan cache's entries, so the reset cost the
@@ -183,7 +183,7 @@ func TestDigestSmoke(t *testing.T) {
 // statements executed; SHOW STATEMENT DIGESTS accounts for the evicted
 // shapes in one last "(evicted)" row, which RESET DIGESTS clears.
 func TestDigestTotalsSurviveEviction(t *testing.T) {
-	_, s, gov := fixture(t)
+	_, s, _ := fixture(t)
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
 	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (1, 'u1')")
@@ -194,7 +194,7 @@ func TestDigestTotalsSurviveEviction(t *testing.T) {
 	for i := 0; i < shapes; i++ {
 		rows(t, exec(t, s, fmt.Sprintf("SELECT name AS a%05d FROM t_user WHERE uid = 1", i)))
 		if i%64 == 0 || i == shapes-1 {
-			calls := gov.Metrics()["digest.calls"]
+			calls := metrics(t, s)["digest.calls"]
 			if calls < last {
 				t.Fatalf("digest.calls ran backwards at statement %d: %d -> %d", i, last, calls)
 			}
@@ -217,7 +217,7 @@ func TestDigestTotalsSurviveEviction(t *testing.T) {
 	if evicted[0].S != plancache.EvictedID || evicted[2].I != int64(shapes-len(live)) || evicted[5].I != evicted[2].I {
 		t.Fatalf("evicted row %v beside %d live shapes of %d", evicted, len(live), shapes)
 	}
-	if m := gov.Metrics(); m["digest.shapes"] != int64(len(live)) || m["digest.evictions"] != evicted[2].I || m["digest.rows"] != shapes {
+	if m := metrics(t, s); m["digest.shapes"] != int64(len(live)) || m["digest.evictions"] != evicted[2].I || m["digest.rows"] != shapes {
 		t.Fatalf("digest metrics: shapes %d evictions %d rows %d", m["digest.shapes"], m["digest.evictions"], m["digest.rows"])
 	}
 
@@ -225,7 +225,7 @@ func TestDigestTotalsSurviveEviction(t *testing.T) {
 	if got := rows(t, exec(t, s, "SHOW STATEMENT DIGESTS")); len(got) != 0 {
 		t.Fatalf("rows after RESET DIGESTS: %v", got)
 	}
-	if m := gov.Metrics(); m["digest.calls"] != 0 || m["digest.shapes"] != 0 {
+	if m := metrics(t, s); m["digest.calls"] != 0 || m["digest.shapes"] != 0 {
 		t.Fatalf("digest metrics after RESET DIGESTS: calls %d shapes %d", m["digest.calls"], m["digest.shapes"])
 	}
 }

@@ -55,6 +55,21 @@ func rows(t *testing.T, res *core.Result) []sqltypes.Row {
 	return out
 }
 
+// metrics reads SHOW METRICS by name: a counter's value, a histogram's
+// count.
+func metrics(t *testing.T, s *core.Session) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, r := range rows(t, exec(t, s, "SHOW METRICS")) {
+		if r[1].S == "histogram" {
+			out[r[2].S] = r[3].I
+		} else {
+			out[r[2].S] = r[6].I
+		}
+	}
+	return out
+}
+
 const createUserRule = `CREATE SHARDING TABLE RULE t_user (
 	RESOURCES(ds0, ds1),
 	SHARDING_COLUMN = uid,
@@ -347,26 +362,23 @@ func TestShowSQLMetrics(t *testing.T) {
 	}
 	rows(t, exec(t, s, "SELECT * FROM t_user"))
 
-	got := rows(t, exec(t, s, "SHOW SQL METRICS"))
-	stages := map[string]bool{}
-	sources := map[string]bool{}
+	got := rows(t, exec(t, s, "SHOW METRICS"))
+	hists := map[string]bool{}
 	for _, r := range got {
-		switch r[0].S {
-		case "stage":
-			stages[r[1].S] = true
-			if r[2].I <= 0 || r[3].I <= 0 || r[5].I < r[3].I {
-				t.Fatalf("bad stage row (count/p50/p99): %v", r)
-			}
-		case "source":
-			sources[r[1].S] = true
+		if r[1].S != "histogram" {
+			continue
+		}
+		hists[r[2].S] = true
+		if strings.HasPrefix(r[2].S, "stage.") && (r[3].I <= 0 || r[4].I <= 0 || r[5].I < r[4].I) {
+			t.Fatalf("bad stage row (count/p50/p99): %v", r)
 		}
 	}
 	for _, st := range []string{"parse", "route", "rewrite", "execute", "total"} {
-		if !stages[st] {
+		if !hists["stage."+st] {
 			t.Fatalf("missing stage %s in %v", st, got)
 		}
 	}
-	if !sources["ds0"] || !sources["ds1"] {
+	if !hists["source.ds0.execute"] || !hists["source.ds1.execute"] {
 		t.Fatalf("missing source rows: %v", got)
 	}
 }
@@ -405,16 +417,14 @@ func TestShowPlanCacheExtraColumns(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		exec(t, s, "SELECT name FROM t_user WHERE uid = 3")
 	}
-	got := rows(t, exec(t, s, "SHOW PLAN CACHE STATUS"))
-	r := got[0]
-	if len(r) != 10 {
-		t.Fatalf("want 10 columns, got %d: %v", len(r), r)
+	m := metrics(t, s)
+	if m["plan_cache.hit_ratio_milli"] <= 0 {
+		t.Fatalf("hit_ratio not reported: %v", m)
 	}
-	if r[8].S == "" || r[8].S == "0.000" {
-		t.Fatalf("hit_ratio not reported: %v", r)
-	}
-	if strings.Count(r[9].S, ",") != 15 {
-		t.Fatalf("shard_evictions should list 16 shards: %q", r[9].S)
+	for i := 0; i < 16; i++ {
+		if _, ok := m[fmt.Sprintf("plan_cache.shard_evictions.%d", i)]; !ok {
+			t.Fatalf("shard_evictions should list 16 shards: %v", m)
+		}
 	}
 }
 
@@ -493,23 +503,15 @@ func TestShowPlanCacheStatus(t *testing.T) {
 	exec(t, s, "SELECT name FROM t_user WHERE uid = 1")
 	exec(t, s, "SELECT name FROM t_user WHERE uid = 1")
 
-	res := exec(t, s, "SHOW PLAN CACHE STATUS")
-	got := rows(t, res)
-	if len(got) != 1 {
-		t.Fatalf("status rows: %v", got)
+	m := metrics(t, s)
+	if m["plan_cache.hits"] < 1 {
+		t.Fatalf("expected at least one hit: %v", m)
 	}
-	r := got[0]
-	if r[0].S != "true" {
-		t.Fatalf("enabled: %v", r)
+	if m["plan_cache.misses"] < 1 {
+		t.Fatalf("expected at least one miss: %v", m)
 	}
-	if r[1].I < 1 { // hits
-		t.Fatalf("expected at least one hit: %v", r)
-	}
-	if r[2].I < 1 { // misses
-		t.Fatalf("expected at least one miss: %v", r)
-	}
-	if r[5].I < 1 || r[6].I < r[5].I { // size, capacity
-		t.Fatalf("size/capacity: %v", r)
+	if m["plan_cache.size"] < 1 || m["plan_cache.capacity"] < m["plan_cache.size"] {
+		t.Fatalf("size/capacity: %v", m)
 	}
 }
 

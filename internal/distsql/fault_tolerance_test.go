@@ -114,14 +114,9 @@ func TestChaosReplicaOutageFailover(t *testing.T) {
 	}
 
 	// The counters are visible on the DistSQL surfaces.
-	counters := map[string]int64{}
-	for _, r := range rows(t, exec(t, s, "SHOW SQL METRICS")) {
-		if r[0].S == "counter" {
-			counters[r[1].S] = r[2].I
-		}
-	}
-	if counters["retries"] == 0 || counters["failovers"] == 0 || counters["failover_success"] == 0 {
-		t.Fatalf("retry/failover counters missing from SHOW SQL METRICS: %v", counters)
+	counters := metrics(t, s)
+	if counters["exec.retries"] == 0 || counters["resilience.failovers"] == 0 || counters["resilience.failover_success"] == 0 {
+		t.Fatalf("retry/failover counters missing from SHOW METRICS: %v", counters)
 	}
 	breakerRows := 0
 	for _, r := range rows(t, exec(t, s, "SHOW STATUS")) {
@@ -194,14 +189,8 @@ func TestStatementTimeoutFailFast(t *testing.T) {
 	}
 
 	// The timeout is counted and surfaced.
-	found := false
-	for _, r := range rows(t, exec(t, s, "SHOW SQL METRICS")) {
-		if r[0].S == "counter" && r[1].S == "statement_timeouts" && r[2].I > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("statement_timeouts counter missing from SHOW SQL METRICS")
+	if metrics(t, s)["resilience.statement_timeouts"] <= 0 {
+		t.Fatal("statement_timeouts counter missing from SHOW METRICS")
 	}
 
 	// Clearing the timeout and the fault restores normal execution.
@@ -279,15 +268,15 @@ func TestChaosHangOverMuxedRemote(t *testing.T) {
 		t.Fatalf("transport was redialed: %d -> %d sockets", socketsBefore, after)
 	}
 
-	// SHOW REMOTE STATUS surfaces the transport counters.
+	// SHOW METRICS surfaces the transport counters.
 	found := map[string]int64{}
-	for _, r := range rows(t, exec(t, s, "SHOW REMOTE STATUS")) {
-		if r[0].S == "remote" {
-			found[r[1].S] = r[2].I
+	for name, v := range metrics(t, s) {
+		if key, ok := strings.CutPrefix(name, "remote.remote."); ok {
+			found[key] = v
 		}
 	}
 	if len(found) == 0 {
-		t.Fatal("SHOW REMOTE STATUS returned no rows for the remote source")
+		t.Fatal("SHOW METRICS returned no remote.remote.* rows for the remote source")
 	}
 	if found["sockets_open"] == 0 || found["streams_opened"] == 0 {
 		t.Fatalf("transport counters missing: %v", found)

@@ -30,57 +30,17 @@ type Handler struct {
 
 // Install wires DistSQL processing into the kernel. gov may be nil (no
 // persistence, status commands degrade gracefully). With a governor
-// attached, every rule change the kernel publishes is persisted, the plan
-// cache's counters register as a metrics source and a registry-pushed
-// configuration change republishes this kernel's rules — so a rule change
-// made on any instance drops stale plans on this one too, though this one
-// keeps routing on its own rules.
+// attached, every rule change the kernel publishes is persisted, the
+// governor's counters join the kernel's metrics snapshot and a
+// registry-pushed configuration change republishes this kernel's rules —
+// so a rule change made on any instance drops stale plans on this one
+// too, though this one keeps routing on its own rules.
 func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 	h := &Handler{gov: gov}
 	k.SetDistSQLHandler(h)
 	if gov != nil {
 		k.SetRulePersister(func(rs *sharding.RuleSet) { gov.PersistRules(rs) })
-		gov.RegisterMetrics("plan_cache", k.PlanCache().Metrics)
-		gov.RegisterMetrics("exec", k.Executor().Metrics)
-		if tel := k.Telemetry(); tel != nil {
-			gov.RegisterMetrics("sql", tel.Metrics)
-		}
-		gov.RegisterMetrics("governor", gov.ResilienceMetrics)
-		// Federated node metrics: the merged cluster view, scraped live
-		// over FrameMetricsPull, published under /metrics/cluster.*.
-		gov.RegisterMetrics("cluster", gov.ClusterMetricsSource())
-		gov.RegisterMetrics("resilience", k.ResilienceMetrics)
-		gov.RegisterMetrics("chaos", k.Chaos().Metrics)
-		// Transaction commit-path counters (fast path, group commit,
-		// in-doubt) — the same table SHOW TRANSACTION METRICS renders.
-		gov.RegisterMetrics("txn", k.TxManager().Metrics)
-		// Workload plane: digest.* and heat.* families on /metrics, the
-		// same totals SHOW CLUSTER METRICS merges across nodes.
-		gov.RegisterMetrics("digest", k.PlanCache().DigestMetrics)
-		gov.RegisterMetrics("heat", k.Workload().HeatMetrics)
-		// Frontend admission counters. The controller is installed by the
-		// proxy after this wiring runs, so resolve it per snapshot.
-		gov.RegisterMetrics("admission", func() map[string]int64 {
-			if c := k.Admission(); c != nil {
-				return c.Metrics()
-			}
-			return nil
-		})
-		// Remote transports (mux sockets, streams, pipelined batches, row
-		// batches) aggregated across remote data sources.
-		gov.RegisterMetrics("remote", func() map[string]int64 {
-			out := map[string]int64{}
-			for _, n := range k.Executor().Sources() {
-				ds, err := k.Executor().Source(n)
-				if err != nil {
-					continue
-				}
-				for key, v := range ds.AuxMetrics() {
-					out[n+"."+key] = v
-				}
-			}
-			return out
-		})
+		k.RegisterMetrics("governor", gov.ResilienceMetrics)
 		// Close the fault-tolerance loop: execution outcomes feed the
 		// breakers, and breaker-driven health flips pull dead replicas out
 		// of (or restore them into) read-write splitting rotation.
@@ -286,20 +246,6 @@ func (h *Handler) injectCoordinatorFault(k *core.Kernel, t faultSpec) (*core.Res
 	return &core.Result{}, nil
 }
 
-// showTxnMetrics renders the transaction manager's commit-path counters
-// (SHOW TRANSACTION METRICS). fastpath_commits counting while xa_commits
-// stays flat is the observable proof that single-shard transactions skip
-// XA entirely.
-func (h *Handler) showTxnMetrics(sess *core.Session) (*core.Result, error) {
-	k := sess.Kernel()
-	m := k.TxManager().Metrics()
-	rows := make([]sqltypes.Row, 0, len(m))
-	for _, name := range sortedKeys(m) {
-		rows = append(rows, sqltypes.Row{sqltypes.NewString(name), sqltypes.NewInt(m[name])})
-	}
-	return rowsResult([]string{"metric", "value"}, rows), nil
-}
-
 // showFaults lists the active faults with their live counters.
 func (h *Handler) showFaults(sess *core.Session) (*core.Result, error) {
 	k := sess.Kernel()
@@ -331,75 +277,68 @@ func (h *Handler) showFaults(sess *core.Session) (*core.Result, error) {
 	return rowsResult([]string{"source", "fault", "calls", "injected"}, rows), nil
 }
 
-// showRemoteStatus renders each remote data source's transport counters
-// (SHOW REMOTE STATUS). Embedded sources have no transport and are
-// skipped; a kernel with no remote sources returns zero rows.
-func (h *Handler) showRemoteStatus(sess *core.Session) (*core.Result, error) {
-	k := sess.Kernel()
-	var rows []sqltypes.Row
-	names := k.Executor().Sources()
+// metricColumns are the columns of SHOW METRICS and SHOW CLUSTER METRICS.
+// A histogram row carries count and quantiles, a counter row its value.
+var metricColumns = []string{"node", "kind", "metric", "count", "p50_us", "p99_us", "value"}
+
+// metricRows appends one node's snapshot to rows in metricColumns' shape.
+func metricRows(rows []sqltypes.Row, node string, snap *telemetry.MetricsSnapshot) []sqltypes.Row {
+	for _, hist := range snap.Histograms {
+		rows = append(rows, sqltypes.Row{
+			sqltypes.NewString(node),
+			sqltypes.NewString("histogram"),
+			sqltypes.NewString(hist.Name),
+			sqltypes.NewInt(int64(hist.Count())),
+			sqltypes.NewInt(usOf(hist.Quantile(0.50))),
+			sqltypes.NewInt(usOf(hist.Quantile(0.99))),
+			sqltypes.NewInt(0),
+		})
+	}
+	for _, c := range snap.Counters {
+		rows = append(rows, sqltypes.Row{
+			sqltypes.NewString(node),
+			sqltypes.NewString("counter"),
+			sqltypes.NewString(c.Name),
+			sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
+			sqltypes.NewInt(c.Value),
+		})
+	}
+	return rows
+}
+
+// showMetrics renders this process's one metrics snapshot
+// (Kernel.Metrics) as node "local" (RAL's SHOW METRICS).
+func (h *Handler) showMetrics(sess *core.Session) (*core.Result, error) {
+	return rowsResult(metricColumns, metricRows(nil, "local", sess.Kernel().Metrics())), nil
+}
+
+// showClusterMetrics pulls every remote node's metrics snapshot over the
+// wire (FrameMetricsPull) and renders per-node rows, sorted by source,
+// followed by their bucket-wise merge (node = "cluster"). Because the
+// merge adds buckets, a merged histogram's count always equals the sum
+// of its node counts. Embedded sources have no node to pull, and a failed
+// pull is skipped: a dead node must not take the cluster view down.
+func (h *Handler) showClusterMetrics(sess *core.Session) (*core.Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	e := sess.Kernel().Executor()
+	names := e.Sources()
 	sort.Strings(names)
+	var rows []sqltypes.Row
+	var snaps []*telemetry.MetricsSnapshot
 	for _, n := range names {
-		ds, err := k.Executor().Source(n)
+		src, err := e.Source(n)
 		if err != nil {
 			continue
 		}
-		m := ds.AuxMetrics()
-		if m == nil {
+		snap, err := src.MetricsPull(ctx)
+		if err != nil || snap == nil {
 			continue
 		}
-		for _, key := range sortedKeys(m) {
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewString(n),
-				sqltypes.NewString(key),
-				sqltypes.NewInt(m[key]),
-			})
-		}
+		rows = metricRows(rows, n, snap)
+		snaps = append(snaps, snap)
 	}
-	return rowsResult([]string{"source", "metric", "value"}, rows), nil
-}
-
-// showClusterMetrics scrapes every remote node's metrics snapshot and
-// renders per-node rows followed by the bucket-wise merged cluster rows
-// (node = "cluster"). Histogram rows carry count and quantiles; counter
-// rows carry value. Because the merge adds buckets, a merged histogram's
-// count always equals the sum of its node counts.
-func (h *Handler) showClusterMetrics(*core.Session) (*core.Result, error) {
-	if h.gov == nil {
-		return nil, fmt.Errorf("distsql: SHOW CLUSTER METRICS needs a governor")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	nodes, merged := h.gov.ClusterMetrics(ctx)
-	cols := []string{"node", "kind", "metric", "count", "p50_us", "p99_us", "value"}
-	var rows []sqltypes.Row
-	render := func(node string, snap *telemetry.MetricsSnapshot) {
-		for _, hist := range snap.Histograms {
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewString(node),
-				sqltypes.NewString("histogram"),
-				sqltypes.NewString(hist.Name),
-				sqltypes.NewInt(int64(hist.Count())),
-				sqltypes.NewInt(usOf(hist.Quantile(0.50))),
-				sqltypes.NewInt(usOf(hist.Quantile(0.99))),
-				sqltypes.NewInt(0),
-			})
-		}
-		for _, c := range snap.Counters {
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewString(node),
-				sqltypes.NewString("counter"),
-				sqltypes.NewString(c.Name),
-				sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
-				sqltypes.NewInt(c.Value),
-			})
-		}
-	}
-	for _, n := range nodes {
-		render(n.Source, n.Snap)
-	}
-	render("cluster", merged)
-	return rowsResult(cols, rows), nil
+	return rowsResult(metricColumns, metricRows(rows, "cluster", telemetry.MergeSnapshots(snaps))), nil
 }
 
 func (h *Handler) createRule(sess *core.Session, spec sharding.AutoTableSpec) (*core.Result, error) {
@@ -472,17 +411,6 @@ func dropBindingGroup(rs *sharding.RuleSet, tables []string) {
 
 func rowsResult(cols []string, rows []sqltypes.Row) *core.Result {
 	return &core.Result{RS: resource.NewSliceResultSet(cols, rows)}
-}
-
-// sortedKeys returns a counter map's names in order: the row order of
-// every (metric, value) surface.
-func sortedKeys(m map[string]int64) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (h *Handler) showBindingRules(sess *core.Session) (*core.Result, error) {
@@ -614,28 +542,6 @@ func (h *Handler) showStatus(sess *core.Session) (*core.Result, error) {
 	return rowsResult([]string{"kind", "name", "status"}, rows), nil
 }
 
-// showPlanCache surfaces the shared plan cache's counters (RAL).
-func (h *Handler) showPlanCache(sess *core.Session) (*core.Result, error) {
-	cols := []string{"enabled", "hits", "misses", "evictions", "invalidations", "size", "capacity", "epoch", "hit_ratio", "shard_evictions"}
-	st := sess.Kernel().PlanCache().Stats()
-	shardEv := make([]string, len(st.ShardEvictions))
-	for i, ev := range st.ShardEvictions {
-		shardEv[i] = strconv.FormatUint(ev, 10)
-	}
-	return rowsResult(cols, []sqltypes.Row{{
-		sqltypes.NewString("true"),
-		sqltypes.NewInt(int64(st.Hits)),
-		sqltypes.NewInt(int64(st.Misses)),
-		sqltypes.NewInt(int64(st.Evictions)),
-		sqltypes.NewInt(int64(st.Invalidations)),
-		sqltypes.NewInt(int64(st.Size)),
-		sqltypes.NewInt(int64(st.Capacity)),
-		sqltypes.NewInt(int64(st.Epoch)),
-		sqltypes.NewString(fmt.Sprintf("%.3f", st.HitRatio())),
-		sqltypes.NewString(strings.Join(shardEv, ",")),
-	}}), nil
-}
-
 // preview returns one row per SQL unit executing the statement would send
 // (RAL's PREVIEW).
 func (h *Handler) preview(sess *core.Session, sql string) (*core.Result, error) {
@@ -692,112 +598,6 @@ func (h *Handler) trace(sess *core.Session, sql string) (*core.Result, error) {
 		sqltypes.NewInt(0),
 		sqltypes.NewString(sess.Kernel().Telemetry().Redact(sql)),
 	})
-	return rowsResult(cols, rows), nil
-}
-
-// showSQLMetrics reports the collector's per-stage and per-data-source
-// latency percentiles (RAL's SHOW SQL METRICS).
-func (h *Handler) showSQLMetrics(sess *core.Session) (*core.Result, error) {
-	k := sess.Kernel()
-	tel := k.Telemetry()
-	cols := []string{"scope", "name", "count", "p50_us", "p95_us", "p99_us", "errors", "acquire_p99_us",
-		"wire_count", "wire_p99_us", "remote_p99_us"}
-	var rows []sqltypes.Row
-	for _, s := range tel.Stages() {
-		errs := int64(0)
-		if s.Stage == telemetry.StageTotal {
-			errs = int64(tel.ErrorCount())
-		}
-		rows = append(rows, sqltypes.Row{
-			sqltypes.NewString("stage"),
-			sqltypes.NewString(s.Stage.String()),
-			sqltypes.NewInt(int64(s.Count)),
-			sqltypes.NewInt(usOf(s.P50)),
-			sqltypes.NewInt(usOf(s.P95)),
-			sqltypes.NewInt(usOf(s.P99)),
-			sqltypes.NewInt(errs),
-			sqltypes.NewInt(0),
-			sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
-		})
-	}
-	// Source rows carry the remote-vs-wire breakdown: how much of each
-	// source's latency was the node working versus the network and the
-	// node's inbound queue (traced statements only; zero for embedded).
-	for _, s := range tel.SourcesSnapshot() {
-		rows = append(rows, sqltypes.Row{
-			sqltypes.NewString("source"),
-			sqltypes.NewString(s.Name),
-			sqltypes.NewInt(int64(s.Queries)),
-			sqltypes.NewInt(usOf(s.P50)),
-			sqltypes.NewInt(usOf(s.P95)),
-			sqltypes.NewInt(usOf(s.P99)),
-			sqltypes.NewInt(int64(s.Errors)),
-			sqltypes.NewInt(usOf(s.AcquireP99)),
-			sqltypes.NewInt(int64(s.WireCount)),
-			sqltypes.NewInt(usOf(s.WireP99)),
-			sqltypes.NewInt(usOf(s.RemoteP99)),
-		})
-	}
-	// Fault-tolerance counters ride along as scope=counter rows: the
-	// executor's retry/fail-fast tallies and the kernel's failover and
-	// statement-timeout tallies.
-	counters := map[string]int64{}
-	for _, name := range []string{"retries", "retry_success", "fail_fast_aborts"} {
-		counters[name] = k.Executor().Metrics()[name]
-	}
-	for name, v := range k.ResilienceMetrics() {
-		counters[name] = v
-	}
-	// Admission shed/queue counters ride along when a proxy frontend
-	// installed its controller.
-	if c := k.Admission(); c != nil {
-		for name, v := range c.Metrics() {
-			counters["admission."+name] = v
-		}
-	}
-	for _, name := range sortedKeys(counters) {
-		rows = append(rows, sqltypes.Row{
-			sqltypes.NewString("counter"),
-			sqltypes.NewString(name),
-			sqltypes.NewInt(counters[name]),
-			sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
-			sqltypes.NewInt(0), sqltypes.NewInt(0),
-			sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
-		})
-	}
-	// Streaming-pipeline rows: per-source backpressure observability —
-	// how many rows/batches/bytes each remote source streamed, how deep
-	// its batch window ever got (peak unconsumed batches queued per
-	// stream; bounded by the protocol window per statement), and how many
-	// cursors were stopped early. Embedded sources have no transport and
-	// are skipped.
-	streamKeys := []string{"rows_streamed", "batches_streamed", "bytes_streamed", "batch_window_peak", "cursor_cancels"}
-	srcNames := k.Executor().Sources()
-	sort.Strings(srcNames)
-	for _, n := range srcNames {
-		ds, err := k.Executor().Source(n)
-		if err != nil {
-			continue
-		}
-		m := ds.AuxMetrics()
-		if m == nil {
-			continue
-		}
-		for _, key := range streamKeys {
-			v, ok := m[key]
-			if !ok {
-				continue
-			}
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewString("stream"),
-				sqltypes.NewString(n + "." + key),
-				sqltypes.NewInt(v),
-				sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
-				sqltypes.NewInt(0), sqltypes.NewInt(0),
-				sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewInt(0),
-			})
-		}
-	}
 	return rowsResult(cols, rows), nil
 }
 
@@ -948,7 +748,8 @@ func usOf(d time.Duration) int64 { return int64(d / time.Microsecond) }
 
 // showAdmission renders the frontend admission controller's live state
 // (RAL's SHOW ADMISSION STATUS): config, gauges and per-tenant
-// fair-queueing rows on one three-column surface.
+// fair-queueing rows on one three-column surface. Its counters are
+// SHOW METRICS' admission.* rows.
 func (h *Handler) showAdmission(sess *core.Session) (*core.Result, error) {
 	k := sess.Kernel()
 	cols := []string{"scope", "name", "value"}
@@ -981,12 +782,6 @@ func (h *Handler) showAdmission(sess *core.Session) (*core.Result, error) {
 	row("gauge", "service_estimate", st.SvcEstimate.String())
 	row("gauge", "queue_wait_p50", st.QueueWaitP50.String())
 	row("gauge", "queue_wait_p99", st.QueueWaitP99.String())
-	m := c.Metrics()
-	for _, name := range sortedKeys(m) {
-		if strings.HasPrefix(name, "shed_") || name == "admitted" || name == "queued_total" || name == "overload_flips" {
-			row("counter", name, strconv.FormatInt(m[name], 10))
-		}
-	}
 	for _, t := range st.Tenants {
 		row("tenant", t.Name, fmt.Sprintf("weight=%g queued=%d admitted=%d shed=%d",
 			t.Weight, t.Queued, t.Admitted, t.Shed))

@@ -29,8 +29,9 @@ func startNode(t *testing.T, name string) string {
 }
 
 // remoteFixture mirrors cmd/ssproxy's remote deployment: a kernel whose
-// data sources are two datanode servers reached over wire v2.
-func remoteFixture(t *testing.T) (*core.Kernel, *core.Session, *governor.Governor) {
+// data sources are two datanode servers reached over wire v2, with
+// DistSQL installed over a governor when governed.
+func remoteFixture(t *testing.T, governed bool) (*core.Kernel, *core.Session) {
 	t.Helper()
 	sources := map[string]*resource.DataSource{}
 	for i := 0; i < 2; i++ {
@@ -44,9 +45,12 @@ func remoteFixture(t *testing.T) (*core.Kernel, *core.Session, *governor.Governo
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(reg, k.Executor())
+	var gov *governor.Governor
+	if governed {
+		gov = governor.New(reg, k.Executor())
+	}
 	Install(k, gov)
-	return k, k.NewSession(), gov
+	return k, k.NewSession()
 }
 
 // TestObsSmoke is the observability-plane smoke test (make obs-smoke):
@@ -55,7 +59,7 @@ func remoteFixture(t *testing.T) (*core.Kernel, *core.Session, *governor.Governo
 // wire/queue gap per source, while SHOW CLUSTER METRICS must return the
 // per-node snapshots and a merge whose counts equal the node sums.
 func TestObsSmoke(t *testing.T) {
-	_, s, _ := remoteFixture(t)
+	_, s := remoteFixture(t, true)
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
 	for i := 0; i < 8; i++ {
@@ -115,25 +119,24 @@ func TestObsSmoke(t *testing.T) {
 		}
 	}
 
-	// The registry view of the same merge: /metrics/cluster.* keys appear
-	// after a publish cycle.
-	_, s2, gov := remoteFixture(t) // fresh cluster so counters start clean
-	exec(t, s2, createUserRule)
-	exec(t, s2, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
-	exec(t, s2, "INSERT INTO t_user (uid, name) VALUES (1, 'u1')")
-	m := gov.Metrics()
-	if m["cluster.node.statements"] <= 0 {
-		t.Fatalf("cluster.node.statements missing from governor metrics: %v", m)
+	// The merged counters ride along: node.statements sums both nodes.
+	for _, r := range got {
+		if r[0].S == "cluster" && r[1].S == "counter" && r[2].S == "node.statements" && r[6].I > 0 {
+			return
+		}
 	}
+	t.Fatalf("cluster node.statements missing from SHOW CLUSTER METRICS: %v", got)
 }
 
-// sourceExecutes reads SHOW SQL METRICS' per-source execute counts.
+// sourceExecutes reads SHOW METRICS' per-source execute counts.
 func sourceExecutes(t *testing.T, s *core.Session) map[string]int64 {
 	t.Helper()
 	out := map[string]int64{}
-	for _, r := range rows(t, exec(t, s, "SHOW SQL METRICS")) {
-		if r[0].S == "source" {
-			out[r[1].S] = r[2].I
+	for name, n := range metrics(t, s) {
+		if rest, ok := strings.CutPrefix(name, "source."); ok {
+			if ds, ok := strings.CutSuffix(rest, ".execute"); ok {
+				out[ds] = n
+			}
 		}
 	}
 	return out
@@ -143,11 +146,11 @@ func sourceExecutes(t *testing.T, s *core.Session) map[string]int64 {
 // shards on two remote nodes is one pipelined window per node, and every
 // surface says so consistently — TRACE shows one execute span per source
 // (attempt 1) over five grafted remote statements each (the branch's BEGIN
-// rides the window ahead of the four units), SHOW SQL METRICS
+// rides the window ahead of the four units), SHOW METRICS
 // counts one execution per source, and SHOW SHARD HEAT still charges every
 // shard its own call and its own rows.
 func TestTracedRangeInTransactionAddsUp(t *testing.T) {
-	k, s, _ := remoteFixture(t)
+	k, s := remoteFixture(t, true)
 	// mod, not hash_mod: uids 0..15 put exactly two rows in each shard.
 	exec(t, s, `CREATE SHARDING TABLE RULE t_user (RESOURCES(ds0, ds1),
 		SHARDING_COLUMN = uid, TYPE = mod, PROPERTIES("sharding-count" = 8))`)
@@ -184,7 +187,7 @@ func TestTracedRangeInTransactionAddsUp(t *testing.T) {
 			t.Fatalf("%s: %d execute spans over %d remote statements, want 1 over 5 (%v)", name, execSpans[name], wireSpans[name], got)
 		}
 		if n := after[name] - before[name]; n != 1 {
-			t.Fatalf("%s: SHOW SQL METRICS counts %d executions for one window", name, n)
+			t.Fatalf("%s: SHOW METRICS counts %d executions for one window", name, n)
 		}
 		ds, _ := k.Executor().Source(name)
 		if n := ds.AuxMetrics()["pipelined_batches"] - windows[name]; n != 1 {

@@ -39,16 +39,14 @@ func txnFixture(t *testing.T) (*core.Kernel, *core.Session, map[string]*resource
 	return k, s, sources, reg
 }
 
-// txnMetric reads one counter out of SHOW TRANSACTION METRICS.
+// txnMetric reads one transaction counter (txn.<name>) out of SHOW METRICS.
 func txnMetric(t *testing.T, s *core.Session, name string) int64 {
 	t.Helper()
-	for _, row := range rows(t, exec(t, s, "SHOW TRANSACTION METRICS")) {
-		if row[0].AsString() == name {
-			return row[1].I
-		}
+	v, ok := metrics(t, s)["txn."+name]
+	if !ok {
+		t.Fatalf("metric txn.%s not in SHOW METRICS", name)
 	}
-	t.Fatalf("metric %q not in SHOW TRANSACTION METRICS", name)
-	return 0
+	return v
 }
 
 // TestTxnChaosCoordinatorCrashRecovery is the tentpole's chaos

@@ -90,13 +90,10 @@ var verbs = []verb{
 	withArgs("REMOVE FAULT", (*parser).ident, (*Handler).removeFault),
 	plain("SHOW FAULTS", (*Handler).showFaults),
 	plain("SHOW STATUS", (*Handler).showStatus),
-	plain("SHOW PLAN CACHE STATUS", (*Handler).showPlanCache),
-	plain("SHOW SQL METRICS", (*Handler).showSQLMetrics),
-	plain("SHOW SLOW QUERIES", (*Handler).showSlowQueries),
-	plain("SHOW REMOTE STATUS", (*Handler).showRemoteStatus),
+	plain("SHOW METRICS", (*Handler).showMetrics),
 	plain("SHOW CLUSTER METRICS", (*Handler).showClusterMetrics),
+	plain("SHOW SLOW QUERIES", (*Handler).showSlowQueries),
 	plain("SHOW ADMISSION STATUS", (*Handler).showAdmission),
-	plain("SHOW TRANSACTION METRICS", (*Handler).showTxnMetrics),
 	withArgs("SHOW STATEMENT DIGESTS", (*parser).digestOrder, (*Handler).showDigests),
 	plain("SHOW SHARD HEAT", (*Handler).showShardHeat),
 	plain("SHOW HOT KEYS", (*Handler).showHotKeys),

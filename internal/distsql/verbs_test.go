@@ -95,8 +95,8 @@ func TestMalformedDistSQLNamesTheExpectedKeyword(t *testing.T) {
 	_, s, _ := fixture(t)
 	for sql, want := range map[string]string{
 		"SHOW SHARDING":                        `distsql: expected "TABLE", got ""`,
-		"SHOW PLAN CACHE":                      `distsql: expected "STATUS", got ""`,
-		"show transaction isolation":           `distsql: expected "METRICS", got "isolation"`,
+		"SHOW ADMISSION":                       `distsql: expected "STATUS", got ""`,
+		"show cluster nodes":                   `distsql: expected "METRICS", got "nodes"`,
 		"SHOW HOT KEY":                         `distsql: expected "KEYS", got "KEY"`,
 		"SET VARIABLE":                         `distsql: expected identifier`,
 		"SHOW STATUS now":                      `distsql: trailing input after statement: "now"`,

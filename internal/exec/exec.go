@@ -217,8 +217,9 @@ func (e *Executor) heatCell(u rewrite.SQLUnit) *digest.Cell {
 	return c
 }
 
-// Metrics is a governor MetricsSource exposing the inline-vs-goroutine
-// dispatch counters.
+// Metrics reports the inline-vs-goroutine dispatch and retry counters.
+// The kernel's metrics snapshot reports them under "exec.", and the
+// benchmark's layer walk reads the map.
 func (e *Executor) Metrics() map[string]int64 {
 	return map[string]int64{
 		"query_inline":     int64(e.queryInline.Load()),

@@ -33,7 +33,6 @@ const (
 	configPath    = "/config"
 	instancesPath = "/instances"
 	statusPath    = "/status/sources"
-	metricsPath   = "/metrics"
 )
 
 // Governor manages configuration and health for one cluster.
@@ -41,14 +40,12 @@ type Governor struct {
 	reg  *registry.Registry
 	exec *exec.Executor
 
-	mu          sync.Mutex
-	breakers    map[string]*Breaker
-	lastState   map[string]bool
-	listeners   []func(ds string, up bool)
-	metricsSrcs map[string]MetricsSource
-	metricsSubs []func(map[string]int64)
-	stopCh      chan struct{}
-	stopOnce    sync.Once
+	mu        sync.Mutex
+	breakers  map[string]*Breaker
+	lastState map[string]bool
+	listeners []func(ds string, up bool)
+	stopCh    chan struct{}
+	stopOnce  sync.Once
 
 	probes        atomic.Int64
 	probeFailures atomic.Int64
@@ -69,7 +66,6 @@ func New(reg *registry.Registry, e *exec.Executor) *Governor {
 		exec:           e,
 		breakers:       map[string]*Breaker{},
 		lastState:      map[string]bool{},
-		metricsSrcs:    map[string]MetricsSource{},
 		stopCh:         make(chan struct{}),
 		BreakThreshold: 3,
 		CoolDown:       5 * time.Second,
@@ -215,66 +211,6 @@ func (g *Governor) WatchConfig(fn func()) (cancel func()) {
 	}
 }
 
-// --- metrics (observability) ---
-
-// MetricsSource yields one component's counters; the governor snapshots
-// registered sources on every health-check cycle.
-type MetricsSource func() map[string]int64
-
-// RegisterMetrics attaches a named counter source. Counters appear in
-// Metrics() and the registry namespaced "<name>.<counter>"; re-registering
-// a name replaces the source.
-func (g *Governor) RegisterMetrics(name string, src MetricsSource) {
-	g.mu.Lock()
-	g.metricsSrcs[name] = src
-	g.mu.Unlock()
-}
-
-// SubscribeMetrics registers a listener invoked with the aggregated
-// snapshot after every health-check cycle.
-func (g *Governor) SubscribeMetrics(fn func(map[string]int64)) {
-	g.mu.Lock()
-	g.metricsSubs = append(g.metricsSubs, fn)
-	g.mu.Unlock()
-}
-
-// Metrics aggregates every registered source into one namespaced map.
-func (g *Governor) Metrics() map[string]int64 {
-	g.mu.Lock()
-	srcs := make(map[string]MetricsSource, len(g.metricsSrcs))
-	for name, src := range g.metricsSrcs {
-		srcs[name] = src
-	}
-	g.mu.Unlock()
-	out := map[string]int64{}
-	for name, src := range srcs {
-		for k, v := range src() {
-			out[name+"."+k] = v
-		}
-	}
-	return out
-}
-
-// publishMetrics snapshots every source into the registry under /metrics
-// and fans the snapshot out to subscribers.
-func (g *Governor) publishMetrics() {
-	snap := g.Metrics()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g.reg.Put(metricsPath+"/"+k, fmt.Sprintf("%d", snap[k]))
-	}
-	g.mu.Lock()
-	subs := append([]func(map[string]int64){}, g.metricsSubs...)
-	g.mu.Unlock()
-	for _, fn := range subs {
-		fn(snap)
-	}
-}
-
 // --- instance registration & health detection (paper Section V-B) ---
 
 // RegisterInstance advertises a running instance (proxy or embedded
@@ -368,8 +304,9 @@ func (g *Governor) AttachExecOutcomes() {
 	})
 }
 
-// ResilienceMetrics is a MetricsSource exposing the governor's fault-
-// tolerance counters: probes run/failed and per-source breaker
+// ResilienceMetrics reports the governor's fault-tolerance counters
+// (DistSQL registers them with the kernel as "governor."): probes
+// run/failed and per-source breaker
 // transitions plus current state (0 closed, 1 open, 2 half-open).
 func (g *Governor) ResilienceMetrics() map[string]int64 {
 	out := map[string]int64{
@@ -468,7 +405,6 @@ func (g *Governor) CheckOnce() []string {
 		}
 	}
 	sort.Strings(down)
-	g.publishMetrics()
 	return down
 }
 

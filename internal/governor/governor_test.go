@@ -269,32 +269,6 @@ func TestSubscribeNotifiesOnFlip(t *testing.T) {
 	}
 }
 
-func TestMetricsRegistryAndSubscribers(t *testing.T) {
-	g, reg, _ := fixture(t)
-	hits := int64(40)
-	g.RegisterMetrics("plan_cache", func() map[string]int64 {
-		return map[string]int64{"hits": hits, "misses": 2}
-	})
-	var got map[string]int64
-	g.SubscribeMetrics(func(m map[string]int64) { got = m })
-	g.CheckOnce()
-	if got == nil || got["plan_cache.hits"] != 40 || got["plan_cache.misses"] != 2 {
-		t.Fatalf("subscriber snapshot: %v", got)
-	}
-	if v, _, err := reg.Get("/metrics/plan_cache.hits"); err != nil || v != "40" {
-		t.Fatalf("registry metric: %q %v", v, err)
-	}
-	// Counters refresh on every cycle.
-	hits = 41
-	g.CheckOnce()
-	if v, _, _ := reg.Get("/metrics/plan_cache.hits"); v != "41" {
-		t.Fatalf("metric not refreshed: %q", v)
-	}
-	if g.Metrics()["plan_cache.hits"] != 41 {
-		t.Fatalf("aggregate: %v", g.Metrics())
-	}
-}
-
 func TestWatchConfigFiresAndCancels(t *testing.T) {
 	g, reg, _ := fixture(t)
 	fired := make(chan struct{}, 8)

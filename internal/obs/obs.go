@@ -1,9 +1,10 @@
 // Package obs is the opt-in profiling and metrics endpoint (paper
 // Section VI, observability): one stdlib HTTP server per process
 // exposing net/http/pprof under /debug/pprof/ and a Prometheus
-// text-format /metrics page scraped from registered gatherers. Both
-// ssproxy and datanode wire it behind -obs-addr; with the flag unset
-// nothing listens and the hot path pays nothing.
+// text-format /metrics page rendered from registered metrics snapshots.
+// Both ssproxy and datanode wire it behind -obs-addr, each registering
+// its server's one snapshot; with the flag unset nothing listens and the
+// hot path pays nothing.
 package obs
 
 import (
@@ -20,46 +21,41 @@ import (
 	"shardingsphere/internal/telemetry"
 )
 
-// Gatherer yields one component's counters at scrape time.
-type Gatherer func() map[string]int64
-
-// SnapshotSource yields a full metrics snapshot (histograms and
-// counters) at scrape time; histograms render as cumulative
-// Prometheus buckets in microseconds.
+// SnapshotSource yields a metrics snapshot (histograms and counters) at
+// scrape time.
 type SnapshotSource func() *telemetry.MetricsSnapshot
 
 // Server is the observability HTTP endpoint.
 type Server struct {
-	mu        sync.Mutex
-	gatherers map[string]Gatherer
-	snaps     map[string]SnapshotSource
-	ln        net.Listener
-	srv       *http.Server
+	mu   sync.Mutex
+	srcs map[string]SnapshotSource
+	ln   net.Listener
+	srv  *http.Server
 }
 
 // NewServer builds an endpoint with the process's Go runtime gauges
 // pre-registered under the "go" component, so every binary that mounts
 // the endpoint exports them without extra wiring.
 func NewServer() *Server {
-	s := &Server{gatherers: map[string]Gatherer{}, snaps: map[string]SnapshotSource{}}
-	s.Register("go", RuntimeGauges)
+	s := &Server{srcs: map[string]SnapshotSource{}}
+	s.RegisterSnapshot("go", RuntimeGauges)
 	return s
 }
 
 // RuntimeGauges reports process health at scrape time: goroutine count,
 // heap bytes, GC pause p99 over the runtime's recent-pause ring, and
 // the open file-descriptor count (sockets dominate it on a proxy).
-func RuntimeGauges() map[string]int64 {
+func RuntimeGauges() *telemetry.MetricsSnapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return map[string]int64{
-		"goroutines":      int64(runtime.NumGoroutine()),
-		"heap_bytes":      int64(ms.HeapAlloc),
-		"heap_objects":    int64(ms.HeapObjects),
-		"gc_cycles":       int64(ms.NumGC),
-		"gc_pause_p99_us": gcPauseP99(&ms),
-		"fds":             openFDs(),
-	}
+	return &telemetry.MetricsSnapshot{Counters: []telemetry.NamedCounter{
+		{Name: "fds", Value: openFDs()},
+		{Name: "gc_cycles", Value: int64(ms.NumGC)},
+		{Name: "gc_pause_p99_us", Value: gcPauseP99(&ms)},
+		{Name: "goroutines", Value: int64(runtime.NumGoroutine())},
+		{Name: "heap_bytes", Value: int64(ms.HeapAlloc)},
+		{Name: "heap_objects", Value: int64(ms.HeapObjects)},
+	}}
 }
 
 // gcPauseP99 computes the 99th-percentile stop-the-world pause from
@@ -93,20 +89,13 @@ func openFDs() int64 {
 	return int64(len(ents))
 }
 
-// Register attaches a named counter gatherer; its keys render as
-// ss_<name>_<key>. An empty name drops the component segment.
-// Re-registering a name replaces the gatherer.
-func (s *Server) Register(name string, g Gatherer) {
-	s.mu.Lock()
-	s.gatherers[name] = g
-	s.mu.Unlock()
-}
-
-// RegisterSnapshot attaches a named snapshot source: counters render
-// like Register's, histograms as ss_<name>_<hist>_us buckets.
+// RegisterSnapshot attaches a named snapshot source: its counters render
+// as ss_<name>_<counter>, its histograms as ss_<name>_<histogram>_us
+// buckets. An empty name drops the component segment. Re-registering a
+// name replaces the source.
 func (s *Server) RegisterSnapshot(name string, src SnapshotSource) {
 	s.mu.Lock()
-	s.snaps[name] = src
+	s.srcs[name] = src
 	s.mu.Unlock()
 }
 
@@ -145,49 +134,29 @@ func (s *Server) Close() error {
 }
 
 // metrics renders every registered source in Prometheus text format.
-// All series are untyped counters/gauges except snapshot histograms,
-// which render as cumulative le-bucketed series in microseconds.
-// Snapshots render first and win name collisions: a gatherer may
-// republish a registry view of the same counter (e.g. the governor's
-// proxy.* keys), and duplicate series are illegal in the exposition
-// format, so the live snapshot value is kept and the stale copy
-// dropped.
+// Counters render as untyped series, histograms as cumulative
+// le-bucketed series in microseconds.
 func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	gatherers := make(map[string]Gatherer, len(s.gatherers))
-	for n, g := range s.gatherers {
-		gatherers[n] = g
-	}
-	snaps := make(map[string]SnapshotSource, len(s.snaps))
-	for n, src := range s.snaps {
-		snaps[n] = src
+	srcs := make(map[string]SnapshotSource, len(s.srcs))
+	for n, src := range s.srcs {
+		srcs[n] = src
 	}
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
-	seen := map[string]bool{}
-	emit := func(name string, v int64) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		fmt.Fprintf(&b, "# TYPE %s untyped\n%s %d\n", name, name, v)
-	}
-	for _, sname := range sortedKeys(snaps) {
-		snap := snaps[sname]()
+	for _, name := range sortedKeys(srcs) {
+		snap := srcs[name]()
 		if snap == nil {
 			continue
 		}
 		for _, c := range snap.Counters {
-			emit(seriesName(sname, c.Name), c.Value)
+			series := seriesName(name, c.Name)
+			fmt.Fprintf(&b, "# TYPE %s untyped\n%s %d\n", series, series, c.Value)
 		}
 		for _, h := range snap.Histograms {
-			base := seriesName(sname, h.Name) + "_us"
-			if seen[base] {
-				continue
-			}
-			seen[base] = true
+			base := seriesName(name, h.Name) + "_us"
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", base)
 			var cum uint64
 			for i, c := range h.Buckets {
@@ -198,17 +167,6 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 				fmt.Fprintf(&b, "%s_bucket{le=\"%d\"} %d\n", base, uint64(1)<<uint(i), cum)
 			}
 			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n%s_count %d\n", base, h.Count(), base, h.Count())
-		}
-	}
-	for _, gname := range sortedKeys(gatherers) {
-		counters := gatherers[gname]()
-		keys := make([]string, 0, len(counters))
-		for k := range counters {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			emit(seriesName(gname, k), counters[k])
 		}
 	}
 	w.Write([]byte(b.String()))

@@ -1,13 +1,19 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"shardingsphere/internal/core"
+	"shardingsphere/internal/proxy"
+	"shardingsphere/internal/resource"
+	"shardingsphere/internal/storage"
 	"shardingsphere/internal/telemetry"
+	"shardingsphere/pkg/client"
 )
 
 func get(t *testing.T, url string) string {
@@ -29,13 +35,10 @@ func get(t *testing.T, url string) string {
 
 func TestMetricsEndpoint(t *testing.T) {
 	s := NewServer()
-	s.Register("pool", func() map[string]int64 {
-		return map[string]int64{"acquires": 7, "in.use": 2}
-	})
 	s.RegisterSnapshot("node", func() *telemetry.MetricsSnapshot {
 		return &telemetry.MetricsSnapshot{
 			Histograms: []telemetry.NamedHistogram{{Name: "node.read", Buckets: []uint64{0, 3, 1}}},
-			Counters:   []telemetry.NamedCounter{{Name: "statements", Value: 4}},
+			Counters:   []telemetry.NamedCounter{{Name: "statements", Value: 4}, {Name: "in.use", Value: 2}},
 		}
 	})
 	addr, err := s.Start("127.0.0.1:0")
@@ -46,13 +49,13 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	body := get(t, "http://"+addr+"/metrics")
 	for _, want := range []string{
-		"ss_pool_acquires 7",
-		"ss_pool_in_use 2",
+		"ss_node_in_use 2",
 		"ss_node_statements 4",
 		"ss_node_node_read_us_bucket{le=\"2\"} 3",
 		"ss_node_node_read_us_bucket{le=\"4\"} 4",
 		"ss_node_node_read_us_bucket{le=\"+Inf\"} 4",
 		"ss_node_node_read_us_count 4",
+		"ss_go_goroutines ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics page missing %q:\n%s", want, body)
@@ -60,35 +63,57 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestNoDuplicateSeries pins the collision rule: when a gatherer
-// republishes a counter the snapshot already carries (same series
-// name), the page keeps the snapshot's value and drops the copy —
-// duplicate series are illegal in the exposition format.
+// TestNoDuplicateSeries renders a proxy server's one snapshot, as
+// cmd/ssproxy registers it: the kernel's statement counter and the wire
+// server's own are two series, ss_statements and ss_wire_statements, and
+// no series name appears twice (duplicates are illegal in the
+// exposition format).
 func TestNoDuplicateSeries(t *testing.T) {
-	s := NewServer()
-	s.Register("", func() map[string]int64 {
-		return map[string]int64{"node.statements": 99, "only.gathered": 5}
-	})
-	s.RegisterSnapshot("", func() *telemetry.MetricsSnapshot {
-		return &telemetry.MetricsSnapshot{
-			Counters: []telemetry.NamedCounter{{Name: "node.statements", Value: 4}},
+	k, err := core.New(core.Config{Sources: map[string]*resource.DataSource{
+		"ds0": resource.NewEmbedded(storage.NewEngine("ds0"), nil),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := proxy.NewServer(&proxy.KernelBackend{Kernel: k})
+	paddr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := client.Dial(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx := context.Background()
+	for _, sql := range []string{"CREATE TABLE t (id INT PRIMARY KEY)", "INSERT INTO t (id) VALUES (1)"} {
+		if _, err := conn.Exec(ctx, sql); err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
+
+	s := NewServer()
+	s.RegisterSnapshot("", srv.MetricsSnapshot)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
 	body := get(t, "http://"+addr+"/metrics")
-	if n := strings.Count(body, "\nss_node_statements "); n != 1 {
-		t.Fatalf("ss_node_statements emitted %d times, want 1:\n%s", n, body)
+	for _, want := range []string{"ss_statements 2", fmt.Sprintf("ss_wire_statements %d", srv.Metrics()["statements"]), "ss_wire_errors 0"} {
+		if !strings.Contains(body, "\n"+want+"\n") {
+			t.Fatalf("metrics page missing %q:\n%s", want, body)
+		}
 	}
-	if !strings.Contains(body, "ss_node_statements 4") {
-		t.Fatalf("snapshot value should win the collision:\n%s", body)
-	}
-	if !strings.Contains(body, "ss_only_gathered 5") {
-		t.Fatalf("non-colliding gatherer key missing:\n%s", body)
+	seen := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			if seen[f[2]] {
+				t.Fatalf("series %s rendered twice:\n%s", f[2], body)
+			}
+			seen[f[2]] = true
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package plancache
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -29,8 +30,8 @@ const DefaultCapacity = 4096
 // EvictedID names the accumulator row of shapes that left by eviction.
 const EvictedID = "(evicted)"
 
-// Stats is a snapshot of the cache counters, surfaced through the
-// governor's metrics listener and DistSQL's SHOW PLAN CACHE STATUS.
+// Stats is a snapshot of the cache counters; Metrics flattens it for
+// the kernel's metrics snapshot, and the benchmark's layer walk reads it.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
@@ -340,11 +341,12 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// Metrics returns the counters as a flat name→value map for the
-// governor's metrics listener.
+// Metrics returns the counters as a flat name→value map, which the
+// kernel's metrics snapshot (SHOW METRICS, /metrics) reports under
+// "plan_cache.". Per-shard evictions are "shard_evictions.<i>".
 func (c *Cache) Metrics() map[string]int64 {
 	st := c.Stats()
-	return map[string]int64{
+	m := map[string]int64{
 		"hits":          int64(st.Hits),
 		"misses":        int64(st.Misses),
 		"evictions":     int64(st.Evictions),
@@ -352,7 +354,11 @@ func (c *Cache) Metrics() map[string]int64 {
 		"size":          int64(st.Size),
 		"capacity":      int64(st.Capacity),
 		"epoch":         int64(st.Epoch),
-		// Scaled by 1000: the metrics tree carries integers only.
+		// Scaled by 1000: a snapshot carries integers only.
 		"hit_ratio_milli": int64(st.HitRatio() * 1000),
 	}
+	for i, ev := range st.ShardEvictions {
+		m["shard_evictions."+strconv.Itoa(i)] = int64(ev)
+	}
+	return m
 }

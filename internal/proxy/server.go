@@ -148,8 +148,8 @@ type Server struct {
 	connsRejected  atomic.Int64
 }
 
-// Metrics snapshots the server's wire-level counters; it satisfies the
-// governor's MetricsSource shape for registry publication.
+// Metrics snapshots the server's wire-level counters. MetricsSnapshot
+// reports them under "wire.", and the benchmark reads the map.
 func (s *Server) Metrics() map[string]int64 {
 	return map[string]int64{
 		"connections_total":  s.connsTotal.Load(),
@@ -491,9 +491,9 @@ func (b *KernelBackend) NewBackendSession() BackendSession {
 	return &kernelSession{sess: b.Kernel.NewSession()}
 }
 
-// MetricsSnapshot implements MetricsBackend over the kernel's collector.
+// MetricsSnapshot implements MetricsBackend: the kernel's one snapshot.
 func (b *KernelBackend) MetricsSnapshot() *telemetry.MetricsSnapshot {
-	return b.Kernel.Telemetry().MetricsSnapshot()
+	return b.Kernel.Metrics()
 }
 
 type kernelSession struct {

@@ -405,7 +405,7 @@ func TestDatanodeKillMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	rs, err = conn2.Query(context.Background(), "SHOW REMOTE STATUS")
+	rs, err = conn2.Query(context.Background(), "SHOW METRICS")
 	if err != nil {
 		t.Fatalf("proxy dead after shard failure: %v", err)
 	}

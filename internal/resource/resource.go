@@ -459,12 +459,13 @@ type AcquireObserver func(wait time.Duration, timedOut bool)
 
 // AuxMetricsFunc reports transport-level counters for a data source
 // (mux sockets, streams, pipelined batches, row batches);
-// installed by remote transports, surfaced by SHOW REMOTE STATUS.
+// installed by remote transports, reported by the kernel's metrics
+// snapshot under "remote.<ds>.".
 type AuxMetricsFunc func() map[string]int64
 
 // MetricsPullFunc scrapes the histogram/counter snapshot of the peer
 // behind a data source; installed by remote transports (wire-v2
-// FrameMetricsPull), consumed by the governor's cluster federation.
+// FrameMetricsPull), merged by SHOW CLUSTER METRICS.
 type MetricsPullFunc func(ctx context.Context) (*telemetry.MetricsSnapshot, error)
 
 // DataSource is one named database with a connection pool.

@@ -133,8 +133,8 @@ type NamedCounter struct {
 }
 
 // MetricsSnapshot is one node's metrics state at a point in time: what
-// FrameMetricsPull returns and what the governor merges into the
-// cluster view.
+// FrameMetricsPull returns, what /metrics and SHOW METRICS render, and
+// what SHOW CLUSTER METRICS merges into the cluster view.
 type MetricsSnapshot struct {
 	Histograms []NamedHistogram
 	Counters   []NamedCounter
@@ -180,8 +180,12 @@ func MergeSnapshots(snaps []*MetricsSnapshot) *MetricsSnapshot {
 }
 
 // MetricsSnapshot captures the collector's histograms and counters in
-// the federated-snapshot shape. Stage histograms are exported as
-// "stage.<name>", per-source execute histograms as "source.<name>".
+// the federated-snapshot shape: stage histograms as "stage.<stage>", each
+// data source's execute, acquire-wait, wire and remote histograms as
+// "source.<ds>.execute|acquire|wire|remote", and beside the statement
+// counters each source's "source.<ds>.errors" and
+// "source.<ds>.acquire_timeouts". Histograms that saw nothing are left
+// out.
 func (c *Collector) MetricsSnapshot() *MetricsSnapshot {
 	if c == nil {
 		return &MetricsSnapshot{}
@@ -193,35 +197,28 @@ func (c *Collector) MetricsSnapshot() *MetricsSnapshot {
 			{Name: "slow.count", Value: int64(c.slow.total())},
 		},
 	}
-	for s := Stage(0); s < numStages; s++ {
-		h := &c.stage[s]
+	hist := func(name string, h *Histogram) {
 		if h.Count() == 0 {
-			continue
+			return
 		}
 		snap := h.Snapshot()
-		out.Histograms = append(out.Histograms, NamedHistogram{
-			Name:    "stage." + s.String(),
-			Buckets: append([]uint64(nil), snap[:]...),
-		})
+		out.Histograms = append(out.Histograms, NamedHistogram{Name: name, Buckets: snap[:]})
+	}
+	for s := Stage(0); s < numStages; s++ {
+		hist("stage."+s.String(), &c.stage[s])
 	}
 	c.sources.Range(func(k, v any) bool {
-		s := v.(*SourceStats)
-		if s.Execute.Count() == 0 {
-			return true
-		}
-		snap := s.Execute.Snapshot()
-		out.Histograms = append(out.Histograms, NamedHistogram{
-			Name:    "source." + k.(string),
-			Buckets: append([]uint64(nil), snap[:]...),
-		})
+		s, p := v.(*SourceStats), "source."+k.(string)
+		hist(p+".execute", &s.Execute)
+		hist(p+".acquire", &s.AcquireWait)
+		hist(p+".wire", &s.Wire)
+		hist(p+".remote", &s.Remote)
+		out.Counters = append(out.Counters,
+			NamedCounter{Name: p + ".errors", Value: int64(s.Errors.Load())},
+			NamedCounter{Name: p + ".acquire_timeouts", Value: int64(s.Timeouts.Load())})
 		return true
 	})
 	sort.Slice(out.Histograms, func(i, j int) bool { return out.Histograms[i].Name < out.Histograms[j].Name })
-	c.extraMu.Lock()
-	extras := c.snapshotExtras
-	c.extraMu.Unlock()
-	for _, fn := range extras {
-		fn(out)
-	}
+	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
 	return out
 }

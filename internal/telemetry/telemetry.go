@@ -456,12 +456,6 @@ type Collector struct {
 	// data source has been seen.
 	sources sync.Map
 
-	// snapshotExtras extend MetricsSnapshot with counters owned by other
-	// planes (the workload digest/heat totals), so they federate through
-	// MetricsPull/MergeSnapshots without telemetry importing them.
-	extraMu        sync.Mutex
-	snapshotExtras []func(*MetricsSnapshot)
-
 	// base anchors all trace offsets: one wall+monotonic read at
 	// construction, so per-statement clocking stays on the cheaper
 	// monotonic-only path.
@@ -604,18 +598,6 @@ func DigestID(key string) string {
 	return string(b[:])
 }
 
-// RegisterSnapshotExtra appends fn to the snapshot pipeline:
-// MetricsSnapshot calls it with the snapshot under construction so
-// other planes' counters federate cluster-wide.
-func (c *Collector) RegisterSnapshotExtra(fn func(*MetricsSnapshot)) {
-	if c == nil || fn == nil {
-		return
-	}
-	c.extraMu.Lock()
-	c.snapshotExtras = append(c.snapshotExtras, fn)
-	c.extraMu.Unlock()
-}
-
 // Start begins a trace for one statement, or returns nil (a valid inert
 // trace) when collection is disabled.
 func (c *Collector) Start(sql string) *Trace {
@@ -749,123 +731,10 @@ func (c *Collector) ObserveAcquire(dataSource string, wait time.Duration, timedO
 	}
 }
 
-// StageSnapshot is the aggregate view of one stage's histogram.
-type StageSnapshot struct {
-	Stage Stage
-	Count uint64
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-}
-
-// Stages returns snapshots of all stages that saw traffic, in pipeline
-// order.
-func (c *Collector) Stages() []StageSnapshot {
-	if c == nil {
-		return nil
-	}
-	out := make([]StageSnapshot, 0, int(numStages))
-	for s := Stage(0); s < numStages; s++ {
-		h := &c.stage[s]
-		n := h.Count()
-		if n == 0 {
-			continue
-		}
-		out = append(out, StageSnapshot{
-			Stage: s,
-			Count: n,
-			P50:   h.Quantile(0.50),
-			P95:   h.Quantile(0.95),
-			P99:   h.Quantile(0.99),
-		})
-	}
-	return out
-}
-
-// SourceSnapshot is the aggregate view of one data source.
-type SourceSnapshot struct {
-	Name       string
-	Queries    uint64
-	Errors     uint64
-	Timeouts   uint64
-	P50        time.Duration
-	P95        time.Duration
-	P99        time.Duration
-	AcquireP99 time.Duration
-	// Remote-vs-wire breakdown; zero for embedded (in-process) sources.
-	WireCount uint64
-	WireP99   time.Duration
-	RemoteP99 time.Duration
-}
-
-// Sources returns per-data-source snapshots sorted by name.
-func (c *Collector) SourcesSnapshot() []SourceSnapshot {
-	if c == nil {
-		return nil
-	}
-	var out []SourceSnapshot
-	c.sources.Range(func(k, v any) bool {
-		s := v.(*SourceStats)
-		out = append(out, SourceSnapshot{
-			Name:       k.(string),
-			Queries:    s.Execute.Count(),
-			Errors:     s.Errors.Load(),
-			Timeouts:   s.Timeouts.Load(),
-			P50:        s.Execute.Quantile(0.50),
-			P95:        s.Execute.Quantile(0.95),
-			P99:        s.Execute.Quantile(0.99),
-			AcquireP99: s.AcquireWait.Quantile(0.99),
-			WireCount:  s.Wire.Count(),
-			WireP99:    s.Wire.Quantile(0.99),
-			RemoteP99:  s.Remote.Quantile(0.99),
-		})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Slow returns captured slow statements, most recent first.
 func (c *Collector) Slow() []SlowEntry {
 	if c == nil {
 		return nil
 	}
 	return c.slow.entries()
-}
-
-// Errors returns the cumulative failed-statement count.
-func (c *Collector) ErrorCount() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.errors.Load()
-}
-
-// Metrics is a governor MetricsSource: flat counters published to the
-// registry /metrics tree. Quantiles are in microseconds.
-func (c *Collector) Metrics() map[string]int64 {
-	if c == nil {
-		return nil
-	}
-	out := map[string]int64{
-		"statements":        int64(c.stage[StageTotal].Count()),
-		"errors":            int64(c.errors.Load()),
-		"slow.count":        int64(c.slow.total()),
-		"slow.threshold_ms": c.slowThresholdNs.Load() / int64(time.Millisecond),
-	}
-	for _, s := range c.Stages() {
-		prefix := "stage." + s.Stage.String()
-		out[prefix+".count"] = int64(s.Count)
-		out[prefix+".p50_us"] = int64(s.P50 / time.Microsecond)
-		out[prefix+".p95_us"] = int64(s.P95 / time.Microsecond)
-		out[prefix+".p99_us"] = int64(s.P99 / time.Microsecond)
-	}
-	for _, s := range c.SourcesSnapshot() {
-		prefix := "source." + s.Name
-		out[prefix+".queries"] = int64(s.Queries)
-		out[prefix+".errors"] = int64(s.Errors)
-		out[prefix+".acquire_timeouts"] = int64(s.Timeouts)
-		out[prefix+".p99_us"] = int64(s.P99 / time.Microsecond)
-	}
-	return out
 }

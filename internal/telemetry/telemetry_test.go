@@ -189,21 +189,28 @@ func TestCollectorMetrics(t *testing.T) {
 	c.ObserveExec("ds0", time.Millisecond, errors.New("bad"))
 	c.ObserveAcquire("ds0", 10*time.Microsecond, true)
 
-	m := c.Metrics()
+	snap := c.MetricsSnapshot()
+	m, hist := map[string]int64{}, map[string]uint64{}
+	for _, ctr := range snap.Counters {
+		m[ctr.Name] = ctr.Value
+	}
+	for _, h := range snap.Histograms {
+		hist[h.Name] = h.Count()
+	}
 	if m["statements"] != 1 {
 		t.Errorf("statements = %d, want 1", m["statements"])
 	}
 	if m["errors"] != 1 {
 		t.Errorf("errors = %d, want 1", m["errors"])
 	}
-	if m["stage.parse.count"] != 1 || m["stage.route.count"] != 1 {
-		t.Errorf("missing stage counters: %v", m)
+	if hist["stage.parse"] != 1 || hist["stage.route"] != 1 {
+		t.Errorf("missing stage histograms: %v", hist)
 	}
-	if _, ok := m["stage.parse.p99_us"]; !ok {
-		t.Error("missing stage.parse.p99_us")
+	if hist["source.ds0.execute"] != 2 || m["source.ds0.errors"] != 1 || m["source.ds0.acquire_timeouts"] != 1 {
+		t.Errorf("source counters wrong: %v %v", m, hist)
 	}
-	if m["source.ds0.queries"] != 2 || m["source.ds0.errors"] != 1 || m["source.ds0.acquire_timeouts"] != 1 {
-		t.Errorf("source counters wrong: %v", m)
+	if hist["source.ds0.acquire"] != 1 {
+		t.Errorf("acquire histogram: %v", hist)
 	}
 }
 

@@ -128,7 +128,7 @@ const (
 	CrashAfterLogWrite = "after_log_write" // decision logged, phase 2 not started
 )
 
-// txnCounters backs SHOW TRANSACTION METRICS.
+// txnCounters backs Metrics.
 type txnCounters struct {
 	begun           atomic.Int64
 	fastPathCommits atomic.Int64
@@ -160,8 +160,8 @@ func (m *Manager) crash(point string) bool {
 	return false
 }
 
-// Metrics reports transaction counters (a governor metrics source and the
-// body of SHOW TRANSACTION METRICS). The fastpath_commits counter is the
+// Metrics reports transaction counters, which the kernel's metrics
+// snapshot reports under "txn.". The fastpath_commits counter is the
 // observable proof that single-shard transactions skip XA entirely.
 func (m *Manager) Metrics() map[string]int64 {
 	out := map[string]int64{

@@ -278,8 +278,8 @@ func TestXARollback(t *testing.T) {
 // TestFastPathSingleShardNoXAVerbs proves the tentpole's fast path: a
 // transaction that only ever touches one data source commits as plain
 // BEGIN/COMMIT — no XA verb on the wire, no log record, and the
-// fastpath_commits counter (the observable SHOW TRANSACTION METRICS
-// proof) ticks.
+// fastpath_commits counter (SHOW METRICS' txn.fastpath_commits, the
+// observable proof) ticks.
 func TestFastPathSingleShardNoXAVerbs(t *testing.T) {
 	mgr, e := fixture(t, nil)
 	mu, log := recordSQL(t, e, "ds0")

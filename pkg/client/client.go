@@ -600,8 +600,8 @@ func (p *muxPool) openConn(t *Transport) (*Conn, error) {
 	return c, nil
 }
 
-// metrics snapshots transport counters across all sockets; surfaced by
-// SHOW REMOTE STATUS and the telemetry layer.
+// metrics snapshots transport counters across all sockets; the kernel's
+// metrics snapshot reports them under "remote.<ds>.".
 func (p *muxPool) metrics() map[string]int64 {
 	m := map[string]int64{
 		"sockets_open":      0,

@@ -75,7 +75,7 @@ type Transport struct {
 
 	maxFrame uint32 // read limit, from HelloAck
 
-	// Counters surfaced through SHOW REMOTE STATUS.
+	// Counters surfaced through SHOW METRICS (remote.<ds>.*).
 	streamsOpened atomic.Int64
 	pipelined     atomic.Int64
 	rowBatches    atomic.Int64
