@@ -26,7 +26,8 @@ fmt:
 	@out="$$(gofmt -l internal pkg cmd examples benchmark)"; test -z "$$out" || { echo "gofmt would rewrite:"; echo "$$out"; exit 1; }
 
 # Short fuzz pass over the frame reader (with the statement payload's
-# trailer-then-head decode), row-batch decoder and trace-context trailer,
+# trailer-then-head decode, table lists and their EOF row counts
+# included), row-batch decoder and trace-context trailer,
 # over compile-then-bind against the reference rewrite, over Normalize
 # against the parser, and over grouped statements and joins at four shards
 # against one engine. `go test` accepts one -fuzz target per invocation,

@@ -28,6 +28,37 @@ func TestClusterMetricsWithoutGovernor(t *testing.T) {
 	}
 }
 
+// TestSocketFlushesCounted: both ends of the back wire count their socket
+// flushes — the nodes' servers as wire.flushes in SHOW CLUSTER METRICS,
+// the kernel's transports as remote.<ds>.flushes in SHOW METRICS — and a
+// statement's round trip adds to both.
+func TestSocketFlushesCounted(t *testing.T) {
+	_, s := remoteFixture(t, false)
+	flushes := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, r := range rows(t, exec(t, s, "SHOW CLUSTER METRICS")) {
+			if r[1].S == "counter" && r[2].S == "wire.flushes" {
+				out[r[0].S] = r[6].I
+			}
+		}
+		for name, v := range metrics(t, s) {
+			if strings.HasPrefix(name, "remote.") && strings.HasSuffix(name, ".flushes") {
+				out[strings.TrimSuffix(name, ".flushes")] = v
+			}
+		}
+		return out
+	}
+	before := flushes()
+	exec(t, s, createUserRule)
+	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
+	after := flushes()
+	for _, key := range []string{"ds0", "ds1", "remote.ds0", "remote.ds1"} {
+		if after[key] <= before[key] {
+			t.Fatalf("%s: %d flushes before a round trip, %d after (%v)", key, before[key], after[key], after)
+		}
+	}
+}
+
 // TestShowMetricsKeepsDeletedVerbs maps every value SHOW TRANSACTION
 // METRICS, SHOW REMOTE STATUS, SHOW PLAN CACHE STATUS and SHOW SQL
 // METRICS reported to its SHOW METRICS name, and checks each against the

@@ -145,10 +145,10 @@ func sourceExecutes(t *testing.T, s *core.Session) map[string]int64 {
 // TestTracedRangeInTransactionAddsUp: inside a transaction a range over 8
 // shards on two remote nodes is one pipelined window per node, and every
 // surface says so consistently — TRACE shows one execute span per source
-// (attempt 1) over five grafted remote statements each (the branch's BEGIN
-// rides the window ahead of the four units), SHOW METRICS
-// counts one execution per source, and SHOW SHARD HEAT still charges every
-// shard its own call and its own rows.
+// (attempt 1) over two grafted remote statements each (the branch's BEGIN
+// rides the window ahead of one statement over the source's four tables),
+// SHOW METRICS counts one execution per source, and SHOW SHARD HEAT still
+// charges every shard its own call and its own rows.
 func TestTracedRangeInTransactionAddsUp(t *testing.T) {
 	k, s := remoteFixture(t, true)
 	// mod, not hash_mod: uids 0..15 put exactly two rows in each shard.
@@ -183,8 +183,8 @@ func TestTracedRangeInTransactionAddsUp(t *testing.T) {
 	}
 	after := sourceExecutes(t, s)
 	for _, name := range []string{"ds0", "ds1"} {
-		if execSpans[name] != 1 || wireSpans[name] != 5 {
-			t.Fatalf("%s: %d execute spans over %d remote statements, want 1 over 5 (%v)", name, execSpans[name], wireSpans[name], got)
+		if execSpans[name] != 1 || wireSpans[name] != 2 {
+			t.Fatalf("%s: %d execute spans over %d remote statements, want 1 over 2 (%v)", name, execSpans[name], wireSpans[name], got)
 		}
 		if n := after[name] - before[name]; n != 1 {
 			t.Fatalf("%s: SHOW METRICS counts %d executions for one window", name, n)
@@ -204,4 +204,75 @@ func TestTracedRangeInTransactionAddsUp(t *testing.T) {
 		}
 	}
 	exec(t, s, "COMMIT")
+}
+
+// TestRangeCostsEachNodeOneStatement: a range over 20 shards on two remote
+// nodes sends each node one statement, its ten units' text over their ten
+// tables — inside BEGIN (behind the branch's BEGIN, which rides the same
+// window) and at MaxCon 1 — and the rows come back merged in order. SHOW
+// SHARD HEAT still charges every shard one query and its own rows.
+func TestRangeCostsEachNodeOneStatement(t *testing.T) {
+	for _, run := range []struct {
+		name   string
+		maxCon int
+		tx     bool
+	}{{"BEGIN", 0, true}, {"MaxCon 1", 1, false}} {
+		t.Run(run.name, func(t *testing.T) {
+			sources, procs := map[string]*resource.DataSource{}, map[string]*sqlexec.Processor{}
+			for _, name := range []string{"ds0", "ds1"} {
+				procs[name] = sqlexec.NewProcessor(storage.NewEngine(name))
+				srv := proxy.NewServer(&proxy.NodeBackend{Processor: procs[name]})
+				addr, err := srv.Start("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(srv.Close)
+				sources[name] = client.NewRemoteDataSource(name, addr, nil)
+				t.Cleanup(sources[name].Close)
+			}
+			k, err := core.New(core.Config{Sources: sources, MaxCon: run.maxCon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			Install(k, nil)
+			s := k.NewSession()
+			exec(t, s, `CREATE SHARDING TABLE RULE t (RESOURCES(ds0, ds1),
+				SHARDING_COLUMN = id, TYPE = mod, PROPERTIES("sharding-count" = 20))`)
+			exec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+			for id := 1; id <= 40; id++ {
+				exec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", id, id%7))
+			}
+			verbs := int64(0)
+			if run.tx {
+				exec(t, s, "BEGIN")
+				verbs = 1
+			}
+			exec(t, s, "RESET DIGESTS")
+			before := map[string]int64{}
+			for name, p := range procs {
+				before[name] = p.Stats().Statements.Load()
+			}
+			got := rows(t, exec(t, s, "SELECT id FROM t WHERE id BETWEEN 1 AND 40 ORDER BY id DESC"))
+			if len(got) != 40 || got[0][0].I != 40 || got[39][0].I != 1 {
+				t.Fatalf("range answered %v", got)
+			}
+			for name, p := range procs {
+				if n := p.Stats().Statements.Load() - before[name]; n != 1+verbs {
+					t.Fatalf("%s ran %d statements for ten units, want %d", name, n, 1+verbs)
+				}
+			}
+			heat := rows(t, exec(t, s, "SHOW SHARD HEAT"))
+			if len(heat) != 20 {
+				t.Fatalf("%d heat cells for 20 shards: %v", len(heat), heat)
+			}
+			for _, r := range heat {
+				if r[4].I != 1 || r[6].I != 2 || r[9].I != 0 {
+					t.Fatalf("shard %s.%s: %d queries, %d rows read, %d errors; want 1, 2, 0", r[1].S, r[2].S, r[4].I, r[6].I, r[9].I)
+				}
+			}
+			if run.tx {
+				exec(t, s, "COMMIT")
+			}
+		})
+	}
 }

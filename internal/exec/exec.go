@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"shardingsphere/internal/digest"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
+	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
 )
 
@@ -304,7 +306,7 @@ func (e *Executor) observe(tr *telemetry.Trace, ds, sql string, start time.Time,
 }
 
 // QueryResult is the outcome of executing a query statement: one result
-// set per SQL unit, in unit order.
+// set per statement sent, in the order of their first units (merge reads it).
 type QueryResult struct {
 	Sets []resource.ResultSet
 }
@@ -528,6 +530,7 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 		}
 		return nil, err
 	}
+	res.Sets = slices.DeleteFunc(res.Sets, func(rs resource.ResultSet) bool { return rs == nil })
 	return res, nil
 }
 
@@ -715,53 +718,87 @@ func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g 
 // or one running several units under CONNECTION_STRICTLY) its whole share
 // in one batch call: a remote connection pipelines it, one round trip for
 // all units (behind a held branch's opening verb), and every result comes
-// back materialized. The window is one timed execution; unit heat cells
-// count calls and rows, not latency.
+// back materialized, Union units' as one set (window). The window is one
+// timed execution; unit heat cells count calls and rows, not latency.
 func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds string, conn *resource.PooledConn, open resource.Statement, share []int, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
-	sp, off := window(open, units, share)
+	sp, off, union := window(open, units, share)
 	start := time.Now()
 	sets, err := conn.QueryBatch(ctx, *sp)
 	putWindow(sp)
+	if err == nil && union {
+		if s, ok := sets[off].(*resource.SliceResultSet); !ok || len(s.TableRows) != len(share) {
+			err = fmt.Errorf("exec: a table-list result does not count the rows of its %d tables", len(share))
+		}
+	}
 	if err != nil {
-		failed := batchFailure(units, share, off, err)
+		failed := batchFailure(ds, open, units, share, off, err)
 		dur := e.observe(tr, ds, failed.SQL, start, attempt, err)
 		e.heatCell(failed).ObserveQuery(start, dur, err)
 		return wrapUnitErr(failed, dur, err)
 	}
 	e.observe(tr, ds, units[share[0]].SQL, start, attempt, nil)
 	sets = sets[off:]
+	mu.Lock()
+	for i, rs := range sets {
+		res.Sets[share[i]] = rs
+	}
+	mu.Unlock()
+	// Rows in memory are charged by a walk (a union's per table, by the rows
+	// its scan kept, bytes in proportion); a live cursor's by its lease.
+	var b, matched int64
+	if union {
+		s := sets[0].(*resource.SliceResultSet)
+		b = rowBytes(s.Data)
+		for _, n := range s.TableRows {
+			matched += int64(n)
+		}
+	}
 	for i, idx := range share {
-		mu.Lock()
-		res.Sets[idx] = sets[i]
-		mu.Unlock()
 		cell := e.heatCell(units[idx])
 		cell.ObserveQuery(start, 0, nil)
-		// Rows in memory are charged by a walk; a live cursor's by its lease.
-		if s, ok := sets[i].(*resource.SliceResultSet); ok && cell != nil {
-			var b int64
-			for _, r := range s.Data {
-				b += digest.RowBytes(r)
-			}
-			cell.AddRead(len(s.Data), b)
+		switch s, _ := sets[min(i, len(sets)-1)].(*resource.SliceResultSet); {
+		case s == nil || cell == nil:
+		case !union:
+			cell.AddRead(len(s.Data), rowBytes(s.Data))
+		case matched > 0:
+			cell.AddRead(s.TableRows[i], b*int64(s.TableRows[i])/matched)
 		}
 	}
 	return nil
 }
 
+func rowBytes(rows []sqltypes.Row) int64 {
+	var b int64
+	for _, r := range rows {
+		b += digest.RowBytes(r)
+	}
+	return b
+}
+
 // window lays out a connection's statements, the opening verb (if any)
-// then the units, and counts those ahead of the units. The slice is
-// recycled (putWindow): a batch call does not keep it.
-func window(open resource.Statement, units []rewrite.SQLUnit, share []int) (*[]resource.Statement, int) {
-	sp := windowPool.Get().(*[]resource.Statement)
+// then the units, and counts those ahead of the units; two or more Union
+// units are one statement over all their tables. The slice is recycled
+// (putWindow): a batch call does not keep it.
+func window(open resource.Statement, units []rewrite.SQLUnit, share []int) (sp *[]resource.Statement, off int, union bool) {
+	sp = windowPool.Get().(*[]resource.Statement)
 	stmts := (*sp)[:0]
 	if open.SQL != "" {
 		stmts = append(stmts, open)
 	}
+	off, union = len(stmts), len(share) > 1 && units[share[0]].Union
+	var tables []string
+	if union {
+		tables = make([]string, len(share))
+		for i, idx := range share {
+			tables[i] = units[idx].ActualTable
+		}
+		share = share[:1]
+	}
 	for _, idx := range share {
-		stmts = append(stmts, resource.Statement{SQL: units[idx].SQL, Args: units[idx].Args})
+		stmts = append(stmts, resource.Statement{SQL: units[idx].SQL, Args: units[idx].Args, Tables: tables})
 	}
 	*sp = stmts
-	return sp, len(stmts) - len(share)
+	return sp, off, union
 }
 
 func putWindow(sp *[]resource.Statement) {
@@ -771,11 +808,15 @@ func putWindow(sp *[]resource.Statement) {
 
 var windowPool = sync.Pool{New: func() any { return new([]resource.Statement) }}
 
-// batchFailure names the unit a batch error's index points at, else the
-// first; the window's first off statements are not units.
-func batchFailure(units []rewrite.SQLUnit, share []int, off int, err error) rewrite.SQLUnit {
+// batchFailure names what a batch error's index points at: the opening
+// verb (its data source and text, no table: no unit ran), or a unit (a
+// union's statement is its first unit's text); else the first unit.
+func batchFailure(ds string, open resource.Statement, units []rewrite.SQLUnit, share []int, off int, err error) rewrite.SQLUnit {
 	var be *resource.BatchError
-	if errors.As(err, &be) && be.Index >= off && be.Index-off < len(share) {
+	if errors.As(err, &be) && be.Index < off {
+		return rewrite.SQLUnit{DataSource: ds, SQL: open.SQL}
+	}
+	if be != nil && be.Index-off < len(share) {
 		return units[share[be.Index-off]]
 	}
 	return units[share[0]]
@@ -859,8 +900,8 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 	// A window pipelines through the connection: all statements ship
 	// before the first response is read, so a remote shard costs one round
 	// trip instead of one per statement. A BatchError pins the failure to
-	// its unit.
-	sp, off := window(open, units, g.units)
+	// its unit, or to the opening verb.
+	sp, off, _ := window(open, units, g.units)
 	start := time.Now()
 	results, err := resource.ExecBatch(ctx, conn, *sp)
 	putWindow(sp)
@@ -868,7 +909,7 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 		held.ran(g.ds, err)
 	}
 	if err != nil {
-		failed := batchFailure(units, g.units, off, err)
+		failed := batchFailure(g.ds, open, units, g.units, off, err)
 		dur := e.observe(tr, g.ds, failed.SQL, start, 1, err)
 		e.heatCell(failed).ObserveExec(start, dur, 0, err)
 		return wrapUnitErr(failed, dur, err)

@@ -514,3 +514,44 @@ func TestBrokenWindowConnLeavesThePool(t *testing.T) {
 		t.Fatalf("window on a fresh connection: %v", err)
 	}
 }
+
+// A branch's opening verb rides the first window; when the batch fails
+// on it (index 0, ahead of every unit) no unit ran. Reads and writes alike
+// report the verb — its data source and text, no table — and charge no
+// shard's heat cell an error.
+func TestFailedOpeningVerbBlamesTheVerb(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		e := fixture(t, 1)
+		h := digest.NewHeat()
+		e.SetHeat(h)
+		ds, _ := e.Source("ds1")
+		in := chaos.NewInjector()
+		in.Apply(ds, chaos.Fault{ErrorRate: 1, Seed: 1})
+		held := NewHeldConns()
+		if err := held.Open(context.Background(), e, "ds1", resource.Statement{SQL: "BEGIN"}); err != nil {
+			t.Fatal(err)
+		}
+		units := windowUnits("SELECT * FROM t WHERE id = 14")
+		var err error
+		if write {
+			for i := range units {
+				units[i].SQL = fmt.Sprintf("UPDATE t SET v = v + 1 WHERE id = %d", 10+i)
+			}
+			_, err = e.ExecuteUpdateCtx(context.Background(), units, held, nil)
+		} else {
+			_, err = e.QueryCtx(context.Background(), units, held, nil, false)
+		}
+		held.ReleaseAll()
+		var ue *UnitError
+		var be *resource.BatchError
+		if !errors.As(err, &ue) || !errors.As(err, &be) || be.Index != 0 ||
+			ue.DataSource != "ds1" || ue.SQL != "BEGIN" || ue.LogicTable != "" || ue.ActualTable != "" {
+			t.Fatalf("write=%v: want a UnitError for the verb on ds1, got %#v (%v)", write, ue, err)
+		}
+		for _, c := range h.Snapshot(time.Now()) {
+			if c.Errors != 0 {
+				t.Fatalf("write=%v: cell %s counts %d errors for a window that failed on its verb", write, c.ActualTable, c.Errors)
+			}
+		}
+	}
+}

@@ -53,9 +53,11 @@ func Merge(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.R
 	if ctx.Derived > 0 {
 		merged = &stripSet{inner: merged, derived: ctx.Derived}
 	}
-	if ctx.Distinct && len(results) > 1 {
-		// ReadAll consumed (and closed) the merged stream; nothing else
-		// holds the shard cursors.
+	if ctx.Distinct && (len(results) > 1 || ctx.Derived > 0) {
+		// One set is distinct already unless its rows carry derived keys:
+		// a node dedupes (k, key) pairs, the merger k alone. ReadAll
+		// consumed (and closed) the merged stream; nothing else holds the
+		// shard cursors.
 		cols := merged.Columns()
 		rows, err := resource.ReadAll(merged)
 		if err != nil {

@@ -2,7 +2,7 @@
 // span piggybacking and metrics federation.
 //
 // Trace context is a fixed 9-byte trailer (flags byte + trace ID)
-// appended to every FrameQuery payload. Because the trailer is fixed-size
+// appended to every FrameQuery and FrameQueryTables payload. Because the trailer is fixed-size
 // and unconditional, the server strips it without re-parsing the
 // statement head.
 //

@@ -28,6 +28,11 @@ const (
 	FramePing  byte = 0x02
 	FrameQuit  byte = 0x03
 
+	// A FrameQuery plus a table list; its FrameEOF leads with each table's
+	// row count. Not trailing bytes on a FrameQuery, whose decoder ignores
+	// them: a node that predates the type answers "unknown frame".
+	FrameQueryTables byte = 0x0b
+
 	// Server → client.
 	FrameOK     byte = 0x10 // affected, lastInsertID
 	FrameError  byte = 0x11 // message
@@ -194,6 +199,10 @@ func EncodeQuery(sql string, args []sqltypes.Value) []byte {
 // and a stored value must not pin the frame it arrived in.
 func DecodeQuery(payload []byte) (string, []sqltypes.Value, error) {
 	r := &reader{buf: payload}
+	return r.query()
+}
+
+func (r *reader) query() (string, []sqltypes.Value, error) {
 	sql, err := r.str()
 	if err != nil {
 		return "", nil, err
@@ -212,6 +221,66 @@ func DecodeQuery(payload []byte) (string, []sqltypes.Value, error) {
 		}
 	}
 	return sql, args, nil
+}
+
+// EncodeQueryTables builds a FrameQueryTables payload: a FrameQuery
+// payload, then the table list, a count and each name.
+func EncodeQueryTables(sql string, args []sqltypes.Value, tables []string) []byte {
+	w := &writer{buf: EncodeQuery(sql, args)}
+	w.u32(uint32(len(tables)))
+	for _, t := range tables {
+		w.str(t)
+	}
+	return w.buf
+}
+
+// DecodeQueryTables parses a FrameQueryTables payload, all of it; names
+// come back as sent, repeated ones too (the node's executor refuses them).
+func DecodeQueryTables(payload []byte) (sql string, args []sqltypes.Value, tables []string, err error) {
+	r := &reader{buf: payload}
+	n := uint32(0)
+	if sql, args, err = r.query(); err == nil {
+		n, err = r.u32()
+	}
+	if err == nil && int(n) > (len(payload)-r.pos)/4 { // a name costs at least its length
+		err = fmt.Errorf("protocol: %d tables in %d bytes", n, len(payload)-r.pos)
+	}
+	for i := uint32(0); i < n && err == nil; i++ {
+		var t string
+		t, err = r.str()
+		tables = append(tables, t)
+	}
+	if err == nil && r.pos != len(payload) {
+		err = fmt.Errorf("protocol: %d bytes after a table list", len(payload)-r.pos)
+	}
+	return sql, args, tables, err
+}
+
+// AppendTableRows appends a table-list statement's per-table row counts to
+// its FrameEOF payload, ahead of the span block.
+func AppendTableRows(payload []byte, counts []int) []byte {
+	w := &writer{buf: payload}
+	w.u32(uint32(len(counts)))
+	for _, c := range counts {
+		w.u32(uint32(c))
+	}
+	return w.buf
+}
+
+// SplitTableRows parses the counts a table-list statement's FrameEOF
+// payload starts with, and returns the bytes after them.
+func SplitTableRows(payload []byte) ([]int, []byte, error) {
+	r := &reader{buf: payload}
+	n, err := r.u32()
+	if err != nil || int(n) > (len(payload)-r.pos)/4 {
+		return nil, nil, fmt.Errorf("protocol: bad table row counts (%d in %d bytes)", n, len(payload))
+	}
+	counts := make([]int, n)
+	for i := range counts {
+		c, _ := r.u32()
+		counts[i] = int(c)
+	}
+	return counts, payload[r.pos:], nil
 }
 
 // EncodeOK builds a FrameOK payload.

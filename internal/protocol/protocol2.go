@@ -14,7 +14,8 @@
 // version — and the dial fails with that error.
 //
 // A statement crosses the wire one way: FrameQuery carries its text, its
-// bind args and the trace-context trailer (obs.go). The server keeps no
+// bind args and the trace-context trailer (obs.go), FrameQueryTables a table
+// list besides (protocol.go). The server keeps no
 // per-connection statement state; repeated texts are recognised by the
 // backend's own cache (sqlexec's statement cache on a data node, the plan
 // cache in the proxy), which is shared by every connection. A row set
@@ -45,8 +46,9 @@ const version uint32 = 4
 
 // v2-era frame types. Client → server types continue from 0x03,
 // server → client types continue from 0x15. (0x08/0x18 are the
-// metrics-federation frames in obs.go; 0x05/0x06 were version 2's
-// prepare/exec frames and stay unassigned.)
+// metrics-federation frames in obs.go, 0x0b is FrameQueryTables in
+// protocol.go; 0x05/0x06 were version 2's prepare/exec frames and stay
+// unassigned.)
 const (
 	FrameHello        byte = 0x04 // version check; sent in handshake framing
 	FrameStreamClose  byte = 0x07 // client abandons a stream mid-result

@@ -277,6 +277,24 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x13})
 	f.Add([]byte{})
+	// Table lists: one with a repeated name, every truncation of it, and
+	// one whose count claims more names than its bytes hold.
+	list := AppendTraceContext(EncodeQueryTables("SELECT id FROM t_0 WHERE id > ?", []sqltypes.Value{sqltypes.NewInt(3)},
+		[]string{"t_0", "t_2", "t_0"}), TraceContext{ID: 5, Sampled: true})
+	for _, payload := range [][]byte{list, list[:len(list)-traceContextLen-2], list[:len(list)/2]} {
+		seed.Reset()
+		WriteFrame(bw, FrameQueryTables, payload)
+		bw.Flush()
+		f.Add(bytes.Clone(seed.Bytes()))
+	}
+	overflow := bytes.Clone(list)
+	binary.BigEndian.PutUint32(overflow[len(EncodeQuery("SELECT id FROM t_0 WHERE id > ?", []sqltypes.Value{sqltypes.NewInt(3)})):], 1<<30)
+	seed.Reset()
+	WriteFrame(bw, FrameQueryTables, overflow)
+	WriteFrame(bw, FrameEOF, AppendTableRows(nil, []int{2, 0, 7}))
+	WriteFrame(bw, FrameEOF, []byte{0x40, 0, 0, 0, 1})
+	bw.Flush()
+	f.Add(bytes.Clone(seed.Bytes()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
@@ -288,6 +306,14 @@ func FuzzReadFrame(f *testing.F) {
 			switch typ {
 			case FrameQuery:
 				checkStatementRoundTrip(t, payload)
+			case FrameQueryTables:
+				checkTablesRoundTrip(t, payload)
+			case FrameEOF:
+				if counts, rest, err := SplitTableRows(payload); err == nil {
+					if again := AppendTableRows(nil, counts); !bytes.Equal(append(again, rest...), payload) {
+						t.Fatalf("table row counts %v re-encode as % x, decoded from % x", counts, again, payload)
+					}
+				}
 			case FrameOK:
 				DecodeOK(payload)
 			case FrameHeader:
@@ -322,6 +348,28 @@ func checkStatementRoundTrip(t *testing.T, payload []byte) {
 	sql2, args2, err := DecodeQuery(body2)
 	if err != nil || sql2 != sql || len(args2) != len(args) {
 		t.Fatalf("statement %q re-decoded as %q with %d args: %v", sql, sql2, len(args2), err)
+	}
+}
+
+// checkTablesRoundTrip is checkStatementRoundTrip for a table list: what
+// the server accepts re-encodes to the same bytes, names in order and
+// repeated ones kept (the node's executor refuses those, not the codec),
+// and the count is bounded by the payload.
+func checkTablesRoundTrip(t *testing.T, payload []byte) {
+	tc, body, err := SplitTraceContext(payload)
+	if err != nil {
+		return
+	}
+	sql, args, tables, err := DecodeQueryTables(body)
+	if err != nil {
+		return
+	}
+	if len(tables) > len(body)/4 {
+		t.Fatalf("%d tables decoded from %d bytes", len(tables), len(body))
+	}
+	again := AppendTraceContext(EncodeQueryTables(sql, args, tables), tc)
+	if !bytes.Equal(again, payload) {
+		t.Fatalf("statement %q over %q re-encodes as % x, decoded from % x", sql, tables, again, payload)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 
 	"shardingsphere/internal/protocol"
 	"shardingsphere/internal/resource"
+	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/telemetry"
 )
@@ -203,7 +204,7 @@ func (m *muxConn) dispatch(typ byte, sid uint32, payload []byte) {
 	// one branchy peek per statement frame, a time.Now() only when the
 	// client asked for recording.
 	var at time.Time
-	if typ == protocol.FrameQuery && protocol.PeekTraceActive(payload) {
+	if (typ == protocol.FrameQuery || typ == protocol.FrameQueryTables) && protocol.PeekTraceActive(payload) {
 		at = time.Now()
 	}
 	m.mu.Lock()
@@ -254,32 +255,34 @@ func (m *muxConn) worker(st *muxStream) {
 		switch f.typ {
 		case protocol.FramePing:
 			m.send(st.id, protocol.FramePong, nil)
-		case protocol.FrameQuery:
+		case protocol.FrameQuery, protocol.FrameQueryTables:
 			seq++
 			// A malformed payload gets an Error reply; the frame is
 			// length-delimited, so the stream stays in sync.
-			sql, args, tc, err := decodeStatement(f.payload)
+			stmt, tc, err := decodeStatement(f.typ, f.payload)
 			if err != nil {
 				m.s.errors.Add(1)
 				m.send(st.id, protocol.FrameError, protocol.EncodeError(err.Error()))
 				continue
 			}
-			m.runStatement(st, seq, sess, sql, args, tc, f.at)
+			m.runStatement(st, seq, sess, stmt, tc, f.at)
 		default:
 			m.send(st.id, protocol.FrameError, protocol.EncodeError("proxy: unknown frame"))
 		}
 	}
 }
 
-// decodeStatement splits a FrameQuery payload into the statement and its
-// trace-context trailer.
-func decodeStatement(payload []byte) (string, []sqltypes.Value, protocol.TraceContext, error) {
+// decodeStatement splits a FrameQuery or FrameQueryTables payload into the
+// statement and its trace-context trailer.
+func decodeStatement(typ byte, payload []byte) (resource.Statement, protocol.TraceContext, error) {
+	var st resource.Statement
 	tc, body, err := protocol.SplitTraceContext(payload)
-	if err != nil {
-		return "", nil, tc, err
+	if err == nil && typ == protocol.FrameQueryTables {
+		st.SQL, st.Args, st.Tables, err = protocol.DecodeQueryTables(body)
+	} else if err == nil {
+		st.SQL, st.Args, err = protocol.DecodeQuery(body)
 	}
-	sql, args, err := protocol.DecodeQuery(body)
-	return sql, args, tc, err
+	return st, tc, err
 }
 
 // runStatement executes one statement and writes its complete response
@@ -292,7 +295,7 @@ func decodeStatement(payload []byte) (string, []sqltypes.Value, protocol.TraceCo
 // as soon as the cursor exists, and row batches are produced one at a
 // time, paced by the statement's flow-control window — the result is
 // never materialized here.
-func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, sql string, args []sqltypes.Value, tc protocol.TraceContext, recvAt time.Time) {
+func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, stmt resource.Statement, tc protocol.TraceContext, recvAt time.Time) {
 	s := m.s
 	sid := st.id
 	s.statements.Add(1)
@@ -362,7 +365,7 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, s
 		return protocol.AppendSpanBlock(nil, total, spans)
 	}
 
-	cols, rs, affected, lastID, err := sess.Execute(sql, args)
+	cols, rs, affected, lastID, err := execute(sess, stmt)
 	if err != nil {
 		s.errors.Add(1)
 		m.send(sid, protocol.FrameError, append(protocol.EncodeError(err.Error()), finishTrace()...))
@@ -373,6 +376,23 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, s
 		return
 	}
 	m.streamRows(st, seq, cols, rs, finishTrace)
+}
+
+// execute runs stmt on the session; a table list only on a data node's,
+// its set carrying TableRows (any other, such as a kernel's, refuses it).
+func execute(sess BackendSession, stmt resource.Statement) ([]string, resource.ResultSet, int64, int64, error) {
+	ns, ok := sess.(*nodeSession)
+	switch {
+	case stmt.Tables == nil:
+		return sess.Execute(stmt.SQL, stmt.Args)
+	case !ok:
+		return nil, nil, 0, 0, sqlexec.ErrTableList
+	}
+	res, counts, err := ns.sess.ExecuteTables(stmt.SQL, stmt.Tables, stmt.Args...)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	return res.Columns, &resource.SliceResultSet{Cols: res.Columns, Data: res.Rows, TableRows: counts}, 0, 0, nil
 }
 
 // send queues one frame for the socket writer.
@@ -410,6 +430,10 @@ func (m *muxConn) streamRows(st *muxStream, seq uint32, cols []string, rs resour
 	if st.fill == nil {
 		st.fill = make([]sqltypes.Row, streamFillRows)
 	}
+	var eof []byte
+	if s, ok := rs.(*resource.SliceResultSet); ok && s.TableRows != nil {
+		eof = protocol.AppendTableRows(nil, s.TableRows)
+	}
 	buf, enc := st.fill, &st.enc
 	defer clear(buf)
 	defer enc.Reset() // drops rows a cancel or cursor error left unsent
@@ -439,7 +463,7 @@ fill:
 	if !canceled && enc.Rows() > 0 {
 		m.streamBatch(st, seq, enc.Payload())
 	}
-	m.send(st.id, protocol.FrameEOF, finishTrace())
+	m.send(st.id, protocol.FrameEOF, append(eof, finishTrace()...))
 }
 
 // streamBatch ships one row batch, first waiting for window credit. It
@@ -510,6 +534,9 @@ func (m *muxConn) writeLoop() {
 			}
 		}
 		if werr == nil {
+			if m.w.Buffered() > 0 {
+				m.s.flushes.Add(1)
+			}
 			werr = m.w.Flush()
 		}
 		// Barriers release only after the flush (or on a dead socket,

@@ -130,6 +130,7 @@ type Server struct {
 	streamsOpened atomic.Int64
 	streamsActive atomic.Int64
 	rowBatches    atomic.Int64
+	flushes       atomic.Int64 // socket writers' flushes of buffered frames
 
 	// Streaming-pipeline counters: rows produced through pull cursors,
 	// early cursor stops requested by clients, row-batch acks received
@@ -164,6 +165,7 @@ func (s *Server) Metrics() map[string]int64 {
 		"streams_opened":     s.streamsOpened.Load(),
 		"streams_active":     s.streamsActive.Load(),
 		"row_batches":        s.rowBatches.Load(),
+		"flushes":            s.flushes.Load(),
 		"rows_streamed":      s.rowsStreamed.Load(),
 		"cursor_cancels":     s.cursorCancels.Load(),
 		"batch_acks":         s.batchAcks.Load(),

@@ -305,3 +305,24 @@ func TestServerMetricsMove(t *testing.T) {
 		t.Fatalf("active after close: %d", got)
 	}
 }
+
+// A kernel routes by logic table: a proxy over one refuses a statement
+// over a table list instead of running its text, and the stream stays
+// usable.
+func TestKernelBackendRefusesTableList(t *testing.T) {
+	conn, err := client.Dial(startShardedProxy(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx := context.Background()
+	_, err = conn.QueryBatch(ctx, []resource.Statement{{SQL: "SELECT 1", Tables: []string{"t_0", "t_1"}}})
+	if err == nil || !strings.Contains(err.Error(), sqlexec.ErrTableList.Error()) {
+		t.Fatalf("a kernel ran a table list: %v", err)
+	}
+	rs, err := conn.Query(ctx, "SELECT 1")
+	if err != nil {
+		t.Fatalf("the stream after the refusal: %v", err)
+	}
+	rs.Close()
+}

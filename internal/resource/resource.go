@@ -142,6 +142,10 @@ type Conn interface {
 type Statement struct {
 	SQL  string
 	Args []sqltypes.Value
+	// Tables, when set, runs a single-table SELECT over these tables'
+	// union (sqlexec.Session.ExecuteTables); its *SliceResultSet's
+	// TableRows counts each table's rows.
+	Tables []string
 	// Verb marks a statement run for its effect alone, such as the BEGIN
 	// that opens a transaction branch ahead of a read window: QueryBatch
 	// expects no row set from it and leaves its result slot nil.
@@ -191,9 +195,16 @@ func ExecBatch(ctx context.Context, c Conn, stmts []Statement) ([]ExecResult, er
 	return results, nil
 }
 
+// tableQuerier is a connection that runs a Statement's table list itself
+// (the embedded one, over its sqlexec session).
+type tableQuerier interface {
+	queryTables(ctx context.Context, st Statement) (ResultSet, error)
+}
+
 // QueryBatch runs stmts on c and returns each result read to its end,
-// pipelining when the connection can, else one by one (an embedded
-// connection's results are in memory already). Errors are as ExecBatch's.
+// pipelining when the connection can, else one by one; a table list runs
+// only on a tableQuerier, any other connection refuses it with
+// sqlexec.ErrTableList. Errors are as ExecBatch's.
 func QueryBatch(ctx context.Context, c Conn, stmts []Statement) ([]ResultSet, error) {
 	if bc, ok := c.(BatchConn); ok {
 		return bc.QueryBatch(ctx, stmts)
@@ -202,9 +213,14 @@ func QueryBatch(ctx context.Context, c Conn, stmts []Statement) ([]ResultSet, er
 	for i, st := range stmts {
 		var rs ResultSet
 		var err error
-		if st.Verb {
+		switch tq, ok := c.(tableQuerier); {
+		case st.Tables != nil && ok:
+			rs, err = tq.queryTables(ctx, st)
+		case st.Tables != nil:
+			err = fmt.Errorf("%w: the connection runs no list", sqlexec.ErrTableList)
+		case st.Verb:
 			_, err = c.Exec(ctx, st.SQL, st.Args...)
-		} else {
+		default:
 			rs, err = c.Query(ctx, st.SQL, st.Args...)
 		}
 		if _, ok := rs.(*SliceResultSet); err == nil && rs != nil && !ok {
@@ -223,9 +239,10 @@ func QueryBatch(ctx context.Context, c Conn, stmts []Statement) ([]ResultSet, er
 
 // SliceResultSet adapts a materialized row set to the ResultSet interface.
 type SliceResultSet struct {
-	Cols []string
-	Data []sqltypes.Row
-	pos  int
+	Cols      []string
+	Data      []sqltypes.Row
+	TableRows []int // a table list's per-table row counts (Statement.Tables)
+	pos       int
 	// OnClose, if set, runs once when the set is closed (used by pooled
 	// connections to release the connection with the cursor).
 	OnClose func()
@@ -375,35 +392,43 @@ func (c *embeddedConn) delay(ctx context.Context) error {
 	}
 }
 
-func (c *embeddedConn) Query(ctx context.Context, sql string, args ...sqltypes.Value) (ResultSet, error) {
+// run executes one statement; a table list also returns its row counts.
+func (c *embeddedConn) run(ctx context.Context, st Statement) (*sqlexec.Result, []int, error) {
 	if c.closed {
-		return nil, ErrConnClosed
+		return nil, nil, ErrConnClosed
 	}
 	if err := c.delay(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res, err := c.sess.Execute(sql, args...)
+	return c.sess.ExecuteTables(st.SQL, st.Tables, st.Args...)
+}
+
+func (c *embeddedConn) Query(ctx context.Context, sql string, args ...sqltypes.Value) (ResultSet, error) {
+	res, _, err := c.run(ctx, Statement{SQL: sql, Args: args})
+	if err == nil && !res.IsQuery() {
+		err = fmt.Errorf("resource: %q returned no row set", sql)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if !res.IsQuery() {
-		return nil, fmt.Errorf("resource: %q returned no row set", sql)
 	}
 	return NewSliceResultSet(res.Columns, res.Rows), nil
 }
 
 func (c *embeddedConn) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (ExecResult, error) {
-	if c.closed {
-		return ExecResult{}, ErrConnClosed
-	}
-	if err := c.delay(ctx); err != nil {
-		return ExecResult{}, err
-	}
-	res, err := c.sess.Execute(sql, args...)
+	res, _, err := c.run(ctx, Statement{SQL: sql, Args: args})
 	if err != nil {
 		return ExecResult{}, err
 	}
 	return ExecResult{Affected: res.Affected, LastInsertID: res.LastInsertID}, nil
+}
+
+// queryTables runs st over the union of its tables (Statement.Tables).
+func (c *embeddedConn) queryTables(ctx context.Context, st Statement) (ResultSet, error) {
+	res, counts, err := c.run(ctx, st)
+	if err != nil {
+		return nil, err
+	}
+	return &SliceResultSet{Cols: res.Columns, Data: res.Rows, TableRows: counts}, nil
 }
 
 func (c *embeddedConn) Close() error {

@@ -35,6 +35,10 @@ type SQLUnit struct {
 	Args        []sqltypes.Value
 	LogicTable  string
 	ActualTable string
+	// Union marks a unit of a single-table SELECT's fan-out form (not FOR
+	// UPDATE): one of a data source's units run over all their tables'
+	// union (resource.Statement.Tables) merges to their answer.
+	Union bool
 }
 
 // OrderKey is one merged ordering key. Index is the output column, or -1

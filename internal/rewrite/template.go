@@ -280,6 +280,7 @@ func (t *Template) Render(d sqlparser.Dialect, actual string) (string, bool) {
 func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
 	var c *compiled
 	var ctx *SelectContext
+	union := false // the units are Union units
 	switch s := t.stmt.(type) {
 	case *sqlparser.SelectStmt:
 		var li *LimitInfo
@@ -298,6 +299,7 @@ func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect Dial
 			return nil, t.fanErr
 		}
 		c, ctx = t.fan, t.fanCtx
+		union = len(t.tables) == 1 && len(s.From) == 1 && !s.ForUpdate
 		switch {
 		case ctx.Combine != nil:
 			// The combine filters, orders and pages with the statement's
@@ -330,7 +332,11 @@ func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect Dial
 	}
 	// A unit gets what its text reads: a grouped statement's partial may
 	// leave the arguments of its HAVING, ORDER BY and LIMIT to the combine.
-	return &Result{Units: c.units(rt.Units, args[:c.need], dialect), Select: ctx}, nil
+	units := c.units(rt.Units, args[:c.need], dialect)
+	for i := range units {
+		units[i].Union = union && units[i].ActualTable != ""
+	}
+	return &Result{Units: units, Select: ctx}, nil
 }
 
 // splitInsert is the fan-out form of an INSERT (paper: "splits batched

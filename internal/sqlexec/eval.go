@@ -22,6 +22,7 @@ var (
 	ErrBadXID          = errors.New("sqlexec: an XA verb's xid argument must be a non-empty string")
 	ErrNoTransaction   = errors.New("sqlexec: no active transaction")
 	ErrInTransaction   = errors.New("sqlexec: already in a transaction")
+	ErrTableList       = errors.New("sqlexec: not runnable over a table list")
 )
 
 // tableCols binds one FROM table's columns into the row environment: the

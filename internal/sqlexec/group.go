@@ -181,7 +181,7 @@ func (o *output) group(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 	}
 
 	res := &Result{Columns: o.names}
-	var sorted []sortable
+	var keyRows []sqltypes.Row // each row's ORDER BY keys
 	aggVals := make([]sqltypes.Value, len(o.aggs))
 	env.aggOf, env.aggVals = o.aggOf, aggVals
 	for _, g := range groups {
@@ -215,16 +215,12 @@ func (o *output) group(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			sorted = append(sorted, sortable{out: out, keys: keys})
-		} else {
-			res.Rows = append(res.Rows, out)
+			keyRows = append(keyRows, keys)
 		}
+		res.Rows = append(res.Rows, out)
 	}
 	if len(o.order) > 0 {
-		o.sort(sorted)
-		for _, sr := range sorted {
-			res.Rows = append(res.Rows, sr.out)
-		}
+		o.sort(res.Rows, keyRows)
 	}
 	return res, nil
 }

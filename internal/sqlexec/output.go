@@ -229,13 +229,6 @@ func (o *output) produce(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 	return res, nil
 }
 
-// sortable pairs an output row with its ORDER BY key values (the row
-// itself when every key is an output column).
-type sortable struct {
-	out  sqltypes.Row
-	keys sqltypes.Row
-}
-
 // project evaluates the projection per row. Output and key values of one
 // result come from one backing array each, not one allocation per row.
 func (o *output) project(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
@@ -246,11 +239,12 @@ func (o *output) project(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 	w := len(o.items)
 	vals := make([]sqltypes.Value, len(rows)*w)
 	res.Rows = make([]sqltypes.Row, len(rows))
-	var sorted []sortable
+	var keyRows []sqltypes.Row // each row's ORDER BY keys: itself if all are output columns
 	var keyVals []sqltypes.Value
 	if len(o.order) > 0 {
-		sorted = make([]sortable, len(rows))
+		keyRows = res.Rows
 		if !o.keysInOutput {
+			keyRows = make([]sqltypes.Row, len(rows))
 			keyVals = make([]sqltypes.Value, len(rows)*len(o.order))
 		}
 	}
@@ -265,23 +259,16 @@ func (o *output) project(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 			out[j] = v
 		}
 		res.Rows[i] = out
-		if sorted != nil {
-			var keys sqltypes.Row
-			if keyVals != nil {
-				keys = keyVals[i*len(o.order) : (i+1)*len(o.order)]
-			}
-			keys, err := o.sortKeys(env, out, keys)
+		if keyVals != nil {
+			keys, err := o.sortKeys(env, out, keyVals[i*len(o.order):(i+1)*len(o.order)])
 			if err != nil {
 				return nil, err
 			}
-			sorted[i] = sortable{out: out, keys: keys}
+			keyRows[i] = keys
 		}
 	}
-	if sorted != nil {
-		o.sort(sorted)
-		for i := range sorted {
-			res.Rows[i] = sorted[i].out
-		}
+	if keyRows != nil {
+		o.sort(res.Rows, keyRows)
 	}
 	return res, nil
 }
@@ -311,14 +298,20 @@ func (o *output) sortKeys(env *rowEnv, out, keys sqltypes.Row) (sqltypes.Row, er
 	return keys, nil
 }
 
-func (o *output) sort(rows []sortable) {
-	slices.SortStableFunc(rows, func(a, b sortable) int {
+// sort orders rows stably by keys (keys[i] is rows[i]'s; keys may be rows).
+func (o *output) sort(rows, keys []sqltypes.Row) {
+	perm := make([]int32, len(rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		ka, kb := keys[a], keys[b]
 		for i := range o.order {
 			col := i
 			if o.keysInOutput {
 				col = o.order[i].pos
 			}
-			if c := sqltypes.Compare(a.keys[col], b.keys[col]); c != 0 {
+			if c := sqltypes.Compare(ka[col], kb[col]); c != 0 {
 				if o.order[i].desc {
 					return -c
 				}
@@ -327,12 +320,28 @@ func (o *output) sort(rows []sortable) {
 		}
 		return 0
 	})
+	// A sorted permutation moves each row once: row i takes rows[perm[i]].
+	for i := range perm {
+		if perm[i] < 0 {
+			continue
+		}
+		first, j := rows[i], i
+		for {
+			k := int(perm[j])
+			perm[j] = -1
+			if k == i {
+				rows[j] = first
+				break
+			}
+			rows[j], j = rows[k], k
+		}
+	}
 }
 
 // distinctSmall is the row count up to which DISTINCT compares rows
-// pairwise instead of hashing them: a shard's slice of a fanned-out range
-// is a handful of rows.
-const distinctSmall = 8
+// pairwise instead of hashing them, which allocates a key per row: a
+// source's union of a range's tables is tens of rows.
+const distinctSmall = 32
 
 // DistinctRows keeps the first of each set of equal rows, in place, under
 // one engine's value identity: numeric kinds compare by value, so 2 and

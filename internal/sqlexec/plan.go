@@ -1,6 +1,8 @@
 package sqlexec
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"shardingsphere/internal/sqlparser"
@@ -70,14 +72,13 @@ func (s *Session) compileSelect(stmt *sqlparser.SelectStmt) (*selectPlan, error)
 	return p, nil
 }
 
-// scan fetches the rows the WHERE clause keeps: the access path prunes,
-// the residual predicate decides.
-func (p *selectPlan) scan(env *rowEnv, txID int64) ([]sqltypes.Row, error) {
-	var keys [2]sqltypes.Value
-	// Sized for a shard's slice of a fanned-out statement: a few rows.
-	rows := make([]sqltypes.Row, 0, 4)
+// scan appends to rows the rows of tbl — the plan's table or one defined
+// as it is — that the WHERE clause keeps: the access path, bound to the
+// arguments once per statement (ap), prunes; the residual predicate
+// decides.
+func (p *selectPlan) scan(tbl *storage.Table, ap accessPlan, env *rowEnv, txID int64, rows []sqltypes.Row) ([]sqltypes.Row, error) {
 	var evalErr error
-	p.access.fetch(p.tbl, txID, p.access.bind(env.args, &keys), func(se storage.ScanEntry) bool {
+	p.access.fetch(tbl, txID, ap, func(se storage.ScanEntry) bool {
 		if p.where != nil {
 			env.row = se.Row
 			v, err := env.eval(p.where)
@@ -93,4 +94,65 @@ func (p *selectPlan) scan(env *rowEnv, txID int64) ([]sqltypes.Row, error) {
 		return true
 	})
 	return rows, evalErr
+}
+
+// run scans tbls — the plan's table, or a list of tables defined as it
+// is — and runs the output stage once over the rows they kept. counts,
+// when set, receives the rows each table's scan kept.
+func (p *selectPlan) run(tbls []*storage.Table, args []sqltypes.Value, txID int64, counts []int) (*Result, error) {
+	env := &rowEnv{tables: p.tables, args: args}
+	var keys [2]sqltypes.Value
+	ap := p.access.bind(args, &keys)
+	// Sized for a shard's slice of a fanned-out statement: a few rows.
+	rows := make([]sqltypes.Row, 0, 4)
+	if len(tbls) > 1 {
+		rows = make([]sqltypes.Row, 0, 2*len(tbls))
+	}
+	for i, tbl := range tbls {
+		n := len(rows)
+		var err error
+		if rows, err = p.scan(tbl, ap, env, txID, rows); err != nil {
+			return nil, err
+		}
+		if counts != nil {
+			counts[i] = len(rows) - n
+		}
+	}
+	return p.out.produce(env, rows)
+}
+
+// executeTables checks the list against the text's plan, runs it and
+// charges each listed table's heat counters.
+func (s *Session) executeTables(st *Stmt, names []string, args []sqltypes.Value) (*Result, []int, error) {
+	stmt, ok := st.ast.(*sqlparser.SelectStmt)
+	if !ok || len(stmt.From) != 1 || stmt.ForUpdate || len(names) == 0 {
+		return nil, nil, fmt.Errorf("%w: it takes a plain single-table SELECT and at least one table", ErrTableList)
+	}
+	p, err := s.selectPlanFor(st, stmt)
+	if err != nil {
+		return nil, nil, err
+	}
+	def := p.tbl.Definition()
+	var buf [16]*storage.Table // a list of up to 16 allocates nothing
+	tbls := buf[:0]
+	for i, name := range names {
+		tbl, err := s.engine.Table(name)
+		switch {
+		case slices.Contains(names[:i], name):
+			return nil, nil, fmt.Errorf("%w: table %s is listed twice", ErrTableList, name)
+		case err != nil:
+			return nil, nil, fmt.Errorf("%w: %w", ErrTableList, err)
+		case tbl.Definition() != def:
+			return nil, nil, fmt.Errorf("%w: table %s is not defined as %s is", ErrTableList, name, p.tbl.Name())
+		}
+		tbls = append(tbls, tbl)
+	}
+	t0 := s.recStart()
+	counts := make([]int, len(names))
+	res, err := p.run(tbls, args, s.txID(), counts)
+	s.recSpan("read", t0, err)
+	for _, name := range names {
+		s.proc.stats.tableStat(name).note(false, err != nil)
+	}
+	return res, counts, err
 }

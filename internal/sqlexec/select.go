@@ -48,12 +48,7 @@ func (s *Session) executeSelect(st *Stmt, stmt *sqlparser.SelectStmt, args []sql
 		if err != nil {
 			return nil, err
 		}
-		env := &rowEnv{tables: p.tables, args: args}
-		rows, err := p.scan(env, s.txID())
-		if err != nil {
-			return nil, err
-		}
-		return p.out.produce(env, rows)
+		return p.run([]*storage.Table{p.tbl}, args, s.txID(), nil)
 	}
 	sources, err := s.resolveSources(stmt)
 	if err != nil {

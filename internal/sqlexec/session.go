@@ -131,26 +131,42 @@ func (s *Session) Vars() map[string]sqltypes.Value { return s.vars }
 
 // Execute runs one SQL statement with optional bind arguments.
 func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
+	res, _, err := s.ExecuteTables(sql, nil, args...)
+	return res, err
+}
+
+// ExecuteTables runs sql as Execute does, or, when names is not nil, a
+// plain single-table SELECT's plan over the listed tables' union: its scan
+// per table, its output stage once. Each table must exist, appear once and
+// have the plan table's definition, else, or for another text or an empty
+// list, it fails with ErrTableList. counts holds the rows each table's
+// scan kept.
+func (s *Session) ExecuteTables(sql string, names []string, args ...sqltypes.Value) (res *Result, counts []int, err error) {
 	t0 := s.recStart()
 	st, err := s.proc.parse(sql)
 	s.recSpan("parse", t0, err)
 	if err != nil {
 		s.proc.stats.Statements.Add(1)
 		s.proc.stats.Errors.Add(1)
-		return nil, err
+		return nil, nil, err
 	}
 	// The entry is shared across sessions; its AST is read-only.
-	res, err := s.executeStmt(st, args)
+	if names != nil {
+		res, counts, err = s.executeTables(st, names, args)
+	} else {
+		res, err = s.executeStmt(st, args)
+	}
 	s.proc.stats.Statements.Add(1)
 	if err != nil {
 		s.proc.stats.Errors.Add(1)
 	}
-	if p := st.plan.Load(); p != nil {
+	// executeTables charges each listed table itself.
+	if p := st.plan.Load(); p != nil && names == nil {
 		p.stat.note(false, err != nil)
-	} else if table, write, ok := stmtTable(st.ast); ok {
+	} else if table, write, ok := stmtTable(st.ast); ok && names == nil {
 		s.proc.stats.tableStat(table).note(write, err != nil)
 	}
-	return res, err
+	return res, counts, err
 }
 
 // stmtTable names the table a DML statement targets (single-table

@@ -111,6 +111,7 @@ func (e *Engine) CreateTable(spec TableSpec) error {
 		}
 		t.notNull[i] = true
 	}
+	t.define()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -153,6 +154,7 @@ func (e *Engine) CreateIndex(spec IndexSpec) error {
 		return true
 	})
 	t.indexes[spec.Name] = ix
+	t.define()
 	e.ddl.Add(1)
 	return nil
 }

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"shardingsphere/internal/btree"
 	"shardingsphere/internal/sqltypes"
@@ -87,6 +89,7 @@ type Table struct {
 	rowSeq  int64
 	pk      *btree.Tree[*rowSlot]
 	indexes map[string]*secondaryIndex
+	def     atomic.Pointer[string] // Definition's text, set at creation and by each index
 }
 
 // Name returns the table name.
@@ -101,6 +104,21 @@ func (t *Table) PKColumns() []int { return t.pkCols }
 // AutoIncrementColumn returns the position of the auto-increment column or
 // -1.
 func (t *Table) AutoIncrementColumn() int { return t.autoCol }
+
+// Definition renders what a plan compiled against the table reads:
+// columns, NOT NULL, primary key, auto-increment column and indexes.
+func (t *Table) Definition() string { return *t.def.Load() }
+
+// define sets def; the caller holds t.mu or has not published t yet.
+func (t *Table) define() {
+	indexes := make([]string, 0, len(t.indexes))
+	for name, ix := range t.indexes {
+		indexes = append(indexes, fmt.Sprint(name, ix.cols))
+	}
+	sort.Strings(indexes)
+	def := fmt.Sprint(t.schema, t.notNull, t.pkCols, t.autoCol, indexes)
+	t.def.Store(&def)
+}
 
 // Len returns the number of committed rows (approximate under concurrent
 // writers).

@@ -151,11 +151,14 @@ func (c *Conn) pop(ctx context.Context) (muxFrame, error) {
 	return f, nil
 }
 
-// stmtFrame builds one statement's frame: text, bind args and the
-// trace-context trailer, which is unconditional (fixed size, so the server
-// strips it without parsing).
-func stmtFrame(sql string, args []sqltypes.Value, tc protocol.TraceContext) outFrame {
-	return outFrame{protocol.FrameQuery, protocol.AppendTraceContext(protocol.EncodeQuery(sql, args), tc)}
+// stmtFrame builds one statement's frame: text, bind args, any table list
+// and the trace-context trailer, which is unconditional (fixed size, so
+// the server strips it without parsing).
+func stmtFrame(st resource.Statement, tc protocol.TraceContext) outFrame {
+	if st.Tables != nil {
+		return outFrame{protocol.FrameQueryTables, protocol.AppendTraceContext(protocol.EncodeQueryTables(st.SQL, st.Args, st.Tables), tc)}
+	}
+	return outFrame{protocol.FrameQuery, protocol.AppendTraceContext(protocol.EncodeQuery(st.SQL, st.Args), tc)}
 }
 
 // roundTrip sends one statement and reads the first frame of its
@@ -167,7 +170,7 @@ func (c *Conn) roundTrip(ctx context.Context, sql string, args []sqltypes.Value)
 		return nil, resource.ExecResult{}, spanExpect{}, resource.ErrConnClosed
 	}
 	tc, exp := beginTrace(ctx)
-	if err := c.t.send(c.st.id, stmtFrame(sql, args, tc)); err != nil {
+	if err := c.t.send(c.st.id, stmtFrame(resource.Statement{SQL: sql, Args: args}, tc)); err != nil {
 		return nil, resource.ExecResult{}, exp, c.fail(err)
 	}
 	cols, res, err := c.firstFrame(ctx, exp)
@@ -239,18 +242,20 @@ func (c *Conn) discardRows(ctx context.Context, cols []string, exp spanExpect) e
 // (protocol.DecodeRowBatch), so a row the caller keeps pins at most that
 // one frame: DefaultBatchBytes plus one row.
 type remoteRows struct {
-	c      *Conn
-	ctx    context.Context
-	seq    uint32 // this statement's 1-based sequence on the stream
-	cols   []string
-	batch  []sqltypes.Row
-	pos    int
-	done   bool
-	err    error
-	closed bool
-	owe    bool       // the last row batch taken is not acked yet
-	keep   bool       // each batch decodes onto the rows before it (all)
-	exp    spanExpect // span grafting on the terminal frame, if traced
+	c         *Conn
+	ctx       context.Context
+	seq       uint32 // this statement's 1-based sequence on the stream
+	cols      []string
+	batch     []sqltypes.Row
+	pos       int
+	done      bool
+	err       error
+	closed    bool
+	owe       bool       // the last row batch taken is not acked yet
+	keep      bool       // each batch decodes onto the rows before it (all)
+	exp       spanExpect // span grafting on the terminal frame, if traced
+	tables    int        // a table list's length: its EOF leads with its row counts,
+	tableRows []int      // which fetch decodes here
 }
 
 func (rs *remoteRows) Columns() []string { return rs.cols }
@@ -294,8 +299,14 @@ func (rs *remoteRows) fetch() error {
 			}
 			rs.c.t.rowsStreamed.Add(int64(len(rs.batch) - at))
 		case protocol.FrameEOF:
-			rs.exp.observe(rs.c, f)
 			rs.done = true
+			if rs.tables > 0 {
+				if rs.tableRows, f.payload, err = protocol.SplitTableRows(f.payload); err != nil {
+					rs.err = rs.c.fail(err)
+					return rs.err
+				}
+			}
+			rs.exp.observe(rs.c, f)
 		case protocol.FrameError:
 			rs.exp.observe(rs.c, f)
 			msg, _ := protocol.DecodeError(f.payload)
@@ -414,7 +425,7 @@ func (c *Conn) pipeline(ctx context.Context, stmts []resource.Statement, read fu
 		tc, exp := beginTrace(ctx)
 		frames := make([]outFrame, 0, end-base)
 		for _, st := range stmts[base:end] {
-			frames = append(frames, stmtFrame(st.SQL, st.Args, tc))
+			frames = append(frames, stmtFrame(st, tc))
 		}
 		if err := c.t.send(c.st.id, frames...); err != nil {
 			return &resource.BatchError{Index: base, Err: c.fail(err)}
@@ -470,9 +481,11 @@ func (c *Conn) QueryBatch(ctx context.Context, stmts []resource.Statement) ([]re
 		case cols == nil:
 			return fmt.Errorf("client: %q returned no row set", stmts[i].SQL)
 		default:
+			rr := c.rows(ctx, cols, exp)
+			rr.tables = len(stmts[i].Tables)
 			var rows []sqltypes.Row
-			rows, err = c.rows(ctx, cols, exp).all()
-			rs = resource.NewSliceResultSet(cols, rows)
+			rows, err = rr.all()
+			rs = &resource.SliceResultSet{Cols: cols, Data: rows, TableRows: rr.tableRows}
 		}
 		if err == nil && len(sets) == i {
 			sets = append(sets, rs)
@@ -614,6 +627,7 @@ func (p *muxPool) metrics() map[string]int64 {
 		"cursor_cancels":    0,
 		"batch_acks":        0,
 		"batch_window_peak": 0,
+		"flushes":           0,
 		"sockets_dialed":    p.socketsOpened.Load(),
 		"mux_socket_budget": 0,
 	}
@@ -636,6 +650,7 @@ func (p *muxPool) metrics() map[string]int64 {
 		m["bytes_streamed"] += t.bytesStreamed.Load()
 		m["cursor_cancels"] += t.cursorCancels.Load()
 		m["batch_acks"] += t.batchAcks.Load()
+		m["flushes"] += t.flushes.Load()
 		m["batch_window_peak"] = max(m["batch_window_peak"], t.windowPeak.Load())
 	}
 	return m

@@ -375,3 +375,49 @@ func TestStreamQueueKeepsItsArray(t *testing.T) {
 		t.Fatalf("a reader one frame behind grew the queue to %d slots", cap(s.q))
 	}
 }
+
+// A table list travels in a frame type of its own. A node built before
+// that frame answers a type it does not know with "unknown frame", as
+// this stand-in for one does, and the batch fails: the list never reaches
+// such a node as a plain query of its first unit's text, whose decoder
+// would ignore trailing bytes and run that one table alone.
+func TestTableListNeverReachesAnOldNodeAsAQuery(t *testing.T) {
+	sent := make(chan byte, 8)
+	p := startPeer(t, func(nc net.Conn) {
+		r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
+		if typ, _, err := protocol.ReadFrame(r); err != nil || typ != protocol.FrameHello {
+			return
+		}
+		protocol.WriteFrame(w, protocol.FrameHelloAck, protocol.EncodeHello(protocol.MaxFrame))
+		w.Flush()
+		for {
+			typ, sid, _, err := protocol.ReadFrameV2(r, protocol.MaxFrame)
+			if err != nil {
+				return
+			}
+			sent <- typ
+			if typ == protocol.FrameQuery {
+				protocol.WriteFrameV2(w, protocol.FrameHeader, sid, protocol.EncodeHeader([]string{"id"}))
+				protocol.WriteFrameV2(w, protocol.FrameEOF, sid, nil)
+			} else {
+				protocol.WriteFrameV2(w, protocol.FrameError, sid, protocol.EncodeError("proxy: unknown frame"))
+			}
+			w.Flush()
+		}
+	})
+	conn, err := Dial(p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sets, err := conn.QueryBatch(context.Background(), []resource.Statement{
+		{SQL: "SELECT id FROM t_0 WHERE id > ?", Args: []sqltypes.Value{sqltypes.NewInt(1)}, Tables: []string{"t_0", "t_2"}},
+	})
+	var be *resource.BatchError
+	if !errors.As(err, &be) || be.Index != 0 || !strings.Contains(err.Error(), "unknown frame") {
+		t.Fatalf("a list sent to an old node: sets %v, error %v; want the node's unknown-frame error", sets, err)
+	}
+	if typ := <-sent; typ != protocol.FrameQueryTables {
+		t.Fatalf("the list went out as frame %#x, want FrameQueryTables", typ)
+	}
+}

@@ -84,6 +84,7 @@ type Transport struct {
 	cursorCancels atomic.Int64
 	batchAcks     atomic.Int64
 	windowPeak    atomic.Int64 // deepest per-stream row-batch queue seen
+	flushes       atomic.Int64 // the write loop's flushes of buffered frames
 }
 
 // stream is the client half of one logical connection: an inbound frame
@@ -356,6 +357,9 @@ func (t *Transport) writeLoop() {
 			}
 		}
 		if err == nil {
+			if t.w.Buffered() > 0 {
+				t.flushes.Add(1)
+			}
 			err = t.w.Flush()
 		}
 		if err != nil {

@@ -99,13 +99,15 @@ func groupedStatement(agg, key, having, order, limit uint8) (sql string, args []
 }
 
 // FuzzGroupedMatchesOneEngine runs grouped statements (groupedStatement)
-// against table t in four shards over two sources and holds each answer to
-// one sqlexec.Processor holding the same rows: the rows as a multiset and,
-// when the ORDER BY decides it, their sequence. Its seeds are the grouped
-// shapes that once merged wrong across shards.
+// against table t in four shards over two sources, at MaxCon 4 and at
+// MaxCon 1 (a source's units share one connection's window), and holds
+// each answer to one sqlexec.Processor holding the same rows: the rows as
+// a multiset and, when the ORDER BY decides it, their sequence. Its seeds
+// are the grouped shapes that once merged wrong across shards.
 func FuzzGroupedMatchesOneEngine(f *testing.F) {
 	ref := oneEngineRef(f)
-	s := oneEngineDB(f, "mysql", 4)
+	dbs := []*Session{oneEngineDB(f, "mysql", 4),
+		layoutDB(f, "mysql", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", maxCon: 1})}
 	for _, seed := range [][5]uint8{
 		{25, 2, 0, 0, 0},  // SELECT COUNT(DISTINCT k) FROM t
 		{26, 2, 0, 0, 0},  // SELECT SUM(DISTINCT k) FROM t
@@ -122,21 +124,23 @@ func FuzzGroupedMatchesOneEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, agg, key, having, order, limit uint8) {
 		sql, args, ordered := groupedStatement(agg, key, having, order, limit)
 		want, wantErr := ref.Execute(sql, args...)
-		got, err := s.QueryAll(sql, args...)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%s %v: kernel error %v, one engine %v", sql, args, err, wantErr)
-		}
-		if err != nil {
-			return
-		}
-		var keys []int
-		if ordered && len(want.Rows) > 0 {
-			for i := range want.Rows[0] {
-				keys = append(keys, i)
+		for i, s := range dbs {
+			got, err := s.QueryAll(sql, args...)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s %v (database %d): kernel error %v, one engine %v", sql, args, i, err, wantErr)
 			}
-		}
-		if msg := sameAnswer(got, want.Rows, keys); msg != "" {
-			t.Fatalf("%s %v: %s\n got %v\nwant %v", sql, args, msg, got, want.Rows)
+			if err != nil {
+				continue
+			}
+			var keys []int
+			if ordered && len(want.Rows) > 0 {
+				for i := range want.Rows[0] {
+					keys = append(keys, i)
+				}
+			}
+			if msg := sameAnswer(got, want.Rows, keys); msg != "" {
+				t.Fatalf("%s %v (database %d): %s\n got %v\nwant %v", sql, args, i, msg, got, want.Rows)
+			}
 		}
 	})
 }

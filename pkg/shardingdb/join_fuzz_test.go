@@ -29,14 +29,17 @@ func joinStatement(join, on, pair, extra uint8) string {
 
 // FuzzJoinMatchesOneEngine runs joins (joinStatement) against t and u in
 // four shards each, over one source or two (layout%2), bound or not
-// (layout/2%2), and holds each answer to one sqlexec.Processor holding the
-// same rows; route.ErrNotColocated counts as a match. Its seeds are the
-// joins that once answered wrong.
+// (layout/2%2), each layout at MaxCon 4 and at MaxCon 1, and holds each
+// answer to one sqlexec.Processor holding the same rows;
+// route.ErrNotColocated counts as a match. Its seeds are the joins that
+// once answered wrong.
 func FuzzJoinMatchesOneEngine(f *testing.F) {
 	ref := oneEngineRef(f)
-	var layouts [4]*Session
+	var layouts [4][2]*Session
 	for i := range layouts {
-		layouts[i] = layoutDB(f, "mysql", oneEngineLayout{tShards: 4, uShards: 4, resources: []string{"ds0", "ds0, ds1"}[i%2], bind: i/2 == 1})
+		for j, maxCon := range []int{4, 1} {
+			layouts[i][j] = layoutDB(f, "mysql", oneEngineLayout{tShards: 4, uShards: 4, resources: []string{"ds0", "ds0, ds1"}[i%2], bind: i/2 == 1, maxCon: maxCon})
+		}
 	}
 	for _, seed := range [][5]uint8{
 		{0, 2, 0, 0, 1}, // t a JOIN t b ON a.k = b.v, two sources
@@ -55,16 +58,18 @@ func FuzzJoinMatchesOneEngine(f *testing.F) {
 		sql := joinStatement(join, on, pair, extra)
 		where := fmt.Sprintf("%s (layout %d)", sql, layout%4)
 		want, wantErr := ref.Execute(sql)
-		got, err := layouts[layout%4].QueryAll(sql)
-		if errors.Is(err, route.ErrNotColocated) {
-			return
-		}
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%s: kernel error %v, one engine %v", where, err, wantErr)
-		}
-		if err == nil {
-			if msg := sameAnswer(got, want.Rows, nil); msg != "" {
-				t.Fatalf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
+		for j, s := range layouts[layout%4] {
+			got, err := s.QueryAll(sql)
+			if errors.Is(err, route.ErrNotColocated) {
+				continue
+			}
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s, database %d: kernel error %v, one engine %v", where, j, err, wantErr)
+			}
+			if err == nil {
+				if msg := sameAnswer(got, want.Rows, nil); msg != "" {
+					t.Fatalf("%s, database %d: %s\n got %v\nwant %v", where, j, msg, got, want.Rows)
+				}
 			}
 		}
 	})

@@ -10,6 +10,7 @@ import (
 
 	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/exec"
+	"shardingsphere/internal/proxy"
 	"shardingsphere/internal/route"
 	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/sqlparser"
@@ -98,18 +99,40 @@ var oneEngineStatements = []struct {
 	// 2 and 2.0 on different units are one value.
 	{"SELECT x, COUNT(*) FROM f GROUP BY x ORDER BY COUNT(*)", "SELECT x, COUNT(*) FROM f GROUP BY x ORDER BY COUNT(*)", nil, []int{0, 1}, nil},
 	{"SELECT DISTINCT x FROM f ORDER BY x", "SELECT DISTINCT x FROM f ORDER BY x", nil, []int{0}, nil},
+	// The units select the ORDER BY key too, so only the merger sees k alone.
+	{"SELECT DISTINCT k FROM t ORDER BY v", "SELECT DISTINCT k FROM t ORDER BY v", nil, nil, nil},
 }
 
 // TestRowsMatchOneEngine runs every statement through the kernel — the
 // table in one shard and in four over two sources, both sources MySQL or
 // both PostgreSQL, literal and placeholder form, first and second
 // execution — and holds each answer to one sqlexec.Processor holding the
-// same rows.
+// same rows. At four shards it also runs them on the executor's read
+// windows, where a source's units share one connection: inside BEGIN …
+// COMMIT, on a database with MaxCon 1, and inside a transaction on a
+// kernel over two remote data nodes.
 func TestRowsMatchOneEngine(t *testing.T) {
 	ref := oneEngineRef(t)
 	for _, dialect := range []string{"mysql", "postgresql"} {
-		for _, shards := range []int{1, 4} {
-			s := oneEngineDB(t, dialect, shards)
+		for _, run := range []struct {
+			name   string
+			layout oneEngineLayout
+			tx     bool
+		}{
+			{"1 shard", oneEngineLayout{tShards: 1, uShards: 1, resources: "ds0, ds1"}, false},
+			{"4 shards", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1"}, false},
+			{"4 shards in a transaction", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1"}, true},
+			{"4 shards at MaxCon 1", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", maxCon: 1}, false},
+			{"4 shards on remote nodes in a transaction", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", remote: true}, true},
+			{"4 shards on one source in a transaction", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0"}, true},
+			{"4 shards on one source at MaxCon 1", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0", maxCon: 1}, false},
+		} {
+			s := layoutDB(t, dialect, run.layout)
+			if run.tx {
+				if err := s.Begin(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, c := range oneEngineStatements {
 				want, err := ref.Execute(c.sql)
 				if err != nil {
@@ -121,7 +144,7 @@ func TestRowsMatchOneEngine(t *testing.T) {
 				}{{c.sql, nil}, {c.placeholders, c.args}} {
 					for exec := 1; exec <= 2; exec++ {
 						got, err := s.QueryAll(form.sql, form.args...)
-						where := fmt.Sprintf("%s, %d shard(s), execution %d: %s %v", dialect, shards, exec, form.sql, form.args)
+						where := fmt.Sprintf("%s, %s, execution %d: %s %v", dialect, run.name, exec, form.sql, form.args)
 						if errors.Is(err, sqlexec.ErrBadArgCount) {
 							t.Fatalf("%s: a unit's text reads an argument it was not given: %v", where, err)
 						}
@@ -132,6 +155,11 @@ func TestRowsMatchOneEngine(t *testing.T) {
 							t.Errorf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
 						}
 					}
+				}
+			}
+			if run.tx {
+				if err := s.Commit(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -149,20 +177,24 @@ const (
 )
 
 // oneEngineLayout shards t (and f) and u by hash_mod on id: tShards and
-// uShards shards over resources, t and u bound when bind is set.
+// uShards shards over resources, t and u bound when bind is set. maxCon is
+// the kernel's per-source connection budget (0: 4); remote serves ds0 and
+// ds1 from two data nodes over the wire instead of embedded engines.
 type oneEngineLayout struct {
 	name             string
 	tShards, uShards int
 	resources        string
 	bind             bool
+	maxCon           int
+	remote           bool
 }
 
 var oneEngineLayouts = []oneEngineLayout{
-	{oneShard, 1, 1, "ds0, ds1", false},
-	{oneSource, 4, 4, "ds0", false},
-	{twoSources, 4, 4, "ds0, ds1", false},
-	{bound, 4, 4, "ds0, ds1", true},
-	{uAtThree, 4, 3, "ds0, ds1", false},
+	{name: oneShard, tShards: 1, uShards: 1, resources: "ds0, ds1"},
+	{name: oneSource, tShards: 4, uShards: 4, resources: "ds0"},
+	{name: twoSources, tShards: 4, uShards: 4, resources: "ds0, ds1"},
+	{name: bound, tShards: 4, uShards: 4, resources: "ds0, ds1", bind: true},
+	{name: uAtThree, tShards: 4, uShards: 3, resources: "ds0, ds1"},
 }
 
 // oneEngineJoins are joins of t with itself, with u (t's rows) and with
@@ -353,9 +385,19 @@ func oneEngineDB(t testing.TB, dialect string, shards int) *Session {
 // layoutDB is oneEngineDB with t, f and u laid out by l.
 func layoutDB(t testing.TB, dialect string, l oneEngineLayout) *Session {
 	t.Helper()
-	db, err := Open(Config{DataSources: []DataSourceConfig{
-		{Name: "ds0", Dialect: dialect}, {Name: "ds1", Dialect: dialect},
-	}, MaxCon: 4})
+	sources := []DataSourceConfig{{Name: "ds0", Dialect: dialect}, {Name: "ds1", Dialect: dialect}}
+	if l.remote {
+		for i := range sources {
+			srv := proxy.NewServer(&proxy.NodeBackend{Processor: sqlexec.NewProcessor(storage.NewEngine(sources[i].Name))})
+			addr, err := srv.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close)
+			sources[i].Addr = addr
+		}
+	}
+	db, err := Open(Config{DataSources: sources, MaxCon: cmp.Or(l.maxCon, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
