@@ -136,6 +136,9 @@ type Kernel struct {
 	// compiled per execution.
 	planCache       *plancache.Cache
 	hasTransformers bool
+	// hasResolvers: a feature may move units off their routed sources
+	// (SourceResolver), so a failover must first put them back.
+	hasResolvers bool
 
 	// tel is the always-on telemetry collector every statement feeds.
 	tel *telemetry.Collector
@@ -215,6 +218,9 @@ func New(cfg Config) (*Kernel, error) {
 	for _, f := range cfg.Features {
 		if _, ok := f.(StatementTransformer); ok {
 			k.hasTransformers = true
+		}
+		if _, ok := f.(SourceResolver); ok {
+			k.hasResolvers = true
 		}
 	}
 	txLog := cfg.TxLog

@@ -102,17 +102,15 @@ func (s *Session) executePlan(p *plan, args []sqltypes.Value) (*Result, error) {
 // bind routes and rewrites a compiled statement for one set of argument
 // values: the units an execution sends.
 func (s *Session) bind(p *plan, args []sqltypes.Value) (*rewrite.Result, error) {
-	rt, err := p.route.Route(args, s.hint)
-	if err != nil {
+	if err := p.route.RouteInto(&s.rt, args, s.hint); err != nil {
 		return nil, err
 	}
 	s.tr.Mark(telemetry.StageRoute)
-	rw, err := p.rewrite.Rewrite(rt, args, s.k.dialectOf)
-	if err != nil {
+	if err := p.rewrite.RewriteInto(&s.rw, &s.rt, args, s.k.dialectOf); err != nil {
 		return nil, err
 	}
 	s.tr.Mark(telemetry.StageRewrite)
-	return rw, nil
+	return &s.rw, nil
 }
 
 // run is the one execute path: bind, then send the units. genKey is the

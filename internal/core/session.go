@@ -13,6 +13,7 @@ import (
 	"shardingsphere/internal/merge"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
+	"shardingsphere/internal/route"
 	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
@@ -93,6 +94,11 @@ type Session struct {
 	stmtDigest  *digest.Entry
 	stmtShards  int
 	stmtRetries int
+	// rt and rw are the route and the rewrite bind fills for each
+	// statement: the rewrite reads the route's units, the statement runs
+	// the rewrite's, and nothing keeps either past the statement.
+	rt route.Result
+	rw rewrite.Result
 }
 
 // Kernel returns the owning kernel (DistSQL needs it).
@@ -443,13 +449,12 @@ func (s *Session) runUnits(stmt sqlparser.Statement, sel *sqlparser.SelectStmt, 
 	attempts := 1
 	var origDS []string
 	if canFailover {
-		attempts = 1 + len(rw.Units) // at most one failover per candidate replica
-		if attempts > 4 {
-			attempts = 4
-		}
-		origDS = make([]string, len(rw.Units))
-		for i := range rw.Units {
-			origDS[i] = rw.Units[i].DataSource
+		attempts = min(1+len(rw.Units), 4) // at most one failover per candidate replica
+		if s.k.hasResolvers {
+			origDS = make([]string, len(rw.Units))
+			for i := range rw.Units {
+				origDS[i] = rw.Units[i].DataSource
+			}
 		}
 	}
 	var res *Result
@@ -462,8 +467,8 @@ func (s *Session) runUnits(stmt sqlparser.Statement, sel *sqlparser.SelectStmt, 
 			// sequence instead of restarting at 1, so TRACE shows the
 			// failed try and the failover side by side.
 			s.tr.BeginFailover()
-			for i := range rw.Units {
-				rw.Units[i].DataSource = origDS[i]
+			for i, ds := range origDS {
+				rw.Units[i].DataSource = ds
 			}
 		}
 		res, err = s.runUnitsOnce(ctx, stmt, sel, rw, genKey, readOnly)

@@ -306,64 +306,85 @@ func (e *Executor) observe(tr *telemetry.Trace, ds, sql string, start time.Time,
 }
 
 // QueryResult is the outcome of executing a query statement: one result
-// set per statement sent, in the order of their first units (merge reads it).
+// set per statement sent, in the order of their first units (merge reads
+// it). A one-unit statement's set is held in the result itself. Groups
+// running at once park their sets at their own units' positions, so they
+// share no lock.
 type QueryResult struct {
 	Sets []resource.ResultSet
+	sets [1]resource.ResultSet
 }
 
 // HeldConns pins one connection per data source for the life of a
 // distributed transaction: every statement in the transaction for a given
 // source must ride the same connection. A branch opened with a verb
 // (BEGIN, XA BEGIN ?) sends nothing then: the next window to the source
-// carries the verb ahead of its units.
+// carries the verb ahead of its units. A transaction touches a handful of
+// sources, so they are found by a scan, and the first two are held in the
+// set itself.
 type HeldConns struct {
-	mu    sync.Mutex
-	conns map[string]heldConn
+	mu     sync.Mutex
+	conns  []heldConn
+	inline [2]heldConn
 }
 
-// heldConn is a pinned connection and its opening verb, until it succeeds.
+// heldConn is a source's pinned connection and, until it succeeds, the
+// verb that opens its branch: the transaction's own, not a copy.
 type heldConn struct {
+	ds   string
 	conn *resource.PooledConn
-	open resource.Statement
+	open *resource.Statement
 }
 
 // NewHeldConns returns an empty pinned-connection set.
 func NewHeldConns() *HeldConns {
-	return &HeldConns{conns: map[string]heldConn{}}
+	h := &HeldConns{}
+	h.conns = h.inline[:0]
+	return h
+}
+
+// find returns ds's entry, or nil. The caller holds h.mu.
+func (h *HeldConns) find(ds string) *heldConn {
+	for i := range h.conns {
+		if h.conns[i].ds == ds {
+			return &h.conns[i]
+		}
+	}
+	return nil
 }
 
 // Get returns the pinned connection for ds, acquiring and pinning one on
 // first use.
 func (h *HeldConns) Get(ctx context.Context, e *Executor, ds string) (*resource.PooledConn, error) {
-	c, _, err := h.take(ctx, e, ds, resource.Statement{})
+	c, _, err := h.take(ctx, e, ds, nil)
 	return c, err
 }
 
 // Open pins a connection for ds, as Get does, with verb as the statement
-// that opens its branch. A source already pinned keeps its branch.
-func (h *HeldConns) Open(ctx context.Context, e *Executor, ds string, verb resource.Statement) error {
-	verb.Verb = true
+// that opens its branch; verb is kept, not copied, until it has run. A
+// source already pinned keeps its branch.
+func (h *HeldConns) Open(ctx context.Context, e *Executor, ds string, verb *resource.Statement) error {
 	_, _, err := h.take(ctx, e, ds, verb)
 	return err
 }
 
 // take returns ds's pinned connection, pinning one opened by verb on first
 // use, and the branch's opening verb while it has not succeeded.
-func (h *HeldConns) take(ctx context.Context, e *Executor, ds string, verb resource.Statement) (*resource.PooledConn, resource.Statement, error) {
+func (h *HeldConns) take(ctx context.Context, e *Executor, ds string, verb *resource.Statement) (*resource.PooledConn, *resource.Statement, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if hc, ok := h.conns[ds]; ok {
+	if hc := h.find(ds); hc != nil {
 		return hc.conn, hc.open, nil
 	}
 	src, err := e.Source(ds)
 	if err != nil {
-		return nil, resource.Statement{}, err
+		return nil, nil, err
 	}
 	c, err := src.AcquireCtx(ctx)
 	if err != nil {
-		return nil, resource.Statement{}, err
+		return nil, nil, err
 	}
-	h.conns[ds] = heldConn{conn: c, open: verb}
+	h.conns = append(h.conns, heldConn{ds: ds, conn: c, open: verb})
 	return c, verb, nil
 }
 
@@ -375,9 +396,9 @@ func (h *HeldConns) ran(ds string, err error) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	hc := h.conns[ds]
-	hc.open = resource.Statement{}
-	h.conns[ds] = hc
+	if hc := h.find(ds); hc != nil {
+		hc.open = nil
+	}
 }
 
 // Peek returns ds's pinned connection once its branch is open: the verb it
@@ -386,17 +407,20 @@ func (h *HeldConns) ran(ds string, err error) {
 func (h *HeldConns) Peek(ds string) (*resource.PooledConn, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	hc, ok := h.conns[ds]
-	return hc.conn, ok && hc.open.SQL == ""
+	if hc := h.find(ds); hc != nil {
+		return hc.conn, hc.open == nil
+	}
+	return nil, false
 }
 
-// Sources lists the data sources with pinned connections.
+// Sources lists the data sources with pinned connections, in the order
+// they were pinned.
 func (h *HeldConns) Sources() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.conns))
-	for ds := range h.conns {
-		out = append(out, ds)
+	out := make([]string, len(h.conns))
+	for i, hc := range h.conns {
+		out[i] = hc.ds
 	}
 	return out
 }
@@ -405,50 +429,46 @@ func (h *HeldConns) Sources() []string {
 func (h *HeldConns) ReleaseAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for ds, hc := range h.conns {
+	for _, hc := range h.conns {
 		hc.conn.Release()
-		delete(h.conns, ds)
 	}
+	clear(h.conns)
+	h.conns = h.conns[:0]
 }
 
-// group is the per-data-source execution plan.
+// group is the per-data-source execution plan: its units are the
+// statement's units on ds, in order (indexes). It holds no pointer into
+// the plan, so a statement's groups live on its stack.
 type group struct {
 	ds    string
-	units []int // indexes into the unit slice
+	n     int // units on ds
 	mode  ConnectionMode
 	conns int
 }
 
-// plan groups units by data source and decides each group's mode. A
-// statement touches a handful of sources, so groups are found by scanning
-// the ones seen so far, and every group's unit list is a window of one
-// backing array sized by a counting pass.
-func (e *Executor) plan(units []rewrite.SQLUnit, held *HeldConns) []group {
-	var out []group
-	groupOf := func(ds string) int {
+// indexes appends the positions of g's units among units to dst.
+func (g group) indexes(units []rewrite.SQLUnit, dst []int) []int {
+	for i := range units {
+		if units[i].DataSource == g.ds {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// plan groups units by data source, appending to out, and decides each
+// group's mode. A statement touches a handful of sources, so groups are
+// found by scanning the ones seen so far.
+func (e *Executor) plan(units []rewrite.SQLUnit, held *HeldConns, out []group) []group {
+next:
+	for _, u := range units {
 		for gi := range out {
-			if out[gi].ds == ds {
-				return gi
+			if out[gi].ds == u.DataSource {
+				out[gi].n++
+				continue next
 			}
 		}
-		return -1
-	}
-	for _, u := range units {
-		if gi := groupOf(u.DataSource); gi >= 0 {
-			out[gi].conns++ // unit count, until the modes are decided below
-		} else {
-			out = append(out, group{ds: u.DataSource, conns: 1})
-		}
-	}
-	idxs := make([]int, len(units))
-	for gi, at := 0, 0; gi < len(out); gi++ {
-		n := out[gi].conns
-		out[gi].units = idxs[at : at : at+n]
-		at += n
-	}
-	for i, u := range units {
-		g := &out[groupOf(u.DataSource)]
-		g.units = append(g.units, i)
+		out = append(out, group{ds: u.DataSource, n: 1})
 	}
 	for gi := range out {
 		g := &out[gi]
@@ -457,23 +477,24 @@ func (e *Executor) plan(units []rewrite.SQLUnit, held *HeldConns) []group {
 			// Transactions ride a single pinned connection: always
 			// connection-strict with one connection.
 			g.mode, g.conns = ConnectionStrictly, 1
-		case (len(g.units)+e.maxCon-1)/e.maxCon > 1: // θ > 1
+		case (g.n+e.maxCon-1)/e.maxCon > 1: // θ > 1
 			g.mode, g.conns = ConnectionStrictly, e.maxCon
 		default:
-			g.mode, g.conns = MemoryStrictly, len(g.units)
+			g.mode, g.conns = MemoryStrictly, g.n
 		}
 	}
 	return out
 }
 
-// QueryCtx executes query units and returns one result set per unit. When
-// held is non-nil the statements ride the transaction's pinned
-// connections (a window per source, materialized: the connection must be
-// reusable immediately). The context carries the statement deadline and
-// fail-fast cancellation; retry opts idempotent reads outside transactions
-// into transparent transient-failure retries with jittered backoff.
-// Multi-group fan-outs cancel sibling groups on the first error instead
-// of letting them run to completion.
+// QueryCtx executes query units and returns one result set per statement
+// sent: one per unit, except that a window's Union units are one statement
+// (runWindow). When held is non-nil the statements ride the transaction's
+// pinned connections (a window per source, materialized: the connection
+// must be reusable immediately). The context carries the statement
+// deadline and fail-fast cancellation; retry opts idempotent reads outside
+// transactions into transparent transient-failure retries with jittered
+// backoff. Multi-group fan-outs cancel sibling groups on the first error
+// instead of letting them run to completion.
 func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace, retry bool) (*QueryResult, error) {
 	if tr.Sampled() {
 		// Remote connections inject the trace into the wire protocol's
@@ -481,16 +502,17 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 		// reaches them. Unsampled statements skip the allocation.
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
-	groups := e.plan(units, held)
-	res := &QueryResult{Sets: make([]resource.ResultSet, len(units))}
-	var mu sync.Mutex
+	var buf [8]group
+	groups := e.plan(units, held, buf[:0])
+	res := &QueryResult{}
+	res.Sets = slices.Grow(res.sets[:0], len(units))[:len(units)]
 	var err error
 	if len(groups) == 1 {
 		// Single data source — no fan-out to overlap, so run on the
 		// caller's stack instead of paying a goroutine spawn (and its
 		// stack growth) per statement. Point queries live here.
 		e.queryInline.Add(1)
-		err = e.queryGroupRetry(ctx, units, groups[0], held, res, &mu, tr, retry)
+		err = e.queryGroupRetry(ctx, units, groups[0], held, res, tr, retry)
 	} else {
 		e.queryFanout.Add(1)
 		// Fail-fast fan-out: the first group error cancels the shared
@@ -503,7 +525,7 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 			wg.Add(1)
 			go func(i int, g group) {
 				defer wg.Done()
-				if gerr := e.queryGroupRetry(fanCtx, units, g, held, res, &mu, tr, retry); gerr != nil {
+				if gerr := e.queryGroupRetry(fanCtx, units, g, held, res, tr, retry); gerr != nil {
 					errs[i] = gerr
 					e.failFastAborts.Add(1)
 					cancel()
@@ -571,8 +593,8 @@ func deferCancelToSets(sets []resource.ResultSet, cancel context.CancelFunc) {
 // queryGroupRetry runs one group, retrying transient failures when the
 // caller opted in (idempotent reads outside transactions only — held
 // connections carry transaction state and are never retried).
-func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, retry bool) error {
-	err := e.runQueryGroup(ctx, units, g, held, res, mu, tr, 1)
+func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, res *QueryResult, tr *telemetry.Trace, retry bool) error {
+	err := e.runQueryGroup(ctx, units, g, held, res, tr, 1)
 	if err == nil || !retry || held != nil {
 		return err
 	}
@@ -583,12 +605,12 @@ func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit,
 		}
 		// A failed attempt may have parked partial results (including open
 		// streaming cursors holding connections); drop them before rerunning.
-		closeGroupSets(res, g, mu)
+		closeGroupSets(res, units, g)
 		if serr := sleepCtx(ctx, pol.backoff(attempt)); serr != nil {
 			return err
 		}
 		e.retries.Add(1)
-		if err = e.runQueryGroup(ctx, units, g, held, res, mu, tr, attempt+1); err == nil {
+		if err = e.runQueryGroup(ctx, units, g, held, res, tr, attempt+1); err == nil {
 			e.retrySuccess.Add(1)
 			return nil
 		}
@@ -597,25 +619,25 @@ func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit,
 }
 
 // closeGroupSets releases any result sets a failed group attempt parked.
-func closeGroupSets(res *QueryResult, g group, mu *sync.Mutex) {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, idx := range g.units {
-		if rs := res.Sets[idx]; rs != nil {
+func closeGroupSets(res *QueryResult, units []rewrite.SQLUnit, g group) {
+	for i, u := range units {
+		if rs := res.Sets[i]; rs != nil && u.DataSource == g.ds {
 			rs.Close()
-			res.Sets[idx] = nil
+			res.Sets[i] = nil
 		}
 	}
 }
 
-func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
+func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, res *QueryResult, tr *telemetry.Trace, attempt int) error {
+	var buf [16]int
+	idxs := g.indexes(units, slices.Grow(buf[:0], g.n))
 	if held != nil {
-		conn, open, err := held.take(ctx, e, g.ds, resource.Statement{})
+		conn, open, err := held.take(ctx, e, g.ds, nil)
 		if err != nil {
 			return err
 		}
-		err = e.runWindow(ctx, units, g.ds, conn, open, g.units, res, mu, tr, attempt)
-		if open.SQL != "" {
+		err = e.runWindow(ctx, units, g.ds, conn, open, idxs, res, tr, attempt)
+		if open != nil {
 			held.ran(g.ds, err)
 		}
 		return err
@@ -642,7 +664,8 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 	if tr.Detailed() {
 		acqStart = time.Now()
 	}
-	conns := make([]*resource.PooledConn, 0, g.conns)
+	var one [1]*resource.PooledConn
+	conns := slices.Grow(one[:0], g.conns)
 	for i := 0; i < g.conns; i++ {
 		c, err := src.AcquireCtx(ctx)
 		if err != nil {
@@ -661,19 +684,19 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 	// connection executes its share serially, connections run in parallel.
 	// A single connection runs inline — nothing to overlap.
 	if len(conns) == 1 {
-		return e.runConnShare(ctx, units, g, conns[0], g.units, res, mu, tr, attempt)
+		return e.runConnShare(ctx, units, g, conns[0], idxs, res, tr, attempt)
 	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(conns))
 	for ci, conn := range conns {
-		share := make([]int, 0, len(g.units)/len(conns)+1)
-		for ui := ci; ui < len(g.units); ui += len(conns) {
-			share = append(share, g.units[ui])
+		share := make([]int, 0, len(idxs)/len(conns)+1)
+		for ui := ci; ui < len(idxs); ui += len(conns) {
+			share = append(share, idxs[ui])
 		}
 		wg.Add(1)
 		go func(conn *resource.PooledConn, share []int) {
 			defer wg.Done()
-			if err := e.runConnShare(ctx, units, g, conn, share, res, mu, tr, attempt); err != nil {
+			if err := e.runConnShare(ctx, units, g, conn, share, res, tr, attempt); err != nil {
 				errCh <- err
 			}
 		}(conn, share)
@@ -684,15 +707,18 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 }
 
 // runConnShare executes one connection's share of a group's units.
-func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g group, conn *resource.PooledConn, share []int, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
+func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g group, conn *resource.PooledConn, share []int, res *QueryResult, tr *telemetry.Trace, attempt int) error {
 	if g.mode == ConnectionStrictly {
 		defer conn.Release()
-		return e.runWindow(ctx, units, g.ds, conn, resource.Statement{}, share, res, mu, tr, attempt)
+		return e.runWindow(ctx, units, g.ds, conn, nil, share, res, tr, attempt)
 	}
-	// Memory-strict (θ ≤ 1: the share is one unit): the open cursor goes
-	// to the merger under a conn lease, which keeps the connection checked
-	// out until the merged set closes it (paper: stream merger keeps one
-	// connection per data node) and counts rows into the heat cell.
+	// Memory-strict (θ ≤ 1: the share is one unit). A result that arrives
+	// materialized (every embedded unit's) frees its connection at once
+	// and is charged to its heat cell by a walk, as a window's are. A live
+	// cursor goes to the merger under a conn lease, which keeps the
+	// connection checked out until the merged set closes it (paper: stream
+	// merger keeps one connection per data node) and counts rows into the
+	// heat cell as they stream.
 	idx := share[0]
 	u := units[idx]
 	cell := e.heatCell(u)
@@ -704,13 +730,19 @@ func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g 
 		conn.Release()
 		return wrapUnitErr(u, dur, err)
 	}
-	lease := resource.NewConnLease(rs, conn)
-	if cell != nil {
-		lease.AddSink(cell)
+	if s, ok := rs.(*resource.SliceResultSet); ok {
+		conn.Release()
+		if cell != nil {
+			cell.AddRead(len(s.Data), rowBytes(s.Data))
+		}
+	} else {
+		lease := resource.NewConnLease(rs, conn)
+		if cell != nil {
+			lease.AddSink(cell)
+		}
+		rs = lease
 	}
-	mu.Lock()
-	res.Sets[idx] = lease
-	mu.Unlock()
+	res.Sets[idx] = rs
 	return nil
 }
 
@@ -720,7 +752,7 @@ func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g 
 // all units (behind a held branch's opening verb), and every result comes
 // back materialized, Union units' as one set (window). The window is one
 // timed execution; unit heat cells count calls and rows, not latency.
-func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds string, conn *resource.PooledConn, open resource.Statement, share []int, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
+func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds string, conn *resource.PooledConn, open *resource.Statement, share []int, res *QueryResult, tr *telemetry.Trace, attempt int) error {
 	sp, off, union := window(open, units, share)
 	start := time.Now()
 	sets, err := conn.QueryBatch(ctx, *sp)
@@ -738,11 +770,9 @@ func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds st
 	}
 	e.observe(tr, ds, units[share[0]].SQL, start, attempt, nil)
 	sets = sets[off:]
-	mu.Lock()
 	for i, rs := range sets {
 		res.Sets[share[i]] = rs
 	}
-	mu.Unlock()
 	// Rows in memory are charged by a walk (a union's per table, by the rows
 	// its scan kept, bytes in proportion); a live cursor's by its lease.
 	var b, matched int64
@@ -779,11 +809,13 @@ func rowBytes(rows []sqltypes.Row) int64 {
 // then the units, and counts those ahead of the units; two or more Union
 // units are one statement over all their tables. The slice is recycled
 // (putWindow): a batch call does not keep it.
-func window(open resource.Statement, units []rewrite.SQLUnit, share []int) (sp *[]resource.Statement, off int, union bool) {
+func window(open *resource.Statement, units []rewrite.SQLUnit, share []int) (sp *[]resource.Statement, off int, union bool) {
 	sp = windowPool.Get().(*[]resource.Statement)
 	stmts := (*sp)[:0]
-	if open.SQL != "" {
-		stmts = append(stmts, open)
+	if open != nil {
+		verb := *open
+		verb.Verb = true
+		stmts = append(stmts, verb)
 	}
 	off, union = len(stmts), len(share) > 1 && units[share[0]].Union
 	var tables []string
@@ -811,7 +843,7 @@ var windowPool = sync.Pool{New: func() any { return new([]resource.Statement) }}
 // batchFailure names what a batch error's index points at: the opening
 // verb (its data source and text, no table: no unit ran), or a unit (a
 // union's statement is its first unit's text); else the first unit.
-func batchFailure(ds string, open resource.Statement, units []rewrite.SQLUnit, share []int, off int, err error) rewrite.SQLUnit {
+func batchFailure(ds string, open *resource.Statement, units []rewrite.SQLUnit, share []int, off int, err error) rewrite.SQLUnit {
 	var be *resource.BatchError
 	if errors.As(err, &be) && be.Index < off {
 		return rewrite.SQLUnit{DataSource: ds, SQL: open.SQL}
@@ -839,7 +871,8 @@ func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit
 	if tr.Sampled() {
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
-	groups := e.plan(units, held)
+	var buf [8]group
+	groups := e.plan(units, held, buf[:0])
 	var total resource.ExecResult
 	var mu sync.Mutex
 	if len(groups) == 1 {
@@ -876,12 +909,14 @@ func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit
 // runUpdateGroup executes one data source's DML units on its held
 // connection.
 func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, total *resource.ExecResult, mu *sync.Mutex, tr *telemetry.Trace) error {
-	conn, open, err := held.take(ctx, e, g.ds, resource.Statement{})
+	conn, open, err := held.take(ctx, e, g.ds, nil)
 	if err != nil {
 		return err
 	}
-	if open.SQL == "" && len(g.units) == 1 {
-		u := units[g.units[0]]
+	var buf [16]int
+	idxs := g.indexes(units, slices.Grow(buf[:0], g.n))
+	if open == nil && len(idxs) == 1 {
+		u := units[idxs[0]]
 		start := time.Now()
 		r, err := conn.Exec(ctx, u.SQL, u.Args...)
 		dur := e.observe(tr, g.ds, u.SQL, start, 1, err)
@@ -901,7 +936,7 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 	// before the first response is read, so a remote shard costs one round
 	// trip instead of one per statement. A BatchError pins the failure to
 	// its unit, or to the opening verb.
-	sp, off, _ := window(open, units, g.units)
+	sp, off, _ := window(open, units, idxs)
 	start := time.Now()
 	results, err := resource.ExecBatch(ctx, conn, *sp)
 	putWindow(sp)
@@ -909,12 +944,12 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 		held.ran(g.ds, err)
 	}
 	if err != nil {
-		failed := batchFailure(g.ds, open, units, g.units, off, err)
+		failed := batchFailure(g.ds, open, units, idxs, off, err)
 		dur := e.observe(tr, g.ds, failed.SQL, start, 1, err)
 		e.heatCell(failed).ObserveExec(start, dur, 0, err)
 		return wrapUnitErr(failed, dur, err)
 	}
-	e.observe(tr, g.ds, units[g.units[0]].SQL, start, 1, nil)
+	e.observe(tr, g.ds, units[idxs[0]].SQL, start, 1, nil)
 	results = results[off:]
 	mu.Lock()
 	for _, r := range results {
@@ -924,10 +959,10 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 		}
 	}
 	mu.Unlock()
-	// Per-unit heat attribution: results line up with g.units. The batch
+	// Per-unit heat attribution: results line up with idxs. The batch
 	// measured one duration for the whole window, so unit cells skip the
 	// latency histogram and count calls/rows only.
-	for i, idx := range g.units {
+	for i, idx := range idxs {
 		e.heatCell(units[idx]).ObserveExec(start, 0, results[i].Affected, nil)
 	}
 	return nil

@@ -56,7 +56,7 @@ func unitsFor(sqls map[string][]string) []rewrite.SQLUnit {
 // modeOn reports the connection mode the executor plans for the units'
 // group on one data source.
 func modeOn(e *Executor, units []rewrite.SQLUnit, held *HeldConns, ds string) ConnectionMode {
-	for _, g := range e.plan(units, held) {
+	for _, g := range e.plan(units, held, nil) {
 		if g.ds == ds {
 			return g.mode
 		}
@@ -143,16 +143,34 @@ func TestMaxConRaisesParallelism(t *testing.T) {
 	}
 }
 
+// liveConn answers queries with live cursors, as a remote connection
+// does: the set it returns is not a *resource.SliceResultSet.
+type liveConn struct{ resource.Conn }
+
+func (c liveConn) Query(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ResultSet, error) {
+	rs, err := c.Conn.Query(ctx, sql, args...)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ resource.ResultSet }{rs}, nil
+}
+
+// A memory-strict unit's live cursor pins its connection until the
+// cursor is closed.
 func TestStreamSetHoldsConnection(t *testing.T) {
 	e := fixture(t, 1) // pool of exactly 1 per source
+	src, _ := e.Source("ds0")
+	src.SetConnInterceptor(func(c resource.Conn) resource.Conn { return liveConn{c} })
 	res, err := e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t"},
 	}), nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, _ := e.Source("ds0")
 	// The cursor holds the only pooled connection.
+	if st := src.Stats(); st.InUse != 1 {
+		t.Fatalf("a live cursor's connection: %d in use, want 1", st.InUse)
+	}
 	if _, ok := src.TryAcquire(); ok {
 		t.Fatal("stream cursor should pin the connection")
 	}
@@ -162,6 +180,69 @@ func TestStreamSetHoldsConnection(t *testing.T) {
 		t.Fatal("connection not released on cursor close")
 	}
 	c.Release()
+}
+
+// A memory-strict unit's result that arrives materialized, as every
+// embedded unit's does, frees its connection before the client reads it,
+// and its heat cell has its call and its rows all the same.
+func TestMaterializedResultFreesConnection(t *testing.T) {
+	e := fixture(t, 1)
+	h := digest.NewHeat()
+	e.SetHeat(h)
+	src, _ := e.Source("ds0")
+	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT * FROM t WHERE id < 4", LogicTable: "t_logic", ActualTable: "t_logic_0"}}
+	if mode := modeOn(e, units, nil, "ds0"); mode != MemoryStrictly {
+		t.Fatalf("mode %v", mode)
+	}
+	res, err := e.QueryCtx(context.Background(), units, nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := src.Stats(); st.InUse != 0 {
+		t.Fatalf("a materialized result still holds %d connection(s)", st.InUse)
+	}
+	if _, ok := res.Sets[0].(*resource.SliceResultSet); !ok {
+		t.Fatalf("the result is handed over as %T, not as it arrived", res.Sets[0])
+	}
+	if rows, err := resource.ReadAll(res.Sets[0]); err != nil || len(rows) != 4 {
+		t.Fatalf("rows %v, %v", rows, err)
+	}
+	cells := h.Snapshot(time.Now())
+	if len(cells) != 1 || cells[0].Queries != 1 || cells[0].RowsRead != 4 || cells[0].Bytes <= 0 {
+		t.Fatalf("heat cells %+v, want one with 1 query and 4 rows", cells)
+	}
+}
+
+// TestQueryAllocations bounds what QueryCtx allocates over one embedded
+// unit beyond what the node allocates for the row: the QueryResult, which
+// holds the unit's set, and the pool's connection wrapper. The groups and
+// their unit indexes live on the stack, and no lease is taken.
+func TestQueryAllocations(t *testing.T) {
+	e := fixture(t, 1)
+	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT v FROM t WHERE id = ?", Args: []sqltypes.Value{sqltypes.NewInt(3)}}}
+	ctx := context.Background()
+	src, _ := e.Source("ds0")
+	conn, err := src.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := testing.AllocsPerRun(200, func() {
+		if _, err := conn.Query(ctx, units[0].SQL, units[0].Args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	conn.Release()
+	n := testing.AllocsPerRun(200, func() {
+		res, err := e.QueryCtx(ctx, units, nil, nil, true)
+		if err != nil || len(res.Sets) != 1 {
+			t.Fatalf("%v %v", res, err)
+		}
+	})
+	if n > node+2 {
+		t.Errorf("QueryCtx over one unit allocates %.0f times, the node %.0f of them: ceiling node + 2", n, node)
+	} else {
+		t.Logf("QueryCtx over one unit: %.0f allocations, the node's %.0f", n, node)
+	}
 }
 
 func TestExecuteUpdateAggregates(t *testing.T) {
@@ -528,7 +609,7 @@ func TestFailedOpeningVerbBlamesTheVerb(t *testing.T) {
 		in := chaos.NewInjector()
 		in.Apply(ds, chaos.Fault{ErrorRate: 1, Seed: 1})
 		held := NewHeldConns()
-		if err := held.Open(context.Background(), e, "ds1", resource.Statement{SQL: "BEGIN"}); err != nil {
+		if err := held.Open(context.Background(), e, "ds1", &resource.Statement{SQL: "BEGIN"}); err != nil {
 			t.Fatal(err)
 		}
 		units := windowUnits("SELECT * FROM t WHERE id = 14")

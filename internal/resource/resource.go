@@ -237,16 +237,13 @@ func QueryBatch(ctx context.Context, c Conn, stmts []Statement) ([]ResultSet, er
 	return sets, nil
 }
 
-// SliceResultSet adapts a materialized row set to the ResultSet interface.
+// SliceResultSet adapts a materialized row set to the ResultSet
+// interface. It holds no connection: closing it releases nothing.
 type SliceResultSet struct {
 	Cols      []string
 	Data      []sqltypes.Row
 	TableRows []int // a table list's per-table row counts (Statement.Tables)
 	pos       int
-	// OnClose, if set, runs once when the set is closed (used by pooled
-	// connections to release the connection with the cursor).
-	OnClose func()
-	closed  bool
 }
 
 // NewSliceResultSet wraps columns and rows as a ResultSet.
@@ -291,15 +288,7 @@ func (rs *SliceResultSet) Rest() []sqltypes.Row {
 }
 
 // Close implements ResultSet.
-func (rs *SliceResultSet) Close() error {
-	if !rs.closed {
-		rs.closed = true
-		if rs.OnClose != nil {
-			rs.OnClose()
-		}
-	}
-	return nil
-}
+func (rs *SliceResultSet) Close() error { return nil }
 
 // closeHookSet runs a hook exactly once after the wrapped set closes.
 type closeHookSet struct {

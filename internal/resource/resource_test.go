@@ -262,17 +262,6 @@ func TestLatencyOption(t *testing.T) {
 	}
 }
 
-func TestSliceResultSetOnClose(t *testing.T) {
-	called := 0
-	rs := NewSliceResultSet([]string{"a"}, nil)
-	rs.OnClose = func() { called++ }
-	rs.Close()
-	rs.Close()
-	if called != 1 {
-		t.Fatalf("OnClose called %d times", called)
-	}
-}
-
 // TestConnLeaseLifecycle: a lease ties a live cursor to its pooled
 // conn — Close closes the cursor first, then returns the conn, and a
 // second Close is a no-op (the pool gauge never goes negative).

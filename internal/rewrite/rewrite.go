@@ -78,10 +78,13 @@ type SelectContext struct {
 }
 
 // Result is the rewriter's output: executable units plus the merge
-// context for SELECTs.
+// context for SELECTs. A one-unit result holds its unit itself, so a
+// caller that rewrites into a Result it owns (Template.RewriteInto)
+// allocates only the unit's text.
 type Result struct {
 	Units  []SQLUnit
 	Select *SelectContext
+	inline [1]SQLUnit
 }
 
 // DialectFunc resolves the SQL dialect of a data source.

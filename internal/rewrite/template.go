@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -117,8 +118,10 @@ func (sp *spliced) splice(values []string) string {
 // written. A unit that maps one table carries its logic and actual name.
 // A text that reads the arguments as they are passes them through; units
 // of one data source share one reordered list. args holds c.need values.
-func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect DialectFunc) []SQLUnit {
-	out := make([]SQLUnit, len(routed))
+// The units become res's, held in res itself when one unit fits.
+func (c *compiled) units(res *Result, routed []route.Unit, args []sqltypes.Value, dialect DialectFunc) {
+	out := slices.Grow(res.inline[:0], len(routed))[:len(routed)]
+	res.Units = out
 	// Fan-outs revisit a handful of data sources; resolve each dialect once.
 	type resolved struct {
 		ds   string
@@ -175,7 +178,6 @@ func (c *compiled) units(routed []route.Unit, args []sqltypes.Value, dialect Dia
 		}
 		u.SQL = r.text.splice(values)
 	}
-	return out
 }
 
 // Template is a statement compiled for rewriting: everything the rewriter
@@ -278,6 +280,17 @@ func (t *Template) Render(d sqlparser.Dialect, actual string) (string, bool) {
 // Rewrite binds a route and argument values: one SQL unit per routed
 // unit, and for a SELECT the context its results merge under.
 func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
+	res := new(Result)
+	if err := t.RewriteInto(res, rt, args, dialect); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// RewriteInto is Rewrite writing into res, which the caller owns: a caller
+// that is done with one statement's units before it binds the next
+// rewrites every statement into one Result.
+func (t *Template) RewriteInto(res *Result, rt *route.Result, args []sqltypes.Value, dialect DialectFunc) error {
 	var c *compiled
 	var ctx *SelectContext
 	union := false // the units are Union units
@@ -289,14 +302,14 @@ func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect Dial
 			// values fail here all the same.
 			var err error
 			if li, err = evalLimit(s.Limit, args); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if rt.SingleNode() {
 			break
 		}
 		if t.fanOutForm(); t.fanErr != nil {
-			return nil, t.fanErr
+			return t.fanErr
 		}
 		c, ctx = t.fan, t.fanCtx
 		union = len(t.tables) == 1 && len(s.From) == 1 && !s.ForUpdate
@@ -321,22 +334,23 @@ func (t *Template) Rewrite(rt *route.Result, args []sqltypes.Value, dialect Dial
 		// them; any other hands every unit every row.
 		if len(rt.Units) > 1 && rt.Units[0].RowIndexes != nil {
 			t.fanOutForm()
-			return t.split.units(rt.Units, args, dialect)
+			return t.split.units(res, rt.Units, args, dialect)
 		}
 	}
 	if c == nil {
 		c, ctx = t.wholeForm()
 	}
 	if len(args) < c.need {
-		return nil, fmt.Errorf("rewrite: statement reads %d bind arguments, %d given", c.need, len(args))
+		return fmt.Errorf("rewrite: statement reads %d bind arguments, %d given", c.need, len(args))
 	}
 	// A unit gets what its text reads: a grouped statement's partial may
 	// leave the arguments of its HAVING, ORDER BY and LIMIT to the combine.
-	units := c.units(rt.Units, args[:c.need], dialect)
-	for i := range units {
-		units[i].Union = union && units[i].ActualTable != ""
+	*res = Result{Select: ctx}
+	c.units(res, rt.Units, args[:c.need], dialect)
+	for i := range res.Units {
+		res.Units[i].Union = union && res.Units[i].ActualTable != ""
 	}
-	return &Result{Units: units, Select: ctx}, nil
+	return nil
 }
 
 // splitInsert is the fan-out form of an INSERT (paper: "splits batched
@@ -375,18 +389,20 @@ func newSplitInsert(stmt *sqlparser.InsertStmt, tables []string) *splitInsert {
 	return sp
 }
 
-func (sp *splitInsert) units(routed []route.Unit, args []sqltypes.Value, dialect DialectFunc) (*Result, error) {
+func (sp *splitInsert) units(res *Result, routed []route.Unit, args []sqltypes.Value, dialect DialectFunc) error {
 	if len(args) < sp.need {
-		return nil, fmt.Errorf("rewrite: statement reads %d bind arguments, %d given", sp.need, len(args))
+		return fmt.Errorf("rewrite: statement reads %d bind arguments, %d given", sp.need, len(args))
 	}
-	out := sp.head.units(routed, nil, dialect)
+	*res = Result{}
+	sp.head.units(res, routed, nil, dialect)
+	out := res.Units
 	for i := range out {
 		rows := sp.rows[dialect(out[i].DataSource)]
 		var b strings.Builder
 		b.WriteString(out[i].SQL)
 		for j, idx := range routed[i].RowIndexes {
 			if idx < 0 || idx >= len(rows) {
-				return nil, fmt.Errorf("rewrite: row index %d out of range", idx)
+				return fmt.Errorf("rewrite: row index %d out of range", idx)
 			}
 			if j > 0 {
 				b.WriteString(", ")
@@ -398,7 +414,7 @@ func (sp *splitInsert) units(routed []route.Unit, args []sqltypes.Value, dialect
 		}
 		out[i].SQL = b.String()
 	}
-	return &Result{Units: out}, nil
+	return nil
 }
 
 // SingleNodeSelectContext derives the merge context of a single-node

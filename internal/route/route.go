@@ -14,6 +14,7 @@ package route
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 
 	"shardingsphere/internal/sharding"
@@ -69,10 +70,20 @@ type Unit struct {
 	RowIndexes []int
 }
 
-// Result is the full route result.
+// Result is the full route result. A route of up to two units keeps them
+// in the result itself, so binding a point select allocates the result
+// alone, or nothing when the caller routes into a Result it owns
+// (Skeleton.RouteInto).
 type Result struct {
-	Kind  Kind
-	Units []Unit
+	Kind   Kind
+	Units  []Unit
+	inline [2]Unit
+}
+
+// reset empties res for a route of the kind with room for n units.
+func (res *Result) reset(kind Kind, n int) {
+	*res = Result{Kind: kind}
+	res.Units = slices.Grow(res.inline[:0], n)
 }
 
 // SingleNode reports whether the route hit exactly one data node, which
@@ -158,18 +169,16 @@ func (r *Router) Route(stmt sqlparser.Statement, args []sqltypes.Value, hint *sq
 }
 
 // everySource is the route of a broadcast table's DML and DDL.
-func (r *Router) everySource() *Result {
-	res := &Result{Kind: KindBroadcast}
+func (r *Router) everySource(res *Result) {
+	res.reset(KindBroadcast, len(r.allDataSources))
 	for _, ds := range r.allDataSources {
 		res.Units = append(res.Units, Unit{DataSource: ds, TableMap: map[string]string{}})
 	}
-	return res
 }
 
-func unitsFromNodes(ix *sharding.NodeIndex, nodes []sharding.DataNode, kind Kind) *Result {
-	res := &Result{Kind: kind, Units: make([]Unit, len(nodes))}
-	for i, n := range nodes {
-		res.Units[i] = Unit{DataSource: n.DataSource, TableMap: ix.Of(n)}
+func unitsFromNodes(res *Result, ix *sharding.NodeIndex, nodes []sharding.DataNode, kind Kind) {
+	res.reset(kind, len(nodes))
+	for _, n := range nodes {
+		res.Units = append(res.Units, Unit{DataSource: n.DataSource, TableMap: ix.Of(n)})
 	}
-	return res
 }

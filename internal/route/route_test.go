@@ -589,9 +589,10 @@ func intArgs(vs ...int64) []sqltypes.Value {
 }
 
 // TestSkeletonRouteAllocations bounds what binding a compiled statement
-// allocates on a 50-shard MOD AutoTable: the result, its units and the
-// algorithm's picks — no condition map, no copy of an argument and no
-// re-check of the rule's node index.
+// allocates on a 50-shard MOD AutoTable: the result, which holds a small
+// route's units, and a range's picks — no node or pick list for an exact
+// value, no condition map, no copy of an argument and no re-check of the
+// rule's node index.
 func TestSkeletonRouteAllocations(t *testing.T) {
 	rs := sharding.NewRuleSet()
 	rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
@@ -609,8 +610,8 @@ func TestSkeletonRouteAllocations(t *testing.T) {
 		units int
 		max   float64
 	}{
-		{"SELECT c FROM sbtest WHERE id = ?", intArgs(7), 1, 4},
-		{"SELECT c FROM sbtest WHERE id BETWEEN ? AND ?", intArgs(7, 8), 2, 5},
+		{"SELECT c FROM sbtest WHERE id = ?", intArgs(7), 1, 1},
+		{"SELECT c FROM sbtest WHERE id BETWEEN ? AND ?", intArgs(7, 8), 2, 2},
 	} {
 		sk, ok := r.BuildSkeleton(parse(t, c.sql))
 		if !ok {

@@ -200,54 +200,70 @@ func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt) error {
 // Route binds argument values (and the optional out-of-band sharding
 // hint) to the skeleton and computes the statement's units.
 func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
-	switch {
-	case s.err != nil:
-		return nil, s.err
-	case len(s.tables) == 0 && s.everywhere:
-		return s.r.everySource(), nil
-	case len(s.tables) == 0:
-		return s.defaultRoute()
-	case s.allNodes:
-		t := s.tables[0]
-		return unitsFromNodes(t.ix, t.rule.DataNodes, KindBroadcast), nil
-	case s.keys != nil:
-		return s.routeRows(args, hint)
-	}
-	primary := &s.tables[0]
-	nodes, err := s.nodesOf(0, args, hint)
-	if err != nil {
+	res := new(Result)
+	if err := s.RouteInto(res, args, hint); err != nil {
 		return nil, err
 	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoDataSource, primary.rule.LogicTable)
+	return res, nil
+}
+
+// RouteInto is Route writing the units into res, which the caller owns: a
+// caller that is done with one route's units before it binds the next
+// routes every statement into one Result.
+func (s *Skeleton) RouteInto(res *Result, args []sqltypes.Value, hint *sqltypes.Value) error {
+	switch {
+	case s.err != nil:
+		return s.err
+	case len(s.tables) == 0 && s.everywhere:
+		s.r.everySource(res)
+		return nil
+	case len(s.tables) == 0:
+		return s.defaultRoute(res)
+	case s.allNodes:
+		t := s.tables[0]
+		unitsFromNodes(res, t.ix, t.rule.DataNodes, KindBroadcast)
+		return nil
+	case s.keys != nil:
+		return s.routeRows(res, args, hint)
 	}
-	var res *Result
+	primary := &s.tables[0]
+	var buf [4]sharding.DataNode
+	nodes, err := s.nodesOf(0, args, hint, buf[:0])
+	if err != nil {
+		return err
+	}
+	if len(nodes) == 0 {
+		return fmt.Errorf("%w: %s", ErrNoDataSource, primary.rule.LogicTable)
+	}
 	if len(s.tables) == 1 {
 		kind := KindStandard
 		if len(nodes) == len(primary.rule.DataNodes) {
 			kind = KindBroadcast
 		}
-		res = unitsFromNodes(primary.ix, nodes, kind)
-	} else if res, err = s.join(nodes, args, hint); err != nil {
-		return nil, err
+		unitsFromNodes(res, primary.ix, nodes, kind)
+	} else if err = s.join(res, nodes, args, hint); err != nil {
+		return err
 	}
 	if s.nullable && !s.colocated && len(res.Units) > 1 {
-		return nil, fmt.Errorf("%w: a sharded table on the NULL-extended side of an outer join spans %d units", ErrNotColocated, len(res.Units))
+		return fmt.Errorf("%w: a sharded table on the NULL-extended side of an outer join spans %d units", ErrNotColocated, len(res.Units))
 	}
-	return res, nil
+	return nil
 }
 
-func (s *Skeleton) defaultRoute() (*Result, error) {
+func (s *Skeleton) defaultRoute(res *Result) error {
 	ds := s.rules.DefaultDataSource
 	if ds == "" {
-		return nil, fmt.Errorf("%w: no default data source configured", ErrNoDataSource)
+		return fmt.Errorf("%w: no default data source configured", ErrNoDataSource)
 	}
-	return &Result{Kind: KindDefault, Units: []Unit{{DataSource: ds, TableMap: map[string]string{}}}}, nil
+	res.reset(KindDefault, 1)
+	res.Units = append(res.Units, Unit{DataSource: ds, TableMap: map[string]string{}})
+	return nil
 }
 
 // nodesOf routes one of the statement's tables by its own conditions,
-// bound on the stack for a rule of up to two sharding columns.
-func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value) ([]sharding.DataNode, error) {
+// bound on the stack for a rule of up to two sharding columns, and appends
+// its nodes to dst.
+func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value, dst []sharding.DataNode) ([]sharding.DataNode, error) {
 	t := &s.tables[i]
 	cols := t.ix.Columns()
 	var buf [2]sharding.Condition
@@ -257,7 +273,7 @@ func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value) (
 	}
 	bindConds(t.slots, args, conds)
 	s.r.noteKeys(t.rule.LogicTable, cols, conds)
-	return t.ix.Route(conds, hint)
+	return t.ix.Route(conds, hint, dst)
 }
 
 // join routes a statement over several sharded tables (paper Section
@@ -267,14 +283,14 @@ func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value) (
 // data source with one actual table per logic table, so a combination
 // that spans sources, or that needs two actual tables of one logic table,
 // refuses the route.
-func (s *Skeleton) join(nodes []sharding.DataNode, args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
-	res := &Result{Kind: KindBinding}
+func (s *Skeleton) join(res *Result, nodes []sharding.DataNode, args []sqltypes.Value, hint *sqltypes.Value) error {
+	res.reset(KindBinding, 0)
 	picks := make([][]sharding.DataNode, len(s.tables))
 	for i := 1; i < len(s.tables) && !s.colocated; i++ {
 		res.Kind = KindCartesian
 		var err error
-		if picks[i], err = s.nodesOf(i, args, hint); err != nil {
-			return nil, err
+		if picks[i], err = s.nodesOf(i, args, hint, nil); err != nil {
+			return err
 		}
 	}
 	first := s.tables[0]
@@ -284,7 +300,7 @@ func (s *Skeleton) join(nodes []sharding.DataNode, args []sqltypes.Value, hint *
 		for i, t := range s.tables[1:] {
 			if s.colocated {
 				if shard < 0 || shard >= len(t.rule.DataNodes) {
-					return nil, fmt.Errorf("%w: %s has no shard %d", ErrNotColocated, t.rule.LogicTable, shard)
+					return fmt.Errorf("%w: %s has no shard %d", ErrNotColocated, t.rule.LogicTable, shard)
 				}
 				picks[i+1] = t.rule.DataNodes[shard : shard+1]
 			}
@@ -293,7 +309,7 @@ func (s *Skeleton) join(nodes []sharding.DataNode, args []sqltypes.Value, hint *
 				for _, p := range picks[i+1] {
 					logic := t.rule.LogicTable
 					if have, ok := u.TableMap[logic]; p.DataSource != n.DataSource || ok && have != p.Table {
-						return nil, fmt.Errorf("%w: one unit would join %s with %s", ErrNotColocated, n, p)
+						return fmt.Errorf("%w: one unit would join %s with %s", ErrNotColocated, n, p)
 					}
 					m := maps.Clone(u.TableMap)
 					m[logic] = p.Table
@@ -304,40 +320,41 @@ func (s *Skeleton) join(nodes []sharding.DataNode, args []sqltypes.Value, hint *
 		}
 		res.Units = append(res.Units, units...)
 	}
-	return res, nil
+	return nil
 }
 
 // routeRows routes an INSERT row by row; each unit receives the rows that
 // map to its node, in statement order.
-func (s *Skeleton) routeRows(args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
+func (s *Skeleton) routeRows(res *Result, args []sqltypes.Value, hint *sqltypes.Value) error {
 	t := &s.tables[0]
 	rule, cols := t.rule, t.ix.Columns()
 	env := evalEnv{args: args}
-	res := &Result{Kind: KindStandard}
+	res.reset(KindStandard, 0)
 	unitOf := map[sharding.DataNode]int{}
 	conds := make([]sharding.Condition, len(cols))
+	var buf [1]sharding.DataNode
 	for rowIdx, keys := range s.keys {
 		for j, col := range cols {
 			conds[j] = sharding.Condition{}
 			if keys[j] == nil {
 				if hint == nil {
-					return nil, fmt.Errorf("%w: table %s needs column %s", ErrNoShardingValue, rule.LogicTable, col)
+					return fmt.Errorf("%w: table %s needs column %s", ErrNoShardingValue, rule.LogicTable, col)
 				}
 				continue
 			}
 			v, err := env.one(keys[j])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			conds[j] = sharding.Condition{Values: v}
 		}
 		s.r.noteKeys(rule.LogicTable, cols, conds)
-		nodes, err := t.ix.Route(conds, hint)
+		nodes, err := t.ix.Route(conds, hint, buf[:0])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(nodes) != 1 {
-			return nil, fmt.Errorf("%w: row %d of INSERT INTO %s maps to %d nodes",
+			return fmt.Errorf("%w: row %d of INSERT INTO %s maps to %d nodes",
 				ErrNoShardingValue, rowIdx, rule.LogicTable, len(nodes))
 		}
 		u, ok := unitOf[nodes[0]]
@@ -348,5 +365,5 @@ func (s *Skeleton) routeRows(args []sqltypes.Value, hint *sqltypes.Value) (*Resu
 		}
 		res.Units[u].RowIndexes = append(res.Units[u].RowIndexes, rowIdx)
 	}
-	return res, nil
+	return nil
 }

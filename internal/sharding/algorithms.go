@@ -78,7 +78,7 @@ func (a *modAlgorithm) DoRange(targets []string, _ string, lo, hi *sqltypes.Valu
 	if lo != nil && hi != nil {
 		span := hi.AsInt() - lo.AsInt()
 		if span >= 0 && span+1 < a.count {
-			var out []string
+			out := make([]string, 0, span+1)
 			seen := map[string]bool{}
 			for v := lo.AsInt(); v <= hi.AsInt(); v++ {
 				t, err := a.Precise(targets, "", sqltypes.NewInt(v))

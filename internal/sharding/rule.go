@@ -187,8 +187,10 @@ func condAt(conds []Condition, at int) Condition {
 
 // applyStrategy routes a strategy over targets given the conditions on the
 // rule's sharding columns, at holding the strategy's column positions. A
-// column without a condition matches every target.
-func applyStrategy(s *Strategy, at []int, targets []string, conds []Condition, hint *sqltypes.Value) ([]string, error) {
+// column without a condition matches every target. Exact values' picks
+// are appended to dst. A range that no target holds takes the first
+// target: no row lies in it, and one scan finds that out.
+func applyStrategy(s *Strategy, at []int, targets []string, conds []Condition, hint *sqltypes.Value, dst []string) ([]string, error) {
 	if s == nil {
 		return targets, nil
 	}
@@ -214,9 +216,13 @@ func applyStrategy(s *Strategy, at []int, targets []string, conds []Condition, h
 	}
 	cond := conds[at[0]]
 	if cond.Ranged {
-		return s.Algorithm.DoRange(targets, s.Column, cond.Lo, cond.Hi)
+		out, err := s.Algorithm.DoRange(targets, s.Column, cond.Lo, cond.Hi)
+		if errors.Is(err, ErrNoTarget) && len(targets) > 0 {
+			return targets[:1], nil
+		}
+		return out, err
 	}
-	var out []string
+	out := dst
 	for _, v := range cond.Values {
 		t, err := s.Algorithm.Precise(targets, s.Column, v)
 		if err != nil {
@@ -229,18 +235,19 @@ func applyStrategy(s *Strategy, at []int, targets []string, conds []Condition, h
 	return out, nil
 }
 
-// Route returns the rule's data nodes matching the conditions: conds[i] is
-// the condition on Columns()[i], and a column past the end of conds has
-// none. With no usable condition every node is returned — the
+// Route appends to dst the rule's data nodes matching the conditions:
+// conds[i] is the condition on Columns()[i], and a column past the end of
+// conds has none. With no usable condition every node is returned — the
 // full-broadcast case the paper warns about.
-func (ix *NodeIndex) Route(conds []Condition, hint *sqltypes.Value) ([]DataNode, error) {
+func (ix *NodeIndex) Route(conds []Condition, hint *sqltypes.Value, dst []DataNode) ([]DataNode, error) {
 	r := ix.rule
+	var buf [2]string
 	if r.Auto {
-		tables, err := applyStrategy(r.AutoStrategy, ix.at[0], ix.tables, conds, hint)
+		tables, err := applyStrategy(r.AutoStrategy, ix.at[0], ix.tables, conds, hint, buf[:0])
 		if err != nil {
 			return nil, err
 		}
-		out := make([]DataNode, 0, len(tables))
+		out := slices.Grow(dst, len(tables))
 		for _, t := range tables {
 			i, ok := ix.byTable[t]
 			if !ok {
@@ -250,13 +257,14 @@ func (ix *NodeIndex) Route(conds []Condition, hint *sqltypes.Value) ([]DataNode,
 		}
 		return out, nil
 	}
-	dss, err := applyStrategy(r.DBStrategy, ix.at[0], ix.sources, conds, hint)
+	dss, err := applyStrategy(r.DBStrategy, ix.at[0], ix.sources, conds, hint, buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	var out []DataNode
+	out := dst
 	for _, ds := range dss {
-		tables, err := applyStrategy(r.TableStrategy, ix.at[1], ix.tablesIn[ds], conds, hint)
+		var tbuf [2]string
+		tables, err := applyStrategy(r.TableStrategy, ix.at[1], ix.tablesIn[ds], conds, hint, tbuf[:0])
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package sharding
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"shardingsphere/internal/sqltypes"
@@ -328,28 +329,55 @@ func TestBuildAutoRuleLayout(t *testing.T) {
 func TestAutoRuleRoute(t *testing.T) {
 	r := autoRule(t, "t_user", []string{"ds0", "ds1"}, 4)
 	// Point condition → single node.
-	nodes, err := r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(6)}}}, nil)
+	nodes, err := r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(6)}}}, nil, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].Table != "t_user_2" || nodes[0].DataSource != "ds0" {
 		t.Fatalf("point route: %v %v", nodes, err)
 	}
 	// IN condition → the matching set.
-	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(1), vi(5)}}}, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(1), vi(5)}}}, nil, nil)
 	if len(nodes) != 1 || nodes[0].Table != "t_user_1" {
 		t.Fatalf("in route dedupe: %v", nodes)
 	}
 	// An absent condition → all nodes (broadcast within the rule).
-	nodes, _ = r.NodeIndex().Route([]Condition{{}}, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{}}, nil, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("full route: %v", nodes)
 	}
 	// Range → all nodes under MOD with wide range.
 	lo, hi := vi(0), vi(1000)
-	nodes, _ = r.NodeIndex().Route([]Condition{{Ranged: true, Lo: &lo, Hi: &hi}}, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Ranged: true, Lo: &lo, Hi: &hi}}, nil, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("range route: %v", nodes)
 	}
 	if cols := r.NodeIndex().Columns(); len(cols) != 1 || cols[0] != "uid" {
 		t.Fatalf("sharding columns: %v", cols)
+	}
+}
+
+// A range that no target holds — the bounds reversed — routes to the
+// strategy's first target, whose scan finds no row, on every algorithm
+// whose DoRange reports such a range with ErrNoTarget.
+func TestEmptyRangeRoutesToFirstTarget(t *testing.T) {
+	for _, c := range []struct {
+		algorithm string
+		props     map[string]string
+		lo, hi    sqltypes.Value
+	}{
+		{"BOUNDARY_RANGE", map[string]string{"sharding-ranges": "4, 8, 12"}, vi(5), vi(3)},
+		{"VOLUME_RANGE", map[string]string{"range-lower": "1", "range-upper": "9", "sharding-volume": "4"}, vi(5), vi(3)},
+		{"AUTO_INTERVAL", map[string]string{"datetime-lower": "2021-01-01 00:00:00", "datetime-upper": "2021-01-04 00:00:00", "sharding-seconds": "86400"},
+			vs("2021-01-03 00:00:00"), vs("2021-01-01 12:00:00")},
+	} {
+		props := map[string]string{"sharding-count": "4"}
+		maps.Copy(props, c.props)
+		r, err := BuildAutoRule(AutoTableSpec{LogicTable: "t", Resources: []string{"ds0", "ds1"}, ShardingColumn: "uid", AlgorithmType: c.algorithm, Properties: props})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, err := r.NodeIndex().Route([]Condition{{Ranged: true, Lo: &c.lo, Hi: &c.hi}}, nil, nil)
+		if err != nil || len(nodes) != 1 || nodes[0] != r.DataNodes[0] {
+			t.Errorf("%s: an empty range routes to %v, %v; want %v", c.algorithm, nodes, err, r.DataNodes[:1])
+		}
 	}
 }
 
@@ -369,17 +397,17 @@ func TestStandardRuleRoute(t *testing.T) {
 	nodes, err := r.NodeIndex().Route([]Condition{
 		{Values: []sqltypes.Value{vi(3)}},
 		{Values: []sqltypes.Value{vi(4)}},
-	}, nil)
+	}, nil, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].DataSource != "ds1" || nodes[0].Table != "t_order_0" {
 		t.Fatalf("standard route: %v %v", nodes, err)
 	}
 	// Only db key → both tables of one source.
-	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(2)}}}, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(2)}}}, nil, nil)
 	if len(nodes) != 2 || nodes[0].DataSource != "ds0" {
 		t.Fatalf("db-only route: %v", nodes)
 	}
 	// No keys → everything.
-	nodes, _ = r.NodeIndex().Route(nil, nil)
+	nodes, _ = r.NodeIndex().Route(nil, nil, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("broadcast route: %v", nodes)
 	}

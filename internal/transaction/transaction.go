@@ -204,8 +204,10 @@ func (m *Manager) Begin(t Type) (Tx, error) {
 	m.metrics.begun.Add(1)
 	switch t {
 	case XA:
-		return &xaTx{mgr: m, xid: xid, xidArg: []sqltypes.Value{sqltypes.NewString(xid)},
-			held: exec.NewHeldConns(), state: map[string]branchState{}}, nil
+		tx := &xaTx{mgr: m, xid: xid, xidArg: []sqltypes.Value{sqltypes.NewString(xid)},
+			held: exec.NewHeldConns(), state: map[string]branchState{}}
+		tx.xaBegin = tx.verb("XA BEGIN ?")
+		return tx, nil
 	case Base:
 		if m.meta == nil {
 			return nil, fmt.Errorf("transaction: BASE needs a metadata provider")
@@ -244,7 +246,7 @@ func (t *localTx) BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) 
 		if slices.Contains(t.branches, u.DataSource) {
 			continue
 		}
-		if err := t.held.Open(ctx, t.mgr.exec, u.DataSource, begin); err != nil {
+		if err := t.held.Open(ctx, t.mgr.exec, u.DataSource, &begin); err != nil {
 			return err
 		}
 		t.branches = append(t.branches, u.DataSource)

@@ -198,7 +198,8 @@ const (
 type xaTx struct {
 	mgr      *Manager
 	xid      string
-	xidArg   []sqltypes.Value // xid, the one argument of every verb
+	xidArg   []sqltypes.Value   // xid, the one argument of every verb
+	xaBegin  resource.Statement // the verb that opens a branch after the first
 	held     *exec.HeldConns
 	order    []string // branches in first-touch order
 	state    map[string]branchState
@@ -232,10 +233,10 @@ func (t *xaTx) BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) err
 		if _, ok := t.state[ds]; ok {
 			continue
 		}
-		open, st := begin, stateLocal
+		open, st := &begin, stateLocal
 		if len(t.order) > 0 || slices.ContainsFunc(units, func(v rewrite.SQLUnit) bool { return v.DataSource != ds }) {
 			t.upgrade()
-			open, st = t.verb("XA BEGIN ?"), stateActive
+			open, st = &t.xaBegin, stateActive
 		}
 		if err := t.held.Open(ctx, t.mgr.exec, ds, open); err != nil {
 			return err

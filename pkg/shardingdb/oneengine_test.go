@@ -11,6 +11,7 @@ import (
 	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/exec"
 	"shardingsphere/internal/proxy"
+	"shardingsphere/internal/resource"
 	"shardingsphere/internal/route"
 	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/sqlparser"
@@ -101,16 +102,21 @@ var oneEngineStatements = []struct {
 	{"SELECT DISTINCT x FROM f ORDER BY x", "SELECT DISTINCT x FROM f ORDER BY x", nil, []int{0}, nil},
 	// The units select the ORDER BY key too, so only the merger sees k alone.
 	{"SELECT DISTINCT k FROM t ORDER BY v", "SELECT DISTINCT k FROM t ORDER BY v", nil, nil, nil},
+	// An empty range: no row, whatever the algorithm makes of it.
+	{"SELECT id FROM t WHERE id BETWEEN 5 AND 3", "SELECT id FROM t WHERE id BETWEEN ? AND ?", []Value{Int(5), Int(3)}, nil, nil},
+	{"SELECT COUNT(*) FROM t WHERE id BETWEEN 5 AND 3", "SELECT COUNT(*) FROM t WHERE id BETWEEN ? AND ?", []Value{Int(5), Int(3)}, nil, nil},
+	{"SELECT id FROM t WHERE id > 7 AND id < 6", "SELECT id FROM t WHERE id > ? AND id < ?", []Value{Int(7), Int(6)}, nil, nil},
 }
 
 // TestRowsMatchOneEngine runs every statement through the kernel — the
-// table in one shard and in four over two sources, both sources MySQL or
-// both PostgreSQL, literal and placeholder form, first and second
-// execution — and holds each answer to one sqlexec.Processor holding the
-// same rows. At four shards it also runs them on the executor's read
-// windows, where a source's units share one connection: inside BEGIN …
-// COMMIT, on a database with MaxCon 1, and inside a transaction on a
-// kernel over two remote data nodes.
+// table in one shard and in four over two sources, by hash_mod and by the
+// two range algorithms, both sources MySQL or both PostgreSQL, literal and
+// placeholder form, first and second execution — and holds each answer to
+// one sqlexec.Processor holding the same rows. At four shards it also runs
+// them on the executor's read windows, where a source's units share one
+// connection: inside BEGIN … COMMIT, on a database with MaxCon 1, and
+// inside a transaction on a kernel over two remote data nodes. Last, a
+// DELETE of an empty range must delete what one engine deletes: nothing.
 func TestRowsMatchOneEngine(t *testing.T) {
 	ref := oneEngineRef(t)
 	for _, dialect := range []string{"mysql", "postgresql"} {
@@ -126,6 +132,8 @@ func TestRowsMatchOneEngine(t *testing.T) {
 			{"4 shards on remote nodes in a transaction", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", remote: true}, true},
 			{"4 shards on one source in a transaction", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0"}, true},
 			{"4 shards on one source at MaxCon 1", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0", maxCon: 1}, false},
+			{"4 shards by boundary_range", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", algorithm: "boundary_range"}, false},
+			{"4 shards by volume_range", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", algorithm: "volume_range"}, false},
 		} {
 			s := layoutDB(t, dialect, run.layout)
 			if run.tx {
@@ -157,6 +165,27 @@ func TestRowsMatchOneEngine(t *testing.T) {
 					}
 				}
 			}
+			for _, form := range []struct {
+				sql  string
+				args []Value
+			}{{"DELETE FROM t WHERE id BETWEEN 5 AND 3", nil}, {"DELETE FROM t WHERE id BETWEEN ? AND ?", []Value{Int(5), Int(3)}}} {
+				where := fmt.Sprintf("%s, %s: %s %v", dialect, run.name, form.sql, form.args)
+				n, err := s.Exec(form.sql, form.args...)
+				if err != nil || n.Affected != 0 {
+					t.Fatalf("%s: %d rows affected, %v", where, n.Affected, err)
+				}
+				got, err := s.QueryAll("SELECT id, k, v FROM t ORDER BY id")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Execute("SELECT id, k, v FROM t ORDER BY id")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if msg := sameAnswer(got, want.Rows, []int{0}); msg != "" {
+					t.Errorf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
+				}
+			}
 			if run.tx {
 				if err := s.Commit(); err != nil {
 					t.Fatal(err)
@@ -176,17 +205,28 @@ const (
 	uAtThree   = "u at 3 shards"
 )
 
-// oneEngineLayout shards t (and f) and u by hash_mod on id: tShards and
-// uShards shards over resources, t and u bound when bind is set. maxCon is
-// the kernel's per-source connection budget (0: 4); remote serves ds0 and
-// ds1 from two data nodes over the wire instead of embedded engines.
+// oneEngineLayout shards t (and f) and u on id by algorithm (empty:
+// hash_mod; a range algorithm takes rangeProperties and four shards):
+// tShards and uShards shards over resources, t and u bound when bind is
+// set. maxCon is the kernel's per-source connection budget (0: 4); remote
+// serves ds0 and ds1 from two data nodes over the wire instead of embedded
+// engines.
 type oneEngineLayout struct {
 	name             string
 	tShards, uShards int
 	resources        string
+	algorithm        string
 	bind             bool
 	maxCon           int
 	remote           bool
+}
+
+// rangeProperties lay ids out over four shards by range: below 4, 4–7,
+// 8–11 and from 12 (boundary_range); below 1, 1–4, 5–8 and from 9
+// (volume_range).
+var rangeProperties = map[string]string{
+	"boundary_range": `"sharding-ranges" = "4, 8, 12"`,
+	"volume_range":   `"range-lower" = 1, "range-upper" = 9, "sharding-volume" = 4`,
 }
 
 var oneEngineLayouts = []oneEngineLayout{
@@ -404,8 +444,13 @@ func layoutDB(t testing.TB, dialect string, l oneEngineLayout) *Session {
 	t.Cleanup(db.Close)
 	s := db.Session()
 	rules := []string{"CREATE BROADCAST TABLE RULE d"}
+	algorithm := cmp.Or(l.algorithm, "hash_mod")
 	for table, shards := range map[string]int{"t": l.tShards, "f": l.tShards, "u": l.uShards} {
-		rules = append(rules, fmt.Sprintf(`CREATE SHARDING TABLE RULE %s (RESOURCES(%s), SHARDING_COLUMN = id, TYPE = hash_mod, PROPERTIES("sharding-count" = %d))`, table, l.resources, shards))
+		props := fmt.Sprintf(`"sharding-count" = %d`, shards)
+		if p, ok := rangeProperties[algorithm]; ok {
+			props += ", " + p
+		}
+		rules = append(rules, fmt.Sprintf(`CREATE SHARDING TABLE RULE %s (RESOURCES(%s), SHARDING_COLUMN = id, TYPE = %s, PROPERTIES(%s))`, table, l.resources, algorithm, props))
 	}
 	if l.bind {
 		rules = append(rules, "CREATE BINDING TABLE RULES (t, u)")
@@ -489,4 +534,42 @@ func sameAnswer(got, want []Row, keys []int) string {
 		return fmt.Sprintf("different order on columns %v", keys)
 	}
 	return ""
+}
+
+// TestOnlyALiveCursorPinsItsConnection: a point select whose result
+// arrives materialized, as an embedded node's does, has freed its
+// connection before the client reads a row; a remote node's live cursor
+// keeps its connection checked out until the client closes it.
+func TestOnlyALiveCursorPinsItsConnection(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		s := layoutDB(t, "mysql", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", remote: remote})
+		inUse := func() int64 {
+			var n int64
+			for _, name := range []string{"ds0", "ds1"} {
+				ds, err := s.inner.Kernel().Executor().Source(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += ds.Stats().InUse
+			}
+			return n
+		}
+		rs, err := s.inner.Query("SELECT v FROM t WHERE id = ?", Int(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if remote {
+			want = 1
+		}
+		if n := inUse(); n != want {
+			t.Errorf("remote=%v: %d connections in use before the read, want %d", remote, n, want)
+		}
+		if rows, err := resource.ReadAll(rs); err != nil || len(rows) != 1 {
+			t.Fatalf("remote=%v: rows %v, %v", remote, rows, err)
+		}
+		if n := inUse(); n != 0 {
+			t.Errorf("remote=%v: %d connections in use after the close", remote, n)
+		}
+	}
 }
