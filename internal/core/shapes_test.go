@@ -458,8 +458,8 @@ func TestShapeAllocations(t *testing.T) {
 	const cached = "SELECT c FROM sbtest WHERE id = ?"
 	drain(t, s, cached, id)
 	next := 0
-	if n := testing.AllocsPerRun(runs, func() { drain(t, s, fresh[next], id); next++ }); n > 110 {
-		t.Errorf("a never-seen shape allocates %.0f times, ceiling 110", n)
+	if n := testing.AllocsPerRun(runs, func() { drain(t, s, fresh[next], id); next++ }); n > 65 {
+		t.Errorf("a never-seen shape allocates %.0f times, ceiling 65", n)
 	} else {
 		t.Logf("never-seen shape: %.0f allocs", n)
 	}

@@ -2,7 +2,9 @@ package rewrite
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"strings"
 	"testing"
 
 	"shardingsphere/internal/route"
@@ -13,7 +15,7 @@ import (
 
 // referenceRewrite is the rewriter as it was before statements were
 // compiled once and bound: derive on a clone (deriveSelect, the one
-// derivation), then clone + RenameTables + Serialize once per unit, a
+// derivation), then clone + renameTables + Serialize once per unit, a
 // split INSERT keeping each unit's rows. It returns, beside the units,
 // each unit's bound text: its statement with every placeholder replaced by
 // the argument it stands for, args[p.Index] (a fan-out LIMIT stands for
@@ -60,7 +62,14 @@ func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltype
 			}
 			ins.Rows = rows
 		}
-		sqlparser.RenameTables(clone, unit.TableMap)
+		// A table the unit does not map keeps its FROM clause's spelling.
+		mapping := maps.Clone(unit.TableMap)
+		for _, name := range sqlparser.TableNames(stmt) {
+			if lookupTable(mapping, name) == "" {
+				mapping[name] = name
+			}
+		}
+		renameTables(clone, mapping)
 		d := dialect(unit.DataSource)
 		u := SQLUnit{DataSource: unit.DataSource, SQL: sqlparser.NewSerializer(d).Serialize(clone)}
 		if len(unit.TableMap) == 1 {
@@ -72,6 +81,94 @@ func referenceRewrite(stmt sqlparser.Statement, rt *route.Result, args []sqltype
 		bound = append(bound, text)
 	}
 	return out, bound, nil
+}
+
+// lookupTable is the actual name mapping gives a table named in a
+// statement: its exact spelling's, else that of a key differing from it
+// only in case, as a data node matches a qualifier; "" when unmapped.
+func lookupTable(mapping map[string]string, name string) string {
+	if actual, ok := mapping[name]; ok {
+		return actual
+	}
+	for logic, actual := range mapping {
+		if strings.EqualFold(logic, name) {
+			return actual
+		}
+	}
+	return ""
+}
+
+// renameTables is the identifier rewrite on the AST (paper Section VI-C):
+// every table the statement names — FROM and JOIN tables, column
+// qualifiers, a star's table, a DML or DDL target — that mapping maps
+// takes its actual name. An INSERT's values name no table.
+func renameTables(stmt sqlparser.Statement, mapping map[string]string) {
+	rename := func(name *string) {
+		if actual := lookupTable(mapping, *name); actual != "" {
+			*name = actual
+		}
+	}
+	if _, ok := stmt.(*sqlparser.InsertStmt); !ok {
+		sqlparser.WalkStatement(stmt, func(e sqlparser.Expr) bool {
+			if c, ok := e.(*sqlparser.ColumnRef); ok && c.Table != "" {
+				rename(&c.Table)
+			}
+			return true
+		})
+	}
+	switch t := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		for i := range t.From {
+			rename(&t.From[i].Name)
+		}
+		for i := range t.Items {
+			if t.Items[i].StarTable != "" {
+				rename(&t.Items[i].StarTable)
+			}
+		}
+	case *sqlparser.InsertStmt:
+		rename(&t.Table)
+	case *sqlparser.UpdateStmt:
+		rename(&t.Table)
+	case *sqlparser.DeleteStmt:
+		rename(&t.Table)
+	case *sqlparser.CreateTableStmt:
+		rename(&t.Table)
+	case *sqlparser.DropTableStmt:
+		rename(&t.Table)
+	case *sqlparser.TruncateStmt:
+		rename(&t.Table)
+	case *sqlparser.CreateIndexStmt:
+		rename(&t.Table)
+	}
+}
+
+func TestRenameTables(t *testing.T) {
+	stmt := parseStmt(t, "SELECT t_user.name FROM t_user JOIN t_order ON t_user.uid = T_ORDER.uid")
+	renameTables(stmt, map[string]string{"t_user": "t_user_0", "t_order": "t_order_0"})
+	sel := stmt.(*sqlparser.SelectStmt)
+	if sel.From[0].Name != "t_user_0" || sel.From[1].Name != "t_order_0" {
+		t.Fatalf("tables not renamed: %+v", sel.From)
+	}
+	if sel.Items[0].Expr.(*sqlparser.ColumnRef).Table != "t_user_0" {
+		t.Fatal("column qualifier not renamed")
+	}
+	on := sel.From[1].On.(*sqlparser.BinaryExpr)
+	if on.L.(*sqlparser.ColumnRef).Table != "t_user_0" || on.R.(*sqlparser.ColumnRef).Table != "t_order_0" {
+		t.Fatal("ON qualifiers not renamed, in any case")
+	}
+}
+
+func TestRenameTablesKeepsAliases(t *testing.T) {
+	stmt := parseStmt(t, "SELECT u.name FROM t_user u WHERE u.uid = 1")
+	renameTables(stmt, map[string]string{"t_user": "t_user_0"})
+	sel := stmt.(*sqlparser.SelectStmt)
+	if sel.From[0].Name != "t_user_0" || sel.From[0].Alias != "u" {
+		t.Fatalf("rename with alias: %+v", sel.From[0])
+	}
+	if sel.Items[0].Expr.(*sqlparser.ColumnRef).Table != "u" {
+		t.Fatal("alias qualifier must not be renamed")
+	}
 }
 
 // boundText serializes a statement with each placeholder replaced by the
@@ -247,6 +344,8 @@ var equivalenceShapes = []struct {
 	{"same text, different arguments", "SELECT age % ?, age % ? FROM t_user ORDER BY age % ?", [2][]sqltypes.Value{intArgs(3, 5, 5), intArgs(2, 2, 7)}, [2]int{4, 4}},
 	{"order by an expression, paged", "SELECT name FROM t_user ORDER BY uid + ? DESC LIMIT ?, ?", [2][]sqltypes.Value{intArgs(1, 2, 3), intArgs(0, 0, 1)}, [2]int{4, 4}},
 	{"postgresql paging on ds1", "SELECT name FROM t_user WHERE uid = ? ORDER BY age LIMIT ? OFFSET ?", [2][]sqltypes.Value{intArgs(1, 10, 20), intArgs(3, 5, 0)}, [2]int{1, 1}},
+	{"qualified in another case", "SELECT T_USER.name FROM t_user WHERE T_User.uid BETWEEN ? AND ? ORDER BY T_USER.age", [2][]sqltypes.Value{intArgs(1, 100), intArgs(4, 4)}, [2]int{4, 1}},
+	{"star of a table", "SELECT T_USER.* FROM t_user WHERE uid IN (?, ?) ORDER BY name", [2][]sqltypes.Value{intArgs(1, 2), intArgs(4, 8)}, [2]int{2, 1}},
 }
 
 // bindTwice compiles a statement once — route skeleton and rewrite

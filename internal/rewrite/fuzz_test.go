@@ -10,15 +10,14 @@ import (
 
 // FuzzBindMatchesReference writes fuzzed values into an equivalence shape
 // as literals, normalizes the text as the kernel does (a negative number
-// becomes "- ?", a string holding "?", a quote or the template sentinel
-// becomes an argument), compiles the resulting shape once and binds it
+// becomes "- ?", a string holding "?" or a quote becomes an argument), compiles the resulting shape once and binds it
 // twice — the captured values, then a variation of them — holding every
 // binding to referenceRewrite on a fresh parse.
 func FuzzBindMatchesReference(f *testing.F) {
 	router, dialect := equivalenceFixture(f)
 	for i := range equivalenceShapes {
 		f.Add(uint8(i), int64(1), int64(6), 1.5, "x")
-		f.Add(uint8(i), int64(-3), int64(0), -0.25, "it's a ? in "+sentinelBase+"0__")
+		f.Add(uint8(i), int64(-3), int64(0), -0.25, "it's a ?")
 	}
 	f.Fuzz(func(t *testing.T, shape uint8, a, b int64, x float64, s string) {
 		pool := []sqltypes.Value{sqltypes.NewInt(a), sqltypes.NewInt(b), sqltypes.NewString(s), sqltypes.NewFloat(x), sqltypes.NewInt(-a)}

@@ -3,119 +3,102 @@ package rewrite
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"shardingsphere/internal/route"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
 
-// sentinelBase starts every sentinel. A sentinel is the base, a slot
-// number and "__": a valid bare identifier in both dialects, so its
-// occurrences in serialized text correspond one-to-one to the places it
-// was put. A statement whose own text contains the base gets a longer one.
-const sentinelBase = "__sharding_tmpl"
-
-// spliced is one dialect's serialized statement cut at the sentinels:
-// pieces[i] is followed by the value of slots[i], and the last piece ends
-// the text. reads is the argument each "?" of the text reads, in text
-// order; nil when the text reads the statement's arguments as they are.
+// spliced is one dialect's text of a statement with a hole wherever it
+// names a table: a unit's SQL is the text with each hole filled by its
+// table's actual name. reads is the argument each "?" of the text reads,
+// in text order; nil when the text reads the statement's arguments as
+// they are.
 type spliced struct {
-	pieces []string
-	slots  []int
-	reads  []int
+	text  string
+	holes []sqlparser.Hole
+	reads []int
 }
 
-// compiled is the one rewrite mechanism (paper Section VI-C): a statement
-// is copied and serialized once per dialect with sentinels in place of
-// whatever differs between units, and each routed unit's SQL is the pieces
-// with that unit's values spliced in — byte-identical to clone + rename +
-// Serialize per unit, at the cost of a string join. Slot i is table i's
-// actual name. A unit's arguments are the bound arguments in the order the
-// dialect's text reads them.
+// compiled is the one rewrite mechanism (paper Section VI-C, identifier
+// rewrite): a statement's text is written once per dialect, with holes
+// where it names a table, and each routed unit's SQL is that text with the
+// unit's actual table names filled in. A unit's arguments are the bound
+// arguments in the order the dialect's text reads them.
 type compiled struct {
-	tables []string // names the sentinels replaced, as written in the statement
-	base   string   // sentinel prefix absent from the statement's own text
-	need   int      // the arguments the texts read: one past the highest index
-	text   [sqlparser.DialectPostgreSQL + 1]*spliced
+	stmt   sqlparser.Statement // only read: several sessions may cut it
+	tables []string            // the names the holes stand for, as the statement spells them
+	need   int                 // the arguments the statement reads: one past the highest index
+	text   [sqlparser.DialectPostgreSQL + 1]atomic.Pointer[spliced]
 }
 
-// compile takes ownership of stmt (a private copy) and renames the given
-// tables to sentinels. Every dialect is cut before the result is returned,
-// so it is immutable and safe to share across sessions.
+// compile prepares a statement, which it only reads, for rewriting. A
+// dialect's text is written when a unit of that dialect first binds.
 func compile(stmt sqlparser.Statement, tables []string) *compiled {
-	c := &compiled{tables: tables, base: sentinelBase}
-	if len(tables) > 0 {
-		own := sqlparser.NewSerializer(sqlparser.DialectMySQL).Serialize(stmt)
-		for strings.Contains(own, c.base) {
-			c.base += "_"
-		}
-		mapping := make(map[string]string, len(tables))
-		for i, t := range tables {
-			mapping[t] = c.base + strconv.Itoa(i) + "__"
-		}
-		sqlparser.RenameTables(stmt, mapping)
-	}
-	for d := range c.text {
-		c.text[d] = c.cut(sqlparser.Dialect(d), stmt)
-	}
-	return c
+	return &compiled{stmt: stmt, tables: tables, need: argsRead(stmt)}
 }
 
-// cut serializes the sentinel-bearing statement for a dialect and cuts it
-// at the sentinels.
-func (c *compiled) cut(d sqlparser.Dialect, work sqlparser.Statement) *spliced {
-	s, reads := sqlparser.NewSerializer(d).SerializeReads(work)
+// argsRead is one past the highest argument index the statement reads.
+func argsRead(stmt sqlparser.Statement) int {
 	n := 0
-	if len(c.tables) > 0 {
-		n = strings.Count(s, c.base)
+	sqlparser.WalkStatement(stmt, func(e sqlparser.Expr) bool {
+		if p, ok := e.(*sqlparser.Placeholder); ok {
+			n = max(n, p.Index+1)
+		}
+		return true
+	})
+	return n
+}
+
+// cut returns the dialect's text, writing it on first use. Sessions that
+// race write identical texts, and every one uses the first published.
+func (c *compiled) cut(d sqlparser.Dialect) *spliced {
+	if sp := c.text[d].Load(); sp != nil {
+		return sp
 	}
-	sp := &spliced{pieces: make([]string, 0, n+1), slots: make([]int, 0, n)}
+	text, holes, reads := sqlparser.NewSerializer(d).SerializeCut(c.stmt, c.tables)
+	sp := &spliced{text: text, holes: holes}
 	for i, r := range reads {
 		if r != i {
 			sp.reads = reads
+			break
 		}
-		c.need = max(c.need, r+1)
 	}
-	for ; n > 0; n-- {
-		i := strings.Index(s, c.base)
-		rest := s[i+len(c.base):]
-		end := strings.Index(rest, "__")
-		slot, _ := strconv.Atoi(rest[:end])
-		sp.pieces = append(sp.pieces, s[:i])
-		sp.slots = append(sp.slots, slot)
-		s = rest[end+2:]
+	if !c.text[d].CompareAndSwap(nil, sp) {
+		return c.text[d].Load()
 	}
-	sp.pieces = append(sp.pieces, s)
 	return sp
 }
 
-// splice renders the text with the slots' values (table names already
-// quoted for the dialect).
+// splice renders the text with the tables' values (names already quoted
+// for the dialect).
 func (sp *spliced) splice(values []string) string {
-	switch {
-	case len(sp.slots) == 0:
-		return sp.pieces[0]
-	case len(sp.slots) == 1:
-		return sp.pieces[0] + values[sp.slots[0]] + sp.pieces[1]
-	case len(values) == 1:
-		return strings.Join(sp.pieces, values[0])
+	if len(sp.holes) == 0 {
+		return sp.text
+	}
+	n := len(sp.text)
+	for _, h := range sp.holes {
+		n += len(values[h.Table])
 	}
 	var b strings.Builder
-	for i, slot := range sp.slots {
-		b.WriteString(sp.pieces[i])
-		b.WriteString(values[slot])
+	b.Grow(n)
+	at := 0
+	for _, h := range sp.holes {
+		b.WriteString(sp.text[at:h.At])
+		b.WriteString(values[h.Table])
+		at = h.At
 	}
-	b.WriteString(sp.pieces[len(sp.slots)])
+	b.WriteString(sp.text[at:])
 	return b.String()
 }
 
 // units renders one SQL unit per routed unit. The route keys a unit's
 // TableMap by the rule's logic table, whose case may differ from the
-// statement's spelling; a table the unit does not map keeps its name as
-// written. A unit that maps one table carries its logic and actual name.
+// statement's spelling; a table the unit does not map keeps the name its
+// FROM clause spells. A unit that maps one table carries its logic and actual name.
 // A text that reads the arguments as they are passes them through; units
 // of one data source share one reordered list. args holds c.need values.
 // The units become res's, held in res itself when one unit fits.
@@ -146,7 +129,7 @@ func (c *compiled) units(res *Result, routed []route.Unit, args []sqltypes.Value
 		if r == nil {
 			r = &seen[nseen%len(seen)] // past the memo's size, the last slot is scratch
 			r.ds, r.d = unit.DataSource, dialect(unit.DataSource)
-			r.text, r.args = c.text[r.d], args
+			r.text, r.args = c.cut(r.d), args
 			if r.text.reads != nil {
 				r.args = make([]sqltypes.Value, len(r.text.reads))
 				for j, a := range r.text.reads {
@@ -196,7 +179,7 @@ func (c *compiled) units(res *Result, routed []route.Unit, args []sqltypes.Value
 // cut into a head and one text per row.
 type Template struct {
 	stmt   sqlparser.Statement
-	tables []string // as written in the statement, case-sensitively — the form RenameTables matches
+	tables []string // as the statement spells them
 
 	wholeOnce sync.Once
 	whole     *compiled
@@ -225,20 +208,10 @@ func NewTemplate(stmt sqlparser.Statement, tables ...string) (*Template, bool) {
 
 func (t *Template) wholeForm() (*compiled, *SelectContext) {
 	t.wholeOnce.Do(func() {
-		var owned sqlparser.Statement
-		switch s := t.stmt.(type) {
-		case *sqlparser.InsertStmt:
-			// Renaming touches only the table name: the rows stay shared
-			// with the statement, read-only.
-			shallow := *s
-			owned = &shallow
-		case *sqlparser.SelectStmt:
+		if s, ok := t.stmt.(*sqlparser.SelectStmt); ok {
 			t.wholeCtx = SingleNodeSelectContext(s)
-			owned = sqlparser.CloneStatement(s)
-		default:
-			owned = sqlparser.CloneStatement(s)
 		}
-		t.whole = compile(owned, t.tables)
+		t.whole = compile(t.stmt, t.tables)
 	})
 	return t.whole, t.wholeCtx
 }
@@ -255,8 +228,7 @@ func (t *Template) fanOutForm() {
 			if work.Limit != nil {
 				// Pagination revision: every node returns the first
 				// offset+count rows, a value bound after the statement's own.
-				_, own := sqlparser.NewSerializer(sqlparser.DialectMySQL).SerializeReads(s)
-				t.fanArgs = len(own)
+				t.fanArgs = argsRead(s)
 				work.Limit = &sqlparser.Limit{Count: &sqlparser.Placeholder{Index: t.fanArgs}}
 			}
 			t.fan, t.fanCtx = compile(work, t.tables), ctx
@@ -271,10 +243,10 @@ func (t *Template) fanOutForm() {
 // template of several tables and a text whose "?"s read out of order.
 func (t *Template) Render(d sqlparser.Dialect, actual string) (string, bool) {
 	c, _ := t.wholeForm()
-	if int(d) >= len(c.text) || len(t.tables) != 1 || c.text[d].reads != nil {
+	if int(d) >= len(c.text) || len(t.tables) != 1 || c.cut(d).reads != nil {
 		return "", false
 	}
-	return c.text[d].splice([]string{sqlparser.QuoteIdent(d, actual)}), true
+	return c.cut(d).splice([]string{sqlparser.QuoteIdent(d, actual)}), true
 }
 
 // Rewrite binds a route and argument values: one SQL unit per routed

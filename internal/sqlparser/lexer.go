@@ -75,9 +75,8 @@ func (l *lexer) next() (Token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		up := upper(word)
-		if keywords[up] {
-			return Token{Type: TokenKeyword, Val: up, Pos: start}, nil
+		if kw := keyword(word); kw != "" {
+			return Token{Type: TokenKeyword, Val: kw, Pos: start}, nil
 		}
 		return Token{Type: TokenIdent, Val: word, Pos: start}, nil
 	case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
@@ -90,7 +89,7 @@ func (l *lexer) next() (Token, error) {
 		l.pos++
 		return Token{Type: TokenPlaceholder, Val: "?", Pos: start}, nil
 	}
-	// Operators, longest match first.
+	// Operators, longest match first; each is a slice of the source.
 	two := ""
 	if l.pos+1 < len(l.src) {
 		two = l.src[l.pos : l.pos+2]
@@ -106,7 +105,7 @@ func (l *lexer) next() (Token, error) {
 	switch c {
 	case '=', '<', '>', '(', ')', ',', '.', '*', '+', '-', '/', '%', ';':
 		l.pos++
-		return Token{Type: TokenOp, Val: string(c), Pos: start}, nil
+		return Token{Type: TokenOp, Val: l.src[start:l.pos], Pos: start}, nil
 	}
 	return Token{}, &ParseError{Pos: start, Msg: fmt.Sprintf("unexpected character %q", c), SQL: l.src}
 }
@@ -172,11 +171,14 @@ func (l *lexer) scanNumber() (Token, error) {
 }
 
 // scanString scans a single-quoted string literal. Both doubled quotes
-// ('it”s') and backslash escapes ('it\'s') are accepted.
+// ('it”s') and backslash escapes ('it\'s') are accepted. The value is a
+// copy, not a slice of the source: a stored value must not keep its whole
+// statement's text alive (a 500-row INSERT's, say).
 func (l *lexer) scanString(quote byte) (Token, error) {
 	start := l.pos
 	l.pos++ // opening quote
 	var b strings.Builder
+	l.growTo(&b, quote)
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch c {
@@ -220,6 +222,7 @@ func (l *lexer) scanQuotedIdent(quote byte) (Token, error) {
 	start := l.pos
 	l.pos++
 	var b strings.Builder
+	l.growTo(&b, quote)
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == quote {
@@ -235,6 +238,14 @@ func (l *lexer) scanQuotedIdent(quote byte) (Token, error) {
 		l.pos++
 	}
 	return Token{}, &ParseError{Pos: start, Msg: "unterminated quoted identifier", SQL: l.src}
+}
+
+// growTo sizes b for the text up to the next quote, so a quoted token
+// without escapes is one allocation of its own length.
+func (l *lexer) growTo(b *strings.Builder, quote byte) {
+	if n := strings.IndexByte(l.src[l.pos:], quote); n > 0 {
+		b.Grow(n)
+	}
 }
 
 // Tokenize scans the whole input; used by tests and the DistSQL parser.

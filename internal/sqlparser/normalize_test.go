@@ -205,3 +205,29 @@ func TestNormalizeLiftsOperandsAroundOrdinals(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLex normalizes the benchmark's Sysbench texts: the ones a
+// client writes with an expression, a column list or a call (k = k + 1,
+// the INSERT, SUM(k)) always normalize, so they measure the lexer.
+func BenchmarkLex(b *testing.B) {
+	for _, c := range []struct{ name, sql string }{
+		{"point", "SELECT c FROM sbtest WHERE id = ?"},
+		{"range", "SELECT c FROM sbtest WHERE id BETWEEN ? AND ?"},
+		{"sum", "SELECT SUM(k) FROM sbtest WHERE id BETWEEN ? AND ?"},
+		{"order", "SELECT c FROM sbtest WHERE id BETWEEN ? AND ? ORDER BY c"},
+		{"distinct", "SELECT DISTINCT c FROM sbtest WHERE id BETWEEN ? AND ? ORDER BY c"},
+		{"index_update", "UPDATE sbtest SET k = k + 1 WHERE id = ?"},
+		{"non_index_update", "UPDATE sbtest SET c = ? WHERE id = ?"},
+		{"delete", "DELETE FROM sbtest WHERE id = ?"},
+		{"insert", "INSERT INTO sbtest (id, k, c, pad) VALUES (?, ?, ?, ?)"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := Normalize(c.sql); !ok {
+					b.Fatal("not normalized")
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package sqlparser
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"shardingsphere/internal/sqltypes"
 )
@@ -459,34 +460,6 @@ func TestCloneStatementIsDeep(t *testing.T) {
 	}
 }
 
-func TestRenameTables(t *testing.T) {
-	stmt := mustParse(t, "SELECT t_user.name FROM t_user JOIN t_order ON t_user.uid = t_order.uid")
-	RenameTables(stmt, map[string]string{"t_user": "t_user_0", "t_order": "t_order_0"})
-	sel := stmt.(*SelectStmt)
-	if sel.From[0].Name != "t_user_0" || sel.From[1].Name != "t_order_0" {
-		t.Fatalf("tables not renamed: %+v", sel.From)
-	}
-	if sel.Items[0].Expr.(*ColumnRef).Table != "t_user_0" {
-		t.Fatal("column qualifier not renamed")
-	}
-	on := sel.From[1].On.(*BinaryExpr)
-	if on.L.(*ColumnRef).Table != "t_user_0" || on.R.(*ColumnRef).Table != "t_order_0" {
-		t.Fatal("ON qualifiers not renamed")
-	}
-}
-
-func TestRenameTablesKeepsAliases(t *testing.T) {
-	stmt := mustParse(t, "SELECT u.name FROM t_user u WHERE u.uid = 1")
-	RenameTables(stmt, map[string]string{"t_user": "t_user_0"})
-	sel := stmt.(*SelectStmt)
-	if sel.From[0].Name != "t_user_0" || sel.From[0].Alias != "u" {
-		t.Fatalf("rename with alias: %+v", sel.From[0])
-	}
-	if sel.Items[0].Expr.(*ColumnRef).Table != "u" {
-		t.Fatal("alias qualifier must not be renamed")
-	}
-}
-
 func TestTableNames(t *testing.T) {
 	if got := TableNames(mustParse(t, "SELECT * FROM a, b")); len(got) != 2 {
 		t.Fatalf("TableNames select: %v", got)
@@ -686,5 +659,41 @@ func TestIsKeyword(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { QuoteIdent(DialectMySQL, "sbtest_42"); isKeyword("sbtest") }); n != 0 {
 		t.Errorf("quoting a bare identifier allocates %v times", n)
+	}
+}
+
+// TestLexerAllocations: keywords in any case, identifiers, operators,
+// integers and placeholders lex without allocating. A string literal is
+// one allocation, a copy: a stored value must not keep its statement's
+// text alive.
+func TestLexerAllocations(t *testing.T) {
+	lex := func(src string) Token {
+		l := lexer{src: src}
+		first := Token{Type: TokenEOF}
+		for {
+			tok, err := l.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.Type == TokenEOF {
+				return first
+			}
+			if first.Type == TokenEOF {
+				first = tok
+			}
+		}
+	}
+	const stmt = "select c, K FROM sbtest WHERE id BETWEEN ? and ? AND (k <> 42 OR pad != ?) order by c desc LIMIT 10;"
+	if n := testing.AllocsPerRun(100, func() { lex(stmt) }); n != 0 {
+		t.Errorf("lexing %q allocates %v times", stmt, n)
+	}
+	const literal = "'a string literal'"
+	if n := testing.AllocsPerRun(100, func() { lex(literal) }); n != 1 {
+		t.Errorf("lexing a string literal allocates %v times, want 1", n)
+	}
+	val := lex(literal).Val
+	src := uintptr(unsafe.Pointer(unsafe.StringData(literal)))
+	if at := uintptr(unsafe.Pointer(unsafe.StringData(val))); at >= src && at < src+uintptr(len(literal)) {
+		t.Errorf("the literal %q is a slice of its statement's text", val)
 	}
 }

@@ -2,17 +2,24 @@ package sqlparser
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // Serializer renders AST nodes back to SQL text for a target dialect. The
-// SQL rewriter (paper Section VI-C) mutates the AST — renaming logic tables
-// to actual tables, deriving columns, revising pagination — and then uses a
-// Serializer to produce the executable statements sent to data nodes.
+// SQL rewriter (paper Section VI-C) derives columns and revises pagination
+// on a copy of the AST, and a Serializer writes the statements sent to
+// data nodes with holes where their actual table names go (SerializeCut).
 type Serializer struct {
 	Dialect Dialect
-	reads   *[]int // SerializeReads: each "?" written appends its Placeholder.Index
+	reads   *[]int   // SerializeCut: each "?" written appends its Placeholder.Index
+	tables  []string // SerializeCut: the tables written as holes
+	holes   *[]Hole
 }
+
+// Hole is where SerializeCut left a table's name out of a text: at byte
+// At, for the table at index Table of its list.
+type Hole struct{ At, Table int }
 
 // NewSerializer returns a serializer for the dialect.
 func NewSerializer(d Dialect) *Serializer { return &Serializer{Dialect: d} }
@@ -65,12 +72,38 @@ func (s *Serializer) Serialize(stmt Statement) string {
 // statement's arguments in that order, whatever a dialect reordered (LIMIT
 // count OFFSET offset) or a rewrite duplicated.
 func (s *Serializer) SerializeReads(stmt Statement) (string, []int) {
+	text, _, reads := s.SerializeCut(stmt, nil)
+	return text, reads
+}
+
+// SerializeCut is SerializeReads, except that wherever it would name one
+// of tables — a FROM or JOIN table, a column qualifier, a star's table, a
+// DML or DDL target — it writes nothing and records a Hole. A name is its
+// exact spelling's index in tables, else the first differing from it only
+// in case, as a data node matches a qualifier. The statement is only read.
+func (s *Serializer) SerializeCut(stmt Statement, tables []string) (string, []Hole, []int) {
+	var holes []Hole
 	var reads []int
 	c := *s
-	c.reads = &reads
+	c.reads, c.tables, c.holes = &reads, tables, &holes
 	var b strings.Builder
+	b.Grow(64) // most statements fit: one allocation instead of four doublings
 	c.writeStmt(&b, stmt)
-	return b.String(), reads
+	return b.String(), holes, reads
+}
+
+// table writes a table's name, or leaves a hole for a table SerializeCut
+// lists.
+func (s *Serializer) table(b *strings.Builder, name string) {
+	i := slices.Index(s.tables, name)
+	if i < 0 {
+		i = slices.IndexFunc(s.tables, func(t string) bool { return strings.EqualFold(t, name) })
+	}
+	if i < 0 {
+		b.WriteString(s.quote(name))
+		return
+	}
+	*s.holes = append(*s.holes, Hole{At: b.Len(), Table: i})
 }
 
 // SerializeExpr renders one expression to SQL text.
@@ -97,12 +130,14 @@ func (s *Serializer) writeStmt(b *strings.Builder, stmt Statement) {
 		if t.IfExists {
 			b.WriteString("IF EXISTS ")
 		}
-		b.WriteString(s.quote(t.Table))
+		s.table(b, t.Table)
 	case *TruncateStmt:
 		b.WriteString("TRUNCATE TABLE ")
-		b.WriteString(s.quote(t.Table))
+		s.table(b, t.Table)
 	case *CreateIndexStmt:
-		fmt.Fprintf(b, "CREATE INDEX %s ON %s (%s)", s.quote(t.Name), s.quote(t.Table), s.identList(t.Columns))
+		fmt.Fprintf(b, "CREATE INDEX %s ON ", s.quote(t.Name))
+		s.table(b, t.Table)
+		fmt.Fprintf(b, " (%s)", s.identList(t.Columns))
 	case *BeginStmt:
 		b.WriteString("BEGIN")
 	case *CommitStmt:
@@ -123,7 +158,7 @@ func (s *Serializer) writeStmt(b *strings.Builder, stmt Statement) {
 		b.WriteString(t.What)
 	case *DescribeStmt:
 		b.WriteString("DESCRIBE ")
-		b.WriteString(s.quote(t.Table))
+		s.table(b, t.Table)
 	case *SetStmt:
 		fmt.Fprintf(b, "SET %s = %s", t.Name, t.Value.SQLLiteral())
 	default:
@@ -150,7 +185,7 @@ func (s *Serializer) writeSelect(b *strings.Builder, t *SelectStmt) {
 		}
 		switch {
 		case item.Star && item.StarTable != "":
-			b.WriteString(s.quote(item.StarTable))
+			s.table(b, item.StarTable)
 			b.WriteString(".*")
 		case item.Star:
 			b.WriteString("*")
@@ -174,7 +209,7 @@ func (s *Serializer) writeSelect(b *strings.Builder, t *SelectStmt) {
 					b.WriteString(" ")
 				}
 			}
-			b.WriteString(s.quote(ref.Name))
+			s.table(b, ref.Name)
 			if ref.Alias != "" {
 				b.WriteString(" ")
 				b.WriteString(s.quote(ref.Alias))
@@ -241,13 +276,17 @@ func (s *Serializer) writeLimit(b *strings.Builder, l *Limit) {
 
 func (s *Serializer) writeInsert(b *strings.Builder, t *InsertStmt) {
 	b.WriteString("INSERT INTO ")
-	b.WriteString(s.quote(t.Table))
+	s.table(b, t.Table)
 	if len(t.Columns) > 0 {
 		b.WriteString(" (")
 		b.WriteString(s.identList(t.Columns))
 		b.WriteString(")")
 	}
 	b.WriteString(" VALUES ")
+	// Values name no table: a row is written as it is, as in the split
+	// form the rewriter writes row by row.
+	rows := *s
+	rows.tables = nil
 	for i, row := range t.Rows {
 		if i > 0 {
 			b.WriteString(", ")
@@ -257,7 +296,7 @@ func (s *Serializer) writeInsert(b *strings.Builder, t *InsertStmt) {
 			if j > 0 {
 				b.WriteString(", ")
 			}
-			s.writeExpr(b, e)
+			rows.writeExpr(b, e)
 		}
 		b.WriteString(")")
 	}
@@ -265,7 +304,7 @@ func (s *Serializer) writeInsert(b *strings.Builder, t *InsertStmt) {
 
 func (s *Serializer) writeUpdate(b *strings.Builder, t *UpdateStmt) {
 	b.WriteString("UPDATE ")
-	b.WriteString(s.quote(t.Table))
+	s.table(b, t.Table)
 	if t.Alias != "" {
 		b.WriteString(" ")
 		b.WriteString(s.quote(t.Alias))
@@ -287,7 +326,7 @@ func (s *Serializer) writeUpdate(b *strings.Builder, t *UpdateStmt) {
 
 func (s *Serializer) writeDelete(b *strings.Builder, t *DeleteStmt) {
 	b.WriteString("DELETE FROM ")
-	b.WriteString(s.quote(t.Table))
+	s.table(b, t.Table)
 	if t.Alias != "" {
 		b.WriteString(" ")
 		b.WriteString(s.quote(t.Alias))
@@ -303,7 +342,7 @@ func (s *Serializer) writeCreateTable(b *strings.Builder, t *CreateTableStmt) {
 	if t.IfNotExists {
 		b.WriteString("IF NOT EXISTS ")
 	}
-	b.WriteString(s.quote(t.Table))
+	s.table(b, t.Table)
 	b.WriteString(" (")
 	for i, c := range t.Columns {
 		if i > 0 {
@@ -344,7 +383,7 @@ func (s *Serializer) writeExpr(b *strings.Builder, e Expr) {
 		}
 	case *ColumnRef:
 		if t.Table != "" {
-			b.WriteString(s.quote(t.Table))
+			s.table(b, t.Table)
 			b.WriteString(".")
 		}
 		b.WriteString(s.quote(t.Name))

@@ -9,7 +9,10 @@
 // distributed transaction manager sends to data nodes.
 package sqlparser
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // TokenType classifies a lexical token.
 type TokenType uint8
@@ -46,38 +49,32 @@ func (t Token) String() string {
 	}
 }
 
-// keywords is the reserved-word set. Identifiers matching these (case
-// insensitively) lex as TokenKeyword.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "IN": true, "BETWEEN": true, "LIKE": true, "IS": true,
-	"NULL": true, "TRUE": true, "FALSE": true, "AS": true, "JOIN": true,
-	"INNER": true, "LEFT": true, "RIGHT": true, "OUTER": true, "CROSS": true,
-	"ON": true, "GROUP": true, "BY": true, "HAVING": true, "ORDER": true,
-	"ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true, "DISTINCT": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "DROP": true, "TRUNCATE": true,
-	"INDEX": true, "PRIMARY": true, "KEY": true, "IF": true, "EXISTS": true,
-	"BEGIN": true, "START": true, "TRANSACTION": true, "COMMIT": true,
-	"ROLLBACK": true, "XA": true, "PREPARE": true, "END": true, "RECOVER": true,
-	"FOR": true, "SHOW": true, "TABLES": true, "COUNT": true, "SUM": true,
-	"AVG": true, "MIN": true, "MAX": true, "INT": true, "INTEGER": true,
-	"BIGINT": true, "FLOAT": true, "DOUBLE": true, "VARCHAR": true, "CHAR": true,
-	"TEXT": true, "BOOLEAN": true, "DECIMAL": true, "UNION": true, "ALL": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "USE": true,
-	"DESCRIBE":       true,
-	"AUTO_INCREMENT": true, "DEFAULT": true, "VARIABLE": true,
-}
+// keywords is the reserved-word set, each word mapped to itself: a
+// keyword token carries the table's string, so lexing one allocates
+// nothing. Identifiers matching these (case insensitively) lex as
+// TokenKeyword.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, w := range strings.Fields(`SELECT FROM WHERE AND OR NOT IN BETWEEN LIKE IS NULL TRUE FALSE AS JOIN
+		INNER LEFT RIGHT OUTER CROSS ON GROUP BY HAVING ORDER ASC DESC LIMIT OFFSET DISTINCT
+		INSERT INTO VALUES UPDATE SET DELETE CREATE TABLE DROP TRUNCATE INDEX PRIMARY KEY IF EXISTS
+		BEGIN START TRANSACTION COMMIT ROLLBACK XA PREPARE END RECOVER FOR SHOW TABLES
+		COUNT SUM AVG MIN MAX INT INTEGER BIGINT FLOAT DOUBLE VARCHAR CHAR TEXT BOOLEAN DECIMAL
+		UNION ALL CASE WHEN THEN ELSE USE DESCRIBE AUTO_INCREMENT DEFAULT VARIABLE`) {
+		m[w] = w
+	}
+	return m
+}()
 
 // maxKeywordLen is the longest reserved word (AUTO_INCREMENT).
 const maxKeywordLen = 14
 
-// isKeyword reports whether ident is a reserved word in any case. It
-// upper-cases into a stack buffer, so the serializer's per-identifier
-// quoting check allocates nothing.
-func isKeyword(ident string) bool {
+// keyword returns the reserved word ident spells in any case, or "". It
+// upper-cases into a stack buffer, so neither the lexer nor the
+// serializer's per-identifier quoting check allocates.
+func keyword(ident string) string {
 	if len(ident) > maxKeywordLen {
-		return false
+		return ""
 	}
 	var buf [maxKeywordLen]byte
 	for i := 0; i < len(ident); i++ {
@@ -89,6 +86,9 @@ func isKeyword(ident string) bool {
 	}
 	return keywords[string(buf[:len(ident)])]
 }
+
+// isKeyword reports whether ident is a reserved word in any case.
+func isKeyword(ident string) bool { return keyword(ident) != "" }
 
 // aggregateFuncs is the set of aggregate function names the merger
 // understands (paper Section VI-E).

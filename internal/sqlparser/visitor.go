@@ -42,6 +42,44 @@ func WalkExpr(e Expr, visit func(Expr) bool) {
 	}
 }
 
+// WalkStatement walks every expression of a DML statement with WalkExpr.
+func WalkStatement(stmt Statement, visit func(Expr) bool) {
+	switch t := stmt.(type) {
+	case *SelectStmt:
+		for _, it := range t.Items {
+			WalkExpr(it.Expr, visit)
+		}
+		for _, ref := range t.From {
+			WalkExpr(ref.On, visit)
+		}
+		WalkExpr(t.Where, visit)
+		for _, e := range t.GroupBy {
+			WalkExpr(e, visit)
+		}
+		WalkExpr(t.Having, visit)
+		for _, o := range t.OrderBy {
+			WalkExpr(o.Expr, visit)
+		}
+		if t.Limit != nil {
+			WalkExpr(t.Limit.Offset, visit)
+			WalkExpr(t.Limit.Count, visit)
+		}
+	case *InsertStmt:
+		for _, row := range t.Rows {
+			for _, e := range row {
+				WalkExpr(e, visit)
+			}
+		}
+	case *UpdateStmt:
+		for _, a := range t.Set {
+			WalkExpr(a.Value, visit)
+		}
+		WalkExpr(t.Where, visit)
+	case *DeleteStmt:
+		WalkExpr(t.Where, visit)
+	}
+}
+
 // CloneExpr returns a deep copy of the expression.
 func CloneExpr(e Expr) Expr { return MapExpr(e, nil) }
 
@@ -233,66 +271,5 @@ func TableNames(stmt Statement) []string {
 		return []string{t.Table}
 	default:
 		return nil
-	}
-}
-
-// RenameTables applies a logical→actual table-name mapping to every table
-// reference in the statement, including column qualifiers that use the
-// table name directly (rather than an alias). This is the identifier
-// rewrite of paper Section VI-C.
-func RenameTables(stmt Statement, mapping map[string]string) {
-	rename := func(name string) string {
-		if actual, ok := mapping[name]; ok {
-			return actual
-		}
-		return name
-	}
-	renameQualifiers := func(e Expr) {
-		WalkExpr(e, func(x Expr) bool {
-			if c, ok := x.(*ColumnRef); ok && c.Table != "" {
-				c.Table = rename(c.Table)
-			}
-			return true
-		})
-	}
-	switch t := stmt.(type) {
-	case *SelectStmt:
-		for i := range t.From {
-			t.From[i].Name = rename(t.From[i].Name)
-			renameQualifiers(t.From[i].On)
-		}
-		for i := range t.Items {
-			if t.Items[i].StarTable != "" {
-				t.Items[i].StarTable = rename(t.Items[i].StarTable)
-			}
-			renameQualifiers(t.Items[i].Expr)
-		}
-		renameQualifiers(t.Where)
-		for _, e := range t.GroupBy {
-			renameQualifiers(e)
-		}
-		renameQualifiers(t.Having)
-		for _, o := range t.OrderBy {
-			renameQualifiers(o.Expr)
-		}
-	case *InsertStmt:
-		t.Table = rename(t.Table)
-	case *UpdateStmt:
-		t.Table = rename(t.Table)
-		renameQualifiers(t.Where)
-		for _, a := range t.Set {
-			renameQualifiers(a.Value)
-		}
-	case *DeleteStmt:
-		t.Table = rename(t.Table)
-		renameQualifiers(t.Where)
-	case *CreateTableStmt:
-		t.Table = rename(t.Table)
-	case *DropTableStmt:
-		t.Table = rename(t.Table)
-	case *TruncateStmt:
-		t.Table = rename(t.Table)
-	case *CreateIndexStmt:
-		t.Table = rename(t.Table)
 	}
 }

@@ -106,6 +106,12 @@ var oneEngineStatements = []struct {
 	{"SELECT id FROM t WHERE id BETWEEN 5 AND 3", "SELECT id FROM t WHERE id BETWEEN ? AND ?", []Value{Int(5), Int(3)}, nil, nil},
 	{"SELECT COUNT(*) FROM t WHERE id BETWEEN 5 AND 3", "SELECT COUNT(*) FROM t WHERE id BETWEEN ? AND ?", []Value{Int(5), Int(3)}, nil, nil},
 	{"SELECT id FROM t WHERE id > 7 AND id < 6", "SELECT id FROM t WHERE id > ? AND id < ?", []Value{Int(7), Int(6)}, nil, nil},
+	// A qualifier or a star's table spelled in another case than its
+	// table names that table.
+	{"SELECT T.id FROM t WHERE T.id = 1", "SELECT T.id FROM t WHERE T.id = ?", []Value{Int(1)}, nil, nil},
+	{"SELECT T.id FROM t WHERE T.id BETWEEN 1 AND 3 ORDER BY T.id",
+		"SELECT T.id FROM t WHERE T.id BETWEEN ? AND ? ORDER BY T.id", []Value{Int(1), Int(3)}, []int{0}, nil},
+	{"SELECT T.* FROM t WHERE id = 1", "SELECT T.* FROM t WHERE id = ?", []Value{Int(1)}, nil, nil},
 }
 
 // TestRowsMatchOneEngine runs every statement through the kernel — the
@@ -116,7 +122,9 @@ var oneEngineStatements = []struct {
 // them on the executor's read windows, where a source's units share one
 // connection: inside BEGIN … COMMIT, on a database with MaxCon 1, and
 // inside a transaction on a kernel over two remote data nodes. Last, a
-// DELETE of an empty range must delete what one engine deletes: nothing.
+// DELETE of an empty range must delete what one engine deletes: nothing;
+// and an UPDATE and a DELETE qualifying by the table in another case
+// must change what they change on one engine.
 func TestRowsMatchOneEngine(t *testing.T) {
 	ref := oneEngineRef(t)
 	for _, dialect := range []string{"mysql", "postgresql"} {
@@ -184,6 +192,40 @@ func TestRowsMatchOneEngine(t *testing.T) {
 				}
 				if msg := sameAnswer(got, want.Rows, []int{0}); msg != "" {
 					t.Errorf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
+				}
+			}
+			dml := oneEngineRef(t)
+			for _, form := range []struct {
+				sql  string
+				args []Value
+			}{
+				{"UPDATE t SET v = T.v + 1 WHERE T.id = 4", nil},
+				{"UPDATE t SET v = T.v + ? WHERE T.id = ?", []Value{Int(2), Int(5)}},
+				{"DELETE FROM t WHERE T.id = 6", nil},
+				{"DELETE FROM t WHERE T.id = ?", []Value{Int(7)}},
+			} {
+				where := fmt.Sprintf("%s, %s: %s %v", dialect, run.name, form.sql, form.args)
+				n, err := s.Exec(form.sql, form.args...)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				want, err := dml.Execute(form.sql, form.args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n.Affected != want.Affected {
+					t.Errorf("%s: %d rows affected, want %d", where, n.Affected, want.Affected)
+				}
+				got, err := s.QueryAll("SELECT id, k, v FROM t ORDER BY id")
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := dml.Execute("SELECT id, k, v FROM t ORDER BY id")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if msg := sameAnswer(got, rows.Rows, []int{0}); msg != "" {
+					t.Errorf("%s: %s\n got %v\nwant %v", where, msg, got, rows.Rows)
 				}
 			}
 			if run.tx {
