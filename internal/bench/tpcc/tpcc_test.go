@@ -3,6 +3,7 @@ package tpcc
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -146,6 +147,45 @@ func TestPaymentMovesMoney(t *testing.T) {
 	}
 	if got := queryOne(t, c, "SELECT COUNT(*) FROM bmsql_history"); got[0].I != 5 {
 		t.Fatalf("history rows: %v", got)
+	}
+}
+
+// TestConcurrentPaymentsKeepConsistency is TPC-C consistency condition 1
+// under concurrency: 4 clients run 300 Payments each, and every Payment
+// adds its amount to W_YTD, D_YTD and a new H_AMOUNT, so the three sums
+// agree (to rounding of the float additions' order).
+func TestConcurrentPaymentsKeepConsistency(t *testing.T) {
+	sys, cfg := newSystem(t)
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		c, err := sys.NewClient(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(20 + w)))
+			for i := 0; i < 300; i++ {
+				if err := cfg.Payment(c, rng); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, _ := sys.NewClient(0)
+	defer c.Close()
+	wytd := queryOne(t, c, "SELECT SUM(w_ytd) FROM bmsql_warehouse")[0].AsFloat()
+	dytd := queryOne(t, c, "SELECT SUM(d_ytd) FROM bmsql_district")[0].AsFloat()
+	hamount := queryOne(t, c, "SELECT SUM(h_amount) FROM bmsql_history")[0].AsFloat()
+	if math.Abs(wytd-dytd) > 0.01 || math.Abs(dytd-hamount) > 0.01 {
+		t.Fatalf("sum W_YTD %.2f, sum D_YTD %.2f, sum H_AMOUNT %.2f", wytd, dytd, hamount)
 	}
 }
 

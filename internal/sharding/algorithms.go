@@ -76,12 +76,12 @@ func (a *modAlgorithm) Precise(targets []string, _ string, v sqltypes.Value) (st
 
 func (a *modAlgorithm) DoRange(targets []string, _ string, lo, hi *sqltypes.Value) ([]string, error) {
 	if lo != nil && hi != nil {
-		span := hi.AsInt() - lo.AsInt()
-		if span >= 0 && span+1 < a.count {
+		span := hi.AsInt() - lo.AsInt() // may wrap; then it is not below count-1
+		if span >= 0 && span < a.count-1 {
 			out := make([]string, 0, span+1)
 			seen := map[string]bool{}
-			for v := lo.AsInt(); v <= hi.AsInt(); v++ {
-				t, err := a.Precise(targets, "", sqltypes.NewInt(v))
+			for i := int64(0); i <= span; i++ {
+				t, err := a.Precise(targets, "", sqltypes.NewInt(lo.AsInt()+i))
 				if err != nil {
 					return nil, err
 				}

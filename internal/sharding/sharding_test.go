@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"testing"
 
 	"shardingsphere/internal/sqltypes"
@@ -55,6 +56,32 @@ func TestModAlgorithm(t *testing.T) {
 	r, _ = a.DoRange(tg, "uid", &lo2, &hi2)
 	if len(r) != 4 {
 		t.Fatalf("mod wide range: %v", r)
+	}
+}
+
+// A range that reaches an end of int64 neither panics (its span+1 wraps)
+// nor loops (its last value+1 wraps), and still covers its targets.
+func TestModRangeAtInt64Bounds(t *testing.T) {
+	a, err := New("mod", map[string]string{"sharding-count": "4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := targets("t", 4)
+	for _, c := range []struct {
+		lo, hi int64
+		want   int
+	}{
+		{math.MinInt64, math.MaxInt64, 4},
+		{0, math.MaxInt64, 4},
+		{-1, math.MaxInt64, 4},
+		{math.MaxInt64 - 1, math.MaxInt64, 2},
+		{math.MinInt64, math.MinInt64 + 1, 2},
+	} {
+		lo, hi := vi(c.lo), vi(c.hi)
+		r, err := a.DoRange(tg, "uid", &lo, &hi)
+		if err != nil || len(r) != c.want {
+			t.Fatalf("mod range [%d, %d]: %v %v, want %d targets", c.lo, c.hi, r, err, c.want)
+		}
 	}
 }
 

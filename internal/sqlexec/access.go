@@ -1,6 +1,8 @@
 package sqlexec
 
 import (
+	"slices"
+
 	"shardingsphere/internal/btree"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
@@ -146,7 +148,7 @@ func shapeAccess(tbl *storage.Table, cols *tableCols, conjuncts []sqlparser.Expr
 // live in keys — a caller's local, so binding the common plans allocates
 // nothing. A key that fails to evaluate (a missing bind argument) widens
 // the plan to a full scan; the residual predicate then reports the error
-// against the first row.
+// against the first row. Repeated IN keys bind once: no row is hit twice.
 func (sh *accessShape) bind(args []sqltypes.Value, keys *[2]sqltypes.Value) accessPlan {
 	env := rowEnv{args: args}
 	plan := accessPlan{kind: sh.kind}
@@ -161,13 +163,16 @@ func (sh *accessShape) bind(args []sqltypes.Value, keys *[2]sqltypes.Value) acce
 			plan.key = keys[:1]
 			return plan
 		}
-		plan.points = make([]btree.Key, len(sh.points))
-		for i, e := range sh.points {
+		plan.points = make([]btree.Key, 0, len(sh.points))
+		for _, e := range sh.points {
 			v, err := env.eval(e)
 			if err != nil {
 				return accessPlan{}
 			}
-			plan.points[i] = btree.Key{v}
+			k := btree.Key{v}
+			if !slices.ContainsFunc(plan.points, func(p btree.Key) bool { return btree.CompareKeys(p, k) == 0 }) {
+				plan.points = append(plan.points, k)
+			}
 		}
 	case accessPKRange:
 		for _, e := range sh.los {

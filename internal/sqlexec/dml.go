@@ -71,21 +71,25 @@ func (s *Session) matchEntries(tbl *storage.Table, alias string, where sqlparser
 	var entries []storage.ScanEntry
 	var evalErr error
 	shape.fetch(tbl, txID, shape.bind(args, &keys), func(se storage.ScanEntry) bool {
-		if where != nil {
-			env.row = se.Row
-			v, err := env.eval(where)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !v.Bool() {
-				return true
-			}
+		ok, err := env.matches(where, se.Row)
+		if ok {
+			entries = append(entries, se)
 		}
-		entries = append(entries, se)
-		return true
+		evalErr = err
+		return err == nil
 	})
 	return entries, env, evalErr
+}
+
+// matches reports whether row satisfies where (nil takes every row). UPDATE
+// and DELETE ask it of each scanned row and again of the row they lock.
+func (env *rowEnv) matches(where sqlparser.Expr, row sqltypes.Row) (bool, error) {
+	env.row = row
+	if where == nil {
+		return true, nil
+	}
+	v, err := env.eval(where)
+	return err == nil && v.Bool(), err
 }
 
 func (s *Session) executeUpdate(tx *storage.Tx, stmt *sqlparser.UpdateStmt, args []sqltypes.Value) (*Result, error) {
@@ -107,10 +111,11 @@ func (s *Session) executeUpdate(tx *storage.Tx, stmt *sqlparser.UpdateStmt, args
 		}
 		targets[i] = p
 	}
-	res := &Result{}
-	for _, se := range entries {
-		env.row = se.Row
-		newRow := se.Row.Clone()
+	set := func(cur sqltypes.Row) (sqltypes.Row, error) {
+		if ok, err := env.matches(stmt.Where, cur); !ok || err != nil {
+			return nil, err
+		}
+		newRow := cur.Clone()
 		for i, a := range stmt.Set {
 			v, err := env.eval(a.Value)
 			if err != nil {
@@ -118,7 +123,11 @@ func (s *Session) executeUpdate(tx *storage.Tx, stmt *sqlparser.UpdateStmt, args
 			}
 			newRow[targets[i]] = v
 		}
-		ok, err := tx.Update(tbl, se, newRow)
+		return newRow, nil
+	}
+	res := &Result{}
+	for _, se := range entries {
+		ok, err := tx.Update(tbl, se, set)
 		if err != nil {
 			return nil, err
 		}
@@ -134,13 +143,14 @@ func (s *Session) executeDelete(tx *storage.Tx, stmt *sqlparser.DeleteStmt, args
 	if err != nil {
 		return nil, err
 	}
-	entries, _, err := s.matchEntries(tbl, stmt.Alias, stmt.Where, args, tx.ID())
+	entries, env, err := s.matchEntries(tbl, stmt.Alias, stmt.Where, args, tx.ID())
 	if err != nil {
 		return nil, err
 	}
+	match := func(cur sqltypes.Row) (bool, error) { return env.matches(stmt.Where, cur) }
 	res := &Result{}
 	for _, se := range entries {
-		ok, err := tx.Delete(tbl, se)
+		ok, err := tx.Delete(tbl, se, match)
 		if err != nil {
 			return nil, err
 		}

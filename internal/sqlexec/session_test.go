@@ -3,6 +3,8 @@ package sqlexec
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"shardingsphere/internal/sqlparser"
@@ -466,6 +468,80 @@ func TestSelectForUpdateLocksRows(t *testing.T) {
 	}
 	mustExec(t, s, "COMMIT")
 	mustExec(t, s2, "UPDATE t_user SET age = 1 WHERE uid = 1")
+}
+
+// TestConcurrentTransfersConserveSum: two sessions move amounts between two
+// accounts in autocommit, in BEGIN … COMMIT and in XA, touching the lower
+// id first. Each UPDATE computes its SET on the row it locks, so the sum
+// stays exactly where it started.
+func TestConcurrentTransfersConserveSum(t *testing.T) {
+	frames := map[string][2][]string{ // statements before and after the two UPDATEs
+		"autocommit": {},
+		"begin":      {{"BEGIN"}, {"COMMIT"}},
+		"xa":         {{"XA BEGIN ?"}, {"XA END ?", "XA PREPARE ?", "XA COMMIT ?"}},
+	}
+	for mode, frame := range frames {
+		s := newTestSession(t)
+		mustExec(t, s, "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)")
+		mustExec(t, s, "INSERT INTO acct (id, bal) VALUES (1, 1000), (2, 1000)")
+		errs := make(chan error, 2)
+		for w := int64(0); w < 2; w++ {
+			go func() {
+				sess := s.proc.NewSession()
+				defer sess.Close()
+				for i := int64(0); i < 500; i++ {
+					xid := sqltypes.NewString(fmt.Sprint("x", w, "-", i))
+					amount := sqltypes.NewInt((1 + i%7) * (1 - 2*w)) // session 1 moves money back
+					transfer := []string{"UPDATE acct SET bal = bal - ? WHERE id = 1", "UPDATE acct SET bal = bal + ? WHERE id = 2"}
+					for _, sql := range slices.Concat(frame[0], transfer, frame[1]) {
+						var args []sqltypes.Value
+						if strings.HasPrefix(sql, "UPDATE") {
+							args = []sqltypes.Value{amount}
+						} else if strings.Contains(sql, "?") {
+							args = []sqltypes.Value{xid}
+						}
+						if _, err := sess.Execute(sql, args...); err != nil {
+							errs <- fmt.Errorf("%s: %s: %w", mode, sql, err)
+							return
+						}
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for w := 0; w < 2; w++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res := mustExec(t, s, "SELECT SUM(bal) FROM acct"); res.Rows[0][0].I != 2000 {
+			t.Errorf("%s: sum %v, want 2000", mode, res.Rows[0][0])
+		}
+	}
+}
+
+// TestRepeatedInKeyReachesRowOnce: an IN list that names a key twice, in
+// its text or through equal arguments, reads, updates and deletes the row
+// once.
+func TestRepeatedInKeyReachesRowOnce(t *testing.T) {
+	s := newTestSession(t)
+	seedUsers(t, s)
+	one := sqltypes.NewInt(1)
+	if res := mustExec(t, s, "SELECT uid FROM t_user WHERE uid IN (1, 1)"); len(res.Rows) != 1 {
+		t.Fatalf("select: %v", res.Rows)
+	}
+	if res := mustExec(t, s, "UPDATE t_user SET age = age + 1 WHERE uid IN (1, 1)"); res.Affected != 1 {
+		t.Fatalf("update affected %d", res.Affected)
+	}
+	if res := mustExec(t, s, "UPDATE t_user SET age = age + 1 WHERE uid IN (?, ?)", one, one); res.Affected != 1 {
+		t.Fatalf("update with args affected %d", res.Affected)
+	}
+	if res := mustExec(t, s, "SELECT age FROM t_user WHERE uid = 1"); res.Rows[0][0].I != 32 {
+		t.Fatalf("age %v, want 30 + 2", res.Rows[0][0])
+	}
+	if res := mustExec(t, s, "DELETE FROM t_user WHERE uid IN (?, ?, 2)", one, one); res.Affected != 2 {
+		t.Fatalf("delete affected %d", res.Affected)
+	}
 }
 
 func TestDDLThroughSQL(t *testing.T) {

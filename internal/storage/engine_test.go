@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,15 @@ func mustInsert(t *testing.T, tx *Tx, table string, r sqltypes.Row) {
 		t.Fatal(err)
 	}
 }
+
+// setTo is an Update callback that stores a copy of r whatever the row
+// holds.
+func setTo(r sqltypes.Row) func(sqltypes.Row) (sqltypes.Row, error) {
+	return func(sqltypes.Row) (sqltypes.Row, error) { return r.Clone(), nil }
+}
+
+// anyRow is a Delete callback that takes every row.
+func anyRow(sqltypes.Row) (bool, error) { return true, nil }
 
 func scanAll(e *Engine, table string, txID int64) []sqltypes.Row {
 	t, err := e.Table(table)
@@ -167,7 +177,7 @@ func TestUpdateAndDelete(t *testing.T) {
 	}
 	updated := se.Row.Clone()
 	updated[2] = sqltypes.NewInt(31)
-	if ok, err := tx2.Update(tbl, se, updated); err != nil || !ok {
+	if ok, err := tx2.Update(tbl, se, setTo(updated)); err != nil || !ok {
 		t.Fatalf("update: %v %v", ok, err)
 	}
 	// Other readers still see age 30 (read committed).
@@ -181,7 +191,7 @@ func TestUpdateAndDelete(t *testing.T) {
 
 	tx3 := e.Begin()
 	se, _ = tbl.PKGet(tx3.ID(), btree.Key{sqltypes.NewInt(1)})
-	if ok, err := tx3.Delete(tbl, se); err != nil || !ok {
+	if ok, err := tx3.Delete(tbl, se, anyRow); err != nil || !ok {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
 	if got := scanAll(e, "t_user", tx3.ID()); len(got) != 0 {
@@ -206,7 +216,7 @@ func TestUpdatePKRejected(t *testing.T) {
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
 	bad := se.Row.Clone()
 	bad[0] = sqltypes.NewInt(99)
-	if _, err := tx2.Update(tbl, se, bad); !errors.Is(err, ErrPKUpdate) {
+	if _, err := tx2.Update(tbl, se, setTo(bad)); !errors.Is(err, ErrPKUpdate) {
 		t.Fatalf("want ErrPKUpdate, got %v", err)
 	}
 	tx2.Rollback()
@@ -221,7 +231,7 @@ func TestDeleteThenReinsertSameTx(t *testing.T) {
 	tbl, _ := e.Table("t_user")
 	tx2 := e.Begin()
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
-	if ok, _ := tx2.Delete(tbl, se); !ok {
+	if ok, _ := tx2.Delete(tbl, se, anyRow); !ok {
 		t.Fatal("delete failed")
 	}
 	// Sysbench's read-write transaction deletes a row then reinserts the
@@ -243,7 +253,7 @@ func TestInsertThenDeleteSameTx(t *testing.T) {
 	if !ok {
 		t.Fatal("own insert invisible")
 	}
-	if ok, _ := tx.Delete(tbl, se); !ok {
+	if ok, _ := tx.Delete(tbl, se, anyRow); !ok {
 		t.Fatal("delete of own insert failed")
 	}
 	tx.Commit()
@@ -271,7 +281,7 @@ func TestStaleScanEntry(t *testing.T) {
 	for name, vanish := range map[string]func(se ScanEntry){
 		"deleted and committed": func(se ScanEntry) {
 			tx := e.Begin()
-			if ok, err := tx.Delete(tbl, se); !ok || err != nil {
+			if ok, err := tx.Delete(tbl, se, anyRow); !ok || err != nil {
 				t.Fatal(ok, err)
 			}
 			tx.Commit()
@@ -288,10 +298,10 @@ func TestStaleScanEntry(t *testing.T) {
 		seed.Commit()
 
 		tx := e.Begin()
-		if ok, err := tx.Update(tbl, stale, row(1, "ghost", 30)); ok || err != nil {
+		if ok, err := tx.Update(tbl, stale, setTo(row(1, "ghost", 30))); ok || err != nil {
 			t.Fatalf("%s: update through a stale entry: %v %v", name, ok, err)
 		}
-		if ok, err := tx.Delete(tbl, stale); ok || err != nil {
+		if ok, err := tx.Delete(tbl, stale, anyRow); ok || err != nil {
 			t.Fatalf("%s: delete through a stale entry: %v %v", name, ok, err)
 		}
 		if ok, err := tx.Lock(tbl, stale); ok || err != nil {
@@ -319,7 +329,7 @@ func TestStaleScanEntry(t *testing.T) {
 	}
 	ins.Rollback()
 	tx := e.Begin()
-	if ok, err := tx.Update(tbl, own, row(2, "ghost", 1)); ok || err != nil {
+	if ok, err := tx.Update(tbl, own, setTo(row(2, "ghost", 1))); ok || err != nil {
 		t.Fatalf("update of a rolled-back insert: %v %v", ok, err)
 	}
 	tx.Commit()
@@ -420,7 +430,7 @@ func TestSecondaryIndex(t *testing.T) {
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
 	up := se.Row.Clone()
 	up[2] = sqltypes.NewInt(2)
-	tx2.Update(tbl, se, up)
+	tx2.Update(tbl, se, setTo(up))
 	tx2.Commit()
 	count = 0
 	tbl.IndexRange(0, "idx_age", key, key, func(se ScanEntry) bool { count++; return true })
@@ -431,7 +441,7 @@ func TestSecondaryIndex(t *testing.T) {
 	// Index follows deletes.
 	tx3 := e.Begin()
 	se, _ = tbl.PKGet(tx3.ID(), btree.Key{sqltypes.NewInt(4)})
-	tx3.Delete(tbl, se)
+	tx3.Delete(tbl, se, anyRow)
 	tx3.Commit()
 	count = 0
 	tbl.IndexRange(0, "idx_age", key, key, func(se ScanEntry) bool { count++; return true })
@@ -469,19 +479,19 @@ func TestRowLockBlocksSecondWriter(t *testing.T) {
 	se, _ := tbl.PKGet(tx1.ID(), btree.Key{sqltypes.NewInt(1)})
 	up := se.Row.Clone()
 	up[2] = sqltypes.NewInt(2)
-	if ok, err := tx1.Update(tbl, se, up); !ok || err != nil {
+	if ok, err := tx1.Update(tbl, se, setTo(up)); !ok || err != nil {
 		t.Fatal(err)
 	}
 	// Second writer times out while tx1 holds the lock.
 	tx2 := e.Begin()
 	up2 := se.Row.Clone()
 	up2[2] = sqltypes.NewInt(3)
-	if _, err := tx2.Update(tbl, se, up2); !errors.Is(err, ErrLockTimeout) {
+	if _, err := tx2.Update(tbl, se, setTo(up2)); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
 	tx1.Commit()
 	// Now it succeeds.
-	if ok, err := tx2.Update(tbl, se, up2); !ok || err != nil {
+	if ok, err := tx2.Update(tbl, se, setTo(up2)); !ok || err != nil {
 		t.Fatalf("after release: %v %v", ok, err)
 	}
 	tx2.Commit()
@@ -490,6 +500,8 @@ func TestRowLockBlocksSecondWriter(t *testing.T) {
 	}
 }
 
+// TestConcurrentIncrementsNoLostUpdates: each increment is computed by
+// Update's callback on the version the row lock grants, so none is lost.
 func TestConcurrentIncrementsNoLostUpdates(t *testing.T) {
 	e := newUserEngine(t)
 	tx := e.Begin()
@@ -499,6 +511,11 @@ func TestConcurrentIncrementsNoLostUpdates(t *testing.T) {
 
 	const workers = 8
 	const perWorker = 50
+	incr := func(cur sqltypes.Row) (sqltypes.Row, error) {
+		up := cur.Clone()
+		up[2] = sqltypes.NewInt(up[2].I + 1)
+		return up, nil
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -506,29 +523,19 @@ func TestConcurrentIncrementsNoLostUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				for {
-					tx := e.Begin()
-					se, ok := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(1)})
-					if !ok {
-						tx.Rollback()
-						errs <- errors.New("row vanished")
-						return
-					}
-					up := se.Row.Clone()
-					up[2] = sqltypes.NewInt(up[2].I + 1)
-					okUpd, err := tx.Update(tbl, se, up)
-					if err != nil || !okUpd {
-						tx.Rollback()
-						continue // lock timeout: retry
-					}
-					// Re-read under the lock: the increment must be based on
-					// the latest committed value, so re-fetch and re-apply.
-					se2, _ := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(1)})
-					up2 := se2.Row.Clone()
-					tx.Update(tbl, se, up2)
-					tx.Commit()
-					break
+				tx := e.Begin()
+				se, ok := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(1)})
+				if !ok {
+					tx.Rollback()
+					errs <- errors.New("row vanished")
+					return
 				}
+				if ok, err := tx.Update(tbl, se, incr); !ok || err != nil {
+					tx.Rollback()
+					errs <- fmt.Errorf("increment: %v %v", ok, err)
+					return
+				}
+				tx.Commit()
 			}
 		}()
 	}
@@ -537,14 +544,78 @@ func TestConcurrentIncrementsNoLostUpdates(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// Note: this loop increments based on a read taken before the lock,
-	// then re-reads under the lock; read-committed plus row locks make the
-	// final value at most workers*perWorker. The strict assertion below is
-	// on lock mutual exclusion: the counter must have moved and never
-	// panicked or deadlocked.
-	got := scanAll(e, "t_user", 0)
-	if got[0][2].I <= 0 {
-		t.Fatalf("counter did not move: %v", got)
+	if got := scanAll(e, "t_user", 0); got[0][2].I != workers*perWorker {
+		t.Fatalf("counter %v, want %d", got[0][2], workers*perWorker)
+	}
+}
+
+// TestWriteRechecksTheLockedRow: T2 scans a row while it still matches
+// WHERE v < 50, then T1 sets v = 100 and commits while T2 waits for the
+// row lock. T2's UPDATE (SET k = 7) or DELETE re-evaluates its WHERE on
+// the version the lock grants, so it leaves the row as T1 committed it.
+func TestWriteRechecksTheLockedRow(t *testing.T) {
+	below50 := func(cur sqltypes.Row) (bool, error) { return cur[2].I < 50, nil }
+	writes := map[string]func(tx *Tx, tbl *Table, se ScanEntry) (bool, error){
+		"update": func(tx *Tx, tbl *Table, se ScanEntry) (bool, error) {
+			return tx.Update(tbl, se, func(cur sqltypes.Row) (sqltypes.Row, error) {
+				if ok, _ := below50(cur); !ok {
+					return nil, nil
+				}
+				up := cur.Clone()
+				up[1] = sqltypes.NewInt(7)
+				return up, nil
+			})
+		},
+		"delete": func(tx *Tx, tbl *Table, se ScanEntry) (bool, error) { return tx.Delete(tbl, se, below50) },
+	}
+	ints := func(vs ...int64) sqltypes.Row {
+		r := make(sqltypes.Row, len(vs))
+		for i, v := range vs {
+			r[i] = sqltypes.NewInt(v)
+		}
+		return r
+	}
+	for name, write := range writes {
+		e := NewEngine("ds0")
+		if err := e.CreateTable(TableSpec{Name: "t", Schema: sqltypes.Schema{
+			{Name: "id", Type: sqltypes.KindInt}, {Name: "k", Type: sqltypes.KindInt}, {Name: "v", Type: sqltypes.KindInt},
+		}, PrimaryKey: []string{"id"}}); err != nil {
+			t.Fatal(err)
+		}
+		tbl := tab(e, "t")
+		seed := e.Begin()
+		mustInsert(t, seed, "t", ints(1, 0, 0))
+		seed.Commit()
+
+		t2 := e.Begin()
+		se, _ := tbl.PKGet(t2.ID(), btree.Key{sqltypes.NewInt(1)})
+		if ok, _ := below50(se.Row); !ok {
+			t.Fatalf("%s: T2's scan does not match: %v", name, se.Row)
+		}
+		t1 := e.Begin()
+		if ok, err := t1.Update(tbl, se, setTo(ints(1, 0, 100))); !ok || err != nil {
+			t.Fatalf("%s: T1: %v %v", name, ok, err)
+		}
+		type outcome struct {
+			ok  bool
+			err error
+		}
+		done := make(chan outcome)
+		go func() {
+			ok, err := write(t2, tbl, se)
+			done <- outcome{ok, err}
+		}()
+		for e.lockWaiters(tbl, se) != 1 {
+			runtime.Gosched()
+		}
+		t1.Commit()
+		if got := <-done; got.ok || got.err != nil {
+			t.Fatalf("%s: T2 affected %v, err %v; want no row", name, got.ok, got.err)
+		}
+		t2.Commit()
+		if got := scanAll(e, "t", 0); len(got) != 1 || got[0][1].I != 0 || got[0][2].I != 100 {
+			t.Fatalf("%s: table %v, want (1, 0, 100)", name, got)
+		}
 	}
 }
 
@@ -609,19 +680,19 @@ func TestXAPreparedHoldsLocks(t *testing.T) {
 	se, _ := tbl.PKGet(tx1.ID(), btree.Key{sqltypes.NewInt(1)})
 	up := se.Row.Clone()
 	up[2] = sqltypes.NewInt(2)
-	tx1.Update(tbl, se, up)
+	tx1.Update(tbl, se, setTo(up))
 	if err := e.Prepare(tx1, "xid-lock"); err != nil {
 		t.Fatal(err)
 	}
 	// A concurrent writer must still block on the prepared transaction.
 	tx2 := e.Begin()
-	if _, err := tx2.Update(tbl, se, up); !errors.Is(err, ErrLockTimeout) {
+	if _, err := tx2.Update(tbl, se, setTo(up)); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("prepared tx lost its locks: %v", err)
 	}
 	tx2.Rollback()
 	e.CommitPrepared("xid-lock")
 	tx3 := e.Begin()
-	if ok, err := tx3.Update(tbl, se, up); !ok || err != nil {
+	if ok, err := tx3.Update(tbl, se, setTo(up)); !ok || err != nil {
 		t.Fatalf("after xa commit: %v %v", ok, err)
 	}
 	tx3.Commit()

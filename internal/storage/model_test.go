@@ -86,7 +86,7 @@ func TestEngineAgainstModel(t *testing.T) {
 					continue
 				}
 				v := rng.Int63n(valSpace)
-				updated, err := tx.Update(tbl, se, sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)})
+				updated, err := tx.Update(tbl, se, setTo(sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)}))
 				if err != nil || !updated {
 					t.Fatalf("round %d: update %d: %v %v", round, key, updated, err)
 				}
@@ -101,7 +101,7 @@ func TestEngineAgainstModel(t *testing.T) {
 				if !ok {
 					continue
 				}
-				deleted, err := tx.Delete(tbl, se)
+				deleted, err := tx.Delete(tbl, se, anyRow)
 				if err != nil || !deleted {
 					t.Fatalf("round %d: delete %d: %v %v", round, key, deleted, err)
 				}
@@ -353,6 +353,13 @@ func TestConcurrentTransfersConserveSum(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	add := func(delta int64) func(sqltypes.Row) (sqltypes.Row, error) {
+		return func(cur sqltypes.Row) (sqltypes.Row, error) {
+			r := cur.Clone()
+			r[1] = sqltypes.NewInt(r[1].I + delta)
+			return r, nil
+		}
+	}
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(w int) {
@@ -372,28 +379,13 @@ func TestConcurrentTransfersConserveSum(t *testing.T) {
 					return
 				}
 				amount := int64(rng.Intn(50))
-				// Lock, then re-read under the lock (SELECT FOR UPDATE),
-				// then apply the decrement — the no-lost-update protocol.
-				if ok, err := tx.Lock(tbl, fe); err != nil || !ok {
+				// Each balance moves by Update's callback on the version
+				// the row lock grants.
+				if ok, err := tx.Update(tbl, fe, add(-amount)); err != nil || !ok {
 					tx.Rollback() // lock timeout: abort cleanly
 					continue
 				}
-				fe2, _ := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(from)})
-				f := fe2.Row.Clone()
-				f[1] = sqltypes.NewInt(f[1].I - amount)
-				if ok, err := tx.Update(tbl, fe, f); err != nil || !ok {
-					tx.Rollback()
-					continue
-				}
-				// Same lock-then-reread dance for the receiving account.
-				if ok, err := tx.Lock(tbl, te); err != nil || !ok {
-					tx.Rollback()
-					continue
-				}
-				te2, _ := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(to)})
-				tt := te2.Row.Clone()
-				tt[1] = sqltypes.NewInt(tt[1].I + amount)
-				if ok, err := tx.Update(tbl, te, tt); err != nil || !ok {
+				if ok, err := tx.Update(tbl, te, add(amount)); err != nil || !ok {
 					tx.Rollback()
 					continue
 				}

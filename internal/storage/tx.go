@@ -136,34 +136,41 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	return row, nil
 }
 
-// lock takes the write lock of the row behind a scan entry of table t.
-func (tx *Tx) lock(t *Table, se ScanEntry) error {
+// lock takes the write lock of the row behind a scan entry of table t, then
+// latch (t.mu or its read side), which the caller releases, and returns the
+// version tx sees (nil: gone).
+func (tx *Tx) lock(t *Table, se ScanEntry, latch sync.Locker) (sqltypes.Row, error) {
 	if err := tx.checkActive(); err != nil {
-		return err
+		return nil, err
 	}
-	return tx.engine.locks.acquire(tx, lockKey{t, se.slot.id}, tx.engine.lockTimeout)
+	if err := tx.engine.locks.acquire(tx, lockKey{t, se.slot.id}, tx.engine.lockTimeout); err != nil {
+		return nil, err
+	}
+	latch.Lock()
+	return se.slot.visible(tx.id), nil
 }
 
-// Update replaces the visible row behind a scan entry of table t. It
-// returns false if the row disappeared before the lock was granted
-// (deleted by a committed concurrent transaction). Primary key columns must
-// be unchanged.
-func (tx *Tx) Update(t *Table, se ScanEntry, newRow sqltypes.Row) (bool, error) {
+// Update locks the row behind a scan entry of table t and, under one hold
+// of the table latch, stores what set returns for the version tx then sees.
+// set only evaluates: it must not modify cur, and its row is stored as is.
+// Update returns false if the row is gone or set returns nil. Primary key
+// columns must be unchanged.
+func (tx *Tx) Update(t *Table, se ScanEntry, set func(cur sqltypes.Row) (sqltypes.Row, error)) (bool, error) {
+	cur, err := tx.lock(t, se, &t.mu)
+	if err != nil {
+		return false, err
+	}
+	defer t.mu.Unlock()
+	if cur == nil {
+		return false, nil
+	}
+	newRow, err := set(cur)
+	if newRow == nil || err != nil {
+		return false, err
+	}
 	if len(newRow) != len(t.schema) {
 		return false, fmt.Errorf("%w: table %s wants %d columns, got %d",
 			ErrColumnCount, t.name, len(t.schema), len(newRow))
-	}
-	if err := tx.lock(t, se); err != nil {
-		return false, err
-	}
-	newRow = newRow.Clone()
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	slot := se.slot
-	cur := slot.visible(tx.id)
-	if cur == nil {
-		return false, nil
 	}
 	for _, c := range t.pkCols {
 		if !sqltypes.Equal(cur[c], newRow[c]) {
@@ -173,6 +180,7 @@ func (tx *Tx) Update(t *Table, se ScanEntry, newRow sqltypes.Row) (bool, error) 
 	if err := t.checkRow(newRow); err != nil {
 		return false, err
 	}
+	slot := se.slot
 	tx.own(t, slot)
 	if slot.uncommitted != nil {
 		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
@@ -184,31 +192,33 @@ func (tx *Tx) Update(t *Table, se ScanEntry, newRow sqltypes.Row) (bool, error) 
 }
 
 // Lock acquires the row's write lock without modifying it (SELECT ...
-// FOR UPDATE). Re-reads after Lock see the latest committed version, so
-// read-modify-write sequences built on it cannot lose updates. It returns
-// false if the row vanished before the lock was granted.
+// FOR UPDATE), so later reads in the transaction see the latest committed
+// version. It returns false if the row vanished before the lock was
+// granted.
 func (tx *Tx) Lock(t *Table, se ScanEntry) (bool, error) {
-	if err := tx.lock(t, se); err != nil {
-		return false, err
+	cur, err := tx.lock(t, se, t.mu.RLocker())
+	if err == nil {
+		t.mu.RUnlock()
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return se.slot.visible(tx.id) != nil, nil
+	return cur != nil, err
 }
 
-// Delete removes the visible row behind a scan entry of table t, returning
-// false if the row was already gone.
-func (tx *Tx) Delete(t *Table, se ScanEntry) (bool, error) {
-	if err := tx.lock(t, se); err != nil {
+// Delete locks the row behind a scan entry of table t and deletes it if
+// match, which only evaluates, accepts the version tx then sees, under one
+// hold of the table latch. It returns false if the row is gone or rejected.
+func (tx *Tx) Delete(t *Table, se ScanEntry, match func(cur sqltypes.Row) (bool, error)) (bool, error) {
+	cur, err := tx.lock(t, se, &t.mu)
+	if err != nil {
 		return false, err
 	}
-
-	t.mu.Lock()
 	defer t.mu.Unlock()
-	slot := se.slot
-	if slot.visible(tx.id) == nil {
+	if cur == nil {
 		return false, nil
 	}
+	if ok, err := match(cur); !ok || err != nil {
+		return false, err
+	}
+	slot := se.slot
 	tx.own(t, slot)
 	if slot.uncommitted != nil {
 		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)

@@ -194,15 +194,21 @@ func TestRowsMatchOneEngine(t *testing.T) {
 					t.Errorf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
 				}
 			}
+			// Each statement writes the one row id, after which its v is v
+			// (-1: the row is gone); v starts at id * 7 % 13.
 			dml := oneEngineRef(t)
 			for _, form := range []struct {
-				sql  string
-				args []Value
+				sql   string
+				args  []Value
+				id, v int64
 			}{
-				{"UPDATE t SET v = T.v + 1 WHERE T.id = 4", nil},
-				{"UPDATE t SET v = T.v + ? WHERE T.id = ?", []Value{Int(2), Int(5)}},
-				{"DELETE FROM t WHERE T.id = 6", nil},
-				{"DELETE FROM t WHERE T.id = ?", []Value{Int(7)}},
+				{"UPDATE t SET v = T.v + 1 WHERE T.id = 4", nil, 4, 3},
+				{"UPDATE t SET v = T.v + ? WHERE T.id = ?", []Value{Int(2), Int(5)}, 5, 11},
+				{"DELETE FROM t WHERE T.id = 6", nil, 6, -1},
+				{"DELETE FROM t WHERE T.id = ?", []Value{Int(7)}, 7, -1},
+				{"UPDATE t SET v = T.v + 1 WHERE T.id IN (8, 8)", nil, 8, 5},
+				{"UPDATE t SET v = T.v + ? WHERE T.id IN (?, ?)", []Value{Int(1), Int(9), Int(9)}, 9, 12},
+				{"DELETE FROM t WHERE T.id IN (?, ?)", []Value{Int(10), Int(10)}, 10, -1},
 			} {
 				where := fmt.Sprintf("%s, %s: %s %v", dialect, run.name, form.sql, form.args)
 				n, err := s.Exec(form.sql, form.args...)
@@ -213,12 +219,21 @@ func TestRowsMatchOneEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n.Affected != want.Affected {
-					t.Errorf("%s: %d rows affected, want %d", where, n.Affected, want.Affected)
+				if n.Affected != 1 || want.Affected != 1 {
+					t.Errorf("%s: %d rows affected, one engine %d, want 1", where, n.Affected, want.Affected)
 				}
 				got, err := s.QueryAll("SELECT id, k, v FROM t ORDER BY id")
 				if err != nil {
 					t.Fatal(err)
+				}
+				v := int64(-1)
+				for _, r := range got {
+					if r[0].I == form.id {
+						v = r[2].I
+					}
+				}
+				if v != form.v {
+					t.Errorf("%s: row %d has v %d, want %d", where, form.id, v, form.v)
 				}
 				rows, err := dml.Execute("SELECT id, k, v FROM t ORDER BY id")
 				if err != nil {
@@ -443,6 +458,60 @@ func TestFailedWriteLeavesOneEngineTable(t *testing.T) {
 					if msg := sameAnswer(got, want.Rows, []int{0}); msg != "" {
 						t.Fatalf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentTransfersConserveSum: two writer sessions move amounts of v
+// between rows of t, each transfer one transaction that touches its lower
+// id first, under each transaction type, with t in one shard and in four
+// over two sources, embedded and on remote nodes. v sums to 78 before and
+// must after: no committed write is lost or written back.
+func TestConcurrentTransfersConserveSum(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		for _, shards := range []int{1, 4} {
+			for _, txType := range []string{"LOCAL", "XA", "BASE"} {
+				where := fmt.Sprintf("remote %v, %d shard(s), %s", remote, shards, txType)
+				s := layoutDB(t, "mysql", oneEngineLayout{tShards: shards, uShards: shards, resources: "ds0, ds1", remote: remote})
+				errs := make(chan error, 2)
+				for w := int64(0); w < 2; w++ {
+					go func() {
+						sess := &Session{inner: s.inner.Kernel().NewSession()}
+						defer sess.Close()
+						errs <- func() error {
+							if _, err := sess.Exec("SET VARIABLE transaction_type = " + txType); err != nil {
+								return err
+							}
+							for i := int64(0); i < 100; i++ {
+								lo := 1 + (i+w)%3 // ids lo < lo+1, both among 1 to 4
+								amount := Int((1 + i%5) * (1 - 2*w))
+								if err := sess.WithTx(func(tx *Session) error {
+									if _, err := tx.Exec("UPDATE t SET v = v - ? WHERE id = ?", amount, Int(lo)); err != nil {
+										return err
+									}
+									_, err := tx.Exec("UPDATE t SET v = v + ? WHERE id = ?", amount, Int(lo+1))
+									return err
+								}); err != nil {
+									return err
+								}
+							}
+							return nil
+						}()
+					}()
+				}
+				for w := 0; w < 2; w++ {
+					if err := <-errs; err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+				}
+				got, err := s.QueryAll("SELECT SUM(v) FROM t")
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if got[0][0].AsInt() != 78 {
+					t.Errorf("%s: v sums to %v, want 78", where, got[0][0])
 				}
 			}
 		}
