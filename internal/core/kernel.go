@@ -82,8 +82,6 @@ type Config struct {
 	// Registry is the Governor's coordination store; nil for a private
 	// in-memory one.
 	Registry *registry.Registry
-	// TxLog overrides the XA transaction log (default: registry-backed).
-	TxLog transaction.LogStore
 	// Features are the pluggable features, applied in order.
 	Features []Feature
 	// DefaultTxType is the initial distributed transaction type.
@@ -223,11 +221,7 @@ func New(cfg Config) (*Kernel, error) {
 			k.hasResolvers = true
 		}
 	}
-	txLog := cfg.TxLog
-	if txLog == nil {
-		txLog = transaction.NewRegistryLog(reg, "/transactions")
-	}
-	k.txMgr = transaction.NewManager(executor, txLog, k)
+	k.txMgr = transaction.NewManager(executor, transaction.NewRegistryLog(reg, "/transactions"), k)
 	k.txMgr.SetTelemetry(tel)
 	// Chaos can kill the 2PC coordinator at protocol points (INJECT FAULT
 	// coordinator); with no fault applied the hook is a cheap no.

@@ -357,28 +357,10 @@ func ReadAll(rs ResultSet) ([]sqltypes.Row, error) {
 
 // --- embedded connection ---
 
-// embeddedConn drives an in-process query processor session, optionally
-// delaying each operation to model the network round trip a real data
-// source would cost.
+// embeddedConn drives an in-process query processor session.
 type embeddedConn struct {
-	sess    *sqlexec.Session
-	latency time.Duration
-	closed  bool
-}
-
-// delay models the round trip; a cancelled context cuts it short.
-func (c *embeddedConn) delay(ctx context.Context) error {
-	if c.latency <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(c.latency)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	sess   *sqlexec.Session
+	closed bool
 }
 
 // run executes one statement; a table list also returns its row counts.
@@ -386,7 +368,7 @@ func (c *embeddedConn) run(ctx context.Context, st Statement) (*sqlexec.Result, 
 	if c.closed {
 		return nil, nil, ErrConnClosed
 	}
-	if err := c.delay(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	return c.sess.ExecuteTables(st.SQL, st.Tables, st.Args...)
@@ -438,9 +420,6 @@ type Options struct {
 	AcquireTimeout time.Duration
 	// Dialect selects the SQL dialect the source speaks.
 	Dialect sqlparser.Dialect
-	// Latency adds a per-operation delay on embedded connections,
-	// modelling the network round trip to a remote database.
-	Latency time.Duration
 }
 
 func (o *Options) withDefaults() Options {
@@ -455,7 +434,6 @@ func (o *Options) withDefaults() Options {
 		out.AcquireTimeout = o.AcquireTimeout
 	}
 	out.Dialect = o.Dialect
-	out.Latency = o.Latency
 	return out
 }
 
@@ -541,7 +519,7 @@ func NewEmbedded(engine *storage.Engine, opts *Options) *DataSource {
 	o := opts.withDefaults()
 	proc := sqlexec.NewProcessor(engine)
 	return NewDataSource(engine.Name(), func() (Conn, error) {
-		return &embeddedConn{sess: proc.NewSession(), latency: o.Latency}, nil
+		return &embeddedConn{sess: proc.NewSession()}, nil
 	}, &o)
 }
 

@@ -250,18 +250,6 @@ func TestPoolStats(t *testing.T) {
 	}
 }
 
-func TestLatencyOption(t *testing.T) {
-	e := storage.NewEngine("slow")
-	ds := NewEmbedded(e, &Options{Latency: 10 * time.Millisecond})
-	c, _ := ds.Acquire()
-	defer c.Release()
-	start := time.Now()
-	c.Exec(context.Background(), "CREATE TABLE t (id INT PRIMARY KEY)")
-	if time.Since(start) < 10*time.Millisecond {
-		t.Fatal("latency not applied")
-	}
-}
-
 // TestConnLeaseLifecycle: a lease ties a live cursor to its pooled
 // conn — Close closes the cursor first, then returns the conn, and a
 // second Close is a no-op (the pool gauge never goes negative).

@@ -142,8 +142,8 @@ func (l *registryLog) List() ([]LogRecord, error) {
 // durableLog models a write-ahead log with a physical sync cost: every
 // Write/Delete — batched or not — serializes on one "device" and pays
 // syncDelay once, the way a real XA log pays an fsync per decision-point
-// write. Benchmarks wrap the registry log in it so the group committer's
-// amortization (N records, one sync) is measurable against the
+// write. The group-commit test wraps the memory log in it so the group
+// committer's amortization (N records, one sync) shows against the
 // per-transaction path (N records, N syncs).
 type durableLog struct {
 	inner LogStore

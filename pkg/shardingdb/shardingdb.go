@@ -44,9 +44,6 @@ type DataSourceConfig struct {
 	Dialect string
 	// PoolSize bounds the connection pool (default 64).
 	PoolSize int
-	// Latency adds a simulated network round trip per operation on
-	// embedded engines; ignored for remote nodes (they have real ones).
-	Latency time.Duration
 }
 
 // Config assembles a DB.
@@ -89,7 +86,7 @@ func Open(cfg Config) (*DB, error) {
 		if dsc.Dialect == "postgresql" {
 			dialect = sqlparser.DialectPostgreSQL
 		}
-		opts := &resource.Options{PoolSize: dsc.PoolSize, Dialect: dialect, Latency: dsc.Latency}
+		opts := &resource.Options{PoolSize: dsc.PoolSize, Dialect: dialect}
 		if dsc.Addr != "" {
 			sources[dsc.Name] = client.NewRemoteDataSource(dsc.Name, dsc.Addr, opts)
 			continue
