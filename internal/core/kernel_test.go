@@ -506,59 +506,6 @@ func TestCartesianJoinEndToEnd(t *testing.T) {
 	}
 }
 
-func TestHintRoutingEndToEnd(t *testing.T) {
-	// A table with no sharding column in SQL routes by the session hint.
-	hintAlgo, err := sharding.NewHintInline(map[string]string{"algorithm-expression": "t_h_${value % 2}"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules := sharding.NewRuleSet()
-	rules.AddRule(&sharding.TableRule{
-		LogicTable: "t_h",
-		Auto:       true,
-		DataNodes: []sharding.DataNode{
-			{DataSource: "ds0", Table: "t_h_0"}, {DataSource: "ds1", Table: "t_h_1"},
-		},
-		AutoStrategy: &sharding.Strategy{Hint: hintAlgo},
-	})
-	sources := map[string]*resource.DataSource{}
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("ds%d", i)
-		sources[name] = resource.NewEmbedded(storage.NewEngine(name), nil)
-	}
-	k, err := New(Config{Rules: rules, Sources: sources})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := k.NewSession()
-	mustExec(t, s, "CREATE TABLE t_h (id INT PRIMARY KEY, v INT)")
-	one := sqltypes.NewInt(1)
-	s.SetHint(&one)
-	mustExec(t, s, "INSERT INTO t_h (id, v) VALUES (10, 1)")
-	// The row landed only on the hinted shard.
-	src, _ := k.Executor().Source("ds1")
-	conn, _ := src.Acquire()
-	rs, err := conn.Query(context.Background(), "SELECT COUNT(*) FROM t_h_1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := resource.ReadAll(rs)
-	conn.Release()
-	if rows[0][0].I != 1 {
-		t.Fatalf("hinted insert missed: %v", rows)
-	}
-	// Reads with the hint stay on one shard; clearing it broadcasts.
-	got := mustQuery(t, s, "SELECT COUNT(*) FROM t_h")
-	if got[0][0].I != 1 {
-		t.Fatalf("hinted read: %v", got)
-	}
-	s.SetHint(nil)
-	got = mustQuery(t, s, "SELECT COUNT(*) FROM t_h")
-	if got[0][0].I != 1 {
-		t.Fatalf("broadcast read: %v", got)
-	}
-}
-
 func TestKernelErrorPaths(t *testing.T) {
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()

@@ -102,7 +102,7 @@ func (s *Session) executePlan(p *plan, args []sqltypes.Value) (*Result, error) {
 // bind routes and rewrites a compiled statement for one set of argument
 // values: the units an execution sends.
 func (s *Session) bind(p *plan, args []sqltypes.Value) (*rewrite.Result, error) {
-	if err := p.route.RouteInto(&s.rt, args, s.hint); err != nil {
+	if err := p.route.RouteInto(&s.rt, args); err != nil {
 		return nil, err
 	}
 	s.tr.Mark(telemetry.StageRoute)

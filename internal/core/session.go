@@ -64,14 +64,12 @@ func (k *Kernel) NewSession() *Session {
 }
 
 // Session is one client's state: its open distributed transaction, its
-// transaction-type setting and its session variables (including the
-// sharding hint).
+// transaction-type setting and its session variables.
 type Session struct {
 	k      *Kernel
 	tx     transaction.Tx
 	txType transaction.Type
 	vars   map[string]sqltypes.Value
-	hint   *sqltypes.Value
 	// stmtTimeout bounds each statement's execution (SET VARIABLE
 	// statement_timeout_ms); 0 means unbounded.
 	stmtTimeout time.Duration
@@ -113,17 +111,6 @@ func (s *Session) TransactionType() transaction.Type { return s.txType }
 // SetTransactionType switches the transaction type for subsequent
 // transactions (DistSQL RAL: SET VARIABLE transaction_type = ...).
 func (s *Session) SetTransactionType(t transaction.Type) { s.txType = t }
-
-// SetHint sets the out-of-band sharding hint value; pass nil to clear.
-// The sharding_hint session variable follows it.
-func (s *Session) SetHint(v *sqltypes.Value) {
-	s.hint = v
-	if v == nil {
-		delete(s.vars, "sharding_hint")
-	} else {
-		s.vars["sharding_hint"] = *v
-	}
-}
 
 // Vars exposes the session variables.
 func (s *Session) Vars() map[string]sqltypes.Value { return s.vars }
@@ -580,7 +567,7 @@ func heldOf(tx transaction.Tx) *exec.HeldConns {
 	return tx.Held()
 }
 
-// executeSet applies SET name = value. It is the one place the three
+// executeSet applies SET name = value. It is the one place the two
 // session-scoped names are validated and applied: DistSQL's SET VARIABLE
 // hands them here as a SetStmt. Any other name is a plain session
 // variable.
@@ -593,14 +580,6 @@ func (s *Session) executeSet(t *sqlparser.SetStmt) (*Result, error) {
 			return nil, err
 		}
 		s.txType = typ
-	case "sharding_hint":
-		if t.Value.IsNull() {
-			s.SetHint(nil)
-		} else {
-			v := t.Value
-			s.SetHint(&v)
-		}
-		return &Result{}, nil
 	case "statement_timeout_ms":
 		ms, err := strconv.ParseInt(strings.TrimSpace(t.Value.AsString()), 10, 64)
 		if err != nil || ms < 0 {

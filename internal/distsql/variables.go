@@ -35,12 +35,6 @@ var variables = []variable{
 	{"statement_timeout_ms", setSessionVar, func(s *core.Session) string {
 		return strconv.FormatInt(s.StatementTimeout().Milliseconds(), 10)
 	}},
-	{"sharding_hint", setHint, func(s *core.Session) string {
-		if v, ok := s.Vars()["sharding_hint"]; ok {
-			return v.AsString()
-		}
-		return ""
-	}},
 
 	// Kernel scope.
 	{"slow_query_threshold_ms", intVar(0, func(k *core.Kernel, n int64) {
@@ -114,20 +108,8 @@ func (h *Handler) showVariable(sess *core.Session, name string) (*core.Result, e
 // setSessionVar hands the assignment to the kernel as SET name = 'value',
 // the one place session variables are validated and applied.
 func setSessionVar(_ *Handler, sess *core.Session, name, value string) error {
-	return setSession(sess, name, sqltypes.NewString(value))
-}
-
-func setSession(sess *core.Session, name string, v sqltypes.Value) error {
-	_, err := sess.ExecuteStmt(&sqlparser.SetStmt{Name: name, Value: v}, nil)
+	_, err := sess.ExecuteStmt(&sqlparser.SetStmt{Name: name, Value: sqltypes.NewString(value)}, nil)
 	return err
-}
-
-// setHint keeps an all-digit hint numeric for mod-style algorithms.
-func setHint(_ *Handler, sess *core.Session, name, value string) error {
-	if n, err := strconv.ParseUint(strings.TrimSpace(value), 10, 63); err == nil {
-		return setSession(sess, name, sqltypes.NewInt(int64(n)))
-	}
-	return setSession(sess, name, sqltypes.NewString(value))
 }
 
 // intVar is a kernel-scoped integer variable with a lower bound of 0 or 1.

@@ -131,7 +131,6 @@ func TestVariablesRoundTrip(t *testing.T) {
 	cases := map[string][2]string{ // name -> value set, value shown
 		"transaction_type":        {"'XA'", "XA"},
 		"statement_timeout_ms":    {"250", "250"},
-		"sharding_hint":           {"7", "7"},
 		"slow_query_threshold_ms": {"12", "12"},
 		"slow_query_log_size":     {"9", "9"},
 		"slow_query_raw_sql":      {"on", "true"},
@@ -172,7 +171,7 @@ func TestVariablesRoundTrip(t *testing.T) {
 	}
 }
 
-// SET name = v and SET VARIABLE name = v are one code path for the three
+// SET name = v and SET VARIABLE name = v are one code path for the two
 // session-scoped names: same validation, same effect, same read-back.
 func TestSessionVariablesHaveOnePath(t *testing.T) {
 	_, s, _ := fixture(t)
@@ -183,10 +182,6 @@ func TestSessionVariablesHaveOnePath(t *testing.T) {
 	exec(t, s, "SET VARIABLE statement_timeout_ms = 0")
 	if s.StatementTimeout() != 0 {
 		t.Fatalf("after SET VARIABLE: %v", s.StatementTimeout())
-	}
-	exec(t, s, "SET sharding_hint = 3")
-	if got := rows(t, exec(t, s, "SHOW VARIABLE sharding_hint")); got[0][0].S != "3" {
-		t.Fatalf("hint: %v", got)
 	}
 	for _, bad := range []string{
 		"SET statement_timeout_ms = -1", "SET VARIABLE statement_timeout_ms = -1",

@@ -232,7 +232,7 @@ func copyData(k *core.Kernel, job *Job, oldRule, newRule *sharding.TableRule) (i
 		batches := map[string][]sqltypes.Row{}
 		ix := newRule.NodeIndex()
 		for _, row := range rows {
-			nodes, err := ix.Route([]sharding.Condition{{Values: row[shardIdx : shardIdx+1]}}, nil, nil)
+			nodes, err := ix.Route([]sharding.Condition{{Values: row[shardIdx : shardIdx+1]}}, nil)
 			if err != nil {
 				return 0, err
 			}

@@ -72,7 +72,7 @@ func TestPersistAndLoadRules(t *testing.T) {
 		t.Fatalf("default ds: %q", loaded.DefaultDataSource)
 	}
 	// Routing still works on the reloaded rules (algorithm rebuilt).
-	nodes, err := rule.NodeIndex().Route([]sharding.Condition{{Values: []sqltypes.Value{sqltypes.NewInt(6)}}}, nil, nil)
+	nodes, err := rule.NodeIndex().Route([]sharding.Condition{{Values: []sqltypes.Value{sqltypes.NewInt(6)}}}, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].Table != "t_user_2" {
 		t.Fatalf("reloaded route: %v %v", nodes, err)
 	}
@@ -113,7 +113,7 @@ func TestLoadRulesKeepsPersistedNodes(t *testing.T) {
 	if len(rule.DataNodes) != 4 || rule.DataNodes[3] != (sharding.DataNode{DataSource: "ds1", Table: "t_g1_3"}) {
 		t.Fatalf("reloaded nodes: %v", rule.DataNodes)
 	}
-	nodes, err := rule.NodeIndex().Route([]sharding.Condition{{Values: []sqltypes.Value{sqltypes.NewInt(6)}}}, nil, nil)
+	nodes, err := rule.NodeIndex().Route([]sharding.Condition{{Values: []sqltypes.Value{sqltypes.NewInt(6)}}}, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].Table != "t_g1_2" {
 		t.Fatalf("reloaded route: %v %v", nodes, err)
 	}

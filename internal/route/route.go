@@ -159,13 +159,13 @@ func New(rules *atomic.Pointer[sharding.RuleSet], allDataSources []string) *Rout
 }
 
 // Route maps a statement to its units: the statement is compiled into its
-// route skeleton and the arguments are bound to it. hint optionally carries
-// an out-of-band sharding value for hint-based strategies. A caller that
-// routes one statement many times keeps the skeleton (BuildSkeleton) and
-// only binds.
-func (r *Router) Route(stmt sqlparser.Statement, args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
+// route skeleton and the arguments are bound to it. A caller that routes
+// one statement many times keeps the skeleton (BuildSkeleton) and only
+// binds. The last parameter is unused; it stays until the benchmark's
+// callers, which pass nil, stop passing it.
+func (r *Router) Route(stmt sqlparser.Statement, args []sqltypes.Value, _ *sqltypes.Value) (*Result, error) {
 	sk, _ := r.BuildSkeleton(stmt)
-	return sk.Route(args, hint)
+	return sk.Route(args, nil)
 }
 
 // everySource is the route of a broadcast table's DML and DDL.

@@ -382,33 +382,6 @@ func TestRangeConditionTightening(t *testing.T) {
 	}
 }
 
-func TestHintRoute(t *testing.T) {
-	hintAlgo, err := sharding.NewHintInline(map[string]string{"algorithm-expression": "t_h_${value % 2}"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := sharding.NewRuleSet()
-	rs.AddRule(&sharding.TableRule{
-		LogicTable: "t_h",
-		Auto:       true,
-		DataNodes: []sharding.DataNode{
-			{DataSource: "ds0", Table: "t_h_0"}, {DataSource: "ds1", Table: "t_h_1"},
-		},
-		AutoStrategy: &sharding.Strategy{Hint: hintAlgo},
-	})
-	r := newRouter(rs, []string{"ds0", "ds1"})
-	hint := sqltypes.NewInt(3)
-	res, err := r.Route(parse(t, "SELECT * FROM t_h"), nil, &hint)
-	if err != nil || len(res.Units) != 1 || res.Units[0].TableMap["t_h"] != "t_h_1" {
-		t.Fatalf("hint route: %+v %v", res, err)
-	}
-	// Without a hint: broadcast.
-	res, _ = r.Route(parse(t, "SELECT * FROM t_h"), nil, nil)
-	if len(res.Units) != 2 {
-		t.Fatalf("hintless route: %+v", res)
-	}
-}
-
 func TestDataSourcesHelper(t *testing.T) {
 	r := fixture(t, true)
 	res := routeSQL(t, r, "SELECT * FROM t_user")
@@ -558,22 +531,36 @@ func TestCompileOnceBindTwice(t *testing.T) {
 
 // TestSkeletonCarriesItsRefusal: a statement that cannot be routed still
 // compiles; binding it reports why.
+// An identity update of the sharding key (SET uid = uid) keeps every row
+// on its shard, so it compiles.
 func TestSkeletonCarriesItsRefusal(t *testing.T) {
 	r := fixture(t, true)
-	for sql, want := range map[string]error{
-		"UPDATE t_user SET uid = ? WHERE uid = ?": ErrUpdateSharding,
-		"BEGIN": nil,
+	anyErr := errors.New("any error")
+	for sql, want := range map[string]error{ // nil: compiles and binds
+		"UPDATE t_user SET uid = ? WHERE uid = ?":       ErrUpdateSharding,
+		"UPDATE t_user u SET uid = name WHERE uid = 1":  ErrUpdateSharding,
+		"UPDATE t_user u SET uid = o.uid WHERE uid = 1": ErrUpdateSharding,
+		"BEGIN": anyErr,
+		"UPDATE t_user SET uid = uid WHERE uid = 1":        nil,
+		"UPDATE t_user SET uid = T_USER.uid WHERE uid = 1": nil,
+		"UPDATE t_user u SET uid = U.uid WHERE u.uid = 1":  nil,
 	} {
 		sk, ok := r.BuildSkeleton(parse(t, sql))
+		_, err := sk.Route(nil, nil)
+		if want == nil {
+			if !ok || err != nil {
+				t.Errorf("%q: routable %v, bind error %v; want a route", sql, ok, err)
+			}
+			continue
+		}
 		if ok {
 			t.Errorf("BuildSkeleton(%q) reported a routable statement", sql)
 		}
-		if _, err := sk.Route(nil, nil); err == nil || (want != nil && !errors.Is(err, want)) {
+		if err == nil || (want != anyErr && !errors.Is(err, want)) {
 			t.Errorf("%q: bind error %v, want %v", sql, err, want)
 		}
 	}
-	// A row without the sharding key is refused at bind time, where the
-	// hint that could stand in for it is known.
+	// A row without the sharding key is refused at bind time.
 	sk, _ := r.BuildSkeleton(parse(t, "INSERT INTO t_user (name) VALUES (?)"))
 	if _, err := sk.Route([]sqltypes.Value{sqltypes.NewString("a")}, nil); !errors.Is(err, ErrNoShardingValue) {
 		t.Errorf("keyless INSERT: %v", err)

@@ -87,7 +87,7 @@ func (r *Router) Compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (*Sk
 		if rule := s.dml(t.Table, t.Alias, t.Where); rule != nil {
 			for _, a := range t.Set {
 				for _, col := range rule.NodeIndex().Columns() {
-					if strings.EqualFold(a.Column, col) {
+					if strings.EqualFold(a.Column, col) && !identity(a.Value, col, t.Table, t.Alias) {
 						s.err = fmt.Errorf("%w: %s.%s", ErrUpdateSharding, t.Table, col)
 					}
 				}
@@ -112,6 +112,15 @@ func (r *Router) Compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (*Sk
 		s.err = fmt.Errorf("route: statement %T is not routable", stmt)
 	}
 	return s, s.err == nil
+}
+
+// identity reports whether e names column col of the updated table,
+// unqualified or qualified by the table or its alias: SET col = col keeps
+// the row on its shard.
+func identity(e sqlparser.Expr, col, table, alias string) bool {
+	ref, ok := e.(*sqlparser.ColumnRef)
+	return ok && strings.EqualFold(ref.Name, col) &&
+		(ref.Table == "" || strings.EqualFold(ref.Table, table) || alias != "" && strings.EqualFold(ref.Table, alias))
 }
 
 // dml compiles a single-table statement routed by its WHERE clause and
@@ -197,11 +206,12 @@ func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt) error {
 	return nil
 }
 
-// Route binds argument values (and the optional out-of-band sharding
-// hint) to the skeleton and computes the statement's units.
-func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, error) {
+// Route binds argument values to the skeleton and computes the
+// statement's units. The last parameter is unused; it stays until the
+// benchmark's callers, which pass nil, stop passing it.
+func (s *Skeleton) Route(args []sqltypes.Value, _ *sqltypes.Value) (*Result, error) {
 	res := new(Result)
-	if err := s.RouteInto(res, args, hint); err != nil {
+	if err := s.RouteInto(res, args); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -210,7 +220,7 @@ func (s *Skeleton) Route(args []sqltypes.Value, hint *sqltypes.Value) (*Result, 
 // RouteInto is Route writing the units into res, which the caller owns: a
 // caller that is done with one route's units before it binds the next
 // routes every statement into one Result.
-func (s *Skeleton) RouteInto(res *Result, args []sqltypes.Value, hint *sqltypes.Value) error {
+func (s *Skeleton) RouteInto(res *Result, args []sqltypes.Value) error {
 	switch {
 	case s.err != nil:
 		return s.err
@@ -224,11 +234,11 @@ func (s *Skeleton) RouteInto(res *Result, args []sqltypes.Value, hint *sqltypes.
 		unitsFromNodes(res, t.ix, t.rule.DataNodes, KindBroadcast)
 		return nil
 	case s.keys != nil:
-		return s.routeRows(res, args, hint)
+		return s.routeRows(res, args)
 	}
 	primary := &s.tables[0]
 	var buf [4]sharding.DataNode
-	nodes, err := s.nodesOf(0, args, hint, buf[:0])
+	nodes, err := s.nodesOf(0, args, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -241,7 +251,7 @@ func (s *Skeleton) RouteInto(res *Result, args []sqltypes.Value, hint *sqltypes.
 			kind = KindBroadcast
 		}
 		unitsFromNodes(res, primary.ix, nodes, kind)
-	} else if err = s.join(res, nodes, args, hint); err != nil {
+	} else if err = s.join(res, nodes, args); err != nil {
 		return err
 	}
 	if s.nullable && !s.colocated && len(res.Units) > 1 {
@@ -263,7 +273,7 @@ func (s *Skeleton) defaultRoute(res *Result) error {
 // nodesOf routes one of the statement's tables by its own conditions,
 // bound on the stack for a rule of up to two sharding columns, and appends
 // its nodes to dst.
-func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value, dst []sharding.DataNode) ([]sharding.DataNode, error) {
+func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, dst []sharding.DataNode) ([]sharding.DataNode, error) {
 	t := &s.tables[i]
 	cols := t.ix.Columns()
 	var buf [2]sharding.Condition
@@ -273,7 +283,7 @@ func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value, d
 	}
 	bindConds(t.slots, args, conds)
 	s.r.noteKeys(t.rule.LogicTable, cols, conds)
-	return t.ix.Route(conds, hint, dst)
+	return t.ix.Route(conds, dst)
 }
 
 // join routes a statement over several sharded tables (paper Section
@@ -283,13 +293,13 @@ func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, hint *sqltypes.Value, d
 // data source with one actual table per logic table, so a combination
 // that spans sources, or that needs two actual tables of one logic table,
 // refuses the route.
-func (s *Skeleton) join(res *Result, nodes []sharding.DataNode, args []sqltypes.Value, hint *sqltypes.Value) error {
+func (s *Skeleton) join(res *Result, nodes []sharding.DataNode, args []sqltypes.Value) error {
 	res.reset(KindBinding, 0)
 	picks := make([][]sharding.DataNode, len(s.tables))
 	for i := 1; i < len(s.tables) && !s.colocated; i++ {
 		res.Kind = KindCartesian
 		var err error
-		if picks[i], err = s.nodesOf(i, args, hint, nil); err != nil {
+		if picks[i], err = s.nodesOf(i, args, nil); err != nil {
 			return err
 		}
 	}
@@ -325,7 +335,7 @@ func (s *Skeleton) join(res *Result, nodes []sharding.DataNode, args []sqltypes.
 
 // routeRows routes an INSERT row by row; each unit receives the rows that
 // map to its node, in statement order.
-func (s *Skeleton) routeRows(res *Result, args []sqltypes.Value, hint *sqltypes.Value) error {
+func (s *Skeleton) routeRows(res *Result, args []sqltypes.Value) error {
 	t := &s.tables[0]
 	rule, cols := t.rule, t.ix.Columns()
 	env := evalEnv{args: args}
@@ -335,12 +345,8 @@ func (s *Skeleton) routeRows(res *Result, args []sqltypes.Value, hint *sqltypes.
 	var buf [1]sharding.DataNode
 	for rowIdx, keys := range s.keys {
 		for j, col := range cols {
-			conds[j] = sharding.Condition{}
 			if keys[j] == nil {
-				if hint == nil {
-					return fmt.Errorf("%w: table %s needs column %s", ErrNoShardingValue, rule.LogicTable, col)
-				}
-				continue
+				return fmt.Errorf("%w: table %s needs column %s", ErrNoShardingValue, rule.LogicTable, col)
 			}
 			v, err := env.one(keys[j])
 			if err != nil {
@@ -349,7 +355,7 @@ func (s *Skeleton) routeRows(res *Result, args []sqltypes.Value, hint *sqltypes.
 			conds[j] = sharding.Condition{Values: v}
 		}
 		s.r.noteKeys(rule.LogicTable, cols, conds)
-		nodes, err := t.ix.Route(conds, hint, buf[:0])
+		nodes, err := t.ix.Route(conds, buf[:0])
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,6 @@ package sharding
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"shardingsphere/internal/sqltypes"
@@ -30,23 +29,9 @@ type Algorithm interface {
 	// Init configures the algorithm from its properties.
 	Init(props map[string]string) error
 	// Precise returns the single target for one sharding value.
-	Precise(targets []string, column string, v sqltypes.Value) (string, error)
+	Precise(targets []string, v sqltypes.Value) (string, error)
 	// DoRange returns every target that may hold values in [lo, hi].
-	DoRange(targets []string, column string, lo, hi *sqltypes.Value) ([]string, error)
-}
-
-// ComplexAlgorithm shards on multiple columns at once (the paper's
-// multi-field sharding key).
-type ComplexAlgorithm interface {
-	Init(props map[string]string) error
-	// DoSharding receives every available sharding-column value.
-	DoSharding(targets []string, values map[string]sqltypes.Value) ([]string, error)
-}
-
-// HintAlgorithm shards on a value supplied out of band (not from SQL).
-type HintAlgorithm interface {
-	Init(props map[string]string) error
-	DoHint(targets []string, hint sqltypes.Value) ([]string, error)
+	DoRange(targets []string, lo, hi *sqltypes.Value) ([]string, error)
 }
 
 // Factory builds an algorithm instance.
@@ -79,18 +64,6 @@ func New(name string, props map[string]string) (Algorithm, error) {
 		return nil, err
 	}
 	return a, nil
-}
-
-// Names lists the registered algorithm type names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func normalize(s string) string {

@@ -5,25 +5,22 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
 
-// The ten preset algorithms the paper references ([43]): MOD, HASH_MOD,
-// VOLUME_RANGE, BOUNDARY_RANGE, AUTO_INTERVAL, INLINE, INTERVAL,
-// COMPLEX_INLINE, HINT_INLINE and CLASS_BASED.
+// The six preset algorithms: MOD, HASH_MOD, VOLUME_RANGE, BOUNDARY_RANGE,
+// INLINE and INTERVAL. Each shards on one column; user code adds its own
+// through Register.
 func init() {
 	Register("MOD", func() Algorithm { return &modAlgorithm{} })
 	Register("HASH_MOD", func() Algorithm { return &hashModAlgorithm{} })
 	Register("VOLUME_RANGE", func() Algorithm { return &volumeRangeAlgorithm{} })
 	Register("BOUNDARY_RANGE", func() Algorithm { return &boundaryRangeAlgorithm{} })
-	Register("AUTO_INTERVAL", func() Algorithm { return &autoIntervalAlgorithm{} })
 	Register("INLINE", func() Algorithm { return &inlineAlgorithm{} })
 	Register("INTERVAL", func() Algorithm { return &intervalAlgorithm{} })
-	Register("CLASS_BASED", func() Algorithm { return &classBasedAlgorithm{} })
 }
 
 func propInt(props map[string]string, key string) (int64, error) {
@@ -69,19 +66,19 @@ func (a *modAlgorithm) index(targets []string, idx int64) (string, error) {
 	return targets[idx], nil
 }
 
-func (a *modAlgorithm) Precise(targets []string, _ string, v sqltypes.Value) (string, error) {
+func (a *modAlgorithm) Precise(targets []string, v sqltypes.Value) (string, error) {
 	idx := ((v.AsInt() % a.count) + a.count) % a.count
 	return a.index(targets, idx)
 }
 
-func (a *modAlgorithm) DoRange(targets []string, _ string, lo, hi *sqltypes.Value) ([]string, error) {
+func (a *modAlgorithm) DoRange(targets []string, lo, hi *sqltypes.Value) ([]string, error) {
 	if lo != nil && hi != nil {
 		span := hi.AsInt() - lo.AsInt() // may wrap; then it is not below count-1
 		if span >= 0 && span < a.count-1 {
 			out := make([]string, 0, span+1)
 			seen := map[string]bool{}
 			for i := int64(0); i <= span; i++ {
-				t, err := a.Precise(targets, "", sqltypes.NewInt(lo.AsInt()+i))
+				t, err := a.Precise(targets, sqltypes.NewInt(lo.AsInt()+i))
 				if err != nil {
 					return nil, err
 				}
@@ -124,7 +121,7 @@ func hashValue(v sqltypes.Value) int64 {
 	return int64(h.Sum64() & 0x7fffffffffffffff)
 }
 
-func (a *hashModAlgorithm) Precise(targets []string, _ string, v sqltypes.Value) (string, error) {
+func (a *hashModAlgorithm) Precise(targets []string, v sqltypes.Value) (string, error) {
 	idx := hashValue(v) % a.count
 	if int(a.count) != len(targets) {
 		if len(targets) == 0 {
@@ -135,7 +132,7 @@ func (a *hashModAlgorithm) Precise(targets []string, _ string, v sqltypes.Value)
 	return targets[idx], nil
 }
 
-func (a *hashModAlgorithm) DoRange(targets []string, _ string, _, _ *sqltypes.Value) ([]string, error) {
+func (a *hashModAlgorithm) DoRange(targets []string, _, _ *sqltypes.Value) ([]string, error) {
 	// Hashes do not preserve order: a range can land anywhere.
 	return targets, nil
 }
@@ -178,7 +175,7 @@ func (a *volumeRangeAlgorithm) bucketIndex(v int64) int64 {
 	}
 }
 
-func (a *volumeRangeAlgorithm) Precise(targets []string, _ string, v sqltypes.Value) (string, error) {
+func (a *volumeRangeAlgorithm) Precise(targets []string, v sqltypes.Value) (string, error) {
 	idx := a.bucketIndex(v.AsInt())
 	if idx >= int64(len(targets)) {
 		return "", fmt.Errorf("%w: bucket %d of %d targets", ErrNoTarget, idx, len(targets))
@@ -186,7 +183,7 @@ func (a *volumeRangeAlgorithm) Precise(targets []string, _ string, v sqltypes.Va
 	return targets[idx], nil
 }
 
-func (a *volumeRangeAlgorithm) DoRange(targets []string, _ string, lo, hi *sqltypes.Value) ([]string, error) {
+func (a *volumeRangeAlgorithm) DoRange(targets []string, lo, hi *sqltypes.Value) ([]string, error) {
 	loIdx := int64(0)
 	hiIdx := int64(len(targets) - 1)
 	if lo != nil {
@@ -249,7 +246,7 @@ func (a *boundaryRangeAlgorithm) bucketIndex(v int64) int64 {
 	return idx
 }
 
-func (a *boundaryRangeAlgorithm) Precise(targets []string, _ string, v sqltypes.Value) (string, error) {
+func (a *boundaryRangeAlgorithm) Precise(targets []string, v sqltypes.Value) (string, error) {
 	idx := a.bucketIndex(v.AsInt())
 	if idx >= int64(len(targets)) {
 		return "", fmt.Errorf("%w: bucket %d of %d targets", ErrNoTarget, idx, len(targets))
@@ -257,7 +254,7 @@ func (a *boundaryRangeAlgorithm) Precise(targets []string, _ string, v sqltypes.
 	return targets[idx], nil
 }
 
-func (a *boundaryRangeAlgorithm) DoRange(targets []string, _ string, lo, hi *sqltypes.Value) ([]string, error) {
+func (a *boundaryRangeAlgorithm) DoRange(targets []string, lo, hi *sqltypes.Value) ([]string, error) {
 	loIdx := int64(0)
 	hiIdx := int64(len(targets) - 1)
 	if lo != nil {
@@ -265,101 +262,6 @@ func (a *boundaryRangeAlgorithm) DoRange(targets []string, _ string, lo, hi *sql
 	}
 	if hi != nil {
 		hiIdx = a.bucketIndex(hi.AsInt())
-	}
-	if hiIdx >= int64(len(targets)) {
-		hiIdx = int64(len(targets) - 1)
-	}
-	var out []string
-	for i := loIdx; i <= hiIdx && i < int64(len(targets)); i++ {
-		out = append(out, targets[i])
-	}
-	if len(out) == 0 {
-		return nil, ErrNoTarget
-	}
-	return out, nil
-}
-
-// --- AUTO_INTERVAL ---
-
-const timeLayout = "2006-01-02 15:04:05"
-
-// autoIntervalAlgorithm buckets timestamps into fixed-duration shards:
-// datetime-lower, datetime-upper ("2021-01-01 00:00:00"), sharding-seconds.
-type autoIntervalAlgorithm struct {
-	lower, upper time.Time
-	seconds      int64
-}
-
-func parseTimeValue(v sqltypes.Value) (time.Time, error) {
-	if v.Kind == sqltypes.KindInt {
-		return time.Unix(v.I, 0).UTC(), nil
-	}
-	t, err := time.Parse(timeLayout, v.AsString())
-	if err != nil {
-		return time.Time{}, fmt.Errorf("sharding: bad datetime %q", v.AsString())
-	}
-	return t, nil
-}
-
-func (a *autoIntervalAlgorithm) Init(props map[string]string) error {
-	lo, ok := props["datetime-lower"]
-	if !ok {
-		return fmt.Errorf("%w: missing %q", ErrBadProperty, "datetime-lower")
-	}
-	hi, ok := props["datetime-upper"]
-	if !ok {
-		return fmt.Errorf("%w: missing %q", ErrBadProperty, "datetime-upper")
-	}
-	var err error
-	if a.lower, err = time.Parse(timeLayout, lo); err != nil {
-		return fmt.Errorf("%w: datetime-lower=%q", ErrBadProperty, lo)
-	}
-	if a.upper, err = time.Parse(timeLayout, hi); err != nil {
-		return fmt.Errorf("%w: datetime-upper=%q", ErrBadProperty, hi)
-	}
-	if a.seconds, err = propInt(props, "sharding-seconds"); err != nil {
-		return err
-	}
-	if a.seconds <= 0 {
-		return fmt.Errorf("%w: sharding-seconds must be positive", ErrBadProperty)
-	}
-	return nil
-}
-
-func (a *autoIntervalAlgorithm) index(t time.Time) int64 {
-	if t.Before(a.lower) {
-		return 0
-	}
-	return (t.Unix()-a.lower.Unix())/a.seconds + 1
-}
-
-func (a *autoIntervalAlgorithm) Precise(targets []string, _ string, v sqltypes.Value) (string, error) {
-	t, err := parseTimeValue(v)
-	if err != nil {
-		return "", err
-	}
-	idx := a.index(t)
-	if idx >= int64(len(targets)) {
-		idx = int64(len(targets) - 1)
-	}
-	return targets[idx], nil
-}
-
-func (a *autoIntervalAlgorithm) DoRange(targets []string, _ string, lo, hi *sqltypes.Value) ([]string, error) {
-	loIdx, hiIdx := int64(0), int64(len(targets)-1)
-	if lo != nil {
-		t, err := parseTimeValue(*lo)
-		if err != nil {
-			return nil, err
-		}
-		loIdx = a.index(t)
-	}
-	if hi != nil {
-		t, err := parseTimeValue(*hi)
-		if err != nil {
-			return nil, err
-		}
-		hiIdx = a.index(t)
 	}
 	if hiIdx >= int64(len(targets)) {
 		hiIdx = int64(len(targets) - 1)
@@ -417,7 +319,7 @@ func (a *inlineAlgorithm) Init(props map[string]string) error {
 	return nil
 }
 
-func (a *inlineAlgorithm) Precise(targets []string, column string, v sqltypes.Value) (string, error) {
+func (a *inlineAlgorithm) Precise(targets []string, v sqltypes.Value) (string, error) {
 	val, err := evalInline(a.expr, a.column, v)
 	if err != nil {
 		return "", err
@@ -431,7 +333,7 @@ func (a *inlineAlgorithm) Precise(targets []string, column string, v sqltypes.Va
 	return "", fmt.Errorf("%w: inline result %q not among targets", ErrNoTarget, name)
 }
 
-func (a *inlineAlgorithm) DoRange(targets []string, _ string, _, _ *sqltypes.Value) ([]string, error) {
+func (a *inlineAlgorithm) DoRange(targets []string, _, _ *sqltypes.Value) ([]string, error) {
 	if !a.allowRange {
 		return nil, fmt.Errorf("sharding: inline algorithm forbids range queries (set allow-range-query-with-inline-sharding=true)")
 	}
@@ -493,6 +395,21 @@ type intervalAlgorithm struct {
 	amount        int64
 }
 
+const timeLayout = "2006-01-02 15:04:05"
+
+// parseTimeValue reads a datetime sharding value: an integer is Unix
+// seconds, anything else text in timeLayout.
+func parseTimeValue(v sqltypes.Value) (time.Time, error) {
+	if v.Kind == sqltypes.KindInt {
+		return time.Unix(v.I, 0).UTC(), nil
+	}
+	t, err := time.Parse(timeLayout, v.AsString())
+	if err != nil {
+		return time.Time{}, fmt.Errorf("sharding: bad datetime %q", v.AsString())
+	}
+	return t, nil
+}
+
 func (a *intervalAlgorithm) Init(props map[string]string) error {
 	lo, ok := props["datetime-lower"]
 	if !ok {
@@ -546,7 +463,7 @@ func (a *intervalAlgorithm) periodStart(t time.Time) time.Time {
 	}
 }
 
-func (a *intervalAlgorithm) Precise(targets []string, _ string, v sqltypes.Value) (string, error) {
+func (a *intervalAlgorithm) Precise(targets []string, v sqltypes.Value) (string, error) {
 	t, err := parseTimeValue(v)
 	if err != nil {
 		return "", err
@@ -563,7 +480,7 @@ func (a *intervalAlgorithm) Precise(targets []string, _ string, v sqltypes.Value
 	return "", fmt.Errorf("%w: no target with suffix %s", ErrNoTarget, suffix)
 }
 
-func (a *intervalAlgorithm) DoRange(targets []string, _ string, lo, hi *sqltypes.Value) ([]string, error) {
+func (a *intervalAlgorithm) DoRange(targets []string, lo, hi *sqltypes.Value) ([]string, error) {
 	loT := a.lower
 	if lo != nil {
 		t, err := parseTimeValue(*lo)
@@ -603,196 +520,4 @@ func (a *intervalAlgorithm) DoRange(targets []string, _ string, lo, hi *sqltypes
 		return nil, ErrNoTarget
 	}
 	return out, nil
-}
-
-// --- CLASS_BASED (custom function) ---
-
-// classBasedAlgorithm delegates to a user-registered Go function, the
-// analogue of ShardingSphere's CLASS_BASED strategy loading a user class.
-// Users register functions with RegisterClassBased and reference them via
-// the "strategy" property.
-type classBasedAlgorithm struct {
-	impl Algorithm
-}
-
-var (
-	classMu    sync.RWMutex
-	classImpls = map[string]Factory{}
-)
-
-// RegisterClassBased registers a named custom algorithm implementation.
-func RegisterClassBased(name string, f Factory) {
-	classMu.Lock()
-	defer classMu.Unlock()
-	classImpls[normalize(name)] = f
-}
-
-func (a *classBasedAlgorithm) Init(props map[string]string) error {
-	name, ok := props["strategy"]
-	if !ok {
-		return fmt.Errorf("%w: CLASS_BASED needs %q", ErrBadProperty, "strategy")
-	}
-	classMu.RLock()
-	f, ok := classImpls[normalize(name)]
-	classMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: class-based strategy %q not registered", ErrUnknownAlgorithm, name)
-	}
-	a.impl = f()
-	return a.impl.Init(props)
-}
-
-func (a *classBasedAlgorithm) Precise(targets []string, column string, v sqltypes.Value) (string, error) {
-	return a.impl.Precise(targets, column, v)
-}
-
-func (a *classBasedAlgorithm) DoRange(targets []string, column string, lo, hi *sqltypes.Value) ([]string, error) {
-	return a.impl.DoRange(targets, column, lo, hi)
-}
-
-// --- COMPLEX_INLINE ---
-
-// ComplexInline shards on several columns with an inline expression over
-// all of them, e.g. "t_order_${(uid + oid) % 4}".
-type ComplexInline struct {
-	prefix, suffix string
-	expr           sqlparser.Expr
-	columns        []string
-}
-
-// NewComplexInline builds a complex inline algorithm from the expression.
-func NewComplexInline(props map[string]string) (*ComplexInline, error) {
-	a := &ComplexInline{}
-	if err := a.Init(props); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Init implements ComplexAlgorithm.
-func (a *ComplexInline) Init(props map[string]string) error {
-	tpl, ok := props["algorithm-expression"]
-	if !ok {
-		return fmt.Errorf("%w: missing %q", ErrBadProperty, "algorithm-expression")
-	}
-	start := strings.Index(tpl, "${")
-	end := strings.LastIndex(tpl, "}")
-	if start < 0 || end < start {
-		return fmt.Errorf("%w: algorithm-expression needs ${...}: %q", ErrBadProperty, tpl)
-	}
-	a.prefix = tpl[:start]
-	a.suffix = tpl[end+1:]
-	stmt, err := sqlparser.Parse("SELECT " + tpl[start+2:end])
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadProperty, err)
-	}
-	a.expr = stmt.(*sqlparser.SelectStmt).Items[0].Expr
-	sqlparser.WalkExpr(a.expr, func(e sqlparser.Expr) bool {
-		if c, ok := e.(*sqlparser.ColumnRef); ok {
-			a.columns = append(a.columns, c.Name)
-		}
-		return true
-	})
-	return nil
-}
-
-// Columns lists the sharding columns the expression references.
-func (a *ComplexInline) Columns() []string { return a.columns }
-
-// DoSharding implements ComplexAlgorithm.
-func (a *ComplexInline) DoSharding(targets []string, values map[string]sqltypes.Value) ([]string, error) {
-	// All referenced columns must be present; otherwise every target may
-	// match.
-	for _, c := range a.columns {
-		if _, ok := values[strings.ToLower(c)]; !ok {
-			return targets, nil
-		}
-	}
-	v, err := evalInlineMulti(a.expr, values)
-	if err != nil {
-		return nil, err
-	}
-	name := a.prefix + v.AsString() + a.suffix
-	for _, t := range targets {
-		if t == name {
-			return []string{t}, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: complex inline result %q", ErrNoTarget, name)
-}
-
-func evalInlineMulti(e sqlparser.Expr, values map[string]sqltypes.Value) (sqltypes.Value, error) {
-	switch t := e.(type) {
-	case *sqlparser.Literal:
-		return t.Val, nil
-	case *sqlparser.ColumnRef:
-		if v, ok := values[strings.ToLower(t.Name)]; ok {
-			return v, nil
-		}
-		return sqltypes.Null, fmt.Errorf("sharding: missing value for column %q", t.Name)
-	case *sqlparser.BinaryExpr:
-		l, err := evalInlineMulti(t.L, values)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		r, err := evalInlineMulti(t.R, values)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		switch t.Op {
-		case sqlparser.OpAdd:
-			return sqltypes.Add(l, r), nil
-		case sqlparser.OpSub:
-			return sqltypes.Sub(l, r), nil
-		case sqlparser.OpMul:
-			return sqltypes.Mul(l, r), nil
-		case sqlparser.OpDiv:
-			if r.AsInt() == 0 {
-				return sqltypes.Null, fmt.Errorf("sharding: division by zero")
-			}
-			return sqltypes.NewInt(l.AsInt() / r.AsInt()), nil
-		case sqlparser.OpMod:
-			return sqltypes.Mod(l, r), nil
-		}
-	}
-	return sqltypes.Null, fmt.Errorf("sharding: unsupported complex inline node %T", e)
-}
-
-// --- HINT_INLINE ---
-
-// HintInline routes on an out-of-band hint value: the SQL carries no
-// sharding key and the application sets the hint on its session.
-type HintInline struct {
-	inline inlineAlgorithm
-}
-
-// NewHintInline builds a hint algorithm; the expression references the
-// pseudo-column "value".
-func NewHintInline(props map[string]string) (*HintInline, error) {
-	a := &HintInline{}
-	if err := a.Init(props); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Init implements HintAlgorithm.
-func (a *HintInline) Init(props map[string]string) error {
-	p := map[string]string{}
-	for k, v := range props {
-		p[k] = v
-	}
-	if _, ok := p["algorithm-expression"]; !ok {
-		p["algorithm-expression"] = "${value}"
-	}
-	return a.inline.Init(p)
-}
-
-// DoHint implements HintAlgorithm.
-func (a *HintInline) DoHint(targets []string, hint sqltypes.Value) ([]string, error) {
-	t, err := a.inline.Precise(targets, a.inline.column, hint)
-	if err != nil {
-		return nil, err
-	}
-	return []string{t}, nil
 }

@@ -34,16 +34,10 @@ type Condition struct {
 // Present reports whether the condition constrains its column.
 func (c Condition) Present() bool { return c.Ranged || c.Values != nil }
 
-// Strategy pairs sharding columns with an algorithm.
+// Strategy pairs a sharding column with an algorithm.
 type Strategy struct {
 	Column    string
 	Algorithm Algorithm
-	// Complex, when set, shards on multiple columns and overrides
-	// Column/Algorithm.
-	Complex        ComplexAlgorithm
-	ComplexColumns []string
-	// Hint, when set, shards on an out-of-band hint value.
-	Hint HintAlgorithm
 }
 
 // TableRule is the sharding configuration of one logic table.
@@ -78,7 +72,7 @@ type TableRule struct {
 // NodeIndex is what routing derives from a rule and would otherwise
 // rebuild per statement: the actual-table list, the node and table
 // lookups, one logic→actual table map per data node, the sharding columns
-// and where each strategy's columns sit among them. It is shared and
+// and where each strategy's column sits among them. It is shared and
 // read-only; a route skeleton resolves it at compile and holds it until
 // the next rule publication.
 type NodeIndex struct {
@@ -90,7 +84,7 @@ type NodeIndex struct {
 	sources  []string            // distinct data sources, in order
 	tablesIn map[string][]string // each source's actual tables, in order
 	cols     []string            // distinct sharding columns, lower-cased
-	at       [2][]int            // column positions of the auto or database strategy, then of the table strategy
+	at       [2]int              // column position of the auto or database strategy, then of the table strategy; -1 for none
 }
 
 // NodeIndex returns the rule's node index, built on first use.
@@ -127,27 +121,19 @@ func (r *TableRule) NodeIndex() *NodeIndex {
 	return ix
 }
 
-// place adds s's columns to the index's, each once, and returns their
-// positions.
-func (ix *NodeIndex) place(s *Strategy) []int {
-	var names []string
-	switch {
-	case s == nil:
-	case s.Complex != nil:
-		names = s.ComplexColumns
-	case s.Column != "":
-		names = []string{s.Column}
+// place adds s's column to the index's, once, and returns its position,
+// or -1 when s has no column.
+func (ix *NodeIndex) place(s *Strategy) int {
+	if s == nil || s.Column == "" {
+		return -1
 	}
-	var at []int
-	for _, name := range names {
-		i := slices.Index(ix.cols, strings.ToLower(name))
-		if i < 0 {
-			i = len(ix.cols)
-			ix.cols = append(ix.cols, strings.ToLower(name))
-		}
-		at = append(at, i)
+	name := strings.ToLower(s.Column)
+	i := slices.Index(ix.cols, name)
+	if i < 0 {
+		i = len(ix.cols)
+		ix.cols = append(ix.cols, name)
 	}
-	return at
+	return i
 }
 
 // Of returns the node's logic→actual table map. The map is shared and
@@ -176,47 +162,19 @@ func (ix *NodeIndex) Columns() []string { return ix.cols }
 // ErrNoRule reports a table with no sharding rule.
 var ErrNoRule = errors.New("sharding: no rule for table")
 
-// condAt is the condition on the column at position at; conds may stop
-// short of the rule's columns.
-func condAt(conds []Condition, at int) Condition {
-	if at < len(conds) {
-		return conds[at]
-	}
-	return Condition{}
-}
-
 // applyStrategy routes a strategy over targets given the conditions on the
-// rule's sharding columns, at holding the strategy's column positions. A
-// column without a condition matches every target. Exact values' picks
-// are appended to dst. A range that no target holds takes the first
-// target: no row lies in it, and one scan finds that out.
-func applyStrategy(s *Strategy, at []int, targets []string, conds []Condition, hint *sqltypes.Value, dst []string) ([]string, error) {
-	if s == nil {
+// rule's sharding columns, at holding the strategy's column position (-1
+// for a nil strategy or one without a column); conds may stop short of the
+// rule's columns. A column without a condition matches every target. Exact
+// values' picks are appended to dst. A range that no target holds takes
+// the first target: no row lies in it, and one scan finds that out.
+func applyStrategy(s *Strategy, at int, targets []string, conds []Condition, dst []string) ([]string, error) {
+	if at < 0 || at >= len(conds) || !conds[at].Present() {
 		return targets, nil
 	}
-	if s.Hint != nil {
-		if hint == nil {
-			return targets, nil
-		}
-		return s.Hint.DoHint(targets, *hint)
-	}
-	if s.Complex != nil {
-		values := map[string]sqltypes.Value{}
-		for i, col := range s.ComplexColumns {
-			c := condAt(conds, at[i])
-			if c.Ranged || len(c.Values) != 1 {
-				return targets, nil
-			}
-			values[strings.ToLower(col)] = c.Values[0]
-		}
-		return s.Complex.DoSharding(targets, values)
-	}
-	if len(at) == 0 || !condAt(conds, at[0]).Present() {
-		return targets, nil
-	}
-	cond := conds[at[0]]
+	cond := conds[at]
 	if cond.Ranged {
-		out, err := s.Algorithm.DoRange(targets, s.Column, cond.Lo, cond.Hi)
+		out, err := s.Algorithm.DoRange(targets, cond.Lo, cond.Hi)
 		if errors.Is(err, ErrNoTarget) && len(targets) > 0 {
 			return targets[:1], nil
 		}
@@ -224,7 +182,7 @@ func applyStrategy(s *Strategy, at []int, targets []string, conds []Condition, h
 	}
 	out := dst
 	for _, v := range cond.Values {
-		t, err := s.Algorithm.Precise(targets, s.Column, v)
+		t, err := s.Algorithm.Precise(targets, v)
 		if err != nil {
 			return nil, err
 		}
@@ -239,11 +197,11 @@ func applyStrategy(s *Strategy, at []int, targets []string, conds []Condition, h
 // conds[i] is the condition on Columns()[i], and a column past the end of
 // conds has none. With no usable condition every node is returned — the
 // full-broadcast case the paper warns about.
-func (ix *NodeIndex) Route(conds []Condition, hint *sqltypes.Value, dst []DataNode) ([]DataNode, error) {
+func (ix *NodeIndex) Route(conds []Condition, dst []DataNode) ([]DataNode, error) {
 	r := ix.rule
 	var buf [2]string
 	if r.Auto {
-		tables, err := applyStrategy(r.AutoStrategy, ix.at[0], ix.tables, conds, hint, buf[:0])
+		tables, err := applyStrategy(r.AutoStrategy, ix.at[0], ix.tables, conds, buf[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -257,14 +215,14 @@ func (ix *NodeIndex) Route(conds []Condition, hint *sqltypes.Value, dst []DataNo
 		}
 		return out, nil
 	}
-	dss, err := applyStrategy(r.DBStrategy, ix.at[0], ix.sources, conds, hint, buf[:0])
+	dss, err := applyStrategy(r.DBStrategy, ix.at[0], ix.sources, conds, buf[:0])
 	if err != nil {
 		return nil, err
 	}
 	out := dst
 	for _, ds := range dss {
 		var tbuf [2]string
-		tables, err := applyStrategy(r.TableStrategy, ix.at[1], ix.tablesIn[ds], conds, hint, tbuf[:0])
+		tables, err := applyStrategy(r.TableStrategy, ix.at[1], ix.tablesIn[ds], conds, tbuf[:0])
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func TestModAlgorithm(t *testing.T) {
 	}
 	tg := targets("t", 4)
 	for v := int64(0); v < 16; v++ {
-		got, err := a.Precise(tg, "uid", vi(v))
+		got, err := a.Precise(tg, vi(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestModAlgorithm(t *testing.T) {
 		}
 	}
 	// Negative values stay in range.
-	got, err := a.Precise(tg, "uid", vi(-3))
+	got, err := a.Precise(tg, vi(-3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +47,13 @@ func TestModAlgorithm(t *testing.T) {
 	}
 	// A narrow range enumerates just the needed targets.
 	lo, hi := vi(4), vi(5)
-	r, err := a.DoRange(tg, "uid", &lo, &hi)
+	r, err := a.DoRange(tg, &lo, &hi)
 	if err != nil || len(r) != 2 {
 		t.Fatalf("mod range: %v %v", r, err)
 	}
 	// A wide range hits everything.
 	lo2, hi2 := vi(0), vi(100)
-	r, _ = a.DoRange(tg, "uid", &lo2, &hi2)
+	r, _ = a.DoRange(tg, &lo2, &hi2)
 	if len(r) != 4 {
 		t.Fatalf("mod wide range: %v", r)
 	}
@@ -78,7 +78,7 @@ func TestModRangeAtInt64Bounds(t *testing.T) {
 		{math.MinInt64, math.MinInt64 + 1, 2},
 	} {
 		lo, hi := vi(c.lo), vi(c.hi)
-		r, err := a.DoRange(tg, "uid", &lo, &hi)
+		r, err := a.DoRange(tg, &lo, &hi)
 		if err != nil || len(r) != c.want {
 			t.Fatalf("mod range [%d, %d]: %v %v, want %d targets", c.lo, c.hi, r, err, c.want)
 		}
@@ -105,11 +105,11 @@ func TestHashModDeterministicAndBalanced(t *testing.T) {
 	tg := targets("t", 4)
 	counts := map[string]int{}
 	for i := 0; i < 4000; i++ {
-		got1, err := a.Precise(tg, "uid", vs(fmt.Sprintf("user-%d", i)))
+		got1, err := a.Precise(tg, vs(fmt.Sprintf("user-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got2, _ := a.Precise(tg, "uid", vs(fmt.Sprintf("user-%d", i)))
+		got2, _ := a.Precise(tg, vs(fmt.Sprintf("user-%d", i)))
 		if got1 != got2 {
 			t.Fatal("hash_mod not deterministic")
 		}
@@ -121,14 +121,14 @@ func TestHashModDeterministicAndBalanced(t *testing.T) {
 		}
 	}
 	// Int and equal string co-locate.
-	g1, _ := a.Precise(tg, "uid", vi(7))
-	g2, _ := a.Precise(tg, "uid", vs("7"))
+	g1, _ := a.Precise(tg, vi(7))
+	g2, _ := a.Precise(tg, vs("7"))
 	if g1 != g2 {
 		t.Fatal("7 and '7' hash apart")
 	}
 	// Ranges broadcast.
 	lo := vi(1)
-	r, _ := a.DoRange(tg, "uid", &lo, nil)
+	r, _ := a.DoRange(tg, &lo, nil)
 	if len(r) != 4 {
 		t.Fatalf("hash range: %v", r)
 	}
@@ -145,7 +145,7 @@ func TestVolumeRange(t *testing.T) {
 	tg := targets("t", 5)
 	cases := map[int64]string{-5: "t_0", 0: "t_1", 9: "t_1", 10: "t_2", 29: "t_3", 30: "t_4", 99: "t_4"}
 	for v, want := range cases {
-		got, err := a.Precise(tg, "k", vi(v))
+		got, err := a.Precise(tg, vi(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestVolumeRange(t *testing.T) {
 		}
 	}
 	lo, hi := vi(5), vi(15)
-	r, err := a.DoRange(tg, "k", &lo, &hi)
+	r, err := a.DoRange(tg, &lo, &hi)
 	if err != nil || len(r) != 2 || r[0] != "t_1" || r[1] != "t_2" {
 		t.Fatalf("volume range: %v %v", r, err)
 	}
@@ -168,7 +168,7 @@ func TestBoundaryRange(t *testing.T) {
 	tg := targets("t", 4)
 	cases := map[int64]string{5: "t_0", 10: "t_1", 19: "t_1", 20: "t_2", 30: "t_3", 99: "t_3"}
 	for v, want := range cases {
-		got, _ := a.Precise(tg, "k", vi(v))
+		got, _ := a.Precise(tg, vi(v))
 		if got != want {
 			t.Fatalf("boundary(%d): %s want %s", v, got, want)
 		}
@@ -177,35 +177,9 @@ func TestBoundaryRange(t *testing.T) {
 		t.Fatalf("descending bounds: %v", err)
 	}
 	lo := vi(15)
-	r, _ := a.DoRange(tg, "k", &lo, nil)
+	r, _ := a.DoRange(tg, &lo, nil)
 	if len(r) != 3 || r[0] != "t_1" {
 		t.Fatalf("boundary open range: %v", r)
-	}
-}
-
-func TestAutoInterval(t *testing.T) {
-	a, err := New("AUTO_INTERVAL", map[string]string{
-		"datetime-lower":   "2021-01-01 00:00:00",
-		"datetime-upper":   "2021-01-04 00:00:00",
-		"sharding-seconds": "86400",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// underflow + 3 day buckets
-	tg := targets("t", 4)
-	got, err := a.Precise(tg, "ts", vs("2021-01-02 13:00:00"))
-	if err != nil || got != "t_2" {
-		t.Fatalf("auto interval: %v %v", got, err)
-	}
-	got, _ = a.Precise(tg, "ts", vs("2020-12-25 00:00:00"))
-	if got != "t_0" {
-		t.Fatalf("underflow: %v", got)
-	}
-	lo, hi := vs("2021-01-01 05:00:00"), vs("2021-01-02 05:00:00")
-	r, err := a.DoRange(tg, "ts", &lo, &hi)
-	if err != nil || len(r) != 2 {
-		t.Fatalf("auto interval range: %v %v", r, err)
 	}
 }
 
@@ -215,25 +189,25 @@ func TestInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	tg := []string{"t_user_0", "t_user_1"}
-	got, err := a.Precise(tg, "uid", vi(7))
+	got, err := a.Precise(tg, vi(7))
 	if err != nil || got != "t_user_1" {
 		t.Fatalf("inline: %v %v", got, err)
 	}
 	// Range forbidden by default.
 	lo := vi(1)
-	if _, err := a.DoRange(tg, "uid", &lo, nil); err == nil {
+	if _, err := a.DoRange(tg, &lo, nil); err == nil {
 		t.Fatal("inline range should fail without the allow property")
 	}
 	a2, _ := New("INLINE", map[string]string{
 		"algorithm-expression":                   "t_user_${uid % 2}",
 		"allow-range-query-with-inline-sharding": "true",
 	})
-	if r, err := a2.DoRange(tg, "uid", &lo, nil); err != nil || len(r) != 2 {
+	if r, err := a2.DoRange(tg, &lo, nil); err != nil || len(r) != 2 {
 		t.Fatalf("inline allowed range: %v %v", r, err)
 	}
 	// Arithmetic in the template.
 	a3, _ := New("INLINE", map[string]string{"algorithm-expression": "ds_${uid / 100 % 2}"})
-	got, _ = a3.Precise([]string{"ds_0", "ds_1"}, "uid", vi(150))
+	got, _ = a3.Precise([]string{"ds_0", "ds_1"}, vi(150))
 	if got != "ds_1" {
 		t.Fatalf("inline arith: %v", got)
 	}
@@ -248,69 +222,37 @@ func TestInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	tg := []string{"t_pay_202101", "t_pay_202102", "t_pay_202103"}
-	got, err := a.Precise(tg, "ts", vs("2021-02-14 09:00:00"))
+	got, err := a.Precise(tg, vs("2021-02-14 09:00:00"))
 	if err != nil || got != "t_pay_202102" {
 		t.Fatalf("interval: %v %v", got, err)
 	}
 	lo, hi := vs("2021-01-15 00:00:00"), vs("2021-03-15 00:00:00")
-	r, err := a.DoRange(tg, "ts", &lo, &hi)
+	r, err := a.DoRange(tg, &lo, &hi)
 	if err != nil || len(r) != 3 {
 		t.Fatalf("interval range: %v %v", r, err)
 	}
 }
 
-func TestClassBased(t *testing.T) {
-	RegisterClassBased("evens-first", func() Algorithm {
-		a, _ := New("MOD", map[string]string{"sharding-count": "2"})
-		return a
-	})
-	a, err := New("CLASS_BASED", map[string]string{"strategy": "evens-first", "sharding-count": "2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := a.Precise([]string{"a", "b"}, "k", vi(3))
-	if got != "b" {
-		t.Fatalf("class based: %v", got)
-	}
-	if _, err := New("CLASS_BASED", map[string]string{"strategy": "nope"}); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("unknown class: %v", err)
-	}
-}
-
-func TestComplexInline(t *testing.T) {
-	a, err := NewComplexInline(map[string]string{"algorithm-expression": "t_${(uid + oid) % 2}"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.DoSharding([]string{"t_0", "t_1"}, map[string]sqltypes.Value{"uid": vi(1), "oid": vi(2)})
-	if err != nil || len(got) != 1 || got[0] != "t_1" {
-		t.Fatalf("complex: %v %v", got, err)
-	}
-	// Missing column → all targets.
-	got, _ = a.DoSharding([]string{"t_0", "t_1"}, map[string]sqltypes.Value{"uid": vi(1)})
-	if len(got) != 2 {
-		t.Fatalf("complex incomplete: %v", got)
-	}
-}
-
-func TestHintInline(t *testing.T) {
-	a, err := NewHintInline(map[string]string{"algorithm-expression": "ds_${value % 2}"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.DoHint([]string{"ds_0", "ds_1"}, vi(5))
-	if err != nil || len(got) != 1 || got[0] != "ds_1" {
-		t.Fatalf("hint: %v %v", got, err)
-	}
-}
-
+// TestUnknownAlgorithm: the six presets build; any other name, upstream
+// ShardingSphere's AUTO_INTERVAL, CLASS_BASED, COMPLEX_INLINE and
+// HINT_INLINE among them, is refused.
 func TestUnknownAlgorithm(t *testing.T) {
-	if _, err := New("NOPE", nil); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("unknown: %v", err)
+	for _, name := range []string{"NOPE", "AUTO_INTERVAL", "CLASS_BASED", "COMPLEX_INLINE", "HINT_INLINE"} {
+		if _, err := New(name, map[string]string{"sharding-count": "4"}); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("%s: %v, want ErrUnknownAlgorithm", name, err)
+		}
 	}
-	names := Names()
-	if len(names) < 8 {
-		t.Fatalf("expected ≥8 presets, got %v", names)
+	for name, props := range map[string]map[string]string{
+		"MOD":            {"sharding-count": "4"},
+		"HASH_MOD":       {"sharding-count": "4"},
+		"VOLUME_RANGE":   {"range-lower": "0", "range-upper": "30", "sharding-volume": "10"},
+		"BOUNDARY_RANGE": {"sharding-ranges": "10,20"},
+		"INLINE":         {"algorithm-expression": "t_${uid % 2}"},
+		"INTERVAL":       {"datetime-lower": "2021-01-01 00:00:00"},
+	} {
+		if _, err := New(name, props); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -356,23 +298,23 @@ func TestBuildAutoRuleLayout(t *testing.T) {
 func TestAutoRuleRoute(t *testing.T) {
 	r := autoRule(t, "t_user", []string{"ds0", "ds1"}, 4)
 	// Point condition → single node.
-	nodes, err := r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(6)}}}, nil, nil)
+	nodes, err := r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(6)}}}, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].Table != "t_user_2" || nodes[0].DataSource != "ds0" {
 		t.Fatalf("point route: %v %v", nodes, err)
 	}
 	// IN condition → the matching set.
-	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(1), vi(5)}}}, nil, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(1), vi(5)}}}, nil)
 	if len(nodes) != 1 || nodes[0].Table != "t_user_1" {
 		t.Fatalf("in route dedupe: %v", nodes)
 	}
 	// An absent condition → all nodes (broadcast within the rule).
-	nodes, _ = r.NodeIndex().Route([]Condition{{}}, nil, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{}}, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("full route: %v", nodes)
 	}
 	// Range → all nodes under MOD with wide range.
 	lo, hi := vi(0), vi(1000)
-	nodes, _ = r.NodeIndex().Route([]Condition{{Ranged: true, Lo: &lo, Hi: &hi}}, nil, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Ranged: true, Lo: &lo, Hi: &hi}}, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("range route: %v", nodes)
 	}
@@ -392,8 +334,6 @@ func TestEmptyRangeRoutesToFirstTarget(t *testing.T) {
 	}{
 		{"BOUNDARY_RANGE", map[string]string{"sharding-ranges": "4, 8, 12"}, vi(5), vi(3)},
 		{"VOLUME_RANGE", map[string]string{"range-lower": "1", "range-upper": "9", "sharding-volume": "4"}, vi(5), vi(3)},
-		{"AUTO_INTERVAL", map[string]string{"datetime-lower": "2021-01-01 00:00:00", "datetime-upper": "2021-01-04 00:00:00", "sharding-seconds": "86400"},
-			vs("2021-01-03 00:00:00"), vs("2021-01-01 12:00:00")},
 	} {
 		props := map[string]string{"sharding-count": "4"}
 		maps.Copy(props, c.props)
@@ -401,7 +341,7 @@ func TestEmptyRangeRoutesToFirstTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes, err := r.NodeIndex().Route([]Condition{{Ranged: true, Lo: &c.lo, Hi: &c.hi}}, nil, nil)
+		nodes, err := r.NodeIndex().Route([]Condition{{Ranged: true, Lo: &c.lo, Hi: &c.hi}}, nil)
 		if err != nil || len(nodes) != 1 || nodes[0] != r.DataNodes[0] {
 			t.Errorf("%s: an empty range routes to %v, %v; want %v", c.algorithm, nodes, err, r.DataNodes[:1])
 		}
@@ -424,17 +364,17 @@ func TestStandardRuleRoute(t *testing.T) {
 	nodes, err := r.NodeIndex().Route([]Condition{
 		{Values: []sqltypes.Value{vi(3)}},
 		{Values: []sqltypes.Value{vi(4)}},
-	}, nil, nil)
+	}, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].DataSource != "ds1" || nodes[0].Table != "t_order_0" {
 		t.Fatalf("standard route: %v %v", nodes, err)
 	}
 	// Only db key → both tables of one source.
-	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(2)}}}, nil, nil)
+	nodes, _ = r.NodeIndex().Route([]Condition{{Values: []sqltypes.Value{vi(2)}}}, nil)
 	if len(nodes) != 2 || nodes[0].DataSource != "ds0" {
 		t.Fatalf("db-only route: %v", nodes)
 	}
 	// No keys → everything.
-	nodes, _ = r.NodeIndex().Route(nil, nil, nil)
+	nodes, _ = r.NodeIndex().Route(nil, nil)
 	if len(nodes) != 4 {
 		t.Fatalf("broadcast route: %v", nodes)
 	}

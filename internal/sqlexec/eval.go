@@ -20,7 +20,6 @@ var (
 	ErrAmbiguousColumn = errors.New("sqlexec: ambiguous column")
 	ErrBadArgCount     = errors.New("sqlexec: wrong number of bind arguments")
 	ErrBadXID          = errors.New("sqlexec: an XA verb's xid argument must be a non-empty string")
-	ErrNoTransaction   = errors.New("sqlexec: no active transaction")
 	ErrInTransaction   = errors.New("sqlexec: already in a transaction")
 	ErrTableList       = errors.New("sqlexec: not runnable over a table list")
 )

@@ -309,28 +309,3 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.mu.Unlock()
 }
-
-// Stats reports engine-level statistics used by experiments and governance.
-type Stats struct {
-	Tables    int
-	Rows      int
-	MaxHeight int
-}
-
-// Stats returns current statistics.
-func (e *Engine) Stats() Stats {
-	e.mu.RLock()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-	st := Stats{Tables: len(tables)}
-	for _, t := range tables {
-		st.Rows += t.Len()
-		if h := t.IndexHeight(); h > st.MaxHeight {
-			st.MaxHeight = h
-		}
-	}
-	return st
-}

@@ -770,16 +770,3 @@ func TestTxFinishedErrors(t *testing.T) {
 		t.Fatalf("rollback after commit: %v", err)
 	}
 }
-
-func TestStats(t *testing.T) {
-	e := newUserEngine(t)
-	tx := e.Begin()
-	for i := int64(0); i < 100; i++ {
-		mustInsert(t, tx, "t_user", row(i, "x", i))
-	}
-	tx.Commit()
-	st := e.Stats()
-	if st.Tables != 1 || st.Rows != 100 || st.MaxHeight < 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-}

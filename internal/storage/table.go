@@ -120,29 +120,6 @@ func (t *Table) define() {
 	t.def.Store(&def)
 }
 
-// Len returns the number of committed rows (approximate under concurrent
-// writers).
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := 0
-	t.pk.Ascend(func(s *rowSlot) bool {
-		if s.committed != nil && !(s.owner != 0 && s.deleted) {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// IndexHeight reports the height of the primary index; the engine's stats
-// surface it so experiments can correlate data size with tree depth.
-func (t *Table) IndexHeight() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pk.Height()
-}
-
 func (t *Table) pkKeyOf(row sqltypes.Row) (btree.Key, error) {
 	key := make(btree.Key, len(t.pkCols))
 	for i, c := range t.pkCols {

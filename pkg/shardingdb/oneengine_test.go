@@ -209,6 +209,7 @@ func TestRowsMatchOneEngine(t *testing.T) {
 				{"UPDATE t SET v = T.v + 1 WHERE T.id IN (8, 8)", nil, 8, 5},
 				{"UPDATE t SET v = T.v + ? WHERE T.id IN (?, ?)", []Value{Int(1), Int(9), Int(9)}, 9, 12},
 				{"DELETE FROM t WHERE T.id IN (?, ?)", []Value{Int(10), Int(10)}, 10, -1},
+				{"UPDATE t SET id = id, v = T.v + 1 WHERE T.id = 3", nil, 3, 9},
 			} {
 				where := fmt.Sprintf("%s, %s: %s %v", dialect, run.name, form.sql, form.args)
 				n, err := s.Exec(form.sql, form.args...)

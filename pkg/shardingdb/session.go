@@ -106,10 +106,6 @@ func (s *Session) Rollback() error {
 // InTransaction reports whether a transaction is open.
 func (s *Session) InTransaction() bool { return s.inner.InTransaction() }
 
-// SetHint sets the out-of-band sharding hint value (hint-based routing);
-// pass nil to clear.
-func (s *Session) SetHint(v *Value) { s.inner.SetHint(v) }
-
 // Close rolls back any open transaction and releases the session.
 func (s *Session) Close() { s.inner.Close() }
 
