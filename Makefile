@@ -30,8 +30,8 @@ fmt:
 # included), row-batch decoder and trace-context trailer,
 # over compile-then-bind against the reference rewrite, over Normalize
 # against the parser, and over grouped statements and joins at four shards
-# against one engine. `go test` accepts one -fuzz target per invocation,
-# hence separate runs.
+# against one engine, and over the B-tree against a sorted slice. `go test`
+# accepts one -fuzz target per invocation, hence separate runs.
 fuzz:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzDecodeRowBatch' -fuzztime 10s -run '^$$' ./internal/protocol/
@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzNormalize' -fuzztime 10s -run '^$$' ./internal/sqlparser/
 	$(GO) test -fuzz 'FuzzGroupedMatchesOneEngine' -fuzztime 10s -run '^$$' ./pkg/shardingdb/
 	$(GO) test -fuzz 'FuzzJoinMatchesOneEngine' -fuzztime 10s -run '^$$' ./pkg/shardingdb/
+	$(GO) test -fuzz 'FuzzTreeAgainstSortedSlice' -fuzztime 10s -run '^$$' ./internal/btree/
 
 # The gated benchmark (BENCHMARK.json): the only place performance is
 # claimed.

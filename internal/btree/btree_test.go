@@ -73,147 +73,286 @@ func (o oracle) between(lo, hi Key) []int {
 	return out
 }
 
-// keyFamily is one kind of stored key with the probes that go with it.
-// Stored keys of a family share their kinds, so CompareKeys orders them
-// totally; probes may be of another kind as long as they compare
+// source is where a check draws its choices: a seeded generator or a
+// fuzzer's bytes.
+type source interface{ Intn(n int) int }
+
+// keyFamily is one kind of stored key with the probes that go with it, and
+// the width of the tree that holds them. Stored keys of a family compare
+// under CompareKeys as a total preorder (keys that compare equal are one
+// key); probes may be of another kind as long as they compare
 // monotonically against the stored ones.
 type keyFamily struct {
 	name   string
-	stored func(*rand.Rand) Key
-	probe  func(*rand.Rand) Key
+	width  int
+	stored func(source) Key
+	probe  func(source) Key
 }
 
 var boundaryInts = []int64{math.MinInt64, math.MinInt64 + 1, -1 << 53, -2, -1, 0, 1, 2, 1 << 53, math.MaxInt64 - 1, math.MaxInt64}
 
-func smallInt(rng *rand.Rand) int64 { return int64(rng.Intn(400)) - 200 }
+func smallInt(r source) int64 { return int64(r.Intn(400)) - 200 }
+
+// laneInt is a lane of a two-lane key: few distinct values, so leading
+// lanes collide, and now and then an int64 boundary.
+func laneInt(r source) int64 {
+	if r.Intn(8) == 0 {
+		return boundaryInts[r.Intn(len(boundaryInts))]
+	}
+	return int64(r.Intn(12)) - 2
+}
+
+func twoInts(a, b int64) Key { return Key{sqltypes.NewInt(a), sqltypes.NewInt(b)} }
 
 var families = []keyFamily{
 	{
-		// The inline lane with exact probes: negative, boundary and dense
-		// small integers.
-		name: "int",
-		stored: func(rng *rand.Rand) Key {
-			if rng.Intn(8) == 0 {
-				return intKey(boundaryInts[rng.Intn(len(boundaryInts))])
+		// The lane with exact probes: negative, boundary and dense small
+		// integers.
+		name:  "int",
+		width: 1,
+		stored: func(r source) Key {
+			if r.Intn(8) == 0 {
+				return intKey(boundaryInts[r.Intn(len(boundaryInts))])
 			}
-			return intKey(smallInt(rng))
+			return intKey(smallInt(r))
 		},
-		probe: func(rng *rand.Rand) Key { return intKey(smallInt(rng)) },
+		probe: func(r source) Key { return intKey(smallInt(r)) },
 	},
 	{
 		// Integer keys probed the way "id BETWEEN 1.5 AND '7'" probes them:
 		// the lane must fall back to sqltypes.Compare's coercions.
 		name:   "int keys, float and string probes",
-		stored: func(rng *rand.Rand) Key { return intKey(smallInt(rng)) },
-		probe: func(rng *rand.Rand) Key {
-			switch rng.Intn(3) {
+		width:  1,
+		stored: func(r source) Key { return intKey(smallInt(r)) },
+		probe: func(r source) Key {
+			switch r.Intn(3) {
 			case 0:
-				return floatKey(float64(smallInt(rng)) + 0.5)
+				return floatKey(float64(smallInt(r)) + 0.5)
 			case 1:
-				return floatKey(float64(smallInt(rng)))
+				return floatKey(float64(smallInt(r)))
 			default:
-				return strKey(fmt.Sprint(smallInt(rng)))
+				return strKey(fmt.Sprint(smallInt(r)))
 			}
 		},
 	},
 	{
 		name:   "string",
-		stored: func(rng *rand.Rand) Key { return strKey(fmt.Sprintf("k%03d", rng.Intn(300))) },
-		probe:  func(rng *rand.Rand) Key { return strKey(fmt.Sprintf("k%02d", rng.Intn(40))) },
+		width:  1,
+		stored: func(r source) Key { return strKey(fmt.Sprintf("k%03d", r.Intn(300))) },
+		probe:  func(r source) Key { return strKey(fmt.Sprintf("k%02d", r.Intn(40))) },
 	},
 	{
 		// Two columns, few distinct leading values: the shape of a
 		// secondary-index entry. Probes are the leading column alone.
-		name: "two-column",
-		stored: func(rng *rand.Rand) Key {
-			return Key{sqltypes.NewInt(int64(rng.Intn(12))), sqltypes.NewInt(int64(rng.Intn(40)))}
+		name:  "two-column",
+		width: 2,
+		stored: func(r source) Key {
+			return twoInts(int64(r.Intn(12)), int64(r.Intn(40)))
 		},
-		probe: func(rng *rand.Rand) Key { return intKey(int64(rng.Intn(14)) - 1) },
+		probe: func(r source) Key { return intKey(int64(r.Intn(14)) - 1) },
+	},
+	{
+		// Two lanes with int64 boundaries in either, probed by both
+		// columns or by the leading one.
+		name:   "two-lane",
+		width:  2,
+		stored: func(r source) Key { return twoInts(laneInt(r), laneInt(r)) },
+		probe: func(r source) Key {
+			if r.Intn(4) == 0 {
+				return intKey(laneInt(r))
+			}
+			return twoInts(laneInt(r), laneInt(r))
+		},
+	},
+	{
+		// An index entry over an INT column whose rows hold what the node
+		// stores uncoerced: lanes beside tuples led by NULL, a numeric
+		// string and a float. One string only, so that the order stays a
+		// total preorder ('020' is 20 against numbers, but '020' < '3').
+		name:  "lanes mixed with tuples",
+		width: 2,
+		stored: func(r source) Key {
+			id := sqltypes.NewInt(int64(r.Intn(6)))
+			switch r.Intn(6) {
+			case 0:
+				return Key{sqltypes.Null, id}
+			case 1:
+				return Key{sqltypes.NewString("020"), id}
+			case 2:
+				return Key{sqltypes.NewFloat(float64(r.Intn(50)) / 2), id}
+			default:
+				return Key{sqltypes.NewInt(int64(r.Intn(26))), id}
+			}
+		},
+		probe: func(r source) Key {
+			switch r.Intn(4) {
+			case 0:
+				return intKey(int64(r.Intn(28)) - 1)
+			case 1:
+				return Key{sqltypes.Null}
+			case 2:
+				return floatKey(float64(r.Intn(54))/2 - 1)
+			default:
+				return twoInts(int64(r.Intn(28))-1, int64(r.Intn(7)))
+			}
+		},
+	},
+	{
+		// A width-1 tree probed with two columns: the stored key is a
+		// prefix of the probe, so it sorts first.
+		name:   "int keys, two-column probes",
+		width:  1,
+		stored: func(r source) Key { return intKey(int64(r.Intn(60)) - 30) },
+		probe: func(r source) Key {
+			if r.Intn(4) == 0 {
+				return twoInts(laneInt(r), laneInt(r))
+			}
+			return twoInts(int64(r.Intn(64))-32, smallInt(r))
+		},
 	},
 }
 
-// TestTreeAgainstSortedSlice drives a tree and the oracle with the same
-// random Set/Get/Delete/AscendRange operations, per key family, and
-// compares every answer.
+// entries counts a tree's entries by walking them.
+func entries[V any](tr *Tree[V]) int {
+	n := 0
+	tr.Ascend(func(V) bool { n++; return true })
+	return n
+}
+
+// height is the number of levels holding items, down the first children.
+func height[V any](tr *Tree[V]) int {
+	h := 0
+	for n := tr.root; ; n = n.children[0] {
+		if len(n.items) > 0 {
+			h++
+		}
+		if n.leaf() {
+			return h
+		}
+	}
+}
+
+// checkAgainstOracle drives a tree of the family's width and the oracle
+// with the same Set/Get/Delete/AscendRange operations, ops of them drawn
+// from r, and compares every answer. After each Set the caller's key is
+// overwritten: the tree must have kept a copy of any tuple it stores.
+func checkAgainstOracle(t *testing.T, fam keyFamily, r source, ops int) {
+	t.Helper()
+	tr := New[int](fam.width)
+	var ref oracle
+	anyKey := func() Key {
+		if r.Intn(4) == 0 {
+			return fam.probe(r)
+		}
+		return fam.stored(r)
+	}
+	bound := func() Key {
+		if r.Intn(5) == 0 {
+			return nil
+		}
+		return anyKey()
+	}
+	for op := 0; op < ops; op++ {
+		switch c := r.Intn(10); {
+		case c < 4:
+			k := fam.stored(r)
+			prev, replaced := tr.Set(k, op)
+			wantPrev, wantReplaced := ref.set(slices.Clone(k), op)
+			if replaced != wantReplaced || prev != wantPrev {
+				t.Fatalf("op %d: Set(%v) = %d, %v; want %d, %v", op, k, prev, replaced, wantPrev, wantReplaced)
+			}
+			for i := range k {
+				k[i] = sqltypes.NewString("overwritten")
+			}
+		case c < 6:
+			k := anyKey()
+			v, ok := tr.Get(k)
+			want, wantOK := 0, false
+			if i := ref.find(k); i >= 0 {
+				want, wantOK = ref[i].val, true
+			}
+			if ok != wantOK || v != want {
+				t.Fatalf("op %d: Get(%v) = %d, %v; want %d, %v", op, k, v, ok, want, wantOK)
+			}
+		case c < 9:
+			// Deletes outnumber what would keep the tree growing, so it
+			// shrinks through merges and borrows as well.
+			k := fam.stored(r)
+			if len(ref) > 0 && r.Intn(2) == 0 {
+				k = ref[r.Intn(len(ref))].key
+			}
+			v, ok := tr.Delete(k)
+			want, wantOK := ref.delete(k)
+			if ok != wantOK || v != want {
+				t.Fatalf("op %d: Delete(%v) = %d, %v; want %d, %v", op, k, v, ok, want, wantOK)
+			}
+		default:
+			lo, hi := bound(), bound() // inverted as often as not
+			var got []int
+			stop := -1
+			if r.Intn(4) == 0 {
+				stop = r.Intn(5)
+			}
+			tr.AscendRange(lo, hi, func(v int) bool {
+				got = append(got, v)
+				return len(got) != stop
+			})
+			want := ref.between(lo, hi)
+			if stop > 0 && len(want) > stop {
+				want = want[:stop]
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("op %d: AscendRange(%v, %v) stop %d = %v; want %v", op, lo, hi, stop, got, want)
+			}
+		}
+		if n := entries(tr); n != len(ref) {
+			t.Fatalf("op %d: %d entries, want %d", op, n, len(ref))
+		}
+	}
+	var all []int
+	tr.Ascend(func(v int) bool { all = append(all, v); return true })
+	if want := ref.between(nil, nil); !slices.Equal(all, want) {
+		t.Fatalf("final Ascend = %v; want %v", all, want)
+	}
+}
+
+// TestTreeAgainstSortedSlice checks every key family against the oracle
+// with seeded random operations.
 func TestTreeAgainstSortedSlice(t *testing.T) {
 	for fi, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(20220612 + fi)))
-			tr := New[int]()
-			var ref oracle
-			anyKey := func() Key {
-				if rng.Intn(4) == 0 {
-					return fam.probe(rng)
-				}
-				return fam.stored(rng)
-			}
-			bound := func() Key {
-				if rng.Intn(5) == 0 {
-					return nil
-				}
-				return anyKey()
-			}
-			for op := 0; op < 12000; op++ {
-				switch r := rng.Intn(10); {
-				case r < 4:
-					k, v := fam.stored(rng), rng.Int()
-					prev, replaced := tr.Set(k, v)
-					wantPrev, wantReplaced := ref.set(k, v)
-					if replaced != wantReplaced || prev != wantPrev {
-						t.Fatalf("op %d: Set(%v) = %d, %v; want %d, %v", op, k, prev, replaced, wantPrev, wantReplaced)
-					}
-				case r < 6:
-					k := anyKey()
-					v, ok := tr.Get(k)
-					want, wantOK := 0, false
-					if i := ref.find(k); i >= 0 {
-						want, wantOK = ref[i].val, true
-					}
-					if ok != wantOK || v != want {
-						t.Fatalf("op %d: Get(%v) = %d, %v; want %d, %v", op, k, v, ok, want, wantOK)
-					}
-				case r < 9:
-					// Deletes outnumber what would keep the tree growing, so
-					// it shrinks through merges and borrows as well.
-					k := fam.stored(rng)
-					if len(ref) > 0 && rng.Intn(2) == 0 {
-						k = ref[rng.Intn(len(ref))].key
-					}
-					v, ok := tr.Delete(k)
-					want, wantOK := ref.delete(k)
-					if ok != wantOK || v != want {
-						t.Fatalf("op %d: Delete(%v) = %d, %v; want %d, %v", op, k, v, ok, want, wantOK)
-					}
-				default:
-					lo, hi := bound(), bound() // inverted as often as not
-					var got []int
-					stop := -1
-					if rng.Intn(4) == 0 {
-						stop = rng.Intn(5)
-					}
-					tr.AscendRange(lo, hi, func(v int) bool {
-						got = append(got, v)
-						return len(got) != stop
-					})
-					want := ref.between(lo, hi)
-					if stop > 0 && len(want) > stop {
-						want = want[:stop]
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("op %d: AscendRange(%v, %v) stop %d = %v; want %v", op, lo, hi, stop, got, want)
-					}
-				}
-				if tr.Len() != len(ref) {
-					t.Fatalf("op %d: Len %d, want %d", op, tr.Len(), len(ref))
-				}
-			}
-			var all []int
-			tr.Ascend(func(v int) bool { all = append(all, v); return true })
-			if want := ref.between(nil, nil); !slices.Equal(all, want) {
-				t.Fatalf("final Ascend = %v; want %v", all, want)
-			}
+			checkAgainstOracle(t, fam, rand.New(rand.NewSource(int64(20220612+fi))), 12000)
 		})
 	}
+}
+
+// bytesSource draws choices from a fuzzer's input, zeros once it is spent.
+type bytesSource []byte
+
+func (b *bytesSource) Intn(n int) int {
+	v := 0
+	for span := 1; span < n && len(*b) > 0; span <<= 8 {
+		v = v<<8 | int((*b)[0])
+		*b = (*b)[1:]
+	}
+	return v % n
+}
+
+// FuzzTreeAgainstSortedSlice is TestTreeAgainstSortedSlice with the
+// fuzzer's bytes as the choices: the first picks the key family, the rest
+// the operations and their keys.
+func FuzzTreeAgainstSortedSlice(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{4, 0, 200, 3, 0, 9, 7, 1, 255, 255, 9, 1, 1})
+	f.Add([]byte{5, 1, 0, 0, 1, 3, 2, 1, 2, 9, 0, 0, 9, 4, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		fam := families[int(data[0])%len(families)]
+		src := bytesSource(data[1:])
+		checkAgainstOracle(t, fam, &src, min(len(data)/2, 1000))
+	})
 }
 
 func TestPrefixSortsFirst(t *testing.T) {
@@ -230,18 +369,18 @@ func TestPrefixSortsFirst(t *testing.T) {
 }
 
 func TestHeightGrowsLogarithmically(t *testing.T) {
-	tr := New[struct{}]()
+	tr := New[struct{}](1)
 	for i := int64(0); i < 100000; i++ {
 		tr.Set(intKey(i), struct{}{})
 	}
-	h := tr.Height()
+	h := height(tr)
 	if h < 2 || h > 6 {
 		t.Fatalf("height of 100k sequential keys should be small, got %d", h)
 	}
 }
 
 func TestDeleteAllDescending(t *testing.T) {
-	tr := New[int64]()
+	tr := New[int64](1)
 	const n = 2000
 	for i := int64(0); i < n; i++ {
 		tr.Set(intKey(i), i)
@@ -251,17 +390,20 @@ func TestDeleteAllDescending(t *testing.T) {
 			t.Fatalf("delete %d: %d, %v", i, v, ok)
 		}
 	}
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Fatalf("after drain: len %d height %d", tr.Len(), tr.Height())
+	if n, h := entries(tr), height(tr); n != 0 || h != 0 {
+		t.Fatalf("after drain: %d entries, height %d", n, h)
 	}
 }
 
-// TestLookupsAllocateNothing pins what the inline lane is for: finding an
-// integer key, by an integer or by any other probe, touches no heap.
+// TestLookupsAllocateNothing pins what the lanes are for: finding an
+// integer key, by an integer or by any other probe, touches no heap, and
+// neither does finding or replacing a two-lane key.
 func TestLookupsAllocateNothing(t *testing.T) {
-	tr := New[int64]()
+	tr := New[int64](1)
+	pairs := New[int64](2)
 	for i := int64(0); i < 5000; i++ {
 		tr.Set(intKey(i), i)
+		pairs.Set(twoInts(i%50, i), i)
 	}
 	var sum int64
 	visit := func(v int64) bool { sum += v; return true }
@@ -270,6 +412,14 @@ func TestLookupsAllocateNothing(t *testing.T) {
 		"Get by float":            func() { tr.Get(floatKey(777)) },
 		"AscendRange":             func() { tr.AscendRange(intKey(100), intKey(101), visit) },
 		"AscendRange float bound": func() { tr.AscendRange(floatKey(1.5), intKey(7), visit) },
+		"two lanes: Get":          func() { pairs.Get(Key{sqltypes.NewInt(27), sqltypes.NewInt(777)}) },
+		"two lanes: Set existing": func() { pairs.Set(Key{sqltypes.NewInt(27), sqltypes.NewInt(777)}, 777) },
+		"two lanes: AscendRange by the leading lane": func() {
+			pairs.AscendRange(Key{sqltypes.NewInt(3)}, Key{sqltypes.NewInt(3)}, visit)
+		},
+		"two lanes: AscendRange by both lanes": func() {
+			pairs.AscendRange(Key{sqltypes.NewInt(3), sqltypes.NewInt(1000)}, Key{sqltypes.NewInt(4), sqltypes.NewInt(0)}, visit)
+		},
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s allocates %v times", name, n)
@@ -281,7 +431,7 @@ func TestLookupsAllocateNothing(t *testing.T) {
 }
 
 func BenchmarkSet(b *testing.B) {
-	tr := New[int]()
+	tr := New[int](1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Set(intKey(int64(i)), i)
@@ -289,7 +439,7 @@ func BenchmarkSet(b *testing.B) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr := New[int64]()
+	tr := New[int64](1)
 	for i := int64(0); i < 100000; i++ {
 		tr.Set(intKey(i), i)
 	}

@@ -84,7 +84,6 @@ func (e *Engine) CreateTable(spec TableSpec) error {
 		schema:  spec.Schema,
 		autoCol: -1,
 		notNull: make([]bool, len(spec.Schema)),
-		pk:      btree.New[*rowSlot](),
 		indexes: map[string]*secondaryIndex{},
 	}
 	for _, col := range spec.PrimaryKey {
@@ -95,6 +94,7 @@ func (e *Engine) CreateTable(spec TableSpec) error {
 		t.pkCols = append(t.pkCols, i)
 		t.notNull[i] = true
 	}
+	t.pk = btree.New[*rowSlot](len(t.pkCols))
 	if spec.AutoIncrement != "" {
 		i := spec.Schema.Index(spec.AutoIncrement)
 		if i < 0 {
@@ -137,7 +137,7 @@ func (e *Engine) CreateIndex(spec IndexSpec) error {
 	if _, exists := t.indexes[spec.Name]; exists {
 		return fmt.Errorf("%w: %s.%s", ErrIndexExists, spec.Table, spec.Name)
 	}
-	ix := &secondaryIndex{name: spec.Name, tree: btree.New[*rowSlot]()}
+	ix := &secondaryIndex{name: spec.Name}
 	for _, col := range spec.Columns {
 		i := t.schema.Index(col)
 		if i < 0 {
@@ -145,11 +145,14 @@ func (e *Engine) CreateIndex(spec IndexSpec) error {
 		}
 		ix.cols = append(ix.cols, i)
 	}
+	ix.tree = btree.New[*rowSlot](len(ix.cols) + 1)
+	var buf keyBuf
 	t.pk.Ascend(func(slot *rowSlot) bool {
-		for _, row := range []sqltypes.Row{slot.committed, slot.uncommitted} {
-			if row != nil {
-				ix.tree.Set(ix.keyOf(row, slot.id), slot)
-			}
+		if slot.committed != nil {
+			ix.tree.Set(ix.keyOf(&buf, slot.committed, slot.id), slot)
+		}
+		if slot.uncommitted != nil && !slot.deleted {
+			ix.tree.Set(ix.keyOf(&buf, slot.uncommitted, slot.id), slot)
 		}
 		return true
 	})
@@ -185,9 +188,9 @@ func (e *Engine) Truncate(name string) error {
 		slot.retire()
 		return true
 	})
-	t.pk = btree.New[*rowSlot]()
+	t.pk = btree.New[*rowSlot](len(t.pkCols))
 	for _, ix := range t.indexes {
-		ix.tree = btree.New[*rowSlot]()
+		ix.tree = btree.New[*rowSlot](len(ix.cols) + 1)
 	}
 	return nil
 }

@@ -137,6 +137,13 @@ func TestEngineAgainstModel(t *testing.T) {
 	}
 }
 
+// entries counts a tree's entries by walking them.
+func entries(tr *btree.Tree[*rowSlot]) int {
+	n := 0
+	tr.Ascend(func(*rowSlot) bool { n++; return true })
+	return n
+}
+
 // verifyModel compares what the transaction reads with the model, sorted;
 // open says that some transaction has uncommitted writes.
 func verifyModel(t *testing.T, rng *rand.Rand, tbl *Table, txID int64, open bool, model map[int64]int64, round int) {
@@ -159,7 +166,7 @@ func verifyModel(t *testing.T, rng *rand.Rand, tbl *Table, txID int64, open bool
 	collect := func(se ScanEntry) bool { got = append(got, se); return true }
 	tbl.Scan(txID, collect)
 	check("scan", got, want)
-	if pk, ix := tbl.pk.Len(), tbl.indexes["idx_v"].tree.Len(); !open && (pk != len(want) || ix != len(want)) {
+	if pk, ix := entries(tbl.pk), entries(tbl.indexes["idx_v"].tree); !open && (pk != len(want) || ix != len(want)) {
 		t.Fatalf("round %d: %d rows, but %d primary-key and %d index entries", round, len(want), pk, ix)
 	}
 
@@ -319,6 +326,74 @@ func TestReadPathAllocations(t *testing.T) {
 	}
 	if visited != 2*101 {
 		t.Fatalf("visited %d rows, want %d", visited, 2*101)
+	}
+}
+
+// TestWritePathAllocations pins the allocations of a write and its commit
+// on a table with a secondary index: an Insert, an Update that moves the
+// indexed column, a Delete. The counts include the test's own Begin and
+// row; with a key copy in every row slot and index entry they were 9, 7
+// and 5.
+func TestWritePathAllocations(t *testing.T) {
+	e := newUserEngine(t)
+	if err := e.CreateIndex(IndexSpec{Name: "idx_age", Table: "t_user", Columns: []string{"age"}}); err != nil {
+		t.Fatal(err)
+	}
+	tbl := tab(e, "t_user")
+	var inserted, updated, deleted int64
+	key := btree.Key{sqltypes.Null}
+	moveAge := func(cur sqltypes.Row) (sqltypes.Row, error) {
+		r := cur.Clone()
+		r[2] = sqltypes.NewInt(cur[2].I + 7)
+		return r, nil
+	}
+	write := func(id int64, op func(*Tx, ScanEntry) (bool, error)) {
+		tx := e.Begin()
+		key[0] = sqltypes.NewInt(id)
+		se, ok := tbl.PKGet(tx.ID(), key)
+		if !ok {
+			t.Fatalf("row %d missing", id)
+		}
+		if ok, err := op(tx, se); !ok || err != nil {
+			t.Fatalf("row %d: %v, %v", id, ok, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert := func() {
+		inserted++
+		tx := e.Begin()
+		if _, err := tx.Insert(tbl, row(inserted, "u", inserted%7)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func() {
+		updated++
+		write(updated, func(tx *Tx, se ScanEntry) (bool, error) { return tx.Update(tbl, se, moveAge) })
+	}
+	remove := func() {
+		deleted++
+		write(deleted, func(tx *Tx, se ScanEntry) (bool, error) { return tx.Delete(tbl, se, anyRow) })
+	}
+	for range 1000 {
+		insert()
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+		max  float64
+	}{
+		{"Insert", insert, 7},
+		{"Update", update, 5},
+		{"Delete", remove, 4},
+	} {
+		if n := testing.AllocsPerRun(200, c.fn); n > c.max {
+			t.Errorf("%s and its commit allocate %v times, want at most %v", c.name, n, c.max)
+		}
 	}
 }
 

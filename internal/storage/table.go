@@ -13,10 +13,11 @@ import (
 // rowSlot is the stored state of one row. committed is the version every
 // other transaction reads; uncommitted is the pending version private to
 // the owning transaction (read-committed isolation). A pending delete sets
-// deleted with owner identifying the deleter.
+// deleted with owner identifying the deleter, and clears uncommitted unless
+// the row has no committed version: the slot holds no key, so it keeps a
+// version to read its key from.
 type rowSlot struct {
 	id          int64
-	pkKey       btree.Key    // cached primary-key key; immutable for the slot's life
 	committed   sqltypes.Row // nil until the creating tx commits
 	uncommitted sqltypes.Row // nil when no pending write
 	owner       int64        // tx id with a pending write; 0 = none
@@ -53,13 +54,18 @@ type secondaryIndex struct {
 	tree *btree.Tree[*rowSlot]
 }
 
-func (ix *secondaryIndex) keyOf(row sqltypes.Row, rowID int64) btree.Key {
-	key := make(btree.Key, len(ix.cols)+1)
-	for i, c := range ix.cols {
-		key[i] = row[c]
+// keyBuf is room on the caller's stack for a key the trees only read (they
+// copy what they keep); a key of more columns than it holds is built on the
+// heap instead.
+type keyBuf [4]sqltypes.Value
+
+// keyOf writes the entry of a version of row rowID into buf.
+func (ix *secondaryIndex) keyOf(buf *keyBuf, row sqltypes.Row, rowID int64) btree.Key {
+	key := buf[:0]
+	for _, c := range ix.cols {
+		key = append(key, row[c])
 	}
-	key[len(ix.cols)] = sqltypes.NewInt(rowID)
-	return key
+	return append(key, sqltypes.NewInt(rowID))
 }
 
 // sameKey reports whether two versions of a row share their entry.
@@ -120,28 +126,35 @@ func (t *Table) define() {
 	t.def.Store(&def)
 }
 
-func (t *Table) pkKeyOf(row sqltypes.Row) (btree.Key, error) {
-	key := make(btree.Key, len(t.pkCols))
-	for i, c := range t.pkCols {
+// pkKeyOf writes row's primary key into buf.
+func (t *Table) pkKeyOf(buf *keyBuf, row sqltypes.Row) (btree.Key, error) {
+	key := buf[:0]
+	for _, c := range t.pkCols {
 		if row[c].IsNull() {
 			return nil, fmt.Errorf("%w: table %s", ErrNullPK, t.name)
 		}
-		key[i] = row[c]
+		key = append(key, row[c])
 	}
 	return key, nil
 }
 
 // HasIndexOn reports whether a secondary index exists whose first column
-// is the given schema position, returning its name.
+// is the given schema position, returning its name. Of several, it is the
+// one of fewest columns, and of those the first by name.
 func (t *Table) HasIndexOn(col int) (string, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for name, ix := range t.indexes {
-		if ix.cols[0] == col {
-			return name, true
+	var best *secondaryIndex
+	for _, ix := range t.indexes {
+		if ix.cols[0] == col && (best == nil || len(ix.cols) < len(best.cols) ||
+			len(ix.cols) == len(best.cols) && ix.name < best.name) {
+			best = ix
 		}
 	}
-	return "", false
+	if best == nil {
+		return "", false
+	}
+	return best.name, true
 }
 
 // ScanEntry is one visible row surfaced by a scan, with the handle Tx.Update,
