@@ -123,7 +123,7 @@ type Kernel struct {
 	statementTimeouts atomic.Uint64
 
 	metaMu    sync.RWMutex
-	metaCache map[string]tableMeta
+	metaCache map[sharding.DataNode]tableMeta
 
 	defaultTxType transaction.Type
 	distSQL       DistSQLHandler
@@ -152,8 +152,9 @@ type Kernel struct {
 }
 
 type tableMeta struct {
-	pk   []string
-	cols []string
+	pk     []string
+	cols   []string
+	schema sqltypes.Schema // cols with the kind DESCRIBE names
 }
 
 // New builds a kernel from the config. The kernel publishes its own clone
@@ -198,19 +199,18 @@ func New(cfg Config) (*Kernel, error) {
 		registry:      reg,
 		features:      cfg.Features,
 		chaosInj:      chaos.NewInjector(),
-		metaCache:     map[string]tableMeta{},
+		metaCache:     map[sharding.DataNode]tableMeta{},
 		defaultTxType: cfg.DefaultTxType,
 		tel:           tel,
 	}
 	k.rules.Store(rules)
 	k.router = route.New(&k.rules, sortedNames(names))
-	k.router.Columns = func(rule *sharding.TableRule) ([]string, error) {
+	k.router.Schema = func(rule *sharding.TableRule) (sqltypes.Schema, error) {
 		if len(rule.DataNodes) == 0 {
 			return nil, fmt.Errorf("core: no data nodes for %s", rule.LogicTable)
 		}
-		first := rule.DataNodes[0]
-		_, cols, err := k.TableMeta(first.DataSource, first.Table)
-		return cols, err
+		m, err := k.tableMeta(rule.DataNodes[0])
+		return m.schema, err
 	}
 	k.planCache = plancache.New(0)
 	for _, f := range cfg.Features {
@@ -326,7 +326,7 @@ func (k *Kernel) Router() *route.Router { return k.router }
 // depend on the same schema, so the same rules are published again.
 func (k *Kernel) InvalidateMeta() {
 	k.metaMu.Lock()
-	k.metaCache = map[string]tableMeta{}
+	k.metaCache = map[sharding.DataNode]tableMeta{}
 	k.metaMu.Unlock()
 	k.Publish(nil)
 }
@@ -371,44 +371,51 @@ func (k *Kernel) dialectOf(ds string) sqlparser.Dialect {
 // and caches the answer — the kernel-side metadata service the Governor's
 // configuration management keeps in real deployments.
 func (k *Kernel) TableMeta(ds, table string) ([]string, []string, error) {
-	key := ds + "." + table
+	m, err := k.tableMeta(sharding.DataNode{DataSource: ds, Table: table})
+	return m.pk, m.cols, err
+}
+
+// tableMeta is TableMeta's cached answer, with each column's kind as the
+// node's DESCRIBE names it (KindNull for a name sqltypes.KindOf does not
+// read); a hit allocates nothing.
+func (k *Kernel) tableMeta(node sharding.DataNode) (tableMeta, error) {
 	k.metaMu.RLock()
-	m, ok := k.metaCache[key]
+	m, ok := k.metaCache[node]
 	k.metaMu.RUnlock()
 	if ok {
-		return m.pk, m.cols, nil
+		return m, nil
 	}
-	src, err := k.executor.Source(ds)
+	src, err := k.executor.Source(node.DataSource)
 	if err != nil {
-		return nil, nil, err
+		return m, err
 	}
 	conn, err := src.Acquire()
 	if err != nil {
-		return nil, nil, err
+		return m, err
 	}
 	defer conn.Release()
-	rs, err := conn.Query(context.Background(), "DESCRIBE "+table)
+	rs, err := conn.Query(context.Background(), "DESCRIBE "+node.Table)
 	if err != nil {
-		return nil, nil, err
+		return m, err
 	}
 	rows, err := resource.ReadAll(rs)
 	if err != nil {
-		return nil, nil, err
+		return m, err
 	}
 	// The names are cloned: a remote source's strings view the frame they
 	// arrived in, and the cache keeps them as long as the table lives.
-	var meta tableMeta
 	for _, r := range rows {
 		col := strings.Clone(r[0].AsString())
-		meta.cols = append(meta.cols, col)
+		m.cols = append(m.cols, col)
+		m.schema = append(m.schema, sqltypes.Column{Name: col, Type: sqltypes.KindOf(r[1].AsString())})
 		if r[2].AsString() == "PRI" {
-			meta.pk = append(meta.pk, col)
+			m.pk = append(m.pk, col)
 		}
 	}
 	k.metaMu.Lock()
-	k.metaCache[key] = meta
+	k.metaCache[node] = m
 	k.metaMu.Unlock()
-	return meta.pk, meta.cols, nil
+	return m, nil
 }
 
 // AddGate installs a source gate at runtime; the governor registers its

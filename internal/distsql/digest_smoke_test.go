@@ -37,8 +37,9 @@ func TestDigestSmoke(t *testing.T) {
 	// Clear the DDL/seed noise so the storm's numbers are exact.
 	exec(t, s, "RESET DIGESTS")
 
-	// Skewed storm: 80% of 200 point selects hit uid=1, the rest sweep
-	// the other shards.
+	// Skewed storm: 80% of 200 point selects hit uid=1, spelled 1, '1' and
+	// '01' in turn (one key however it is spelled), the rest sweep the
+	// other shards.
 	const total, hot = 200, 160
 	hotCount := 0
 	for i := 0; i < total; i++ {
@@ -46,10 +47,12 @@ func TestDigestSmoke(t *testing.T) {
 		if i%5 == 0 {
 			uid = (i / 5) % 8
 		}
+		key := fmt.Sprint(uid)
 		if uid == 1 {
+			key = []string{"1", "'1'", "'01'"}[hotCount%3]
 			hotCount++
 		}
-		got := rows(t, exec(t, s, fmt.Sprintf("SELECT name FROM t_user WHERE uid = %d", uid)))
+		got := rows(t, exec(t, s, "SELECT name FROM t_user WHERE uid = "+key))
 		if len(got) != 1 {
 			t.Fatalf("uid %d: %d rows", uid, len(got))
 		}

@@ -274,7 +274,9 @@ func equivalenceFixture(t testing.TB) (*route.Router, DialectFunc) {
 		t.Fatal(err)
 	}
 	router := newRouter(rs, []string{"ds0", "ds1"})
-	router.Columns = func(*sharding.TableRule) ([]string, error) { return []string{"uid", "name", "age"}, nil }
+	router.Schema = func(*sharding.TableRule) (sqltypes.Schema, error) {
+		return sqltypes.Schema{{Name: "uid"}, {Name: "name"}, {Name: "age"}}, nil
+	}
 	return router, func(ds string) sqlparser.Dialect {
 		if ds == "ds1" {
 			return sqlparser.DialectPostgreSQL

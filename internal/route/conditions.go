@@ -219,21 +219,35 @@ func slotsFor(all []condSlot, ref int, cols []string) []condSlot {
 	return out
 }
 
-// bindConds evaluates the slots against the bound arguments and folds them
-// into conds, which holds one zero condition per sharding column. Every
-// conjunct must hold, so an equality or IN list wins over a range (it is
-// at least as narrow) and two ranges tighten each other's bounds. A slot
-// whose operands cannot be evaluated narrows nothing. A placeholder
-// operand is read where it lies in args, not copied.
-func bindConds(slots []condSlot, args []sqltypes.Value, conds []sharding.Condition) {
+// bindConds evaluates the slots against the bound arguments, reads each
+// value as its column's kind, kinds[slot.at] (sqltypes.Narrow), and folds
+// them into conds, which holds one zero condition per sharding column.
+// Every conjunct must hold, so an equality or IN list wins over a range (it
+// is at least as narrow) and two ranges tighten each other's bounds. A slot
+// whose operands cannot be evaluated, or do not narrow, narrows nothing. A
+// placeholder operand of the column's kind is read where it lies in args,
+// not copied.
+func bindConds(slots []condSlot, kinds [2]sqltypes.Kind, args []sqltypes.Value, conds []sharding.Condition) {
 	env := evalEnv{args: args}
+	one := func(x sqlparser.Expr, kind sqltypes.Kind) ([]sqltypes.Value, bool) {
+		v, err := env.one(x)
+		if err != nil {
+			return nil, false
+		}
+		w, ok := sqltypes.Narrow(v[0], kind)
+		if ok && w.Kind != v[0].Kind {
+			v = []sqltypes.Value{w}
+		}
+		return v, ok
+	}
 	for i := range slots {
 		slot := &slots[i]
+		kind := kinds[slot.at]
 		var c sharding.Condition
 		switch slot.kind {
 		case slotCmp:
-			v, err := env.one(slot.a)
-			if err != nil {
+			v, ok := one(slot.a, kind)
+			if !ok {
 				continue
 			}
 			switch slot.op {
@@ -248,19 +262,21 @@ func bindConds(slots []condSlot, args []sqltypes.Value, conds []sharding.Conditi
 			c.Values = make([]sqltypes.Value, len(slot.list))
 			usable := true
 			for j, item := range slot.list {
-				var err error
-				if c.Values[j], err = env.eval(item); err != nil {
+				v, err := env.eval(item)
+				w, ok := sqltypes.Narrow(v, kind)
+				if err != nil || !ok {
 					usable = false
 					break
 				}
+				c.Values[j] = w
 			}
 			if !usable {
 				continue
 			}
 		case slotBetween:
-			lo, err1 := env.one(slot.a)
-			hi, err2 := env.one(slot.b)
-			if err1 != nil || err2 != nil {
+			lo, ok1 := one(slot.a, kind)
+			hi, ok2 := one(slot.b, kind)
+			if !ok1 || !ok2 {
 				continue
 			}
 			c.Ranged, c.Lo, c.Hi = true, &lo[0], &hi[0]

@@ -109,10 +109,13 @@ type Router struct {
 	// AllDataSources lists every known data source for DDL broadcast and
 	// broadcast tables.
 	allDataSources []string
-	// Columns optionally resolves a sharded table's column order; INSERT
-	// statements without an explicit column list need it to locate the
-	// sharding key. The kernel wires its metadata service here.
-	Columns func(rule *sharding.TableRule) ([]string, error)
+	// Schema optionally resolves a sharded table's columns and their kinds:
+	// a sharding value is read as its column's kind (sqltypes.Narrow,
+	// sqltypes.Coerce), and an INSERT without a column list locates its
+	// sharding key by the column order. The kernel wires its metadata
+	// service here. Without it, or where it fails, a value routes on its
+	// own form.
+	Schema func(rule *sharding.TableRule) (sqltypes.Schema, error)
 
 	// keyObs, when installed, sees every equality sharding-key value the
 	// router resolves (hot-key tracking). Off by default: the cost is one

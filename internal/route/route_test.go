@@ -430,7 +430,9 @@ func TestCompileOnceBindTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := newRouter(rs, []string{"ds0", "ds1"})
-	r.Columns = func(*sharding.TableRule) ([]string, error) { return []string{"status", "order_id"}, nil }
+	r.Schema = func(*sharding.TableRule) (sqltypes.Schema, error) {
+		return sqltypes.Schema{{Name: "status"}, {Name: "order_id"}}, nil
+	}
 	ints := func(vs ...int64) []sqltypes.Value {
 		out := make([]sqltypes.Value, len(vs))
 		for i, v := range vs {

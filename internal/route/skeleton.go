@@ -38,12 +38,16 @@ type Skeleton struct {
 }
 
 // routedTable is one sharded table of a statement: its rule, the rule's
-// node index, its FROM position and the comparisons that narrow its route.
+// node index, its FROM position, the comparisons that narrow its route and
+// the kind of each sharding column (KindNull where unknown; unread when
+// the metadata service failed at compile, so each bind asks again).
 type routedTable struct {
-	rule  *sharding.TableRule
-	ix    *sharding.NodeIndex
-	ref   int
-	slots []condSlot
+	rule   *sharding.TableRule
+	ix     *sharding.NodeIndex
+	ref    int
+	slots  []condSlot
+	kinds  [2]sqltypes.Kind
+	unread bool
 }
 
 // BuildSkeleton compiles a statement for routing against the current rule
@@ -139,7 +143,38 @@ func (s *Skeleton) dml(table, alias string, where sqlparser.Expr) *sharding.Tabl
 
 func (s *Skeleton) sharded(rule *sharding.TableRule, ref int, slots []condSlot) {
 	ix := rule.NodeIndex()
-	s.tables = append(s.tables, routedTable{rule: rule, ix: ix, ref: ref, slots: slotsFor(slots, ref, ix.Columns())})
+	t := routedTable{rule: rule, ix: ix, ref: ref, slots: slotsFor(slots, ref, ix.Columns())}
+	if len(t.slots) > 0 {
+		var err error
+		t.kinds, _, err = s.r.kindsOf(rule)
+		t.unread = err != nil
+	}
+	s.tables = append(s.tables, t)
+}
+
+// kindsOf reads the kind of each of rule's sharding columns (at most two)
+// from the metadata service, KindNull where it has none, and returns the
+// schema it read them from.
+func (r *Router) kindsOf(rule *sharding.TableRule) (kinds [2]sqltypes.Kind, schema sqltypes.Schema, err error) {
+	if r.Schema == nil {
+		return kinds, nil, nil
+	}
+	schema, err = r.Schema(rule)
+	for j, col := range rule.NodeIndex().Columns() {
+		if i := schema.Index(col); i >= 0 {
+			kinds[j] = schema[i].Type
+		}
+	}
+	return kinds, schema, err
+}
+
+// kindsAt is t's kinds for a bind.
+func (s *Skeleton) kindsAt(t *routedTable) [2]sqltypes.Kind {
+	if !t.unread {
+		return t.kinds
+	}
+	kinds, _, _ := s.r.kindsOf(t.rule)
+	return kinds
 }
 
 // colocate reports whether a join of several sharded tables is
@@ -180,17 +215,19 @@ func (s *Skeleton) ddl(table string) {
 
 // insertKeys locates the sharding columns among the insert columns; a
 // column-less INSERT uses the table's schema order from the metadata
-// service.
+// service, which also gives the kinds the keys are coerced to.
 func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt) error {
+	t := &s.tables[0]
+	cols := t.ix.Columns()
+	kinds, schema, err := s.r.kindsOf(t.rule)
+	t.kinds, t.unread = kinds, err != nil
 	insertCols := stmt.Columns
-	if len(insertCols) == 0 && s.r.Columns != nil {
-		resolved, err := s.r.Columns(s.tables[0].rule)
+	if len(insertCols) == 0 && s.r.Schema != nil {
 		if err != nil {
 			return fmt.Errorf("route: cannot resolve columns of %s: %w", stmt.Table, err)
 		}
-		insertCols = resolved
+		insertCols = schema.Names()
 	}
-	cols := s.tables[0].ix.Columns()
 	s.keys = make([][]sqlparser.Expr, len(stmt.Rows))
 	backing := make([]sqlparser.Expr, len(stmt.Rows)*len(cols))
 	for i, row := range stmt.Rows {
@@ -281,7 +318,7 @@ func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, dst []sharding.DataNode
 	if len(cols) > len(buf) {
 		conds = make([]sharding.Condition, len(cols))
 	}
-	bindConds(t.slots, args, conds)
+	bindConds(t.slots, s.kindsAt(t), args, conds)
 	s.r.noteKeys(t.rule.LogicTable, cols, conds)
 	return t.ix.Route(conds, dst)
 }
@@ -337,7 +374,7 @@ func (s *Skeleton) join(res *Result, nodes []sharding.DataNode, args []sqltypes.
 // map to its node, in statement order.
 func (s *Skeleton) routeRows(res *Result, args []sqltypes.Value) error {
 	t := &s.tables[0]
-	rule, cols := t.rule, t.ix.Columns()
+	rule, cols, kinds := t.rule, t.ix.Columns(), s.kindsAt(t)
 	env := evalEnv{args: args}
 	res.reset(KindStandard, 0)
 	unitOf := map[sharding.DataNode]int{}
@@ -351,6 +388,14 @@ func (s *Skeleton) routeRows(res *Result, args []sqltypes.Value) error {
 			v, err := env.one(keys[j])
 			if err != nil {
 				return err
+			}
+			// The row goes where its stored value, the coerced one, routes.
+			w, err := sqltypes.Coerce(v[0], kinds[j])
+			if err != nil {
+				return fmt.Errorf("%w: %s.%s", err, rule.LogicTable, col)
+			}
+			if w.Kind != v[0].Kind {
+				v = []sqltypes.Value{w}
 			}
 			conds[j] = sharding.Condition{Values: v}
 		}

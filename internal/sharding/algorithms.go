@@ -114,7 +114,8 @@ func (a *hashModAlgorithm) Init(props map[string]string) error {
 	return nil
 }
 
-// hashValue hashes the canonical string form, so 7 and '7' co-locate.
+// hashValue hashes the value's text. The router has read the value as its
+// column's kind (sqltypes.Narrow), so one key has one text.
 func hashValue(v sqltypes.Value) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(v.AsString()))

@@ -47,14 +47,16 @@ func (t *tableCols) owns(ref *sqlparser.ColumnRef) bool {
 // accessShape is the access path of one table scan as far as the
 // statement text and the table definition decide it: primary-key point/IN
 // lookup, primary-key range, secondary-index equality, or full scan. The
-// key values are constant expressions bound from the arguments at run time.
-// Predicates are always re-checked against fetched rows, so the path only
-// needs to cover a superset of the matching rows.
+// key values are constant expressions bound from the arguments at run time
+// and narrowed to the key column's kind (sqltypes.Narrow). Predicates are
+// always re-checked against fetched rows, so the path only needs to cover a
+// superset of the matching rows.
 type accessShape struct {
 	kind     accessKind
 	points   []sqlparser.Expr // point/IN keys, or the one index key
 	los, his []sqlparser.Expr // range bounds: the tightest of each side applies
 	index    string           // secondary index name for accessIndex
+	col      sqltypes.Kind    // the key column's kind
 }
 
 type accessKind uint8
@@ -86,6 +88,10 @@ func shapeAccess(tbl *storage.Table, cols *tableCols, conjuncts []sqlparser.Expr
 	if len(pkCols) == 1 {
 		pkCol = pkCols[0]
 	}
+	pkKind := sqltypes.KindNull
+	if pkCol >= 0 {
+		pkKind = schema[pkCol].Type
+	}
 	var shape accessShape
 	for _, c := range conjuncts {
 		switch t := c.(type) {
@@ -98,7 +104,7 @@ func shapeAccess(tbl *storage.Table, cols *tableCols, conjuncts []sqlparser.Expr
 			if col == pkCol {
 				switch op {
 				case sqlparser.OpEQ:
-					return accessShape{kind: accessPKPoint, points: []sqlparser.Expr{val}}
+					return accessShape{kind: accessPKPoint, points: []sqlparser.Expr{val}, col: pkKind}
 				case sqlparser.OpGE, sqlparser.OpGT:
 					shape.los = append(shape.los, val)
 				case sqlparser.OpLE, sqlparser.OpLT:
@@ -107,6 +113,7 @@ func shapeAccess(tbl *storage.Table, cols *tableCols, conjuncts []sqlparser.Expr
 			} else if op == sqlparser.OpEQ && shape.kind == accessFull {
 				if idx, ok := tbl.HasIndexOn(col); ok {
 					shape.kind, shape.index, shape.points = accessIndex, idx, []sqlparser.Expr{val}
+					shape.col = schema[col].Type
 				}
 			}
 		case *sqlparser.InExpr:
@@ -122,7 +129,7 @@ func shapeAccess(tbl *storage.Table, cols *tableCols, conjuncts []sqlparser.Expr
 				allConst = allConst && isConst(item)
 			}
 			if allConst {
-				return accessShape{kind: accessPKPoint, points: t.List}
+				return accessShape{kind: accessPKPoint, points: t.List, col: pkKind}
 			}
 		case *sqlparser.BetweenExpr:
 			if t.Not {
@@ -139,24 +146,33 @@ func shapeAccess(tbl *storage.Table, cols *tableCols, conjuncts []sqlparser.Expr
 		}
 	}
 	if len(shape.los) > 0 || len(shape.his) > 0 {
-		shape.kind = accessPKRange
+		shape.kind, shape.col = accessPKRange, pkKind
 	}
 	return shape
 }
 
 // bind evaluates the shape's keys. One point, or a range's two bounds,
 // live in keys — a caller's local, so binding the common plans allocates
-// nothing. A key that fails to evaluate (a missing bind argument) widens
-// the plan to a full scan; the residual predicate then reports the error
-// against the first row. Repeated IN keys bind once: no row is hit twice.
+// nothing. A key that fails to evaluate (a missing bind argument) or does
+// not narrow to one value of the column's kind (a number against a
+// VARCHAR, whose tree is in string order) widens the plan to a full scan;
+// the residual predicate then decides, or reports the error against the
+// first row. Repeated IN keys bind once: no row is hit twice.
 func (sh *accessShape) bind(args []sqltypes.Value, keys *[2]sqltypes.Value) accessPlan {
 	env := rowEnv{args: args}
 	plan := accessPlan{kind: sh.kind}
+	key := func(e sqlparser.Expr) (sqltypes.Value, bool) {
+		v, err := env.eval(e)
+		if err != nil {
+			return v, false
+		}
+		return sqltypes.Narrow(v, sh.col)
+	}
 	switch sh.kind {
 	case accessPKPoint, accessIndex:
 		if len(sh.points) == 1 {
-			v, err := env.eval(sh.points[0])
-			if err != nil {
+			v, ok := key(sh.points[0])
+			if !ok {
 				return accessPlan{}
 			}
 			keys[0] = v
@@ -165,8 +181,8 @@ func (sh *accessShape) bind(args []sqltypes.Value, keys *[2]sqltypes.Value) acce
 		}
 		plan.points = make([]btree.Key, 0, len(sh.points))
 		for _, e := range sh.points {
-			v, err := env.eval(e)
-			if err != nil {
+			v, ok := key(e)
+			if !ok {
 				return accessPlan{}
 			}
 			k := btree.Key{v}
@@ -176,8 +192,8 @@ func (sh *accessShape) bind(args []sqltypes.Value, keys *[2]sqltypes.Value) acce
 		}
 	case accessPKRange:
 		for _, e := range sh.los {
-			v, err := env.eval(e)
-			if err != nil {
+			v, ok := key(e)
+			if !ok {
 				return accessPlan{}
 			}
 			if plan.lo == nil || sqltypes.Compare(v, plan.lo[0]) > 0 {
@@ -186,8 +202,8 @@ func (sh *accessShape) bind(args []sqltypes.Value, keys *[2]sqltypes.Value) acce
 			}
 		}
 		for _, e := range sh.his {
-			v, err := env.eval(e)
-			if err != nil {
+			v, ok := key(e)
+			if !ok {
 				return accessPlan{}
 			}
 			if plan.hi == nil || sqltypes.Compare(v, plan.hi[0]) < 0 {

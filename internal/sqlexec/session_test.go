@@ -736,3 +736,77 @@ func TestLargeScanAndRangeQuery(t *testing.T) {
 		t.Fatalf("range sum: %v want %d", res.Rows[0][0], want)
 	}
 }
+
+// TestWriteStoresTheColumnKind: a written value is coerced to its column's
+// kind, so '020' stored in an INT key is the row of 20; a value the kind
+// refuses fails the statement with sqltypes.ErrCoerce and stores nothing.
+func TestWriteStoresTheColumnKind(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, k VARCHAR(8), v DOUBLE)")
+	mustExec(t, s, "INSERT INTO t (id, k, v) VALUES ('020', 5, 2)")
+	res := mustExec(t, s, "SELECT id, k, v FROM t WHERE id = 20")
+	want := sqltypes.Row{sqltypes.NewInt(20), sqltypes.NewString("5"), sqltypes.NewFloat(2)}
+	if len(res.Rows) != 1 || !slices.Equal(res.Rows[0], want) {
+		t.Fatalf("rows %v, want %v", res.Rows, want)
+	}
+	for _, sql := range []string{
+		"INSERT INTO t (id, k, v) VALUES (21, 'abc', 'abc')",
+		"INSERT INTO t (id, k, v) VALUES (2.5, 'abc', 2.7)",
+		"UPDATE t SET v = 'x' WHERE id = 20",
+	} {
+		if _, err := s.Execute(sql); !errors.Is(err, sqltypes.ErrCoerce) {
+			t.Errorf("%s: %v, want sqltypes.ErrCoerce", sql, err)
+		}
+	}
+	if res := mustExec(t, s, "SELECT id, k, v FROM t"); len(res.Rows) != 1 || !slices.Equal(res.Rows[0], want) {
+		t.Fatalf("after the refused writes: %v, want only %v", res.Rows, want)
+	}
+}
+
+// TestVarcharKeyPathsMatchFullScan: on a VARCHAR primary key and a VARCHAR
+// secondary index holding '7', '07', '7.0', ' 7', '8' and '10', a number
+// compares with each value as its number. The point, IN, range and index
+// paths must find what the full-scan form (c + 0) finds, though each tree
+// is in string order.
+func TestVarcharKeyPathsMatchFullScan(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, "CREATE TABLE s (c VARCHAR(8) PRIMARY KEY, n VARCHAR(8))")
+	mustExec(t, s, "CREATE INDEX idx_n ON s (n)")
+	for _, v := range []string{"7", "07", "7.0", " 7", "8", "10"} {
+		mustExec(t, s, "INSERT INTO s (c, n) VALUES (?, ?)", sqltypes.NewString(v), sqltypes.NewString(v))
+	}
+	tbl, err := s.engine.Table("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seven, eight := sqltypes.NewInt(7), sqltypes.NewInt(8)
+	for _, c := range []struct {
+		path       accessKind
+		cond, scan string
+		args       []sqltypes.Value
+	}{
+		{accessPKPoint, "c = 7", "c + 0 = 7", nil},
+		{accessPKPoint, "c = ?", "c + 0 = ?", []sqltypes.Value{seven}},
+		{accessPKPoint, "c IN (7, 8)", "c + 0 IN (7, 8)", nil},
+		{accessPKPoint, "c IN (?, ?)", "c + 0 IN (?, ?)", []sqltypes.Value{seven, eight}},
+		{accessPKRange, "c >= 8", "c + 0 >= 8", nil},
+		{accessPKRange, "c BETWEEN ? AND ?", "c + 0 BETWEEN ? AND ?", []sqltypes.Value{seven, eight}},
+		{accessIndex, "n = 7", "n + 0 = 7", nil},
+		{accessIndex, "n = ?", "n + 0 = ?", []sqltypes.Value{seven}},
+		{accessPKPoint, "c = '07'", "c = '07' AND c + 0 = c + 0", nil},
+	} {
+		where, err := sqlparser.Parse("SELECT c FROM s WHERE " + c.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := tableCols{quals: []string{"s"}, schema: tbl.Schema()}
+		if shape := shapeAccess(tbl, &cols, splitConjuncts(where.(*sqlparser.SelectStmt).Where)); shape.kind != c.path {
+			t.Fatalf("%s: access path %d, want %d", c.cond, shape.kind, c.path)
+		}
+		got := mustExec(t, s, "SELECT c FROM s WHERE "+c.cond+" ORDER BY c", c.args...)
+		want := mustExec(t, s, "SELECT c FROM s WHERE "+c.scan+" ORDER BY c", c.args...)
+		if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal[sqltypes.Row]) || len(want.Rows) == 0 {
+			t.Errorf("WHERE %s %v: %v; the full scan finds %v", c.cond, c.args, got.Rows, want.Rows)
+		}
+	}
+}

@@ -8,6 +8,7 @@
 package sqltypes
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -90,8 +91,9 @@ func (v Value) Bool() bool {
 	}
 }
 
-// AsInt coerces the value to an integer, following the permissive numeric
-// coercion of the MySQL family (strings parse their numeric prefix).
+// AsInt reads the value as an integer: a FLOAT truncates, and a string
+// reads by Coerce's INT rule ('7', ' 7 ' and '7.0' are 7), 0 where that
+// rule refuses it ('7.5', '12abc').
 func (v Value) AsInt() int64 {
 	switch v.Kind {
 	case KindInt, KindBool:
@@ -99,8 +101,10 @@ func (v Value) AsInt() int64 {
 	case KindFloat:
 		return int64(v.F)
 	case KindString:
-		n, _ := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
-		return n
+		if n, ok := coerce(v, KindInt); ok {
+			return n.I
+		}
+		return 0
 	default:
 		return 0
 	}
@@ -114,8 +118,7 @@ func (v Value) AsFloat() float64 {
 	case KindFloat:
 		return v.F
 	case KindString:
-		f, _ := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
-		return f
+		return v.number().AsFloat()
 	default:
 		return 0
 	}
@@ -154,14 +157,14 @@ func (v Value) SQLLiteral() string {
 // String implements fmt.Stringer for debugging.
 func (v Value) String() string { return v.AsString() }
 
-// numericKind reports whether the kind participates in numeric comparison.
-func numericKind(k Kind) bool { return k == KindInt || k == KindFloat || k == KindBool }
-
 // Compare orders two values. NULL sorts before everything (as in MySQL's
-// ORDER BY). Numeric kinds compare numerically even across kinds; strings
-// compare lexicographically; a numeric and a string compare numerically,
-// matching the coercion used by the expression evaluator.
+// ORDER BY). Two strings compare lexicographically; any other pair compares
+// numerically and exactly, a string read as its number (number), as the
+// expression evaluator reads it, and NaN before every other number.
 func Compare(a, b Value) int {
+	if a.Kind == KindInt && b.Kind == KindInt {
+		return cmp.Compare(a.I, b.I)
+	}
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
 	case an && bn:
@@ -171,35 +174,23 @@ func Compare(a, b Value) int {
 	case bn:
 		return 1
 	}
-	if a.Kind == KindString && b.Kind == KindString {
-		return strings.Compare(a.S, b.S)
-	}
-	if numericKind(a.Kind) && numericKind(b.Kind) {
-		if a.Kind == KindInt && b.Kind == KindInt {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			default:
-				return 0
-			}
-		}
-		return compareFloat(a.AsFloat(), b.AsFloat())
-	}
-	// Mixed string/numeric: coerce to numbers, as the evaluator does.
-	return compareFloat(a.AsFloat(), b.AsFloat())
-}
-
-func compareFloat(a, b float64) int {
 	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
+	case a.Kind == KindString && b.Kind == KindString:
+		return strings.Compare(a.S, b.S)
+	case a.Kind == KindString:
+		a = a.number()
+	case b.Kind == KindString:
+		b = b.number()
 	}
+	switch af, bf := a.Kind == KindFloat, b.Kind == KindFloat; {
+	case af && bf:
+		return cmp.Compare(a.F, b.F)
+	case af:
+		return -compareIntFloat(b.I, a.F)
+	case bf:
+		return compareIntFloat(a.I, b.F)
+	}
+	return cmp.Compare(a.I, b.I)
 }
 
 // Equal reports whether two values compare equal under Compare, with the

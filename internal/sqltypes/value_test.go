@@ -31,6 +31,21 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	}
 }
 
+// TestAsIntReadsTheIntRule: a string reads as Coerce reads it into an INT
+// column, and 0 where Coerce refuses it.
+func TestAsIntReadsTheIntRule(t *testing.T) {
+	for s, want := range map[string]int64{
+		"7": 7, " 7 ": 7, "07": 7, "7.0": 7, "-1e3": -1000, "7.5": 0, "12abc": 0, "abc": 0, "": 0,
+	} {
+		if got := NewString(s).AsInt(); got != want {
+			t.Errorf("AsInt(%q) = %d, want %d", s, got, want)
+		}
+	}
+	if got := NewString("7.0").AsFloat(); got != 7 {
+		t.Errorf("AsFloat('7.0') = %v, want 7", got)
+	}
+}
+
 func TestSQLLiteral(t *testing.T) {
 	if got := NewString("it's").SQLLiteral(); got != "'it''s'" {
 		t.Fatalf("literal escaping: %s", got)
@@ -59,6 +74,9 @@ func TestCompareBasics(t *testing.T) {
 		{Null, Null, 0},
 		{NewString("10"), NewInt(9), 1}, // mixed → numeric
 		{NewBool(true), NewInt(1), 0},
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1}, // exact, not as floats
+		{NewString("9007199254740993"), NewInt(1 << 53), 1},
+		{NewString("7.0"), NewInt(7), 0},
 	}
 	for _, tc := range cases {
 		if got := Compare(tc.a, tc.b); got != tc.want {

@@ -223,10 +223,11 @@ func TestUpdatePKRejected(t *testing.T) {
 }
 
 // TestCoercedKeyKeepsStoredKey: an UPDATE may set a primary key column to
-// a value that only equals the stored key under coercion ('xyz' = 0, and
-// 2^53+1 = 2^53 as floats), and a reinsert after a delete may find the
-// slot through one. The row keeps the stored key, so deleting it later
-// removes its own primary-key entry and no other row's.
+// a value that equals the stored key only as Compare reads it ('xyz' = 0,
+// and 2^53+1 = 2^53 as floats), and a reinsert after a delete may spell a
+// key another way. Each is coerced to the column's kind first: it then
+// names its exact key or is refused, and every row keeps one primary-key
+// entry, so deleting the rows leaves none.
 func TestCoercedKeyKeepsStoredKey(t *testing.T) {
 	const big = int64(1) << 53
 	str, num := sqltypes.NewString, sqltypes.NewInt
@@ -234,12 +235,14 @@ func TestCoercedKeyKeepsStoredKey(t *testing.T) {
 		name        string
 		kind        sqltypes.Kind
 		keys        []sqltypes.Value // committed first; the last is the victim
-		coerced     sqltypes.Value   // equals the victim only under coercion
+		coerced     sqltypes.Value   // what the write gives the victim's key
 		viaReinsert bool             // delete and reinsert rather than update
+		want        sqltypes.Value   // the key the written row holds, if wantErr is nil
+		wantErr     error
 	}{
-		{"update string to int", sqltypes.KindString, []sqltypes.Value{str("abc"), str("xyz")}, num(0), false},
-		{"update int to float", sqltypes.KindInt, []sqltypes.Value{num(big), num(big + 1)}, sqltypes.NewFloat(float64(big)), false},
-		{"reinsert int as float", sqltypes.KindInt, []sqltypes.Value{num(big + 1)}, sqltypes.NewFloat(float64(big)), true},
+		{"update string to int", sqltypes.KindString, []sqltypes.Value{str("abc"), str("xyz")}, num(0), false, sqltypes.Null, ErrPKUpdate},
+		{"update int to float", sqltypes.KindInt, []sqltypes.Value{num(big), num(big + 1)}, sqltypes.NewFloat(float64(big)), false, sqltypes.Null, ErrPKUpdate},
+		{"reinsert int as float", sqltypes.KindInt, []sqltypes.Value{num(big + 1)}, sqltypes.NewFloat(float64(big)), true, num(big), nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e := NewEngine("ds0")
@@ -257,43 +260,45 @@ func TestCoercedKeyKeepsStoredKey(t *testing.T) {
 			victim := c.keys[len(c.keys)-1]
 			tx = e.Begin()
 			se, _ := tbl.PKGet(tx.ID(), btree.Key{victim})
+			var written sqltypes.Row
+			var err error
 			if c.viaReinsert {
 				if ok, err := tx.Delete(tbl, se, anyRow); !ok || err != nil {
 					t.Fatalf("delete: %v, %v", ok, err)
 				}
-				if r, err := tx.Insert(tbl, sqltypes.Row{c.coerced, num(2)}); err != nil || r[0] != victim {
-					t.Fatalf("reinsert: %v, %v", r, err)
-				}
-			} else if ok, err := tx.Update(tbl, se, setTo(sqltypes.Row{c.coerced, num(2)})); !ok || err != nil {
-				t.Fatalf("update: %v, %v", ok, err)
+				written, err = tx.Insert(tbl, sqltypes.Row{c.coerced, num(2)})
+			} else {
+				_, err = tx.Update(tbl, se, setTo(sqltypes.Row{c.coerced, num(2)}))
 			}
-			tx.Commit()
-			if c.viaReinsert { // a row the coerced value names exactly
-				tx = e.Begin()
-				mustInsert(t, tx, "t", sqltypes.Row{num(big), num(3)})
+			if c.wantErr != nil {
+				if !errors.Is(err, c.wantErr) {
+					t.Fatalf("write: %v, want %v", err, c.wantErr)
+				}
+				tx.Rollback()
+			} else {
+				if err != nil || written[0] != c.want {
+					t.Fatalf("write: %v, %v; want key %v", written, err, c.want)
+				}
 				tx.Commit()
 			}
-			tx = e.Begin()
-			se, _ = tbl.PKGet(tx.ID(), btree.Key{victim})
-			if se.Row[0] != victim {
-				t.Fatalf("row holds key %v, want the stored %v", se.Row[0], victim)
-			}
-			if ok, err := tx.Delete(tbl, se, anyRow); !ok || err != nil {
-				t.Fatalf("delete: %v, %v", ok, err)
-			}
-			tx.Commit()
 			survivors := scanAll(e, "t", 0)
 			if n := entries(tbl.pk); n != len(survivors) {
 				t.Fatalf("primary key has %d entries for %d rows", n, len(survivors))
 			}
+			tx = e.Begin()
 			for _, r := range survivors {
-				if se, ok := tbl.PKGet(0, btree.Key{r[0]}); !ok || se.Row[0] != r[0] {
+				se, ok := tbl.PKGet(tx.ID(), btree.Key{r[0]})
+				if !ok || se.Row[0] != r[0] {
 					t.Fatalf("row %v lost its primary-key entry", r)
 				}
+				if ok, err := tx.Delete(tbl, se, anyRow); !ok || err != nil {
+					t.Fatalf("delete %v: %v, %v", r, ok, err)
+				}
 			}
-			tx = e.Begin()
-			mustInsert(t, tx, "t", sqltypes.Row{victim, num(4)})
 			tx.Commit()
+			if n := entries(tbl.pk); n != 0 {
+				t.Fatalf("primary key keeps %d entries for no row", n)
+			}
 		})
 	}
 }

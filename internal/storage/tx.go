@@ -73,11 +73,20 @@ func (tx *Tx) checkActive() error {
 	}
 }
 
-// checkRow validates a row about to be stored. Caller holds t.mu.
+// checkRow coerces a row about to be stored to the table's kinds
+// (sqltypes.Coerce), so a column holds its own kind or NULL, and validates
+// it. Caller holds t.mu.
 func (t *Table) checkRow(row sqltypes.Row) error {
-	for i, nn := range t.notNull {
-		if nn && row[i].IsNull() {
-			return fmt.Errorf("%w: %s.%s", ErrNotNullColumn, t.name, t.schema[i].Name)
+	for i, col := range t.schema {
+		if row[i].Kind != col.Type && !row[i].IsNull() {
+			v, err := sqltypes.Coerce(row[i], col.Type)
+			if err != nil {
+				return fmt.Errorf("%w: %s.%s", err, t.name, col.Name)
+			}
+			row[i] = v
+		}
+		if t.notNull[i] && row[i].IsNull() {
+			return fmt.Errorf("%w: %s.%s", ErrNotNullColumn, t.name, col.Name)
 		}
 	}
 	return nil
@@ -98,15 +107,13 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.autoCol >= 0 && row[t.autoCol].IsNull() {
-		t.autoInc++
-		row[t.autoCol] = sqltypes.NewInt(t.autoInc)
-	} else if t.autoCol >= 0 {
-		if v := row[t.autoCol].AsInt(); v > t.autoInc {
-			t.autoInc = v
-		}
+		row[t.autoCol] = sqltypes.NewInt(t.autoInc + 1)
 	}
 	if err := t.checkRow(row); err != nil {
 		return nil, err
+	}
+	if t.autoCol >= 0 {
+		t.autoInc = max(t.autoInc, row[t.autoCol].AsInt())
 	}
 	var buf keyBuf
 	pkKey, err := t.pkKeyOf(&buf, row)
@@ -116,15 +123,6 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	if slot, ok := t.pk.Get(pkKey); ok {
 		// Re-insert of a row this transaction deleted: revive it in place.
 		if slot.owner == tx.id && slot.deleted {
-			// The key found may equal the stored one only under coercion
-			// ('7' for 7); the row takes the stored key, which drop reads.
-			kept := slot.committed
-			if kept == nil {
-				kept = slot.uncommitted
-			}
-			for _, c := range t.pkCols {
-				row[c] = kept[c]
-			}
 			slot.deleted = false
 			slot.uncommitted = row
 			t.addVersionEntries(row, slot.committed, slot)
@@ -164,9 +162,8 @@ func (tx *Tx) lock(t *Table, se ScanEntry, latch sync.Locker) (sqltypes.Row, err
 
 // Update locks the row behind a scan entry of table t and, under one hold
 // of the table latch, stores what set returns for the version tx then sees.
-// set only evaluates: it must not modify cur, and its row is stored as is
-// but for its primary key columns, which must equal cur's and take cur's
-// values, so every version holds the primary tree's exact key. Update
+// set only evaluates: it must not modify cur, and its row, coerced to the
+// table's kinds, is stored; its primary key must still be cur's. Update
 // returns false if the row is gone or set returns nil.
 func (tx *Tx) Update(t *Table, se ScanEntry, set func(cur sqltypes.Row) (sqltypes.Row, error)) (bool, error) {
 	cur, err := tx.lock(t, se, &t.mu)
@@ -185,14 +182,13 @@ func (tx *Tx) Update(t *Table, se ScanEntry, set func(cur sqltypes.Row) (sqltype
 		return false, fmt.Errorf("%w: table %s wants %d columns, got %d",
 			ErrColumnCount, t.name, len(t.schema), len(newRow))
 	}
+	if err := t.checkRow(newRow); err != nil {
+		return false, err
+	}
 	for _, c := range t.pkCols {
 		if !sqltypes.Equal(cur[c], newRow[c]) {
 			return false, fmt.Errorf("%w: %s.%s", ErrPKUpdate, t.name, t.schema[c].Name)
 		}
-		newRow[c] = cur[c]
-	}
-	if err := t.checkRow(newRow); err != nil {
-		return false, err
 	}
 	slot := se.slot
 	tx.own(t, slot)

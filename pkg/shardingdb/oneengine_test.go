@@ -15,6 +15,7 @@ import (
 	"shardingsphere/internal/route"
 	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/sqlparser"
+	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
 )
 
@@ -29,8 +30,8 @@ func oneEngineRows() [][3]int64 {
 	return rows
 }
 
-// oneEngineFloats is table f: x is a DOUBLE holding 2 as an integer on
-// some rows and as 2.0 on others, which one engine holds to be one value.
+// oneEngineFloats is table f: x is a DOUBLE holding 2, 2.5 and 2 again,
+// the integer written 2 stored as 2.0 too.
 func oneEngineFloats() []Row {
 	return []Row{
 		{Int(1), Int(2)}, {Int(2), Float(2)}, {Int(3), Float(2.5)}, {Int(4), Float(2)}, {Int(5), Int(2)}, {Int(6), Float(2.5)},
@@ -97,9 +98,14 @@ var oneEngineStatements = []struct {
 	// matched, not a unit's empty partial.
 	{"SELECT k, COUNT(*) FROM t WHERE v = 6", "SELECT k, COUNT(*) FROM t WHERE v = ?", []Value{Int(6)}, nil, nil},
 	{"SELECT k, COUNT(*) FROM t WHERE k = 1", "SELECT k, COUNT(*) FROM t WHERE k = ?", []Value{Int(1)}, nil, nil},
-	// 2 and 2.0 on different units are one value.
+	// 2 and 2.0 on different units are one value: the grouped expression
+	// is the INT 2 on odd ids and the DOUBLE x on even ones.
 	{"SELECT x, COUNT(*) FROM f GROUP BY x ORDER BY COUNT(*)", "SELECT x, COUNT(*) FROM f GROUP BY x ORDER BY COUNT(*)", nil, []int{0, 1}, nil},
-	{"SELECT DISTINCT x FROM f ORDER BY x", "SELECT DISTINCT x FROM f ORDER BY x", nil, []int{0}, nil},
+	{"SELECT CASE WHEN id % 2 = 1 THEN 2 ELSE x END g, COUNT(*) FROM f GROUP BY CASE WHEN id % 2 = 1 THEN 2 ELSE x END ORDER BY COUNT(*)",
+		"SELECT CASE WHEN id % ? = 1 THEN 2 ELSE x END g, COUNT(*) FROM f GROUP BY CASE WHEN id % ? = 1 THEN 2 ELSE x END ORDER BY COUNT(*)",
+		[]Value{Int(2), Int(2)}, []int{0, 1}, nil},
+	{"SELECT DISTINCT CASE WHEN id % 2 = 1 THEN 2 ELSE x END FROM f ORDER BY 1",
+		"SELECT DISTINCT CASE WHEN id % ? = 1 THEN 2 ELSE x END FROM f ORDER BY 1", []Value{Int(2)}, []int{0}, nil},
 	// The units select the ORDER BY key too, so only the merger sees k alone.
 	{"SELECT DISTINCT k FROM t ORDER BY v", "SELECT DISTINCT k FROM t ORDER BY v", nil, nil, nil},
 	// An empty range: no row, whatever the algorithm makes of it.
@@ -112,11 +118,17 @@ var oneEngineStatements = []struct {
 	{"SELECT T.id FROM t WHERE T.id BETWEEN 1 AND 3 ORDER BY T.id",
 		"SELECT T.id FROM t WHERE T.id BETWEEN ? AND ? ORDER BY T.id", []Value{Int(1), Int(3)}, []int{0}, nil},
 	{"SELECT T.* FROM t WHERE id = 1", "SELECT T.* FROM t WHERE id = ?", []Value{Int(1)}, nil, nil},
+	// A sharding value is read as the key's kind, however it is spelled.
+	{"SELECT id FROM t WHERE id = '07'", "SELECT id FROM t WHERE id = ?", []Value{String("07")}, nil, nil},
+	{"SELECT id FROM t WHERE id = ' 7'", "SELECT id FROM t WHERE id = ?", []Value{String(" 7")}, nil, nil},
+	{"SELECT id FROM t WHERE id = '7.0'", "SELECT id FROM t WHERE id = ?", []Value{String("7.0")}, nil, nil},
+	{"SELECT id FROM t WHERE id = TRUE", "SELECT id FROM t WHERE id = ?", []Value{Bool(true)}, nil, nil},
+	{"SELECT id FROM t WHERE id IN ('07', 8.0)", "SELECT id FROM t WHERE id IN (?, ?)", []Value{String("07"), Float(8)}, nil, nil},
 }
 
 // TestRowsMatchOneEngine runs every statement through the kernel — the
-// table in one shard and in four over two sources, by hash_mod and by the
-// two range algorithms, both sources MySQL or both PostgreSQL, literal and
+// table in one shard and in four over two sources, by hash_mod, mod and
+// the two range algorithms, both sources MySQL or both PostgreSQL, literal and
 // placeholder form, first and second execution — and holds each answer to
 // one sqlexec.Processor holding the same rows. At four shards it also runs
 // them on the executor's read windows, where a source's units share one
@@ -140,6 +152,7 @@ func TestRowsMatchOneEngine(t *testing.T) {
 			{"4 shards on remote nodes in a transaction", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", remote: true}, true},
 			{"4 shards on one source in a transaction", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0"}, true},
 			{"4 shards on one source at MaxCon 1", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0", maxCon: 1}, false},
+			{"4 shards by mod", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", algorithm: "mod"}, false},
 			{"4 shards by boundary_range", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", algorithm: "boundary_range"}, false},
 			{"4 shards by volume_range", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", algorithm: "volume_range"}, false},
 		} {
@@ -384,6 +397,122 @@ func TestJoinsMatchOneEngine(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// oneEngineAlgorithms are the four algorithms t is laid out by at four shards.
+var oneEngineAlgorithms = []string{"hash_mod", "mod", "boundary_range", "volume_range"}
+
+// TestWritesKeepTheirKey: a sharding value is stored as the key's kind, so
+// an INSERT of '020' into an INT key is the row WHERE id = 20 finds, as on
+// one engine, and a value the kind refuses fails the INSERT with
+// sqltypes.ErrCoerce and leaves no row.
+func TestWritesKeepTheirKey(t *testing.T) {
+	for _, dialect := range []string{"mysql", "postgresql"} {
+		for _, algorithm := range oneEngineAlgorithms {
+			where := fmt.Sprintf("%s, %s", dialect, algorithm)
+			ref := oneEngineRef(t)
+			s := layoutDB(t, dialect, oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", algorithm: algorithm})
+			for _, form := range []struct {
+				sql  string
+				args []Value
+			}{{"INSERT INTO t (id, k, v) VALUES ('020', 0, 0)", nil}, {"INSERT INTO u (id, k, v) VALUES (?, ?, ?)", []Value{String("020"), Int(0), Int(0)}}} {
+				if _, err := s.Exec(form.sql, form.args...); err != nil {
+					t.Fatalf("%s: %s: %v", where, form.sql, err)
+				}
+				if _, err := ref.Execute(form.sql, form.args...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, table := range []string{"t", "u"} {
+				q := "SELECT id, k, v FROM " + table + " WHERE id = 20"
+				got, err := s.QueryAll(q)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", where, q, err)
+				}
+				want, err := ref.Execute(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 1 || got[0][0] != Int(20) || sameAnswer(got, want.Rows, nil) != "" {
+					t.Errorf("%s: %s: %v, one engine %v; want the row of the INT 20", where, q, got, want.Rows)
+				}
+			}
+			for _, form := range []struct {
+				sql  string
+				args []Value
+			}{{"INSERT INTO t (id, k, v) VALUES (21, 'abc', 2.7)", nil}, {"INSERT INTO t (id, k, v) VALUES ('abc', 1, 1)", nil},
+				{"INSERT INTO t (id, k, v) VALUES (?, ?, ?)", []Value{Float(21.5), Int(1), Int(1)}}} {
+				if _, err := s.Exec(form.sql, form.args...); !errors.Is(err, sqltypes.ErrCoerce) {
+					t.Errorf("%s: %s %v: %v, want sqltypes.ErrCoerce", where, form.sql, form.args, err)
+				}
+				if _, err := ref.Execute(form.sql, form.args...); !errors.Is(err, sqltypes.ErrCoerce) {
+					t.Errorf("one engine: %s %v: %v, want sqltypes.ErrCoerce", form.sql, form.args, err)
+				}
+			}
+			got, err := s.QueryAll("SELECT COUNT(*) FROM t WHERE id >= 21")
+			if err != nil || got[0][0] != Int(0) {
+				t.Errorf("%s: the refused INSERTs left %v rows, %v", where, got, err)
+			}
+		}
+	}
+}
+
+// TestVarcharKeyHasOneAnswer: on a VARCHAR sharding key a number compares
+// with each value as its number, so c = 7 names '7', '07', '7.0' and ' 7',
+// which hash_mod spreads over several shards. The kernel must answer what
+// the full-scan form (c + 0) answers, and so must one engine.
+func TestVarcharKeyHasOneAnswer(t *testing.T) {
+	ref := oneEngineRef(t)
+	s := oneEngineDB(t, "mysql", 4)
+	for _, sql := range []string{
+		`CREATE SHARDING TABLE RULE s (RESOURCES(ds0, ds1), SHARDING_COLUMN = c, TYPE = hash_mod, PROPERTIES("sharding-count" = 4))`,
+		"CREATE TABLE s (c VARCHAR(8) PRIMARY KEY, n INT)",
+	} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ref.Execute("CREATE TABLE s (c VARCHAR(8) PRIMARY KEY, n INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []string{"7", "07", "7.0", " 7", "8", "10"} {
+		for _, exec := range []func(string, ...Value) error{
+			func(sql string, args ...Value) error { _, err := s.Exec(sql, args...); return err },
+			func(sql string, args ...Value) error { _, err := ref.Execute(sql, args...); return err },
+		} {
+			if err := exec("INSERT INTO s (c, n) VALUES (?, ?)", String(c), Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seven, eight := Int(7), Int(8)
+	for _, c := range []struct {
+		cond, scan string
+		args       []Value
+	}{
+		{"c = 7", "c + 0 = 7", nil},
+		{"c = ?", "c + 0 = ?", []Value{seven}},
+		{"c IN (7, 8)", "c + 0 IN (7, 8)", nil},
+		{"c IN (?, ?)", "c + 0 IN (?, ?)", []Value{seven, eight}},
+		{"c >= 8", "c + 0 >= 8", nil},
+		{"c >= ?", "c + 0 >= ?", []Value{eight}},
+	} {
+		want, err := s.QueryAll("SELECT c, n FROM s WHERE "+c.scan, c.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.QueryAll("SELECT c, n FROM s WHERE "+c.cond, c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.cond, err)
+		}
+		one, err := ref.Execute("SELECT c, n FROM s WHERE "+c.cond, c.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || sameAnswer(got, want, nil) != "" || sameAnswer(one.Rows, want, nil) != "" {
+			t.Errorf("WHERE %s %v: kernel %v, one engine %v; the full scan finds %v", c.cond, c.args, got, one.Rows, want)
 		}
 	}
 }
@@ -683,5 +812,25 @@ func TestOnlyALiveCursorPinsItsConnection(t *testing.T) {
 		if n := inUse(); n != 0 {
 			t.Errorf("remote=%v: %d connections in use after the close", remote, n)
 		}
+	}
+}
+
+// TestKindsReadAfterAFailedDescribe: a plan compiled while the metadata
+// service cannot read the key's kind (its node fails DESCRIBE) routes on
+// the value's own form only until the kind can be read again.
+func TestKindsReadAfterAFailedDescribe(t *testing.T) {
+	s := oneEngineDB(t, "mysql", 4)
+	for _, sql := range []string{"CREATE TABLE z (id INT PRIMARY KEY)", "INJECT FAULT ds0 (ERROR_RATE = 1)"} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Compiled under the fault; its answer depends on which node fails.
+	_, _ = s.QueryAll("SELECT id FROM t WHERE id = ?", String("07"))
+	if _, err := s.Exec("REMOVE FAULT ds0"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.QueryAll("SELECT id FROM t WHERE id = ?", String("07")); err != nil || len(got) != 1 || got[0][0] != Int(7) {
+		t.Fatalf("after the fault: %v, %v; want the row of 7", got, err)
 	}
 }
