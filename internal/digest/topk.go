@@ -50,6 +50,9 @@ func (t *TopK) Note(table, column, value string) {
 		return
 	}
 	key := table + "\x00" + column + "\x00" + value
+	// The kept value is key's copy: a literal's value may be a slice of its
+	// statement's text, which it must not keep alive.
+	value = key[len(key)-len(value):]
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if it := t.items[key]; it != nil {

@@ -33,11 +33,13 @@ func (s *Session) executeInsert(tx *storage.Tx, stmt *sqlparser.InsertStmt, args
 	}
 	env := &rowEnv{args: args}
 	res := &Result{}
+	// Insert stores a record of the row, so one window serves every row.
+	row := s.arena.alloc(len(schema))
 	for _, exprs := range stmt.Rows {
 		if len(exprs) != len(positions) {
 			return nil, fmt.Errorf("sqlexec: INSERT row has %d values, want %d", len(exprs), len(positions))
 		}
-		row := make(sqltypes.Row, len(schema))
+		clear(row)
 		for i, e := range exprs {
 			v, err := env.eval(e)
 			if err != nil {
@@ -59,7 +61,8 @@ func (s *Session) executeInsert(tx *storage.Tx, stmt *sqlparser.InsertStmt, args
 
 // matchEntries fetches candidate rows for a WHERE clause on one table and
 // returns those that satisfy it, with the environment that binds the
-// table's columns.
+// table's columns. Each candidate is decoded into one arena window in
+// turn.
 func (s *Session) matchEntries(tbl *storage.Table, alias string, where sqlparser.Expr, args []sqltypes.Value, txID int64) ([]storage.ScanEntry, *rowEnv, error) {
 	names := []string{tbl.Name()}
 	if alias != "" {
@@ -71,7 +74,9 @@ func (s *Session) matchEntries(tbl *storage.Table, alias string, where sqlparser
 	var entries []storage.ScanEntry
 	var evalErr error
 	shape.fetch(tbl, txID, shape.bind(args, &keys), func(se storage.ScanEntry) bool {
-		ok, err := env.matches(where, se.Row)
+		row := s.arena.decode(se)
+		ok, err := env.matches(where, row)
+		s.arena.pop(row)
 		if ok {
 			entries = append(entries, se)
 		}
@@ -111,11 +116,13 @@ func (s *Session) executeUpdate(tx *storage.Tx, stmt *sqlparser.UpdateStmt, args
 		}
 		targets[i] = p
 	}
+	// Each row's locked version and its new one reuse two arena windows.
+	buf, next := s.arena.alloc(len(schema)), s.arena.alloc(len(schema))
 	set := func(cur sqltypes.Row) (sqltypes.Row, error) {
 		if ok, err := env.matches(stmt.Where, cur); !ok || err != nil {
 			return nil, err
 		}
-		newRow := cur.Clone()
+		newRow := append(next[:0], cur...)
 		for i, a := range stmt.Set {
 			v, err := env.eval(a.Value)
 			if err != nil {
@@ -127,7 +134,7 @@ func (s *Session) executeUpdate(tx *storage.Tx, stmt *sqlparser.UpdateStmt, args
 	}
 	res := &Result{}
 	for _, se := range entries {
-		ok, err := tx.Update(tbl, se, set)
+		ok, err := tx.Update(tbl, se, buf, set)
 		if err != nil {
 			return nil, err
 		}
@@ -148,9 +155,10 @@ func (s *Session) executeDelete(tx *storage.Tx, stmt *sqlparser.DeleteStmt, args
 		return nil, err
 	}
 	match := func(cur sqltypes.Row) (bool, error) { return env.matches(stmt.Where, cur) }
+	buf := s.arena.alloc(len(tbl.Schema()))
 	res := &Result{}
 	for _, se := range entries {
-		ok, err := tx.Delete(tbl, se, match)
+		ok, err := tx.Delete(tbl, se, buf, match)
 		if err != nil {
 			return nil, err
 		}

@@ -230,15 +230,26 @@ func (o *output) produce(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 }
 
 // project evaluates the projection per row. Output and key values of one
-// result come from one backing array each, not one allocation per row.
+// result come from one backing array each, not one allocation per row, and
+// a one-row result, a point lookup's, shares its allocation with its row.
 func (o *output) project(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
-	res := &Result{Columns: o.names}
 	if len(rows) == 0 {
-		return res, nil
+		return &Result{Columns: o.names}, nil
 	}
+	var res *Result
+	if len(rows) == 1 {
+		one := &struct {
+			Result
+			row [1]sqltypes.Row
+		}{}
+		res = &one.Result
+		res.Rows = one.row[:]
+	} else {
+		res = &Result{Rows: make([]sqltypes.Row, len(rows))}
+	}
+	res.Columns = o.names
 	w := len(o.items)
 	vals := make([]sqltypes.Value, len(rows)*w)
-	res.Rows = make([]sqltypes.Row, len(rows))
 	var keyRows []sqltypes.Row // each row's ORDER BY keys: itself if all are output columns
 	var keyVals []sqltypes.Value
 	if len(o.order) > 0 {

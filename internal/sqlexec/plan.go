@@ -73,51 +73,52 @@ func (s *Session) compileSelect(stmt *sqlparser.SelectStmt) (*selectPlan, error)
 }
 
 // scan appends to rows the rows of tbl — the plan's table or one defined
-// as it is — that the WHERE clause keeps: the access path, bound to the
-// arguments once per statement (ap), prunes; the residual predicate
-// decides.
-func (p *selectPlan) scan(tbl *storage.Table, ap accessPlan, env *rowEnv, txID int64, rows []sqltypes.Row) ([]sqltypes.Row, error) {
+// as it is — that the WHERE clause keeps, each decoded into the session's
+// arena a: the access path, bound to the arguments once per statement (ap),
+// prunes; the residual predicate decides. A rejected row's window is
+// reused.
+func (p *selectPlan) scan(tbl *storage.Table, ap accessPlan, env *rowEnv, txID int64, a *arena, rows []sqltypes.Row) ([]sqltypes.Row, error) {
 	var evalErr error
 	p.access.fetch(tbl, txID, ap, func(se storage.ScanEntry) bool {
+		row := a.decode(se)
 		if p.where != nil {
-			env.row = se.Row
+			env.row = row
 			v, err := env.eval(p.where)
 			if err != nil {
 				evalErr = err
 				return false
 			}
 			if !v.Bool() {
+				a.pop(row)
 				return true
 			}
 		}
-		rows = append(rows, se.Row)
+		rows = append(rows, row)
 		return true
 	})
 	return rows, evalErr
 }
 
 // run scans tbls — the plan's table, or a list of tables defined as it
-// is — and runs the output stage once over the rows they kept. counts,
-// when set, receives the rows each table's scan kept.
-func (p *selectPlan) run(tbls []*storage.Table, args []sqltypes.Value, txID int64, counts []int) (*Result, error) {
+// is — into the session's arena a and runs the output stage once over the
+// rows they kept. counts, when set, receives the rows each table's scan
+// kept.
+func (p *selectPlan) run(tbls []*storage.Table, args []sqltypes.Value, txID int64, a *arena, counts []int) (*Result, error) {
 	env := &rowEnv{tables: p.tables, args: args}
 	var keys [2]sqltypes.Value
 	ap := p.access.bind(args, &keys)
-	// Sized for a shard's slice of a fanned-out statement: a few rows.
-	rows := make([]sqltypes.Row, 0, 4)
-	if len(tbls) > 1 {
-		rows = make([]sqltypes.Row, 0, 2*len(tbls))
-	}
+	rows := a.rows[:0]
 	for i, tbl := range tbls {
 		n := len(rows)
 		var err error
-		if rows, err = p.scan(tbl, ap, env, txID, rows); err != nil {
+		if rows, err = p.scan(tbl, ap, env, txID, a, rows); err != nil {
 			return nil, err
 		}
 		if counts != nil {
 			counts[i] = len(rows) - n
 		}
 	}
+	a.rows = rows // the output stage copies what it keeps
 	return p.out.produce(env, rows)
 }
 
@@ -149,7 +150,7 @@ func (s *Session) executeTables(st *Stmt, names []string, args []sqltypes.Value)
 	}
 	t0 := s.recStart()
 	counts := make([]int, len(names))
-	res, err := p.run(tbls, args, s.txID(), counts)
+	res, err := p.run(tbls, args, s.txID(), &s.arena, counts)
 	s.recSpan("read", t0, err)
 	for _, name := range names {
 		s.proc.stats.tableStat(name).note(false, err != nil)

@@ -48,7 +48,7 @@ func (s *Session) executeSelect(st *Stmt, stmt *sqlparser.SelectStmt, args []sql
 		if err != nil {
 			return nil, err
 		}
-		return p.run([]*storage.Table{p.tbl}, args, s.txID(), nil)
+		return p.run([]*storage.Table{p.tbl}, args, s.txID(), &s.arena, nil)
 	}
 	sources, err := s.resolveSources(stmt)
 	if err != nil {
@@ -105,13 +105,13 @@ func (s *Session) selectWithoutFrom(stmt *sqlparser.SelectStmt, args []sqltypes.
 // joined rows and the tables that make up their columns.
 func (s *Session) joinSources(sources []tableSource, whereConjuncts []sqlparser.Expr, args []sqltypes.Value) ([]sqltypes.Row, []tableCols, error) {
 	txID := s.txID()
-	// Leaf scan with pushed-down single-table predicates.
+	// Leaf scan with pushed-down single-table predicates, into the arena.
 	leafRows := func(src tableSource) []sqltypes.Row {
 		shape := shapeAccess(src.tbl, &src.cols, applicableTo(whereConjuncts, &src.cols))
 		var keys [2]sqltypes.Value
 		var rows []sqltypes.Row
 		shape.fetch(src.tbl, txID, shape.bind(args, &keys), func(se storage.ScanEntry) bool {
-			rows = append(rows, se.Row)
+			rows = append(rows, s.arena.decode(se))
 			return true
 		})
 		return rows

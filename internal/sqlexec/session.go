@@ -106,6 +106,7 @@ type Session struct {
 	tx     *storage.Tx
 	xaXID  string
 	vars   map[string]sqltypes.Value
+	arena  arena
 
 	// Span recording state, armed via BeginTrace for statements that
 	// arrived with an active trace context (see trace.go).
@@ -113,6 +114,50 @@ type Session struct {
 	recDetailed bool
 	recBase     time.Time
 	rec         []telemetry.RemoteSpan
+}
+
+// arena holds the rows a statement decodes from storage, each a window of
+// vals, and the list of those a scan keeps. It is emptied when the
+// statement ends, and its room is reused by the next. No result points
+// into it: the output stage copies what it keeps.
+type arena struct {
+	vals sqltypes.Row
+	rows []sqltypes.Row
+}
+
+// arenaKeep bounds the room a session keeps between statements; a larger
+// arena, grown by a long scan, is let go.
+const arenaKeep = 1 << 12
+
+// decode appends the row behind se and returns its window.
+func (a *arena) decode(se storage.ScanEntry) sqltypes.Row {
+	n := len(a.vals)
+	a.vals = se.Decode(a.vals)
+	return a.vals[n:len(a.vals):len(a.vals)]
+}
+
+// alloc returns a window of n NULLs.
+func (a *arena) alloc(n int) sqltypes.Row {
+	at := len(a.vals)
+	a.vals = append(a.vals, make(sqltypes.Row, n)...)
+	return a.vals[at : at+n : at+n]
+}
+
+// pop gives back the last window, row.
+func (a *arena) pop(row sqltypes.Row) {
+	clear(row)
+	a.vals = a.vals[:len(a.vals)-len(row)]
+}
+
+// reset empties the arena. Its values are cleared, so it keeps no stored
+// version alive.
+func (a *arena) reset() {
+	clear(a.rows)
+	clear(a.vals)
+	a.rows, a.vals = a.rows[:0], a.vals[:0]
+	if cap(a.vals) > arenaKeep {
+		a.rows, a.vals = nil, nil
+	}
 }
 
 // InTransaction reports whether an explicit transaction is open.
@@ -156,6 +201,7 @@ func (s *Session) ExecuteTables(sql string, names []string, args ...sqltypes.Val
 	} else {
 		res, err = s.executeStmt(st, args)
 	}
+	s.arena.reset()
 	s.proc.stats.Statements.Add(1)
 	if err != nil {
 		s.proc.stats.Errors.Add(1)

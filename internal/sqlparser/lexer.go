@@ -171,12 +171,20 @@ func (l *lexer) scanNumber() (Token, error) {
 }
 
 // scanString scans a single-quoted string literal. Both doubled quotes
-// ('it”s') and backslash escapes ('it\'s') are accepted. The value is a
-// copy, not a slice of the source: a stored value must not keep its whole
-// statement's text alive (a 500-row INSERT's, say).
+// ('it”s') and backslash escapes ('it\'s') are accepted. A literal without
+// either is a slice of the source; storage copies what it keeps, so a
+// stored value does not keep its statement's text alive.
 func (l *lexer) scanString(quote byte) (Token, error) {
 	start := l.pos
 	l.pos++ // opening quote
+	if n := strings.IndexByte(l.src[l.pos:], quote); n >= 0 {
+		end := l.pos + n
+		if (end+1 == len(l.src) || l.src[end+1] != quote) && strings.IndexByte(l.src[l.pos:end], '\\') < 0 {
+			val := l.src[l.pos:end]
+			l.pos = end + 1
+			return Token{Type: TokenString, Val: val, Pos: start}, nil
+		}
+	}
 	var b strings.Builder
 	l.growTo(&b, quote)
 	for l.pos < len(l.src) {

@@ -663,9 +663,9 @@ func TestIsKeyword(t *testing.T) {
 }
 
 // TestLexerAllocations: keywords in any case, identifiers, operators,
-// integers and placeholders lex without allocating. A string literal is
-// one allocation, a copy: a stored value must not keep its statement's
-// text alive.
+// integers, placeholders and string literals without escapes lex without
+// allocating; such a literal is a slice of its statement's text (storage
+// copies what it keeps). A literal with an escape is one allocation.
 func TestLexerAllocations(t *testing.T) {
 	lex := func(src string) Token {
 		l := lexer{src: src}
@@ -688,12 +688,17 @@ func TestLexerAllocations(t *testing.T) {
 		t.Errorf("lexing %q allocates %v times", stmt, n)
 	}
 	const literal = "'a string literal'"
-	if n := testing.AllocsPerRun(100, func() { lex(literal) }); n != 1 {
-		t.Errorf("lexing a string literal allocates %v times, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { lex(literal) }); n != 0 {
+		t.Errorf("lexing a string literal allocates %v times, want 0", n)
 	}
 	val := lex(literal).Val
 	src := uintptr(unsafe.Pointer(unsafe.StringData(literal)))
-	if at := uintptr(unsafe.Pointer(unsafe.StringData(val))); at >= src && at < src+uintptr(len(literal)) {
-		t.Errorf("the literal %q is a slice of its statement's text", val)
+	if at := uintptr(unsafe.Pointer(unsafe.StringData(val))); val != "a string literal" || at != src+1 {
+		t.Errorf("the literal %q is not a slice of its statement's text", val)
+	}
+	for _, escaped := range []string{`'it''s'`, `'it\'s'`, `'a\tb'`} {
+		if n := testing.AllocsPerRun(100, func() { lex(escaped) }); n != 1 {
+			t.Errorf("lexing %s allocates %v times, want 1", escaped, n)
+		}
 	}
 }

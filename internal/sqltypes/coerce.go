@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ErrCoerce reports a value that its column's kind refuses.
@@ -108,17 +109,54 @@ func parseNumber(s string) (Value, bool) {
 	return NewFloat(f), true
 }
 
-// number is v as a number for comparison and arithmetic: a string by
-// Coerce's numeric text, 0 where it is none.
+// number is v as a number for comparison and arithmetic. A string reads as
+// MySQL reads it there: its longest prefix of numeric text after leading
+// space ('12abc' is 12, '1e2z' 100, '.5q' 0.5), 0 where there is none
+// ('abc'; '0x10' is its 0).
 func (v Value) number() Value {
 	if v.Kind != KindString {
 		return v
 	}
-	if n, ok := parseNumber(v.S); ok {
+	if n, ok := parseNumber(numericPrefix(v.S)); ok {
 		return n
 	}
 	return NewInt(0)
 }
+
+// numericPrefix returns the longest prefix of s, leading space skipped,
+// that is decimal numeric text: a sign, digits with an optional fraction,
+// an optional exponent.
+func numericPrefix(s string) string {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	digits := 0
+	for ; i < len(s) && isDigit(s[i]); i++ {
+		digits++
+	}
+	if i < len(s) && s[i] == '.' {
+		for i++; i < len(s) && isDigit(s[i]); i++ {
+			digits++
+		}
+	}
+	if digits == 0 {
+		return ""
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		j := i + 1
+		if j < len(s) && (s[j] == '+' || s[j] == '-') {
+			j++
+		}
+		for ; j < len(s) && isDigit(s[j]); j++ {
+			i = j + 1
+		}
+	}
+	return s[:i]
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // compareIntFloat orders an integer and a float exactly, where converting
 // the integer to a float could round it (2^53+1 is not 2^53). NaN sorts

@@ -77,6 +77,15 @@ func TestCompareBasics(t *testing.T) {
 		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1}, // exact, not as floats
 		{NewString("9007199254740993"), NewInt(1 << 53), 1},
 		{NewString("7.0"), NewInt(7), 0},
+		// A string reads as its leading number, as in MySQL, where
+		// '12abc' = 12, 'abc' = 0 and '1e2z' = 100 are all TRUE.
+		{NewString("12abc"), NewInt(12), 0},
+		{NewString("abc"), NewInt(0), 0},
+		{NewString("1e2z"), NewInt(100), 0},
+		{NewString(" 3x"), NewInt(3), 0},
+		{NewString(".5q"), NewFloat(0.5), 0},
+		{NewString("0x10"), NewInt(0), 0},
+		{NewString("-2e"), NewInt(-2), 0},
 	}
 	for _, tc := range cases {
 		if got := Compare(tc.a, tc.b); got != tc.want {
@@ -118,6 +127,10 @@ func TestArithmetic(t *testing.T) {
 	}
 	if !Mod(NewInt(1), NewInt(0)).IsNull() {
 		t.Fatal("mod by zero must be NULL")
+	}
+	// MySQL: ' 3x' + 1 = 4.
+	if v := Add(NewString(" 3x"), NewInt(1)); !Equal(v, NewInt(4)) {
+		t.Fatalf("' 3x' + 1 = %+v, want 4", v)
 	}
 	// NULL propagates.
 	for _, v := range []Value{Add(Null, NewInt(1)), Sub(NewInt(1), Null), Mul(Null, Null), Div(Null, NewInt(1))} {

@@ -147,12 +147,13 @@ func (e *Engine) CreateIndex(spec IndexSpec) error {
 	}
 	ix.tree = btree.New[*rowSlot](len(ix.cols) + 1)
 	var buf keyBuf
+	n := len(t.schema)
 	t.pk.Ascend(func(slot *rowSlot) bool {
-		if slot.committed != nil {
-			ix.tree.Set(ix.keyOf(&buf, slot.committed, slot.id), slot)
+		if slot.committed != "" {
+			ix.tree.Set(ix.keyOf(&buf, slot.committed, n, slot.id), slot)
 		}
-		if slot.uncommitted != nil && !slot.deleted {
-			ix.tree.Set(ix.keyOf(&buf, slot.uncommitted, slot.id), slot)
+		if slot.uncommitted != "" && !slot.deleted {
+			ix.tree.Set(ix.keyOf(&buf, slot.uncommitted, n, slot.id), slot)
 		}
 		return true
 	})

@@ -69,7 +69,7 @@ func scanAll(e *Engine, table string, txID int64) []sqltypes.Row {
 	}
 	var rows []sqltypes.Row
 	t.Scan(txID, func(se ScanEntry) bool {
-		rows = append(rows, se.Row)
+		rows = append(rows, se.row())
 		return true
 	})
 	return rows
@@ -175,9 +175,9 @@ func TestUpdateAndDelete(t *testing.T) {
 	if !ok {
 		t.Fatal("pk get miss")
 	}
-	updated := se.Row.Clone()
+	updated := se.row().Clone()
 	updated[2] = sqltypes.NewInt(31)
-	if ok, err := tx2.Update(tbl, se, setTo(updated)); err != nil || !ok {
+	if ok, err := tx2.Update(tbl, se, nil, setTo(updated)); err != nil || !ok {
 		t.Fatalf("update: %v %v", ok, err)
 	}
 	// Other readers still see age 30 (read committed).
@@ -191,7 +191,7 @@ func TestUpdateAndDelete(t *testing.T) {
 
 	tx3 := e.Begin()
 	se, _ = tbl.PKGet(tx3.ID(), btree.Key{sqltypes.NewInt(1)})
-	if ok, err := tx3.Delete(tbl, se, anyRow); err != nil || !ok {
+	if ok, err := tx3.Delete(tbl, se, nil, anyRow); err != nil || !ok {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
 	if got := scanAll(e, "t_user", tx3.ID()); len(got) != 0 {
@@ -214,9 +214,9 @@ func TestUpdatePKRejected(t *testing.T) {
 	tbl, _ := e.Table("t_user")
 	tx2 := e.Begin()
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
-	bad := se.Row.Clone()
+	bad := se.row().Clone()
 	bad[0] = sqltypes.NewInt(99)
-	if _, err := tx2.Update(tbl, se, setTo(bad)); !errors.Is(err, ErrPKUpdate) {
+	if _, err := tx2.Update(tbl, se, nil, setTo(bad)); !errors.Is(err, ErrPKUpdate) {
 		t.Fatalf("want ErrPKUpdate, got %v", err)
 	}
 	tx2.Rollback()
@@ -263,12 +263,12 @@ func TestCoercedKeyKeepsStoredKey(t *testing.T) {
 			var written sqltypes.Row
 			var err error
 			if c.viaReinsert {
-				if ok, err := tx.Delete(tbl, se, anyRow); !ok || err != nil {
+				if ok, err := tx.Delete(tbl, se, nil, anyRow); !ok || err != nil {
 					t.Fatalf("delete: %v, %v", ok, err)
 				}
 				written, err = tx.Insert(tbl, sqltypes.Row{c.coerced, num(2)})
 			} else {
-				_, err = tx.Update(tbl, se, setTo(sqltypes.Row{c.coerced, num(2)}))
+				_, err = tx.Update(tbl, se, nil, setTo(sqltypes.Row{c.coerced, num(2)}))
 			}
 			if c.wantErr != nil {
 				if !errors.Is(err, c.wantErr) {
@@ -288,10 +288,10 @@ func TestCoercedKeyKeepsStoredKey(t *testing.T) {
 			tx = e.Begin()
 			for _, r := range survivors {
 				se, ok := tbl.PKGet(tx.ID(), btree.Key{r[0]})
-				if !ok || se.Row[0] != r[0] {
+				if !ok || se.row()[0] != r[0] {
 					t.Fatalf("row %v lost its primary-key entry", r)
 				}
-				if ok, err := tx.Delete(tbl, se, anyRow); !ok || err != nil {
+				if ok, err := tx.Delete(tbl, se, nil, anyRow); !ok || err != nil {
 					t.Fatalf("delete %v: %v, %v", r, ok, err)
 				}
 			}
@@ -312,7 +312,7 @@ func TestDeleteThenReinsertSameTx(t *testing.T) {
 	tbl, _ := e.Table("t_user")
 	tx2 := e.Begin()
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
-	if ok, _ := tx2.Delete(tbl, se, anyRow); !ok {
+	if ok, _ := tx2.Delete(tbl, se, nil, anyRow); !ok {
 		t.Fatal("delete failed")
 	}
 	// Sysbench's read-write transaction deletes a row then reinserts the
@@ -334,7 +334,7 @@ func TestInsertThenDeleteSameTx(t *testing.T) {
 	if !ok {
 		t.Fatal("own insert invisible")
 	}
-	if ok, _ := tx.Delete(tbl, se, anyRow); !ok {
+	if ok, _ := tx.Delete(tbl, se, nil, anyRow); !ok {
 		t.Fatal("delete of own insert failed")
 	}
 	tx.Commit()
@@ -370,7 +370,7 @@ func TestOwnInsertDeletedLeavesNoEntries(t *testing.T) {
 			tx := e.Begin()
 			mustInsert(t, tx, "t_user", row(7, "ghost", 1))
 			se, _ := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(7)})
-			if ok, err := tx.Delete(tbl, se, anyRow); !ok || err != nil {
+			if ok, err := tx.Delete(tbl, se, nil, anyRow); !ok || err != nil {
 				t.Fatalf("delete of own insert: %v, %v", ok, err)
 			}
 			if err := e.CreateIndex(IndexSpec{Name: "idx_name", Table: "t_user", Columns: []string{"name"}}); err != nil {
@@ -414,7 +414,7 @@ func TestStaleScanEntry(t *testing.T) {
 	for name, vanish := range map[string]func(se ScanEntry){
 		"deleted and committed": func(se ScanEntry) {
 			tx := e.Begin()
-			if ok, err := tx.Delete(tbl, se, anyRow); !ok || err != nil {
+			if ok, err := tx.Delete(tbl, se, nil, anyRow); !ok || err != nil {
 				t.Fatal(ok, err)
 			}
 			tx.Commit()
@@ -431,10 +431,10 @@ func TestStaleScanEntry(t *testing.T) {
 		seed.Commit()
 
 		tx := e.Begin()
-		if ok, err := tx.Update(tbl, stale, setTo(row(1, "ghost", 30))); ok || err != nil {
+		if ok, err := tx.Update(tbl, stale, nil, setTo(row(1, "ghost", 30))); ok || err != nil {
 			t.Fatalf("%s: update through a stale entry: %v %v", name, ok, err)
 		}
-		if ok, err := tx.Delete(tbl, stale, anyRow); ok || err != nil {
+		if ok, err := tx.Delete(tbl, stale, nil, anyRow); ok || err != nil {
 			t.Fatalf("%s: delete through a stale entry: %v %v", name, ok, err)
 		}
 		if ok, err := tx.Lock(tbl, stale); ok || err != nil {
@@ -444,7 +444,7 @@ func TestStaleScanEntry(t *testing.T) {
 		var names []string
 		age := btree.Key{sqltypes.NewInt(30)}
 		tbl.IndexRange(0, "idx_age", age, age, func(se ScanEntry) bool {
-			names = append(names, se.Row[1].S)
+			names = append(names, se.row()[1].S)
 			return true
 		})
 		if got := scanAll(e, "t_user", 0); len(got) != 1 || got[0][1].S != "new" || len(names) != 1 || names[0] != "new" {
@@ -462,7 +462,7 @@ func TestStaleScanEntry(t *testing.T) {
 	}
 	ins.Rollback()
 	tx := e.Begin()
-	if ok, err := tx.Update(tbl, own, setTo(row(2, "ghost", 1))); ok || err != nil {
+	if ok, err := tx.Update(tbl, own, nil, setTo(row(2, "ghost", 1))); ok || err != nil {
 		t.Fatalf("update of a rolled-back insert: %v %v", ok, err)
 	}
 	tx.Commit()
@@ -521,7 +521,7 @@ func TestPKRangeAndGet(t *testing.T) {
 	tbl, _ := e.Table("t_user")
 	var got []int64
 	tbl.PKRange(0, btree.Key{sqltypes.NewInt(5)}, btree.Key{sqltypes.NewInt(8)}, func(se ScanEntry) bool {
-		got = append(got, se.Row[0].I)
+		got = append(got, se.row()[0].I)
 		return true
 	})
 	if len(got) != 4 || got[0] != 5 || got[3] != 8 {
@@ -546,8 +546,8 @@ func TestSecondaryIndex(t *testing.T) {
 	count := 0
 	key := btree.Key{sqltypes.NewInt(1)}
 	if err := tbl.IndexRange(0, "idx_age", key, key, func(se ScanEntry) bool {
-		if se.Row[2].I != 1 {
-			t.Fatalf("index returned wrong row: %v", se.Row)
+		if se.row()[2].I != 1 {
+			t.Fatalf("index returned wrong row: %v", se.row())
 		}
 		count++
 		return true
@@ -561,9 +561,9 @@ func TestSecondaryIndex(t *testing.T) {
 	// Index follows updates.
 	tx2 := e.Begin()
 	se, _ := tbl.PKGet(tx2.ID(), btree.Key{sqltypes.NewInt(1)})
-	up := se.Row.Clone()
+	up := se.row().Clone()
 	up[2] = sqltypes.NewInt(2)
-	tx2.Update(tbl, se, setTo(up))
+	tx2.Update(tbl, se, nil, setTo(up))
 	tx2.Commit()
 	count = 0
 	tbl.IndexRange(0, "idx_age", key, key, func(se ScanEntry) bool { count++; return true })
@@ -574,7 +574,7 @@ func TestSecondaryIndex(t *testing.T) {
 	// Index follows deletes.
 	tx3 := e.Begin()
 	se, _ = tbl.PKGet(tx3.ID(), btree.Key{sqltypes.NewInt(4)})
-	tx3.Delete(tbl, se, anyRow)
+	tx3.Delete(tbl, se, nil, anyRow)
 	tx3.Commit()
 	count = 0
 	tbl.IndexRange(0, "idx_age", key, key, func(se ScanEntry) bool { count++; return true })
@@ -635,21 +635,21 @@ func TestRowLockBlocksSecondWriter(t *testing.T) {
 
 	tx1 := e.Begin()
 	se, _ := tbl.PKGet(tx1.ID(), btree.Key{sqltypes.NewInt(1)})
-	up := se.Row.Clone()
+	up := se.row().Clone()
 	up[2] = sqltypes.NewInt(2)
-	if ok, err := tx1.Update(tbl, se, setTo(up)); !ok || err != nil {
+	if ok, err := tx1.Update(tbl, se, nil, setTo(up)); !ok || err != nil {
 		t.Fatal(err)
 	}
 	// Second writer times out while tx1 holds the lock.
 	tx2 := e.Begin()
-	up2 := se.Row.Clone()
+	up2 := se.row().Clone()
 	up2[2] = sqltypes.NewInt(3)
-	if _, err := tx2.Update(tbl, se, setTo(up2)); !errors.Is(err, ErrLockTimeout) {
+	if _, err := tx2.Update(tbl, se, nil, setTo(up2)); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
 	tx1.Commit()
 	// Now it succeeds.
-	if ok, err := tx2.Update(tbl, se, setTo(up2)); !ok || err != nil {
+	if ok, err := tx2.Update(tbl, se, nil, setTo(up2)); !ok || err != nil {
 		t.Fatalf("after release: %v %v", ok, err)
 	}
 	tx2.Commit()
@@ -688,7 +688,7 @@ func TestConcurrentIncrementsNoLostUpdates(t *testing.T) {
 					errs <- errors.New("row vanished")
 					return
 				}
-				if ok, err := tx.Update(tbl, se, incr); !ok || err != nil {
+				if ok, err := tx.Update(tbl, se, nil, incr); !ok || err != nil {
 					tx.Rollback()
 					errs <- fmt.Errorf("increment: %v %v", ok, err)
 					return
@@ -715,7 +715,7 @@ func TestWriteRechecksTheLockedRow(t *testing.T) {
 	below50 := func(cur sqltypes.Row) (bool, error) { return cur[2].I < 50, nil }
 	writes := map[string]func(tx *Tx, tbl *Table, se ScanEntry) (bool, error){
 		"update": func(tx *Tx, tbl *Table, se ScanEntry) (bool, error) {
-			return tx.Update(tbl, se, func(cur sqltypes.Row) (sqltypes.Row, error) {
+			return tx.Update(tbl, se, nil, func(cur sqltypes.Row) (sqltypes.Row, error) {
 				if ok, _ := below50(cur); !ok {
 					return nil, nil
 				}
@@ -724,7 +724,7 @@ func TestWriteRechecksTheLockedRow(t *testing.T) {
 				return up, nil
 			})
 		},
-		"delete": func(tx *Tx, tbl *Table, se ScanEntry) (bool, error) { return tx.Delete(tbl, se, below50) },
+		"delete": func(tx *Tx, tbl *Table, se ScanEntry) (bool, error) { return tx.Delete(tbl, se, nil, below50) },
 	}
 	ints := func(vs ...int64) sqltypes.Row {
 		r := make(sqltypes.Row, len(vs))
@@ -747,11 +747,11 @@ func TestWriteRechecksTheLockedRow(t *testing.T) {
 
 		t2 := e.Begin()
 		se, _ := tbl.PKGet(t2.ID(), btree.Key{sqltypes.NewInt(1)})
-		if ok, _ := below50(se.Row); !ok {
-			t.Fatalf("%s: T2's scan does not match: %v", name, se.Row)
+		if ok, _ := below50(se.row()); !ok {
+			t.Fatalf("%s: T2's scan does not match: %v", name, se.row())
 		}
 		t1 := e.Begin()
-		if ok, err := t1.Update(tbl, se, setTo(ints(1, 0, 100))); !ok || err != nil {
+		if ok, err := t1.Update(tbl, se, nil, setTo(ints(1, 0, 100))); !ok || err != nil {
 			t.Fatalf("%s: T1: %v %v", name, ok, err)
 		}
 		type outcome struct {
@@ -836,21 +836,21 @@ func TestXAPreparedHoldsLocks(t *testing.T) {
 
 	tx1 := e.Begin()
 	se, _ := tbl.PKGet(tx1.ID(), btree.Key{sqltypes.NewInt(1)})
-	up := se.Row.Clone()
+	up := se.row().Clone()
 	up[2] = sqltypes.NewInt(2)
-	tx1.Update(tbl, se, setTo(up))
+	tx1.Update(tbl, se, nil, setTo(up))
 	if err := e.Prepare(tx1, "xid-lock"); err != nil {
 		t.Fatal(err)
 	}
 	// A concurrent writer must still block on the prepared transaction.
 	tx2 := e.Begin()
-	if _, err := tx2.Update(tbl, se, setTo(up)); !errors.Is(err, ErrLockTimeout) {
+	if _, err := tx2.Update(tbl, se, nil, setTo(up)); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("prepared tx lost its locks: %v", err)
 	}
 	tx2.Rollback()
 	e.CommitPrepared("xid-lock")
 	tx3 := e.Begin()
-	if ok, err := tx3.Update(tbl, se, setTo(up)); !ok || err != nil {
+	if ok, err := tx3.Update(tbl, se, nil, setTo(up)); !ok || err != nil {
 		t.Fatalf("after xa commit: %v %v", ok, err)
 	}
 	tx3.Commit()

@@ -1,5 +1,7 @@
 package storage
 
+import "shardingsphere/internal/sqltypes"
+
 // lockWaiters returns how many transactions queue for the lock of the row
 // behind se, so a test can tell a writer is blocked without sleeping.
 func (e *Engine) lockWaiters(t *Table, se ScanEntry) int {
@@ -10,3 +12,6 @@ func (e *Engine) lockWaiters(t *Table, se ScanEntry) int {
 	}
 	return 0
 }
+
+// row decodes the entry's row into a fresh slice.
+func (se ScanEntry) row() sqltypes.Row { return se.Decode(nil) }

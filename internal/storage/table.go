@@ -10,27 +10,28 @@ import (
 	"shardingsphere/internal/sqltypes"
 )
 
-// rowSlot is the stored state of one row. committed is the version every
-// other transaction reads; uncommitted is the pending version private to
-// the owning transaction (read-committed isolation). A pending delete sets
-// deleted with owner identifying the deleter, and clears uncommitted unless
-// the row has no committed version: the slot holds no key, so it keeps a
-// version to read its key from.
+// rowSlot is the stored state of one row: two records (record.go), ""
+// meaning none. committed is the version every other transaction reads;
+// uncommitted is the pending version private to the owning transaction
+// (read-committed isolation). A pending delete sets deleted with owner
+// identifying the deleter, and clears uncommitted unless the row has no
+// committed version: the slot holds no key, so it keeps a version to read
+// its key from.
 type rowSlot struct {
 	id          int64
-	committed   sqltypes.Row // nil until the creating tx commits
-	uncommitted sqltypes.Row // nil when no pending write
-	owner       int64        // tx id with a pending write; 0 = none
-	deleted     bool         // pending delete by owner
+	committed   string // "" until the creating tx commits
+	uncommitted string // "" when no pending write
+	owner       int64  // tx id with a pending write; 0 = none
+	deleted     bool   // pending delete by owner
 }
 
-// visible returns the version of the row the transaction may read, or nil.
-func (s *rowSlot) visible(txID int64) sqltypes.Row {
+// visible returns the version of the row the transaction may read, or "".
+func (s *rowSlot) visible(txID int64) string {
 	if s.owner != 0 && s.owner == txID {
 		if s.deleted {
-			return nil
+			return ""
 		}
-		if s.uncommitted != nil {
+		if s.uncommitted != "" {
 			return s.uncommitted
 		}
 		return s.committed
@@ -41,7 +42,7 @@ func (s *rowSlot) visible(txID int64) sqltypes.Row {
 // retire empties a slot that has left the table, so a scan entry taken
 // before that finds no row behind it.
 func (s *rowSlot) retire() {
-	s.committed, s.uncommitted, s.owner, s.deleted = nil, nil, 0, false
+	s.committed, s.uncommitted, s.owner, s.deleted = "", "", 0, false
 }
 
 // secondaryIndex is a non-unique ordered index. Each version of a row has
@@ -59,19 +60,22 @@ type secondaryIndex struct {
 // heap instead.
 type keyBuf [4]sqltypes.Value
 
-// keyOf writes the entry of a version of row rowID into buf.
-func (ix *secondaryIndex) keyOf(buf *keyBuf, row sqltypes.Row, rowID int64) btree.Key {
+// keyOf writes the entry of version rec (of n columns) of row rowID into
+// buf. Its strings are the record's, so a tree that keeps the key keeps no
+// second copy of them.
+func (ix *secondaryIndex) keyOf(buf *keyBuf, rec string, n int, rowID int64) btree.Key {
 	key := buf[:0]
 	for _, c := range ix.cols {
-		key = append(key, row[c])
+		key = append(key, column(rec, n, c))
 	}
 	return append(key, sqltypes.NewInt(rowID))
 }
 
-// sameKey reports whether two versions of a row share their entry.
-func (ix *secondaryIndex) sameKey(a, b sqltypes.Row) bool {
+// sameKey reports whether two versions of a row of n columns share their
+// entry.
+func (ix *secondaryIndex) sameKey(a, b string, n int) bool {
 	for _, c := range ix.cols {
-		if sqltypes.Compare(a[c], b[c]) != 0 {
+		if sqltypes.Compare(column(a, n, c), column(b, n, c)) != 0 {
 			return false
 		}
 	}
@@ -126,14 +130,15 @@ func (t *Table) define() {
 	t.def.Store(&def)
 }
 
-// pkKeyOf writes row's primary key into buf.
-func (t *Table) pkKeyOf(buf *keyBuf, row sqltypes.Row) (btree.Key, error) {
+// pkKeyOf writes the primary key of version rec into buf.
+func (t *Table) pkKeyOf(buf *keyBuf, rec string) (btree.Key, error) {
 	key := buf[:0]
 	for _, c := range t.pkCols {
-		if row[c].IsNull() {
+		v := column(rec, len(t.schema), c)
+		if v.IsNull() {
 			return nil, fmt.Errorf("%w: table %s", ErrNullPK, t.name)
 		}
-		key = append(key, row[c])
+		key = append(key, v)
 	}
 	return key, nil
 }
@@ -158,18 +163,26 @@ func (t *Table) HasIndexOn(col int) (string, bool) {
 }
 
 // ScanEntry is one visible row surfaced by a scan, with the handle Tx.Update,
-// Tx.Delete and Tx.Lock need to reach it again.
+// Tx.Delete and Tx.Lock need to reach it again. It carries the version the
+// scan saw as a record; Decode writes its values into the caller's buffer.
 type ScanEntry struct {
-	Row  sqltypes.Row
+	rec  string
+	n    int // columns
 	slot *rowSlot
 }
 
+// Decode appends the row's values to dst and returns the extended slice. A
+// string value is a substring of the stored version, so decoding allocates
+// nothing when dst has room.
+func (se ScanEntry) Decode(dst sqltypes.Row) sqltypes.Row { return decode(se.rec, se.n, dst) }
+
 // visit adapts a scan callback to the trees' values: it passes on the rows
 // the transaction may see.
-func visit(txID int64, fn func(ScanEntry) bool) func(*rowSlot) bool {
+func (t *Table) visit(txID int64, fn func(ScanEntry) bool) func(*rowSlot) bool {
+	n := len(t.schema)
 	return func(slot *rowSlot) bool {
-		row := slot.visible(txID)
-		return row == nil || fn(ScanEntry{Row: row, slot: slot})
+		rec := slot.visible(txID)
+		return rec == "" || fn(ScanEntry{rec: rec, n: n, slot: slot})
 	}
 }
 
@@ -178,7 +191,7 @@ func visit(txID int64, fn func(ScanEntry) bool) func(*rowSlot) bool {
 func (t *Table) Scan(txID int64, fn func(ScanEntry) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.pk.Ascend(visit(txID, fn))
+	t.pk.Ascend(t.visit(txID, fn))
 }
 
 // PKRange visits visible rows with lo <= pk <= hi in key order. Nil bounds
@@ -187,7 +200,7 @@ func (t *Table) Scan(txID int64, fn func(ScanEntry) bool) {
 func (t *Table) PKRange(txID int64, lo, hi btree.Key, fn func(ScanEntry) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.pk.AscendRange(lo, hi, visit(txID, fn))
+	t.pk.AscendRange(lo, hi, t.visit(txID, fn))
 }
 
 // PKGet returns the visible row with the given primary key.
@@ -198,8 +211,8 @@ func (t *Table) PKGet(txID int64, key btree.Key) (ScanEntry, bool) {
 	if !ok {
 		return ScanEntry{}, false
 	}
-	row := slot.visible(txID)
-	return ScanEntry{Row: row, slot: slot}, row != nil
+	rec := slot.visible(txID)
+	return ScanEntry{rec: rec, n: len(t.schema), slot: slot}, rec != ""
 }
 
 // IndexRange visits visible rows whose index key is within [lo, hi] on the
@@ -214,6 +227,6 @@ func (t *Table) IndexRange(txID int64, index string, lo, hi btree.Key, fn func(S
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", ErrIndexNotFound, t.name, index)
 	}
-	ix.tree.AscendRange(lo, hi, visit(txID, fn))
+	ix.tree.AscendRange(lo, hi, t.visit(txID, fn))
 	return nil
 }

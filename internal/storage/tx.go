@@ -74,8 +74,8 @@ func (tx *Tx) checkActive() error {
 }
 
 // checkRow coerces a row about to be stored to the table's kinds
-// (sqltypes.Coerce), so a column holds its own kind or NULL, and validates
-// it. Caller holds t.mu.
+// (sqltypes.Coerce) in place, so a column holds its own kind or NULL, and
+// validates it. Caller holds t.mu.
 func (t *Table) checkRow(row sqltypes.Row) error {
 	for i, col := range t.schema {
 		if row[i].Kind != col.Type && !row[i].IsNull() {
@@ -92,8 +92,10 @@ func (t *Table) checkRow(row sqltypes.Row) error {
 	return nil
 }
 
-// Insert adds a row to the table. A NULL in the auto-increment column is
-// replaced with the next sequence value; the inserted row is returned.
+// Insert adds a row to the table. It stores the row as one record and
+// changes the caller's row to what it stored: a NULL in the auto-increment
+// column becomes the next sequence value, and every value its column's kind
+// (checkRow). The row is returned.
 func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	if err := tx.checkActive(); err != nil {
 		return nil, err
@@ -102,7 +104,6 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 		return nil, fmt.Errorf("%w: table %s wants %d columns, got %d",
 			ErrColumnCount, t.name, len(t.schema), len(row))
 	}
-	row = row.Clone()
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -115,8 +116,11 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	if t.autoCol >= 0 {
 		t.autoInc = max(t.autoInc, row[t.autoCol].AsInt())
 	}
+	// The key is read from the record, so a tree that copies it holds the
+	// record's strings, not the caller's.
+	rec := encode(row)
 	var buf keyBuf
-	pkKey, err := t.pkKeyOf(&buf, row)
+	pkKey, err := t.pkKeyOf(&buf, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -124,17 +128,17 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 		// Re-insert of a row this transaction deleted: revive it in place.
 		if slot.owner == tx.id && slot.deleted {
 			slot.deleted = false
-			slot.uncommitted = row
-			t.addVersionEntries(row, slot.committed, slot)
+			slot.uncommitted = rec
+			t.addVersionEntries(rec, slot.committed, slot)
 			return row, nil
 		}
 		// The clone keeps buf off the heap on the path that succeeds.
 		return nil, fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, slices.Clone(pkKey))
 	}
 	t.rowSeq++
-	slot := &rowSlot{id: t.rowSeq, uncommitted: row}
+	slot := &rowSlot{id: t.rowSeq, uncommitted: rec}
 	t.pk.Set(pkKey, slot)
-	t.addVersionEntries(row, nil, slot)
+	t.addVersionEntries(rec, "", slot)
 	// The row is brand new, so the lock is uncontended; register it
 	// directly rather than going through the wait queue.
 	key := lockKey{t, slot.id}
@@ -148,32 +152,34 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 
 // lock takes the write lock of the row behind a scan entry of table t, then
 // latch (t.mu or its read side), which the caller releases, and returns the
-// version tx sees (nil: gone).
-func (tx *Tx) lock(t *Table, se ScanEntry, latch sync.Locker) (sqltypes.Row, error) {
+// version tx sees ("": gone).
+func (tx *Tx) lock(t *Table, se ScanEntry, latch sync.Locker) (string, error) {
 	if err := tx.checkActive(); err != nil {
-		return nil, err
+		return "", err
 	}
 	if err := tx.engine.locks.acquire(tx, lockKey{t, se.slot.id}, tx.engine.lockTimeout); err != nil {
-		return nil, err
+		return "", err
 	}
 	latch.Lock()
 	return se.slot.visible(tx.id), nil
 }
 
 // Update locks the row behind a scan entry of table t and, under one hold
-// of the table latch, stores what set returns for the version tx then sees.
-// set only evaluates: it must not modify cur, and its row, coerced to the
-// table's kinds, is stored; its primary key must still be cur's. Update
+// of the table latch, stores what set returns for the version tx then sees,
+// cur, which is decoded into buf (grown if it is too short). set only
+// evaluates: it must not modify cur, and its row, coerced to the table's
+// kinds in place, is stored; its primary key must still be cur's. Update
 // returns false if the row is gone or set returns nil.
-func (tx *Tx) Update(t *Table, se ScanEntry, set func(cur sqltypes.Row) (sqltypes.Row, error)) (bool, error) {
-	cur, err := tx.lock(t, se, &t.mu)
+func (tx *Tx) Update(t *Table, se ScanEntry, buf sqltypes.Row, set func(cur sqltypes.Row) (sqltypes.Row, error)) (bool, error) {
+	rec, err := tx.lock(t, se, &t.mu)
 	if err != nil {
 		return false, err
 	}
 	defer t.mu.Unlock()
-	if cur == nil {
+	if rec == "" {
 		return false, nil
 	}
+	cur := decode(rec, len(t.schema), buf[:0])
 	newRow, err := set(cur)
 	if newRow == nil || err != nil {
 		return false, err
@@ -190,14 +196,15 @@ func (tx *Tx) Update(t *Table, se ScanEntry, set func(cur sqltypes.Row) (sqltype
 			return false, fmt.Errorf("%w: %s.%s", ErrPKUpdate, t.name, t.schema[c].Name)
 		}
 	}
+	rec = encode(newRow)
 	slot := se.slot
 	tx.own(t, slot)
-	if slot.uncommitted != nil {
+	if slot.uncommitted != "" {
 		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 	}
 	slot.deleted = false
-	slot.uncommitted = newRow
-	t.addVersionEntries(newRow, slot.committed, slot)
+	slot.uncommitted = rec
+	t.addVersionEntries(rec, slot.committed, slot)
 	return true, nil
 }
 
@@ -206,37 +213,38 @@ func (tx *Tx) Update(t *Table, se ScanEntry, set func(cur sqltypes.Row) (sqltype
 // version. It returns false if the row vanished before the lock was
 // granted.
 func (tx *Tx) Lock(t *Table, se ScanEntry) (bool, error) {
-	cur, err := tx.lock(t, se, t.mu.RLocker())
+	rec, err := tx.lock(t, se, t.mu.RLocker())
 	if err == nil {
 		t.mu.RUnlock()
 	}
-	return cur != nil, err
+	return rec != "", err
 }
 
 // Delete locks the row behind a scan entry of table t and deletes it if
 // match, which only evaluates, accepts the version tx then sees, under one
-// hold of the table latch. It returns false if the row is gone or rejected.
-func (tx *Tx) Delete(t *Table, se ScanEntry, match func(cur sqltypes.Row) (bool, error)) (bool, error) {
-	cur, err := tx.lock(t, se, &t.mu)
+// hold of the table latch; that version is decoded into buf (grown if it
+// is too short). It returns false if the row is gone or rejected.
+func (tx *Tx) Delete(t *Table, se ScanEntry, buf sqltypes.Row, match func(cur sqltypes.Row) (bool, error)) (bool, error) {
+	rec, err := tx.lock(t, se, &t.mu)
 	if err != nil {
 		return false, err
 	}
 	defer t.mu.Unlock()
-	if cur == nil {
+	if rec == "" {
 		return false, nil
 	}
-	if ok, err := match(cur); !ok || err != nil {
+	if ok, err := match(decode(rec, len(t.schema), buf[:0])); !ok || err != nil {
 		return false, err
 	}
 	slot := se.slot
 	tx.own(t, slot)
-	if slot.uncommitted != nil {
+	if slot.uncommitted != "" {
 		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 	}
-	if slot.committed != nil {
+	if slot.committed != "" {
 		// A row this transaction inserted keeps its pending version, which
 		// drop reads the primary key from; it has no index entries now.
-		slot.uncommitted = nil
+		slot.uncommitted = ""
 	}
 	slot.deleted = true
 	return true, nil
@@ -292,12 +300,12 @@ func (t *Table) commitSlot(slot *rowSlot) {
 	switch {
 	case slot.deleted:
 		t.drop(slot)
-	case slot.uncommitted != nil:
-		if slot.committed != nil {
+	case slot.uncommitted != "":
+		if slot.committed != "" {
 			t.removeVersionEntries(slot.committed, slot.uncommitted, slot)
 		}
 		slot.committed = slot.uncommitted
-		slot.uncommitted = nil
+		slot.uncommitted = ""
 		slot.owner = 0
 	default:
 		slot.owner = 0
@@ -307,14 +315,14 @@ func (t *Table) commitSlot(slot *rowSlot) {
 // rollbackSlot discards the pending version; a row the transaction itself
 // inserted has no committed version and goes altogether. Caller holds t.mu.
 func (t *Table) rollbackSlot(slot *rowSlot) {
-	if slot.committed == nil {
+	if slot.committed == "" {
 		t.drop(slot)
 		return
 	}
-	if slot.uncommitted != nil {
+	if slot.uncommitted != "" {
 		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 	}
-	slot.uncommitted = nil
+	slot.uncommitted = ""
 	slot.deleted = false
 	slot.owner = 0
 }
@@ -324,12 +332,12 @@ func (t *Table) rollbackSlot(slot *rowSlot) {
 // version has the row's primary key; a pending delete's has no entries.
 func (t *Table) drop(slot *rowSlot) {
 	version := slot.committed
-	if version != nil {
-		t.removeVersionEntries(version, nil, slot)
+	if version != "" {
+		t.removeVersionEntries(version, "", slot)
 	}
-	if slot.uncommitted != nil {
+	if slot.uncommitted != "" {
 		if !slot.deleted {
-			t.removeVersionEntries(slot.uncommitted, nil, slot)
+			t.removeVersionEntries(slot.uncommitted, "", slot)
 		}
 		version = slot.uncommitted
 	}
@@ -339,24 +347,27 @@ func (t *Table) drop(slot *rowSlot) {
 	slot.retire()
 }
 
-// addVersionEntries adds secondary-index entries for a version of the row,
-// skipping indexes where an existing version already has the same entry.
-func (t *Table) addVersionEntries(row, existing sqltypes.Row, slot *rowSlot) {
+// addVersionEntries adds secondary-index entries for version rec of the
+// row, skipping indexes where an existing version ("": none) already has
+// the same entry.
+func (t *Table) addVersionEntries(rec, existing string, slot *rowSlot) {
 	var buf keyBuf
+	n := len(t.schema)
 	for _, ix := range t.indexes {
-		if existing == nil || !ix.sameKey(existing, row) {
-			ix.tree.Set(ix.keyOf(&buf, row, slot.id), slot)
+		if existing == "" || !ix.sameKey(existing, rec, n) {
+			ix.tree.Set(ix.keyOf(&buf, rec, n, slot.id), slot)
 		}
 	}
 }
 
-// removeVersionEntries removes secondary-index entries for victim, keeping
-// entries still needed by survivor.
-func (t *Table) removeVersionEntries(victim, survivor sqltypes.Row, slot *rowSlot) {
+// removeVersionEntries removes secondary-index entries for version victim,
+// keeping entries still needed by survivor ("": none).
+func (t *Table) removeVersionEntries(victim, survivor string, slot *rowSlot) {
 	var buf keyBuf
+	n := len(t.schema)
 	for _, ix := range t.indexes {
-		if survivor == nil || !ix.sameKey(survivor, victim) {
-			ix.tree.Delete(ix.keyOf(&buf, victim, slot.id))
+		if survivor == "" || !ix.sameKey(survivor, victim, n) {
+			ix.tree.Delete(ix.keyOf(&buf, victim, n, slot.id))
 		}
 	}
 }

@@ -325,3 +325,38 @@ func TestHealthCheckGateInDB(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStringsCompareByLeadingNumber holds literal comparisons to MySQL's
+// own answers (the one-engine oracle shares the evaluator, so it cannot):
+// a string against a number reads as its leading number, 0 if it has none.
+// The same holds for a stored VARCHAR, compared on its data node.
+func TestStringsCompareByLeadingNumber(t *testing.T) {
+	db := open(t, 2)
+	s := db.Session()
+	rows, err := s.QueryAll("SELECT '12abc' = 12, 'abc' = 0, '1e2z' = 100, ' 3x' + 1 = 4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"'12abc' = 12", "'abc' = 0", "'1e2z' = 100", "' 3x' + 1 = 4"} {
+		if !rows[0][i].Bool() {
+			t.Errorf("%s is %v; MySQL answers TRUE", want, rows[0][i])
+		}
+	}
+	if _, err := s.Exec(`CREATE SHARDING TABLE RULE t_text (RESOURCES(ds0, ds1), SHARDING_COLUMN = id,
+		TYPE = mod, PROPERTIES("sharding-count" = 2))`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("CREATE TABLE t_text (id INT PRIMARY KEY, v VARCHAR(16))"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("INSERT INTO t_text (id, v) VALUES (1, '12abc'), (2, 'abc'), (3, '1e2z'), (4, ' 3x')"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err = s.QueryAll("SELECT id FROM t_text WHERE v = 12 OR v = 100 OR v + 1 = 4 ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 || rows[0][0].I != 1 || rows[1][0].I != 3 || rows[2][0].I != 4 {
+		t.Errorf("stored strings matching their leading number: %v, want ids 1, 3 and 4", rows)
+	}
+}
