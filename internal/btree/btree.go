@@ -15,6 +15,7 @@ package btree
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"unsafe"
 
 	"shardingsphere/internal/sqltypes"
@@ -154,14 +155,18 @@ func compareLane(a, b int64) int {
 }
 
 // stored returns the key as the tree keeps it: its lanes when they are as
-// many as the tree's width, otherwise a copy of its tuple, so the caller's
-// may live on its stack and be reused.
+// many as the tree's width, otherwise a copy of its tuple and its strings,
+// so the caller's may live on its stack and be reused, and a string it
+// views in a larger buffer (a stored record) does not keep that alive.
 func (p *probe) stored() ikey {
 	if p.tuple == nil && p.n == p.width {
 		return ikey{lanes: p.lanes}
 	}
 	var buf [2]sqltypes.Value
 	own := slices.Clone(p.spell(&buf))
+	for i := range own {
+		own[i].S = strings.Clone(own[i].S)
+	}
 	return ikey{lanes: [2]int64{int64(len(own))}, tuple: unsafe.SliceData(own)}
 }
 

@@ -39,6 +39,13 @@ var (
 	ErrNotQuery         = errors.New("core: statement returns no rows")
 	ErrSourceDown       = errors.New("core: data source disabled by circuit breaker")
 	ErrStatementTimeout = errors.New("core: statement timeout")
+	// ErrTxAborted answers every statement but ROLLBACK, COMMIT included,
+	// in a transaction a failed statement left rollback-only: one of its
+	// branches could not be undone to the statement's start, or is lost.
+	ErrTxAborted = errors.New("core: transaction is rollback-only; only ROLLBACK is accepted")
+	// ErrSavepointUnsupported refuses a client's SAVEPOINT and ROLLBACK TO
+	// before anything is sent.
+	ErrSavepointUnsupported = errors.New("core: SAVEPOINT and ROLLBACK TO are not supported")
 )
 
 // Feature is the base of the pluggable feature SPI. Concrete features

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/route"
@@ -312,6 +314,38 @@ func TestBeginTwiceFails(t *testing.T) {
 		t.Fatalf("nested begin: %v", err)
 	}
 	mustExec(t, s, "ROLLBACK")
+}
+
+// TestClientSavepointRefused: a client's SAVEPOINT and ROLLBACK TO get
+// ErrSavepointUnsupported before any unit is sent, in and out of a
+// transaction, which goes on untouched.
+func TestClientSavepointRefused(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	s := k.NewSession()
+	seed(t, s, 4)
+	var sent atomic.Int64 // units executed; fan-outs call the listener at once
+	k.executor.SetListener(func(string, string, time.Duration, error) { sent.Add(1) })
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "UPDATE t_user SET age = 1")
+	if sent.Load() == 0 {
+		t.Fatal("the listener saw none of the UPDATE's units")
+	}
+	sent.Store(0)
+	for _, sql := range []string{"SAVEPOINT a", "ROLLBACK TO SAVEPOINT a", "ROLLBACK TO a"} {
+		if _, err := s.Exec(sql); !errors.Is(err, ErrSavepointUnsupported) {
+			t.Fatalf("%s: %v, want ErrSavepointUnsupported", sql, err)
+		}
+	}
+	if n := sent.Load(); n != 0 {
+		t.Fatalf("the refused statements sent %d units", n)
+	}
+	mustExec(t, s, "COMMIT")
+	if rows := mustQuery(t, s, "SELECT COUNT(*) FROM t_user WHERE age = 1"); rows[0][0].I != 4 {
+		t.Fatalf("%d rows kept the committed UPDATE, want 4", rows[0][0].I)
+	}
+	if _, err := s.Exec("SAVEPOINT a"); !errors.Is(err, ErrSavepointUnsupported) {
+		t.Fatalf("SAVEPOINT outside a transaction: %v", err)
+	}
 }
 
 func TestSessionCloseRollsBack(t *testing.T) {

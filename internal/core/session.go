@@ -69,7 +69,13 @@ type Session struct {
 	k      *Kernel
 	tx     transaction.Tx
 	txType transaction.Type
-	vars   map[string]sqltypes.Value
+	// implicit says tx is a multi-unit write's own (runUnits): it ends with
+	// the statement, whose failure rolls all of it back.
+	implicit bool
+	// aborted, once set, makes the open transaction rollback-only: an
+	// ErrTxAborted naming the branch a failed statement could not undo.
+	aborted error
+	vars    map[string]sqltypes.Value
 	// stmtTimeout bounds each statement's execution (SET VARIABLE
 	// statement_timeout_ms); 0 means unbounded.
 	stmtTimeout time.Duration
@@ -126,12 +132,7 @@ func (s *Session) StatementTimeout() time.Duration { return s.stmtTimeout }
 func (s *Session) NoteQueueWait(d time.Duration) { s.queueWait = d }
 
 // Close rolls back any open transaction.
-func (s *Session) Close() {
-	if s.tx != nil {
-		s.tx.Rollback(context.Background())
-		s.tx = nil
-	}
-}
+func (s *Session) Close() { s.endTx(false) }
 
 // Execute runs one SQL or DistSQL statement. Cacheable DML goes through
 // the kernel's shared parameterized plan cache: the statement is
@@ -284,9 +285,22 @@ func (s *Session) ExecuteStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 		}
 		s.tx = tx
 		return &Result{}, nil
-	case *sqlparser.CommitStmt, *sqlparser.RollbackStmt:
-		_, commit := t.(*sqlparser.CommitStmt)
-		if err := s.endTx(commit); err != nil {
+	case *sqlparser.SavepointStmt:
+		return nil, ErrSavepointUnsupported
+	case *sqlparser.RollbackStmt:
+		if t.Savepoint != "" {
+			return nil, ErrSavepointUnsupported
+		}
+		if err := s.endTx(false); err != nil {
+			return nil, err
+		}
+		return &Result{}, nil
+	case *sqlparser.CommitStmt:
+		if aborted := s.aborted; aborted != nil {
+			s.endTx(false)
+			return nil, aborted
+		}
+		if err := s.endTx(true); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -370,7 +384,7 @@ func (s *Session) endTx(commit bool) error {
 	if tx == nil {
 		return nil
 	}
-	s.tx = nil
+	s.tx, s.implicit, s.aborted = nil, false, nil
 	tx.AttachTrace(s.tr)
 	ctx := context.Background()
 	if s.stmtTimeout > 0 {
@@ -401,12 +415,15 @@ func (s *Session) endTx(commit bool) error {
 // unit leaves no effect of the others. A node's DDL is not transactional
 // and keeps its per-unit autocommit.
 func (s *Session) runUnits(stmt sqlparser.Statement, sel *sqlparser.SelectStmt, rw *rewrite.Result, genKey int64) (*Result, error) {
+	if s.aborted != nil {
+		return nil, s.aborted
+	}
 	if s.tx == nil && len(rw.Units) > 1 && stmt.StatementType().IsDML() {
 		tx, err := s.k.txMgr.Begin(s.txType)
 		if err != nil {
 			return nil, err
 		}
-		s.tx = tx
+		s.tx, s.implicit = tx, true
 		res, err := s.runUnits(stmt, sel, rw, genKey)
 		if endErr := s.endTx(err == nil); err == nil && endErr != nil {
 			return nil, endErr
@@ -533,8 +550,24 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 			}
 		}
 	} else {
+		// A node undoes its own unit of a failed write, so a write of
+		// several units in a transaction leads each source's window with a
+		// savepoint, and a failure returns every branch it reached there.
+		held := heldOf(s.tx)
+		undo := held != nil && !s.implicit && len(rw.Units) > 1 && stmt.StatementType().IsDML()
+		if undo {
+			held.Lead(&statementSavepoint)
+		}
 		var er resource.ExecResult
-		er, execErr = s.k.executor.ExecuteUpdateCtx(ctx, rw.Units, heldOf(s.tx), s.tr)
+		er, execErr = s.k.executor.ExecuteUpdateCtx(ctx, rw.Units, held, s.tr)
+		if undo {
+			if execErr != nil {
+				if err := held.Undo(ctx, undoStatement); err != nil {
+					s.aborted = fmt.Errorf("%w: %w", ErrTxAborted, err)
+				}
+			}
+			held.Lead(nil)
+		}
 		if execErr == nil {
 			s.tr.Mark(telemetry.StageExecute)
 			result = &Result{Affected: er.Affected, LastInsertID: er.LastInsertID}
@@ -550,6 +583,13 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 		if err := s.tx.AfterStatement(ctx, rw.Units, execErr); err != nil {
 			return nil, err
 		}
+		// A failed statement whose connection is lost leaves its branch in
+		// a state nobody knows; a transaction never commits without it.
+		if execErr != nil && s.aborted == nil {
+			if ds, lost := s.tx.Held().Defunct(); lost {
+				s.aborted = fmt.Errorf("%w: the connection to data source %s is lost", ErrTxAborted, ds)
+			}
+		}
 		// Include AfterStatement work (BASE local commits) in the trace
 		// total without attributing it to the next stage.
 		s.tr.Skip()
@@ -559,6 +599,12 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 	}
 	return result, nil
 }
+
+// statementSavepoint leads each source's window of a write of several units
+// in a transaction; undoStatement returns a branch to it.
+var statementSavepoint = resource.Statement{SQL: "SAVEPOINT ss_statement"}
+
+const undoStatement = "ROLLBACK TO SAVEPOINT ss_statement"
 
 func heldOf(tx transaction.Tx) *exec.HeldConns {
 	if tx == nil {

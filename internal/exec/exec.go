@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -131,7 +132,7 @@ type Executor struct {
 	updateFanout atomic.Uint64
 
 	// Resilience counters: transient-failure retries, retries that ended
-	// in success, and fan-outs aborted early by fail-fast cancellation.
+	// in success, and read fan-outs aborted early by fail-fast cancellation.
 	retries        atomic.Uint64
 	retrySuccess   atomic.Uint64
 	failFastAborts atomic.Uint64
@@ -319,21 +320,25 @@ type QueryResult struct {
 // distributed transaction: every statement in the transaction for a given
 // source must ride the same connection. A branch opened with a verb
 // (BEGIN, XA BEGIN ?) sends nothing then: the next window to the source
-// carries the verb ahead of its units. A transaction touches a handful of
-// sources, so they are found by a scan, and the first two are held in the
-// set itself.
+// carries the verb ahead of its units. A write's windows may lead with one
+// more verb (Lead), a savepoint the write can be undone to. A transaction
+// touches a handful of sources, so they are found by a scan, and the first
+// two are held in the set itself.
 type HeldConns struct {
 	mu     sync.Mutex
 	conns  []heldConn
 	inline [2]heldConn
+	lead   *resource.Statement
 }
 
-// heldConn is a source's pinned connection and, until it succeeds, the
-// verb that opens its branch: the transaction's own, not a copy.
+// heldConn is a source's pinned connection; until it succeeds, the verb
+// that opens its branch (the transaction's own, not a copy); and whether
+// the lead verb has run on it since Lead was called.
 type heldConn struct {
 	ds   string
 	conn *resource.PooledConn
 	open *resource.Statement
+	led  bool
 }
 
 // NewHeldConns returns an empty pinned-connection set.
@@ -388,17 +393,83 @@ func (h *HeldConns) take(ctx context.Context, e *Executor, ds string, verb *reso
 	return c, verb, nil
 }
 
-// ran records the outcome of a window that led with ds's opening verb: the
-// branch is open unless the window failed on the verb itself.
-func (h *HeldConns) ran(ds string, err error) {
-	if be := (*resource.BatchError)(nil); err != nil && !(errors.As(err, &be) && be.Index > 0) {
-		return
+// ran records the outcome of a window that led with verbs: ds's opening
+// verb when open, then the lead verb when lead. A verb ran if the window
+// failed on no statement or on one after it.
+func (h *HeldConns) ran(ds string, open, lead bool, err error) {
+	n := math.MaxInt // statements that ran: all, or those before the failed one
+	if be := (*resource.BatchError)(nil); errors.As(err, &be) {
+		n = be.Index
+	} else if err != nil {
+		n = 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if hc := h.find(ds); hc != nil {
-		hc.open = nil
+		if open && n > 0 {
+			hc.open, n = nil, n-1
+		}
+		hc.led = lead && n > 0
 	}
+}
+
+// Lead makes each write window that runs on a held connection until the
+// next call lead with verb, after the branch's opening verb (nil: with
+// none), and forgets where the previous verb ran.
+func (h *HeldConns) Lead(verb *resource.Statement) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.lead = verb
+	for i := range h.conns {
+		h.conns[i].led = false
+	}
+}
+
+// Undo runs sql on every branch the lead verb ran on, all at once and
+// detached from ctx's cancellation, under AbortTimeout, as cleanup that
+// must reach the branches after a deadline. It returns the first failure.
+func (h *HeldConns) Undo(ctx context.Context, sql string) error {
+	h.mu.Lock()
+	var conns []heldConn
+	for _, hc := range h.conns {
+		if hc.led {
+			conns = append(conns, hc)
+		}
+	}
+	h.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), AbortTimeout)
+	defer cancel()
+	errs := make([]error, len(conns))
+	var wg sync.WaitGroup
+	for i, hc := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := hc.conn.Exec(ctx, sql); err != nil {
+				errs[i] = fmt.Errorf("data source %s: %s: %w", hc.ds, sql, err)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// AbortTimeout bounds cleanup fan-outs that run detached from the
+// (possibly already cancelled) statement context: Undo, and a
+// transaction's abort.
+const AbortTimeout = 10 * time.Second
+
+// Defunct returns a data source whose pinned connection is defunct
+// (resource.PooledConn.Defunct): what its branch holds is unknown.
+func (h *HeldConns) Defunct() (string, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, hc := range h.conns {
+		if hc.conn.Defunct() {
+			return hc.ds, true
+		}
+	}
+	return "", false
 }
 
 // Peek returns ds's pinned connection once its branch is open: the verb it
@@ -638,7 +709,7 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 		}
 		err = e.runWindow(ctx, units, g.ds, conn, open, idxs, res, tr, attempt)
 		if open != nil {
-			held.ran(g.ds, err)
+			held.ran(g.ds, true, false, err)
 		}
 		return err
 	}
@@ -753,7 +824,7 @@ func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g 
 // back materialized, Union units' as one set (window). The window is one
 // timed execution; unit heat cells count calls and rows, not latency.
 func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds string, conn *resource.PooledConn, open *resource.Statement, share []int, res *QueryResult, tr *telemetry.Trace, attempt int) error {
-	sp, off, union := window(open, units, share)
+	sp, off, union := window(open, nil, units, share)
 	start := time.Now()
 	sets, err := conn.QueryBatch(ctx, *sp)
 	putWindow(sp)
@@ -763,7 +834,7 @@ func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds st
 		}
 	}
 	if err != nil {
-		failed := batchFailure(ds, open, units, share, off, err)
+		failed := batchFailure(ds, open, nil, units, share, off, err)
 		dur := e.observe(tr, ds, failed.SQL, start, attempt, err)
 		e.heatCell(failed).ObserveQuery(start, dur, err)
 		return wrapUnitErr(failed, dur, err)
@@ -805,17 +876,19 @@ func rowBytes(rows []sqltypes.Row) int64 {
 	return b
 }
 
-// window lays out a connection's statements, the opening verb (if any)
-// then the units, and counts those ahead of the units; two or more Union
-// units are one statement over all their tables. The slice is recycled
-// (putWindow): a batch call does not keep it.
-func window(open *resource.Statement, units []rewrite.SQLUnit, share []int) (sp *[]resource.Statement, off int, union bool) {
+// window lays out a connection's statements, the opening verb and the
+// lead verb (each if any) then the units, and counts those ahead of the
+// units; two or more Union units are one statement over all their tables.
+// The slice is recycled (putWindow): a batch call does not keep it.
+func window(open, lead *resource.Statement, units []rewrite.SQLUnit, share []int) (sp *[]resource.Statement, off int, union bool) {
 	sp = windowPool.Get().(*[]resource.Statement)
 	stmts := (*sp)[:0]
-	if open != nil {
-		verb := *open
-		verb.Verb = true
-		stmts = append(stmts, verb)
+	for _, v := range [2]*resource.Statement{open, lead} {
+		if v != nil {
+			verb := *v
+			verb.Verb = true
+			stmts = append(stmts, verb)
+		}
 	}
 	off, union = len(stmts), len(share) > 1 && units[share[0]].Union
 	var tables []string
@@ -840,12 +913,16 @@ func putWindow(sp *[]resource.Statement) {
 
 var windowPool = sync.Pool{New: func() any { return new([]resource.Statement) }}
 
-// batchFailure names what a batch error's index points at: the opening
-// verb (its data source and text, no table: no unit ran), or a unit (a
-// union's statement is its first unit's text); else the first unit.
-func batchFailure(ds string, open *resource.Statement, units []rewrite.SQLUnit, share []int, off int, err error) rewrite.SQLUnit {
+// batchFailure names what a batch error's index points at in a window
+// led by the verbs open and lead (each if any): a verb (its data source
+// and text, no table: no unit ran), or a unit (a union's statement is its
+// first unit's text); else the first unit.
+func batchFailure(ds string, open, lead *resource.Statement, units []rewrite.SQLUnit, share []int, off int, err error) rewrite.SQLUnit {
 	var be *resource.BatchError
 	if errors.As(err, &be) && be.Index < off {
+		if open == nil || be.Index > 0 {
+			open = lead
+		}
 		return rewrite.SQLUnit{DataSource: ds, SQL: open.SQL}
 	}
 	if be != nil && be.Index-off < len(share) {
@@ -857,9 +934,11 @@ func batchFailure(ds string, open *resource.Statement, units []rewrite.SQLUnit, 
 // ExecuteUpdateCtx runs DML/DDL units and returns the summed affected
 // count and the last insert id observed. Units ride held's connections;
 // with held nil the statement pins its own for its duration. The context
-// carries the statement deadline, and the first shard error cancels
-// sibling groups. DML is never retried — a failed write's true outcome is
-// unknown, and replaying it could double-apply.
+// carries the statement deadline. A fan-out returns once every source's
+// window has answered, so a failed write leaves each branch in a state its
+// answer tells: no window is cut off mid-flight by a sibling's failure.
+// DML is never retried — a failed write's true outcome is unknown, and
+// replaying it could double-apply.
 func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace) (resource.ExecResult, error) {
 	if held == nil {
 		// Passed on, not assigned to held: the fan-out's closures capture
@@ -884,22 +963,18 @@ func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit
 		return total, nil
 	}
 	e.updateFanout.Add(1)
-	fanCtx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	errs := make([]error, len(groups))
 	for i, g := range groups {
 		wg.Add(1)
-		go func(i int, g group) {
+		// ctx is passed, not captured: a captured parameter moves to the
+		// heap on every call, the inline path's too.
+		go func(ctx context.Context, i int, g group) {
 			defer wg.Done()
-			if err := e.runUpdateGroup(fanCtx, units, g, held, &total, &mu, tr); err != nil {
-				errs[i] = err
-				e.failFastAborts.Add(1)
-				cancel()
-			}
-		}(i, g)
+			errs[i] = e.runUpdateGroup(ctx, units, g, held, &total, &mu, tr)
+		}(ctx, i, g)
 	}
 	wg.Wait()
-	cancel()
 	if err := firstError(errs); err != nil {
 		return resource.ExecResult{}, err
 	}
@@ -913,9 +988,10 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 	if err != nil {
 		return err
 	}
+	lead := held.lead // set before the fan-out started
 	var buf [16]int
 	idxs := g.indexes(units, slices.Grow(buf[:0], g.n))
-	if open == nil && len(idxs) == 1 {
+	if open == nil && lead == nil && len(idxs) == 1 {
 		u := units[idxs[0]]
 		start := time.Now()
 		r, err := conn.Exec(ctx, u.SQL, u.Args...)
@@ -935,16 +1011,16 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 	// A window pipelines through the connection: all statements ship
 	// before the first response is read, so a remote shard costs one round
 	// trip instead of one per statement. A BatchError pins the failure to
-	// its unit, or to the opening verb.
-	sp, off, _ := window(open, units, idxs)
+	// its unit, or to a verb.
+	sp, off, _ := window(open, lead, units, idxs)
 	start := time.Now()
 	results, err := resource.ExecBatch(ctx, conn, *sp)
 	putWindow(sp)
 	if off > 0 {
-		held.ran(g.ds, err)
+		held.ran(g.ds, open != nil, lead != nil, err)
 	}
 	if err != nil {
-		failed := batchFailure(g.ds, open, units, idxs, off, err)
+		failed := batchFailure(g.ds, open, lead, units, idxs, off, err)
 		dur := e.observe(tr, g.ds, failed.SQL, start, 1, err)
 		e.heatCell(failed).ObserveExec(start, dur, 0, err)
 		return wrapUnitErr(failed, dur, err)

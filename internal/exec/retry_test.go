@@ -181,28 +181,158 @@ func TestDeadlineCancelsFanout(t *testing.T) {
 	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-func TestExecuteUpdateCtxFailFast(t *testing.T) {
-	var failN atomic.Int64
-	failN.Store(1000)
-	e := New(map[string]*resource.DataSource{
-		"bad":  srcOf("bad", func() (resource.Conn, error) { return &flapConn{failN: &failN}, nil }),
-		"hang": srcOf("hang", func() (resource.Conn, error) { return &hangConn{}, nil }),
+// gateConn answers writes as the test decides: a statement fails at once
+// with fail, or, with gate set, waits for the gate to open (then succeeds)
+// or for its context to end. entered is signalled as a statement arrives.
+type gateConn struct {
+	fail    error
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+func (c *gateConn) Query(context.Context, string, ...sqltypes.Value) (resource.ResultSet, error) {
+	return nil, errors.New("gateConn: no reads")
+}
+
+func (c *gateConn) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ExecResult, error) {
+	c.entered <- struct{}{}
+	if c.fail != nil {
+		return resource.ExecResult{}, c.fail
+	}
+	select {
+	case <-c.gate:
+	case <-ctx.Done():
+	}
+	// An answer that arrives after the context ended is not read.
+	if err := ctx.Err(); err != nil {
+		return resource.ExecResult{}, err
+	}
+	return resource.ExecResult{Affected: 1}, nil
+}
+
+// ExecBatch answers a window as one statement: a failed one names its last
+// statement (a unit, behind any verb); one whose context ended first
+// reports index 0, as a remote pipeline cut off before its first answer
+// was read does, whatever the node ran.
+func (c *gateConn) ExecBatch(ctx context.Context, stmts []resource.Statement) ([]resource.ExecResult, error) {
+	if _, err := c.Exec(ctx, stmts[0].SQL); err != nil {
+		if c.fail != nil {
+			return nil, &resource.BatchError{Index: len(stmts) - 1, Err: err}
+		}
+		return nil, &resource.BatchError{Index: 0, Err: err}
+	}
+	return make([]resource.ExecResult, len(stmts)), nil
+}
+
+func (c *gateConn) QueryBatch(context.Context, []resource.Statement) ([]resource.ResultSet, error) {
+	return nil, errors.New("gateConn: no reads")
+}
+
+func (c *gateConn) Close() error { return nil }
+
+// gateSources returns an executor over "bad", whose writes fail, and
+// "slow", whose writes wait for gate, each signalling entered.
+func gateSources(gate, entered chan struct{}) *Executor {
+	return New(map[string]*resource.DataSource{
+		"bad": srcOf("bad", func() (resource.Conn, error) {
+			return &gateConn{fail: errors.New("bad: duplicate primary key"), entered: entered}, nil
+		}),
+		"slow": srcOf("slow", func() (resource.Conn, error) { return &gateConn{gate: gate, entered: entered}, nil }),
 	}, 1)
+}
+
+// awaitWindows waits until both sources' windows have arrived, failing if
+// the write returns first.
+func awaitWindows(t *testing.T, entered chan struct{}, done chan error) {
+	t.Helper()
+	for range 2 {
+		select {
+		case <-entered:
+		case err := <-done:
+			t.Fatalf("the write returned before every window answered: %v", err)
+		}
+	}
+}
+
+// TestFailedWriteWaitsForEveryWindow: a write fan-out with a failed source
+// returns only after every other source's window has answered, with the
+// failure; a deadline still ends a window that never answers. DML is never
+// retried.
+func TestFailedWriteWaitsForEveryWindow(t *testing.T) {
+	gate, entered := make(chan struct{}), make(chan struct{}, 2)
+	e := gateSources(gate, entered)
 	units := []rewrite.SQLUnit{
 		{DataSource: "bad", SQL: "UPDATE t SET v = 1"},
-		{DataSource: "hang", SQL: "UPDATE t SET v = 1"},
+		{DataSource: "slow", SQL: "UPDATE t SET v = 1"},
 	}
-	start := time.Now()
-	_, err := e.ExecuteUpdateCtx(context.Background(), units, nil, nil)
-	if err == nil {
-		t.Fatal("update fan-out should fail")
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.ExecuteUpdateCtx(context.Background(), units, nil, nil)
+		done <- err
+	}()
+	// Both windows run, and "slow" cannot answer until the gate opens.
+	awaitWindows(t, entered, done)
+	select {
+	case err := <-done:
+		t.Fatalf("the write returned before every window answered: %v", err)
+	default:
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("update fail-fast took %v", elapsed)
+	close(gate)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "duplicate primary key") {
+		t.Fatalf("want the bad source's failure, got %v", err)
 	}
-	// DML is never retried.
-	if m := e.Metrics(); m["retries"] != 0 {
-		t.Fatalf("DML retried: %v", m)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	hung := gateSources(make(chan struct{}), make(chan struct{}, 2))
+	if _, err := hung.ExecuteUpdateCtx(ctx, units, nil, nil); err == nil {
+		t.Fatal("the write succeeded")
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the write returned before its deadline ended the hung window")
+	}
+	for _, ex := range []*Executor{e, hung} {
+		if m := ex.Metrics(); m["retries"] != 0 {
+			t.Fatalf("DML retried: %v", m)
+		}
+	}
+}
+
+// TestFailedWriteKeepsItsBranchesKnown: in a transaction, source "slow"'s
+// branch opens with BEGIN in a window that answers only after "bad" has
+// failed, and a window whose context ends first reports index 0, as a
+// remote pipeline cut off before its first answer does. The window is not
+// cut off: it completes, and the branch is open, so a commit or rollback
+// reaches it.
+func TestFailedWriteKeepsItsBranchesKnown(t *testing.T) {
+	gate, entered := make(chan struct{}), make(chan struct{}, 2)
+	e := gateSources(gate, entered)
+	held := NewHeldConns()
+	defer held.ReleaseAll()
+	for _, ds := range []string{"bad", "slow"} {
+		if err := held.Open(context.Background(), e, ds, &resource.Statement{SQL: "BEGIN"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := []rewrite.SQLUnit{
+		{DataSource: "bad", SQL: "INSERT INTO t VALUES (1)"},
+		{DataSource: "slow", SQL: "INSERT INTO t VALUES (2)"},
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.ExecuteUpdateCtx(context.Background(), units, held, nil)
+		done <- err
+	}()
+	awaitWindows(t, entered, done)
+	close(gate)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "duplicate primary key") {
+		t.Fatalf("want the bad source's failure, got %v", err)
+	}
+	if _, open := held.Peek("slow"); !open {
+		t.Fatal("slow's BEGIN ran, but its branch reads as never opened")
+	}
+	if _, open := held.Peek("bad"); !open {
+		t.Fatal("bad's window failed on its unit, after BEGIN, but its branch reads as never opened")
 	}
 }
 

@@ -11,12 +11,14 @@ import (
 	"shardingsphere/pkg/client"
 )
 
-// A split INSERT whose duplicate key fails one unit, sent outside a
-// transaction through pkg/client -> proxy -> kernel -> two remote data
-// nodes, where each source's two units go out as one pipelined window:
-// under LOCAL and XA it leaves the row count unchanged, no prepared branch
-// on either node, every pooled connection back, and no row lock behind —
-// the same rows insert at once without the duplicate.
+// A split INSERT whose duplicate key fails one unit, sent through
+// pkg/client -> proxy -> kernel -> two remote data nodes, where each
+// source's two units go out as one pipelined window: under LOCAL and XA,
+// outside a transaction, it leaves the row count unchanged, no prepared
+// branch on either node, every pooled connection back, and no row lock
+// behind — the same rows insert at once without the duplicate. Inside a
+// transaction it leaves nothing either, and the transaction commits the
+// good INSERT that follows it.
 func TestFailedSplitInsertOverWireLeavesNothing(t *testing.T) {
 	for _, tx := range []transaction.Type{transaction.Local, transaction.XA} {
 		t.Run(tx.String(), func(t *testing.T) {
@@ -84,30 +86,50 @@ func TestFailedSplitInsertOverWireLeavesNothing(t *testing.T) {
 			if n := count(); n != 4 {
 				t.Fatalf("%d rows after the failed INSERT, want the 4 it started with", n)
 			}
-			for name, addr := range nodes {
-				node, err := client.Dial(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rs, err := node.Query(ctx, "XA RECOVER")
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows, err := resource.ReadAll(rs)
-				node.Close()
-				if err != nil || len(rows) != 0 {
-					t.Fatalf("%s: XA RECOVER lists %v (%v), want nothing prepared", name, rows, err)
-				}
-				if st := sources[name].Stats(); st.InUse != 0 {
-					t.Fatalf("%s: %d pooled connections still in use", name, st.InUse)
+			settled := func() {
+				t.Helper()
+				for name, addr := range nodes {
+					node, err := client.Dial(addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs, err := node.Query(ctx, "XA RECOVER")
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows, err := resource.ReadAll(rs)
+					node.Close()
+					if err != nil || len(rows) != 0 {
+						t.Fatalf("%s: XA RECOVER lists %v (%v), want nothing prepared", name, rows, err)
+					}
+					if st := sources[name].Stats(); st.InUse != 0 {
+						t.Fatalf("%s: %d pooled connections still in use", name, st.InUse)
+					}
 				}
 			}
+			settled()
 			if _, err := c.Exec(ctx, "INSERT INTO t_user (uid, name) VALUES (4, 'e'), (5, 'f'), (6, 'g'), (7, 'h')"); err != nil {
 				t.Fatalf("the same rows without the duplicate: %v", err)
 			}
 			if n := count(); n != 8 {
 				t.Fatalf("%d rows, want 8", n)
 			}
+			// Inside a transaction the failed INSERT leaves nothing on either
+			// node, and the transaction goes on to commit the good one.
+			for _, sql := range []string{"BEGIN", "INSERT INTO t_user (uid, name) VALUES (8, 'i'), (9, 'j'), (10, 'k'), (11, 'l'), (1, 'dup')"} {
+				if _, err := c.Exec(ctx, sql); (err == nil) != (sql == "BEGIN") {
+					t.Fatalf("%s: %v", sql, err)
+				}
+			}
+			for _, sql := range []string{"INSERT INTO t_user (uid, name) VALUES (8, 'i'), (9, 'j')", "COMMIT"} {
+				if _, err := c.Exec(ctx, sql); err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+			}
+			if n := count(); n != 10 {
+				t.Fatalf("%d rows after the transaction, want 10", n)
+			}
+			settled()
 		})
 	}
 }

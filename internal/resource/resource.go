@@ -767,6 +767,19 @@ func (pc *PooledConn) QueryBatch(ctx context.Context, stmts []Statement) ([]Resu
 	return QueryBatch(ctx, pc.Conn, stmts)
 }
 
+// Defunct reports whether the connection is unusable: marked Broken, or
+// failed in its transport. The wrapper sees transport failures first
+// (chaos break faults report through it); the raw conn's own verdict is
+// the fallback.
+func (pc *PooledConn) Defunct() bool {
+	if d, ok := pc.Conn.(Defuncter); ok && d.Defunct() {
+		pc.Broken = true
+	} else if d, ok := pc.raw.(Defuncter); ok && d.Defunct() {
+		pc.Broken = true
+	}
+	return pc.Broken
+}
+
 // Release returns the connection to the pool.
 func (pc *PooledConn) Release() {
 	if pc.released {
@@ -774,14 +787,7 @@ func (pc *PooledConn) Release() {
 	}
 	pc.released = true
 	pc.ds.inUse.Add(-1)
-	// The wrapper sees transport failures first (chaos break faults report
-	// through it); fall back to the raw conn's own verdict.
-	if d, ok := pc.Conn.(Defuncter); ok && d.Defunct() {
-		pc.Broken = true
-	} else if d, ok := pc.raw.(Defuncter); ok && d.Defunct() {
-		pc.Broken = true
-	}
-	if pc.Broken {
+	if pc.Defunct() {
 		pc.raw.Close()
 		pc.ds.slots <- struct{}{}
 		return

@@ -21,6 +21,8 @@ var (
 	ErrBadArgCount     = errors.New("sqlexec: wrong number of bind arguments")
 	ErrBadXID          = errors.New("sqlexec: an XA verb's xid argument must be a non-empty string")
 	ErrInTransaction   = errors.New("sqlexec: already in a transaction")
+	ErrNoTransaction   = errors.New("sqlexec: no transaction is open")
+	ErrNoSavepoint     = errors.New("sqlexec: no such savepoint")
 	ErrTableList       = errors.New("sqlexec: not runnable over a table list")
 )
 

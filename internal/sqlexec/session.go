@@ -3,6 +3,8 @@ package sqlexec
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -105,8 +107,10 @@ type Session struct {
 	proc   *Processor
 	tx     *storage.Tx
 	xaXID  string
-	vars   map[string]sqltypes.Value
-	arena  arena
+	// savepoints are the open transaction's named marks, oldest first.
+	savepoints []savepoint
+	vars       map[string]sqltypes.Value
+	arena      arena
 
 	// Span recording state, armed via BeginTrace for statements that
 	// arrived with an active trace context (see trace.go).
@@ -114,6 +118,12 @@ type Session struct {
 	recDetailed bool
 	recBase     time.Time
 	rec         []telemetry.RemoteSpan
+}
+
+// savepoint is a SAVEPOINT's name and the transaction's mark it names.
+type savepoint struct {
+	name string
+	mark int
 }
 
 // arena holds the rows a statement decodes from storage, each a window of
@@ -294,7 +304,7 @@ func (s *Session) executeStmt(st *Stmt, args []sqltypes.Value) (*Result, error) 
 		if s.tx != nil {
 			return nil, ErrInTransaction
 		}
-		s.tx = s.engine.Begin()
+		s.tx, s.savepoints = s.engine.Begin(), s.savepoints[:0]
 		return &Result{}, nil
 	case *sqlparser.CommitStmt:
 		if s.tx == nil {
@@ -309,7 +319,18 @@ func (s *Session) executeStmt(st *Stmt, args []sqltypes.Value) (*Result, error) 
 			return nil, err
 		}
 		return &Result{}, nil
+	case *sqlparser.SavepointStmt:
+		if s.tx == nil {
+			return nil, ErrNoTransaction
+		}
+		// A name set again moves to the transaction's present.
+		s.savepoints = slices.DeleteFunc(s.savepoints, func(sp savepoint) bool { return strings.EqualFold(sp.name, t.Name) })
+		s.savepoints = append(s.savepoints, savepoint{t.Name, s.tx.Savepoint()})
+		return &Result{}, nil
 	case *sqlparser.RollbackStmt:
+		if t.Savepoint != "" {
+			return s.rollbackTo(t.Savepoint)
+		}
 		if s.tx == nil {
 			return &Result{}, nil
 		}
@@ -362,11 +383,33 @@ func (s *Session) executeStmt(st *Stmt, args []sqltypes.Value) (*Result, error) 
 	}
 }
 
-// autocommit runs op in the session's open transaction, or in an implicit
+// rollbackTo undoes the open transaction's writes since the named
+// savepoint, which stays set; the savepoints set after it go.
+func (s *Session) rollbackTo(name string) (*Result, error) {
+	i := slices.IndexFunc(s.savepoints, func(sp savepoint) bool { return strings.EqualFold(sp.name, name) })
+	if s.tx == nil || i < 0 {
+		return nil, fmt.Errorf("%w: %s", ErrNoSavepoint, name)
+	}
+	if err := s.tx.RollbackTo(s.savepoints[i].mark); err != nil {
+		return nil, err
+	}
+	s.savepoints = s.savepoints[:i+1]
+	return &Result{}, nil
+}
+
+// autocommit runs op in the session's open transaction, where a failed
+// write leaves nothing and the transaction goes on, or in an implicit
 // single-statement transaction when none is open.
 func (s *Session) autocommit(op func(*storage.Tx) (*Result, error)) (*Result, error) {
 	if s.tx != nil {
-		return op(s.tx)
+		sp := s.tx.Savepoint()
+		res, err := op(s.tx)
+		if err != nil {
+			// It fails only on a transaction no longer active, where op wrote
+			// nothing.
+			s.tx.RollbackTo(sp)
+		}
+		return res, err
 	}
 	tx := s.engine.Begin()
 	res, err := op(tx)
@@ -433,7 +476,7 @@ func (s *Session) executeXA(op sqlparser.XAOp, xid string) (*Result, error) {
 		if s.tx != nil {
 			return nil, ErrInTransaction
 		}
-		s.tx = s.engine.Begin()
+		s.tx, s.savepoints = s.engine.Begin(), s.savepoints[:0]
 		s.xaXID = xid
 		return &Result{}, nil
 	case sqlparser.XAAdopt:

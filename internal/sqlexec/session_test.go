@@ -344,6 +344,58 @@ func TestTransactionCommitRollback(t *testing.T) {
 	}
 }
 
+// TestFailedStatementInTransactionLeavesNothing: inside a transaction a
+// write that fails part-way leaves none of its rows and the transaction
+// goes on, as MySQL's statement rollback does; SAVEPOINT and ROLLBACK TO
+// undo to a name, index entries included.
+func TestFailedStatementInTransactionLeavesNothing(t *testing.T) {
+	s := newTestSession(t)
+	seedUsers(t, s)
+	mustExec(t, s, "CREATE INDEX idx_age ON t_user (age)")
+	rows := func(sql string) string {
+		t.Helper()
+		return fmt.Sprint(mustExec(t, s, sql).Rows)
+	}
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "UPDATE t_user SET age = 40 WHERE uid = 2")
+	if _, err := s.Execute("INSERT INTO t_user (uid, name, age) VALUES (5, 'eve', 25), (6, 'fay', 25), (1, 'dup', 25)"); !errors.Is(err, storage.ErrDuplicateKey) {
+		t.Fatalf("want the duplicate key, got %v", err)
+	}
+	// The row the failed UPDATE wrote twice keeps the earlier statement's
+	// version; the DELETE's rows are all back.
+	if _, err := s.Execute("UPDATE t_user SET age = CASE WHEN uid = 4 THEN 'x' ELSE age + 1 END"); err == nil {
+		t.Fatal("an UPDATE storing 'x' in an INT column succeeded")
+	}
+	mustExec(t, s, "INSERT INTO t_user (uid, name, age) VALUES (7, 'gus', 25)")
+	mustExec(t, s, "SAVEPOINT a")
+	mustExec(t, s, "DELETE FROM t_user WHERE age = 25")
+	mustExec(t, s, "INSERT INTO t_user (uid, name, age) VALUES (4, 'dan', 26)")
+	mustExec(t, s, "SAVEPOINT b")
+	mustExec(t, s, "UPDATE t_user SET age = 41 WHERE uid = 2")
+	mustExec(t, s, "ROLLBACK TO SAVEPOINT a")
+	if _, err := s.Execute("ROLLBACK TO b"); !errors.Is(err, ErrNoSavepoint) {
+		t.Fatalf("a savepoint set after the one rolled back to: %v", err)
+	}
+	mustExec(t, s, "ROLLBACK TO a")
+	mustExec(t, s, "COMMIT")
+	want := "[(1, alice, 30) (2, bob, 40) (3, carol, 35) (4, dave, 25) (7, gus, 25)]"
+	if got := rows("SELECT uid, name, age FROM t_user ORDER BY uid"); got != want {
+		t.Fatalf("after COMMIT: %s, want %s", got, want)
+	}
+	if got := rows("SELECT uid FROM t_user WHERE age = 25 ORDER BY uid"); got != "[(4) (7)]" {
+		t.Fatalf("the index on age reads %s", got)
+	}
+	if got := rows("SELECT uid FROM t_user WHERE age = 26 OR age = 41"); got != "[]" {
+		t.Fatalf("the index keeps undone versions: %s", got)
+	}
+	if _, err := s.Execute("SAVEPOINT c"); !errors.Is(err, ErrNoTransaction) {
+		t.Fatalf("SAVEPOINT outside a transaction: %v", err)
+	}
+	if _, err := s.Execute("ROLLBACK TO a"); !errors.Is(err, ErrNoSavepoint) {
+		t.Fatalf("a savepoint of a finished transaction: %v", err)
+	}
+}
+
 func TestBeginTwiceFails(t *testing.T) {
 	s := newTestSession(t)
 	mustExec(t, s, "BEGIN")

@@ -394,8 +394,17 @@ type BeginStmt struct{}
 // CommitStmt is COMMIT.
 type CommitStmt struct{}
 
-// RollbackStmt is ROLLBACK.
-type RollbackStmt struct{}
+// RollbackStmt is ROLLBACK, or ROLLBACK TO [SAVEPOINT] name when Savepoint
+// is set: the transaction stays open without the writes made since the
+// savepoint.
+type RollbackStmt struct {
+	Savepoint string
+}
+
+// SavepointStmt is SAVEPOINT name.
+type SavepointStmt struct {
+	Name string
+}
 
 func (*BeginStmt) stmtNode()                    {}
 func (*BeginStmt) StatementType() StatementType { return StmtTCL }
@@ -405,6 +414,9 @@ func (*CommitStmt) StatementType() StatementType { return StmtTCL }
 
 func (*RollbackStmt) stmtNode()                    {}
 func (*RollbackStmt) StatementType() StatementType { return StmtTCL }
+
+func (*SavepointStmt) stmtNode()                    {}
+func (*SavepointStmt) StatementType() StatementType { return StmtTCL }
 
 // XAOp enumerates XA verbs sent to data nodes during 2PC.
 type XAOp uint8

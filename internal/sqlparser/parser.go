@@ -171,10 +171,16 @@ func (p *parser) parseStatement() (Statement, error) {
 		}
 		return &CommitStmt{}, nil
 	case p.isKeyword("ROLLBACK"):
+		return p.parseRollback()
+	case p.isWord("SAVEPOINT"):
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &RollbackStmt{}, nil
+		name, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		return &SavepointStmt{Name: name}, nil
 	case p.isKeyword("XA"):
 		return p.parseXA()
 	case p.isKeyword("SHOW"):
@@ -892,6 +898,38 @@ func (p *parser) parseTruncate() (Statement, error) {
 
 // --- TCL / XA / SET ---
 
+// isWord reports whether the current token is the given word, which is not
+// reserved and so lexes as an identifier.
+func (p *parser) isWord(w string) bool {
+	return p.tok.Type == TokenIdent && upper(p.tok.Val) == w
+}
+
+// acceptWord consumes the unreserved word if present.
+func (p *parser) acceptWord(w string) (bool, error) {
+	if p.isWord(w) {
+		return true, p.advance()
+	}
+	return false, nil
+}
+
+// parseRollback parses ROLLBACK and ROLLBACK TO [SAVEPOINT] name.
+func (p *parser) parseRollback() (Statement, error) {
+	if err := p.expectKeyword("ROLLBACK"); err != nil {
+		return nil, err
+	}
+	if to, err := p.acceptWord("TO"); err != nil || !to {
+		return &RollbackStmt{}, err
+	}
+	if _, err := p.acceptWord("SAVEPOINT"); err != nil {
+		return nil, err
+	}
+	name, err := p.ident()
+	if err != nil {
+		return nil, err
+	}
+	return &RollbackStmt{Savepoint: name}, nil
+}
+
 func (p *parser) parseXA() (Statement, error) {
 	if err := p.expectKeyword("XA"); err != nil {
 		return nil, err
@@ -910,8 +948,7 @@ func (p *parser) parseXA() (Statement, error) {
 		op = XARollback
 	case p.isKeyword("RECOVER"):
 		op = XARecover
-	case p.tok.Type == TokenIdent && upper(p.tok.Val) == "ADOPT":
-		// ADOPT is not a reserved word: it lexes as an identifier.
+	case p.isWord("ADOPT"):
 		op = XAAdopt
 	default:
 		return nil, p.errf("unsupported XA verb %q", p.tok.String())

@@ -236,8 +236,24 @@ func TestParseTCL(t *testing.T) {
 	if _, ok := mustParse(t, "COMMIT").(*CommitStmt); !ok {
 		t.Fatal("COMMIT")
 	}
-	if _, ok := mustParse(t, "ROLLBACK").(*RollbackStmt); !ok {
+	if rb, ok := mustParse(t, "ROLLBACK").(*RollbackStmt); !ok || rb.Savepoint != "" {
 		t.Fatal("ROLLBACK")
+	}
+	// Both dialects spell a savepoint alike; SAVEPOINT and TO stay usable
+	// as names.
+	if sp, ok := mustParse(t, "savepoint s1").(*SavepointStmt); !ok || sp.Name != "s1" {
+		t.Fatalf("SAVEPOINT: %+v", sp)
+	}
+	for _, sql := range []string{"ROLLBACK TO SAVEPOINT s1", "rollback to s1"} {
+		if rb, ok := mustParse(t, sql).(*RollbackStmt); !ok || rb.Savepoint != "s1" {
+			t.Fatalf("%s: %+v", sql, rb)
+		}
+	}
+	if _, err := Parse("ROLLBACK TO"); err == nil {
+		t.Fatal("ROLLBACK TO without a name parsed")
+	}
+	if _, ok := mustParse(t, "SELECT savepoint, to FROM t").(*SelectStmt); !ok {
+		t.Fatal("SAVEPOINT and TO as column names")
 	}
 }
 
@@ -591,7 +607,7 @@ func TestSerializeAllStatementKinds(t *testing.T) {
 		"DROP TABLE IF EXISTS t",
 		"TRUNCATE TABLE t",
 		"CREATE INDEX i ON t (a, b)",
-		"BEGIN", "COMMIT", "ROLLBACK",
+		"BEGIN", "COMMIT", "ROLLBACK", "SAVEPOINT s", "ROLLBACK TO SAVEPOINT s",
 		"XA BEGIN 'g'", "XA END 'g'", "XA PREPARE 'g'", "XA COMMIT 'g'", "XA ROLLBACK 'g'", "XA RECOVER",
 		"XA BEGIN ?", "XA ADOPT ?", "XA COMMIT ?",
 		"SHOW TABLES",

@@ -144,6 +144,13 @@ func (s *Serializer) writeStmt(b *strings.Builder, stmt Statement) {
 		b.WriteString("COMMIT")
 	case *RollbackStmt:
 		b.WriteString("ROLLBACK")
+		if t.Savepoint != "" {
+			b.WriteString(" TO SAVEPOINT ")
+			b.WriteString(s.quote(t.Savepoint))
+		}
+	case *SavepointStmt:
+		b.WriteString("SAVEPOINT ")
+		b.WriteString(s.quote(t.Name))
 	case *XAStmt:
 		b.WriteString(t.Op.String())
 		if t.Bound {

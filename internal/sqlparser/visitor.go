@@ -230,7 +230,11 @@ func CloneStatement(stmt Statement) Statement {
 	case *CommitStmt:
 		return &CommitStmt{}
 	case *RollbackStmt:
-		return &RollbackStmt{}
+		c := *t
+		return &c
+	case *SavepointStmt:
+		c := *t
+		return &c
 	case *XAStmt:
 		c := *t
 		return &c

@@ -229,7 +229,9 @@ func (e *Engine) TableNames() []string {
 
 // Begin starts a transaction.
 func (e *Engine) Begin() *Tx {
-	return &Tx{id: e.txSeq.Add(1), engine: e}
+	tx := &Tx{id: e.txSeq.Add(1), engine: e}
+	tx.log = tx.logBuf[:0]
+	return tx
 }
 
 // --- XA support (paper Section IV-B, Fig. 5(c)) ---

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -17,12 +18,16 @@ import (
 // TestEngineAgainstModel drives the engine with random transactional
 // operations and checks every state a reader can see against a reference
 // model: a plain map mutated only when the transaction commits, read back
-// as a sorted slice. It exercises the insert/update/delete/rollback matrix,
-// including re-insert after delete inside one transaction and rollback of
-// an inserted row, and after every transaction — and inside it, through
-// the transaction's own eyes — compares the full scan, primary-key ranges
-// under integer, fractional, open and inverted bounds, and the secondary
-// index, whose equal keys must come back in row-id order.
+// as a sorted slice. A transaction's operations come in statements, and a
+// random statement fails: it rolls back to the savepoint taken at its
+// start. It exercises the insert/update/delete/rollback matrix, including
+// re-insert after delete inside one transaction, rollback of an inserted
+// row and rows written by two statements of which the second fails, and
+// after every statement and transaction — inside the transaction, through
+// its own eyes — compares the full scan, primary-key ranges under integer,
+// fractional, open and inverted bounds, and the secondary index, whose
+// equal keys must come back in row-id order and whose entries must be
+// exactly those of the versions the rows keep.
 func TestEngineAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220612))
 	e := NewEngine("model")
@@ -42,98 +47,142 @@ func TestEngineAgainstModel(t *testing.T) {
 	tbl, _ := e.Table("t")
 
 	model := map[int64]int64{} // committed state
-	const keySpace, valSpace = 64, 6
-	randKey := func() int64 { return int64(rng.Intn(keySpace)) - keySpace/2 }
-
+	const keySpace = 64
+	rollbacks := 0
 	for round := 0; round < 400; round++ {
 		tx := e.Begin()
 		pending := map[int64]*int64{} // nil = deleted, else value
-		nOps := 1 + rng.Intn(6)
-		for op := 0; op < nOps; op++ {
-			key := randKey()
-			visible := func() (int64, bool) {
-				if pv, touched := pending[key]; touched {
-					if pv == nil {
-						return 0, false
-					}
-					return *pv, true
+		var touched []int64           // keys written, so later statements write them again
+		for stmt, nStmts := 0, 1+rng.Intn(4); stmt < nStmts; stmt++ {
+			sp, before, beforeTouched := tx.Savepoint(), maps.Clone(pending), len(touched)
+			for op, nOps := 0, 1+rng.Intn(4); op < nOps; op++ {
+				key := int64(rng.Intn(keySpace)) - keySpace/2
+				if len(touched) > 0 && rng.Intn(2) == 0 {
+					key = touched[rng.Intn(len(touched))]
 				}
-				v, ok := model[key]
-				return v, ok
+				modelOp(t, rng, tx, tbl, model, pending, key, round)
+				touched = append(touched, key)
 			}
-			switch rng.Intn(3) {
-			case 0: // insert
-				v := rng.Int63n(valSpace)
-				_, err := tx.Insert(tbl, sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)})
-				if _, exists := visible(); exists {
-					if err == nil {
-						t.Fatalf("round %d: duplicate insert of %d accepted", round, key)
-					}
-				} else {
-					if err != nil {
-						t.Fatalf("round %d: insert %d: %v", round, key, err)
-					}
-					vv := v
-					pending[key] = &vv
+			if rng.Intn(3) == 0 { // the statement fails
+				if err := tx.RollbackTo(sp); err != nil {
+					t.Fatal(err)
 				}
-			case 1: // update
-				se, ok := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(key)})
-				_, modelOK := visible()
-				if ok != modelOK {
-					t.Fatalf("round %d: visibility of %d: engine %v model %v", round, key, ok, modelOK)
-				}
-				if !ok {
-					continue
-				}
-				v := rng.Int63n(valSpace)
-				updated, err := tx.Update(tbl, se, nil, setTo(sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)}))
-				if err != nil || !updated {
-					t.Fatalf("round %d: update %d: %v %v", round, key, updated, err)
-				}
-				vv := v
-				pending[key] = &vv
-			case 2: // delete
-				se, ok := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(key)})
-				_, modelOK := visible()
-				if ok != modelOK {
-					t.Fatalf("round %d: visibility of %d: engine %v model %v", round, key, ok, modelOK)
-				}
-				if !ok {
-					continue
-				}
-				deleted, err := tx.Delete(tbl, se, nil, anyRow)
-				if err != nil || !deleted {
-					t.Fatalf("round %d: delete %d: %v %v", round, key, deleted, err)
-				}
-				pending[key] = nil
+				pending, touched = before, touched[:beforeTouched]
+				rollbacks++
 			}
+			verifyModel(t, rng, tbl, tx.ID(), true, seenBy(model, pending), round)
+			verifyModel(t, rng, tbl, 0, true, model, round)
+			checkEntries(t, tbl, round)
 		}
-		// What the transaction itself sees, while everyone else still sees
-		// the model.
-		own := map[int64]int64{}
-		for k, v := range model {
-			own[k] = v
-		}
-		for k, pv := range pending {
-			if pv == nil {
-				delete(own, k)
-			} else {
-				own[k] = *pv
-			}
-		}
-		verifyModel(t, rng, tbl, tx.ID(), true, own, round)
-		verifyModel(t, rng, tbl, 0, true, model, round)
 		if rng.Intn(2) == 0 {
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			model = own
+			model = seenBy(model, pending)
 		} else {
 			if err := tx.Rollback(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		verifyModel(t, rng, tbl, 0, false, model, round)
+		checkEntries(t, tbl, round)
+	}
+	if rollbacks == 0 {
+		t.Fatal("no statement rolled back")
+	}
+}
+
+// modelOp runs one random insert, update or delete of key in tx and notes
+// its effect in pending; the transaction reads the model with pending over
+// it.
+func modelOp(t *testing.T, rng *rand.Rand, tx *Tx, tbl *Table, model map[int64]int64, pending map[int64]*int64, key int64, round int) {
+	t.Helper()
+	const valSpace = 6
+	visible := func() bool {
+		if pv, touched := pending[key]; touched {
+			return pv != nil
+		}
+		_, ok := model[key]
+		return ok
+	}
+	if rng.Intn(3) == 0 { // insert
+		v := rng.Int63n(valSpace)
+		_, err := tx.Insert(tbl, sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)})
+		switch {
+		case visible() && err == nil:
+			t.Fatalf("round %d: duplicate insert of %d accepted", round, key)
+		case !visible() && err != nil:
+			t.Fatalf("round %d: insert %d: %v", round, key, err)
+		case err == nil:
+			pending[key] = &v
+		}
+		return
+	}
+	se, ok := tbl.PKGet(tx.ID(), btree.Key{sqltypes.NewInt(key)})
+	if ok != visible() {
+		t.Fatalf("round %d: visibility of %d: engine %v model %v", round, key, ok, visible())
+	}
+	if !ok {
+		return
+	}
+	if rng.Intn(2) == 0 { // update
+		v := rng.Int63n(valSpace)
+		updated, err := tx.Update(tbl, se, nil, setTo(sqltypes.Row{sqltypes.NewInt(key), sqltypes.NewInt(v)}))
+		if err != nil || !updated {
+			t.Fatalf("round %d: update %d: %v %v", round, key, updated, err)
+		}
+		pending[key] = &v
+		return
+	}
+	deleted, err := tx.Delete(tbl, se, nil, anyRow)
+	if err != nil || !deleted {
+		t.Fatalf("round %d: delete %d: %v %v", round, key, deleted, err)
+	}
+	pending[key] = nil
+}
+
+// seenBy is the committed model as a transaction with these pending writes
+// reads it.
+func seenBy(model map[int64]int64, pending map[int64]*int64) map[int64]int64 {
+	own := maps.Clone(model)
+	for k, pv := range pending {
+		if pv == nil {
+			delete(own, k)
+		} else {
+			own[k] = *pv
+		}
+	}
+	return own
+}
+
+// checkEntries checks that every index of the table holds exactly the
+// entries of the versions its rows keep: a committed version's, and a
+// pending version's unless the row is a pending delete.
+func checkEntries(t *testing.T, tbl *Table, round int) {
+	t.Helper()
+	n := len(tbl.schema)
+	var buf keyBuf
+	for _, ix := range tbl.indexes {
+		want := 0
+		tbl.pk.Ascend(func(slot *rowSlot) bool {
+			pending := slot.uncommitted
+			if slot.deleted || slot.committed != "" && pending != "" && ix.sameKey(slot.committed, pending, n) {
+				pending = ""
+			}
+			for _, version := range []string{slot.committed, pending} {
+				if version == "" {
+					continue
+				}
+				want++
+				if got, ok := ix.tree.Get(ix.keyOf(&buf, version, n, slot.id)); !ok || got != slot {
+					t.Fatalf("round %d: %s has no entry for version %v of row %d", round, ix.name, decode(version, n, nil), slot.id)
+				}
+			}
+			return true
+		})
+		if got := entries(ix.tree); got != want {
+			t.Fatalf("round %d: %s has %d entries, want the %d of the kept versions", round, ix.name, got, want)
+		}
 	}
 }
 
@@ -332,9 +381,10 @@ func TestReadPathAllocations(t *testing.T) {
 // TestWritePathAllocations pins the allocations of a write and its commit
 // on a table with a secondary index: an Insert, an Update that moves the
 // indexed column, a Delete. The counts include the test's own Begin and
-// row. They read 6, 5 and 4: a version is one record, its one allocation;
-// with a key copy in every row slot and index entry they were 9, 7 and 5,
-// and with a []Value version 7, 5 and 4.
+// row. They read 5, 4 and 3: a version is one record, its one allocation,
+// and a transaction's first undo entries live in it; with the entries in a
+// slice of their own they were 6, 5 and 4, with a key copy in every row
+// slot and index entry 9, 7 and 5, and with a []Value version 7, 5 and 4.
 func TestWritePathAllocations(t *testing.T) {
 	e := newUserEngine(t)
 	if err := e.CreateIndex(IndexSpec{Name: "idx_age", Table: "t_user", Columns: []string{"age"}}); err != nil {
@@ -391,9 +441,9 @@ func TestWritePathAllocations(t *testing.T) {
 		fn   func()
 		max  float64
 	}{
-		{"Insert", insert, 6},
-		{"Update", update, 5},
-		{"Delete", remove, 4},
+		{"Insert", insert, 5},
+		{"Update", update, 4},
+		{"Delete", remove, 3},
 	} {
 		if n := testing.AllocsPerRun(200, c.fn); n > c.max {
 			t.Errorf("%s and its commit allocate %v times, want at most %v", c.name, n, c.max)

@@ -61,8 +61,7 @@ type secondaryIndex struct {
 type keyBuf [4]sqltypes.Value
 
 // keyOf writes the entry of version rec (of n columns) of row rowID into
-// buf. Its strings are the record's, so a tree that keeps the key keeps no
-// second copy of them.
+// buf. Its strings view the record; a tree that keeps the key copies them.
 func (ix *secondaryIndex) keyOf(buf *keyBuf, rec string, n int, rowID int64) btree.Key {
 	key := buf[:0]
 	for _, c := range ix.cols {

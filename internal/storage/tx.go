@@ -18,10 +18,16 @@ const (
 	txAborted
 )
 
-// write is one row a transaction has a pending version of.
-type write struct {
-	table *Table
-	slot  *rowSlot
+// undo is one write of a transaction, entered before the write changes its
+// row: the row's pending version and delete flag as they were, and whether
+// this write was the transaction's first touch of the row. The log is in
+// write order; its first touches are the rows the transaction finalizes.
+type undo struct {
+	table   *Table
+	slot    *rowSlot
+	prior   string // slot.uncommitted before the write
+	deleted bool   // slot.deleted before the write
+	first   bool
 }
 
 // Tx is one local transaction on an Engine. A Tx is used by a single
@@ -34,8 +40,11 @@ type Tx struct {
 	mu     sync.Mutex
 	state  txState
 	xid    string
-	writes []write // each row once, in order of first touch
+	log    []undo
 	locked []lockKey
+	// logBuf holds the first writes' entries: most transactions write a
+	// row or two per source, and their log costs no allocation.
+	logBuf [2]undo
 }
 
 // ID returns the transaction id (unique per engine).
@@ -48,16 +57,71 @@ func (tx *Tx) noteLock(key lockKey) {
 	tx.mu.Unlock()
 }
 
-// own makes the transaction the owner of a row it is about to write,
-// recording its first touch of it. Caller holds t.mu and the row lock.
+// own makes the transaction the owner of a row it is about to write and
+// logs the row's state before the write. Caller holds t.mu and the row
+// lock.
 func (tx *Tx) own(t *Table, slot *rowSlot) {
-	if slot.owner == tx.id {
-		return
-	}
+	u := undo{table: t, slot: slot, prior: slot.uncommitted, deleted: slot.deleted, first: slot.owner != tx.id}
 	slot.owner = tx.id
 	tx.mu.Lock()
-	tx.writes = append(tx.writes, write{t, slot})
+	tx.log = append(tx.log, u)
 	tx.mu.Unlock()
+}
+
+// Savepoint returns a mark of the transaction's writes so far, which
+// RollbackTo returns to.
+func (tx *Tx) Savepoint() int {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	return len(tx.log)
+}
+
+// RollbackTo undoes the writes made since Savepoint returned sp, newest
+// first: a row first touched since then goes back to its committed state
+// (or out of the table), any other row to the pending version it had at
+// sp, index entries with it. The rows stay locked until the transaction
+// ends.
+func (tx *Tx) RollbackTo(sp int) error {
+	if err := tx.checkActive(); err != nil {
+		return err
+	}
+	tx.mu.Lock()
+	if sp < 0 || sp > len(tx.log) {
+		tx.mu.Unlock()
+		return fmt.Errorf("storage: savepoint %d is past the transaction's %d writes", sp, len(tx.log))
+	}
+	log := tx.log[sp:]
+	tx.log = tx.log[:sp]
+	tx.mu.Unlock()
+	for i := len(log) - 1; i >= 0; {
+		t := log[i].table
+		t.mu.Lock()
+		for ; i >= 0 && log[i].table == t; i-- {
+			t.restore(tx.id, log[i])
+		}
+		t.mu.Unlock()
+	}
+	clear(log)
+	return nil
+}
+
+// restore returns the row u logged to its state before u's write, unless
+// it has left the table (a TRUNCATE). Caller holds t.mu.
+func (t *Table) restore(txID int64, u undo) {
+	slot := u.slot
+	switch {
+	case slot.owner != txID:
+	case u.first:
+		t.rollbackSlot(slot)
+	default:
+		if slot.uncommitted != "" && !slot.deleted {
+			t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
+		}
+		slot.uncommitted, slot.deleted = u.prior, u.deleted
+		if u.prior != "" && !u.deleted {
+			t.addVersionEntries(u.prior, slot.committed, slot)
+		}
+	}
 }
 
 func (tx *Tx) checkActive() error {
@@ -116,8 +180,6 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	if t.autoCol >= 0 {
 		t.autoInc = max(t.autoInc, row[t.autoCol].AsInt())
 	}
-	// The key is read from the record, so a tree that copies it holds the
-	// record's strings, not the caller's.
 	rec := encode(row)
 	var buf keyBuf
 	pkKey, err := t.pkKeyOf(&buf, rec)
@@ -127,6 +189,7 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	if slot, ok := t.pk.Get(pkKey); ok {
 		// Re-insert of a row this transaction deleted: revive it in place.
 		if slot.owner == tx.id && slot.deleted {
+			tx.own(t, slot)
 			slot.deleted = false
 			slot.uncommitted = rec
 			t.addVersionEntries(rec, slot.committed, slot)
@@ -274,13 +337,14 @@ func (tx *Tx) finish(final txState) error {
 
 // apply finalizes every written slot and releases the row locks.
 func (tx *Tx) apply(commit bool) {
-	// Writes are in order of first touch, and a statement touches one table,
-	// so each run of writes to the same table takes that table's latch once.
-	for i := 0; i < len(tx.writes); {
-		t := tx.writes[i].table
+	// A statement touches one table, so each run of writes to the same table
+	// takes that table's latch once.
+	for i := 0; i < len(tx.log); {
+		t := tx.log[i].table
 		t.mu.Lock()
-		for ; i < len(tx.writes) && tx.writes[i].table == t; i++ {
-			switch slot := tx.writes[i].slot; {
+		for ; i < len(tx.log) && tx.log[i].table == t; i++ {
+			switch slot := tx.log[i].slot; {
+			case !tx.log[i].first:
 			case slot.owner != tx.id: // truncated away meanwhile
 			case commit:
 				t.commitSlot(slot)
@@ -292,7 +356,7 @@ func (tx *Tx) apply(commit bool) {
 	}
 	tx.engine.locks.releaseAll(tx.locked, tx.id)
 	tx.locked = nil
-	tx.writes = nil
+	tx.log = nil
 }
 
 // commitSlot promotes the pending version. Caller holds t.mu.

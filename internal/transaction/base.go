@@ -144,14 +144,14 @@ func (t *baseTx) BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) e
 	t.inLocal = map[string]bool{}
 	for _, u := range units {
 		conn, err := t.held.Get(ctx, t.mgr.exec, u.DataSource)
-		if err != nil {
-			return err
-		}
-		if !t.inLocal[u.DataSource] {
-			if _, err := conn.Exec(ctx, "BEGIN"); err != nil {
-				return err
+		if err == nil && !t.inLocal[u.DataSource] {
+			if _, err = conn.Exec(ctx, "BEGIN"); err == nil {
+				t.inLocal[u.DataSource] = true
 			}
-			t.inLocal[u.DataSource] = true
+		}
+		if err != nil {
+			t.abortLocals(ctx)
+			return err
 		}
 		undo, err := t.buildUndo(ctx, conn, u)
 		if err != nil {
@@ -167,7 +167,9 @@ func (t *baseTx) BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) e
 // AfterStatement commits each branch-local transaction (phase 1 of Fig.
 // 6: "commit locally, report status to TC") and registers the undo
 // records with the TC; on execution error the local work rolls back and
-// no undo is kept.
+// no undo is kept. Either way the statement's connections go back to
+// their pools: a branch holds nothing between statements, so a connection
+// lost in one statement costs the next nothing.
 func (t *baseTx) AfterStatement(ctx context.Context, units []rewrite.SQLUnit, execErr error) error {
 	if execErr != nil {
 		t.abortLocals(ctx)
@@ -177,6 +179,7 @@ func (t *baseTx) AfterStatement(ctx context.Context, units []rewrite.SQLUnit, ex
 		conn, _ := t.held.Peek(ds)
 		if _, err := conn.Exec(ctx, "COMMIT"); err != nil {
 			conn.Broken = true
+			t.abortLocals(ctx)
 			return fmt.Errorf("transaction: BASE local commit failed on %s: %w", ds, err)
 		}
 	}
@@ -185,18 +188,24 @@ func (t *baseTx) AfterStatement(ctx context.Context, units []rewrite.SQLUnit, ex
 	}
 	t.pending = nil
 	t.inLocal = nil
+	t.held.ReleaseAll()
 	return nil
 }
 
+// abortLocals rolls the statement's branch-local transactions back and
+// returns their connections.
 func (t *baseTx) abortLocals(ctx context.Context) {
 	// Branch aborts must run even after the statement deadline fired, or
 	// the local transactions would leak their locks back into the pool.
 	ctx = context.WithoutCancel(ctx)
 	for ds := range t.inLocal {
 		if conn, ok := t.held.Peek(ds); ok {
-			conn.Exec(ctx, "ROLLBACK")
+			if _, err := conn.Exec(ctx, "ROLLBACK"); err != nil {
+				conn.Broken = true
+			}
 		}
 	}
+	t.held.ReleaseAll()
 	t.pending = nil
 	t.inLocal = nil
 }

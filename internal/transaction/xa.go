@@ -462,10 +462,6 @@ func (t *xaTx) Rollback(ctx context.Context) error {
 	return nil
 }
 
-// abortTimeout bounds cleanup fan-outs that run detached from the
-// (possibly already cancelled) statement context.
-const abortTimeout = 10 * time.Second
-
 // abort rolls the branches back with verbs matched to each branch's
 // state: prepared branches take XA ROLLBACK on the prepared XID; branches
 // that never reached PREPARE need END on their active work first; a
@@ -476,7 +472,7 @@ const abortTimeout = 10 * time.Second
 // failed abort — branch state genuinely unknown — marks the pooled
 // connection Broken.
 func (t *xaTx) abort(ctx context.Context, branches []string) {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), exec.AbortTimeout)
 	defer cancel()
 	t.fanOut(branches, func(i int, ds string) error {
 		conn, ok := t.held.Peek(ds)

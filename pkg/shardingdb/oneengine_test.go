@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"shardingsphere/internal/chaos"
+	"shardingsphere/internal/core"
 	"shardingsphere/internal/exec"
 	"shardingsphere/internal/proxy"
 	"shardingsphere/internal/resource"
@@ -531,64 +532,164 @@ var oneEngineFailures = []struct {
 	{"DELETE FROM t WHERE k = 2", true},
 }
 
-// TestFailedWriteLeavesOneEngineTable runs writes that fail part-way
-// outside a transaction — the table in one shard and in four over two
-// sources, both dialects, each transaction type — and after each compares
-// the whole table with one sqlexec.Processor that ran the same statements:
-// a write the kernel fails must leave no effect of the units that
-// succeeded.
+// TestFailedWriteLeavesOneEngineTable runs writes that fail part-way — the
+// table in one shard and in four over two sources, both dialects, each
+// transaction type, on embedded sources and on remote nodes — and after
+// each compares the whole table with one sqlexec.Processor that ran the
+// same statements: a write the kernel fails must leave no effect of the
+// units that succeeded. Each write runs twice: alone, and inside BEGIN,
+// followed by a good INSERT and COMMIT, where the failed statement must
+// leave nothing and the transaction go on to commit the good write, as on
+// the one engine.
 func TestFailedWriteLeavesOneEngineTable(t *testing.T) {
-	for _, dialect := range []string{"mysql", "postgresql"} {
-		for _, shards := range []int{1, 4} {
-			for _, txType := range []string{"LOCAL", "XA", "BASE"} {
-				ref := oneEngineRef(t)
-				s := oneEngineDB(t, dialect, shards)
-				if _, err := s.Exec("SET VARIABLE transaction_type = " + txType); err != nil {
+	for _, remote := range []bool{false, true} {
+		for _, dialect := range []string{"mysql", "postgresql"} {
+			for _, shards := range []int{1, 4} {
+				for _, txType := range []string{"LOCAL", "XA", "BASE"} {
+					t.Run(fmt.Sprintf("%s/%d/%s/remote=%v", dialect, shards, txType, remote), func(t *testing.T) {
+						failedWritesAgainstOneEngine(t, dialect, shards, txType, remote)
+					})
+				}
+			}
+		}
+	}
+}
+
+func failedWritesAgainstOneEngine(t *testing.T, dialect string, shards int, txType string, remote bool) {
+	ref := oneEngineRef(t)
+	s := layoutDB(t, dialect, oneEngineLayout{tShards: shards, uShards: shards, resources: "ds0, ds1", remote: remote})
+	if _, err := s.Exec("SET VARIABLE transaction_type = " + txType); err != nil {
+		t.Fatal(err)
+	}
+	// Under LOCAL and XA the branch's BEGIN or XA BEGIN rides the
+	// statement's window, ds1's first call, so every call fails. BASE
+	// answers BEGIN and one before-image read per unit (four shards put two
+	// on ds1) before the units.
+	fault := "ERROR_RATE = 1"
+	if txType == "BASE" {
+		fault = "BREAK_AFTER = 3"
+	}
+	refTable := func() []Row {
+		t.Helper()
+		res, err := ref.Execute("SELECT id, k, v FROM t ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows
+	}
+	for i, c := range oneEngineFailures {
+		for _, inTx := range []bool{false, true} {
+			where := fmt.Sprintf("in a transaction %v: %s", inTx, c.sql)
+			good := Int(100 + int64(i))
+			if inTx {
+				if _, err := s.Exec("BEGIN"); err != nil {
 					t.Fatal(err)
 				}
-				// Under LOCAL and XA the branch's BEGIN or XA BEGIN rides the
-				// statement's window, ds1's first call, so every call fails.
-				// BASE answers BEGIN and one before-image read per unit
-				// (four shards put two on ds1) before the units.
-				fault := "ERROR_RATE = 1"
-				if txType == "BASE" {
-					fault = "BREAK_AFTER = 3"
+				if _, err := ref.Execute("BEGIN"); err != nil {
+					t.Fatal(err)
 				}
-				for _, c := range oneEngineFailures {
-					where := fmt.Sprintf("%s, %d shard(s), %s: %s", dialect, shards, txType, c.sql)
-					if c.fault {
-						if _, err := s.Exec("INJECT FAULT ds1 (" + fault + ")"); err != nil {
-							t.Fatal(err)
-						}
-					}
-					_, err := s.Exec(c.sql)
-					if c.fault {
-						if _, rerr := s.Exec("REMOVE FAULT ds1"); rerr != nil {
-							t.Fatal(rerr)
-						}
-						var ue *exec.UnitError
-						var ie *chaos.InjectedError
-						if shards > 1 && (!errors.As(err, &ue) || ue.DataSource != "ds1" || !errors.As(err, &ie)) {
-							t.Fatalf("%s: want the injected break on a ds1 unit, got %v", where, err)
-						}
-					}
-					if err == nil || !c.fault {
-						if _, rerr := ref.Execute(c.sql); (rerr == nil) != (err == nil) {
-							t.Fatalf("%s: kernel error %v, one engine %v", where, err, rerr)
-						}
-					}
-					got, err := s.QueryAll("SELECT id, k, v FROM t ORDER BY id")
-					if err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
-					want, err := ref.Execute("SELECT id, k, v FROM t ORDER BY id")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if msg := sameAnswer(got, want.Rows, []int{0}); msg != "" {
-						t.Fatalf("%s: %s\n got %v\nwant %v", where, msg, got, want.Rows)
-					}
+			}
+			refBefore := refTable()
+			if c.fault {
+				if _, err := s.Exec("INJECT FAULT ds1 (" + fault + ")"); err != nil {
+					t.Fatal(err)
 				}
+			}
+			_, err := s.Exec(c.sql)
+			if c.fault {
+				if _, rerr := s.Exec("REMOVE FAULT ds1"); rerr != nil {
+					t.Fatal(rerr)
+				}
+				var ue *exec.UnitError
+				var ie *chaos.InjectedError
+				if shards > 1 && (!errors.As(err, &ue) || ue.DataSource != "ds1" || !errors.As(err, &ie)) {
+					t.Fatalf("%s: want the injected break on a ds1 unit, got %v", where, err)
+				}
+			}
+			if err == nil || !c.fault {
+				if _, rerr := ref.Execute(c.sql); (rerr == nil) != (err == nil) {
+					t.Fatalf("%s: kernel error %v, one engine %v", where, err, rerr)
+				}
+			}
+			if inTx {
+				const insert = "INSERT INTO t (id, k, v) VALUES (?, 1, 1)"
+				if _, err := s.Exec(insert, good); err != nil {
+					t.Fatalf("%s: the good INSERT after it: %v", where, err)
+				}
+				if _, err := s.Exec("COMMIT"); err != nil {
+					t.Fatalf("%s: COMMIT: %v", where, err)
+				}
+				if _, err := ref.Execute(insert, good); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Execute("COMMIT"); err != nil {
+					t.Fatal(err)
+				}
+				// Of a statement that failed, the one engine keeps nothing.
+				after := refTable()
+				if msg := sameAnswer(after, append(refBefore, Row{good, Int(1), Int(1)}), []int{0}); err != nil && msg != "" {
+					t.Fatalf("%s: the one engine keeps %v: %s", where, after, msg)
+				}
+			}
+			want := refTable()
+			got, err := s.QueryAll("SELECT id, k, v FROM t ORDER BY id")
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if msg := sameAnswer(got, want, []int{0}); msg != "" {
+				t.Fatalf("%s: %s\n got %v\nwant %v", where, msg, got, want)
+			}
+		}
+	}
+}
+
+// TestUnundoableStatementAbortsTransaction: a chaos fault breaks ds0's
+// connection on the call after its window of a failing split INSERT, which
+// is the ROLLBACK TO SAVEPOINT that would undo the window. The branch can
+// no longer be undone, so the transaction is rollback-only: the next
+// statement and COMMIT answer core.ErrTxAborted, and the table is as it was
+// before BEGIN, the write before the failure included. BASE answers one
+// call, its BEGIN, before the window.
+func TestUnundoableStatementAbortsTransaction(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		for _, txType := range []string{"LOCAL", "XA", "BASE"} {
+			where := fmt.Sprintf("remote %v, %s", remote, txType)
+			s := layoutDB(t, "mysql", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", remote: remote})
+			before, err := s.QueryAll("SELECT id, k, v FROM t ORDER BY id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault := "BREAK_AFTER = 1"
+			if txType == "BASE" {
+				fault = "BREAK_AFTER = 2"
+			}
+			// The first fault wires the injector into the connections ds0
+			// hands out from then on, the transaction's among them.
+			for _, sql := range []string{"INJECT FAULT ds0 (ERROR_RATE = 0)", "REMOVE FAULT ds0",
+				"SET VARIABLE transaction_type = " + txType, "BEGIN", "UPDATE t SET v = v + 1", "INJECT FAULT ds0 (" + fault + ")"} {
+				if _, err := s.Exec(sql); err != nil {
+					t.Fatalf("%s: %s: %v", where, sql, err)
+				}
+			}
+			_, err = s.Exec(oneEngineFailures[1].sql)
+			if _, rerr := s.Exec("REMOVE FAULT ds0"); rerr != nil {
+				t.Fatal(rerr)
+			}
+			if err == nil || !strings.Contains(err.Error(), storage.ErrDuplicateKey.Error()) {
+				t.Fatalf("%s: want the duplicate key, got %v", where, err)
+			}
+			if _, err := s.QueryAll("SELECT COUNT(*) FROM t"); !errors.Is(err, core.ErrTxAborted) {
+				t.Fatalf("%s: the statement after it: %v, want ErrTxAborted", where, err)
+			}
+			if _, err := s.Exec("COMMIT"); !errors.Is(err, core.ErrTxAborted) {
+				t.Fatalf("%s: COMMIT: %v, want ErrTxAborted", where, err)
+			}
+			after, err := s.QueryAll("SELECT id, k, v FROM t ORDER BY id")
+			if err != nil {
+				t.Fatalf("%s: after the rollback: %v", where, err)
+			}
+			if msg := sameAnswer(after, before, []int{0}); msg != "" {
+				t.Fatalf("%s: %s\n got %v\nwant %v", where, msg, after, before)
 			}
 		}
 	}
