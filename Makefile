@@ -32,7 +32,8 @@ fmt:
 # against the parser, and over grouped statements and joins at four shards
 # against one engine, over the B-tree against a sorted slice, over
 # sqltypes.Coerce's narrowing property on arbitrary strings, ints and
-# floats, and over the storage record's exact round trip of arbitrary rows.
+# floats, over the storage record's exact round trip of arbitrary rows,
+# and over a kept spelling's binding against normalizing its text.
 # `go test` accepts one -fuzz target per invocation, hence separate runs.
 fuzz:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/
@@ -44,6 +45,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzJoinMatchesOneEngine' -fuzztime 10s -run '^$$' ./pkg/shardingdb/
 	$(GO) test -fuzz 'FuzzTreeAgainstSortedSlice' -fuzztime 10s -run '^$$' ./internal/btree/
 	$(GO) test -fuzz 'FuzzCoerce' -fuzztime 10s -run '^$$' ./internal/sqltypes/
+	$(GO) test -fuzz 'FuzzSpelling' -fuzztime 10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz 'FuzzRecord' -fuzztime 10s -run '^$$' ./internal/storage/
 
 # The gated benchmark (BENCHMARK.json): the only place performance is

@@ -9,6 +9,7 @@ import (
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/sharding"
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
@@ -43,17 +44,26 @@ func twoDialectKernel(t *testing.T) *Kernel {
 // TestMultiRowInsertBindsEveryRow: a multi-row INSERT whose rows land on
 // several shards and carry a negative, float or computed value inserts
 // every row — written as literals (which normalize to "- ?", "? + ?") and
-// as placeholders, on the shape's first execution (compiled) and its
-// second (kept), in both dialects.
+// as placeholders, on the execution that compiles the shape's plan and
+// keeps it, and on the next (bound from the kept plan), in both dialects.
 func TestMultiRowInsertBindsEveryRow(t *testing.T) {
 	k := twoDialectKernel(t)
 	s := k.NewSession()
+	// Each shape's first sights.Keep-1 executions compile for themselves;
+	// they run on other ids, in a transaction that rolls back.
+	mustExec(t, s, "BEGIN")
+	for i := 1; i < sights.Keep; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO t_acct (id, bal, note) VALUES (%d, -3, 'x'), (%d, 5, 'y')", 100*i, 100*i+1))
+		mustExec(t, s, fmt.Sprintf("INSERT INTO t_acct (id, bal, note) VALUES (%d, 1.5, 'a'), (%d, 1 + 2, 'b'), (%d, -?, 'c'), (%d, ? * 2, ?)", 100*i+2, 100*i+3, 100*i+4, 100*i+5),
+			sqltypes.NewInt(7), sqltypes.NewFloat(0.25), sqltypes.NewString("d?"))
+	}
+	mustExec(t, s, "ROLLBACK")
 	for i, ins := range []struct {
 		sql  string
 		args []sqltypes.Value
 	}{
-		{"INSERT INTO t_acct (id, bal, note) VALUES (6, -3, 'x'), (7, 5, 'y')", nil},
-		{"INSERT INTO t_acct (id, bal, note) VALUES (9, -4, 'p'), (8, 6, 'q')", nil}, // the same shape, kept
+		{"INSERT INTO t_acct (id, bal, note) VALUES (6, -3, 'x'), (7, 5, 'y')", nil}, // compiled and kept
+		{"INSERT INTO t_acct (id, bal, note) VALUES (9, -4, 'p'), (8, 6, 'q')", nil}, // the same shape, bound
 		{"INSERT INTO t_acct (id, bal, note) VALUES (10, 1.5, 'a'), (11, 1 + 2, 'b'), (12, -?, 'c'), (13, ? * 2, ?)",
 			[]sqltypes.Value{sqltypes.NewInt(7), sqltypes.NewFloat(0.25), sqltypes.NewString("d?")}},
 		{"INSERT INTO t_acct (id, bal, note) VALUES (14, 2.5, 'e'), (15, 2 + 2, 'f'), (16, -?, 'g'), (17, ? * 2, ?)",
@@ -91,7 +101,7 @@ func TestGroupedStarIsRefusedBeforeAnyUnit(t *testing.T) {
 		"SELECT *, COUNT(*) FROM t_user WHERE uid IN (?, ?) GROUP BY uid",
 		"SELECT t_user.* FROM t_user GROUP BY age ORDER BY COUNT(*) + 1",
 	} {
-		for run := 0; run < 2; run++ { // compiled, then kept
+		for run := 0; run <= sights.Keep; run++ { // compiled, kept, then bound
 			before := sent()
 			_, err := s.Execute(sql, sqltypes.NewInt(1), sqltypes.NewInt(2))
 			var unitErr *exec.UnitError

@@ -18,18 +18,13 @@ import (
 //
 // Every statement is executed through compile and run. What differs is
 // only whether the compiled value is kept: the plan cache keeps a shape's
-// plan, and ExecuteStmt compiles for one execution.
+// plan from its third sight, and ExecuteStmt compiles for one execution.
 type plan struct {
 	stmt sqlparser.Statement
 	sel  *sqlparser.SelectStmt // non-nil when stmt is a SELECT
 
 	route   *route.Skeleton
 	rewrite *rewrite.Template
-
-	// keyArgs is the key's number of ?s when the key is its own normal form
-	// (a text spelled as the key binds its arguments as they are), else -1.
-	keyArgs   int
-	forUpdate bool
 }
 
 // compile is the one compile function: it routes against rules, the
@@ -44,18 +39,18 @@ func (k *Kernel) compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (p *
 }
 
 // buildPlan compiles a normalized shape for the plan cache against the
-// rule snapshot it loads once. It runs once per shape and plan epoch
-// (under the shape entry's build lock, after the epoch was read); a parse
-// error here means the caller re-parses the original text so the error
-// carries it.
+// rule snapshot it loads once. Once the shape's plan is kept it runs once
+// per plan epoch (under the shape entry's build lock, after the epoch was
+// read); a parse error here means the caller re-parses the original text
+// so the error carries it.
 //
 // Only the parse is kept for a statement whose compiled value belongs to
 // one execution: a feature's transformer (encrypt, shadow) or the key
 // generator rewrites it each time, a table-less SELECT is not routed, and
 // a route that does not compile (an UPDATE of the sharding key; table
 // metadata that could not be read) is retried by the next execution.
-func buildPlan(k *Kernel, sql string, norm *sqlparser.Normalized) (*plan, error) {
-	stmt, err := sqlparser.Parse(norm.Key)
+func buildPlan(k *Kernel, key string) (*plan, error) {
+	stmt, err := sqlparser.Parse(key)
 	if err != nil {
 		return nil, err
 	}
@@ -69,25 +64,10 @@ func buildPlan(k *Kernel, sql string, norm *sqlparser.Normalized) (*plan, error)
 	}
 	if !perExecution {
 		if p, ok := k.compile(rules, stmt); ok {
-			return p.keyedBy(sql, norm), nil
+			return p, nil
 		}
 	}
-	return (&plan{stmt: stmt}).keyedBy(sql, norm), nil
-}
-
-// keyedBy records whether norm's key is its own normal form. A key that
-// normalizes to itself lifted no literal, so its slot i reads argument i.
-// The key is normalized again only when sql, the text norm came from, is
-// spelled otherwise.
-func (p *plan) keyedBy(sql string, norm *sqlparser.Normalized) *plan {
-	p.keyArgs = -1
-	if key := norm.Key; sql != key {
-		if norm, _ = sqlparser.Normalize(key); norm == nil || norm.Key != key {
-			return p
-		}
-	}
-	p.keyArgs, p.forUpdate = len(norm.Args), norm.ForUpdate
-	return p
+	return &plan{stmt: stmt}, nil
 }
 
 // executePlan runs a shape's kept plan with bound argument values.

@@ -11,6 +11,7 @@ import (
 	"shardingsphere/internal/digest"
 	"shardingsphere/internal/exec"
 	"shardingsphere/internal/merge"
+	"shardingsphere/internal/plancache"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/route"
@@ -114,10 +115,6 @@ func (s *Session) InTransaction() bool { return s.tx != nil }
 // TransactionType returns the session's transaction type.
 func (s *Session) TransactionType() transaction.Type { return s.txType }
 
-// SetTransactionType switches the transaction type for subsequent
-// transactions (DistSQL RAL: SET VARIABLE transaction_type = ...).
-func (s *Session) SetTransactionType(t transaction.Type) { s.txType = t }
-
 // Vars exposes the session variables.
 func (s *Session) Vars() map[string]sqltypes.Value { return s.vars }
 
@@ -137,8 +134,8 @@ func (s *Session) Close() { s.endTx(false) }
 // Execute runs one SQL or DistSQL statement. Cacheable DML goes through
 // the kernel's shared parameterized plan cache: the statement is
 // normalized (literals → parameter slots), the shape's plan is looked up
-// or compiled once, and execution binds the captured values — on a cache
-// hit the parser never runs.
+// or compiled, kept once the shape repeats, and execution binds the
+// captured values — on a cache hit the parser never runs.
 func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
 	s.stmtQueueWait, s.queueWait = s.queueWait, 0
 	if h := s.k.distSQL; h != nil && h.Match(sql) {
@@ -199,25 +196,29 @@ func (s *Session) execute(tr *telemetry.Trace, sql string, args []sqltypes.Value
 	return res, err
 }
 
-// executeSQL is the statement body of execute. A text spelled as its
-// shape's key, whose plan is current, binds its arguments as they are
-// (Cache.Probe: nothing lexed, copied or inserted). Any other normalizable
-// statement does one keyed lookup: its shape's entry, where it is counted
-// and its plan lives, used when current and compiled when missing or
-// stale. Four cases count under the entry but parse and compile for this
+// executeSQL is the statement body of execute. A kept text (Cache.Probe:
+// spelled as its shape's key, or a spelling of it) finds its shape and its
+// normalized form without being lexed; any other normalizable statement is
+// normalized and does one keyed lookup. Either way the statement counts
+// under its shape's entry, where its plan lives, used when current and
+// compiled when missing or stale, and kept from the shape's third sight.
+// Four cases count under the entry but parse and compile for this
 // execution only: TRACE (keep false), a locking read in a transaction, a
 // bind failure and a build failure.
 func (s *Session) executeSQL(sql string, args []sqltypes.Value, keep bool) (*Result, error) {
-	if e, v := s.k.planCache.Probe(sql); keep && v != nil {
-		if p := v.(*plan); p.keyArgs >= 0 && len(args) >= p.keyArgs && !(p.forUpdate && s.tx != nil) {
-			s.k.planCache.Hit()
-			s.stmtDigest = &e.Digest
-			s.tr.SetDigest(e.Digest.ID, e.Digest.Key)
-			return s.executePlan(p, args[:p.keyArgs:p.keyArgs])
+	pc := s.k.planCache
+	var e *plancache.Entry
+	var norm *sqlparser.Normalized
+	if keep {
+		e, norm = pc.Probe(sql)
+	}
+	probed := norm != nil
+	if !probed {
+		if n, ok := sqlparser.Normalize(sql); ok {
+			e, norm = pc.Lookup(n.Key), n
 		}
 	}
-	if norm, ok := sqlparser.Normalize(sql); ok {
-		e := s.k.planCache.Lookup(norm.Key)
+	if norm != nil {
 		s.stmtDigest = &e.Digest
 		// The trace carries the digest id the digest row shows, and the
 		// key lets a slow-log capture redact without re-normalizing.
@@ -226,11 +227,14 @@ func (s *Session) executeSQL(sql string, args []sqltypes.Value, keep bool) (*Res
 		// either: a SELECT ... FOR UPDATE under XA must see the pipeline
 		// state of its own transaction, never a shared value.
 		if keep && !(norm.ForUpdate && s.tx != nil) {
-			if bound, err := norm.BindArgs(args); err == nil {
-				v, err := s.k.planCache.Plan(e, func() (any, error) {
-					return buildPlan(s.k, sql, norm)
-				})
+			if bound, err := bindNormalized(sql, norm, args); err == nil {
+				// The plan parses the entry's own key string, which its AST
+				// then shares instead of holding a copy.
+				v, err := pc.Plan(e, func() (any, error) { return buildPlan(s.k, e.Digest.Key) })
 				if err == nil {
+					if !probed {
+						pc.Admit(sql, norm, e)
+					}
 					return s.executePlan(v.(*plan), bound)
 				}
 				// A failed build is not cached; fall through to a full
@@ -244,6 +248,16 @@ func (s *Session) executeSQL(sql string, args []sqltypes.Value, keep bool) (*Res
 	}
 	s.tr.Mark(telemetry.StageParse)
 	return s.ExecuteStmt(stmt, args)
+}
+
+// bindNormalized is the argument list sql binds through norm, its
+// normalized form. A text spelled as its key lifted no literal, so its
+// slot i reads argument i and the arguments bind as they are.
+func bindNormalized(sql string, norm *sqlparser.Normalized, args []sqltypes.Value) ([]sqltypes.Value, error) {
+	if n := len(norm.Args); sql == norm.Key && len(args) >= n {
+		return args[:n:n], nil
+	}
+	return norm.BindArgs(args)
 }
 
 // Query runs a statement that must return rows.

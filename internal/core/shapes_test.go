@@ -11,6 +11,7 @@ import (
 	"shardingsphere/internal/digest"
 	"shardingsphere/internal/plancache"
 	"shardingsphere/internal/resource"
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/transaction"
@@ -108,6 +109,10 @@ func TestShapeCompiledOnceUnderConcurrentFirstSight(t *testing.T) {
 		}
 		resource.ReadAll(res.RS)
 	}
+	// The shape's first sights.Keep-1 executions compile for themselves.
+	for i := 1; i < sights.Keep; i++ {
+		mustQuery(t, k.NewSession(), q, uid)
+	}
 
 	const sessions = 16
 	start := make(chan struct{})
@@ -132,9 +137,9 @@ func TestShapeCompiledOnceUnderConcurrentFirstSight(t *testing.T) {
 		wg.Wait()
 	})
 	if n != 1 {
-		t.Fatalf("%d concurrent first sights parsed %d times, want 1", sessions, n)
+		t.Fatalf("%d concurrent sights that keep the plan parsed %d times, want 1", sessions, n)
 	}
-	if d := mustDigest(t, k, q); d.Calls != sessions {
+	if d := mustDigest(t, k, q); d.Calls != sessions+sights.Keep-1 {
 		t.Fatalf("digest: %+v", d)
 	}
 }
@@ -148,7 +153,9 @@ func TestOffPlanExecutionsCountUnderTheShape(t *testing.T) {
 	seed(t, s, 4)
 	const q = "SELECT name FROM t_user WHERE uid = ? FOR UPDATE"
 	uid := sqltypes.NewInt(1)
-	mustQuery(t, s, q, uid)
+	for i := 0; i < sights.Keep; i++ {
+		mustQuery(t, s, q, uid)
+	}
 	p := cachedPlan(t, k, q)
 	before := k.planCache.Stats()
 
@@ -166,7 +173,7 @@ func TestOffPlanExecutionsCountUnderTheShape(t *testing.T) {
 	if cachedPlan(t, k, q) != p {
 		t.Fatal("off-plan executions replaced the plan")
 	}
-	if d := mustDigest(t, k, q); d.Calls != 4 || d.Errors != 1 || d.Rows != 3 {
+	if d := mustDigest(t, k, q); d.Calls != sights.Keep+3 || d.Errors != 1 || d.Rows != sights.Keep+2 {
 		t.Fatalf("digest: %+v", d)
 	}
 
@@ -187,10 +194,10 @@ func TestOffPlanExecutionsCountUnderTheShape(t *testing.T) {
 }
 
 // TestCanonicalTextFindsItsShape: a text spelled as its shape's key finds
-// the shape by its own spelling. It shares the entry and the plan of its
-// literal twin, each execution adds exactly one hit, a stale plan is
-// rebuilt once by the normal path, and a text short of arguments takes the
-// normal path to its error without a hit.
+// the shape by its own spelling once it ran with the plan kept. It shares
+// the entry and the plan of its literal twin, each execution adds exactly
+// one hit, a stale plan is rebuilt once, and a text short of arguments
+// takes the normal path to its error without a hit.
 func TestCanonicalTextFindsItsShape(t *testing.T) {
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()
@@ -198,10 +205,13 @@ func TestCanonicalTextFindsItsShape(t *testing.T) {
 	const literal = "select name from t_user where uid = 3"
 	const canonical = "SELECT name FROM t_user WHERE uid = ?"
 	uid := sqltypes.NewInt(3)
-	mustQuery(t, s, literal)
+	for i := 0; i < sights.Keep; i++ {
+		mustQuery(t, s, literal)
+	}
 	p := cachedPlan(t, k, literal)
-	if p.keyArgs != 1 || p.forUpdate {
-		t.Fatalf("plan of %q does not record its key as its own normal form: %d arguments, FOR UPDATE %v", canonical, p.keyArgs, p.forUpdate)
+	mustQuery(t, s, canonical, uid)
+	if _, norm := k.planCache.Probe(canonical); norm == nil || norm.Key != canonical || len(norm.Args) != 1 || norm.ForUpdate {
+		t.Fatalf("%q is not served as its own normal form: %+v", canonical, norm)
 	}
 
 	const n = 5
@@ -218,7 +228,7 @@ func TestCanonicalTextFindsItsShape(t *testing.T) {
 	if cachedPlan(t, k, canonical) != p {
 		t.Fatal("the canonical text compiled a plan of its own")
 	}
-	if d := mustDigest(t, k, literal); d.Calls != n+1 || d.Rows != n+1 {
+	if d := mustDigest(t, k, literal); d.Calls != n+sights.Keep+1 || d.Rows != n+sights.Keep+1 {
 		t.Fatalf("digest: %+v", d)
 	}
 
@@ -241,18 +251,19 @@ func TestCanonicalTextFindsItsShape(t *testing.T) {
 	}
 }
 
-// TestProbeServesKeySpelledTexts replays the texts of the benchmark's
-// Sysbench mix and of its loader: the probe serves a text exactly when it
-// is spelled as its shape's key, and each execution of a normalizable text
-// counts one plan hit whichever path it takes. Per transaction the probe
-// serves point_select 1 statement of 1, range_read 13 of 16, write_txn 2
-// of 6 and wire_read_write 15 of 20; cold_shapes' texts are key-spelled
-// but never cached when they arrive.
-func TestProbeServesKeySpelledTexts(t *testing.T) {
+// TestProbeServesRepeatedTexts replays the texts of the benchmark's
+// Sysbench mix and of its loader: from their third sight the probe serves
+// every normalizable text of the mix, whether spelled as its shape's key
+// or not, and none of the loader's one-shot INSERTs; each execution of a
+// normalizable text then counts one plan hit. Per transaction the probe
+// serves point_select 1 statement of 1, range_read 14 of 16, write_txn 4
+// of 6 and wire_read_write 18 of 20 (the rest are BEGIN and COMMIT);
+// cold_shapes' texts never come back before their shape was evicted.
+func TestProbeServesRepeatedTexts(t *testing.T) {
 	k := sbtestKernel(t, 1000)
 	s := k.NewSession()
 	i, str := sqltypes.NewInt, sqltypes.NewString
-	for run := 0; run < 2; run++ {
+	for run := 0; run <= sights.Keep; run++ {
 		for _, c := range []struct {
 			sql    string
 			args   []sqltypes.Value
@@ -261,19 +272,19 @@ func TestProbeServesKeySpelledTexts(t *testing.T) {
 			{"BEGIN", nil, false},
 			{"SELECT c FROM sbtest WHERE id = ?", []sqltypes.Value{i(7)}, true},
 			{"SELECT c FROM sbtest WHERE id BETWEEN ? AND ?", []sqltypes.Value{i(1), i(100)}, true},
-			{"SELECT SUM(k) FROM sbtest WHERE id BETWEEN ? AND ?", []sqltypes.Value{i(1), i(100)}, false},
+			{"SELECT SUM(k) FROM sbtest WHERE id BETWEEN ? AND ?", []sqltypes.Value{i(1), i(100)}, true},
 			{"SELECT c FROM sbtest WHERE id BETWEEN ? AND ? ORDER BY c", []sqltypes.Value{i(1), i(100)}, true},
 			{"SELECT DISTINCT c FROM sbtest WHERE id BETWEEN ? AND ? ORDER BY c", []sqltypes.Value{i(1), i(100)}, true},
-			{"UPDATE sbtest SET k = k + 1 WHERE id = ?", []sqltypes.Value{i(9)}, false},
+			{"UPDATE sbtest SET k = k + 1 WHERE id = ?", []sqltypes.Value{i(9)}, true},
 			{"UPDATE sbtest SET c = ? WHERE id = ?", []sqltypes.Value{str("c"), i(9)}, true},
 			{"DELETE FROM sbtest WHERE id = ?", []sqltypes.Value{i(9)}, true},
-			{"INSERT INTO sbtest (id, k, c, pad) VALUES (?, ?, ?, ?)", []sqltypes.Value{i(9), i(9), str("c"), str("pad")}, false},
+			{"INSERT INTO sbtest (id, k, c, pad) VALUES (?, ?, ?, ?)", []sqltypes.Value{i(9), i(9), str("c"), str("pad")}, true},
 			{"COMMIT", nil, false},
 			{fmt.Sprintf("INSERT INTO sbtest (id, k, c, pad) VALUES (%d, 1, 'c', 'pad'), (%d, 2, 'c', 'pad')", 2001+2*run, 2002+2*run), nil, false},
 		} {
 			before := k.planCache.Stats()
 			drain(t, s, c.sql, c.args...)
-			if run == 0 {
+			if run < sights.Keep {
 				continue
 			}
 			after := k.planCache.Stats()
@@ -284,9 +295,8 @@ func TestProbeServesKeySpelledTexts(t *testing.T) {
 			if after.Hits-before.Hits != hits || after.Misses != before.Misses {
 				t.Errorf("%q: stats %+v -> %+v", c.sql, before, after)
 			}
-			_, v := k.planCache.Probe(c.sql)
-			if served := v != nil && v.(*plan).keyArgs >= 0; served != c.served {
-				t.Errorf("%q: served by the probe %v, want %v", c.sql, served, c.served)
+			if _, norm := k.planCache.Probe(c.sql); (norm != nil) != c.served {
+				t.Errorf("%q: served by the probe %v, want %v", c.sql, norm != nil, c.served)
 			}
 		}
 	}
@@ -456,7 +466,9 @@ func TestShapeAllocations(t *testing.T) {
 		fresh = append(fresh, fmt.Sprintf("SELECT c AS a%05d FROM sbtest WHERE id = ?", i))
 	}
 	const cached = "SELECT c FROM sbtest WHERE id = ?"
-	drain(t, s, cached, id)
+	for i := 0; i < sights.Keep; i++ {
+		drain(t, s, cached, id)
+	}
 	next := 0
 	if n := testing.AllocsPerRun(runs, func() { drain(t, s, fresh[next], id); next++ }); n > 65 {
 		t.Errorf("a never-seen shape allocates %.0f times, ceiling 65", n)

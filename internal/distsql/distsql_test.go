@@ -12,6 +12,7 @@ import (
 	"shardingsphere/internal/governor"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
 	"shardingsphere/internal/transaction"
@@ -467,10 +468,14 @@ func TestAlterRuleInvalidatesCachedPlans(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		exec(t, s, fmt.Sprintf("INSERT INTO t_user (uid, name) VALUES (%d, 'u%d')", i, i))
 	}
-	// Warm the plan cache with the point-select shape.
-	got := rows(t, exec(t, s, "SELECT name FROM t_user WHERE uid = 2"))
-	if len(got) != 1 || got[0][0].S != "u2" {
-		t.Fatalf("warm query: %v", got)
+	// Warm the plan cache with the point-select shape: its third sight
+	// keeps the plan.
+	var got []sqltypes.Row
+	for i := 0; i < sights.Keep; i++ {
+		got = rows(t, exec(t, s, "SELECT name FROM t_user WHERE uid = 2"))
+		if len(got) != 1 || got[0][0].S != "u2" {
+			t.Fatalf("warm query: %v", got)
+		}
 	}
 
 	epoch := k.PlanCache().Epoch()
@@ -499,9 +504,11 @@ func TestShowPlanCacheStatus(t *testing.T) {
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
 	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (1, 'u1')")
-	// Same shape twice: one miss (compile), then one hit.
-	exec(t, s, "SELECT name FROM t_user WHERE uid = 1")
-	exec(t, s, "SELECT name FROM t_user WHERE uid = 1")
+	// The shape's first three executions miss (the third keeps the plan
+	// it compiles), the next hits.
+	for i := 0; i <= sights.Keep; i++ {
+		exec(t, s, "SELECT name FROM t_user WHERE uid = 1")
+	}
 
 	m := metrics(t, s)
 	if m["plan_cache.hits"] < 1 {

@@ -1,12 +1,15 @@
 // Package plancache is the kernel's one shape table: a fixed-shard LRU
 // keyed by normalized SQL shape, shared by every session of a kernel. An
 // entry holds what the kernel remembers about a shape — its statement
-// digest counters and its compiled plan. Shards bound lock contention
-// under concurrent OLTP load, a per-entry build lock keeps a hot shape
-// from being compiled by every waiting session at once, and a version
-// epoch invalidates every plan in O(1) when DDL or rule changes make
-// cached routes stale; the counters outlive that, and leave only by
-// eviction (folded into the "(evicted)" accumulator) or Reset.
+// digest counters, from its first sight, and its compiled plan, from its
+// sights.Keep-th. Beside the shapes the same LRU keeps spellings: client
+// texts that normalize to another key, from their sights.Keep-th sight,
+// so a repeated text finds its shape without being lexed. Shards bound
+// lock contention under concurrent OLTP load, a per-entry build lock
+// keeps a hot shape from being compiled by every waiting session at once,
+// and a version epoch invalidates every plan in O(1) when DDL or rule
+// changes make cached routes stale; the counters outlive that, and leave
+// only by eviction (folded into the "(evicted)" accumulator) or Reset.
 package plancache
 
 import (
@@ -16,6 +19,8 @@ import (
 	"sync/atomic"
 
 	"shardingsphere/internal/digest"
+	"shardingsphere/internal/sights"
+	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/telemetry"
 )
 
@@ -24,7 +29,8 @@ import (
 // shard selection one AND instruction.
 const NumShards = 16
 
-// DefaultCapacity bounds the cache when the caller passes 0.
+// DefaultCapacity bounds the cache, shapes and spellings together, when
+// the caller passes 0.
 const DefaultCapacity = 4096
 
 // EvictedID names the accumulator row of shapes that left by eviction.
@@ -37,8 +43,9 @@ type Stats struct {
 	Misses        uint64
 	Evictions     uint64
 	Invalidations uint64 // epoch bumps (rule publications)
-	Size          int
-	Capacity      int
+	Size          int    // shapes
+	Spellings     int
+	Capacity      int // shapes and spellings
 	Epoch         uint64
 	// ShardEvictions breaks Evictions down per LRU shard; a skewed
 	// distribution means hot shapes hash-collide into one shard.
@@ -64,12 +71,16 @@ type Cache struct {
 
 	capacity int // total, spread evenly over shards
 	shards   [NumShards]shard
+	// sights counts the texts that normalize to another key until they
+	// are kept as spellings.
+	sights *sights.Record
 }
 
 type shard struct {
-	mu      sync.Mutex
-	entries map[string]*Entry
-	lru     list.List // front = most recently used
+	mu        sync.Mutex
+	entries   map[string]*Entry    // shapes, by key
+	spellings map[string]*spelling // other texts, by text
+	lru       list.List            // both; front = most recently used
 	// evicted accumulates the counters of every shape this shard evicted.
 	// A victim leaves entries and is folded in under one hold of mu, so a
 	// reader that takes the entries and evicted under one hold finds each
@@ -87,11 +98,27 @@ type Entry struct {
 	// of newer shapes arrived) is in no row and no total.
 	Digest digest.Entry
 
-	// build serializes compilation, so concurrent first sights of a shape
-	// compile it once.
+	// sights counts the executions that found no current plan; the plan
+	// is kept from the sights.Keep-th on.
+	sights atomic.Uint32
+	// build serializes compilation, so concurrent sights of a shape that
+	// keep its plan compile it once.
 	build sync.Mutex
 	plan  atomic.Pointer[stamped]
-	elem  *list.Element // guarded by the shard's mu
+	// norm is the key's own normal form, once a text spelled as the key
+	// ran with the plan kept: Probe serves that text by it. Guarded by the
+	// shard's mu, as is elem.
+	norm *sqlparser.Normalized
+	elem *list.Element
+}
+
+// spelling is a kept client text that normalizes to another key: a
+// literal lifted (k + 1) or other spacing (SUM(k)). It has no counters of
+// its own; its executions run and count under its shape.
+type spelling struct {
+	text string
+	norm *sqlparser.Normalized
+	elem *list.Element
 }
 
 // stamped is a compiled plan and the epoch read before it was built, so
@@ -107,9 +134,10 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	c := &Cache{capacity: capacity}
+	c := &Cache{capacity: capacity, sights: sights.New()}
 	for i := range c.shards {
 		c.shards[i].entries = map[string]*Entry{}
+		c.shards[i].spellings = map[string]*spelling{}
 	}
 	return c
 }
@@ -150,7 +178,7 @@ func (c *Cache) Invalidate() {
 
 // Lookup returns the shape's entry, most recently used from now on. On
 // first sight it inserts the entry, evicting the shard's least recently
-// used shape when the shard is full. It is the keyed lookup of every
+// used entries when the shard is full. It is the keyed lookup of every
 // statement the text probe (Probe) does not serve.
 func (c *Cache) Lookup(key string) *Entry {
 	s := c.shard(key)
@@ -164,16 +192,27 @@ func (c *Cache) Lookup(key string) *Entry {
 	e.Digest.Key, e.Digest.ID = key, telemetry.DigestID(key)
 	e.elem = s.lru.PushFront(e)
 	s.entries[key] = e
+	c.evict(s)
+	return e
+}
+
+// evict drops the shard's least recently used entries until it fits. A
+// shape's counters are folded into the evicted accumulator; a spelling
+// has none. The caller holds s.mu.
+func (c *Cache) evict(s *shard) {
 	for s.lru.Len() > c.perShard() {
 		last := s.lru.Back()
-		victim := last.Value.(*Entry)
 		s.lru.Remove(last)
-		delete(s.entries, victim.Digest.Key)
-		s.evicted.Fold(&victim.Digest)
+		switch victim := last.Value.(type) {
+		case *Entry:
+			delete(s.entries, victim.Digest.Key)
+			s.evicted.Fold(&victim.Digest)
+		case *spelling:
+			delete(s.spellings, victim.text)
+		}
 		c.evictions.Add(1)
 		s.evictions.Add(1)
 	}
-	return e
 }
 
 // current returns e's plan if it was built under the live epoch, counting
@@ -188,12 +227,17 @@ func (c *Cache) current(e *Entry) (any, bool) {
 }
 
 // Plan returns e's compiled plan, building it with build() when it is
-// missing or stale. Concurrent callers share one build: the others wait
-// on the entry's lock and find the plan there. A build error is returned
-// to its caller and nothing is stored, so the next caller builds again.
+// missing or stale. The shape's first sights.Keep-1 builds serve their own
+// execution only; from the sights.Keep-th on the plan is kept, and
+// concurrent callers share one build: the others wait on the entry's lock
+// and find the plan there. A build error is returned to its caller and
+// nothing is stored, so the next caller builds again.
 func (c *Cache) Plan(e *Entry, build func() (any, error)) (any, error) {
 	if v, ok := c.current(e); ok {
 		return v, nil
+	}
+	if e.sights.Load() < sights.Keep-1 && e.sights.Add(1) < sights.Keep {
+		return build()
 	}
 	e.build.Lock()
 	defer e.build.Unlock()
@@ -211,18 +255,6 @@ func (c *Cache) Plan(e *Entry, build func() (any, error)) (any, error) {
 
 // Get returns the cached plan for key, if present and current.
 func (c *Cache) Get(key string) (any, bool) {
-	if _, v := c.Probe(key); v != nil {
-		c.hits.Add(1)
-		return v, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// Probe returns key's entry and its plan when the shape is known and its
-// plan current, else nils. It inserts nothing and counts nothing: a caller
-// that uses the plan counts it with Hit.
-func (c *Cache) Probe(key string) (*Entry, any) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e := s.entries[key]
@@ -230,16 +262,71 @@ func (c *Cache) Probe(key string) (*Entry, any) {
 		s.lru.MoveToFront(e.elem)
 	}
 	s.mu.Unlock()
-	if e != nil {
-		if p := e.plan.Load(); p != nil && p.epoch == c.epoch.Load() {
-			return e, p.val
-		}
+	if e == nil {
+		c.misses.Add(1)
+		return nil, false
 	}
-	return nil, nil
+	return c.current(e)
 }
 
-// Hit counts a plan that Probe found and its caller used.
-func (c *Cache) Hit() { c.hits.Add(1) }
+// Probe finds a kept text without lexing it: a text spelled as its
+// shape's key, once the shape keeps a plan, or a spelling. It returns the
+// shape's entry, found as Lookup finds it (a spelling whose shape was
+// evicted inserts the shape again), and the normalized form the text
+// binds through; nils for any other text. It counts nothing.
+func (c *Cache) Probe(text string) (*Entry, *sqlparser.Normalized) {
+	s := c.shard(text)
+	s.mu.Lock()
+	if e := s.entries[text]; e != nil && e.norm != nil {
+		s.lru.MoveToFront(e.elem)
+		norm := e.norm
+		s.mu.Unlock()
+		return e, norm
+	}
+	sp := s.spellings[text]
+	if sp != nil {
+		s.lru.MoveToFront(sp.elem)
+	}
+	s.mu.Unlock()
+	if sp == nil {
+		return nil, nil
+	}
+	return c.Lookup(sp.norm.Key), sp.norm
+}
+
+// Admit records that text, normalized to norm, ran under its shape's
+// entry e with the plan, so Probe serves the text from its next execution
+// once it repeats. A text spelled as its key is served once e keeps a
+// plan. Any other text counts a sight, and from its sights.Keep-th is kept
+// as a spelling; a one-shot text leaves only its count.
+func (c *Cache) Admit(text string, norm *sqlparser.Normalized, e *Entry) {
+	if text == norm.Key {
+		if e.plan.Load() == nil {
+			return
+		}
+		s := c.shard(text)
+		s.mu.Lock()
+		if s.entries[text] == e {
+			e.norm = norm
+		}
+		s.mu.Unlock()
+		return
+	}
+	if !c.sights.See(text) {
+		return
+	}
+	// The spelling shares its shape's key string instead of holding a copy.
+	sp := &spelling{text: text, norm: &sqlparser.Normalized{Key: e.Digest.Key, Args: norm.Args, ForUpdate: norm.ForUpdate}}
+	s := c.shard(text)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.spellings[text]; ok {
+		return
+	}
+	sp.elem = s.lru.PushFront(sp)
+	s.spellings[text] = sp
+	c.evict(s)
+}
 
 // Put stores a plan directly (tests and warmers).
 func (c *Cache) Put(key string, val any) {
@@ -247,14 +334,16 @@ func (c *Cache) Put(key string, val any) {
 	c.Lookup(key).plan.Store(&stamped{val: val, epoch: epoch})
 }
 
-// Reset forgets every shape and the evicted accumulator (RESET DIGESTS).
-// The plans go with the counters — they live in the same entries — so
-// each shape's next execution compiles it again.
+// Reset forgets every shape, spelling and sight, and the evicted
+// accumulator (RESET DIGESTS). The plans go with the counters — they live
+// in the same entries — so each shape is admitted again from its sights.
 func (c *Cache) Reset() {
+	c.sights.Reset()
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.entries = map[string]*Entry{}
+		s.spellings = map[string]*spelling{}
 		s.lru.Init()
 		s.evicted = digest.Entry{}
 		s.mu.Unlock()
@@ -313,17 +402,6 @@ func (c *Cache) DigestMetrics() map[string]int64 {
 	}
 }
 
-// Len returns the number of remembered shapes across all shards.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	st := Stats{
@@ -331,12 +409,16 @@ func (c *Cache) Stats() Stats {
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
-		Size:          c.Len(),
 		Capacity:      c.perShard() * NumShards,
 		Epoch:         c.epoch.Load(),
 	}
 	for i := range c.shards {
-		st.ShardEvictions[i] = c.shards[i].evictions.Load()
+		s := &c.shards[i]
+		s.mu.Lock()
+		st.Size += len(s.entries)
+		st.Spellings += len(s.spellings)
+		s.mu.Unlock()
+		st.ShardEvictions[i] = s.evictions.Load()
 	}
 	return st
 }
@@ -352,6 +434,7 @@ func (c *Cache) Metrics() map[string]int64 {
 		"evictions":     int64(st.Evictions),
 		"invalidations": int64(st.Invalidations),
 		"size":          int64(st.Size),
+		"spellings":     int64(st.Spellings),
 		"capacity":      int64(st.Capacity),
 		"epoch":         int64(st.Epoch),
 		// Scaled by 1000: a snapshot carries integers only.

@@ -7,12 +7,25 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"shardingsphere/internal/sights"
+	"shardingsphere/internal/sqlparser"
 )
 
 // plan is what a statement does with the cache: one lookup, then the
 // entry's plan.
 func plan(c *Cache, key string, build func() (any, error)) (any, error) {
 	return c.Plan(c.Lookup(key), build)
+}
+
+// seen runs key's first sights.Keep-1 executions, which compile for
+// themselves: the next one keeps the plan it builds.
+func seen(c *Cache, key string) *Entry {
+	e := c.Lookup(key)
+	for i := 1; i < sights.Keep; i++ {
+		c.Plan(e, func() (any, error) { return "one-shot", nil })
+	}
+	return e
 }
 
 // shardKeys returns n distinct keys that all hash to shard 0.
@@ -49,7 +62,7 @@ func TestLRUEvictionBound(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), i)
 	}
-	if got := c.Len(); got > NumShards {
+	if got := c.Stats().Size; got > NumShards {
 		t.Fatalf("cache grew past bound: %d entries", got)
 	}
 	if c.Stats().Evictions == 0 {
@@ -80,8 +93,8 @@ func TestEpochInvalidation(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("stale entry served after Invalidate")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("the shape's entry must outlive its plan: len=%d", c.Len())
+	if n := c.Stats().Size; n != 1 {
+		t.Fatalf("the shape's entry must outlive its plan: len=%d", n)
 	}
 	st := c.Stats()
 	if st.Invalidations != 1 || st.Epoch != 1 {
@@ -96,6 +109,7 @@ func TestEpochInvalidation(t *testing.T) {
 
 func TestPlanBuiltOnceUnderConcurrentFirstSight(t *testing.T) {
 	c := New(64)
+	seen(c, "hot")
 	var builds atomic.Int32
 	release := make(chan struct{})
 	const workers = 16
@@ -148,6 +162,7 @@ func TestPlanStampedWithPreBuildEpoch(t *testing.T) {
 	// A rule change that lands while a plan is being built must invalidate
 	// that plan: the entry is stamped with the epoch read before the build.
 	c := New(64)
+	seen(c, "k")
 	_, err := plan(c, "k", func() (any, error) {
 		c.Invalidate() // races with the build in real life
 		return "stale-plan", nil
@@ -180,8 +195,8 @@ func TestConcurrentAccessParallel(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 256 {
-		t.Fatalf("cache overgrew: %d", c.Len())
+	if n := c.Stats().Size; n > 256 {
+		t.Fatalf("cache overgrew: %d", n)
 	}
 }
 
@@ -207,10 +222,11 @@ func TestDigestOutlivesPlan(t *testing.T) {
 	c := New(64)
 	builds := 0
 	build := func() (any, error) { builds++; return builds, nil }
-	e := c.Lookup("q")
+	e := seen(c, "q")
 	if e.Digest.Key != "q" || len(e.Digest.ID) != 16 {
 		t.Fatalf("entry identity: %+v", e.Digest.Snapshot())
 	}
+	warm := c.Stats()
 	c.Plan(e, build)
 	e.Digest.Observe(time.Millisecond, 1, 0, false)
 	c.Invalidate()
@@ -222,7 +238,7 @@ func TestDigestOutlivesPlan(t *testing.T) {
 		t.Fatalf("stale plan served: build %v", v)
 	}
 	c.Plan(again, build)
-	if st := c.Stats(); builds != 2 || st.Hits != 1 || st.Misses != 2 {
+	if st := c.Stats(); builds != 2 || st.Hits-warm.Hits != 1 || st.Misses-warm.Misses != 2 {
 		t.Fatalf("builds %d stats %+v", builds, st)
 	}
 	if m := c.DigestMetrics(); m["calls"] != 1 || m["shapes"] != 1 {
@@ -279,8 +295,8 @@ func TestResetForgetsShapesPlansAndEvicted(t *testing.T) {
 	old := c.Lookup(keys[1])
 	c.Reset()
 	shapes, evicted := c.Digests()
-	if len(shapes) != 0 || evicted.Calls != 0 || c.Len() != 0 {
-		t.Fatalf("after Reset: shapes %v evicted %+v len %d", shapes, evicted, c.Len())
+	if n := c.Stats().Size; len(shapes) != 0 || evicted.Calls != 0 || n != 0 {
+		t.Fatalf("after Reset: shapes %v evicted %+v len %d", shapes, evicted, n)
 	}
 	if m := c.DigestMetrics(); m["calls"] != 0 || m["shapes"] != 0 {
 		t.Fatalf("digest metrics after Reset: %v", m)
@@ -290,5 +306,105 @@ func TestResetForgetsShapesPlansAndEvicted(t *testing.T) {
 	}
 	if c.Lookup(keys[1]) == old {
 		t.Fatal("Reset did not replace the entry")
+	}
+}
+
+// TestPlanKeptFromThirdSight: a shape's first sights.Keep-1 misses compile
+// for their own execution and store nothing; the next keeps its plan, and
+// an invalidated plan is rebuilt and kept at once.
+func TestPlanKeptFromThirdSight(t *testing.T) {
+	c := New(64)
+	builds := 0
+	build := func() (any, error) { builds++; return builds, nil }
+	for i := 1; i < sights.Keep; i++ {
+		if v, _ := plan(c, "q", build); v.(int) != i {
+			t.Fatalf("sight %d ran build %v", i, v)
+		}
+		if _, ok := c.Get("q"); ok {
+			t.Fatalf("sight %d kept its plan", i)
+		}
+	}
+	plan(c, "q", build)
+	if v, ok := c.Get("q"); !ok || v.(int) != sights.Keep {
+		t.Fatalf("sight %d did not keep its plan: %v %v", sights.Keep, v, ok)
+	}
+	c.Invalidate()
+	plan(c, "q", build)
+	if v, ok := c.Get("q"); !ok || v.(int) != sights.Keep+1 || builds != sights.Keep+1 {
+		t.Fatalf("a stale plan was not rebuilt and kept: %v %v after %d builds", v, ok, builds)
+	}
+}
+
+// TestProbeServesRepeatedTexts: a text spelled as its key is served once
+// its shape keeps a plan; a text that normalizes to another key is kept as
+// a spelling from its third admitted sight, shares the shape's entry and
+// leaves no digest row; a one-shot text leaves neither.
+func TestProbeServesRepeatedTexts(t *testing.T) {
+	c := New(64)
+	const key = "UPDATE t SET v = v + ? WHERE id = ?"
+	const text = "update t set v = v + 1 where id = ?"
+	self := &sqlparser.Normalized{Key: key, Args: []sqlparser.ArgSlot{{Arg: 0}, {Arg: 1}}}
+	spelled := &sqlparser.Normalized{Key: key, Args: []sqlparser.ArgSlot{{Arg: -1}, {Arg: 0}}}
+	e := c.Lookup(key)
+	for i := 1; i <= sights.Keep; i++ {
+		if got, _ := c.Probe(key); got != nil {
+			t.Fatalf("the key was served before its plan was kept (sight %d)", i)
+		}
+		if got, _ := c.Probe(text); got != nil {
+			t.Fatalf("the spelling was served before sight %d", i)
+		}
+		plan(c, key, func() (any, error) { return "plan", nil })
+		c.Admit(key, self, e)
+		c.Admit(text, spelled, e)
+	}
+	if got, norm := c.Probe(key); got != e || norm != self {
+		t.Fatalf("the key is not served by its own normal form: %p %v", got, norm)
+	}
+	got, norm := c.Probe(text)
+	if got != e || norm.Key != key || len(norm.Args) != 2 || norm.Args[0].Arg != -1 {
+		t.Fatalf("the spelling is not served through its shape: %p %+v", got, norm)
+	}
+	if st := c.Stats(); st.Size != 1 || st.Spellings != 1 {
+		t.Fatalf("stats %+v: want one shape and one spelling", st)
+	}
+	if shapes, _ := c.Digests(); len(shapes) != 1 {
+		t.Fatalf("digest rows %+v: the spelling has none", shapes)
+	}
+	for i := 0; i < 10; i++ {
+		c.Admit(fmt.Sprintf("update t set v = v + %d where id = ?", i+2), spelled, e)
+	}
+	if st := c.Stats(); st.Spellings != 1 || c.sights.Len() != 10 {
+		t.Fatalf("one-shot texts: %d spellings, %d counts", st.Spellings, c.sights.Len())
+	}
+	c.Reset()
+	if got, _ := c.Probe(text); got != nil || c.sights.Len() != 0 {
+		t.Fatal("the spelling or the sights survived Reset")
+	}
+}
+
+// TestSpellingsShareTheLRU: spellings count against the shard's capacity
+// beside shapes and leave by the same LRU; a spelling whose shape was
+// evicted brings the shape back on its next probe, as a new entry.
+func TestSpellingsShareTheLRU(t *testing.T) {
+	c := New(NumShards * 2) // two entries per shard
+	keys := shardKeys(3)
+	e := c.Lookup(keys[0])
+	norm := &sqlparser.Normalized{Key: keys[0]}
+	for i := 0; i < sights.Keep; i++ {
+		c.Admit(keys[1], norm, e) // keys[1] is a spelling of keys[0]
+	}
+	if st := c.Stats(); st.Size != 1 || st.Spellings != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	c.Lookup(keys[2]) // evicts keys[0], the least recently used
+	if st := c.Stats(); st.Size != 1 || st.Spellings != 1 || st.Evictions != 1 {
+		t.Fatalf("stats %+v: want the shape evicted", st)
+	}
+	got, _ := c.Probe(keys[1])
+	if got == nil || got == e || got.Digest.Key != keys[0] {
+		t.Fatalf("the spelling did not bring its shape back: %p", got)
+	}
+	if st := c.Stats(); st.Size+st.Spellings != 2 || st.Evictions != 2 {
+		t.Fatalf("stats %+v: want two entries in the shard", st)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Stmt is one entry of the processor's statement cache: the parsed
 // statement and, for a single-table SELECT, its select plan. Entries are
 // shared across sessions. The cache keeps an entry from its text's
-// keepSights-th sight; an earlier execution runs from an entry, and a plan,
+// sights.Keep-th sight; an earlier execution runs from an entry, and a plan,
 // that die with it, so a workload of one-shot texts stores neither.
 type Stmt struct {
 	ast  sqlparser.Statement

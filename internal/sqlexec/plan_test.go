@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
 )
@@ -34,7 +35,7 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 }
 
 // TestSelectPlanRetainedWithItsEntry: a text keeps its plan from the
-// execution that keeps its cache entry, the keepSights-th.
+// execution that keeps its cache entry, the sights.Keep-th.
 func TestSelectPlanRetainedWithItsEntry(t *testing.T) {
 	e := storage.NewEngine("ds0")
 	p := NewProcessor(e)
@@ -47,12 +48,12 @@ func TestSelectPlanRetainedWithItsEntry(t *testing.T) {
 	first := mustExec(t, s, q, args...)
 	second := mustExec(t, s, q, args...)
 	if retained(p, q) != nil {
-		t.Fatalf("a text must not retain a plan before execution %d", keepSights)
+		t.Fatalf("a text must not retain a plan before execution %d", sights.Keep)
 	}
 	third := mustExec(t, s, q, args...)
 	plan := retained(p, q)
 	if plan == nil {
-		t.Fatalf("execution %d must retain the plan", keepSights)
+		t.Fatalf("execution %d must retain the plan", sights.Keep)
 	}
 	sameResult(t, "second", second, first)
 	sameResult(t, "third", third, first)
@@ -101,7 +102,7 @@ func TestSelectPlanInvalidation(t *testing.T) {
 	compile := func() {
 		t.Helper()
 		for _, q := range queries {
-			for i := 0; i < keepSights; i++ {
+			for i := 0; i < sights.Keep; i++ {
 				mustExec(t, s, q)
 			}
 			if retained(p, q) == nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
@@ -469,7 +470,7 @@ func TestXABoundVerbs(t *testing.T) {
 }
 
 // TestNodeKeepsBoundVerbs: 200 XA transactions with distinct xids parse
-// each verb text at most keepSights times, and leave no sight count per
+// each verb text at most sights.Keep times, and leave no sight count per
 // xid behind.
 func TestNodeKeepsBoundVerbs(t *testing.T) {
 	p := NewProcessor(storage.NewEngine("ds0"))
@@ -483,14 +484,14 @@ func TestNodeKeepsBoundVerbs(t *testing.T) {
 			mustExec(t, s, v, xid)
 		}
 	}
-	got, max := sqlparser.ParseCount()-before, uint64(keepSights*len(verbs))
+	got, max := sqlparser.ParseCount()-before, uint64(sights.Keep*len(verbs))
 	if got > max {
 		t.Fatalf("200 transactions parsed %d times, want at most %d", got, max)
 	}
 	if n := p.Stats().Parses.Load(); uint64(n) != got {
 		t.Fatalf("the node's parse counter reads %d, the parser ran %d times", n, got)
 	}
-	if n := p.seenLen(); n > len(verbs) {
+	if n := p.sights.Len(); n > len(verbs) {
 		t.Fatalf("the processor counts sights of %d texts after 200 xids", n)
 	}
 }
@@ -706,7 +707,7 @@ func TestAmbiguousColumn(t *testing.T) {
 	}
 }
 
-// TestStatementCache: an entry is kept from its text's keepSights-th sight.
+// TestStatementCache: an entry is kept from its text's sights.Keep-th sight.
 func TestStatementCache(t *testing.T) {
 	p := NewProcessor(storage.NewEngine("ds0"))
 	parse := func(sql string) *Stmt {
@@ -719,31 +720,31 @@ func TestStatementCache(t *testing.T) {
 	}
 	s1, s2, s3, s4 := parse("SELECT 1"), parse("SELECT 1"), parse("SELECT 1"), parse("SELECT 1")
 	if s1 == s2 || s2 == s3 || s3 != s4 {
-		t.Fatalf("want the entry kept from sight %d", keepSights)
+		t.Fatalf("want the entry kept from sight %d", sights.Keep)
 	}
 	// One-shot texts leave a hash behind, never an entry, and the text
 	// that repeats stays.
 	for i := 0; i < 3*cacheLimit; i++ {
 		parse(fmt.Sprintf("SELECT %d", i+2))
 	}
-	if len(p.cache) != 1 || len(p.seen) > cacheLimit || parse("SELECT 1") != s4 {
-		t.Fatalf("after a storm of one-shot texts: %d kept, %d hashes", len(p.cache), len(p.seen))
+	if len(p.cache) != 1 || p.sights.Len() > cacheLimit || parse("SELECT 1") != s4 {
+		t.Fatalf("after a storm of one-shot texts: %d kept, %d hashes", len(p.cache), p.sights.Len())
 	}
 	// A repeating working set as large as the cache is admitted whole on
-	// pass keepSights and is all hits from the next on.
+	// pass sights.Keep and is all hits from the next on.
 	p = NewProcessor(storage.NewEngine("ds0"))
 	kept := make([]*Stmt, cacheLimit)
-	for pass := 1; pass <= keepSights+1; pass++ {
+	for pass := 1; pass <= sights.Keep+1; pass++ {
 		for i := range kept {
 			st := parse(fmt.Sprintf("SELECT %d", i))
-			if pass > keepSights && st != kept[i] {
+			if pass > sights.Keep && st != kept[i] {
 				t.Fatalf("text %d parsed again on pass %d", i, pass)
 			}
 			kept[i] = st
 		}
 	}
-	if len(p.cache) != cacheLimit || len(p.seen) != 0 {
-		t.Fatalf("after %d passes over %d texts: %d kept, %d hashes", keepSights+1, cacheLimit, len(p.cache), len(p.seen))
+	if len(p.cache) != cacheLimit || p.sights.Len() != 0 {
+		t.Fatalf("after %d passes over %d texts: %d kept, %d hashes", sights.Keep+1, cacheLimit, len(p.cache), p.sights.Len())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
 )
@@ -104,7 +105,7 @@ func TestExecuteTablesRefusals(t *testing.T) {
 func TestTableListFollowsDDL(t *testing.T) {
 	s := tablesSession(t)
 	sql, list := "SELECT id FROM t_0 WHERE k = ?", []string{"t_0", "t_1", "t_2"}
-	for i := 0; i < 2*keepSights; i++ {
+	for i := 0; i < 2*sights.Keep; i++ {
 		if _, counts, err := s.ExecuteTables(sql, list, sqltypes.NewInt(1)); err != nil || len(counts) != 3 {
 			t.Fatalf("run %d: %v %v", i, counts, err)
 		}

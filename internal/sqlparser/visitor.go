@@ -1,7 +1,5 @@
 package sqlparser
 
-import "sync/atomic"
-
 // WalkExpr visits e and every sub-expression in depth-first order. The
 // visit function may return false to prune the subtree.
 func WalkExpr(e Expr, visit func(Expr) bool) {
@@ -139,19 +137,10 @@ func MapExpr(e Expr, replace func(Expr) Expr) Expr {
 	}
 }
 
-// cloneCount counts CloneStatement invocations (see CloneCount).
-var cloneCount atomic.Uint64
-
-// CloneCount returns the number of CloneStatement calls made so far; a
-// test hook for asserting that a compiled statement is bound without
-// copying its AST.
-func CloneCount() uint64 { return cloneCount.Load() }
-
 // CloneStatement deep-copies a statement so the rewriter can derive a
 // statement's data-node form without disturbing the parsed original (which
 // the kernel keeps per shape).
 func CloneStatement(stmt Statement) Statement {
-	cloneCount.Add(1)
 	switch t := stmt.(type) {
 	case *SelectStmt:
 		c := &SelectStmt{

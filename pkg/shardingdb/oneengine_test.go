@@ -14,6 +14,7 @@ import (
 	"shardingsphere/internal/proxy"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/route"
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
@@ -933,5 +934,70 @@ func TestKindsReadAfterAFailedDescribe(t *testing.T) {
 	}
 	if got, err := s.QueryAll("SELECT id FROM t WHERE id = ?", String("07")); err != nil || len(got) != 1 || got[0][0] != Int(7) {
 		t.Fatalf("after the fault: %v, %v; want the row of 7", got, err)
+	}
+}
+
+// TestSpellingBindsItsOwnLiterals: UPDATE t SET v = v + 1 and v + 2 are two
+// spellings of one shape. Once both are kept, five runs of each on one row
+// raise its v by 15, and the table matches one engine that ran the same
+// statements.
+func TestSpellingBindsItsOwnLiterals(t *testing.T) {
+	ref := oneEngineRef(t)
+	s := oneEngineDB(t, "mysql", 4)
+	texts := []string{"UPDATE t SET v = v + 1 WHERE id = ?", "UPDATE t SET v = v + 2 WHERE id = ?"}
+	run := func(id int64, times int) {
+		t.Helper()
+		for i := 0; i < times; i++ {
+			for _, q := range texts {
+				if _, err := s.Exec(q, Int(id)); err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				if _, err := ref.Execute(q, Int(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	v := func(id int64) int64 {
+		t.Helper()
+		got, err := s.QueryAll("SELECT v FROM t WHERE id = ?", Int(id))
+		if err != nil || len(got) != 1 {
+			t.Fatalf("v of %d: %v %v", id, got, err)
+		}
+		return got[0][0].I
+	}
+	spellings := func() int64 {
+		t.Helper()
+		metrics, err := s.QueryAll("SHOW METRICS")
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(metrics, func(r Row) bool { return r[2].S == "plan_cache.spellings" })
+		if i < 0 {
+			t.Fatal("SHOW METRICS has no plan_cache.spellings row")
+		}
+		return metrics[i][6].I
+	}
+	loaded := spellings() // the loader's INSERTs are spelled otherwise than their keys
+	run(1, sights.Keep)   // both texts are kept from their third sight
+	if n := spellings() - loaded; n != 2 {
+		t.Fatalf("%d more spellings kept, want 2", n)
+	}
+	before := v(2)
+	run(2, 5)
+	if after := v(2); after != before+15 {
+		t.Fatalf("five runs of each spelling raised v from %d to %d, want +15", before, after)
+	}
+	const q = "SELECT id, k, v FROM t ORDER BY id"
+	got, err := s.QueryAll(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameAnswer(got, want.Rows, nil); diff != "" {
+		t.Fatalf("%s: %s", q, diff)
 	}
 }
