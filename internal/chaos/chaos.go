@@ -489,7 +489,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // Query implements resource.Conn: hang and latency faults unblock when
-// the caller's deadline or fail-fast cancellation fires.
+// the caller's context ends (a statement deadline, a client gone away).
 func (c *faultConn) Query(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ResultSet, error) {
 	if err := c.apply(ctx); err != nil {
 		return nil, err

@@ -170,7 +170,7 @@ func TestShowMetricsKeepsDeletedVerbs(t *testing.T) {
 		}
 		add("SHOW SQL METRICS", ds+" errors", p+".errors", int64(st.Errors.Load()))
 	}
-	for _, name := range []string{"retries", "retry_success", "fail_fast_aborts"} {
+	for _, name := range []string{"retries", "retry_success"} {
 		add("SHOW SQL METRICS", "counter "+name, "exec."+name, k.Executor().Metrics()[name])
 	}
 	for name, v := range k.ResilienceMetrics() {

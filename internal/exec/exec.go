@@ -131,11 +131,10 @@ type Executor struct {
 	updateInline atomic.Uint64
 	updateFanout atomic.Uint64
 
-	// Resilience counters: transient-failure retries, retries that ended
-	// in success, and read fan-outs aborted early by fail-fast cancellation.
-	retries        atomic.Uint64
-	retrySuccess   atomic.Uint64
-	failFastAborts atomic.Uint64
+	// Resilience counters: transient-failure retries, and retries that
+	// ended in success.
+	retries      atomic.Uint64
+	retrySuccess atomic.Uint64
 
 	retryPolicy atomic.Pointer[RetryPolicy]
 }
@@ -225,13 +224,12 @@ func (e *Executor) heatCell(u rewrite.SQLUnit) *digest.Cell {
 // benchmark's layer walk reads the map.
 func (e *Executor) Metrics() map[string]int64 {
 	return map[string]int64{
-		"query_inline":     int64(e.queryInline.Load()),
-		"query_fanout":     int64(e.queryFanout.Load()),
-		"update_inline":    int64(e.updateInline.Load()),
-		"update_fanout":    int64(e.updateFanout.Load()),
-		"retries":          int64(e.retries.Load()),
-		"retry_success":    int64(e.retrySuccess.Load()),
-		"fail_fast_aborts": int64(e.failFastAborts.Load()),
+		"query_inline":  int64(e.queryInline.Load()),
+		"query_fanout":  int64(e.queryFanout.Load()),
+		"update_inline": int64(e.updateInline.Load()),
+		"update_fanout": int64(e.updateFanout.Load()),
+		"retries":       int64(e.retries.Load()),
+		"retry_success": int64(e.retrySuccess.Load()),
 	}
 }
 
@@ -439,19 +437,37 @@ func (h *HeldConns) Undo(ctx context.Context, sql string) error {
 	h.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), AbortTimeout)
 	defer cancel()
-	errs := make([]error, len(conns))
+	return errors.Join(FanOut(ctx, conns, func(ctx context.Context, _ int, hc heldConn) error {
+		if _, err := hc.conn.Exec(ctx, sql); err != nil {
+			return fmt.Errorf("data source %s: %s: %w", hc.ds, sql, err)
+		}
+		return nil
+	})...)
+}
+
+// FanOut calls fn once per item, all at once, and returns when every call
+// has returned, with each call's error at its item's index; a lone item
+// runs on the caller's goroutine. It is the one fan-out of statements,
+// commit phases and cleanup: no call's failure cancels its siblings, so a
+// failed fan-out leaves each branch in the state its own answer tells.
+// Only ctx cancels a call: the statement's deadline, or a client that went
+// away.
+func FanOut[T any](ctx context.Context, items []T, fn func(ctx context.Context, i int, item T) error) []error {
+	errs := make([]error, len(items))
+	if len(items) == 1 {
+		errs[0] = fn(ctx, 0, items[0])
+		return errs
+	}
 	var wg sync.WaitGroup
-	for i, hc := range conns {
-		wg.Add(1)
-		go func() {
+	wg.Add(len(items))
+	for i, item := range items {
+		go func(ctx context.Context, i int, item T) {
 			defer wg.Done()
-			if _, err := hc.conn.Exec(ctx, sql); err != nil {
-				errs[i] = fmt.Errorf("data source %s: %s: %w", hc.ds, sql, err)
-			}
-		}()
+			errs[i] = fn(ctx, i, item)
+		}(ctx, i, item)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return errs
 }
 
 // AbortTimeout bounds cleanup fan-outs that run detached from the
@@ -562,10 +578,10 @@ next:
 // (runWindow). When held is non-nil the statements ride the transaction's
 // pinned connections (a window per source, materialized: the connection
 // must be reusable immediately). The context carries the statement
-// deadline and fail-fast cancellation; retry opts idempotent reads outside
-// transactions into transparent transient-failure retries with jittered
-// backoff. Multi-group fan-outs cancel sibling groups on the first error
-// instead of letting them run to completion.
+// deadline, and a streaming set keeps reading through it; retry opts
+// idempotent reads outside transactions into transparent transient-failure
+// retries with jittered backoff. A fan-out returns once every group has
+// answered (FanOut): a failed group cancels none of its siblings.
 func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace, retry bool) (*QueryResult, error) {
 	if tr.Sampled() {
 		// Remote connections inject the trace into the wire protocol's
@@ -586,34 +602,9 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 		err = e.queryGroupRetry(ctx, units, groups[0], held, res, tr, retry)
 	} else {
 		e.queryFanout.Add(1)
-		// Fail-fast fan-out: the first group error cancels the shared
-		// context, interrupting sibling acquisitions and cancellable
-		// conns instead of waiting for every shard to finish or time out.
-		fanCtx, cancel := context.WithCancel(ctx)
-		var wg sync.WaitGroup
-		errs := make([]error, len(groups))
-		for i, g := range groups {
-			wg.Add(1)
-			go func(i int, g group) {
-				defer wg.Done()
-				if gerr := e.queryGroupRetry(fanCtx, units, g, held, res, tr, retry); gerr != nil {
-					errs[i] = gerr
-					e.failFastAborts.Add(1)
-					cancel()
-				}
-			}(i, g)
-		}
-		wg.Wait()
-		err = firstError(errs)
-		if err != nil {
-			cancel()
-		} else {
-			// Streaming sets escape this function and keep reading
-			// through fanCtx; cancelling here would kill their cursors
-			// mid-stream once the prefetch window drains. Hold the
-			// cancel until the last live set is closed.
-			deferCancelToSets(res.Sets, cancel)
-		}
+		err = firstError(FanOut(ctx, groups, func(ctx context.Context, _ int, g group) error {
+			return e.queryGroupRetry(ctx, units, g, held, res, tr, retry)
+		}))
 	}
 	if err != nil {
 		for _, rs := range res.Sets {
@@ -625,40 +616,6 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 	}
 	res.Sets = slices.DeleteFunc(res.Sets, func(rs resource.ResultSet) bool { return rs == nil })
 	return res, nil
-}
-
-// deferCancelToSets ties a fan-out cancel to the lifetime of the live
-// cursors it guards: each is wrapped so the cancel fires when the last one
-// closes. Materialized sets (a held or shared connection's window) read
-// nothing through the context and stay unwrapped, so the merger sees them
-// for what they are; with no live cursor the cancel runs immediately.
-func deferCancelToSets(sets []resource.ResultSet, cancel context.CancelFunc) {
-	isLive := func(rs resource.ResultSet) bool {
-		_, materialized := rs.(*resource.SliceResultSet)
-		return rs != nil && !materialized
-	}
-	n := int32(0)
-	for _, rs := range sets {
-		if isLive(rs) {
-			n++
-		}
-	}
-	if n == 0 {
-		cancel()
-		return
-	}
-	var live atomic.Int32
-	live.Store(n)
-	release := func() {
-		if live.Add(-1) == 0 {
-			cancel()
-		}
-	}
-	for i, rs := range sets {
-		if isLive(rs) {
-			sets[i] = resource.WithCloseHook(rs, release)
-		}
-	}
 }
 
 // queryGroupRetry runs one group, retrying transient failures when the
@@ -690,10 +647,11 @@ func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit,
 }
 
 // closeGroupSets releases any result sets a failed group attempt parked.
+// It reads only g's slots: sibling groups are writing theirs.
 func closeGroupSets(res *QueryResult, units []rewrite.SQLUnit, g group) {
 	for i, u := range units {
-		if rs := res.Sets[i]; rs != nil && u.DataSource == g.ds {
-			rs.Close()
+		if u.DataSource == g.ds && res.Sets[i] != nil {
+			res.Sets[i].Close()
 			res.Sets[i] = nil
 		}
 	}
@@ -757,24 +715,16 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 	if len(conns) == 1 {
 		return e.runConnShare(ctx, units, g, conns[0], idxs, res, tr, attempt)
 	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(conns))
-	for ci, conn := range conns {
-		share := make([]int, 0, len(idxs)/len(conns)+1)
+	shares := make([][]int, len(conns))
+	for ci := range shares {
+		shares[ci] = make([]int, 0, len(idxs)/len(conns)+1)
 		for ui := ci; ui < len(idxs); ui += len(conns) {
-			share = append(share, idxs[ui])
+			shares[ci] = append(shares[ci], idxs[ui])
 		}
-		wg.Add(1)
-		go func(conn *resource.PooledConn, share []int) {
-			defer wg.Done()
-			if err := e.runConnShare(ctx, units, g, conn, share, res, tr, attempt); err != nil {
-				errCh <- err
-			}
-		}(conn, share)
 	}
-	wg.Wait()
-	close(errCh)
-	return <-errCh
+	return firstError(FanOut(ctx, conns, func(ctx context.Context, ci int, conn *resource.PooledConn) error {
+		return e.runConnShare(ctx, units, g, conn, shares[ci], res, tr, attempt)
+	}))
 }
 
 // runConnShare executes one connection's share of a group's units.
@@ -935,8 +885,7 @@ func batchFailure(ds string, open, lead *resource.Statement, units []rewrite.SQL
 // count and the last insert id observed. Units ride held's connections;
 // with held nil the statement pins its own for its duration. The context
 // carries the statement deadline. A fan-out returns once every source's
-// window has answered, so a failed write leaves each branch in a state its
-// answer tells: no window is cut off mid-flight by a sibling's failure.
+// window has answered (FanOut).
 // DML is never retried — a failed write's true outcome is unknown, and
 // replaying it could double-apply.
 func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit, held *HeldConns, tr *telemetry.Trace) (resource.ExecResult, error) {
@@ -963,19 +912,11 @@ func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit
 		return total, nil
 	}
 	e.updateFanout.Add(1)
-	var wg sync.WaitGroup
-	errs := make([]error, len(groups))
-	for i, g := range groups {
-		wg.Add(1)
-		// ctx is passed, not captured: a captured parameter moves to the
-		// heap on every call, the inline path's too.
-		go func(ctx context.Context, i int, g group) {
-			defer wg.Done()
-			errs[i] = e.runUpdateGroup(ctx, units, g, held, &total, &mu, tr)
-		}(ctx, i, g)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	// fn takes ctx rather than capturing it: a captured parameter that is
+	// reassigned moves to the heap on every call, the inline path's too.
+	if err := firstError(FanOut(ctx, groups, func(ctx context.Context, _ int, g group) error {
+		return e.runUpdateGroup(ctx, units, g, held, &total, &mu, tr)
+	})); err != nil {
 		return resource.ExecResult{}, err
 	}
 	return total, nil

@@ -67,31 +67,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// firstError picks the root cause from a fan-out. Preference order: a
-// real shard error (fail-fast cancels siblings, whose ctx.Canceled would
-// otherwise mask the error that triggered the cancellation), then a
-// deadline expiry, then anything else.
+// firstError picks the root cause from a fan-out: the first error that is
+// not a deadline expiry, else the first expiry. A source that failed on
+// its own explains the statement better than one the deadline cut off.
 func firstError(errs []error) error {
-	var deadline, cancelled error
+	var deadline error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
 		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			if deadline == nil {
-				deadline = err
-			}
-		case errors.Is(err, context.Canceled):
-			if cancelled == nil {
-				cancelled = err
-			}
-		default:
+		case err == nil:
+		case !errors.Is(err, context.DeadlineExceeded):
 			return err
+		case deadline == nil:
+			deadline = err
 		}
 	}
-	if deadline != nil {
-		return deadline
-	}
-	return cancelled
+	return deadline
 }

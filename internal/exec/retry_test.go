@@ -119,36 +119,6 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	}
 }
 
-func TestFailFastCancelsSiblings(t *testing.T) {
-	var failN atomic.Int64
-	failN.Store(1000)
-	e := New(map[string]*resource.DataSource{
-		"bad":  srcOf("bad", func() (resource.Conn, error) { return &flapConn{failN: &failN}, nil }),
-		"hang": srcOf("hang", func() (resource.Conn, error) { return &hangConn{}, nil }),
-	}, 1)
-	e.SetRetryPolicy(&RetryPolicy{MaxAttempts: 1})
-	units := []rewrite.SQLUnit{
-		{DataSource: "bad", SQL: "SELECT 1"},
-		{DataSource: "hang", SQL: "SELECT 1"},
-	}
-	start := time.Now()
-	_, err := e.QueryCtx(context.Background(), units, nil, nil, true)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("fan-out should fail")
-	}
-	// The real shard error must win over the sibling's cancellation.
-	if !strings.Contains(err.Error(), "connection reset") {
-		t.Fatalf("first error should be the bad shard's, got %v", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("fail-fast took %v; sibling hang was not cancelled", elapsed)
-	}
-	if m := e.Metrics(); m["fail_fast_aborts"] == 0 {
-		t.Fatalf("fail-fast counter not bumped: %v", m)
-	}
-}
-
 func TestDeadlineCancelsFanout(t *testing.T) {
 	e := New(map[string]*resource.DataSource{
 		"h0": srcOf("h0", func() (resource.Conn, error) { return &hangConn{}, nil }),
@@ -181,30 +151,38 @@ func TestDeadlineCancelsFanout(t *testing.T) {
 	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-// gateConn answers writes as the test decides: a statement fails at once
-// with fail, or, with gate set, waits for the gate to open (then succeeds)
-// or for its context to end. entered is signalled as a statement arrives.
+// gateConn answers statements as the test decides: a statement fails at
+// once with fail, or, with gate set, waits for the gate to open (then
+// succeeds) or for its context to end. entered is signalled as a statement
+// arrives.
 type gateConn struct {
 	fail    error
 	gate    chan struct{}
 	entered chan struct{}
 }
 
-func (c *gateConn) Query(context.Context, string, ...sqltypes.Value) (resource.ResultSet, error) {
-	return nil, errors.New("gateConn: no reads")
-}
-
-func (c *gateConn) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ExecResult, error) {
+func (c *gateConn) answer(ctx context.Context) error {
 	c.entered <- struct{}{}
 	if c.fail != nil {
-		return resource.ExecResult{}, c.fail
+		return c.fail
 	}
 	select {
 	case <-c.gate:
 	case <-ctx.Done():
 	}
 	// An answer that arrives after the context ended is not read.
-	if err := ctx.Err(); err != nil {
+	return ctx.Err()
+}
+
+func (c *gateConn) Query(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ResultSet, error) {
+	if err := c.answer(ctx); err != nil {
+		return nil, err
+	}
+	return resource.NewSliceResultSet([]string{"v"}, []sqltypes.Row{{sqltypes.NewInt(1)}}), nil
+}
+
+func (c *gateConn) Exec(ctx context.Context, sql string, args ...sqltypes.Value) (resource.ExecResult, error) {
+	if err := c.answer(ctx); err != nil {
 		return resource.ExecResult{}, err
 	}
 	return resource.ExecResult{Affected: 1}, nil
@@ -230,8 +208,8 @@ func (c *gateConn) QueryBatch(context.Context, []resource.Statement) ([]resource
 
 func (c *gateConn) Close() error { return nil }
 
-// gateSources returns an executor over "bad", whose writes fail, and
-// "slow", whose writes wait for gate, each signalling entered.
+// gateSources returns an executor over "bad", whose statements fail, and
+// "slow", whose statements wait for gate, each signalling entered.
 func gateSources(gate, entered chan struct{}) *Executor {
 	return New(map[string]*resource.DataSource{
 		"bad": srcOf("bad", func() (resource.Conn, error) {
@@ -242,15 +220,53 @@ func gateSources(gate, entered chan struct{}) *Executor {
 }
 
 // awaitWindows waits until both sources' windows have arrived, failing if
-// the write returns first.
+// the statement returns first.
 func awaitWindows(t *testing.T, entered chan struct{}, done chan error) {
 	t.Helper()
 	for range 2 {
 		select {
 		case <-entered:
 		case err := <-done:
-			t.Fatalf("the write returned before every window answered: %v", err)
+			t.Fatalf("the statement returned before every window answered: %v", err)
 		}
+	}
+}
+
+// TestFailedReadWaitsForEveryWindow is TestFailedWriteWaitsForEveryWindow's
+// read twin: a read fan-out with a failed source returns only after every
+// other source's window has answered, with the failed source's error; a
+// deadline still ends a window that never answers.
+func TestFailedReadWaitsForEveryWindow(t *testing.T) {
+	gate, entered := make(chan struct{}), make(chan struct{}, 2)
+	e := gateSources(gate, entered)
+	units := []rewrite.SQLUnit{
+		{DataSource: "bad", SQL: "SELECT v FROM t"},
+		{DataSource: "slow", SQL: "SELECT v FROM t"},
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.QueryCtx(context.Background(), units, nil, nil, true)
+		done <- err
+	}()
+	awaitWindows(t, entered, done)
+	select {
+	case err := <-done:
+		t.Fatalf("the read returned before every window answered: %v", err)
+	default:
+	}
+	close(gate)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "duplicate primary key") {
+		t.Fatalf("want the bad source's failure, got %v", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	hung := gateSources(make(chan struct{}), make(chan struct{}, 2))
+	if _, err := hung.QueryCtx(ctx, units, nil, nil, true); err == nil {
+		t.Fatal("the read succeeded")
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the read returned before its deadline ended the hung window")
 	}
 }
 
@@ -355,9 +371,9 @@ func TestFirstErrorPrefersRealCause(t *testing.T) {
 		want error
 	}{
 		{[]error{nil, nil}, nil},
-		{[]error{context.Canceled, real, context.DeadlineExceeded}, real},
-		{[]error{context.Canceled, context.DeadlineExceeded}, context.DeadlineExceeded},
-		{[]error{context.Canceled, nil}, context.Canceled},
+		{[]error{context.DeadlineExceeded, real, context.DeadlineExceeded}, real},
+		{[]error{nil, context.DeadlineExceeded}, context.DeadlineExceeded},
+		{[]error{context.DeadlineExceeded, context.Canceled}, context.Canceled},
 	}
 	for _, c := range cases {
 		if got := firstError(c.errs); !errors.Is(got, c.want) && got != c.want {

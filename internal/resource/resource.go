@@ -645,9 +645,9 @@ func (ds *DataSource) Acquire() (*PooledConn, error) {
 	return ds.AcquireCtx(context.Background())
 }
 
-// AcquireCtx is Acquire bounded by a context: cancellation or deadline
-// expiry interrupts the wait (fail-fast fan-out cancels sibling
-// acquisitions through it). The pool's own AcquireTimeout still applies.
+// AcquireCtx is Acquire bounded by a context: the statement's deadline or
+// a client that went away interrupts the wait. The pool's own
+// AcquireTimeout still applies.
 func (ds *DataSource) AcquireCtx(ctx context.Context) (*PooledConn, error) {
 	// Fast path: an idle connection (validated; a defunct idle conn is
 	// replaced rather than surfaced).

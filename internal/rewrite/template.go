@@ -187,7 +187,7 @@ type Template struct {
 
 	fanOnce sync.Once
 	fan     *compiled
-	fanCtx  *SelectContext
+	fanSel  *SelectContext
 	fanArgs int   // the statement's own arguments; a fan-out LIMIT reads the one after them
 	fanErr  error // the SELECT has no multi-node form
 	split   *splitInsert
@@ -231,7 +231,7 @@ func (t *Template) fanOutForm() {
 				t.fanArgs = argsRead(s)
 				work.Limit = &sqlparser.Limit{Count: &sqlparser.Placeholder{Index: t.fanArgs}}
 			}
-			t.fan, t.fanCtx = compile(work, t.tables), ctx
+			t.fan, t.fanSel = compile(work, t.tables), ctx
 		case *sqlparser.InsertStmt:
 			t.split = newSplitInsert(s, t.tables)
 		}
@@ -283,7 +283,7 @@ func (t *Template) RewriteInto(res *Result, rt *route.Result, args []sqltypes.Va
 		if t.fanOutForm(); t.fanErr != nil {
 			return t.fanErr
 		}
-		c, ctx = t.fan, t.fanCtx
+		c, ctx = t.fan, t.fanSel
 		union = len(t.tables) == 1 && len(s.From) == 1 && !s.ForUpdate
 		switch {
 		case ctx.Combine != nil:

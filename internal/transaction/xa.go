@@ -263,37 +263,18 @@ func (t *xaTx) upgrade() {
 
 func (t *xaTx) AfterStatement(context.Context, []rewrite.SQLUnit, error) error { return nil }
 
-// fanOut runs fn over the branches concurrently (a lone branch runs on
-// the caller's goroutine).
-func (t *xaTx) fanOut(branches []string, fn func(i int, ds string) error) []error {
-	errs := make([]error, len(branches))
-	if len(branches) == 1 {
-		errs[0] = fn(0, branches[0])
-		return errs
-	}
-	var wg sync.WaitGroup
-	for i, ds := range branches {
-		wg.Add(1)
-		go func(i int, ds string) {
-			defer wg.Done()
-			errs[i] = fn(i, ds)
-		}(i, ds)
-	}
-	wg.Wait()
-	return errs
-}
-
 // Commit runs the transaction's commit protocol.
 //
 // Fast path (never upgraded): one plain COMMIT, no XA verbs, no log
 // record. Otherwise two-phase commit: phase 1 (XA END+PREPARE, pipelined
-// per branch, fanned out across branches with fail-fast cancellation),
-// the decision-point log write (batched with concurrent transactions by
-// the group committer), then phase 2 (XA COMMIT fanned out). A failed
-// prepare aborts every branch with state-matched verbs; a partial phase-2
-// failure returns the typed InDoubtError — the decision stands and
-// Recover completes the stragglers. A branch whose opening verb never
-// succeeded has nothing to commit and takes no part.
+// per branch, fanned out across branches), the decision-point log write
+// (batched with concurrent transactions by the group committer), then
+// phase 2 (XA COMMIT fanned out). Each phase waits for every branch's
+// answer (exec.FanOut). A failed prepare aborts every branch with verbs
+// matched to the state its answer told; a partial phase-2 failure returns
+// the typed InDoubtError — the decision stands and Recover completes the
+// stragglers. A branch whose opening verb never succeeded has nothing to
+// commit and takes no part.
 func (t *xaTx) Commit(ctx context.Context) error {
 	if t.closed {
 		return ErrTxClosed
@@ -341,21 +322,17 @@ func (t *xaTx) Commit(ctx context.Context) error {
 
 	// Phase 2: commit, fanned out. Every branch is attempted even if a
 	// sibling fails — the decision is logged and each success is final.
-	committed := make([]bool, len(branches))
-	errs := t.fanOut(branches, func(i int, ds string) error {
+	errs := exec.FanOut(ctx, branches, func(ctx context.Context, _ int, ds string) error {
 		conn, _ := t.held.Peek(ds)
 		start := time.Now()
 		_, err := conn.Exec(ctx, "XA COMMIT ?", t.xidArg...)
 		t.tr.AddSpan(telemetry.StageXACommit, ds, start, time.Since(start))
-		if err == nil {
-			committed[i] = true
-		}
 		return err
 	})
 	var pending []string
 	var cause error
 	for i, ds := range branches {
-		if !committed[i] {
+		if errs[i] != nil {
 			pending = append(pending, ds)
 			if cause == nil {
 				cause = errs[i]
@@ -405,24 +382,23 @@ func (t *xaTx) commitFastPath(ctx context.Context, branches []string) error {
 
 // prepare fans XA END+PREPARE out across the branches (pipelined as one
 // batch per branch: a remote branch pays a single round trip for phase
-// 1); a branch still local leads its batch with XA ADOPT. The first NO
-// cancels the in-flight siblings, then every branch is aborted with verbs
-// matched to how far it got.
+// 1); a branch still local leads its batch with XA ADOPT. A NO cuts off
+// none of the siblings: once every branch has answered, each is aborted
+// with verbs matched to how far it got, and the error names the branch
+// that said NO.
 func (t *xaTx) prepare(ctx context.Context, branches []string) error {
-	fanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	reached := make([]branchState, len(branches))
 	for i, ds := range branches {
 		reached[i] = t.state[ds]
 	}
-	errs := t.fanOut(branches, func(i int, ds string) error {
+	errs := exec.FanOut(ctx, branches, func(ctx context.Context, i int, ds string) error {
 		conn, _ := t.held.Peek(ds)
 		stmts := []resource.Statement{t.verb("XA ADOPT ?"), t.verb("XA END ?"), t.verb("XA PREPARE ?")}
 		if reached[i] != stateLocal {
 			stmts = stmts[1:]
 		}
 		start := time.Now()
-		_, err := resource.ExecBatch(fanCtx, conn, stmts)
+		_, err := resource.ExecBatch(ctx, conn, stmts)
 		t.tr.AddSpan(telemetry.StageXAPrepare, ds, start, time.Since(start))
 		var be *resource.BatchError
 		switch {
@@ -432,7 +408,6 @@ func (t *xaTx) prepare(ctx context.Context, branches []string) error {
 		case reached[i] == stateLocal && errors.As(err, &be) && be.Index > 0:
 			reached[i] = stateActive // adopted before the batch failed
 		}
-		cancel() // fail fast: no point preparing the siblings
 		return err
 	})
 	var failedDS string
@@ -468,13 +443,13 @@ func (t *xaTx) Rollback(ctx context.Context) error {
 // fast-path local branch takes a plain ROLLBACK; a branch whose opening
 // verb never succeeded has nothing to undo and gets nothing. It runs
 // detached from the caller's context so cleanup still reaches the
-// branches after a deadline or a fail-fast cancellation, and only a
+// branches after a deadline or a client that went away, and only a
 // failed abort — branch state genuinely unknown — marks the pooled
 // connection Broken.
 func (t *xaTx) abort(ctx context.Context, branches []string) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), exec.AbortTimeout)
 	defer cancel()
-	t.fanOut(branches, func(i int, ds string) error {
+	exec.FanOut(ctx, branches, func(ctx context.Context, _ int, ds string) error {
 		conn, ok := t.held.Peek(ds)
 		if !ok {
 			return nil

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -292,6 +293,7 @@ type oneEngineLayout struct {
 	bind             bool
 	maxCon           int
 	remote           bool
+	node             func(*storage.Engine) // sees each remote node's engine before it serves
 }
 
 // rangeProperties lay ids out over four shards by range: below 4, 4–7,
@@ -520,8 +522,9 @@ func TestVarcharKeyHasOneAnswer(t *testing.T) {
 }
 
 // oneEngineFailures are writes a single engine rejects whole or, with ds1
-// broken, that fail on ds1's units while ds0's succeed. A multi-row INSERT
-// carries a duplicate of id 1 in its first, middle or last row.
+// broken, that fail on ds1's units while ds0's succeed, and reads that
+// fail on ds1 while ds0's windows answer. A multi-row INSERT carries a
+// duplicate of id 1 in its first, middle or last row.
 var oneEngineFailures = []struct {
 	sql   string
 	fault bool // ds1 fails the statement's units, after the calls its transaction type makes before them
@@ -531,17 +534,21 @@ var oneEngineFailures = []struct {
 	{"INSERT INTO t (id, k, v) VALUES (13, 1, 13), (14, 2, 14), (15, 0, 15), (16, 1, 16), (1, 0, 0)", false},
 	{"UPDATE t SET v = v + 100 WHERE k = 1", true},
 	{"DELETE FROM t WHERE k = 2", true},
+	{"SELECT id, v FROM t", true},
+	{"SELECT id, v FROM t ORDER BY v DESC", true},
+	{"SELECT COUNT(*), SUM(v) FROM t", true},
 }
 
-// TestFailedWriteLeavesOneEngineTable runs writes that fail part-way — the
-// table in one shard and in four over two sources, both dialects, each
+// TestFailedWriteLeavesOneEngineTable runs statements that fail part-way —
+// the table in one shard and in four over two sources, both dialects, each
 // transaction type, on embedded sources and on remote nodes — and after
 // each compares the whole table with one sqlexec.Processor that ran the
 // same statements: a write the kernel fails must leave no effect of the
-// units that succeeded. Each write runs twice: alone, and inside BEGIN,
+// units that succeeded. Each statement runs twice: alone, and inside BEGIN,
 // followed by a good INSERT and COMMIT, where the failed statement must
 // leave nothing and the transaction go on to commit the good write, as on
-// the one engine.
+// the one engine. Inside BEGIN a read follows an UPDATE of every row, which
+// the COMMIT must keep: a failed read leaves the transaction usable.
 func TestFailedWriteLeavesOneEngineTable(t *testing.T) {
 	for _, remote := range []bool{false, true} {
 		for _, dialect := range []string{"mysql", "postgresql"} {
@@ -564,11 +571,11 @@ func failedWritesAgainstOneEngine(t *testing.T, dialect string, shards int, txTy
 	}
 	// Under LOCAL and XA the branch's BEGIN or XA BEGIN rides the
 	// statement's window, ds1's first call, so every call fails. BASE
-	// answers BEGIN and one before-image read per unit (four shards put two
-	// on ds1) before the units.
-	fault := "ERROR_RATE = 1"
+	// answers BEGIN and one before-image read per written unit (four shards
+	// put two on ds1) before the units, and BEGIN alone before a read's.
+	fault, readFault := "ERROR_RATE = 1", "ERROR_RATE = 1"
 	if txType == "BASE" {
-		fault = "BREAK_AFTER = 3"
+		fault, readFault = "BREAK_AFTER = 3", "BREAK_AFTER = 1"
 	}
 	refTable := func() []Row {
 		t.Helper()
@@ -579,6 +586,7 @@ func failedWritesAgainstOneEngine(t *testing.T, dialect string, shards int, txTy
 		return res.Rows
 	}
 	for i, c := range oneEngineFailures {
+		read := strings.HasPrefix(c.sql, "SELECT")
 		for _, inTx := range []bool{false, true} {
 			where := fmt.Sprintf("in a transaction %v: %s", inTx, c.sql)
 			good := Int(100 + int64(i))
@@ -589,14 +597,32 @@ func failedWritesAgainstOneEngine(t *testing.T, dialect string, shards int, txTy
 				if _, err := ref.Execute("BEGIN"); err != nil {
 					t.Fatal(err)
 				}
+				if read {
+					const earlier = "UPDATE t SET v = v + 1000"
+					if _, err := s.Exec(earlier); err != nil {
+						t.Fatalf("%s: the write before it: %v", where, err)
+					}
+					if _, err := ref.Execute(earlier); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			refBefore := refTable()
 			if c.fault {
-				if _, err := s.Exec("INJECT FAULT ds1 (" + fault + ")"); err != nil {
+				f := fault
+				if read {
+					f = readFault
+				}
+				if _, err := s.Exec("INJECT FAULT ds1 (" + f + ")"); err != nil {
 					t.Fatal(err)
 				}
 			}
-			_, err := s.Exec(c.sql)
+			var err error
+			if read {
+				_, err = s.QueryAll(c.sql)
+			} else {
+				_, err = s.Exec(c.sql)
+			}
 			if c.fault {
 				if _, rerr := s.Exec("REMOVE FAULT ds1"); rerr != nil {
 					t.Fatal(rerr)
@@ -696,6 +722,71 @@ func TestUnundoableStatementAbortsTransaction(t *testing.T) {
 	}
 }
 
+// TestFailedPrepareLeavesNoBranchPrepared: under XA on remote nodes, a
+// COMMIT whose prepare fails on ds1 by chaos answers only after every
+// branch has: its error names ds1's injected fault, no node keeps a
+// prepared branch, an UPDATE of every row finds no lock held (the nodes
+// wait for none: a held lock fails it at once), and every connection the
+// transaction held goes back to its pool. ERROR_RATE = 0.5 under the seed
+// found below fails ds1's first call after the injection, the prepare, and
+// passes the second, the abort; chaos rolls its seeded generator's Float64
+// once per call, and the test checks that it did.
+func TestFailedPrepareLeavesNoBranchPrepared(t *testing.T) {
+	seed := int64(1)
+	for ; ; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		if r.Float64() < 0.5 && r.Float64() >= 0.5 {
+			break
+		}
+	}
+	var engines []*storage.Engine
+	s := layoutDB(t, "mysql", oneEngineLayout{tShards: 4, uShards: 4, resources: "ds0, ds1", remote: true,
+		node: func(e *storage.Engine) { e.SetLockTimeout(0); engines = append(engines, e) }})
+	idle := func(ds string) int {
+		src, err := s.inner.Kernel().Executor().Source(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src.Stats().Idle
+	}
+	// The first fault wires the injector into the connections ds1 hands out
+	// from then on, the transaction's among them.
+	for _, sql := range []string{"INJECT FAULT ds1 (ERROR_RATE = 0)", "REMOVE FAULT ds1", "SET VARIABLE transaction_type = XA"} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	before := []int{idle("ds0"), idle("ds1")}
+	for _, sql := range []string{"BEGIN", "UPDATE t SET v = v + 1", fmt.Sprintf("INJECT FAULT ds1 (ERROR_RATE = 0.5, SEED = %d)", seed)} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	_, err := s.Exec("COMMIT")
+	st := s.inner.Kernel().Chaos().Statuses()
+	if _, rerr := s.Exec("REMOVE FAULT ds1"); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if len(st) != 1 || st[0].Calls != 2 || st[0].Injected != 1 {
+		t.Fatalf("want ds1's prepare failed and its abort passed, chaos reads %+v", st)
+	}
+	var ie *chaos.InjectedError
+	if !errors.As(err, &ie) || ie.Source != "ds1" || !strings.Contains(err.Error(), "prepare failed on ds1") {
+		t.Errorf("COMMIT: want ds1's injected prepare failure, got %v", err)
+	}
+	if after := []int{idle("ds0"), idle("ds1")}; !slices.Equal(after, before) {
+		t.Errorf("idle connections %v before the transaction, %v after: one was discarded", before, after)
+	}
+	for _, e := range engines {
+		if xids := e.RecoverPrepared(); len(xids) > 0 {
+			t.Errorf("%s keeps prepared branches %v", e.Name(), xids)
+		}
+	}
+	if r, err := s.Exec("UPDATE t SET v = v + 1"); err != nil || r.Affected != int64(len(oneEngineRows())) {
+		t.Errorf("UPDATE of every row after the failed COMMIT: %+v, %v", r, err)
+	}
+}
+
 // TestConcurrentTransfersConserveSum: two writer sessions move amounts of v
 // between rows of t, each transfer one transaction that touches its lower
 // id first, under each transaction type, with t in one shard and in four
@@ -771,7 +862,11 @@ func layoutDB(t testing.TB, dialect string, l oneEngineLayout) *Session {
 	sources := []DataSourceConfig{{Name: "ds0", Dialect: dialect}, {Name: "ds1", Dialect: dialect}}
 	if l.remote {
 		for i := range sources {
-			srv := proxy.NewServer(&proxy.NodeBackend{Processor: sqlexec.NewProcessor(storage.NewEngine(sources[i].Name))})
+			engine := storage.NewEngine(sources[i].Name)
+			if l.node != nil {
+				l.node(engine)
+			}
+			srv := proxy.NewServer(&proxy.NodeBackend{Processor: sqlexec.NewProcessor(engine)})
 			addr, err := srv.Start("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
