@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -95,16 +96,28 @@ type Config struct {
 	DefaultTxType transaction.Type
 }
 
+// RuleStore keeps the persistable part of the rule snapshot as one
+// versioned document (the governor's registry).
+type RuleStore interface {
+	// SaveRules writes rs as the document's next version on rs.Version, the
+	// version rs was read at, and returns the new version. It fails with
+	// registry.ErrVersionConflict when another instance wrote first.
+	SaveRules(rs *sharding.RuleSet) (int64, error)
+	// LoadRules reads the stored document at its version: an empty set at
+	// version 0 when there is none.
+	LoadRules() (*sharding.RuleSet, error)
+}
+
 // Kernel is one runtime instance shared by all sessions.
 type Kernel struct {
-	// rules is the published rule snapshot. A statement loads it once, when
-	// it compiles; a published RuleSet is never edited. Publish is its one
-	// writer, serialized by publishMu.
+	// rules is the published rule snapshot, catalog included. A statement
+	// loads it once, when it compiles; a published RuleSet is never edited.
+	// Publish is its one writer, serialized by publishMu.
 	rules     atomic.Pointer[sharding.RuleSet]
 	publishMu sync.Mutex
-	// persist, when set, saves each snapshot a change publishes (the
-	// governor's registry).
-	persist func(*sharding.RuleSet)
+	// store, when set, is the snapshot's source of truth: a change is
+	// written there before it is published (SetRuleStore).
+	store RuleStore
 
 	router   *route.Router
 	executor *exec.Executor
@@ -128,9 +141,6 @@ type Kernel struct {
 	failovers         atomic.Uint64
 	failoverSuccess   atomic.Uint64
 	statementTimeouts atomic.Uint64
-
-	metaMu    sync.RWMutex
-	metaCache map[sharding.DataNode]tableMeta
 
 	defaultTxType transaction.Type
 	distSQL       DistSQLHandler
@@ -158,12 +168,6 @@ type Kernel struct {
 	metricSrcs map[string]func() map[string]int64
 }
 
-type tableMeta struct {
-	pk     []string
-	cols   []string
-	schema sqltypes.Schema // cols with the kind DESCRIBE names
-}
-
 // New builds a kernel from the config. The kernel publishes its own clone
 // of cfg.Rules: later edits to the caller's set do not reach it.
 func New(cfg Config) (*Kernel, error) {
@@ -178,19 +182,14 @@ func New(cfg Config) (*Kernel, error) {
 	if reg == nil {
 		reg = registry.New()
 	}
-	var names []string
+	names := make([]string, 0, len(cfg.Sources))
 	for n := range cfg.Sources {
 		names = append(names, n)
 	}
+	slices.Sort(names)
 	if rules.DefaultDataSource == "" {
 		// Deterministic default: lexically smallest source.
-		min := names[0]
-		for _, n := range names[1:] {
-			if n < min {
-				min = n
-			}
-		}
-		rules.DefaultDataSource = min
+		rules.DefaultDataSource = names[0]
 	}
 	executor := exec.New(cfg.Sources, cfg.MaxCon)
 	tel := telemetry.NewCollector()
@@ -206,19 +205,11 @@ func New(cfg Config) (*Kernel, error) {
 		registry:      reg,
 		features:      cfg.Features,
 		chaosInj:      chaos.NewInjector(),
-		metaCache:     map[sharding.DataNode]tableMeta{},
 		defaultTxType: cfg.DefaultTxType,
 		tel:           tel,
 	}
 	k.rules.Store(rules)
-	k.router = route.New(&k.rules, sortedNames(names))
-	k.router.Schema = func(rule *sharding.TableRule) (sqltypes.Schema, error) {
-		if len(rule.DataNodes) == 0 {
-			return nil, fmt.Errorf("core: no data nodes for %s", rule.LogicTable)
-		}
-		m, err := k.tableMeta(rule.DataNodes[0])
-		return m.schema, err
-	}
+	k.router = route.New(&k.rules, names)
 	k.planCache = plancache.New(0)
 	for _, f := range cfg.Features {
 		if _, ok := f.(StatementTransformer); ok {
@@ -266,16 +257,6 @@ func New(cfg Config) (*Kernel, error) {
 	return k, nil
 }
 
-func sortedNames(names []string) []string {
-	out := append([]string(nil), names...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // Rules returns the current rule snapshot. It is read-only: a change is
 // made through Publish.
 func (k *Kernel) Rules() *sharding.RuleSet { return k.rules.Load() }
@@ -285,8 +266,12 @@ func (k *Kernel) Rules() *sharding.RuleSet { return k.rules.Load() }
 // invalidates every cached plan; a change that fails publishes nothing.
 // change runs under that mutex, so it must not call Publish.
 // With a nil change the same rules are published again, which makes every
-// plan compiled before the call stale (DDL, a configuration push). A
-// published change is persisted (SetRulePersister).
+// plan compiled before the call stale.
+//
+// With a rule store the changed clone is written there first, on the
+// version the snapshot was read at. When another instance wrote first, the
+// kernel adopts the newer version and applies change to it again, so
+// change may run more than once.
 //
 // The pointer is stored before the plan epoch moves, and a plan build
 // reads the epoch before it loads the snapshot, so a build that races a
@@ -294,27 +279,84 @@ func (k *Kernel) Rules() *sharding.RuleSet { return k.rules.Load() }
 func (k *Kernel) Publish(change func(*sharding.RuleSet) error) error {
 	k.publishMu.Lock()
 	defer k.publishMu.Unlock()
-	next := k.rules.Load()
-	if change != nil {
-		next = next.Clone()
-		if err := change(next); err != nil {
-			return err
+	for {
+		next := k.rules.Load()
+		if change != nil {
+			next = next.Clone()
+			if err := change(next); err != nil {
+				return err
+			}
+			if k.store != nil {
+				v, err := k.store.SaveRules(next)
+				if errors.Is(err, registry.ErrVersionConflict) {
+					if _, err = k.adoptLocked(); err != nil {
+						return err
+					}
+					continue
+				}
+				if err != nil {
+					return err
+				}
+				next.Version = v
+			}
 		}
+		k.rules.Store(next)
+		k.planCache.Invalidate()
+		return nil
 	}
-	k.rules.Store(next)
-	k.planCache.Invalidate()
-	if change != nil && k.persist != nil {
-		k.persist(next)
-	}
-	return nil
 }
 
-// SetRulePersister installs the function that saves each snapshot a
-// change publishes, in publication order. Call it before serving traffic.
-func (k *Kernel) SetRulePersister(fn func(*sharding.RuleSet)) {
+// SetRuleStore makes store the rule snapshot's source of truth: the kernel
+// adopts the stored document, or writes its own snapshot as the first
+// version when there is none. Call it before serving traffic.
+func (k *Kernel) SetRuleStore(store RuleStore) error {
 	k.publishMu.Lock()
-	k.persist = fn
+	k.store = store
+	adopted, err := k.adoptLocked()
 	k.publishMu.Unlock()
+	if adopted || err != nil {
+		return err
+	}
+	return k.Publish(func(*sharding.RuleSet) error { return nil })
+}
+
+// Adopt publishes the rule store's document when its version is newer than
+// the snapshot's; the store's change watch calls it, and a kernel's own
+// writes are not newer.
+func (k *Kernel) Adopt() error {
+	k.publishMu.Lock()
+	defer k.publishMu.Unlock()
+	if k.store == nil {
+		return nil
+	}
+	_, err := k.adoptLocked()
+	return err
+}
+
+// adoptLocked publishes the store's document if it is newer than the
+// snapshot, reporting whether it was. A rule whose persisted form, its
+// AutoTable spec and data nodes, did not change stays the same
+// *TableRule, so a pointer comparison across the adoption holds (RESHARD's
+// switch); a rule with no spec is this kernel's own and stays.
+func (k *Kernel) adoptLocked() (bool, error) {
+	doc, err := k.store.LoadRules()
+	if err != nil {
+		return false, err
+	}
+	cur := k.rules.Load()
+	if doc.Version <= cur.Version {
+		return false, nil
+	}
+	for name, r := range cur.Tables {
+		d, ok := doc.Tables[name]
+		if !ok && r.AutoSpec == nil || ok && r.AutoSpec != nil && d.AutoSpec != nil &&
+			r.AutoSpec.Equal(d.AutoSpec) && slices.Equal(r.DataNodes, d.DataNodes) {
+			doc.Tables[name] = r
+		}
+	}
+	k.rules.Store(doc)
+	k.planCache.Invalidate()
+	return true, nil
 }
 
 // Executor exposes the execution engine (used by features and DistSQL).
@@ -328,15 +370,6 @@ func (k *Kernel) TxManager() *transaction.Manager { return k.txMgr }
 
 // Router exposes the router.
 func (k *Kernel) Router() *route.Router { return k.router }
-
-// InvalidateMeta clears the table-metadata cache (after DDL). Cached plans
-// depend on the same schema, so the same rules are published again.
-func (k *Kernel) InvalidateMeta() {
-	k.metaMu.Lock()
-	k.metaCache = map[sharding.DataNode]tableMeta{}
-	k.metaMu.Unlock()
-	k.Publish(nil)
-}
 
 // PlanCache exposes the shared shape table; DistSQL's SHOW STATEMENT
 // DIGESTS and RESET DIGESTS use it.
@@ -373,56 +406,89 @@ func (k *Kernel) dialectOf(ds string) sqlparser.Dialect {
 	return sqlparser.DialectMySQL
 }
 
-// TableMeta implements transaction.MetaProvider: it resolves the primary
-// key and columns of an actual table by asking the data source (DESCRIBE)
-// and caches the answer — the kernel-side metadata service the Governor's
-// configuration management keeps in real deployments.
+// TableMeta implements transaction.MetaProvider: the primary key and
+// columns of an actual table, from the catalog's definition of the logic
+// table that owns it.
 func (k *Kernel) TableMeta(ds, table string) ([]string, []string, error) {
-	m, err := k.tableMeta(sharding.DataNode{DataSource: ds, Table: table})
-	return m.pk, m.cols, err
+	def, err := k.Definition(k.Rules().LogicOf(sharding.DataNode{DataSource: ds, Table: table}))
+	if err != nil {
+		return nil, nil, err
+	}
+	return def.PrimaryKey, def.Columns.Names(), nil
 }
 
-// tableMeta is TableMeta's cached answer, with each column's kind as the
-// node's DESCRIBE names it (KindNull for a name sqltypes.KindOf does not
-// read); a hit allocates nothing.
-func (k *Kernel) tableMeta(node sharding.DataNode) (tableMeta, error) {
-	k.metaMu.RLock()
-	m, ok := k.metaCache[node]
-	k.metaMu.RUnlock()
-	if ok {
-		return m, nil
+// Definition returns a logic table's definition from the catalog. One the
+// catalog lacks is learned, the one way it is: DESCRIBEd on the table's
+// first data node and published.
+func (k *Kernel) Definition(table string) (*sharding.TableDef, error) {
+	if def := k.Rules().Def(table); def != nil {
+		return def, nil
 	}
-	src, err := k.executor.Source(node.DataSource)
+	def, err := k.describe(k.Rules().FirstNode(table))
 	if err != nil {
-		return m, err
+		return nil, err
+	}
+	return def, k.Publish(func(rs *sharding.RuleSet) error { rs.Define(table, def); return nil })
+}
+
+// describe reads one data node's table definition with DESCRIBE, each
+// column's kind as the node names it (KindNull for a name sqltypes.KindOf
+// does not read). The names are cloned: a remote source's strings view the
+// frame they arrived in, and the catalog keeps them.
+func (k *Kernel) describe(node sharding.DataNode) (*sharding.TableDef, error) {
+	_, rows, err := k.QueryNode(node.DataSource, "DESCRIBE "+node.Table)
+	if err != nil {
+		return nil, err
+	}
+	def := &sharding.TableDef{}
+	for _, r := range rows {
+		col := strings.Clone(r[0].AsString())
+		def.Columns = append(def.Columns, sqltypes.Column{Name: col, Type: sqltypes.KindOf(r[1].AsString())})
+		if r[2].AsString() == "PRI" {
+			def.PrimaryKey = append(def.PrimaryKey, col)
+		}
+	}
+	return def, nil
+}
+
+// QueryNode runs one statement on a data source, outside any session and
+// transaction, and reads its whole answer: its columns and rows.
+func (k *Kernel) QueryNode(ds, sql string, args ...sqltypes.Value) ([]string, []sqltypes.Row, error) {
+	src, err := k.executor.Source(ds)
+	if err != nil {
+		return nil, nil, err
 	}
 	conn, err := src.Acquire()
 	if err != nil {
-		return m, err
+		return nil, nil, err
 	}
 	defer conn.Release()
-	rs, err := conn.Query(context.Background(), "DESCRIBE "+node.Table)
+	rs, err := conn.Query(context.Background(), sql, args...)
 	if err != nil {
-		return m, err
+		return nil, nil, err
 	}
 	rows, err := resource.ReadAll(rs)
-	if err != nil {
-		return m, err
+	return rs.Columns(), rows, err
+}
+
+// catalogDDL keeps the catalog current after a DDL this kernel routed, in
+// one publication: CREATE TABLE records what DESCRIBE reads on the table's
+// first data node (so IF NOT EXISTS records what exists), DROP TABLE
+// removes the definition. Other DDL changes no definition.
+func (k *Kernel) catalogDDL(stmt sqlparser.Statement) error {
+	var table string
+	var def *sharding.TableDef
+	switch t := stmt.(type) {
+	case *sqlparser.CreateTableStmt:
+		// A table DESCRIBE cannot read is learned at its next compile.
+		table = t.Table
+		def, _ = k.describe(k.Rules().FirstNode(table))
+	case *sqlparser.DropTableStmt:
+		table = t.Table
+	default:
+		return nil
 	}
-	// The names are cloned: a remote source's strings view the frame they
-	// arrived in, and the cache keeps them as long as the table lives.
-	for _, r := range rows {
-		col := strings.Clone(r[0].AsString())
-		m.cols = append(m.cols, col)
-		m.schema = append(m.schema, sqltypes.Column{Name: col, Type: sqltypes.KindOf(r[1].AsString())})
-		if r[2].AsString() == "PRI" {
-			m.pk = append(m.pk, col)
-		}
-	}
-	k.metaMu.Lock()
-	k.metaCache[node] = m
-	k.metaMu.Unlock()
-	return m, nil
+	return k.Publish(func(rs *sharding.RuleSet) error { rs.Define(table, def); return nil })
 }
 
 // AddGate installs a source gate at runtime; the governor registers its

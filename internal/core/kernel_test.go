@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/route"
 	"shardingsphere/internal/sharding"
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
@@ -362,19 +365,95 @@ func TestSessionCloseRollsBack(t *testing.T) {
 	}
 }
 
+// TestTableMetaService: a CREATE TABLE the kernel routed puts the table's
+// definition in the rule snapshot, and TableMeta answers from it for any
+// of the table's actual tables, with no DESCRIBE: it answers while every
+// node fails. Reading a definition allocates nothing.
 func TestTableMetaService(t *testing.T) {
 	k := newKernel(t, 2, 4)
-	pk, cols, err := k.TableMeta("ds0", "t_user_0")
+	def := k.Rules().Def("t_user")
+	want := sqltypes.Schema{{Name: "uid", Type: sqltypes.KindInt}, {Name: "name", Type: sqltypes.KindString}, {Name: "age", Type: sqltypes.KindInt}}
+	if def == nil || !slices.Equal(def.Columns, want) || !slices.Equal(def.PrimaryKey, []string{"uid"}) {
+		t.Fatalf("t_user's definition: %+v", def)
+	}
+	for _, ds := range []string{"ds0", "ds1"} {
+		src, err := k.Executor().Source(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Chaos().Apply(src, chaos.Fault{ErrorRate: 1})
+	}
+	pk, cols, err := k.TableMeta("ds1", "t_user_3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pk) != 1 || pk[0] != "uid" || len(cols) != 3 {
+	if !slices.Equal(pk, []string{"uid"}) || !slices.Equal(cols, []string{"uid", "name", "age"}) {
 		t.Fatalf("meta: %v %v", pk, cols)
 	}
-	// Cached second call.
-	pk2, _, _ := k.TableMeta("ds0", "t_user_0")
-	if pk2[0] != "uid" {
-		t.Fatal("cache broken")
+	if n := testing.AllocsPerRun(100, func() { k.Rules().Def("t_user") }); n != 0 {
+		t.Fatalf("reading a definition allocates %v", n)
+	}
+}
+
+// TestDefinitionReadAtCompile: a sharded table made out of band is learned
+// at its first compile, from its first data node. A compile whose DESCRIBE
+// fails routes on the value's own form and keeps no plan, so the next
+// sight reads again; from then on the key is read as its column's kind.
+func TestDefinitionReadAtCompile(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{
+		LogicTable: "t_x", Resources: []string{"ds0", "ds1"},
+		ShardingColumn: "id", AlgorithmType: "HASH_MOD", ShardingCount: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Publish(func(rs *sharding.RuleSet) error { rs.AddRule(rule); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	home, err := rule.NodeIndex().Route([]sharding.Condition{{Values: []sqltypes.Value{sqltypes.NewInt(7)}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range rule.DataNodes {
+		stmts := []string{"CREATE TABLE " + n.Table + " (id INT PRIMARY KEY, v INT)"}
+		if n == home[0] {
+			stmts = append(stmts, "INSERT INTO "+n.Table+" (id, v) VALUES (7, 1)")
+		}
+		src, err := k.Executor().Source(n.DataSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := src.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range stmts {
+			if _, err := conn.Exec(context.Background(), sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conn.Release()
+	}
+	first, err := k.Executor().Source(rule.DataNodes[0].DataSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Chaos().Apply(first, chaos.Fault{ErrorRate: 1})
+	s := k.NewSession()
+	for i := 0; i <= sights.Keep; i++ {
+		// Its answer depends on which node fails.
+		s.Execute("SELECT v FROM t_x WHERE id = ?", sqltypes.NewString("07"))
+	}
+	if def := k.Rules().Def("t_x"); def != nil {
+		t.Fatalf("a definition no DESCRIBE read: %+v", def)
+	}
+	k.Chaos().Remove(first.Name())
+	if got := mustQuery(t, s, "SELECT v FROM t_x WHERE id = ?", sqltypes.NewString("07")); len(got) != 1 || got[0][0].I != 1 {
+		t.Fatalf("after the fault: %v, want the row of 7", got)
+	}
+	if def := k.Rules().Def("t_x"); def == nil || def.Columns[0].Type != sqltypes.KindInt {
+		t.Fatalf("t_x's definition: %+v", def)
 	}
 }
 

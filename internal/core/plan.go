@@ -28,13 +28,25 @@ type plan struct {
 }
 
 // compile is the one compile function: it routes against rules, the
-// snapshot its caller loaded. ok is false when the statement's route does
-// not compile; the plan still runs, and reports why.
+// snapshot its caller loaded. A sharded table of a DML statement that the
+// catalog has no definition of is learned first (Definition), and the
+// statement routes against the snapshot that holds it. ok is false when
+// the statement's route does not compile, or a definition could not be
+// read and the values route on their own form; the plan still runs, and
+// reports why.
 func (k *Kernel) compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (p *plan, ok bool) {
 	p = &plan{stmt: stmt}
 	p.sel, _ = stmt.(*sqlparser.SelectStmt)
-	p.route, ok = k.router.Compile(rules, stmt)
 	p.rewrite, _ = rewrite.NewTemplate(stmt, sqlparser.TableNames(stmt)...)
+	p.route, ok = k.router.Compile(rules, stmt)
+	if undefined := p.route.Undefined(); undefined != nil && stmt.StatementType() != sqlparser.StmtDDL {
+		for _, table := range undefined {
+			if _, err := k.Definition(table); err != nil {
+				return p, false
+			}
+		}
+		p.route, ok = k.router.Compile(k.Rules(), stmt)
+	}
 	return p, ok
 }
 
@@ -47,8 +59,8 @@ func (k *Kernel) compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (p *
 // Only the parse is kept for a statement whose compiled value belongs to
 // one execution: a feature's transformer (encrypt, shadow) or the key
 // generator rewrites it each time, a table-less SELECT is not routed, and
-// a route that does not compile (an UPDATE of the sharding key; table
-// metadata that could not be read) is retried by the next execution.
+// a route that does not compile (an UPDATE of the sharding key; a table
+// definition that could not be read) is compiled again by each execution.
 func buildPlan(k *Kernel, key string) (*plan, error) {
 	stmt, err := sqlparser.Parse(key)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -417,12 +418,14 @@ func (s *Session) endTx(commit bool) error {
 //
 // Fault tolerance happens at two levels. The statement deadline
 // (statement_timeout_ms) bounds the whole call. Failover covers
-// idempotent reads outside transactions: when an attempt dies of a
+// idempotent reads outside transactions when a feature can move units off
+// their routed sources (SourceResolver): when an attempt dies of a
 // transient infrastructure failure — or its resolved source is gated by
 // an open breaker — the units are reset to their routed sources and
 // re-resolved, so read-write splitting (whose replica table the
 // governor's health events just updated) lands the retry on a healthy
-// replica.
+// replica. With no resolver a retry would reach the same sources, which
+// the executor's own retry has already tried.
 //
 // A DML statement of more than one unit outside a transaction runs as
 // BEGIN; <stmt>; COMMIT in the session's transaction type, so a failing
@@ -463,16 +466,14 @@ func (s *Session) runUnits(stmt sqlparser.Statement, sel *sqlparser.SelectStmt, 
 		}
 		ctx, cancel = context.WithTimeout(ctx, budget)
 	}
-	canFailover := readOnly && s.tx == nil
+	canFailover := readOnly && s.tx == nil && s.k.hasResolvers
 	attempts := 1
 	var origDS []string
 	if canFailover {
 		attempts = min(1+len(rw.Units), 4) // at most one failover per candidate replica
-		if s.k.hasResolvers {
-			origDS = make([]string, len(rw.Units))
-			for i := range rw.Units {
-				origDS[i] = rw.Units[i].DataSource
-			}
+		origDS = make([]string, len(rw.Units))
+		for i := range rw.Units {
+			origDS[i] = rw.Units[i].DataSource
 		}
 	}
 	var res *Result
@@ -574,6 +575,9 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 		}
 		var er resource.ExecResult
 		er, execErr = s.k.executor.ExecuteUpdateCtx(ctx, rw.Units, held, s.tr)
+		if execErr == nil {
+			execErr = s.k.catalogDDL(stmt)
+		}
 		if undo {
 			if execErr != nil {
 				if err := held.Undo(ctx, undoStatement); err != nil {
@@ -587,9 +591,6 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 			result = &Result{Affected: er.Affected, LastInsertID: er.LastInsertID}
 			if genKey != 0 {
 				result.LastInsertID = genKey
-			}
-			if stmt.StatementType() == sqlparser.StmtDDL {
-				s.k.InvalidateMeta()
 			}
 		}
 	}
@@ -669,22 +670,14 @@ func (s *Session) showTables() (*Result, error) {
 	for t := range rules.Broadcast {
 		add(t)
 	}
-	if def := rules.DefaultDataSource; def != "" {
-		if src, err := s.k.executor.Source(def); err == nil {
-			if conn, err := src.Acquire(); err == nil {
-				if rs, err := conn.Query(context.Background(), "SHOW TABLES"); err == nil {
-					rows, _ := resource.ReadAll(rs)
-					for _, r := range rows {
-						if !isActualTable(rules, r[0].AsString()) {
-							add(r[0].AsString())
-						}
-					}
-				}
-				conn.Release()
+	if _, rows, err := s.k.QueryNode(rules.DefaultDataSource, "SHOW TABLES"); err == nil {
+		for _, r := range rows {
+			if !isActualTable(rules, r[0].AsString()) {
+				add(r[0].AsString())
 			}
 		}
 	}
-	names = sortedNames(names)
+	slices.Sort(names)
 	rows := make([]sqltypes.Row, len(names))
 	for i, n := range names {
 		rows[i] = sqltypes.Row{sqltypes.NewString(n)}
@@ -707,31 +700,12 @@ func isActualTable(rules *sharding.RuleSet, name string) bool {
 
 // describe forwards DESCRIBE to the first data node of the logic table.
 func (s *Session) describe(t *sqlparser.DescribeStmt) (*Result, error) {
-	rules := s.k.Rules()
-	ds := rules.DefaultDataSource
-	table := t.Table
-	if rule, ok := rules.Rule(t.Table); ok && len(rule.DataNodes) > 0 {
-		ds = rule.DataNodes[0].DataSource
-		table = rule.DataNodes[0].Table
-	}
-	src, err := s.k.executor.Source(ds)
+	n := s.k.Rules().FirstNode(t.Table)
+	cols, rows, err := s.k.QueryNode(n.DataSource, "DESCRIBE "+n.Table)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := src.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Release()
-	rs, err := conn.Query(context.Background(), "DESCRIBE "+table)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := resource.ReadAll(rs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{RS: resource.NewSliceResultSet(rs.Columns(), rows)}, nil
+	return &Result{RS: resource.NewSliceResultSet(cols, rows)}, nil
 }
 
 // generatesKey returns the rule whose key generator fills a column the
@@ -769,23 +743,10 @@ func fillGeneratedKey(rules *sharding.RuleSet, ins *sqlparser.InsertStmt) (sqlpa
 
 // selectWithoutFrom evaluates table-less selects on the default source.
 func (s *Session) selectWithoutFrom(sel *sqlparser.SelectStmt, args []sqltypes.Value) (*Result, error) {
-	src, err := s.k.executor.Source(s.k.Rules().DefaultDataSource)
+	ds := s.k.Rules().DefaultDataSource
+	cols, rows, err := s.k.QueryNode(ds, sqlparser.NewSerializer(s.k.dialectOf(ds)).Serialize(sel), args...)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := src.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Release()
-	ser := sqlparser.NewSerializer(src.Dialect())
-	rs, err := conn.Query(context.Background(), ser.Serialize(sel), args...)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := resource.ReadAll(rs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{RS: resource.NewSliceResultSet(rs.Columns(), rows)}, nil
+	return &Result{RS: resource.NewSliceResultSet(cols, rows)}, nil
 }

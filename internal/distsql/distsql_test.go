@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"shardingsphere/internal/core"
 	"shardingsphere/internal/governor"
@@ -524,8 +523,9 @@ func TestShowPlanCacheStatus(t *testing.T) {
 
 func TestConfigWatchInvalidatesPeerInstance(t *testing.T) {
 	// Two instances share one coordination registry. A rule change executed
-	// on instance A must drop instance B's cached plans via the governor's
-	// config watch — B never sees the DistSQL statement itself.
+	// on instance A reaches instance B through the governor's config watch
+	// — B never sees the DistSQL statement itself: B adopts A's version,
+	// and that drops B's cached plans.
 	reg := registry.New()
 	mk := func(tag string) (*core.Kernel, *core.Session) {
 		sources := map[string]*resource.DataSource{}
@@ -540,18 +540,17 @@ func TestConfigWatchInvalidatesPeerInstance(t *testing.T) {
 		Install(k, governor.New(reg, k.Executor()))
 		return k, k.NewSession()
 	}
-	_, sA := mk("a_")
+	kA, sA := mk("a_")
 	kB, _ := mk("b_")
 
 	epoch := kB.PlanCache().Epoch()
 	exec(t, sA, createUserRule)
-	// Watch delivery is asynchronous; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for kB.PlanCache().Epoch() == epoch {
-		if time.Now().After(deadline) {
-			t.Fatal("peer instance's plan cache was not invalidated by the config push")
-		}
-		time.Sleep(5 * time.Millisecond)
+	adopted(t, kB, kA.Rules().Version)
+	if kB.PlanCache().Epoch() == epoch {
+		t.Fatal("peer instance's plan cache was not invalidated by the config push")
+	}
+	if _, ok := kB.Rules().Rule("t_user"); !ok {
+		t.Fatal("peer instance did not adopt the rule")
 	}
 }
 

@@ -388,3 +388,25 @@ func TestChaosHangDuringStreamingMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedReadIsNotRerunWithoutAResolver: with no feature that can move
+// a unit off its routed source, the session does not run a failed read
+// again: the executor's own retries reach the failed source three times,
+// and no failover is counted.
+func TestFailedReadIsNotRerunWithoutAResolver(t *testing.T) {
+	_, s, _ := fixture(t)
+	exec(t, s, createUserRule)
+	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
+	exec(t, s, "INJECT FAULT ds1 (ERROR_RATE = 1, SEED = 7)")
+	before := metrics(t, s)["resilience.failovers"]
+	if _, err := s.Execute("SELECT name FROM t_user"); err == nil {
+		t.Fatal("a read over a failed source succeeded")
+	}
+	faults := rows(t, exec(t, s, "SHOW FAULTS"))
+	if len(faults) != 1 || faults[0][2].I != 3 {
+		t.Fatalf("SHOW FAULTS: %v, want 3 calls on ds1", faults)
+	}
+	if n := metrics(t, s)["resilience.failovers"] - before; n != 0 {
+		t.Fatalf("%d failovers counted, want 0", n)
+	}
+}

@@ -30,16 +30,21 @@ type Handler struct {
 
 // Install wires DistSQL processing into the kernel. gov may be nil (no
 // persistence, status commands degrade gracefully). With a governor
-// attached, every rule change the kernel publishes is persisted, the
-// governor's counters join the kernel's metrics snapshot and a
-// registry-pushed configuration change republishes this kernel's rules —
-// so a rule change made on any instance drops stale plans on this one
-// too, though this one keeps routing on its own rules.
+// attached, the registry's configuration document is the rules' source of
+// truth: the kernel adopts it, or writes its own rules as its first
+// version; every rule change is written there before it is published; and
+// each newer version another instance writes is adopted, so every
+// instance routes on one catalog. The governor's counters join the
+// kernel's metrics snapshot.
 func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 	h := &Handler{gov: gov}
 	k.SetDistSQLHandler(h)
 	if gov != nil {
-		k.SetRulePersister(func(rs *sharding.RuleSet) { gov.PersistRules(rs) })
+		// The watch starts first: a version written before the store is set
+		// is what SetRuleStore reads. A document that cannot be read leaves
+		// the kernel on its own rules, and its next rule change reports why.
+		h.cancelWatch = gov.WatchConfig(func() { _ = k.Adopt() })
+		_ = k.SetRuleStore(gov)
 		k.RegisterMetrics("governor", gov.ResilienceMetrics)
 		// Close the fault-tolerance loop: execution outcomes feed the
 		// breakers, and breaker-driven health flips pull dead replicas out
@@ -50,7 +55,6 @@ func Install(k *core.Kernel, gov *governor.Governor) *Handler {
 				gov.Subscribe(rh.OnSourceHealth)
 			}
 		}
-		h.cancelWatch = gov.WatchConfig(func() { k.Publish(nil) })
 	}
 	return h
 }
@@ -377,9 +381,6 @@ func (h *Handler) dropRule(sess *core.Session, table string) (*core.Result, erro
 	return h.changeRules(sess.Kernel(), func(rs *sharding.RuleSet) error {
 		if !rs.RemoveRule(table) {
 			return fmt.Errorf("distsql: no sharding rule for %s", table)
-		}
-		if h.gov != nil {
-			h.gov.DropRule(table)
 		}
 		return nil
 	})

@@ -10,11 +10,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
 	"shardingsphere/internal/core"
-	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqltypes"
 )
@@ -108,7 +108,7 @@ func Reshard(k *core.Kernel, spec sharding.AutoTableSpec, generation int) (*Job,
 // copies every row into them, routing by the new rule, and checks the
 // count. It returns the tables it created.
 func copyTable(k *core.Kernel, job *Job, oldRule, newRule *sharding.TableRule) ([]sharding.DataNode, error) {
-	ddl, _, err := schemaDDL(k, oldRule)
+	ddl, err := schemaDDL(k, oldRule)
 	if err != nil {
 		return nil, err
 	}
@@ -158,75 +158,31 @@ func dropTables(k *core.Kernel, nodes []sharding.DataNode) {
 }
 
 // schemaDDL derives a CREATE TABLE template (with __TABLE__ placeholder)
-// from the first source node's schema.
-func schemaDDL(k *core.Kernel, rule *sharding.TableRule) (string, []string, error) {
-	first := rule.DataNodes[0]
-	pk, cols, err := k.TableMeta(first.DataSource, first.Table)
+// from the catalog's definition of the rule's logic table.
+func schemaDDL(k *core.Kernel, rule *sharding.TableRule) (string, error) {
+	def, err := k.Definition(rule.LogicTable)
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
-	// Column types come from DESCRIBE.
-	src, err := k.Executor().Source(first.DataSource)
-	if err != nil {
-		return "", nil, err
+	cols := make([]string, len(def.Columns))
+	for i, c := range def.Columns {
+		cols[i] = c.Name + " " + c.Type.String()
 	}
-	conn, err := src.Acquire()
-	if err != nil {
-		return "", nil, err
-	}
-	defer conn.Release()
-	rs, err := conn.Query(context.Background(), "DESCRIBE "+first.Table)
-	if err != nil {
-		return "", nil, err
-	}
-	rows, err := resource.ReadAll(rs)
-	if err != nil {
-		return "", nil, err
-	}
-	var defs []string
-	for _, r := range rows {
-		defs = append(defs, fmt.Sprintf("%s %s", r[0].AsString(), r[1].AsString()))
-	}
-	ddl := fmt.Sprintf("CREATE TABLE __TABLE__ (%s, PRIMARY KEY (%s))",
-		strings.Join(defs, ", "), strings.Join(pk, ", "))
-	_ = cols
-	return ddl, pk, nil
+	return fmt.Sprintf("CREATE TABLE __TABLE__ (%s, PRIMARY KEY (%s))",
+		strings.Join(cols, ", "), strings.Join(def.PrimaryKey, ", ")), nil
 }
 
 func copyData(k *core.Kernel, job *Job, oldRule, newRule *sharding.TableRule) (int64, error) {
 	shardCol := strings.ToLower(newRule.AutoStrategy.Column)
 	total := int64(0)
 	for _, node := range oldRule.DataNodes {
-		src, err := k.Executor().Source(node.DataSource)
+		cols, rows, err := k.QueryNode(node.DataSource, "SELECT * FROM "+node.Table)
 		if err != nil {
 			return 0, err
 		}
-		conn, err := src.Acquire()
-		if err != nil {
-			return 0, err
-		}
-		rs, err := conn.Query(context.Background(), "SELECT * FROM "+node.Table)
-		if err != nil {
-			conn.Release()
-			return 0, err
-		}
-		cols := rs.Columns()
-		shardIdx := -1
-		for i, c := range cols {
-			if strings.ToLower(c) == shardCol {
-				shardIdx = i
-				break
-			}
-		}
+		shardIdx := slices.IndexFunc(cols, func(c string) bool { return strings.ToLower(c) == shardCol })
 		if shardIdx < 0 {
-			rs.Close()
-			conn.Release()
 			return 0, fmt.Errorf("scaling: sharding column %s not in %s", shardCol, node.Table)
-		}
-		rows, err := resource.ReadAll(rs)
-		conn.Release()
-		if err != nil {
-			return 0, err
 		}
 		// Group rows by target node, insert in batches.
 		batches := map[string][]sqltypes.Row{}
@@ -296,20 +252,7 @@ func execOn(k *core.Kernel, ds, sql string) error {
 }
 
 func countOn(k *core.Kernel, ds, table string) (int64, error) {
-	src, err := k.Executor().Source(ds)
-	if err != nil {
-		return 0, err
-	}
-	conn, err := src.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Release()
-	rs, err := conn.Query(context.Background(), "SELECT COUNT(*) FROM "+table)
-	if err != nil {
-		return 0, err
-	}
-	rows, err := resource.ReadAll(rs)
+	_, rows, err := k.QueryNode(ds, "SELECT COUNT(*) FROM "+table)
 	if err != nil {
 		return 0, err
 	}

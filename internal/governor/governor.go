@@ -26,11 +26,7 @@ import (
 
 // Paths in the registry.
 const (
-	rulesPath     = "/config/rules"
-	bindingsPath  = "/config/bindings"
-	broadcastPath = "/config/broadcast"
-	defaultDSPath = "/config/default_datasource"
-	configPath    = "/config"
+	rulesDocPath  = "/config/rules"
 	instancesPath = "/instances"
 	statusPath    = "/status/sources"
 )
@@ -75,97 +71,78 @@ func New(reg *registry.Registry, e *exec.Executor) *Governor {
 
 // --- configuration management (paper Section V-A) ---
 
+// rulesDoc is the one persisted configuration document: the rule
+// snapshot's persistable part. Only AutoTable rules carry enough
+// configuration to round-trip; programmatically built standard rules stay
+// with the instance that built them.
+type rulesDoc struct {
+	Rules     []ruleConfig                  `json:"rules"`
+	Bindings  [][]string                    `json:"bindings"`
+	Broadcast []string                      `json:"broadcast"`
+	Default   string                        `json:"default_datasource"`
+	Defs      map[string]*sharding.TableDef `json:"definitions"`
+}
+
 // ruleConfig is the persisted form of an AutoTable rule.
 type ruleConfig struct {
 	Spec  sharding.AutoTableSpec `json:"spec"`
 	Nodes []sharding.DataNode    `json:"nodes"`
 }
 
-// PersistRules stores the rule set in the registry. Only AutoTable rules
-// (the DistSQL-managed kind) carry enough configuration to round-trip;
-// programmatically built standard rules must be rebuilt by the embedding
-// application.
-func (g *Governor) PersistRules(rs *sharding.RuleSet) error {
-	for name, rule := range rs.Tables {
-		if rule.AutoSpec == nil {
-			continue
+// SaveRules writes the rule set as the configuration document's next
+// version, on the version the set was read at (rs.Version), and returns
+// the new version; it fails with registry.ErrVersionConflict when another
+// instance wrote first.
+func (g *Governor) SaveRules(rs *sharding.RuleSet) (int64, error) {
+	doc := rulesDoc{Bindings: rs.BindingGroups, Default: rs.DefaultDataSource, Defs: rs.Defs}
+	for _, rule := range rs.Tables {
+		if rule.AutoSpec != nil {
+			doc.Rules = append(doc.Rules, ruleConfig{Spec: *rule.AutoSpec, Nodes: rule.DataNodes})
 		}
-		data, err := json.Marshal(ruleConfig{Spec: *rule.AutoSpec, Nodes: rule.DataNodes})
-		if err != nil {
-			return err
-		}
-		g.reg.Put(rulesPath+"/"+name, string(data))
 	}
-	bindings, err := json.Marshal(rs.BindingGroups)
-	if err != nil {
-		return err
-	}
-	g.reg.Put(bindingsPath, string(bindings))
-	var broadcast []string
+	slices.SortFunc(doc.Rules, func(a, b ruleConfig) int { return strings.Compare(a.Spec.LogicTable, b.Spec.LogicTable) })
 	for t := range rs.Broadcast {
-		broadcast = append(broadcast, t)
+		doc.Broadcast = append(doc.Broadcast, t)
 	}
-	sort.Strings(broadcast)
-	bc, err := json.Marshal(broadcast)
+	slices.Sort(doc.Broadcast)
+	data, err := json.Marshal(doc)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	g.reg.Put(broadcastPath, string(bc))
-	g.reg.Put(defaultDSPath, rs.DefaultDataSource)
-	return nil
+	return g.reg.CompareAndPut(rulesDocPath, string(data), rs.Version)
 }
 
-// DropRule removes one persisted rule.
-func (g *Governor) DropRule(table string) {
-	g.reg.Delete(rulesPath + "/" + strings.ToLower(table))
-}
-
-// LoadRules rebuilds a rule set from the registry.
+// LoadRules rebuilds the rule set of the stored configuration document,
+// at its version: an empty set at version 0 when there is none.
 func (g *Governor) LoadRules() (*sharding.RuleSet, error) {
-	return LoadRules(g.reg)
-}
-
-// LoadRules rebuilds a rule set from a registry; instances use it at
-// startup to adopt the cluster's shared configuration before their own
-// governor exists.
-func LoadRules(reg *registry.Registry) (*sharding.RuleSet, error) {
 	rs := sharding.NewRuleSet()
-	for path, raw := range reg.List(rulesPath) {
-		var cfg ruleConfig
-		if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
-			return nil, fmt.Errorf("governor: bad rule at %s: %w", path, err)
-		}
+	raw, version, err := g.reg.Get(rulesDocPath)
+	if errors.Is(err, registry.ErrNotFound) {
+		return rs, nil
+	}
+	var doc rulesDoc
+	if err == nil {
+		err = json.Unmarshal([]byte(raw), &doc)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("governor: bad configuration at %s: %w", rulesDocPath, err)
+	}
+	for _, cfg := range doc.Rules {
 		rule, err := loadRule(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("governor: bad rule at %s: %w", path, err)
+			return nil, fmt.Errorf("governor: bad rule %s: %w", cfg.Spec.LogicTable, err)
 		}
 		rs.AddRule(rule)
 	}
-	if raw, _, err := reg.Get(bindingsPath); err == nil && raw != "" {
-		var groups [][]string
-		if err := json.Unmarshal([]byte(raw), &groups); err != nil {
-			return nil, err
-		}
-		for _, grp := range groups {
-			if len(grp) >= 2 {
-				if err := rs.AddBindingGroup(grp...); err != nil {
-					return nil, err
-				}
-			}
-		}
+	rs.BindingGroups = doc.Bindings
+	for _, t := range doc.Broadcast {
+		rs.Broadcast[t] = true
 	}
-	if raw, _, err := reg.Get(broadcastPath); err == nil && raw != "" {
-		var tables []string
-		if err := json.Unmarshal([]byte(raw), &tables); err != nil {
-			return nil, err
-		}
-		for _, t := range tables {
-			rs.Broadcast[strings.ToLower(t)] = true
-		}
+	rs.DefaultDataSource = doc.Default
+	if doc.Defs != nil {
+		rs.Defs = doc.Defs
 	}
-	if raw, _, err := reg.Get(defaultDSPath); err == nil {
-		rs.DefaultDataSource = raw
-	}
+	rs.Version = version
 	return rs, nil
 }
 
@@ -191,13 +168,12 @@ func loadRule(cfg ruleConfig) (*sharding.TableRule, error) {
 
 // --- configuration watch (paper Section V-A, "dynamic configuration") ---
 
-// WatchConfig invokes fn whenever any configuration key under /config
-// changes — another instance altering rules, bindings or resources through
-// the shared registry. The kernel hooks its plan-cache invalidation here so
-// cluster-pushed changes drop stale plans on every instance, not just the
-// one that ran the DistSQL. The returned cancel releases the watch.
+// WatchConfig invokes fn after each write of the configuration document,
+// in write order: an instance's own writes and every other instance's. A
+// kernel adopts the document when it is newer than its snapshot (core's
+// Adopt). The returned cancel releases the watch.
 func (g *Governor) WatchConfig(fn func()) (cancel func()) {
-	ch, stop := g.reg.Watch(configPath)
+	ch, stop := g.reg.Watch(rulesDocPath)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -3,6 +3,7 @@ package governor
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,6 +27,11 @@ func fixture(t *testing.T) (*Governor, *registry.Registry, *exec.Executor) {
 	return New(reg, e), reg, e
 }
 
+// TestPersistAndLoadRules: the rule set round-trips through the one
+// configuration document — rules, bindings, broadcast tables, the default
+// source and the catalog — at the version it was written as; a version
+// written on a stale one is refused, and a rule removed from the set is
+// gone from the document.
 func TestPersistAndLoadRules(t *testing.T) {
 	g, _, _ := fixture(t)
 	rs := sharding.NewRuleSet()
@@ -47,13 +53,19 @@ func TestPersistAndLoadRules(t *testing.T) {
 	if err := rs.AddBindingGroup("t_user", "t_order"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.PersistRules(rs); err != nil {
-		t.Fatal(err)
+	def := &sharding.TableDef{Columns: sqltypes.Schema{{Name: "uid", Type: sqltypes.KindString}, {Name: "v", Type: sqltypes.KindInt}}, PrimaryKey: []string{"uid"}}
+	rs.Define("t_user", def)
+	v, err := g.SaveRules(rs)
+	if err != nil || v != 1 {
+		t.Fatalf("first version %d, %v", v, err)
 	}
 
 	loaded, err := g.LoadRules()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if loaded.Version != 1 {
+		t.Fatalf("loaded version %d, want 1", loaded.Version)
 	}
 	if !loaded.IsSharded("t_user") || !loaded.IsSharded("t_order") {
 		t.Fatal("rules lost")
@@ -71,10 +83,27 @@ func TestPersistAndLoadRules(t *testing.T) {
 	if loaded.DefaultDataSource != "ds0" {
 		t.Fatalf("default ds: %q", loaded.DefaultDataSource)
 	}
+	if got := loaded.Def("t_user"); got == nil || !reflect.DeepEqual(*got, *def) {
+		t.Fatalf("definition: %+v, want %+v", got, def)
+	}
 	// Routing still works on the reloaded rules (algorithm rebuilt).
 	nodes, err := rule.NodeIndex().Route([]sharding.Condition{{Values: []sqltypes.Value{sqltypes.NewInt(6)}}}, nil)
 	if err != nil || len(nodes) != 1 || nodes[0].Table != "t_user_2" {
 		t.Fatalf("reloaded route: %v %v", nodes, err)
+	}
+
+	// A write on the version the set was read at lands; one on an older
+	// version does not.
+	next := loaded.Clone()
+	next.RemoveRule("t_order")
+	if _, err := g.SaveRules(rs); !errors.Is(err, registry.ErrVersionConflict) {
+		t.Fatalf("write on a stale version: %v", err)
+	}
+	if v, err := g.SaveRules(next); err != nil || v != 2 {
+		t.Fatalf("second version %d, %v", v, err)
+	}
+	if loaded, err = g.LoadRules(); err != nil || loaded.IsSharded("t_order") || !loaded.IsSharded("t_user") || loaded.Version != 2 {
+		t.Fatalf("after the removal: %v, %v", loaded, err)
 	}
 }
 
@@ -88,6 +117,7 @@ func TestLoadRulesKeepsPersistedNodes(t *testing.T) {
 		LogicTable: "t", Resources: []string{"ds0", "ds1"},
 		ShardingColumn: "id", AlgorithmType: "MOD", ShardingCount: 4,
 	}
+	var version int64
 	persist := func(edit func([]sharding.DataNode) []sharding.DataNode) (*sharding.RuleSet, error) {
 		rule, err := sharding.BuildAutoRule(spec)
 		if err != nil {
@@ -99,7 +129,8 @@ func TestLoadRulesKeepsPersistedNodes(t *testing.T) {
 		rule.DataNodes = edit(rule.DataNodes)
 		rs := sharding.NewRuleSet()
 		rs.AddRule(rule)
-		if err := g.PersistRules(rs); err != nil {
+		rs.Version = version
+		if version, err = g.SaveRules(rs); err != nil {
 			t.Fatal(err)
 		}
 		return g.LoadRules()
@@ -124,24 +155,6 @@ func TestLoadRulesKeepsPersistedNodes(t *testing.T) {
 		if _, err := persist(edit); err == nil {
 			t.Errorf("%s: persisted nodes accepted", name)
 		}
-	}
-}
-
-func TestDropRule(t *testing.T) {
-	g, reg, _ := fixture(t)
-	rs := sharding.NewRuleSet()
-	rule, _ := sharding.BuildAutoRule(sharding.AutoTableSpec{
-		LogicTable: "t", Resources: []string{"ds0"},
-		ShardingColumn: "id", AlgorithmType: "MOD", ShardingCount: 2,
-	})
-	rs.AddRule(rule)
-	g.PersistRules(rs)
-	if len(reg.List("/config/rules")) != 1 {
-		t.Fatal("rule not persisted")
-	}
-	g.DropRule("t")
-	if len(reg.List("/config/rules")) != 0 {
-		t.Fatal("rule not dropped")
 	}
 }
 

@@ -269,14 +269,12 @@ func equivalenceFixture(t testing.TB) (*route.Router, DialectFunc) {
 			t.Fatal(err)
 		}
 		rs.AddRule(rule)
+		rs.Define(table, &sharding.TableDef{Columns: sqltypes.Schema{{Name: "uid"}, {Name: "name"}, {Name: "age"}}})
 	}
 	if err := rs.AddBindingGroup("t_user", "t_order"); err != nil {
 		t.Fatal(err)
 	}
 	router := newRouter(rs, []string{"ds0", "ds1"})
-	router.Schema = func(*sharding.TableRule) (sqltypes.Schema, error) {
-		return sqltypes.Schema{{Name: "uid"}, {Name: "name"}, {Name: "age"}}, nil
-	}
 	return router, func(ds string) sqlparser.Dialect {
 		if ds == "ds1" {
 			return sqlparser.DialectPostgreSQL

@@ -109,13 +109,6 @@ type Router struct {
 	// AllDataSources lists every known data source for DDL broadcast and
 	// broadcast tables.
 	allDataSources []string
-	// Schema optionally resolves a sharded table's columns and their kinds:
-	// a sharding value is read as its column's kind (sqltypes.Narrow,
-	// sqltypes.Coerce), and an INSERT without a column list locates its
-	// sharding key by the column order. The kernel wires its metadata
-	// service here. Without it, or where it fails, a value routes on its
-	// own form.
-	Schema func(rule *sharding.TableRule) (sqltypes.Schema, error)
 
 	// keyObs, when installed, sees every equality sharding-key value the
 	// router resolves (hot-key tracking). Off by default: the cost is one

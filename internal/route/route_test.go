@@ -425,14 +425,12 @@ func TestCompileOnceBindTwice(t *testing.T) {
 			t.Fatal(err)
 		}
 		rs.AddRule(rule)
+		rs.Define(table, &sharding.TableDef{Columns: sqltypes.Schema{{Name: "status"}, {Name: "order_id"}}})
 	}
 	if err := rs.AddBindingGroup("t_order", "t_item"); err != nil {
 		t.Fatal(err)
 	}
 	r := newRouter(rs, []string{"ds0", "ds1"})
-	r.Schema = func(*sharding.TableRule) (sqltypes.Schema, error) {
-		return sqltypes.Schema{{Name: "status"}, {Name: "order_id"}}, nil
-	}
 	ints := func(vs ...int64) []sqltypes.Value {
 		out := make([]sqltypes.Value, len(vs))
 		for i, v := range vs {

@@ -18,11 +18,15 @@ import (
 // slots' constant operands and asks the sharding algorithms — no AST walk.
 // A skeleton is immutable and holds the rule snapshot it was compiled
 // against, each of its rules beside the node index compile resolved for
-// it: it is valid until the next rule publication.
+// it and the kinds the snapshot's catalog gives its sharding columns: it is
+// valid until the next rule publication.
 type Skeleton struct {
 	r     *Router
 	rules *sharding.RuleSet
 	err   error // why the statement cannot be routed; Route returns it
+	// undefined names the sharded tables the catalog has no definition of:
+	// their values route on their own form.
+	undefined []string
 
 	// tables are the statement's sharded tables in order of appearance;
 	// none means the default data source — or, with everywhere, every data
@@ -39,15 +43,13 @@ type Skeleton struct {
 
 // routedTable is one sharded table of a statement: its rule, the rule's
 // node index, its FROM position, the comparisons that narrow its route and
-// the kind of each sharding column (KindNull where unknown; unread when
-// the metadata service failed at compile, so each bind asks again).
+// the kind of each sharding column (KindNull where unknown).
 type routedTable struct {
-	rule   *sharding.TableRule
-	ix     *sharding.NodeIndex
-	ref    int
-	slots  []condSlot
-	kinds  [2]sqltypes.Kind
-	unread bool
+	rule  *sharding.TableRule
+	ix    *sharding.NodeIndex
+	ref   int
+	slots []condSlot
+	kinds [2]sqltypes.Kind
 }
 
 // BuildSkeleton compiles a statement for routing against the current rule
@@ -58,8 +60,8 @@ func (r *Router) BuildSkeleton(stmt sqlparser.Statement) (*Skeleton, bool) {
 
 // Compile compiles a statement for routing against rules, a published
 // snapshot. ok is false when the statement cannot be routed at all (TCL,
-// an UPDATE of the sharding key, a column-less INSERT whose table metadata
-// is unavailable); the skeleton's Route then returns why.
+// an UPDATE of the sharding key, a column-less INSERT into a table the
+// catalog has no definition of); the skeleton's Route then returns why.
 func (r *Router) Compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (*Skeleton, bool) {
 	s := &Skeleton{r: r, rules: rules}
 	switch t := stmt.(type) {
@@ -141,41 +143,26 @@ func (s *Skeleton) dml(table, alias string, where sqlparser.Expr) *sharding.Tabl
 	return rule
 }
 
+// sharded adds a sharded table, reading its sharding columns' kinds (at
+// most two) from the catalog, KindNull where it has none.
 func (s *Skeleton) sharded(rule *sharding.TableRule, ref int, slots []condSlot) {
 	ix := rule.NodeIndex()
 	t := routedTable{rule: rule, ix: ix, ref: ref, slots: slotsFor(slots, ref, ix.Columns())}
-	if len(t.slots) > 0 {
-		var err error
-		t.kinds, _, err = s.r.kindsOf(rule)
-		t.unread = err != nil
+	if def := s.rules.Def(rule.LogicTable); def != nil {
+		for j, col := range ix.Columns() {
+			if i := def.Columns.Index(col); i >= 0 {
+				t.kinds[j] = def.Columns[i].Type
+			}
+		}
+	} else {
+		s.undefined = append(s.undefined, rule.LogicTable)
 	}
 	s.tables = append(s.tables, t)
 }
 
-// kindsOf reads the kind of each of rule's sharding columns (at most two)
-// from the metadata service, KindNull where it has none, and returns the
-// schema it read them from.
-func (r *Router) kindsOf(rule *sharding.TableRule) (kinds [2]sqltypes.Kind, schema sqltypes.Schema, err error) {
-	if r.Schema == nil {
-		return kinds, nil, nil
-	}
-	schema, err = r.Schema(rule)
-	for j, col := range rule.NodeIndex().Columns() {
-		if i := schema.Index(col); i >= 0 {
-			kinds[j] = schema[i].Type
-		}
-	}
-	return kinds, schema, err
-}
-
-// kindsAt is t's kinds for a bind.
-func (s *Skeleton) kindsAt(t *routedTable) [2]sqltypes.Kind {
-	if !t.unread {
-		return t.kinds
-	}
-	kinds, _, _ := s.r.kindsOf(t.rule)
-	return kinds
-}
+// Undefined names the statement's sharded tables the snapshot's catalog
+// has no definition of.
+func (s *Skeleton) Undefined() []string { return s.undefined }
 
 // colocate reports whether a join of several sharded tables is
 // co-located: every table is bound to the first (a table is bound to
@@ -214,19 +201,16 @@ func (s *Skeleton) ddl(table string) {
 }
 
 // insertKeys locates the sharding columns among the insert columns; a
-// column-less INSERT uses the table's schema order from the metadata
-// service, which also gives the kinds the keys are coerced to.
+// column-less INSERT uses the column order of the table's definition.
 func (s *Skeleton) insertKeys(stmt *sqlparser.InsertStmt) error {
-	t := &s.tables[0]
-	cols := t.ix.Columns()
-	kinds, schema, err := s.r.kindsOf(t.rule)
-	t.kinds, t.unread = kinds, err != nil
+	cols := s.tables[0].ix.Columns()
 	insertCols := stmt.Columns
-	if len(insertCols) == 0 && s.r.Schema != nil {
-		if err != nil {
-			return fmt.Errorf("route: cannot resolve columns of %s: %w", stmt.Table, err)
+	if len(insertCols) == 0 {
+		def := s.rules.Def(stmt.Table)
+		if def == nil {
+			return fmt.Errorf("route: cannot resolve the columns of %s: the catalog has no definition of it", stmt.Table)
 		}
-		insertCols = schema.Names()
+		insertCols = def.Columns.Names()
 	}
 	s.keys = make([][]sqlparser.Expr, len(stmt.Rows))
 	backing := make([]sqlparser.Expr, len(stmt.Rows)*len(cols))
@@ -318,7 +302,7 @@ func (s *Skeleton) nodesOf(i int, args []sqltypes.Value, dst []sharding.DataNode
 	if len(cols) > len(buf) {
 		conds = make([]sharding.Condition, len(cols))
 	}
-	bindConds(t.slots, s.kindsAt(t), args, conds)
+	bindConds(t.slots, t.kinds, args, conds)
 	s.r.noteKeys(t.rule.LogicTable, cols, conds)
 	return t.ix.Route(conds, dst)
 }
@@ -374,7 +358,7 @@ func (s *Skeleton) join(res *Result, nodes []sharding.DataNode, args []sqltypes.
 // map to its node, in statement order.
 func (s *Skeleton) routeRows(res *Result, args []sqltypes.Value) error {
 	t := &s.tables[0]
-	rule, cols, kinds := t.rule, t.ix.Columns(), s.kindsAt(t)
+	rule, cols, kinds := t.rule, t.ix.Columns(), t.kinds
 	env := evalEnv{args: args}
 	res.reset(KindStandard, 0)
 	unitOf := map[sharding.DataNode]int{}

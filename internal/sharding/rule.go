@@ -234,9 +234,10 @@ func (ix *NodeIndex) Route(conds []Condition, dst []DataNode) ([]DataNode, error
 }
 
 // RuleSet is the complete sharding configuration: per-table rules, binding
-// groups, broadcast tables and the default data sources for unsharded
-// tables. A kernel publishes rule sets as immutable snapshots: a change is
-// made to a Clone, never to a published set.
+// groups, broadcast tables, the default data sources for unsharded tables
+// and the catalog of table definitions. A kernel publishes rule sets as
+// immutable snapshots: a change is made to a Clone, never to a published
+// set.
 type RuleSet struct {
 	Tables map[string]*TableRule
 	// BindingGroups lists groups of logic tables sharded identically
@@ -247,22 +248,38 @@ type RuleSet struct {
 	Broadcast map[string]bool
 	// DefaultDataSource hosts tables with no rule.
 	DefaultDataSource string
+	// Defs is the catalog: each known table's definition, keyed by its
+	// lower-cased logic name.
+	Defs map[string]*TableDef
+	// Version is the registry version of the configuration document the
+	// set was read at or written as; 0 when it has none.
+	Version int64
+}
+
+// TableDef is a logic table's definition as DESCRIBE on its first data
+// node reads it: every column with its kind, in table order, and the
+// primary key's columns. A published TableDef is never edited.
+type TableDef struct {
+	Columns    sqltypes.Schema
+	PrimaryKey []string
 }
 
 // NewRuleSet returns an empty rule set.
 func NewRuleSet() *RuleSet {
-	return &RuleSet{Tables: map[string]*TableRule{}, Broadcast: map[string]bool{}}
+	return &RuleSet{Tables: map[string]*TableRule{}, Broadcast: map[string]bool{}, Defs: map[string]*TableDef{}}
 }
 
 // Clone copies the set's maps and its list of binding groups. The
-// TableRules and each group's table list, which no mutator edits in
-// place, are shared.
+// TableRules, TableDefs and each group's table list, which no mutator
+// edits in place, are shared.
 func (rs *RuleSet) Clone() *RuleSet {
 	return &RuleSet{
 		Tables:            maps.Clone(rs.Tables),
 		BindingGroups:     slices.Clone(rs.BindingGroups),
 		Broadcast:         maps.Clone(rs.Broadcast),
 		DefaultDataSource: rs.DefaultDataSource,
+		Defs:              maps.Clone(rs.Defs),
+		Version:           rs.Version,
 	}
 }
 
@@ -270,6 +287,40 @@ func (rs *RuleSet) Clone() *RuleSet {
 func (rs *RuleSet) Rule(table string) (*TableRule, bool) {
 	r, ok := rs.Tables[strings.ToLower(table)]
 	return r, ok
+}
+
+// Def returns a logic table's definition, nil when the catalog has none.
+func (rs *RuleSet) Def(table string) *TableDef {
+	return rs.Defs[strings.ToLower(table)]
+}
+
+// Define records a logic table's definition; a nil def removes it.
+func (rs *RuleSet) Define(table string, def *TableDef) {
+	if def == nil {
+		delete(rs.Defs, strings.ToLower(table))
+	} else {
+		rs.Defs[strings.ToLower(table)] = def
+	}
+}
+
+// FirstNode is where a logic table's definition is read: its rule's first
+// data node, or the table itself on the default data source.
+func (rs *RuleSet) FirstNode(table string) DataNode {
+	if r, ok := rs.Rule(table); ok && len(r.DataNodes) > 0 {
+		return r.DataNodes[0]
+	}
+	return DataNode{DataSource: rs.DefaultDataSource, Table: table}
+}
+
+// LogicOf names the logic table an actual table belongs to: the rule that
+// lays it out, or the table itself when no rule does.
+func (rs *RuleSet) LogicOf(n DataNode) string {
+	for _, r := range rs.Tables {
+		if r.NodeIndex().Shard(n) >= 0 {
+			return r.LogicTable
+		}
+	}
+	return n.Table
 }
 
 // AddRule registers a rule under its logic table name.
@@ -363,6 +414,13 @@ type AutoTableSpec struct {
 	AlgorithmType  string // MOD, HASH_MOD, ...
 	Properties     map[string]string
 	ShardingCount  int // shards; defaults to properties["sharding-count"]
+}
+
+// Equal reports whether two specs configure the same AutoTable rule.
+func (s *AutoTableSpec) Equal(o *AutoTableSpec) bool {
+	return s.LogicTable == o.LogicTable && slices.Equal(s.Resources, o.Resources) &&
+		s.ShardingColumn == o.ShardingColumn && s.AlgorithmType == o.AlgorithmType &&
+		maps.Equal(s.Properties, o.Properties) && s.ShardingCount == o.ShardingCount
 }
 
 // BuildAutoRule computes the data distribution for an AutoTable: shard i

@@ -107,15 +107,6 @@ func Open(cfg Config) (*DB, error) {
 	if reg == nil {
 		reg = registry.New()
 	}
-	// Adopt the cluster's shared configuration: when no rules are given
-	// but the registry holds persisted ones (written by another instance
-	// or a previous run), load them — the Governor's configuration
-	// management (paper Section V-A).
-	if cfg.Rules == nil {
-		if loaded, err := governor.LoadRules(reg); err == nil && len(loaded.Tables) > 0 {
-			cfg.Rules = loaded
-		}
-	}
 	kernel, err := core.New(core.Config{
 		Rules:         cfg.Rules,
 		Sources:       sources,

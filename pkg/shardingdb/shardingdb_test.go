@@ -247,6 +247,59 @@ func TestSharedRegistryConfigAdoption(t *testing.T) {
 	}
 }
 
+// TestSecondOpenAdoptsTheCatalog: a DB opened on the registry of a first
+// one, over the same two data nodes, adopts the first one's rule and the
+// definition of its VARCHAR-keyed table at Open, and answers as one engine
+// does.
+func TestSecondOpenAdoptsTheCatalog(t *testing.T) {
+	reg := registry.New()
+	var sources []DataSourceConfig
+	for _, name := range []string{"ds0", "ds1"} {
+		srv := proxy.NewServer(&proxy.NodeBackend{Processor: sqlexec.NewProcessor(storage.NewEngine(name))})
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		sources = append(sources, DataSourceConfig{Name: name, Addr: addr})
+	}
+	session := func() *Session {
+		db, err := Open(Config{DataSources: sources, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(db.Close)
+		return db.Session()
+	}
+	ref := sqlexec.NewProcessor(storage.NewEngine("ref")).NewSession()
+	first := session()
+	if _, err := first.Exec(`CREATE SHARDING TABLE RULE t_user (RESOURCES(ds0, ds1), SHARDING_COLUMN = uid, TYPE = hash_mod, PROPERTIES("sharding-count" = 4))`); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"CREATE TABLE t_user (uid VARCHAR(10) PRIMARY KEY, v INT)", "INSERT INTO t_user (uid, v) VALUES ('07', 1), ('7', 2), ('8', 3)"} {
+		if _, err := first.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Execute(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := session()
+	for _, q := range []string{"SELECT v FROM t_user WHERE uid = '07'", "SELECT v FROM t_user WHERE uid = 7 ORDER BY v", "SELECT v FROM t_user WHERE uid = '8'"} {
+		got, err := second.QueryAll(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want, err := ref.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want.Rows) {
+			t.Errorf("%s: %v, one engine %v", q, got, want.Rows)
+		}
+	}
+}
+
 func TestRemoteDataSourceThroughConfig(t *testing.T) {
 	// Start a data node server and attach it via DataSourceConfig.Addr —
 	// the networked deployment path of shardingdb.Open.
