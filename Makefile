@@ -33,7 +33,8 @@ fmt:
 # against one engine, over the B-tree against a sorted slice, over
 # sqltypes.Coerce's narrowing property on arbitrary strings, ints and
 # floats, over the storage record's exact round trip of arbitrary rows,
-# and over a kept spelling's binding against normalizing its text.
+# over a kept spelling's binding against normalizing its text, and over
+# the merger's streaming ordered DISTINCT against deduping in memory.
 # `go test` accepts one -fuzz target per invocation, hence separate runs.
 fuzz:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCoerce' -fuzztime 10s -run '^$$' ./internal/sqltypes/
 	$(GO) test -fuzz 'FuzzSpelling' -fuzztime 10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz 'FuzzRecord' -fuzztime 10s -run '^$$' ./internal/storage/
+	$(GO) test -fuzz 'FuzzDistinctRuns' -fuzztime 10s -run '^$$' ./internal/merge/
 
 # The gated benchmark (BENCHMARK.json): the only place performance is
 # claimed.

@@ -79,7 +79,7 @@ func main() {
 		os.Exit(1)
 	}
 	gov := governor.New(reg, kernel.Executor())
-	distsql.Install(kernel, gov)
+	handler := distsql.Install(kernel, gov)
 	sess := reg.NewSession()
 	gov.RegisterInstance(sess, "proxy-"+*listen, "proxy")
 	if *health > 0 {
@@ -119,7 +119,10 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("ssproxy listening on %s (%d data sources)\n", addr, len(sources))
-	if err := srv.Serve(); err != nil {
+	err = srv.Serve()
+	handler.Close()
+	gov.Stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

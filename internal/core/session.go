@@ -102,7 +102,9 @@ type Session struct {
 	stmtRetries int
 	// rt and rw are the route and the rewrite bind fills for each
 	// statement: the rewrite reads the route's units, the statement runs
-	// the rewrite's, and nothing keeps either past the statement.
+	// the rewrite's, and nothing keeps either past the statement. Each
+	// keeps the arrays the largest fan-out grew, so a repeated bind
+	// allocates nothing per unit.
 	rt route.Result
 	rw rewrite.Result
 }
@@ -387,7 +389,8 @@ func (s *Session) Preview(sql string, args ...sqltypes.Value) ([]rewrite.SQLUnit
 	if err != nil {
 		return nil, err
 	}
-	return rw.Units, nil
+	// The session's next bind reuses rw's array.
+	return slices.Clone(rw.Units), nil
 }
 
 // endTx commits or rolls back the open transaction, if any. COMMIT,

@@ -305,10 +305,10 @@ func (e *Executor) observe(tr *telemetry.Trace, ds, sql string, start time.Time,
 }
 
 // QueryResult is the outcome of executing a query statement: one result
-// set per statement sent, in the order of their first units (merge reads
-// it). A one-unit statement's set is held in the result itself. Groups
-// running at once park their sets at their own units' positions, so they
-// share no lock.
+// set per statement sent (merge reads it), a data source's after the one
+// before it, in the order the sources first appear among the units. A
+// one-unit statement's set is held in the result itself. Groups running at
+// once park their sets in their own slots, so they share no lock.
 type QueryResult struct {
 	Sets []resource.ResultSet
 	sets [1]resource.ResultSet
@@ -531,6 +531,11 @@ type group struct {
 	n     int // units on ds
 	mode  ConnectionMode
 	conns int
+	// union: every unit is a Union unit, so a window of several is one
+	// statement. A query's sets are QueryResult.Sets[base:base+sets]: the
+	// statements of connection ci's share land at base+ci, base+ci+conns…
+	union      bool
+	base, sets int
 }
 
 // indexes appends the positions of g's units among units to dst.
@@ -544,18 +549,20 @@ func (g group) indexes(units []rewrite.SQLUnit, dst []int) []int {
 }
 
 // plan groups units by data source, appending to out, and decides each
-// group's mode. A statement touches a handful of sources, so groups are
-// found by scanning the ones seen so far.
-func (e *Executor) plan(units []rewrite.SQLUnit, held *HeldConns, out []group) []group {
+// group's mode and the result slots its statements take; sets is the
+// number of statements sent. A statement touches a handful of sources, so
+// groups are found by scanning the ones seen so far.
+func (e *Executor) plan(units []rewrite.SQLUnit, held *HeldConns, out []group) (_ []group, sets int) {
 next:
 	for _, u := range units {
 		for gi := range out {
 			if out[gi].ds == u.DataSource {
 				out[gi].n++
+				out[gi].union = out[gi].union && u.Union
 				continue next
 			}
 		}
-		out = append(out, group{ds: u.DataSource, n: 1})
+		out = append(out, group{ds: u.DataSource, n: 1, union: u.Union})
 	}
 	for gi := range out {
 		g := &out[gi]
@@ -569,8 +576,15 @@ next:
 		default:
 			g.mode, g.conns = MemoryStrictly, g.n
 		}
+		// A connection-strict share of several Union units is one
+		// statement; every other unit is its own.
+		g.base, g.sets = sets, g.n
+		if g.mode == ConnectionStrictly && g.union {
+			g.sets = min(g.n, g.conns)
+		}
+		sets += g.sets
 	}
-	return out
+	return out, sets
 }
 
 // QueryCtx executes query units and returns one result set per statement
@@ -590,9 +604,9 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
 	var buf [8]group
-	groups := e.plan(units, held, buf[:0])
+	groups, sets := e.plan(units, held, buf[:0])
 	res := &QueryResult{}
-	res.Sets = slices.Grow(res.sets[:0], len(units))[:len(units)]
+	res.Sets = slices.Grow(res.sets[:0], sets)[:sets]
 	var err error
 	if len(groups) == 1 {
 		// Single data source — no fan-out to overlap, so run on the
@@ -614,7 +628,6 @@ func (e *Executor) QueryCtx(ctx context.Context, units []rewrite.SQLUnit, held *
 		}
 		return nil, err
 	}
-	res.Sets = slices.DeleteFunc(res.Sets, func(rs resource.ResultSet) bool { return rs == nil })
 	return res, nil
 }
 
@@ -633,7 +646,7 @@ func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit,
 		}
 		// A failed attempt may have parked partial results (including open
 		// streaming cursors holding connections); drop them before rerunning.
-		closeGroupSets(res, units, g)
+		closeGroupSets(res, g)
 		if serr := sleepCtx(ctx, pol.backoff(attempt)); serr != nil {
 			return err
 		}
@@ -648,11 +661,11 @@ func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit,
 
 // closeGroupSets releases any result sets a failed group attempt parked.
 // It reads only g's slots: sibling groups are writing theirs.
-func closeGroupSets(res *QueryResult, units []rewrite.SQLUnit, g group) {
-	for i, u := range units {
-		if u.DataSource == g.ds && res.Sets[i] != nil {
-			res.Sets[i].Close()
-			res.Sets[i] = nil
+func closeGroupSets(res *QueryResult, g group) {
+	for i, rs := range res.Sets[g.base : g.base+g.sets] {
+		if rs != nil {
+			rs.Close()
+			res.Sets[g.base+i] = nil
 		}
 	}
 }
@@ -665,7 +678,7 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 		if err != nil {
 			return err
 		}
-		err = e.runWindow(ctx, units, g.ds, conn, open, idxs, res, tr, attempt)
+		err = e.runWindow(ctx, units, g, conn, open, idxs, res.Sets[g.base:], tr, attempt)
 		if open != nil {
 			held.ran(g.ds, true, false, err)
 		}
@@ -713,7 +726,7 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 	// connection executes its share serially, connections run in parallel.
 	// A single connection runs inline — nothing to overlap.
 	if len(conns) == 1 {
-		return e.runConnShare(ctx, units, g, conns[0], idxs, res, tr, attempt)
+		return e.runConnShare(ctx, units, g, conns[0], idxs, res.Sets[g.base:], tr, attempt)
 	}
 	shares := make([][]int, len(conns))
 	for ci := range shares {
@@ -723,15 +736,16 @@ func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g
 		}
 	}
 	return firstError(FanOut(ctx, conns, func(ctx context.Context, ci int, conn *resource.PooledConn) error {
-		return e.runConnShare(ctx, units, g, conn, shares[ci], res, tr, attempt)
+		return e.runConnShare(ctx, units, g, conn, shares[ci], res.Sets[g.base+ci:], tr, attempt)
 	}))
 }
 
-// runConnShare executes one connection's share of a group's units.
-func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g group, conn *resource.PooledConn, share []int, res *QueryResult, tr *telemetry.Trace, attempt int) error {
+// runConnShare executes one connection's share of a group's units; the
+// i-th statement's set goes to slots[i*g.conns].
+func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g group, conn *resource.PooledConn, share []int, slots []resource.ResultSet, tr *telemetry.Trace, attempt int) error {
 	if g.mode == ConnectionStrictly {
 		defer conn.Release()
-		return e.runWindow(ctx, units, g.ds, conn, nil, share, res, tr, attempt)
+		return e.runWindow(ctx, units, g, conn, nil, share, slots, tr, attempt)
 	}
 	// Memory-strict (θ ≤ 1: the share is one unit). A result that arrives
 	// materialized (every embedded unit's) frees its connection at once
@@ -763,7 +777,7 @@ func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g 
 		}
 		rs = lease
 	}
-	res.Sets[idx] = rs
+	slots[0] = rs
 	return nil
 }
 
@@ -772,12 +786,14 @@ func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g 
 // in one batch call: a remote connection pipelines it, one round trip for
 // all units (behind a held branch's opening verb), and every result comes
 // back materialized, Union units' as one set (window). The window is one
-// timed execution; unit heat cells count calls and rows, not latency.
-func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds string, conn *resource.PooledConn, open *resource.Statement, share []int, res *QueryResult, tr *telemetry.Trace, attempt int) error {
-	sp, off, union := window(open, nil, units, share)
+// timed execution; unit heat cells count calls and rows, not latency. The
+// i-th statement's set goes to slots[i*g.conns].
+func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, g group, conn *resource.PooledConn, open *resource.Statement, share []int, slots []resource.ResultSet, tr *telemetry.Trace, attempt int) error {
+	ds := g.ds
+	w, off, union := window(open, nil, units, share, g.union)
 	start := time.Now()
-	sets, err := conn.QueryBatch(ctx, *sp)
-	putWindow(sp)
+	sets, err := conn.QueryBatch(ctx, w.stmts)
+	putWindow(w)
 	if err == nil && union {
 		if s, ok := sets[off].(*resource.SliceResultSet); !ok || len(s.TableRows) != len(share) {
 			err = fmt.Errorf("exec: a table-list result does not count the rows of its %d tables", len(share))
@@ -792,7 +808,7 @@ func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, ds st
 	e.observe(tr, ds, units[share[0]].SQL, start, attempt, nil)
 	sets = sets[off:]
 	for i, rs := range sets {
-		res.Sets[share[i]] = rs
+		slots[i*g.conns] = rs
 	}
 	// Rows in memory are charged by a walk (a union's per table, by the rows
 	// its scan kept, bytes in proportion); a live cursor's by its lease.
@@ -826,13 +842,20 @@ func rowBytes(rows []sqltypes.Row) int64 {
 	return b
 }
 
+// windowBuf is a connection's window: its statements and a union's table
+// list, recycled (putWindow): a batch call keeps neither.
+type windowBuf struct {
+	stmts  []resource.Statement
+	tables []string
+}
+
 // window lays out a connection's statements, the opening verb and the
 // lead verb (each if any) then the units, and counts those ahead of the
-// units; two or more Union units are one statement over all their tables.
-// The slice is recycled (putWindow): a batch call does not keep it.
-func window(open, lead *resource.Statement, units []rewrite.SQLUnit, share []int) (sp *[]resource.Statement, off int, union bool) {
-	sp = windowPool.Get().(*[]resource.Statement)
-	stmts := (*sp)[:0]
+// units; two or more units of a union group are one statement over all
+// their tables.
+func window(open, lead *resource.Statement, units []rewrite.SQLUnit, share []int, unionGroup bool) (w *windowBuf, off int, union bool) {
+	w = windowPool.Get().(*windowBuf)
+	stmts := w.stmts[:0]
 	for _, v := range [2]*resource.Statement{open, lead} {
 		if v != nil {
 			verb := *v
@@ -840,28 +863,30 @@ func window(open, lead *resource.Statement, units []rewrite.SQLUnit, share []int
 			stmts = append(stmts, verb)
 		}
 	}
-	off, union = len(stmts), len(share) > 1 && units[share[0]].Union
+	off, union = len(stmts), len(share) > 1 && unionGroup
 	var tables []string
 	if union {
-		tables = make([]string, len(share))
-		for i, idx := range share {
-			tables[i] = units[idx].ActualTable
+		tables = w.tables[:0]
+		for _, idx := range share {
+			tables = append(tables, units[idx].ActualTable)
 		}
+		w.tables = tables
 		share = share[:1]
 	}
 	for _, idx := range share {
 		stmts = append(stmts, resource.Statement{SQL: units[idx].SQL, Args: units[idx].Args, Tables: tables})
 	}
-	*sp = stmts
-	return sp, off, union
+	w.stmts = stmts
+	return w, off, union
 }
 
-func putWindow(sp *[]resource.Statement) {
-	clear(*sp)
-	windowPool.Put(sp)
+func putWindow(w *windowBuf) {
+	clear(w.stmts)
+	clear(w.tables)
+	windowPool.Put(w)
 }
 
-var windowPool = sync.Pool{New: func() any { return new([]resource.Statement) }}
+var windowPool = sync.Pool{New: func() any { return new(windowBuf) }}
 
 // batchFailure names what a batch error's index points at in a window
 // led by the verbs open and lead (each if any): a verb (its data source
@@ -900,7 +925,7 @@ func (e *Executor) ExecuteUpdateCtx(ctx context.Context, units []rewrite.SQLUnit
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
 	var buf [8]group
-	groups := e.plan(units, held, buf[:0])
+	groups, _ := e.plan(units, held, buf[:0])
 	var total resource.ExecResult
 	var mu sync.Mutex
 	if len(groups) == 1 {
@@ -953,10 +978,10 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 	// before the first response is read, so a remote shard costs one round
 	// trip instead of one per statement. A BatchError pins the failure to
 	// its unit, or to a verb.
-	sp, off, _ := window(open, lead, units, idxs)
+	w, off, _ := window(open, lead, units, idxs, false)
 	start := time.Now()
-	results, err := resource.ExecBatch(ctx, conn, *sp)
-	putWindow(sp)
+	results, err := resource.ExecBatch(ctx, conn, w.stmts)
+	putWindow(w)
 	if off > 0 {
 		held.ran(g.ds, open != nil, lead != nil, err)
 	}

@@ -56,7 +56,8 @@ func unitsFor(sqls map[string][]string) []rewrite.SQLUnit {
 // modeOn reports the connection mode the executor plans for the units'
 // group on one data source.
 func modeOn(e *Executor, units []rewrite.SQLUnit, held *HeldConns, ds string) ConnectionMode {
-	for _, g := range e.plan(units, held, nil) {
+	groups, _ := e.plan(units, held, nil)
+	for _, g := range groups {
 		if g.ds == ds {
 			return g.mode
 		}

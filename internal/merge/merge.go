@@ -6,7 +6,9 @@
 // proportion to the number of groups. Any other statement streams:
 // iteration, or order-by via a priority queue, holds one cursor per node
 // and never materializes the result; decorators strip the columns the
-// rewriter derived, dedupe a DISTINCT in memory and re-apply pagination.
+// rewriter derived, dedupe a DISTINCT and re-apply pagination. A DISTINCT
+// ordered by selected columns dedupes as it streams, one run of equal keys
+// at a time; any other is read into memory and deduped there.
 package merge
 
 import (
@@ -41,11 +43,18 @@ func Merge(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.R
 	}
 
 	var merged resource.ResultSet
+	// One set is distinct already unless its rows carry derived keys: a
+	// node dedupes (k, key) pairs, the merger k alone.
+	dedupe := ctx.Distinct && (len(results) > 1 || ctx.Derived > 0)
 	if len(ctx.OrderBy) > 0 {
-		var err error
-		if merged, err = newOrderedStreamMerger(results, ctx.OrderBy); err != nil {
+		ordered, err := newOrderedStreamMerger(results, ctx.OrderBy)
+		if err != nil {
 			closeAll(results)
 			return nil, err
+		}
+		merged = ordered
+		if dedupe && ctx.Derived == 0 && ctx.ColumnKeys {
+			merged, dedupe = &distinctSet{inner: ordered, keys: ordered.h.keys}, false
 		}
 	} else {
 		merged = newIterationMerger(results)
@@ -53,11 +62,9 @@ func Merge(results []resource.ResultSet, ctx *rewrite.SelectContext) (resource.R
 	if ctx.Derived > 0 {
 		merged = &stripSet{inner: merged, derived: ctx.Derived}
 	}
-	if ctx.Distinct && (len(results) > 1 || ctx.Derived > 0) {
-		// One set is distinct already unless its rows carry derived keys:
-		// a node dedupes (k, key) pairs, the merger k alone. ReadAll
-		// consumed (and closed) the merged stream; nothing else holds the
-		// shard cursors.
+	if dedupe {
+		// ReadAll consumed (and closed) the merged stream; nothing else
+		// holds the shard cursors.
 		cols := merged.Columns()
 		rows, err := resource.ReadAll(merged)
 		if err != nil {
@@ -290,7 +297,7 @@ type orderedStreamSet struct {
 	cols []string
 }
 
-func newOrderedStreamMerger(results []resource.ResultSet, keys []rewrite.OrderKey) (resource.ResultSet, error) {
+func newOrderedStreamMerger(results []resource.ResultSet, keys []rewrite.OrderKey) (*orderedStreamSet, error) {
 	cols := results[0].Columns()
 	resolved, err := resolveKeys(keys, cols)
 	if err != nil {
@@ -472,6 +479,60 @@ func (s *limitSet) NextBatch(buf []sqltypes.Row) (int, error) {
 }
 
 func (s *limitSet) Close() error { return s.closeInner() }
+
+// distinctSet dedupes an ordered stream whose keys are selected table
+// columns (rewrite.SelectContext.ColumnKeys, no derived key) as it
+// streams. Two rows equal under DISTINCT's identity (sqlexec.DistinctRows)
+// have equal keys, and Compare orders a column's values totally, so they
+// lie in one run of rows with equal keys: the set keeps the first row of
+// each set of equal rows in the current run, and forgets the run when the
+// keys change. It holds one run's distinct rows, never the result.
+type distinctSet struct {
+	inner resource.ResultSet
+	keys  []rewrite.OrderKey
+	run   sqlexec.Dedup
+	head  sqltypes.Row // the current run's first row
+}
+
+func (s *distinctSet) Columns() []string { return s.inner.Columns() }
+
+// keep reports whether row is the first of its set in its run.
+func (s *distinctSet) keep(row sqltypes.Row) bool {
+	if s.head == nil || compareByKeys(s.head, row, s.keys) != 0 {
+		s.run.Reset()
+		s.head = row
+	}
+	return s.run.Add(row)
+}
+
+func (s *distinctSet) Next() (sqltypes.Row, error) {
+	for {
+		row, err := s.inner.Next()
+		if err != nil || s.keep(row) {
+			return row, err
+		}
+	}
+}
+
+// NextBatch implements resource.ResultSet natively: the inner batch is
+// filtered in place, and a batch that kept no row reads the next.
+func (s *distinctSet) NextBatch(buf []sqltypes.Row) (int, error) {
+	for {
+		n, err := s.inner.NextBatch(buf)
+		kept := 0
+		for _, row := range buf[:n] {
+			if s.keep(row) {
+				buf[kept] = row
+				kept++
+			}
+		}
+		if kept > 0 || err != nil {
+			return kept, err
+		}
+	}
+}
+
+func (s *distinctSet) Close() error { return s.inner.Close() }
 
 // stripSet removes the trailing derived columns before rows reach the
 // client.

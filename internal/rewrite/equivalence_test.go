@@ -352,10 +352,11 @@ var equivalenceShapes = []struct {
 // template — binds it with each argument set in turn, then with the first
 // again (by then every form is memoized), and holds each binding and
 // Rewriter.Rewrite's composition to referenceRewrite on a fresh parse.
+// Each binding is also routed and rewritten into kept.
 // It returns the unit count of each of the two argument sets' routes; a
 // binding whose route fails is skipped (-1), one whose reference fails
 // must fail the same way.
-func bindTwice(t testing.TB, router *route.Router, dialect DialectFunc, sql string, args [2][]sqltypes.Value) [2]int {
+func bindTwice(t testing.TB, router *route.Router, dialect DialectFunc, sql string, args [2][]sqltypes.Value, kept *keptResults) [2]int {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -369,8 +370,8 @@ func bindTwice(t testing.TB, router *route.Router, dialect DialectFunc, sql stri
 	}
 	units := [2]int{-1, -1}
 	for _, i := range []int{0, 1, 0} {
-		rt, err := sk.Route(args[i], nil)
-		if err != nil {
+		rt := &kept.rt
+		if err := sk.RouteInto(rt, args[i]); err != nil {
 			continue
 		}
 		units[i] = len(rt.Units)
@@ -382,6 +383,9 @@ func bindTwice(t testing.TB, router *route.Router, dialect DialectFunc, sql stri
 		for who, rewrite := range map[string]func() (*Result, error){
 			"Template.Rewrite": func() (*Result, error) { return tmpl.Rewrite(rt, args[i], dialect) },
 			"Rewriter.Rewrite": func() (*Result, error) { return New(dialect).Rewrite(stmt, rt, args[i]) },
+			"Template.RewriteInto": func() (*Result, error) {
+				return &kept.rw, tmpl.RewriteInto(&kept.rw, rt, args[i], dialect)
+			},
 		} {
 			got, err := rewrite()
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
@@ -398,11 +402,20 @@ func bindTwice(t testing.TB, router *route.Router, dialect DialectFunc, sql stri
 	return units
 }
 
+// keptResults are a route and a rewrite result that every binding writes
+// into, as a session's statements do: what an earlier binding, of this
+// statement or another, left there must not show.
+type keptResults struct {
+	rt route.Result
+	rw Result
+}
+
 func TestRewriteEquivalence(t *testing.T) {
 	router, dialect := equivalenceFixture(t)
+	var kept keptResults
 	for _, c := range equivalenceShapes {
 		t.Run(c.name, func(t *testing.T) {
-			if units := bindTwice(t, router, dialect, c.sql, c.args); units != c.units {
+			if units := bindTwice(t, router, dialect, c.sql, c.args, &kept); units != c.units {
 				t.Fatalf("routed to %v units, want %v", units, c.units)
 			}
 		})

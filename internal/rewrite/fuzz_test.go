@@ -50,6 +50,6 @@ func FuzzBindMatchesReference(f *testing.F) {
 				second[i] = sqltypes.NewInt(int64(i))
 			}
 		}
-		bindTwice(t, router, dialect, key, [2][]sqltypes.Value{first, second})
+		bindTwice(t, router, dialect, key, [2][]sqltypes.Value{first, second}, new(keptResults))
 	})
 }

@@ -65,9 +65,15 @@ type SelectContext struct {
 	// merged rows before returning them to the client.
 	Derived int
 	// OrderBy lists merge keys; empty means iteration merge.
-	OrderBy  []OrderKey
-	Limit    *LimitInfo
-	Distinct bool
+	OrderBy []OrderKey
+	// ColumnKeys reports that every merge key is a table's column. A
+	// column holds one kind (or NULL), on which Compare is a total order,
+	// so rows equal under DISTINCT lie in one run of equal keys of the
+	// merged stream; an expression may mix strings and numbers, which
+	// Compare does not order totally.
+	ColumnKeys bool
+	Limit      *LimitInfo
+	Distinct   bool
 	// Combine, set for a grouped statement on several units, is the
 	// statement's output stage over the units' partial rows: it groups,
 	// filters, orders, dedupes and pages them as one data node would, so
@@ -361,6 +367,7 @@ func exprKey(e sqlparser.Expr) string {
 // appended as a derived column, and every key is recorded for the merger.
 func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 	star := slices.ContainsFunc(stmt.Items, func(it sqlparser.SelectItem) bool { return it.Star })
+	ctx.ColumnKeys = true
 	for _, o := range stmt.OrderBy {
 		key := OrderKey{Index: findItem(stmt, o.Expr), Desc: o.Desc}
 		if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok && key.Index < 0 && star {
@@ -371,6 +378,13 @@ func deriveColumns(stmt *sqlparser.SelectStmt, ctx *SelectContext) {
 			stmt.Items = append(stmt.Items, sqlparser.SelectItem{Expr: sqlparser.CloneExpr(o.Expr), Alias: fmt.Sprintf("ORDER_BY_DERIVED_%d", ctx.Derived)})
 			key.Index = len(stmt.Items) - 1
 			ctx.Derived++
+		}
+		if key.Name == "" {
+			column := false
+			if key.Index < len(stmt.Items) {
+				_, column = stmt.Items[key.Index].Expr.(*sqlparser.ColumnRef)
+			}
+			ctx.ColumnKeys = ctx.ColumnKeys && column
 		}
 		ctx.OrderBy = append(ctx.OrderBy, key)
 	}

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -21,6 +22,11 @@ type spliced struct {
 	text  string
 	holes []sqlparser.Hole
 	reads []int
+	// texts, in a remembering compiled value of one table, maps each
+	// actual table a unit named to its spliced text. The map is never
+	// edited once published: a bind that splices new tables publishes a
+	// larger copy.
+	texts atomic.Pointer[map[string]string]
 }
 
 // compiled is the one rewrite mechanism (paper Section VI-C, identifier
@@ -33,6 +39,12 @@ type compiled struct {
 	tables []string            // the names the holes stand for, as the statement spells them
 	need   int                 // the arguments the statement reads: one past the highest index
 	text   [sqlparser.DialectPostgreSQL + 1]atomic.Pointer[spliced]
+	// remember, set on a fan-out form of one table, keeps each actual
+	// table's text (spliced.texts) from the value's second bind on: a kept
+	// template's repeated bind splices nothing, and a template bound once
+	// (Rewriter.Rewrite, a per-execution plan) never pays for the memo.
+	remember bool
+	bound    atomic.Bool
 }
 
 // compile prepares a statement, which it only reads, for rewriting. A
@@ -85,6 +97,12 @@ func (sp *spliced) splice(values []string) string {
 	}
 	var b strings.Builder
 	b.Grow(n)
+	sp.spliceTo(&b, values)
+	return b.String()
+}
+
+// spliceTo writes the text with the tables' values to b.
+func (sp *spliced) spliceTo(b *strings.Builder, values []string) {
 	at := 0
 	for _, h := range sp.holes {
 		b.WriteString(sp.text[at:h.At])
@@ -92,8 +110,10 @@ func (sp *spliced) splice(values []string) string {
 		at = h.At
 	}
 	b.WriteString(sp.text[at:])
-	return b.String()
 }
+
+// size is the length of a one-table text with every hole filled by name.
+func (sp *spliced) size(name string) int { return len(sp.text) + len(sp.holes)*len(name) }
 
 // units renders one SQL unit per routed unit. The route keys a unit's
 // TableMap by the rule's logic table, whose case may differ from the
@@ -101,16 +121,23 @@ func (sp *spliced) splice(values []string) string {
 // FROM clause spells. A unit that maps one table carries its logic and actual name.
 // A text that reads the arguments as they are passes them through; units
 // of one data source share one reordered list. args holds c.need values.
-// The units become res's, held in res itself when one unit fits.
+// The units become res's, in the array res already holds when it is large
+// enough (in res itself when one unit fits). The texts of one table's
+// units are spliced into one buffer, one allocation per bind.
 func (c *compiled) units(res *Result, routed []route.Unit, args []sqltypes.Value, dialect DialectFunc) {
-	out := slices.Grow(res.inline[:0], len(routed))[:len(routed)]
+	units := res.Units[:0]
+	if cap(units) <= len(res.inline) {
+		units = res.inline[:0]
+	}
+	out := slices.Grow(units, len(routed))[:len(routed)]
 	res.Units = out
 	// Fan-outs revisit a handful of data sources; resolve each dialect once.
 	type resolved struct {
-		ds   string
-		d    sqlparser.Dialect
-		text *spliced
-		args []sqltypes.Value
+		ds    string
+		d     sqlparser.Dialect
+		text  *spliced
+		texts map[string]string
+		args  []sqltypes.Value
 	}
 	var seen [8]resolved
 	nseen := 0
@@ -119,6 +146,13 @@ func (c *compiled) units(res *Result, routed []route.Unit, args []sqltypes.Value
 	if len(c.tables) > len(buf) {
 		values = make([]string, len(c.tables))
 	}
+	remember := c.remember && (c.bound.Load() || c.bound.Swap(true))
+	var fresh []rememberedText
+	// pending are the units whose one-table text is still to splice, each
+	// with its quoted table name in its SQL until then; size is their
+	// texts' length.
+	var pendingBuf [64]pendingUnit
+	pending, size := pendingBuf[:0], 0
 	for i, unit := range routed {
 		var r *resolved
 		for j := 0; j < nseen && r == nil; j++ {
@@ -129,7 +163,10 @@ func (c *compiled) units(res *Result, routed []route.Unit, args []sqltypes.Value
 		if r == nil {
 			r = &seen[nseen%len(seen)] // past the memo's size, the last slot is scratch
 			r.ds, r.d = unit.DataSource, dialect(unit.DataSource)
-			r.text, r.args = c.cut(r.d), args
+			r.text, r.texts, r.args = c.cut(r.d), nil, args
+			if m := r.text.texts.Load(); m != nil {
+				r.texts = *m
+			}
 			if r.text.reads != nil {
 				r.args = make([]sqltypes.Value, len(r.text.reads))
 				for j, a := range r.text.reads {
@@ -141,7 +178,7 @@ func (c *compiled) units(res *Result, routed []route.Unit, args []sqltypes.Value
 			}
 		}
 		u := &out[i]
-		u.DataSource, u.Args = unit.DataSource, r.args
+		*u = SQLUnit{DataSource: unit.DataSource, Args: r.args}
 		for slot, table := range c.tables {
 			key := table
 			name, ok := unit.TableMap[key]
@@ -157,9 +194,85 @@ func (c *compiled) units(res *Result, routed []route.Unit, args []sqltypes.Value
 			} else if len(unit.TableMap) == 1 {
 				u.LogicTable, u.ActualTable = key, name
 			}
+			values[slot] = name
+		}
+		if remember {
+			if text, ok := r.texts[values[0]]; ok {
+				u.SQL = text
+				continue
+			}
+		}
+		if len(values) == 1 && len(r.text.holes) > 0 {
+			pending = append(pending, pendingUnit{i, r.text, values[0]})
+			u.SQL = sqlparser.QuoteIdent(r.d, values[0])
+			size += r.text.size(u.SQL)
+			continue
+		}
+		// Several tables, or a text that names none (nothing to remember).
+		for slot, name := range values {
 			values[slot] = sqlparser.QuoteIdent(r.d, name)
 		}
 		u.SQL = r.text.splice(values)
+	}
+	if len(pending) > 0 {
+		var b strings.Builder
+		b.Grow(size)
+		for _, p := range pending {
+			p.text.spliceTo(&b, []string{out[p.i].SQL})
+		}
+		all, at := b.String(), 0
+		for _, p := range pending {
+			u := &out[p.i]
+			n := p.text.size(u.SQL)
+			u.SQL, at = all[at:at+n], at+n
+			if remember {
+				fresh = append(fresh, rememberedText{p.text, p.table, u.SQL})
+			}
+		}
+	}
+	if fresh != nil {
+		remembers(fresh)
+	}
+}
+
+// pendingUnit is a unit whose one-table text is still to splice: its
+// position, its dialect's text and its actual table.
+type pendingUnit struct {
+	i     int
+	text  *spliced
+	table string
+}
+
+// rememberedText is a text a bind spliced for a remembering compiled
+// value: its dialect's spliced text, the actual table and the unit's SQL.
+type rememberedText struct {
+	in          *spliced
+	table, text string
+}
+
+// remembers publishes a bind's new texts, one larger copy per dialect. A
+// copy that loses a race to another bind's is dropped: a later bind
+// splices those tables again and retries.
+func remembers(fresh []rememberedText) {
+	for len(fresh) > 0 {
+		sp := fresh[0].in
+		old := sp.texts.Load()
+		var m map[string]string
+		if old != nil {
+			m = maps.Clone(*old)
+		} else {
+			m = make(map[string]string, len(fresh))
+		}
+		rest := fresh[:0]
+		for _, f := range fresh {
+			if f.in == sp {
+				m[f.table] = f.text
+			} else {
+				rest = append(rest, f)
+			}
+		}
+		sp.texts.CompareAndSwap(old, &m)
+		fresh = rest
 	}
 }
 
@@ -232,6 +345,7 @@ func (t *Template) fanOutForm() {
 				work.Limit = &sqlparser.Limit{Count: &sqlparser.Placeholder{Index: t.fanArgs}}
 			}
 			t.fan, t.fanSel = compile(work, t.tables), ctx
+			t.fan.remember = len(t.tables) == 1
 		case *sqlparser.InsertStmt:
 			t.split = newSplitInsert(s, t.tables)
 		}
@@ -317,7 +431,7 @@ func (t *Template) RewriteInto(res *Result, rt *route.Result, args []sqltypes.Va
 	}
 	// A unit gets what its text reads: a grouped statement's partial may
 	// leave the arguments of its HAVING, ORDER BY and LIMIT to the combine.
-	*res = Result{Select: ctx}
+	res.Select = ctx
 	c.units(res, rt.Units, args[:c.need], dialect)
 	for i := range res.Units {
 		res.Units[i].Union = union && res.Units[i].ActualTable != ""
@@ -365,7 +479,7 @@ func (sp *splitInsert) units(res *Result, routed []route.Unit, args []sqltypes.V
 	if len(args) < sp.need {
 		return fmt.Errorf("rewrite: statement reads %d bind arguments, %d given", sp.need, len(args))
 	}
-	*res = Result{}
+	res.Select = nil
 	sp.head.units(res, routed, nil, dialect)
 	out := res.Units
 	for i := range out {

@@ -107,3 +107,61 @@ func TestSingleNodeSelectContext(t *testing.T) {
 		t.Fatalf("single-node context must not revise pagination or derive: %+v", ctx)
 	}
 }
+
+// TestFanOutTextsRememberedFromSecondBind: a template bound once — as
+// Rewriter.Rewrite's and a per-execution plan's are — remembers no text;
+// from its second bind on, its fan-out form keeps each actual table's text
+// per dialect, and a third bind adds none. Sessions that bind a fresh
+// template at once, racing to publish its texts, each get the units a
+// sequential bind gets.
+func TestFanOutTextsRememberedFromSecondBind(t *testing.T) {
+	router, dialect := equivalenceFixture(t)
+	stmt := parseStmt(t, "SELECT name FROM t_user WHERE uid BETWEEN ? AND ?")
+	sk, _ := router.BuildSkeleton(stmt)
+	args := intArgs(1, 100)
+	rt, err := sk.Route(args, nil)
+	if err != nil || len(rt.Units) != 4 {
+		t.Fatalf("route: %v, %v", rt, err)
+	}
+	tmpl, _ := NewTemplate(stmt, "t_user")
+	remembered := func() (n int) {
+		for d := range tmpl.fan.text {
+			if sp := tmpl.fan.text[d].Load(); sp != nil && sp.texts.Load() != nil {
+				n += len(*sp.texts.Load())
+			}
+		}
+		return n
+	}
+	for bind, want := range []int{0, 4, 4} {
+		if _, err := tmpl.Rewrite(rt, args, dialect); err != nil {
+			t.Fatal(err)
+		}
+		if n := remembered(); n != want {
+			t.Fatalf("after bind %d: %d texts remembered, want %d", bind+1, n, want)
+		}
+	}
+	want, _ := tmpl.Rewrite(rt, args, dialect)
+	for run := 0; run < 10; run++ {
+		tmpl, _ := NewTemplate(stmt, "t_user")
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var res Result
+				for bind := 0; bind < 5; bind++ {
+					if err := tmpl.RewriteInto(&res, rt, args, dialect); err != nil {
+						t.Error(err)
+						return
+					}
+					for i, u := range res.Units {
+						if u.SQL != want.Units[i].SQL || u.ActualTable != want.Units[i].ActualTable {
+							t.Errorf("bind %d unit %d: %+v, want %+v", bind, i, u, want.Units[i])
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}

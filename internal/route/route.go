@@ -72,36 +72,30 @@ type Unit struct {
 
 // Result is the full route result. A route of up to two units keeps them
 // in the result itself, so binding a point select allocates the result
-// alone, or nothing when the caller routes into a Result it owns
-// (Skeleton.RouteInto).
+// alone. A Result the caller owns (Skeleton.RouteInto) keeps the arrays a
+// fan-out grew, its units and the scratch its primary table's nodes are
+// routed into, so binding a kept shape again allocates nothing.
 type Result struct {
 	Kind   Kind
 	Units  []Unit
 	inline [2]Unit
+	nodes  []sharding.DataNode
 }
 
-// reset empties res for a route of the kind with room for n units.
+// reset empties res for a route of the kind with room for n units,
+// keeping the capacity of the units' array.
 func (res *Result) reset(kind Kind, n int) {
-	*res = Result{Kind: kind}
-	res.Units = slices.Grow(res.inline[:0], n)
+	res.Kind = kind
+	units := res.Units[:0]
+	if cap(units) <= len(res.inline) {
+		units = res.inline[:0]
+	}
+	res.Units = slices.Grow(units, n)
 }
 
 // SingleNode reports whether the route hit exactly one data node, which
 // unlocks the rewriter's single-node optimizations (paper Section VI-C).
 func (r *Result) SingleNode() bool { return len(r.Units) == 1 }
-
-// DataSources returns the distinct data sources touched, in unit order.
-func (r *Result) DataSources() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, u := range r.Units {
-		if !seen[u.DataSource] {
-			seen[u.DataSource] = true
-			out = append(out, u.DataSource)
-		}
-	}
-	return out
-}
 
 // Router routes statements against the published rule snapshot.
 type Router struct {

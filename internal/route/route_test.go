@@ -385,8 +385,12 @@ func TestRangeConditionTightening(t *testing.T) {
 func TestDataSourcesHelper(t *testing.T) {
 	r := fixture(t, true)
 	res := routeSQL(t, r, "SELECT * FROM t_user")
-	if got := res.DataSources(); len(got) != 2 {
-		t.Fatalf("data sources: %v", got)
+	sources := map[string]bool{}
+	for _, u := range res.Units {
+		sources[u.DataSource] = true
+	}
+	if len(sources) != 2 {
+		t.Fatalf("data sources: %v", res.Units)
 	}
 }
 

@@ -258,10 +258,21 @@ func (s *Skeleton) RouteInto(res *Result, args []sqltypes.Value) error {
 		return s.routeRows(res, args)
 	}
 	primary := &s.tables[0]
+	// A few nodes are routed on the stack; more go to the result's scratch.
+	// A result that held a fan-out before is one the caller routes into
+	// again: it keeps a copy of the nodes array a fan-out grows (a copy, so
+	// the stack array never escapes), and a result routed once pays nothing.
 	var buf [4]sharding.DataNode
-	nodes, err := s.nodesOf(0, args, buf[:0])
+	dst := buf[:0]
+	if cap(res.nodes) > len(buf) {
+		dst = res.nodes[:0]
+	}
+	nodes, err := s.nodesOf(0, args, dst)
 	if err != nil {
 		return err
+	}
+	if len(nodes) > max(cap(res.nodes), len(buf)) && cap(res.Units) > len(res.inline) {
+		res.nodes = append(res.nodes[:0], nodes...)
 	}
 	if len(nodes) == 0 {
 		return fmt.Errorf("%w: %s", ErrNoDataSource, primary.rule.LogicTable)

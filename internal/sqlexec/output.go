@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
@@ -357,7 +358,7 @@ const distinctSmall = 32
 // DistinctRows keeps the first of each set of equal rows, in place, under
 // one engine's value identity: numeric kinds compare by value, so 2 and
 // 2.0 are one value, and NULL equals NULL. The kernel's merger dedupes
-// units' rows with it.
+// units' rows with it, or with Dedup when they are ordered by columns.
 func DistinctRows(rows []sqltypes.Row) []sqltypes.Row {
 	if len(rows) < 2 {
 		return rows
@@ -380,10 +381,7 @@ func DistinctRows(rows []sqltypes.Row) []sqltypes.Row {
 	seen := make(map[string]struct{}, len(rows))
 	var key []byte // one buffer: a lookup allocates nothing, a kept row its key
 	for _, r := range rows {
-		key = key[:0]
-		for _, v := range r {
-			key = append(appendKey(key, v), 0)
-		}
+		key = appendRowKey(key[:0], r)
 		if _, dup := seen[string(key)]; dup {
 			continue
 		}
@@ -391,6 +389,64 @@ func DistinctRows(rows []sqltypes.Row) []sqltypes.Row {
 		out = append(out, r)
 	}
 	return out
+}
+
+// appendRowKey appends a key of the row's values that two rows share only
+// when sameRow holds: each value's hashKey encoding, a string's bytes led
+// by their length so that no string can pass for several values.
+func appendRowKey(b []byte, r sqltypes.Row) []byte {
+	for _, v := range r {
+		if v.Kind == sqltypes.KindString {
+			b = append(strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10), ':')
+			b = append(b, v.S...)
+			continue
+		}
+		b = append(appendKey(b, v), 0)
+	}
+	return b
+}
+
+// Dedup is DistinctRows over a stream: Add keeps the first of each set
+// of equal rows it is shown. A few rows are compared pairwise and more
+// are hashed, as DistinctRows does; Reset forgets them. The merger
+// dedupes an ordered stream with it, one run of equal ORDER BY keys at a
+// time.
+type Dedup struct {
+	kept []sqltypes.Row
+	seen map[string]struct{}
+	key  []byte
+}
+
+// Add reports whether r is the first row of its set since the last Reset.
+func (d *Dedup) Add(r sqltypes.Row) bool {
+	if d.seen == nil {
+		for _, kept := range d.kept {
+			if sameRow(kept, r) {
+				return false
+			}
+		}
+		if d.kept = append(d.kept, r); len(d.kept) <= distinctSmall {
+			return true
+		}
+		d.seen = make(map[string]struct{}, 2*distinctSmall)
+		for _, kept := range d.kept {
+			d.key = appendRowKey(d.key[:0], kept)
+			d.seen[string(d.key)] = struct{}{}
+		}
+		return true
+	}
+	d.key = appendRowKey(d.key[:0], r)
+	if _, dup := d.seen[string(d.key)]; dup {
+		return false
+	}
+	d.seen[string(d.key)] = struct{}{}
+	return true
+}
+
+// Reset forgets every row added, keeping the pairwise list's array.
+func (d *Dedup) Reset() {
+	clear(d.kept)
+	d.kept, d.seen = d.kept[:0], nil
 }
 
 // sameRow reports whether two rows are equal under hashKey's notion of

@@ -31,3 +31,26 @@ func TestDistinctRowsSameOnBothSides(t *testing.T) {
 		}
 	}
 }
+
+// TestDistinctRowsKeepsStringsApart: a string's bytes cannot pass for
+// several values, so ('a\x00sQ', 'R') and ('a', 'Q\x00sR') stay two rows
+// when there are enough rows to hash, in DistinctRows and in Dedup.
+func TestDistinctRowsKeepsStringsApart(t *testing.T) {
+	a := sqltypes.Row{sqltypes.NewString("a\x00sQ"), sqltypes.NewString("R")}
+	b := sqltypes.Row{sqltypes.NewString("a"), sqltypes.NewString("Q\x00sR")}
+	rows := []sqltypes.Row{a}
+	for i := 0; i < distinctSmall; i++ {
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.Null})
+	}
+	rows = append(rows, b)
+	var d Dedup
+	kept := 0
+	for _, r := range rows {
+		if d.Add(r) {
+			kept++
+		}
+	}
+	if got := DistinctRows(rows); len(got) != len(rows) || kept != len(rows) {
+		t.Fatalf("%d rows: DistinctRows kept %d, Dedup %d", len(rows), len(got), kept)
+	}
+}

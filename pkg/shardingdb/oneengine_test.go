@@ -111,6 +111,14 @@ var oneEngineStatements = []struct {
 		"SELECT DISTINCT CASE WHEN id % ? = 1 THEN 2 ELSE x END FROM f ORDER BY 1", []Value{Int(2)}, []int{0}, nil},
 	// The units select the ORDER BY key too, so only the merger sees k alone.
 	{"SELECT DISTINCT k FROM t ORDER BY v", "SELECT DISTINCT k FROM t ORDER BY v", nil, nil, nil},
+	// The keys are selected, so the merger dedupes as it streams: one run
+	// of equal keys at a time, whose rows may differ in another column.
+	{"SELECT DISTINCT k FROM t ORDER BY k", "SELECT DISTINCT k FROM t ORDER BY k", nil, []int{0}, nil},
+	{"SELECT DISTINCT k, v % 3 FROM t ORDER BY k", "SELECT DISTINCT k, v % ? FROM t ORDER BY k", []Value{Int(3)}, []int{0}, nil},
+	// Compare orders '9' < 9.5 < '10' < '9': no order of these keys is
+	// sorted, so the merger dedupes them in memory.
+	{"SELECT DISTINCT CASE WHEN id % 3 = 0 THEN '10' WHEN id % 3 = 1 THEN '9' ELSE 9.5 END x FROM t ORDER BY x",
+		"SELECT DISTINCT CASE WHEN id % ? = 0 THEN '10' WHEN id % ? = 1 THEN '9' ELSE 9.5 END x FROM t ORDER BY x", []Value{Int(3), Int(3)}, nil, nil},
 	// An empty range: no row, whatever the algorithm makes of it.
 	{"SELECT id FROM t WHERE id BETWEEN 5 AND 3", "SELECT id FROM t WHERE id BETWEEN ? AND ?", []Value{Int(5), Int(3)}, nil, nil},
 	{"SELECT COUNT(*) FROM t WHERE id BETWEEN 5 AND 3", "SELECT COUNT(*) FROM t WHERE id BETWEEN ? AND ?", []Value{Int(5), Int(3)}, nil, nil},

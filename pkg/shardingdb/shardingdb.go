@@ -70,6 +70,7 @@ type Config struct {
 type DB struct {
 	kernel  *core.Kernel
 	gov     *governor.Governor
+	distsql *distsql.Handler // holds the registry's configuration watch
 	regSess *registry.Session
 	engines []*storage.Engine
 }
@@ -120,7 +121,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db.kernel = kernel
 	db.gov = governor.New(reg, kernel.Executor())
-	distsql.Install(kernel, db.gov)
+	db.distsql = distsql.Install(kernel, db.gov)
 	db.regSess = reg.NewSession()
 	db.gov.RegisterInstance(db.regSess, fmt.Sprintf("jdbc-%p", db), "jdbc")
 	if cfg.HealthCheckInterval > 0 {
@@ -143,8 +144,10 @@ func (db *DB) Session() *Session {
 	return &Session{inner: db.kernel.NewSession()}
 }
 
-// Close shuts the runtime down.
+// Close shuts the runtime down: the DB stops watching the registry, so it
+// adopts no later configuration.
 func (db *DB) Close() {
+	db.distsql.Close()
 	db.gov.Stop()
 	if db.regSess != nil {
 		db.regSess.Close()

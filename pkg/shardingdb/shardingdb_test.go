@@ -3,6 +3,7 @@ package shardingdb
 import (
 	"database/sql"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -244,6 +245,45 @@ func TestSharedRegistryConfigAdoption(t *testing.T) {
 	// Both instances are registered with the Governor.
 	if got := db1.Governor().Instances(); len(got) != 2 {
 		t.Fatalf("instances: %v", got)
+	}
+}
+
+// TestCloseReleasesTheConfigWatch: Close stops a DB's registry watch. Ten
+// Open and Close pairs on a shared registry leave the goroutine count where
+// it was, and a closed DB does not adopt a rule a peer creates after it.
+// Nothing sleeps: closing a watch waits for its goroutine, and a live DB
+// closed after the change has adopted it.
+func TestCloseReleasesTheConfigWatch(t *testing.T) {
+	reg := registry.New()
+	cfg := Config{DataSources: []DataSourceConfig{{Name: "ds0"}, {Name: "ds1"}}, Registry: reg}
+	openDB := func() *DB {
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	peer := openDB()
+	defer peer.Close()
+	closed := openDB()
+	closed.Close()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		openDB().Close()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("ten Open+Close pairs: %d goroutines, %d before", after, before)
+	}
+	live := openDB()
+	if _, err := peer.Session().Exec(`CREATE SHARDING TABLE RULE t_late (RESOURCES(ds0, ds1), SHARDING_COLUMN = id, TYPE = mod, PROPERTIES("sharding-count" = 2))`); err != nil {
+		t.Fatal(err)
+	}
+	live.Close()
+	if !live.Kernel().Rules().IsSharded("t_late") {
+		t.Fatal("a live DB did not adopt its peer's rule")
+	}
+	if closed.Kernel().Rules().IsSharded("t_late") {
+		t.Error("a closed DB adopted its peer's rule")
 	}
 }
 
