@@ -178,7 +178,7 @@ func FuzzSpelling(f *testing.F) {
 		c := plancache.New(0)
 		for i := 0; i < sights.Keep; i++ {
 			e := c.Lookup(want.Key)
-			c.Plan(e, func() (any, error) { return "plan", nil })
+			c.Plan(e, nil, func() (any, error) { return "plan", nil })
 			c.Admit(text, want, e)
 		}
 		e, norm := c.Probe(text)
@@ -199,7 +199,7 @@ func FuzzSpelling(f *testing.F) {
 // TestSpellingsUnderConcurrentEvictionAndEpochBumps is for the race
 // detector: eight sessions run one shape under its key, a lower-case
 // spelling and a literal spelling each, beside a storm of new shapes that
-// evicts entries of a small table and beside plan invalidations. Every
+// evicts entries of a small table and beside rule publications. Every
 // statement must still return its own row.
 func TestSpellingsUnderConcurrentEvictionAndEpochBumps(t *testing.T) {
 	k := newKernel(t, 2, 4)

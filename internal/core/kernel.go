@@ -111,7 +111,8 @@ type RuleStore interface {
 // Kernel is one runtime instance shared by all sessions.
 type Kernel struct {
 	// rules is the published rule snapshot, catalog included. A statement
-	// loads it once, when it compiles; a published RuleSet is never edited.
+	// loads it once, compiles against it and finds a kept plan current only
+	// if it was stamped with it; a published RuleSet is never edited.
 	// Publish is its one writer, serialized by publishMu.
 	rules     atomic.Pointer[sharding.RuleSet]
 	publishMu sync.Mutex
@@ -262,27 +263,23 @@ func New(cfg Config) (*Kernel, error) {
 func (k *Kernel) Rules() *sharding.RuleSet { return k.rules.Load() }
 
 // Publish is the one writer of the rule snapshot. Under one mutex it
-// clones the current snapshot, applies change to the clone, stores it and
-// invalidates every cached plan; a change that fails publishes nothing.
-// change runs under that mutex, so it must not call Publish.
-// With a nil change the same rules are published again, which makes every
-// plan compiled before the call stale.
+// clones the current snapshot, applies change to the clone and stores it;
+// a change that fails publishes nothing. change runs under that mutex, so
+// it must not call Publish. Every kept plan is stamped with the snapshot it
+// was compiled against, so each publication makes all of them stale. With
+// a nil change the clone is published as it is and nothing is written to
+// the rule store.
 //
 // With a rule store the changed clone is written there first, on the
 // version the snapshot was read at. When another instance wrote first, the
 // kernel adopts the newer version and applies change to it again, so
 // change may run more than once.
-//
-// The pointer is stored before the plan epoch moves, and a plan build
-// reads the epoch before it loads the snapshot, so a build that races a
-// publication is stamped stale.
 func (k *Kernel) Publish(change func(*sharding.RuleSet) error) error {
 	k.publishMu.Lock()
 	defer k.publishMu.Unlock()
 	for {
-		next := k.rules.Load()
+		next := k.rules.Load().Clone()
 		if change != nil {
-			next = next.Clone()
 			if err := change(next); err != nil {
 				return err
 			}
@@ -301,7 +298,6 @@ func (k *Kernel) Publish(change func(*sharding.RuleSet) error) error {
 			}
 		}
 		k.rules.Store(next)
-		k.planCache.Invalidate()
 		return nil
 	}
 }
@@ -355,7 +351,6 @@ func (k *Kernel) adoptLocked() (bool, error) {
 		}
 	}
 	k.rules.Store(doc)
-	k.planCache.Invalidate()
 	return true, nil
 }
 

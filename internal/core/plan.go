@@ -13,7 +13,8 @@ import (
 // its rewrite template. Executing it binds argument values to the two
 // (paper Sections VI-B and VI-C run once per statement, then bound). A
 // plan is never mutated after compile and may be shared across sessions;
-// it is valid until the next rule publication (DDL, a rule change, a
+// the plan cache serves it only under the rule snapshot it was compiled
+// against, until the next publication (DDL, a rule change, a
 // configuration push).
 //
 // Every statement is executed through compile and run. What differs is
@@ -30,10 +31,11 @@ type plan struct {
 // compile is the one compile function: it routes against rules, the
 // snapshot its caller loaded. A sharded table of a DML statement that the
 // catalog has no definition of is learned first (Definition), and the
-// statement routes against the snapshot that holds it. ok is false when
-// the statement's route does not compile, or a definition could not be
-// read and the values route on their own form; the plan still runs, and
-// reports why.
+// statement routes against the snapshot that holds it (a kept plan keeps
+// its caller's older stamp, so the next execution compiles it again). ok
+// is false when the statement's route does not compile, or a definition
+// could not be read and the values route on their own form; the plan
+// still runs, and reports why.
 func (k *Kernel) compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (p *plan, ok bool) {
 	p = &plan{stmt: stmt}
 	p.sel, _ = stmt.(*sqlparser.SelectStmt)
@@ -50,23 +52,22 @@ func (k *Kernel) compile(rules *sharding.RuleSet, stmt sqlparser.Statement) (p *
 	return p, ok
 }
 
-// buildPlan compiles a normalized shape for the plan cache against the
-// rule snapshot it loads once. Once the shape's plan is kept it runs once
-// per plan epoch (under the shape entry's build lock, after the epoch was
-// read); a parse error here means the caller re-parses the original text
-// so the error carries it.
+// buildPlan compiles a normalized shape for the plan cache against rules,
+// the snapshot the caller loaded and stamps the plan with. Once the
+// shape's plan is kept it runs once per snapshot (under the shape entry's
+// build lock); a parse error here means the caller re-parses the original
+// text so the error carries it.
 //
 // Only the parse is kept for a statement whose compiled value belongs to
 // one execution: a feature's transformer (encrypt, shadow) or the key
 // generator rewrites it each time, a table-less SELECT is not routed, and
 // a route that does not compile (an UPDATE of the sharding key; a table
 // definition that could not be read) is compiled again by each execution.
-func buildPlan(k *Kernel, key string) (*plan, error) {
+func buildPlan(k *Kernel, rules *sharding.RuleSet, key string) (*plan, error) {
 	stmt, err := sqlparser.Parse(key)
 	if err != nil {
 		return nil, err
 	}
-	rules := k.Rules()
 	perExecution := k.hasTransformers
 	switch t := stmt.(type) {
 	case *sqlparser.InsertStmt:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"shardingsphere/internal/resource"
+	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
@@ -21,6 +22,14 @@ func parses(fn func()) uint64 {
 	before := sqlparser.ParseCount()
 	fn()
 	return sqlparser.ParseCount() - before
+}
+
+// planCounts runs fn and returns the plan-cache hits and misses it counted.
+func planCounts(k *Kernel, fn func()) [2]uint64 {
+	before := k.planCache.Stats()
+	fn()
+	after := k.planCache.Stats()
+	return [2]uint64{after.Hits - before.Hits, after.Misses - before.Misses}
 }
 
 func TestPlanCacheZeroParseOnRepeatedShapes(t *testing.T) {
@@ -224,20 +233,53 @@ func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 		mustQuery(t, s, "SELECT name FROM t_user WHERE uid = 1") // warm: the third sight keeps the plan
 	}
 	cachedPlan(t, k, "SELECT name FROM t_user WHERE uid = 1")
-	epoch := k.PlanCache().Epoch()
 	mustExec(t, s, "CREATE TABLE t_extra (id INT PRIMARY KEY)")
-	if k.PlanCache().Epoch() == epoch {
-		t.Fatal("DDL did not bump the plan-cache epoch")
-	}
-	// Stale plan passed over: next execution recompiles (parses) and works.
-	n := parses(func() {
-		rows := mustQuery(t, s, "SELECT name FROM t_user WHERE uid = 2")
-		if len(rows) != 1 || rows[0][0].S != "user2" {
-			t.Fatalf("post-DDL: %v", rows)
+	// The DDL published a snapshot: the kept plan is passed over once,
+	// the shape compiles again, and the plan it keeps is served after.
+	for i, want := range [][2]uint64{{0, 1}, {1, 0}} { // hits, misses
+		got := planCounts(k, func() {
+			rows := mustQuery(t, s, "SELECT name FROM t_user WHERE uid = 2")
+			if len(rows) != 1 || rows[0][0].S != "user2" {
+				t.Fatalf("post-DDL: %v", rows)
+			}
+		})
+		if got != want {
+			t.Fatalf("execution %d after the DDL: %d hits and %d misses, want %v", i, got[0], got[1], want)
 		}
-	})
-	if n == 0 {
-		t.Fatal("stale plan served after DDL epoch bump")
+	}
+}
+
+// TestDefinitionLearnedMidBuild: a build that learns a sharded table's
+// definition publishes a newer snapshot while it compiles. Its plan is
+// stamped with the snapshot the statement loaded, so it is not current
+// afterwards: the next execution misses once and compiles again, then
+// hits. Each routes on the definition just learned, by which the string
+// key "02" reads as uid 2.
+func TestDefinitionLearnedMidBuild(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	s := k.NewSession()
+	seed(t, s, 4)
+	const q = "SELECT name FROM t_user WHERE uid = ?"
+	uid := sqltypes.NewString("02")
+	for i := 0; i < sights.Keep; i++ {
+		mustQuery(t, s, q, uid)
+	}
+	cachedPlan(t, k, q)
+	if err := k.Publish(func(rs *sharding.RuleSet) error { rs.Define("t_user", nil); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [][2]uint64{{0, 1}, {0, 1}, {1, 0}} { // hits, misses
+		got := planCounts(k, func() {
+			if rows := mustQuery(t, s, q, uid); len(rows) != 1 || rows[0][0].S != "user2" {
+				t.Fatalf("execution %d: %v, want user2", i, rows)
+			}
+		})
+		if got != want {
+			t.Fatalf("execution %d after the definition was dropped: %d hits and %d misses, want %v", i, got[0], got[1], want)
+		}
+		if k.Rules().Def("t_user") == nil {
+			t.Fatalf("execution %d learned no definition", i)
+		}
 	}
 }
 

@@ -232,8 +232,10 @@ func (s *Session) executeSQL(sql string, args []sqltypes.Value, keep bool) (*Res
 		if keep && !(norm.ForUpdate && s.tx != nil) {
 			if bound, err := bindNormalized(sql, norm, args); err == nil {
 				// The plan parses the entry's own key string, which its AST
-				// then shares instead of holding a copy.
-				v, err := pc.Plan(e, func() (any, error) { return buildPlan(s.k, e.Digest.Key) })
+				// then shares instead of holding a copy; it is compiled
+				// against the snapshot it is stamped with.
+				rules := s.k.Rules()
+				v, err := pc.Plan(e, rules, func() (any, error) { return buildPlan(s.k, rules, e.Digest.Key) })
 				if err == nil {
 					if !probed {
 						pc.Admit(sql, norm, e)

@@ -55,9 +55,11 @@ func mustDigest(t *testing.T, k *Kernel, sql string) digest.EntrySnapshot {
 func cachedPlan(t *testing.T, k *Kernel, sql string) *plan {
 	t.Helper()
 	norm, _ := sqlparser.Normalize(sql)
-	v, ok := k.planCache.Get(norm.Key)
-	if !ok {
-		t.Fatalf("%q: no current plan", sql)
+	v, err := k.planCache.Plan(k.planCache.Lookup(norm.Key), k.Rules(), func() (any, error) {
+		return nil, fmt.Errorf("%q: no current plan", sql)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return v.(*plan)
 }
@@ -77,10 +79,10 @@ func TestDigestSurvivesPlanEpochBump(t *testing.T) {
 	// The data node's statement cache is warm, so the one parse is the
 	// kernel compiling the shape again.
 	if n := parses(func() { mustQuery(t, s, q, uid) }); n != 1 {
-		t.Fatalf("execution after an epoch bump parsed %d times, want 1 (the recompile)", n)
+		t.Fatalf("execution after a publication parsed %d times, want 1 (the recompile)", n)
 	}
 	if d := mustDigest(t, k, q); d.Calls != nodeKeepSights+1 || d.Rows != nodeKeepSights+1 {
-		t.Fatalf("counters did not continue across the epoch bump: %+v", d)
+		t.Fatalf("counters did not continue across the publication: %+v", d)
 	}
 	after := k.planCache.Stats()
 	if after.Misses != before.Misses+1 || after.Hits != before.Hits || after.Size != before.Size {
@@ -238,7 +240,7 @@ func TestCanonicalTextFindsItsShape(t *testing.T) {
 		mustQuery(t, s, canonical, uid)
 		after = k.planCache.Stats()
 		if after.Hits-before.Hits != want[0] || after.Misses-before.Misses != want[1] {
-			t.Fatalf("execution %d after the epoch bump: stats %+v -> %+v", i, before, after)
+			t.Fatalf("execution %d after the publication: stats %+v -> %+v", i, before, after)
 		}
 	}
 
@@ -390,7 +392,7 @@ func TestResetForgetsDigestsAndPlans(t *testing.T) {
 
 // TestShapeStormConcurrentWithSnapshotsAndEpochBumps is for the race
 // detector: new shapes from 8 sessions (evicting all the while), digest
-// snapshots and plan invalidations at once. The totals a single reader
+// snapshots and rule publications at once. The totals a single reader
 // samples must still never decrease.
 func TestShapeStormConcurrentWithSnapshotsAndEpochBumps(t *testing.T) {
 	k := newKernel(t, 2, 4)

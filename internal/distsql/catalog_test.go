@@ -15,6 +15,7 @@ import (
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sharding"
+	"shardingsphere/internal/sights"
 	"shardingsphere/internal/storage"
 )
 
@@ -45,18 +46,13 @@ func peers(t *testing.T) (kA *core.Kernel, sA *core.Session, kB *core.Kernel, sB
 }
 
 // adopted waits until k's rule snapshot is at version v or newer: the
-// registry watch delivers every write, and k adopts each newer one. A
-// publication stores the snapshot before it moves the plan epoch; the
-// last Adopt, which finds nothing newer, waits for that to end.
+// registry watch delivers every write, and k adopts each newer one.
 func adopted(t *testing.T, k *core.Kernel, v int64) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); k.Rules().Version < v; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatalf("the kernel is at version %d, want %d", k.Rules().Version, v)
 		}
-	}
-	if err := k.Adopt(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -106,9 +102,14 @@ func TestPeerRoutesOnTheCurrentCatalog(t *testing.T) {
 
 // TestPeersConverge: after each change A makes, to a rule, a binding
 // group, a broadcast table or a table, B holds A's catalog at A's version
-// and answers from it. Each change moves each kernel's plan epoch by one.
+// and answers from it. Each change is one document write, and makes each
+// kernel's kept plans stale once.
 func TestPeersConverge(t *testing.T) {
 	kA, sA, kB, sB := peers(t)
+	for i := 0; i < sights.Keep; i++ {
+		exec(t, sA, "SELECT 1")
+		exec(t, sB, "SELECT 1")
+	}
 	rule := func(verb string, count int) string {
 		return fmt.Sprintf(`%s SHARDING TABLE RULE t_a (RESOURCES(ds0, ds1), SHARDING_COLUMN = id, TYPE = mod, PROPERTIES("sharding-count" = %d))`, verb, count)
 	}
@@ -128,9 +129,17 @@ func TestPeersConverge(t *testing.T) {
 		{"DROP SHARDING TABLE RULE t_user", "SHOW SHARDING TABLE RULES", "1 rows"},
 	}
 	for _, st := range steps {
-		epochA, epochB := kA.PlanCache().Epoch(), kB.PlanCache().Epoch()
+		// A's change writes one version, which B adopts; an INSERT changes
+		// no rule.
+		want := int64(1)
+		if strings.HasPrefix(st.sql, "INSERT") {
+			want = 0
+		}
+		v := kA.Rules().Version + want
 		exec(t, sA, st.sql)
-		v := kA.Rules().Version
+		if kA.Rules().Version != v {
+			t.Fatalf("%s left A at version %d, want %d", st.sql, kA.Rules().Version, v)
+		}
 		adopted(t, kB, v)
 		if a, b := catalog(kA.Rules()), catalog(kB.Rules()); a != b || kB.Rules().Version != v {
 			t.Fatalf("after %s: B at version %d holds\n%s\nA at version %d holds\n%s", st.sql, kB.Rules().Version, b, v, a)
@@ -146,37 +155,43 @@ func TestPeersConverge(t *testing.T) {
 		if got != st.want {
 			t.Errorf("after %s, B's %s: %s, want %s", st.sql, st.query, got, st.want)
 		}
-		// A's change and B's adoption each publish once; an INSERT changes
-		// no rule.
-		want := uint64(1)
-		if strings.HasPrefix(st.sql, "INSERT") {
-			want = 0
-		}
-		if dA, dB := kA.PlanCache().Epoch()-epochA, kB.PlanCache().Epoch()-epochB; dA != want || dB != want {
-			t.Errorf("%s moved A's plan epoch by %d and B's by %d, want %d", st.sql, dA, dB, want)
+		replan := [2]uint64{uint64(want), 0}
+		if a, b := replans(t, kA, sA, "SELECT 1"), replans(t, kB, sB, "SELECT 1"); a != replan || b != replan {
+			t.Errorf("after %s the warm shape missed %v times on A and %v on B, want %v", st.sql, a, b, replan)
 		}
 	}
 }
 
-// TestOneInvalidationPerRuleChange: a DistSQL rule change moves the plan
-// epoch by exactly one on the kernel that makes it and on its peer. The
-// kernels take turns, and the watch delivers in write order: once a kernel
-// has adopted its peer's next version, it has seen the echo of its own
-// write, which is not newer than its snapshot and publishes nothing.
+// TestOneInvalidationPerRuleChange: a DistSQL rule change is one document
+// write, which the kernel that makes it and its peer each publish once: a
+// warm shape misses once on each, then hits. The kernels take turns, and
+// the watch delivers in write order: once a kernel has adopted its peer's
+// next version, it has seen the echo of its own write, which is not newer
+// than its snapshot and publishes nothing.
 func TestOneInvalidationPerRuleChange(t *testing.T) {
 	kA, sA, kB, sB := peers(t)
-	epochA, epochB := kA.PlanCache().Epoch(), kB.PlanCache().Epoch()
+	for i := 0; i < sights.Keep; i++ {
+		exec(t, sA, "SELECT 1")
+		exec(t, sB, "SELECT 1")
+	}
 	const changes = 5
 	for i := 0; i < changes; i++ {
-		maker, s, peer := kA, sA, kB
+		maker, sm, peer, sp := kA, sA, kB, sB
 		if i%2 == 1 {
-			maker, s, peer = kB, sB, kA
+			maker, sm, peer, sp = kB, sB, kA, sA
 		}
-		exec(t, s, fmt.Sprintf(`CREATE SHARDING TABLE RULE t_%d (RESOURCES(ds0, ds1), SHARDING_COLUMN = id, TYPE = mod, PROPERTIES("sharding-count" = 2))`, i))
-		adopted(t, peer, maker.Rules().Version)
-	}
-	if dA, dB := kA.PlanCache().Epoch()-epochA, kB.PlanCache().Epoch()-epochB; dA != changes || dB != changes {
-		t.Fatalf("%d rule changes moved A's plan epoch by %d and B's by %d", changes, dA, dB)
+		v := maker.Rules().Version + 1
+		exec(t, sm, fmt.Sprintf(`CREATE SHARDING TABLE RULE t_%d (RESOURCES(ds0, ds1), SHARDING_COLUMN = id, TYPE = mod, PROPERTIES("sharding-count" = 2))`, i))
+		if maker.Rules().Version != v {
+			t.Fatalf("change %d left its maker at version %d, want %d", i, maker.Rules().Version, v)
+		}
+		adopted(t, peer, v)
+		if peer.Rules().Version != v {
+			t.Fatalf("change %d: the peer is at version %d, want %d", i, peer.Rules().Version, v)
+		}
+		if m, p := replans(t, maker, sm, "SELECT 1"), replans(t, peer, sp, "SELECT 1"); m != [2]uint64{1, 0} || p != [2]uint64{1, 0} {
+			t.Fatalf("change %d: the warm shape missed %v times on its maker and %v on the peer, want once, then a hit", i, m, p)
+		}
 	}
 }
 

@@ -43,6 +43,20 @@ func exec(t *testing.T, s *core.Session, sql string) *core.Result {
 	return res
 }
 
+// replans runs sql, a shape whose plan k keeps, twice on s and returns
+// the plan-cache misses each run counted: {1, 0} after a rule publication
+// (the stale plan is compiled again, then served), {0, 0} without one.
+func replans(t *testing.T, k *core.Kernel, s *core.Session, sql string) [2]uint64 {
+	t.Helper()
+	var got [2]uint64
+	for i := range got {
+		before := k.PlanCache().Stats().Misses
+		rows(t, exec(t, s, sql))
+		got[i] = k.PlanCache().Stats().Misses - before
+	}
+	return got
+}
+
 func rows(t *testing.T, res *core.Result) []sqltypes.Row {
 	t.Helper()
 	if !res.IsQuery() {
@@ -477,15 +491,15 @@ func TestAlterRuleInvalidatesCachedPlans(t *testing.T) {
 		}
 	}
 
-	epoch := k.PlanCache().Epoch()
 	exec(t, s, `ALTER SHARDING TABLE RULE t_user (
 		RESOURCES(ds0, ds1),
 		SHARDING_COLUMN = uid,
 		TYPE = mod,
 		PROPERTIES("sharding-count" = 4)
 	)`)
-	if k.PlanCache().Epoch() == epoch {
-		t.Fatal("ALTER SHARDING TABLE RULE did not bump the plan-cache epoch")
+	// uid 1 is on t_user_1 under both layouts.
+	if got := replans(t, k, s, "SELECT name FROM t_user WHERE uid = 1"); got != [2]uint64{1, 0} {
+		t.Fatalf("after ALTER SHARDING TABLE RULE the warm shape missed %v times, want once, then a hit", got)
 	}
 	// Materialize the two new shards and land a row on one of them:
 	// uid 6 routes to t_user_2 under MOD(4) but to t_user_0 under the old
@@ -525,7 +539,7 @@ func TestConfigWatchInvalidatesPeerInstance(t *testing.T) {
 	// Two instances share one coordination registry. A rule change executed
 	// on instance A reaches instance B through the governor's config watch
 	// — B never sees the DistSQL statement itself: B adopts A's version,
-	// and that drops B's cached plans.
+	// one document write, and that makes B's kept plans stale.
 	reg := registry.New()
 	mk := func(tag string) (*core.Kernel, *core.Session) {
 		sources := map[string]*resource.DataSource{}
@@ -541,13 +555,22 @@ func TestConfigWatchInvalidatesPeerInstance(t *testing.T) {
 		return k, k.NewSession()
 	}
 	kA, sA := mk("a_")
-	kB, _ := mk("b_")
+	kB, sB := mk("b_")
+	for i := 0; i < sights.Keep; i++ {
+		exec(t, sB, "SELECT 1")
+	}
 
-	epoch := kB.PlanCache().Epoch()
+	v := kA.Rules().Version
 	exec(t, sA, createUserRule)
-	adopted(t, kB, kA.Rules().Version)
-	if kB.PlanCache().Epoch() == epoch {
-		t.Fatal("peer instance's plan cache was not invalidated by the config push")
+	if kA.Rules().Version != v+1 {
+		t.Fatalf("the rule change wrote version %d on %d", kA.Rules().Version, v)
+	}
+	adopted(t, kB, v+1)
+	if kB.Rules().Version != v+1 {
+		t.Fatalf("the peer is at version %d, want %d", kB.Rules().Version, v+1)
+	}
+	if got := replans(t, kB, sB, "SELECT 1"); got != [2]uint64{1, 0} {
+		t.Fatalf("after the config push the peer's warm shape missed %v times, want once, then a hit", got)
 	}
 	if _, ok := kB.Rules().Rule("t_user"); !ok {
 		t.Fatal("peer instance did not adopt the rule")

@@ -128,10 +128,8 @@ func TestShowMetricsKeepsDeletedVerbs(t *testing.T) {
 	add("SHOW PLAN CACHE STATUS", "hits", "plan_cache.hits", int64(pc.Hits))
 	add("SHOW PLAN CACHE STATUS", "misses", "plan_cache.misses", int64(pc.Misses))
 	add("SHOW PLAN CACHE STATUS", "evictions", "plan_cache.evictions", int64(pc.Evictions))
-	add("SHOW PLAN CACHE STATUS", "invalidations", "plan_cache.invalidations", int64(pc.Invalidations))
 	add("SHOW PLAN CACHE STATUS", "size", "plan_cache.size", int64(pc.Size))
 	add("SHOW PLAN CACHE STATUS", "capacity", "plan_cache.capacity", int64(pc.Capacity))
-	add("SHOW PLAN CACHE STATUS", "epoch", "plan_cache.epoch", int64(pc.Epoch))
 	add("SHOW PLAN CACHE STATUS", "hit_ratio", "plan_cache.hit_ratio_milli", int64(pc.HitRatio()*1000))
 	for i, ev := range pc.ShardEvictions {
 		add("SHOW PLAN CACHE STATUS", fmt.Sprintf("shard_evictions[%d]", i), fmt.Sprintf("plan_cache.shard_evictions.%d", i), int64(ev))

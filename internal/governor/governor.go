@@ -40,8 +40,12 @@ type Governor struct {
 	breakers  map[string]*Breaker
 	lastState map[string]bool
 	listeners []func(ds string, up bool)
-	stopCh    chan struct{}
-	stopOnce  sync.Once
+
+	// stopped, cancelled by Stop, ends the health-check loop and its probe
+	// in flight; loop counts the running loops Stop waits for.
+	stopped context.Context
+	stop    context.CancelFunc
+	loop    sync.WaitGroup
 
 	probes        atomic.Int64
 	probeFailures atomic.Int64
@@ -57,16 +61,17 @@ type Governor struct {
 
 // New builds a governor over the registry and executor.
 func New(reg *registry.Registry, e *exec.Executor) *Governor {
-	return &Governor{
+	g := &Governor{
 		reg:            reg,
 		exec:           e,
 		breakers:       map[string]*Breaker{},
 		lastState:      map[string]bool{},
-		stopCh:         make(chan struct{}),
 		BreakThreshold: 3,
 		CoolDown:       5 * time.Second,
 		ProbeTimeout:   time.Second,
 	}
+	g.stopped, g.stop = context.WithCancel(context.Background())
+	return g
 }
 
 // --- configuration management (paper Section V-A) ---
@@ -322,7 +327,7 @@ func (g *Governor) probeOnce(ds string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(g.stopped, g.ProbeTimeout)
 	defer cancel()
 	conn, err := src.AcquireCtx(ctx)
 	if err != nil {
@@ -367,12 +372,17 @@ func (g *Governor) publishStatus(ds string, up bool) {
 // CheckOnce probes every source once, updating breakers and published
 // status; it returns the sources currently down. Reading State (not
 // Allow) avoids consuming a half-open breaker's single probe slot —
-// the health probe's own outcome already went through Observe.
+// the health probe's own outcome already went through Observe. A stopped
+// governor checks nothing: a probe Stop cancelled says nothing of its
+// source.
 func (g *Governor) CheckOnce() []string {
 	var down []string
 	for _, ds := range g.exec.Sources() {
 		b := g.breaker(ds)
 		err := g.probe(ds)
+		if g.stopped.Err() != nil {
+			return nil
+		}
 		b.Observe(err)
 		up := b.State() == BreakerClosed && err == nil
 		g.publishStatus(ds, up)
@@ -384,24 +394,31 @@ func (g *Governor) CheckOnce() []string {
 	return down
 }
 
-// StartHealthCheck launches the periodic health-detection loop.
+// StartHealthCheck launches the periodic health-detection loop, which
+// Stop ends.
 func (g *Governor) StartHealthCheck(interval time.Duration) {
+	g.loop.Add(1)
 	go func() {
+		defer g.loop.Done()
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-ticker.C:
 				g.CheckOnce()
-			case <-g.stopCh:
+			case <-g.stopped.Done():
 				return
 			}
 		}
 	}()
 }
 
-// Stop terminates the health-check loop.
-func (g *Governor) Stop() { g.stopOnce.Do(func() { close(g.stopCh) }) }
+// Stop ends the health-check loop, cancelling its probe in flight, and
+// returns once the loop has returned, so no probe outlives it.
+func (g *Governor) Stop() {
+	g.stop()
+	g.loop.Wait()
+}
 
 // SourceStatus reads the published status of a source.
 func (g *Governor) SourceStatus(ds string) string {

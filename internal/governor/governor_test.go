@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/exec"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
@@ -259,6 +261,34 @@ func TestHealthCheckLoopStops(t *testing.T) {
 	g.Stop() // idempotent
 	if g.SourceStatus("ds0") != "up" {
 		t.Fatalf("loop never ran: %s", g.SourceStatus("ds0"))
+	}
+}
+
+// TestStopWaitsForTheHealthLoop: with every source hung, the loop's first
+// probe blocks for its whole ProbeTimeout. Stop cancels it and returns only
+// once the loop has returned, so no probe is in flight after Stop and the
+// cancelled one published nothing. A Stop that only signalled the loop
+// returned with the probe still hanging.
+func TestStopWaitsForTheHealthLoop(t *testing.T) {
+	g, _, e := fixture(t)
+	g.ProbeTimeout = time.Hour
+	faults := chaos.NewInjector()
+	for _, ds := range e.Sources() {
+		src, _ := e.Source(ds)
+		faults.Apply(src, chaos.Fault{Hang: true})
+	}
+	g.StartHealthCheck(time.Millisecond)
+	for g.probes.Load() == 0 {
+		runtime.Gosched()
+	}
+	g.Stop()
+	if n, failed := g.probes.Load(), g.probeFailures.Load(); n != failed {
+		t.Fatalf("%d probes started and %d ended when Stop returned", n, failed)
+	}
+	for _, ds := range e.Sources() {
+		if st := g.SourceStatus(ds); st != "unknown" {
+			t.Fatalf("a cancelled probe published %s as %s", ds, st)
+		}
 	}
 }
 

@@ -7,9 +7,10 @@
 // so a repeated text finds its shape without being lexed. Shards bound
 // lock contention under concurrent OLTP load, a per-entry build lock
 // keeps a hot shape from being compiled by every waiting session at once,
-// and a version epoch invalidates every plan in O(1) when DDL or rule
-// changes make cached routes stale; the counters outlive that, and leave
-// only by eviction (folded into the "(evicted)" accumulator) or Reset.
+// and a plan stamped with the rule snapshot it compiled against is current
+// only for callers holding that snapshot, so a rule publication makes every
+// plan stale at once; the counters outlive that, and leave only by eviction
+// (folded into the "(evicted)" accumulator) or Reset.
 package plancache
 
 import (
@@ -19,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"shardingsphere/internal/digest"
+	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/telemetry"
@@ -39,14 +41,12 @@ const EvictedID = "(evicted)"
 // Stats is a snapshot of the cache counters; Metrics flattens it for
 // the kernel's metrics snapshot, and the benchmark's layer walk reads it.
 type Stats struct {
-	Hits          uint64
-	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64 // epoch bumps (rule publications)
-	Size          int    // shapes
-	Spellings     int
-	Capacity      int // shapes and spellings
-	Epoch         uint64
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	Size      int // shapes
+	Spellings int
+	Capacity  int // shapes and spellings
 	// ShardEvictions breaks Evictions down per LRU shard; a skewed
 	// distribution means hot shapes hash-collide into one shard.
 	ShardEvictions [NumShards]uint64
@@ -63,11 +63,9 @@ func (s Stats) HitRatio() float64 {
 
 // Cache is the sharded LRU. The zero value is not usable; call New.
 type Cache struct {
-	epoch         atomic.Uint64
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	evictions     atomic.Uint64
-	invalidations atomic.Uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
 
 	capacity int // total, spread evenly over shards
 	shards   [NumShards]shard
@@ -121,11 +119,11 @@ type spelling struct {
 	elem *list.Element
 }
 
-// stamped is a compiled plan and the epoch read before it was built, so
-// an invalidation racing with the build marks the fresh plan stale.
+// stamped is a compiled plan and the rule snapshot it was compiled
+// against, nil for a plan stored by Put.
 type stamped struct {
 	val   any
-	epoch uint64
+	stamp *sharding.RuleSet
 }
 
 // New builds a cache holding up to capacity shapes (DefaultCapacity when
@@ -162,18 +160,6 @@ func fnv1a(s string) uint32 {
 
 func (c *Cache) shard(key string) *shard {
 	return &c.shards[fnv1a(key)&(NumShards-1)]
-}
-
-// Epoch returns the current invalidation epoch.
-func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
-
-// Invalidate bumps the epoch: every cached plan becomes stale at once and
-// is recompiled on its shape's next execution. The entries, and with them
-// the digest counters, stay. The kernel calls it on each rule publication
-// (DDL, DistSQL rule changes, governor-pushed configuration updates).
-func (c *Cache) Invalidate() {
-	c.epoch.Add(1)
-	c.invalidations.Add(1)
 }
 
 // Lookup returns the shape's entry, most recently used from now on. On
@@ -215,45 +201,38 @@ func (c *Cache) evict(s *shard) {
 	}
 }
 
-// current returns e's plan if it was built under the live epoch, counting
-// the hit or miss.
-func (c *Cache) current(e *Entry) (any, bool) {
-	if p := e.plan.Load(); p != nil && p.epoch == c.epoch.Load() {
+// Plan returns e's compiled plan if it is stamped with stamp, the caller's
+// rule snapshot, and otherwise builds one with build(), which compiles
+// against stamp. The shape's first sights.Keep-1 builds serve their own
+// execution only; from the sights.Keep-th on the plan is kept with its
+// stamp, and concurrent callers holding the snapshot share one build: the
+// others wait on the entry's lock and find the plan there. A build error
+// is returned to its caller and nothing is stored, so the next caller
+// builds again.
+func (c *Cache) Plan(e *Entry, stamp *sharding.RuleSet, build func() (any, error)) (any, error) {
+	if p := e.plan.Load(); p != nil && p.stamp == stamp {
 		c.hits.Add(1)
-		return p.val, true
+		return p.val, nil
 	}
 	c.misses.Add(1)
-	return nil, false
-}
-
-// Plan returns e's compiled plan, building it with build() when it is
-// missing or stale. The shape's first sights.Keep-1 builds serve their own
-// execution only; from the sights.Keep-th on the plan is kept, and
-// concurrent callers share one build: the others wait on the entry's lock
-// and find the plan there. A build error is returned to its caller and
-// nothing is stored, so the next caller builds again.
-func (c *Cache) Plan(e *Entry, build func() (any, error)) (any, error) {
-	if v, ok := c.current(e); ok {
-		return v, nil
-	}
 	if e.sights.Load() < sights.Keep-1 && e.sights.Add(1) < sights.Keep {
 		return build()
 	}
 	e.build.Lock()
 	defer e.build.Unlock()
-	epoch := c.epoch.Load()
-	if p := e.plan.Load(); p != nil && p.epoch == epoch {
+	if p := e.plan.Load(); p != nil && p.stamp == stamp {
 		return p.val, nil
 	}
 	v, err := build()
 	if err != nil {
 		return nil, err
 	}
-	e.plan.Store(&stamped{val: v, epoch: epoch})
+	e.plan.Store(&stamped{val: v, stamp: stamp})
 	return v, nil
 }
 
-// Get returns the cached plan for key, if present and current.
+// Get returns the plan kept for key, whatever it was compiled against,
+// counting the hit or miss.
 func (c *Cache) Get(key string) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -262,11 +241,14 @@ func (c *Cache) Get(key string) (any, bool) {
 		s.lru.MoveToFront(e.elem)
 	}
 	s.mu.Unlock()
-	if e == nil {
-		c.misses.Add(1)
-		return nil, false
+	if e != nil {
+		if p := e.plan.Load(); p != nil {
+			c.hits.Add(1)
+			return p.val, true
+		}
 	}
-	return c.current(e)
+	c.misses.Add(1)
+	return nil, false
 }
 
 // Probe finds a kept text without lexing it: a text spelled as its
@@ -328,10 +310,10 @@ func (c *Cache) Admit(text string, norm *sqlparser.Normalized, e *Entry) {
 	c.evict(s)
 }
 
-// Put stores a plan directly (tests and warmers).
+// Put keeps a plan for key with no stamp, for Get to find (tests and
+// warmers).
 func (c *Cache) Put(key string, val any) {
-	epoch := c.epoch.Load()
-	c.Lookup(key).plan.Store(&stamped{val: val, epoch: epoch})
+	c.Lookup(key).plan.Store(&stamped{val: val})
 }
 
 // Reset forgets every shape, spelling and sight, and the evicted
@@ -405,12 +387,10 @@ func (c *Cache) DigestMetrics() map[string]int64 {
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	st := Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-		Capacity:      c.perShard() * NumShards,
-		Epoch:         c.epoch.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Capacity:  c.perShard() * NumShards,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -429,14 +409,12 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Metrics() map[string]int64 {
 	st := c.Stats()
 	m := map[string]int64{
-		"hits":          int64(st.Hits),
-		"misses":        int64(st.Misses),
-		"evictions":     int64(st.Evictions),
-		"invalidations": int64(st.Invalidations),
-		"size":          int64(st.Size),
-		"spellings":     int64(st.Spellings),
-		"capacity":      int64(st.Capacity),
-		"epoch":         int64(st.Epoch),
+		"hits":      int64(st.Hits),
+		"misses":    int64(st.Misses),
+		"evictions": int64(st.Evictions),
+		"size":      int64(st.Size),
+		"spellings": int64(st.Spellings),
+		"capacity":  int64(st.Capacity),
 		// Scaled by 1000: a snapshot carries integers only.
 		"hit_ratio_milli": int64(st.HitRatio() * 1000),
 	}

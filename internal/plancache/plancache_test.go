@@ -8,14 +8,19 @@ import (
 	"testing"
 	"time"
 
+	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sights"
 	"shardingsphere/internal/sqlparser"
 )
 
+// rules is the snapshot a test's plans are stamped with, unless the test
+// publishes another.
+var rules = sharding.NewRuleSet()
+
 // plan is what a statement does with the cache: one lookup, then the
-// entry's plan.
+// entry's plan under rules.
 func plan(c *Cache, key string, build func() (any, error)) (any, error) {
-	return c.Plan(c.Lookup(key), build)
+	return c.Plan(c.Lookup(key), rules, build)
 }
 
 // seen runs key's first sights.Keep-1 executions, which compile for
@@ -23,7 +28,7 @@ func plan(c *Cache, key string, build func() (any, error)) (any, error) {
 func seen(c *Cache, key string) *Entry {
 	e := c.Lookup(key)
 	for i := 1; i < sights.Keep; i++ {
-		c.Plan(e, func() (any, error) { return "one-shot", nil })
+		c.Plan(e, rules, func() (any, error) { return "one-shot", nil })
 	}
 	return e
 }
@@ -86,24 +91,25 @@ func TestLRUOrderWithinShard(t *testing.T) {
 	}
 }
 
+// TestEpochInvalidation: a kept plan is current only for a caller holding
+// the snapshot it was stamped with. A caller holding a newer one misses
+// once, and keeps its own plan in the same entry.
 func TestEpochInvalidation(t *testing.T) {
 	c := New(64)
-	c.Put("k", "old")
-	c.Invalidate()
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("stale entry served after Invalidate")
+	e := seen(c, "k")
+	plan(c, "k", func() (any, error) { return "old", nil })
+	newer := rules.Clone()
+	warm := c.Stats()
+	for i := 0; i < 2; i++ {
+		if v, _ := c.Plan(e, newer, func() (any, error) { return "new", nil }); v.(string) != "new" {
+			t.Fatalf("execution %d under a newer snapshot got the %s plan", i, v)
+		}
 	}
-	if n := c.Stats().Size; n != 1 {
-		t.Fatalf("the shape's entry must outlive its plan: len=%d", n)
+	if st := c.Stats(); st.Misses-warm.Misses != 1 || st.Hits-warm.Hits != 1 || st.Size != 1 {
+		t.Fatalf("stats %+v -> %+v: want one miss, then one hit, in one entry", warm, st)
 	}
-	st := c.Stats()
-	if st.Invalidations != 1 || st.Epoch != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	// Cache works again after re-population.
-	c.Put("k", "new")
 	if v, ok := c.Get("k"); !ok || v.(string) != "new" {
-		t.Fatal("repopulation after invalidation failed")
+		t.Fatalf("kept plan %v %v", v, ok)
 	}
 }
 
@@ -159,24 +165,27 @@ func TestPlanErrorNotCached(t *testing.T) {
 }
 
 func TestPlanStampedWithPreBuildEpoch(t *testing.T) {
-	// A rule change that lands while a plan is being built must invalidate
-	// that plan: the entry is stamped with the epoch read before the build.
+	// A rule change that lands while a plan is being built must leave that
+	// plan stale: it is stamped with the snapshot its caller held.
 	c := New(64)
 	seen(c, "k")
+	live := rules
 	_, err := plan(c, "k", func() (any, error) {
-		c.Invalidate() // races with the build in real life
+		live = rules.Clone() // a publication races the build in real life
 		return "stale-plan", nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("plan built before an invalidation was served after it")
+	if v, _ := c.Plan(c.Lookup("k"), live, func() (any, error) { return "fresh-plan", nil }); v.(string) != "fresh-plan" {
+		t.Fatal("plan built before a publication was served after it")
 	}
 }
 
 func TestConcurrentAccessParallel(t *testing.T) {
 	c := New(256)
+	var live atomic.Pointer[sharding.RuleSet]
+	live.Store(rules)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -184,12 +193,18 @@ func TestConcurrentAccessParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				key := fmt.Sprintf("shape-%d", i%97)
-				if _, err := plan(c, key, func() (any, error) { return key, nil }); err != nil {
+				stamp := live.Load()
+				v, err := c.Plan(c.Lookup(key), stamp, func() (any, error) { return [2]any{key, stamp}, nil })
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				if v != [2]any{key, stamp} {
+					t.Errorf("%s under %p got the plan %v", key, stamp, v)
+					return
+				}
 				if i%500 == 0 && g == 0 {
-					c.Invalidate()
+					live.Store(live.Load().Clone())
 				}
 			}
 		}(g)
@@ -202,22 +217,27 @@ func TestConcurrentAccessParallel(t *testing.T) {
 
 func TestMetricsMap(t *testing.T) {
 	c := New(32)
-	c.Put("a", 1)
-	c.Get("a")
-	c.Get("zzz")
-	c.Invalidate()
+	e := seen(c, "a")
+	c.Plan(e, rules, func() (any, error) { return 1, nil })
+	c.Plan(e, rules, func() (any, error) { return 2, nil })
+	c.Plan(e, rules.Clone(), func() (any, error) { return 3, nil })
 	m := c.Metrics()
-	if m["hits"] != 1 || m["misses"] != 1 || m["invalidations"] != 1 {
+	if m["hits"] != 1 || m["misses"] != sights.Keep+1 || m["size"] != 1 {
 		t.Fatalf("metrics %v", m)
 	}
 	if m["capacity"] != 32 {
 		t.Fatalf("capacity %d", m["capacity"])
 	}
+	// hits, misses, evictions, size, spellings, capacity, hit_ratio_milli
+	// and one eviction count per shard.
+	if len(m) != 7+NumShards {
+		t.Fatalf("%d rows: %v", len(m), m)
+	}
 }
 
-// TestDigestOutlivesPlan: an epoch bump makes the plan stale and leaves
-// the entry — the same one, with its counters — in place; hits and misses
-// keep meaning "a current plan was found / one had to be compiled".
+// TestDigestOutlivesPlan: a newer snapshot finds the plan stale and the
+// entry — the same one, with its counters — in place; hits and misses keep
+// meaning "a current plan was found / one had to be compiled".
 func TestDigestOutlivesPlan(t *testing.T) {
 	c := New(64)
 	builds := 0
@@ -227,17 +247,17 @@ func TestDigestOutlivesPlan(t *testing.T) {
 		t.Fatalf("entry identity: %+v", e.Digest.Snapshot())
 	}
 	warm := c.Stats()
-	c.Plan(e, build)
+	c.Plan(e, rules, build)
 	e.Digest.Observe(time.Millisecond, 1, 0, false)
-	c.Invalidate()
+	newer := rules.Clone()
 	again := c.Lookup("q")
 	if again != e {
-		t.Fatal("same shape resolved to a different entry after Invalidate")
+		t.Fatal("same shape resolved to a different entry under a newer snapshot")
 	}
-	if v, _ := c.Plan(again, build); v.(int) != 2 {
+	if v, _ := c.Plan(again, newer, build); v.(int) != 2 {
 		t.Fatalf("stale plan served: build %v", v)
 	}
-	c.Plan(again, build)
+	c.Plan(again, newer, build)
 	if st := c.Stats(); builds != 2 || st.Hits-warm.Hits != 1 || st.Misses-warm.Misses != 2 {
 		t.Fatalf("builds %d stats %+v", builds, st)
 	}
@@ -311,7 +331,7 @@ func TestResetForgetsShapesPlansAndEvicted(t *testing.T) {
 
 // TestPlanKeptFromThirdSight: a shape's first sights.Keep-1 misses compile
 // for their own execution and store nothing; the next keeps its plan, and
-// an invalidated plan is rebuilt and kept at once.
+// a stale plan is rebuilt and kept at once.
 func TestPlanKeptFromThirdSight(t *testing.T) {
 	c := New(64)
 	builds := 0
@@ -328,8 +348,7 @@ func TestPlanKeptFromThirdSight(t *testing.T) {
 	if v, ok := c.Get("q"); !ok || v.(int) != sights.Keep {
 		t.Fatalf("sight %d did not keep its plan: %v %v", sights.Keep, v, ok)
 	}
-	c.Invalidate()
-	plan(c, "q", build)
+	c.Plan(c.Lookup("q"), rules.Clone(), build)
 	if v, ok := c.Get("q"); !ok || v.(int) != sights.Keep+1 || builds != sights.Keep+1 {
 		t.Fatalf("a stale plan was not rebuilt and kept: %v %v after %d builds", v, ok, builds)
 	}

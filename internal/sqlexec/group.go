@@ -1,8 +1,6 @@
 package sqlexec
 
 import (
-	"strings"
-
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
@@ -154,22 +152,21 @@ func (o *output) group(env *rowEnv, rows []sqltypes.Row) (*Result, error) {
 		groups = []*groupAcc{g}
 	} else {
 		byKey := map[string]*groupAcc{}
+		var key []byte // appendRowKey's encoding of the row's GROUP BY values
 		for _, r := range rows {
 			env.row = r
-			var kb strings.Builder
+			key = key[:0]
 			for _, ge := range o.groupBy {
 				v, err := env.eval(ge)
 				if err != nil {
 					return nil, err
 				}
-				kb.WriteString(hashKey(v))
-				kb.WriteByte(0)
+				key = appendValueKey(key, v)
 			}
-			key := kb.String()
-			g, ok := byKey[key]
+			g, ok := byKey[string(key)]
 			if !ok {
 				g = o.newGroup(r)
-				byKey[key] = g
+				byKey[string(key)] = g
 				groups = append(groups, g)
 			}
 			for i := range g.states {

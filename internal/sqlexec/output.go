@@ -396,14 +396,18 @@ func DistinctRows(rows []sqltypes.Row) []sqltypes.Row {
 // by their length so that no string can pass for several values.
 func appendRowKey(b []byte, r sqltypes.Row) []byte {
 	for _, v := range r {
-		if v.Kind == sqltypes.KindString {
-			b = append(strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10), ':')
-			b = append(b, v.S...)
-			continue
-		}
-		b = append(appendKey(b, v), 0)
+		b = appendValueKey(b, v)
 	}
 	return b
+}
+
+// appendValueKey appends one value's part of appendRowKey's key.
+func appendValueKey(b []byte, v sqltypes.Value) []byte {
+	if v.Kind == sqltypes.KindString {
+		b = append(strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10), ':')
+		return append(b, v.S...)
+	}
+	return append(appendKey(b, v), 0)
 }
 
 // Dedup is DistinctRows over a stream: Add keeps the first of each set

@@ -193,6 +193,20 @@ func TestGroupBy(t *testing.T) {
 	}
 }
 
+// TestGroupByKeysDoNotCollide: two rows whose GROUP BY values differ are
+// two groups, whatever bytes their strings hold; these two read alike if
+// each value's encoding were joined to the next with a NUL byte.
+func TestGroupByKeysDoNotCollide(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, "CREATE TABLE g (id INT PRIMARY KEY, a VARCHAR(8), b VARCHAR(8))")
+	for i, r := range [][2]string{{"a\x00sQ", "R"}, {"a", "Q\x00sR"}} {
+		mustExec(t, s, "INSERT INTO g (id, a, b) VALUES (?, ?, ?)", sqltypes.NewInt(int64(i)), sqltypes.NewString(r[0]), sqltypes.NewString(r[1]))
+	}
+	if res := mustExec(t, s, "SELECT COUNT(*) FROM g GROUP BY a, b"); fmt.Sprint(res.Rows) != "[(1) (1)]" {
+		t.Fatalf("groups: %v, want two of one row", res.Rows)
+	}
+}
+
 func TestGroupByPosition(t *testing.T) {
 	s := newTestSession(t)
 	seedUsers(t, s)
