@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fuzz check bench pairs trajectory lines
+.PHONY: build test race vet fmt reach fuzz check bench pairs trajectory lines
 
-# Pre-PR gate: static checks, the full suite under the race detector and
-# the fuzz pass. Run this before every PR.
-check: fmt vet race fuzz
+# Pre-PR gate: static checks, the reachability check, the full suite
+# under the race detector and the fuzz pass. Run this before every PR.
+check: fmt vet reach race fuzz
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ vet:
 # No file gofmt would rewrite; the offenders are listed.
 fmt:
 	@out="$$(gofmt -l internal pkg cmd examples benchmark)"; test -z "$$out" || { echo "gofmt would rewrite:"; echo "$$out"; exit 1; }
+
+# Every exported name in internal/, pkg/ and cmd/ has a caller outside
+# test files, or an allowlist entry with its reason. It type-checks the
+# whole module from source, standard library included, which takes
+# seconds; the build tag keeps it out of the tier-1 `go test ./...`.
+reach:
+	$(GO) test -tags reach -count=1 ./internal/reach
 
 # Short fuzz pass over the frame reader (with the statement payload's
 # trailer-then-head decode, table lists and their EOF row counts

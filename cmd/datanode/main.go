@@ -9,9 +9,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"shardingsphere/internal/obs"
@@ -30,8 +33,8 @@ func main() {
 	engine := storage.NewEngine(*name)
 	srv := proxy.NewServer(&proxy.NodeBackend{Processor: sqlexec.NewProcessor(engine)})
 	srv.SetIdleTimeout(*idleTO)
+	o := obs.NewServer()
 	if *obsAddr != "" {
-		o := obs.NewServer()
 		o.RegisterSnapshot("", srv.MetricsSnapshot)
 		bound, err := o.Start(*obsAddr)
 		if err != nil {
@@ -46,7 +49,12 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("datanode %s listening on %s\n", *name, addr)
-	if err := srv.Serve(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, func() { fmt.Println("datanode: shutting down") })
+	err = srv.ServeUntil(ctx)
+	o.Close()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -12,10 +12,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
+	"time"
 
 	"shardingsphere/internal/admission"
 	"shardingsphere/internal/core"
@@ -27,7 +31,6 @@ import (
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/storage"
 	"shardingsphere/pkg/client"
-	"time"
 )
 
 type sourceFlags []string
@@ -103,8 +106,8 @@ func main() {
 	if *rate > 0 {
 		srv.SetLimiter(governor.NewRateLimiter(*rate, int(*rate)))
 	}
+	o := obs.NewServer()
 	if *obsAddr != "" {
-		o := obs.NewServer()
 		o.RegisterSnapshot("", srv.MetricsSnapshot)
 		bound, err := o.Start(*obsAddr)
 		if err != nil {
@@ -119,9 +122,13 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("ssproxy listening on %s (%d data sources)\n", addr, len(sources))
-	err = srv.Serve()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, func() { fmt.Println("ssproxy: shutting down") })
+	err = srv.ServeUntil(ctx)
 	handler.Close()
 	gov.Stop()
+	o.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

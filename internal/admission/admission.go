@@ -209,9 +209,6 @@ func NewController(cfg Config) *Controller {
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // SetGate installs the global admission brake (the governor). The gate is
 // consulted with the name "frontend" on every admission.
 func (c *Controller) SetGate(g Gate) { c.gate = g }

@@ -109,7 +109,7 @@ func TestChaosReplicaOutageFailover(t *testing.T) {
 	if n := clientErrs.Load(); n != 0 {
 		t.Fatalf("read-only workload saw %d client-visible errors during replica outage", n)
 	}
-	if st := gov.BreakerState("r1"); st != governor.BreakerOpen {
+	if st := gov.BreakerStates()["r1"]; st != governor.BreakerOpen {
 		t.Fatalf("r1 breaker should be open, got %v", st)
 	}
 
@@ -138,7 +138,7 @@ func TestChaosReplicaOutageFailover(t *testing.T) {
 	// Recovery: lift the fault, probe, and the replica rejoins rotation.
 	exec(t, s, "REMOVE FAULT r1")
 	gov.CheckOnce()
-	if st := gov.BreakerState("r1"); st != governor.BreakerClosed {
+	if st := gov.BreakerStates()["r1"]; st != governor.BreakerClosed {
 		t.Fatalf("r1 breaker should close after recovery, got %v", st)
 	}
 	res, err := s.Execute("SELECT * FROM t_user WHERE uid = 3")

@@ -233,9 +233,6 @@ func (e *Executor) Metrics() map[string]int64 {
 	}
 }
 
-// MaxCon reports the configured per-query connection budget.
-func (e *Executor) MaxCon() int { return e.maxCon }
-
 // Source returns a data source by name.
 func (e *Executor) Source(name string) (*resource.DataSource, error) {
 	ds, ok := e.sources[name]
@@ -272,8 +269,8 @@ func (e *Executor) dsLock(name string) *sync.Mutex {
 // error wrapping.
 func (e *Executor) observe(tr *telemetry.Trace, ds, sql string, start time.Time, attempt int, err error) time.Duration {
 	// Two fast exits that skip the clock read entirely: nothing consumes
-	// the measurement (telemetry disabled, no listener), or the statement
-	// is unsampled — its trace measures the total with one read at Finish,
+	// the measurement (no collector, no listener), or the statement is
+	// unsampled — its trace measures the total with one read at Finish,
 	// and per-source latency is a sampled statistic (errors below stay
 	// exact because a failed unit always takes the slow path).
 	if err == nil && e.listener == nil {
@@ -281,16 +278,15 @@ func (e *Executor) observe(tr *telemetry.Trace, ds, sql string, start time.Time,
 			if !tr.Sampled() {
 				return 0
 			}
-		} else if !e.tel.Enabled() {
+		} else if e.tel == nil {
 			return 0
 		}
 	}
-	enabled := e.tel.Enabled()
 	dur := time.Since(start)
 	if e.listener != nil {
 		e.listener(ds, sql, dur, err)
 	}
-	if enabled {
+	if e.tel != nil {
 		if s := e.stats[ds]; s != nil {
 			s.Execute.Observe(dur)
 			if err != nil {
@@ -498,18 +494,6 @@ func (h *HeldConns) Peek(ds string) (*resource.PooledConn, bool) {
 		return hc.conn, hc.open == nil
 	}
 	return nil, false
-}
-
-// Sources lists the data sources with pinned connections, in the order
-// they were pinned.
-func (h *HeldConns) Sources() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, len(h.conns))
-	for i, hc := range h.conns {
-		out[i] = hc.ds
-	}
-	return out
 }
 
 // ReleaseAll returns every pinned connection to its pool.

@@ -172,15 +172,10 @@ func TestStreamSetHoldsConnection(t *testing.T) {
 	if st := src.Stats(); st.InUse != 1 {
 		t.Fatalf("a live cursor's connection: %d in use, want 1", st.InUse)
 	}
-	if _, ok := src.TryAcquire(); ok {
-		t.Fatal("stream cursor should pin the connection")
-	}
 	res.Sets[0].Close()
-	c, ok := src.TryAcquire()
-	if !ok {
-		t.Fatal("connection not released on cursor close")
+	if st := src.Stats(); st.InUse != 0 {
+		t.Fatalf("connection not released on cursor close: %d in use", st.InUse)
 	}
-	c.Release()
 }
 
 // A memory-strict unit's result that arrives materialized, as every
@@ -334,8 +329,8 @@ func TestHeldConnsPinning(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("held conns must pin per source")
 	}
-	if got := held.Sources(); len(got) != 1 || got[0] != "ds0" {
-		t.Fatalf("sources: %v", got)
+	if len(held.conns) != 1 || held.conns[0].ds != "ds0" {
+		t.Fatalf("sources: %v", held.conns)
 	}
 	// Transactional execution rides the pinned conn serially.
 	if _, err := c1.Exec(context.Background(), "BEGIN"); err != nil {
@@ -359,8 +354,8 @@ func TestHeldConnsPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	held.ReleaseAll()
-	if got := held.Sources(); len(got) != 0 {
-		t.Fatalf("release all: %v", got)
+	if len(held.conns) != 0 {
+		t.Fatalf("release all: %v", held.conns)
 	}
 }
 

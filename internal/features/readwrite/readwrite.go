@@ -7,7 +7,6 @@ package readwrite
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -24,22 +23,6 @@ type RoundRobin struct{ n atomic.Int64 }
 
 // Pick implements Balancer.
 func (b *RoundRobin) Pick(n int) int { return int(b.n.Add(1)-1) % n }
-
-// Random picks uniformly.
-type Random struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewRandom builds a seeded random balancer.
-func NewRandom(seed int64) *Random { return &Random{rng: rand.New(rand.NewSource(seed))} }
-
-// Pick implements Balancer.
-func (b *Random) Pick(n int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rng.Intn(n)
-}
 
 // Group is one read-write splitting group.
 type Group struct {
@@ -117,24 +100,6 @@ func (f *Feature) OnSourceHealth(ds string, up bool) {
 			}
 		}
 	}
-}
-
-// Groups lists the group names with their primaries and live replica
-// counts (status surfaces).
-func (f *Feature) Groups() map[string][]string {
-	out := map[string][]string{}
-	for name, g := range f.groups {
-		g.mu.RLock()
-		live := make([]string, 0, len(g.Replicas))
-		for _, r := range g.Replicas {
-			if !g.disabled[r] {
-				live = append(live, r)
-			}
-		}
-		g.mu.RUnlock()
-		out[name] = append([]string{g.Primary}, live...)
-	}
-	return out
 }
 
 // ResolveSource implements the kernel hook: reads outside transactions go

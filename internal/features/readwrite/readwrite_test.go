@@ -85,21 +85,6 @@ func TestDisabledReplicaSkipped(t *testing.T) {
 	}
 }
 
-func TestRandomBalancer(t *testing.T) {
-	b := NewRandom(7)
-	seen := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		idx := b.Pick(3)
-		if idx < 0 || idx > 2 {
-			t.Fatalf("out of range: %d", idx)
-		}
-		seen[idx] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("random balancer never hit all replicas: %v", seen)
-	}
-}
-
 func TestInvalidGroup(t *testing.T) {
 	if _, err := New(&Group{Name: "", Primary: "p"}); err == nil {
 		t.Fatal("empty name accepted")

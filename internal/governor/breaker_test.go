@@ -152,8 +152,8 @@ func TestAttachExecOutcomesOpensBreakerAndNotifies(t *testing.T) {
 			t.Fatal("query should fail")
 		}
 	}
-	if g.BreakerState("ds0") != BreakerOpen {
-		t.Fatalf("3 transient outcomes should open the breaker, state %v", g.BreakerState("ds0"))
+	if g.BreakerStates()["ds0"] != BreakerOpen {
+		t.Fatalf("3 transient outcomes should open the breaker, state %v", g.BreakerStates()["ds0"])
 	}
 	if len(events) != 1 || events[0] != "ds0=false" {
 		t.Fatalf("health events: %v", events)
@@ -172,8 +172,8 @@ func TestAttachExecOutcomesOpensBreakerAndNotifies(t *testing.T) {
 	if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if g.BreakerState("ds0") != BreakerClosed {
-		t.Fatalf("success should close the breaker, state %v", g.BreakerState("ds0"))
+	if g.BreakerStates()["ds0"] != BreakerClosed {
+		t.Fatalf("success should close the breaker, state %v", g.BreakerStates()["ds0"])
 	}
 	if len(events) != 2 || events[1] != "ds0=true" {
 		t.Fatalf("recovery events: %v", events)
@@ -193,7 +193,7 @@ func TestAttachExecOutcomesIgnoresSQLErrors(t *testing.T) {
 			t.Fatal("query of a missing table should fail")
 		}
 	}
-	if g.BreakerState("ds0") != BreakerClosed {
-		t.Fatalf("SQL errors must not open the breaker, state %v", g.BreakerState("ds0"))
+	if g.BreakerStates()["ds0"] != BreakerClosed {
+		t.Fatalf("SQL errors must not open the breaker, state %v", g.BreakerStates()["ds0"])
 	}
 }

@@ -232,11 +232,6 @@ func (g *Governor) BreakSource(ds string, open bool) {
 	g.publishStatus(ds, !open)
 }
 
-// BreakerState reports one source's breaker position.
-func (g *Governor) BreakerState(ds string) BreakerState {
-	return g.breaker(ds).State()
-}
-
 // BreakerStates snapshots every source's breaker position, keyed by
 // source name (SHOW STATUS rows). Dynamically created breakers — e.g.
 // the "frontend" admission brake, which gates no data source — are

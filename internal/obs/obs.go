@@ -29,8 +29,9 @@ type SnapshotSource func() *telemetry.MetricsSnapshot
 type Server struct {
 	mu   sync.Mutex
 	srcs map[string]SnapshotSource
-	ln   net.Listener
 	srv  *http.Server
+	// served is closed when the serving goroutine returns.
+	served chan struct{}
 }
 
 // NewServer builds an endpoint with the process's Go runtime gauges
@@ -114,23 +115,28 @@ func (s *Server) Start(addr string) (string, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.mu.Lock()
-	s.ln = ln
 	s.srv = &http.Server{Handler: mux}
-	srv := s.srv
+	s.served = make(chan struct{})
+	srv, served := s.srv, s.served
 	s.mu.Unlock()
-	go srv.Serve(ln)
+	go func() {
+		defer close(served)
+		srv.Serve(ln)
+	}()
 	return ln.Addr().String(), nil
 }
 
-// Close stops the endpoint.
+// Close stops the endpoint and waits for its serving goroutine.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	srv := s.srv
+	srv, served := s.srv, s.served
 	s.mu.Unlock()
 	if srv == nil {
 		return nil
 	}
-	return srv.Close()
+	err := srv.Close()
+	<-served
+	return err
 }
 
 // metrics renders every registered source in Prometheus text format.

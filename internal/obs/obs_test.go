@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,5 +128,27 @@ func TestPprofIndex(t *testing.T) {
 	body := get(t, fmt.Sprintf("http://%s/debug/pprof/", addr))
 	if !strings.Contains(body, "goroutine") {
 		t.Fatalf("pprof index looks wrong:\n%.200s", body)
+	}
+}
+
+// TestCloseWaitsForTheServingGoroutine: once Close returns, the goroutine
+// Start began is gone. The stacks are read right after Close, with no
+// sleep and no poll; one P keeps a goroutine that Close only woke from
+// running first.
+func TestCloseWaitsForTheServingGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	count := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		return strings.Count(string(buf), "created by shardingsphere/internal/obs.(*Server).Start")
+	}
+	before := count()
+	s := NewServer()
+	if _, err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if n := count() - before; n != 0 {
+		t.Fatalf("%d serving goroutines left after Close", n)
 	}
 }

@@ -7,6 +7,7 @@ package proxy
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -233,9 +234,6 @@ func (s *Server) SetLimiter(l Limiter) { s.limiter = l }
 // Serve.
 func (s *Server) SetAdmission(c *admission.Controller) { s.admission = c }
 
-// Admission returns the installed controller (nil when none).
-func (s *Server) Admission() *admission.Controller { return s.admission }
-
 // SetChaosFrontend installs the frontend fault injector (INJECT FAULT
 // frontend). Configure before Serve.
 func (s *Server) SetChaosFrontend(p FrontendPerturber) { s.chaosFE = p }
@@ -273,12 +271,47 @@ func (s *Server) Listen(addr string) (string, error) {
 // instead of killing the accept loop: under a connection storm the
 // listener must survive exactly when it is hardest to restart.
 func (s *Server) Serve() error {
-	s.mu.Lock()
-	ln := s.listener
-	s.mu.Unlock()
+	ln, err := s.hold()
 	if ln == nil {
-		return fmt.Errorf("proxy: Serve before Listen")
+		return err
 	}
+	defer s.wg.Done()
+	return s.serve(ln)
+}
+
+// ServeUntil is Serve until ctx is done; then it closes the server, which
+// drains the statements in flight for up to the drain timeout, and
+// returns nil.
+func (s *Server) ServeUntil(ctx context.Context) error {
+	served := make(chan error, 1)
+	go func() { served <- s.Serve() }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+		s.Close()
+		return <-served
+	}
+}
+
+// hold counts an accept loop into the goroutines Close waits for and
+// returns the listener it accepts on; nil once the server is closed.
+// Every wg.Add happens under mu while the server is open, so none races
+// Close's Wait.
+func (s *Server) hold() (net.Listener, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.listener == nil {
+		return nil, fmt.Errorf("proxy: Serve before Listen")
+	}
+	if s.closed {
+		return nil, nil
+	}
+	s.wg.Add(1)
+	return s.listener, nil
+}
+
+func (s *Server) serve(ln net.Listener) error {
 	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
@@ -315,9 +348,17 @@ func (s *Server) Serve() error {
 			}
 		}
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			if s.admission != nil {
+				s.admission.ReleaseConn()
+			}
+			return nil
+		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			if s.admission != nil {
@@ -393,13 +434,19 @@ func (s *Server) finalError(conn net.Conn, w *bufio.Writer, msg string) {
 	}
 }
 
-// Start is Listen+Serve on a goroutine; it returns the bound address.
+// Start is Listen+Serve on a goroutine, which Close waits for; it returns
+// the bound address.
 func (s *Server) Start(addr string) (string, error) {
 	bound, err := s.Listen(addr)
 	if err != nil {
 		return "", err
 	}
-	go s.Serve()
+	if ln, _ := s.hold(); ln != nil {
+		go func() {
+			defer s.wg.Done()
+			s.serve(ln)
+		}()
+	}
 	return bound, nil
 }
 

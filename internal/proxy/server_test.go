@@ -3,6 +3,7 @@ package proxy
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -243,6 +244,57 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	srv.Close()
 	srv.Close()
+}
+
+// goroutinesIn counts the goroutines with a frame, or a creator, whose
+// name contains fn.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, fn) {
+			count++
+		}
+	}
+	return count
+}
+
+// TestCloseWaitsForItsGoroutines: once Close returns, the accept loop
+// that Start began is gone, and so are a dialed client's demux and write
+// loops. The stacks are read right after Close, with no sleep and no
+// poll; one P keeps a goroutine that Close only woke from running first.
+func TestCloseWaitsForItsGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const serve, transport = "internal/proxy.(*Server).Start", "pkg/client.(*Transport)"
+	serving, dialed := goroutinesIn(serve), goroutinesIn(transport)
+	idle := NewServer(&NodeBackend{Processor: sqlexec.NewProcessor(storage.NewEngine("idle"))})
+	if _, err := idle.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	idle.Close()
+	if n := goroutinesIn(serve) - serving; n != 0 {
+		t.Errorf("%d goroutines Start began are left after the server's Close", n)
+	}
+	addr := startNode(t, "n")
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Exec(context.Background(), "CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if n := goroutinesIn(transport) - dialed; n != 0 {
+		t.Errorf("%d transport goroutines left after the conn's Close", n)
+	}
 }
 
 func TestServerMetricsMove(t *testing.T) {

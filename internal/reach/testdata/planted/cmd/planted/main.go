@@ -1,0 +1,15 @@
+package main
+
+import (
+	"fmt"
+
+	"planted/internal/p"
+)
+
+func main() {
+	v, pair := p.New()
+	if r, ok := v.(interface{ Remaining() (int, bool) }); ok {
+		fmt.Println(r.Remaining())
+	}
+	fmt.Println(pair)
+}

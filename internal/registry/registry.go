@@ -1,9 +1,8 @@
 // Package registry is the coordination substrate standing in for Apache
 // ZooKeeper (paper Section V): a hierarchical, versioned key-value store
-// with watches, ephemeral nodes tied to client sessions, and mutual-
-// exclusion locks. The Governor stores data-source metadata, sharding
-// rules and cluster status in it, and health detection uses ephemeral
-// nodes to notice dead instances.
+// with watches and ephemeral nodes tied to client sessions. The Governor
+// stores data-source metadata, sharding rules and cluster status in it,
+// and health detection uses ephemeral nodes to notice dead instances.
 package registry
 
 import (
@@ -70,7 +69,6 @@ type Registry struct {
 	watchSeq int64
 	sessSeq  int64
 	sessions map[int64]map[string]struct{} // session → ephemeral paths
-	locks    map[string]chan struct{}
 }
 
 // New returns an empty registry.
@@ -79,7 +77,6 @@ func New() *Registry {
 		nodes:    map[string]*node{},
 		watchers: map[int64]*watcher{},
 		sessions: map[int64]map[string]struct{}{},
-		locks:    map[string]chan struct{}{},
 	}
 }
 
@@ -211,14 +208,6 @@ func (r *Registry) Get(path string) (string, int64, error) {
 	return n.value, n.version, nil
 }
 
-// Delete removes the node at path.
-func (r *Registry) Delete(path string) error {
-	path = clean(path)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deleteLocked(path)
-}
-
 func (r *Registry) deleteLocked(path string) error {
 	n, ok := r.nodes[path]
 	if !ok {
@@ -345,48 +334,4 @@ func (s *Session) Close() {
 			s.reg.notifyLocked(Event{Type: EventDeleted, Path: p})
 		}
 	}
-}
-
-// --- locks ---
-
-// Lock acquires a named mutual-exclusion lock, blocking until available.
-// It returns the unlock function.
-func (r *Registry) Lock(name string) func() {
-	for {
-		r.mu.Lock()
-		ch, held := r.locks[name]
-		if !held {
-			r.locks[name] = make(chan struct{})
-			r.mu.Unlock()
-			return func() {
-				r.mu.Lock()
-				ch := r.locks[name]
-				delete(r.locks, name)
-				r.mu.Unlock()
-				if ch != nil {
-					close(ch)
-				}
-			}
-		}
-		r.mu.Unlock()
-		<-ch
-	}
-}
-
-// TryLock acquires the lock without blocking, reporting success. On
-// success the returned unlock function must be called.
-func (r *Registry) TryLock(name string) (func(), bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, held := r.locks[name]; held {
-		return nil, false
-	}
-	ch := make(chan struct{})
-	r.locks[name] = ch
-	return func() {
-		r.mu.Lock()
-		delete(r.locks, name)
-		r.mu.Unlock()
-		close(ch)
-	}, true
 }

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -20,14 +19,9 @@ func TestPutGetDelete(t *testing.T) {
 	if v := r.Put("/a/b", "world"); v != 2 {
 		t.Fatalf("second version: %d", v)
 	}
-	if err := r.Delete("/a/b"); err != nil {
-		t.Fatal(err)
-	}
+	r.DeleteAll([]string{"/a/b", "/missing"})
 	if _, _, err := r.Get("/a/b"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get after delete: %v", err)
-	}
-	if err := r.Delete("/a/b"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete: %v", err)
 	}
 }
 
@@ -78,7 +72,7 @@ func TestWatch(t *testing.T) {
 	r.Put("/status/node1", "up")
 	r.Put("/other", "ignored")
 	r.Put("/status/node1", "down")
-	r.Delete("/status/node1")
+	r.DeleteAll([]string{"/status/node1"})
 
 	want := []Event{
 		{Type: EventCreated, Path: "/status/node1", Value: "up"},
@@ -149,52 +143,6 @@ func TestPersistentNodesSurviveSession(t *testing.T) {
 	if _, _, err := r.Get("/config/ds0"); err != nil {
 		t.Fatalf("persistent node deleted: %v", err)
 	}
-}
-
-func TestLockMutualExclusion(t *testing.T) {
-	r := New()
-	var counter, max, cur int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				unlock := r.Lock("L")
-				mu.Lock()
-				cur++
-				if cur > max {
-					max = cur
-				}
-				counter++
-				cur--
-				mu.Unlock()
-				unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != 160 || max != 1 {
-		t.Fatalf("counter=%d max=%d", counter, max)
-	}
-}
-
-func TestTryLock(t *testing.T) {
-	r := New()
-	unlock, ok := r.TryLock("L")
-	if !ok {
-		t.Fatal("first trylock failed")
-	}
-	if _, ok := r.TryLock("L"); ok {
-		t.Fatal("second trylock succeeded while held")
-	}
-	unlock()
-	unlock2, ok := r.TryLock("L")
-	if !ok {
-		t.Fatal("trylock after unlock failed")
-	}
-	unlock2()
 }
 
 func TestWatchDropsWhenFull(t *testing.T) {

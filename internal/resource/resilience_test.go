@@ -70,22 +70,6 @@ func TestDefunctIdleReplacedOnAcquire(t *testing.T) {
 	}
 }
 
-func TestTryAcquireValidatesIdle(t *testing.T) {
-	ds, _ := newStubDS("ds0", &Options{PoolSize: 1})
-	c1, _ := ds.Acquire()
-	raw := c1.Conn.(*stubConn)
-	c1.Release()
-	raw.defunct.Store(true)
-	c2, ok := ds.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire should replace the defunct idle conn")
-	}
-	defer c2.Release()
-	if c2.Conn.(*stubConn) == raw {
-		t.Fatal("TryAcquire surfaced a defunct conn")
-	}
-}
-
 func TestAcquireCtxCancelUnblocksWaiter(t *testing.T) {
 	ds, _ := newStubDS("ds0", &Options{PoolSize: 1, AcquireTimeout: time.Minute})
 	held, err := ds.Acquire()

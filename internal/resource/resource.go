@@ -449,16 +449,18 @@ type ConnInterceptor func(Conn) Conn
 // fast path: the time spent blocked and whether it ended in timeout.
 type AcquireObserver func(wait time.Duration, timedOut bool)
 
-// AuxMetricsFunc reports transport-level counters for a data source
-// (mux sockets, streams, pipelined batches, row batches);
-// installed by remote transports, reported by the kernel's metrics
-// snapshot under "remote.<ds>.".
-type AuxMetricsFunc func() map[string]int64
-
-// MetricsPullFunc scrapes the histogram/counter snapshot of the peer
-// behind a data source; installed by remote transports (wire-v2
-// FrameMetricsPull), merged by SHOW CLUSTER METRICS.
-type MetricsPullFunc func(ctx context.Context) (*telemetry.MetricsSnapshot, error)
+// Remote is the transport a networked data source's connections ride.
+type Remote interface {
+	// Metrics reports its counters (mux sockets, streams, pipelined
+	// batches, row batches), which the kernel's metrics snapshot reports
+	// under "remote.<ds>.".
+	Metrics() map[string]int64
+	// PullMetrics scrapes the peer's histogram and counter snapshot
+	// (wire-v2 FrameMetricsPull), which SHOW CLUSTER METRICS merges.
+	PullMetrics(ctx context.Context) (*telemetry.MetricsSnapshot, error)
+	// Close closes its sockets and waits for the goroutines serving them.
+	Close()
+}
 
 // DataSource is one named database with a connection pool.
 type DataSource struct {
@@ -481,8 +483,7 @@ type DataSource struct {
 	observer  atomic.Pointer[AcquireObserver]
 
 	interceptor atomic.Pointer[ConnInterceptor]
-	auxMetrics  atomic.Pointer[AuxMetricsFunc]
-	metricsPull atomic.Pointer[MetricsPullFunc]
+	remote      Remote // nil for an embedded source
 }
 
 // PoolStats is a point-in-time snapshot of one pool's gauges.
@@ -514,6 +515,14 @@ func NewDataSource(name string, factory ConnFactory, opts *Options) *DataSource 
 	return ds
 }
 
+// NewRemote builds a data source whose connections ride remote; closing
+// the source closes it.
+func NewRemote(name string, factory ConnFactory, remote Remote, opts *Options) *DataSource {
+	ds := NewDataSource(name, factory, opts)
+	ds.remote = remote
+	return ds
+}
+
 // NewEmbedded builds a data source over an in-process storage engine.
 func NewEmbedded(engine *storage.Engine, opts *Options) *DataSource {
 	o := opts.withDefaults()
@@ -542,42 +551,22 @@ func (ds *DataSource) SetAcquireObserver(fn AcquireObserver) {
 	ds.observer.Store(&fn)
 }
 
-// SetAuxMetrics installs the transport counter source for this data
-// source (nil removes it). Safe to call concurrently with AuxMetrics.
-func (ds *DataSource) SetAuxMetrics(fn AuxMetricsFunc) {
-	if fn == nil {
-		ds.auxMetrics.Store(nil)
-		return
-	}
-	ds.auxMetrics.Store(&fn)
-}
-
 // AuxMetrics snapshots transport-level counters, or nil if the data
 // source has no remote transport behind it.
 func (ds *DataSource) AuxMetrics() map[string]int64 {
-	if p := ds.auxMetrics.Load(); p != nil {
-		return (*p)()
+	if ds.remote == nil {
+		return nil
 	}
-	return nil
-}
-
-// SetMetricsPull installs the peer-scrape hook for this data source
-// (nil removes it).
-func (ds *DataSource) SetMetricsPull(fn MetricsPullFunc) {
-	if fn == nil {
-		ds.metricsPull.Store(nil)
-		return
-	}
-	ds.metricsPull.Store(&fn)
+	return ds.remote.Metrics()
 }
 
 // MetricsPull scrapes the peer's metrics snapshot, or returns (nil, nil)
 // when the data source has no scrapeable peer (embedded sources).
 func (ds *DataSource) MetricsPull(ctx context.Context) (*telemetry.MetricsSnapshot, error) {
-	if p := ds.metricsPull.Load(); p != nil {
-		return (*p)(ctx)
+	if ds.remote == nil {
+		return nil, nil
 	}
-	return nil, nil
+	return ds.remote.PullMetrics(ctx)
 }
 
 // Stats snapshots the pool gauges.
@@ -696,40 +685,17 @@ func (ds *DataSource) AcquireCtx(ctx context.Context) (*PooledConn, error) {
 	}
 }
 
-// TryAcquire acquires a connection without blocking.
-func (ds *DataSource) TryAcquire() (*PooledConn, bool) {
-	for {
-		select {
-		case c := <-ds.idle:
-			if !ds.validIdle(c) {
-				continue
-			}
-			return ds.checkout(c), true
-		default:
-		}
-		break
-	}
-	select {
-	case <-ds.slots:
-		c, err := ds.factory()
-		if err != nil {
-			ds.slots <- struct{}{}
-			return nil, false
-		}
-		return ds.checkout(c), true
-	default:
-		return nil, false
-	}
-}
-
-// Close drains and closes idle connections. In-flight connections close
-// when released.
+// Close drains and closes idle connections, then closes the remote
+// transport, if any, which fails the connections still in flight.
 func (ds *DataSource) Close() {
 	for {
 		select {
 		case c := <-ds.idle:
 			c.Close()
 		default:
+			if ds.remote != nil {
+				ds.remote.Close()
+			}
 			return
 		}
 	}

@@ -48,9 +48,6 @@ func NewProcessor(engine *storage.Engine) *Processor {
 	}
 }
 
-// Engine exposes the underlying storage engine.
-func (p *Processor) Engine() *storage.Engine { return p.engine }
-
 // parse returns the cache entry for sql, parsing on miss; the entry is
 // kept from the text's sights.Keep-th sight.
 func (p *Processor) parse(sql string) (*Stmt, error) {
@@ -153,9 +150,6 @@ func (a *arena) reset() {
 	}
 }
 
-// InTransaction reports whether an explicit transaction is open.
-func (s *Session) InTransaction() bool { return s.tx != nil }
-
 // txID returns the visibility context for reads.
 func (s *Session) txID() int64 {
 	if s.tx != nil {
@@ -163,9 +157,6 @@ func (s *Session) txID() int64 {
 	}
 	return 0
 }
-
-// Vars returns the session variables map (read-only use).
-func (s *Session) Vars() map[string]sqltypes.Value { return s.vars }
 
 // Execute runs one SQL statement with optional bind arguments.
 func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {

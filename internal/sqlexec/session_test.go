@@ -643,8 +643,8 @@ func TestTruncateThroughSQL(t *testing.T) {
 func TestSetAndVars(t *testing.T) {
 	s := newTestSession(t)
 	mustExec(t, s, "SET autocommit = 1")
-	if v, ok := s.Vars()["autocommit"]; !ok || v.I != 1 {
-		t.Fatalf("vars: %v", s.Vars())
+	if v, ok := s.vars["autocommit"]; !ok || v.I != 1 {
+		t.Fatalf("vars: %v", s.vars)
 	}
 }
 

@@ -1,9 +1,6 @@
 package sqltypes
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Row is one tuple of values.
 type Row []Value
@@ -56,14 +53,4 @@ func (s Schema) Index(name string) int {
 		}
 	}
 	return -1
-}
-
-// MustIndex is Index but panics on a missing column; used by internal code
-// paths where the column was already validated.
-func (s Schema) MustIndex(name string) int {
-	i := s.Index(name)
-	if i < 0 {
-		panic(fmt.Sprintf("sqltypes: column %q not in schema %v", name, s.Names()))
-	}
-	return i
 }

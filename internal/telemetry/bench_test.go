@@ -12,22 +12,7 @@ func BenchmarkTraceLifecycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := c.Start("SELECT c FROM sbtest WHERE id = ?")
 		tr.Mark(StagePlanCache)
-		tr.AddExec("ds0", start, time.Microsecond, nil)
-		tr.Mark(StageExecute)
-		tr.Mark(StageMerge)
-		tr.Finish(nil)
-	}
-}
-
-func BenchmarkTraceDisabled(b *testing.B) {
-	c := NewCollector()
-	c.SetEnabled(false)
-	start := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := c.Start("SELECT c FROM sbtest WHERE id = ?")
-		tr.Mark(StagePlanCache)
-		tr.AddExec("ds0", start, time.Microsecond, nil)
+		tr.AddExecAttempt("ds0", start, time.Microsecond, 0, nil)
 		tr.Mark(StageExecute)
 		tr.Mark(StageMerge)
 		tr.Finish(nil)

@@ -223,21 +223,16 @@ func (t *Trace) ID() uint64 {
 	return t.id
 }
 
-// AddExec records one per-data-source execute span using timings the
-// executor already measured — no extra clock reads. Unsampled traces
+// AddExecAttempt records one per-data-source execute span using timings
+// the executor already measured — no extra clock reads. Unsampled traces
 // only advance the work-end watermark unless the unit failed (their
 // slow-log entries carry SQL and total, not spans). Safe to call from
-// concurrent executor goroutines.
-func (t *Trace) AddExec(dataSource string, start time.Time, dur time.Duration, err error) {
-	t.AddExecAttempt(dataSource, start, dur, 0, err)
-}
-
-// AddExecAttempt is AddExec for retried/failed-over units: each try gets
-// its own appended span tagged with a 1-based attempt number, so a
-// failed first attempt's timing survives next to the retry that
-// replaced it. Local attempt numbers compose with BeginFailover's base,
-// so session-level failover rounds continue the sequence instead of
-// restarting at 1.
+// concurrent executor goroutines. A retried or failed-over unit's tries
+// each get their own span tagged with a 1-based attempt number (0 for a
+// unit run once), so a failed first attempt's timing survives next to the
+// retry that replaced it. Local attempt numbers compose with
+// BeginFailover's base, so session-level failover rounds continue the
+// sequence instead of restarting at 1.
 func (t *Trace) AddExecAttempt(dataSource string, start time.Time, dur time.Duration, attempt int, err error) {
 	if t == nil {
 		return
@@ -438,7 +433,6 @@ type SourceStats struct {
 // Collector owns the aggregate state traces feed into. A nil Collector is
 // valid and inert.
 type Collector struct {
-	enabled         atomic.Bool
 	slowThresholdNs atomic.Int64
 	errors          atomic.Uint64
 	sampleEvery     atomic.Int64
@@ -473,29 +467,17 @@ const DefaultSlowThreshold = 100 * time.Millisecond
 // stats, errors and the slow log are never sampled.
 const DefaultStageSampling = 16
 
-// NewCollector returns an enabled collector with the default slow-query
+// NewCollector returns a collector with the default slow-query
 // threshold and a 64-entry slow log.
 func NewCollector() *Collector {
 	c := &Collector{slow: newSlowLog(64), base: time.Now()}
 	c.slowThresholdNs.Store(int64(DefaultSlowThreshold))
 	c.sampleEvery.Store(DefaultStageSampling)
-	c.enabled.Store(true)
 	c.pool.New = func() any {
 		return &Trace{spans: make([]Span, 0, 16)}
 	}
 	return c
 }
-
-// SetEnabled toggles hot-path trace collection. TRACE statements work
-// regardless.
-func (c *Collector) SetEnabled(on bool) {
-	if c != nil {
-		c.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether hot-path collection is on.
-func (c *Collector) Enabled() bool { return c != nil && c.enabled.Load() }
 
 // SetStageSampling makes one statement in every records stage-boundary
 // marks (1 = every statement). Values below 1 are treated as 1.
@@ -598,20 +580,11 @@ func DigestID(key string) string {
 	return string(b[:])
 }
 
-// Start begins a trace for one statement, or returns nil (a valid inert
-// trace) when collection is disabled.
-func (c *Collector) Start(sql string) *Trace {
-	if c == nil || !c.enabled.Load() {
-		return nil
-	}
-	return c.begin(sql, false)
-}
-
 // StartInto begins a trace in caller-owned storage (typically embedded
 // in a session), skipping the pool round-trip on the hot path. Finish
 // leaves the buffer with the caller; it is reused by the next StartInto.
 func (c *Collector) StartInto(buf *Trace, sql string) *Trace {
-	if c == nil || !c.enabled.Load() {
+	if c == nil {
 		return nil
 	}
 	buf.col = c
@@ -649,7 +622,7 @@ func (c *Collector) StartInto(buf *Trace, sql string) *Trace {
 }
 
 // StartDetailed begins a retained, fine-grained trace (used by TRACE
-// statements); it works even when hot-path collection is disabled.
+// statements).
 func (c *Collector) StartDetailed(sql string) *Trace {
 	if c == nil {
 		return nil

@@ -66,8 +66,8 @@ func TestTraceSpanOrdering(t *testing.T) {
 	tr.Mark(StageRoute)
 	tr.Mark(StageRewrite)
 	execStart := time.Now()
-	tr.AddExec("ds0", execStart, time.Microsecond, nil)
-	tr.AddExec("ds1", execStart, 2*time.Microsecond, errors.New("boom"))
+	tr.AddExecAttempt("ds0", execStart, time.Microsecond, 0, nil)
+	tr.AddExecAttempt("ds1", execStart, 2*time.Microsecond, 0, errors.New("boom"))
 	tr.Mark(StageExecute)
 	tr.Mark(StageMerge)
 	tr.Finish(nil)
@@ -125,28 +125,14 @@ func TestTraceAddSpanAdvancesClock(t *testing.T) {
 	tr.Release()
 }
 
-func TestCollectorDisabled(t *testing.T) {
-	c := NewCollector()
-	c.SetEnabled(false)
-	if tr := c.Start("SELECT 1"); tr != nil {
-		t.Fatal("Start should return nil when disabled")
-	}
-	// Nil traces are inert but safe.
+func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
 	tr.Mark(StageParse)
-	tr.AddExec("ds0", time.Now(), 0, nil)
+	tr.AddExecAttempt("ds0", time.Now(), 0, 0, nil)
 	tr.Skip()
 	tr.Finish(nil)
 	if tr.Detailed() {
 		t.Fatal("nil trace cannot be detailed")
-	}
-	// Detailed traces still work when disabled.
-	if tr := c.StartDetailed("SELECT 1"); tr == nil {
-		t.Fatal("StartDetailed must work while disabled")
-	} else {
-		tr.Mark(StageParse)
-		tr.Finish(nil)
-		tr.Release()
 	}
 }
 
@@ -223,7 +209,7 @@ func TestTraceConcurrentAddExec(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr.AddExec("ds0", time.Now(), time.Duration(i)*time.Microsecond, nil)
+			tr.AddExecAttempt("ds0", time.Now(), time.Duration(i)*time.Microsecond, 0, nil)
 		}(i)
 	}
 	wg.Wait()

@@ -83,17 +83,6 @@ func (tc *Coordinator) RegisterUndo(xid string, rec UndoRecord) {
 	}
 }
 
-// Status reports a global transaction's state.
-func (tc *Coordinator) Status(xid string) (GlobalStatus, bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	g, ok := tc.globals[xid]
-	if !ok {
-		return StatusActive, false
-	}
-	return g.Status, true
-}
-
 // finish transitions the transaction and returns its undo list (for
 // rollback) while holding the record.
 func (tc *Coordinator) finish(xid string, to GlobalStatus) ([]UndoRecord, error) {
@@ -127,8 +116,6 @@ type baseTx struct {
 	inLocal map[string]bool
 }
 
-func (t *baseTx) Type() Type                      { return Base }
-func (t *baseTx) XID() string                     { return t.xid }
 func (t *baseTx) Held() *exec.HeldConns           { return t.held }
 func (t *baseTx) AttachTrace(tr *telemetry.Trace) { t.tr = tr }
 

@@ -86,8 +86,6 @@ var ErrTxClosed = errors.New("transaction: already finished")
 // from the (possibly already expired) cause via context.WithoutCancel so
 // abort verbs still reach the branches.
 type Tx interface {
-	Type() Type
-	XID() string
 	// Held returns the pinned connections the executor must use.
 	Held() *exec.HeldConns
 	// BeforeStatement prepares the touched data sources for the units
@@ -195,9 +193,6 @@ func NewManager(e *exec.Executor, log LogStore, meta MetaProvider) *Manager {
 	return &Manager{exec: e, log: log, group: newGroupCommitter(log), tc: NewCoordinator(), meta: meta}
 }
 
-// Coordinator exposes the BASE transaction coordinator (for inspection).
-func (m *Manager) Coordinator() *Coordinator { return m.tc }
-
 // Begin opens a distributed transaction of the given type.
 func (m *Manager) Begin(t Type) (Tx, error) {
 	xid := fmt.Sprintf("gtx-%d", m.seq.Add(1))
@@ -233,8 +228,6 @@ type localTx struct {
 	tr       *telemetry.Trace
 }
 
-func (t *localTx) Type() Type                      { return Local }
-func (t *localTx) XID() string                     { return t.xid }
 func (t *localTx) Held() *exec.HeldConns           { return t.held }
 func (t *localTx) AttachTrace(tr *telemetry.Trace) { t.tr = tr }
 

@@ -348,7 +348,7 @@ func TestLazyUpgradeToXA(t *testing.T) {
 	if readV(t, e, "ds0", 0) != 6 || readV(t, e, "ds1", 1) != 1 {
 		t.Fatal("upgraded commit lost")
 	}
-	xid := []sqltypes.Value{sqltypes.NewString(tx.XID())}
+	xid := []sqltypes.Value{sqltypes.NewString(xidOf(tx))}
 	want := []resource.Statement{
 		{SQL: "BEGIN"},
 		{SQL: "UPDATE t SET v = 5"},
@@ -486,8 +486,8 @@ func TestXAPrepareFailureRollsBack(t *testing.T) {
 	conn.Release()
 
 	tx, _ := mgr.Begin(XA) // xid gtx-1 (fresh manager sequence)
-	if tx.XID() != "gtx-1" {
-		t.Skipf("xid scheme changed: %s", tx.XID())
+	if xidOf(tx) != "gtx-1" {
+		t.Skipf("xid scheme changed: %s", xidOf(tx))
 	}
 	run(t, mgr, e, tx, unitsBoth("UPDATE t SET v = 9"))
 	err := tx.Commit(bg)
@@ -614,7 +614,7 @@ func TestInDoubtTypedErrorAndRecovery(t *testing.T) {
 	if !errors.As(err, &id) {
 		t.Fatalf("want InDoubtError, got %v", err)
 	}
-	if id.XID != tx.XID() || len(id.Pending) != 2 {
+	if id.XID != xidOf(tx) || len(id.Pending) != 2 {
 		t.Fatalf("in-doubt details: %+v", id)
 	}
 	if mgr.Metrics()["in_doubt"] != 1 {
@@ -650,7 +650,7 @@ func TestInDoubtTypedErrorAndRecovery(t *testing.T) {
 // Run under -race this doubles as the group committer's race test.
 func TestGroupCommitConcurrentRace(t *testing.T) {
 	const n = 48
-	mgr, e := fixture(t, NewDurableLog(NewMemoryLog(), time.Millisecond))
+	mgr, e := fixture(t, newDurableLog(NewMemoryLog(), time.Millisecond))
 	start := make(chan struct{})
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -731,7 +731,7 @@ func TestXARecoveryCommitsDecided(t *testing.T) {
 		}
 		conn.Release()
 	}
-	log.Write(LogRecord{XID: "crash-1", Branches: []string{"ds0", "ds1"}, Decided: true})
+	log.WriteBatch([]LogRecord{{XID: "crash-1", Branches: []string{"ds0", "ds1"}, Decided: true}})
 
 	// A "new" coordinator (same registry) recovers and commits.
 	mgr2 := NewManager(e, NewRegistryLog(reg, "/transactions"), testMeta{})
@@ -818,7 +818,7 @@ func TestBaseCommit(t *testing.T) {
 	if err := tx.Commit(bg); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := mgr.Coordinator().Status(tx.XID())
+	st, ok := mgr.tc.status(xidOf(tx))
 	if !ok || st != StatusCommitted {
 		t.Fatalf("tc status: %v %v", st, ok)
 	}
@@ -847,7 +847,7 @@ func TestBaseRollbackCompensates(t *testing.T) {
 	if readV(t, e, "ds0", 100) != -1 {
 		t.Fatal("insert compensation: row still there")
 	}
-	st, _ := mgr.Coordinator().Status(tx.XID())
+	st, _ := mgr.tc.status(xidOf(tx))
 	if st != StatusRolledBack {
 		t.Fatalf("tc status: %v", st)
 	}
@@ -884,7 +884,7 @@ func TestRegistryLogRoundTrip(t *testing.T) {
 	reg := registry.New()
 	log := NewRegistryLog(reg, "/tx")
 	rec := LogRecord{XID: "x1", Branches: []string{"ds0"}, Decided: true}
-	if err := log.Write(rec); err != nil {
+	if err := log.WriteBatch([]LogRecord{rec}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := log.List()

@@ -35,7 +35,6 @@ type LogRecord struct {
 // let the group committer retire many concurrent transactions' records in
 // one store operation.
 type LogStore interface {
-	Write(rec LogRecord) error
 	WriteBatch(recs []LogRecord) error
 	Delete(xid string) error
 	DeleteBatch(xids []string) error
@@ -50,8 +49,6 @@ type memoryLog struct {
 
 // NewMemoryLog returns an in-memory XA log store.
 func NewMemoryLog() LogStore { return &memoryLog{recs: map[string]LogRecord{}} }
-
-func (l *memoryLog) Write(rec LogRecord) error { return l.WriteBatch([]LogRecord{rec}) }
 
 func (l *memoryLog) WriteBatch(recs []LogRecord) error {
 	l.mu.Lock()
@@ -98,8 +95,6 @@ func NewRegistryLog(reg *registry.Registry, prefix string) LogStore {
 
 func (l *registryLog) path(xid string) string { return l.prefix + "/" + xid }
 
-func (l *registryLog) Write(rec LogRecord) error { return l.WriteBatch([]LogRecord{rec}) }
-
 func (l *registryLog) WriteBatch(recs []LogRecord) error {
 	entries := make(map[string]string, len(recs))
 	for _, rec := range recs {
@@ -139,48 +134,6 @@ func (l *registryLog) List() ([]LogRecord, error) {
 	return out, nil
 }
 
-// durableLog models a write-ahead log with a physical sync cost: every
-// Write/Delete — batched or not — serializes on one "device" and pays
-// syncDelay once, the way a real XA log pays an fsync per decision-point
-// write. The group-commit test wraps the memory log in it so the group
-// committer's amortization (N records, one sync) shows against the
-// per-transaction path (N records, N syncs).
-type durableLog struct {
-	inner LogStore
-	delay time.Duration
-	mu    sync.Mutex
-}
-
-// NewDurableLog wraps inner with a serialized per-operation sync delay.
-func NewDurableLog(inner LogStore, syncDelay time.Duration) LogStore {
-	return &durableLog{inner: inner, delay: syncDelay}
-}
-
-func (l *durableLog) sync(op func() error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	time.Sleep(l.delay)
-	return op()
-}
-
-func (l *durableLog) Write(rec LogRecord) error {
-	return l.sync(func() error { return l.inner.Write(rec) })
-}
-
-func (l *durableLog) WriteBatch(recs []LogRecord) error {
-	return l.sync(func() error { return l.inner.WriteBatch(recs) })
-}
-
-func (l *durableLog) Delete(xid string) error {
-	return l.sync(func() error { return l.inner.Delete(xid) })
-}
-
-func (l *durableLog) DeleteBatch(xids []string) error {
-	return l.sync(func() error { return l.inner.DeleteBatch(xids) })
-}
-
-func (l *durableLog) List() ([]LogRecord, error) { return l.inner.List() }
-
 // --- XA transaction (2PC, paper Fig. 5(c)) ---
 
 // branchState tracks how far one branch has progressed; the prepare and
@@ -208,8 +161,6 @@ type xaTx struct {
 	tr       *telemetry.Trace
 }
 
-func (t *xaTx) Type() Type                      { return XA }
-func (t *xaTx) XID() string                     { return t.xid }
 func (t *xaTx) Held() *exec.HeldConns           { return t.held }
 func (t *xaTx) AttachTrace(tr *telemetry.Trace) { t.tr = tr }
 

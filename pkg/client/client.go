@@ -549,6 +549,9 @@ func (c *Conn) Close() error {
 // of magnitude below typical pool sizes.
 const DefaultMuxSockets = 4
 
+// errPoolClosed fails an open on a remote data source after its Close.
+var errPoolClosed = errors.New("client: remote data source closed")
+
 // muxPool shares a fixed set of transports among all pooled logical
 // conns, redialing slots whose transport died.
 type muxPool struct {
@@ -558,6 +561,7 @@ type muxPool struct {
 	mu         sync.Mutex
 	transports []*Transport
 	next       int
+	closed     bool
 
 	socketsOpened atomic.Int64
 }
@@ -575,6 +579,10 @@ func (p *muxPool) factory() (resource.Conn, error) {
 // the slot first when its transport is missing or dead.
 func (p *muxPool) open() (*Conn, error) {
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, errPoolClosed
+	}
 	slot := p.next % len(p.transports)
 	p.next++
 	t := p.transports[slot]
@@ -588,6 +596,11 @@ func (p *muxPool) open() (*Conn, error) {
 	}
 	p.socketsOpened.Add(1)
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		tr.Close()
+		return nil, errPoolClosed
+	}
 	// A concurrent open may have already replaced this slot; keep the
 	// healthy incumbent and fold our dial into it.
 	if cur := p.transports[slot]; cur != nil && cur.Healthy() {
@@ -613,9 +626,23 @@ func (p *muxPool) openConn(t *Transport) (*Conn, error) {
 	return c, nil
 }
 
-// metrics snapshots transport counters across all sockets; the kernel's
-// metrics snapshot reports them under "remote.<ds>.".
-func (p *muxPool) metrics() map[string]int64 {
+// Close implements resource.Remote: it closes every transport and waits
+// for their goroutines; later opens fail.
+func (p *muxPool) Close() {
+	p.mu.Lock()
+	p.closed = true
+	transports := p.transports
+	p.mu.Unlock()
+	for _, t := range transports {
+		if t != nil {
+			t.Close()
+		}
+	}
+}
+
+// Metrics implements resource.Remote: transport counters across all
+// sockets.
+func (p *muxPool) Metrics() map[string]int64 {
 	m := map[string]int64{
 		"sockets_open":      0,
 		"streams_active":    0,
@@ -662,8 +689,5 @@ func (p *muxPool) metrics() map[string]int64 {
 func NewRemoteDataSource(name, addr string, opts *resource.Options) *resource.DataSource {
 	sockets := DefaultMuxSockets
 	p := &muxPool{addr: addr, name: name, transports: make([]*Transport, sockets)}
-	ds := resource.NewDataSource(name, p.factory, opts)
-	ds.SetAuxMetrics(p.metrics)
-	ds.SetMetricsPull(p.pullMetrics)
-	return ds
+	return resource.NewRemote(name, p.factory, p, opts)
 }

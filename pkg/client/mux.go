@@ -67,6 +67,7 @@ type Transport struct {
 	writeCh  chan outMsg
 	quit     chan struct{}
 	quitOnce sync.Once
+	loops    sync.WaitGroup // demux and writeLoop; Close waits for both
 
 	mu         sync.Mutex
 	streams    map[uint32]*stream
@@ -230,6 +231,7 @@ func handshake(nc net.Conn, addr string, timeout time.Duration) (*Transport, err
 			streams:  map[uint32]*stream{},
 			maxFrame: maxFrame,
 		}
+		t.loops.Add(2)
 		go t.demux()
 		go t.writeLoop()
 		return t, nil
@@ -250,6 +252,7 @@ func DialMux(addr string) (*Transport, error) {
 // demux routes inbound frames to their streams. Any read error is fatal
 // for the whole transport: every stream is failed and the socket closed.
 func (t *Transport) demux() {
+	defer t.loops.Done()
 	for {
 		typ, sid, payload, err := protocol.ReadFrameV2(t.r, t.maxFrame)
 		if err != nil {
@@ -333,6 +336,7 @@ func (t *Transport) send(sid uint32, frames ...outFrame) error {
 // when the transport is idle: with no other runnable goroutine it
 // returns immediately and the single statement flushes at once.
 func (t *Transport) writeLoop() {
+	defer t.loops.Done()
 	for {
 		var msg outMsg
 		select {
@@ -414,8 +418,11 @@ func (t *Transport) closeStream(st *stream) {
 	t.mu.Unlock()
 }
 
-// Close tears down the transport and fails all open streams.
+// Close tears down the transport, fails all open streams and waits for
+// the demux and write goroutines to return. It waits here rather than in
+// fatal, because those goroutines call fatal themselves.
 func (t *Transport) Close() error {
 	t.fatal(fmt.Errorf("client: transport closed"))
+	t.loops.Wait()
 	return nil
 }

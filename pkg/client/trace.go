@@ -84,9 +84,9 @@ func (c *Conn) PullMetrics(ctx context.Context) (*telemetry.MetricsSnapshot, err
 	}
 }
 
-// pullMetrics implements the data source's MetricsPull hook: scrape the
-// node behind this pool on a fresh logical connection.
-func (p *muxPool) pullMetrics(ctx context.Context) (*telemetry.MetricsSnapshot, error) {
+// PullMetrics implements resource.Remote: scrape the node behind this
+// pool on a fresh logical connection.
+func (p *muxPool) PullMetrics(ctx context.Context) (*telemetry.MetricsSnapshot, error) {
 	c, err := p.open()
 	if err != nil {
 		return nil, err

@@ -72,6 +72,7 @@ type DB struct {
 	gov     *governor.Governor
 	distsql *distsql.Handler // holds the registry's configuration watch
 	regSess *registry.Session
+	sources map[string]*resource.DataSource
 	engines []*storage.Engine
 }
 
@@ -81,7 +82,7 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("shardingdb: at least one data source is required")
 	}
 	sources := map[string]*resource.DataSource{}
-	db := &DB{}
+	db := &DB{sources: sources}
 	for _, dsc := range cfg.DataSources {
 		dialect := sqlparser.DialectMySQL
 		if dsc.Dialect == "postgresql" {
@@ -151,6 +152,9 @@ func (db *DB) Close() {
 	db.gov.Stop()
 	if db.regSess != nil {
 		db.regSess.Close()
+	}
+	for _, ds := range db.sources {
+		ds.Close()
 	}
 	for _, e := range db.engines {
 		e.Close()

@@ -4,6 +4,7 @@ import (
 	"database/sql"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -284,6 +285,51 @@ func TestCloseReleasesTheConfigWatch(t *testing.T) {
 	}
 	if closed.Kernel().Rules().IsSharded("t_late") {
 		t.Error("a closed DB adopted its peer's rule")
+	}
+}
+
+// TestCloseClosesRemoteSources: Close closes every data source, and a
+// remote one's multiplexed sockets with it. Five Open, CREATE, DROP and
+// Close rounds over two data nodes leave no goroutine in pkg/client;
+// closing a transport waits for its goroutines, so nothing sleeps.
+func TestCloseClosesRemoteSources(t *testing.T) {
+	var sources []DataSourceConfig
+	for _, name := range []string{"ds0", "ds1"} {
+		srv := proxy.NewServer(&proxy.NodeBackend{Processor: sqlexec.NewProcessor(storage.NewEngine(name))})
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		sources = append(sources, DataSourceConfig{Name: name, Addr: addr})
+	}
+	inClient := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		n := 0
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, "shardingsphere/pkg/client.") {
+				n++
+			}
+		}
+		return n
+	}
+	before := inClient()
+	for i := 0; i < 5; i++ {
+		db, err := Open(Config{DataSources: sources})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := db.Session()
+		for _, sql := range []string{"CREATE TABLE t (id INT PRIMARY KEY)", "DROP TABLE t"} {
+			if _, err := s.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Close()
+	}
+	if n := inClient() - before; n != 0 {
+		t.Errorf("five Open+Close rounds left %d goroutines in pkg/client", n)
 	}
 }
 
