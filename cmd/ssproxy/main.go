@@ -84,7 +84,7 @@ func main() {
 	gov := governor.New(reg, kernel.Executor())
 	handler := distsql.Install(kernel, gov)
 	sess := reg.NewSession()
-	gov.RegisterInstance(sess, "proxy-"+*listen, "proxy")
+	gov.RegisterInstance(sess, "proxy-"+*listen)
 	if *health > 0 {
 		gov.StartHealthCheck(*health)
 		kernel.AddGate(gov)

@@ -221,7 +221,6 @@ func New(cfg Config) (*Kernel, error) {
 		}
 	}
 	k.txMgr = transaction.NewManager(executor, transaction.NewRegistryLog(reg, "/transactions"), k)
-	k.txMgr.SetTelemetry(tel)
 	// Chaos can kill the 2PC coordinator at protocol points (INJECT FAULT
 	// coordinator); with no fault applied the hook is a cheap no.
 	k.txMgr.SetCrashHook(k.chaosInj.CoordinatorCrash)

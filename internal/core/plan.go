@@ -19,7 +19,7 @@ import (
 //
 // Every statement is executed through compile and run. What differs is
 // only whether the compiled value is kept: the plan cache keeps a shape's
-// plan from its third sight, and ExecuteStmt compiles for one execution.
+// plan from its third sight, and executeStmt compiles for one execution.
 type plan struct {
 	stmt sqlparser.Statement
 	sel  *sqlparser.SelectStmt // non-nil when stmt is a SELECT
@@ -87,7 +87,7 @@ func buildPlan(k *Kernel, rules *sharding.RuleSet, key string) (*plan, error) {
 func (s *Session) executePlan(p *plan, args []sqltypes.Value) (*Result, error) {
 	s.tr.Mark(telemetry.StagePlanCache)
 	if p.route == nil {
-		return s.ExecuteStmt(p.stmt, args)
+		return s.executeStmt(p.stmt, args)
 	}
 	return s.run(p, args, 0)
 }

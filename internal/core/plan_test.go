@@ -336,7 +336,7 @@ func TestPlanFastPathMultiNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := generic.ExecuteStmt(stmt, c.args)
+		res, err := generic.executeStmt(stmt, c.args)
 		if err != nil {
 			t.Fatalf("generic %q: %v", c.sql, err)
 		}

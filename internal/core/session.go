@@ -88,9 +88,9 @@ type Session struct {
 	queueWait     time.Duration
 	stmtQueueWait time.Duration
 	// tr is the current statement's trace (nil when collection is off);
-	// it lives only for the duration of one Execute call. trBuf is its
-	// session-owned storage, reused across statements so the hot path
-	// skips the collector's trace pool.
+	// it is set only for the duration of one statement. trBuf is the one
+	// place the session's traces live, reused by every statement, TRACE's
+	// detailed ones included.
 	tr    *telemetry.Trace
 	trBuf telemetry.Trace
 	// stmtDigest is the current statement's digest entry (nil when the
@@ -144,29 +144,28 @@ func (s *Session) Execute(sql string, args ...sqltypes.Value) (*Result, error) {
 	if h := s.k.distSQL; h != nil && h.Match(sql) {
 		return h.Execute(s, sql)
 	}
-	return s.execute(s.k.tel.StartInto(&s.trBuf, sql), sql, args, true)
+	res, _, err := s.execute(sql, args, false)
+	return res, err
 }
 
-// ExecuteTraced runs one statement as Execute does, with a detailed,
-// retained trace — every stage is marked, pool acquisition is timed per
-// data source, and the trace survives Finish so the caller can read its
-// span table (DistSQL TRACE) — and without keeping what it compiles, so
-// the parse and compile stages appear however often the shape has run.
-// The caller must Release the returned trace.
+// ExecuteTraced is Execute's statement path with a detailed trace, for
+// DistSQL TRACE, which runs inside Execute: every stage is marked, pool
+// acquisition is timed per data source, and nothing compiled is kept, so
+// the parse and compile stages appear however often the shape has run. The
+// trace is the session's own: it is valid until the session's next
+// statement.
 func (s *Session) ExecuteTraced(sql string, args ...sqltypes.Value) (*Result, *telemetry.Trace, error) {
-	s.stmtQueueWait, s.queueWait = s.queueWait, 0
-	tr := s.k.tel.StartDetailed(sql)
-	res, err := s.execute(tr, sql, args, false)
-	return res, tr, err
+	return s.execute(sql, args, true)
 }
 
-// execute runs one SQL statement under the given trace and observes it
-// into its shape's digest.
-func (s *Session) execute(tr *telemetry.Trace, sql string, args []sqltypes.Value, keep bool) (*Result, error) {
+// execute runs one SQL statement under the session's trace and observes it
+// into its shape's digest. A detailed statement keeps nothing it compiles.
+func (s *Session) execute(sql string, args []sqltypes.Value, detailed bool) (*Result, *telemetry.Trace, error) {
+	tr := s.k.tel.StartInto(&s.trBuf, sql, detailed)
 	tr.AddQueueWait(s.stmtQueueWait)
 	s.tr = tr
 	s.stmtDigest, s.stmtShards, s.stmtRetries = nil, 0, 0
-	res, err := s.executeSQL(sql, args, keep)
+	res, err := s.executeSQL(sql, args, !detailed)
 	s.tr = nil
 	tr.Finish(err)
 	if e := s.stmtDigest; e != nil {
@@ -196,7 +195,7 @@ func (s *Session) execute(tr *telemetry.Trace, sql string, args []sqltypes.Value
 			}
 		}
 	}
-	return res, err
+	return res, tr, err
 }
 
 // executeSQL is the statement body of execute. A kept text (Cache.Probe:
@@ -252,7 +251,7 @@ func (s *Session) executeSQL(sql string, args []sqltypes.Value, keep bool) (*Res
 		return nil, err
 	}
 	s.tr.Mark(telemetry.StageParse)
-	return s.ExecuteStmt(stmt, args)
+	return s.executeStmt(stmt, args)
 }
 
 // bindNormalized is the argument list sql binds through norm, its
@@ -290,9 +289,9 @@ func (s *Session) Exec(sql string, args ...sqltypes.Value) (resource.ExecResult,
 	return resource.ExecResult{Affected: res.Affected, LastInsertID: res.LastInsertID}, nil
 }
 
-// ExecuteStmt runs a parsed statement: transaction control and session
+// executeStmt runs a parsed statement: transaction control and session
 // statements directly, anything routable compiled for this one execution.
-func (s *Session) ExecuteStmt(stmt sqlparser.Statement, args []sqltypes.Value) (*Result, error) {
+func (s *Session) executeStmt(stmt sqlparser.Statement, args []sqltypes.Value) (*Result, error) {
 	switch t := stmt.(type) {
 	case *sqlparser.BeginStmt:
 		if s.tx != nil {
@@ -324,7 +323,10 @@ func (s *Session) ExecuteStmt(stmt sqlparser.Statement, args []sqltypes.Value) (
 		}
 		return &Result{}, nil
 	case *sqlparser.SetStmt:
-		return s.executeSet(t)
+		if err := s.SetVariable(t.Name, t.Value); err != nil {
+			return nil, err
+		}
+		return &Result{}, nil
 	case *sqlparser.ShowStmt:
 		return s.showTables()
 	case *sqlparser.DescribeStmt:
@@ -633,28 +635,27 @@ func heldOf(tx transaction.Tx) *exec.HeldConns {
 	return tx.Held()
 }
 
-// executeSet applies SET name = value. It is the one place the two
-// session-scoped names are validated and applied: DistSQL's SET VARIABLE
-// hands them here as a SetStmt. Any other name is a plain session
-// variable.
-func (s *Session) executeSet(t *sqlparser.SetStmt) (*Result, error) {
-	name := strings.ToLower(t.Name)
+// SetVariable applies SET name = value. It is the one place the two
+// session-scoped names are validated and applied: SQL's SET and DistSQL's
+// SET VARIABLE both land here. Any other name is a plain session variable.
+func (s *Session) SetVariable(name string, value sqltypes.Value) error {
+	name = strings.ToLower(name)
 	switch name {
 	case "transaction_type":
-		typ, err := transaction.ParseType(t.Value.AsString())
+		typ, err := transaction.ParseType(value.AsString())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.txType = typ
 	case "statement_timeout_ms":
-		ms, err := strconv.ParseInt(strings.TrimSpace(t.Value.AsString()), 10, 64)
+		ms, err := strconv.ParseInt(strings.TrimSpace(value.AsString()), 10, 64)
 		if err != nil || ms < 0 {
-			return nil, fmt.Errorf("core: statement_timeout_ms wants a non-negative integer, got %q", t.Value.AsString())
+			return fmt.Errorf("core: statement_timeout_ms wants a non-negative integer, got %q", value.AsString())
 		}
 		s.stmtTimeout = time.Duration(ms) * time.Millisecond
 	}
-	s.vars[name] = t.Value
-	return &Result{}, nil
+	s.vars[name] = value
+	return nil
 }
 
 // showTables lists the logic tables: rule tables, broadcast tables and

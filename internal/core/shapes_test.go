@@ -99,13 +99,13 @@ func TestShapeCompiledOnceUnderConcurrentFirstSight(t *testing.T) {
 	const q = "SELECT age FROM t_user WHERE uid = ?"
 	uid := sqltypes.NewInt(1)
 	// Warm the data node's statement cache with the unit's text through
-	// ExecuteStmt, which keeps nothing and leaves the plan cache alone.
+	// executeStmt, which keeps nothing and leaves the plan cache alone.
 	stmt, err := sqlparser.Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < nodeKeepSights; i++ {
-		res, err := k.NewSession().ExecuteStmt(stmt, []sqltypes.Value{uid})
+		res, err := k.NewSession().executeStmt(stmt, []sqltypes.Value{uid})
 		if err != nil {
 			t.Fatal(err)
 		}

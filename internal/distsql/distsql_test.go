@@ -30,7 +30,7 @@ func fixture(t *testing.T) (*core.Kernel, *core.Session, *governor.Governor) {
 		t.Fatal(err)
 	}
 	gov := governor.New(reg, k.Executor())
-	Install(k, gov)
+	t.Cleanup(Install(k, gov).Close)
 	return k, k.NewSession(), gov
 }
 
@@ -551,7 +551,7 @@ func TestConfigWatchInvalidatesPeerInstance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Install(k, governor.New(reg, k.Executor()))
+		t.Cleanup(Install(k, governor.New(reg, k.Executor())).Close)
 		return k, k.NewSession()
 	}
 	kA, sA := mk("a_")

@@ -69,7 +69,7 @@ func rwFixture(t *testing.T) (*core.Kernel, *governor.Governor) {
 	}
 	gov := governor.New(reg, k.Executor())
 	k.AddGate(gov)
-	Install(k, gov)
+	t.Cleanup(Install(k, gov).Close)
 	return k, gov
 }
 
@@ -233,7 +233,7 @@ func TestChaosHangOverMuxedRemote(t *testing.T) {
 	}
 	gov := governor.New(reg, k.Executor())
 	k.AddGate(gov)
-	Install(k, gov)
+	t.Cleanup(Install(k, gov).Close)
 	s := k.NewSession()
 
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
@@ -312,7 +312,7 @@ func TestChaosHangDuringStreamingMerge(t *testing.T) {
 	}
 	gov := governor.New(reg, k.Executor())
 	k.AddGate(gov)
-	Install(k, gov)
+	t.Cleanup(Install(k, gov).Close)
 	s := k.NewSession()
 
 	exec(t, s, createUserRule)

@@ -565,9 +565,6 @@ func (h *Handler) preview(sess *core.Session, sql string) (*core.Result, error) 
 // breakdown instead of the statement's rows (RAL's TRACE).
 func (h *Handler) trace(sess *core.Session, sql string) (*core.Result, error) {
 	res, tr, err := sess.ExecuteTraced(sql)
-	if tr != nil {
-		defer tr.Release()
-	}
 	if err != nil {
 		return nil, err
 	}

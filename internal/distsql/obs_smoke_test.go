@@ -49,7 +49,7 @@ func remoteFixture(t *testing.T, governed bool) (*core.Kernel, *core.Session) {
 	if governed {
 		gov = governor.New(reg, k.Executor())
 	}
-	Install(k, gov)
+	t.Cleanup(Install(k, gov).Close)
 	return k, k.NewSession()
 }
 

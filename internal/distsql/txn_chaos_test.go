@@ -32,7 +32,7 @@ func txnFixture(t *testing.T) (*core.Kernel, *core.Session, map[string]*resource
 		t.Fatal(err)
 	}
 	gov := governor.New(reg, k.Executor())
-	Install(k, gov)
+	t.Cleanup(Install(k, gov).Close)
 	s := k.NewSession()
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")

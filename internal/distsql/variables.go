@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"shardingsphere/internal/core"
-	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
 
@@ -105,11 +104,10 @@ func (h *Handler) showVariable(sess *core.Session, name string) (*core.Result, e
 	return rowsResult([]string{name}, []sqltypes.Row{{sqltypes.NewString(val)}}), nil
 }
 
-// setSessionVar hands the assignment to the kernel as SET name = 'value',
-// the one place session variables are validated and applied.
+// setSessionVar hands the assignment to the session's SetVariable, the
+// one place session variables are validated and applied.
 func setSessionVar(_ *Handler, sess *core.Session, name, value string) error {
-	_, err := sess.ExecuteStmt(&sqlparser.SetStmt{Name: name, Value: sqltypes.NewString(value)}, nil)
-	return err
+	return sess.SetVariable(name, sqltypes.NewString(value))
 }
 
 // intVar is a kernel-scoped integer variable with a lower bound of 0 or 1.

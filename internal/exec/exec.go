@@ -35,7 +35,6 @@ type UnitError struct {
 	DataSource  string
 	LogicTable  string
 	ActualTable string
-	SQL         string
 	Elapsed     time.Duration
 	Err         error
 }
@@ -72,7 +71,6 @@ func wrapUnitErr(u rewrite.SQLUnit, dur time.Duration, err error) error {
 		DataSource:  u.DataSource,
 		LogicTable:  u.LogicTable,
 		ActualTable: u.ActualTable,
-		SQL:         u.SQL,
 		Elapsed:     dur,
 		Err:         err,
 	}

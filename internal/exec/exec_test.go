@@ -518,7 +518,7 @@ func TestWindowFailureNamesItsUnit(t *testing.T) {
 		var ue *UnitError
 		var be *resource.BatchError
 		if !errors.As(err, &ue) || !errors.As(err, &be) || be.Index != 1 ||
-			ue.DataSource != "ds1" || ue.ActualTable != "t_logic_1" || ue.SQL != units[1].SQL {
+			ue.DataSource != "ds1" || ue.ActualTable != "t_logic_1" {
 			t.Fatalf("held=%v: want a UnitError for unit 1 on ds1/t_logic_1, got %v", inTx, err)
 		}
 		res, err := e.QueryCtx(context.Background(), windowUnits("SELECT * FROM t WHERE id = 14"), held, nil, false)
@@ -617,7 +617,7 @@ func TestFailedOpeningVerbBlamesTheVerb(t *testing.T) {
 		var ue *UnitError
 		var be *resource.BatchError
 		if !errors.As(err, &ue) || !errors.As(err, &be) || be.Index != 0 ||
-			ue.DataSource != "ds1" || ue.SQL != "BEGIN" || ue.LogicTable != "" || ue.ActualTable != "" {
+			ue.DataSource != "ds1" || ue.LogicTable != "" || ue.ActualTable != "" {
 			t.Fatalf("write=%v: want a UnitError for the verb on ds1, got %#v (%v)", write, ue, err)
 		}
 		for _, c := range h.Snapshot(time.Now()) {

@@ -1,8 +1,7 @@
 // Package readwrite implements read-write splitting (paper Section IV-C):
 // a logical data source name expands to one primary and N replicas;
 // writes, locking reads and every statement inside a transaction go to the
-// primary, plain reads rotate across healthy replicas through a pluggable
-// load balancer.
+// primary, plain reads rotate round-robin across healthy replicas.
 package readwrite
 
 import (
@@ -13,17 +12,6 @@ import (
 	"shardingsphere/internal/sqlparser"
 )
 
-// Balancer picks a replica index for the next read.
-type Balancer interface {
-	Pick(n int) int
-}
-
-// RoundRobin rotates evenly.
-type RoundRobin struct{ n atomic.Int64 }
-
-// Pick implements Balancer.
-func (b *RoundRobin) Pick(n int) int { return int(b.n.Add(1)-1) % n }
-
 // Group is one read-write splitting group.
 type Group struct {
 	// Name is the logical data source name sharding rules reference.
@@ -32,9 +20,8 @@ type Group struct {
 	Primary string
 	// Replicas receive plain reads.
 	Replicas []string
-	// Balancer defaults to round-robin.
-	Balancer Balancer
 
+	next     atomic.Int64 // round-robin position over the live replicas
 	mu       sync.RWMutex
 	disabled map[string]bool
 }
@@ -51,9 +38,6 @@ func New(groups ...*Group) (*Feature, error) {
 	for _, g := range groups {
 		if g.Name == "" || g.Primary == "" {
 			return nil, fmt.Errorf("readwrite: group needs a name and a primary")
-		}
-		if g.Balancer == nil {
-			g.Balancer = &RoundRobin{}
 		}
 		g.disabled = map[string]bool{}
 		f.groups[g.Name] = g
@@ -123,5 +107,5 @@ func (f *Feature) ResolveSource(ds string, readOnly, inTx bool, stmt sqlparser.S
 	if len(live) == 0 {
 		return g.Primary
 	}
-	return live[g.Balancer.Pick(len(live))]
+	return live[int(g.next.Add(1)-1)%len(live)]
 }

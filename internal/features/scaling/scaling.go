@@ -45,7 +45,6 @@ func (s Status) String() string {
 
 // Job tracks one resharding run.
 type Job struct {
-	Table  string
 	mu     sync.Mutex
 	status Status
 	moved  int64
@@ -89,7 +88,7 @@ func Reshard(k *core.Kernel, spec sharding.AutoTableSpec, generation int) (*Job,
 	for i := range newRule.DataNodes {
 		newRule.DataNodes[i].Table = fmt.Sprintf("%s_g%d_%d", spec.LogicTable, generation, i)
 	}
-	job := &Job{Table: spec.LogicTable}
+	job := &Job{}
 	created, err := copyTable(k, job, oldRule, newRule)
 	if err == nil {
 		err = switchRule(k, oldRule, newRule)

@@ -196,8 +196,8 @@ func (g *Governor) WatchConfig(fn func()) (cancel func()) {
 
 // RegisterInstance advertises a running instance (proxy or embedded
 // driver) as an ephemeral node; it disappears when the session closes.
-func (g *Governor) RegisterInstance(sess *registry.Session, id, kind string) error {
-	_, err := g.reg.PutEphemeral(sess, instancesPath+"/"+id, kind)
+func (g *Governor) RegisterInstance(sess *registry.Session, id string) error {
+	_, err := g.reg.PutEphemeral(sess, instancesPath+"/"+id, "")
 	return err
 }
 

@@ -163,7 +163,7 @@ func TestLoadRulesKeepsPersistedNodes(t *testing.T) {
 func TestInstanceRegistration(t *testing.T) {
 	g, reg, _ := fixture(t)
 	sess := reg.NewSession()
-	if err := g.RegisterInstance(sess, "proxy-1", "proxy"); err != nil {
+	if err := g.RegisterInstance(sess, "proxy-1"); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.Instances(); len(got) != 1 || got[0] != "proxy-1" {

@@ -1,0 +1,9 @@
+package governor
+
+import (
+	"testing"
+
+	"shardingsphere/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -31,6 +31,7 @@ func TestDataNodeFailureDetectedAndBroken(t *testing.T) {
 			AcquireTimeout: 500 * time.Millisecond,
 		}),
 	}
+	defer sources["ds0"].Close()
 	reg := registry.New()
 	k, err := core.New(core.Config{Sources: sources, Registry: reg})
 	if err != nil {
@@ -99,6 +100,7 @@ func TestBrokenRemoteConnNotReused(t *testing.T) {
 	defer srv.Close()
 
 	ds := client.NewRemoteDataSource("n", addr, nil)
+	defer ds.Close()
 	conn, err := ds.Acquire()
 	if err != nil {
 		t.Fatal(err)

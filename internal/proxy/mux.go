@@ -345,7 +345,7 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, s
 		}
 		if ts, ok := sess.(TracingBackendSession); ok {
 			tracer = ts
-			ts.BeginTrace(recvAt, started, tc.Detailed)
+			ts.BeginTrace(recvAt, started)
 		}
 	}
 	// The span block rides the terminal frame. Backends without span

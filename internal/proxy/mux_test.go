@@ -332,8 +332,13 @@ func TestClientDefunctOnOversizedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fake server holds its socket open until the test is done, and the
+	// test waits for it to return.
+	release, served := make(chan struct{}), make(chan struct{})
+	defer func() { close(release); <-served }()
 	defer ln.Close()
 	go func() {
+		defer close(served)
 		nc, err := ln.Accept()
 		if err != nil {
 			return
@@ -359,7 +364,7 @@ func TestClientDefunctOnOversizedFrame(t *testing.T) {
 		nc.Write(hdr[:])
 		// Keep the socket open so the client error comes from the size
 		// check, not a broken pipe.
-		time.Sleep(2 * time.Second)
+		<-release
 	}()
 
 	conn, err := client.Dial(ln.Addr().String())

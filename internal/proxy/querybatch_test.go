@@ -405,6 +405,7 @@ func TestTransactionRangeOverRemoteNodesIsOneWindowPerSource(t *testing.T) {
 				embedded[name] = resource.NewEmbedded(storage.NewEngine(name), nil)
 				addr, _ := startNodeServer(t, name)
 				remote[name] = client.NewRemoteDataSource(name, addr, nil)
+				t.Cleanup(remote[name].Close)
 			}
 			es, rs := rangeKernel(t, embedded, tx), rangeKernel(t, remote, tx)
 			ranges := []string{

@@ -49,7 +49,7 @@ type Backend interface {
 // pickup time); EndTrace disarms it and returns the collected spans,
 // which the mux layer piggybacks on the terminal reply frame.
 type TracingBackendSession interface {
-	BeginTrace(base, started time.Time, detailed bool)
+	BeginTrace(base, started time.Time)
 	EndTrace(total time.Duration) []telemetry.RemoteSpan
 }
 
@@ -634,8 +634,8 @@ func (ns *nodeSession) Execute(sql string, args []sqltypes.Value) ([]string, res
 
 // BeginTrace / EndTrace implement TracingBackendSession by delegating
 // to the executor session's span recorder.
-func (ns *nodeSession) BeginTrace(base, started time.Time, detailed bool) {
-	ns.sess.BeginTrace(base, started, detailed)
+func (ns *nodeSession) BeginTrace(base, started time.Time) {
+	ns.sess.BeginTrace(base, started)
 }
 
 func (ns *nodeSession) EndTrace(total time.Duration) []telemetry.RemoteSpan {

@@ -83,6 +83,7 @@ func startShardedProxy(t *testing.T) string {
 		name := fmt.Sprintf("ds%d", i)
 		addr := startNode(t, name)
 		sources[name] = client.NewRemoteDataSource(name, addr, nil)
+		t.Cleanup(sources[name].Close)
 	}
 	k, err := core.New(core.Config{Sources: sources, MaxCon: 2})
 	if err != nil {
@@ -247,8 +248,10 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 // goroutinesIn counts the goroutines with a frame, or a creator, whose
-// name contains fn.
+// name contains fn. On one P, its yield lets a goroutine that a Close's
+// Wait has already released, an earlier test's too, finish returning.
 func goroutinesIn(fn string) int {
+	runtime.Gosched()
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)

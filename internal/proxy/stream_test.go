@@ -185,6 +185,7 @@ func startStreamFixture(t *testing.T, rowsPerShard int) *streamFixture {
 		addr, srv := startNodeServer(t, name)
 		f.nodes = append(f.nodes, srv)
 		f.sources[name] = client.NewRemoteDataSource(name, addr, &resource.Options{PoolSize: 8})
+		t.Cleanup(f.sources[name].Close)
 	}
 	k, err := core.New(core.Config{Sources: f.sources, MaxCon: 4})
 	if err != nil {

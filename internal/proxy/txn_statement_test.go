@@ -28,6 +28,7 @@ func TestFailedSplitInsertOverWireLeavesNothing(t *testing.T) {
 				addr, _ := startNodeServer(t, name)
 				nodes[name] = addr
 				sources[name] = client.NewRemoteDataSource(name, addr, nil)
+				t.Cleanup(sources[name].Close)
 			}
 			rules := sharding.NewRuleSet()
 			rule, err := sharding.BuildAutoRule(sharding.AutoTableSpec{

@@ -1,7 +1,9 @@
 //go:build reach
 
 // Package reach checks that every exported name the module defines in
-// internal/, pkg/ and cmd/ has a caller outside test files. Run it with
+// internal/, pkg/ and cmd/ has a use outside test files, and every struct
+// field, exported or not, a read. A use counts only in code that is itself
+// used, to a fixpoint. Run it with
 //
 //	go test -tags reach ./internal/reach
 //
@@ -27,8 +29,8 @@ import (
 	"testing"
 )
 
-// allowed names exported names kept without a product caller, each with
-// its reason. An entry the scan no longer reports fails the check too, so
+// allowed names what is kept without a product use, each with its
+// reason. An entry the scan no longer reports fails the check too, so
 // the list cannot go stale.
 var allowed = map[string]string{
 	// pkg/ is the public API: its callers are applications.
@@ -43,6 +45,8 @@ var allowed = map[string]string{
 	"internal/core.Feature.Name":              "the feature SPI's base: only a value that names itself registers as a feature",
 	"internal/features/scaling.StatusRunning": "the zero Status a job starts in, never written by name; deleting it renumbers the enum",
 	"internal/sharding.NewSnowflake":          "ROADMAP item 2 configures the key generator through DistSQL",
+	"internal/route.Result.Kind":              "item 18(a): EXPLAIN shows the route type",
+	"internal/leakcheck.Main":                 "each package's TestMain calls it: the goroutine check has test callers only",
 
 	// Test hooks other packages' tests set; ROADMAP item 9 replaces the
 	// clock-driven ones with an injected clock.
@@ -71,20 +75,21 @@ func TestEveryExportedNameHasAProductCaller(t *testing.T) {
 	for _, f := range found {
 		seen[f.name] = true
 		if _, ok := allowed[f.name]; !ok {
-			t.Errorf("%s: %s has no caller outside test files", f.pos, f.name)
+			t.Errorf("%s: %s has no use outside test files (a field needs a read)", f.pos, f.name)
 		}
 	}
 	for name := range allowed {
 		if !seen[name] {
-			t.Errorf("allowlisted %s has a product caller now, or is gone: drop its entry", name)
+			t.Errorf("allowlisted %s has a product use now, or is gone: drop its entry", name)
 		}
 	}
 }
 
-// TestPlantedPackage runs the scan over testdata/planted: one exported
-// func nobody calls, one method reached only through an anonymous
-// interface, and a struct whose fields are set positionally. Only the
-// first is reported.
+// TestPlantedPackage runs the scan over testdata/planted: an exported func
+// nobody calls and one only it calls, a field written and never read, a
+// method reached only through an anonymous interface, fields set
+// positionally, an embedded field read only by promotion and a map key's
+// fields. Only the first three are reported.
 func TestPlantedPackage(t *testing.T) {
 	found, err := scan("testdata/planted")
 	if err != nil {
@@ -94,7 +99,8 @@ func TestPlantedPackage(t *testing.T) {
 	for _, f := range found {
 		names = append(names, f.name)
 	}
-	if want := []string{"internal/p.Unused"}; fmt.Sprint(names) != fmt.Sprint(want) {
+	want := []string{"internal/p.OnlyFromUnused", "internal/p.Tally.n", "internal/p.Unused"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("found %v, want %v", names, want)
 	}
 }
@@ -169,63 +175,61 @@ func scan(root string) ([]finding, error) {
 		mod = append(mod, l)
 	}
 
-	used := map[types.Object]bool{}
-	use := func(o types.Object) {
-		switch o := o.(type) {
-		case *types.Func:
-			used[o.Origin()] = true
-		case *types.Var:
-			used[o.Origin()] = true
-		default:
-			used[o] = true
+	// The use graph's nodes are top-level declarations. A declaration is
+	// live once something live uses an object it declares, and only a live
+	// declaration's uses count; the roots are main, init, blank variables,
+	// allowlisted names and everything benchmark/ and examples/ declare.
+	type decl struct {
+		l    *loaded
+		node ast.Node
+	}
+	var decls []decl
+	declOf := map[types.Object][]int{}
+	var roots []int
+	for _, l := range mod {
+		add := func(n ast.Node, root bool, names ...*ast.Ident) {
+			for _, id := range names {
+				if o := l.info.Defs[id]; o != nil {
+					declOf[o] = append(declOf[o], len(decls))
+				}
+				root = root || id.Name == "_"
+			}
+			if root || !checked(l.rel) {
+				roots = append(roots, len(decls))
+			}
+			decls = append(decls, decl{l, n})
+		}
+		for _, f := range l.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					add(d, d.Recv == nil && (name == "init" || name == "main" && l.pkg.Name() == "main"), d.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							add(spec, false, spec.Name)
+						case *ast.ValueSpec:
+							add(spec, false, spec.Names...)
+						}
+					}
+				}
+			}
 		}
 	}
+
+	// A type's methods that satisfy an interface are used once the type is.
 	ifaces := stdInterfaces(im, mod)
 	for _, l := range mod {
-		for _, o := range l.info.Uses {
-			use(o)
-		}
-		for _, s := range l.info.Selections {
-			use(s.Obj())
-		}
 		for _, tv := range l.info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 				ifaces = append(ifaces, it)
 			}
 		}
-		for _, f := range l.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					// A positional literal sets every field.
-					st, ok := l.info.Types[n].Type.Underlying().(*types.Struct)
-					if !ok || len(n.Elts) == 0 {
-						break
-					}
-					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
-						for i := 0; i < st.NumFields(); i++ {
-							use(st.Field(i))
-						}
-					}
-				case *ast.StructType:
-					// encoding/json reads and writes json-tagged fields.
-					for _, fl := range n.Fields.List {
-						if fl.Tag != nil && strings.Contains(fl.Tag.Value, `json:"`) {
-							for _, id := range fl.Names {
-								use(l.info.Defs[id])
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
 	}
-	// A method is used when its type satisfies an interface that has it.
+	satisfying := map[types.Object][]types.Object{}
 	for _, l := range mod {
-		if !checked(l.rel) {
-			continue
-		}
 		scope := l.pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -245,17 +249,177 @@ func scan(root string) ([]finding, error) {
 				for i := 0; i < it.NumMethods(); i++ {
 					m := it.Method(i)
 					if sel := ms.Lookup(m.Pkg(), m.Name()); sel != nil {
-						use(sel.Obj())
+						satisfying[tn] = append(satisfying[tn], sel.Obj())
 					}
 				}
 			}
 		}
 	}
 
+	used := map[types.Object]bool{}
+	live := make([]bool, len(decls))
+	var work []int
+	var use func(o types.Object)
+	use = func(o types.Object) {
+		switch v := o.(type) {
+		case *types.Func:
+			o = v.Origin()
+		case *types.Var:
+			o = v.Origin()
+		}
+		if used[o] {
+			return
+		}
+		used[o] = true
+		for _, i := range declOf[o] {
+			if !live[i] {
+				live[i] = true
+				work = append(work, i)
+			}
+		}
+		for _, m := range satisfying[o] {
+			use(m)
+		}
+	}
+	useFields := func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				use(st.Field(i))
+			}
+		}
+	}
+	for _, l := range mod {
+		// A map compares its key's every field.
+		for _, tv := range l.info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				useFields(m.Key())
+			}
+		}
+		// encoding/json reads and writes json-tagged fields.
+		for _, f := range l.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if st, ok := n.(*ast.StructType); ok {
+					for _, fl := range st.Fields.List {
+						if fl.Tag != nil && strings.Contains(fl.Tag.Value, `json:"`) {
+							for _, id := range fl.Names {
+								use(l.info.Defs[id])
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	// walk counts the uses in a live declaration. A field counts only
+	// where it is read: the left of an assignment or ++, and a keyed
+	// literal's key, write it.
+	walk := func(d decl) {
+		info := d.l.info
+		writes := map[*ast.Ident]bool{}
+		written := func(x ast.Expr) {
+			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+				writes[sel.Sel] = true
+			}
+		}
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, x := range n.Lhs {
+					written(x)
+				}
+			case *ast.IncDecStmt:
+				written(n.X)
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				if _, ok := t.Underlying().(*types.Struct); !ok || len(n.Elts) == 0 {
+					break
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+					// A positional literal sets every field.
+					useFields(t)
+					break
+				}
+				for _, e := range n.Elts {
+					if id, ok := e.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				// A promoted field or method reads the embedded fields on
+				// its path.
+				if s := info.Selections[n]; s != nil {
+					t := s.Recv()
+					for _, i := range s.Index()[:len(s.Index())-1] {
+						if p, ok := t.Underlying().(*types.Pointer); ok {
+							t = p.Elem()
+						}
+						st, ok := t.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						use(st.Field(i))
+						t = st.Field(i).Type()
+					}
+				}
+			case *ast.Ident:
+				if o := info.Uses[n]; o != nil && !writes[n] {
+					use(o)
+				}
+			}
+			return true
+		})
+	}
+	drain := func() {
+		for len(work) > 0 {
+			i := work[len(work)-1]
+			work = work[:len(work)-1]
+			walk(decls[i])
+		}
+	}
+	for _, i := range roots {
+		if !live[i] {
+			live[i] = true
+			work = append(work, i)
+		}
+	}
+	drain()
+	// An allowlisted name is reported, to show it is still needed, unless
+	// the roots reach it; then it becomes a root too.
+	candidates := exportedAndFields(mod)
 	var found []finding
-	report := func(o types.Object, name string) {
-		if o != nil && o.Exported() && !used[o] {
-			found = append(found, finding{name, fset.Position(o.Pos())})
+	for _, c := range candidates {
+		if _, ok := allowed[c.name]; ok && !used[c.obj] {
+			found = append(found, finding{c.name, fset.Position(c.obj.Pos())})
+			use(c.obj)
+		}
+	}
+	drain()
+	for _, c := range candidates {
+		if !used[c.obj] {
+			found = append(found, finding{c.name, fset.Position(c.obj.Pos())})
+		}
+	}
+	sort.Slice(found, func(i, j int) bool { return found[i].name < found[j].name })
+	return found, nil
+}
+
+type candidate struct {
+	obj  types.Object
+	name string
+}
+
+// exportedAndFields returns what needs a use in the checked packages: every
+// exported name, and every named field of a named struct type, exported or
+// not.
+func exportedAndFields(mod []*loaded) []candidate {
+	var out []candidate
+	add := func(o types.Object, name string, field bool) {
+		if o != nil && o.Name() != "_" && (field || o.Exported()) {
+			out = append(out, candidate{o, name})
 		}
 	}
 	for _, l := range mod {
@@ -265,7 +429,7 @@ func scan(root string) ([]finding, error) {
 		scope := l.pkg.Scope()
 		for _, name := range scope.Names() {
 			o := scope.Lookup(name)
-			report(o, l.rel+"."+name)
+			add(o, l.rel+"."+name, false)
 			tn, ok := o.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
@@ -276,25 +440,21 @@ func scan(root string) ([]finding, error) {
 			}
 			prefix := l.rel + "." + name + "."
 			for i := 0; i < named.NumMethods(); i++ {
-				report(named.Method(i), prefix+named.Method(i).Name())
+				add(named.Method(i), prefix+named.Method(i).Name(), false)
 			}
 			switch u := named.Underlying().(type) {
 			case *types.Struct:
 				for i := 0; i < u.NumFields(); i++ {
-					// An embedded field is used by promotion.
-					if !u.Field(i).Embedded() {
-						report(u.Field(i), prefix+u.Field(i).Name())
-					}
+					add(u.Field(i), prefix+u.Field(i).Name(), true)
 				}
 			case *types.Interface:
 				for i := 0; i < u.NumExplicitMethods(); i++ {
-					report(u.ExplicitMethod(i), prefix+u.ExplicitMethod(i).Name())
+					add(u.ExplicitMethod(i), prefix+u.ExplicitMethod(i).Name(), false)
 				}
 			}
 		}
 	}
-	sort.Slice(found, func(i, j int) bool { return found[i].name < found[j].name })
-	return found, nil
+	return out
 }
 
 // moduleImporter serves the module's own packages, checked in dependency

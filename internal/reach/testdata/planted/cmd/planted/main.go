@@ -11,5 +11,7 @@ func main() {
 	if r, ok := v.(interface{ Remaining() (int, bool) }); ok {
 		fmt.Println(r.Remaining())
 	}
-	fmt.Println(pair)
+	var t p.Tally
+	t.Count()
+	fmt.Println(pair, p.Col("c"), p.Touch("t", "0"))
 }

@@ -2,8 +2,12 @@
 // must tell apart.
 package p
 
-// Unused has no caller: the check reports it.
-func Unused() {}
+// Unused has no caller, and OnlyFromUnused only a dead one: both are
+// reported.
+func Unused() { OnlyFromUnused() }
+
+// OnlyFromUnused is called by dead code alone.
+func OnlyFromUnused() {}
 
 // Countdown is reached only through an anonymous interface.
 type Countdown struct{ n int }
@@ -16,3 +20,29 @@ type Pair struct{ Left, Right int }
 
 // New returns the values the command inspects.
 func New() (any, Pair) { return Countdown{n: 1}, Pair{1, 2} }
+
+// Tally's n is written and never read: it is reported.
+type Tally struct{ n int }
+
+// Count bumps the tally.
+func (t *Tally) Count() { t.n++ }
+
+// Slot's colRef is set by key and read only through promotion.
+type Slot struct{ colRef }
+
+type colRef struct{ col string }
+
+// Col reads the promoted column of a new slot.
+func Col(col string) string { return Slot{colRef: colRef{col: col}}.col }
+
+// Heat counts touches by cell, whose fields its map reads as a key.
+type Heat struct{ m map[cell]int }
+
+type cell struct{ table, shard string }
+
+// Touch counts a touch of a new heat.
+func Touch(table, shard string) int {
+	h := Heat{m: map[cell]int{}}
+	h.m[cell{table: table, shard: shard}]++
+	return len(h.m)
+}

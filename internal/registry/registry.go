@@ -19,34 +19,6 @@ var (
 	ErrSessionClosed   = errors.New("registry: session closed")
 )
 
-// EventType describes what happened to a watched path.
-type EventType uint8
-
-// Watch event types.
-const (
-	EventCreated EventType = iota
-	EventUpdated
-	EventDeleted
-)
-
-func (e EventType) String() string {
-	switch e {
-	case EventCreated:
-		return "created"
-	case EventUpdated:
-		return "updated"
-	default:
-		return "deleted"
-	}
-}
-
-// Event is one change notification.
-type Event struct {
-	Type  EventType
-	Path  string
-	Value string
-}
-
 // node is one stored entry.
 type node struct {
 	value     string
@@ -54,10 +26,10 @@ type node struct {
 	ephemeral int64 // owning session id, 0 for persistent
 }
 
-// watcher delivers events for one subscription.
+// watcher delivers the changed paths of one subscription.
 type watcher struct {
 	prefix string
-	ch     chan Event
+	ch     chan string
 }
 
 // Registry is the coordination store. All methods are safe for concurrent
@@ -89,23 +61,23 @@ func clean(path string) string {
 
 // Put creates or replaces the value at path, returning the new version.
 func (r *Registry) Put(path, value string) int64 {
-	path = clean(path)
 	r.mu.Lock()
-	n, existed := r.nodes[path]
-	if !existed {
+	defer r.mu.Unlock()
+	return r.setLocked(clean(path), value).version
+}
+
+// setLocked writes value at path, creating its node, and notifies the
+// path's watchers.
+func (r *Registry) setLocked(path, value string) *node {
+	n, ok := r.nodes[path]
+	if !ok {
 		n = &node{}
 		r.nodes[path] = n
 	}
 	n.value = value
 	n.version++
-	v := n.version
-	evt := Event{Type: EventUpdated, Path: path, Value: value}
-	if !existed {
-		evt.Type = EventCreated
-	}
-	r.notifyLocked(evt)
-	r.mu.Unlock()
-	return v
+	r.notifyLocked(path)
+	return n
 }
 
 // PutAll writes every entry in one critical section: one lock round trip
@@ -115,19 +87,7 @@ func (r *Registry) Put(path, value string) int64 {
 func (r *Registry) PutAll(entries map[string]string) {
 	r.mu.Lock()
 	for path, value := range entries {
-		path = clean(path)
-		n, existed := r.nodes[path]
-		if !existed {
-			n = &node{}
-			r.nodes[path] = n
-		}
-		n.value = value
-		n.version++
-		evt := Event{Type: EventUpdated, Path: path, Value: value}
-		if !existed {
-			evt.Type = EventCreated
-		}
-		r.notifyLocked(evt)
+		r.setLocked(clean(path), value)
 	}
 	r.mu.Unlock()
 }
@@ -152,20 +112,9 @@ func (r *Registry) PutEphemeral(sess *Session, path, value string) (int64, error
 	if !ok {
 		return 0, ErrSessionClosed
 	}
-	n, existed := r.nodes[path]
-	if !existed {
-		n = &node{}
-		r.nodes[path] = n
-	}
-	n.value = value
-	n.version++
+	n := r.setLocked(path, value)
 	n.ephemeral = sess.id
 	paths[path] = struct{}{}
-	evt := Event{Type: EventUpdated, Path: path, Value: value}
-	if !existed {
-		evt.Type = EventCreated
-	}
-	r.notifyLocked(evt)
 	return n.version, nil
 }
 
@@ -176,24 +125,13 @@ func (r *Registry) CompareAndPut(path, value string, version int64) (int64, erro
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n, ok := r.nodes[path]
-	if !ok {
-		if version != 0 {
-			return 0, ErrNotFound
-		}
-		n = &node{}
-		r.nodes[path] = n
-		n.value = value
-		n.version = 1
-		r.notifyLocked(Event{Type: EventCreated, Path: path, Value: value})
-		return 1, nil
+	if !ok && version != 0 {
+		return 0, ErrNotFound
 	}
-	if n.version != version {
+	if ok && n.version != version {
 		return 0, ErrVersionConflict
 	}
-	n.value = value
-	n.version++
-	r.notifyLocked(Event{Type: EventUpdated, Path: path, Value: value})
-	return n.version, nil
+	return r.setLocked(path, value).version, nil
 }
 
 // Get returns the value and version at path.
@@ -219,7 +157,7 @@ func (r *Registry) deleteLocked(path string) error {
 		}
 	}
 	delete(r.nodes, path)
-	r.notifyLocked(Event{Type: EventDeleted, Path: path})
+	r.notifyLocked(path)
 	return nil
 }
 
@@ -266,17 +204,18 @@ func (r *Registry) List(prefix string) map[string]string {
 	return out
 }
 
-// Watch subscribes to changes under the path prefix. The returned channel
-// is buffered; slow consumers drop events rather than blocking writers
-// (matching ZooKeeper's at-most-once watch pragmatics). Cancel releases
-// the subscription.
-func (r *Registry) Watch(prefix string) (<-chan Event, func()) {
+// Watch subscribes to changes under the path prefix: each create, update
+// or delete sends the path, and the watcher reads the path for its state.
+// The returned channel is buffered; slow consumers drop events rather than
+// blocking writers (matching ZooKeeper's at-most-once watch pragmatics).
+// Cancel releases the subscription.
+func (r *Registry) Watch(prefix string) (<-chan string, func()) {
 	prefix = clean(prefix)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.watchSeq++
 	id := r.watchSeq
-	w := &watcher{prefix: prefix, ch: make(chan Event, 256)}
+	w := &watcher{prefix: prefix, ch: make(chan string, 256)}
 	r.watchers[id] = w
 	cancel := func() {
 		r.mu.Lock()
@@ -289,11 +228,11 @@ func (r *Registry) Watch(prefix string) (<-chan Event, func()) {
 	return w.ch, cancel
 }
 
-func (r *Registry) notifyLocked(evt Event) {
+func (r *Registry) notifyLocked(path string) {
 	for _, w := range r.watchers {
-		if evt.Path == w.prefix || strings.HasPrefix(evt.Path, w.prefix+"/") {
+		if path == w.prefix || strings.HasPrefix(path, w.prefix+"/") {
 			select {
-			case w.ch <- evt:
+			case w.ch <- path:
 			default: // drop for slow consumers
 			}
 		}
@@ -331,7 +270,7 @@ func (s *Session) Close() {
 	for p := range paths {
 		if n, ok := s.reg.nodes[p]; ok && n.ephemeral == s.id {
 			delete(s.reg.nodes, p)
-			s.reg.notifyLocked(Event{Type: EventDeleted, Path: p})
+			s.reg.notifyLocked(p)
 		}
 	}
 }

@@ -488,7 +488,6 @@ type DataSource struct {
 
 // PoolStats is a point-in-time snapshot of one pool's gauges.
 type PoolStats struct {
-	Capacity  int
 	InUse     int64
 	Idle      int
 	Waiters   int64
@@ -572,7 +571,6 @@ func (ds *DataSource) MetricsPull(ctx context.Context) (*telemetry.MetricsSnapsh
 // Stats snapshots the pool gauges.
 func (ds *DataSource) Stats() PoolStats {
 	return PoolStats{
-		Capacity:  ds.opts.PoolSize,
 		InUse:     ds.inUse.Load(),
 		Idle:      len(ds.idle),
 		Waiters:   ds.waiters.Load(),

@@ -94,10 +94,9 @@ type Session struct {
 
 	// Span recording state, armed via BeginTrace for statements that
 	// arrived with an active trace context (see trace.go).
-	recOn       bool
-	recDetailed bool
-	recBase     time.Time
-	rec         []telemetry.RemoteSpan
+	recOn   bool
+	recBase time.Time
+	rec     []telemetry.RemoteSpan
 }
 
 // savepoint is a SAVEPOINT's name and the transaction's mark it names.

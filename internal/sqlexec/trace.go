@@ -136,9 +136,8 @@ func (p *Processor) Stats() *Stats { return &p.stats }
 // serving layer); started is when the stream worker actually picked the
 // statement up — the difference is recorded as a "queue" span. Sessions
 // are single-goroutine, so no locking.
-func (s *Session) BeginTrace(base, started time.Time, detailed bool) {
+func (s *Session) BeginTrace(base, started time.Time) {
 	s.recOn = true
-	s.recDetailed = detailed
 	s.recBase = base
 	s.rec = s.rec[:0]
 	if d := started.Sub(base); d > 0 {

@@ -252,7 +252,6 @@ func (e *Engine) Prepare(tx *Tx, xid string) error {
 		return ErrTxFinished
 	}
 	tx.state = txPrepared
-	tx.xid = xid
 	e.prepared[xid] = tx
 	return nil
 }

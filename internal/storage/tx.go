@@ -39,7 +39,6 @@ type Tx struct {
 
 	mu     sync.Mutex
 	state  txState
-	xid    string
 	log    []undo
 	locked []lockKey
 	// logBuf holds the first writes' entries: most transactions write a

@@ -8,9 +8,10 @@ import (
 func BenchmarkTraceLifecycle(b *testing.B) {
 	c := NewCollector()
 	start := time.Now()
+	var buf Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := c.Start("SELECT c FROM sbtest WHERE id = ?")
+		tr := c.StartInto(&buf, "SELECT c FROM sbtest WHERE id = ?", false)
 		tr.Mark(StagePlanCache)
 		tr.AddExecAttempt("ds0", start, time.Microsecond, 0, nil)
 		tr.Mark(StageExecute)

@@ -1,11 +1,12 @@
 // Package telemetry is the kernel's always-on observability layer. Every
-// statement carries a pooled Trace that records monotonic spans for each
-// pipeline stage (parse → route → rewrite → execute → merge), per-data-
-// source execution, and transaction phases (XA prepare/commit, BASE undo
-// capture). Finished traces feed fixed-bucket latency histograms, per-
-// source error/timeout counters, and a ring buffer of the slowest
-// statements — all designed so the hot path costs a handful of clock
-// reads and atomic adds, with no locks and no steady-state allocation.
+// statement carries a Trace, stored in its session, that records monotonic
+// spans for each pipeline stage (parse → route → rewrite → execute →
+// merge), per-data-source execution, and transaction phases (XA
+// prepare/commit, BASE undo capture). Finished traces feed fixed-bucket
+// latency histograms, per-source error/timeout counters, and a ring buffer
+// of the slowest statements — all designed so the hot path costs a
+// handful of clock reads and atomic adds, with no locks and no
+// steady-state allocation.
 package telemetry
 
 import (
@@ -121,9 +122,10 @@ type Span struct {
 	Err        string // non-empty when the spanned work failed
 }
 
-// Trace records the span breakdown of a single statement. It is pooled
-// and allocation-free in steady state. All methods are nil-receiver safe
-// so call sites need no telemetry-enabled branches.
+// Trace records the span breakdown of a single statement. Its storage
+// belongs to the caller (a session's buffer, reused by the next
+// statement), so it is allocation-free in steady state. All methods are
+// nil-receiver safe so call sites need no telemetry-enabled branches.
 //
 // Clocking: all points are monotonic offsets from the collector's base
 // timestamp (taken once at NewCollector), so starting a trace costs one
@@ -138,7 +140,7 @@ type Span struct {
 // Finish. Statement totals, error counters and slow-query capture are
 // always on and exact; per-source execute latency is sampled (its
 // percentiles are unbiased, its counts reflect sampled units only).
-// Detailed traces always mark.
+// Detailed traces always mark and sort their spans at Finish.
 //
 // Concurrency: Mark/Finish run on the session goroutine. AddExec/AddSpan
 // run on executor goroutines and take mu; the session only resumes after
@@ -153,8 +155,6 @@ type Trace struct {
 	id       uint64        // nonzero on sampled traces; propagated to remote nodes
 	sampled  bool          // stage marks active for this trace
 	detailed bool
-	retained bool
-	owned    bool          // caller-owned storage: Finish skips the pool
 	total    time.Duration // set by Finish
 	digest   string        // statement digest id, set by the session when known
 	redacted string        // normalized (literal-free) SQL, set with digest
@@ -339,7 +339,7 @@ func (t *Trace) SetDigest(id, normalizedKey string) {
 }
 
 // Finish closes the trace: records the total, counts errors, feeds the
-// slow log, and returns the trace to the pool unless it is retained.
+// slow log, and sorts a detailed trace's spans by offset.
 // Sampled traces already know their extent (last mark or furthest
 // recorded work end) and pay no clock read; unsampled traces measure the
 // full statement with the single read here — which also captures drain
@@ -373,14 +373,11 @@ func (t *Trace) Finish(err error) {
 		}
 		t.col.slow.add(SlowEntry{SQL: sqlText, Digest: t.digest, Total: total, At: t.col.base.Add(t.startOff), Spans: spans})
 	}
-	if t.retained {
-		t.sortSpans()
-		return
+	if t.detailed {
+		sort.SliceStable(t.spans, func(i, j int) bool {
+			return t.spans[i].Offset < t.spans[j].Offset
+		})
 	}
-	if t.owned {
-		return
-	}
-	t.col.release(t)
 }
 
 // Total returns the statement wall time (valid after Finish).
@@ -391,27 +388,13 @@ func (t *Trace) Total() time.Duration {
 	return t.total
 }
 
-// Spans returns the recorded spans (valid after Finish on a retained
-// trace; the slice is owned by the trace).
+// Spans returns the recorded spans (valid after Finish until the trace's
+// storage starts its next statement; the slice belongs to the trace).
 func (t *Trace) Spans() []Span {
 	if t == nil {
 		return nil
 	}
 	return t.spans
-}
-
-// Release returns a retained trace to the pool.
-func (t *Trace) Release() {
-	if t == nil {
-		return
-	}
-	t.col.release(t)
-}
-
-func (t *Trace) sortSpans() {
-	sort.SliceStable(t.spans, func(i, j int) bool {
-		return t.spans[i].Offset < t.spans[j].Offset
-	})
 }
 
 // SourceStats aggregates per-data-source health: execute latency,
@@ -436,7 +419,6 @@ type Collector struct {
 	slowThresholdNs atomic.Int64
 	errors          atomic.Uint64
 	sampleEvery     atomic.Int64
-	sampleTick      atomic.Int64
 	traceSeq        atomic.Uint64
 
 	stage [numStages]Histogram
@@ -456,7 +438,6 @@ type Collector struct {
 	base time.Time
 
 	slow *slowLog
-	pool sync.Pool
 }
 
 // DefaultSlowThreshold is the initial slow-query capture threshold.
@@ -473,9 +454,6 @@ func NewCollector() *Collector {
 	c := &Collector{slow: newSlowLog(64), base: time.Now()}
 	c.slowThresholdNs.Store(int64(DefaultSlowThreshold))
 	c.sampleEvery.Store(DefaultStageSampling)
-	c.pool.New = func() any {
-		return &Trace{spans: make([]Span, 0, 16)}
-	}
 	return c
 }
 
@@ -580,10 +558,12 @@ func DigestID(key string) string {
 	return string(b[:])
 }
 
-// StartInto begins a trace in caller-owned storage (typically embedded
-// in a session), skipping the pool round-trip on the hot path. Finish
-// leaves the buffer with the caller; it is reused by the next StartInto.
-func (c *Collector) StartInto(buf *Trace, sql string) *Trace {
+// StartInto begins a trace in the caller's storage (typically embedded
+// in a session); Finish leaves the buffer with the caller, and the next
+// StartInto reuses it. A detailed trace (TRACE statements) is always
+// sampled, marks every stage, times pool acquisition per data source and
+// sorts its spans at Finish.
+func (c *Collector) StartInto(buf *Trace, sql string, detailed bool) *Trace {
 	if c == nil {
 		return nil
 	}
@@ -606,58 +586,17 @@ func (c *Collector) StartInto(buf *Trace, sql string) *Trace {
 		buf.tick = every
 		buf.sampled = true
 	} else {
-		buf.sampled = false
+		buf.sampled = detailed
 	}
 	buf.id = 0
 	if buf.sampled {
 		buf.id = c.traceSeq.Add(1)
 	}
-	buf.detailed = false
-	buf.retained = false
-	buf.owned = true
+	buf.detailed = detailed
 	buf.digest, buf.redacted = "", ""
 	buf.spans = buf.spans[:0]
 	buf.attemptBase, buf.maxAttempt = 0, 0
 	return buf
-}
-
-// StartDetailed begins a retained, fine-grained trace (used by TRACE
-// statements).
-func (c *Collector) StartDetailed(sql string) *Trace {
-	if c == nil {
-		return nil
-	}
-	t := c.begin(sql, true)
-	t.detailed = true
-	t.retained = true
-	return t
-}
-
-func (c *Collector) begin(sql string, detailed bool) *Trace {
-	t := c.pool.Get().(*Trace)
-	t.col = c
-	t.sql = sql
-	t.startOff = time.Since(c.base)
-	t.lastOff = 0
-	t.endOff.Store(0)
-	t.total = 0
-	t.sampled = detailed || (c.sampleTick.Add(1)-1)%c.sampleEvery.Load() == 0
-	t.id = 0
-	if t.sampled {
-		t.id = c.traceSeq.Add(1)
-	}
-	t.detailed = detailed
-	t.retained = false
-	t.owned = false
-	t.digest, t.redacted = "", ""
-	t.spans = t.spans[:0]
-	t.attemptBase, t.maxAttempt = 0, 0
-	return t
-}
-
-func (c *Collector) release(t *Trace) {
-	t.sql = ""
-	c.pool.Put(t)
 }
 
 func (c *Collector) observeStage(stage Stage, d time.Duration) {

@@ -61,7 +61,7 @@ func TestHistogramQuantile(t *testing.T) {
 
 func TestTraceSpanOrdering(t *testing.T) {
 	c := NewCollector()
-	tr := c.StartDetailed("SELECT 1")
+	tr := c.StartInto(new(Trace), "SELECT 1", true)
 	tr.Mark(StageParse)
 	tr.Mark(StageRoute)
 	tr.Mark(StageRewrite)
@@ -109,12 +109,11 @@ func TestTraceSpanOrdering(t *testing.T) {
 	if tr.Total() <= 0 {
 		t.Error("trace total not positive")
 	}
-	tr.Release()
 }
 
 func TestTraceAddSpanAdvancesClock(t *testing.T) {
 	c := NewCollector()
-	tr := c.StartDetailed("COMMIT")
+	tr := c.StartInto(new(Trace), "COMMIT", true)
 	tr.Mark(StageParse)
 	start := time.Now()
 	tr.AddSpan(StageXAPrepare, "", start, 5*time.Millisecond)
@@ -122,7 +121,6 @@ func TestTraceAddSpanAdvancesClock(t *testing.T) {
 	if tr.Total() < 5*time.Millisecond {
 		t.Fatalf("total %v does not cover the 5ms xa_prepare span", tr.Total())
 	}
-	tr.Release()
 }
 
 func TestNilTraceIsInert(t *testing.T) {
@@ -140,8 +138,9 @@ func TestCollectorSlowLog(t *testing.T) {
 	c := NewCollector()
 	c.SetStageSampling(1) // every trace records stage marks
 	c.SetSlowThreshold(0) // capture everything
+	var buf Trace
 	for i := 0; i < 3; i++ {
-		tr := c.Start("SELECT slow")
+		tr := c.StartInto(&buf, "SELECT slow", false)
 		tr.Mark(StageParse)
 		tr.Finish(nil)
 	}
@@ -154,7 +153,7 @@ func TestCollectorSlowLog(t *testing.T) {
 	}
 	// Ring wraps at capacity without losing the cumulative count.
 	for i := 0; i < 100; i++ {
-		tr := c.Start("SELECT more")
+		tr := c.StartInto(&buf, "SELECT more", false)
 		tr.Finish(nil)
 	}
 	if got := len(c.Slow()); got != 64 {
@@ -167,7 +166,7 @@ func TestCollectorSlowLog(t *testing.T) {
 
 func TestCollectorMetrics(t *testing.T) {
 	c := NewCollector()
-	tr := c.Start("SELECT 1")
+	tr := c.StartInto(new(Trace), "SELECT 1", false)
 	tr.Mark(StageParse)
 	tr.Mark(StageRoute)
 	tr.Finish(errors.New("boom"))
@@ -202,7 +201,7 @@ func TestCollectorMetrics(t *testing.T) {
 
 func TestTraceConcurrentAddExec(t *testing.T) {
 	c := NewCollector()
-	tr := c.StartDetailed("SELECT fanout")
+	tr := c.StartInto(new(Trace), "SELECT fanout", true)
 	tr.Mark(StageRoute)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -224,5 +223,4 @@ func TestTraceConcurrentAddExec(t *testing.T) {
 	if n != 8 {
 		t.Fatalf("recorded %d exec spans, want 8", n)
 	}
-	tr.Release()
 }

@@ -46,7 +46,6 @@ type UndoRecord struct {
 // GlobalTx is the coordinator's record of one BASE transaction: its
 // branches and their undo logs, in execution order.
 type GlobalTx struct {
-	XID    string
 	Status GlobalStatus
 	Undo   []UndoRecord
 }
@@ -65,13 +64,11 @@ func NewCoordinator() *Coordinator {
 	return &Coordinator{globals: map[string]*GlobalTx{}}
 }
 
-// BeginGlobal registers a new global transaction and returns its record.
-func (tc *Coordinator) BeginGlobal(xid string) *GlobalTx {
+// BeginGlobal registers a new global transaction.
+func (tc *Coordinator) BeginGlobal(xid string) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	g := &GlobalTx{XID: xid}
-	tc.globals[xid] = g
-	return g
+	tc.globals[xid] = &GlobalTx{}
 }
 
 // RegisterUndo appends a compensation record to the global transaction.
@@ -107,7 +104,6 @@ type baseTx struct {
 	mgr    *Manager
 	xid    string
 	held   *exec.HeldConns
-	global *GlobalTx
 	closed bool
 	tr     *telemetry.Trace
 	// pending holds compensations computed before the statement ran,

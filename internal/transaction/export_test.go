@@ -8,8 +8,6 @@ import (
 // xidOf returns a transaction's global id.
 func xidOf(tx Tx) string {
 	switch t := tx.(type) {
-	case *localTx:
-		return t.xid
 	case *xaTx:
 		return t.xid
 	case *baseTx:

@@ -112,7 +112,6 @@ type Manager struct {
 	tc    *Coordinator
 	meta  MetaProvider
 	seq   atomic.Int64
-	tel   *telemetry.Collector
 
 	crashHook atomic.Value // func(point string) bool
 
@@ -137,10 +136,6 @@ type txnCounters struct {
 	inDoubt         atomic.Int64
 	recoverResolved atomic.Int64
 }
-
-// SetTelemetry wires the kernel's collector; transaction-phase latencies
-// recorded through attached traces aggregate there.
-func (m *Manager) SetTelemetry(c *telemetry.Collector) { m.tel = c }
 
 // SetCrashHook installs a chaos hook consulted at the 2PC crash points;
 // returning true makes the coordinator abandon the commit at that point
@@ -207,10 +202,10 @@ func (m *Manager) Begin(t Type) (Tx, error) {
 		if m.meta == nil {
 			return nil, fmt.Errorf("transaction: BASE needs a metadata provider")
 		}
-		gtx := m.tc.BeginGlobal(xid)
-		return &baseTx{mgr: m, xid: xid, held: exec.NewHeldConns(), global: gtx}, nil
+		m.tc.BeginGlobal(xid)
+		return &baseTx{mgr: m, xid: xid, held: exec.NewHeldConns()}, nil
 	default:
-		return &localTx{mgr: m, xid: xid, held: exec.NewHeldConns()}, nil
+		return &localTx{mgr: m, held: exec.NewHeldConns()}, nil
 	}
 }
 
@@ -221,15 +216,16 @@ var begin = resource.Statement{SQL: "BEGIN"}
 
 type localTx struct {
 	mgr      *Manager
-	xid      string
 	held     *exec.HeldConns
 	branches []string // sources with a branch: a statement touches a few
 	closed   bool
-	tr       *telemetry.Trace
 }
 
-func (t *localTx) Held() *exec.HeldConns           { return t.held }
-func (t *localTx) AttachTrace(tr *telemetry.Trace) { t.tr = tr }
+func (t *localTx) Held() *exec.HeldConns { return t.held }
+
+// AttachTrace implements Tx: a local transaction has no phase of its own
+// to time.
+func (t *localTx) AttachTrace(*telemetry.Trace) {}
 
 func (t *localTx) BeforeStatement(ctx context.Context, units []rewrite.SQLUnit) error {
 	if t.closed {

@@ -1,0 +1,9 @@
+package shardingdb
+
+import (
+	"testing"
+
+	"shardingsphere/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -124,7 +124,7 @@ func Open(cfg Config) (*DB, error) {
 	db.gov = governor.New(reg, kernel.Executor())
 	db.distsql = distsql.Install(kernel, db.gov)
 	db.regSess = reg.NewSession()
-	db.gov.RegisterInstance(db.regSess, fmt.Sprintf("jdbc-%p", db), "jdbc")
+	db.gov.RegisterInstance(db.regSess, fmt.Sprintf("jdbc-%p", db))
 	if cfg.HealthCheckInterval > 0 {
 		db.gov.StartHealthCheck(cfg.HealthCheckInterval)
 		db.kernel.AddGate(db.gov)

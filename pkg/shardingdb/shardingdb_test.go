@@ -291,8 +291,11 @@ func TestCloseReleasesTheConfigWatch(t *testing.T) {
 // TestCloseClosesRemoteSources: Close closes every data source, and a
 // remote one's multiplexed sockets with it. Five Open, CREATE, DROP and
 // Close rounds over two data nodes leave no goroutine in pkg/client;
-// closing a transport waits for its goroutines, so nothing sleeps.
+// closing a transport waits for its goroutines, so nothing sleeps. On one
+// P, a yield before each count lets a goroutine that a Close's Wait has
+// already released finish returning.
 func TestCloseClosesRemoteSources(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var sources []DataSourceConfig
 	for _, name := range []string{"ds0", "ds1"} {
 		srv := proxy.NewServer(&proxy.NodeBackend{Processor: sqlexec.NewProcessor(storage.NewEngine(name))})
@@ -304,6 +307,7 @@ func TestCloseClosesRemoteSources(t *testing.T) {
 		sources = append(sources, DataSourceConfig{Name: name, Addr: addr})
 	}
 	inClient := func() int {
+		runtime.Gosched()
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]
 		n := 0
