@@ -43,7 +43,7 @@ func main() {
 	embedded := flag.String("embedded", "", "comma-separated embedded data source names")
 	maxCon := flag.Int("maxcon", 4, "max connections per data source per query")
 	rate := flag.Float64("rate", 0, "statement rate limit per second (0 = unlimited)")
-	health := flag.Duration("health", 5*time.Second, "health check interval (0 = off)")
+	health := flag.Duration("health", 5*time.Second, "health-check probe interval (0 = no probes; breakers still open on failed statements and gate)")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP address for pprof and /metrics (empty = off)")
 	maxConns := flag.Int("max-connections", 0, "max concurrent client connections (0 = unlimited)")
 	admQueue := flag.Int("admission-queue", 0, "admission queue depth (0 = default 8x concurrency)")
@@ -81,13 +81,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	gov := governor.New(reg, kernel.Executor())
-	handler := distsql.Install(kernel, gov)
+	gov := kernel.Governor()
+	handler := distsql.Install(kernel)
 	sess := reg.NewSession()
 	gov.RegisterInstance(sess, "proxy-"+*listen)
 	if *health > 0 {
 		gov.StartHealthCheck(*health)
-		kernel.AddGate(gov)
 	}
 
 	srv := proxy.NewServer(&proxy.KernelBackend{Kernel: kernel})
@@ -97,7 +96,6 @@ func main() {
 		MaxQueueWait:  *admWait,
 		MaxConns:      *maxConns,
 	})
-	ctl.SetGate(gov)
 	srv.SetAdmission(ctl)
 	kernel.SetAdmission(ctl)
 	srv.SetChaosFrontend(kernel.Chaos())

@@ -42,7 +42,6 @@ const (
 	ReasonDeadline  = "deadline"   // predicted wait exceeds the statement's remaining budget
 	ReasonQueueWait = "queue_wait" // predicted wait exceeds the queue-wait bound (CoDel overload state tightens it)
 	ReasonTimeout   = "timeout"    // the request's own sojourn exceeded its bound while queued
-	ReasonBrake     = "brake"      // the governor's frontend breaker is open
 	ReasonDraining  = "draining"   // server is draining for shutdown
 	ReasonConnLimit = "conn_limit" // max-connections cap hit at accept time
 )
@@ -88,13 +87,6 @@ func ParseOverloaded(msg string) (*OverloadedError, bool) {
 		}
 	}
 	return e, true
-}
-
-// Gate vetoes admission globally; the governor's breaker satisfies it
-// (the "frontend" circuit), giving operators a manual load-shedding
-// switch and automation a place to brake the whole frontend.
-type Gate interface {
-	Allow(name string) bool
 }
 
 // Config sizes a Controller. Zero values choose sane defaults.
@@ -166,8 +158,7 @@ type tenant struct {
 // Controller is the admission state machine. All statement admission
 // funnels through Acquire; connections through AdmitConn.
 type Controller struct {
-	cfg  Config
-	gate Gate // optional; nil = no brake
+	cfg Config
 
 	mu       sync.Mutex
 	running  int
@@ -189,7 +180,6 @@ type Controller struct {
 	shedDeadline  atomic.Int64
 	shedQueueWait atomic.Int64
 	shedTimeout   atomic.Int64
-	shedBrake     atomic.Int64
 	shedDraining  atomic.Int64
 	shedConnLimit atomic.Int64
 	overloadFlips atomic.Int64
@@ -208,10 +198,6 @@ func NewController(cfg Config) *Controller {
 		weights: map[string]float64{},
 	}
 }
-
-// SetGate installs the global admission brake (the governor). The gate is
-// consulted with the name "frontend" on every admission.
-func (c *Controller) SetGate(g Gate) { c.gate = g }
 
 // SetWeight configures a tenant's fair-queueing weight (its quota
 // relative to other tenants; default 1). Weight must be positive.
@@ -346,10 +332,6 @@ func (c *Controller) tenantLocked(name string) *tenant {
 // function (call exactly once, after the statement finishes) and the
 // time spent queued; on shedding it returns a typed *OverloadedError.
 func (c *Controller) Acquire(tenantName string, budget time.Duration) (release func(), wait time.Duration, err error) {
-	if c.gate != nil && !c.gate.Allow("frontend") {
-		c.shedBrake.Add(1)
-		return nil, 0, &OverloadedError{Reason: ReasonBrake, RetryAfter: 250 * time.Millisecond}
-	}
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
@@ -552,7 +534,7 @@ func (c *Controller) Status() Status {
 // ShedTotal is every shed counter summed — the statements turned away.
 func (c *Controller) ShedTotal() int64 {
 	return c.shedQueueFull.Load() + c.shedDeadline.Load() + c.shedQueueWait.Load() +
-		c.shedTimeout.Load() + c.shedBrake.Load() + c.shedDraining.Load()
+		c.shedTimeout.Load() + c.shedDraining.Load()
 }
 
 // Metrics reports admission counters and gauges, which the kernel's
@@ -573,7 +555,6 @@ func (c *Controller) Metrics() map[string]int64 {
 		"shed_deadline":     c.shedDeadline.Load(),
 		"shed_queue_wait":   c.shedQueueWait.Load(),
 		"shed_timeout":      c.shedTimeout.Load(),
-		"shed_brake":        c.shedBrake.Load(),
 		"shed_draining":     c.shedDraining.Load(),
 		"shed_conn_limit":   c.shedConnLimit.Load(),
 		"overload_flips":    c.overloadFlips.Load(),

@@ -184,20 +184,6 @@ func TestConnCap(t *testing.T) {
 	}
 }
 
-func TestGateBrake(t *testing.T) {
-	c := NewController(Config{})
-	c.SetGate(gateFunc(func(name string) bool { return name != "frontend" }))
-	_, _, err := c.Acquire("a", 0)
-	var ov *OverloadedError
-	if !errors.As(err, &ov) || ov.Reason != ReasonBrake {
-		t.Fatalf("want brake shed, got %v", err)
-	}
-}
-
-type gateFunc func(string) bool
-
-func (f gateFunc) Allow(name string) bool { return f(name) }
-
 func TestParseOverloadedRoundTrip(t *testing.T) {
 	in := &OverloadedError{Reason: ReasonDeadline, RetryAfter: 42 * time.Millisecond}
 	wrapped := fmt.Sprintf("remote: %s", in.Error()) // prefixes survive

@@ -22,6 +22,7 @@ import (
 	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/digest"
 	"shardingsphere/internal/exec"
+	"shardingsphere/internal/governor"
 	"shardingsphere/internal/plancache"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
@@ -75,11 +76,6 @@ type ResultDecorator interface {
 	DecorateResult(stmt sqlparser.Statement, rs resource.ResultSet) (resource.ResultSet, error)
 }
 
-// SourceGate vetoes execution on a data source (circuit breaking).
-type SourceGate interface {
-	Allow(ds string) bool
-}
-
 // Config assembles a kernel.
 type Config struct {
 	Rules   *sharding.RuleSet
@@ -125,9 +121,9 @@ type Kernel struct {
 	txMgr    *transaction.Manager
 	registry *registry.Registry
 	features []Feature
-	// gates is copy-on-write: AddGate swaps in a new slice while
-	// concurrent statements iterate the old one lock-free.
-	gates atomic.Pointer[[]SourceGate]
+	// gov holds each source's breaker: every statement asks it before a
+	// unit is sent (checkGates), and the executor reports every unit to it.
+	gov *governor.Governor
 
 	// chaosInj is the kernel's fault-injection table (DistSQL INJECT
 	// FAULT); it wires interceptors onto data sources on demand.
@@ -164,13 +160,14 @@ type Kernel struct {
 	workload *digest.Workload
 
 	// metricSrcs are the counter families Metrics appends to the
-	// collector's snapshot, by prefix (RegisterMetrics).
-	metricsMu  sync.Mutex
+	// collector's snapshot, by prefix. It is fixed at New.
 	metricSrcs map[string]func() map[string]int64
 }
 
 // New builds a kernel from the config. The kernel publishes its own clone
-// of cfg.Rules: later edits to the caller's set do not reach it.
+// of cfg.Rules: later edits to the caller's set do not reach it. Its
+// governor keeps one breaker per source over cfg.Registry, and every
+// feature with an OnSourceHealth method takes its health events.
 func New(cfg Config) (*Kernel, error) {
 	rules := sharding.NewRuleSet()
 	if cfg.Rules != nil {
@@ -192,9 +189,10 @@ func New(cfg Config) (*Kernel, error) {
 		// Deterministic default: lexically smallest source.
 		rules.DefaultDataSource = names[0]
 	}
-	executor := exec.New(cfg.Sources, cfg.MaxCon)
+	gov := governor.New(reg, cfg.Sources)
 	tel := telemetry.NewCollector()
-	executor.SetTelemetry(tel)
+	workload := digest.NewWorkload()
+	executor := exec.New(cfg.Sources, cfg.MaxCon, gov, tel, workload.Heat)
 	for name, src := range cfg.Sources {
 		name := name
 		src.SetAcquireObserver(func(wait time.Duration, timedOut bool) {
@@ -205,9 +203,11 @@ func New(cfg Config) (*Kernel, error) {
 		executor:      executor,
 		registry:      reg,
 		features:      cfg.Features,
+		gov:           gov,
 		chaosInj:      chaos.NewInjector(),
 		defaultTxType: cfg.DefaultTxType,
 		tel:           tel,
+		workload:      workload,
 	}
 	k.rules.Store(rules)
 	k.router = route.New(&k.rules, names)
@@ -219,20 +219,14 @@ func New(cfg Config) (*Kernel, error) {
 		if _, ok := f.(SourceResolver); ok {
 			k.hasResolvers = true
 		}
+		if h, ok := f.(interface{ OnSourceHealth(string, bool) }); ok {
+			gov.Subscribe(h.OnSourceHealth)
+		}
 	}
 	k.txMgr = transaction.NewManager(executor, transaction.NewRegistryLog(reg, "/transactions"), k)
 	// Chaos can kill the 2PC coordinator at protocol points (INJECT FAULT
 	// coordinator); with no fault applied the hook is a cheap no.
 	k.txMgr.SetCrashHook(k.chaosInj.CoordinatorCrash)
-	var gates []SourceGate
-	for _, f := range cfg.Features {
-		if g, ok := f.(SourceGate); ok {
-			gates = append(gates, g)
-		}
-	}
-	k.gates.Store(&gates)
-	k.workload = digest.NewWorkload()
-	executor.SetHeat(k.workload.Heat)
 	k.metricSrcs = map[string]func() map[string]int64{
 		"plan_cache": k.planCache.Metrics,
 		"exec":       executor.Metrics,
@@ -241,6 +235,7 @@ func New(cfg Config) (*Kernel, error) {
 		"heat":       k.workload.HeatMetrics,
 		"chaos":      k.chaosInj.Metrics,
 		"resilience": k.ResilienceMetrics,
+		"governor":   gov.ResilienceMetrics,
 		// A proxy installs its admission controller after New.
 		"admission": func() map[string]int64 {
 			if c := k.Admission(); c != nil {
@@ -355,6 +350,10 @@ func (k *Kernel) adoptLocked() (bool, error) {
 
 // Executor exposes the execution engine (used by features and DistSQL).
 func (k *Kernel) Executor() *exec.Executor { return k.executor }
+
+// Governor exposes the kernel's governor: the sources' breakers, the
+// health-check loop and the registry's configuration document.
+func (k *Kernel) Governor() *governor.Governor { return k.gov }
 
 // Registry exposes the Governor's coordination store.
 func (k *Kernel) Registry() *registry.Registry { return k.registry }
@@ -485,36 +484,28 @@ func (k *Kernel) catalogDDL(stmt sqlparser.Statement) error {
 	return k.Publish(func(rs *sharding.RuleSet) error { rs.Define(table, def); return nil })
 }
 
-// AddGate installs a source gate at runtime; the governor registers its
-// circuit breakers this way. Copy-on-write: concurrent statements keep
-// iterating the previous gate slice unharmed.
-func (k *Kernel) AddGate(g SourceGate) {
-	for {
-		old := k.gates.Load()
-		next := make([]SourceGate, len(*old)+1)
-		copy(next, *old)
-		next[len(*old)] = g
-		if k.gates.CompareAndSwap(old, &next) {
-			return
-		}
-	}
-}
-
-// checkGates rejects units aimed at circuit-broken sources.
+// checkGates asks the breaker of each source the units touch, once per
+// source, whether the statement may run (Governor.Admit).
 func (k *Kernel) checkGates(units []rewrite.SQLUnit) error {
-	for _, g := range *k.gates.Load() {
-		for _, u := range units {
-			if !g.Allow(u.DataSource) {
-				return fmt.Errorf("%w: %s", ErrSourceDown, u.DataSource)
+	if k.gov.Calm() {
+		return nil
+	}
+	var buf [8]string
+	sources := buf[:0]
+next:
+	for i := range units {
+		for _, ds := range sources {
+			if ds == units[i].DataSource {
+				continue next
 			}
 		}
+		sources = append(sources, units[i].DataSource)
+	}
+	if ds, ok := k.gov.Admit(sources); !ok {
+		return fmt.Errorf("%w: %s", ErrSourceDown, ds)
 	}
 	return nil
 }
-
-// Features returns the registered pluggable features (DistSQL wiring
-// walks it to find the read-write splitting feature for health events).
-func (k *Kernel) Features() []Feature { return k.features }
 
 // Chaos exposes the kernel's fault-injection table.
 func (k *Kernel) Chaos() *chaos.Injector { return k.chaosInj }
@@ -527,28 +518,17 @@ func (k *Kernel) SetAdmission(c *admission.Controller) { k.admissionCtl.Store(c)
 // Admission returns the installed admission controller, or nil.
 func (k *Kernel) Admission() *admission.Controller { return k.admissionCtl.Load() }
 
-// RegisterMetrics adds a counter family to Metrics: each counter src
-// reports appears as "<prefix>.<name>". Registering a prefix again
-// replaces its source.
-func (k *Kernel) RegisterMetrics(prefix string, src func() map[string]int64) {
-	k.metricsMu.Lock()
-	k.metricSrcs[prefix] = src
-	k.metricsMu.Unlock()
-}
-
 // Metrics is the process's one metrics snapshot: the telemetry
 // collector's histograms and counters, then every registered counter
 // family under its prefix, sorted by name. /metrics, SHOW METRICS and a
 // proxy's FrameMetricsPull all render it.
 func (k *Kernel) Metrics() *telemetry.MetricsSnapshot {
 	snap := k.tel.MetricsSnapshot()
-	k.metricsMu.Lock()
 	for prefix, src := range k.metricSrcs {
 		for name, v := range src() {
 			snap.Counters = append(snap.Counters, telemetry.NamedCounter{Name: prefix + "." + name, Value: v})
 		}
 	}
-	k.metricsMu.Unlock()
 	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })
 	return snap
 }

@@ -5,11 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
 
 	"shardingsphere/internal/chaos"
+	"shardingsphere/internal/governor"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/route"
 	"shardingsphere/internal/sharding"
@@ -326,21 +327,24 @@ func TestClientSavepointRefused(t *testing.T) {
 	k := newKernel(t, 2, 4)
 	s := k.NewSession()
 	seed(t, s, 4)
-	var sent atomic.Int64 // units executed; fan-outs call the listener at once
-	k.executor.SetListener(func(string, string, time.Duration, error) { sent.Add(1) })
-	mustExec(t, s, "BEGIN")
-	mustExec(t, s, "UPDATE t_user SET age = 1")
-	if sent.Load() == 0 {
-		t.Fatal("the listener saw none of the UPDATE's units")
+	sent := func() int64 { // statements the executor dispatched
+		m := k.executor.Metrics()
+		return m["query_inline"] + m["query_fanout"] + m["update_inline"] + m["update_fanout"]
 	}
-	sent.Store(0)
+	mustExec(t, s, "BEGIN")
+	before := sent()
+	mustExec(t, s, "UPDATE t_user SET age = 1")
+	if sent() == before {
+		t.Fatal("the executor ran none of the UPDATE's units")
+	}
+	before = sent()
 	for _, sql := range []string{"SAVEPOINT a", "ROLLBACK TO SAVEPOINT a", "ROLLBACK TO a"} {
 		if _, err := s.Exec(sql); !errors.Is(err, ErrSavepointUnsupported) {
 			t.Fatalf("%s: %v, want ErrSavepointUnsupported", sql, err)
 		}
 	}
-	if n := sent.Load(); n != 0 {
-		t.Fatalf("the refused statements sent %d units", n)
+	if n := sent() - before; n != 0 {
+		t.Fatalf("the refused statements sent %d statements", n)
 	}
 	mustExec(t, s, "COMMIT")
 	if rows := mustQuery(t, s, "SELECT COUNT(*) FROM t_user WHERE age = 1"); rows[0][0].I != 4 {
@@ -448,7 +452,9 @@ func TestDefinitionReadAtCompile(t *testing.T) {
 	if def := k.Rules().Def("t_x"); def != nil {
 		t.Fatalf("a definition no DESCRIBE read: %+v", def)
 	}
+	// The failures opened the source's breaker; an operator releases it.
 	k.Chaos().Remove(first.Name())
+	k.Governor().BreakSource(first.Name(), false)
 	if got := mustQuery(t, s, "SELECT v FROM t_x WHERE id = ?", sqltypes.NewString("07")); len(got) != 1 || got[0][0].I != 1 {
 		t.Fatalf("after the fault: %v, want the row of 7", got)
 	}
@@ -475,15 +481,11 @@ func TestUnshardedTableOnDefaultSource(t *testing.T) {
 	}
 }
 
-// gateFeature blocks one source for the circuit-breaker test.
-type gateFeature struct{ blocked string }
-
-func (g gateFeature) Name() string         { return "test-gate" }
-func (g gateFeature) Allow(ds string) bool { return ds != g.blocked }
-
 func TestSourceGateBlocksExecution(t *testing.T) {
 	k := newKernel(t, 2, 4)
-	k.AddGate(gateFeature{blocked: "ds1"})
+	if err := k.Governor().BreakSource("ds1", true); err != nil {
+		t.Fatal(err)
+	}
 	s := k.NewSession()
 	// uid=1 routes to shard 1 on ds1 → blocked.
 	_, err := s.Exec("INSERT INTO t_user (uid, name, age) VALUES (1, 'a', 1)")
@@ -492,6 +494,54 @@ func TestSourceGateBlocksExecution(t *testing.T) {
 	}
 	// uid=2 routes to ds0 → allowed.
 	mustExec(t, s, "INSERT INTO t_user (uid, name, age) VALUES (2, 'b', 2)")
+}
+
+// TestHalfOpenSourceTakesOneProbeStatement: past an open breaker's
+// cool-down, a statement asks each source's breaker once, so a read with
+// two units on the source runs as its one probe and closes the breaker; a
+// statement refused at another source's breaker gives back the probe slot
+// it claimed, leaving the breaker as it found it.
+func TestHalfOpenSourceTakesOneProbeStatement(t *testing.T) {
+	k := newKernel(t, 2, 4)
+	s := k.NewSession()
+	seed(t, s, 4)
+	gov := k.Governor()
+	gov.CoolDown = 5 * time.Millisecond
+	for i := 0; i < gov.BreakThreshold; i++ {
+		gov.Breaker("ds0").Report(errors.New("read tcp: connection reset by peer"))
+	}
+	if err := gov.BreakSource("ds1", true); err != nil {
+		t.Fatal(err)
+	}
+	const probe = "SELECT name FROM t_user WHERE uid IN (2, 4)" // t_user_2 and t_user_0, both on ds0
+	if units, err := s.Preview(probe); err != nil || len(units) != 2 || units[0].DataSource != "ds0" || units[1].DataSource != "ds0" {
+		t.Fatalf("the probe's units: %v, %v", units, err)
+	}
+	if _, err := s.Query(probe); !errors.Is(err, ErrSourceDown) {
+		t.Fatalf("a read inside the cool-down: %v", err)
+	}
+	time.Sleep(gov.CoolDown)
+
+	// ds0 is asked first and may take its probe, but ds1 refuses.
+	if _, err := s.Query("SELECT name FROM t_user"); !errors.Is(err, ErrSourceDown) || !strings.Contains(err.Error(), "ds1") {
+		t.Fatalf("a read over both sources: %v", err)
+	}
+	if st := gov.BreakerStates()["ds0"]; st != governor.BreakerOpen {
+		t.Fatalf("the refused read left ds0's breaker %s, want open", st)
+	}
+	if rows := mustQuery(t, s, probe); len(rows) != 2 {
+		t.Fatalf("the probe read %d rows, want 2", len(rows))
+	}
+	if st := gov.BreakerStates()["ds0"]; st != governor.BreakerClosed {
+		t.Fatalf("the probe left ds0's breaker %s, want closed", st)
+	}
+	if rows := mustQuery(t, s, "SELECT name FROM t_user WHERE uid = 2"); len(rows) != 1 {
+		t.Fatalf("a one-unit read after the probe: %v", rows)
+	}
+	gov.BreakSource("ds1", false)
+	if rows := mustQuery(t, s, "SELECT name FROM t_user"); len(rows) != 4 {
+		t.Fatalf("a read over both sources after the release: %v", rows)
+	}
 }
 
 func TestDistinctAcrossShards(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"shardingsphere/internal/core"
-	"shardingsphere/internal/governor"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sharding"
@@ -34,7 +33,7 @@ func peers(t *testing.T) (kA *core.Kernel, sA *core.Session, kB *core.Kernel, sB
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := Install(k, governor.New(reg, k.Executor()))
+		h := Install(k)
 		t.Cleanup(h.Close)
 		s := k.NewSession()
 		t.Cleanup(s.Close)

@@ -27,7 +27,7 @@ const createUserRule8 = `CREATE SHARDING TABLE RULE t_user (
 // merges per-node heat counters to the exact node sum, and RESET
 // DIGESTS clears the plane.
 func TestDigestSmoke(t *testing.T) {
-	_, s := remoteFixture(t, true)
+	_, s := remoteFixture(t)
 	exec(t, s, createUserRule8)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
 	for i := 0; i < 8; i++ {

@@ -2,6 +2,7 @@ package distsql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -29,9 +30,8 @@ func fixture(t *testing.T) (*core.Kernel, *core.Session, *governor.Governor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(reg, k.Executor())
-	t.Cleanup(Install(k, gov).Close)
-	return k, k.NewSession(), gov
+	t.Cleanup(Install(k).Close)
+	return k, k.NewSession(), k.Governor()
 }
 
 func exec(t *testing.T, s *core.Session, sql string) *core.Result {
@@ -226,15 +226,17 @@ func TestSetAndShowVariable(t *testing.T) {
 }
 
 func TestCircuitBreakRAL(t *testing.T) {
-	k, s, gov := fixture(t)
+	_, s, gov := fixture(t)
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
-	k.AddGate(gov)
 	exec(t, s, "SET VARIABLE circuit_break = 'ds1:on'")
 	// hash of some uid lands on ds1; find one that fails.
 	failed := false
 	for i := 0; i < 16; i++ {
 		if _, err := s.Execute(fmt.Sprintf("INSERT INTO t_user (uid, name) VALUES (%d, 'x')", i)); err != nil {
+			if !errors.Is(err, core.ErrSourceDown) {
+				t.Fatalf("a statement on the broken source: %v", err)
+			}
 			failed = true
 			break
 		}
@@ -244,6 +246,35 @@ func TestCircuitBreakRAL(t *testing.T) {
 	}
 	exec(t, s, "SET VARIABLE circuit_break = 'ds1:off'")
 	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (100, 'y')")
+
+	// The value is checked: a name that is not a source is refused with
+	// the ones that are and gets no breaker, and on/off reads as every
+	// boolean variable does.
+	_, err := s.Execute("SET VARIABLE circuit_break = 'dsX:on'")
+	if err == nil || !strings.Contains(err.Error(), "ds0, ds1") {
+		t.Fatalf("an unknown source: %v", err)
+	}
+	if _, ok := gov.BreakerStates()["dsX"]; ok {
+		t.Fatal("an unknown source got a breaker")
+	}
+	for name := range metrics(t, s) {
+		if strings.HasPrefix(name, "governor.breaker.dsX.") {
+			t.Fatalf("SHOW METRICS has %s", name)
+		}
+	}
+	for _, bad := range []string{"'ds0:of'", "'ds0'", "'ds0:'"} {
+		if _, err := s.Execute("SET VARIABLE circuit_break = " + bad); err == nil {
+			t.Errorf("circuit_break = %s accepted", bad)
+		}
+	}
+	exec(t, s, "SET VARIABLE circuit_break = 'ds0:true'")
+	if st := gov.BreakerStates()["ds0"]; st != governor.BreakerOpen {
+		t.Fatalf("'ds0:true' left ds0's breaker %s", st)
+	}
+	exec(t, s, "SET VARIABLE circuit_break = 'ds0:0'")
+	if st := gov.BreakerStates()["ds0"]; st != governor.BreakerClosed {
+		t.Fatalf("'ds0:0' left ds0's breaker %s", st)
+	}
 }
 
 func TestPreview(t *testing.T) {
@@ -294,16 +325,12 @@ func TestShowStatus(t *testing.T) {
 	gov.CheckOnce()
 	res := exec(t, s, "SHOW STATUS")
 	got := rows(t, res)
-	if len(got) != 6 {
+	if len(got) != 4 {
 		t.Fatalf("status rows: %v", got)
 	}
 	pools, breakers := 0, 0
 	for _, r := range got {
 		switch r[0].S {
-		case "datasource":
-			if r[2].S != "up" {
-				t.Fatalf("status: %v", r)
-			}
 		case "breaker":
 			breakers++
 			if r[2].S != "closed" {
@@ -551,7 +578,7 @@ func TestConfigWatchInvalidatesPeerInstance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(Install(k, governor.New(reg, k.Executor())).Close)
+		t.Cleanup(Install(k).Close)
 		return k, k.NewSession()
 	}
 	kA, sA := mk("a_")

@@ -24,9 +24,8 @@ import (
 )
 
 // rwFixture builds a primary with two replicas behind read-write
-// splitting, all seeded with the same table, plus a governor wired for
-// breaker-driven failover (exec outcomes → breaker → health event →
-// replica rotation).
+// splitting, all seeded with the same table. The kernel's governor drives
+// failover (exec outcomes → breaker → health event → replica rotation).
 func rwFixture(t *testing.T) (*core.Kernel, *governor.Governor) {
 	t.Helper()
 	sources := map[string]*resource.DataSource{}
@@ -67,10 +66,8 @@ func rwFixture(t *testing.T) (*core.Kernel, *governor.Governor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(reg, k.Executor())
-	k.AddGate(gov)
-	t.Cleanup(Install(k, gov).Close)
-	return k, gov
+	t.Cleanup(Install(k).Close)
+	return k, k.Governor()
 }
 
 // TestChaosReplicaOutageFailover is the chaos demo (acceptance): with one
@@ -231,9 +228,7 @@ func TestChaosHangOverMuxedRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(reg, k.Executor())
-	k.AddGate(gov)
-	t.Cleanup(Install(k, gov).Close)
+	t.Cleanup(Install(k).Close)
 	s := k.NewSession()
 
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
@@ -310,9 +305,7 @@ func TestChaosHangDuringStreamingMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(reg, k.Executor())
-	k.AddGate(gov)
-	t.Cleanup(Install(k, gov).Close)
+	t.Cleanup(Install(k).Close)
 	s := k.NewSession()
 
 	exec(t, s, createUserRule)

@@ -13,7 +13,6 @@ import (
 	"shardingsphere/internal/core"
 	"shardingsphere/internal/digest"
 	"shardingsphere/internal/features/scaling"
-	"shardingsphere/internal/governor"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sharding"
 	"shardingsphere/internal/sqltypes"
@@ -22,48 +21,32 @@ import (
 )
 
 // Handler executes DistSQL against a kernel, persisting configuration
-// through the Governor when one is attached.
+// through the kernel's governor.
 type Handler struct {
-	gov         *governor.Governor
 	cancelWatch func()
 }
 
-// Install wires DistSQL processing into the kernel. gov may be nil (no
-// persistence, status commands degrade gracefully). With a governor
-// attached, the registry's configuration document is the rules' source of
-// truth: the kernel adopts it, or writes its own rules as its first
-// version; every rule change is written there before it is published; and
-// each newer version another instance writes is adopted, so every
-// instance routes on one catalog. The governor's counters join the
-// kernel's metrics snapshot.
-func Install(k *core.Kernel, gov *governor.Governor) *Handler {
-	h := &Handler{gov: gov}
+// Install wires DistSQL processing into the kernel. The registry's
+// configuration document becomes the rules' source of truth: the kernel
+// adopts it, or writes its own rules as its first version; every rule
+// change is written there before it is published; and each newer version
+// another instance writes is adopted, so every instance routes on one
+// catalog. Close releases the watch.
+func Install(k *core.Kernel) *Handler {
+	h := &Handler{}
 	k.SetDistSQLHandler(h)
-	if gov != nil {
-		// The watch starts first: a version written before the store is set
-		// is what SetRuleStore reads. A document that cannot be read leaves
-		// the kernel on its own rules, and its next rule change reports why.
-		h.cancelWatch = gov.WatchConfig(func() { _ = k.Adopt() })
-		_ = k.SetRuleStore(gov)
-		k.RegisterMetrics("governor", gov.ResilienceMetrics)
-		// Close the fault-tolerance loop: execution outcomes feed the
-		// breakers, and breaker-driven health flips pull dead replicas out
-		// of (or restore them into) read-write splitting rotation.
-		gov.AttachExecOutcomes()
-		for _, f := range k.Features() {
-			if rh, ok := f.(interface{ OnSourceHealth(string, bool) }); ok {
-				gov.Subscribe(rh.OnSourceHealth)
-			}
-		}
-	}
+	// The watch starts first: a version written before the store is set is
+	// what SetRuleStore reads. A document that cannot be read leaves the
+	// kernel on its own rules, and its next rule change reports why.
+	gov := k.Governor()
+	h.cancelWatch = gov.WatchConfig(func() { _ = k.Adopt() })
+	_ = k.SetRuleStore(gov)
 	return h
 }
 
 // Close releases the handler's registry watch.
 func (h *Handler) Close() {
-	if h.cancelWatch != nil {
-		h.cancelWatch()
-	}
+	h.cancelWatch()
 }
 
 // changeRules publishes one rule mutation (Kernel.Publish).
@@ -496,34 +479,19 @@ func (h *Handler) showResources(sess *core.Session) (*core.Result, error) {
 func (h *Handler) showStatus(sess *core.Session) (*core.Result, error) {
 	k := sess.Kernel()
 	var rows []sqltypes.Row
-	if h.gov != nil {
-		for _, id := range h.gov.Instances() {
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewString("instance"), sqltypes.NewString(id), sqltypes.NewString("alive"),
-			})
-		}
+	for _, id := range k.Governor().Instances() {
+		rows = append(rows, sqltypes.Row{
+			sqltypes.NewString("instance"), sqltypes.NewString(id), sqltypes.NewString("alive"),
+		})
 	}
 	names := k.Executor().Sources()
 	sort.Strings(names)
+	// A source's health is its breaker: one kind=breaker row per source.
+	states := k.Governor().BreakerStates()
 	for _, n := range names {
-		status := "unknown"
-		if h.gov != nil {
-			status = h.gov.SourceStatus(n)
-		}
 		rows = append(rows, sqltypes.Row{
-			sqltypes.NewString("datasource"), sqltypes.NewString(n), sqltypes.NewString(status),
+			sqltypes.NewString("breaker"), sqltypes.NewString(n), sqltypes.NewString(states[n].String()),
 		})
-	}
-	// Circuit breakers ride along as kind=breaker rows.
-	if h.gov != nil {
-		states := h.gov.BreakerStates()
-		for _, n := range names {
-			if st, ok := states[n]; ok {
-				rows = append(rows, sqltypes.Row{
-					sqltypes.NewString("breaker"), sqltypes.NewString(n), sqltypes.NewString(st.String()),
-				})
-			}
-		}
 	}
 	// Connection-pool gauges ride along as kind=pool rows so SHOW STATUS
 	// stays a single three-column surface.
@@ -794,15 +762,13 @@ func (h *Handler) showAdmission(sess *core.Session) (*core.Result, error) {
 func (h *Handler) reshard(sess *core.Session, spec sharding.AutoTableSpec) (*core.Result, error) {
 	k := sess.Kernel()
 	gen := 1
-	if h.gov != nil || k.Registry() != nil {
-		reg := k.Registry()
-		key := "/scaling/generation/" + strings.ToLower(spec.LogicTable)
-		if raw, _, err := reg.Get(key); err == nil {
-			fmt.Sscanf(raw, "%d", &gen)
-			gen++
-		}
-		reg.Put(key, fmt.Sprintf("%d", gen))
+	reg := k.Registry()
+	key := "/scaling/generation/" + strings.ToLower(spec.LogicTable)
+	if raw, _, err := reg.Get(key); err == nil {
+		fmt.Sscanf(raw, "%d", &gen)
+		gen++
 	}
+	reg.Put(key, fmt.Sprintf("%d", gen))
 	job, err := scaling.Reshard(k, spec, gen)
 	if err != nil {
 		return nil, err

@@ -10,10 +10,10 @@ import (
 )
 
 // TestClusterMetricsWithoutGovernor: SHOW CLUSTER METRICS pulls the data
-// nodes through the executor's sources, so a kernel with DistSQL and no
-// governor answers with one set of rows per node and their merge.
+// nodes through the executor's sources, not the governor's instance list,
+// and answers with one set of rows per node and their merge.
 func TestClusterMetricsWithoutGovernor(t *testing.T) {
-	_, s := remoteFixture(t, false)
+	_, s := remoteFixture(t)
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
 	exec(t, s, "INSERT INTO t_user (uid, name) VALUES (1, 'u1')")
@@ -33,7 +33,7 @@ func TestClusterMetricsWithoutGovernor(t *testing.T) {
 // the kernel's transports as remote.<ds>.flushes in SHOW METRICS — and a
 // statement's round trip adds to both.
 func TestSocketFlushesCounted(t *testing.T) {
-	_, s := remoteFixture(t, false)
+	_, s := remoteFixture(t)
 	flushes := func() map[string]int64 {
 		out := map[string]int64{}
 		for _, r := range rows(t, exec(t, s, "SHOW CLUSTER METRICS")) {
@@ -65,7 +65,7 @@ func TestSocketFlushesCounted(t *testing.T) {
 // component read beside it. Only SHOW SQL METRICS' p95 column and SHOW
 // PLAN CACHE STATUS' constant "enabled" have no name.
 func TestShowMetricsKeepsDeletedVerbs(t *testing.T) {
-	k, s := remoteFixture(t, true)
+	k, s := remoteFixture(t)
 	ctl := admission.NewController(admission.Config{})
 	k.SetAdmission(ctl)
 	rel, _, err := ctl.Acquire("default", 0)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"shardingsphere/internal/core"
-	"shardingsphere/internal/governor"
 	"shardingsphere/internal/proxy"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
@@ -30,8 +29,8 @@ func startNode(t *testing.T, name string) string {
 
 // remoteFixture mirrors cmd/ssproxy's remote deployment: a kernel whose
 // data sources are two datanode servers reached over wire v2, with
-// DistSQL installed over a governor when governed.
-func remoteFixture(t *testing.T, governed bool) (*core.Kernel, *core.Session) {
+// DistSQL installed.
+func remoteFixture(t *testing.T) (*core.Kernel, *core.Session) {
 	t.Helper()
 	sources := map[string]*resource.DataSource{}
 	for i := 0; i < 2; i++ {
@@ -45,11 +44,7 @@ func remoteFixture(t *testing.T, governed bool) (*core.Kernel, *core.Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gov *governor.Governor
-	if governed {
-		gov = governor.New(reg, k.Executor())
-	}
-	t.Cleanup(Install(k, gov).Close)
+	t.Cleanup(Install(k).Close)
 	return k, k.NewSession()
 }
 
@@ -59,7 +54,7 @@ func remoteFixture(t *testing.T, governed bool) (*core.Kernel, *core.Session) {
 // wire/queue gap per source, while SHOW CLUSTER METRICS must return the
 // per-node snapshots and a merge whose counts equal the node sums.
 func TestObsSmoke(t *testing.T) {
-	_, s := remoteFixture(t, true)
+	_, s := remoteFixture(t)
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
 	for i := 0; i < 8; i++ {
@@ -150,7 +145,7 @@ func sourceExecutes(t *testing.T, s *core.Session) map[string]int64 {
 // SHOW METRICS counts one execution per source, and SHOW SHARD HEAT still
 // charges every shard its own call and its own rows.
 func TestTracedRangeInTransactionAddsUp(t *testing.T) {
-	k, s := remoteFixture(t, true)
+	k, s := remoteFixture(t)
 	// mod, not hash_mod: uids 0..15 put exactly two rows in each shard.
 	exec(t, s, `CREATE SHARDING TABLE RULE t_user (RESOURCES(ds0, ds1),
 		SHARDING_COLUMN = uid, TYPE = mod, PROPERTIES("sharding-count" = 8))`)
@@ -234,7 +229,7 @@ func TestRangeCostsEachNodeOneStatement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			Install(k, nil)
+			t.Cleanup(Install(k).Close)
 			s := k.NewSession()
 			exec(t, s, `CREATE SHARDING TABLE RULE t (RESOURCES(ds0, ds1),
 				SHARDING_COLUMN = id, TYPE = mod, PROPERTIES("sharding-count" = 20))`)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"shardingsphere/internal/core"
-	"shardingsphere/internal/governor"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/storage"
@@ -31,8 +30,7 @@ func txnFixture(t *testing.T) (*core.Kernel, *core.Session, map[string]*resource
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(reg, k.Executor())
-	t.Cleanup(Install(k, gov).Close)
+	t.Cleanup(Install(k).Close)
 	s := k.NewSession()
 	exec(t, s, createUserRule)
 	exec(t, s, "CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")

@@ -126,33 +126,41 @@ func intVar(min int64, apply func(*core.Kernel, int64)) func(*Handler, *core.Ses
 	}
 }
 
-// boolVar is a kernel-scoped boolean variable, accepting the forms clients
-// actually send.
+// boolVar is a kernel-scoped boolean variable (parseBool).
 func boolVar(apply func(*core.Kernel, bool)) func(*Handler, *core.Session, string, string) error {
 	return func(_ *Handler, sess *core.Session, name, value string) error {
-		switch strings.ToLower(strings.TrimSpace(value)) {
-		case "true", "on", "1":
-			apply(sess.Kernel(), true)
-		case "false", "off", "0":
-			apply(sess.Kernel(), false)
-		default:
-			return fmt.Errorf("distsql: %s wants true or false, got %q", name, value)
+		on, err := parseBool(name, value)
+		if err == nil {
+			apply(sess.Kernel(), on)
 		}
-		return nil
+		return err
 	}
 }
 
-// setCircuitBreak takes "<datasource>:on" or "<datasource>:off".
-func setCircuitBreak(h *Handler, _ *core.Session, _, value string) error {
-	if h.gov == nil {
-		return fmt.Errorf("distsql: circuit breaking needs a governor")
+// parseBool reads variable name's boolean value in the forms clients
+// actually send.
+func parseBool(name, value string) (bool, error) {
+	switch strings.ToLower(strings.TrimSpace(value)) {
+	case "true", "on", "1":
+		return true, nil
+	case "false", "off", "0":
+		return false, nil
 	}
-	parts := strings.SplitN(value, ":", 2)
-	if len(parts) != 2 {
+	return false, fmt.Errorf("distsql: %s wants true or false, got %q", name, value)
+}
+
+// setCircuitBreak takes "<datasource>:<on|off>", the on/off part read as
+// boolVar reads a boolean.
+func setCircuitBreak(_ *Handler, sess *core.Session, name, value string) error {
+	ds, state, ok := strings.Cut(value, ":")
+	if !ok {
 		return fmt.Errorf("distsql: circuit_break wants '<datasource>:on|off'")
 	}
-	h.gov.BreakSource(parts[0], strings.EqualFold(parts[1], "on"))
-	return nil
+	on, err := parseBool(name, state)
+	if err != nil {
+		return err
+	}
+	return sess.Kernel().Governor().BreakSource(strings.TrimSpace(ds), on)
 }
 
 // setAdmissionQuota takes "<tenant>:<weight>": the tenant's

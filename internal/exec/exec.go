@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"shardingsphere/internal/digest"
+	"shardingsphere/internal/governor"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/sqltypes"
@@ -92,10 +93,6 @@ func (m ConnectionMode) String() string {
 	return "MEMORY_STRICTLY"
 }
 
-// Listener observes statement execution; the governor wires monitoring
-// and circuit breaking through it (the paper's "event messages").
-type Listener func(dataSource, sql string, dur time.Duration, err error)
-
 // Executor runs rewritten SQL units against pooled data sources.
 type Executor struct {
 	// sources is fixed at New and only read afterwards, so it needs no lock.
@@ -105,22 +102,20 @@ type Executor struct {
 	lockMu  sync.Mutex // guards dsLocks
 	dsLocks map[string]*sync.Mutex
 
-	listener Listener
-	tel      *telemetry.Collector
-	// heat is the (table, shard) workload heat map; nil until the kernel
-	// installs one, and per-unit attribution costs one atomic load when
-	// absent.
-	heat atomic.Pointer[digest.Heat]
+	// observers holds each source's telemetry buckets and breaker, fixed at
+	// New, so a unit finds both with one plain map read.
+	observers map[string]observer
+	// gov's Calm lets an unsampled success skip the lookup: no breaker
+	// would change.
+	gov *governor.Governor
+	// heat is the (table, shard) workload heat map; nil attributes nothing.
+	heat *digest.Heat
 	// heatCache is a direct-mapped cache of resolved heat cells, indexed
 	// by the actual table's shard number: repeated statements against the
 	// same shards skip the striped map probe. A cell remembers the heat
 	// map epoch it was created under, so RESET DIGESTS invalidates the
 	// cache without the cache storing anything but the cell.
 	heatCache [heatCacheSize]atomic.Pointer[digest.Cell]
-	// stats holds the per-source telemetry buckets, built once by
-	// SetTelemetry (before any statement runs) so the per-unit hot path
-	// resolves its bucket with one plain map read.
-	stats map[string]*telemetry.SourceStats
 
 	// Dispatch counters: statements that ran on the caller's stack
 	// (single data source) vs. fanned out across goroutines.
@@ -137,37 +132,33 @@ type Executor struct {
 	retryPolicy atomic.Pointer[RetryPolicy]
 }
 
-// New builds an executor over the named data sources.
-func New(sources map[string]*resource.DataSource, maxCon int) *Executor {
+// observer is what a unit's execution on one source reports to.
+type observer struct {
+	stats   *telemetry.SourceStats
+	breaker *governor.Breaker
+}
+
+// New builds an executor over the named data sources. Every unit's
+// execution feeds its source's histograms in tel and its breaker in gov,
+// and a routed unit is attributed to its cell of heat (nil: none).
+func New(sources map[string]*resource.DataSource, maxCon int, gov *governor.Governor, tel *telemetry.Collector, heat *digest.Heat) *Executor {
 	if maxCon <= 0 {
 		maxCon = 1
 	}
 	e := &Executor{
-		sources: sources,
-		maxCon:  maxCon,
-		dsLocks: map[string]*sync.Mutex{},
+		sources:   sources,
+		maxCon:    maxCon,
+		dsLocks:   map[string]*sync.Mutex{},
+		observers: make(map[string]observer, len(sources)),
+		gov:       gov,
+		heat:      heat,
+	}
+	for name := range sources {
+		e.observers[name] = observer{stats: tel.Source(name), breaker: gov.Breaker(name)}
 	}
 	e.retryPolicy.Store(DefaultRetryPolicy())
 	return e
 }
-
-// SetListener installs an execution observer.
-func (e *Executor) SetListener(l Listener) { e.listener = l }
-
-// SetTelemetry wires the kernel's collector so every unit execution feeds
-// the per-data-source histograms and error counters. Call it before the
-// executor runs statements.
-func (e *Executor) SetTelemetry(c *telemetry.Collector) {
-	e.tel = c
-	e.stats = make(map[string]*telemetry.SourceStats, len(e.sources))
-	for name := range e.sources {
-		e.stats[name] = c.Source(name)
-	}
-}
-
-// SetHeat installs the shard heat map; every routed unit is attributed
-// to its (logic table, data source, actual table) cell.
-func (e *Executor) SetHeat(h *digest.Heat) { e.heat.Store(h) }
 
 // heatCacheSize is a power of two at least as large as a typical rule's
 // shard count, so a fan-out over one table occupies distinct slots.
@@ -197,7 +188,7 @@ func heatSlot(at string) uint {
 // unit names come from the same rule metadata every execution); a miss
 // probes the striped map and allocates nothing.
 func (e *Executor) heatCell(u rewrite.SQLUnit) *digest.Cell {
-	h := e.heat.Load()
+	h := e.heat
 	if h == nil || u.LogicTable == "" {
 		return nil
 	}
@@ -260,39 +251,27 @@ func (e *Executor) dsLock(name string) *sync.Mutex {
 	return m
 }
 
-// observe reports one unit execution to the listener, the telemetry
-// collector, and the statement trace (tagged with its 1-based attempt
-// number, so retried units keep one span per try). It reuses the single
-// time.Since the executor already pays, and returns the duration for
-// error wrapping.
-func (e *Executor) observe(tr *telemetry.Trace, ds, sql string, start time.Time, attempt int, err error) time.Duration {
-	// Two fast exits that skip the clock read entirely: nothing consumes
-	// the measurement (no collector, no listener), or the statement is
-	// unsampled — its trace measures the total with one read at Finish,
-	// and per-source latency is a sampled statistic (errors below stay
-	// exact because a failed unit always takes the slow path).
-	if err == nil && e.listener == nil {
-		if tr != nil {
-			if !tr.Sampled() {
-				return 0
-			}
-		} else if e.tel == nil {
-			return 0
-		}
+// observe reports one unit execution to its source's breaker, the
+// telemetry collector and the statement trace (tagged with its 1-based
+// attempt number, so retried units keep one span per try), and returns the
+// duration for error wrapping. An unsampled statement's success skips the
+// clock read: its trace measures the total with one read at Finish, and
+// per-source latency is a sampled statistic (a failure is always timed).
+// While every breaker is calm it skips the report too.
+func (e *Executor) observe(tr *telemetry.Trace, ds string, start time.Time, attempt int, err error) time.Duration {
+	unsampled := err == nil && tr != nil && !tr.Sampled()
+	if unsampled && e.gov.Calm() {
+		return 0
+	}
+	o := e.observers[ds]
+	o.breaker.Report(err)
+	if unsampled {
+		return 0
 	}
 	dur := time.Since(start)
-	if e.listener != nil {
-		e.listener(ds, sql, dur, err)
-	}
-	if e.tel != nil {
-		if s := e.stats[ds]; s != nil {
-			s.Execute.Observe(dur)
-			if err != nil {
-				s.Errors.Add(1)
-			}
-		} else {
-			e.tel.ObserveExec(ds, dur, err)
-		}
+	o.stats.Execute.Observe(dur)
+	if err != nil {
+		o.stats.Errors.Add(1)
 	}
 	tr.AddExecAttempt(ds, start, dur, attempt, err)
 	return dur
@@ -741,7 +720,7 @@ func (e *Executor) runConnShare(ctx context.Context, units []rewrite.SQLUnit, g 
 	cell := e.heatCell(u)
 	start := time.Now()
 	rs, err := conn.Query(ctx, u.SQL, u.Args...)
-	dur := e.observe(tr, g.ds, u.SQL, start, attempt, err)
+	dur := e.observe(tr, g.ds, start, attempt, err)
 	cell.ObserveQuery(start, dur, err)
 	if err != nil {
 		conn.Release()
@@ -783,11 +762,11 @@ func (e *Executor) runWindow(ctx context.Context, units []rewrite.SQLUnit, g gro
 	}
 	if err != nil {
 		failed := batchFailure(ds, open, nil, units, share, off, err)
-		dur := e.observe(tr, ds, failed.SQL, start, attempt, err)
+		dur := e.observe(tr, ds, start, attempt, err)
 		e.heatCell(failed).ObserveQuery(start, dur, err)
 		return wrapUnitErr(failed, dur, err)
 	}
-	e.observe(tr, ds, units[share[0]].SQL, start, attempt, nil)
+	e.observe(tr, ds, start, attempt, nil)
 	sets = sets[off:]
 	for i, rs := range sets {
 		slots[i*g.conns] = rs
@@ -943,7 +922,7 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 		u := units[idxs[0]]
 		start := time.Now()
 		r, err := conn.Exec(ctx, u.SQL, u.Args...)
-		dur := e.observe(tr, g.ds, u.SQL, start, 1, err)
+		dur := e.observe(tr, g.ds, start, 1, err)
 		e.heatCell(u).ObserveExec(start, dur, r.Affected, err)
 		if err != nil {
 			return wrapUnitErr(u, dur, err)
@@ -969,11 +948,11 @@ func (e *Executor) runUpdateGroup(ctx context.Context, units []rewrite.SQLUnit, 
 	}
 	if err != nil {
 		failed := batchFailure(g.ds, open, lead, units, idxs, off, err)
-		dur := e.observe(tr, g.ds, failed.SQL, start, 1, err)
+		dur := e.observe(tr, g.ds, start, 1, err)
 		e.heatCell(failed).ObserveExec(start, dur, 0, err)
 		return wrapUnitErr(failed, dur, err)
 	}
-	e.observe(tr, g.ds, units[idxs[0]].SQL, start, 1, nil)
+	e.observe(tr, g.ds, start, 1, nil)
 	results = results[off:]
 	mu.Lock()
 	for _, r := range results {

@@ -4,16 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/digest"
+	"shardingsphere/internal/governor"
+	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
+	"shardingsphere/internal/telemetry"
 )
 
 // fixture builds two embedded data sources each holding table t with rows
@@ -40,7 +42,13 @@ func fixture(t *testing.T, poolSize int) *Executor {
 		conn.Release()
 		sources[eng.Name()] = ds
 	}
-	return New(sources, 1)
+	return newExecutor(sources, 1, digest.NewHeat())
+}
+
+// newExecutor builds an executor as the kernel does, over a governor and a
+// collector of its own.
+func newExecutor(sources map[string]*resource.DataSource, maxCon int, heat *digest.Heat) *Executor {
+	return New(sources, maxCon, governor.New(registry.New(), sources), telemetry.NewCollector(), heat)
 }
 
 func unitsFor(sqls map[string][]string) []rewrite.SQLUnit {
@@ -121,7 +129,7 @@ func TestMaxConRaisesParallelism(t *testing.T) {
 	conn.Exec(context.Background(), "INSERT INTO t VALUES (1), (2), (3), (4)")
 	conn.Release()
 	sources["ds0"] = ds
-	e := New(sources, 4)
+	e := newExecutor(sources, 4, nil)
 	units := unitsFor(map[string][]string{
 		"ds0": {
 			"SELECT * FROM t WHERE id = 1", "SELECT * FROM t WHERE id = 2",
@@ -183,8 +191,7 @@ func TestStreamSetHoldsConnection(t *testing.T) {
 // and its heat cell has its call and its rows all the same.
 func TestMaterializedResultFreesConnection(t *testing.T) {
 	e := fixture(t, 1)
-	h := digest.NewHeat()
-	e.SetHeat(h)
+	h := e.heat
 	src, _ := e.Source("ds0")
 	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT * FROM t WHERE id < 4", LogicTable: "t_logic", ActualTable: "t_logic_0"}}
 	if mode := modeOn(e, units, nil, "ds0"); mode != MemoryStrictly {
@@ -359,20 +366,104 @@ func TestHeldConnsPinning(t *testing.T) {
 	}
 }
 
-func TestListenerObservesExecutions(t *testing.T) {
+// TestEveryUnitIsObserved: each unit's execution lands in its source's
+// execute histogram, and a statement with no trace is always timed.
+func TestEveryUnitIsObserved(t *testing.T) {
 	e := fixture(t, 4)
-	var count atomic.Int64
-	e.SetListener(func(ds, sql string, dur time.Duration, err error) {
-		count.Add(1)
-	})
 	e.QueryCtx(context.Background(), unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t"},
 		"ds1": {"SELECT * FROM t"},
 	}), nil, nil, false)
-	if count.Load() != 2 {
-		t.Fatalf("listener calls: %d", count.Load())
+	for _, ds := range []string{"ds0", "ds1"} {
+		if n := e.observers[ds].stats.Execute.Count(); n != 1 {
+			t.Fatalf("%s: %d executions observed, want 1", ds, n)
+		}
 	}
 }
+
+// TestUnitOutcomesOpenTheBreakerAndNotify: the executor reports every
+// unit's outcome to its source's breaker, so transient failures open it
+// without a probe, the opening is one health event, and after the
+// cool-down a success closes it, one more.
+func TestUnitOutcomesOpenTheBreakerAndNotify(t *testing.T) {
+	fail := true
+	sources := map[string]*resource.DataSource{"ds0": resource.NewDataSource("ds0", func() (resource.Conn, error) {
+		return &flakyConn{fail: &fail}, nil
+	}, nil)}
+	g := governor.New(registry.New(), sources)
+	e := New(sources, 1, g, telemetry.NewCollector(), nil)
+	e.SetRetryPolicy(&RetryPolicy{MaxAttempts: 1}) // isolate breaker from retries
+	var events []string
+	g.Subscribe(func(ds string, up bool) {
+		events = append(events, fmt.Sprintf("%s=%v", ds, up))
+	})
+	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT 1"}}
+	for i := 0; i < g.BreakThreshold; i++ {
+		if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err == nil {
+			t.Fatal("query should fail")
+		}
+	}
+	if g.BreakerStates()["ds0"] != governor.BreakerOpen {
+		t.Fatalf("3 transient outcomes should open the breaker, state %v", g.BreakerStates()["ds0"])
+	}
+	if len(events) != 1 || events[0] != "ds0=false" {
+		t.Fatalf("health events: %v", events)
+	}
+	// Recovery: cool the breaker down quickly and let a success close it.
+	g.CoolDown = time.Millisecond
+	fail = false
+	time.Sleep(5 * time.Millisecond)
+	if _, ok := g.Admit([]string{"ds0"}); !ok {
+		t.Fatal("breaker should admit the probe")
+	}
+	if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if g.BreakerStates()["ds0"] != governor.BreakerClosed {
+		t.Fatalf("success should close the breaker, state %v", g.BreakerStates()["ds0"])
+	}
+	if len(events) != 2 || events[1] != "ds0=true" {
+		t.Fatalf("recovery events: %v", events)
+	}
+	m := g.ResilienceMetrics()
+	if m["breaker.ds0.opens"] != 1 || m["breaker.ds0.closes"] != 1 {
+		t.Fatalf("resilience metrics: %v", m)
+	}
+}
+
+// TestSQLErrorsLeaveTheBreakerClosed: an SQL error proves the source
+// reachable, so any number of them leaves its breaker closed.
+func TestSQLErrorsLeaveTheBreakerClosed(t *testing.T) {
+	e := fixture(t, 1)
+	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT * FROM missing_table"}}
+	for i := 0; i < 5; i++ {
+		if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err == nil {
+			t.Fatal("query of a missing table should fail")
+		}
+	}
+	if st := e.observers["ds0"].breaker.State(); st != governor.BreakerClosed {
+		t.Fatalf("SQL errors must not open the breaker, state %v", st)
+	}
+}
+
+// flakyConn fails every call with a transient wire error while *fail.
+type flakyConn struct{ fail *bool }
+
+func (c *flakyConn) Query(_ context.Context, sql string, args ...sqltypes.Value) (resource.ResultSet, error) {
+	if *c.fail {
+		return nil, errors.New("read tcp: connection reset by peer")
+	}
+	return resource.NewSliceResultSet([]string{"a"}, nil), nil
+}
+
+func (c *flakyConn) Exec(_ context.Context, sql string, args ...sqltypes.Value) (resource.ExecResult, error) {
+	if *c.fail {
+		return resource.ExecResult{}, errors.New("read tcp: connection reset by peer")
+	}
+	return resource.ExecResult{}, nil
+}
+
+func (c *flakyConn) Close() error { return nil }
 
 func TestParallelQueriesNoDeadlock(t *testing.T) {
 	// Two concurrent multi-SQL queries against a pool of 2 in stream mode:
@@ -389,7 +480,7 @@ func TestParallelQueriesNoDeadlock(t *testing.T) {
 	conn.Exec(context.Background(), "INSERT INTO t VALUES (1), (2)")
 	conn.Release()
 	sources["ds0"] = ds
-	e := New(sources, 2)
+	e := newExecutor(sources, 2, nil)
 
 	units := unitsFor(map[string][]string{
 		"ds0": {"SELECT * FROM t WHERE id = 1", "SELECT * FROM t WHERE id = 2"},
@@ -444,9 +535,8 @@ func TestArgsPassThrough(t *testing.T) {
 // slots are the shard numbers, so fifty shards do not evict each other —
 // and RESET DIGESTS still invalidates what the executor cached.
 func TestHeatCellSweepAllocatesNothing(t *testing.T) {
-	e := New(map[string]*resource.DataSource{}, 1)
-	h := digest.NewHeat()
-	e.SetHeat(h)
+	e := newExecutor(map[string]*resource.DataSource{}, 1, digest.NewHeat())
+	h := e.heat
 	units := make([]rewrite.SQLUnit, 50)
 	for i := range units {
 		units[i] = rewrite.SQLUnit{
@@ -540,8 +630,7 @@ func TestWindowFailureNamesItsUnit(t *testing.T) {
 // call and the rows its own result held.
 func TestWindowChargesHeatPerUnit(t *testing.T) {
 	e := fixture(t, 4)
-	h := digest.NewHeat()
-	e.SetHeat(h)
+	h := e.heat
 	held := NewHeldConns()
 	defer held.ReleaseAll()
 	if _, err := e.QueryCtx(context.Background(), windowUnits("SELECT * FROM t WHERE id = 14"), held, nil, false); err != nil {
@@ -594,8 +683,7 @@ func TestBrokenWindowConnLeavesThePool(t *testing.T) {
 func TestFailedOpeningVerbBlamesTheVerb(t *testing.T) {
 	for _, write := range []bool{false, true} {
 		e := fixture(t, 1)
-		h := digest.NewHeat()
-		e.SetHeat(h)
+		h := e.heat
 		ds, _ := e.Source("ds1")
 		in := chaos.NewInjector()
 		in.Apply(ds, chaos.Fault{ErrorRate: 1, Seed: 1})

@@ -58,9 +58,9 @@ func srcOf(name string, factory resource.ConnFactory) *resource.DataSource {
 func TestQueryRetriesTransientFailure(t *testing.T) {
 	var failN atomic.Int64
 	failN.Store(2) // first two calls fail, third succeeds
-	e := New(map[string]*resource.DataSource{
+	e := newExecutor(map[string]*resource.DataSource{
 		"ds0": srcOf("ds0", func() (resource.Conn, error) { return &flapConn{failN: &failN}, nil }),
-	}, 1)
+	}, 1, nil)
 	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT 1"}}
 	res, err := e.QueryCtx(context.Background(), units, nil, nil, true)
 	if err != nil {
@@ -78,9 +78,9 @@ func TestQueryRetriesTransientFailure(t *testing.T) {
 func TestQueryRetryBudgetExhausted(t *testing.T) {
 	var failN atomic.Int64
 	failN.Store(1000)
-	e := New(map[string]*resource.DataSource{
+	e := newExecutor(map[string]*resource.DataSource{
 		"ds0": srcOf("ds0", func() (resource.Conn, error) { return &flapConn{failN: &failN}, nil }),
-	}, 1)
+	}, 1, nil)
 	e.SetRetryPolicy(&RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
 	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT 1"}}
 	_, err := e.QueryCtx(context.Background(), units, nil, nil, true)
@@ -95,9 +95,9 @@ func TestQueryRetryBudgetExhausted(t *testing.T) {
 func TestQueryNoRetryWhenDisabled(t *testing.T) {
 	var failN atomic.Int64
 	failN.Store(1000)
-	e := New(map[string]*resource.DataSource{
+	e := newExecutor(map[string]*resource.DataSource{
 		"ds0": srcOf("ds0", func() (resource.Conn, error) { return &flapConn{failN: &failN}, nil }),
-	}, 1)
+	}, 1, nil)
 	units := []rewrite.SQLUnit{{DataSource: "ds0", SQL: "SELECT 1"}}
 	// retry=false models a read inside a transaction.
 	if _, err := e.QueryCtx(context.Background(), units, nil, nil, false); err == nil {
@@ -120,10 +120,10 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 }
 
 func TestDeadlineCancelsFanout(t *testing.T) {
-	e := New(map[string]*resource.DataSource{
+	e := newExecutor(map[string]*resource.DataSource{
 		"h0": srcOf("h0", func() (resource.Conn, error) { return &hangConn{}, nil }),
 		"h1": srcOf("h1", func() (resource.Conn, error) { return &hangConn{}, nil }),
-	}, 1)
+	}, 1, nil)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -211,12 +211,12 @@ func (c *gateConn) Close() error { return nil }
 // gateSources returns an executor over "bad", whose statements fail, and
 // "slow", whose statements wait for gate, each signalling entered.
 func gateSources(gate, entered chan struct{}) *Executor {
-	return New(map[string]*resource.DataSource{
+	return newExecutor(map[string]*resource.DataSource{
 		"bad": srcOf("bad", func() (resource.Conn, error) {
 			return &gateConn{fail: errors.New("bad: duplicate primary key"), entered: entered}, nil
 		}),
 		"slow": srcOf("slow", func() (resource.Conn, error) { return &gateConn{gate: gate, entered: entered}, nil }),
-	}, 1)
+	}, 1, nil)
 }
 
 // awaitWindows waits until both sources' windows have arrived, failing if

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shardingsphere/internal/exec"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sharding"
@@ -28,17 +27,23 @@ import (
 const (
 	rulesDocPath  = "/config/rules"
 	instancesPath = "/instances"
-	statusPath    = "/status/sources"
 )
 
-// Governor manages configuration and health for one cluster.
+// Governor manages configuration and health for one cluster. A source's
+// health is its breaker, and nothing else: the kernel asks it before a
+// statement runs (Admit), the executor reports every unit's outcome to it
+// (Breaker.Report), and the health-check loop's probes are one more
+// outcome.
 type Governor struct {
-	reg  *registry.Registry
-	exec *exec.Executor
+	reg     *registry.Registry
+	sources map[string]*resource.DataSource
+	// breakers holds one breaker per source. It is fixed at New and only
+	// read afterwards, so it needs no lock.
+	breakers map[string]*Breaker
+	// disturbed counts the breakers whose disturbed flag is set (Calm).
+	disturbed atomic.Int32
 
 	mu        sync.Mutex
-	breakers  map[string]*Breaker
-	lastState map[string]bool
 	listeners []func(ds string, up bool)
 
 	// stopped, cancelled by Stop, ends the health-check loop and its probe
@@ -50,7 +55,7 @@ type Governor struct {
 	probes        atomic.Int64
 	probeFailures atomic.Int64
 
-	// BreakThreshold consecutive probe failures open a source's breaker;
+	// BreakThreshold consecutive failures open a source's breaker;
 	// CoolDown is how long it stays open before a half-open retry.
 	BreakThreshold int
 	CoolDown       time.Duration
@@ -59,16 +64,19 @@ type Governor struct {
 	ProbeTimeout time.Duration
 }
 
-// New builds a governor over the registry and executor.
-func New(reg *registry.Registry, e *exec.Executor) *Governor {
+// New builds a governor over the registry and the data sources, with one
+// closed breaker per source.
+func New(reg *registry.Registry, sources map[string]*resource.DataSource) *Governor {
 	g := &Governor{
 		reg:            reg,
-		exec:           e,
-		breakers:       map[string]*Breaker{},
-		lastState:      map[string]bool{},
+		sources:        sources,
+		breakers:       make(map[string]*Breaker, len(sources)),
 		BreakThreshold: 3,
 		CoolDown:       5 * time.Second,
 		ProbeTimeout:   time.Second,
+	}
+	for ds := range sources {
+		g.breakers[ds] = &Breaker{g: g, ds: ds}
 	}
 	g.stopped, g.stop = context.WithCancel(context.Background())
 	return g
@@ -206,102 +214,83 @@ func (g *Governor) Instances() []string {
 	return g.reg.Children(instancesPath)
 }
 
-// breaker returns the per-source breaker, creating it lazily.
-func (g *Governor) breaker(ds string) *Breaker {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	b, ok := g.breakers[ds]
-	if !ok {
-		b = &Breaker{threshold: g.BreakThreshold, coolDown: g.CoolDown}
-		g.breakers[ds] = b
+// Calm reports whether every breaker is closed, unforced and counting no
+// failure: then every statement passes and a success changes nothing, so
+// the kernel's check and the executor's report of a success are this one
+// atomic load.
+func (g *Governor) Calm() bool { return g.disturbed.Load() == 0 }
+
+// Breaker returns ds's breaker, or nil when ds is not a source.
+func (g *Governor) Breaker(ds string) *Breaker { return g.breakers[ds] }
+
+// Admit asks the breaker of each named source once whether a statement
+// may run there, and returns the first that refuses. A refused statement
+// gives back the probe slots it claimed on the others, so it leaves every
+// breaker as it found it. A name that is not a source passes: the
+// executor refuses it.
+func (g *Governor) Admit(sources []string) (refused string, ok bool) {
+	var buf [8]*Breaker
+	claimed := buf[:0]
+	for _, ds := range sources {
+		b := g.breakers[ds]
+		if b == nil {
+			continue
+		}
+		ok, claim := b.allow()
+		if !ok {
+			for _, c := range claimed {
+				c.release()
+			}
+			return ds, false
+		}
+		if claim {
+			claimed = append(claimed, b)
+		}
 	}
-	return b
+	return "", true
 }
 
-// Allow implements the kernel's SourceGate: a statement may run on the
-// source only while its breaker is closed.
-func (g *Governor) Allow(ds string) bool {
-	return g.breaker(ds).Allow()
-}
-
-// BreakSource manually opens (true) or closes (false) a source's circuit
-// — the RAL circuit-breaking command.
-func (g *Governor) BreakSource(ds string, open bool) {
-	b := g.breaker(ds)
-	b.Force(open)
-	g.publishStatus(ds, !open)
+// BreakSource manually opens (true) or closes (false) a source's circuit:
+// the RAL circuit-breaking command. A name that is not a source is
+// refused with the names that are.
+func (g *Governor) BreakSource(ds string, open bool) error {
+	b := g.breakers[ds]
+	if b == nil {
+		names := make([]string, 0, len(g.breakers))
+		for n := range g.breakers {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return fmt.Errorf("governor: %q is not a data source; the data sources are %s", ds, strings.Join(names, ", "))
+	}
+	b.force(open)
+	return nil
 }
 
 // BreakerStates snapshots every source's breaker position, keyed by
-// source name (SHOW STATUS rows). Dynamically created breakers — e.g.
-// the "frontend" admission brake, which gates no data source — are
-// included alongside the executor's sources.
+// source name (SHOW STATUS rows).
 func (g *Governor) BreakerStates() map[string]BreakerState {
-	out := map[string]BreakerState{}
-	for _, ds := range g.exec.Sources() {
-		out[ds] = g.breaker(ds).State()
+	out := make(map[string]BreakerState, len(g.breakers))
+	for ds, b := range g.breakers {
+		out[ds] = b.State()
 	}
-	g.mu.Lock()
-	for name, b := range g.breakers {
-		if _, ok := out[name]; !ok {
-			out[name] = b.State()
-		}
-	}
-	g.mu.Unlock()
 	return out
 }
 
-// AttachExecOutcomes feeds real execution outcomes into the breakers, so
-// a source dying mid-traffic opens its circuit without waiting for the
-// background prober. Classification: transient (infrastructure) failures
-// count against the breaker; SQL errors prove the source is reachable
-// and count as successes; context cancellation and deadline expiry say
-// nothing about the source and are ignored. A breaker state flip
-// publishes the health change synchronously, so subscribers (read-write
-// splitting) re-route before the failing statement's retry loop runs.
-func (g *Governor) AttachExecOutcomes() {
-	g.exec.SetListener(func(ds, sql string, dur time.Duration, err error) {
-		b := g.breaker(ds)
-		before := b.State()
-		switch {
-		case err == nil:
-			b.Observe(nil)
-		case resource.IsTransient(err):
-			b.Observe(err)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			return
-		default:
-			b.Observe(nil)
-		}
-		after := b.State()
-		if before != after {
-			g.publishStatus(ds, after == BreakerClosed)
-		}
-	})
-}
-
-// ResilienceMetrics reports the governor's fault-tolerance counters
-// (DistSQL registers them with the kernel as "governor."): probes
-// run/failed and per-source breaker
-// transitions plus current state (0 closed, 1 open, 2 half-open).
+// ResilienceMetrics reports the governor's fault-tolerance counters (the
+// kernel's metrics snapshot reports them under "governor."): probes
+// run/failed and per-source breaker transitions plus current state (0
+// closed, 1 open, 2 half-open).
 func (g *Governor) ResilienceMetrics() map[string]int64 {
 	out := map[string]int64{
 		"probes":         g.probes.Load(),
 		"probe_failures": g.probeFailures.Load(),
 	}
-	g.mu.Lock()
-	names := make([]string, 0, len(g.breakers))
-	bs := make([]*Breaker, 0, len(g.breakers))
 	for ds, b := range g.breakers {
-		names = append(names, ds)
-		bs = append(bs, b)
-	}
-	g.mu.Unlock()
-	for i, ds := range names {
-		opens, closes := bs[i].transitions()
+		opens, closes := b.transitions()
 		out["breaker."+ds+".opens"] = opens
 		out["breaker."+ds+".closes"] = closes
-		out["breaker."+ds+".state"] = int64(bs[i].State())
+		out["breaker."+ds+".state"] = int64(b.State())
 	}
 	return out
 }
@@ -318,13 +307,9 @@ func (g *Governor) probe(ds string) error {
 }
 
 func (g *Governor) probeOnce(ds string) error {
-	src, err := g.exec.Source(ds)
-	if err != nil {
-		return err
-	}
 	ctx, cancel := context.WithTimeout(g.stopped, g.ProbeTimeout)
 	defer cancel()
-	conn, err := src.AcquireCtx(ctx)
+	conn, err := g.sources[ds].AcquireCtx(ctx)
 	if err != nil {
 		return err
 	}
@@ -336,52 +321,32 @@ func (g *Governor) probeOnce(ds string) error {
 	return rs.Close()
 }
 
-// Subscribe registers a callback invoked whenever a source's health flips
-// (the paper's "Governor would change the configurations automatically" —
-// e.g. the read-write splitting feature pulls dead replicas out of
-// rotation through it).
+// Subscribe registers a callback invoked whenever a source's breaker
+// moves between closed (up) and anything else (down): the paper's
+// "Governor would change the configurations automatically", e.g. the
+// read-write splitting feature pulls dead replicas out of rotation through
+// it. A move is told once; when two moves of one breaker race, fn may
+// hear a state twice, and the last it hears is the breaker's.
 func (g *Governor) Subscribe(fn func(ds string, up bool)) {
 	g.mu.Lock()
 	g.listeners = append(g.listeners, fn)
 	g.mu.Unlock()
 }
 
-func (g *Governor) publishStatus(ds string, up bool) {
-	status := "up"
-	if !up {
-		status = "down"
-	}
-	g.reg.Put(statusPath+"/"+ds, status)
-	g.mu.Lock()
-	prev, seen := g.lastState[ds]
-	g.lastState[ds] = up
-	listeners := append([]func(string, bool){}, g.listeners...)
-	g.mu.Unlock()
-	if !seen || prev != up {
-		for _, fn := range listeners {
-			fn(ds, up)
-		}
-	}
-}
-
-// CheckOnce probes every source once, updating breakers and published
-// status; it returns the sources currently down. Reading State (not
-// Allow) avoids consuming a half-open breaker's single probe slot —
-// the health probe's own outcome already went through Observe. A stopped
+// CheckOnce probes every source once and reports each probe's outcome to
+// the source's breaker; it returns the sources whose breaker is not
+// closed. A probe's failure always counts, a timeout included. A stopped
 // governor checks nothing: a probe Stop cancelled says nothing of its
 // source.
 func (g *Governor) CheckOnce() []string {
 	var down []string
-	for _, ds := range g.exec.Sources() {
-		b := g.breaker(ds)
+	for ds, b := range g.breakers {
 		err := g.probe(ds)
 		if g.stopped.Err() != nil {
 			return nil
 		}
-		b.Observe(err)
-		up := b.State() == BreakerClosed && err == nil
-		g.publishStatus(ds, up)
-		if !up {
+		b.observe(err)
+		if b.State() != BreakerClosed {
 			down = append(down, ds)
 		}
 	}
@@ -415,15 +380,6 @@ func (g *Governor) Stop() {
 	g.loop.Wait()
 }
 
-// SourceStatus reads the published status of a source.
-func (g *Governor) SourceStatus(ds string) string {
-	v, _, err := g.reg.Get(statusPath + "/" + ds)
-	if err != nil {
-		return "unknown"
-	}
-	return v
-}
-
 // --- circuit breaker ---
 
 // BreakerState is a circuit breaker's position in the three-state
@@ -452,96 +408,162 @@ func (s BreakerState) String() string {
 	}
 }
 
-// Breaker is a per-source circuit breaker: threshold consecutive
-// transient failures open it; after coolDown it half-opens and admits
-// exactly one probe — success closes it, failure re-opens it
-// immediately. Admitting only one probe avoids the thundering herd where
+// Breaker is a source's circuit breaker: its governor's BreakThreshold
+// consecutive failures open it; after the CoolDown it half-opens and
+// admits exactly one probe statement: success closes it, failure re-opens
+// it at once. Admitting only one probe avoids the thundering herd where
 // every queued statement stampedes a source the instant the cool-down
-// elapses.
+// elapses. A breaker moving between closed and anything else is a health
+// event (Subscribe).
 type Breaker struct {
-	mu        sync.Mutex
-	threshold int
-	coolDown  time.Duration
-	failures  int
-	openedAt  time.Time
-	state     BreakerState
-	probing   bool      // a half-open probe is in flight
-	probeAt   time.Time // when it was admitted (stuck-probe escape)
-	forced    bool
-	opens     int64
-	closes    int64
+	g  *Governor
+	ds string
+	// disturbed is false exactly while the breaker is closed, not forced
+	// and counts no failure: then a statement passes and a success changes
+	// nothing, so both read this alone. Every other path takes mu and
+	// stores it again.
+	disturbed atomic.Bool
+
+	mu       sync.Mutex
+	failures int
+	open     bool
+	openedAt time.Time
+	probing  bool      // the half-open probe slot is claimed
+	probeAt  time.Time // when it was claimed (stuck-probe escape)
+	forced   bool
+	opens    int64
+	closes   int64
 }
 
-// Allow reports whether traffic may pass, claiming the single half-open
-// probe slot when the cool-down has elapsed. The caller that wins the
-// slot must report its outcome via Observe or the slot stays claimed for
-// one cool-down period (the stuck-probe escape).
-func (b *Breaker) Allow() bool {
+// allow reports whether a statement may run on the source, and whether it
+// claimed the half-open probe slot to do so. Past an open breaker's
+// cool-down exactly one caller claims the slot; it must report an outcome
+// or release the slot, or the slot stays claimed for one cool-down (the
+// stuck-probe escape).
+func (b *Breaker) allow() (ok, claimed bool) {
+	if !b.disturbed.Load() {
+		return true, false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.forced {
-		return false
+	switch {
+	case b.forced:
+		return false, false
+	case !b.open:
+		return true, false
+	case b.probing && time.Since(b.probeAt) < b.g.CoolDown,
+		!b.probing && time.Since(b.openedAt) < b.g.CoolDown:
+		return false, false
 	}
-	switch b.state {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		if time.Since(b.openedAt) < b.coolDown {
-			return false
-		}
-		b.state = BreakerHalfOpen
-		b.probing = true
-		b.probeAt = time.Now()
-		return true
-	default: // half-open
-		if b.probing && time.Since(b.probeAt) < b.coolDown {
-			return false
-		}
-		b.probing = true
-		b.probeAt = time.Now()
-		return true
-	}
+	b.probing, b.probeAt = true, time.Now()
+	return true, true
 }
 
-// Observe records a probe or execution outcome.
-func (b *Breaker) Observe(err error) {
+// release gives back a probe slot allow claimed for a statement that did
+// not run.
+func (b *Breaker) release() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err == nil {
-		b.failures = 0
-		b.probing = false
-		if b.state != BreakerClosed {
-			b.closes++
+	b.probing = false
+	b.mu.Unlock()
+}
+
+// Report records one unit's outcome. A transient (infrastructure) failure
+// counts against the breaker; an SQL error proves the source reachable and
+// counts as a success; a cancellation or deadline says nothing of the
+// source and is ignored.
+func (b *Breaker) Report(err error) {
+	switch {
+	case err == nil:
+		if b.disturbed.Load() {
+			b.observe(nil)
 		}
-		b.state = BreakerClosed
-		return
-	}
-	if b.state == BreakerHalfOpen {
-		// The probe failed: straight back to open, full cool-down.
-		b.state = BreakerOpen
-		b.openedAt = time.Now()
-		b.probing = false
-		b.failures = b.threshold
-		b.opens++
-		return
-	}
-	b.failures++
-	if b.failures >= b.threshold && b.state == BreakerClosed {
-		b.state = BreakerOpen
-		b.openedAt = time.Now()
-		b.opens++
+	case resource.IsTransient(err):
+		b.observe(err)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	default:
+		b.observe(nil)
 	}
 }
 
-// Force opens (true) or releases (false) the breaker manually.
-func (b *Breaker) Force(open bool) {
+// observe records an outcome as it is: a probe's, or a unit's Report
+// classified.
+func (b *Breaker) observe(err error) {
+	b.change(func() {
+		switch {
+		case err == nil:
+			if b.open {
+				b.closes++
+			}
+			b.failures, b.open, b.probing = 0, false, false
+		case b.open && b.probing:
+			// The probe failed: straight back to open, full cool-down.
+			b.openedAt, b.probing = time.Now(), false
+			b.opens++
+		case !b.open:
+			b.failures++
+			if b.failures >= b.g.BreakThreshold {
+				b.open, b.openedAt = true, time.Now()
+				b.opens++
+			}
+		}
+	})
+}
+
+// force opens (true) or releases (false) the breaker manually; a released
+// breaker is closed.
+func (b *Breaker) force(open bool) {
+	b.change(func() {
+		b.forced = open
+		if !open {
+			b.failures, b.open, b.probing = 0, false, false
+		}
+	})
+}
+
+// up reports whether the breaker is closed and not forced. The caller
+// holds mu.
+func (b *Breaker) up() bool { return !b.forced && !b.open }
+
+// change applies f under the breaker's lock and keeps disturbed and the
+// governor's count of it current; when the breaker moved between up and
+// down, it then tells the subscribers.
+func (b *Breaker) change(f func()) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.forced = open
-	if !open {
-		b.failures = 0
-		b.state = BreakerClosed
-		b.probing = false
+	wasUp := b.up()
+	f()
+	if d := b.forced || b.open || b.failures > 0; d != b.disturbed.Load() {
+		b.disturbed.Store(d)
+		if d {
+			b.g.disturbed.Add(1)
+		} else {
+			b.g.disturbed.Add(-1)
+		}
+	}
+	up := b.up()
+	b.mu.Unlock()
+	if up != wasUp {
+		b.notify(up)
+	}
+}
+
+// notify tells every subscriber the breaker's health, and tells them again
+// while that is no longer its health, so the last word each hears matches
+// the breaker even when two moves race. No lock is held while one runs.
+func (b *Breaker) notify(up bool) {
+	for {
+		b.g.mu.Lock()
+		listeners := b.g.listeners
+		b.g.mu.Unlock()
+		for _, fn := range listeners {
+			fn(b.ds, up)
+		}
+		b.mu.Lock()
+		now := b.up()
+		b.mu.Unlock()
+		if now == up {
+			return
+		}
+		up = now
 	}
 }
 
@@ -549,10 +571,13 @@ func (b *Breaker) Force(open bool) {
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.forced {
+	switch {
+	case b.forced || b.open && !b.probing:
 		return BreakerOpen
+	case b.open:
+		return BreakerHalfOpen
 	}
-	return b.state
+	return BreakerClosed
 }
 
 // transitions returns the lifetime open/close counts.

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"shardingsphere/internal/chaos"
-	"shardingsphere/internal/exec"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sharding"
@@ -17,7 +17,7 @@ import (
 	"shardingsphere/internal/storage"
 )
 
-func fixture(t *testing.T) (*Governor, *registry.Registry, *exec.Executor) {
+func fixture(t *testing.T) (*Governor, *registry.Registry, map[string]*resource.DataSource) {
 	t.Helper()
 	reg := registry.New()
 	sources := map[string]*resource.DataSource{}
@@ -25,8 +25,21 @@ func fixture(t *testing.T) (*Governor, *registry.Registry, *exec.Executor) {
 		eng := storage.NewEngine(fmt.Sprintf("ds%d", i))
 		sources[eng.Name()] = resource.NewEmbedded(eng, nil)
 	}
-	e := exec.New(sources, 1)
-	return New(reg, e), reg, e
+	return New(reg, sources), reg, sources
+}
+
+// testBreaker is a breaker its governor opens after threshold failures and
+// keeps open for coolDown.
+func testBreaker(threshold int, coolDown time.Duration) *Breaker {
+	g := New(registry.New(), map[string]*resource.DataSource{"ds0": nil})
+	g.BreakThreshold, g.CoolDown = threshold, coolDown
+	return g.Breaker("ds0")
+}
+
+// allowed asks b whether a statement may run, as Admit does.
+func allowed(b *Breaker) bool {
+	ok, _ := b.allow()
+	return ok
 }
 
 // TestPersistAndLoadRules: the rule set round-trips through the one
@@ -181,61 +194,84 @@ func TestHealthCheckMarksUp(t *testing.T) {
 	if len(down) != 0 {
 		t.Fatalf("healthy sources marked down: %v", down)
 	}
-	if g.SourceStatus("ds0") != "up" {
-		t.Fatalf("status: %s", g.SourceStatus("ds0"))
+	if st := g.BreakerStates()["ds0"]; st != BreakerClosed {
+		t.Fatalf("status: %s", st)
+	}
+	if g.probes.Load() != 2 || g.probeFailures.Load() != 0 {
+		t.Fatalf("probes %d, failed %d, want 2 and 0", g.probes.Load(), g.probeFailures.Load())
 	}
 }
 
 func TestBreakerOpensAfterFailures(t *testing.T) {
-	b := &Breaker{threshold: 3, coolDown: 50 * time.Millisecond}
+	b := testBreaker(3, 50*time.Millisecond)
 	err := errors.New("boom")
-	if !b.Allow() {
+	if !allowed(b) {
 		t.Fatal("breaker should start closed")
 	}
-	b.Observe(err)
-	b.Observe(err)
-	if !b.Allow() {
+	b.observe(err)
+	b.observe(err)
+	if !allowed(b) {
 		t.Fatal("breaker opened too early")
 	}
-	b.Observe(err)
-	if b.Allow() {
+	b.observe(err)
+	if allowed(b) {
 		t.Fatal("breaker should be open")
 	}
 	// Half-open after cool-down.
 	time.Sleep(60 * time.Millisecond)
-	if !b.Allow() {
+	if !allowed(b) {
 		t.Fatal("breaker should half-open")
 	}
-	b.Observe(nil)
-	if !b.Allow() {
+	b.observe(nil)
+	if !allowed(b) {
 		t.Fatal("breaker should close after success")
 	}
 }
 
 func TestBreakerForce(t *testing.T) {
-	b := &Breaker{threshold: 3, coolDown: time.Minute}
-	b.Force(true)
-	if b.Allow() {
+	b := testBreaker(3, time.Minute)
+	b.force(true)
+	if allowed(b) {
 		t.Fatal("forced breaker must block")
 	}
-	b.Force(false)
-	if !b.Allow() {
+	b.force(false)
+	if !allowed(b) {
 		t.Fatal("released breaker must pass")
 	}
 }
 
 func TestGovernorManualBreak(t *testing.T) {
 	g, _, _ := fixture(t)
-	g.BreakSource("ds1", true)
-	if g.Allow("ds1") {
+	if err := g.BreakSource("ds1", true); err != nil {
+		t.Fatal(err)
+	}
+	if ds, ok := g.Admit([]string{"ds0", "ds1"}); ok || ds != "ds1" {
 		t.Fatal("broken source allowed")
 	}
-	if g.SourceStatus("ds1") != "down" {
-		t.Fatalf("status: %s", g.SourceStatus("ds1"))
+	if st := g.BreakerStates()["ds1"]; st != BreakerOpen || g.Calm() {
+		t.Fatalf("status: %s, calm %v", st, g.Calm())
 	}
 	g.BreakSource("ds1", false)
-	if !g.Allow("ds1") {
-		t.Fatal("restored source blocked")
+	if _, ok := g.Admit([]string{"ds1"}); !ok || !g.Calm() {
+		t.Fatalf("restored source blocked, calm %v", g.Calm())
+	}
+	// A counted failure disturbs the calm until a success clears it.
+	g.Breaker("ds0").observe(errors.New("boom"))
+	if g.Calm() {
+		t.Fatal("calm with a failure counted")
+	}
+	g.Breaker("ds0").Report(nil)
+	if !g.Calm() {
+		t.Fatal("a success left the governor disturbed")
+	}
+	// A name that is not a source is refused with the names that are, and
+	// gets no breaker.
+	err := g.BreakSource("dsX", true)
+	if err == nil || !strings.Contains(err.Error(), "ds0, ds1") {
+		t.Fatalf("unknown source: %v", err)
+	}
+	if _, ok := g.BreakerStates()["dsX"]; ok {
+		t.Fatal("an unknown source got a breaker")
 	}
 }
 
@@ -255,12 +291,21 @@ func TestRateLimiter(t *testing.T) {
 
 func TestHealthCheckLoopStops(t *testing.T) {
 	g, _, _ := fixture(t)
-	g.StartHealthCheck(10 * time.Millisecond)
-	time.Sleep(30 * time.Millisecond)
+	g.StartHealthCheck(time.Millisecond)
+	for g.probes.Load() < 2 {
+		runtime.Gosched()
+	}
 	g.Stop()
 	g.Stop() // idempotent
-	if g.SourceStatus("ds0") != "up" {
-		t.Fatalf("loop never ran: %s", g.SourceStatus("ds0"))
+	n := g.probes.Load()
+	if st := g.BreakerStates()["ds0"]; st != BreakerClosed || g.probeFailures.Load() != 0 {
+		t.Fatalf("loop probed %d times, %d failed: %s", n, g.probeFailures.Load(), st)
+	}
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	if g.probes.Load() != n {
+		t.Fatal("the loop probed after Stop returned")
 	}
 }
 
@@ -270,11 +315,10 @@ func TestHealthCheckLoopStops(t *testing.T) {
 // cancelled one published nothing. A Stop that only signalled the loop
 // returned with the probe still hanging.
 func TestStopWaitsForTheHealthLoop(t *testing.T) {
-	g, _, e := fixture(t)
+	g, _, sources := fixture(t)
 	g.ProbeTimeout = time.Hour
 	faults := chaos.NewInjector()
-	for _, ds := range e.Sources() {
-		src, _ := e.Source(ds)
+	for _, src := range sources {
 		faults.Apply(src, chaos.Fault{Hang: true})
 	}
 	g.StartHealthCheck(time.Millisecond)
@@ -285,30 +329,47 @@ func TestStopWaitsForTheHealthLoop(t *testing.T) {
 	if n, failed := g.probes.Load(), g.probeFailures.Load(); n != failed {
 		t.Fatalf("%d probes started and %d ended when Stop returned", n, failed)
 	}
-	for _, ds := range e.Sources() {
-		if st := g.SourceStatus(ds); st != "unknown" {
-			t.Fatalf("a cancelled probe published %s as %s", ds, st)
+	for ds, st := range g.BreakerStates() {
+		if st != BreakerClosed || g.breakers[ds].disturbed.Load() {
+			t.Fatalf("a cancelled probe counted against %s: %s", ds, st)
 		}
 	}
 }
 
+// TestSubscribeNotifiesOnFlip: events fire on breaker transitions only.
+// Healthy probes, a failure below the threshold, a success that resets
+// the count and a second manual break move nothing; a manual break, its
+// release and an opening by failures each fire once.
 func TestSubscribeNotifiesOnFlip(t *testing.T) {
 	g, _, _ := fixture(t)
 	var events []string
 	g.Subscribe(func(ds string, up bool) {
 		events = append(events, fmt.Sprintf("%s=%v", ds, up))
 	})
-	g.CheckOnce() // both up → two initial events
-	if len(events) != 2 {
-		t.Fatalf("initial events: %v", events)
-	}
-	g.CheckOnce() // no flips → no new events
-	if len(events) != 2 {
-		t.Fatalf("redundant events: %v", events)
+	g.CheckOnce() // both up, as they were: no events
+	g.CheckOnce()
+	if len(events) != 0 {
+		t.Fatalf("events without a transition: %v", events)
 	}
 	g.BreakSource("ds1", true) // flips ds1 down
-	if len(events) != 3 || events[2] != "ds1=false" {
+	g.BreakSource("ds1", true)
+	if len(events) != 1 || events[0] != "ds1=false" {
 		t.Fatalf("flip events: %v", events)
+	}
+	g.BreakSource("ds1", false) // and back up
+	b := g.Breaker("ds0")
+	transient := errors.New("read tcp: connection reset by peer")
+	b.Report(transient)
+	b.Report(nil)
+	if len(events) != 2 || events[1] != "ds1=true" {
+		t.Fatalf("release events: %v", events)
+	}
+	for i := 0; i < g.BreakThreshold; i++ {
+		b.Report(transient)
+	}
+	b.Report(transient)
+	if len(events) != 3 || events[2] != "ds0=false" {
+		t.Fatalf("opening events: %v", events)
 	}
 }
 
@@ -323,7 +384,7 @@ func TestWatchConfigFiresAndCancels(t *testing.T) {
 		t.Fatal("config change did not reach the watcher")
 	}
 	// Unrelated paths do not fire.
-	reg.Put("/status/sources/ds0", "up")
+	reg.Put("/instances/proxy-1", "")
 	select {
 	case <-fired:
 		t.Fatal("non-config change fired the watcher")

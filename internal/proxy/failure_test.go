@@ -2,12 +2,12 @@ package proxy
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"shardingsphere/internal/core"
 	"shardingsphere/internal/governor"
-	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/sqlexec"
 	"shardingsphere/internal/storage"
@@ -32,15 +32,13 @@ func TestDataNodeFailureDetectedAndBroken(t *testing.T) {
 		}),
 	}
 	defer sources["ds0"].Close()
-	reg := registry.New()
-	k, err := core.New(core.Config{Sources: sources, Registry: reg})
+	k, err := core.New(core.Config{Sources: sources})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(reg, k.Executor())
+	gov := k.Governor()
 	gov.BreakThreshold = 2
 	gov.CoolDown = 50 * time.Millisecond
-	k.AddGate(gov)
 
 	sess := k.NewSession()
 	if _, err := sess.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
@@ -61,12 +59,12 @@ func TestDataNodeFailureDetectedAndBroken(t *testing.T) {
 	if len(down) != 1 || down[0] != "ds0" {
 		t.Fatalf("health detection missed the dead node: %v", down)
 	}
-	if gov.SourceStatus("ds0") != "down" {
-		t.Fatalf("status: %s", gov.SourceStatus("ds0"))
+	if st := gov.BreakerStates()["ds0"]; st != governor.BreakerOpen {
+		t.Fatalf("status: %s", st)
 	}
 	// The gate now rejects without dialing.
-	if _, err := sess.Query("SELECT * FROM t"); err == nil {
-		t.Fatal("breaker did not trip")
+	if _, err := sess.Query("SELECT * FROM t"); !errors.Is(err, core.ErrSourceDown) {
+		t.Fatalf("breaker did not trip: %v", err)
 	}
 
 	// Restart a node at the same address (fresh engine — a failover

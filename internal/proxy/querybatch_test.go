@@ -362,7 +362,7 @@ func rangeKernel(t *testing.T, sources map[string]*resource.DataSource, tx trans
 	if err != nil {
 		t.Fatal(err)
 	}
-	distsql.Install(k, nil)
+	t.Cleanup(distsql.Install(k).Close)
 	s := k.NewSession()
 	for _, sql := range []string{
 		`CREATE SHARDING TABLE RULE t_r (RESOURCES(ds0, ds1), SHARDING_COLUMN = id,

@@ -89,7 +89,7 @@ func startShardedProxy(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distsql.Install(k, nil)
+	t.Cleanup(distsql.Install(k).Close)
 	srv := NewServer(&KernelBackend{Kernel: k})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

@@ -191,7 +191,7 @@ func startStreamFixture(t *testing.T, rowsPerShard int) *streamFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distsql.Install(k, nil)
+	t.Cleanup(distsql.Install(k).Close)
 	f.proxy = NewServer(&KernelBackend{Kernel: k})
 	f.proxyAddr, err = f.proxy.Start("127.0.0.1:0")
 	if err != nil {

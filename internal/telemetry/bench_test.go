@@ -27,8 +27,8 @@ func BenchmarkNow(b *testing.B) {
 }
 
 func BenchmarkObserveExec(b *testing.B) {
-	c := NewCollector()
+	s := NewCollector().Source("ds0")
 	for i := 0; i < b.N; i++ {
-		c.ObserveExec("ds0", time.Microsecond, nil)
+		s.Execute.Observe(time.Microsecond)
 	}
 }

@@ -618,18 +618,6 @@ func (c *Collector) Source(name string) *SourceStats {
 	return s.(*SourceStats)
 }
 
-// ObserveExec records one per-source unit execution.
-func (c *Collector) ObserveExec(dataSource string, dur time.Duration, err error) {
-	if c == nil {
-		return
-	}
-	s := c.Source(dataSource)
-	s.Execute.Observe(dur)
-	if err != nil {
-		s.Errors.Add(1)
-	}
-}
-
 // ObserveAcquire records a blocking pool acquisition (or timeout) for a
 // data source.
 func (c *Collector) ObserveAcquire(dataSource string, wait time.Duration, timedOut bool) {

@@ -170,8 +170,10 @@ func TestCollectorMetrics(t *testing.T) {
 	tr.Mark(StageParse)
 	tr.Mark(StageRoute)
 	tr.Finish(errors.New("boom"))
-	c.ObserveExec("ds0", time.Millisecond, nil)
-	c.ObserveExec("ds0", time.Millisecond, errors.New("bad"))
+	ds0 := c.Source("ds0") // a success and a failure, as the executor reports them
+	ds0.Execute.Observe(time.Millisecond)
+	ds0.Execute.Observe(time.Millisecond)
+	ds0.Errors.Add(1)
 	c.ObserveAcquire("ds0", 10*time.Microsecond, true)
 
 	snap := c.MetricsSnapshot()

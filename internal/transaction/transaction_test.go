@@ -12,11 +12,13 @@ import (
 
 	"shardingsphere/internal/chaos"
 	"shardingsphere/internal/exec"
+	"shardingsphere/internal/governor"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/resource"
 	"shardingsphere/internal/rewrite"
 	"shardingsphere/internal/sqltypes"
 	"shardingsphere/internal/storage"
+	"shardingsphere/internal/telemetry"
 )
 
 // bg is the tests' root context. The production package threads caller
@@ -51,8 +53,14 @@ func fixture(t *testing.T, log LogStore) (*Manager, *exec.Executor) {
 		conn.Release()
 		sources[eng.Name()] = ds
 	}
-	e := exec.New(sources, 1)
+	e := newExecutor(sources)
 	return NewManager(e, log, testMeta{}), e
+}
+
+// newExecutor builds an executor as the kernel does, over a governor and a
+// collector of its own.
+func newExecutor(sources map[string]*resource.DataSource) *exec.Executor {
+	return exec.New(sources, 1, governor.New(registry.New(), sources), telemetry.NewCollector(), nil)
 }
 
 func unitsBoth(sql string) []rewrite.SQLUnit {
@@ -874,7 +882,7 @@ func TestBaseNeedsMeta(t *testing.T) {
 	sources := map[string]*resource.DataSource{}
 	eng := storage.NewEngine("ds0")
 	sources["ds0"] = resource.NewEmbedded(eng, nil)
-	mgr := NewManager(exec.New(sources, 1), nil, nil)
+	mgr := NewManager(newExecutor(sources), nil, nil)
 	if _, err := mgr.Begin(Base); err == nil {
 		t.Fatal("BASE without meta must fail")
 	}

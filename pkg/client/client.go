@@ -50,7 +50,7 @@ func remoteError(msg string) error {
 
 // IsOverloaded reports whether err is the server's typed "overloaded,
 // retry later" rejection, and if so the shed reason (queue_full,
-// deadline, queue_wait, timeout, brake, draining, conn_limit) and the
+// deadline, queue_wait, timeout, draining, conn_limit) and the
 // server's suggested backoff before retrying.
 func IsOverloaded(err error) (reason string, retryAfter time.Duration, ok bool) {
 	var ov *admission.OverloadedError

@@ -632,8 +632,12 @@ func failedWritesAgainstOneEngine(t *testing.T, dialect string, shards int, txTy
 				_, err = s.Exec(c.sql)
 			}
 			if c.fault {
-				if _, rerr := s.Exec("REMOVE FAULT ds1"); rerr != nil {
-					t.Fatal(rerr)
+				// The failures may have opened ds1's breaker; an operator
+				// releases it with the fault.
+				for _, sql := range []string{"REMOVE FAULT ds1", "SET VARIABLE circuit_break = 'ds1:off'"} {
+					if _, rerr := s.Exec(sql); rerr != nil {
+						t.Fatal(rerr)
+					}
 				}
 				var ue *exec.UnitError
 				var ie *chaos.InjectedError
@@ -1032,8 +1036,12 @@ func TestKindsReadAfterAFailedDescribe(t *testing.T) {
 	}
 	// Compiled under the fault; its answer depends on which node fails.
 	_, _ = s.QueryAll("SELECT id FROM t WHERE id = ?", String("07"))
-	if _, err := s.Exec("REMOVE FAULT ds0"); err != nil {
-		t.Fatal(err)
+	// The failures opened ds0's breaker; an operator releases it with the
+	// fault.
+	for _, sql := range []string{"REMOVE FAULT ds0", "SET VARIABLE circuit_break = 'ds0:off'"} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got, err := s.QueryAll("SELECT id FROM t WHERE id = ?", String("07")); err != nil || len(got) != 1 || got[0][0] != Int(7) {
 		t.Fatalf("after the fault: %v, %v; want the row of 7", got, err)

@@ -62,14 +62,15 @@ type Config struct {
 	// Registry shares a coordination store between instances (e.g. one
 	// proxy and one embedded driver, as the paper suggests deploying).
 	Registry *registry.Registry
-	// HealthCheckInterval starts the governor's health loop when > 0.
+	// HealthCheckInterval starts the governor's health-check loop when > 0.
+	// 0 only leaves the loop off: a source's breaker still opens on failed
+	// statements and gates every statement either way.
 	HealthCheckInterval time.Duration
 }
 
 // DB is an embedded sharding runtime.
 type DB struct {
 	kernel  *core.Kernel
-	gov     *governor.Governor
 	distsql *distsql.Handler // holds the registry's configuration watch
 	regSess *registry.Session
 	sources map[string]*resource.DataSource
@@ -121,23 +122,21 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db.kernel = kernel
-	db.gov = governor.New(reg, kernel.Executor())
-	db.distsql = distsql.Install(kernel, db.gov)
+	db.distsql = distsql.Install(kernel)
 	db.regSess = reg.NewSession()
-	db.gov.RegisterInstance(db.regSess, fmt.Sprintf("jdbc-%p", db))
+	kernel.Governor().RegisterInstance(db.regSess, fmt.Sprintf("jdbc-%p", db))
 	if cfg.HealthCheckInterval > 0 {
-		db.gov.StartHealthCheck(cfg.HealthCheckInterval)
-		db.kernel.AddGate(db.gov)
+		kernel.Governor().StartHealthCheck(cfg.HealthCheckInterval)
 	}
 	return db, nil
 }
 
-// Kernel exposes the kernel for advanced embedding (scaling jobs, custom
-// gates).
+// Kernel exposes the kernel for advanced embedding (scaling jobs, the
+// governor).
 func (db *DB) Kernel() *core.Kernel { return db.kernel }
 
-// Governor exposes the governor.
-func (db *DB) Governor() *governor.Governor { return db.gov }
+// Governor exposes the kernel's governor.
+func (db *DB) Governor() *governor.Governor { return db.kernel.Governor() }
 
 // Session opens a client session. Sessions are single-goroutine, like
 // connections; open one per worker.
@@ -149,7 +148,7 @@ func (db *DB) Session() *Session {
 // adopts no later configuration.
 func (db *DB) Close() {
 	db.distsql.Close()
-	db.gov.Stop()
+	db.kernel.Governor().Stop()
 	if db.regSess != nil {
 		db.regSess.Close()
 	}

@@ -2,12 +2,14 @@ package shardingdb
 
 import (
 	"database/sql"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"shardingsphere/internal/core"
 	"shardingsphere/internal/proxy"
 	"shardingsphere/internal/registry"
 	"shardingsphere/internal/sqlexec"
@@ -466,6 +468,40 @@ func TestHealthCheckGateInDB(t *testing.T) {
 	db.Governor().BreakSource("ds0", false)
 	if _, err := s.Exec("INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCircuitBreakGatesWithoutHealthChecks: with no health-check loop, a
+// source's breaker still gates every statement: one routed to a source
+// broken by circuit_break fails with core.ErrSourceDown, and runs again
+// once the breaker is released.
+func TestCircuitBreakGatesWithoutHealthChecks(t *testing.T) {
+	db, err := Open(Config{DataSources: []DataSourceConfig{{Name: "ds0"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := db.Session()
+	if _, err := s.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("SET VARIABLE circuit_break = 'ds0:on'"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("INSERT INTO t VALUES (1)"); !errors.Is(err, core.ErrSourceDown) {
+		t.Fatalf("an INSERT on the broken source: %v", err)
+	}
+	if _, err := s.QueryAll("SELECT id FROM t"); !errors.Is(err, core.ErrSourceDown) {
+		t.Fatalf("a SELECT on the broken source: %v", err)
+	}
+	if _, err := s.Exec("SET VARIABLE circuit_break = 'ds0:off'"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("INSERT INTO t VALUES (1)"); err != nil {
+		t.Fatalf("an INSERT after the release: %v", err)
+	}
+	if rows, err := s.QueryAll("SELECT id FROM t"); err != nil || len(rows) != 1 {
+		t.Fatalf("a SELECT after the release: %v, %v", rows, err)
 	}
 }
 
