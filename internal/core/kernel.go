@@ -65,9 +65,10 @@ type StatementTransformer interface {
 }
 
 // SourceResolver remaps a routed data source before execution (read-write
-// splitting picks a replica for reads; shadow diverts test traffic).
+// splitting picks a replica whose breaker is ready in gov for reads;
+// shadow diverts test traffic).
 type SourceResolver interface {
-	ResolveSource(ds string, readOnly, inTx bool, stmt sqlparser.Statement) string
+	ResolveSource(ds string, readOnly, inTx bool, stmt sqlparser.Statement, gov *governor.Governor) string
 }
 
 // ResultDecorator wraps the merged result before it reaches the client
@@ -166,8 +167,8 @@ type Kernel struct {
 
 // New builds a kernel from the config. The kernel publishes its own clone
 // of cfg.Rules: later edits to the caller's set do not reach it. Its
-// governor keeps one breaker per source over cfg.Registry, and every
-// feature with an OnSourceHealth method takes its health events.
+// governor keeps one breaker per source over cfg.Registry; a
+// SourceResolver reads those breakers on every resolve.
 func New(cfg Config) (*Kernel, error) {
 	rules := sharding.NewRuleSet()
 	if cfg.Rules != nil {
@@ -218,9 +219,6 @@ func New(cfg Config) (*Kernel, error) {
 		}
 		if _, ok := f.(SourceResolver); ok {
 			k.hasResolvers = true
-		}
-		if h, ok := f.(interface{ OnSourceHealth(string, bool) }); ok {
-			gov.Subscribe(h.OnSourceHealth)
 		}
 	}
 	k.txMgr = transaction.NewManager(executor, transaction.NewRegistryLog(reg, "/transactions"), k)
@@ -543,7 +541,8 @@ func (k *Kernel) ResilienceMetrics() map[string]int64 {
 	}
 }
 
-// resolveSources applies SourceResolver features to every unit.
+// resolveSources applies SourceResolver features to every unit, over the
+// kernel's breakers.
 func (k *Kernel) resolveSources(units []rewrite.SQLUnit, readOnly, inTx bool, stmt sqlparser.Statement) {
 	for _, f := range k.features {
 		r, ok := f.(SourceResolver)
@@ -551,7 +550,7 @@ func (k *Kernel) resolveSources(units []rewrite.SQLUnit, readOnly, inTx bool, st
 			continue
 		}
 		for i := range units {
-			units[i].DataSource = r.ResolveSource(units[i].DataSource, readOnly, inTx, stmt)
+			units[i].DataSource = r.ResolveSource(units[i].DataSource, readOnly, inTx, stmt, k.gov)
 		}
 	}
 }

@@ -429,10 +429,10 @@ func (s *Session) endTx(commit bool) error {
 // their routed sources (SourceResolver): when an attempt dies of a
 // transient infrastructure failure — or its resolved source is gated by
 // an open breaker — the units are reset to their routed sources and
-// re-resolved, so read-write splitting (whose replica table the
-// governor's health events just updated) lands the retry on a healthy
-// replica. With no resolver a retry would reach the same sources, which
-// the executor's own retry has already tried.
+// re-resolved, so read-write splitting, which reads each replica's
+// breaker as it resolves, lands the retry on another ready replica. With
+// no resolver a retry would reach the same sources, which the executor's
+// own retry has already tried.
 //
 // A DML statement of more than one unit outside a transaction runs as
 // BEGIN; <stmt>; COMMIT in the session's transaction type, so a failing

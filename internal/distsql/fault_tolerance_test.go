@@ -24,8 +24,9 @@ import (
 )
 
 // rwFixture builds a primary with two replicas behind read-write
-// splitting, all seeded with the same table. The kernel's governor drives
-// failover (exec outcomes → breaker → health event → replica rotation).
+// splitting, all seeded with the same table, and no health-check loop. The
+// kernel's governor drives failover (exec outcomes → breaker, which read
+// splitting reads as it picks a replica).
 func rwFixture(t *testing.T) (*core.Kernel, *governor.Governor) {
 	t.Helper()
 	sources := map[string]*resource.DataSource{}
@@ -73,8 +74,8 @@ func rwFixture(t *testing.T) (*core.Kernel, *governor.Governor) {
 // TestChaosReplicaOutageFailover is the chaos demo (acceptance): with one
 // replica injected at 100% error rate, a concurrent read-only workload
 // completes with zero client-visible errors — the breaker opens on real
-// execution outcomes, the health event pulls the replica out of rotation,
-// and reads fail over to the survivors.
+// execution outcomes, read-write splitting skips the replica while its
+// breaker refuses reads, and reads fail over to the survivors.
 func TestChaosReplicaOutageFailover(t *testing.T) {
 	k, gov := rwFixture(t)
 	s := k.NewSession()
@@ -143,6 +144,44 @@ func TestChaosReplicaOutageFailover(t *testing.T) {
 		t.Fatalf("read after recovery: %v", err)
 	}
 	res.Close()
+}
+
+// TestReplicaRejoinsWithoutHealthChecks: with no health-check loop, a
+// replica whose breaker opened rejoins rotation once its cool-down ends.
+// Read-write splitting offers it a read then; that read is the breaker's
+// probe statement, and its success closes the breaker.
+func TestReplicaRejoinsWithoutHealthChecks(t *testing.T) {
+	k, gov := rwFixture(t)
+	s := k.NewSession()
+	defer s.Close()
+	exec(t, s, "INJECT FAULT r1 (ERROR_RATE = 1, SEED = 7)")
+	for i := 0; i < 100 && gov.BreakerStates()["r1"] != governor.BreakerOpen; i++ {
+		if res, err := s.Execute("SELECT * FROM t_user WHERE uid = 3"); err == nil {
+			res.Close()
+		}
+	}
+	if st := gov.BreakerStates()["r1"]; st != governor.BreakerOpen {
+		t.Fatalf("r1 breaker: %v, want open", st)
+	}
+	exec(t, s, "REMOVE FAULT r1")
+	gov.CoolDown = 0
+	exec(t, s, "SET VARIABLE stage_sampling = 1") // time every unit, so source.r1.execute counts each
+	before := metrics(t, s)["source.r1.execute"]
+	for i := 0; i < 200; i++ {
+		res, err := s.Execute("SELECT * FROM t_user WHERE uid = 3")
+		if err != nil {
+			t.Fatalf("read %d after recovery: %v", i, err)
+		}
+		if _, err := resource.ReadAll(res.RS); err != nil {
+			t.Fatalf("read %d after recovery: %v", i, err)
+		}
+	}
+	if st := gov.BreakerStates()["r1"]; st != governor.BreakerClosed {
+		t.Fatalf("r1 breaker after 200 reads past its cool-down: %v, want closed", st)
+	}
+	if metrics(t, s)["source.r1.execute"] == before {
+		t.Fatal("r1 served no read after it recovered")
+	}
 }
 
 // TestStatementTimeoutFailFast is the fail-fast acceptance test: with one

@@ -1,14 +1,16 @@
 // Package readwrite implements read-write splitting (paper Section IV-C):
 // a logical data source name expands to one primary and N replicas;
 // writes, locking reads and every statement inside a transaction go to the
-// primary, plain reads rotate round-robin across healthy replicas.
+// primary, plain reads rotate round-robin across the replicas whose
+// breaker would admit them (Governor.Ready), so a failed replica leaves
+// rotation while its breaker is open and rejoins when its cool-down ends.
 package readwrite
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"shardingsphere/internal/governor"
 	"shardingsphere/internal/sqlparser"
 )
 
@@ -21,9 +23,7 @@ type Group struct {
 	// Replicas receive plain reads.
 	Replicas []string
 
-	next     atomic.Int64 // round-robin position over the live replicas
-	mu       sync.RWMutex
-	disabled map[string]bool
+	next atomic.Uint64 // round-robin position over the ready replicas
 }
 
 // Feature routes reads to replicas. It implements the kernel's
@@ -39,7 +39,6 @@ func New(groups ...*Group) (*Feature, error) {
 		if g.Name == "" || g.Primary == "" {
 			return nil, fmt.Errorf("readwrite: group needs a name and a primary")
 		}
-		g.disabled = map[string]bool{}
 		f.groups[g.Name] = g
 	}
 	return f, nil
@@ -48,47 +47,12 @@ func New(groups ...*Group) (*Feature, error) {
 // Name implements core.Feature.
 func (f *Feature) Name() string { return "readwrite-splitting" }
 
-// DisableReplica removes a replica from rotation (health detection calls
-// this when a replica dies); EnableReplica restores it.
-func (f *Feature) DisableReplica(group, replica string) {
-	if g, ok := f.groups[group]; ok {
-		g.mu.Lock()
-		g.disabled[replica] = true
-		g.mu.Unlock()
-	}
-}
-
-// EnableReplica restores a replica into rotation.
-func (f *Feature) EnableReplica(group, replica string) {
-	if g, ok := f.groups[group]; ok {
-		g.mu.Lock()
-		delete(g.disabled, replica)
-		g.mu.Unlock()
-	}
-}
-
-// OnSourceHealth applies a governor health event: a source going down is
-// pulled from every group's replica rotation, a recovery restores it.
-// Wired to Governor.Subscribe so breaker flips re-route reads without
-// manual intervention.
-func (f *Feature) OnSourceHealth(ds string, up bool) {
-	for _, g := range f.groups {
-		for _, r := range g.Replicas {
-			if r != ds {
-				continue
-			}
-			if up {
-				f.EnableReplica(g.Name, ds)
-			} else {
-				f.DisableReplica(g.Name, ds)
-			}
-		}
-	}
-}
-
-// ResolveSource implements the kernel hook: reads outside transactions go
-// to a healthy replica, everything else to the primary.
-func (f *Feature) ResolveSource(ds string, readOnly, inTx bool, stmt sqlparser.Statement) string {
+// ResolveSource implements the kernel hook: a read outside a transaction
+// goes to the next replica, round-robin, among those whose breaker is
+// ready, so the survivors of a failed replica share its reads evenly; with
+// none ready it goes to the primary, as does everything else. It claims no
+// probe slot: the kernel's Admit does, when the statement runs.
+func (f *Feature) ResolveSource(ds string, readOnly, inTx bool, stmt sqlparser.Statement, gov *governor.Governor) string {
 	g, ok := f.groups[ds]
 	if !ok {
 		return ds
@@ -96,16 +60,24 @@ func (f *Feature) ResolveSource(ds string, readOnly, inTx bool, stmt sqlparser.S
 	if !readOnly || inTx {
 		return g.Primary
 	}
-	g.mu.RLock()
-	live := make([]string, 0, len(g.Replicas))
+	ready := uint64(0)
 	for _, r := range g.Replicas {
-		if !g.disabled[r] {
-			live = append(live, r)
+		if gov.Ready(r) {
+			ready++
 		}
 	}
-	g.mu.RUnlock()
-	if len(live) == 0 {
+	if ready == 0 {
 		return g.Primary
 	}
-	return live[int(g.next.Add(1)-1)%len(live)]
+	k := (g.next.Add(1) - 1) % ready
+	for _, r := range g.Replicas {
+		if gov.Ready(r) {
+			if k == 0 {
+				return r
+			}
+			k--
+		}
+	}
+	// A breaker moved between the two passes.
+	return g.Primary
 }

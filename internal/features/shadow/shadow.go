@@ -8,6 +8,7 @@ package shadow
 import (
 	"strings"
 
+	"shardingsphere/internal/governor"
 	"shardingsphere/internal/sqlparser"
 	"shardingsphere/internal/sqltypes"
 )
@@ -46,8 +47,9 @@ func New(cfg Config) *Feature {
 // Name implements core.Feature.
 func (f *Feature) Name() string { return "shadow" }
 
-// ResolveSource diverts shadow statements to the mapped shadow source.
-func (f *Feature) ResolveSource(ds string, readOnly, inTx bool, stmt sqlparser.Statement) string {
+// ResolveSource diverts shadow statements to the mapped shadow source; a
+// shadow source's health does not enter into it.
+func (f *Feature) ResolveSource(ds string, readOnly, inTx bool, stmt sqlparser.Statement, _ *governor.Governor) string {
 	shadowDS, ok := f.mapping[ds]
 	if !ok {
 		return ds

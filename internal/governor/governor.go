@@ -43,9 +43,6 @@ type Governor struct {
 	// disturbed counts the breakers whose disturbed flag is set (Calm).
 	disturbed atomic.Int32
 
-	mu        sync.Mutex
-	listeners []func(ds string, up bool)
-
 	// stopped, cancelled by Stop, ends the health-check loop and its probe
 	// in flight; loop counts the running loops Stop waits for.
 	stopped context.Context
@@ -76,7 +73,7 @@ func New(reg *registry.Registry, sources map[string]*resource.DataSource) *Gover
 		ProbeTimeout:   time.Second,
 	}
 	for ds := range sources {
-		g.breakers[ds] = &Breaker{g: g, ds: ds}
+		g.breakers[ds] = &Breaker{g: g}
 	}
 	g.stopped, g.stop = context.WithCancel(context.Background())
 	return g
@@ -223,6 +220,20 @@ func (g *Governor) Calm() bool { return g.disturbed.Load() == 0 }
 // Breaker returns ds's breaker, or nil when ds is not a source.
 func (g *Governor) Breaker(ds string) *Breaker { return g.breakers[ds] }
 
+// Ready reports whether ds's breaker would admit a statement now, without
+// claiming its probe slot: read-write splitting asks it to pick a replica,
+// and Admit claims the slot when the resolved statement runs. A name that
+// is not a source reads ready, as Admit lets it pass.
+func (g *Governor) Ready(ds string) bool {
+	b := g.breakers[ds]
+	if b == nil || !b.disturbed.Load() {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.ready()
+}
+
 // Admit asks the breaker of each named source once whether a statement
 // may run there, and returns the first that refuses. A refused statement
 // gives back the probe slots it claimed on the others, so it leaves every
@@ -321,37 +332,18 @@ func (g *Governor) probeOnce(ds string) error {
 	return rs.Close()
 }
 
-// Subscribe registers a callback invoked whenever a source's breaker
-// moves between closed (up) and anything else (down): the paper's
-// "Governor would change the configurations automatically", e.g. the
-// read-write splitting feature pulls dead replicas out of rotation through
-// it. A move is told once; when two moves of one breaker race, fn may
-// hear a state twice, and the last it hears is the breaker's.
-func (g *Governor) Subscribe(fn func(ds string, up bool)) {
-	g.mu.Lock()
-	g.listeners = append(g.listeners, fn)
-	g.mu.Unlock()
-}
-
 // CheckOnce probes every source once and reports each probe's outcome to
-// the source's breaker; it returns the sources whose breaker is not
-// closed. A probe's failure always counts, a timeout included. A stopped
-// governor checks nothing: a probe Stop cancelled says nothing of its
-// source.
-func (g *Governor) CheckOnce() []string {
-	var down []string
+// the source's breaker. A probe's failure always counts, a timeout
+// included. A stopped governor checks nothing: a probe Stop cancelled says
+// nothing of its source.
+func (g *Governor) CheckOnce() {
 	for ds, b := range g.breakers {
 		err := g.probe(ds)
 		if g.stopped.Err() != nil {
-			return nil
+			return
 		}
 		b.observe(err)
-		if b.State() != BreakerClosed {
-			down = append(down, ds)
-		}
 	}
-	sort.Strings(down)
-	return down
 }
 
 // StartHealthCheck launches the periodic health-detection loop, which
@@ -413,11 +405,9 @@ func (s BreakerState) String() string {
 // admits exactly one probe statement: success closes it, failure re-opens
 // it at once. Admitting only one probe avoids the thundering herd where
 // every queued statement stampedes a source the instant the cool-down
-// elapses. A breaker moving between closed and anything else is a health
-// event (Subscribe).
+// elapses. Read-write splitting reads it to pick a replica (Ready).
 type Breaker struct {
-	g  *Governor
-	ds string
+	g *Governor
 	// disturbed is false exactly while the breaker is closed, not forced
 	// and counts no failure: then a statement passes and a success changes
 	// nothing, so both read this alone. Every other path takes mu and
@@ -435,25 +425,38 @@ type Breaker struct {
 	closes   int64
 }
 
-// allow reports whether a statement may run on the source, and whether it
-// claimed the half-open probe slot to do so. Past an open breaker's
-// cool-down exactly one caller claims the slot; it must report an outcome
-// or release the slot, or the slot stays claimed for one cool-down (the
-// stuck-probe escape).
+// ready reports whether a statement may run on the source: the breaker is
+// closed and not forced, or open with its cool-down passed and its probe
+// slot free or claimed longer than a cool-down ago (the stuck-probe
+// escape). The caller holds mu.
+func (b *Breaker) ready() bool {
+	switch {
+	case b.forced:
+		return false
+	case !b.open:
+		return true
+	case b.probing:
+		return time.Since(b.probeAt) >= b.g.CoolDown
+	}
+	return time.Since(b.openedAt) >= b.g.CoolDown
+}
+
+// allow reports whether a statement may run on the source (ready), and
+// whether it claimed the half-open probe slot to do so. Past an open
+// breaker's cool-down exactly one caller claims the slot; it must report
+// an outcome or release the slot, or the slot stays claimed for one
+// cool-down.
 func (b *Breaker) allow() (ok, claimed bool) {
 	if !b.disturbed.Load() {
 		return true, false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch {
-	case b.forced:
+	if !b.ready() {
 		return false, false
-	case !b.open:
+	}
+	if !b.open {
 		return true, false
-	case b.probing && time.Since(b.probeAt) < b.g.CoolDown,
-		!b.probing && time.Since(b.openedAt) < b.g.CoolDown:
-		return false, false
 	}
 	b.probing, b.probeAt = true, time.Now()
 	return true, true
@@ -520,16 +523,11 @@ func (b *Breaker) force(open bool) {
 	})
 }
 
-// up reports whether the breaker is closed and not forced. The caller
-// holds mu.
-func (b *Breaker) up() bool { return !b.forced && !b.open }
-
 // change applies f under the breaker's lock and keeps disturbed and the
-// governor's count of it current; when the breaker moved between up and
-// down, it then tells the subscribers.
+// governor's count of it current.
 func (b *Breaker) change(f func()) {
 	b.mu.Lock()
-	wasUp := b.up()
+	defer b.mu.Unlock()
 	f()
 	if d := b.forced || b.open || b.failures > 0; d != b.disturbed.Load() {
 		b.disturbed.Store(d)
@@ -538,32 +536,6 @@ func (b *Breaker) change(f func()) {
 		} else {
 			b.g.disturbed.Add(-1)
 		}
-	}
-	up := b.up()
-	b.mu.Unlock()
-	if up != wasUp {
-		b.notify(up)
-	}
-}
-
-// notify tells every subscriber the breaker's health, and tells them again
-// while that is no longer its health, so the last word each hears matches
-// the breaker even when two moves race. No lock is held while one runs.
-func (b *Breaker) notify(up bool) {
-	for {
-		b.g.mu.Lock()
-		listeners := b.g.listeners
-		b.g.mu.Unlock()
-		for _, fn := range listeners {
-			fn(b.ds, up)
-		}
-		b.mu.Lock()
-		now := b.up()
-		b.mu.Unlock()
-		if now == up {
-			return
-		}
-		up = now
 	}
 }
 

@@ -190,12 +190,11 @@ func TestInstanceRegistration(t *testing.T) {
 
 func TestHealthCheckMarksUp(t *testing.T) {
 	g, _, _ := fixture(t)
-	down := g.CheckOnce()
-	if len(down) != 0 {
-		t.Fatalf("healthy sources marked down: %v", down)
-	}
-	if st := g.BreakerStates()["ds0"]; st != BreakerClosed {
-		t.Fatalf("status: %s", st)
+	g.CheckOnce()
+	for ds, st := range g.BreakerStates() {
+		if st != BreakerClosed {
+			t.Fatalf("healthy source %s marked %s", ds, st)
+		}
 	}
 	if g.probes.Load() != 2 || g.probeFailures.Load() != 0 {
 		t.Fatalf("probes %d, failed %d, want 2 and 0", g.probes.Load(), g.probeFailures.Load())
@@ -336,40 +335,41 @@ func TestStopWaitsForTheHealthLoop(t *testing.T) {
 	}
 }
 
-// TestSubscribeNotifiesOnFlip: events fire on breaker transitions only.
-// Healthy probes, a failure below the threshold, a success that resets
-// the count and a second manual break move nothing; a manual break, its
-// release and an opening by failures each fire once.
-func TestSubscribeNotifiesOnFlip(t *testing.T) {
+// TestBreakerCountsTransitionsOnly: breaker.<ds>.opens and .closes count
+// moves, not outcomes. Healthy probes, a failure below the threshold, the
+// success that resets it and a failure reported to an open breaker move
+// nothing; the opening by failures counts once, and so does the close by
+// the probe statement's success.
+func TestBreakerCountsTransitionsOnly(t *testing.T) {
 	g, _, _ := fixture(t)
-	var events []string
-	g.Subscribe(func(ds string, up bool) {
-		events = append(events, fmt.Sprintf("%s=%v", ds, up))
-	})
-	g.CheckOnce() // both up, as they were: no events
+	moves := func() string {
+		m := g.ResilienceMetrics()
+		return fmt.Sprintf("opens %d, closes %d", m["breaker.ds0.opens"], m["breaker.ds0.closes"])
+	}
 	g.CheckOnce()
-	if len(events) != 0 {
-		t.Fatalf("events without a transition: %v", events)
-	}
-	g.BreakSource("ds1", true) // flips ds1 down
-	g.BreakSource("ds1", true)
-	if len(events) != 1 || events[0] != "ds1=false" {
-		t.Fatalf("flip events: %v", events)
-	}
-	g.BreakSource("ds1", false) // and back up
+	g.CheckOnce()
 	b := g.Breaker("ds0")
 	transient := errors.New("read tcp: connection reset by peer")
 	b.Report(transient)
 	b.Report(nil)
-	if len(events) != 2 || events[1] != "ds1=true" {
-		t.Fatalf("release events: %v", events)
+	if got := moves(); got != "opens 0, closes 0" {
+		t.Fatalf("without a transition: %s", got)
 	}
 	for i := 0; i < g.BreakThreshold; i++ {
 		b.Report(transient)
 	}
 	b.Report(transient)
-	if len(events) != 3 || events[2] != "ds0=false" {
-		t.Fatalf("opening events: %v", events)
+	if got := moves(); got != "opens 1, closes 0" {
+		t.Fatalf("after the opening: %s", got)
+	}
+	g.CoolDown = 0
+	if _, ok := g.Admit([]string{"ds0"}); !ok {
+		t.Fatal("the open breaker refused its probe past the cool-down")
+	}
+	b.Report(nil)
+	b.Report(nil)
+	if got := moves(); got != "opens 1, closes 1" {
+		t.Fatalf("after the close: %s", got)
 	}
 }
 

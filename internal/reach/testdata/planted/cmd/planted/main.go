@@ -13,5 +13,5 @@ func main() {
 	}
 	var t p.Tally
 	t.Count()
-	fmt.Println(pair, p.Col("c"), p.Touch("t", "0"))
+	fmt.Println(pair, p.Col("c"), p.Touch("t", "0"), p.NewOptions().Level())
 }

@@ -2,6 +2,8 @@
 // must tell apart.
 package p
 
+import "sync"
+
 // Unused has no caller, and OnlyFromUnused only a dead one: both are
 // reported.
 func Unused() { OnlyFromUnused() }
@@ -46,3 +48,30 @@ func Touch(table, shard string) int {
 	h.m[cell{table: table, shard: shard}]++
 	return len(h.m)
 }
+
+// Options' verbose is read and never written: it is reported. Its level is
+// set by key, its seen through its address, its mu by a pointer method
+// and its Name by a decoder, as its tag says.
+type Options struct {
+	verbose bool
+	level   int
+	seen    int
+	mu      sync.Mutex
+	Name    string `json:"name"`
+}
+
+// NewOptions returns options at level 1.
+func NewOptions() *Options { return &Options{level: 1} }
+
+// Level reads every option.
+func (o *Options) Level() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	mark(&o.seen)
+	if o.verbose || o.Name != "" {
+		return o.level + o.seen
+	}
+	return o.level
+}
+
+func mark(n *int) { *n++ }
