@@ -22,8 +22,9 @@ import (
 )
 
 // degree is the minimum number of children per internal node. At 16 a node
-// holds 15 to 31 items of 32 bytes, so a binary search reads at most five
-// of them, and a 1,000-row shard is three levels deep.
+// holds 15 to 31 items of 32 bytes (a leaf an append split started, fewer
+// until keys fill it), so a binary search reads at most five of them, and
+// a 1,000-row shard is three levels deep.
 const degree = 16
 
 const (
@@ -176,25 +177,51 @@ type item[V any] struct {
 }
 
 // node holds its items in its own store, one allocation with nothing to
-// chase between a node and its keys. Both slices have their full capacity
-// from the start, so slices.Insert never reallocates, and slices.Delete
-// zeroes what it vacates, so a node retains no value the tree gave up.
+// chase between a node and its keys; the first count are in use, and in
+// an internal node the first count+1 children. slices.Insert and append
+// work in place on items(), and slices.Delete, like deleteChild, zeroes
+// what it vacates, so a node retains no value the tree gave up. Go puts an
+// 8-byte header before an object over 512 bytes that holds pointers, so a
+// node of 8-byte values, at 1,008 bytes, is allocated from the 1,024-byte
+// class; a second slice header would put it in the 1,152-byte one.
 type node[V any] struct {
-	items    []item[V]
-	children []*node[V] // nil for leaves
+	children *[maxItems + 1]*node[V] // nil for leaves
+	count    int
 	store    [maxItems]item[V]
 }
 
 func newNode[V any](leaf bool) *node[V] {
 	n := &node[V]{}
-	n.items = n.store[:0]
 	if !leaf {
-		n.children = make([]*node[V], 0, maxItems+1)
+		n.children = new([maxItems + 1]*node[V])
 	}
 	return n
 }
 
-func (n *node[V]) leaf() bool { return len(n.children) == 0 }
+func (n *node[V]) leaf() bool { return n.children == nil }
+
+// items returns the items in use, a slice of the store from its start.
+func (n *node[V]) items() []item[V] { return n.store[:n.count] }
+
+// setItems makes s, what slices.Insert, slices.Delete or append returned
+// for items() within the store's capacity, the items in use.
+func (n *node[V]) setItems(s []item[V]) { n.count = len(s) }
+
+// insertChild puts c at position i of an internal node's children, before
+// the item that goes with it is inserted.
+func (n *node[V]) insertChild(i int, c *node[V]) {
+	copy(n.children[i+1:], n.children[i:n.count+1])
+	n.children[i] = c
+}
+
+// deleteChild removes and returns the child at position i, before the item
+// that goes with it is deleted.
+func (n *node[V]) deleteChild(i int) *node[V] {
+	c := n.children[i]
+	copy(n.children[i:], n.children[i+1:n.count+1])
+	n.children[n.count] = nil
+	return c
+}
 
 // Tree is a B-tree map from Key to V. Not safe for concurrent use; the
 // storage engine serializes access with its table latches.
@@ -209,11 +236,11 @@ func New[V any](width int) *Tree[V] { return &Tree[V]{root: newNode[V](true), wi
 // search finds the first position within the node's items whose key is not
 // below the probe, and whether the key there equals it.
 func (n *node[V]) search(p *probe) (int, bool) {
-	lo, hi, found := 0, len(n.items), false
+	lo, hi, found := 0, n.count, false
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		var c int
-		if k := &n.items[mid].ikey; k.tuple == nil && p.tuple == nil {
+		if k := &n.store[mid].ikey; k.tuple == nil && p.tuple == nil {
 			c = p.laneOrder(k, false) // order's lane case, inlined
 		} else {
 			c = p.order(k, false)
@@ -234,7 +261,7 @@ func (t *Tree[V]) Get(key Key) (V, bool) {
 	for {
 		i, ok := n.search(&p)
 		if ok {
-			return n.items[i].val, true
+			return n.store[i].val, true
 		}
 		if n.leaf() {
 			var zero V
@@ -247,63 +274,73 @@ func (t *Tree[V]) Get(key Key) (V, bool) {
 // Set inserts or replaces the value at key, returning the previous value.
 // The tree keeps no reference to key.
 func (t *Tree[V]) Set(key Key, val V) (V, bool) {
-	if len(t.root.items) == maxItems {
+	p := t.probe(key)
+	if t.root.count == maxItems {
 		old := t.root
 		t.root = newNode[V](false)
-		t.root.children = append(t.root.children, old)
-		t.root.splitChild(0)
+		t.root.children[0] = old
+		t.root.splitChild(0, &p)
 	}
-	p := t.probe(key)
 	return t.root.set(&p, val)
 }
 
 func (n *node[V]) set(p *probe, val V) (V, bool) {
 	i, ok := n.search(p)
-	if !ok && !n.leaf() && len(n.children[i].items) == maxItems {
-		n.splitChild(i) // hoists an item to position i: look again
+	if !ok && !n.leaf() && n.children[i].count == maxItems {
+		n.splitChild(i, p) // hoists an item to position i: look again
 		i, ok = n.search(p)
 	}
 	switch {
 	case ok:
-		prev := n.items[i].val
-		n.items[i].val = val
+		prev := n.store[i].val
+		n.store[i].val = val
 		return prev, true
 	case n.leaf():
-		n.items = slices.Insert(n.items, i, item[V]{p.stored(), val})
+		n.setItems(slices.Insert(n.items(), i, item[V]{p.stored(), val}))
 		var zero V
 		return zero, false
 	}
 	return n.children[i].set(p, val)
 }
 
-// splitChild splits the full child at index i, hoisting its median item.
-func (n *node[V]) splitChild(i int) {
+// splitChild splits the full child at index i, which p is on its way into,
+// hoisting one of its items to position i. A last child that is a leaf,
+// split for a key above all of it, keeps all but its last item, which is
+// hoisted, and the key starts a new right leaf, so keys set in ascending
+// order fill their leaves; any other child is split at its median.
+func (n *node[V]) splitChild(i int, p *probe) {
 	child := n.children[i]
-	median := child.items[minItems]
-	right := newNode[V](child.leaf())
-	right.items = append(right.items, child.items[minItems+1:]...)
-	child.items = slices.Delete(child.items, minItems, len(child.items))
-	if !child.leaf() {
-		right.children = append(right.children, child.children[minItems+1:]...)
-		child.children = slices.Delete(child.children, minItems+1, len(child.children))
+	at := minItems
+	if child.leaf() && i == n.count && p.order(&child.store[maxItems-1].ikey, false) < 0 {
+		at = maxItems - 1
 	}
-	n.items = slices.Insert(n.items, i, median)
-	n.children = slices.Insert(n.children, i+1, right)
+	hoisted := child.store[at]
+	right := newNode[V](child.leaf())
+	if !child.leaf() {
+		copy(right.children[:], child.children[at+1:])
+		clear(child.children[at+1:])
+	}
+	right.setItems(append(right.items(), child.store[at+1:]...))
+	child.setItems(slices.Delete(child.items(), at, maxItems))
+	n.insertChild(i+1, right)
+	n.setItems(slices.Insert(n.items(), i, hoisted))
 }
 
 // Delete removes key, returning its value.
 func (t *Tree[V]) Delete(key Key) (V, bool) {
 	p := t.probe(key)
 	val, ok := t.root.delete(&p)
-	if len(t.root.items) == 0 && !t.root.leaf() {
+	if t.root.count == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}
 	return val, ok
 }
 
 // delete follows the classic CLRS algorithm: before descending into a
-// child, that child is guaranteed to hold at least `degree` items, so the
-// removal at the leaf never leaves an underfull node behind.
+// child, that child is topped up to more than minItems items, so the
+// removal at the leaf never leaves an empty node behind. A leaf an append
+// split started holds fewer until keys fill it, and is topped up the same
+// way.
 func (n *node[V]) delete(key *probe) (V, bool) {
 	i, found := n.search(key)
 	if n.leaf() {
@@ -311,23 +348,23 @@ func (n *node[V]) delete(key *probe) (V, bool) {
 			var zero V
 			return zero, false
 		}
-		val := n.items[i].val
-		n.items = slices.Delete(n.items, i, i+1)
+		val := n.store[i].val
+		n.setItems(slices.Delete(n.items(), i, i+1))
 		return val, true
 	}
 	if found {
-		val := n.items[i].val
+		val := n.store[i].val
 		switch {
-		case len(n.children[i].items) > minItems:
+		case n.children[i].count > minItems:
 			// Replace with predecessor and delete it from the left child.
 			pred := n.children[i].max()
-			n.items[i] = pred
+			n.store[i] = pred
 			p := pred.probe(key.width)
 			n.children[i].delete(&p)
-		case len(n.children[i+1].items) > minItems:
+		case n.children[i+1].count > minItems:
 			// Replace with successor and delete it from the right child.
 			succ := n.children[i+1].min()
-			n.items[i] = succ
+			n.store[i] = succ
 			p := succ.probe(key.width)
 			n.children[i+1].delete(&p)
 		default:
@@ -339,7 +376,7 @@ func (n *node[V]) delete(key *probe) (V, bool) {
 		return val, true
 	}
 	// Key lives in subtree i; ensure that child can lose an item.
-	if len(n.children[i].items) == minItems {
+	if n.children[i].count <= minItems {
 		i = n.fillChild(i)
 	}
 	return n.children[i].delete(key)
@@ -348,9 +385,9 @@ func (n *node[V]) delete(key *probe) (V, bool) {
 // max returns the maximum item of the subtree.
 func (n *node[V]) max() item[V] {
 	for !n.leaf() {
-		n = n.children[len(n.children)-1]
+		n = n.children[n.count]
 	}
-	return n.items[len(n.items)-1]
+	return n.store[n.count-1]
 }
 
 // min returns the minimum item of the subtree.
@@ -358,37 +395,35 @@ func (n *node[V]) min() item[V] {
 	for !n.leaf() {
 		n = n.children[0]
 	}
-	return n.items[0]
+	return n.store[0]
 }
 
-// fillChild grows children[i] to at least degree items by borrowing from a
-// sibling or merging, and returns the (possibly shifted) index of the child
-// that now covers the original key range.
+// fillChild grows children[i] by an item, borrowing from a sibling, or
+// merges it with one, and returns the (possibly shifted) index of the
+// child that now covers the original key range.
 func (n *node[V]) fillChild(i int) int {
 	child := n.children[i]
 	// Borrow from left sibling.
-	if i > 0 && len(n.children[i-1].items) > minItems {
+	if i > 0 && n.children[i-1].count > minItems {
 		left := n.children[i-1]
-		last := len(left.items) - 1
-		child.items = slices.Insert(child.items, 0, n.items[i-1])
-		n.items[i-1] = left.items[last]
-		left.items = slices.Delete(left.items, last, last+1)
+		last := left.count - 1
 		if !child.leaf() {
-			child.children = slices.Insert(child.children, 0, left.children[last+1])
-			left.children = slices.Delete(left.children, last+1, last+2)
+			child.insertChild(0, left.deleteChild(last+1))
 		}
+		child.setItems(slices.Insert(child.items(), 0, n.store[i-1]))
+		n.store[i-1] = left.store[last]
+		left.setItems(slices.Delete(left.items(), last, last+1))
 		return i
 	}
 	// Borrow from right sibling.
-	if i < len(n.children)-1 && len(n.children[i+1].items) > minItems {
+	if i < n.count && n.children[i+1].count > minItems {
 		right := n.children[i+1]
-		child.items = append(child.items, n.items[i])
-		n.items[i] = right.items[0]
-		right.items = slices.Delete(right.items, 0, 1)
 		if !child.leaf() {
-			child.children = append(child.children, right.children[0])
-			right.children = slices.Delete(right.children, 0, 1)
+			child.insertChild(child.count+1, right.deleteChild(0))
 		}
+		child.setItems(append(child.items(), n.store[i]))
+		n.store[i] = right.store[0]
+		right.setItems(slices.Delete(right.items(), 0, 1))
 		return i
 	}
 	// Merge with a sibling; the merged child covers the key range.
@@ -400,14 +435,15 @@ func (n *node[V]) fillChild(i int) int {
 	return i
 }
 
-// mergeChildren merges children i and i+1 around separator item i.
+// mergeChildren merges children i and i+1 around separator item i; each
+// holds at most minItems items, so the merged child fits.
 func (n *node[V]) mergeChildren(i int) {
-	left, right := n.children[i], n.children[i+1]
-	left.items = append(left.items, n.items[i])
-	left.items = append(left.items, right.items...)
-	left.children = append(left.children, right.children...)
-	n.items = slices.Delete(n.items, i, i+1)
-	n.children = slices.Delete(n.children, i+1, i+2)
+	left, right := n.children[i], n.deleteChild(i+1)
+	if !left.leaf() {
+		copy(left.children[left.count+1:], right.children[:right.count+1])
+	}
+	left.setItems(append(append(left.items(), n.store[i]), right.items()...))
+	n.setItems(slices.Delete(n.items(), i, i+1))
 }
 
 // Ascend visits every value in key order until fn returns false.
@@ -444,11 +480,11 @@ func (n *node[V]) ascend(lo, hi *probe, fn func(V) bool) bool {
 		if !n.leaf() && !n.children[i].ascend(lo, hi, fn) {
 			return false
 		}
-		if i == len(n.items) {
+		if i == n.count {
 			return true
 		}
 		lo = nil
-		it := &n.items[i]
+		it := &n.store[i]
 		if (hi != nil && hi.order(&it.ikey, true) > 0) || !fn(it.val) {
 			return false
 		}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"shardingsphere/internal/sqltypes"
 )
@@ -87,6 +89,9 @@ type keyFamily struct {
 	width  int
 	stored func(source) Key
 	probe  func(source) Key
+	// ascending replaces stored and probe with integer keys that mostly
+	// climb above every key drawn before, as an auto-increment column's do.
+	ascending bool
 }
 
 var boundaryInts = []int64{math.MinInt64, math.MinInt64 + 1, -1 << 53, -2, -1, 0, 1, 2, 1 << 53, math.MaxInt64 - 1, math.MaxInt64}
@@ -210,6 +215,28 @@ var families = []keyFamily{
 			return twoInts(int64(r.Intn(64))-32, smallInt(r))
 		},
 	},
+	{
+		// Append splits, and deletes and mid-range inserts among the short
+		// leaves they start.
+		name:      "mostly ascending",
+		width:     1,
+		ascending: true,
+	},
+}
+
+// ascendingKeys returns the stored keys and probes of an ascending family:
+// seven in eight stored keys climb by 1 to 3 above the highest so far, the
+// rest land at or below it, as do probes.
+func ascendingKeys() (stored, probe func(source) Key) {
+	top := 0
+	below := func(r source) Key { return intKey(int64(r.Intn(top + 2))) }
+	return func(r source) Key {
+		if r.Intn(8) == 0 {
+			return below(r)
+		}
+		top += 1 + r.Intn(3)
+		return intKey(int64(top))
+	}, below
 }
 
 // entries counts a tree's entries by walking them.
@@ -219,11 +246,74 @@ func entries[V any](tr *Tree[V]) int {
 	return n
 }
 
+// checkStructure walks the tree and fails on a broken shape: keys out of
+// order, leaves at different depths, an empty node other than the root, an
+// internal node without one more child than items, or a vacated item or
+// child slot that still holds a key or a child.
+func checkStructure[V any](t *testing.T, tr *Tree[V], op int) {
+	t.Helper()
+	var prev Key
+	var bufs [2][2]sqltypes.Value // prev's spelling and the next key's
+	next := 0
+	leafDepth := -1
+	var walk func(n *node[V], depth int)
+	walk = func(n *node[V], depth int) {
+		switch {
+		case n.count == 0 && n != tr.root:
+			t.Fatalf("op %d: empty node at depth %d", op, depth)
+		case !n.leaf() && slices.Contains(n.children[:n.count+1], nil):
+			t.Fatalf("op %d: fewer than %d children for %d items", op, n.count+1, n.count)
+		case !n.leaf() && slices.ContainsFunc(n.children[n.count+1:], func(c *node[V]) bool { return c != nil }):
+			t.Fatalf("op %d: more than %d children for %d items", op, n.count+1, n.count)
+		case n.leaf() && leafDepth < 0:
+			leafDepth = depth
+		case n.leaf() && depth != leafDepth:
+			t.Fatalf("op %d: leaves at depths %d and %d", op, leafDepth, depth)
+		}
+		for i := n.count; i < maxItems; i++ {
+			if n.store[i].ikey != (ikey{}) {
+				t.Fatalf("op %d: vacated slot %d still holds a key", op, i)
+			}
+		}
+		for i := 0; ; i++ {
+			if !n.leaf() {
+				walk(n.children[i], depth+1)
+			}
+			if i == n.count {
+				return
+			}
+			p := n.store[i].probe(tr.width)
+			k := p.spell(&bufs[next])
+			if prev != nil && CompareKeys(prev, k) >= 0 {
+				t.Fatalf("op %d: key %v follows %v", op, k, prev)
+			}
+			prev, next = k, 1-next
+		}
+	}
+	walk(tr.root, 0)
+}
+
+// leafFill is the share of the leaves' item slots in use.
+func leafFill[V any](tr *Tree[V]) float64 {
+	items, leaves := 0, 0
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
+		if n.leaf() {
+			items, leaves = items+n.count, leaves+1
+		}
+		for i := 0; !n.leaf() && i <= n.count; i++ {
+			walk(n.children[i])
+		}
+	}
+	walk(tr.root)
+	return float64(items) / float64(leaves*maxItems)
+}
+
 // height is the number of levels holding items, down the first children.
 func height[V any](tr *Tree[V]) int {
 	h := 0
 	for n := tr.root; ; n = n.children[0] {
-		if len(n.items) > 0 {
+		if n.count > 0 {
 			h++
 		}
 		if n.leaf() {
@@ -240,11 +330,15 @@ func checkAgainstOracle(t *testing.T, fam keyFamily, r source, ops int) {
 	t.Helper()
 	tr := New[int](fam.width)
 	var ref oracle
+	stored, probe := fam.stored, fam.probe
+	if fam.ascending {
+		stored, probe = ascendingKeys()
+	}
 	anyKey := func() Key {
 		if r.Intn(4) == 0 {
-			return fam.probe(r)
+			return probe(r)
 		}
-		return fam.stored(r)
+		return stored(r)
 	}
 	bound := func() Key {
 		if r.Intn(5) == 0 {
@@ -255,7 +349,7 @@ func checkAgainstOracle(t *testing.T, fam keyFamily, r source, ops int) {
 	for op := 0; op < ops; op++ {
 		switch c := r.Intn(10); {
 		case c < 4:
-			k := fam.stored(r)
+			k := stored(r)
 			prev, replaced := tr.Set(k, op)
 			wantPrev, wantReplaced := ref.set(slices.Clone(k), op)
 			if replaced != wantReplaced || prev != wantPrev {
@@ -277,7 +371,7 @@ func checkAgainstOracle(t *testing.T, fam keyFamily, r source, ops int) {
 		case c < 9:
 			// Deletes outnumber what would keep the tree growing, so it
 			// shrinks through merges and borrows as well.
-			k := fam.stored(r)
+			k := stored(r)
 			if len(ref) > 0 && r.Intn(2) == 0 {
 				k = ref[r.Intn(len(ref))].key
 			}
@@ -308,6 +402,7 @@ func checkAgainstOracle(t *testing.T, fam keyFamily, r source, ops int) {
 		if n := entries(tr); n != len(ref) {
 			t.Fatalf("op %d: %d entries, want %d", op, n, len(ref))
 		}
+		checkStructure(t, tr, op)
 	}
 	var all []int
 	tr.Ascend(func(v int) bool { all = append(all, v); return true })
@@ -345,6 +440,18 @@ func FuzzTreeAgainstSortedSlice(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{4, 0, 200, 3, 0, 9, 7, 1, 255, 255, 9, 1, 1})
 	f.Add([]byte{5, 1, 0, 0, 1, 3, 2, 1, 2, 9, 0, 0, 9, 4, 4})
+	// The ascending family: keys 1 to 40 appended (set, climb, by 1), which
+	// leaves 32 to 40 in a short last leaf, then the highest key deleted 20
+	// times (delete, climb, by 1, an existing key, the last index), which
+	// borrows into that leaf rather than emptying it.
+	ascend := []byte{byte(len(families) - 1)}
+	for range 40 {
+		ascend = append(ascend, 0, 1, 0)
+	}
+	for i := range 20 {
+		ascend = append(ascend, 6, 1, 0, 0, byte(39-i))
+	}
+	f.Add(ascend)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -377,6 +484,54 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 	if h < 2 || h > 6 {
 		t.Fatalf("height of 100k sequential keys should be small, got %d", h)
 	}
+}
+
+// TestAscendingKeysFillLeaves: keys set in ascending order leave their
+// leaves at least 90 % full, where a median split left them half full, and
+// shuffled keys fill leaves as they did before the append split: the mean
+// over five seeds read 0.667 with median splits only.
+func TestAscendingKeysFillLeaves(t *testing.T) {
+	tr := New[int](1)
+	for k := range 1000 {
+		tr.Set(intKey(int64(k)), k)
+	}
+	checkStructure(t, tr, 0)
+	if fill := leafFill(tr); fill < 0.9 {
+		t.Errorf("1,000 ascending keys fill %.3f of their leaves' slots, want >= 0.9", fill)
+	}
+	sum := 0.0
+	for seed := int64(1); seed <= 5; seed++ {
+		tr := New[int](1)
+		for _, k := range rand.New(rand.NewSource(seed)).Perm(1000) {
+			tr.Set(intKey(int64(k)), k)
+		}
+		checkStructure(t, tr, 0)
+		sum += leafFill(tr)
+	}
+	if mean := sum / 5; math.Abs(mean-0.667) > 0.02 {
+		t.Errorf("1,000 shuffled keys fill %.3f of their leaves' slots, want 0.667 +- 0.02", mean)
+	}
+}
+
+// TestNodeFitsItsSizeClass: a node of pointer values, which is what the
+// storage engine's trees hold, is allocated from the 1,024-byte size class.
+// Go puts an 8-byte header before an object over 512 bytes that holds
+// pointers, so the node may be 1,016 bytes at most; at 1,040 it took 1,152.
+func TestNodeFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(node[*byte]{}); size > 1024-8 {
+		t.Fatalf("node[*byte] is %d bytes, want <= 1016", size)
+	}
+	var nodes [256]*node[*byte]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range nodes {
+		nodes[i] = newNode[*byte](true)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(nodes)); per > 1100 {
+		t.Fatalf("a leaf takes %d bytes of heap, want 1024", per)
+	}
+	runtime.KeepAlive(&nodes)
 }
 
 func TestDeleteAllDescending(t *testing.T) {

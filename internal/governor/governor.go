@@ -513,9 +513,17 @@ func (b *Breaker) observe(err error) {
 }
 
 // force opens (true) or releases (false) the breaker manually; a released
-// breaker is closed.
+// breaker is closed. The move counts as a failure's or a probe's does:
+// forcing a breaker that read closed or half-open is an open, releasing
+// one that read open or half-open a close.
 func (b *Breaker) force(open bool) {
 	b.change(func() {
+		switch st := b.state(); {
+		case open && st != BreakerOpen:
+			b.opens++
+		case !open && st != BreakerClosed:
+			b.closes++
+		}
 		b.forced = open
 		if !open {
 			b.failures, b.open, b.probing = 0, false, false
@@ -543,6 +551,11 @@ func (b *Breaker) change(f func()) {
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.state()
+}
+
+// state is State for a caller holding b.mu.
+func (b *Breaker) state() BreakerState {
 	switch {
 	case b.forced || b.open && !b.probing:
 		return BreakerOpen

@@ -373,6 +373,27 @@ func TestBreakerCountsTransitionsOnly(t *testing.T) {
 	}
 }
 
+// TestManualBreakCountsTransitions: a manual break and release move the
+// breaker as failures and a probe's success do, and count as they do:
+// breaking a closed breaker is one open, releasing it one close, and a
+// second break of a broken breaker moves nothing.
+func TestManualBreakCountsTransitions(t *testing.T) {
+	g, _, _ := fixture(t)
+	moves := func() string {
+		m := g.ResilienceMetrics()
+		return fmt.Sprintf("opens %d, closes %d, state %d", m["breaker.ds1.opens"], m["breaker.ds1.closes"], m["breaker.ds1.state"])
+	}
+	g.BreakSource("ds1", true)
+	g.BreakSource("ds1", true)
+	if got := moves(); got != "opens 1, closes 0, state 1" {
+		t.Fatalf("after the break: %s", got)
+	}
+	g.BreakSource("ds1", false)
+	if got := moves(); got != "opens 1, closes 1, state 0" {
+		t.Fatalf("after the release: %s", got)
+	}
+}
+
 func TestWatchConfigFiresAndCancels(t *testing.T) {
 	g, reg, _ := fixture(t)
 	fired := make(chan struct{}, 8)

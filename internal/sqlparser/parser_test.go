@@ -652,7 +652,7 @@ func TestWalkExprPrunes(t *testing.T) {
 // agrees with the keyword set in any case, and its stack buffer fits the
 // longest keyword.
 func TestIsKeyword(t *testing.T) {
-	for kw := range keywords {
+	for _, kw := range keywordList {
 		if len(kw) > maxKeywordLen {
 			t.Errorf("keyword %q is longer than maxKeywordLen (%d)", kw, maxKeywordLen)
 		}
@@ -675,6 +675,41 @@ func TestIsKeyword(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { QuoteIdent(DialectMySQL, "sbtest_42"); isKeyword("sbtest") }); n != 0 {
 		t.Errorf("quoting a bare identifier allocates %v times", n)
+	}
+}
+
+// TestKeywordMatchesMap: the bucketed lookup answers as a map of the
+// reserved words did, probed by ident upper-cased in ASCII: on every
+// keyword in lower, upper and mixed case, on each one's proper prefixes and
+// one-letter extensions, on words led by '_', by a digit or by a non-ASCII
+// byte, on letters Unicode folds to ASCII ones, and on words longer than
+// any keyword.
+func TestKeywordMatchesMap(t *testing.T) {
+	words := map[string]string{}
+	for _, w := range keywordList {
+		words[w] = w
+	}
+	probes := []string{"", "_", "_select", "_AND", "1", "1select", "7up", "sélect", "\xc1ND", "@ND", "[ND",
+		"éND", "\xe1nd", "uſe", "li\u212ae", "\u212aey", "ſum", "tableſ",
+		strings.Repeat("a", maxKeywordLen+1), "auto_incrementx", "AUTO_INCREMENT_", strings.Repeat("SELECT", 8)}
+	for _, kw := range keywordList {
+		lower := strings.ToLower(kw)
+		mixed := []byte(lower)
+		for i := 0; i < len(mixed); i += 2 {
+			mixed[i] = kw[i]
+		}
+		probes = append(probes, kw, lower, string(mixed), "_"+kw, "9"+lower)
+		for i := 1; i < len(kw); i++ {
+			probes = append(probes, kw[:i], lower[:i])
+		}
+		for _, c := range []string{"a", "S", "_", "0", "$", "é"} {
+			probes = append(probes, kw+c, lower+c, c+kw)
+		}
+	}
+	for _, p := range probes {
+		if got, want := keyword(p), words[upper(p)]; got != want {
+			t.Errorf("keyword(%q) = %q, want %q", p, got, want)
+		}
 	}
 }
 

@@ -49,42 +49,47 @@ func (t Token) String() string {
 	}
 }
 
-// keywords is the reserved-word set, each word mapped to itself: a
-// keyword token carries the table's string, so lexing one allocates
-// nothing. Identifiers matching these (case insensitively) lex as
-// TokenKeyword.
-var keywords = func() map[string]string {
-	m := map[string]string{}
-	for _, w := range strings.Fields(`SELECT FROM WHERE AND OR NOT IN BETWEEN LIKE IS NULL TRUE FALSE AS JOIN
-		INNER LEFT RIGHT OUTER CROSS ON GROUP BY HAVING ORDER ASC DESC LIMIT OFFSET DISTINCT
-		INSERT INTO VALUES UPDATE SET DELETE CREATE TABLE DROP TRUNCATE INDEX PRIMARY KEY IF EXISTS
-		BEGIN START TRANSACTION COMMIT ROLLBACK XA PREPARE END RECOVER FOR SHOW TABLES
-		COUNT SUM AVG MIN MAX INT INTEGER BIGINT FLOAT DOUBLE VARCHAR CHAR TEXT BOOLEAN DECIMAL
-		UNION ALL CASE WHEN THEN ELSE USE DESCRIBE AUTO_INCREMENT DEFAULT VARIABLE`) {
-		m[w] = w
-	}
-	return m
-}()
+// keywordList is the reserved-word set, upper case. Identifiers matching
+// these (case insensitively) lex as TokenKeyword.
+var keywordList = strings.Fields(`SELECT FROM WHERE AND OR NOT IN BETWEEN LIKE IS NULL TRUE FALSE AS JOIN
+	INNER LEFT RIGHT OUTER CROSS ON GROUP BY HAVING ORDER ASC DESC LIMIT OFFSET DISTINCT
+	INSERT INTO VALUES UPDATE SET DELETE CREATE TABLE DROP TRUNCATE INDEX PRIMARY KEY IF EXISTS
+	BEGIN START TRANSACTION COMMIT ROLLBACK XA PREPARE END RECOVER FOR SHOW TABLES
+	COUNT SUM AVG MIN MAX INT INTEGER BIGINT FLOAT DOUBLE VARCHAR CHAR TEXT BOOLEAN DECIMAL
+	UNION ALL CASE WHEN THEN ELSE USE DESCRIBE AUTO_INCREMENT DEFAULT VARIABLE`)
 
 // maxKeywordLen is the longest reserved word (AUTO_INCREMENT).
 const maxKeywordLen = 14
 
-// keyword returns the reserved word ident spells in any case, or "". It
-// upper-cases into a stack buffer, so neither the lexer nor the
-// serializer's per-identifier quoting check allocates.
+// keywordTable buckets the reserved words by length and first letter; a
+// bucket holds at most a few.
+var keywordTable = func() (t [maxKeywordLen + 1]['Z' - 'A' + 1][]string) {
+	for _, w := range keywordList {
+		t[len(w)][w[0]-'A'] = append(t[len(w)][w[0]-'A'], w)
+	}
+	return t
+}()
+
+// keyword returns the reserved word ident spells in any case, or "": the
+// table's string, so lexing a keyword allocates nothing. It compares ident
+// with its bucket's words in place and hashes nothing, so neither the lexer
+// nor the serializer's per-identifier quoting check pays for a map lookup.
+// The letters EqualFold folds to ASCII ones ('ſ' to 's', 'K' to 'k') take
+// more bytes than they do, so no bucket of ASCII words matches them.
 func keyword(ident string) string {
-	if len(ident) > maxKeywordLen {
+	if len(ident) == 0 || len(ident) > maxKeywordLen {
 		return ""
 	}
-	var buf [maxKeywordLen]byte
-	for i := 0; i < len(ident); i++ {
-		c := ident[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		buf[i] = c
+	c := ident[0] | 0x20 // an ASCII letter in lower case
+	if c < 'a' || c > 'z' {
+		return ""
 	}
-	return keywords[string(buf[:len(ident)])]
+	for _, w := range keywordTable[len(ident)][c-'a'] {
+		if strings.EqualFold(ident, w) {
+			return w
+		}
+	}
+	return ""
 }
 
 // isKeyword reports whether ident is a reserved word in any case.

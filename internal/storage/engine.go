@@ -152,7 +152,7 @@ func (e *Engine) CreateIndex(spec IndexSpec) error {
 		if slot.committed != "" {
 			ix.tree.Set(ix.keyOf(&buf, slot.committed, n, slot.id), slot)
 		}
-		if slot.uncommitted != "" && !slot.deleted {
+		if slot.uncommitted != "" && !slot.deleted() {
 			ix.tree.Set(ix.keyOf(&buf, slot.uncommitted, n, slot.id), slot)
 		}
 		return true

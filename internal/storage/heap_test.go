@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"shardingsphere/internal/sqltypes"
 )
@@ -14,9 +15,10 @@ import (
 // version, its slot and its two tree entries. Each row's strings are fresh
 // allocations, as a parsed statement's are. Measured on linux/amd64 with
 // Go 1.24: a []Value version with strings of their own read 547 bytes a
-// row, a record 403.
+// row, a record 403, and with append splits, a 48-byte slot and a 1,024-byte
+// node 342.
 func TestBytesPerStoredRow(t *testing.T) {
-	const rows, bound = 20000, 475
+	const rows, bound = 20000, 400
 	e := NewEngine("heap")
 	if err := e.CreateTable(TableSpec{
 		Name: "sbtest",
@@ -73,9 +75,10 @@ func TestBytesPerStoredRow(t *testing.T) {
 // record kept the first version's whole record alive after the update.
 // Measured on linux/amd64 with Go 1.24: with the key viewing its record
 // 429 bytes a row after loading and 669 after the update, with the key's
-// string copied 453 and 453.
+// string copied 453 and 453, and with append splits, a 48-byte slot and a
+// 1,024-byte node 395 and 395.
 func TestBytesPerStoredVarcharKeyRow(t *testing.T) {
-	const rows, bound = 20000, 520
+	const rows, bound = 20000, 450
 	e := NewEngine("heap")
 	if err := e.CreateTable(TableSpec{
 		Name:       "s",
@@ -131,5 +134,13 @@ func TestBytesPerStoredVarcharKeyRow(t *testing.T) {
 	t.Logf("%.0f bytes per stored row after loading, %.0f after an update of each", loaded, updated)
 	if loaded > bound || updated > bound {
 		t.Errorf("a stored row costs %.0f bytes of live heap after loading and %.0f after an update, want at most %d", loaded, updated, bound)
+	}
+}
+
+// TestRowSlotSize pins a slot at 48 bytes, its size class: one more field
+// would cost every row 16 bytes.
+func TestRowSlotSize(t *testing.T) {
+	if size := unsafe.Sizeof(rowSlot{}); size != 48 {
+		t.Fatalf("rowSlot is %d bytes, want 48", size)
 	}
 }

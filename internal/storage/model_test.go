@@ -166,7 +166,7 @@ func checkEntries(t *testing.T, tbl *Table, round int) {
 		want := 0
 		tbl.pk.Ascend(func(slot *rowSlot) bool {
 			pending := slot.uncommitted
-			if slot.deleted || slot.committed != "" && pending != "" && ix.sameKey(slot.committed, pending, n) {
+			if slot.deleted() || slot.committed != "" && pending != "" && ix.sameKey(slot.committed, pending, n) {
 				pending = ""
 			}
 			for _, version := range []string{slot.committed, pending} {

@@ -13,22 +13,35 @@ import (
 // rowSlot is the stored state of one row: two records (record.go), ""
 // meaning none. committed is the version every other transaction reads;
 // uncommitted is the pending version private to the owning transaction
-// (read-committed isolation). A pending delete sets deleted with owner
-// identifying the deleter, and clears uncommitted unless the row has no
-// committed version: the slot holds no key, so it keeps a version to read
-// its key from.
+// (read-committed isolation), with a pending delete's bit below its id in
+// owner, which keeps a slot at 48 bytes. A pending delete clears
+// uncommitted unless the row has no committed version: the slot holds no
+// key, so it keeps a version to read its key from.
 type rowSlot struct {
 	id          int64
 	committed   string // "" until the creating tx commits
 	uncommitted string // "" when no pending write
-	owner       int64  // tx id with a pending write; 0 = none
-	deleted     bool   // pending delete by owner
+	owner       int64  // txID<<1 | deleted; 0 = no pending write
+}
+
+// ownedBy returns the id of the transaction with a pending write, 0 if none.
+func (s *rowSlot) ownedBy() int64 { return s.owner >> 1 }
+
+// deleted reports whether the owner's pending write deletes the row.
+func (s *rowSlot) deleted() bool { return s.owner&1 != 0 }
+
+// setDeleted marks the owner's pending write a delete or not.
+func (s *rowSlot) setDeleted(d bool) {
+	s.owner &^= 1
+	if d {
+		s.owner |= 1
+	}
 }
 
 // visible returns the version of the row the transaction may read, or "".
 func (s *rowSlot) visible(txID int64) string {
-	if s.owner != 0 && s.owner == txID {
-		if s.deleted {
+	if owner := s.ownedBy(); owner != 0 && owner == txID {
+		if s.deleted() {
 			return ""
 		}
 		if s.uncommitted != "" {
@@ -42,7 +55,7 @@ func (s *rowSlot) visible(txID int64) string {
 // retire empties a slot that has left the table, so a scan entry taken
 // before that finds no row behind it.
 func (s *rowSlot) retire() {
-	s.committed, s.uncommitted, s.owner, s.deleted = "", "", 0, false
+	s.committed, s.uncommitted, s.owner = "", "", 0
 }
 
 // secondaryIndex is a non-unique ordered index. Each version of a row has

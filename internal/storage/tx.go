@@ -26,7 +26,7 @@ type undo struct {
 	table   *Table
 	slot    *rowSlot
 	prior   string // slot.uncommitted before the write
-	deleted bool   // slot.deleted before the write
+	deleted bool   // slot.deleted() before the write
 	first   bool
 }
 
@@ -60,8 +60,8 @@ func (tx *Tx) noteLock(key lockKey) {
 // logs the row's state before the write. Caller holds t.mu and the row
 // lock.
 func (tx *Tx) own(t *Table, slot *rowSlot) {
-	u := undo{table: t, slot: slot, prior: slot.uncommitted, deleted: slot.deleted, first: slot.owner != tx.id}
-	slot.owner = tx.id
+	u := undo{table: t, slot: slot, prior: slot.uncommitted, deleted: slot.deleted(), first: slot.ownedBy() != tx.id}
+	slot.owner = tx.id<<1 | slot.owner&1
 	tx.mu.Lock()
 	tx.log = append(tx.log, u)
 	tx.mu.Unlock()
@@ -109,14 +109,15 @@ func (tx *Tx) RollbackTo(sp int) error {
 func (t *Table) restore(txID int64, u undo) {
 	slot := u.slot
 	switch {
-	case slot.owner != txID:
+	case slot.ownedBy() != txID:
 	case u.first:
 		t.rollbackSlot(slot)
 	default:
-		if slot.uncommitted != "" && !slot.deleted {
+		if slot.uncommitted != "" && !slot.deleted() {
 			t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 		}
-		slot.uncommitted, slot.deleted = u.prior, u.deleted
+		slot.uncommitted = u.prior
+		slot.setDeleted(u.deleted)
 		if u.prior != "" && !u.deleted {
 			t.addVersionEntries(u.prior, slot.committed, slot)
 		}
@@ -187,9 +188,9 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	}
 	if slot, ok := t.pk.Get(pkKey); ok {
 		// Re-insert of a row this transaction deleted: revive it in place.
-		if slot.owner == tx.id && slot.deleted {
+		if slot.ownedBy() == tx.id && slot.deleted() {
 			tx.own(t, slot)
-			slot.deleted = false
+			slot.setDeleted(false)
 			slot.uncommitted = rec
 			t.addVersionEntries(rec, slot.committed, slot)
 			return row, nil
@@ -264,7 +265,7 @@ func (tx *Tx) Update(t *Table, se ScanEntry, buf sqltypes.Row, set func(cur sqlt
 	if slot.uncommitted != "" {
 		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 	}
-	slot.deleted = false
+	slot.setDeleted(false)
 	slot.uncommitted = rec
 	t.addVersionEntries(rec, slot.committed, slot)
 	return true, nil
@@ -308,7 +309,7 @@ func (tx *Tx) Delete(t *Table, se ScanEntry, buf sqltypes.Row, match func(cur sq
 		// drop reads the primary key from; it has no index entries now.
 		slot.uncommitted = ""
 	}
-	slot.deleted = true
+	slot.setDeleted(true)
 	return true, nil
 }
 
@@ -344,7 +345,7 @@ func (tx *Tx) apply(commit bool) {
 		for ; i < len(tx.log) && tx.log[i].table == t; i++ {
 			switch slot := tx.log[i].slot; {
 			case !tx.log[i].first:
-			case slot.owner != tx.id: // truncated away meanwhile
+			case slot.ownedBy() != tx.id: // truncated away meanwhile
 			case commit:
 				t.commitSlot(slot)
 			default:
@@ -361,7 +362,7 @@ func (tx *Tx) apply(commit bool) {
 // commitSlot promotes the pending version. Caller holds t.mu.
 func (t *Table) commitSlot(slot *rowSlot) {
 	switch {
-	case slot.deleted:
+	case slot.deleted():
 		t.drop(slot)
 	case slot.uncommitted != "":
 		if slot.committed != "" {
@@ -386,7 +387,6 @@ func (t *Table) rollbackSlot(slot *rowSlot) {
 		t.removeVersionEntries(slot.uncommitted, slot.committed, slot)
 	}
 	slot.uncommitted = ""
-	slot.deleted = false
 	slot.owner = 0
 }
 
@@ -399,7 +399,7 @@ func (t *Table) drop(slot *rowSlot) {
 		t.removeVersionEntries(version, "", slot)
 	}
 	if slot.uncommitted != "" {
-		if !slot.deleted {
+		if !slot.deleted() {
 			t.removeVersionEntries(slot.uncommitted, "", slot)
 		}
 		version = slot.uncommitted
